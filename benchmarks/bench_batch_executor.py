@@ -6,9 +6,12 @@ comparison):
 * filter throughput — vectorized ``predict_batch`` vs the per-frame
   ``predict`` loop for the linear branch filters (the acceptance bar is a
   >= 3x wall-clock win for the OD / IC branches);
-* end-to-end executor throughput — ``StreamingQueryExecutor`` in batched
-  mode vs sequential mode on a planned cascade, with identical matched
-  frames and identical simulated cost accounting.
+* executor parity — ``StreamingQueryExecutor`` at chunk size 16 vs chunk
+  size 1 (``batch_size=None``) on a planned cascade: identical matched
+  frames and identical simulated cost accounting.  Both run the one scan
+  loop on ``predict_batch``, so their wall-clock ratio is reported but not
+  gated here; the per-frame vs batched end-to-end comparison is the perf
+  ledger's ``table3_perframe`` / ``table3_batched`` workload pair.
 """
 
 from __future__ import annotations
@@ -155,8 +158,9 @@ def test_batch_executor_throughput(benchmark, bench_config, pytestconfig):
     assert by_filter["od_filter"]["speedup"] >= 3.0, by_filter
     assert by_filter["ic_filter"]["speedup"] >= 3.0, by_filter
     assert by_filter["od_cof"]["speedup"] >= 2.0, by_filter
+    # No speed-up bar on the executor row: chunk size 1 and chunk size 16 are
+    # the same loop on ``predict_batch``.  The end-to-end per-frame vs batched
+    # numbers are tracked by the perf ledger (``table3_perframe`` /
+    # ``table3_batched``); this row only pins that the results agree.
     executor = result["executor"]
     assert executor["matches_equal"] and executor["calls_equal"]
-    # End to end the (shared) detector work dilutes the ratio; locally the
-    # batched executor still measures ~4x.
-    assert executor["speedup"] >= 1.3, executor

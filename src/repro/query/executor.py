@@ -6,23 +6,20 @@ reference detector, whose detections are then checked exactly against the
 query predicates.  Frames rejected by the cascade are skipped entirely — this
 is the source of the orders-of-magnitude speedups reported in Table III.
 
-Two execution modes share identical semantics:
+There is one scan loop, :class:`~repro.query.session.ScanSession`, and chunk
+size is its only variable: the stream is processed in chunks of
+``batch_size`` frames (``None`` = one frame at a time, i.e. chunks of one).
+Each cascade step runs as one vectorized
+:meth:`~repro.filters.base.FrameFilter.predict_batch` call over the chunk's
+surviving frames, the survivor set narrows step by step, and the detector
+only sees the frames that survive the whole cascade.  Filter latencies are
+charged with the clock's ``calls=n`` batched-charge API, so every chunk size
+returns the same matched frames, the same work counters and the same
+simulated cost (call counts exactly, milliseconds to float-rounding); larger
+chunks are faster in wall-clock (see the perf ledger's ``table3_perframe`` /
+``table3_batched`` pair).
 
-* *sequential* (``batch_size=None``) — one frame at a time, the original
-  per-frame loop;
-* *batched* (``batch_size=n``) — the stream is processed in chunks of ``n``
-  frames; each cascade step runs as one vectorized
-  :meth:`~repro.filters.base.FrameFilter.predict_batch` call over the chunk's
-  surviving frames, the survivor set narrows step by step, and the detector
-  only sees the frames that survive the whole cascade.  Filter latencies are
-  charged with the clock's ``calls=n`` batched-charge API, so the simulated
-  cost accounting matches the sequential path (call counts exactly,
-  milliseconds to float-rounding).  Batched execution returns the same
-  matched frames and the same work counters as sequential execution and is
-  several times faster in wall-clock on the linear filters (see
-  ``benchmarks/bench_batch_executor.py``).
-
-Both modes honor the query's ``WINDOW HOPPING`` clause: the stream is
+Every chunk size honors the query's ``WINDOW HOPPING`` clause: the stream is
 segmented into hopping-window instances, every frame covered by at least one
 window is filtered/verified exactly once (overlapping windows share the
 per-frame work), and the result carries one :class:`WindowResult` per window
@@ -64,7 +61,7 @@ Costs are accounted twice:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -73,15 +70,14 @@ import numpy as np
 # aggregates -> query.ast -> query.executor import chain finds the window
 # types already initialised.
 from repro.aggregates.windows import HoppingWindow, WindowBounds
-from repro.cost import CostBreakdown, SharedCostReport, SimulatedClock
+from repro.cost import CostBreakdown, ParallelCostReport, SharedCostReport, SimulatedClock
 from repro.detection.base import Detector
 from repro.faults.injector import FaultExhausted, current_report
-from repro.filters.base import FilterPrediction, FrameFilter
+from repro.filters.base import FrameFilter
 from repro.query.ast import Query
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.query.parallel import (
     CascadeProfiler,
-    ChunkOutcome,
     FramePrefetcher,
     ParallelConfig,
     ParallelStats,
@@ -89,17 +85,10 @@ from repro.query.parallel import (
     partition_chunks,
     run_parallel_scan,
 )
-from repro.cost import ParallelCostReport
-from repro.query.planner import FilterCascade, merge_cascade_steps
+from repro.query.planner import FilterCascade
 from repro.query.session import ScanSession
-from repro.query.temporal import (
-    TemporalConfig,
-    TemporalScan,
-    TemporalStats,
-    clocks_detached,
-    with_component_reuses,
-)
-from repro.video.stream import Frame, VideoStream
+from repro.query.temporal import TemporalConfig, TemporalStats
+from repro.video.stream import VideoStream
 
 if TYPE_CHECKING:  # runtime import would be circular; see execute_aggregate
     from repro.aggregates.monitor import AggregateQuerySpec, MonitoringReport
@@ -375,47 +364,6 @@ class AggregateExecutionResult:
         return tuple(report for window in self.windows for report in window.reports)
 
 
-@dataclass(frozen=True)
-class _TemporalOutcome:
-    """Cached per-frame outcome of a single-query temporal scan.
-
-    ``components`` names the filters the evaluation ran (in cascade order,
-    deduped by identity) — the invocations a reuse of this outcome avoids.
-    """
-
-    passed: bool
-    matched: bool
-    components: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class _QueryVerdict:
-    """One query's share of a shared-scan frame outcome.
-
-    ``components`` holds the ``(name, latency_ms)`` cost components a
-    standalone run of this query would have charged for the frame.
-    """
-
-    components: tuple[tuple[str, float], ...]
-    passed: bool
-    matched: bool
-
-
-@dataclass(frozen=True)
-class _SharedTemporalOutcome:
-    """Cached per-frame outcome of a multi-query temporal scan.
-
-    ``per_query[i]`` is ``None`` for queries whose window coverage excludes
-    the frame; ``computed_components`` names the distinct filters the shared
-    evaluation actually ran, and ``detector_ran`` whether any query's
-    cascade survivors triggered the detector.
-    """
-
-    per_query: tuple[_QueryVerdict | None, ...]
-    computed_components: tuple[str, ...]
-    detector_ran: bool
-
-
 class StreamingQueryExecutor:
     """Executes queries over a stream with an optional filter cascade."""
 
@@ -443,10 +391,10 @@ class StreamingQueryExecutor:
         error-severity findings — the belt-and-braces entry point for
         cascades that did not come from ``QueryPlanner.plan(strict=True)``.
 
-        ``batch_size=None`` selects the sequential per-frame path;
-        ``batch_size=n`` processes the stream in chunks of ``n`` frames with
-        vectorized filter batches.  Both modes produce identical matched
-        frames and work counters.
+        ``batch_size`` is the chunk size of the scan: ``None`` evaluates one
+        frame at a time, ``batch_size=n`` processes the stream in chunks of
+        ``n`` frames with vectorized filter batches.  Every chunk size
+        produces identical matched frames and work counters.
 
         When the query carries a ``WINDOW HOPPING`` clause the scan is
         restricted to the frames covered by at least one window instance, each
@@ -475,7 +423,7 @@ class StreamingQueryExecutor:
         ``chunk_size``-frame chunks executes on ``num_workers`` concurrent
         workers while a decode-ahead prefetcher renders upcoming chunks, and
         results are re-merged in stream order — output is bit-identical to
-        the sequential batched path.  When ``batch_size`` is also given it
+        the inline chunked scan.  When ``batch_size`` is also given it
         overrides the config's chunk size (parallel execution *is* batched
         execution, distributed).  Combined with ``temporal`` the gating
         stays sequential (reuse decisions are inherently order-dependent)
@@ -484,194 +432,44 @@ class StreamingQueryExecutor:
         from observed pass rates; every reorder is logged in
         ``stats.plan_revisions`` and the matched frames are unaffected
         (conjunctive steps commute).
+
+        The scan is the shared scan of :meth:`execute_many` with one query,
+        so its counters are the work actually performed: under ``temporal``
+        reused and stride-skipped frames show up as reused calls on the
+        clock and in ``temporal``, not as invocations.
         """
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be positive: {batch_size}")
-        if temporal is not None and batch_size is not None:
-            raise ValueError(
-                "temporal execution is sequential; combining temporal= with "
-                "batch_size= is not supported"
-            )
-        indices = list(frame_indices) if frame_indices is not None else list(range(len(stream)))
-        window_bounds = _window_bounds_for(query, stream, include_partial_windows)
-        if window_bounds is not None:
-            indices = _restrict_to_coverage(indices, window_bounds)
-        # Cost is measured as a delta against a snapshot rather than by
-        # resetting the clock: a caller-supplied shared clock (e.g. one
-        # accumulating cost across several executions) keeps its history.
-        cost_baseline = self.clock.snapshot()
         # `is None`, not truthiness: a provably-empty cascade has no steps
         # (len 0, hence falsy) but must keep its short-circuit flag.
         cascade = cascade if cascade is not None else FilterCascade()
-        if strict:
-            # Local import: repro.analysis depends on the query AST package.
-            from repro.analysis import lint_plan, lint_query
-
-            lint_query(query, strict=True)
-            lint_plan(cascade, strict=True)
+        scan = self._scan(
+            [query], stream, [cascade], frame_indices, batch_size,
+            include_partial_windows, temporal, parallel, strict,
+        )
+        result, shared = scan.results[0], scan.shared
         if cascade.provably_empty:
-            # Static analysis proved the query can match no frame: return the
-            # empty result directly — zero frames rendered, filtered or
-            # verified.  Windowed queries still report their (empty) window
-            # instances so the result shape matches a normal windowed run.
-            return QueryExecutionResult(
-                query_name=query.name,
-                cascade_description=cascade.describe(),
-                matched_frames=(),
-                stats=ExecutionStats(
-                    frames_scanned=0,
-                    frames_passed_filters=0,
-                    detector_invocations=0,
-                    filter_invocations=0,
-                    simulated_cost=self.clock.delta_since(cost_baseline),
-                    wall_clock_seconds=0.0,
-                    batch_size=batch_size,
-                ),
-                windows=(
-                    _partition_into_windows(window_bounds, [], [], [])
-                    if window_bounds is not None
-                    else None
+            # Static analysis proved the query can match no frame, so the
+            # scan covered none — zero frames rendered, filtered or verified:
+            # no chunking, no wall time, no fault site consulted.  Windowed
+            # queries still report their (empty) window instances so the
+            # result shape matches a normal windowed run.
+            return replace(
+                result,
+                stats=replace(
+                    result.stats, wall_clock_seconds=0.0, batch_size=batch_size, faults=None
                 ),
             )
-        # The cascade's filters charge their latency to our clock for the
-        # duration of this execution.
-        previous_clocks = []
-        for frame_filter in cascade.filters:
-            previous_clocks.append((frame_filter, frame_filter.clock))
-            frame_filter.clock = self.clock
-        previous_detector_clock = getattr(self.detector, "clock", None)
-        if hasattr(self.detector, "clock"):
-            self.detector.clock = self.clock
-
-        effective_chunk = (
-            (batch_size or parallel.chunk_size) if parallel is not None else batch_size
-        )
-        started = time.perf_counter()
-        temporal_stats: TemporalStats | None = None
-        plan_revisions: tuple[PlanRevision, ...] = ()
-        per_worker: tuple = ()
-        num_chunks = 0
-        sanitizer_report: AnalysisReport | None = None
-        fault_report: FaultReport | None = None
-        try:
-            if temporal is not None:
-                prefetcher: FramePrefetcher | None = None
-                profiler: CascadeProfiler | None = None
-                render = stream.frame
-                if parallel is not None:
-                    # Profiler before prefetcher: everything constructed after
-                    # the prefetcher must live inside the try/finally below,
-                    # or a failure here would leak decode-ahead threads.
-                    if parallel.adaptive:
-                        profiler = CascadeProfiler(cascade, parallel)
-                    prefetcher = FramePrefetcher(
-                        stream,
-                        indices,
-                        depth=parallel.prefetch_depth * effective_chunk,
-                        threads=parallel.effective_prefetch_threads,
-                    )
-                    render = prefetcher.frame
-                try:
-                    (
-                        matched,
-                        passed,
-                        filter_invocations,
-                        detector_invocations,
-                        temporal_stats,
-                    ) = self._run_temporal(
-                        query, stream, cascade, indices, temporal,
-                        render=render, profiler=profiler,
-                    )
-                finally:
-                    if prefetcher is not None:
-                        prefetcher.close()
-                if profiler is not None:
-                    plan_revisions = tuple(profiler.revisions)
-            elif parallel is not None:
-                (
-                    matched_lists,
-                    passed_lists,
-                    invocation_list,
-                    _attributed,
-                    _computed,
-                    detector_invocations,
-                    profilers,
-                    per_worker,
-                    num_chunks,
-                    sanitizer_report,
-                    fault_report,
-                ) = self._run_parallel_chunked(
-                    [query],
-                    stream,
-                    [cascade],
-                    [list(range(len(cascade.steps)))],
-                    None,
-                    indices,
-                    parallel,
-                    effective_chunk,
-                )
-                matched, passed = matched_lists[0], passed_lists[0]
-                filter_invocations = invocation_list[0]
-                if profilers is not None:
-                    plan_revisions = tuple(profilers[0].revisions)
-            else:
-                if batch_size is None:
-                    counters = self._run_sequential(query, stream, cascade, indices)
-                else:
-                    counters = self._run_batched(query, stream, cascade, indices, batch_size)
-                matched, passed, filter_invocations = counters
-                detector_invocations = len(passed)
-        finally:
-            for frame_filter, previous in previous_clocks:
-                frame_filter.clock = previous
-            if hasattr(self.detector, "clock"):
-                self.detector.clock = previous_detector_clock
-        elapsed = time.perf_counter() - started
-
-        parallel_stats = (
-            ParallelStats(
-                backend=parallel.backend,
-                num_workers=parallel.num_workers,
-                chunk_size=effective_chunk,
-                prefetch_depth=parallel.prefetch_depth,
-                num_chunks=num_chunks,
-                cost=ParallelCostReport(
-                    per_worker=per_worker, wall_clock_seconds=elapsed
-                ),
-            )
-            if parallel is not None
-            else None
-        )
-        if fault_report is None:
-            # Non-parallel paths did not collect a report; an installed
-            # injector still yields one (decode retries happen in the
-            # stream), and fault-free runs keep ``faults=None``.
-            fault_report = current_report(())
-        stats = ExecutionStats(
-            frames_scanned=len(indices),
-            frames_passed_filters=len(passed),
-            detector_invocations=detector_invocations,
-            filter_invocations=filter_invocations,
-            simulated_cost=self.clock.delta_since(cost_baseline),
-            wall_clock_seconds=elapsed,
-            batch_size=effective_chunk if temporal is None else batch_size,
-            plan_revisions=plan_revisions,
-            parallel=parallel_stats,
-            sanitizer_report=sanitizer_report,
-            faults=fault_report,
-        )
-        windows = (
-            _partition_into_windows(window_bounds, indices, passed, matched)
-            if window_bounds is not None
-            else None
-        )
-        return QueryExecutionResult(
-            query_name=query.name,
-            cascade_description=cascade.describe(),
-            matched_frames=tuple(matched),
-            stats=stats,
-            windows=windows,
-            temporal=temporal_stats,
+        return replace(
+            result,
+            temporal=shared.temporal,
+            stats=replace(
+                result.stats,
+                detector_invocations=shared.detector_invocations,
+                filter_invocations=shared.filter_computations,
+                simulated_cost=shared.cost.shared,
+                batch_size=shared.batch_size if temporal is None else None,
+                parallel=shared.parallel,
+                sanitizer_report=shared.sanitizer_report,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -749,13 +547,6 @@ class StreamingQueryExecutor:
         queries = list(queries)
         if not queries:
             raise ValueError("execute_many needs at least one query")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be positive: {batch_size}")
-        if temporal is not None and batch_size is not None:
-            raise ValueError(
-                "temporal execution is sequential; combining temporal= with "
-                "batch_size= is not supported"
-            )
         if cascades is None:
             if planner is not None:
                 query_cascades = [planner.plan(query) for query in queries]
@@ -772,6 +563,43 @@ class StreamingQueryExecutor:
                 raise ValueError(
                     f"{len(queries)} queries but {len(query_cascades)} cascades"
                 )
+        return self._scan(
+            queries, stream, query_cascades, frame_indices, batch_size,
+            include_partial_windows, temporal, parallel, strict,
+        )
+
+    def _scan(
+        self,
+        queries: Sequence[Query],
+        stream: VideoStream,
+        query_cascades: Sequence[FilterCascade],
+        frame_indices: Sequence[int] | None,
+        batch_size: int | None,
+        include_partial_windows: bool,
+        temporal: TemporalConfig | None,
+        parallel: ParallelConfig | None,
+        strict: bool,
+    ) -> MultiQueryExecutionResult:
+        """The one scan behind :meth:`execute` and :meth:`execute_many`.
+
+        Build a :class:`~repro.query.session.ScanSession`, feed it, read the
+        states.  The session owns the loop (accumulation, the detector-union
+        phase, clock attachment and restoration); what varies is how frames
+        reach it: rendered chunks of ``batch_size`` frames (``None`` = chunks
+        of one frame) through ``push_chunk``, worker outcomes merged in order
+        by :func:`~repro.query.parallel.run_parallel_scan`, or the whole
+        index sequence through the temporal driver.  The filter phase of a
+        chunk is :func:`~repro.query.parallel.run_filter_chunk` whether it
+        runs inline or in a worker, so the parallel engine is chunk-for-chunk
+        identical to the inline scan by construction.
+        """
+        if batch_size is not None and batch_size < 1:
+            raise ValueError(f"batch_size must be positive: {batch_size}")
+        if temporal is not None and batch_size is not None:
+            raise ValueError(
+                "temporal execution is sequential; combining temporal= with "
+                "batch_size= is not supported"
+            )
         if strict:
             # Local import: repro.analysis depends on the query AST package.
             from repro.analysis import lint_plan, lint_query
@@ -783,8 +611,7 @@ class StreamingQueryExecutor:
             list(frame_indices) if frame_indices is not None else list(range(len(stream)))
         )
 
-        # Per-query frame coverage: windowed queries restrict to their
-        # windows (same semantics and same error as execute()).
+        # Per-query frame coverage: windowed queries restrict to their windows.
         per_query_windows: list[list[WindowBounds] | None] = []
         per_query_indices: list[list[int]] = []
         for query, cascade in zip(queries, query_cascades):
@@ -808,60 +635,35 @@ class StreamingQueryExecutor:
             if any(index in members for members in member_sets)
         ]
 
-        unique_steps, assignments = merge_cascade_steps(query_cascades)
-
-        # Every distinct filter instance and the detector charge this
-        # executor's clock for the duration of the shared run.
-        distinct_filters: list[FrameFilter] = []
-        for cascade in query_cascades:
-            for frame_filter in cascade.filters:
-                if all(frame_filter is not existing for existing in distinct_filters):
-                    distinct_filters.append(frame_filter)
-        previous_clocks = [(frame_filter, frame_filter.clock) for frame_filter in distinct_filters]
-        for frame_filter in distinct_filters:
-            frame_filter.clock = self.clock
-        previous_detector_clock = getattr(self.detector, "clock", None)
-        if hasattr(self.detector, "clock"):
-            self.detector.clock = self.clock
-
-        cost_baseline = self.clock.snapshot()
-        num_queries = len(queries)
-        matched: list[list[int]] = [[] for _ in range(num_queries)]
-        passed: list[list[int]] = [[] for _ in range(num_queries)]
-        filter_invocations = [0] * num_queries
-        # per query: (filter component name, latency) -> attributed call count
-        attributed_calls: list[dict[tuple[str, float], int]] = [
-            {} for _ in range(num_queries)
-        ]
-        shared_filter_computations = 0
-        shared_detector_invocations = 0
+        chunk_size = batch_size or (parallel.chunk_size if parallel is not None else 1)
         temporal_stats: TemporalStats | None = None
-        chunk_size = batch_size if batch_size is not None else 1
-        if parallel is not None:
-            chunk_size = batch_size or parallel.chunk_size
-        per_query_revisions: list[tuple[PlanRevision, ...]] = [
-            () for _ in range(num_queries)
-        ]
-        per_worker: tuple = ()
+        per_worker: tuple[CostBreakdown, ...] = ()
         num_chunks = 0
         sanitizer_report: AnalysisReport | None = None
-        fault_report: FaultReport | None = None
-
         started = time.perf_counter()
-        try:
+        # Cost is measured as a delta against the session's snapshot of the
+        # clock rather than by resetting it: a caller-supplied shared clock
+        # (e.g. one accumulating cost across several executions) keeps its
+        # history.
+        session = ScanSession(self.detector, clock=self.clock, live=False)
+        with session:
+            for query, cascade, members in zip(queries, query_cascades, member_sets):
+                session.add_query(query, cascade, member_set=members)
+            if parallel is not None and parallel.adaptive:
+                # One profiler per query: the temporal evaluation and chunk
+                # submission read its step order, the in-order merge feeds it.
+                for state in session.states:
+                    state.profiler = CascadeProfiler(state.cascade, parallel)
+            # Plans the scan: steps merged across queries, and every filter
+            # and the detector charge our clock until the session closes.
+            unique_steps = session.unique_step_count
             if temporal is not None:
-                prefetcher: FramePrefetcher | None = None
-                profilers: list[CascadeProfiler] | None = None
                 render = stream.frame
+                prefetcher: FramePrefetcher | None = None
                 if parallel is not None:
-                    # Profiler construction before the prefetcher (see
-                    # execute()): nothing may run between the prefetcher
-                    # constructor and the try/finally that closes it.
-                    if parallel.adaptive:
-                        profilers = [
-                            CascadeProfiler(cascade, parallel)
-                            for cascade in query_cascades
-                        ]
+                    # Nothing may run between the prefetcher constructor and
+                    # the try/finally that closes it, or a failure would leak
+                    # decode-ahead threads.
                     prefetcher = FramePrefetcher(
                         stream,
                         union_indices,
@@ -870,84 +672,65 @@ class StreamingQueryExecutor:
                     )
                     render = prefetcher.frame
                 try:
-                    (
-                        matched,
-                        passed,
-                        filter_invocations,
-                        attributed_calls,
-                        shared_filter_computations,
-                        shared_detector_invocations,
-                        temporal_stats,
-                    ) = self._run_many_temporal(
-                        queries,
-                        stream,
-                        query_cascades,
-                        assignments,
-                        member_sets,
-                        union_indices,
-                        temporal,
-                        render=render,
-                        profilers=profilers,
+                    temporal_stats = session.run_temporal_scan(
+                        temporal, union_indices, render
                     )
                 finally:
                     if prefetcher is not None:
                         prefetcher.close()
-                if profilers is not None:
-                    per_query_revisions = [
-                        tuple(profiler.revisions) for profiler in profilers
-                    ]
             elif parallel is not None:
-                (
-                    matched,
-                    passed,
-                    filter_invocations,
-                    attributed_calls,
-                    shared_filter_computations,
-                    shared_detector_invocations,
-                    profilers,
-                    per_worker,
-                    num_chunks,
-                    sanitizer_report,
-                    fault_report,
-                ) = self._run_parallel_chunked(
-                    queries,
-                    stream,
-                    query_cascades,
-                    assignments,
-                    member_sets,
-                    union_indices,
-                    parallel,
-                    chunk_size,
+                per_worker, num_chunks, sanitizer_report = self._scan_parallel(
+                    session, stream, union_indices, member_sets, parallel, chunk_size
                 )
-                if profilers is not None:
-                    per_query_revisions = [
-                        tuple(profiler.revisions) for profiler in profilers
-                    ]
             else:
-                (
-                    shared_filter_computations,
-                    shared_detector_invocations,
-                    fault_report,
-                ) = self._run_many_chunked(
-                    queries,
-                    stream,
-                    query_cascades,
-                    assignments,
-                    member_sets,
-                    union_indices,
-                    chunk_size,
-                    matched,
-                    passed,
-                    filter_invocations,
-                    attributed_calls,
-                )
-        finally:
-            for frame_filter, previous in previous_clocks:
-                frame_filter.clock = previous
-            if hasattr(self.detector, "clock"):
-                self.detector.clock = previous_detector_clock
+                for chunk in partition_chunks(union_indices, chunk_size):
+                    try:
+                        # One materialisation per frame, shared by every query.
+                        frames = [stream.frame(index) for index in chunk]
+                    except FaultExhausted as error:
+                        # A frame of this chunk could not be decoded within the
+                        # retry budget: quarantine the chunk and keep scanning.
+                        session.quarantine_chunk(chunk, error)
+                        continue
+                    session.push_chunk(frames)
         elapsed = time.perf_counter() - started
-        shared_breakdown = self.clock.delta_since(cost_baseline)
+
+        cost = session.shared_cost_report()
+        # ``None`` on every fault-free run; an installed injector still
+        # yields a report (decode retries happen in the stream).
+        fault_report = current_report(tuple(session.quarantined))
+        reported_batch_size = chunk_size if parallel is not None else batch_size
+        # One attributed breakdown per query, in registration order.
+        attributed = list(cost.attributed.values())
+        results = []
+        for position, state in enumerate(session.states):
+            indices, bounds = per_query_indices[position], per_query_windows[position]
+            stats = ExecutionStats(
+                frames_scanned=len(indices),
+                frames_passed_filters=len(state.passed),
+                detector_invocations=len(state.passed),
+                filter_invocations=state.filter_invocations,
+                simulated_cost=attributed[position],
+                wall_clock_seconds=elapsed,
+                batch_size=reported_batch_size,
+                plan_revisions=(
+                    tuple(state.profiler.revisions) if state.profiler is not None else ()
+                ),
+                faults=fault_report,
+            )
+            results.append(
+                QueryExecutionResult(
+                    query_name=state.query.name,
+                    cascade_description=state.cascade.describe(),
+                    matched_frames=tuple(state.matched),
+                    stats=stats,
+                    windows=(
+                        _partition_into_windows(bounds, indices, state.passed, state.matched)
+                        if bounds is not None
+                        else None
+                    ),
+                )
+            )
         parallel_stats = (
             ParallelStats(
                 backend=parallel.backend,
@@ -962,170 +745,39 @@ class StreamingQueryExecutor:
             if parallel is not None
             else None
         )
-
-        if fault_report is None:
-            # Temporal runs collect no report of their own; an installed
-            # injector still yields one, and fault-free runs keep ``None``.
-            fault_report = current_report(())
-        detector_component = getattr(self.detector, "name", "detector")
-        detector_latency = float(getattr(self.detector, "latency_ms", 0.0))
-        labels = _unique_query_labels(queries)
-        attributed: dict[str, CostBreakdown] = {}
-        results: list[QueryExecutionResult] = []
-        for position, query in enumerate(queries):
-            breakdown = CostBreakdown()
-            for (component, latency), calls in attributed_calls[position].items():
-                breakdown.per_component_ms[component] = (
-                    breakdown.per_component_ms.get(component, 0.0) + latency * calls
-                )
-                breakdown.per_component_calls[component] = (
-                    breakdown.per_component_calls.get(component, 0) + calls
-                )
-            survivors = len(passed[position])
-            if survivors:
-                breakdown.per_component_ms[detector_component] = (
-                    breakdown.per_component_ms.get(detector_component, 0.0)
-                    + detector_latency * survivors
-                )
-                breakdown.per_component_calls[detector_component] = (
-                    breakdown.per_component_calls.get(detector_component, 0) + survivors
-                )
-            attributed[labels[position]] = breakdown
-            stats = ExecutionStats(
-                frames_scanned=len(per_query_indices[position]),
-                frames_passed_filters=survivors,
-                detector_invocations=survivors,
-                filter_invocations=filter_invocations[position],
-                simulated_cost=breakdown,
-                wall_clock_seconds=elapsed,
-                batch_size=chunk_size if parallel is not None else batch_size,
-                plan_revisions=per_query_revisions[position],
-                faults=fault_report,
-            )
-            windows = (
-                _partition_into_windows(
-                    per_query_windows[position],
-                    per_query_indices[position],
-                    passed[position],
-                    matched[position],
-                )
-                if per_query_windows[position] is not None
-                else None
-            )
-            results.append(
-                QueryExecutionResult(
-                    query_name=query.name,
-                    cascade_description=query_cascades[position].describe(),
-                    matched_frames=tuple(matched[position]),
-                    stats=stats,
-                    windows=windows,
-                )
-            )
         shared_stats = SharedExecutionStats(
             frames_scanned=len(union_indices),
-            detector_invocations=shared_detector_invocations,
-            filter_computations=shared_filter_computations,
-            unique_steps=len(unique_steps),
+            detector_invocations=session.shared_detector_invocations,
+            filter_computations=session.shared_filter_computations,
+            unique_steps=unique_steps,
             total_steps=sum(len(cascade) for cascade in query_cascades),
-            cost=SharedCostReport(shared=shared_breakdown, attributed=attributed),
+            cost=cost,
             wall_clock_seconds=elapsed,
-            batch_size=chunk_size if parallel is not None else batch_size,
+            batch_size=reported_batch_size,
             temporal=temporal_stats,
             parallel=parallel_stats,
             sanitizer_report=sanitizer_report,
         )
         return MultiQueryExecutionResult(results=tuple(results), shared=shared_stats)
 
-    def _run_many_chunked(
+    def _scan_parallel(
         self,
-        queries: Sequence[Query],
+        session: ScanSession,
         stream: VideoStream,
-        query_cascades: Sequence[FilterCascade],
-        assignments: Sequence[Sequence[int]],
+        union_indices: Sequence[int],
         member_sets: Sequence[set[int]],
-        union_indices: Sequence[int],
-        chunk_size: int,
-        matched: list[list[int]],
-        passed: list[list[int]],
-        filter_invocations: list[int],
-        attributed_calls: list[dict[tuple[str, float], int]],
-    ) -> tuple[int, int, "FaultReport | None"]:
-        """The shared multi-query chunk loop (non-temporal).
-
-        Mutates the per-query accumulators in place and returns the shared
-        scan's actual ``(filter_computations, detector_invocations)``.  The
-        loop itself lives in :class:`~repro.query.session.ScanSession`
-        (executor mode: precomputed coverage, caller-attached clocks) — this
-        method renders one chunk of frames at a time and pushes it, exactly
-        as the standing-query service does, so the one-shot and live paths
-        run the same accumulation code.  The filter phase is
-        :func:`~repro.query.parallel.run_filter_chunk` — the very function
-        the parallel workers execute — so the parallel engine is
-        chunk-for-chunk identical to this loop by construction.
-        """
-        del assignments  # recomputed by the session (deterministic merge)
-        session = ScanSession(
-            self.detector, clock=self.clock, live=False, attach_clocks=False
-        )
-        with session:
-            for query, cascade, members in zip(queries, query_cascades, member_sets):
-                session.add_query(query, cascade, member_set=members)
-            for start in range(0, len(union_indices), chunk_size):
-                chunk = union_indices[start : start + chunk_size]
-                try:
-                    # One materialisation per frame, shared by every query.
-                    frames = [stream.frame(index) for index in chunk]
-                except FaultExhausted as error:
-                    # A frame of this chunk could not be decoded within the
-                    # retry budget: quarantine the chunk and keep scanning.
-                    session.quarantine_chunk(list(chunk), error)
-                    continue
-                session.push_chunk(frames)
-            for position, state in enumerate(session.states):
-                matched[position].extend(state.matched)
-                passed[position].extend(state.passed)
-                filter_invocations[position] += state.filter_invocations
-                for component, calls in state.attributed.items():
-                    attributed_calls[position][component] = (
-                        attributed_calls[position].get(component, 0) + calls
-                    )
-        return (
-            session.shared_filter_computations,
-            session.shared_detector_invocations,
-            current_report(tuple(session.quarantined)),
-        )
-
-    def _run_parallel_chunked(
-        self,
-        queries: Sequence[Query],
-        stream: VideoStream,
-        query_cascades: Sequence[FilterCascade],
-        assignments: Sequence[Sequence[int]],
-        member_sets: Sequence[set[int]] | None,
-        union_indices: Sequence[int],
         config: ParallelConfig,
         chunk_size: int,
-    ) -> tuple[
-        list[list[int]],
-        list[list[int]],
-        list[int],
-        list[dict[tuple[str, float], int]],
-        int,
-        int,
-        list[CascadeProfiler] | None,
-        tuple,
-        int,
-        "AnalysisReport | None",
-        "FaultReport | None",
-    ]:
-        """The parallel pipelined chunk scan (single- or multi-query).
+    ) -> tuple[tuple[CostBreakdown, ...], int, "AnalysisReport | None"]:
+        """Feed ``session`` from the parallel pipeline.
 
         Workers run :func:`~repro.query.parallel.run_filter_chunk` over
-        concurrent chunks; this method's merge callback consumes their
-        outcomes *in chunk order* — absorbing each chunk's filter cost into
-        the main clock, running the detector on the union survivors and
-        evaluating predicates — so every accumulator ends up exactly as the
-        sequential loop would have left it.
+        concurrent chunks; the session consumes their outcomes *in chunk
+        order* — absorbing each chunk's filter cost into the main clock,
+        running the detector on the union survivors and evaluating
+        predicates — so every accumulator ends up exactly as the inline scan
+        would have left it.  Returns the per-worker cost breakdowns, the
+        number of chunks executed and the sanitizer report.
 
         With ``config.sanitize`` set, the scan runs under an activated
         :class:`~repro.analysis.sanitizers.SanitizerSession`: races, numeric
@@ -1134,444 +786,49 @@ class StreamingQueryExecutor:
         returned :class:`~repro.analysis.AnalysisReport` and surfaced as
         Python warnings.  ``sanitize=None`` leaves every hook uninstalled.
         """
-        profilers = (
-            [CascadeProfiler(cascade, config) for cascade in query_cascades]
-            if config.adaptive
-            else None
-        )
-        scan_session = ScanSession(
-            self.detector, clock=self.clock, live=False, attach_clocks=False
-        )
-
         # Local import: repro.analysis imports the query AST package.
         from repro.analysis.sanitizers import sanitized_scan
 
+        cascades = [state.cascade for state in session.states]
+        assignments = session.step_assignments
         sanitizer_report: AnalysisReport | None = None
-        with scan_session:
-            for query, cascade, position in zip(
-                queries, query_cascades, range(len(queries))
-            ):
-                scan_session.add_query(
-                    query,
-                    cascade,
-                    member_set=member_sets[position] if member_sets is not None else None,
-                )
-
-            def merge(chunk_id: int, frames: list[Frame], outcome: ChunkOutcome) -> None:
+        with sanitized_scan(config.sanitize, strict=config.sanitize_strict) as sanitizer:
+            per_worker, num_chunks = run_parallel_scan(
+                config,
+                stream,
+                union_indices,
+                cascades,
+                assignments,
+                member_sets,
+                (
+                    [state.profiler for state in session.states]
+                    if config.adaptive
+                    else None
+                ),
+                chunk_size,
                 # The in-order merge body is the session's: absorb the
                 # chunk's filter cost, accumulate, detector-union phase.
-                scan_session.absorb_outcome(frames, outcome)
-
-            def quarantine(
-                chunk_id: int, frames: Sequence[object], error: BaseException
-            ) -> None:
+                lambda chunk_id, frames, outcome: session.absorb_outcome(frames, outcome),
                 # A chunk exhausted its decode or worker-redispatch budget:
                 # record it and advance the merge watermark past it.
-                scan_session.quarantine_chunk(frames, error)
-
-            with sanitized_scan(config.sanitize, strict=config.sanitize_strict) as session:
-                per_worker, num_chunks = run_parallel_scan(
-                    config,
+                quarantine=lambda chunk_id, frames, error: session.quarantine_chunk(
+                    frames, error
+                ),
+            )
+            if sanitizer is not None:
+                sanitizer.verify_determinism(
                     stream,
-                    union_indices,
-                    query_cascades,
+                    partition_chunks(union_indices, chunk_size),
+                    cascades,
                     assignments,
                     member_sets,
-                    profilers,
-                    chunk_size,
-                    merge,
-                    quarantine=quarantine,
                 )
-                if session is not None:
-                    session.verify_determinism(
-                        stream,
-                        partition_chunks(union_indices, chunk_size),
-                        query_cascades,
-                        assignments,
-                        member_sets,
-                    )
-                    sanitizer_report = session.report()
+                sanitizer_report = sanitizer.report()
         if sanitizer_report is not None:
             # Strict sessions raised from inside the scan; anything still
             # here is a non-strict run, so surface findings as warnings.
             sanitizer_report.emit_warnings()
-        return (
-            [list(state.matched) for state in scan_session.states],
-            [list(state.passed) for state in scan_session.states],
-            [state.filter_invocations for state in scan_session.states],
-            [dict(state.attributed) for state in scan_session.states],
-            scan_session.shared_filter_computations,
-            scan_session.shared_detector_invocations,
-            profilers,
-            per_worker,
-            num_chunks,
-            sanitizer_report,
-            current_report(tuple(scan_session.quarantined)),
-        )
-
-    # ------------------------------------------------------------------
-    # Execution modes
-    # ------------------------------------------------------------------
-    def _run_sequential(
-        self,
-        query: Query,
-        stream: VideoStream,
-        cascade: FilterCascade,
-        indices: Sequence[int],
-    ) -> tuple[list[int], list[int], int]:
-        matched: list[int] = []
-        passed_indices: list[int] = []
-        filter_invocations = 0
-        for index in indices:
-            frame = stream.frame(index)
-            predictions: dict[tuple, FilterPrediction] = {}
-            passed = True
-            for step in cascade:
-                key = step.frame_filter.identity
-                if key not in predictions:
-                    predictions[key] = step.frame_filter.predict(frame)
-                    filter_invocations += 1
-                if not step.passes(predictions[key]):
-                    passed = False
-                    break
-            if not passed:
-                continue
-            passed_indices.append(index)
-            detections = self.detector.detect(frame)
-            if evaluate_predicates_on_detections(query, detections):
-                matched.append(index)
-        return matched, passed_indices, filter_invocations
-
-    def _run_batched(
-        self,
-        query: Query,
-        stream: VideoStream,
-        cascade: FilterCascade,
-        indices: Sequence[int],
-        batch_size: int,
-    ) -> tuple[list[int], list[int], int]:
-        """Chunked execution: each cascade step narrows the survivor mask.
-
-        A filter shared by several steps is evaluated at most once per frame
-        (the per-chunk prediction cache, keyed by the filter's ``identity``
-        as in every other execution path), and only ever on frames that
-        survived every earlier step — exactly the frames the sequential path
-        evaluates it on, so both modes charge identical filter call counts.
-        """
-        matched: list[int] = []
-        passed_indices: list[int] = []
-        filter_invocations = 0
-        for start in range(0, len(indices), batch_size):
-            chunk = list(indices[start : start + batch_size])
-            frames = [stream.frame(index) for index in chunk]
-            # Positions (into the chunk) still surviving the cascade.
-            alive = list(range(len(chunk)))
-            cache: dict[tuple, dict[int, FilterPrediction]] = {}
-            for step in cascade:
-                if not alive:
-                    break
-                per_filter = cache.setdefault(step.frame_filter.identity, {})
-                missing = [pos for pos in alive if pos not in per_filter]
-                if missing:
-                    batch = step.frame_filter.predict_batch(
-                        [frames[pos] for pos in missing]
-                    )
-                    filter_invocations += len(missing)
-                    for pos, prediction in zip(missing, batch):
-                        per_filter[pos] = prediction
-                alive = [pos for pos in alive if step.passes(per_filter[pos])]
-            for pos in alive:
-                passed_indices.append(chunk[pos])
-                detections = self.detector.detect(frames[pos])
-                if evaluate_predicates_on_detections(query, detections):
-                    matched.append(chunk[pos])
-        return matched, passed_indices, filter_invocations
-
-    # ------------------------------------------------------------------
-    # Temporal-coherence execution (see repro.query.temporal)
-    # ------------------------------------------------------------------
-    def _run_temporal(
-        self,
-        query: Query,
-        stream: VideoStream,
-        cascade: FilterCascade,
-        indices: Sequence[int],
-        temporal: TemporalConfig,
-        render=None,
-        profiler: CascadeProfiler | None = None,
-    ) -> tuple[list[int], list[int], int, int, TemporalStats]:
-        """Temporally-coherent sequential execution of one query.
-
-        Returns ``(matched, passed, filter_invocations,
-        detector_invocations, stats)`` where the invocation counters reflect
-        the work actually performed — reused and stride-skipped frames show
-        up as reused calls on the clock and in ``stats``, not as
-        invocations.  ``render`` overrides frame materialisation (the
-        parallel composition passes a decode-ahead prefetcher); ``profiler``
-        enables adaptive re-planning, fed by every fully charged evaluation
-        — the gate itself stays sequential, so revisions apply from the next
-        computed frame on.
-        """
-        filter_invocations = 0
-        detector_invocations = 0
-        filter_reuses = 0
-        detector_reuses = 0
-        detector_component = getattr(self.detector, "name", "detector")
-        render = render if render is not None else stream.frame
-
-        def evaluate_frame(frame: Frame, charged: bool) -> _TemporalOutcome:
-            nonlocal filter_invocations, detector_invocations
-            predictions: dict[tuple, FilterPrediction] = {}
-            components: list[str] = []
-            step_stats = [(0, 0)] * len(cascade.steps)
-            order = profiler.order if profiler is not None else range(len(cascade.steps))
-            passed = True
-            for step_position in order:
-                step = cascade.steps[step_position]
-                key = step.frame_filter.identity
-                if key not in predictions:
-                    predictions[key] = step.frame_filter.predict(frame)
-                    components.append(step.frame_filter.name)
-                    if charged:
-                        filter_invocations += 1
-                step_passed = step.passes(predictions[key])
-                step_stats[step_position] = (1, 1 if step_passed else 0)
-                if not step_passed:
-                    passed = False
-                    break
-            matched = False
-            if passed:
-                detections = self.detector.detect(frame)
-                if charged:
-                    detector_invocations += 1
-                matched = evaluate_predicates_on_detections(query, detections)
-            if charged and profiler is not None:
-                profiler.observe(step_stats, frame.index)
-            return _TemporalOutcome(
-                passed=passed, matched=matched, components=tuple(components)
-            )
-
-        def verify(frame: Frame) -> _TemporalOutcome:
-            with clocks_detached(cascade.filters, self.detector):
-                return evaluate_frame(frame, charged=False)
-
-        def reuse_charge(outcome: _TemporalOutcome) -> None:
-            nonlocal filter_reuses, detector_reuses
-            for component in outcome.components:
-                self.clock.reuse(component)
-            filter_reuses += len(outcome.components)
-            if outcome.passed:
-                self.clock.reuse(detector_component)
-                detector_reuses += 1
-
-        scan = TemporalScan(
-            temporal,
-            render=render,
-            compute=lambda frame: evaluate_frame(frame, charged=True),
-            verify=verify,
-            reuse_charge=reuse_charge,
-            verdict=lambda outcome: (outcome.passed, outcome.matched),
-        )
-        outcomes, stats = scan.run(indices)
-        matched = [index for index, outcome in zip(indices, outcomes) if outcome.matched]
-        passed = [index for index, outcome in zip(indices, outcomes) if outcome.passed]
-        return (
-            matched,
-            passed,
-            filter_invocations,
-            detector_invocations,
-            with_component_reuses(stats, filter_reuses, detector_reuses),
-        )
-
-    def _run_many_temporal(
-        self,
-        queries: Sequence[Query],
-        stream: VideoStream,
-        query_cascades: Sequence[FilterCascade],
-        assignments: Sequence[Sequence[int]],
-        member_sets: Sequence[set[int]],
-        union_indices: Sequence[int],
-        temporal: TemporalConfig,
-        render=None,
-        profilers: Sequence[CascadeProfiler] | None = None,
-    ) -> tuple[
-        list[list[int]],
-        list[list[int]],
-        list[int],
-        list[dict[tuple[str, float], int]],
-        int,
-        int,
-        TemporalStats,
-    ]:
-        """Temporally-coherent shared scan over several queries.
-
-        The change signature is query-independent, so one gate decision
-        covers every query at once: a stable frame reuses the keyframe's
-        whole shared outcome (all cascade verdicts plus the detector
-        verdict).  Reuse and stride inheritance only happen between frames
-        covered by the same set of queries — the scan's ``context_key`` —
-        so a windowed query's coverage boundary always forces a keyframe.
-        Attribution (what each query would have paid standalone) is taken
-        from the outcome in effect for the frame, exactly as the
-        non-temporal loop attributes per (query, frame, filter).
-        """
-        num_queries = len(queries)
-        shared_filter_computations = 0
-        shared_detector_invocations = 0
-        filter_reuses = 0
-        detector_reuses = 0
-        detector_component = getattr(self.detector, "name", "detector")
-        render = render if render is not None else stream.frame
-        distinct_filters: list[FrameFilter] = []
-        for cascade in query_cascades:
-            for frame_filter in cascade.filters:
-                if all(frame_filter is not existing for existing in distinct_filters):
-                    distinct_filters.append(frame_filter)
-
-        coverage_cache: dict[int, tuple[int, ...]] = {}
-
-        def context_key(index: int) -> tuple[int, ...]:
-            key = coverage_cache.get(index)
-            if key is None:
-                key = tuple(
-                    position
-                    for position in range(num_queries)
-                    if index in member_sets[position]
-                )
-                coverage_cache[index] = key
-            return key
-
-        def evaluate_frame(frame: Frame, charged: bool) -> _SharedTemporalOutcome:
-            nonlocal shared_filter_computations, shared_detector_invocations
-            index = frame.index
-            predictions: dict[tuple, FilterPrediction] = {}
-            step_outcomes: dict[int, bool] = {}
-            computed: list[str] = []
-            verdicts: list[list] = [None] * num_queries  # type: ignore[list-item]
-            survivors: list[int] = []
-            for position, (cascade, step_positions) in enumerate(
-                zip(query_cascades, assignments)
-            ):
-                if index not in member_sets[position]:
-                    continue
-                alive = True
-                counted: set[tuple] = set()
-                components: list[tuple[str, float]] = []
-                step_stats = [(0, 0)] * len(cascade.steps)
-                order = (
-                    profilers[position].order
-                    if profilers is not None
-                    else range(len(cascade.steps))
-                )
-                for step_position in order:
-                    if not alive:
-                        break
-                    step = cascade.steps[step_position]
-                    unique_position = step_positions[step_position]
-                    identity = step.frame_filter.identity
-                    if identity not in predictions:
-                        predictions[identity] = step.frame_filter.predict(frame)
-                        computed.append(step.frame_filter.name)
-                        if charged:
-                            shared_filter_computations += 1
-                    if identity not in counted:
-                        counted.add(identity)
-                        components.append(
-                            (step.frame_filter.name, step.frame_filter.latency_ms)
-                        )
-                    if unique_position not in step_outcomes:
-                        step_outcomes[unique_position] = step.passes(
-                            predictions[identity]
-                        )
-                    step_stats[step_position] = (
-                        1,
-                        1 if step_outcomes[unique_position] else 0,
-                    )
-                    if not step_outcomes[unique_position]:
-                        alive = False
-                if charged and profilers is not None:
-                    profilers[position].observe(step_stats, index)
-                verdicts[position] = [tuple(components), alive, False]
-                if alive:
-                    survivors.append(position)
-            detector_ran = False
-            if survivors:
-                detections = self.detector.detect(frame)
-                detector_ran = True
-                if charged:
-                    shared_detector_invocations += 1
-                for position in survivors:
-                    if evaluate_predicates_on_detections(queries[position], detections):
-                        verdicts[position][2] = True
-            return _SharedTemporalOutcome(
-                per_query=tuple(
-                    _QueryVerdict(components=entry[0], passed=entry[1], matched=entry[2])
-                    if entry is not None
-                    else None
-                    for entry in verdicts
-                ),
-                computed_components=tuple(computed),
-                detector_ran=detector_ran,
-            )
-
-        def verify(frame: Frame) -> _SharedTemporalOutcome:
-            with clocks_detached(distinct_filters, self.detector):
-                return evaluate_frame(frame, charged=False)
-
-        def reuse_charge(outcome: _SharedTemporalOutcome) -> None:
-            nonlocal filter_reuses, detector_reuses
-            for component in outcome.computed_components:
-                self.clock.reuse(component)
-            filter_reuses += len(outcome.computed_components)
-            if outcome.detector_ran:
-                self.clock.reuse(detector_component)
-                detector_reuses += 1
-
-        def verdict(outcome: _SharedTemporalOutcome) -> tuple:
-            return tuple(
-                (entry.passed, entry.matched) if entry is not None else None
-                for entry in outcome.per_query
-            )
-
-        scan = TemporalScan(
-            temporal,
-            render=render,
-            compute=lambda frame: evaluate_frame(frame, charged=True),
-            verify=verify,
-            reuse_charge=reuse_charge,
-            verdict=verdict,
-            context_key=context_key,
-        )
-        outcomes, stats = scan.run(union_indices)
-
-        matched: list[list[int]] = [[] for _ in range(num_queries)]
-        passed: list[list[int]] = [[] for _ in range(num_queries)]
-        filter_invocations = [0] * num_queries
-        attributed_calls: list[dict[tuple[str, float], int]] = [
-            {} for _ in range(num_queries)
-        ]
-        for index, outcome in zip(union_indices, outcomes):
-            for position, entry in enumerate(outcome.per_query):
-                if entry is None:
-                    continue
-                filter_invocations[position] += len(entry.components)
-                for component in entry.components:
-                    attributed_calls[position][component] = (
-                        attributed_calls[position].get(component, 0) + 1
-                    )
-                if entry.passed:
-                    passed[position].append(index)
-                if entry.matched:
-                    matched[position].append(index)
-        return (
-            matched,
-            passed,
-            filter_invocations,
-            attributed_calls,
-            shared_filter_computations,
-            shared_detector_invocations,
-            with_component_reuses(stats, filter_reuses, detector_reuses),
-        )
+        return per_worker, num_chunks, sanitizer_report
 
     # ------------------------------------------------------------------
     # Aggregate monitoring queries
@@ -1625,7 +882,8 @@ class StreamingQueryExecutor:
         """
         if repetitions < 1:
             raise ValueError(f"repetitions must be positive: {repetitions}")
-        cascade = cascade or FilterCascade()
+        # `is not None`, not truthiness: a provably-empty cascade is falsy.
+        cascade = cascade if cascade is not None else FilterCascade()
         source = frame_filter if frame_filter is not None else cascade.primary_filter
         if source is None:
             raise ValueError(
@@ -1802,7 +1060,49 @@ def brute_force_execute(
     """Annotate every frame with the detector and evaluate the query exactly.
 
     This is the baseline the paper compares against ("we also evaluate each
-    query in a brute force manner annotating all frames with Mask R-CNN").
+    query in a brute force manner annotating all frames with Mask R-CNN")
+    and the oracle every engine configuration is tested against, so it is a
+    loop of its own: it shares the pure window helpers of this module with
+    the executor and nothing with the scan session, the parallel pipeline
+    or the temporal layer.
     """
-    executor = StreamingQueryExecutor(detector, clock=clock)
-    return executor.execute(query, stream, cascade=FilterCascade(), frame_indices=frame_indices)
+    clock = clock or SimulatedClock()
+    indices = list(frame_indices) if frame_indices is not None else list(range(len(stream)))
+    window_bounds = _window_bounds_for(query, stream, include_partial_windows=True)
+    if window_bounds is not None:
+        indices = _restrict_to_coverage(indices, window_bounds)
+    cost_baseline = clock.snapshot()
+    charges_clock = hasattr(detector, "clock")
+    if charges_clock:
+        previous_clock = detector.clock
+        detector.clock = clock
+    matched: list[int] = []
+    started = time.perf_counter()
+    try:
+        for index in indices:
+            detections = detector.detect(stream.frame(index))
+            if evaluate_predicates_on_detections(query, detections):
+                matched.append(index)
+    finally:
+        if charges_clock:
+            detector.clock = previous_clock
+    elapsed = time.perf_counter() - started
+    return QueryExecutionResult(
+        query_name=query.name,
+        cascade_description=FilterCascade().describe(),
+        matched_frames=tuple(matched),
+        stats=ExecutionStats(
+            frames_scanned=len(indices),
+            frames_passed_filters=len(indices),
+            detector_invocations=len(indices),
+            filter_invocations=0,
+            simulated_cost=clock.delta_since(cost_baseline),
+            wall_clock_seconds=elapsed,
+            faults=current_report(()),
+        ),
+        windows=(
+            _partition_into_windows(window_bounds, indices, indices, matched)
+            if window_bounds is not None
+            else None
+        ),
+    )

@@ -1,36 +1,44 @@
-"""Resumable scan sessions: the shared chunk pipeline, extracted.
+"""The one scan loop: a resumable shared multi-query scan fed chunk by chunk.
 
-``execute_many`` owns a whole scan: it computes coverage, merges cascade
-steps, attaches clocks, then drives a chunk loop to completion.  A standing
-query service cannot work that way — chunks *arrive*, queries register and
-deregister while the scan is running, and per-window results must be emitted
-as soon as their frames are in.  :class:`ScanSession` is the chunk loop
-turned inside out: the caller pushes one chunk of frames at a time and the
-session holds every piece of cross-chunk state the monolithic loop kept in
-locals — the per-query accumulators, the merged cascade plan, the cross-query
-prediction-cache plumbing (via :func:`~repro.query.parallel.run_filter_chunk`,
-the same function the executor and the parallel workers run), the temporal
-delta gate, the live window partials and the parallel backend's in-flight
-chunks.
+Every scan in the repo — one-shot ``execute``/``execute_many`` and the
+always-on :class:`~repro.service.QueryService` — is "build a
+:class:`ScanSession`, feed it, read the states".  The session holds all
+cross-chunk state: the per-query accumulators, the merged cascade plan, the
+clock attachment, the temporal delta gate, the live window partials and the
+parallel backend's in-flight chunks.  Chunk size is the loop's only variable:
+the per-frame mode of the executor (``batch_size=None``) is chunk size 1
+through :meth:`ScanSession.push_chunk`, and the filter phase of every chunk is
+:func:`~repro.query.parallel.run_filter_chunk`, the function the parallel
+workers run.  The cascade walk therefore exists exactly twice: vectorized
+over a chunk in ``run_filter_chunk`` and per frame in
+:meth:`ScanSession._evaluate_frame`, which the temporal gate needs because it
+decides reuse one frame at a time.
 
 Two operating modes share the accumulation code:
 
-* ``live=False`` — the executor's internal mode.  Queries carry precomputed
-  coverage (``member_set``), window partitioning stays with the executor,
-  and clocks are whatever the executor attached.  ``_run_many_chunked`` and
-  the parallel merge callback drive a session chunk-by-chunk, so the one-shot
-  engines and the service run literally the same accumulation code.
+* ``live=False`` — the executor's mode.  Queries carry precomputed coverage
+  (``member_set``) and window partitioning stays with the executor, which
+  feeds the session in one of three ways: rendered chunks through
+  :meth:`~ScanSession.push_chunk`, worker outcomes through
+  :meth:`~ScanSession.absorb_outcome` /
+  :meth:`~ScanSession.quarantine_chunk` (the merge callbacks of
+  :func:`~repro.query.parallel.run_parallel_scan`), or the whole index
+  sequence through :meth:`~ScanSession.run_temporal_scan` (adaptive stride
+  and boundary refinement need random access, which a pushed chunk cannot
+  give).
 * ``live=True`` — the service mode.  Coverage is computed from each query's
   hopping window relative to the frame index at which it registered, windows
   are emitted incrementally the moment the stream's watermark passes their
-  end, queries may be added and removed between chunks (the merged plan is
-  recomputed, already-emitted windows are never re-emitted), and the session
-  attaches the filters' and detector's clocks itself.
+  end, and queries may be added and removed between chunks (the merged plan
+  is recomputed, already-emitted windows are never re-emitted).
+
+In both modes the session attaches the filters' and the detector's clocks
+when it (re)plans and restores them in :meth:`~ScanSession.close`, so
+``with session:`` is the one context manager around a scan.
 
 Parity rail: replaying a finite stream chunk-by-chunk through a live session
-produces bit-identical per-query results to one-shot ``execute_many`` —
-every counter in this module is accumulated per (query, frame, filter)
-exactly as the executor's loops accumulate it, and window emission replicates
+produces bit-identical per-query results to one-shot ``execute_many`` — both
+run this module's accumulation code, and window emission replicates
 ``_partition_into_windows`` / ``HoppingWindow.windows_over`` semantics
 (including the at-most-one-truncated-tail rule).  ``tests/test_service.py``
 asserts the parity on the plain, windowed, temporal-exact and parallel paths.
@@ -41,7 +49,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.aggregates.windows import HoppingWindow, WindowBounds, warn_window_tail_drop
 from repro.cost import BudgetViolation, CostBreakdown, QueryBudget, SimulatedClock
@@ -67,6 +75,7 @@ from repro.query.planner import (
 )
 from repro.query.temporal import (
     TemporalConfig,
+    TemporalScan,
     TemporalStats,
     _Telemetry,
     clocks_detached,
@@ -90,9 +99,8 @@ CHECKPOINT_VERSION = 1
 class _SessionVerdict:
     """One query's share of a temporally-gated frame outcome.
 
-    Mirrors the executor's ``_QueryVerdict``: ``components`` holds the
-    ``(name, latency_ms)`` cost components a standalone run would have
-    charged for the frame.
+    ``components`` holds the ``(name, latency_ms)`` cost components a
+    standalone run of the query would have charged for the frame.
     """
 
     components: tuple[tuple[str, float], ...]
@@ -188,11 +196,10 @@ class ScanSession:
     """A resumable shared multi-query scan fed one chunk at a time.
 
     See the module docstring for the ``live`` modes.  A session is *not*
-    thread-safe: the service serialises all access per stream shard.  In
-    live mode the session owns the clock attachment (every registered
-    cascade's distinct filters and the detector charge ``self.clock`` until
-    :meth:`close`); in executor mode the caller has already attached clocks
-    and the session leaves them alone.
+    thread-safe: the service serialises all access per stream shard.  The
+    session owns the clock attachment: every registered cascade's distinct
+    filters and the detector charge ``self.clock`` from the first plan until
+    :meth:`close`.
 
     ``parallel`` distributes the filter phase of pushed chunks over a worker
     backend with the engine's in-order merge (at most
@@ -215,7 +222,6 @@ class ScanSession:
         clock: SimulatedClock | None = None,
         *,
         live: bool = True,
-        attach_clocks: bool | None = None,
         parallel: ParallelConfig | None = None,
         temporal: TemporalConfig | None = None,
         profile: bool = False,
@@ -239,7 +245,6 @@ class ScanSession:
         self.detector = detector
         self.clock = clock if clock is not None else SimulatedClock()
         self.live = live
-        self._attach_clocks = live if attach_clocks is None else attach_clocks
         self._parallel = parallel
         self._temporal = temporal
         self._profile = profile
@@ -310,6 +315,12 @@ class ScanSession:
     def total_step_count(self) -> int:
         self._ensure_plan()
         return sum(len(cascade.steps) for cascade in self._active_cascades)
+
+    @property
+    def step_assignments(self) -> list[list[int]]:
+        """Per active query, each cascade step's position among the deduped steps."""
+        self._ensure_plan()
+        return self._assignments
 
     @property
     def watermark(self) -> int:
@@ -397,11 +408,10 @@ class ScanSession:
             for frame_filter in cascade.filters:
                 if all(frame_filter is not existing for existing in distinct):
                     distinct.append(frame_filter)
-        if self._attach_clocks:
-            self._reattach_clocks(distinct)
+        self._attach_to_clock(distinct)
         self._distinct_filters = distinct
 
-    def _reattach_clocks(self, distinct: list[FrameFilter]) -> None:
+    def _attach_to_clock(self, distinct: list[FrameFilter]) -> None:
         still = {id(frame_filter) for frame_filter in distinct}
         kept: list[tuple[FrameFilter, SimulatedClock | None]] = []
         attached = {id(frame_filter) for frame_filter, _ in self._attached}
@@ -628,8 +638,8 @@ class ScanSession:
 
         Absorbs the chunk's filter cost into the session clock, accumulates
         the per-query counters and runs the detector-union phase — exactly
-        what ``execute_many``'s sequential loop does inline, so the parallel
-        path stays chunk-for-chunk identical by construction.
+        what :meth:`push_chunk` does inline, so the parallel path stays
+        chunk-for-chunk identical by construction.
         """
         self._ensure_plan()
         if sids is None:
@@ -724,13 +734,61 @@ class ScanSession:
             self._degrade_gate = DeltaGate(self._degrade_config)
         return self._degrade_gate, False
 
+    def _covering(self, index: int) -> tuple[int, ...]:
+        """Sids of the active queries covering ``index`` — the gate's context key."""
+        return tuple(sid for sid in self._active if self._states[sid].covers(index))
+
+    def run_temporal_scan(
+        self,
+        config: TemporalConfig,
+        indices: Sequence[int],
+        render: Callable[[int], Frame],
+    ) -> TemporalStats:
+        """Executor mode: gate, stride and refine over a known index sequence.
+
+        The change signature is query-independent, so one gate decision
+        covers every query at once: a stable frame reuses the keyframe's
+        whole shared outcome.  Reuse and stride inheritance only happen
+        between frames covered by the same set of queries (the scan's
+        context key), so a windowed query's coverage boundary always forces
+        a keyframe.  :class:`~repro.query.temporal.TemporalScan` supplies
+        the striding and refinement; evaluation, verification, reuse
+        charging and accumulation are the ones :meth:`push_chunk` gates
+        with.  ``render`` materialises a frame (the parallel composition
+        passes a decode-ahead prefetcher).  Unlike a pushed chunk, a retry
+        budget exhausted mid-scan propagates: skipped frames inherit from
+        their neighbours, so there is no chunk to set aside.
+        """
+        self._ensure_plan()
+        contexts: dict[int, tuple[int, ...]] = {}
+
+        def context_key(index: int) -> tuple[int, ...]:
+            context = contexts.get(index)
+            if context is None:
+                context = contexts[index] = self._covering(index)
+            return context
+
+        scan = TemporalScan(
+            config,
+            render=render,
+            compute=lambda frame: self._evaluate_frame(
+                frame, context_key(frame.index), charged=True
+            ),
+            verify=lambda frame: self._verify_frame(frame, context_key(frame.index)),
+            reuse_charge=self._reuse_charge,
+            verdict=_temporal_verdict,
+            context_key=context_key,
+        )
+        outcomes, stats = scan.run(indices)
+        for index, outcome in zip(indices, outcomes):
+            self._apply_temporal_outcome(index, outcome)
+        self.union_frames_scanned += len(outcomes)
+        return with_component_reuses(stats, self._filter_reuses, self._detector_reuses)
+
     def _push_temporal(self, frames: list[Frame]) -> None:
         gate, exact = self._active_gate()
-        states = {sid: self._states[sid] for sid in self._active}
         for frame in frames:
-            context = tuple(
-                sid for sid in self._active if states[sid].covers(frame.index)
-            )
+            context = self._covering(frame.index)
             if not context:
                 continue
             self._telemetry.frames_total += 1
@@ -1031,9 +1089,8 @@ class ScanSession:
     # ------------------------------------------------------------------
     # Finalisation
     # ------------------------------------------------------------------
-    def _finalize_state(self, state: QueryState) -> "QueryExecutionResult":
-        from repro.query.executor import ExecutionStats, QueryExecutionResult
-
+    def _attributed_cost(self, state: QueryState) -> CostBreakdown:
+        """What a standalone run of ``state``'s query would have charged so far."""
         breakdown = CostBreakdown()
         for (component, latency), calls in state.attributed.items():
             breakdown.per_component_ms[component] = (
@@ -1052,6 +1109,13 @@ class ScanSession:
                 breakdown.per_component_calls.get(self._detector_component, 0)
                 + survivors
             )
+        return breakdown
+
+    def _finalize_state(self, state: QueryState) -> "QueryExecutionResult":
+        from repro.query.executor import ExecutionStats, QueryExecutionResult
+
+        breakdown = self._attributed_cost(state)
+        survivors = len(state.passed)
         stats = ExecutionStats(
             frames_scanned=len(state.scanned),
             frames_passed_filters=survivors,
@@ -1108,27 +1172,10 @@ class ScanSession:
         from repro.query.executor import _unique_query_labels
 
         labels = _unique_query_labels([state.query for state in self._states])
-        attributed: dict[str, CostBreakdown] = {}
-        for state, label in zip(self._states, labels):
-            breakdown = CostBreakdown()
-            for (component, latency), calls in state.attributed.items():
-                breakdown.per_component_ms[component] = (
-                    breakdown.per_component_ms.get(component, 0.0) + latency * calls
-                )
-                breakdown.per_component_calls[component] = (
-                    breakdown.per_component_calls.get(component, 0) + calls
-                )
-            survivors = len(state.passed)
-            if survivors:
-                breakdown.per_component_ms[self._detector_component] = (
-                    breakdown.per_component_ms.get(self._detector_component, 0.0)
-                    + self._detector_latency * survivors
-                )
-                breakdown.per_component_calls[self._detector_component] = (
-                    breakdown.per_component_calls.get(self._detector_component, 0)
-                    + survivors
-                )
-            attributed[label] = breakdown
+        attributed = {
+            label: self._attributed_cost(state)
+            for state, label in zip(self._states, labels)
+        }
         return SharedCostReport(
             shared=self.clock.delta_since(self._cost_baseline), attributed=attributed
         )

@@ -313,7 +313,8 @@ class DeltaGate:
 class TemporalScan:
     """Drives one temporally-coherent scan over a sequence of frame indices.
 
-    The scan is generic over the per-frame *outcome* — the executor supplies
+    The scan is generic over the per-frame *outcome* — the caller
+    (:meth:`~repro.query.session.ScanSession.run_temporal_scan`) supplies
     domain callbacks, the scan supplies the gating / striding / refinement /
     verification machinery:
 
@@ -469,7 +470,7 @@ class TemporalScan:
 def with_component_reuses(
     stats: TemporalStats, filter_reuses: int, detector_reuses: int
 ) -> TemporalStats:
-    """``stats`` with the executor-counted component reuse totals filled in."""
+    """``stats`` with the session-counted component reuse totals filled in."""
     return replace(
         stats, filter_reuses=filter_reuses, detector_reuses=detector_reuses
     )

@@ -12,6 +12,7 @@ import pytest
 
 from repro.detection import ReferenceDetector, annotate_stream
 from repro.filters import FilterTrainer
+from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.video import build_detrac, build_jackson
 from repro.video.datasets import JACKSON_PROFILE
 from repro.video.renderer import FrameRenderer, RendererConfig
@@ -80,6 +81,25 @@ def single_object_stream() -> VideoStream:
     scene = SceneSimulator(config).simulate()
     renderer = FrameRenderer(RendererConfig(output_size=112, seed=11))
     return VideoStream(scene=scene, renderer=renderer, name="single-car")
+
+
+def reference_cascade_walk(query, cascade, stream, indices, detector):
+    """Independent per-frame walk: ``(matched, passed, filter_invocations)``."""
+    matched, passed, invocations = [], [], 0
+    for frame in map(stream.frame, indices):
+        predictions = {}
+        for step in cascade:
+            key = step.frame_filter.identity
+            if key not in predictions:
+                predictions[key] = step.frame_filter.predict(frame)
+                invocations += 1
+            if not step.passes(predictions[key]):
+                break
+        else:
+            passed.append(frame.index)
+            if evaluate_predicates_on_detections(query, detector.detect(frame)):
+                matched.append(frame.index)
+    return matched, passed, invocations
 
 
 @pytest.fixture()

@@ -28,6 +28,7 @@ from repro.query import (
 from repro.query.planner import CascadeStep, FilterCascade
 from repro.spatial.grid import Grid
 from repro.video.stream import Frame
+from tests.conftest import reference_cascade_walk
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,15 @@ def test_batched_execution_parity_across_chunk_sizes(
     assert sequential.stats.batch_size is None
     assert batched.stats.batch_size == chunk_size
     _assert_parity(sequential, batched)
+    # Every chunk size is the same loop, so parity alone would not notice a
+    # wrong loop: pin it to the independent per-frame walk as well.
+    matched, passed, invocations = reference_cascade_walk(
+        query, cascade, tiny_jackson.test, indices,
+        ReferenceDetector(class_names=tiny_jackson.class_names, seed=77),
+    )
+    assert batched.matched_frames == tuple(matched)
+    assert batched.stats.frames_passed_filters == len(passed)
+    assert batched.stats.filter_invocations == invocations
 
 
 def test_batched_execution_parity_with_empty_cascade(tiny_jackson):

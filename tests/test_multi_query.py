@@ -24,6 +24,9 @@ from repro.query import (
     merge_cascade_steps,
     parse_query,
 )
+from repro.query.parallel import ParallelConfig
+from repro.query.session import ScanSession
+from repro.query.temporal import TemporalConfig
 
 WINDOWED_TEXT = """
 SELECT cameraID, frameID
@@ -89,6 +92,70 @@ def test_execute_many_parity_with_individual_execute(workload, tiny_jackson, bat
             ] == [(w.bounds, w.matched_frames, w.stats) for w in solo.windows]
         else:
             assert shared_result.windows is None
+
+
+SCAN_MODES = {
+    "per_frame": {},
+    "chunked": {"batch_size": 7},
+    "temporal": {"temporal": TemporalConfig(exact=True, max_stride=8)},
+    "parallel": {"parallel": ParallelConfig(num_workers=2, backend="thread", chunk_size=8)},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SCAN_MODES))
+def test_execute_is_the_shared_scan_of_one_query(workload, tiny_jackson, mode):
+    """``execute(q)`` and ``execute_many([q])`` are one scan, reported two ways."""
+    options = SCAN_MODES[mode]
+    reused_frames = 0
+    for query, cascade in zip(*workload):
+        executor = _executor(tiny_jackson.class_names)
+        solo = executor.execute(query, tiny_jackson.test, cascade, **options)
+        # The single-query result carries the scan's real cost: the clock delta.
+        assert solo.stats.simulated_cost == executor.clock.breakdown
+        many = _executor(tiny_jackson.class_names).execute_many(
+            [query], tiny_jackson.test, [cascade], **options
+        )
+        attributed, shared = many[0], many.shared
+        assert solo.matched_frames == attributed.matched_frames
+        assert solo.windows == attributed.windows
+        assert solo.stats.frames_scanned == attributed.stats.frames_scanned
+        assert solo.stats.frames_passed_filters == attributed.stats.frames_passed_filters
+        # Work actually performed, not what a standalone run would be charged.
+        assert solo.stats.filter_invocations == shared.filter_computations
+        assert solo.stats.detector_invocations == shared.detector_invocations
+        assert solo.temporal == shared.temporal
+        if "temporal" in options:
+            reused = solo.temporal.frames_reused + solo.temporal.frames_skipped
+            reused_frames += reused
+            assert (
+                shared.filter_computations < attributed.stats.filter_invocations
+            ) == (reused > 0)
+        else:
+            assert solo.stats.filter_invocations == attributed.stats.filter_invocations
+            assert (
+                solo.stats.simulated_cost.per_component_calls
+                == attributed.stats.simulated_cost.per_component_calls
+            )
+    # The temporal mode must actually have reused something for the
+    # performed-vs-attributed distinction above to have been exercised.
+    assert (reused_frames > 0) == ("temporal" in options)
+
+
+def test_brute_force_oracle_is_independent_of_the_scan_session(tiny_jackson, monkeypatch):
+    query = QueryBuilder("cars").count("car").at_least(1).window(20, 10).build()
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=77)
+    expected = brute_force_execute(query, tiny_jackson.test, detector)
+
+    def broken_push(self, frames):
+        raise AssertionError("the oracle must not drive the engine it checks")
+
+    monkeypatch.setattr(ScanSession, "push_chunk", broken_push)
+    with pytest.raises(AssertionError, match="oracle"):
+        _executor(tiny_jackson.class_names).execute(query, tiny_jackson.test)
+    oracle = brute_force_execute(query, tiny_jackson.test, detector)
+    assert oracle.matched_frames == expected.matched_frames
+    assert oracle.windows == expected.windows
+    assert oracle.stats.detector_invocations == len(tiny_jackson.test)
 
 
 def test_detector_runs_once_per_union_survivor(workload, tiny_jackson):

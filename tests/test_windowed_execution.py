@@ -31,6 +31,7 @@ from repro.query import (
 )
 from repro.query.ast import WindowSpec
 from repro.query.planner import FilterCascade
+from tests.conftest import reference_cascade_walk
 
 WINDOWED_QUERY_TEXT = """
 SELECT cameraID, frameID
@@ -116,6 +117,15 @@ def test_sequential_vs_batched_parity_under_windows(windowed_plan, tiny_jackson)
         batched.stats.simulated_cost.per_component_calls
         == sequential.stats.simulated_cost.per_component_calls
     )
+    # The windows cover every frame, so the independent per-frame walk over
+    # the whole stream is the reference for both chunk sizes.
+    matched, passed, invocations = reference_cascade_walk(
+        query, cascade, tiny_jackson.test, range(len(tiny_jackson.test)),
+        ReferenceDetector(class_names=tiny_jackson.class_names, seed=77),
+    )
+    assert batched.matched_frames == tuple(matched)
+    assert batched.stats.frames_passed_filters == len(passed)
+    assert batched.stats.filter_invocations == invocations
 
 
 def test_include_partial_windows_controls_tail_coverage(trained_od_filter, tiny_jackson):
@@ -260,12 +270,17 @@ def test_execute_aggregate_validation(trained_od_filter, tiny_jackson):
         executor.execute_aggregate(
             spec, tiny_jackson.test, frame_filter=trained_od_filter, repetitions=0
         )
-    # An explicit filter stands in for an empty cascade.
-    result = executor.execute_aggregate(
-        spec, tiny_jackson.test, frame_filter=trained_od_filter, sample_size=5
-    )
-    assert result.cascade_description == "(empty)"
-    assert result.filter_name == trained_od_filter.name
+    # An explicit filter stands in for an empty cascade; a provably-empty
+    # cascade is just as falsy (zero steps) but must keep its description.
+    for cascade, description in [
+        (None, "(empty)"),
+        (FilterCascade(provably_empty=True), "(provably empty)"),
+    ]:
+        result = executor.execute_aggregate(
+            spec, tiny_jackson.test, cascade, frame_filter=trained_od_filter, sample_size=5
+        )
+        assert result.cascade_description == description
+        assert result.filter_name == trained_od_filter.name
 
 
 def test_evaluate_samples_batched_matches_per_frame_loop(trained_od_filter, tiny_jackson):
