@@ -1,17 +1,20 @@
-"""Batched vs per-frame execution benchmark (the PR's wall-clock win).
+"""Batched vs per-frame execution benchmark.
 
 Measures, on pre-rendered frames (so rendering cost cancels out of the
 comparison):
 
-* filter throughput — vectorized ``predict_batch`` vs the per-frame
-  ``predict`` loop for the linear branch filters (the acceptance bar is a
-  >= 3x wall-clock win for the OD / IC branches);
+* filter throughput — ``predict_batch`` in 16-frame chunks vs the per-frame
+  ``predict`` loop for the linear branch filters.  Both run the one tiled
+  backbone kernel, so the ratio (per-call overhead amortised over a chunk)
+  is reported but not gated;
 * executor parity — ``StreamingQueryExecutor`` at chunk size 16 vs chunk
   size 1 (``batch_size=None``) on a planned cascade: identical matched
   frames and identical simulated cost accounting.  Both run the one scan
   loop on ``predict_batch``, so their wall-clock ratio is reported but not
-  gated here; the per-frame vs batched end-to-end comparison is the perf
-  ledger's ``table3_perframe`` / ``table3_batched`` workload pair.
+  gated here either.
+
+The per-frame vs batched end-to-end comparison is the perf ledger's
+``table3_perframe`` / ``table3_batched`` workload pair.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from benchmarks.conftest import print_rows, write_bench_json
 from repro.experiments.context import get_context
 from repro.query import PlannerConfig, QueryBuilder, QueryPlanner, StreamingQueryExecutor
 
-# Chunk size chosen for cache locality: a 16-frame chunk keeps the batched
-# int16/float64 intermediates inside the last-level cache, which measures
-# faster than both per-frame calls and one giant whole-stream batch.
+# The executor's usual chunk size; the backbone tiles a chunk internally, so
+# cache locality no longer depends on it.
 BATCH_SIZE = 16
 NUM_FRAMES = 160
 ROUNDS = 3
@@ -151,16 +153,10 @@ def test_batch_executor_throughput(benchmark, bench_config, pytestconfig):
         wall_seconds=result["executor"]["batched_s"],
         speedup=result["executor"]["speedup"],
     )
-    by_filter = {row["filter"]: row for row in result["filters"]}
-    # The acceptance bar: >= 3x wall-clock throughput on the linear branch
-    # filters (OD / IC); the pooled-count filter does less per-frame work, so
-    # its amortisation gain is smaller.
-    assert by_filter["od_filter"]["speedup"] >= 3.0, by_filter
-    assert by_filter["ic_filter"]["speedup"] >= 3.0, by_filter
-    assert by_filter["od_cof"]["speedup"] >= 2.0, by_filter
-    # No speed-up bar on the executor row: chunk size 1 and chunk size 16 are
-    # the same loop on ``predict_batch``.  The end-to-end per-frame vs batched
-    # numbers are tracked by the perf ledger (``table3_perframe`` /
-    # ``table3_batched``); this row only pins that the results agree.
+    # No speed-up bar on either table: ``predict`` and ``predict_batch`` share
+    # one backbone kernel, and chunk size 1 and chunk size 16 are the same scan
+    # loop.  The end-to-end per-frame vs batched numbers are tracked by the perf
+    # ledger (``table3_perframe`` / ``table3_batched``); this file only pins
+    # that the results agree.
     executor = result["executor"]
     assert executor["matches_equal"] and executor["calls_equal"]

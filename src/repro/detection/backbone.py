@@ -72,213 +72,108 @@ class BackboneConfig:
             )
 
 
-def _block_reduce_mean(array: np.ndarray, out_size: int) -> np.ndarray:
-    """Average-pool a square ``(H, W)`` or ``(H, W, C)`` array to ``out_size``."""
-    height = array.shape[0]
-    if height % out_size != 0:
-        # Resize by nearest-neighbour first so the block size divides evenly.
-        scale = max(int(np.ceil(height / out_size)), 1)
-        target = out_size * scale
-        indices = np.clip(
-            (np.arange(target) * height / target).astype(int), 0, height - 1
-        )
-        array = array[indices][:, indices]
-        height = target
-    block = height // out_size
-    if array.ndim == 2:
-        reshaped = array.reshape(out_size, block, out_size, block)
-        return reshaped.mean(axis=(1, 3))
-    reshaped = array.reshape(out_size, block, out_size, block, array.shape[2])
-    return reshaped.mean(axis=(1, 3))
+# The kernel runs over tiles of the batch sized so that a tile's
+# full-resolution temporaries (~40 live bytes per pixel: planar int16 rgb, the
+# padded gray plane and its Sobel planes, two int32 squares, the float64 Sobel
+# magnitude) stay resident in a 2-4 MB L2 and are recycled by the allocator
+# from tile to tile instead of being mapped, and page-faulted, afresh per batch.
+_TILE_BYTES = 2 * 1024 * 1024
+_LIVE_BYTES_PER_PIXEL = 40
 
 
-def _block_reduce_mean_batch(array: np.ndarray, out_size: int) -> np.ndarray:
-    """Batched :func:`_block_reduce_mean` over a leading ``N`` axis.
+def _tile_length(height: int, width: int) -> int:
+    """Frames per tile for ``height x width`` frames (at least one)."""
+    return max(_TILE_BYTES // (_LIVE_BYTES_PER_PIXEL * height * width), 1)
 
-    Implemented with strided slice sums instead of a reshape + multi-axis
-    ``mean`` — several times faster, because each add streams through
-    contiguous memory instead of gathering tiny strided blocks.  The
-    summation order deliberately replicates numpy's reduction order for the
-    per-frame ``reshape(...).mean(axis=...)`` (trailing block axis first for
-    ``(H, W)`` arrays, row-major block pairs for ``(H, W, C)`` arrays), so
-    each slice of the result is bit-identical to :func:`_block_reduce_mean`
-    on that frame.
+
+def _fold(array: np.ndarray, block: int, dtype: type | None = None) -> np.ndarray:
+    """Sum each run of ``block`` entries along the last axis, in index order.
+
+    Strided slice adds instead of a reshape + ``sum``: each add streams
+    through memory, and the left-to-right order is part of the float
+    contract (see :func:`_block_mean`).
     """
-    height = array.shape[1]
-    if height % out_size != 0:
-        scale = max(int(np.ceil(height / out_size)), 1)
-        target = out_size * scale
-        indices = np.clip(
-            (np.arange(target) * height / target).astype(int), 0, height - 1
-        )
-        array = array[:, indices][:, :, indices]
-        height = target
-    block = height // out_size
+    total = np.add(array[..., 0::block], array[..., 1::block], dtype=dtype)
+    for offset in range(2, block):
+        total += array[..., offset::block]
+    return total
+
+
+def _block_sum(array: np.ndarray, block: int, bound: int) -> np.ndarray:
+    """Exact per-block sums over the trailing two axes of an integer array.
+
+    ``bound`` is the largest magnitude an entry can take; the accumulator is
+    the narrowest integer type that holds ``bound * block**2`` (the
+    gray-squared caller reaches ``765**2`` per pixel, which overflows int32
+    from 61x61 blocks on).  Integer sums are exact in any order, so rows are
+    folded first: those adds run over contiguous memory.
+    """
     if block == 1:
-        return array / 1.0
-    if array.ndim == 3:
-        total = None
-        for dx in range(block):
-            part = array[:, :, dx::block]
-            total = part if total is None else total + part
-        acc = None
-        for dy in range(block):
-            part = total[:, dy::block, :]
-            acc = part if acc is None else acc + part
-        return acc / (block * block)
-    acc = None
-    for dy in range(block):
-        for dx in range(block):
-            part = array[:, dy::block, dx::block, :]
-            acc = part if acc is None else acc + part
-    return acc / (block * block)
-
-
-def _block_reduce_std(array: np.ndarray, out_size: int) -> np.ndarray:
-    """Per-block standard deviation of a square ``(H, W)`` array."""
-    mean = _block_reduce_mean(array, out_size)
-    mean_sq = _block_reduce_mean(array**2, out_size)
-    variance = np.clip(mean_sq - mean**2, 0.0, None)
-    return np.sqrt(variance)
-
-
-def _block_reduce_std_batch(array: np.ndarray, out_size: int) -> np.ndarray:
-    """Batched :func:`_block_reduce_std` over a leading ``N`` axis."""
-    mean = _block_reduce_mean_batch(array, out_size)
-    mean_sq = _block_reduce_mean_batch(array**2, out_size)
-    variance = np.clip(mean_sq - mean**2, 0.0, None)
-    return np.sqrt(variance)
-
-
-def _channel_mean_batch(array: np.ndarray) -> np.ndarray:
-    """Mean over the trailing channel axis of ``(N, H, W, 3)`` without a
-    strided ufunc reduction (which numpy executes an order of magnitude
-    slower than three fused slice adds)."""
-    mean = array[..., 0] + array[..., 1]
-    mean += array[..., 2]
-    mean /= array.shape[-1]
-    return mean
-
-
-def _block_sum_int_batch(array: np.ndarray, out_size: int) -> np.ndarray:
-    """Exact per-block int64 sums of an integer ``(N, H, W)`` batch.
-
-    The accumulator must hold ``max(|array|) * block**2``; the gray-squared
-    caller sums values up to ``765**2 = 585225`` per pixel, which overflows
-    int32 already at 61x61 blocks, so accumulation is ``int64`` (safe for
-    any realistic frame-to-grid ratio).
-    """
-    height = array.shape[1]
-    block = height // out_size
-    total = None
-    for dx in range(block):
-        part = array[:, :, dx::block]
-        total = part.astype(np.int64) if total is None else total + part
-    acc = None
-    for dy in range(block):
-        part = total[:, dy::block, :]
-        acc = part.copy() if acc is None else np.add(acc, part, out=acc)
-    return acc
-
-
-def _edge_energy_batch(gray: np.ndarray) -> np.ndarray:
-    """Batched Sobel magnitude using the separable form of the kernels.
-
-    ``[1, 2, 1] ⊗ [-1, 0, 1]`` factorisation: smooth along one axis, then
-    difference along the other — six passes instead of twelve.
-    """
-    padded = np.pad(gray, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    smooth_rows = padded[:, :-2, :] + 2.0 * padded[:, 1:-1, :]
-    smooth_rows += padded[:, 2:, :]
-    gx = smooth_rows[:, :, 2:] - smooth_rows[:, :, :-2]
-    smooth_cols = padded[:, :, :-2] + 2.0 * padded[:, :, 1:-1]
-    smooth_cols += padded[:, :, 2:]
-    gy = smooth_cols[:, 2:, :] - smooth_cols[:, :-2, :]
-    gx *= gx
-    gy *= gy
-    gx += gy
-    return np.sqrt(gx, out=gx)
-
-
-def _neighbourhood_mean(features: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Average each cell's features over a ``(2r+1) x (2r+1)`` cell neighbourhood."""
-    padded = np.pad(
-        features, ((radius, radius), (radius, radius), (0, 0)), mode="edge"
+        return array
+    limit = bound * block * block
+    dtype = next(
+        candidate
+        for candidate in (np.int16, np.int32, np.int64)
+        if limit <= np.iinfo(candidate).max
     )
-    size = 2 * radius + 1
-    accumulated = np.zeros_like(features, dtype=np.float64)
-    for dy in range(size):
-        for dx in range(size):
-            accumulated += padded[
-                dy : dy + features.shape[0], dx : dx + features.shape[1], :
-            ]
-    return accumulated / (size * size)
+    rows = _fold(array.swapaxes(-1, -2), block, dtype).swapaxes(-1, -2)
+    return _fold(rows, block, dtype)
 
 
-def _neighbourhood_mean_batch(features: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Batched :func:`_neighbourhood_mean` over ``(N, g, g, F)`` features.
+def _block_mean(array: np.ndarray, out_size: int) -> np.ndarray:
+    """Float block mean over the trailing two axes, pooled to ``out_size``.
 
-    Uses the separable form of the box filter (sum over rows, then over
-    columns): ``2 * (2r + 1)`` passes instead of ``(2r + 1)^2``.
+    Columns are summed first, then rows, each left to right: that order is
+    what keeps results bit-stable across kernel rewrites.  An axis that
+    ``out_size`` does not divide is first resized by nearest neighbour.
     """
-    padded = np.pad(
-        features, ((0, 0), (radius, radius), (radius, radius), (0, 0)), mode="edge"
-    )
-    size = 2 * radius + 1
-    rows = features.shape[1]
-    cols = features.shape[2]
-    row_sum = None
-    for dy in range(size):
-        part = padded[:, dy : dy + rows, :, :]
-        row_sum = part.copy() if row_sum is None else np.add(row_sum, part, out=row_sum)
-    accumulated = None
-    for dx in range(size):
-        part = row_sum[:, :, dx : dx + cols, :]
-        accumulated = (
-            part.copy() if accumulated is None else np.add(accumulated, part, out=accumulated)
-        )
-    accumulated /= size * size
-    return accumulated
+    cells = 1
+    for axis in (-1, -2):
+        array = array.swapaxes(axis, -1)
+        length = array.shape[-1]
+        if length % out_size != 0:
+            target = out_size * max(int(np.ceil(length / out_size)), 1)
+            indices = np.clip(
+                (np.arange(target) * length / target).astype(int), 0, length - 1
+            )
+            array = array[..., indices]
+            length = target
+        block = length // out_size
+        if block > 1:
+            array = _fold(array, block)
+            cells *= block
+        array = array.swapaxes(axis, -1)
+    return array / cells
 
 
-def _edge_energy(gray: np.ndarray) -> np.ndarray:
-    """Sobel gradient magnitude (a fixed 3x3 convolution pair).
-
-    Per-frame ``(H, W)`` only; the batched paths use the separable
-    :func:`_edge_energy_batch` / integer Sobel instead.
-    """
-    padded = np.pad(gray, 1, mode="edge")
-    gx = (
-        padded[:-2, 2:] + 2 * padded[1:-1, 2:] + padded[2:, 2:]
-        - padded[:-2, :-2] - 2 * padded[1:-1, :-2] - padded[2:, :-2]
-    )
-    gy = (
-        padded[2:, :-2] + 2 * padded[2:, 1:-1] + padded[2:, 2:]
-        - padded[:-2, :-2] - 2 * padded[:-2, 1:-1] - padded[:-2, 2:]
-    )
-    return np.sqrt(gx**2 + gy**2)
+def _replicate_border(padded: np.ndarray) -> None:
+    """Fill the one-entry border of ``(..., h + 2, w + 2)`` arrays from their
+    interior: ``np.pad(mode="edge")`` without the copy."""
+    padded[..., 0, 1:-1] = padded[..., 1, 1:-1]
+    padded[..., -1, 1:-1] = padded[..., -2, 1:-1]
+    padded[..., 0] = padded[..., 1]
+    padded[..., -1] = padded[..., -2]
 
 
-def _assemble_base_features(
-    red: np.ndarray,
-    green: np.ndarray,
-    blue: np.ndarray,
-    intensity_std: np.ndarray,
-    edge: np.ndarray,
-    diff_luma: np.ndarray,
-    diff_color: np.ndarray,
-) -> np.ndarray:
-    """Pack the seven pooled base-feature planes into ``(N, p, p, 7)``."""
-    n, rows, cols = red.shape
-    features = np.empty((n, rows, cols, len(FEATURE_NAMES)))
-    features[..., 0] = red
-    features[..., 1] = green
-    features[..., 2] = blue
-    features[..., 3] = intensity_std
-    features[..., 4] = edge
-    features[..., 5] = diff_luma
-    features[..., 6] = diff_color
-    return features
+def _box_sum_3x3(planes: np.ndarray) -> np.ndarray:
+    """Sum over each cell's 3x3 neighbourhood (edge-replicated) of
+    ``(..., p, p)`` planes, as a separable box filter: rows, then columns,
+    each left to right (the order is part of the float contract)."""
+    *lead, rows, cols = planes.shape
+    padded = np.empty((*lead, rows + 2, cols + 2))
+    padded[..., 1:-1, 1:-1] = planes
+    _replicate_border(padded)
+    total = padded[..., :-2, :] + padded[..., 1:-1, :]
+    total += padded[..., 2:, :]
+    # On the flattened rows a column shift is a shift by one entry, so each
+    # add is one long run per plane instead of ``p``-entry runs.  The two
+    # entries per row that wrap into the next row fall in the padding
+    # columns, which the final slice drops.
+    flat = total.reshape(*lead, rows * (cols + 2))
+    box = np.empty_like(flat)
+    np.add(flat[..., :-2], flat[..., 1:-1], out=box[..., :-2])
+    box[..., :-2] += flat[..., 2:]
+    return box.reshape(total.shape)[..., :cols]
 
 
 class FeatureBackbone:
@@ -286,6 +181,8 @@ class FeatureBackbone:
 
     def __init__(self, config: BackboneConfig | None = None) -> None:
         self._config = config or BackboneConfig()
+        # Planar ``(3, H, W)``: the float median, and twice it as int16 when
+        # that is integral (always, for uint8 frames).
         self._background: np.ndarray | None = None
         self._background_doubled: np.ndarray | None = None
 
@@ -318,10 +215,11 @@ class FeatureBackbone:
             images.append(frame.image.astype(np.float32))
         if not images:
             raise ValueError("fit_background needs at least one frame")
-        self._background = np.median(np.stack(images, axis=0), axis=0)
+        median = np.median(np.stack(images, axis=0), axis=0)
+        self._background = np.ascontiguousarray(np.moveaxis(median, -1, 0))
         # A median of uint8 frames is always an exact half-integer, which is
-        # what lets the batched path run the background difference in exact
-        # int16 arithmetic (see extract_batch).
+        # what lets the kernel run the background difference in exact int16
+        # arithmetic.
         doubled = 2.0 * self._background.astype(np.float64)
         rounded = np.rint(doubled)
         self._background_doubled = (
@@ -339,205 +237,170 @@ class FeatureBackbone:
         """Per-cell features of one rendered frame.
 
         ``image`` is an ``(H, W, 3)`` uint8 array; the result has shape
-        ``(grid_size, grid_size, num_features)`` and dtype float64.
+        ``(grid_size, grid_size, num_features)`` and dtype float64, and is
+        bit-identical to ``extract_batch(image[None])[0]`` (same kernel).
         """
         if image.ndim != 3 or image.shape[2] != 3:
             raise ValueError(f"expected (H, W, 3) image, got {image.shape}")
-        config = self._config
-        pooled_size = config.grid_size // config.pool_factor
-        pixels = image.astype(np.float64) / 255.0
-        gray = pixels.mean(axis=2)
-
-        rgb = _block_reduce_mean(pixels, pooled_size)
-        intensity_std = _block_reduce_std(gray, pooled_size)
-        edge = _block_reduce_mean(_edge_energy(gray), pooled_size)
-
-        if config.use_background_model and self._background is not None:
-            background = self._background / 255.0
-            diff = pixels - background
-            diff_luma = _block_reduce_mean(np.abs(diff).mean(axis=2), pooled_size)
-            diff_color = _block_reduce_mean(
-                np.abs(diff - diff.mean(axis=2, keepdims=True)).mean(axis=2), pooled_size
-            )
-        else:
-            diff_luma = np.zeros((pooled_size, pooled_size))
-            diff_color = np.zeros((pooled_size, pooled_size))
-
-        features = np.stack(
-            [
-                rgb[..., 0],
-                rgb[..., 1],
-                rgb[..., 2],
-                intensity_std,
-                edge,
-                diff_luma,
-                diff_color,
-            ],
-            axis=-1,
-        )
-        if config.include_context:
-            features = np.concatenate([features, _neighbourhood_mean(features)], axis=-1)
-        if config.pool_factor > 1:
-            features = np.repeat(
-                np.repeat(features, config.pool_factor, axis=0), config.pool_factor, axis=1
-            )
-        return features
+        return self._features(image[None])[0]
 
     def extract_batch(self, images: np.ndarray) -> np.ndarray:
-        """Per-cell features for a batch of frames in one vectorized pass.
+        """Per-cell features for a batch of frames.
 
         ``images`` is an ``(N, H, W, 3)`` uint8 array; the result has shape
-        ``(N, grid_size, grid_size, num_features)``.  The computation is
-        mathematically identical to :meth:`extract` per frame, but fuses and
-        amortises the numpy passes over the whole batch (separable Sobel and
-        box filters, slice-based block reductions, in-place accumulation),
-        which is what makes the batched filter path several times faster
-        than per-frame extraction.  Results agree with :meth:`extract` to
-        floating-point rounding, so thresholded decisions are unaffected.
+        ``(N, grid_size, grid_size, num_features)`` and dtype float64.  A
+        frame's features do not depend on the batch it arrives in: slice
+        ``k`` is bit-identical to ``extract(images[k])``, whatever ``N`` and
+        ``k`` are.
         """
         if images.ndim != 4 or images.shape[3] != 3:
             raise ValueError(f"expected (N, H, W, 3) images, got {images.shape}")
+        return self._features(images)
+
+    def _features(self, images: np.ndarray) -> np.ndarray:
+        """The one feature kernel, run over cache-sized tiles of the batch.
+
+        Per tile the seven base planes come from the exact-integer kernel
+        (square uint8 frames the pooled grid divides) or from the float
+        fallback (anything else), and base and 3x3-context planes are
+        written straight into the preallocated result, up-sampled by
+        ``pool_factor``.  No temporary scales with ``N``.
+        """
         config = self._config
-        pooled_size = config.grid_size // config.pool_factor
-        n = images.shape[0]
-        height, width = images.shape[1], images.shape[2]
+        factor = config.pool_factor
+        pooled = config.grid_size // factor
+        base = len(FEATURE_NAMES)
+        n, height, width = images.shape[:3]
         use_background = config.use_background_model and self._background is not None
-        integer_path = (
+        exact = (
             images.dtype == np.uint8
             and height == width
-            and height % pooled_size == 0
+            and height % pooled == 0
             and (not use_background or self._background_doubled is not None)
         )
-        if integer_path:
-            features = self._base_features_uint8(images, pooled_size, use_background)
-        else:
-            features = self._base_features_float(images, pooled_size, use_background)
-        if config.include_context:
-            features = np.concatenate(
-                [features, _neighbourhood_mean_batch(features)], axis=-1
-            )
-        if config.pool_factor > 1:
-            features = np.repeat(
-                np.repeat(features, config.pool_factor, axis=1), config.pool_factor, axis=2
-            )
-        return features
+        planes_of = self._base_planes_uint8 if exact else self._base_planes_float
+        result = np.empty((n, config.grid_size, config.grid_size, self.num_features))
+        cells = result.reshape(n, pooled, factor, pooled, factor, self.num_features)
+        tile = _tile_length(height, width)
+        for start in range(0, n, tile):
+            planes = planes_of(images[start : start + tile], pooled, use_background)
+            out = cells[start : start + tile]
+            out[..., :base] = np.moveaxis(planes, 0, -1)[:, :, None, :, None, :]
+            if config.include_context:
+                context = np.moveaxis(_box_sum_3x3(planes), 0, -1)
+                np.divide(context[:, :, None, :, None, :], 9, out=out[..., base:])
+        return result
 
-    def _base_features_float(
-        self, images: np.ndarray, pooled_size: int, use_background: bool
+    def _base_planes_float(
+        self, images: np.ndarray, pooled: int, use_background: bool
     ) -> np.ndarray:
-        """Float fallback of the batched base-feature computation."""
-        n = images.shape[0]
-        pixels = images / 255.0
-        gray = _channel_mean_batch(pixels)
+        """Float fallback: the seven ``(n, pooled, pooled)`` base planes of a
+        tile the integer kernel cannot take (non-uint8, non-square or
+        non-divisible frames).  Agrees with the integer kernel to rounding."""
+        pixels = np.divide(np.moveaxis(images, -1, 0), 255.0, order="C")
+        planes = np.zeros((len(FEATURE_NAMES), images.shape[0], pooled, pooled))
+        planes[:3] = _block_mean(pixels, pooled)
 
-        rgb = _block_reduce_mean_batch(pixels, pooled_size)
-        intensity_std = _block_reduce_std_batch(gray, pooled_size)
-        edge = _block_reduce_mean_batch(_edge_energy_batch(gray), pooled_size)
+        gray = (pixels[0] + pixels[1] + pixels[2]) / 3
+        mean = _block_mean(gray, pooled)
+        variance = np.clip(_block_mean(gray**2, pooled) - mean**2, 0.0, None)
+        planes[3] = np.sqrt(variance)
+
+        # Sobel magnitude, separable: smooth along one axis, difference
+        # along the other.
+        padded = np.pad(gray, ((0, 0), (1, 1), (1, 1)), mode="edge")
+        smooth = padded[:, :-2, :] + 2.0 * padded[:, 1:-1, :] + padded[:, 2:, :]
+        gx = smooth[:, :, 2:] - smooth[:, :, :-2]
+        smooth = padded[:, :, :-2] + 2.0 * padded[:, :, 1:-1] + padded[:, :, 2:]
+        gy = smooth[:, 2:, :] - smooth[:, :-2, :]
+        planes[4] = _block_mean(np.sqrt(gx * gx + gy * gy), pooled)
 
         if use_background:
-            background = self._background / 255.0
-            diff = pixels - background
-            abs_diff = np.abs(diff)
-            diff_luma = _block_reduce_mean_batch(
-                _channel_mean_batch(abs_diff), pooled_size
-            )
-            channel_mean = _channel_mean_batch(diff)
-            color = np.abs(diff[..., 0] - channel_mean)
-            for channel in (1, 2):
-                color += np.abs(diff[..., channel] - channel_mean)
-            color /= 3.0
-            diff_color = _block_reduce_mean_batch(color, pooled_size)
-        else:
-            diff_luma = np.zeros((n, pooled_size, pooled_size))
-            diff_color = np.zeros((n, pooled_size, pooled_size))
+            diff = pixels - (self._background / 255.0)[:, None]
+            planes[5] = _block_mean(np.abs(diff).sum(axis=0) / 3, pooled)
+            centred = np.abs(diff - diff.sum(axis=0) / 3)
+            planes[6] = _block_mean(centred.sum(axis=0) / 3, pooled)
+        return planes
 
-        return _assemble_base_features(
-            rgb[..., 0], rgb[..., 1], rgb[..., 2],
-            intensity_std, edge, diff_luma, diff_color,
-        )
-
-    def _base_features_uint8(
-        self, images: np.ndarray, pooled_size: int, use_background: bool
+    def _base_planes_uint8(
+        self, images: np.ndarray, pooled: int, use_background: bool
     ) -> np.ndarray:
-        """Exact-integer fast path of the batched base-feature computation.
+        """Exact-integer kernel: the seven ``(n, pooled, pooled)`` base planes
+        of a tile of square uint8 frames.
 
-        All base features are (block means of) linear or absolute-value
-        functions of the uint8 pixels, so the full-resolution arithmetic runs
-        in int16/int32 (int64 block accumulators) — a fraction of the float64
-        memory traffic — with exact integer sums that are divided into floats
-        only at pooled resolution.
-        Background differences use the doubled background (``2 * median`` of
-        uint8 frames is always integral), i.e. every integer intermediate is
-        exact; results differ from the float path only by float rounding.
+        Every base feature is a block mean of a linear or absolute-value
+        function of the pixels (the Sobel magnitude excepted), so the
+        full-resolution arithmetic runs on planar int16/int32 blocks and
+        only exact block sums are divided into floats, at pooled resolution.
+        The integer steps may be reordered freely; every float operation
+        keeps its operands and their order, which is what makes the result
+        reproducible to the bit.  Bounds on each intermediate are noted
+        where it is formed.
         """
-        n = images.shape[0]
-        height = images.shape[1]
-        block = height // pooled_size
+        n, height = images.shape[:2]
+        block = height // pooled
         denominator = float(255 * block * block)
-        small = images.astype(np.int16)
+        planes = np.zeros((len(FEATURE_NAMES), n, pooled, pooled))
+        planar = np.empty((3, n, height, height), dtype=np.int16)
+        planar[...] = np.moveaxis(images, -1, 0)
 
-        # rgb channels: exact block sums of the raw pixel values.
-        red = _block_sum_int_batch(small[..., 0], pooled_size) / denominator
-        green = _block_sum_int_batch(small[..., 1], pooled_size) / denominator
-        blue = _block_sum_int_batch(small[..., 2], pooled_size) / denominator
+        # rgb: exact block sums of the raw pixel values (<= 255 each).
+        rgb_sums = _block_sum(planar, block, 255)
+        np.divide(rgb_sums, denominator, out=planes[:3])
 
-        # Grayscale moments: gray = (r + g + b) / 765, so per-block mean and
-        # mean-square come from exact sums of G and G^2.
-        gray_int = small[..., 0] + small[..., 1]
-        gray_int += small[..., 2]  # <= 765, fits int16
-        gray_sq = gray_int.astype(np.int32)
-        gray_sq *= gray_sq  # <= 585225
-        mean = _block_sum_int_batch(gray_int, pooled_size) / (765.0 * block * block)
-        mean_sq = _block_sum_int_batch(gray_sq, pooled_size) / (
-            765.0 * 765.0 * block * block
-        )
-        variance = np.clip(mean_sq - mean**2, 0.0, None)
-        intensity_std = np.sqrt(variance)
+        # Grayscale moments: gray = (r + g + b) / 765, so the per-block mean
+        # is the sum of the three rgb block sums and the mean square comes
+        # from the exact block sum of G^2.  G is formed inside an
+        # edge-replicated frame for the Sobel step below.
+        padded = np.empty((n, height + 2, height + 2), dtype=np.int16)
+        gray = padded[:, 1:-1, 1:-1]
+        np.add(planar[0], planar[1], out=gray)
+        gray += planar[2]  # <= 765
+        _replicate_border(padded)
+        mean = rgb_sums.sum(axis=0, dtype=np.int64) / (765.0 * block * block)
+        mean_sq = _block_sum(
+            np.multiply(gray, gray, dtype=np.int32), block, 765 * 765
+        ) / (765.0 * 765.0 * block * block)
+        planes[3] = np.sqrt(np.clip(mean_sq - mean**2, 0.0, None))
 
-        # Sobel magnitude: the gradients are integer-linear in G; only the
-        # final square root runs in float, before the block mean.
-        padded = np.pad(gray_int, ((0, 0), (1, 1), (1, 1)), mode="edge")
-        smooth_rows = padded[:, :-2, :] + 2 * padded[:, 1:-1, :]
-        smooth_rows += padded[:, 2:, :]  # <= 3060
-        gx = smooth_rows[:, :, 2:] - smooth_rows[:, :, :-2]
-        smooth_cols = padded[:, :, :-2] + 2 * padded[:, :, 1:-1]
-        smooth_cols += padded[:, :, 2:]
-        gy = smooth_cols[:, 2:, :] - smooth_cols[:, :-2, :]
-        energy = gx.astype(np.int32)
-        energy *= energy
-        gy32 = gy.astype(np.int32)
-        gy32 *= gy32
-        energy += gy32  # <= 2 * 6120^2, fits int32
-        edge = _block_reduce_mean_batch(np.sqrt(energy), pooled_size) / 765.0
+        # Sobel magnitude: the separable gradients are integer-linear in G
+        # (smoothed <= 3060, differences <= 3060 in magnitude, squares summed
+        # < 2**25); only the square root runs in float, before the block mean.
+        smooth = padded[:, :-2, :] + padded[:, 2:, :]
+        smooth += padded[:, 1:-1, :]
+        smooth += padded[:, 1:-1, :]
+        gx = smooth[:, :, 2:] - smooth[:, :, :-2]
+        smooth = padded[:, :, :-2] + padded[:, :, 2:]
+        smooth += padded[:, :, 1:-1]
+        smooth += padded[:, :, 1:-1]
+        gy = smooth[:, 2:, :] - smooth[:, :-2, :]
+        energy = np.multiply(gx, gx, dtype=np.int32)
+        energy += np.multiply(gy, gy, dtype=np.int32)
+        planes[4] = _block_mean(np.sqrt(energy), pooled) / 765.0
 
         if use_background:
-            # Signed doubled difference: sd = 2*pixel - 2*background, exact.
-            signed = small + small  # 2 * pixel, <= 510
-            signed -= self._background_doubled
-            abs_sum = np.abs(signed[..., 0]) + np.abs(signed[..., 1])
-            abs_sum += np.abs(signed[..., 2])  # <= 3060
-            diff_luma = _block_sum_int_batch(abs_sum, pooled_size) / (
-                2.0 * 3.0 * denominator
-            )
+            # Signed doubled difference 2*pixel - 2*background, |.| <= 510,
+            # formed in place: the raw planes (and ``rgb_sums``, which aliases
+            # them when the block is one pixel) are no longer needed.
+            signed = planar
+            signed += signed
+            signed -= self._background_doubled[:, None]
+            magnitude = np.abs(signed)
+            luma = magnitude[0] + magnitude[1]
+            luma += magnitude[2]  # <= 1530
+            planes[5] = _block_sum(luma, block, 1530) / (2.0 * 3.0 * denominator)
             # |d_c - mean(d)| = |3*sd_c - (sd_0+sd_1+sd_2)| / (3 * 2 * 255)
-            channel_sum = signed[..., 0] + signed[..., 1]
-            channel_sum += signed[..., 2]  # <= 4590 in magnitude
-            color_sum = None
-            for channel in range(3):
-                term = signed[..., channel] * np.int16(3)
-                term -= channel_sum
-                np.abs(term, out=term)  # <= 9180
-                color_sum = term if color_sum is None else color_sum + term
-            diff_color = _block_sum_int_batch(color_sum, pooled_size) / (
+            channel_sum = signed[0] + signed[1]
+            channel_sum += signed[2]  # <= 1530 in magnitude
+            signed *= 3
+            signed -= channel_sum
+            np.abs(signed, out=signed)  # <= 2040
+            color = signed[0] + signed[1]
+            color += signed[2]  # <= 6120
+            planes[6] = _block_sum(color, block, 6120) / (
                 3.0 * 3.0 * 2.0 * denominator
             )
-        else:
-            diff_luma = np.zeros((n, pooled_size, pooled_size))
-            diff_color = np.zeros((n, pooled_size, pooled_size))
-
-        return _assemble_base_features(
-            red, green, blue, intensity_std, edge, diff_luma, diff_color
-        )
+        return planes
 
     def extract_frame(self, frame: Frame) -> np.ndarray:
         """Convenience wrapper taking a :class:`~repro.video.stream.Frame`."""

@@ -31,6 +31,23 @@ from repro.video.stream import Frame
 DEFAULT_GRID_THRESHOLD = 0.2
 
 
+def _stack_images(frames: Sequence[Frame]) -> np.ndarray:
+    """Stack the images of a non-empty batch into ``(N, H, W, 3)``.
+
+    A batch of mixed frame shapes is rejected here, before any feature work,
+    naming the first frame that disagrees with frame 0.
+    """
+    expected = frames[0].image.shape
+    for position, frame in enumerate(frames):
+        if frame.image.shape != expected:
+            raise ValueError(
+                f"frame {position} of the batch (stream index {frame.index}) has "
+                f"image shape {frame.image.shape}, but frame 0 has {expected}; "
+                "a batch needs one frame shape"
+            )
+    return np.stack([frame.image for frame in frames])
+
+
 class LinearBranchFilter(FrameFilter):
     """A branch filter: frozen backbone + grid scoring head + count calibration."""
 
@@ -97,14 +114,15 @@ class LinearBranchFilter(FrameFilter):
         The backbone features and grid-head scores of the whole batch are
         computed in stacked numpy operations (the hot path); the cheap
         per-frame count aggregation reuses exactly the per-frame functions.
-        Predictions agree with :meth:`predict` to floating-point rounding
-        (the batched backbone sums in a different order, so scores can differ
-        at the last ulp; see ``FeatureBackbone.extract_batch``).
+        :meth:`predict` and this method share one backbone kernel, so
+        ``predict(frame)`` equals ``predict_batch([frame])[0]`` exactly, and
+        backbone features do not depend on how frames are batched (see
+        ``FeatureBackbone.extract_batch``).
         """
         if not frames:
             return BatchPrediction(filter_name=self.name, predictions=())
+        images = _stack_images(frames)
         self._charge_batch(len(frames))
-        images = np.stack([frame.image for frame in frames])
         features = self.backbone.extract_batch(images)
         stacked_scores = suppress_cross_class(
             self.grid_head.score_batch(features), self.threshold
@@ -160,8 +178,7 @@ class PooledCountFilter(FrameFilter):
     def predict(self, frame: Frame) -> FilterPrediction:
         self._charge()
         features = self.backbone.extract(frame.image)
-        pooled = features.reshape(-1, features.shape[-1]).mean(axis=0)
-        raw_count = self.count_head.estimate(pooled)
+        raw_count = self.count_head.estimate(self._pool(features[None])[0])
         # The COF filter has no notion of classes or locations: it reports a
         # single total-count estimate under the pseudo-class "object".
         class_counts = {"object": int(round(raw_count))}
@@ -177,18 +194,23 @@ class PooledCountFilter(FrameFilter):
             latency_ms=self.latency_ms,
         )
 
+    @staticmethod
+    def _pool(features: np.ndarray) -> np.ndarray:
+        """Global mean of ``(N, g, g, F)`` features to ``(N, F)``, as one GEMM
+        per frame instead of a strided middle-axis mean (several times
+        faster; per-frame so a frame pools the same in any batch)."""
+        flat = features.reshape(features.shape[0], -1, features.shape[-1])
+        ones = np.full((1, flat.shape[1]), 1.0)
+        return (ones @ flat)[:, 0, :] / flat.shape[1]
+
     def predict_batch(self, frames: Sequence[Frame]) -> BatchPrediction:
-        """Vectorized count-only prediction over a batch of frames."""
+        """Vectorized count-only prediction over a batch of frames; each
+        element equals :meth:`predict` on that frame exactly."""
         if not frames:
             return BatchPrediction(filter_name=self.name, predictions=())
+        images = _stack_images(frames)
         self._charge_batch(len(frames))
-        images = np.stack([frame.image for frame in frames])
-        features = self.backbone.extract_batch(images)
-        n = features.shape[0]
-        flat = features.reshape(n, -1, features.shape[-1])
-        # One GEMM instead of a strided middle-axis mean (several times faster).
-        ones = np.full((1, flat.shape[1]), 1.0)
-        pooled = (ones @ flat)[:, 0, :] / flat.shape[1]
+        pooled = self._pool(self.backbone.extract_batch(images))
         predictions = []
         for position, frame in enumerate(frames):
             raw_count = self.count_head.estimate(pooled[position])

@@ -1065,22 +1065,23 @@ class WorkerSupervisor:
         return entry
 
     def _dispatch(self, entry: ChunkDispatch) -> None:
-        while True:
-            entry.attempts += 1
-            try:
-                entry.future, entry.handle = self._backend.submit(
-                    entry.chunk_id,
-                    entry.indices,
-                    entry.frames,
-                    entry.covered,
-                    entry.orders,
-                )
-                entry.generation = self._generation
-                return
-            except BrokenExecutor as error:
-                # A sibling's crash can break the pool before this chunk
-                # even ships; same recovery path as a failed result.
-                self._recover(entry, error, respawn=True)
+        entry.attempts += 1
+        entry.generation = self._generation
+        try:
+            entry.future, entry.handle = self._backend.submit(
+                entry.chunk_id,
+                entry.indices,
+                entry.frames,
+                entry.covered,
+                entry.orders,
+            )
+        except BrokenExecutor as error:
+            # A sibling's crash can break the pool before this chunk even
+            # ships; same recovery path as a failed result.  ``_recover``
+            # re-dispatches (or raises), so the chunk must not be submitted
+            # again here: a second submit would orphan the first one's
+            # shared-memory handle and filter the chunk twice.
+            self._recover(entry, error, respawn=True)
 
     def result(self, entry: ChunkDispatch) -> ChunkOutcome:
         """Block for one chunk's outcome, healing failures in place.

@@ -102,6 +102,72 @@ def reference_cascade_walk(query, cascade, stream, indices, detector):
     return matched, passed, invocations
 
 
+def reference_backbone_features(image, config, background=None):
+    """Naive per-frame float64 backbone features: the independent oracle.
+
+    The textbook formulation (reshape + multi-axis ``mean`` block pooling, a
+    twelve-term Sobel, a nine-term box filter), sharing no code with the
+    tiled integer kernel in ``repro.detection.backbone``.  ``image`` is
+    ``(H, W, 3)`` with ``H == W``; ``background`` is the ``(H, W, 3)`` float
+    median image or ``None``.  The kernel agrees with it to ``atol=1e-6``.
+    """
+
+    def block_mean(array, out_size):
+        height = array.shape[0]
+        if height % out_size != 0:
+            target = out_size * max(int(np.ceil(height / out_size)), 1)
+            indices = np.clip(
+                (np.arange(target) * height / target).astype(int), 0, height - 1
+            )
+            array = array[indices][:, indices]
+            height = target
+        block = height // out_size
+        shape = (out_size, block, out_size, block) + array.shape[2:]
+        return array.reshape(shape).mean(axis=(1, 3))
+
+    pooled = config.grid_size // config.pool_factor
+    pixels = image.astype(np.float64) / 255.0
+    gray = pixels.mean(axis=2)
+    variance = block_mean(gray**2, pooled) - block_mean(gray, pooled) ** 2
+    padded = np.pad(gray, 1, mode="edge")
+    gx = (
+        padded[:-2, 2:] + 2 * padded[1:-1, 2:] + padded[2:, 2:]
+        - padded[:-2, :-2] - 2 * padded[1:-1, :-2] - padded[2:, :-2]
+    )
+    gy = (
+        padded[2:, :-2] + 2 * padded[2:, 1:-1] + padded[2:, 2:]
+        - padded[:-2, :-2] - 2 * padded[:-2, 1:-1] - padded[:-2, 2:]
+    )
+    if config.use_background_model and background is not None:
+        diff = pixels - background / 255.0
+        diff_luma = block_mean(np.abs(diff).mean(axis=2), pooled)
+        diff_color = block_mean(
+            np.abs(diff - diff.mean(axis=2, keepdims=True)).mean(axis=2), pooled
+        )
+    else:
+        diff_luma = diff_color = np.zeros((pooled, pooled))
+    features = np.dstack(
+        [
+            block_mean(pixels, pooled),
+            np.sqrt(np.clip(variance, 0.0, None)),
+            block_mean(np.sqrt(gx**2 + gy**2), pooled),
+            diff_luma,
+            diff_color,
+        ]
+    )
+    if config.include_context:
+        around = np.pad(features, ((1, 1), (1, 1), (0, 0)), mode="edge")
+        context = sum(
+            around[dy : dy + pooled, dx : dx + pooled]
+            for dy in range(3)
+            for dx in range(3)
+        )
+        features = np.concatenate([features, context / 9.0], axis=-1)
+    return features.repeat(config.pool_factor, axis=0).repeat(
+        config.pool_factor, axis=1
+    )
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)

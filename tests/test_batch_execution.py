@@ -28,7 +28,7 @@ from repro.query import (
 from repro.query.planner import CascadeStep, FilterCascade
 from repro.spatial.grid import Grid
 from repro.video.stream import Frame
-from tests.conftest import reference_cascade_walk
+from tests.conftest import reference_backbone_features, reference_cascade_walk
 
 
 @pytest.fixture(scope="module")
@@ -126,29 +126,47 @@ def test_batch_size_validation(tiny_jackson):
 def test_linear_filter_predict_batch_matches_predict(
     trained_od_filter, trained_ic_filter, trained_od_cof, tiny_jackson
 ):
+    """One backbone kernel serves both paths, so equality is exact: for a
+    frame alone in its batch and for the same frame inside a longer one."""
     frames = [tiny_jackson.test.frame(index) for index in range(12)]
     for frame_filter in (trained_od_filter, trained_ic_filter, trained_od_cof):
         sequential = [frame_filter.predict(frame) for frame in frames]
         batched = frame_filter.predict_batch(frames)
         assert batched.filter_name == frame_filter.name
         assert len(batched) == len(frames)
-        for seq, bat in zip(sequential, batched):
-            assert bat.frame_index == seq.frame_index
-            assert bat.class_counts == seq.class_counts
-            for name in seq.class_scores:
-                assert bat.class_scores[name] == pytest.approx(
-                    seq.class_scores[name], abs=1e-6
-                )
-            assert set(bat.location_scores) == set(seq.location_scores)
-            for name in seq.location_scores:
-                np.testing.assert_allclose(
-                    bat.location_scores[name], seq.location_scores[name], atol=1e-6
-                )
-                # Thresholded occupancy decisions are what the cascade sees.
-                assert np.array_equal(
-                    bat.location_scores[name] >= bat.threshold,
-                    seq.location_scores[name] >= seq.threshold,
-                )
+        singles = [frame_filter.predict_batch([frame])[0] for frame in frames]
+        for seq, bat, single in zip(sequential, batched, singles):
+            for other in (bat, single):
+                assert other.frame_index == seq.frame_index
+                assert other.class_counts == seq.class_counts
+                assert other.class_scores == seq.class_scores
+                assert set(other.location_scores) == set(seq.location_scores)
+                for name in seq.location_scores:
+                    assert np.array_equal(
+                        other.location_scores[name], seq.location_scores[name]
+                    )
+
+
+@pytest.mark.parametrize("filter_fixture", ["trained_od_filter", "trained_od_cof"])
+def test_predict_batch_rejects_mixed_frame_shapes(filter_fixture, tiny_jackson, request):
+    """A ragged batch fails at the boundary, naming the frame and both shapes,
+    and before anything is charged to the clock."""
+    from repro.cost import SimulatedClock
+
+    frame_filter = request.getfixturevalue(filter_fixture)
+    frames = [tiny_jackson.test.frame(index) for index in range(3)]
+    odd = Frame(index=41, image=frames[0].image[:56], ground_truth=None)
+    clock = SimulatedClock()
+    frame_filter.clock = clock
+    try:
+        with pytest.raises(ValueError) as excinfo:
+            frame_filter.predict_batch([*frames, odd, frames[0]])
+    finally:
+        frame_filter.clock = None
+    message = str(excinfo.value)
+    assert "frame 3 of the batch (stream index 41)" in message
+    assert "(56, 112, 3)" in message and "(112, 112, 3)" in message
+    assert clock.breakdown.per_component_calls == {}
 
 
 def test_predict_batch_empty_and_charging(trained_od_filter, tiny_jackson):
@@ -170,13 +188,47 @@ def test_predict_batch_empty_and_charging(trained_od_filter, tiny_jackson):
     )
 
 
-def test_backbone_extract_batch_matches_extract(trained_od_filter, tiny_jackson):
-    frames = [tiny_jackson.test.frame(index) for index in range(8)]
-    backbone = trained_od_filter.backbone
-    reference = np.stack([backbone.extract(frame.image) for frame in frames])
-    batched = backbone.extract_batch(np.stack([frame.image for frame in frames]))
-    assert batched.shape == reference.shape
-    np.testing.assert_allclose(batched, reference, atol=1e-6)
+def _synthetic_frames(count: int, size: int) -> np.ndarray:
+    """Deterministic uint8 frames from integer arithmetic alone (no RNG
+    stream that could drift between numpy versions under the digests)."""
+    values = np.arange(count * size * size * 3, dtype=np.uint64)
+    values = (values * np.uint64(2654435761)) >> np.uint64(11)
+    return (values & np.uint64(0xFF)).astype(np.uint8).reshape(count, size, size, 3)
+
+
+def _fit(backbone, images):
+    backbone.fit_background(
+        Frame(index=index, image=image, ground_truth=None)
+        for index, image in enumerate(images)
+    )
+    return backbone
+
+
+def test_backbone_extract_batch_matches_extract(tiny_jackson):
+    """``extract`` and ``extract_batch`` against the naive float oracle."""
+    from repro.detection.backbone import classification_backbone, detection_backbone
+
+    train = [tiny_jackson.train.frame(index).image for index in range(0, 40, 2)]
+    background = np.median(np.stack(train).astype(np.float32), axis=0)
+    images = np.stack([tiny_jackson.test.frame(index).image for index in range(8)])
+    for make in (detection_backbone, classification_backbone):
+        backbone = _fit(make(56), train)
+        reference = np.stack(
+            [
+                reference_backbone_features(image, backbone.config, background)
+                for image in images
+            ]
+        )
+        batched = backbone.extract_batch(images)
+        assert batched.shape == reference.shape and batched.dtype == np.float64
+        np.testing.assert_allclose(batched, reference, atol=1e-6)
+        assert reference[..., 5].max() > 0.05  # the background channels are live
+        for image, expected in zip(images, batched):
+            assert np.array_equal(backbone.extract(image), expected)
+        # The float fallback (here: non-uint8 input) serves the same features.
+        np.testing.assert_allclose(
+            backbone.extract_batch(images.astype(np.float64)), reference, atol=1e-6
+        )
 
 
 def test_extract_batch_large_pooling_blocks_no_overflow():
@@ -188,10 +240,71 @@ def test_extract_batch_large_pooling_blocks_no_overflow():
     image = np.random.default_rng(0).integers(
         0, 256, size=(512, 512, 3), dtype=np.uint8
     )
-    single = backbone.extract(image)
-    batched = backbone.extract_batch(image[None])[0]
-    assert single[..., 3].max() > 0  # intensity_std is non-trivial
-    np.testing.assert_allclose(batched, single, atol=1e-6)
+    reference = reference_backbone_features(image, backbone.config)
+    assert reference[..., 3].max() > 0  # intensity_std is non-trivial
+    np.testing.assert_allclose(backbone.extract(image), reference, atol=1e-6)
+    np.testing.assert_allclose(
+        backbone.extract_batch(image[None])[0], reference, atol=1e-6
+    )
+
+
+def test_extract_float_fallback_on_frames_the_grid_does_not_divide():
+    from repro.detection.backbone import BackboneConfig, FeatureBackbone
+
+    images = _synthetic_frames(7, 112)
+    backbone = _fit(FeatureBackbone(BackboneConfig(grid_size=10, pool_factor=2)), images[:4])
+    background = np.median(images[:4].astype(np.float32), axis=0)
+    batched = backbone.extract_batch(images[4:])
+    assert batched.shape == (3, 10, 10, backbone.num_features)
+    for image, features in zip(images[4:], batched):
+        np.testing.assert_allclose(
+            features,
+            reference_backbone_features(image, backbone.config, background),
+            atol=1e-6,
+        )
+
+
+@pytest.mark.parametrize("flavour", ["detection", "classification"])
+def test_backbone_features_are_tile_boundary_invariant(flavour):
+    """A frame's features are the same bits whichever batch size and
+    position it is extracted at, across every tile boundary."""
+    from repro.detection import backbone as backbone_module
+
+    size = 112
+    tile = backbone_module._tile_length(size, size)
+    assert tile >= 2  # otherwise the sizes below straddle nothing
+    images = _synthetic_frames(3 * tile + 2 + 4, size)
+    make = getattr(backbone_module, f"{flavour}_backbone")
+    backbone = _fit(make(56), images[:4])
+    images = images[4:]
+    whole = backbone.extract_batch(images)
+    for length in (1, tile - 1, tile, tile + 1):
+        for start in range(0, len(images) - length + 1, max(length - 1, 1)):
+            part = backbone.extract_batch(images[start : start + length])
+            assert np.array_equal(part, whole[start : start + length]), (length, start)
+
+
+@pytest.mark.parametrize(
+    "flavour, digest",
+    [
+        ("detection", "e04dcdebb65e0c5a798e119a39973198aa2effe9406534ea5baa4aebe1b99788"),
+        ("classification", "5528571d92c8704263382d0d8436b8dc334fc83ee209de1d931158d546cae241"),
+    ],
+)
+def test_extract_batch_is_bit_identical_to_the_pinned_integer_path(flavour, digest):
+    """The digests were taken from ``extract_batch`` before the tiled kernel
+    replaced the whole-batch integer path (PR 13's commit): integer steps
+    are exact and every float step keeps its operands and their order, so a
+    kernel rewrite must reproduce them to the bit."""
+    import hashlib
+
+    from repro.detection import backbone as backbone_module
+
+    images = _synthetic_frames(19, 112)
+    make = getattr(backbone_module, f"{flavour}_backbone")
+    backbone = _fit(make(56), images[:6])
+    features = backbone.extract_batch(images[6:])
+    assert hashlib.sha256(features.tobytes()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------

@@ -559,6 +559,55 @@ def test_worker_redispatch_exhaustion_quarantines_chunk(
     assert record.site == "worker" and record.frames == tuple(sorted(lost))
 
 
+def test_broken_submit_is_redispatched_exactly_once(monkeypatch):
+    """Regression: a ``submit`` that raised ``BrokenExecutor`` was recovered
+    (re-dispatched) and then submitted *again* by the dispatch loop, which
+    orphaned the first re-dispatch's shared-memory handle and filtered the
+    chunk twice."""
+    from concurrent.futures import BrokenExecutor, Future
+
+    from repro.query import parallel as parallel_module
+
+    class StubBackend:
+        broken = True  # only the very first submit, on the first pool, fails
+        live: set = set()
+        submitted = 0
+
+        def submit(self, chunk_id, indices, frames, covered, orders):
+            if StubBackend.broken:
+                StubBackend.broken = False
+                raise BrokenExecutor("pool broken by a sibling's crash")
+            StubBackend.submitted += 1
+            handle = object()
+            StubBackend.live.add(handle)
+            future: Future = Future()
+            future.set_result("outcome")
+            return future, handle
+
+        def release(self, handle):
+            StubBackend.live.discard(handle)
+
+        def abandon(self):
+            pass
+
+        close = abandon
+
+    monkeypatch.setattr(
+        parallel_module, "_make_backend", lambda *args: StubBackend()
+    )
+    config = ParallelConfig(num_workers=2, supervise=True, max_redispatch=2)
+    supervisor = parallel_module.WorkerSupervisor(config, [], [])
+    entry = supervisor.submit(0, [0, 1], [], None, [])
+    assert StubBackend.submitted == 1 and len(StubBackend.live) == 1
+    assert entry.handle in StubBackend.live
+    # One failed attempt plus its one re-dispatch, onto a respawned pool.
+    assert entry.attempts == 2
+    assert supervisor.redispatches == 1 and supervisor.respawns == 1
+    assert supervisor.result(entry) == "outcome"
+    assert StubBackend.live == set()
+    supervisor.close()
+
+
 # ----------------------------------------------------------------------
 # Golden fault-site tests: service-side sites (shard, queue, emitter)
 # ----------------------------------------------------------------------
