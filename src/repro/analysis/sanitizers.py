@@ -28,7 +28,8 @@ exactly that pattern):
 * **Determinism checker** (``"determinism"``, RC004) — digests each merged
   chunk's per-query alive sets during the parallel scan, then re-runs the
   same chunks sequentially on a clock-detached deep copy of the cascades
-  and reports the first divergent chunk.  Cascade steps are conjunctive, so
+  and reports the first divergent chunk (a quarantined chunk merged
+  nothing and is skipped).  Cascade steps are conjunctive, so
   the digest is invariant under adaptive step reordering; any divergence is
   real nondeterminism (state leaking between workers, an order-dependent
   check, a thread-dependent filter).
@@ -67,6 +68,7 @@ HOOK_SITES = (
     ("repro.video.stream", "_FRAME_CACHE_SANITIZER"),
     ("repro.nn.network", "_LAYER_SANITIZER"),
     ("repro.query.parallel", "_WORKER_SANITIZER"),
+    ("repro.query.session", "_WORKER_SANITIZER"),
 )
 
 
@@ -144,7 +146,7 @@ class SanitizerSession:
         self._inflight: dict[tuple[Any, ...], list[_OpenAccess]] = {}
         self._windows: list[_OpenAccess] = []
         self._local = threading.local()
-        self._chunk_digests: dict[int, str] = {}
+        self._chunk_digests: dict[int, str | None] = {}
         self._installed = False
 
     # ------------------------------------------------------------------
@@ -361,11 +363,17 @@ class SanitizerSession:
     # Determinism checker
     # ------------------------------------------------------------------
     def observe_chunk(self, chunk_id: int, outcome: Any) -> None:
-        """Digest one merged chunk's alive sets during the parallel scan."""
+        """Digest one chunk's alive sets at its in-order merge point.
+
+        ``outcome=None`` records a quarantined chunk: its id was consumed but
+        it never merged, so there are no survivors to compare.
+        """
         if not self.determinism:
             return
         with self._mu:
-            self._chunk_digests[chunk_id] = chunk_digest(outcome.alive)
+            self._chunk_digests[chunk_id] = (
+                None if outcome is None else chunk_digest(outcome.alive)
+            )
 
     def verify_determinism(
         self,
@@ -393,6 +401,10 @@ class SanitizerSession:
             tuple(range(len(cascade.steps))) for cascade in reference
         ]
         for chunk_id, chunk in enumerate(chunks):
+            with self._mu:
+                observed = self._chunk_digests.get(chunk_id, "unobserved")
+            if observed is None:
+                continue  # quarantined: the scan claimed no survivors for it
             frames = [stream.frame(index) for index in chunk]
             if member_sets is not None:
                 covered: Sequence[Sequence[bool]] | None = [
@@ -404,8 +416,6 @@ class SanitizerSession:
                 reference, assignments, covered, identity_orders, frames
             )
             expected = chunk_digest(alive)
-            with self._mu:
-                observed = self._chunk_digests.get(chunk_id)
             if observed != expected:
                 self.record(
                     diag(

@@ -120,6 +120,10 @@ def build_branch_network(
 class NeuralBranchFilter(FrameFilter):
     """A trained branch network exposed through the standard filter interface."""
 
+    #: activation dtype used when the network is in eval mode; training
+    #: always runs float64 (gradient checks need the precision)
+    inference_dtype = np.dtype(np.float32)
+
     def __init__(
         self,
         network: MultiHeadNetwork,
@@ -132,16 +136,12 @@ class NeuralBranchFilter(FrameFilter):
         latency_ms: float = OD_BRANCH_MS,
         threshold: float = 0.5,
         clock: SimulatedClock | None = None,
-        inference_dtype: np.dtype | type = np.float32,
         lint: bool = True,
     ) -> None:
         super().__init__(clock=clock)
         self.network = network
         self.class_names = tuple(class_names)
         self.image_size = image_size
-        #: activation dtype used when the network is in eval mode; training
-        #: always runs float64 (gradient checks need the precision)
-        self.inference_dtype = np.dtype(inference_dtype)
         self.grid = Grid(
             rows=grid_size,
             cols=grid_size,

@@ -61,6 +61,7 @@ Costs are accounted twice:
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -83,7 +84,6 @@ from repro.query.parallel import (
     ParallelStats,
     PlanRevision,
     partition_chunks,
-    run_parallel_scan,
 )
 from repro.query.planner import FilterCascade
 from repro.query.session import ScanSession
@@ -584,14 +584,24 @@ class StreamingQueryExecutor:
 
         Build a :class:`~repro.query.session.ScanSession`, feed it, read the
         states.  The session owns the loop (accumulation, the detector-union
-        phase, clock attachment and restoration); what varies is how frames
-        reach it: rendered chunks of ``batch_size`` frames (``None`` = chunks
-        of one frame) through ``push_chunk``, worker outcomes merged in order
-        by :func:`~repro.query.parallel.run_parallel_scan`, or the whole
-        index sequence through the temporal driver.  The filter phase of a
+        phase, the worker backend and its in-order merge, clock attachment
+        and restoration); the executor decides only how frames reach it: one
+        ``render(index)`` (``stream.frame``, or the decode-ahead prefetcher's
+        when ``parallel`` is set) and two drivers.  Rendered chunks of
+        ``chunk_size`` frames go through ``push_chunk`` (``batch_size=None``
+        = chunks of one; a session built with ``parallel=`` filters them on
+        its workers); under ``temporal`` the whole index sequence goes
+        through the temporal driver, where gating is sequential and
+        ``parallel`` contributes decode-ahead only.  The filter phase of a
         chunk is :func:`~repro.query.parallel.run_filter_chunk` whether it
         runs inline or in a worker, so the parallel engine is chunk-for-chunk
         identical to the inline scan by construction.
+
+        With ``parallel.sanitize`` set, a chunked parallel scan runs under an
+        activated :class:`~repro.analysis.sanitizers.SanitizerSession`:
+        findings raise ``AnalysisError`` mid-scan (``sanitize_strict=True``,
+        the default) or are collected into ``sanitizer_report`` and surfaced
+        as Python warnings.  ``sanitize=None`` leaves every hook uninstalled.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be positive: {batch_size}")
@@ -636,34 +646,45 @@ class StreamingQueryExecutor:
         ]
 
         chunk_size = batch_size or (parallel.chunk_size if parallel is not None else 1)
+        # Gating is sequential: under ``temporal`` nothing is chunked and the
+        # session gets no workers (nor does a scan that covers no frame).
+        chunks = partition_chunks(union_indices, chunk_size) if temporal is None else []
         temporal_stats: TemporalStats | None = None
-        per_worker: tuple[CostBreakdown, ...] = ()
-        num_chunks = 0
         sanitizer_report: AnalysisReport | None = None
+        sanitizer_scope = nullcontext()
+        if parallel is not None and temporal is None and parallel.sanitize:
+            # Local import: repro.analysis imports the query AST package.
+            from repro.analysis.sanitizers import sanitized_scan
+
+            sanitizer_scope = sanitized_scan(parallel.sanitize, strict=parallel.sanitize_strict)
         started = time.perf_counter()
         # Cost is measured as a delta against the session's snapshot of the
         # clock rather than by resetting it: a caller-supplied shared clock
         # (e.g. one accumulating cost across several executions) keeps its
         # history.
-        session = ScanSession(self.detector, clock=self.clock, live=False)
-        with session:
-            for query, cascade, members in zip(queries, query_cascades, member_sets):
-                session.add_query(query, cascade, member_set=members)
-            if parallel is not None and parallel.adaptive:
-                # One profiler per query: the temporal evaluation and chunk
-                # submission read its step order, the in-order merge feeds it.
-                for state in session.states:
-                    state.profiler = CascadeProfiler(state.cascade, parallel)
-            # Plans the scan: steps merged across queries, and every filter
-            # and the detector charge our clock until the session closes.
-            unique_steps = session.unique_step_count
-            if temporal is not None:
+        session = ScanSession(
+            self.detector, clock=self.clock, live=False, parallel=parallel if chunks else None
+        )
+        with sanitizer_scope as sanitizer:
+            with session:
+                for query, cascade, members in zip(queries, query_cascades, member_sets):
+                    session.add_query(query, cascade, member_set=members)
+                if parallel is not None and parallel.adaptive:
+                    # One profiler per query: the temporal evaluation and chunk
+                    # submission read its step order, the in-order merge feeds it.
+                    for state in session.states:
+                        state.profiler = CascadeProfiler(state.cascade, parallel)
+                # Plans the scan: steps merged across queries, every filter and
+                # the detector charge our clock until the session closes, and a
+                # parallel session's worker backend exists from here on.
+                unique_steps = session.unique_step_count
                 render = stream.frame
                 prefetcher: FramePrefetcher | None = None
                 if parallel is not None:
-                    # Nothing may run between the prefetcher constructor and
-                    # the try/finally that closes it, or a failure would leak
-                    # decode-ahead threads.
+                    # After the plan, so that process workers fork before the
+                    # first decode-ahead thread starts.  Nothing may run
+                    # between this constructor and the try/finally that closes
+                    # it, or a failure would leak decode-ahead threads.
                     prefetcher = FramePrefetcher(
                         stream,
                         union_indices,
@@ -672,27 +693,34 @@ class StreamingQueryExecutor:
                     )
                     render = prefetcher.frame
                 try:
-                    temporal_stats = session.run_temporal_scan(
-                        temporal, union_indices, render
-                    )
+                    if temporal is not None:
+                        temporal_stats = session.run_temporal_scan(
+                            temporal, union_indices, render
+                        )
+                    else:
+                        for chunk in chunks:
+                            try:
+                                # One materialisation per frame, shared by every query.
+                                frames = [render(index) for index in chunk]
+                            except FaultExhausted as error:
+                                # A frame of this chunk could not be decoded within
+                                # the retry budget: set it aside and keep scanning.
+                                session.quarantine_chunk(chunk, error)
+                                continue
+                            session.push_chunk(frames)
                 finally:
                     if prefetcher is not None:
                         prefetcher.close()
-            elif parallel is not None:
-                per_worker, num_chunks, sanitizer_report = self._scan_parallel(
-                    session, stream, union_indices, member_sets, parallel, chunk_size
+            if sanitizer is not None:
+                # The session has drained: every chunk's digest is recorded.
+                sanitizer.verify_determinism(
+                    stream, chunks, query_cascades, session.step_assignments, member_sets
                 )
-            else:
-                for chunk in partition_chunks(union_indices, chunk_size):
-                    try:
-                        # One materialisation per frame, shared by every query.
-                        frames = [stream.frame(index) for index in chunk]
-                    except FaultExhausted as error:
-                        # A frame of this chunk could not be decoded within the
-                        # retry budget: quarantine the chunk and keep scanning.
-                        session.quarantine_chunk(chunk, error)
-                        continue
-                    session.push_chunk(frames)
+                sanitizer_report = sanitizer.report()
+        if sanitizer_report is not None:
+            # Strict sessions raised from inside the scan; anything still
+            # here is a non-strict run, so surface findings as warnings.
+            sanitizer_report.emit_warnings()
         elapsed = time.perf_counter() - started
 
         cost = session.shared_cost_report()
@@ -737,9 +765,10 @@ class StreamingQueryExecutor:
                 num_workers=parallel.num_workers,
                 chunk_size=chunk_size,
                 prefetch_depth=parallel.prefetch_depth,
-                num_chunks=num_chunks,
+                num_chunks=len(chunks),
                 cost=ParallelCostReport(
-                    per_worker=per_worker, wall_clock_seconds=elapsed
+                    per_worker=tuple(session.worker_breakdowns.values()),
+                    wall_clock_seconds=elapsed,
                 ),
             )
             if parallel is not None
@@ -759,76 +788,6 @@ class StreamingQueryExecutor:
             sanitizer_report=sanitizer_report,
         )
         return MultiQueryExecutionResult(results=tuple(results), shared=shared_stats)
-
-    def _scan_parallel(
-        self,
-        session: ScanSession,
-        stream: VideoStream,
-        union_indices: Sequence[int],
-        member_sets: Sequence[set[int]],
-        config: ParallelConfig,
-        chunk_size: int,
-    ) -> tuple[tuple[CostBreakdown, ...], int, "AnalysisReport | None"]:
-        """Feed ``session`` from the parallel pipeline.
-
-        Workers run :func:`~repro.query.parallel.run_filter_chunk` over
-        concurrent chunks; the session consumes their outcomes *in chunk
-        order* — absorbing each chunk's filter cost into the main clock,
-        running the detector on the union survivors and evaluating
-        predicates — so every accumulator ends up exactly as the inline scan
-        would have left it.  Returns the per-worker cost breakdowns, the
-        number of chunks executed and the sanitizer report.
-
-        With ``config.sanitize`` set, the scan runs under an activated
-        :class:`~repro.analysis.sanitizers.SanitizerSession`: races, numeric
-        corruption and merge divergence raise ``AnalysisError`` mid-scan
-        (``sanitize_strict=True``, the default) or are collected into the
-        returned :class:`~repro.analysis.AnalysisReport` and surfaced as
-        Python warnings.  ``sanitize=None`` leaves every hook uninstalled.
-        """
-        # Local import: repro.analysis imports the query AST package.
-        from repro.analysis.sanitizers import sanitized_scan
-
-        cascades = [state.cascade for state in session.states]
-        assignments = session.step_assignments
-        sanitizer_report: AnalysisReport | None = None
-        with sanitized_scan(config.sanitize, strict=config.sanitize_strict) as sanitizer:
-            per_worker, num_chunks = run_parallel_scan(
-                config,
-                stream,
-                union_indices,
-                cascades,
-                assignments,
-                member_sets,
-                (
-                    [state.profiler for state in session.states]
-                    if config.adaptive
-                    else None
-                ),
-                chunk_size,
-                # The in-order merge body is the session's: absorb the
-                # chunk's filter cost, accumulate, detector-union phase.
-                lambda chunk_id, frames, outcome: session.absorb_outcome(frames, outcome),
-                # A chunk exhausted its decode or worker-redispatch budget:
-                # record it and advance the merge watermark past it.
-                quarantine=lambda chunk_id, frames, error: session.quarantine_chunk(
-                    frames, error
-                ),
-            )
-            if sanitizer is not None:
-                sanitizer.verify_determinism(
-                    stream,
-                    partition_chunks(union_indices, chunk_size),
-                    cascades,
-                    assignments,
-                    member_sets,
-                )
-                sanitizer_report = sanitizer.report()
-        if sanitizer_report is not None:
-            # Strict sessions raised from inside the scan; anything still
-            # here is a non-strict run, so surface findings as warnings.
-            sanitizer_report.emit_warnings()
-        return per_worker, num_chunks, sanitizer_report
 
     # ------------------------------------------------------------------
     # Aggregate monitoring queries

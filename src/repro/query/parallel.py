@@ -4,8 +4,9 @@ The batched executor (PR 1) amortises numpy call overhead but still runs
 every stage on one core: render a chunk, filter it, verify the survivors,
 repeat.  This module turns that loop into a pipeline:
 
-* a **decode-ahead prefetcher** renders the next ``prefetch_depth`` chunks of
-  frames on background threads while earlier chunks are being filtered;
+* a **decode-ahead prefetcher** (:class:`FramePrefetcher`) renders the next
+  ``prefetch_depth`` chunks' worth of frames on background threads while
+  earlier chunks are being filtered;
 * a **chunk-granular worker pool** runs the filter-cascade phase of several
   chunks concurrently — ``backend="thread"`` gives each worker its own
   deep-copied cascade (the numpy filters release the GIL in their stacked
@@ -22,8 +23,10 @@ repeat.  This module turns that loop into a pipeline:
 
 Cost accounting stays exact under concurrency by construction: each worker
 charges its filter work to a *private* :class:`~repro.cost.SimulatedClock`
-and returns the chunk's delta; the merge loop absorbs the deltas into the
-main clock in chunk order (:meth:`~repro.cost.SimulatedClock.absorb`), and
+and returns the chunk's delta; the one in-order merge loop
+(:meth:`~repro.query.session.ScanSession._merge_next`) absorbs the deltas
+into the main clock in chunk order
+(:meth:`~repro.cost.SimulatedClock.absorb`), and
 the per-worker totals are reported in a
 :class:`~repro.cost.ParallelCostReport` alongside the run's wall clock.
 
@@ -59,7 +62,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context, shared_memory
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,7 +140,6 @@ class ParallelConfig:
     backend: str = "thread"
     chunk_size: int = 16
     prefetch_depth: int = 2
-    prefetch_threads: int | None = None
     adaptive: bool = False
     adaptive_window: int = 32
     adaptive_interval: int = 8
@@ -161,10 +163,6 @@ class ParallelConfig:
         if self.prefetch_depth < 0:
             raise ValueError(
                 f"prefetch_depth must be non-negative: {self.prefetch_depth}"
-            )
-        if self.prefetch_threads is not None and self.prefetch_threads < 1:
-            raise ValueError(
-                f"prefetch_threads must be positive: {self.prefetch_threads}"
             )
         if self.adaptive_window < 1 or self.adaptive_interval < 1:
             raise ValueError("adaptive_window and adaptive_interval must be positive")
@@ -222,9 +220,7 @@ class ParallelConfig:
 
     @property
     def effective_prefetch_threads(self) -> int:
-        """Decode-ahead thread count (default: 2, but never more than the workers)."""
-        if self.prefetch_threads is not None:
-            return self.prefetch_threads
+        """Decode-ahead thread count: 2, but never more than the workers."""
         return max(1, min(2, self.num_workers))
 
 
@@ -483,68 +479,15 @@ def run_filter_chunk(
 
 
 # ----------------------------------------------------------------------
-# Decode-ahead prefetchers
+# The decode-ahead prefetcher
 # ----------------------------------------------------------------------
-class ChunkPrefetcher:
-    """Renders whole chunks of frames ahead of worker submission.
-
-    ``get(chunk_id)`` blocks until that chunk's frames are materialised and
-    schedules rendering of the next ``depth`` chunks on the background pool,
-    so decode overlaps with the filter phase of earlier chunks.  Rendering
-    goes through :meth:`VideoStream.frame`, whose LRU cache is thread-safe.
-    """
-
-    def __init__(
-        self,
-        stream: VideoStream,
-        chunks: Sequence[Sequence[int]],
-        depth: int,
-        threads: int,
-    ) -> None:
-        self._stream = stream
-        self._chunks = chunks
-        self._depth = max(0, depth)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, threads), thread_name_prefix="decode-ahead"
-        )
-        self._futures: dict[int, Future] = {}
-        self._scheduled = 0
-        self._closed = False
-
-    def _render(self, chunk: Sequence[int]) -> list[Frame]:
-        return [self._stream.frame(index) for index in chunk]
-
-    def _schedule_through(self, chunk_id: int) -> None:
-        limit = min(chunk_id + 1, len(self._chunks))
-        while self._scheduled < limit:
-            self._futures[self._scheduled] = self._pool.submit(
-                self._render, self._chunks[self._scheduled]
-            )
-            self._scheduled += 1
-
-    def get(self, chunk_id: int) -> list[Frame]:
-        self._schedule_through(chunk_id + self._depth)
-        future = self._futures.pop(chunk_id)
-        return future.result()
-
-    def close(self) -> None:
-        """Shut the decode-ahead pool down; safe to call more than once.
-
-        Error paths close eagerly and ``finally`` blocks close again —
-        idempotency keeps the double close from re-running a shutdown.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-
 class FramePrefetcher:
-    """Decode-ahead rendering for *sequential* scans (temporal gating, sampling).
+    """Decode-ahead rendering over a known index sequence.
 
-    Wraps ``stream.frame`` for scans that consume a known index sequence one
-    frame at a time: requesting a frame schedules background rendering of
-    the next ``depth`` indices of the sequence.  The window is bounded on
+    Wraps ``stream.frame`` for every scan that knows its index sequence up
+    front (chunked parallel scans, temporal gating, aggregate sampling):
+    requesting a frame schedules background rendering of the next ``depth``
+    indices of the sequence.  The window is bounded on
     both sides — scheduled entries falling more than ``depth`` positions
     behind the newest request are cancelled (if still queued) and dropped,
     so an adaptive-stride scan that skips most of the sequence neither
@@ -1166,7 +1109,8 @@ class WorkerSupervisor:
 
 
 # ----------------------------------------------------------------------
-# The pipeline driver
+# Chunking and worker labels (the submit/merge loop itself is
+# ScanSession._push_parallel / _merge_next)
 # ----------------------------------------------------------------------
 def partition_chunks(indices: Sequence[int], chunk_size: int) -> list[list[int]]:
     """Split a scan's frame indices into submission chunks."""
@@ -1174,131 +1118,6 @@ def partition_chunks(indices: Sequence[int], chunk_size: int) -> list[list[int]]
         list(indices[start : start + chunk_size])
         for start in range(0, len(indices), chunk_size)
     ]
-
-
-def run_parallel_scan(
-    config: ParallelConfig,
-    stream: VideoStream,
-    union_indices: Sequence[int],
-    query_cascades: Sequence[FilterCascade],
-    assignments: Sequence[Sequence[int]],
-    member_sets: Sequence[set[int]] | None,
-    profilers: Sequence[CascadeProfiler] | None,
-    chunk_size: int,
-    merge: Callable[[int, list[Frame], ChunkOutcome], None],
-    *,
-    quarantine: Callable[[int, Sequence[object], BaseException], None] | None = None,
-) -> tuple[tuple[CostBreakdown, ...], int]:
-    """Drive the parallel pipeline over one scan, merging strictly in order.
-
-    The submission loop keeps at most ``num_workers + prefetch_depth`` chunks
-    in flight, pulling each chunk's frames from the decode-ahead prefetcher
-    and stamping it with the step orders current at submission time; the
-    merge loop consumes results in chunk order, handing each
-    :class:`ChunkOutcome` (plus the parent-side frames, which still carry
-    ground truth for the detector) to ``merge`` and feeding the profilers —
-    so adaptive revisions are decided on the ordered stream even though
-    chunks complete out of order.  Returns the per-worker cost breakdowns
-    (sorted by worker label) and the number of chunks executed.
-
-    Dispatch goes through a :class:`WorkerSupervisor`: with
-    ``config.supervise`` set, dead or stalled workers are respawned and
-    their chunks re-dispatched transparently.  ``quarantine`` (when given)
-    receives ``(chunk_id, frames_or_indices, error)`` for a chunk whose
-    retries were exhausted — decode exhaustion passes the bare index list,
-    a poisoned worker chunk passes the rendered frames — and the scan
-    continues; without it exhaustion propagates and aborts the scan.
-    """
-    chunks = partition_chunks(union_indices, chunk_size)
-    if not chunks:
-        return (), 0
-    identity_orders = [tuple(range(len(cascade.steps))) for cascade in query_cascades]
-    # Backend first (process workers must exist before any thread starts),
-    # prefetcher second.
-    supervisor = WorkerSupervisor(config, query_cascades, assignments)
-    try:
-        prefetcher = ChunkPrefetcher(
-            stream, chunks, depth=config.prefetch_depth,
-            threads=config.effective_prefetch_threads,
-        )
-    except BaseException:
-        # The try/finally below only exists once the prefetcher does; without
-        # this guard a failing prefetcher constructor strands live backend
-        # workers (fatal for a service that restarts scans in a loop).
-        supervisor.close()
-        raise
-    worker_totals: dict[str, CostBreakdown] = {}
-    max_inflight = config.num_workers + config.prefetch_depth
-    inflight: dict[int, ChunkDispatch] = {}
-    skipped: set[int] = set()
-    next_submit = 0
-    next_merge = 0
-    try:
-        while next_merge < len(chunks):
-            while (
-                next_submit < len(chunks)
-                and next_submit - next_merge < max_inflight
-            ):
-                chunk = chunks[next_submit]
-                try:
-                    frames = prefetcher.get(next_submit)
-                except FaultExhausted as error:
-                    # Undecodable chunk: no frames ever existed, so the
-                    # quarantine record carries the bare indices.
-                    if quarantine is None:
-                        raise
-                    quarantine(next_submit, chunk, error)
-                    skipped.add(next_submit)
-                    next_submit += 1
-                    continue
-                if profilers is not None:
-                    orders = [tuple(profiler.order) for profiler in profilers]
-                else:
-                    orders = identity_orders
-                if member_sets is not None:
-                    covered: Sequence[Sequence[bool]] | None = [
-                        [index in members for index in chunk]
-                        for members in member_sets
-                    ]
-                else:
-                    covered = None
-                inflight[next_submit] = supervisor.submit(
-                    next_submit, chunk, frames, covered, orders
-                )
-                next_submit += 1
-            if next_merge in skipped:
-                skipped.discard(next_merge)
-                next_merge += 1
-                continue
-            entry = inflight.pop(next_merge)
-            try:
-                outcome = supervisor.result(entry)
-            except FaultExhausted as error:
-                if quarantine is None:
-                    raise
-                quarantine(next_merge, entry.frames, error)
-                next_merge += 1
-                continue
-            worker_totals[outcome.worker] = worker_totals.get(
-                outcome.worker, CostBreakdown()
-            ).merged_with(outcome.breakdown)
-            if _WORKER_SANITIZER is not None:
-                _WORKER_SANITIZER.observe_chunk(next_merge, outcome)
-            merge(next_merge, entry.frames, outcome)
-            if profilers is not None:
-                at_frame = chunks[next_merge][-1]
-                for profiler, stats in zip(profilers, outcome.step_stats):
-                    profiler.observe(stats, at_frame)
-            next_merge += 1
-    finally:
-        for entry in inflight.values():
-            supervisor.discard(entry)
-        prefetcher.close()
-        supervisor.close()
-    per_worker = tuple(
-        worker_totals[label] for label in sorted(worker_totals, key=_worker_sort_key)
-    )
-    return per_worker, len(chunks)
 
 
 def _worker_sort_key(label: str) -> tuple:

@@ -18,13 +18,11 @@ Two operating modes share the accumulation code:
 
 * ``live=False`` — the executor's mode.  Queries carry precomputed coverage
   (``member_set``) and window partitioning stays with the executor, which
-  feeds the session in one of three ways: rendered chunks through
-  :meth:`~ScanSession.push_chunk`, worker outcomes through
-  :meth:`~ScanSession.absorb_outcome` /
-  :meth:`~ScanSession.quarantine_chunk` (the merge callbacks of
-  :func:`~repro.query.parallel.run_parallel_scan`), or the whole index
-  sequence through :meth:`~ScanSession.run_temporal_scan` (adaptive stride
-  and boundary refinement need random access, which a pushed chunk cannot
+  feeds the session in one of two ways: rendered chunks through
+  :meth:`~ScanSession.push_chunk` (with :meth:`~ScanSession.quarantine_chunk`
+  for a chunk that could not be rendered), or the whole index sequence
+  through :meth:`~ScanSession.run_temporal_scan` (adaptive stride and
+  boundary refinement need random access, which a pushed chunk cannot
   give).
 * ``live=True`` — the service mode.  Coverage is computed from each query's
   hopping window relative to the frame index at which it registered, windows
@@ -32,9 +30,19 @@ Two operating modes share the accumulation code:
   end, and queries may be added and removed between chunks (the merged plan
   is recomputed, already-emitted windows are never re-emitted).
 
+In both modes a session built with ``parallel=`` runs the filter phase of
+pushed chunks on a worker backend and merges the outcomes strictly in chunk
+order; :meth:`ScanSession._push_parallel` / :meth:`ScanSession._merge_next`
+are the only submit/merge loop in the repo.  Chunk ids are positions in the
+sequence of chunks handed to the session (pushed or set aside), which is what
+``worker_crash@k`` / ``worker_stall@k`` fault schedules and the determinism
+sanitizer's per-chunk digests are keyed by.
+
 In both modes the session attaches the filters' and the detector's clocks
-when it (re)plans and restores them in :meth:`~ScanSession.close`, so
-``with session:`` is the one context manager around a scan.
+(and builds the worker backend) when it (re)plans and restores them in
+:meth:`~ScanSession.close`, so ``with session:`` is the one context manager
+around a scan.  Leaving the ``with`` block on an exception discards in-flight
+chunks instead of merging them.
 
 Parity rail: replaying a finite stream chunk-by-chunk through a live session
 produces bit-identical per-query results to one-shot ``execute_many`` — both
@@ -61,10 +69,11 @@ from repro.faults.injector import FaultExhausted, QuarantineRecord
 from repro.query.parallel import (
     CascadeProfiler,
     ChunkDispatch,
-    ChunkOutcome,
     ParallelConfig,
     PlanRevision,
     WorkerSupervisor,
+    _distinct_filters,
+    _worker_sort_key,
     run_filter_chunk,
 )
 from repro.query.planner import (
@@ -85,6 +94,11 @@ from repro.video.stream import Frame
 
 if TYPE_CHECKING:  # runtime import would be circular (executor imports us)
     from repro.query.executor import QueryExecutionResult, WindowResult
+
+# Runtime sanitizer hook, installed by repro.analysis.sanitizers while a
+# sanitized scan runs.  ``None`` means off, and every use is guarded with
+# ``is not None`` so the uninstrumented engine is unchanged (INV007).
+_WORKER_SANITIZER = None
 
 # Fault-injection hook, installed by repro.faults while a chaos session
 # runs.  Same zero-overhead contract as the sanitizer hooks (INV009):
@@ -280,9 +294,11 @@ class ScanSession:
         self.degraded_frames = 0
         self._degrade_gate = None
         # Parallel pipelining state (dispatch goes through a supervisor so
-        # dead/stalled workers heal when the config asks for it).
+        # dead/stalled workers heal when the config asks for it).  The
+        # backend lives exactly as long as the plan it was built from; an
+        # in-flight ``None`` is a chunk id consumed by a set-aside chunk.
         self._backend: WorkerSupervisor | None = None
-        self._inflight: dict[int, tuple[ChunkDispatch, tuple[int, ...]]] = {}
+        self._inflight: dict[int, tuple[ChunkDispatch, tuple[int, ...]] | None] = {}
         self._next_submit = 0
         self._next_merge = 0
         self._worker_totals: dict[str, CostBreakdown] = {}
@@ -398,18 +414,21 @@ class ScanSession:
     def _ensure_plan(self) -> None:
         if not self._plan_dirty:
             return
-        self._plan_dirty = False
         self._active = [state.sid for state in self._states if state.active]
         self._active_cascades = [self._states[sid].cascade for sid in self._active]
         self._unique_steps, assignments = merge_cascade_steps(self._active_cascades)
         self._assignments = [list(row) for row in assignments]
-        distinct: list[FrameFilter] = []
-        for cascade in self._active_cascades:
-            for frame_filter in cascade.filters:
-                if all(frame_filter is not existing for existing in distinct):
-                    distinct.append(frame_filter)
+        distinct = _distinct_filters(self._active_cascades)
         self._attach_to_clock(distinct)
         self._distinct_filters = distinct
+        if self._parallel is not None and self._active and not self._closed:
+            # Built with the plan, i.e. before the caller renders a first
+            # frame: process workers must fork before any decode-ahead
+            # thread exists (a fork after threads can inherit held locks).
+            self._backend = WorkerSupervisor(
+                self._parallel, self._active_cascades, self._assignments
+            )
+        self._plan_dirty = False
 
     def _attach_to_clock(self, distinct: list[FrameFilter]) -> None:
         still = {id(frame_filter) for frame_filter in distinct}
@@ -469,21 +488,35 @@ class ScanSession:
             else:
                 self._push_inline(frames)
         except FaultExhausted as error:
-            # Poison chunk: retries (and, on the parallel path, worker
-            # re-dispatch) gave up.  Quarantine and keep scanning — a
+            # Poison chunk: retries (and, on the parallel path, re-dispatch
+            # at submission) gave up.  Quarantine and keep scanning — a
             # standing query must outlive one bad chunk.
-            self.quarantine_chunk(frames, error)
+            self._quarantine(frames, error)
         return self._progress(cursors)
 
     def quarantine_chunk(
         self, frames: Sequence[object], error: BaseException
     ) -> QuarantineRecord:
-        """Set one chunk aside after recovery gave up; the scan continues.
+        """Set aside a chunk the caller could not push; the scan continues.
 
         ``frames`` may be :class:`Frame` objects or bare indices (decode
-        exhaustion never materialised any frames).  The watermark still
-        advances past the chunk so window emission and later pushes are
-        unaffected; the quarantined frames simply never enter any
+        exhaustion never materialised any frames).  On a parallel session
+        the chunk still consumes a chunk id, so ids stay positions in the
+        sequence of chunks handed to the session — what ``worker_crash@k``
+        schedules and the determinism sanitizer's digests are keyed by.
+        """
+        if self._parallel is not None:
+            self._inflight[self._next_submit] = None
+            self._next_submit += 1
+        return self._quarantine(frames, error)
+
+    def _quarantine(
+        self, frames: Sequence[object], error: BaseException
+    ) -> QuarantineRecord:
+        """Record one chunk (or frame) recovery gave up on.
+
+        The watermark still advances past it so window emission and later
+        pushes are unaffected; the quarantined frames simply never enter any
         accumulator, and the record lands on ``quarantined`` (surfaced as
         ``FaultReport.quarantined`` and ``Emission(kind="fault")``).
         """
@@ -621,7 +654,7 @@ class ScanSession:
                     # Frame-level quarantine: the frame keeps its filter
                     # accounting (that work really ran) but contributes no
                     # matches, and the scan moves on.
-                    self.quarantine_chunk([frame], error)
+                    self._quarantine([frame], error)
                     continue
             else:
                 detections = self.detector.detect(frame)
@@ -631,65 +664,32 @@ class ScanSession:
                 if evaluate_predicates_on_detections(state.query, detections):
                     state.matched.append(frame.index)
 
-    def absorb_outcome(
-        self, frames: Sequence[Frame], outcome: ChunkOutcome, sids: Sequence[int] | None = None
-    ) -> None:
-        """Merge one worker :class:`ChunkOutcome` (the engine's merge body).
-
-        Absorbs the chunk's filter cost into the session clock, accumulates
-        the per-query counters and runs the detector-union phase — exactly
-        what :meth:`push_chunk` does inline, so the parallel path stays
-        chunk-for-chunk identical by construction.
-        """
-        self._ensure_plan()
-        if sids is None:
-            sids = self._active
-        states = [self._states[sid] for sid in sids]
-        frames = list(frames)
-        self.clock.absorb(outcome.breakdown)
-        covered = [[state.covers(frame.index) for frame in frames] for state in states]
-        self._accumulate_filter_phase(
-            states,
-            frames,
-            covered,
-            outcome.alive,
-            outcome.filter_invocations,
-            outcome.attributed,
-            outcome.computed,
-        )
-        self._detector_phase(states, frames, [set(row) for row in outcome.alive])
-        if frames:
-            self._watermark = max(self._watermark, frames[-1].index)
-        self.chunks_merged += 1
-
     # -- parallel path --------------------------------------------------
-    def _ensure_backend(self) -> WorkerSupervisor:
-        if self._backend is None:
-            assert self._parallel is not None
-            self._backend = WorkerSupervisor(
-                self._parallel, self._active_cascades, self._assignments
-            )
-        return self._backend
-
     def _push_parallel(self, frames: list[Frame]) -> None:
-        assert self._parallel is not None
-        supervisor = self._ensure_backend()
+        assert self._parallel is not None and self._backend is not None
         states = [self._states[sid] for sid in self._active]
         chunk = [frame.index for frame in frames]
         covered = [[state.covers(index) for index in chunk] for state in states]
-        orders = self._current_orders()
-        entry = supervisor.submit(self._next_submit, chunk, frames, covered, orders)
-        self._inflight[self._next_submit] = (entry, tuple(self._active))
+        chunk_id = self._next_submit
         self._next_submit += 1
+        # Consumed even if the submission itself gives up (FaultExhausted).
+        self._inflight[chunk_id] = None
+        entry = self._backend.submit(chunk_id, chunk, frames, covered, self._current_orders())
+        self._inflight[chunk_id] = (entry, tuple(self._active))
+        if self.live:
+            # Emit as early as possible.  A one-shot scan reads nothing
+            # between pushes, and merging only when the window is full keeps
+            # the adaptive re-planner's submit-time orders independent of
+            # worker timing.
+            self._drain_ready()
         max_inflight = self._parallel.num_workers + self._parallel.prefetch_depth
-        self._drain_ready()
         while len(self._inflight) >= max_inflight:
             self._merge_next()
 
     def _drain_ready(self) -> None:
         while self._next_merge in self._inflight:
-            future = self._inflight[self._next_merge][0].future
-            if future is None or not future.done():
+            pending = self._inflight[self._next_merge]
+            if pending is not None and not pending[0].future.done():
                 return
             self._merge_next()
 
@@ -697,30 +697,63 @@ class ScanSession:
         while self._next_merge in self._inflight:
             self._merge_next()
 
+    def _discard_inflight(self) -> None:
+        """Drop every in-flight chunk unmerged (the scan is being abandoned)."""
+        for pending in self._inflight.values():
+            if pending is not None:
+                self._backend.discard(pending[0])
+        self._inflight.clear()
+
     def _merge_next(self) -> None:
-        entry, sids = self._inflight.pop(self._next_merge)
-        supervisor = self._backend
-        assert supervisor is not None
-        try:
-            outcome = supervisor.result(entry)
-        except FaultExhausted as error:
-            # Poisoned chunk: supervision re-dispatched it to the limit.
-            # The handle is already released; quarantine and keep merging.
-            self.quarantine_chunk(entry.frames, error)
-            self._next_merge += 1
+        """The in-order merge point: what :meth:`_push_inline` does after filtering.
+
+        Absorbs the chunk's filter cost into the session clock, accumulates
+        the per-query counters and runs the detector-union phase, so the
+        parallel path stays chunk-for-chunk identical to the inline one.
+        """
+        chunk_id = self._next_merge
+        pending = self._inflight.pop(chunk_id)
+        self._next_merge += 1
+        outcome = None
+        if pending is not None:
+            entry, sids = pending
+            try:
+                outcome = self._backend.result(entry)
+            except FaultExhausted as error:
+                # Poisoned chunk: supervision re-dispatched it to the limit.
+                # The handle is already released; quarantine and keep merging.
+                self._quarantine(entry.frames, error)
+        if _WORKER_SANITIZER is not None:
+            _WORKER_SANITIZER.observe_chunk(chunk_id, outcome)
+        if outcome is None:
             return
         self._worker_totals[outcome.worker] = self._worker_totals.get(
             outcome.worker, CostBreakdown()
         ).merged_with(outcome.breakdown)
-        self.absorb_outcome(entry.frames, outcome, sids)
         states = [self._states[sid] for sid in sids]
-        self._observe_profilers(states, outcome.step_stats, entry.frames[-1].index)
-        self._next_merge += 1
+        frames = entry.frames
+        self.clock.absorb(outcome.breakdown)
+        self._accumulate_filter_phase(
+            states,
+            frames,
+            entry.covered,
+            outcome.alive,
+            outcome.filter_invocations,
+            outcome.attributed,
+            outcome.computed,
+        )
+        self._detector_phase(states, frames, [set(row) for row in outcome.alive])
+        self._observe_profilers(states, outcome.step_stats, frames[-1].index)
+        self._watermark = max(self._watermark, frames[-1].index)
+        self.chunks_merged += 1
 
     @property
     def worker_breakdowns(self) -> dict[str, CostBreakdown]:
-        """Per-worker simulated-cost totals of the session's parallel phase."""
-        return {label: breakdown.copy() for label, breakdown in self._worker_totals.items()}
+        """Per-worker simulated-cost totals of the parallel phase, by worker label."""
+        return {
+            label: self._worker_totals[label].copy()
+            for label in sorted(self._worker_totals, key=_worker_sort_key)
+        }
 
     # -- temporal path --------------------------------------------------
     def _active_gate(self):
@@ -1351,6 +1384,9 @@ class ScanSession:
             self._drain_all()
         finally:
             if self._backend is not None:
+                # Non-empty only when the drain itself raised: what it left
+                # in flight still holds shared-memory handles.
+                self._discard_inflight()
                 self._backend.close()
                 self._backend = None
             for frame_filter, previous in self._attached:
@@ -1363,7 +1399,12 @@ class ScanSession:
     def __enter__(self) -> "ScanSession":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is not None:
+            # Abandoning the scan: blocking on every in-flight chunk and
+            # running its detector phase would waste the work, and a second
+            # error raised from the drain would mask the one being raised.
+            self._discard_inflight()
         self.close()
 
 

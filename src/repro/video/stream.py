@@ -141,8 +141,7 @@ class VideoStream:
         racing on the same uncached index may both render it (rendering runs
         outside the lock); the frames are identical and one wins the cache
         slot.  ``frame_cache_size=0`` bypasses the cache and the lock
-        entirely — process-backend parallel workers use this so each worker
-        does not duplicate the cache's memory.  Returned frames are shared
+        entirely.  Returned frames are shared
         objects: callers must treat ``image`` as read-only, which every
         consumer in this codebase already does (filters copy via ``astype``).
         """

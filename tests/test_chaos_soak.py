@@ -29,12 +29,14 @@ import multiprocessing
 import os
 import threading
 import time
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
 from repro.detection import ReferenceDetector
-from repro.faults import FaultInjector, RetryPolicy
+from repro.faults import FaultError, FaultInjector, RetryPolicy
 from repro.query import ParallelConfig, PlannerConfig, QueryBuilder, QueryPlanner
+from repro.query.session import ScanSession
 from repro.service import BufferEmitter, QueryService, StreamConfig
 
 pytestmark = pytest.mark.chaos
@@ -253,3 +255,57 @@ def test_chaos_soak_is_bit_identical_and_fully_accounted(
 
     # -- no thread / process / shared-memory leaks ------------------------
     _await_teardown(thread_floor, shm_floor)
+
+
+class _RecordingDetector(ReferenceDetector):
+    """Remembers which frames reached the detector."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen: list[int] = []
+
+    def detect(self, frame):
+        self.seen.append(frame.index)
+        return super().detect(frame)
+
+
+@pytest.mark.parametrize(
+    "backend, error", [("thread", FaultError), ("process", BrokenExecutor)]
+)
+@pytest.mark.parametrize("live", [False, True])
+@pytest.mark.parametrize("crashed", [1, 4])
+def test_error_exit_discards_in_flight_chunks(
+    od_planner, tiny_jackson, backend, error, live, crashed
+):
+    """A parallel session left on an exception abandons the scan.
+
+    Unsupervised, a worker crash at chunk 1 of 6 surfaces at that chunk's
+    merge point mid-scan, one at chunk 4 in the closing drain.  Either way
+    the ``with`` block must raise exactly that error, merge none of the
+    chunks behind it (no detector call past the crashed chunk) and leave no
+    worker, decode-ahead thread or shared-memory segment behind.
+    """
+    thread_floor = threading.active_count()
+    shm_floor = _shm_entries()
+    query = QueryBuilder("cars").count("car").at_least(1).build()
+    detector = _RecordingDetector(
+        class_names=tiny_jackson.class_names, seed=DETECTOR_SEED
+    )
+    frames = _looped_frames(tiny_jackson.test, 6 * CHUNK_SIZE)
+    config = ParallelConfig(num_workers=2, backend=backend, chunk_size=CHUNK_SIZE)
+    with FaultInjector(schedule={("worker_crash", crashed): 1}):
+        with pytest.raises(error) as excinfo:
+            with ScanSession(detector, live=live, parallel=config) as session:
+                session.add_query(query, od_planner.plan(query))
+                for start in range(0, len(frames), CHUNK_SIZE):
+                    session.push_chunk(frames[start : start + CHUNK_SIZE])
+    if error is FaultError:
+        assert type(excinfo.value) is FaultError
+        assert (excinfo.value.site, excinfo.value.key) == ("worker_crash", crashed)
+    assert all(index < crashed * CHUNK_SIZE for index in detector.seen), detector.seen
+    _await_teardown(thread_floor, shm_floor)
+    assert not [
+        thread.name
+        for thread in threading.enumerate()
+        if "filter-worker" in thread.name or "decode-ahead" in thread.name
+    ]

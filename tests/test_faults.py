@@ -52,6 +52,7 @@ from repro.service import (
     QueryService,
     StreamConfig,
 )
+from repro.video.stream import VideoStream
 
 DETECTOR_SEED = 77
 
@@ -557,6 +558,95 @@ def test_worker_redispatch_exhaustion_quarantines_chunk(
     assert report.exhausted == 1
     record = report.quarantined[0]
     assert record.site == "worker" and record.frames == tuple(sorted(lost))
+
+
+@pytest.mark.parallel
+@pytest.mark.parametrize("backend", ("thread", "process"))
+def test_worker_chunk_ids_stay_partition_positions_past_an_undecodable_chunk(
+    cars_workload, tiny_jackson, backend
+):
+    """``worker_crash@k`` keys partition chunk ``k`` even when chunk ``k-1``
+    was set aside before it reached a worker."""
+    queries, cascades = cars_workload
+    base = tiny_jackson.test
+    # Uncached, so the decode site fires no matter what earlier scans left
+    # in the shared stream's LRU.
+    stream = VideoStream(
+        scene=base.scene, renderer=base.renderer, fps=base.fps, frame_cache_size=0
+    )
+    chunk_size = 8
+    last = (len(stream) - 1) // chunk_size
+    undecodable = (last - 1) * chunk_size + 3
+    retry = RetryPolicy(max_attempts=3)
+    decode = {("decode", undecodable): retry.max_attempts}
+    with FaultInjector(schedule=decode, retry=retry):
+        inline = _executor(tiny_jackson).execute_many(
+            queries, stream, cascades, batch_size=chunk_size
+        )
+    parallel = ParallelConfig(
+        num_workers=2, backend=backend, chunk_size=chunk_size, supervise=True
+    )
+    with FaultInjector(
+        schedule={**decode, ("worker_crash", last): 1}, retry=retry
+    ) as injector:
+        faulted = _executor(tiny_jackson).execute_many(
+            queries, stream, cascades, parallel=parallel
+        )
+    # Had the undecodable chunk not consumed an id, the ids would stop at
+    # ``last - 1`` and the crash aimed at the last chunk would never fire.
+    assert injector.unfired() == ()
+    _assert_result_parity(faulted[0], inline[0])
+    quarantined = faulted[0].stats.faults.quarantined
+    assert quarantined == inline[0].stats.faults.quarantined
+    assert [record.frames for record in quarantined] == [
+        tuple(range((last - 1) * chunk_size, last * chunk_size))
+    ]
+    assert faulted[0].stats.faults.redispatches >= 1
+    assert faulted.shared.parallel.num_chunks == last + 1
+    assert (
+        faulted.shared.filter_computations == inline.shared.filter_computations
+        and faulted.shared.detector_invocations == inline.shared.detector_invocations
+    )
+
+
+@pytest.mark.parallel
+def test_submission_that_gives_up_still_consumes_its_chunk_id(
+    cars_workload, tiny_jackson, monkeypatch
+):
+    """A pool broken before chunk 1 ships, with no re-dispatch budget left:
+    the chunk is quarantined at submission and later chunks keep their ids."""
+    from concurrent.futures import BrokenExecutor
+
+    from repro.query import parallel as parallel_module
+
+    make_backend = parallel_module._make_backend
+    submitted: list[int] = []
+
+    class BreaksOnChunkOne:
+        def __init__(self, *args):
+            self._backend = make_backend(*args)
+
+        def submit(self, chunk_id, *args):
+            submitted.append(chunk_id)
+            if chunk_id == 1:
+                raise BrokenExecutor("pool broken by a sibling's crash")
+            return self._backend.submit(chunk_id, *args)
+
+        def __getattr__(self, name):
+            return getattr(self._backend, name)
+
+    monkeypatch.setattr(parallel_module, "_make_backend", BreaksOnChunkOne)
+    queries, cascades = cars_workload
+    parallel = ParallelConfig(
+        num_workers=2, backend="thread", chunk_size=8, supervise=True, max_redispatch=0
+    )
+    with FaultInjector(schedule={}):
+        faulted = _executor(tiny_jackson).execute_many(
+            queries, tiny_jackson.test, cascades, parallel=parallel
+        )
+    assert submitted == list(range(faulted.shared.parallel.num_chunks))
+    record = faulted[0].stats.faults.quarantined[0]
+    assert record.site == "worker" and record.frames == tuple(range(8, 16))
 
 
 def test_broken_submit_is_redispatched_exactly_once(monkeypatch):

@@ -661,16 +661,10 @@ def test_execute_many_chunk_failure_does_not_leak_prefetch_threads(
 
 
 def test_prefetcher_close_is_idempotent(stream):
-    from repro.query.parallel import ChunkPrefetcher, FramePrefetcher
-
-    chunks = [list(range(0, 8)), list(range(8, 16))]
-    chunked = ChunkPrefetcher(stream, chunks, depth=1, threads=1)
-    assert [frame.index for frame in chunked.get(0)] == chunks[0]
-    chunked.close()
-    chunked.close()  # second close is a no-op, not an error
+    from repro.query.parallel import FramePrefetcher
 
     framed = FramePrefetcher(stream, list(range(8)), depth=4, threads=1)
     assert framed.frame(0).index == 0
     framed.close()
-    framed.close()
+    framed.close()  # second close is a no-op, not an error
     assert _live_prefetch_threads() == []

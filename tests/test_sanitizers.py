@@ -32,6 +32,7 @@ from repro.analysis.sanitizers import (
 )
 from repro.cost import SimulatedClock
 from repro.detection import ReferenceDetector
+from repro.faults import FaultInjector, RetryPolicy
 from repro.filters.base import FilterPrediction, FrameFilter
 from repro.filters.neural import NeuralBranchFilter, build_branch_network
 from repro.query import (
@@ -42,6 +43,7 @@ from repro.query import (
     StreamingQueryExecutor,
 )
 from repro.spatial.grid import Grid
+from repro.video.stream import VideoStream
 
 pytestmark = pytest.mark.parallel
 
@@ -365,6 +367,48 @@ def test_deterministic_scan_is_rc004_clean(single_object_stream):
         parallel=config,
     )
     assert result.stats.sanitizer_report is not None
+    assert result.stats.sanitizer_report.ok
+
+
+@pytest.mark.parametrize(
+    "schedule, max_redispatch",
+    [
+        ({("decode", 11): 3}, 2),  # chunk 1 set aside before submission
+        ({("worker_crash", 1): 1}, 0),  # chunk 1 poisoned at its merge point
+    ],
+)
+def test_determinism_digests_stay_aligned_past_a_quarantined_chunk(
+    single_object_stream, monkeypatch, schedule, max_redispatch
+):
+    """One digest per partition chunk, keyed by partition position."""
+    base = single_object_stream
+    # Uncached, so the decode site fires whatever the shared stream's LRU holds.
+    stream = VideoStream(scene=base.scene, renderer=base.renderer, frame_cache_size=0)
+    digests: dict[int, str | None] = {}
+    verify = SanitizerSession.verify_determinism
+
+    def spy(session, *args, **kwargs):
+        digests.update(session._chunk_digests)
+        return verify(session, *args, **kwargs)
+
+    monkeypatch.setattr(SanitizerSession, "verify_determinism", spy)
+    config = ParallelConfig(
+        num_workers=2, backend="thread", chunk_size=8, sanitize="determinism",
+        supervise=True, max_redispatch=max_redispatch,
+    )
+    with FaultInjector(schedule=schedule, retry=RetryPolicy(max_attempts=3)) as injector:
+        result = _executor(stream).execute(
+            _query(), stream, _always_pass_cascade(_CheapFilter(_grid_for(stream))),
+            parallel=config,
+        )
+    assert injector.unfired() == ()
+    assert [record.frames for record in result.stats.faults.quarantined] == [
+        tuple(range(8, 16))
+    ]
+    assert sorted(digests) == list(range(result.stats.parallel.num_chunks))
+    assert digests[1] is None
+    assert all(digest for chunk_id, digest in digests.items() if chunk_id != 1)
+    # Strict mode: a digest recorded under a drifted id would have raised RC004.
     assert result.stats.sanitizer_report.ok
 
 

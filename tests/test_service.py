@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.cost import QueryBudget
+from repro.cost import QueryBudget, merge_worker_breakdowns
 from repro.detection import ReferenceDetector
 from repro.query import (
     ParallelConfig,
@@ -29,6 +29,7 @@ from repro.query import (
     TemporalConfig,
     parse_query,
 )
+from repro.query.session import ScanSession
 from repro.service import (
     BufferEmitter,
     IngestionQueue,
@@ -240,6 +241,52 @@ def test_replay_parity_parallel(workload, tiny_jackson):
     )
     for service_result, oneshot_result in zip(via_service, one_shot):
         _assert_result_parity(service_result, oneshot_result)
+
+
+@pytest.mark.parametrize("backend", ("thread", "process"))
+def test_parallel_session_replay_matches_one_shot(workload, tiny_jackson, backend):
+    """One submit/merge loop: a live parallel session fed chunk by chunk and
+    one-shot ``execute_many(parallel=...)`` merge the same chunks."""
+    queries, cascades = workload
+    parallel = ParallelConfig(num_workers=2, backend=backend, chunk_size=16)
+    one_shot = _one_shot(
+        queries, cascades, tiny_jackson.test, tiny_jackson.class_names,
+        parallel=parallel,
+    )
+    session = ScanSession(
+        ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+        parallel=parallel,
+    )
+    with session:
+        sids = [
+            session.add_query(query, cascade)
+            for query, cascade in zip(queries, cascades)
+        ]
+        frames = _frames(tiny_jackson.test)
+        for start in range(0, len(frames), parallel.chunk_size):
+            session.push_chunk(frames[start : start + parallel.chunk_size])
+        replayed = session.finish()
+    for sid, oneshot_result in zip(sids, one_shot):
+        _assert_result_parity(replayed[sid], oneshot_result)
+    stats = one_shot.shared.parallel
+    assert session.chunks_merged == stats.num_chunks == 4
+    session_workers = merge_worker_breakdowns(session.worker_breakdowns.values())
+    assert session_workers.per_component_calls == stats.cost.merged.per_component_calls
+    assert session_workers.total_ms == pytest.approx(stats.cost.merged.total_ms)
+
+
+def test_closed_parallel_session_plans_without_a_backend(workload, tiny_jackson):
+    """``StreamStats`` reads the plan after shutdown; that must not start workers
+    nobody will close."""
+    queries, cascades = workload
+    session = ScanSession(
+        ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+        parallel=ParallelConfig(num_workers=2, backend="thread", chunk_size=16),
+    )
+    session.add_query(queries[0], cascades[0])
+    session.close()
+    assert session.unique_step_count == len(cascades[0].steps)
+    assert session._backend is None
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,7 @@ HOOK_MODULES = (
     (SRC / "video" / "stream.py", "_FRAME_CACHE_SANITIZER"),
     (SRC / "nn" / "network.py", "_LAYER_SANITIZER"),
     (SRC / "query" / "parallel.py", "_WORKER_SANITIZER"),
+    (SRC / "query" / "session.py", "_WORKER_SANITIZER"),
 )
 
 #: (module, hook global) pairs; mirrors FAULT_HOOK_SITES in
