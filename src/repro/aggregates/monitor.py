@@ -17,7 +17,7 @@ of the paper's Table IV.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from repro.filters.base import FilterPrediction, FrameFilter
 from repro.query.ast import Query, WindowSpec
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.query.parallel import FramePrefetcher, ParallelConfig
-from repro.query.temporal import DeltaGate, TemporalConfig, TemporalStats, clocks_detached
+from repro.query.temporal import TemporalConfig, TemporalScan, TemporalStats, clocks_detached
 from repro.video.stream import Frame, VideoStream
 
 
@@ -170,7 +170,9 @@ class AggregateMonitor:
         on a stable stream consecutive samples are nearly identical and
         both the detector value and the control values of the previous
         sample can be reused.  Adaptive striding does not apply — the
-        sample set is already sparse — so only the gate runs.  In exact
+        sample set is already sparse — so the gate loop
+        (:class:`~repro.query.temporal.TemporalScan`) runs at
+        ``max_stride=1`` with the sampler's own callbacks.  In exact
         mode every reuse is verified with the clock detached and the
         verified values are the ones used, keeping estimates bit-identical
         to the ungated path.
@@ -202,9 +204,7 @@ class AggregateMonitor:
                     for col, control in enumerate(spec.control_values):
                         controls[row, col] = control(prediction)
                 return exact_values, controls, None
-            return self._evaluate_samples_temporal(
-                spec, stream, indices, temporal, fetch=fetch
-            )
+            return self._evaluate_samples_temporal(spec, indices, temporal, fetch)
         finally:
             if prefetcher is not None:
                 prefetcher.close()
@@ -212,21 +212,15 @@ class AggregateMonitor:
     def _evaluate_samples_temporal(
         self,
         spec: AggregateQuerySpec,
-        stream: VideoStream,
         indices: Sequence[int],
         temporal: TemporalConfig,
-        fetch=None,
+        fetch: Callable[[int], Frame],
     ) -> tuple[np.ndarray, np.ndarray, TemporalStats]:
-        fetch = fetch if fetch is not None else stream.frame
-        exact_values = np.zeros(len(indices))
-        controls = np.zeros((len(indices), len(spec.control_values)))
-        gate = DeltaGate(temporal)
-        computed = reused = verified = mismatches = 0
         detector_component = getattr(self.detector, "name", "detector")
 
-        def evaluate(frame: Frame) -> tuple[float, np.ndarray]:
-            # predict_batch of one frame, not predict: per-frame batch rows
-            # are independent, so the values match the ungated path's single
+        def evaluate(frame: Frame, context: object = None) -> tuple[float, np.ndarray]:
+            # predict_batch of one frame: per-frame batch rows are
+            # independent, so the values match the ungated path's single
             # whole-sample batch bit for bit.
             prediction = self.frame_filter.predict_batch([frame])[0]
             detections = self.detector.detect(frame)
@@ -236,44 +230,29 @@ class AggregateMonitor:
             )
             return value, row
 
-        def evaluate_unclocked(frame: Frame) -> tuple[float, np.ndarray]:
+        def evaluate_unclocked(frame: Frame, context: object) -> tuple[float, np.ndarray]:
             with clocks_detached([self.frame_filter], self.detector):
                 return evaluate(frame)
 
-        for position, frame_index in enumerate(indices):
-            frame = fetch(int(frame_index))
-            if gate.decide(frame.image):
-                gate.mark_reused()
-                reused += 1
-                value, row = gate.outcome
-                self.clock.reuse(self.frame_filter.name)
-                self.clock.reuse(detector_component)
-                if temporal.exact:
-                    truth_value, truth_row = evaluate_unclocked(frame)
-                    verified += 1
-                    if truth_value != value or not np.array_equal(truth_row, row):
-                        mismatches += 1
-                        gate.replace_outcome((truth_value, truth_row))
-                    value, row = truth_value, truth_row
-            else:
-                value, row = evaluate(frame)
-                gate.set_keyframe(frame.image, (value, row))
-                computed += 1
+        def reuse_charge(outcome: object) -> tuple[int, int]:
+            self.clock.reuse(self.frame_filter.name)
+            self.clock.reuse(detector_component)
+            return 1, 1
+
+        scan = TemporalScan(
+            replace(temporal, max_stride=1),
+            compute=evaluate,
+            verify=evaluate_unclocked,
+            reuse_charge=reuse_charge,
+            verdict=lambda outcome: (outcome[0], outcome[1].tobytes()),
+        )
+        outcomes = scan.run([int(frame_index) for frame_index in indices], fetch)
+        exact_values = np.zeros(len(indices))
+        controls = np.zeros((len(indices), len(spec.control_values)))
+        for position, (value, row) in enumerate(outcomes):
             exact_values[position] = value
             controls[position] = row
-        stats = TemporalStats(
-            frames_total=len(indices),
-            frames_computed=computed,
-            frames_reused=reused,
-            frames_skipped=0,
-            refinement_probes=0,
-            verified_frames=verified,
-            reuse_mismatches=mismatches,
-            max_stride_used=1,
-            filter_reuses=reused,
-            detector_reuses=reused,
-        )
-        return exact_values, controls, stats
+        return exact_values, controls, scan.stats
 
     def estimate(
         self,

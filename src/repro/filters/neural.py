@@ -136,7 +136,6 @@ class NeuralBranchFilter(FrameFilter):
         latency_ms: float = OD_BRANCH_MS,
         threshold: float = 0.5,
         clock: SimulatedClock | None = None,
-        lint: bool = True,
     ) -> None:
         super().__init__(clock=clock)
         self.network = network
@@ -152,22 +151,19 @@ class NeuralBranchFilter(FrameFilter):
         self.name = f"{family.lower()}_neural_branch"
         self.latency_ms = latency_ms
         self.threshold = threshold
-        if lint:
-            # Reject a malformed network here — with a layer trace — instead
-            # of as a numpy broadcasting error in the middle of a scan.
-            # ``lint=False`` is the escape hatch for tests that need a
-            # deliberately broken filter to reach plan-time analysis.
-            from repro.analysis.shapes import input_spec, lint_network
+        # Reject a malformed network here — with a layer trace — instead of
+        # as a numpy broadcasting error in the middle of a scan.
+        from repro.analysis.shapes import input_spec, lint_network
 
-            report = lint_network(
-                network,
-                input_spec(image_size, dtype=self.inference_dtype),
-                expected_outputs={
-                    "counts": ("N", len(self.class_names)),
-                    "grid": ("N", len(self.class_names), grid_size, grid_size),
-                },
-            )
-            report.raise_for_errors(context=f"{self.name} network shape analysis")
+        report = lint_network(
+            network,
+            input_spec(image_size, dtype=self.inference_dtype),
+            expected_outputs={
+                "counts": ("N", len(self.class_names)),
+                "grid": ("N", len(self.class_names), grid_size, grid_size),
+            },
+        )
+        report.raise_for_errors(context=f"{self.name} network shape analysis")
 
     @property
     def _activation_dtype(self) -> np.dtype:

@@ -276,18 +276,20 @@ class ParallelStats:
 class CascadeProfiler:
     """Sliding-window selectivity/cost profiler driving adaptive re-planning.
 
-    The executor reports, for every merged chunk (or every fully evaluated
-    frame on the temporal path), how many frames each cascade step evaluated
-    and passed — *in planned-step positions*, so the bookkeeping is
-    independent of the order currently executing.  Every
-    ``adaptive_interval`` observations the profiler turns the window into
-    per-step pass rates, asks :meth:`QueryPlanner.replan` for the order those
-    rates imply, and adopts it iff the expected per-frame filter cost
+    The session reports, for every evaluated chunk (a chunk of one on the
+    temporal path), how many frames each cascade step evaluated and passed —
+    *in planned-step positions*, so the bookkeeping is independent of the
+    order currently executing.  A profiler always records.  With
+    ``config.adaptive`` it also calls :meth:`consider` every
+    ``adaptive_interval`` observations, which turns the window into per-step
+    pass rates, asks :func:`~repro.query.planner.replan_order` for the order
+    those rates imply, and adopts it iff the expected per-frame filter cost
     improves by ``adaptive_margin``x (the margin plus the evaluation floor
-    keep borderline rates from making the order flap).  Observed rates are
-    conditional on the order that produced them — the classic independence
-    approximation of filter ordering, same as planning-time selectivity
-    measurement.
+    keep borderline rates from making the order flap).  Without it the order
+    only moves when someone calls :meth:`consider`
+    (:meth:`ScanSession.replan`).  Observed rates are conditional on the
+    order that produced them — the classic independence approximation of
+    filter ordering, same as planning-time selectivity measurement.
     """
 
     def __init__(self, cascade: FilterCascade, config: ParallelConfig) -> None:
@@ -301,10 +303,6 @@ class CascadeProfiler:
         self.order: tuple[int, ...] = tuple(range(len(cascade.steps)))
         self.revisions: list[PlanRevision] = []
 
-    @property
-    def adaptive(self) -> bool:
-        return self._config.adaptive and len(self._latencies) > 1
-
     def observe(self, step_stats: Sequence[tuple[int, int]], at_frame: int) -> None:
         """Record one merged observation; maybe revise the order.
 
@@ -312,8 +310,6 @@ class CascadeProfiler:
         ``at_frame`` is the stream index of the merge point, recorded on any
         revision this observation triggers.
         """
-        if not self.adaptive:
-            return
         self._window.append(tuple(step_stats))
         for position, (evaluated, passed) in enumerate(step_stats):
             self._totals[position][0] += evaluated
@@ -323,10 +319,12 @@ class CascadeProfiler:
             for position, (evaluated, passed) in enumerate(expired):
                 self._totals[position][0] -= evaluated
                 self._totals[position][1] -= passed
+        if not self._config.adaptive:
+            return
         self._since_consider += 1
         if self._since_consider >= self._config.adaptive_interval:
             self._since_consider = 0
-            self._consider(at_frame)
+            self.consider(at_frame, self._config.adaptive_margin)
 
     def pass_rates(self) -> tuple[float | None, ...]:
         """Windowed pass rate per planned step (``None`` below the evaluation floor)."""
@@ -340,29 +338,35 @@ class CascadeProfiler:
         """The cascade reordered to the profiler's current order (via :meth:`QueryPlanner.replan`)."""
         return QueryPlanner.replan(self._cascade, self.pass_rates())
 
-    def _consider(self, at_frame: int) -> None:
+    def consider(self, at_frame: int, margin: float | None = None) -> PlanRevision | None:
+        """Adopt the order the observed rates imply, if it pays; the one re-plan decision.
+
+        ``margin`` is the least expected-cost ratio old/new worth switching
+        for; ``None`` (the manual re-plan) takes any strict improvement.
+        """
         rates = self.pass_rates()
         candidate = replan_order(self._latencies, rates)
         if candidate == self.order:
-            return
+            return None
         current_cost = expected_cascade_cost_ms(self._latencies, rates, self.order)
         candidate_cost = expected_cascade_cost_ms(self._latencies, rates, candidate)
         if candidate_cost <= 0.0:
-            return
+            return None
         gain = current_cost / candidate_cost
-        if gain < self._config.adaptive_margin:
-            return
-        self.revisions.append(
-            PlanRevision(
-                at_frame=at_frame,
-                old_order=self.order,
-                new_order=candidate,
-                step_names=self._names,
-                observed_pass_rates=rates,
-                expected_gain=gain,
-            )
+        worthwhile = current_cost > candidate_cost if margin is None else gain >= margin
+        if not worthwhile:
+            return None
+        revision = PlanRevision(
+            at_frame=at_frame,
+            old_order=self.order,
+            new_order=candidate,
+            step_names=self._names,
+            observed_pass_rates=rates,
+            expected_gain=gain,
         )
+        self.revisions.append(revision)
         self.order = candidate
+        return revision
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +380,9 @@ class ChunkOutcome:
     Everything downstream of the filters (detector, predicate evaluation,
     window partitioning) happens at the in-order merge in the main process,
     so this is the complete worker→main contract: per-query survivors,
-    per-query attributed work, the shared computation count, per-planned-step
-    profiler stats and the chunk's simulated filter cost.
+    per-query attributed work, the shared computations per filter component
+    (what a temporal reuse of the chunk avoids), per-planned-step profiler
+    stats and the chunk's simulated filter cost.
     """
 
     chunk_id: int
@@ -385,7 +390,7 @@ class ChunkOutcome:
     alive: tuple[tuple[int, ...], ...]
     filter_invocations: tuple[int, ...]
     attributed: tuple[dict[tuple[str, float], int], ...]
-    computed: int
+    computed: dict[str, int]
     step_stats: tuple[tuple[tuple[int, int], ...], ...]
     breakdown: CostBreakdown
 
@@ -400,7 +405,7 @@ def run_filter_chunk(
     list[list[int]],
     list[int],
     list[dict[tuple[str, float], int]],
-    int,
+    dict[str, int],
     list[list[tuple[int, int]]],
 ]:
     """Run every query's cascade over one chunk of frames.
@@ -416,8 +421,10 @@ def run_filter_chunk(
 
     Returns ``(alive, filter_invocations, attributed, computed,
     step_stats)`` where ``alive[q]`` holds the stream indices that survived
-    query ``q``'s cascade in chunk order and ``step_stats[q][p]`` the
-    ``(evaluated, passed)`` counts of planned step ``p`` for the profiler.
+    query ``q``'s cascade in chunk order, ``computed`` maps a filter's
+    component name to the frames it was actually evaluated on, and
+    ``step_stats[q][p]`` holds the ``(evaluated, passed)`` counts of planned
+    step ``p`` for the profiler.
     """
     if _FAULT_INJECTOR is not None:
         # Fault site *before* any accumulation, keyed by the chunk's first
@@ -432,7 +439,7 @@ def run_filter_chunk(
     step_stats: list[list[tuple[int, int]]] = [
         [(0, 0)] * len(cascade.steps) for cascade in query_cascades
     ]
-    computed = 0
+    computed: dict[str, int] = {}
     predictions: dict[tuple, dict[int, FilterPrediction]] = {}
     outcomes: dict[tuple[int, int], bool] = {}
     for position, (cascade, step_positions) in enumerate(
@@ -453,7 +460,8 @@ def run_filter_chunk(
             missing = [k for k in alive if k not in per_filter]
             if missing:
                 batch = step.frame_filter.predict_batch([frames[k] for k in missing])
-                computed += len(missing)
+                name = step.frame_filter.name
+                computed[name] = computed.get(name, 0) + len(missing)
                 for k, prediction in zip(missing, batch):
                     per_filter[k] = prediction
             component = (step.frame_filter.name, step.frame_filter.latency_ms)

@@ -9,10 +9,13 @@ parallel backend's in-flight chunks.  Chunk size is the loop's only variable:
 the per-frame mode of the executor (``batch_size=None``) is chunk size 1
 through :meth:`ScanSession.push_chunk`, and the filter phase of every chunk is
 :func:`~repro.query.parallel.run_filter_chunk`, the function the parallel
-workers run.  The cascade walk therefore exists exactly twice: vectorized
-over a chunk in ``run_filter_chunk`` and per frame in
-:meth:`ScanSession._evaluate_frame`, which the temporal gate needs because it
-decides reuse one frame at a time.
+workers run.  The cascade walk therefore exists exactly once, in
+``run_filter_chunk``, and so does the frame evaluation around it
+(:meth:`ScanSession._evaluate`: cascade, detector, predicates): the temporal
+gate, which decides reuse one frame at a time, evaluates a chunk of one and
+caches its :class:`_ChunkVerdict` — the same shape every chunk accumulates.
+The gate loop itself is :class:`~repro.query.temporal.TemporalScan`'s; the
+session only supplies its callbacks.
 
 Two operating modes share the accumulation code:
 
@@ -57,12 +60,13 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.aggregates.windows import HoppingWindow, WindowBounds, warn_window_tail_drop
 from repro.cost import BudgetViolation, CostBreakdown, QueryBudget, SimulatedClock
 from repro.detection.base import Detector
-from repro.filters.base import FilterPrediction, FrameFilter
+from repro.filters.base import FrameFilter
 from repro.query.ast import Query
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.faults.injector import FaultExhausted, QuarantineRecord
@@ -76,19 +80,13 @@ from repro.query.parallel import (
     _worker_sort_key,
     run_filter_chunk,
 )
-from repro.query.planner import (
-    FilterCascade,
-    expected_cascade_cost_ms,
-    merge_cascade_steps,
-    replan_order,
-)
+from repro.query.planner import FilterCascade, merge_cascade_steps
 from repro.query.temporal import (
     TemporalConfig,
     TemporalScan,
     TemporalStats,
     _Telemetry,
     clocks_detached,
-    with_component_reuses,
 )
 from repro.video.stream import Frame
 
@@ -106,34 +104,30 @@ _WORKER_SANITIZER = None
 _FAULT_INJECTOR = None
 
 #: Version tag of the :meth:`ScanSession.checkpoint` payload schema.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
-class _SessionVerdict:
-    """One query's share of a temporally-gated frame outcome.
+class _ChunkVerdict:
+    """What evaluating one chunk established, per query, in chunk positions.
 
-    ``components`` holds the ``(name, latency_ms)`` cost components a
-    standalone run of the query would have charged for the frame.
+    Index-free on purpose: the inline and parallel paths accumulate a
+    chunk's verdict once; the temporal path caches the verdict of a chunk of
+    one as the keyframe outcome and accumulates it again at every frame that
+    reuses it.  Rows follow the queries the chunk was evaluated for.
+    ``computed`` maps a filter component to its shared computations (what a
+    reuse avoids), ``detected`` counts detector calls and ``poisoned`` holds
+    ``(position, error)`` for frames whose detector call exhausted its
+    retries: they keep their filter accounting but contribute no match.
     """
 
-    components: tuple[tuple[str, float], ...]
-    passed: bool
-    matched: bool
-
-
-@dataclass(frozen=True)
-class _SessionTemporalOutcome:
-    """Cached per-frame outcome of a session's temporal step.
-
-    ``per_query`` is keyed by session id (only covering queries appear);
-    the gate's context key pins the covering set, so two outcomes compared
-    by the gate always hold the same keys.
-    """
-
-    per_query: dict[int, _SessionVerdict]
-    computed_components: tuple[str, ...]
-    detector_ran: bool
+    passed: tuple[tuple[int, ...], ...]
+    matched: tuple[tuple[int, ...], ...]
+    invocations: tuple[int, ...]
+    attributed: tuple[dict[tuple[str, float], int], ...]
+    computed: dict[str, int]
+    detected: int
+    poisoned: tuple[tuple[int, FaultExhausted], ...] = ()
 
 
 @dataclass
@@ -219,8 +213,8 @@ class ScanSession:
     backend with the engine's in-order merge (at most
     ``num_workers + prefetch_depth`` chunks in flight; results, counters and
     clock history are identical to the inline path).  ``temporal`` applies
-    delta gating across chunk boundaries with a persistent
-    :class:`~repro.query.temporal.DeltaGate` — only ``max_stride=1`` is
+    delta gating across chunk boundaries with a resumable
+    :class:`~repro.query.temporal.TemporalScan` — only ``max_stride=1`` is
     supported (striding needs the whole index sequence up front, which a
     live session never has) and it cannot be combined with ``parallel``.
 
@@ -260,7 +254,6 @@ class ScanSession:
         self.clock = clock if clock is not None else SimulatedClock()
         self.live = live
         self._parallel = parallel
-        self._temporal = temporal
         self._profile = profile
         self._degrade_config = degrade or TemporalConfig(exact=False)
         self._states: list[QueryState] = []
@@ -270,6 +263,7 @@ class ScanSession:
         # Merged plan over the *active* queries, rebuilt on membership change.
         self._plan_dirty = False
         self._active: list[int] = []
+        self._row_of: dict[int, int] = {}
         self._active_cascades: list[FilterCascade] = []
         self._assignments: list[list[int]] = []
         self._unique_steps: list = []
@@ -281,18 +275,16 @@ class ScanSession:
         self.shared_filter_computations = 0
         self.shared_detector_invocations = 0
         self.union_frames_scanned = 0
-        # Temporal machinery: a persistent gate (lazy import avoids paying
-        # for it on non-temporal sessions), session-lifetime telemetry.
-        self._gate = None
+        # Temporal machinery: session-lifetime telemetry shared by the
+        # resumable scan gating ``temporal`` and the one gating degraded mode.
         self._telemetry = _Telemetry()
-        self._filter_reuses = 0
-        self._detector_reuses = 0
+        self._scan = self._new_scan(temporal) if temporal is not None else None
+        self._degrade_scan: TemporalScan | None = None
         self._detector_component = getattr(detector, "name", "detector")
         self._detector_latency = float(getattr(detector, "latency_ms", 0.0))
         #: degraded-mode state (see :meth:`set_degraded`)
         self.degraded = False
         self.degraded_frames = 0
-        self._degrade_gate = None
         # Parallel pipelining state (dispatch goes through a supervisor so
         # dead/stalled workers heal when the config asks for it).  The
         # backend lives exactly as long as the plan it was built from; an
@@ -384,7 +376,9 @@ class ScanSession:
             next_window_start=origin,
         )
         if self._profile and len(cascade.steps) > 1:
-            state.profiler = CascadeProfiler(cascade, _observer_config(self._parallel))
+            # Records always; revises on its own only under an adaptive
+            # config, otherwise when :meth:`replan` asks.
+            state.profiler = CascadeProfiler(cascade, self._parallel or ParallelConfig())
         self._states.append(state)
         self._invalidate_plan()
         return state.sid
@@ -415,6 +409,7 @@ class ScanSession:
         if not self._plan_dirty:
             return
         self._active = [state.sid for state in self._states if state.active]
+        self._row_of = {sid: row for row, sid in enumerate(self._active)}
         self._active_cascades = [self._states[sid].cascade for sid in self._active]
         self._unique_steps, assignments = merge_cascade_steps(self._active_cascades)
         self._assignments = [list(row) for row in assignments]
@@ -481,8 +476,8 @@ class ScanSession:
             self._watermark = max(self._watermark, frames[-1].index)
             return self._progress(cursors)
         try:
-            if self._temporal is not None or self.degraded:
-                self._push_temporal(frames)
+            if self._scan is not None or self.degraded:
+                self._push_gated(frames)
             elif self._parallel is not None:
                 self._push_parallel(frames)
             else:
@@ -554,94 +549,81 @@ class ScanSession:
             new_windows=new_windows,
         )
 
-    # -- inline (sequential) path --------------------------------------
-    def _push_inline(self, frames: list[Frame]) -> None:
-        states = [self._states[sid] for sid in self._active]
-        covered = [[state.covers(frame.index) for frame in frames] for state in states]
-        orders = self._current_orders()
+    # -- the one frame evaluation ---------------------------------------
+    def _orders(self, sids: Sequence[int]) -> list[tuple[int, ...]]:
+        """Per query, the step order now executing (the profiler's, or as planned)."""
+        orders: list[tuple[int, ...]] = []
+        for sid in sids:
+            state = self._states[sid]
+            if state.profiler is not None:
+                orders.append(tuple(state.profiler.order))
+            else:
+                orders.append(tuple(range(len(state.cascade.steps))))
+        return orders
+
+    def _evaluate(
+        self,
+        sids: Sequence[int],
+        frames: list[Frame],
+        covered: list[list[bool]] | None,
+        charged: bool = True,
+    ) -> _ChunkVerdict:
+        """Evaluate one chunk for the active queries ``sids``; accumulates nothing.
+
+        Cascade walk (:func:`run_filter_chunk`), then detector and predicates
+        on the survivors.  A pushed chunk is evaluated for every active
+        query under its ``covered`` masks; a gated frame is a chunk of one
+        for the queries covering it.
+        """
+        rows = [self._row_of[sid] for sid in sids]
+        cascades = [self._active_cascades[row] for row in rows]
+        assignments = [self._assignments[row] for row in rows]
+        orders = self._orders(sids)
         if _FAULT_INJECTOR is not None:
             # Chunk-atomic retry: the fault site is *before* any
             # accumulation inside run_filter_chunk, so a retried chunk
             # replays bit-identically and exhaustion poisons the whole
             # chunk (no partial counters to unwind).
-            alive, invocations, attributed, computed, step_stats = (
-                _FAULT_INJECTOR.with_retry(
-                    "filter",
-                    frames[0].index,
-                    self.clock,
-                    lambda: run_filter_chunk(
-                        self._active_cascades,
-                        self._assignments,
-                        covered,
-                        orders,
-                        frames,
-                    ),
-                )
+            filtered = _FAULT_INJECTOR.with_retry(
+                "filter",
+                frames[0].index,
+                self.clock,
+                lambda: run_filter_chunk(cascades, assignments, covered, orders, frames),
             )
         else:
-            alive, invocations, attributed, computed, step_stats = run_filter_chunk(
-                self._active_cascades, self._assignments, covered, orders, frames
-            )
-        self._accumulate_filter_phase(
-            states, frames, covered, alive, invocations, attributed, computed
-        )
-        self._observe_profilers(states, step_stats, frames[-1].index)
-        self._detector_phase(states, frames, [set(row) for row in alive])
-        self._watermark = max(self._watermark, frames[-1].index)
+            filtered = run_filter_chunk(cascades, assignments, covered, orders, frames)
+        return self._detector_phase(sids, frames, *filtered, charged=charged)
 
-    def _current_orders(self) -> list[tuple[int, ...]]:
-        orders: list[tuple[int, ...]] = []
-        for sid in self._active:
-            profiler = self._states[sid].profiler
-            if profiler is not None:
-                orders.append(tuple(profiler.order))
-            else:
-                orders.append(tuple(range(len(self._states[sid].cascade.steps))))
-        return orders
-
-    def _observe_profilers(
-        self, states: list[QueryState], step_stats, at_frame: int
-    ) -> None:
-        for state, stats_row in zip(states, step_stats):
-            if state.profiler is not None:
-                state.profiler.observe(stats_row, at_frame)
-
-    def _accumulate_filter_phase(
+    def _detector_phase(
         self,
-        states: list[QueryState],
+        sids: Sequence[int],
         frames: list[Frame],
-        covered: list[list[bool]],
         alive: Sequence[Sequence[int]],
         invocations: Sequence[int],
         attributed: Sequence[dict[tuple[str, float], int]],
-        computed: int,
-    ) -> None:
-        self.shared_filter_computations += computed
-        union = 0
-        for k in range(len(frames)):
-            if any(mask[k] for mask in covered):
-                union += 1
-        self.union_frames_scanned += union
-        for position, state in enumerate(states):
-            state.scanned.extend(
-                frame.index for k, frame in enumerate(frames) if covered[position][k]
-            )
-            state.passed.extend(alive[position])
-            state.filter_invocations += invocations[position]
-            for component, calls in attributed[position].items():
-                state.attributed[component] = state.attributed.get(component, 0) + calls
+        computed: dict[str, int],
+        step_stats: Sequence[Sequence[tuple[int, int]]],
+        charged: bool = True,
+    ) -> _ChunkVerdict:
+        """Detector and predicates on a filtered chunk's survivors: its verdict.
 
-    def _detector_phase(
-        self, states: list[QueryState], frames: list[Frame], alive_sets: list[set[int]]
-    ) -> None:
-        for frame in frames:
+        ``charged`` counts the evaluation as work the scan did (shared
+        counters, profiler observations); exact-mode verification is not.
+        """
+        queries = [self._states[sid].query for sid in sids]
+        alive_sets = [set(row) for row in alive]
+        passed: list[list[int]] = [[] for _ in sids]
+        matched: list[list[int]] = [[] for _ in sids]
+        poisoned: list[tuple[int, FaultExhausted]] = []
+        detected = 0
+        for k, frame in enumerate(frames):
             interested = [
-                position
-                for position in range(len(states))
-                if frame.index in alive_sets[position]
+                row for row, survivors in enumerate(alive_sets) if frame.index in survivors
             ]
             if not interested:
                 continue
+            for row in interested:
+                passed[row].append(k)
             if _FAULT_INJECTOR is not None:
                 try:
                     detections = _FAULT_INJECTOR.with_retry(
@@ -651,30 +633,87 @@ class ScanSession:
                         lambda frame=frame: self.detector.detect(frame),
                     )
                 except FaultExhausted as error:
-                    # Frame-level quarantine: the frame keeps its filter
-                    # accounting (that work really ran) but contributes no
-                    # matches, and the scan moves on.
-                    self._quarantine([frame], error)
+                    # Frame-level quarantine (at accumulation): the frame
+                    # keeps its filter accounting (that work really ran) but
+                    # contributes no matches, and the scan moves on.
+                    poisoned.append((k, error))
                     continue
             else:
                 detections = self.detector.detect(frame)
-            self.shared_detector_invocations += 1
-            for position in interested:
-                state = states[position]
-                if evaluate_predicates_on_detections(state.query, detections):
-                    state.matched.append(frame.index)
+            detected += 1
+            for row in interested:
+                if evaluate_predicates_on_detections(queries[row], detections):
+                    matched[row].append(k)
+        if charged:
+            self.shared_filter_computations += sum(computed.values())
+            self.shared_detector_invocations += detected
+            for sid, stats_row in zip(sids, step_stats):
+                profiler = self._states[sid].profiler
+                if profiler is not None:
+                    profiler.observe(stats_row, frames[-1].index)
+        return _ChunkVerdict(
+            passed=tuple(map(tuple, passed)),
+            matched=tuple(map(tuple, matched)),
+            invocations=tuple(invocations),
+            attributed=tuple(attributed),
+            computed=computed,
+            detected=detected,
+            poisoned=tuple(poisoned),
+        )
+
+    def _accumulate(
+        self,
+        sids: Sequence[int],
+        indices: Sequence[int],
+        covered: Sequence[Sequence[bool]] | None,
+        verdict: _ChunkVerdict,
+    ) -> None:
+        """Apply a verdict to the frames ``indices``: the one accumulation.
+
+        ``covered`` masks each query's coverage of the chunk (``None`` =
+        every query covers every frame, as on the gated path).
+        """
+        if covered is None:
+            self.union_frames_scanned += len(indices)
+        else:
+            self.union_frames_scanned += sum(map(any, zip(*covered)))
+        for row, sid in enumerate(sids):
+            state = self._states[sid]
+            state.scanned.extend(
+                indices if covered is None else compress(indices, covered[row])
+            )
+            state.passed.extend(indices[k] for k in verdict.passed[row])
+            state.matched.extend(indices[k] for k in verdict.matched[row])
+            state.filter_invocations += verdict.invocations[row]
+            for component, calls in verdict.attributed[row].items():
+                state.attributed[component] = state.attributed.get(component, 0) + calls
+        for k, error in verdict.poisoned:
+            self._quarantine([indices[k]], error)
+
+    # -- inline (sequential) path --------------------------------------
+    def _push_inline(self, frames: list[Frame]) -> None:
+        indices = [frame.index for frame in frames]
+        covered = [
+            [self._states[sid].covers(index) for index in indices] for sid in self._active
+        ]
+        verdict = self._evaluate(self._active, frames, covered)
+        self._accumulate(self._active, indices, covered, verdict)
+        self._watermark = max(self._watermark, indices[-1])
 
     # -- parallel path --------------------------------------------------
     def _push_parallel(self, frames: list[Frame]) -> None:
         assert self._parallel is not None and self._backend is not None
-        states = [self._states[sid] for sid in self._active]
         chunk = [frame.index for frame in frames]
-        covered = [[state.covers(index) for index in chunk] for state in states]
+        covered = [
+            [self._states[sid].covers(index) for index in chunk] for sid in self._active
+        ]
         chunk_id = self._next_submit
         self._next_submit += 1
         # Consumed even if the submission itself gives up (FaultExhausted).
         self._inflight[chunk_id] = None
-        entry = self._backend.submit(chunk_id, chunk, frames, covered, self._current_orders())
+        entry = self._backend.submit(
+            chunk_id, chunk, frames, covered, self._orders(self._active)
+        )
         self._inflight[chunk_id] = (entry, tuple(self._active))
         if self.live:
             # Emit as early as possible.  A one-shot scan reads nothing
@@ -707,9 +746,9 @@ class ScanSession:
     def _merge_next(self) -> None:
         """The in-order merge point: what :meth:`_push_inline` does after filtering.
 
-        Absorbs the chunk's filter cost into the session clock, accumulates
-        the per-query counters and runs the detector-union phase, so the
-        parallel path stays chunk-for-chunk identical to the inline one.
+        Absorbs the chunk's filter cost into the session clock, runs the
+        detector-union phase and accumulates the verdict, so the parallel
+        path stays chunk-for-chunk identical to the inline one.
         """
         chunk_id = self._next_merge
         pending = self._inflight.pop(chunk_id)
@@ -730,21 +769,18 @@ class ScanSession:
         self._worker_totals[outcome.worker] = self._worker_totals.get(
             outcome.worker, CostBreakdown()
         ).merged_with(outcome.breakdown)
-        states = [self._states[sid] for sid in sids]
-        frames = entry.frames
         self.clock.absorb(outcome.breakdown)
-        self._accumulate_filter_phase(
-            states,
-            frames,
-            entry.covered,
+        verdict = self._detector_phase(
+            sids,
+            entry.frames,
             outcome.alive,
             outcome.filter_invocations,
             outcome.attributed,
             outcome.computed,
+            outcome.step_stats,
         )
-        self._detector_phase(states, frames, [set(row) for row in outcome.alive])
-        self._observe_profilers(states, outcome.step_stats, frames[-1].index)
-        self._watermark = max(self._watermark, frames[-1].index)
+        self._accumulate(sids, entry.indices, entry.covered, verdict)
+        self._watermark = max(self._watermark, entry.indices[-1])
         self.chunks_merged += 1
 
     @property
@@ -756,20 +792,53 @@ class ScanSession:
         }
 
     # -- temporal path --------------------------------------------------
-    def _active_gate(self):
-        from repro.query.temporal import DeltaGate
+    def _new_scan(self, config: TemporalConfig) -> TemporalScan:
+        """A resumable gate loop over this session's frame evaluation.
 
-        if self._temporal is not None and not self.degraded:
-            if self._gate is None:
-                self._gate = DeltaGate(self._temporal)
-            return self._gate, self._temporal.exact
-        if self._degrade_gate is None:
-            self._degrade_gate = DeltaGate(self._degrade_config)
-        return self._degrade_gate, False
+        The outcome it caches is the :class:`_ChunkVerdict` of a chunk of
+        one, evaluated for the queries covering the frame (the gate's
+        context key, so two verdicts the gate compares hold the same rows).
+        """
+
+        def evaluate(frame: Frame, context: tuple[int, ...], charged: bool = True):
+            verdict = self._evaluate(context, [frame], None, charged)
+            if verdict.poisoned and not self.live:
+                # A strided scan's skipped frames inherit from their
+                # neighbours: there is no one frame to set aside.
+                raise verdict.poisoned[0][1]
+            return verdict
+
+        def verify(frame: Frame, context: tuple[int, ...]):
+            with clocks_detached(self._distinct_filters, self.detector):
+                return evaluate(frame, context, charged=False)
+
+        def reuse_charge(verdict: _ChunkVerdict) -> tuple[int, int]:
+            for component, calls in verdict.computed.items():
+                self.clock.reuse(component, calls)
+            if verdict.detected:
+                self.clock.reuse(self._detector_component, verdict.detected)
+            return sum(verdict.computed.values()), verdict.detected
+
+        return TemporalScan(
+            config,
+            compute=evaluate,
+            verify=verify,
+            reuse_charge=reuse_charge,
+            verdict=lambda verdict: (verdict.passed, verdict.matched),
+            cacheable=lambda verdict: not verdict.poisoned,
+            context_key=self._covering,
+            telemetry=self._telemetry,
+        )
 
     def _covering(self, index: int) -> tuple[int, ...]:
         """Sids of the active queries covering ``index`` — the gate's context key."""
         return tuple(sid for sid in self._active if self._states[sid].covers(index))
+
+    def _run_gated(
+        self, scan: TemporalScan, indices: Sequence[int], render: Callable[[int], Frame]
+    ) -> None:
+        for index, verdict in zip(indices, scan.run(indices, render)):
+            self._accumulate(self._covering(index), [index], None, verdict)
 
     def run_temporal_scan(
         self,
@@ -784,186 +853,33 @@ class ScanSession:
         whole shared outcome.  Reuse and stride inheritance only happen
         between frames covered by the same set of queries (the scan's
         context key), so a windowed query's coverage boundary always forces
-        a keyframe.  :class:`~repro.query.temporal.TemporalScan` supplies
-        the striding and refinement; evaluation, verification, reuse
-        charging and accumulation are the ones :meth:`push_chunk` gates
-        with.  ``render`` materialises a frame (the parallel composition
-        passes a decode-ahead prefetcher).  Unlike a pushed chunk, a retry
-        budget exhausted mid-scan propagates: skipped frames inherit from
-        their neighbours, so there is no chunk to set aside.
+        a keyframe.  It is the gate loop a gated :meth:`push_chunk` runs,
+        over the whole sequence at once so that it may stride; ``render``
+        materialises a frame (the parallel composition passes a decode-ahead
+        prefetcher).  Unlike a pushed chunk, a ``detector`` retry budget
+        exhausted mid-scan propagates: skipped frames inherit from their
+        neighbours, so there is no one frame to set aside.
         """
         self._ensure_plan()
-        contexts: dict[int, tuple[int, ...]] = {}
+        self._run_gated(self._new_scan(config), indices, render)
+        return self.temporal_stats
 
-        def context_key(index: int) -> tuple[int, ...]:
-            context = contexts.get(index)
-            if context is None:
-                context = contexts[index] = self._covering(index)
-            return context
-
-        scan = TemporalScan(
-            config,
-            render=render,
-            compute=lambda frame: self._evaluate_frame(
-                frame, context_key(frame.index), charged=True
-            ),
-            verify=lambda frame: self._verify_frame(frame, context_key(frame.index)),
-            reuse_charge=self._reuse_charge,
-            verdict=_temporal_verdict,
-            context_key=context_key,
-        )
-        outcomes, stats = scan.run(indices)
-        for index, outcome in zip(indices, outcomes):
-            self._apply_temporal_outcome(index, outcome)
-        self.union_frames_scanned += len(outcomes)
-        return with_component_reuses(stats, self._filter_reuses, self._detector_reuses)
-
-    def _push_temporal(self, frames: list[Frame]) -> None:
-        gate, exact = self._active_gate()
-        for frame in frames:
-            context = self._covering(frame.index)
-            if not context:
-                continue
-            self._telemetry.frames_total += 1
-            self.union_frames_scanned += 1
-            if self.degraded:
-                self.degraded_frames += 1
-            if gate.decide(frame.image, context):
-                outcome = gate.outcome
-                gate.mark_reused()
-                self._telemetry.frames_reused += 1
-                self._reuse_charge(outcome)
-                if exact:
-                    truth = self._verify_frame(frame, context)
-                    self._telemetry.verified_frames += 1
-                    if _temporal_verdict(truth) != _temporal_verdict(outcome):
-                        self._telemetry.reuse_mismatches += 1
-                        gate.replace_outcome(truth)
-                    outcome = truth
-            else:
-                outcome = self._evaluate_frame(frame, context, charged=True)
-                gate.set_keyframe(frame.image, outcome, context)
-                self._telemetry.frames_computed += 1
-            self._apply_temporal_outcome(frame.index, outcome)
+    def _push_gated(self, frames: list[Frame]) -> None:
+        pushed = {
+            frame.index: frame for frame in frames if self._covering(frame.index)
+        }
+        if self.degraded:
+            self.degraded_frames += len(pushed)
+            if self._degrade_scan is None:
+                self._degrade_scan = self._new_scan(self._degrade_config)
+        scan = self._degrade_scan if self.degraded else self._scan
+        self._run_gated(scan, list(pushed), pushed.__getitem__)
         self._watermark = max(self._watermark, frames[-1].index)
-
-    def _evaluate_frame(
-        self, frame: Frame, context: tuple[int, ...], charged: bool
-    ) -> _SessionTemporalOutcome:
-        index_by_sid = {sid: position for position, sid in enumerate(self._active)}
-        predictions: dict[tuple, FilterPrediction] = {}
-        step_outcomes: dict[int, bool] = {}
-        computed: list[str] = []
-        per_query: dict[int, _SessionVerdict] = {}
-        survivors: list[int] = []
-        for sid in context:
-            state = self._states[sid]
-            position = index_by_sid[sid]
-            cascade = state.cascade
-            step_positions = self._assignments[position]
-            alive = True
-            counted: set[tuple] = set()
-            components: list[tuple[str, float]] = []
-            step_stats = [(0, 0)] * len(cascade.steps)
-            order = (
-                state.profiler.order
-                if state.profiler is not None
-                else range(len(cascade.steps))
-            )
-            for step_position in order:
-                if not alive:
-                    break
-                step = cascade.steps[step_position]
-                unique_position = step_positions[step_position]
-                identity = step.frame_filter.identity
-                if identity not in predictions:
-                    predictions[identity] = step.frame_filter.predict(frame)
-                    computed.append(step.frame_filter.name)
-                    if charged:
-                        self.shared_filter_computations += 1
-                if identity not in counted:
-                    counted.add(identity)
-                    components.append(
-                        (step.frame_filter.name, step.frame_filter.latency_ms)
-                    )
-                if unique_position not in step_outcomes:
-                    step_outcomes[unique_position] = step.passes(predictions[identity])
-                step_stats[step_position] = (
-                    1,
-                    1 if step_outcomes[unique_position] else 0,
-                )
-                if not step_outcomes[unique_position]:
-                    alive = False
-            if charged and state.profiler is not None:
-                state.profiler.observe(step_stats, frame.index)
-            per_query[sid] = _SessionVerdict(
-                components=tuple(components), passed=alive, matched=False
-            )
-            if alive:
-                survivors.append(sid)
-        detector_ran = False
-        if survivors:
-            if _FAULT_INJECTOR is not None:
-                # Exhaustion propagates: the temporal pipeline is
-                # keyframe-relative, so push_chunk quarantines the rest of
-                # the chunk rather than skipping one frame mid-gate.
-                detections = _FAULT_INJECTOR.with_retry(
-                    "detector",
-                    frame.index,
-                    self.clock,
-                    lambda: self.detector.detect(frame),
-                )
-            else:
-                detections = self.detector.detect(frame)
-            detector_ran = True
-            if charged:
-                self.shared_detector_invocations += 1
-            for sid in survivors:
-                if evaluate_predicates_on_detections(self._states[sid].query, detections):
-                    entry = per_query[sid]
-                    per_query[sid] = _SessionVerdict(
-                        components=entry.components, passed=entry.passed, matched=True
-                    )
-        return _SessionTemporalOutcome(
-            per_query=per_query,
-            computed_components=tuple(computed),
-            detector_ran=detector_ran,
-        )
-
-    def _verify_frame(
-        self, frame: Frame, context: tuple[int, ...]
-    ) -> _SessionTemporalOutcome:
-        with clocks_detached(self._distinct_filters, self.detector):
-            return self._evaluate_frame(frame, context, charged=False)
-
-    def _reuse_charge(self, outcome: _SessionTemporalOutcome) -> None:
-        for component in outcome.computed_components:
-            self.clock.reuse(component)
-        self._filter_reuses += len(outcome.computed_components)
-        if outcome.detector_ran:
-            self.clock.reuse(self._detector_component)
-            self._detector_reuses += 1
-
-    def _apply_temporal_outcome(
-        self, index: int, outcome: _SessionTemporalOutcome
-    ) -> None:
-        for sid, entry in outcome.per_query.items():
-            state = self._states[sid]
-            state.scanned.append(index)
-            state.filter_invocations += len(entry.components)
-            for component in entry.components:
-                state.attributed[component] = state.attributed.get(component, 0) + 1
-            if entry.passed:
-                state.passed.append(index)
-            if entry.matched:
-                state.matched.append(index)
 
     @property
     def temporal_stats(self) -> TemporalStats:
         """Session-lifetime gating telemetry (all zeros if never gated)."""
-        return with_component_reuses(
-            self._telemetry.freeze(), self._filter_reuses, self._detector_reuses
-        )
+        return self._telemetry.freeze()
 
     # ------------------------------------------------------------------
     # Degraded mode
@@ -980,7 +896,7 @@ class ScanSession:
         self._drain_all()
         self.degraded = degraded
         if not degraded:
-            self._degrade_gate = None
+            self._degrade_scan = None
 
     # ------------------------------------------------------------------
     # Budgets
@@ -1020,39 +936,17 @@ class ScanSession:
     def replan(self) -> list[PlanRevision]:
         """Re-plan every profiled query's step order from observed pass rates.
 
-        The manual counterpart of the engine's adaptive re-planner (the same
-        :func:`~repro.query.planner.replan_order` /
-        :func:`~repro.query.planner.expected_cascade_cost_ms` machinery that
-        :meth:`~repro.query.planner.QueryPlanner.replan` delegates to): a new
-        order is adopted when the observed rates say it is strictly cheaper,
-        and applies to chunks pushed after this call.
+        The manual counterpart of the engine's adaptive re-planner, and the
+        same decision (:meth:`CascadeProfiler.consider`): a new order is
+        adopted when the observed rates say it is strictly cheaper, and
+        applies to chunks pushed after this call.
         """
         revisions: list[PlanRevision] = []
         for sid in self.active_sids:
-            state = self._states[sid]
-            profiler = state.profiler
-            if profiler is None:
-                continue
-            rates = profiler.pass_rates()
-            latencies = [step.frame_filter.latency_ms for step in state.cascade.steps]
-            candidate = replan_order(latencies, rates)
-            if candidate == profiler.order:
-                continue
-            current_cost = expected_cascade_cost_ms(latencies, rates, profiler.order)
-            candidate_cost = expected_cascade_cost_ms(latencies, rates, candidate)
-            if candidate_cost <= 0.0 or current_cost <= candidate_cost:
-                continue
-            revision = PlanRevision(
-                at_frame=self._watermark,
-                old_order=tuple(profiler.order),
-                new_order=candidate,
-                step_names=tuple(step.name for step in state.cascade.steps),
-                observed_pass_rates=rates,
-                expected_gain=current_cost / candidate_cost,
-            )
-            profiler.revisions.append(revision)
-            profiler.order = candidate
-            revisions.append(revision)
+            profiler = self._states[sid].profiler
+            revision = profiler.consider(self._watermark) if profiler is not None else None
+            if revision is not None:
+                revisions.append(revision)
         return revisions
 
     # ------------------------------------------------------------------
@@ -1171,7 +1065,7 @@ class ScanSession:
             ),
             temporal=(
                 self.temporal_stats
-                if (self._temporal is not None or self.degraded_frames)
+                if (self._scan is not None or self.degraded_frames)
                 else None
             ),
         )
@@ -1253,7 +1147,6 @@ class ScanSession:
                     "match_cursor": state.match_cursor,
                 }
             )
-        telemetry = self._telemetry
         return {
             "version": CHECKPOINT_VERSION,
             "live": self.live,
@@ -1265,23 +1158,10 @@ class ScanSession:
             "chunks_merged": self.chunks_merged,
             "degraded": self.degraded,
             "degraded_frames": self.degraded_frames,
-            "filter_reuses": self._filter_reuses,
-            "detector_reuses": self._detector_reuses,
-            "telemetry": {
-                "frames_total": telemetry.frames_total,
-                "frames_computed": telemetry.frames_computed,
-                "frames_reused": telemetry.frames_reused,
-                "frames_skipped": telemetry.frames_skipped,
-                "refinement_probes": telemetry.refinement_probes,
-                "verified_frames": telemetry.verified_frames,
-                "reuse_mismatches": telemetry.reuse_mismatches,
-                "max_stride_used": telemetry.max_stride_used,
-            },
-            "gate": None if self._gate is None else self._gate.state_dict(),
+            "telemetry": dict(vars(self._telemetry)),
+            "gate": None if self._scan is None else self._scan.state_dict(),
             "degrade_gate": (
-                None
-                if self._degrade_gate is None
-                else self._degrade_gate.state_dict()
+                None if self._degrade_scan is None else self._degrade_scan.state_dict()
             ),
             "warn_registry": set(self._warn_registry),
             "quarantined": list(self.quarantined),
@@ -1352,25 +1232,17 @@ class ScanSession:
         self.chunks_merged = snapshot["chunks_merged"]
         self.degraded = snapshot["degraded"]
         self.degraded_frames = snapshot["degraded_frames"]
-        self._filter_reuses = snapshot["filter_reuses"]
-        self._detector_reuses = snapshot["detector_reuses"]
-        for name, value in snapshot["telemetry"].items():
-            setattr(self._telemetry, name, value)
+        vars(self._telemetry).update(snapshot["telemetry"])
         if snapshot["gate"] is not None:
-            if self._temporal is None:
+            if self._scan is None:
                 raise ValueError(
                     "checkpoint carries temporal gate state but the session "
                     "was built without temporal="
                 )
-            from repro.query.temporal import DeltaGate
-
-            self._gate = DeltaGate(self._temporal)
-            self._gate.load_state(snapshot["gate"])
+            self._scan.load_state(snapshot["gate"])
         if snapshot["degrade_gate"] is not None:
-            from repro.query.temporal import DeltaGate
-
-            self._degrade_gate = DeltaGate(self._degrade_config)
-            self._degrade_gate.load_state(snapshot["degrade_gate"])
+            self._degrade_scan = self._new_scan(self._degrade_config)
+            self._degrade_scan.load_state(snapshot["degrade_gate"])
         self._warn_registry = set(snapshot["warn_registry"])
         self.quarantined = list(snapshot["quarantined"])
         self._invalidate_plan()
@@ -1406,31 +1278,6 @@ class ScanSession:
             # error raised from the drain would mask the one being raised.
             self._discard_inflight()
         self.close()
-
-
-def _temporal_verdict(outcome: _SessionTemporalOutcome) -> tuple:
-    """The gate-comparison verdict of a session temporal outcome."""
-    return tuple(
-        (sid, entry.passed, entry.matched)
-        for sid, entry in sorted(outcome.per_query.items())
-    )
-
-
-def _observer_config(base: ParallelConfig | None) -> ParallelConfig:
-    """A profiler config that records observations but never auto-revises.
-
-    ``CascadeProfiler.observe`` is a no-op unless the config is adaptive, so
-    observe-only profiling (driving the *manual* :meth:`ScanSession.replan`)
-    uses an adaptive config whose consideration interval is unreachable.  A
-    genuinely adaptive caller config is used as-is — the engine's mid-stream
-    auto-revision semantics then apply.
-    """
-    if base is not None and base.adaptive:
-        return base
-    window = base.adaptive_window if base is not None else 32
-    return ParallelConfig(
-        adaptive=True, adaptive_window=window, adaptive_interval=1_000_000_000
-    )
 
 
 def _count_between(values: list[int], bounds: WindowBounds) -> int:

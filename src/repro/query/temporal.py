@@ -51,7 +51,7 @@ counts side by side.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -196,18 +196,11 @@ class _Telemetry:
         self.verified_frames = 0
         self.reuse_mismatches = 0
         self.max_stride_used = 1
+        self.filter_reuses = 0
+        self.detector_reuses = 0
 
     def freeze(self) -> TemporalStats:
-        return TemporalStats(
-            frames_total=self.frames_total,
-            frames_computed=self.frames_computed,
-            frames_reused=self.frames_reused,
-            frames_skipped=self.frames_skipped,
-            refinement_probes=self.refinement_probes,
-            verified_frames=self.verified_frames,
-            reuse_mismatches=self.reuse_mismatches,
-            max_stride_used=self.max_stride_used,
-        )
+        return TemporalStats(**vars(self))
 
 
 class DeltaGate:
@@ -284,8 +277,8 @@ class DeltaGate:
         """Checkpointable gate state (see :meth:`ScanSession.checkpoint`).
 
         The signature is copied (it is derived data, cheap and small); the
-        cached outcome is included as-is — session outcomes are plain
-        dataclasses over ints/bools, picklable by construction.  The
+        cached outcome is included as-is — a session's cached verdict is a
+        plain dataclass of tuples, dicts and ints, picklable by construction.  The
         signature memo is deliberately dropped: it is keyed by object
         identity, which does not survive a process boundary.
         """
@@ -311,89 +304,133 @@ class DeltaGate:
 
 
 class TemporalScan:
-    """Drives one temporally-coherent scan over a sequence of frame indices.
+    """The one gate loop: temporally-coherent scanning over frame indices.
 
-    The scan is generic over the per-frame *outcome* — the caller
-    (:meth:`~repro.query.session.ScanSession.run_temporal_scan`) supplies
-    domain callbacks, the scan supplies the gating / striding / refinement /
-    verification machinery:
+    This is the only code that drives a :class:`DeltaGate`.  The scan is
+    *resumable*: it owns its gate and its telemetry across :meth:`run`
+    calls, so a keyframe installed by one run serves reuses in the next
+    (:meth:`state_dict` / :meth:`load_state` carry the gate through
+    :meth:`ScanSession.checkpoint`); only the adaptive stride restarts at 1
+    with every run.  Three callers share it:
 
-    * ``render(index) -> Frame`` — materialise a frame;
-    * ``compute(frame) -> outcome`` — full evaluation, charging the
+    * :meth:`~repro.query.session.ScanSession.run_temporal_scan` — the
+      one-shot executor: one run over the whole index sequence, with
+      striding and refinement, ``render`` reading the stream;
+    * :meth:`~repro.query.session.ScanSession.push_chunk` on a gated (or
+      degraded) live session — one run per pushed chunk at
+      ``max_stride=1``, ``render`` reading the pushed frames;
+    * :class:`~repro.aggregates.monitor.AggregateMonitor`'s sampler — one
+      run over the sorted sample at ``max_stride=1``.
+
+    The scan is generic over the per-frame *outcome*; the caller supplies
+    the domain callbacks:
+
+    * ``compute(frame, context) -> outcome`` — full evaluation, charging the
       simulated clock as usual;
-    * ``verify(frame) -> outcome`` — full evaluation with all clocks
+    * ``verify(frame, context) -> outcome`` — full evaluation with all clocks
       detached (required when ``config.exact``);
-    * ``reuse_charge(outcome)`` — record the invocations an avoided
-      evaluation would have made (reused calls on the clock);
+    * ``reuse_charge(outcome) -> (filter calls, detector calls)`` — record
+      the invocations an avoided evaluation would have made (reused calls on
+      the clock) and return how many there were;
     * ``verdict(outcome) -> hashable`` — the decision the adaptive stride
       watches for boundaries (e.g. ``(passed, matched)``);
+    * ``cacheable(outcome) -> bool`` — ``False`` keeps an outcome out of the
+      keyframe cache (a frame whose evaluation was cut short must not be
+      replayed onto its neighbours);
     * ``context_key(index) -> hashable`` — reuse and inheritance only happen
       between frames with equal context (e.g. covered by the same windowed
       queries).
 
-    :meth:`run` returns one outcome per input index plus the scan's
-    :class:`TemporalStats`.  In exact mode every returned outcome is a fresh
-    from-scratch evaluation, so downstream results are bit-identical to a
-    non-temporal run regardless of what the cache contained.
+    ``telemetry`` lets several scans report as one (a session's normal and
+    degraded gates); by default the scan counts into its own.
+
+    :meth:`run` returns one outcome per input index.  In exact mode every
+    returned outcome is a fresh from-scratch evaluation, so downstream
+    results are bit-identical to a non-temporal run regardless of what the
+    cache contained.
     """
 
     def __init__(
         self,
         config: TemporalConfig,
         *,
-        render: Callable[[int], Frame],
-        compute: Callable[[Frame], object],
-        verify: Callable[[Frame], object] | None = None,
-        reuse_charge: Callable[[object], None] | None = None,
+        compute: Callable[[Frame, Hashable], object],
+        verify: Callable[[Frame, Hashable], object] | None = None,
+        reuse_charge: Callable[[object], tuple[int, int]] | None = None,
         verdict: Callable[[object], Hashable] | None = None,
+        cacheable: Callable[[object], bool] | None = None,
         context_key: Callable[[int], Hashable] | None = None,
+        telemetry: _Telemetry | None = None,
     ) -> None:
         if config.exact and verify is None:
             raise ValueError("exact temporal execution needs a verify callback")
         self.config = config
-        self._render = render
         self._compute = compute
         self._verify = verify
-        self._reuse_charge = reuse_charge or (lambda outcome: None)
+        self._reuse_charge = reuse_charge or (lambda outcome: (0, 0))
         self._verdict = verdict or (lambda outcome: outcome)
+        self._cacheable = cacheable or (lambda outcome: True)
         self._context_key = context_key or (lambda index: None)
+        self._gate = DeltaGate(config)
+        self.telemetry = telemetry if telemetry is not None else _Telemetry()
 
-    def run(self, indices: Sequence[int]) -> tuple[list, TemporalStats]:
+    @property
+    def stats(self) -> TemporalStats:
+        """Telemetry of every run so far."""
+        return self.telemetry.freeze()
+
+    def state_dict(self) -> dict:
+        """The gate's keyframe state — what the next :meth:`run` resumes from."""
+        return self._gate.state_dict()
+
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output into this scan's gate."""
+        self._gate.load_state(state)
+
+    def run(self, indices: Sequence[int], render: Callable[[int], Frame]) -> list:
+        """Gate ``indices`` in order; ``render(index)`` materialises a frame."""
         indices = list(indices)
         n = len(indices)
         results: list = [None] * n
-        gate = DeltaGate(self.config)
-        telemetry = _Telemetry()
-        telemetry.frames_total = n
+        gate = self._gate
+        telemetry = self.telemetry
+        telemetry.frames_total += n
         exact = self.config.exact
 
-        def verified(frame: Frame, cached: object) -> object:
-            """Exact-mode check of a cached/inherited outcome; returns the truth."""
-            truth = self._verify(frame)
+        def charge_reuse(outcome: object) -> None:
+            filter_calls, detector_calls = self._reuse_charge(outcome)
+            telemetry.filter_reuses += filter_calls
+            telemetry.detector_reuses += detector_calls
+
+        def verified(frame: Frame, context: Hashable, cached: object) -> tuple[object, bool]:
+            """Exact-mode check of a cached/inherited outcome: the truth, and
+            whether the cache had drifted from it."""
+            truth = self._verify(frame, context)
             telemetry.verified_frames += 1
-            if self._verdict(truth) != self._verdict(cached):
+            drifted = self._cacheable(truth) and self._verdict(truth) != self._verdict(cached)
+            if drifted:
                 telemetry.reuse_mismatches += 1
-            return truth
+            return truth, drifted
 
         def evaluate(position: int, probe: bool = False) -> object:
             """Render + gate one position; cache hit or full evaluation."""
             index = indices[position]
-            frame = self._render(index)
+            frame = render(index)
             context = self._context_key(index)
             if gate.decide(frame.image, context):
                 outcome = gate.outcome
                 gate.mark_reused()
                 telemetry.frames_reused += 1
-                self._reuse_charge(outcome)
+                charge_reuse(outcome)
                 if exact:
-                    truth = verified(frame, outcome)
-                    if self._verdict(truth) != self._verdict(outcome):
-                        gate.replace_outcome(truth)
-                    outcome = truth
+                    outcome, drifted = verified(frame, context, outcome)
+                    if drifted:
+                        gate.replace_outcome(outcome)
             else:
-                outcome = self._compute(frame)
-                gate.set_keyframe(frame.image, outcome, context)
+                outcome = self._compute(frame, context)
                 telemetry.frames_computed += 1
+                if self._cacheable(outcome):
+                    gate.set_keyframe(frame.image, outcome, context)
             if probe:
                 telemetry.refinement_probes += 1
             results[position] = outcome
@@ -401,17 +438,17 @@ class TemporalScan:
 
         def inherit(position: int, source: int) -> None:
             """Give a never-rendered position its bracketing frame's outcome."""
-            if self._context_key(indices[position]) != self._context_key(indices[source]):
+            context = self._context_key(indices[position])
+            if context != self._context_key(indices[source]):
                 # Coverage changed inside the gap (e.g. a window boundary):
                 # inheritance would smuggle an outcome across contexts.
                 evaluate(position)
                 return
             outcome = results[source]
             telemetry.frames_skipped += 1
-            self._reuse_charge(outcome)
+            charge_reuse(outcome)
             if exact:
-                truth = verified(self._render(indices[position]), outcome)
-                outcome = truth
+                outcome, _ = verified(render(indices[position]), context, outcome)
             results[position] = outcome
 
         def assign_gap(lo_position: int, hi_position: int) -> None:
@@ -464,13 +501,4 @@ class TemporalScan:
                 break
             position = min(position + stride, n - 1)
 
-        return results, telemetry.freeze()
-
-
-def with_component_reuses(
-    stats: TemporalStats, filter_reuses: int, detector_reuses: int
-) -> TemporalStats:
-    """``stats`` with the session-counted component reuse totals filled in."""
-    return replace(
-        stats, filter_reuses=filter_reuses, detector_reuses=detector_reuses
-    )
+        return results

@@ -199,15 +199,14 @@ def test_filter_construction_rejects_head_mismatch():
     assert "counts output" in str(excinfo.value)
 
 
-def test_filter_construction_lint_false_escape_hatch():
-    net = build_branch_network(2, image_size=56, grid_size=14)
-    broken = _branch_filter(net, class_names=("car", "person", "bus"), lint=False)
-    assert broken.network is net
-
-
 def test_lint_plan_reports_malformed_network_with_filter_name():
-    net = build_branch_network(2, image_size=56, grid_size=14)
-    broken = _branch_filter(net, class_names=("car", "person", "bus"), lint=False)
+    # Construction always lints, so a malformed filter is built valid and
+    # broken afterwards: plan-time analysis must still catch it.
+    broken = _branch_filter(
+        build_branch_network(3, image_size=56, grid_size=14),
+        class_names=("car", "person", "bus"),
+    )
+    broken.network = build_branch_network(2, image_size=56, grid_size=14)
     cascade = FilterCascade(
         steps=[
             CascadeStep(

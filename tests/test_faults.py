@@ -16,6 +16,7 @@ none.
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 
 import pytest
 
@@ -44,8 +45,10 @@ from repro.query import (
     QueryBuilder,
     QueryPlanner,
     StreamingQueryExecutor,
+    TemporalConfig,
     parse_query,
 )
+from repro.query.session import CHECKPOINT_VERSION, ScanSession
 from repro.service import (
     BufferEmitter,
     CallbackEmitter,
@@ -459,6 +462,90 @@ def test_detector_fault_recovers_bit_identical(tiny_jackson):
         )
     _assert_result_parity(faulted[0], baseline[0])
     assert faulted[0].stats.faults.recovered == 1
+
+
+# ----------------------------------------------------------------------
+# The gated (temporal) path shares the one frame evaluation, fault sites
+# included
+# ----------------------------------------------------------------------
+def _gated_session_scan(tiny_jackson, temporal, schedule=None, frames=20):
+    """Push 10-frame chunks of an everything-query through a live session."""
+    query = QueryBuilder("everything").count("car").at_least(0).build()
+    detector = ReferenceDetector(
+        class_names=tiny_jackson.class_names, seed=DETECTOR_SEED
+    )
+    pushed = _frames(tiny_jackson.test)[:frames]
+    with ScanSession(detector, live=True, temporal=temporal) as session:
+        sid = session.add_query(query, FilterCascade())
+        state = session.states[sid]
+        with (
+            FaultInjector(schedule=schedule, retry=RetryPolicy(max_attempts=3))
+            if schedule is not None
+            else nullcontext()
+        ):
+            for begin in range(0, frames, 10):
+                session.push_chunk(pushed[begin : begin + 10])
+        return (
+            tuple(session.quarantined),
+            (list(state.scanned), list(state.passed), list(state.matched)),
+            session.shared_detector_invocations,
+            session.temporal_stats,
+        )
+
+
+def test_gated_detector_exhaustion_quarantines_one_frame(tiny_jackson):
+    # delta_threshold=0 never reuses, so the gated scan must agree with the
+    # inline one frame for frame, under the fault too.
+    schedule = {("detector", 5): 3}
+    inline = _gated_session_scan(tiny_jackson, None, schedule)
+    gated = _gated_session_scan(
+        tiny_jackson, TemporalConfig(delta_threshold=0.0), schedule
+    )
+    records, (scanned, passed, matched), detector_calls, _ = gated
+    # Frame-granular: only frame 5 is set aside; frames 0-4 are not
+    # re-reported and frames 6-9 are not lost.
+    assert [(r.site, r.frames) for r in records] == [("detector", (5,))]
+    assert scanned == list(range(20)) and passed == list(range(20))
+    assert matched == [index for index in range(20) if index != 5]
+    assert detector_calls == 19
+    assert (records, (scanned, passed, matched), detector_calls) == inline[:3]
+
+
+def test_gated_poisoned_frame_is_not_installed_as_keyframe(tiny_jackson):
+    # Trust every reuse, refresh the keyframe every 5 reuses: frames 0, 6,
+    # 12, 18 are computed.  Frame 6's detector call exhausts its retries.
+    temporal = TemporalConfig(delta_threshold=255.0, keyframe_interval=5, exact=False)
+    clean = _gated_session_scan(tiny_jackson, temporal)
+    records, (scanned, _, matched), _, stats = _gated_session_scan(
+        tiny_jackson, temporal, {("detector", 6): 3}
+    )
+    assert clean[3].frames_computed == 4
+    assert [record.frames for record in records] == [(6,)]
+    assert scanned == list(range(20))
+    # Had the answerless frame 6 become the keyframe, frames 7-11 would have
+    # reused "no match".  It did not: frame 7 was computed instead.
+    assert matched == [index for index in range(20) if index != 6]
+    assert stats.frames_computed == clean[3].frames_computed + 1
+
+
+@pytest.mark.parametrize("exact", (True, False))
+def test_gated_filter_fault_recovers_bit_identical(cars_workload, tiny_jackson, exact):
+    queries, cascades = cars_workload
+    temporal = TemporalConfig(delta_threshold=40.0, keyframe_interval=10, exact=exact)
+    baseline = _executor(tiny_jackson).execute_many(
+        queries, tiny_jackson.test, cascades, temporal=temporal
+    )
+    # Frame 11 is a keyframe refresh: evaluated (and so faulted) in either mode.
+    with FaultInjector(schedule={("filter", 11): 1}) as injector:
+        faulted = _executor(tiny_jackson).execute_many(
+            queries, tiny_jackson.test, cascades, temporal=temporal
+        )
+    _assert_result_parity(faulted[0], baseline[0])
+    assert faulted.shared.temporal == baseline.shared.temporal
+    assert faulted.shared.temporal.frames_reused > 0
+    assert faulted[0].stats.faults.by_site() == {"filter": 1}
+    assert faulted[0].stats.faults.recovered == 1
+    assert injector.unfired() == ()
 
 
 # ----------------------------------------------------------------------
@@ -881,6 +968,63 @@ def test_checkpoint_restore_round_trip_is_bit_identical(
     # service emits only the remaining ones.
     resumed_starts = [w.bounds.start for w in buffer.windows()]
     assert resumed_starts == [20, 30, 40]
+
+
+@pytest.mark.parametrize("exact", (True, False))
+@pytest.mark.parametrize(
+    "chunk_size, cut, streak",
+    [
+        pytest.param(10, 30, 7, id="mid-reuse-streak"),
+        pytest.param(11, 22, 10, id="keyframe-due-at-the-chunk-boundary"),
+    ],
+)
+def test_checkpoint_restore_of_a_gated_session(
+    od_planner, tiny_jackson, exact, chunk_size, cut, streak
+):
+    queries, cascades = _checkpoint_workload(od_planner)
+    frames = _frames(tiny_jackson.test)
+    temporal = TemporalConfig(delta_threshold=40.0, keyframe_interval=10, exact=exact)
+
+    def gated_service():
+        service = QueryService()
+        service.attach_stream(
+            "cam",
+            ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+            StreamConfig(chunk_size=chunk_size, temporal=temporal),
+        )
+        handles = [
+            service.register("cam", query, cascade)
+            for query, cascade in zip(queries, cascades)
+        ]
+        return service, handles
+
+    def feed(service, begin, end):
+        for start in range(begin, end, chunk_size):
+            service.feed("cam", frames[start : min(start + chunk_size, end)])
+
+    full, handles = gated_service()
+    feed(full, 0, len(frames))
+    truth = full.close()
+
+    first, _ = gated_service()
+    feed(first, 0, cut)
+    snapshot = pickle.loads(pickle.dumps(first.checkpoint("cam")))
+    first.close()
+    assert snapshot["version"] == CHECKPOINT_VERSION
+    assert snapshot["gate"]["streak"] == streak
+
+    resumed, new_handles = gated_service()
+    with pytest.raises(ValueError, match="version"):
+        # The pre-_ChunkVerdict payload (version 1) caches another outcome shape.
+        resumed.restore_stream("cam", {**snapshot, "version": 1})
+    resumed.restore_stream("cam", snapshot)
+    feed(resumed, cut, len(frames))
+    results = resumed.close()
+
+    for old, new in zip(handles, new_handles):
+        _assert_result_parity(results[new], truth[old])
+        assert results[new].temporal == truth[old].temporal
+        assert results[new].temporal.frames_reused > 0
 
 
 def test_restore_rejects_mismatched_or_dirty_sessions(od_planner, tiny_jackson):

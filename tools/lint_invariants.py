@@ -51,6 +51,13 @@ script exits non-zero when any rule is violated.
   query service mutates membership from the caller thread while shard
   workers read it from ``_entry_for_sid``, so an unlocked mutation is a
   data race on live emission routing.
+* **INV010 — one gate loop, one cascade walk.**  ``DeltaGate.decide`` /
+  ``set_keyframe`` / ``replace_outcome`` may only be called inside
+  ``repro/query/temporal.py`` (``TemporalScan`` is the one gate loop; its
+  callers supply callbacks), and no module under ``repro/query/`` may call a
+  filter's per-frame ``.predict(``: every frame evaluation goes through
+  ``run_filter_chunk``'s ``predict_batch``, a chunk of one included.  A
+  third gate loop or a second cascade walk fails CI here.
 """
 
 from __future__ import annotations
@@ -390,6 +397,32 @@ def check_registry_mutation_locked(findings: list[str]) -> None:
             )
 
 
+#: the DeltaGate methods that make up the gate loop (INV010)
+GATE_LOOP_METHODS = {"decide", "set_keyframe", "replace_outcome"}
+TEMPORAL = SRC / "query" / "temporal.py"
+
+
+def check_one_gate_loop_one_cascade_walk(findings: list[str]) -> None:
+    for path in sorted(SRC.rglob("*.py")):
+        in_query = path.parent == SRC / "query"
+        for node in ast.walk(_parse(path)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            method = node.func.attr
+            if method in GATE_LOOP_METHODS and path != TEMPORAL:
+                findings.append(
+                    f"INV010 {path.relative_to(REPO)}:{node.lineno}: .{method}() "
+                    "drives a DeltaGate outside repro/query/temporal.py — "
+                    "TemporalScan is the one gate loop; give it callbacks"
+                )
+            if method == "predict" and in_query:
+                findings.append(
+                    f"INV010 {path.relative_to(REPO)}:{node.lineno}: per-frame "
+                    ".predict() under repro/query/ — evaluate frames through "
+                    "run_filter_chunk (a chunk of one is still a chunk)"
+                )
+
+
 def main() -> int:
     findings: list[str] = []
     check_planner_checks_frozen(findings)
@@ -401,6 +434,7 @@ def main() -> int:
     check_sanitizer_hooks_guarded(findings)
     check_fault_hooks_guarded(findings)
     check_registry_mutation_locked(findings)
+    check_one_gate_loop_one_cascade_walk(findings)
     if findings:
         for finding in findings:
             print(finding)
