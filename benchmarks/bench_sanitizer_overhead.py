@@ -1,7 +1,7 @@
 """Sanitizer overhead benchmark: instrumented vs clean parallel wall-clock.
 
-The sanitizers' design promise is *zero overhead when off* (every hook is a
-``None`` module global behind an ``is not None`` guard — INV007) and
+The sanitizers' design promise is *zero overhead when off* (every site reads the
+``hooks.sanitizer`` slot behind an ``is not None`` guard — INV007) and
 tolerable overhead when on (lockset bookkeeping per critical section, a
 finiteness scan per layer output).  This benchmark measures both sides on
 the same 2-worker thread-backend workload as the parallel pipeline

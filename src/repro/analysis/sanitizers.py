@@ -2,10 +2,11 @@
 
 Three cooperating sanitizers, selected through
 ``ParallelConfig(sanitize=...)`` and active only while a
-:class:`SanitizerSession` is installed (every hook in the hot paths is a
-module-level global that is ``None`` by default, so the instrumentation
-costs one global load when off — the invariant lint's INV007 enforces
-exactly that pattern):
+:class:`SanitizerSession` is installed in the ``sanitizer`` slot of
+:mod:`repro.hooks` (every site in the hot paths reads ``hooks.sanitizer``
+behind an ``is not None`` guard, so the instrumentation costs one
+attribute load when off — the invariant lint's INV007 enforces exactly
+that pattern):
 
 * **Race detector** (``"race"``, RC0xx) — a lockset/ownership checker over
   the engine's shared state.  Instrumented critical sections declare the
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import importlib
 import math
 import threading
 import traceback
@@ -56,20 +56,11 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro import hooks
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, diag
 
 #: The sanitizer modes ``ParallelConfig(sanitize=...)`` understands.
 SANITIZE_MODES = ("race", "numeric", "determinism")
-
-#: ``(module, attribute)`` hook sites; each module declares the attribute as
-#: ``None`` and guards every use with ``is not None`` (INV007).
-HOOK_SITES = (
-    ("repro.cost", "_CLOCK_SANITIZER"),
-    ("repro.video.stream", "_FRAME_CACHE_SANITIZER"),
-    ("repro.nn.network", "_LAYER_SANITIZER"),
-    ("repro.query.parallel", "_WORKER_SANITIZER"),
-    ("repro.query.session", "_WORKER_SANITIZER"),
-)
 
 
 def parse_sanitize_spec(spec: str | Iterable[str] | None) -> frozenset[str]:
@@ -133,7 +124,7 @@ class _OpenAccess:
 
 
 class SanitizerSession:
-    """One activation of the runtime sanitizers (installs / removes the hooks)."""
+    """One activation of the runtime sanitizers (it installs itself in ``hooks.sanitizer``)."""
 
     def __init__(self, modes: Iterable[str] | str | None, strict: bool = True) -> None:
         self.modes = parse_sanitize_spec(modes)
@@ -147,7 +138,6 @@ class SanitizerSession:
         self._windows: list[_OpenAccess] = []
         self._local = threading.local()
         self._chunk_digests: dict[int, str | None] = {}
-        self._installed = False
 
     # ------------------------------------------------------------------
     # Mode queries
@@ -433,42 +423,22 @@ class SanitizerSession:
     # Hook installation
     # ------------------------------------------------------------------
     def activate(self) -> "SanitizerSession":
-        """Install this session into every hook site (one active session at a time)."""
-        global _ACTIVE_SESSION
-        with _ACTIVATION_LOCK:
-            if _ACTIVE_SESSION is not None:
-                raise RuntimeError(
-                    "a sanitizer session is already active; sanitized scans "
-                    "cannot nest or run concurrently in one process"
-                )
-            for module_name, attribute in HOOK_SITES:
-                module = importlib.import_module(module_name)
-                setattr(module, attribute, self)
-            self._installed = True
-            _ACTIVE_SESSION = self
+        """Install this session in ``hooks.sanitizer`` (one active session at a time)."""
+        if not hooks.install("sanitizer", self):
+            raise RuntimeError(
+                "a sanitizer session is already active; sanitized scans "
+                "cannot nest or run concurrently in one process"
+            )
         return self
 
     def deactivate(self) -> None:
-        """Remove the hooks (idempotent)."""
-        global _ACTIVE_SESSION
-        with _ACTIVATION_LOCK:
-            if not self._installed:
-                return
-            for module_name, attribute in HOOK_SITES:
-                module = importlib.import_module(module_name)
-                setattr(module, attribute, None)
-            self._installed = False
-            if _ACTIVE_SESSION is self:
-                _ACTIVE_SESSION = None
-
-
-_ACTIVATION_LOCK = threading.Lock()
-_ACTIVE_SESSION: SanitizerSession | None = None
+        """Empty the slot if this session holds it (idempotent)."""
+        hooks.uninstall("sanitizer", self)
 
 
 def active_session() -> SanitizerSession | None:
     """The currently installed session, if any (used by the executor)."""
-    return _ACTIVE_SESSION
+    return hooks.sanitizer
 
 
 def _strict_error(finding: Diagnostic) -> Exception:
@@ -498,7 +468,6 @@ def sanitized_scan(
 
 
 __all__ = [
-    "HOOK_SITES",
     "SANITIZE_MODES",
     "SanitizerSession",
     "active_session",

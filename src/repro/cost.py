@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro import hooks
+
 
 # Latencies in milliseconds per frame, as reported in Section IV of the paper.
 IC_BRANCH_MS = 1.5
@@ -386,11 +388,6 @@ class QueryBudget:
         return found
 
 
-# Runtime sanitizer hook, installed by repro.analysis.sanitizers while a
-# sanitized scan runs.  ``None`` means off, and every use is guarded with
-# ``is not None`` so the uninstrumented path costs one global load (INV007).
-_CLOCK_SANITIZER = None
-
 #: Clock component retry backoff is charged to (see
 #: :class:`repro.faults.RetryPolicy`): recovery time is simulated cost,
 #: never a wall-clock sleep, so retried runs stay deterministic.
@@ -405,8 +402,8 @@ class SimulatedClock:
 
     def charge(self, component: str, milliseconds: float, calls: int = 1) -> None:
         """Charge ``milliseconds`` of simulated latency to ``component``."""
-        if _CLOCK_SANITIZER is not None:
-            with _CLOCK_SANITIZER.clock_access(self, "charge", component, milliseconds):
+        if hooks.sanitizer is not None:
+            with hooks.sanitizer.clock_access(self, "charge", component, milliseconds):
                 self._charge_unchecked(component, milliseconds, calls)
             return
         self._charge_unchecked(component, milliseconds, calls)
@@ -432,8 +429,8 @@ class SimulatedClock:
         can show how much work the reuse avoided (see
         :attr:`CostBreakdown.per_component_reused`).
         """
-        if _CLOCK_SANITIZER is not None:
-            with _CLOCK_SANITIZER.clock_access(self, "reuse", component, 0.0):
+        if hooks.sanitizer is not None:
+            with hooks.sanitizer.clock_access(self, "reuse", component, 0.0):
                 self._reuse_unchecked(component, calls)
             return
         self._reuse_unchecked(component, calls)

@@ -6,7 +6,6 @@ backends); this package holds everything both sides of a fault share.
 """
 
 from repro.faults.injector import (
-    FAULT_HOOK_SITES,
     FAULT_SITES,
     FaultError,
     FaultExhausted,
@@ -16,7 +15,6 @@ from repro.faults.injector import (
     InjectedFault,
     QuarantineRecord,
     RetryPolicy,
-    clear_fault_hooks,
     current_injector,
     current_report,
     install,
@@ -26,7 +24,6 @@ from repro.faults.injector import (
 )
 
 __all__ = [
-    "FAULT_HOOK_SITES",
     "FAULT_SITES",
     "FaultError",
     "FaultExhausted",
@@ -36,7 +33,6 @@ __all__ = [
     "InjectedFault",
     "QuarantineRecord",
     "RetryPolicy",
-    "clear_fault_hooks",
     "current_injector",
     "current_report",
     "install",

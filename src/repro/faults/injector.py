@@ -5,11 +5,10 @@ The fault-tolerance layer has two halves that meet in this module:
 * **Injection** — :class:`FaultInjector` raises seeded, schedule-driven
   faults at eight well-known sites (decode, filter, detector, worker
   crash/stall, queue stall, emitter, shard crash).  It installs itself
-  into the hook modules listed in :data:`FAULT_HOOK_SITES` exactly the
-  way the runtime sanitizers do: each module holds a module-level
-  ``_FAULT_INJECTOR = None`` global and every use sits behind an
-  ``is not None`` guard, so the uninstalled cost is one global load per
-  site (INV009 in ``tools/lint_invariants.py`` enforces the pattern).
+  in the ``injector`` slot of :mod:`repro.hooks`, next to the runtime
+  sanitizers' slot: every site reads ``hooks.injector`` behind an
+  ``is not None`` guard, so the uninstalled cost is one attribute load
+  per site (INV007 in ``tools/lint_invariants.py`` enforces the pattern).
 
 * **Recovery bookkeeping** — :class:`RetryPolicy` bounds retries with
   exponential backoff charged to a :class:`~repro.cost.SimulatedClock`
@@ -25,15 +24,14 @@ global RNG whose state would depend on call interleaving.
 
 from __future__ import annotations
 
-import importlib
 import os
-import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Callable, Mapping, TypeVar
 
+from repro import hooks
 from repro.cost import RETRY_BACKOFF_COMPONENT, SimulatedClock
 
 T = TypeVar("T")
@@ -48,18 +46,6 @@ FAULT_SITES = (
     "queue_stall",
     "emitter",
     "shard_crash",
-)
-
-#: ``(module, attribute)`` pairs holding the zero-overhead hook globals.
-#: :func:`install` sets each attribute to the injector; :func:`uninstall`
-#: restores ``None``.  Mirrors ``repro.analysis.sanitizers.HOOK_SITES``.
-FAULT_HOOK_SITES = (
-    ("repro.video.stream", "_FAULT_INJECTOR"),
-    ("repro.query.parallel", "_FAULT_INJECTOR"),
-    ("repro.query.session", "_FAULT_INJECTOR"),
-    ("repro.service.service", "_FAULT_INJECTOR"),
-    ("repro.service.ingest", "_FAULT_INJECTOR"),
-    ("repro.service.emitters", "_FAULT_INJECTOR"),
 )
 
 
@@ -248,7 +234,7 @@ class FaultInjector:
     regardless of thread interleaving.
 
     The injector is also a context manager: ``with injector:`` installs
-    it into every hook module and uninstalls on exit.
+    it in ``hooks.injector`` and uninstalls on exit.
     """
 
     def __init__(
@@ -419,7 +405,7 @@ class FaultInjector:
         return self.log.freeze(quarantined)
 
     # ------------------------------------------------------------------
-    # Hook installation (mirrors repro.analysis.sanitizers)
+    # Hook installation
     # ------------------------------------------------------------------
     def __enter__(self) -> "FaultInjector":
         install(self)
@@ -429,26 +415,15 @@ class FaultInjector:
         uninstall(self)
 
 
-_HOOK_LOCK = threading.Lock()
-_CURRENT: FaultInjector | None = None
-
-
 def install(injector: FaultInjector) -> None:
-    """Install ``injector`` into every hook module.
+    """Install ``injector`` in ``hooks.injector``.
 
-    Refuses to stack: exactly one injector may be live at a time (the
-    hook globals hold a single reference each).
+    Refuses to stack: exactly one injector may be live at a time.
     """
-    global _CURRENT
-    with _HOOK_LOCK:
-        if _CURRENT is not None:
-            raise RuntimeError(
-                "a FaultInjector is already installed; uninstall it first"
-            )
-        for module_name, attribute in FAULT_HOOK_SITES:
-            module = importlib.import_module(module_name)
-            setattr(module, attribute, injector)
-        _CURRENT = injector
+    if not hooks.install("injector", injector):
+        raise RuntimeError(
+            "a FaultInjector is already installed; uninstall it first"
+        )
 
 
 def uninstall(injector: FaultInjector | None = None) -> None:
@@ -457,41 +432,11 @@ def uninstall(injector: FaultInjector | None = None) -> None:
     Passing a specific ``injector`` uninstalls only if it is the one
     currently live — a stale handle from an earlier session is a no-op.
     """
-    global _CURRENT
-    with _HOOK_LOCK:
-        if _CURRENT is None:
-            return
-        if injector is not None and injector is not _CURRENT:
-            return
-        for module_name, attribute in FAULT_HOOK_SITES:
-            module = importlib.import_module(module_name)
-            setattr(module, attribute, None)
-        _CURRENT = None
-
-
-def clear_fault_hooks() -> None:
-    """Drop any inherited injector in a pool worker (child-side reset).
-
-    A forked worker process inherits ``_CURRENT`` and every hook module's
-    global as *copies* whose schedules the parent keeps consuming
-    independently — letting the child consult them would re-fire faults
-    the parent already delivered or retried.  Worker-targeted faults are
-    decided parent-side (:meth:`FaultInjector.worker_directive`) and
-    shipped with the task, so a worker needs no injector at all.  Runs
-    from the process-pool initializer; only touches modules the child has
-    actually imported.
-    """
-    global _CURRENT
-    with _HOOK_LOCK:
-        _CURRENT = None
-        for module_name, attribute in FAULT_HOOK_SITES:
-            module = sys.modules.get(module_name)
-            if module is not None:
-                setattr(module, attribute, None)
+    hooks.uninstall("injector", injector)
 
 
 def current_injector() -> FaultInjector | None:
-    return _CURRENT
+    return hooks.injector
 
 
 def current_report(
@@ -589,10 +534,7 @@ def maybe_install_from_env() -> FaultInjector | None:
     spec = os.environ.get("REPRO_FAULTS", "").strip()
     if not spec:
         return None
-    with _HOOK_LOCK:
-        already = _CURRENT is not None
-    if already:
-        return None
     injector = parse_fault_spec(spec)
-    install(injector)
-    return injector
+    # One check-and-set: of two services constructed concurrently, one
+    # installs and the other sees the slot taken.
+    return injector if hooks.install("injector", injector) else None

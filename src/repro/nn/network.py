@@ -10,17 +10,12 @@ building block for trunks and heads.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro import hooks
 from repro.nn.layers import Layer
-
-# Runtime numeric-sanitizer hook, installed by repro.analysis.sanitizers
-# while a sanitized scan runs.  ``None`` means off, and every use is guarded
-# with ``is not None`` so the uninstrumented forward loop is unchanged
-# (INV007).
-_LAYER_SANITIZER: Any = None
 
 
 def _weights_path(path: str | Path) -> Path:
@@ -47,10 +42,10 @@ class Sequential:
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output = inputs
-        if _LAYER_SANITIZER is not None:
+        if hooks.sanitizer is not None:
             for position, layer in enumerate(self.layers):
                 output = layer.forward(output)
-                _LAYER_SANITIZER.check_layer_output(self, position, layer, output)
+                hooks.sanitizer.check_layer_output(self, position, layer, output)
             return output
         for layer in self.layers:
             output = layer.forward(output)

@@ -601,7 +601,7 @@ class StreamingQueryExecutor:
         activated :class:`~repro.analysis.sanitizers.SanitizerSession`:
         findings raise ``AnalysisError`` mid-scan (``sanitize_strict=True``,
         the default) or are collected into ``sanitizer_report`` and surfaced
-        as Python warnings.  ``sanitize=None`` leaves every hook uninstalled.
+        as Python warnings.  ``sanitize=None`` leaves ``hooks.sanitizer`` empty.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be positive: {batch_size}")

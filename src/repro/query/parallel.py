@@ -66,8 +66,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import hooks
 from repro.cost import CostBreakdown, ParallelCostReport, SimulatedClock
-from repro.faults.injector import FaultError, FaultExhausted, clear_fault_hooks
+from repro.faults.injector import FaultError, FaultExhausted
 from repro.filters.base import FilterPrediction, FrameFilter
 from repro.query.planner import (
     FilterCascade,
@@ -76,16 +77,6 @@ from repro.query.planner import (
     replan_order,
 )
 from repro.video.stream import Frame, VideoStream
-
-# Runtime sanitizer hook, installed by repro.analysis.sanitizers while a
-# sanitized scan runs.  ``None`` means off, and every use is guarded with
-# ``is not None`` so the uninstrumented engine is unchanged (INV007).
-_WORKER_SANITIZER = None
-
-# Fault-injection hook, installed by repro.faults while a chaos session
-# runs.  Same zero-overhead contract (INV009): ``None`` means off, every
-# use sits behind an ``is not None`` guard.
-_FAULT_INJECTOR = None
 
 
 @dataclass(frozen=True)
@@ -192,8 +183,8 @@ class ParallelConfig:
             if env_spec:
                 modes = parse_sanitize_spec(env_spec)
                 if self.backend == "process":
-                    # Race/numeric hooks live in the parent's modules; spawn
-                    # or fork workers never see the installed session, so an
+                    # The session lives in the parent's ``hooks.sanitizer``; a
+                    # pool worker empties its copy of the slot, so an
                     # env-driven default silently keeps what the backend can
                     # actually run.
                     modes = modes - {"race", "numeric"}
@@ -426,12 +417,12 @@ def run_filter_chunk(
     ``step_stats[q][p]`` holds the ``(evaluated, passed)`` counts of planned
     step ``p`` for the profiler.
     """
-    if _FAULT_INJECTOR is not None:
+    if hooks.injector is not None:
         # Fault site *before* any accumulation, keyed by the chunk's first
         # frame index (identical inline and in workers), so a faulted chunk
         # is all-or-nothing and a retry replays it bit-identically.
         if frames:
-            _FAULT_INJECTOR.filter_event(frames[0].index)
+            hooks.injector.filter_event(frames[0].index)
     num_queries = len(query_cascades)
     alive_indices: list[list[int]] = []
     filter_invocations = [0] * num_queries
@@ -585,6 +576,44 @@ def _attach_worker_clock(
     return clock
 
 
+class _Worker:
+    """One pool worker's private cascades and clock, and the one task body."""
+
+    def __init__(
+        self,
+        label: str,
+        cascades: Sequence[FilterCascade],
+        assignments: Sequence[Sequence[int]],
+    ) -> None:
+        self.label = label
+        self.cascades = cascades
+        self.assignments = assignments
+        self.clock = _attach_worker_clock(cascades)
+
+    def filter_chunk(
+        self,
+        chunk_id: int,
+        covered: Sequence[Sequence[bool]] | None,
+        orders: Sequence[Sequence[int]],
+        frames: Sequence[Frame],
+    ) -> ChunkOutcome:
+        """Filter one chunk; the outcome carries the chunk's delta of the clock."""
+        baseline = self.clock.snapshot()
+        alive, invocations, attributed, computed, step_stats = run_filter_chunk(
+            self.cascades, self.assignments, covered, orders, frames
+        )
+        return ChunkOutcome(
+            chunk_id=chunk_id,
+            worker=self.label,
+            alive=tuple(tuple(row) for row in alive),
+            filter_invocations=tuple(invocations),
+            attributed=tuple(attributed),
+            computed=computed,
+            step_stats=tuple(tuple(row) for row in step_stats),
+            breakdown=self.clock.delta_since(baseline),
+        )
+
+
 def _apply_worker_directive(
     directive: tuple[str, float] | None, chunk_id: int, process: bool
 ) -> None:
@@ -623,12 +652,10 @@ class _ThreadBackend:
         query_cascades: Sequence[FilterCascade],
         assignments: Sequence[Sequence[int]],
     ) -> None:
-        self._assignments = [list(row) for row in assignments]
         self._slots: queue.SimpleQueue = queue.SimpleQueue()
         for worker_id in range(config.num_workers):
             clones = copy.deepcopy(list(query_cascades))
-            clock = _attach_worker_clock(clones)
-            self._slots.put((worker_id, clones, clock))
+            self._slots.put(_Worker(f"thread-{worker_id}", clones, assignments))
         self._pool = ThreadPoolExecutor(
             max_workers=config.num_workers, thread_name_prefix="filter-worker"
         )
@@ -640,12 +667,8 @@ class _ThreadBackend:
         frames: Sequence[Frame],
         covered: Sequence[Sequence[bool]] | None,
         orders: Sequence[Sequence[int]],
+        directive: tuple[str, float] | None,
     ) -> tuple[Future, object]:
-        directive = None
-        if _FAULT_INJECTOR is not None:
-            # Crash/stall decided parent-side at submission so a redispatch
-            # (which consults the schedule again) runs the chunk clean.
-            directive = _FAULT_INJECTOR.worker_directive(chunk_id)
         return (
             self._pool.submit(
                 self._task, chunk_id, frames, covered, orders, directive
@@ -662,30 +685,16 @@ class _ThreadBackend:
         directive: tuple[str, float] | None = None,
     ) -> ChunkOutcome:
         _apply_worker_directive(directive, chunk_id, process=False)
-        worker_id, cascades, clock = self._slots.get()
+        worker: _Worker = self._slots.get()
         try:
-            if _WORKER_SANITIZER is not None:
-                window = _WORKER_SANITIZER.worker_window(chunk_id, id(cascades))
+            if hooks.sanitizer is not None:
+                window = hooks.sanitizer.worker_window(chunk_id, id(worker.cascades))
             else:
                 window = nullcontext()
             with window:
-                baseline = clock.snapshot()
-                alive, invocations, attributed, computed, step_stats = run_filter_chunk(
-                    cascades, self._assignments, covered, orders, frames
-                )
-                delta = clock.delta_since(baseline)
+                return worker.filter_chunk(chunk_id, covered, orders, frames)
         finally:
-            self._slots.put((worker_id, cascades, clock))
-        return ChunkOutcome(
-            chunk_id=chunk_id,
-            worker=f"thread-{worker_id}",
-            alive=tuple(tuple(row) for row in alive),
-            filter_invocations=tuple(invocations),
-            attributed=tuple(attributed),
-            computed=computed,
-            step_stats=tuple(tuple(row) for row in step_stats),
-            breakdown=delta,
-        )
+            self._slots.put(worker)
 
     def release(self, handle: object) -> None:  # symmetric with _ProcessBackend
         return None
@@ -708,13 +717,14 @@ _PROCESS_STATE: dict = {}
 
 
 def _init_process_worker(payload: bytes) -> None:
-    # A forked worker must never consult its inherited injector copy:
-    # worker faults are decided parent-side and shipped with the task.
-    clear_fault_hooks()
-    query_cascades, assignments = pickle.loads(payload)
-    _PROCESS_STATE["cascades"] = query_cascades
-    _PROCESS_STATE["assignments"] = assignments
-    _PROCESS_STATE["clock"] = _attach_worker_clock(query_cascades)
+    # A forked worker inherits both hook slots as copies and must consult
+    # neither.  The parent keeps consuming the injector's schedule on its
+    # own (worker faults are decided parent-side in
+    # ``WorkerSupervisor._dispatch`` and shipped with the task), and a
+    # sanitizer session's findings recorded in the child would never reach
+    # the parent's report.
+    hooks.reset()
+    _PROCESS_STATE["worker"] = _Worker(f"pid-{os.getpid()}", *pickle.loads(payload))
 
 
 def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
@@ -742,8 +752,6 @@ def _process_chunk_task(
     # Before attaching shared memory: a crashed/stalled attempt must not
     # hold an open view over a block the supervisor is about to unlink.
     _apply_worker_directive(directive, chunk_id, process=True)
-    state = _PROCESS_STATE
-    clock: SimulatedClock = state["clock"]
     block = _attach_shared_memory(shm_name)
     try:
         images = np.ndarray(shape, dtype=np.dtype(dtype_name), buffer=block.buf)
@@ -751,11 +759,7 @@ def _process_chunk_task(
             Frame(index=index, image=images[k], ground_truth=None)
             for k, index in enumerate(indices)
         ]
-        baseline = clock.snapshot()
-        alive, invocations, attributed, computed, step_stats = run_filter_chunk(
-            state["cascades"], state["assignments"], covered, orders, frames
-        )
-        delta = clock.delta_since(baseline)
+        return _PROCESS_STATE["worker"].filter_chunk(chunk_id, covered, orders, frames)
     finally:
         # Drop every view over the shared block before closing it; a live
         # exported buffer would make close() raise.
@@ -765,20 +769,10 @@ def _process_chunk_task(
             block.close()
         except BufferError:  # pragma: no cover - defensive
             pass
-    return ChunkOutcome(
-        chunk_id=chunk_id,
-        worker=f"pid-{os.getpid()}",
-        alive=tuple(tuple(row) for row in alive),
-        filter_invocations=tuple(invocations),
-        attributed=tuple(attributed),
-        computed=computed,
-        step_stats=tuple(tuple(row) for row in step_stats),
-        breakdown=delta,
-    )
 
 
 def _process_warmup() -> bool:
-    return "cascades" in _PROCESS_STATE
+    return "worker" in _PROCESS_STATE
 
 
 class _ProcessBackend:
@@ -859,6 +853,7 @@ class _ProcessBackend:
         frames: Sequence[Frame],
         covered: Sequence[Sequence[bool]] | None,
         orders: Sequence[Sequence[int]],
+        directive: tuple[str, float] | None,
     ) -> tuple[Future, object]:
         images = [frame.image for frame in frames]
         shape = (len(images),) + images[0].shape
@@ -872,11 +867,6 @@ class _ProcessBackend:
         for k, image in enumerate(images):
             stacked[k] = image
         del stacked
-        directive = None
-        if _FAULT_INJECTOR is not None:
-            # Parent-side decision: fork/spawn children hold stale schedule
-            # copies that must never be consulted for crash/stall.
-            directive = _FAULT_INJECTOR.worker_directive(chunk_id)
         try:
             future = self._pool.submit(
                 _process_chunk_task,
@@ -928,6 +918,7 @@ def _make_backend(
     return _ThreadBackend(config, query_cascades, assignments)
 
 
+@dataclass(slots=True, eq=False)
 class ChunkDispatch:
     """One dispatched chunk and everything needed to re-dispatch it.
 
@@ -936,35 +927,15 @@ class ChunkDispatch:
     so a recovered run stays bit-identical to a fault-free one.
     """
 
-    __slots__ = (
-        "chunk_id",
-        "indices",
-        "frames",
-        "covered",
-        "orders",
-        "future",
-        "handle",
-        "generation",
-        "attempts",
-    )
-
-    def __init__(
-        self,
-        chunk_id: int,
-        indices: Sequence[int],
-        frames: list[Frame],
-        covered: Sequence[Sequence[bool]] | None,
-        orders: Sequence[Sequence[int]],
-    ) -> None:
-        self.chunk_id = chunk_id
-        self.indices = list(indices)
-        self.frames = frames
-        self.covered = covered
-        self.orders = orders
-        self.future: Future | None = None
-        self.handle: object = None
-        self.generation = 0
-        self.attempts = 0
+    chunk_id: int
+    indices: list[int]
+    frames: list[Frame]
+    covered: Sequence[Sequence[bool]] | None
+    orders: Sequence[Sequence[int]]
+    future: Future | None = None
+    handle: object = None
+    generation: int = 0
+    attempts: int = 0
 
 
 class WorkerSupervisor:
@@ -1011,13 +982,20 @@ class WorkerSupervisor:
         covered: Sequence[Sequence[bool]] | None,
         orders: Sequence[Sequence[int]],
     ) -> ChunkDispatch:
-        entry = ChunkDispatch(chunk_id, indices, frames, covered, orders)
+        entry = ChunkDispatch(chunk_id, list(indices), frames, covered, orders)
         self._dispatch(entry)
         return entry
 
     def _dispatch(self, entry: ChunkDispatch) -> None:
         entry.attempts += 1
         entry.generation = self._generation
+        directive = None
+        if hooks.injector is not None:
+            # The one worker-fault site.  Crash/stall is decided here,
+            # parent-side (fork/spawn children hold stale schedule copies),
+            # and again on every re-dispatch: the schedule entry is consumed
+            # by then, so the re-dispatched attempt runs the chunk clean.
+            directive = hooks.injector.worker_directive(entry.chunk_id)
         try:
             entry.future, entry.handle = self._backend.submit(
                 entry.chunk_id,
@@ -1025,6 +1003,7 @@ class WorkerSupervisor:
                 entry.frames,
                 entry.covered,
                 entry.orders,
+                directive,
             )
         except BrokenExecutor as error:
             # A sibling's crash can break the pool before this chunk even
@@ -1066,8 +1045,8 @@ class WorkerSupervisor:
         if not self._config.supervise:
             raise error
         if entry.attempts > self._config.max_redispatch:
-            if _FAULT_INJECTOR is not None:
-                _FAULT_INJECTOR.log.note_exhausted()
+            if hooks.injector is not None:
+                hooks.injector.log.note_exhausted()
             raise FaultExhausted(
                 "worker",
                 entry.chunk_id,
@@ -1077,15 +1056,15 @@ class WorkerSupervisor:
         if respawn and entry.generation == self._generation:
             self._respawn()
         self.redispatches += 1
-        if _FAULT_INJECTOR is not None:
-            _FAULT_INJECTOR.log.note_redispatch()
+        if hooks.injector is not None:
+            hooks.injector.log.note_redispatch()
         self._dispatch(entry)
 
     def _respawn(self) -> None:
         self._generation += 1
         self.respawns += 1
-        if _FAULT_INJECTOR is not None:
-            _FAULT_INJECTOR.log.note_respawn()
+        if hooks.injector is not None:
+            hooks.injector.log.note_respawn()
         old = self._backend
         # Fresh pool first: re-dispatched chunks must never queue behind a
         # stalled task in the old one.  The old pool is abandoned without

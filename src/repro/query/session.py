@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro import hooks
 from repro.aggregates.windows import HoppingWindow, WindowBounds, warn_window_tail_drop
 from repro.cost import BudgetViolation, CostBreakdown, QueryBudget, SimulatedClock
 from repro.detection.base import Detector
@@ -92,16 +93,6 @@ from repro.video.stream import Frame
 
 if TYPE_CHECKING:  # runtime import would be circular (executor imports us)
     from repro.query.executor import QueryExecutionResult, WindowResult
-
-# Runtime sanitizer hook, installed by repro.analysis.sanitizers while a
-# sanitized scan runs.  ``None`` means off, and every use is guarded with
-# ``is not None`` so the uninstrumented engine is unchanged (INV007).
-_WORKER_SANITIZER = None
-
-# Fault-injection hook, installed by repro.faults while a chaos session
-# runs.  Same zero-overhead contract as the sanitizer hooks (INV009):
-# ``None`` means off, every use sits behind an ``is not None`` guard.
-_FAULT_INJECTOR = None
 
 #: Version tag of the :meth:`ScanSession.checkpoint` payload schema.
 CHECKPOINT_VERSION = 2
@@ -579,12 +570,12 @@ class ScanSession:
         cascades = [self._active_cascades[row] for row in rows]
         assignments = [self._assignments[row] for row in rows]
         orders = self._orders(sids)
-        if _FAULT_INJECTOR is not None:
+        if hooks.injector is not None:
             # Chunk-atomic retry: the fault site is *before* any
             # accumulation inside run_filter_chunk, so a retried chunk
             # replays bit-identically and exhaustion poisons the whole
             # chunk (no partial counters to unwind).
-            filtered = _FAULT_INJECTOR.with_retry(
+            filtered = hooks.injector.with_retry(
                 "filter",
                 frames[0].index,
                 self.clock,
@@ -624,9 +615,9 @@ class ScanSession:
                 continue
             for row in interested:
                 passed[row].append(k)
-            if _FAULT_INJECTOR is not None:
+            if hooks.injector is not None:
                 try:
-                    detections = _FAULT_INJECTOR.with_retry(
+                    detections = hooks.injector.with_retry(
                         "detector",
                         frame.index,
                         self.clock,
@@ -762,8 +753,8 @@ class ScanSession:
                 # Poisoned chunk: supervision re-dispatched it to the limit.
                 # The handle is already released; quarantine and keep merging.
                 self._quarantine(entry.frames, error)
-        if _WORKER_SANITIZER is not None:
-            _WORKER_SANITIZER.observe_chunk(chunk_id, outcome)
+        if hooks.sanitizer is not None:
+            hooks.sanitizer.observe_chunk(chunk_id, outcome)
         if outcome is None:
             return
         self._worker_totals[outcome.worker] = self._worker_totals.get(

@@ -17,15 +17,12 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
+from repro import hooks
+
 if TYPE_CHECKING:
     from repro.cost import BudgetViolation
     from repro.faults.injector import QuarantineRecord
     from repro.query.executor import QueryExecutionResult, WindowResult
-
-# Fault-injection hook, installed by repro.faults while a chaos session runs.
-# ``None`` means off; every use sits behind an ``is not None`` guard so the
-# fault-free delivery path stays a plain try/except loop (INV009).
-_FAULT_INJECTOR = None
 
 
 @dataclass(frozen=True)
@@ -132,9 +129,9 @@ def deliver(
     failures = 0
     for emitter in emitters:
         try:
-            if _FAULT_INJECTOR is not None:
+            if hooks.injector is not None:
                 # Injected emitter fault: simulates this subscriber raising.
-                _FAULT_INJECTOR.emitter_event()
+                hooks.injector.emitter_event()
             emitter.emit(emission)
         except Exception as error:
             failures += 1

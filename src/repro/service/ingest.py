@@ -22,15 +22,11 @@ import threading
 from collections import deque
 from typing import Sequence
 
+from repro import hooks
 from repro.video.stream import Frame
 
 #: the admissible backpressure policies, in documentation order
 POLICIES = ("block", "drop_oldest", "degrade")
-
-# Fault-injection hook, installed by repro.faults while a chaos session runs.
-# ``None`` means off; the single use is guarded with ``is not None`` so the
-# fault-free dequeue path is untouched (INV009).
-_FAULT_INJECTOR = None
 
 
 class IngestionQueue:
@@ -89,12 +85,12 @@ class IngestionQueue:
         Also clears ``degrade_requested`` once the depth falls to half the
         soft capacity or below (the hysteresis that ends a degraded episode).
         """
-        if _FAULT_INJECTOR is not None:
+        if hooks.injector is not None:
             # Injected queue stall: this dequeue times out empty exactly as a
             # slow producer would make it.  The chunk stays queued; callers
             # must already treat ``None`` as "poll again" (the shard worker's
             # timed loop does), so no work is lost.
-            if _FAULT_INJECTOR.queue_stall():
+            if hooks.injector.queue_stall():
                 return None
         with self._not_empty:
             while not self._chunks:

@@ -24,6 +24,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro import hooks
 from repro.analysis.diagnostics import AnalysisError
 from repro.cost import BudgetViolation, QueryBudget, SimulatedClock
 from repro.detection.base import Detector
@@ -47,11 +48,6 @@ from repro.video.stream import Frame
 
 #: results of closing a stream: handle -> final execution result
 StreamResults = Mapping[int, "object"]
-
-# Fault-injection hook, installed by repro.faults while a chaos session runs.
-# ``None`` means off; every use sits behind an ``is not None`` guard so the
-# fault-free shard loop pays nothing (INV009).
-_FAULT_INJECTOR = None
 
 #: the shard worker's dequeue poll interval: short enough that
 #: ``stop(drain=False)`` is observed promptly, long enough to stay off the
@@ -270,8 +266,8 @@ class _StreamShard:
         while True:
             attempts += 1
             try:
-                if _FAULT_INJECTOR is not None:
-                    _FAULT_INJECTOR.shard_event(self.name, self.chunks_processed)
+                if hooks.injector is not None:
+                    hooks.injector.shard_event(self.name, self.chunks_processed)
                 self._process_chunk(chunk)
                 return
             except FaultExhausted as error:
@@ -640,12 +636,17 @@ class QueryService:
         Idempotent: a second ``close`` finds no streams and returns ``{}``.
         """
         results: dict[int, object] = {}
-        for name in list(self._shards):
-            results.update(self.close_stream(name))
-        self._started = False
-        if self._env_injector is not None:
-            uninstall(self._env_injector)
-            self._env_injector = None
+        try:
+            for name in list(self._shards):
+                results.update(self.close_stream(name))
+            self._started = False
+        finally:
+            # Also when a stream's close raised: an injector nobody owns
+            # would stay live process-wide, and the next service would find
+            # the slot taken and decline to install its own.
+            if self._env_injector is not None:
+                uninstall(self._env_injector)
+                self._env_injector = None
         return results
 
     def __enter__(self) -> "QueryService":

@@ -18,20 +18,11 @@ import numpy as np
 
 from contextlib import nullcontext
 
+from repro import hooks
 from repro.spatial.grid import Grid
 from repro.video.renderer import FrameRenderer, RendererConfig
 from repro.video.scene import FrameGroundTruth, Scene, SceneConfig, SceneSimulator
 from repro.video.synthesis import DatasetProfile
-
-# Runtime sanitizer hook, installed by repro.analysis.sanitizers while a
-# sanitized scan runs.  ``None`` means off, and every use is guarded with
-# ``is not None`` so the uninstrumented path stays lock-and-dict only (INV007).
-_FRAME_CACHE_SANITIZER = None
-
-# Fault-injection hook, installed by repro.faults while a chaos session
-# runs.  Same zero-overhead contract (INV009): ``None`` means off, every
-# use sits behind an ``is not None`` guard.
-_FAULT_INJECTOR = None
 
 
 @dataclass(frozen=True)
@@ -173,8 +164,8 @@ class VideoStream:
         stay silent; an access path that skipped the lock would declare an
         empty lockset and be reported as RC001.
         """
-        if _FRAME_CACHE_SANITIZER is not None:
-            return _FRAME_CACHE_SANITIZER.cache_access(
+        if hooks.sanitizer is not None:
+            return hooks.sanitizer.cache_access(
                 self, frozenset((id(self._frame_cache_lock),))
             )
         return nullcontext()
@@ -187,8 +178,8 @@ class VideoStream:
         own); exhaustion propagates as ``FaultExhausted`` for the caller
         to quarantine.
         """
-        if _FAULT_INJECTOR is not None:
-            return _FAULT_INJECTOR.with_retry(
+        if hooks.injector is not None:
+            return hooks.injector.with_retry(
                 "decode", index, None, lambda: self._render_frame(index)
             )
         return self._render_frame(index)

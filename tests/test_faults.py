@@ -16,15 +16,16 @@ none.
 from __future__ import annotations
 
 import pickle
+import threading
 from contextlib import nullcontext
 
 import pytest
 
+from repro import hooks
 from repro.analysis import AnalysisError
 from repro.cost import RETRY_BACKOFF_COMPONENT, SimulatedClock
 from repro.detection import ReferenceDetector
 from repro.faults import (
-    FAULT_HOOK_SITES,
     FaultError,
     FaultExhausted,
     FaultInjector,
@@ -72,7 +73,7 @@ WHERE COUNT(car) >= 1
 # ----------------------------------------------------------------------
 @pytest.fixture(autouse=True)
 def _no_injector_leaks():
-    """Every test must leave the hook modules clean."""
+    """Every test must leave the injector slot empty."""
     assert current_injector() is None
     yield
     leaked = current_injector()
@@ -257,25 +258,30 @@ def test_with_retry_never_retries_genuine_errors():
 # Hook installation
 # ----------------------------------------------------------------------
 def test_install_uninstall_and_double_install_semantics():
-    import importlib
-
+    assert hooks.injector is None
     injector = FaultInjector()
     install(injector)
     try:
-        for module_name, attribute in FAULT_HOOK_SITES:
-            module = importlib.import_module(module_name)
-            assert getattr(module, attribute) is injector
+        assert hooks.injector is injector
         with pytest.raises(RuntimeError):
             install(FaultInjector())
         # A stale handle from another session must not evict the live one.
         uninstall(FaultInjector())
-        assert current_injector() is injector
+        assert hooks.injector is injector and current_injector() is injector
     finally:
         uninstall(injector)
-    for module_name, attribute in FAULT_HOOK_SITES:
-        module = importlib.import_module(module_name)
-        assert getattr(module, attribute) is None
+    assert hooks.injector is None
     uninstall()  # idempotent when nothing is installed
+    # The injector's slot is its own: the sanitizer's never moved.
+    assert hooks.sanitizer is None
+
+
+def test_injector_slot_is_emptied_when_the_session_body_raises():
+    with pytest.raises(KeyError):
+        with FaultInjector() as injector:
+            assert hooks.injector is injector
+            raise KeyError("boom")
+    assert hooks.injector is None
 
 
 def test_injector_is_a_context_manager():
@@ -329,6 +335,74 @@ def test_maybe_install_from_env(monkeypatch):
     # A second caller (e.g. a service built inside the session) defers.
     assert maybe_install_from_env() is None
     uninstall(injector)
+
+
+def test_concurrent_env_installs_have_one_winner_and_no_error(monkeypatch):
+    """Two services constructed at once with ``REPRO_FAULTS`` set: check and
+    install are one step, so one installs and the other defers.  They used
+    to be two lock acquisitions with the spec parse in between; both
+    callers passed the check and the loser died in ``install``."""
+    from repro.faults import injector as injector_module
+
+    monkeypatch.setenv("REPRO_FAULTS", "decode@3")
+    barrier = threading.Barrier(2)
+    parse = injector_module.parse_fault_spec
+
+    def parse_then_meet(spec):
+        # Hold both callers at the same point mid-call, past any early
+        # check, so the interleaving does not depend on the scheduler.
+        built = parse(spec)
+        barrier.wait(timeout=10)
+        return built
+
+    monkeypatch.setattr(injector_module, "parse_fault_spec", parse_then_meet)
+    outcomes: list = []
+
+    def construct():
+        try:
+            outcomes.append(maybe_install_from_env())
+        except Exception as error:  # the parent's failure mode
+            outcomes.append(error)
+
+    threads = [threading.Thread(target=construct) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    winners = [outcome for outcome in outcomes if outcome is not None]
+    assert len(outcomes) == 2 and len(winners) == 1, outcomes
+    assert current_injector() is winners[0]
+    uninstall(winners[0])
+
+
+def test_failed_service_close_still_uninstalls_the_env_injector(
+    cars_workload, tiny_jackson, monkeypatch
+):
+    """Regression: ``close()`` uninstalled the ``REPRO_FAULTS`` injector only
+    after every ``close_stream`` returned, so one raising left it live with
+    no owner and the next service declined to install its own."""
+    monkeypatch.setenv("REPRO_FAULTS", "decode@3")
+    queries, cascades = cars_workload
+    service = QueryService()
+    assert service._env_injector is not None
+    assert current_injector() is service._env_injector
+    service.attach_stream(
+        "cam", ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED)
+    )
+    service.register("cam", queries[0], cascades[0])
+
+    def failing_finish():
+        raise RuntimeError("worker error surfacing in the drain")
+
+    monkeypatch.setattr(service._shards["cam"], "finish", failing_finish)
+    with pytest.raises(RuntimeError, match="surfacing in the drain"):
+        service.close()
+    assert current_injector() is None
+    successor = QueryService()
+    try:
+        assert successor._env_injector is not None
+    finally:
+        successor.close()
 
 
 # ----------------------------------------------------------------------
@@ -750,7 +824,7 @@ def test_broken_submit_is_redispatched_exactly_once(monkeypatch):
         live: set = set()
         submitted = 0
 
-        def submit(self, chunk_id, indices, frames, covered, orders):
+        def submit(self, chunk_id, indices, frames, covered, orders, directive):
             if StubBackend.broken:
                 StubBackend.broken = False
                 raise BrokenExecutor("pool broken by a sibling's crash")

@@ -1,0 +1,110 @@
+"""The invariant lint itself: clean on the tree, and INV007 bites."""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+LINT = Path(__file__).resolve().parent.parent / "tools" / "lint_invariants.py"
+
+
+@pytest.fixture(scope="module")
+def lint():
+    spec = importlib.util.spec_from_file_location("lint_invariants", LINT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _inv007(lint, source: str) -> list[str]:
+    return lint.hook_findings(ast.parse(textwrap.dedent(source)), "sample.py")
+
+
+def test_the_tree_is_clean():
+    done = subprocess.run(
+        [sys.executable, str(LINT)], capture_output=True, text=True, check=False
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "all invariants hold" in done.stdout
+
+
+def test_the_lint_knows_every_slot(lint):
+    from repro import hooks
+
+    assert lint.HOOK_SLOTS == hooks.SLOTS
+
+
+def test_inv007_accepts_the_guarded_site_shapes(lint):
+    assert _inv007(
+        lint,
+        """
+        from repro import hooks
+
+        def decode(self, index):
+            if hooks.injector is not None:
+                return hooks.injector.with_retry("decode", index, None, self.render)
+            return self.render(index)
+
+        def task(self, chunk_id):
+            if hooks.sanitizer is not None:
+                window = hooks.sanitizer.worker_window(chunk_id)
+            else:
+                window = None
+            return window
+        """,
+    ) == []
+
+
+def test_inv007_reports_an_unguarded_use(lint):
+    findings = _inv007(
+        lint,
+        """
+        from repro import hooks
+
+        def emit():
+            hooks.injector.emitter_event()
+        """,
+    )
+    assert len(findings) == 1
+    assert findings[0].startswith("INV007 sample.py:5: hooks.injector used outside")
+
+
+def test_inv007_reports_a_use_in_the_else_branch_and_under_the_other_slot(lint):
+    findings = _inv007(
+        lint,
+        """
+        from repro import hooks
+
+        def emit():
+            if hooks.injector is not None:
+                pass
+            else:
+                hooks.injector.emitter_event()
+            if hooks.sanitizer is not None:
+                hooks.injector.emitter_event()
+        """,
+    )
+    assert [finding.split(":")[1] for finding in findings] == ["8", "10"]
+    assert all("hooks.injector used outside" in finding for finding in findings)
+
+
+def test_inv007_reports_an_import_time_binding(lint):
+    findings = _inv007(
+        lint,
+        """
+        from repro import hooks
+        from repro.hooks import injector
+
+        def emit():
+            if injector is not None:
+                injector.emitter_event()
+        """,
+    )
+    assert len(findings) == 1
+    assert findings[0].startswith("INV007 sample.py:3: `from repro.hooks import injector`")

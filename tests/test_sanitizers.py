@@ -20,9 +20,9 @@ import time
 import numpy as np
 import pytest
 
+from repro import hooks
 from repro.analysis import AnalysisError
 from repro.analysis.sanitizers import (
-    HOOK_SITES,
     SANITIZE_MODES,
     SanitizerSession,
     active_session,
@@ -490,21 +490,23 @@ def test_sanitize_none_keeps_parallel_parity_bit_identical(single_object_stream)
 
 
 def test_hooks_stay_uninstalled_without_a_session():
-    import importlib
-
-    for module_name, attribute in HOOK_SITES:
-        assert getattr(importlib.import_module(module_name), attribute) is None
+    assert hooks.sanitizer is None and active_session() is None
 
 
 def test_sanitized_scan_restores_hooks_even_on_error():
-    import importlib
-
     with pytest.raises(RuntimeError, match="boom"):
-        with sanitized_scan("race,numeric"):
-            for module_name, attribute in HOOK_SITES:
-                assert getattr(
-                    importlib.import_module(module_name), attribute
-                ) is not None
+        with sanitized_scan("race,numeric") as session:
+            assert hooks.sanitizer is session
+            # The sanitizer's slot is its own: the injector's never moved.
+            assert hooks.injector is None
             raise RuntimeError("boom")
-    for module_name, attribute in HOOK_SITES:
-        assert getattr(importlib.import_module(module_name), attribute) is None
+    assert hooks.sanitizer is None
+
+
+def test_stale_session_handle_does_not_evict_the_live_session():
+    stale = SanitizerSession("race")
+    stale.deactivate()  # never activated: a no-op
+    with sanitized_scan("numeric") as session:
+        stale.deactivate()
+        assert hooks.sanitizer is session
+    assert hooks.sanitizer is None

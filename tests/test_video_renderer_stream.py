@@ -58,6 +58,7 @@ def test_stream_iteration_and_access(single_object_stream):
     assert stream.duration_seconds == pytest.approx(40 / 30)
     frame = stream.frame(3)
     assert frame.index == 3
+    assert frame.image.dtype == np.uint8 and frame.image.shape[2] == 3
     assert frame.ground_truth.count >= 0
     frames = list(stream.iter_range(0, 6, 2))
     assert [f.index for f in frames] == [0, 2, 4]

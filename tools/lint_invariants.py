@@ -33,17 +33,17 @@ script exits non-zero when any rule is violated.
   raises ``ValueError`` at diagnostic construction, i.e. at the worst
   possible moment (mid-scan, inside a worker).  Combined with INV005 this
   also forces them into the README table.
-* **INV007 — sanitizer hooks are zero-overhead when off.**  Each hook
-  module declares its module-level ``_*_SANITIZER = None`` global, and
-  every *use* of that global sits inside an ``if <hook> is not None:``
-  body — so the uninstrumented hot paths never pay an attribute call, and
-  ``sanitize=None`` runs are bit-identical to the pre-sanitizer engine.
-* **INV009 — fault-injection hooks are zero-overhead when off.**  The same
-  contract as INV007 for the fault layer: each hook module declares a
-  module-level ``_FAULT_INJECTOR = None`` global and every use of it sits
-  inside an ``if _FAULT_INJECTOR is not None:`` body, so runs without an
-  installed :class:`repro.faults.FaultInjector` are bit-identical to the
-  pre-fault-layer engine.
+* **INV007 — hook slots are zero-overhead when empty.**  In every module
+  under ``src/repro/`` (except ``hooks.py`` and the two modules that own a
+  slot, ``analysis/sanitizers.py`` and ``faults/injector.py``), each read
+  of ``hooks.sanitizer`` / ``hooks.injector`` is the test or sits in the
+  body of an ``if hooks.<slot> is not None:`` for that slot — so with no
+  sanitizer session and no fault injector installed the hot paths pay one
+  attribute load per site and stay bit-identical to an engine without
+  hooks.  ``from repro.hooks import sanitizer`` / ``injector`` is rejected
+  (a name bound at import time never sees an installation).  The rule
+  finds the sites itself; there is no table of them to keep in step.
+  (INV009 was this rule's copy for the fault layer; the number is retired.)
 * **INV008 — registry membership is only mutated under the registry lock.**
   In ``repro/service/registry.py`` every mutation of ``self._entries`` /
   ``self._by_stream`` (assignment, ``del``, or a mutator method call) must
@@ -88,25 +88,15 @@ ANALYZER_CODES = (
     "NU001", "NU002", "NU003",
 )
 
-#: (module, hook global) pairs; mirrors HOOK_SITES in
-#: repro/analysis/sanitizers.py (INV007)
-HOOK_MODULES = (
-    (SRC / "cost.py", "_CLOCK_SANITIZER"),
-    (SRC / "video" / "stream.py", "_FRAME_CACHE_SANITIZER"),
-    (SRC / "nn" / "network.py", "_LAYER_SANITIZER"),
-    (SRC / "query" / "parallel.py", "_WORKER_SANITIZER"),
-    (SRC / "query" / "session.py", "_WORKER_SANITIZER"),
-)
-
-#: (module, hook global) pairs; mirrors FAULT_HOOK_SITES in
-#: repro/faults/injector.py (INV009)
-FAULT_HOOK_MODULES = (
-    (SRC / "video" / "stream.py", "_FAULT_INJECTOR"),
-    (SRC / "query" / "parallel.py", "_FAULT_INJECTOR"),
-    (SRC / "query" / "session.py", "_FAULT_INJECTOR"),
-    (SRC / "service" / "service.py", "_FAULT_INJECTOR"),
-    (SRC / "service" / "ingest.py", "_FAULT_INJECTOR"),
-    (SRC / "service" / "emitters.py", "_FAULT_INJECTOR"),
+#: the slots of repro/hooks.py (tests/test_lint_invariants.py holds the two
+#: tuples equal), and the modules INV007 does not walk: the slot module and
+#: each slot's owner, which hands it out unguarded (active_session() /
+#: current_injector())
+HOOK_SLOTS = ("sanitizer", "injector")
+HOOK_OWNERS = (
+    SRC / "hooks.py",
+    SRC / "analysis" / "sanitizers.py",
+    SRC / "faults" / "injector.py",
 )
 
 
@@ -252,79 +242,50 @@ def check_analyzer_codes_registered(findings: list[str]) -> None:
             )
 
 
-def _is_hook_guard(node: ast.AST, hook: str) -> bool:
-    """``if <hook> is not None:`` (the INV007 zero-overhead guard)."""
-    if not isinstance(node, ast.If) or not isinstance(node.test, ast.Compare):
-        return False
-    test = node.test
-    return (
-        isinstance(test.left, ast.Name)
-        and test.left.id == hook
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], ast.IsNot)
-        and len(test.comparators) == 1
-        and isinstance(test.comparators[0], ast.Constant)
-        and test.comparators[0].value is None
-    )
+def _hook_slot(node: ast.AST) -> str | None:
+    """The slot name when ``node`` is the expression ``hooks.<slot>``."""
+    if isinstance(node, ast.Attribute) and node.attr in HOOK_SLOTS:
+        if ast.unparse(node) == f"hooks.{node.attr}":
+            return node.attr
+    return None
 
 
-def _check_hooks_guarded(
-    findings: list[str],
-    modules: tuple[tuple[Path, str], ...],
-    code: str,
-    installer: str,
-    fast_path: str,
-) -> None:
-    """The shared INV007/INV009 contract: declared global, guarded uses."""
-    for path, hook in modules:
-        tree = _parse(path)
-        declared = any(
-            isinstance(target, ast.Name) and target.id == hook
-            for node in tree.body
-            for target in _assignment_targets(node)
-        )
-        if not declared:
+def hook_findings(tree: ast.Module, where: str) -> list[str]:
+    """INV007 over one parsed module; ``where`` labels the findings."""
+    findings: list[str] = []
+    # Reads a guard covers: its own test and its body, not the else branch.
+    guarded: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare):
+            slot = _hook_slot(node.test.left)
+            if slot and ast.unparse(node.test) == f"hooks.{slot} is not None":
+                for part in (node.test, *node.body):
+                    guarded.update(
+                        id(inner) for inner in ast.walk(part) if _hook_slot(inner) == slot
+                    )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.hooks":
+            for alias in node.names:
+                if alias.name in HOOK_SLOTS:
+                    findings.append(
+                        f"INV007 {where}:{node.lineno}: `from repro.hooks import "
+                        f"{alias.name}` binds the slot's value at import time "
+                        f"and never sees an installation — read hooks.{alias.name}"
+                    )
+        slot = _hook_slot(node)
+        if slot and id(node) not in guarded:
             findings.append(
-                f"{code} {path.relative_to(REPO)}: module-level {hook} = None "
-                f"declaration missing — {installer} installs hooks by "
-                "setattr on this global"
+                f"INV007 {where}:{node.lineno}: hooks.{slot} used outside an "
+                f"`if hooks.{slot} is not None:` test or body — an unguarded "
+                "use taxes (or crashes) the path with nothing installed"
             )
-            continue
-        # Spans where a bare use of the hook is legitimate: the guard test
-        # itself and the guarded body (not the else branch).
-        allowed: list[tuple[int, int]] = []
-        for node in ast.walk(tree):
-            if _is_hook_guard(node, hook):
-                allowed.append((node.test.lineno, node.test.end_lineno or node.test.lineno))
-                allowed.append(
-                    (node.body[0].lineno, node.body[-1].end_lineno or node.body[-1].lineno)
-                )
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Name) or node.id != hook:
-                continue
-            if not isinstance(node.ctx, ast.Load):
-                continue  # the declaration / reassignment, checked above
-            if any(start <= node.lineno <= end for start, end in allowed):
-                continue
-            findings.append(
-                f"{code} {path.relative_to(REPO)}:{node.lineno}: {hook} used "
-                f"outside an `if {hook} is not None:` body — unguarded hook "
-                f"uses tax the {fast_path} fast path"
-            )
+    return findings
 
 
-def check_sanitizer_hooks_guarded(findings: list[str]) -> None:
-    _check_hooks_guarded(
-        findings, HOOK_MODULES, "INV007", "repro.analysis.sanitizers",
-        "sanitize=None",
-    )
-
-
-def check_fault_hooks_guarded(findings: list[str]) -> None:
-    _check_hooks_guarded(
-        findings, FAULT_HOOK_MODULES, "INV009", "repro.faults.injector",
-        "no-injector",
-    )
+def check_hooks_guarded(findings: list[str]) -> None:
+    for path in sorted(SRC.rglob("*.py")):
+        if path not in HOOK_OWNERS:
+            findings.extend(hook_findings(_parse(path), str(path.relative_to(REPO))))
 
 
 #: the registry containers whose mutations INV008 requires the lock around
@@ -431,8 +392,7 @@ def main() -> int:
     check_worker_clock_construction(findings)
     check_readme_code_table(findings)
     check_analyzer_codes_registered(findings)
-    check_sanitizer_hooks_guarded(findings)
-    check_fault_hooks_guarded(findings)
+    check_hooks_guarded(findings)
     check_registry_mutation_locked(findings)
     check_one_gate_loop_one_cascade_walk(findings)
     if findings:
