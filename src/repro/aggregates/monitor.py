@@ -34,9 +34,9 @@ from repro.detection.base import Detector, FrameDetections
 from repro.filters.base import FilterPrediction, FrameFilter
 from repro.query.ast import Query, WindowSpec
 from repro.query.evaluation import evaluate_predicates_on_detections
-from repro.query.parallel import FramePrefetcher, ParallelConfig
+from repro.query.parallel import ParallelConfig, decode_ahead
 from repro.query.temporal import TemporalConfig, TemporalScan, TemporalStats, clocks_detached
-from repro.video.stream import Frame, VideoStream
+from repro.video.stream import Frame, VideoStream, checked_frame_indices
 
 
 #: a function computing the exact per-frame value from detector output
@@ -159,11 +159,7 @@ class AggregateMonitor:
         The filter side runs as one vectorized ``predict_batch`` call over
         all sampled frames (the simulated latency is charged per frame either
         way); only the reference detector, which defines ``Y``, still runs
-        frame by frame, in sample order.  Against the historical per-frame
-        ``predict`` loop the detector side is identical, and the filter side
-        agrees exactly on the integer counts and thresholded masks the
-        standard controls consume (raw scores may differ at the last ulp —
-        see ``LinearBranchFilter.predict_batch``).
+        frame by frame, in sample order.
 
         With a ``temporal`` config the samples are delta-gated instead
         (see :mod:`repro.query.temporal`): sample indices arrive sorted, so
@@ -182,32 +178,19 @@ class AggregateMonitor:
         sequential detector loop, so estimates are bit-identical with or
         without it).
         """
-        prefetcher: FramePrefetcher | None = None
-        fetch = stream.frame
-        if parallel is not None:
-            prefetcher = FramePrefetcher(
-                stream,
-                [int(frame_index) for frame_index in indices],
-                depth=parallel.prefetch_depth * parallel.chunk_size,
-                threads=parallel.effective_prefetch_threads,
-            )
-            fetch = prefetcher.frame
-        try:
-            if temporal is None:
-                exact_values = np.zeros(len(indices))
-                controls = np.zeros((len(indices), len(spec.control_values)))
-                frames = [fetch(int(frame_index)) for frame_index in indices]
-                predictions = self.frame_filter.predict_batch(frames)
-                for row, (frame, prediction) in enumerate(zip(frames, predictions)):
-                    detections = self.detector.detect(frame)
-                    exact_values[row] = spec.exact_value(detections)
-                    for col, control in enumerate(spec.control_values):
-                        controls[row, col] = control(prediction)
-                return exact_values, controls, None
-            return self._evaluate_samples_temporal(spec, indices, temporal, fetch)
-        finally:
-            if prefetcher is not None:
-                prefetcher.close()
+        with decode_ahead(stream, indices, parallel) as fetch:
+            if temporal is not None:
+                return self._evaluate_samples_temporal(spec, indices, temporal, fetch)
+            exact_values = np.zeros(len(indices))
+            controls = np.zeros((len(indices), len(spec.control_values)))
+            frames = [fetch(frame_index) for frame_index in indices]
+            predictions = self.frame_filter.predict_batch(frames)
+            for row, (frame, prediction) in enumerate(zip(frames, predictions)):
+                detections = self.detector.detect(frame)
+                exact_values[row] = spec.exact_value(detections)
+                for col, control in enumerate(spec.control_values):
+                    controls[row, col] = control(prediction)
+            return exact_values, controls, None
 
     def _evaluate_samples_temporal(
         self,
@@ -246,7 +229,7 @@ class AggregateMonitor:
             reuse_charge=reuse_charge,
             verdict=lambda outcome: (outcome[0], outcome[1].tobytes()),
         )
-        outcomes = scan.run([int(frame_index) for frame_index in indices], fetch)
+        outcomes = scan.run(indices, fetch)
         exact_values = np.zeros(len(indices))
         controls = np.zeros((len(indices), len(spec.control_values)))
         for position, (value, row) in enumerate(outcomes):
@@ -292,11 +275,12 @@ class AggregateMonitor:
                     population = np.arange(len(stream))
                 chosen = population[
                     sample_frame_indices(len(population), sample_size, self._rng)
-                ]
+                ].tolist()
             else:
-                chosen = np.asarray(frame_indices)
+                # Checked before anything is rendered, charged or started.
+                chosen = checked_frame_indices(frame_indices, stream)
             exact_values, controls, temporal_stats = self._evaluate_samples(
-                spec, stream, list(chosen), temporal=temporal, parallel=parallel
+                spec, stream, chosen, temporal=temporal, parallel=parallel
             )
         finally:
             self.frame_filter.clock = previous_filter_clock

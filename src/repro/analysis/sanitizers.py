@@ -10,17 +10,18 @@ that pattern):
 
 * **Race detector** (``"race"``, RC0xx) — a lockset/ownership checker over
   the engine's shared state.  Instrumented critical sections declare the
-  locks they hold (:meth:`SanitizerSession.cache_access` for the
-  :class:`~repro.video.stream.VideoStream` frame LRU), worker tasks open an
-  *ownership window* over their private cascade clones
+  locks they hold (:meth:`SanitizerSession.cache_access`; the engine has
+  no lock-guarded shared structure today, so the next one declares the
+  first production site), worker tasks open an *ownership window* over
+  their private cascade clones
   (:meth:`SanitizerSession.worker_window`), and every
   :class:`~repro.cost.SimulatedClock` charge/absorb/reuse runs inside a
   clock access (:meth:`SanitizerSession.clock_access`).  Two overlapping
   accesses to the same resource from different threads with disjoint
   declared locksets — or one clock charged inside two concurrently open
   worker windows — is a race, reported with both threads' captured stacks:
-  RC001 for shared state (the LRU), RC002 for worker-private clones, RC003
-  for clocks.
+  RC001 for shared state, RC002 for worker-private clones, RC003 for
+  clocks.
 * **Numeric sanitizer** (``"numeric"``, NU0xx) — hooks every
   :class:`~repro.nn.network.Sequential` layer output for NaN (NU001) and
   Inf/overflow (NU002), naming the offending layer and the chunk being
@@ -213,7 +214,7 @@ class SanitizerSession:
 
     @contextmanager
     def cache_access(
-        self, owner: object, guarded_by: frozenset[int], what: str = "frame LRU cache"
+        self, owner: object, guarded_by: frozenset[int], what: str = "shared state"
     ) -> Iterator[None]:
         """A critical section over shared state, declaring the locks it holds (RC001)."""
         if not self.race:

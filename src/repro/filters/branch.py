@@ -87,26 +87,7 @@ class LinearBranchFilter(FrameFilter):
         return self.grid_head.class_names
 
     def predict(self, frame: Frame) -> FilterPrediction:
-        self._charge()
-        features = self.backbone.extract(frame.image)
-        location_scores = suppress_cross_class(
-            self.grid_head.score(features), self.threshold
-        )
-        per_class_count_features = {
-            name: count_features(scores, self.threshold)
-            for name, scores in location_scores.items()
-        }
-        raw_counts, class_counts = self.count_calibration.estimate(per_class_count_features)
-        return FilterPrediction(
-            frame_index=frame.index,
-            filter_name=self.name,
-            grid=self.grid,
-            class_counts=class_counts,
-            class_scores=raw_counts,
-            location_scores=location_scores,
-            threshold=self.threshold,
-            latency_ms=self.latency_ms,
-        )
+        return self.predict_batch([frame])[0]
 
     def predict_batch(self, frames: Sequence[Frame]) -> BatchPrediction:
         """Vectorized prediction over a batch of frames.
@@ -114,9 +95,8 @@ class LinearBranchFilter(FrameFilter):
         The backbone features and grid-head scores of the whole batch are
         computed in stacked numpy operations (the hot path); the cheap
         per-frame count aggregation reuses exactly the per-frame functions.
-        :meth:`predict` and this method share one backbone kernel, so
-        ``predict(frame)`` equals ``predict_batch([frame])[0]`` exactly, and
-        backbone features do not depend on how frames are batched (see
+        :meth:`predict` is this method on a batch of one, and backbone
+        features do not depend on how frames are batched (see
         ``FeatureBackbone.extract_batch``).
         """
         if not frames:
@@ -176,23 +156,7 @@ class PooledCountFilter(FrameFilter):
         self.latency_ms = latency_ms
 
     def predict(self, frame: Frame) -> FilterPrediction:
-        self._charge()
-        features = self.backbone.extract(frame.image)
-        raw_count = self.count_head.estimate(self._pool(features[None])[0])
-        # The COF filter has no notion of classes or locations: it reports a
-        # single total-count estimate under the pseudo-class "object".
-        class_counts = {"object": int(round(raw_count))}
-        class_scores = {"object": raw_count}
-        return FilterPrediction(
-            frame_index=frame.index,
-            filter_name=self.name,
-            grid=self.grid,
-            class_counts=class_counts,
-            class_scores=class_scores,
-            location_scores={},
-            threshold=1.0,
-            latency_ms=self.latency_ms,
-        )
+        return self.predict_batch([frame])[0]
 
     @staticmethod
     def _pool(features: np.ndarray) -> np.ndarray:
@@ -204,8 +168,8 @@ class PooledCountFilter(FrameFilter):
         return (ones @ flat)[:, 0, :] / flat.shape[1]
 
     def predict_batch(self, frames: Sequence[Frame]) -> BatchPrediction:
-        """Vectorized count-only prediction over a batch of frames; each
-        element equals :meth:`predict` on that frame exactly."""
+        """Vectorized count-only prediction over a batch of frames
+        (:meth:`predict` is a batch of one)."""
         if not frames:
             return BatchPrediction(filter_name=self.name, predictions=())
         images = _stack_images(frames)
@@ -214,6 +178,8 @@ class PooledCountFilter(FrameFilter):
         predictions = []
         for position, frame in enumerate(frames):
             raw_count = self.count_head.estimate(pooled[position])
+            # The COF filter has no notion of classes or locations: it reports a
+            # single total-count estimate under the pseudo-class "object".
             class_counts = {"object": int(round(raw_count))}
             class_scores = {"object": raw_count}
             predictions.append(

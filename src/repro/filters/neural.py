@@ -234,10 +234,7 @@ class NeuralBranchFilter(FrameFilter):
         )
 
     def predict(self, frame: Frame) -> FilterPrediction:
-        self._charge()
-        inputs = self._prepare_input(frame.image)
-        outputs = self.network.forward(inputs)
-        return self._prediction_for(frame, outputs["counts"][0], outputs["grid"][0])
+        return self.predict_batch([frame])[0]
 
     def predict_batch(self, frames: Sequence[Frame]) -> BatchPrediction:
         """One stacked ``(N, C, H, W)`` forward pass for the whole batch."""

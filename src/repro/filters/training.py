@@ -49,7 +49,7 @@ from repro.filters.od import ODCountClassifier, ODFilter
 from repro.nn.losses import MSELoss, SmoothL1Loss
 from repro.nn.optim import Adam
 from repro.spatial.grid import Grid
-from repro.video.stream import VideoDataset, VideoStream
+from repro.video.stream import Frame, VideoDataset, VideoStream
 
 
 @dataclass
@@ -94,6 +94,7 @@ class FilterTrainer:
 
     _annotations: AnnotationSet | None = field(default=None, init=False, repr=False)
     _train_indices: list[int] | None = field(default=None, init=False, repr=False)
+    _frames: dict[int, Frame] = field(default_factory=dict, init=False, repr=False)
 
     # ------------------------------------------------------------------
     # Shared pieces
@@ -136,11 +137,22 @@ class FilterTrainer:
             )
         return self._annotations
 
+    def _frame(self, index: int) -> Frame:
+        """Frame ``index`` of the training split, rendered once per trainer.
+
+        Holds rendered frames only (37 KB each, bounded by
+        :meth:`train_indices` plus the background picks), not their features.
+        """
+        frame = self._frames.get(index)
+        if frame is None:
+            frame = self._frames[index] = self.dataset.train.frame(index)
+        return frame
+
     def _prepare_backbone(self, backbone: FeatureBackbone) -> FeatureBackbone:
         step = max(len(self.dataset.train) // max(self.background_frames, 1), 1)
+        picks = range(0, len(self.dataset.train), step)[: self.background_frames]
         backbone.fit_background(
-            self.dataset.train.iter_range(0, len(self.dataset.train), step),
-            max_frames=self.background_frames,
+            (self._frame(index) for index in picks), max_frames=self.background_frames
         )
         return backbone
 
@@ -172,9 +184,8 @@ class FilterTrainer:
             )
             for name in self.class_names
         }
-        stream = self.dataset.train
         for annotated in annotations:
-            features = backbone.extract(stream.frame(annotated.frame_index).image)
+            features = backbone.extract(self._frame(annotated.frame_index).image)
             flat_features = features.reshape(-1, backbone.num_features)
             all_labels = {
                 name: annotated.grid_of(name).reshape(-1).astype(np.float64)
@@ -229,12 +240,11 @@ class FilterTrainer:
         sigmoid + balanced loss gives the paper's branch networks.
         """
         annotations = self.annotations()
-        stream = self.dataset.train
         subset = list(annotations)[:: max(len(annotations) // max_frames, 1)]
         positive_scores: dict[str, list[np.ndarray]] = {n: [] for n in self.class_names}
         negative_scores: dict[str, list[np.ndarray]] = {n: [] for n in self.class_names}
         for annotated in subset:
-            features = backbone.extract(stream.frame(annotated.frame_index).image)
+            features = backbone.extract(self._frame(annotated.frame_index).image)
             scores = grid_head.score(features)
             for name in self.class_names:
                 labels = annotated.grid_of(name)
@@ -267,13 +277,12 @@ class FilterTrainer:
         self, backbone: FeatureBackbone, grid_head: GridScoringHead
     ) -> CountCalibration:
         annotations = self.annotations()
-        stream = self.dataset.train
         feature_tensor = np.zeros(
             (len(annotations), len(self.class_names), len(COUNT_FEATURE_NAMES))
         )
         true_counts = annotations.counts_matrix()
         for row, annotated in enumerate(annotations):
-            features = backbone.extract(stream.frame(annotated.frame_index).image)
+            features = backbone.extract(self._frame(annotated.frame_index).image)
             scores = suppress_cross_class(grid_head.score(features), self.threshold)
             for col, name in enumerate(self.class_names):
                 feature_tensor[row, col] = count_features(scores[name], self.threshold)
@@ -321,12 +330,11 @@ class FilterTrainer:
         """Train the OD-COF filter (count-only head on pooled features)."""
         backbone = self._prepare_backbone(detection_backbone(self.grid_size))
         annotations = self.annotations()
-        stream = self.dataset.train
         accumulator = RidgeAccumulator(
             num_features=backbone.num_features, num_outputs=1, alpha=self.ridge_alpha
         )
         for annotated in annotations:
-            features = backbone.extract(stream.frame(annotated.frame_index).image)
+            features = backbone.extract(self._frame(annotated.frame_index).image)
             pooled = features.reshape(-1, backbone.num_features).mean(axis=0)
             accumulator.add_batch(pooled[None, :], np.array([annotated.total_count]))
         weights, bias = accumulator.solve()

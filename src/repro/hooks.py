@@ -10,7 +10,7 @@ uninstrumented engine pays one attribute load per site and stays
 bit-identical to an engine without hooks (``tools/lint_invariants.py``
 INV007 holds the guard at every site under ``src/repro/``).  Two slots,
 not one composite: the sites call different methods per subscriber
-(``cache_access`` vs ``with_retry``).
+(``clock_access`` vs ``with_retry``).
 
 This module imports nothing from ``repro``, so any module may import it.
 """

@@ -79,16 +79,16 @@ from repro.query.ast import Query
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.query.parallel import (
     CascadeProfiler,
-    FramePrefetcher,
     ParallelConfig,
     ParallelStats,
     PlanRevision,
+    decode_ahead,
     partition_chunks,
 )
 from repro.query.planner import FilterCascade
 from repro.query.session import ScanSession
 from repro.query.temporal import TemporalConfig, TemporalStats
-from repro.video.stream import VideoStream
+from repro.video.stream import VideoStream, checked_frame_indices
 
 if TYPE_CHECKING:  # runtime import would be circular; see execute_aggregate
     from repro.aggregates.monitor import AggregateQuerySpec, MonitoringReport
@@ -586,11 +586,12 @@ class StreamingQueryExecutor:
         states.  The session owns the loop (accumulation, the detector-union
         phase, the worker backend and its in-order merge, clock attachment
         and restoration); the executor decides only how frames reach it: one
-        ``render(index)`` (``stream.frame``, or the decode-ahead prefetcher's
-        when ``parallel`` is set) and two drivers.  Rendered chunks of
-        ``chunk_size`` frames go through ``push_chunk`` (``batch_size=None``
-        = chunks of one; a session built with ``parallel=`` filters them on
-        its workers); under ``temporal`` the whole index sequence goes
+        ``render(index)`` from :func:`~repro.query.parallel.decode_ahead`
+        (``stream.frame``, rendered ahead when ``parallel`` is set) and two
+        drivers.  Rendered chunks of ``chunk_size`` frames go through
+        ``push_chunk`` (``batch_size=None`` = chunks of one; a session built
+        with ``parallel=`` filters them on its workers); under
+        ``temporal`` the whole index sequence goes
         through the temporal driver, where gating is sequential and
         ``parallel`` contributes decode-ahead only.  The filter phase of a
         chunk is :func:`~repro.query.parallel.run_filter_chunk` whether it
@@ -617,9 +618,7 @@ class StreamingQueryExecutor:
             for query, cascade in zip(queries, query_cascades):
                 lint_query(query, strict=True)
                 lint_plan(cascade, strict=True)
-        base_indices = (
-            list(frame_indices) if frame_indices is not None else list(range(len(stream)))
-        )
+        base_indices = checked_frame_indices(frame_indices, stream)
 
         # Per-query frame coverage: windowed queries restrict to their windows.
         per_query_windows: list[list[WindowBounds] | None] = []
@@ -678,21 +677,9 @@ class StreamingQueryExecutor:
                 # the detector charge our clock until the session closes, and a
                 # parallel session's worker backend exists from here on.
                 unique_steps = session.unique_step_count
-                render = stream.frame
-                prefetcher: FramePrefetcher | None = None
-                if parallel is not None:
-                    # After the plan, so that process workers fork before the
-                    # first decode-ahead thread starts.  Nothing may run
-                    # between this constructor and the try/finally that closes
-                    # it, or a failure would leak decode-ahead threads.
-                    prefetcher = FramePrefetcher(
-                        stream,
-                        union_indices,
-                        depth=parallel.prefetch_depth * chunk_size,
-                        threads=parallel.effective_prefetch_threads,
-                    )
-                    render = prefetcher.frame
-                try:
+                # After the plan, so that process workers fork before the
+                # first decode-ahead thread starts.
+                with decode_ahead(stream, union_indices, parallel, chunk_size) as render:
                     if temporal is not None:
                         temporal_stats = session.run_temporal_scan(
                             temporal, union_indices, render
@@ -708,9 +695,6 @@ class StreamingQueryExecutor:
                                 session.quarantine_chunk(chunk, error)
                                 continue
                             session.push_chunk(frames)
-                finally:
-                    if prefetcher is not None:
-                        prefetcher.close()
             if sanitizer is not None:
                 # The session has drained: every chunk's digest is recorded.
                 sanitizer.verify_determinism(
@@ -1026,7 +1010,7 @@ def brute_force_execute(
     or the temporal layer.
     """
     clock = clock or SimulatedClock()
-    indices = list(frame_indices) if frame_indices is not None else list(range(len(stream)))
+    indices = checked_frame_indices(frame_indices, stream)
     window_bounds = _window_bounds_for(query, stream, include_partial_windows=True)
     if window_bounds is not None:
         indices = _restrict_to_coverage(indices, window_bounds)

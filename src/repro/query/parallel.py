@@ -59,10 +59,10 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeout
-from contextlib import nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context, shared_memory
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -492,8 +492,8 @@ class FramePrefetcher:
     so an adaptive-stride scan that skips most of the sequence neither
     retains every speculatively rendered frame nor decodes far behind the
     scan head.  Out-of-window requests (binary-search refinement probes,
-    exact-mode re-verification) fall through to the stream — its
-    thread-safe LRU usually still holds them.
+    exact-mode re-verification) are rendered by the stream.  Scans get one
+    through :func:`decode_ahead`, which closes it on every exit path.
     """
 
     def __init__(
@@ -553,6 +553,32 @@ class FramePrefetcher:
             return
         self._closed = True
         self._pool.shutdown(wait=True, cancel_futures=True)
+
+
+@contextmanager
+def decode_ahead(
+    stream: VideoStream,
+    indices: Sequence[int],
+    parallel: ParallelConfig | None,
+    chunk_size: int | None = None,
+) -> Iterator[Callable[[int], Frame]]:
+    """The ``render(index)`` of one scan over ``indices``.
+
+    ``stream.frame`` itself when ``parallel`` is ``None``, so callers do not
+    branch; otherwise a :class:`FramePrefetcher` running ``prefetch_depth``
+    chunks of ``chunk_size`` frames (default: the config's) ahead, closed
+    however the block exits.  The only place that constructs one (lint
+    INV011).  Enter it after the scan is planned, so that process workers
+    fork before the first decode-ahead thread starts.
+    """
+    if parallel is None:
+        yield stream.frame
+        return
+    depth = parallel.prefetch_depth * (chunk_size or parallel.chunk_size)
+    with closing(
+        FramePrefetcher(stream, indices, depth, parallel.effective_prefetch_threads)
+    ) as prefetcher:
+        yield prefetcher.frame
 
 
 # ----------------------------------------------------------------------

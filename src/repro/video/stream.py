@@ -9,14 +9,11 @@ Section IV of the paper.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
-
-from contextlib import nullcontext
 
 from repro import hooks
 from repro.spatial.grid import Grid
@@ -54,24 +51,14 @@ class VideoStream:
         fps: int = 30,
         camera_id: str = "camera-0",
         name: str = "stream",
-        frame_cache_size: int = 32,
     ) -> None:
         if fps <= 0:
             raise ValueError(f"fps must be positive: {fps}")
-        if frame_cache_size < 0:
-            raise ValueError(f"frame_cache_size must be non-negative: {frame_cache_size}")
         self._scene = scene
         self._renderer = renderer
         self._fps = fps
         self._camera_id = camera_id
         self._name = name
-        self._frame_cache_size = frame_cache_size
-        self._frame_cache: OrderedDict[int, Frame] = OrderedDict()
-        # The parallel execution engine renders ahead from prefetch threads,
-        # so cache lookup / insert / evict must be atomic.  Rendering itself
-        # happens outside the lock (it dominates the cost and is
-        # deterministic per index, so a rare duplicate render is benign).
-        self._frame_cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -111,67 +98,16 @@ class VideoStream:
     def duration_seconds(self) -> float:
         return len(self) / self._fps
 
-    @property
-    def frame_cache_size(self) -> int:
-        """Capacity of the LRU frame cache (``0`` disables caching)."""
-        return self._frame_cache_size
-
     # ------------------------------------------------------------------
     # Frame access
     # ------------------------------------------------------------------
     def frame(self, index: int) -> Frame:
-        """Materialise frame ``index``, rendering the pixels on a cache miss.
+        """Render frame ``index``, under the decode fault site when injecting.
 
-        Rendering is deterministic per index, so revisiting an index — as the
-        windowed, multi-query and temporal execution paths routinely do —
-        returns the cached :class:`Frame` instead of re-rendering.  The cache
-        is a small LRU (``frame_cache_size`` entries, least recently
-        *accessed* evicted first) and is thread-safe: lookup, insert and
-        eviction happen under a lock, so the parallel engine's decode-ahead
-        prefetcher may call :meth:`frame` from several threads.  Two threads
-        racing on the same uncached index may both render it (rendering runs
-        outside the lock); the frames are identical and one wins the cache
-        slot.  ``frame_cache_size=0`` bypasses the cache and the lock
-        entirely.  Returned frames are shared
-        objects: callers must treat ``image`` as read-only, which every
-        consumer in this codebase already does (filters copy via ``astype``).
-        """
-        if self._frame_cache_size == 0:
-            return self._decode(index)
-        with self._cache_section(), self._frame_cache_lock:
-            cached = self._frame_cache.get(index)
-            if cached is not None:
-                self._frame_cache.move_to_end(index)
-                return cached
-        frame = self._decode(index)
-        with self._cache_section(), self._frame_cache_lock:
-            existing = self._frame_cache.get(index)
-            if existing is not None:
-                # Lost a render race: keep the first frame so repeated
-                # lookups stay identity-stable.
-                self._frame_cache.move_to_end(index)
-                return existing
-            self._frame_cache[index] = frame
-            while len(self._frame_cache) > self._frame_cache_size:
-                self._frame_cache.popitem(last=False)
-        return frame
-
-    def _cache_section(self):
-        """Race-sanitizer window for one locked LRU section.
-
-        The window declares the cache lock it runs under, so overlapping
-        windows from concurrent prefetch threads intersect on the lock and
-        stay silent; an access path that skipped the lock would declare an
-        empty lockset and be reported as RC001.
-        """
-        if hooks.sanitizer is not None:
-            return hooks.sanitizer.cache_access(
-                self, frozenset((id(self._frame_cache_lock),))
-            )
-        return nullcontext()
-
-    def _decode(self, index: int) -> Frame:
-        """Render one frame, under the decode fault site when injecting.
+        Rendering is deterministic per index and the stream holds nothing, so
+        any number of threads (the decode-ahead pool) may call this at once
+        and a repeated call returns an equal frame, not the same object.  A
+        consumer that revisits frames holds them itself (``FilterTrainer``).
 
         A transient decode fault retries with backoff charged to the
         injector's own simulated clock (streams carry no clock of their
@@ -215,6 +151,40 @@ class VideoStream:
     def count_series(self) -> np.ndarray:
         """Per-frame total object counts (from ground truth)."""
         return self._scene.count_series()
+
+
+def checked_frame_indices(
+    frame_indices: Iterable[int] | None, stream: VideoStream
+) -> list[int]:
+    """Caller-chosen ``frame_indices`` as ints, each a frame of ``stream``.
+
+    The boundary check of every entry point that takes indices (``execute``,
+    ``execute_many``, ``brute_force_execute``, ``AggregateMonitor.estimate``).
+    It runs before anything is rendered, charged or started, so a bad entry
+    cannot fail mid-scan with work already on the caller's clock.  Entries
+    must be integral (``operator.index``: numpy integers pass, floats do
+    not) and in ``[0, len(stream))``; order and duplicates are left alone.
+    ``None`` means every frame of the stream.
+    """
+    num_frames = len(stream)
+    if frame_indices is None:
+        return list(range(num_frames))
+    checked: list[int] = []
+    for position, entry in enumerate(frame_indices):
+        try:
+            index = operator.index(entry)
+        except TypeError:
+            raise TypeError(
+                f"frame_indices[{position}] = {entry!r} is not an integer "
+                f"(the stream has {num_frames} frames)"
+            ) from None
+        if not 0 <= index < num_frames:
+            raise IndexError(
+                f"frame_indices[{position}] = {index} is out of range "
+                f"[0, {num_frames}) of the stream"
+            )
+        checked.append(index)
+    return checked
 
 
 @dataclass(frozen=True)

@@ -169,5 +169,19 @@ def reference_backbone_features(image, config, background=None):
 
 
 @pytest.fixture()
+def counted_renders(monkeypatch) -> list[int]:
+    """The frame index of every ``FrameRenderer.render`` call made during the test."""
+    renders: list[int] = []
+    render = FrameRenderer.render
+
+    def counting_render(self, ground_truth):
+        renders.append(ground_truth.frame_index)
+        return render(self, ground_truth)
+
+    monkeypatch.setattr(FrameRenderer, "render", counting_render)
+    return renders
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)

@@ -56,7 +56,6 @@ from repro.service import (
     QueryService,
     StreamConfig,
 )
-from repro.video.stream import VideoStream
 
 DETECTOR_SEED = 77
 
@@ -729,12 +728,7 @@ def test_worker_chunk_ids_stay_partition_positions_past_an_undecodable_chunk(
     """``worker_crash@k`` keys partition chunk ``k`` even when chunk ``k-1``
     was set aside before it reached a worker."""
     queries, cascades = cars_workload
-    base = tiny_jackson.test
-    # Uncached, so the decode site fires no matter what earlier scans left
-    # in the shared stream's LRU.
-    stream = VideoStream(
-        scene=base.scene, renderer=base.renderer, fps=base.fps, frame_cache_size=0
-    )
+    stream = tiny_jackson.test
     chunk_size = 8
     last = (len(stream) - 1) // chunk_size
     undecodable = (last - 1) * chunk_size + 3

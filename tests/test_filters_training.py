@@ -134,3 +134,37 @@ def test_trainer_annotations_are_cached(jackson_trainer):
     second = jackson_trainer.annotations()
     assert first is second
     assert len(first) > 0
+
+
+def test_trainer_renders_each_frame_once_and_trains_the_pinned_weights(
+    tiny_jackson, counted_renders
+):
+    """``train_all`` holds the frames it revisits, and holding them changes
+    no weight: the digest was taken at the commit before the trainer held
+    anything (689 renders of 83 distinct frames at this size)."""
+    import hashlib
+
+    from repro.filters import FilterTrainer
+
+    trainer = FilterTrainer(dataset=tiny_jackson, max_train_frames=80, background_frames=20)
+    filters = trainer.train_all()
+
+    # One annotation pass over the training frames, then every distinct frame
+    # (training frames and background picks) once for all three filters.
+    assert set(counted_renders) >= set(trainer.train_indices())
+    assert len(counted_renders) <= len(trainer.train_indices()) + len(set(counted_renders))
+
+    digest = hashlib.sha256()
+    for branch in (filters["ic"], filters["od"]):
+        for array in (
+            branch.grid_head.weights,
+            branch.grid_head.bias,
+            branch.count_calibration.weights,
+            branch.count_calibration.offset,
+        ):
+            digest.update(array.tobytes())
+    digest.update(filters["od_cof"].count_head.weights.tobytes())
+    digest.update(np.float64(filters["od_cof"].count_head.bias).tobytes())
+    assert digest.hexdigest() == (
+        "1248bb87c1caa028129a273a50f3104bf6bcecc07c4204c853010827b3319706"
+    )

@@ -1,4 +1,4 @@
-"""The invariant lint itself: clean on the tree, and INV007 bites."""
+"""The invariant lint itself: clean on the tree, and INV007 / INV011 bite."""
 
 from __future__ import annotations
 
@@ -108,3 +108,44 @@ def test_inv007_reports_an_import_time_binding(lint):
     )
     assert len(findings) == 1
     assert findings[0].startswith("INV007 sample.py:3: `from repro.hooks import injector`")
+
+
+def _inv011(lint, source: str) -> list[str]:
+    (site,) = [site for site in lint.SOLE_CONSTRUCTION_SITES if site[0] == "INV011"]
+    return lint.construction_findings(ast.parse(textwrap.dedent(source)), "sample.py", site)
+
+
+def test_inv011_accepts_the_one_construction_site(lint):
+    assert _inv011(
+        lint,
+        """
+        @contextmanager
+        def decode_ahead(stream, indices, parallel, chunk_size=None):
+            prefetcher = FramePrefetcher(stream, indices, depth=4, threads=1)
+            try:
+                yield prefetcher.frame
+            finally:
+                prefetcher.close()
+
+        def scan(stream, indices, parallel):
+            with decode_ahead(stream, indices, parallel) as render:
+                return [render(index) for index in indices]
+        """,
+    ) == []
+
+
+def test_inv011_reports_a_second_construction_site(lint):
+    findings = _inv011(
+        lint,
+        """
+        from repro.query import parallel
+
+        def scan(stream, indices):
+            prefetcher = parallel.FramePrefetcher(stream, indices, depth=4, threads=1)
+            return [prefetcher.frame(index) for index in indices]
+        """,
+    )
+    assert len(findings) == 1
+    assert findings[0].startswith(
+        "INV011 sample.py:5: FramePrefetcher constructed outside decode_ahead"
+    )

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.aggregates.monitor import AggregateMonitor, AggregateQuerySpec
+from repro.cost import SimulatedClock
 from repro.detection import ReferenceDetector
 from repro.detection.base import Detection, FrameDetections
 from repro.query import (
+    ParallelConfig,
     PlannerConfig,
     QueryBuilder,
     QueryPlanner,
     StreamingQueryExecutor,
+    TemporalConfig,
     brute_force_execute,
     evaluate_predicates_on_detections,
 )
@@ -128,6 +134,71 @@ def test_execution_stats_and_clock_restoration(trained_od_filter, tiny_jackson):
     # The executor must not permanently hijack the filter's clock.
     assert trained_od_filter.clock is None
     assert detector.clock is None
+
+
+# Out of range / not integral, each behind entries a scan would get through first.
+BAD_FRAME_INDICES = {
+    "out-of-range": (list(range(20)) + [99], IndexError, r"frame_indices\[20\] = 99 .*\[0, 50\)"),
+    "float": ([0, 1, 2.0], TypeError, r"frame_indices\[2\] = 2.0 is not an integer"),
+}
+
+
+@pytest.fixture()
+def no_work_allowed(counted_renders):
+    """A shared clock that must stay untouched, with zero renders and no new thread."""
+    clock = SimulatedClock()
+    clock.charge("earlier-scan", 5.0)
+    before = clock.snapshot()
+    threads = threading.active_count()
+    yield clock
+    assert counted_renders == []
+    assert clock.snapshot() == before
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("bad", BAD_FRAME_INDICES)
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"batch_size": 8},
+        {"parallel": ParallelConfig(num_workers=2, backend="thread", chunk_size=8)},
+        {"temporal": TemporalConfig(exact=True)},
+    ],
+    ids=["plain", "batched", "parallel", "temporal"],
+)
+def test_bad_frame_indices_fail_before_the_scan_starts(
+    trained_od_filter, tiny_jackson, no_work_allowed, options, bad
+):
+    indices, error, message = BAD_FRAME_INDICES[bad]
+    query = QueryBuilder("q").count("car").at_least(1).build()
+    cascade = QueryPlanner({"od": trained_od_filter}, PlannerConfig()).plan(query)
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=1)
+    executor = StreamingQueryExecutor(detector, clock=no_work_allowed)
+    with pytest.raises(error, match=message):
+        executor.execute(query, tiny_jackson.test, cascade, frame_indices=indices, **options)
+    with pytest.raises(error, match=message):
+        executor.execute_many(
+            [query], tiny_jackson.test, [cascade], frame_indices=indices, **options
+        )
+
+
+@pytest.mark.parametrize("bad", BAD_FRAME_INDICES)
+def test_bad_frame_indices_fail_before_the_oracle_or_an_estimate_starts(
+    trained_od_filter, tiny_jackson, no_work_allowed, bad
+):
+    indices, error, message = BAD_FRAME_INDICES[bad]
+    query = QueryBuilder("q").count("car").at_least(1).build()
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=1)
+    with pytest.raises(error, match=message):
+        brute_force_execute(
+            query, tiny_jackson.test, detector, frame_indices=indices, clock=no_work_allowed
+        )
+    spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
+    monitor = AggregateMonitor(detector, trained_od_filter, clock=no_work_allowed)
+    with pytest.raises(error, match=message):
+        monitor.estimate(spec, tiny_jackson.test, sample_size=4, frame_indices=indices)
+    assert trained_od_filter.clock is None and detector.clock is None
 
 
 def test_execution_stats_empty_semantics():

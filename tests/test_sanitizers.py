@@ -43,7 +43,6 @@ from repro.query import (
     StreamingQueryExecutor,
 )
 from repro.spatial.grid import Grid
-from repro.video.stream import VideoStream
 
 pytestmark = pytest.mark.parallel
 
@@ -381,9 +380,7 @@ def test_determinism_digests_stay_aligned_past_a_quarantined_chunk(
     single_object_stream, monkeypatch, schedule, max_redispatch
 ):
     """One digest per partition chunk, keyed by partition position."""
-    base = single_object_stream
-    # Uncached, so the decode site fires whatever the shared stream's LRU holds.
-    stream = VideoStream(scene=base.scene, renderer=base.renderer, frame_cache_size=0)
+    stream = single_object_stream
     digests: dict[int, str | None] = {}
     verify = SanitizerSession.verify_determinism
 

@@ -80,60 +80,43 @@ def test_stream_rejects_bad_fps(single_object_stream):
         VideoStream(scene=single_object_stream.scene, renderer=single_object_stream.renderer, fps=0)
 
 
+def test_repeated_frame_renders_equal_pixels(single_object_stream):
+    stream = single_object_stream
+    for index in (0, 7, 39):
+        first, again = stream.frame(index), stream.frame(index)
+        # The stream holds nothing: a new Frame each call, the same pixels.
+        assert again is not first
+        assert np.array_equal(first.image, again.image)
+
+
 # ----------------------------------------------------------------------
-# LRU frame cache
+# frame_indices validation
 # ----------------------------------------------------------------------
-def test_frame_cache_hit_returns_identical_frame(single_object_stream):
-    from repro.video.stream import VideoStream
+def test_checked_frame_indices_accepts_integers_in_range(single_object_stream):
+    from repro.video.stream import checked_frame_indices
 
-    stream = VideoStream(
-        scene=single_object_stream.scene,
-        renderer=single_object_stream.renderer,
-        frame_cache_size=4,
-    )
-    first = stream.frame(3)
-    again = stream.frame(3)
-    # Cache hit: the very same Frame object, no re-render.
-    assert again is first
-    # And the cached pixels equal a fresh render.
-    fresh = VideoStream(
-        scene=single_object_stream.scene,
-        renderer=single_object_stream.renderer,
-        frame_cache_size=0,
-    ).frame(3)
-    assert np.array_equal(first.image, fresh.image)
+    stream = single_object_stream
+    assert checked_frame_indices(None, stream) == list(range(40))
+    # Order and duplicates are the caller's; numpy integers are integers.
+    checked = checked_frame_indices([5, np.int64(3), 3, 39], stream)
+    assert checked == [5, 3, 3, 39]
+    assert all(type(index) is int for index in checked)
+    assert checked_frame_indices(iter(range(2)), stream) == [0, 1]
 
 
-def test_frame_cache_evicts_least_recently_used(single_object_stream):
-    from repro.video.stream import VideoStream
+@pytest.mark.parametrize(
+    "indices, error, message",
+    [
+        ([0, 1, 40], IndexError, r"frame_indices\[2\] = 40 is out of range \[0, 40\)"),
+        ([-1], IndexError, r"frame_indices\[0\] = -1 is out of range \[0, 40\)"),
+        ([1.0, 2.0], TypeError, r"frame_indices\[0\] = 1.0 is not an integer .*40 frames"),
+        ([0, "1"], TypeError, r"frame_indices\[1\] = '1' is not an integer"),
+    ],
+)
+def test_checked_frame_indices_names_the_first_offender(
+    single_object_stream, indices, error, message
+):
+    from repro.video.stream import checked_frame_indices
 
-    stream = VideoStream(
-        scene=single_object_stream.scene,
-        renderer=single_object_stream.renderer,
-        frame_cache_size=2,
-    )
-    frame0 = stream.frame(0)
-    frame1 = stream.frame(1)
-    assert stream.frame(0) is frame0  # touch 0 so 1 becomes the LRU entry
-    stream.frame(2)  # evicts 1
-    assert stream.frame(0) is frame0  # still cached
-    assert stream.frame(1) is not frame1  # was evicted, re-rendered
-    assert len(stream._frame_cache) == 2
-
-
-def test_frame_cache_disabled(single_object_stream):
-    from repro.video.stream import VideoStream
-
-    stream = VideoStream(
-        scene=single_object_stream.scene,
-        renderer=single_object_stream.renderer,
-        frame_cache_size=0,
-    )
-    assert stream.frame(0) is not stream.frame(0)
-    assert len(stream._frame_cache) == 0
-    with pytest.raises(ValueError):
-        VideoStream(
-            scene=single_object_stream.scene,
-            renderer=single_object_stream.renderer,
-            frame_cache_size=-1,
-        )
+    with pytest.raises(error, match=message):
+        checked_frame_indices(indices, single_object_stream)

@@ -58,6 +58,11 @@ script exits non-zero when any rule is violated.
   filter's per-frame ``.predict(``: every frame evaluation goes through
   ``run_filter_chunk``'s ``predict_batch``, a chunk of one included.  A
   third gate loop or a second cascade walk fails CI here.
+* **INV011 — decode-ahead pools are constructed in exactly one place.**
+  Under ``src/repro/``, ``FramePrefetcher(...)`` may only be called inside
+  ``decode_ahead``, the context manager that closes the pool on every exit
+  path: a bare constructor is how a failed scan leaks decode-ahead threads.
+  INV004's checker, one more row of ``SOLE_CONSTRUCTION_SITES``.
 """
 
 from __future__ import annotations
@@ -86,6 +91,15 @@ ANALYZER_CODES = (
     "NN001", "NN002", "NN003", "NN004", "NN005",
     "RC001", "RC002", "RC003", "RC004",
     "NU001", "NU002", "NU003",
+)
+
+#: constructors only one function may call (INV004, INV011):
+#: (rule, constructor, that function, file or tree walked, why)
+SOLE_CONSTRUCTION_SITES = (
+    ("INV004", "SimulatedClock", "_attach_worker_clock", SRC / "query" / "parallel.py",
+     "per-chunk clocks drop simulated cost between merge points"),
+    ("INV011", "FramePrefetcher", "decode_ahead", SRC,
+     "a bare constructor is how a failed scan leaks decode-ahead threads"),
 )
 
 #: the slots of repro/hooks.py (tests/test_lint_invariants.py holds the two
@@ -171,29 +185,38 @@ def check_no_frame_mutation(findings: list[str]) -> None:
                     )
 
 
-def check_worker_clock_construction(findings: list[str]) -> None:
-    path = SRC / "query" / "parallel.py"
-    tree = _parse(path)
-
-    allowed_spans: list[tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_attach_worker_clock":
-            allowed_spans.append((node.lineno, node.end_lineno or node.lineno))
-
+def construction_findings(tree: ast.Module, where: str, site: tuple) -> list[str]:
+    """One row of ``SOLE_CONSTRUCTION_SITES`` over one parsed module."""
+    rule, constructor, allowed, _, why = site
+    allowed_spans = [
+        (node.lineno, node.end_lineno or node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == allowed
+    ]
+    findings: list[str] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name != "SimulatedClock":
+        if name != constructor:
             continue
         if any(start <= node.lineno <= end for start, end in allowed_spans):
             continue
         findings.append(
-            f"INV004 {path.relative_to(REPO)}:{node.lineno}: SimulatedClock "
-            "constructed outside _attach_worker_clock — per-chunk clocks "
-            "drop simulated cost between merge points"
+            f"{rule} {where}:{node.lineno}: {constructor} constructed outside "
+            f"{allowed} — {why}"
         )
+    return findings
+
+
+def check_sole_construction_sites(findings: list[str]) -> None:
+    for site in SOLE_CONSTRUCTION_SITES:
+        root = site[3]
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
+            findings.extend(
+                construction_findings(_parse(path), str(path.relative_to(REPO)), site)
+            )
 
 
 def _registered_codes() -> list[str]:
@@ -389,7 +412,7 @@ def main() -> int:
     check_planner_checks_frozen(findings)
     check_no_lambda_checks(findings)
     check_no_frame_mutation(findings)
-    check_worker_clock_construction(findings)
+    check_sole_construction_sites(findings)
     check_readme_code_table(findings)
     check_analyzer_codes_registered(findings)
     check_hooks_guarded(findings)
