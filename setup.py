@@ -16,4 +16,5 @@ setup(
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -117,7 +117,7 @@ class ReferenceDetector(Detector):
 
     def _score(self, rng: np.random.Generator) -> float:
         score = rng.normal(self.error_model.score_mean, self.error_model.score_std)
-        return float(np.clip(score, 0.05, 1.0))
+        return min(max(float(score), 0.05), 1.0)
 
     # ------------------------------------------------------------------
     # Detector interface

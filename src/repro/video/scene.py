@@ -20,6 +20,7 @@ from repro.spatial.geometry import Box, Point
 from repro.spatial.grid import Grid, GridMask
 from repro.video.motion import LinearMotion, MotionModel, ParkedMotion, WanderMotion
 from repro.video.objects import (
+    NAMED_COLORS,
     ObjectClass,
     ObjectState,
     TrackedObject,
@@ -120,6 +121,11 @@ class Scene:
                 "active-track table length does not match the number of frames"
             )
         self._track_by_id = {track.track_id: track for track in self._tracks}
+        for track in self._tracks:
+            if track.color_name not in NAMED_COLORS:
+                raise ValueError(
+                    f"track {track.track_id} has unknown color name: {track.color_name!r}"
+                )
 
     @property
     def config(self) -> SceneConfig:

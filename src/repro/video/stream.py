@@ -35,11 +35,6 @@ class Frame:
     ground_truth: FrameGroundTruth
     camera_id: str = "camera-0"
 
-    @property
-    def timestamp_seconds(self) -> float:
-        """Placeholder timestamp assuming the stream's default 30 fps."""
-        return self.index / 30.0
-
 
 class VideoStream:
     """A finite, replayable stream of frames from one static camera."""

@@ -15,6 +15,7 @@ from repro.filters import FilterTrainer
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.video import build_detrac, build_jackson
 from repro.video.datasets import JACKSON_PROFILE
+from repro.video.objects import NAMED_COLORS
 from repro.video.renderer import FrameRenderer, RendererConfig
 from repro.video.scene import SceneConfig, SceneSimulator
 from repro.video.stream import VideoStream
@@ -166,6 +167,89 @@ def reference_backbone_features(image, config, background=None):
     return features.repeat(config.pool_factor, axis=0).repeat(
         config.pool_factor, axis=1
     )
+
+
+def reference_render(config, ground_truth):
+    """The renderer as it stood before the slice-fill kernel: the pixel oracle.
+
+    ``render`` / ``_draw_object`` / ``_scaled_box`` of the parent commit, moved
+    here verbatim (``Box`` allocations, scalar shade draws, ``np.mgrid`` masks,
+    boolean-index fills, ``rng.normal`` tail); it shares no code with
+    ``FrameRenderer.render``, which must reproduce its uint8 pixels exactly.
+    """
+
+    def background(height, width):
+        rng = np.random.default_rng(config.seed)
+        base = np.empty((height, width, 3), dtype=np.float32)
+        base[..., 0] = config.background_color[0]
+        base[..., 1] = config.background_color[1]
+        base[..., 2] = config.background_color[2]
+        if config.background_texture > 0:
+            texture = rng.normal(0.0, config.background_texture, size=(height, width, 1))
+            base = base + texture
+        band_top = int(height * 0.55)
+        base[band_top:, :, :] *= 0.85
+        lane_y = int(height * 0.75)
+        base[lane_y : lane_y + max(height // 60, 1), :, :] += 35.0
+        return np.clip(base, 0, 255)
+
+    def scaled_box(state, scale_x, scale_y, width, height):
+        box = state.box.scaled(scale_x, scale_y).clipped(width, height)
+        if box is None:
+            return None
+        x_min = int(np.floor(box.x_min))
+        y_min = int(np.floor(box.y_min))
+        x_max = max(int(np.ceil(box.x_max)), x_min + 1)
+        y_max = max(int(np.ceil(box.y_max)), y_min + 1)
+        return x_min, y_min, min(x_max, width), min(y_max, height)
+
+    def draw_object(canvas, state, scale_x, scale_y, rng):
+        height, width = canvas.shape[:2]
+        scaled = scaled_box(state, scale_x, scale_y, width, height)
+        if scaled is None:
+            return
+        x_min, y_min, x_max, y_max = scaled
+        color = np.array(NAMED_COLORS[state.color_name], dtype=np.float32)
+        shade = float(rng.uniform(0.85, 1.1))
+        color = np.clip(color * shade, 0, 255)
+
+        region = canvas[y_min:y_max, x_min:x_max, :]
+        h, w = region.shape[:2]
+        if h == 0 or w == 0:
+            return
+
+        if state.object_class.appearance.shape == "ellipse":
+            yy, xx = np.mgrid[0:h, 0:w]
+            cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+            ry, rx = max(h / 2.0, 1.0), max(w / 2.0, 1.0)
+            mask = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+        else:
+            mask = np.ones((h, w), dtype=bool)
+
+        region[mask] = color
+        if config.draw_borders and min(h, w) >= 4:
+            border = np.clip(color * 0.55, 0, 255)
+            region[0, :, :][mask[0, :]] = border
+            region[-1, :, :][mask[-1, :]] = border
+            region[:, 0, :][mask[:, 0]] = border
+            region[:, -1, :][mask[:, -1]] = border
+        if state.object_class.appearance.shape == "rectangle" and h >= 6 and w >= 6:
+            ws_h = max(h // 4, 1)
+            ws_w = max(w // 2, 1)
+            ws_x = (w - ws_w) // 2
+            region[1 : 1 + ws_h, ws_x : ws_x + ws_w, :] = np.clip(color * 0.4, 0, 255)
+
+    size = config.output_size
+    scale_x = size / ground_truth.frame_width
+    scale_y = size / ground_truth.frame_height
+    canvas = background(size, size).copy()
+    rng = np.random.default_rng((config.seed, ground_truth.frame_index))
+    ordered = sorted(ground_truth.objects, key=lambda s: s.box.y_max)
+    for state in ordered:
+        draw_object(canvas, state, scale_x, scale_y, rng)
+    if config.pixel_noise > 0:
+        canvas = canvas + rng.normal(0.0, config.pixel_noise, size=canvas.shape)
+    return np.clip(canvas, 0, 255).astype(np.uint8)
 
 
 @pytest.fixture()

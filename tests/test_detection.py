@@ -59,6 +59,37 @@ def test_detector_is_deterministic_per_frame(tiny_jackson):
     assert a.counts_by_class() == b.counts_by_class()
 
 
+def test_reference_detections_keep_their_pinned_values(tiny_detrac):
+    """Every field of ``FrameDetections`` over 64 dense frames, floats in hex:
+    the digest was taken while ``_score`` still went through ``np.clip``, and
+    55 of the 1110 scores sit on the upper bound, so the plain ``min``/``max``
+    clamp and the RNG consumption around it are both covered."""
+    import hashlib
+
+    detector = ReferenceDetector(class_names=tiny_detrac.class_names, seed=42)
+    sha = hashlib.sha256()
+    count = clamped = 0
+    for index in range(64):
+        found = detector.detect(tiny_detrac.train.frame(index))
+        sha.update(repr((found.frame_index, found.latency_ms, found.detector_name)).encode())
+        for det in found.detections:
+            assert type(det.score) is float
+            count += 1
+            clamped += det.score == 1.0
+            fields = (
+                det.class_name,
+                [value.hex() for value in det.box.as_tuple()],
+                det.score.hex(),
+                det.color_name,
+                det.track_id,
+            )
+            sha.update(repr(fields).encode())
+    assert (count, clamped) == (1110, 55)
+    assert sha.hexdigest() == (
+        "fa6f5f160371a9816016435539f312592e2815ee05bd7f1367861e2d6140aff9"
+    )
+
+
 def test_detector_charges_latency(tiny_jackson):
     clock = SimulatedClock()
     detector = ReferenceDetector(class_names=tiny_jackson.class_names, clock=clock)

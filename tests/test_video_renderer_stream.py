@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tests.conftest import reference_render
+from repro.video import build_coral, build_detrac, build_jackson
 from repro.video.renderer import FrameRenderer, RendererConfig
 from repro.video.scene import FrameGroundTruth
-from repro.video.objects import default_class_registry, ObjectState
+from repro.video.objects import NAMED_COLORS, default_class_registry, ObjectState
 from repro.spatial.geometry import Box
 
 
@@ -50,6 +57,171 @@ def test_object_changes_pixels_at_its_location():
     assert np.abs(with_car[region].astype(int) - background_only[region].astype(int)).mean() > 10
     # Far corners are untouched background.
     assert np.abs(with_car[:10, :10].astype(int) - background_only[:10, :10].astype(int)).mean() < 2
+
+
+# ----------------------------------------------------------------------
+# The rendered pixels are the repo's "decoded video": the slice-fill kernel
+# must reproduce the pre-rewrite renderer (``reference_render``) exactly.
+# ----------------------------------------------------------------------
+_BUILDERS = {"coral": build_coral, "jackson": build_jackson, "detrac": build_detrac}
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("profile", sorted(_BUILDERS))
+def test_render_matches_the_reference_renderer_on_every_profile(profile, seed):
+    stream = _BUILDERS[profile](train_size=48, val_size=4, test_size=4, seed=seed).train
+    config = stream.renderer.config
+    for index in range(len(stream)):
+        truth = stream.ground_truth(index)
+        assert np.array_equal(
+            stream.renderer.render(truth), reference_render(config, truth)
+        ), f"{profile} seed {seed} frame {index}"
+
+
+@pytest.mark.parametrize(
+    "profile, digest",
+    [
+        ("coral", "7876c9f3b5848da4a7c61d027a39663914eeb754c7016e4bfcf7f14e6bf9b6a5"),
+        ("jackson", "46b99582ef02c71abcf586d55a91324948be774117481a905e30af94f1ebf74b"),
+        ("detrac", "6a86b4cd2a4e162c5820048c556427e174d7e530946b8b3715d7d0dd1a2c512f"),
+    ],
+)
+def test_first_frames_of_each_profile_keep_their_pinned_pixels(profile, digest):
+    """Digests of ``train.frame(0..7).image`` taken before the slice-fill
+    kernel: a change that moves the decoded video has to re-pin them."""
+    stream = _BUILDERS[profile](train_size=8, val_size=4, test_size=4, seed=3).train
+    sha = hashlib.sha256()
+    for index in range(8):
+        sha.update(stream.frame(index).image.tobytes())
+    assert sha.hexdigest() == digest
+
+
+_CLASSES = default_class_registry()
+
+
+@st.composite
+def _object_states(draw, size: int, frame_width: int, frame_height: int, track_id: int):
+    """One object, its box chosen in output pixels from a named edge case."""
+    kind = draw(
+        st.sampled_from(
+            ["inside", "left", "right", "top", "bottom", "outside", "subpixel", "thin", "small"]
+        )
+    )
+    extent = st.floats(0.5, size * 0.7)
+    w, h = draw(extent), draw(extent)
+    if kind == "subpixel":
+        w, h = draw(st.floats(0.01, 0.9)), draw(st.floats(0.01, 0.9))
+    elif kind == "thin":  # one side under the 4-pixel border threshold
+        if draw(st.booleans()):
+            w = draw(st.floats(0.5, 3.9))
+        else:
+            h = draw(st.floats(0.5, 3.9))
+    elif kind == "small":  # around the 6-pixel windshield threshold
+        w, h = draw(st.floats(3.0, 7.0)), draw(st.floats(3.0, 7.0))
+    anywhere = st.floats(0.0, float(size))
+    cx, cy = draw(anywhere), draw(anywhere)
+    if kind == "left":
+        cx = draw(st.floats(-w / 2, w / 2))
+    elif kind == "right":
+        cx = size + draw(st.floats(-w / 2, w / 2))
+    elif kind == "top":
+        cy = draw(st.floats(-h / 2, h / 2))
+    elif kind == "bottom":
+        cy = size + draw(st.floats(-h / 2, h / 2))
+    elif kind == "outside":
+        cx = draw(st.sampled_from([-w, size + w]))
+    to_x, to_y = frame_width / size, frame_height / size
+    return ObjectState(
+        track_id=track_id,
+        object_class=_CLASSES[draw(st.sampled_from(sorted(_CLASSES)))],
+        box=Box.from_center(cx * to_x, cy * to_y, w * to_x, h * to_y),
+        color_name=draw(st.sampled_from(sorted(NAMED_COLORS))),
+    )
+
+
+@st.composite
+def _render_cases(draw):
+    config = RendererConfig(
+        output_size=draw(st.integers(16, 128)),
+        background_texture=draw(st.sampled_from([0.0, 6.0])),
+        pixel_noise=draw(st.sampled_from([0.0, 4.0, 11.5])),
+        draw_borders=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    frame_width, frame_height = draw(st.integers(64, 640)), draw(st.integers(64, 640))
+    count = draw(st.integers(0, 8))
+    objects = tuple(
+        draw(_object_states(config.output_size, frame_width, frame_height, track_id))
+        for track_id in range(count)
+    )
+    truth = FrameGroundTruth(
+        frame_index=draw(st.integers(0, 10_000)),
+        objects=objects,
+        frame_width=frame_width,
+        frame_height=frame_height,
+    )
+    return config, truth
+
+
+@settings(max_examples=150, deadline=None)
+@given(_render_cases())
+def test_render_matches_the_reference_renderer_on_generated_scenes(case):
+    """Boxes straddling each edge, outside the frame, sub-pixel, under the
+    border and windshield thresholds, overlapping rectangles and ellipses,
+    non-square source frames, borders / noise / texture switched off."""
+    config, truth = case
+    assert np.array_equal(FrameRenderer(config).render(truth), reference_render(config, truth))
+
+
+def test_concurrent_first_renders_equal_the_single_threaded_result():
+    """The background and the ellipse masks are built on first use, with no
+    lock: threads racing through a fresh renderer must all get the pixels a
+    single thread gets (coral: the profile whose frames are all ellipses)."""
+    stream = build_coral(train_size=24, val_size=4, test_size=4, seed=5).train
+    config = stream.renderer.config
+    truths = [stream.ground_truth(index) for index in range(len(stream))]
+    expected = [FrameRenderer(config).render(truth) for truth in truths]
+
+    shared = FrameRenderer(config)
+    barrier = threading.Barrier(4)
+    results: list[list[np.ndarray]] = [[] for _ in range(4)]
+
+    def work(slot: int) -> None:
+        barrier.wait(timeout=10)
+        results[slot] = [shared.render(truth) for truth in truths]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for rendered in results:
+        assert len(rendered) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(rendered, expected))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("output_size", 0),
+        ("output_size", -4),
+        ("pixel_noise", -1.0),
+        ("pixel_noise", float("nan")),
+        ("background_texture", -0.5),
+        ("background_color", (90, 95, 256)),
+        ("background_color", (-1, 95, 100)),
+        ("background_color", (90, 95)),
+    ],
+)
+def test_renderer_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RendererConfig(**{field: value})
 
 
 def test_stream_iteration_and_access(single_object_stream):

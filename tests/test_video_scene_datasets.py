@@ -12,7 +12,10 @@ from repro.video.datasets import (
     build_dataset,
     dataset_profiles,
 )
-from repro.video.scene import SceneConfig, SceneSimulator
+from repro.spatial.geometry import Point
+from repro.video.motion import ParkedMotion
+from repro.video.objects import TrackedObject, default_class_registry
+from repro.video.scene import Scene, SceneConfig, SceneSimulator
 from repro.video.synthesis import ClassMixEntry, DatasetProfile
 
 
@@ -86,11 +89,34 @@ def test_ground_truth_location_masks(tiny_jackson):
             assert mask.count == 0
 
 
+def test_scene_rejects_a_track_with_an_unknown_color_name():
+    """A hand-built track skips ``AppearanceModel``'s palette check; the typo
+    must fail here, not as a ``KeyError`` inside ``render`` mid-scan."""
+    car = default_class_registry()["car"]
+    config = SceneConfig(
+        frame_width=448, frame_height=448, num_frames=2, mean_count=1.0, std_count=0.0,
+        count_autocorrelation=0.9, class_mix=JACKSON_PROFILE.classes[:1], max_count=2,
+    )
+
+    def scene_with(color_name):
+        parked = ParkedMotion(Point(100, 100))
+        tracks = [
+            TrackedObject(0, car, 40.0, 20.0, "blue", 0, 2, parked),
+            TrackedObject(7, car, 40.0, 20.0, color_name, 0, 2, parked),
+        ]
+        return Scene(config=config, tracks=tracks, active_tracks_per_frame=[[0, 7], [0, 7]])
+
+    assert scene_with("silver").ground_truth(1).count == 2
+    with pytest.raises(ValueError, match=r"track 7 .*'sliver'"):
+        scene_with("sliver")
+
+
 def test_build_dataset_splits_share_camera(tiny_jackson):
     # All three splits share the same static background (same camera).
-    train_bg = tiny_jackson.train.renderer._background(112, 112)
-    test_bg = tiny_jackson.test.renderer._background(112, 112)
-    assert np.allclose(train_bg, test_bg)
+    train_bg = tiny_jackson.train.renderer._background()
+    test_bg = tiny_jackson.test.renderer._background()
+    assert train_bg.shape == (112, 112, 3)
+    assert np.array_equal(train_bg, test_bg)
     # Scene content differs between splits.
     assert tiny_jackson.train.count_series().sum() != tiny_jackson.test.count_series().sum() or len(
         tiny_jackson.train
