@@ -82,7 +82,6 @@ def run(config, num_workers: int) -> dict[str, object]:
             num_workers=num_workers,
             backend=backend,
             chunk_size=CHUNK,
-            prefetch_depth=2,
         )
         wall_s, result = _best_of(
             ROUNDS,

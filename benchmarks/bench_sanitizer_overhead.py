@@ -67,7 +67,6 @@ def run(config, num_workers: int) -> dict[str, object]:
             num_workers=num_workers,
             backend="thread",
             chunk_size=CHUNK,
-            prefetch_depth=2,
             sanitize=sanitize,
         )
 

@@ -78,6 +78,14 @@ class HoppingWindow:
         if self.size <= 0 or self.advance <= 0:
             raise ValueError(f"size and advance must be positive: {self.size}, {self.advance}")
 
+    def covers(self, index: int, origin: int = 0) -> bool:
+        """Whether ``index`` lies in some instance of the window anchored at ``origin``.
+
+        Instances start at ``origin``, ``origin + advance``, ... without end;
+        where a finite stream stops materialising them is the caller's to add.
+        """
+        return index >= origin and (index - origin) % self.advance < self.size
+
     def windows_over(
         self,
         num_frames: int,

@@ -363,7 +363,7 @@ class SanitizerSession:
             return
         with self._mu:
             self._chunk_digests[chunk_id] = (
-                None if outcome is None else chunk_digest(outcome.alive)
+                None if outcome is None else chunk_digest(outcome.filtered.alive)
             )
 
     def verify_determinism(
@@ -403,10 +403,9 @@ class SanitizerSession:
                 ]
             else:
                 covered = None
-            alive, _, _, _, _ = run_filter_chunk(
-                reference, assignments, covered, identity_orders, frames
+            expected = chunk_digest(
+                run_filter_chunk(reference, assignments, covered, identity_orders, frames).alive
             )
-            expected = chunk_digest(alive)
             if observed != expected:
                 self.record(
                     diag(

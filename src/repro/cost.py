@@ -80,6 +80,15 @@ class CostBreakdown:
             return float("nan")
         return self.total_reused / total
 
+    def add(self, component: str, milliseconds: float, calls: int) -> None:
+        """Accumulate ``calls`` invocations costing ``milliseconds`` in total."""
+        self.per_component_ms[component] = (
+            self.per_component_ms.get(component, 0.0) + milliseconds
+        )
+        self.per_component_calls[component] = (
+            self.per_component_calls.get(component, 0) + calls
+        )
+
     def merged_with(self, other: "CostBreakdown") -> "CostBreakdown":
         merged = self.copy()
         for name, ms in other.per_component_ms.items():
@@ -413,13 +422,7 @@ class SimulatedClock:
             raise ValueError(f"cannot charge negative time: {milliseconds}")
         if calls < 0:
             raise ValueError(f"cannot charge negative calls: {calls}")
-        breakdown = self._breakdown
-        breakdown.per_component_ms[component] = (
-            breakdown.per_component_ms.get(component, 0.0) + milliseconds
-        )
-        breakdown.per_component_calls[component] = (
-            breakdown.per_component_calls.get(component, 0) + calls
-        )
+        self._breakdown.add(component, milliseconds, calls)
 
     def reuse(self, component: str, calls: int = 1) -> None:
         """Record ``calls`` invocations of ``component`` served from a temporal cache.

@@ -226,10 +226,6 @@ class FeatureBackbone:
             rounded.astype(np.int16) if np.array_equal(doubled, rounded) else None
         )
 
-    @property
-    def has_background(self) -> bool:
-        return self._background is not None
-
     # ------------------------------------------------------------------
     # Feature extraction
     # ------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.spatial.geometry import Box
 from repro.spatial.grid import Grid, GridMask
@@ -85,7 +84,3 @@ class Detector(abc.ABC):
     @abc.abstractmethod
     def detect(self, frame: Frame) -> FrameDetections:
         """Detect all objects in ``frame``."""
-
-    def detect_many(self, frames: Sequence[Frame]) -> list[FrameDetections]:
-        """Detect objects in a batch of frames."""
-        return [self.detect(frame) for frame in frames]

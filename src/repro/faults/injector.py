@@ -307,9 +307,6 @@ class FaultInjector:
         chunk's first frame index, identical inline and in workers)."""
         self.maybe_raise("filter", first_index)
 
-    def detector_event(self, frame_index: int) -> None:
-        self.maybe_raise("detector", frame_index)
-
     def worker_directive(self, chunk_id: int) -> tuple[str, float] | None:
         """Parent-side crash/stall decision for one dispatched chunk.
 

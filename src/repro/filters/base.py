@@ -186,9 +186,6 @@ class FrameFilter(abc.ABC):
             predictions=tuple(self.predict(frame) for frame in frames),
         )
 
-    def predict_many(self, frames: Sequence[Frame]) -> list[FilterPrediction]:
-        return list(self.predict_batch(frames))
-
     def _charge(self) -> None:
         if self.clock is not None:
             self.clock.charge(self.name, self.latency_ms)

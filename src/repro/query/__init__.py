@@ -45,18 +45,18 @@ from repro.query.parallel import (
     ParallelStats,
     PlanRevision,
 )
-from repro.query.executor import (
+from repro.query.results import (
     AggregateExecutionResult,
     ExecutionStats,
     MultiQueryExecutionResult,
     QueryExecutionResult,
     SharedExecutionStats,
-    StreamingQueryExecutor,
     WindowAggregateEstimate,
     WindowResult,
     WindowStats,
-    brute_force_execute,
 )
+from repro.query.executor import StreamingQueryExecutor
+from repro.query.oracle import brute_force_execute
 from repro.query.session import ChunkProgress, QueryState, ScanSession
 from repro.query.temporal import (
     DeltaGate,

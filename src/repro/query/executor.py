@@ -22,8 +22,10 @@ chunks are faster in wall-clock (see the perf ledger's ``table3_perframe`` /
 Every chunk size honors the query's ``WINDOW HOPPING`` clause: the stream is
 segmented into hopping-window instances, every frame covered by at least one
 window is filtered/verified exactly once (overlapping windows share the
-per-frame work), and the result carries one :class:`WindowResult` per window
-instance alongside the flat ``matched_frames``.  Aggregate monitoring queries
+per-frame work), and the result carries one
+:class:`~repro.query.results.WindowResult` per window instance alongside the
+flat ``matched_frames`` (the result records live in
+:mod:`repro.query.results`).  Aggregate monitoring queries
 go through :meth:`StreamingQueryExecutor.execute_aggregate`, which uses the
 planned cascade's primary filter as the control-variate source.
 
@@ -62,30 +64,29 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
+from dataclasses import replace
+from typing import TYPE_CHECKING, Sequence
 
 # Imported from the submodule (not the repro.aggregates package) so that the
 # aggregates -> query.ast -> query.executor import chain finds the window
 # types already initialised.
 from repro.aggregates.windows import HoppingWindow, WindowBounds
-from repro.cost import CostBreakdown, ParallelCostReport, SharedCostReport, SimulatedClock
+from repro.cost import ParallelCostReport, SimulatedClock
 from repro.detection.base import Detector
 from repro.faults.injector import FaultExhausted, current_report
 from repro.filters.base import FrameFilter
-from repro.query.ast import Query
-from repro.query.evaluation import evaluate_predicates_on_detections
-from repro.query.parallel import (
-    CascadeProfiler,
-    ParallelConfig,
-    ParallelStats,
-    PlanRevision,
-    decode_ahead,
-    partition_chunks,
-)
+from repro.query.ast import Query, WindowSpec
+from repro.query.parallel import ParallelConfig, ParallelStats, decode_ahead, partition_chunks
 from repro.query.planner import FilterCascade
+from repro.query.results import (
+    AggregateExecutionResult,
+    MultiQueryExecutionResult,
+    QueryExecutionResult,
+    SharedExecutionStats,
+    WindowAggregateEstimate,
+    partition_into_windows,
+    query_result,
+)
 from repro.query.session import ScanSession
 from repro.query.temporal import TemporalConfig, TemporalStats
 from repro.video.stream import VideoStream, checked_frame_indices
@@ -93,275 +94,6 @@ from repro.video.stream import VideoStream, checked_frame_indices
 if TYPE_CHECKING:  # runtime import would be circular; see execute_aggregate
     from repro.aggregates.monitor import AggregateQuerySpec, MonitoringReport
     from repro.analysis.diagnostics import AnalysisReport
-    from repro.faults.injector import FaultReport
-
-
-@dataclass(frozen=True)
-class ExecutionStats:
-    """Work and cost accounting for one query execution."""
-
-    frames_scanned: int
-    frames_passed_filters: int
-    detector_invocations: int
-    filter_invocations: int
-    simulated_cost: CostBreakdown
-    wall_clock_seconds: float
-    #: chunk size of the batched execution mode; ``None`` = sequential
-    batch_size: int | None = None
-    #: mid-stream cascade reorders performed by the adaptive re-planner
-    #: (empty unless ``ParallelConfig(adaptive=True)`` was in effect)
-    plan_revisions: tuple[PlanRevision, ...] = ()
-    #: worker/prefetch telemetry of a parallel pipelined execution
-    #: (``None`` when the scan ran without a ``ParallelConfig``)
-    parallel: ParallelStats | None = None
-    #: findings of the runtime sanitizers (``None`` unless the scan ran with
-    #: ``ParallelConfig(sanitize=...)``; empty report = instrumented and clean)
-    sanitizer_report: "AnalysisReport | None" = None
-    #: injected-fault and quarantine accounting of the scan (``None`` when no
-    #: :class:`~repro.faults.FaultInjector` was installed and nothing was
-    #: quarantined — i.e. every fault-free run)
-    faults: "FaultReport | None" = None
-
-    @property
-    def simulated_seconds(self) -> float:
-        return self.simulated_cost.total_seconds
-
-    @property
-    def filter_selectivity(self) -> float:
-        """Fraction of frames that survived the cascade (lower = more selective).
-
-        An execution that scanned no frames has no survival fraction at all;
-        returning ``0.0`` would read as "perfectly selective", so the empty
-        case returns ``nan`` (check with :func:`math.isnan`).
-        """
-        if self.frames_scanned == 0:
-            return float("nan")
-        return self.frames_passed_filters / self.frames_scanned
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """Per-window frame counts of a windowed execution.
-
-    These are cardinalities of the window's frame sets, not work counters:
-    overlapping windows share one filter evaluation and one verification per
-    frame, so attributing invocations per window would double-charge shared
-    work.  The execution-wide totals live in :class:`ExecutionStats`.
-    """
-
-    frames_scanned: int
-    frames_passed_filters: int
-
-
-@dataclass(frozen=True)
-class WindowResult:
-    """Per-window match set of a windowed query execution."""
-
-    bounds: WindowBounds
-    matched_frames: tuple[int, ...]
-    stats: WindowStats
-
-    @property
-    def num_matches(self) -> int:
-        return len(self.matched_frames)
-
-    @property
-    def match_fraction(self) -> float:
-        """Fraction of the window's scanned frames that matched (``nan`` if none scanned)."""
-        if self.stats.frames_scanned == 0:
-            return float("nan")
-        return self.num_matches / self.stats.frames_scanned
-
-
-@dataclass(frozen=True)
-class QueryExecutionResult:
-    """The outcome of executing a query over a stream.
-
-    For windowed queries ``windows`` holds one :class:`WindowResult` per
-    hopping-window instance (in stream order); ``matched_frames`` stays the
-    flat match set over all frames covered by any window, so the union of the
-    per-window match sets always equals ``matched_frames``.  Un-windowed
-    executions have ``windows=None``.  ``temporal`` carries the
-    reuse/stride telemetry of a temporally-coherent execution (``None`` when
-    the scan ran without a :class:`~repro.query.temporal.TemporalConfig`).
-    """
-
-    query_name: str
-    cascade_description: str
-    matched_frames: tuple[int, ...]
-    stats: ExecutionStats
-    windows: tuple[WindowResult, ...] | None = None
-    temporal: TemporalStats | None = None
-
-    @property
-    def num_matches(self) -> int:
-        return len(self.matched_frames)
-
-    @property
-    def num_windows(self) -> int:
-        return len(self.windows) if self.windows is not None else 0
-
-    # ------------------------------------------------------------------
-    # Accuracy against a reference (brute-force) result
-    # ------------------------------------------------------------------
-    def accuracy_against(self, reference_frames: Iterable[int]) -> dict[str, float]:
-        """Precision / recall / F1 / accuracy relative to a reference answer set.
-
-        The paper reports, for count queries, the fraction of true answer
-        frames that the filtered execution identifies (here ``recall``; the
-        verification step makes false positives impossible when the same
-        detector defines the truth), and the F1 measure for spatial queries.
-        """
-        truth = set(reference_frames)
-        found = set(self.matched_frames)
-        true_positives = len(truth & found)
-        false_positives = len(found - truth)
-        false_negatives = len(truth - found)
-        precision = (
-            true_positives / (true_positives + false_positives)
-            if (true_positives + false_positives)
-            else 1.0
-        )
-        recall = (
-            true_positives / (true_positives + false_negatives)
-            if (true_positives + false_negatives)
-            else 1.0
-        )
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if (precision + recall) > 0
-            else 0.0
-        )
-        return {
-            "precision": precision,
-            "recall": recall,
-            "f1": f1,
-            "accuracy": recall,
-            "true_positives": float(true_positives),
-            "false_positives": float(false_positives),
-            "false_negatives": float(false_negatives),
-        }
-
-    def speedup_against(self, reference: "QueryExecutionResult") -> float:
-        """Simulated-time speedup relative to another execution (e.g. brute force).
-
-        Edge cases are defined so empty comparisons read sensibly: two
-        zero-cost executions are equally fast (``1.0``); a zero-cost
-        execution compared against a real one is infinitely faster
-        (``inf``).
-        """
-        own = self.stats.simulated_seconds
-        other = reference.stats.simulated_seconds
-        if own <= 0:
-            return 1.0 if other <= 0 else float("inf")
-        return other / own
-
-
-@dataclass(frozen=True)
-class SharedExecutionStats:
-    """Actual work performed by one shared multi-query scan.
-
-    Unlike the per-query :class:`ExecutionStats` (which attribute to each
-    query the work it would have paid running alone), these counters are what
-    the shared run really did: every frame materialised once, every shared
-    filter evaluated at most once per frame, the detector run at most once
-    per frame on the union of all queries' cascade survivors.
-    """
-
-    #: distinct frames materialised and scanned (union over all queries)
-    frames_scanned: int
-    #: detector runs — one per frame that survived *some* query's cascade
-    detector_invocations: int
-    #: filter frame-evaluations actually performed across all shared filters
-    filter_computations: int
-    #: cascade steps after cross-query dedup / before dedup
-    unique_steps: int
-    total_steps: int
-    cost: SharedCostReport
-    wall_clock_seconds: float
-    batch_size: int | None = None
-    #: reuse/stride telemetry of a temporally-coherent shared scan
-    temporal: TemporalStats | None = None
-    #: worker/prefetch telemetry of a parallel pipelined shared scan
-    parallel: ParallelStats | None = None
-    #: findings of the runtime sanitizers (``None`` unless the scan ran with
-    #: ``ParallelConfig(sanitize=...)``; empty report = instrumented and clean)
-    sanitizer_report: "AnalysisReport | None" = None
-
-    @property
-    def savings_ratio(self) -> float:
-        """Simulated-cost ratio of N independent runs over the shared run."""
-        return self.cost.savings_ratio
-
-
-@dataclass(frozen=True)
-class MultiQueryExecutionResult:
-    """The outcome of executing several queries in one shared scan.
-
-    ``results[i]`` corresponds to ``queries[i]`` of the
-    :meth:`StreamingQueryExecutor.execute_many` call and is bit-identical in
-    matched frames and work counters to running that query alone; ``shared``
-    reports the work the one scan actually performed.
-    """
-
-    results: tuple[QueryExecutionResult, ...]
-    shared: SharedExecutionStats
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, index: int) -> QueryExecutionResult:
-        return self.results[index]
-
-    def result_for(self, query_name: str) -> QueryExecutionResult:
-        """The result of the (single) query named ``query_name``."""
-        found = [result for result in self.results if result.query_name == query_name]
-        if not found:
-            raise KeyError(f"no query named {query_name!r} in this execution")
-        if len(found) > 1:
-            raise KeyError(f"{len(found)} queries named {query_name!r}; index by position")
-        return found[0]
-
-
-@dataclass(frozen=True)
-class WindowAggregateEstimate:
-    """Aggregate estimates for one window instance of a windowed spec."""
-
-    bounds: WindowBounds
-    reports: tuple["MonitoringReport", ...]
-
-    @property
-    def cv_mean(self) -> float:
-        """Mean of the control-variate estimates across the repetitions."""
-        return float(np.mean([report.control_variate.mean for report in self.reports]))
-
-
-@dataclass(frozen=True)
-class AggregateExecutionResult:
-    """The outcome of executing an aggregate monitoring query.
-
-    Un-windowed specs produce ``reports`` (one
-    :class:`~repro.aggregates.monitor.MonitoringReport` per repetition) and
-    ``windows=None``; windowed specs produce one
-    :class:`WindowAggregateEstimate` per hopping-window instance and an empty
-    ``reports``.
-    """
-
-    query_name: str
-    cascade_description: str
-    filter_name: str
-    reports: tuple["MonitoringReport", ...]
-    windows: tuple[WindowAggregateEstimate, ...] | None = None
-
-    @property
-    def all_reports(self) -> tuple["MonitoringReport", ...]:
-        """Every report produced, whole-stream or per-window."""
-        if self.windows is None:
-            return self.reports
-        return tuple(report for window in self.windows for report in window.reports)
 
 
 class StreamingQueryExecutor:
@@ -622,22 +354,19 @@ class StreamingQueryExecutor:
 
         # Per-query frame coverage: windowed queries restrict to their windows.
         per_query_windows: list[list[WindowBounds] | None] = []
-        per_query_indices: list[list[int]] = []
+        member_sets: list[set[int]] = []
         for query, cascade in zip(queries, query_cascades):
-            bounds = _window_bounds_for(query, stream, include_partial_windows)
+            bounds = _window_bounds_for(query.window, stream, include_partial_windows)
             per_query_windows.append(bounds)
             if cascade.provably_empty:
                 # Statically proven to match nothing: the query takes part in
                 # no frame of the shared scan (and pulls no frame into the
                 # union on its own).
-                per_query_indices.append([])
+                member_sets.append(set())
+            elif bounds is None:
+                member_sets.append(set(base_indices))
             else:
-                per_query_indices.append(
-                    _restrict_to_coverage(base_indices, bounds)
-                    if bounds is not None
-                    else list(base_indices)
-                )
-        member_sets = [set(indices) for indices in per_query_indices]
+                member_sets.append(_covered(base_indices, query.window, bounds))
         union_indices = [
             index
             for index in base_indices
@@ -661,24 +390,18 @@ class StreamingQueryExecutor:
         # clock rather than by resetting it: a caller-supplied shared clock
         # (e.g. one accumulating cost across several executions) keeps its
         # history.
-        session = ScanSession(
-            self.detector, clock=self.clock, live=False, parallel=parallel if chunks else None
-        )
+        session = ScanSession(self.detector, clock=self.clock, live=False, parallel=parallel)
         with sanitizer_scope as sanitizer:
             with session:
                 for query, cascade, members in zip(queries, query_cascades, member_sets):
                     session.add_query(query, cascade, member_set=members)
-                if parallel is not None and parallel.adaptive:
-                    # One profiler per query: the temporal evaluation and chunk
-                    # submission read its step order, the in-order merge feeds it.
-                    for state in session.states:
-                        state.profiler = CascadeProfiler(state.cascade, parallel)
                 # Plans the scan: steps merged across queries, every filter and
-                # the detector charge our clock until the session closes, and a
-                # parallel session's worker backend exists from here on.
+                # the detector charge our clock until the session closes.
                 unique_steps = session.unique_step_count
-                # After the plan, so that process workers fork before the
-                # first decode-ahead thread starts.
+                if chunks:
+                    # Before decode-ahead, so that process workers fork before
+                    # its first thread starts.
+                    session.start_workers()
                 with decode_ahead(stream, union_indices, parallel, chunk_size) as render:
                     if temporal is not None:
                         temporal_stats = session.run_temporal_scan(
@@ -713,42 +436,28 @@ class StreamingQueryExecutor:
         fault_report = current_report(tuple(session.quarantined))
         reported_batch_size = chunk_size if parallel is not None else batch_size
         # One attributed breakdown per query, in registration order.
-        attributed = list(cost.attributed.values())
-        results = []
-        for position, state in enumerate(session.states):
-            indices, bounds = per_query_indices[position], per_query_windows[position]
-            stats = ExecutionStats(
-                frames_scanned=len(indices),
-                frames_passed_filters=len(state.passed),
-                detector_invocations=len(state.passed),
-                filter_invocations=state.filter_invocations,
-                simulated_cost=attributed[position],
-                wall_clock_seconds=elapsed,
-                batch_size=reported_batch_size,
-                plan_revisions=(
-                    tuple(state.profiler.revisions) if state.profiler is not None else ()
+        results = [
+            query_result(
+                state,
+                attributed,
+                (
+                    partition_into_windows(bounds, state.scanned, state.passed, state.matched)
+                    if bounds is not None
+                    else None
                 ),
+                elapsed,
+                batch_size=reported_batch_size,
                 faults=fault_report,
             )
-            results.append(
-                QueryExecutionResult(
-                    query_name=state.query.name,
-                    cascade_description=state.cascade.describe(),
-                    matched_frames=tuple(state.matched),
-                    stats=stats,
-                    windows=(
-                        _partition_into_windows(bounds, indices, state.passed, state.matched)
-                        if bounds is not None
-                        else None
-                    ),
-                )
+            for state, attributed, bounds in zip(
+                session.states, cost.attributed.values(), per_query_windows
             )
+        ]
         parallel_stats = (
             ParallelStats(
                 backend=parallel.backend,
                 num_workers=parallel.num_workers,
                 chunk_size=chunk_size,
-                prefetch_depth=parallel.prefetch_depth,
                 num_chunks=len(chunks),
                 cost=ParallelCostReport(
                     per_worker=tuple(session.worker_breakdowns.values()),
@@ -759,7 +468,7 @@ class StreamingQueryExecutor:
             else None
         )
         shared_stats = SharedExecutionStats(
-            frames_scanned=len(union_indices),
+            frames_scanned=session.union_frames_scanned,
             detector_invocations=session.shared_detector_invocations,
             filter_computations=session.shared_filter_computations,
             unique_steps=unique_steps,
@@ -843,7 +552,9 @@ class StreamingQueryExecutor:
         windows: tuple[WindowAggregateEstimate, ...] | None = None
         reports: tuple["MonitoringReport", ...] = ()
         if spec.window is not None:
-            hopping = HoppingWindow(size=spec.window.size, advance=spec.window.advance)
+            instances = _window_bounds_for(spec.window, stream, include_partial_windows)
+            if not instances:
+                raise ValueError("a windowed aggregate needs frames; the stream is empty")
             windows = tuple(
                 WindowAggregateEstimate(
                     bounds=bounds,
@@ -859,20 +570,8 @@ class StreamingQueryExecutor:
                         for _ in range(repetitions)
                     ),
                 )
-                for bounds in hopping.windows_over(
-                    len(stream), include_partial=include_partial_windows
-                )
+                for bounds in instances
             )
-            if not windows:
-                hint = (
-                    "shrink the window or pass include_partial_windows=True"
-                    if len(stream) > 0
-                    else "the stream is empty"
-                )
-                raise ValueError(
-                    f"window of size {spec.window.size} produces no instances over "
-                    f"a {len(stream)}-frame stream; {hint}"
-                )
         else:
             reports = tuple(
                 monitor.estimate(
@@ -890,162 +589,36 @@ class StreamingQueryExecutor:
 
 
 def _window_bounds_for(
-    query: Query, stream: VideoStream, include_partial_windows: bool
+    window: WindowSpec | None, stream: VideoStream, include_partial_windows: bool
 ) -> list[WindowBounds] | None:
-    """The query's hopping-window instances over ``stream`` (``None`` if un-windowed).
+    """The hopping-window instances of ``window`` over ``stream`` (``None`` if un-windowed).
 
     An empty stream is an empty execution (as in the un-windowed path); a
     non-empty stream too short for even one window is a configuration error.
     """
-    if query.window is None:
+    if window is None:
         return None
-    hopping = HoppingWindow(size=query.window.size, advance=query.window.advance)
+    hopping = HoppingWindow(size=window.size, advance=window.advance)
     bounds = list(hopping.windows_over(len(stream), include_partial=include_partial_windows))
     if not bounds and len(stream) > 0:
         raise ValueError(
-            f"window of size {query.window.size} produces no instances over "
+            f"window of size {window.size} produces no instances over "
             f"a {len(stream)}-frame stream; shrink the window or pass "
             "include_partial_windows=True"
         )
     return bounds
 
 
-def _unique_query_labels(queries: Sequence[Query]) -> list[str]:
-    """Per-query labels for cost attribution, disambiguating duplicate names."""
-    counts: dict[str, int] = {}
-    for query in queries:
-        counts[query.name] = counts.get(query.name, 0) + 1
-    seen: dict[str, int] = {}
-    labels: list[str] = []
-    for query in queries:
-        if counts[query.name] == 1:
-            labels.append(query.name)
-        else:
-            seen[query.name] = seen.get(query.name, 0) + 1
-            labels.append(f"{query.name}#{seen[query.name]}")
-    return labels
+def _covered(
+    indices: Sequence[int], window: WindowSpec, instances: Sequence[WindowBounds]
+) -> set[int]:
+    """The ``indices`` inside at least one of ``window``'s ``instances``.
 
-
-def _restrict_to_coverage(
-    indices: Sequence[int], window_bounds: Sequence[WindowBounds]
-) -> list[int]:
-    """Keep only the indices covered by at least one window.
-
-    Hopping windows arrive sorted by start, so their union collapses to a
-    short merged-interval list; membership is then one vectorized
-    ``searchsorted`` over the candidate indices rather than materialising a
-    per-frame set (overlapping windows would insert every frame
-    ``size/advance`` times).
+    Instances start at every multiple of ``advance`` up to the last one
+    materialised, so coverage is :meth:`HoppingWindow.covers` (the rule a
+    live session applies to an endless stream) cut off where that last
+    instance ends.
     """
-    if not window_bounds:
-        return []
-    merged: list[list[int]] = []
-    for bounds in window_bounds:
-        if merged and bounds.start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], bounds.stop)
-        else:
-            merged.append([bounds.start, bounds.stop])
-    starts = np.asarray([interval[0] for interval in merged], dtype=np.int64)
-    stops = np.asarray([interval[1] for interval in merged], dtype=np.int64)
-    candidates = np.asarray(list(indices), dtype=np.int64)
-    positions = np.searchsorted(starts, candidates, side="right") - 1
-    covered = (positions >= 0) & (candidates < stops[np.clip(positions, 0, None)])
-    return [int(index) for index in candidates[covered]]
-
-
-def _partition_into_windows(
-    window_bounds: Sequence[WindowBounds],
-    indices: Sequence[int],
-    passed: Sequence[int],
-    matched: Sequence[int],
-) -> tuple[WindowResult, ...]:
-    """Split one shared scan into per-window results.
-
-    Every frame was filtered/verified exactly once; a frame covered by
-    several overlapping windows simply appears in each of their results.
-    Counting uses ``searchsorted`` on the sorted index arrays, so the split
-    costs O((W + N) log N) rather than W x N membership tests.
-    """
-    scanned_sorted = np.sort(np.asarray(list(indices), dtype=np.int64))
-    passed_sorted = np.sort(np.asarray(list(passed), dtype=np.int64))
-    matched_sorted = np.sort(np.asarray(list(matched), dtype=np.int64))
-
-    def _count_in(values: np.ndarray, bounds: WindowBounds) -> int:
-        return int(
-            np.searchsorted(values, bounds.stop, side="left")
-            - np.searchsorted(values, bounds.start, side="left")
-        )
-
-    results = []
-    for bounds in window_bounds:
-        lo = int(np.searchsorted(matched_sorted, bounds.start, side="left"))
-        hi = int(np.searchsorted(matched_sorted, bounds.stop, side="left"))
-        results.append(
-            WindowResult(
-                bounds=bounds,
-                matched_frames=tuple(int(index) for index in matched_sorted[lo:hi]),
-                stats=WindowStats(
-                    frames_scanned=_count_in(scanned_sorted, bounds),
-                    frames_passed_filters=_count_in(passed_sorted, bounds),
-                ),
-            )
-        )
-    return tuple(results)
-
-
-def brute_force_execute(
-    query: Query,
-    stream: VideoStream,
-    detector: Detector,
-    frame_indices: Sequence[int] | None = None,
-    clock: SimulatedClock | None = None,
-) -> QueryExecutionResult:
-    """Annotate every frame with the detector and evaluate the query exactly.
-
-    This is the baseline the paper compares against ("we also evaluate each
-    query in a brute force manner annotating all frames with Mask R-CNN")
-    and the oracle every engine configuration is tested against, so it is a
-    loop of its own: it shares the pure window helpers of this module with
-    the executor and nothing with the scan session, the parallel pipeline
-    or the temporal layer.
-    """
-    clock = clock or SimulatedClock()
-    indices = checked_frame_indices(frame_indices, stream)
-    window_bounds = _window_bounds_for(query, stream, include_partial_windows=True)
-    if window_bounds is not None:
-        indices = _restrict_to_coverage(indices, window_bounds)
-    cost_baseline = clock.snapshot()
-    charges_clock = hasattr(detector, "clock")
-    if charges_clock:
-        previous_clock = detector.clock
-        detector.clock = clock
-    matched: list[int] = []
-    started = time.perf_counter()
-    try:
-        for index in indices:
-            detections = detector.detect(stream.frame(index))
-            if evaluate_predicates_on_detections(query, detections):
-                matched.append(index)
-    finally:
-        if charges_clock:
-            detector.clock = previous_clock
-    elapsed = time.perf_counter() - started
-    return QueryExecutionResult(
-        query_name=query.name,
-        cascade_description=FilterCascade().describe(),
-        matched_frames=tuple(matched),
-        stats=ExecutionStats(
-            frames_scanned=len(indices),
-            frames_passed_filters=len(indices),
-            detector_invocations=len(indices),
-            filter_invocations=0,
-            simulated_cost=clock.delta_since(cost_baseline),
-            wall_clock_seconds=elapsed,
-            faults=current_report(()),
-        ),
-        windows=(
-            _partition_into_windows(window_bounds, indices, indices, matched)
-            if window_bounds is not None
-            else None
-        ),
-    )
+    hopping = HoppingWindow(size=window.size, advance=window.advance)
+    end = instances[-1].stop if instances else 0
+    return {index for index in indices if index < end and hopping.covers(index)}

@@ -5,7 +5,7 @@ every stage on one core: render a chunk, filter it, verify the survivors,
 repeat.  This module turns that loop into a pipeline:
 
 * a **decode-ahead prefetcher** (:class:`FramePrefetcher`) renders the next
-  ``prefetch_depth`` chunks' worth of frames on background threads while
+  ``PREFETCH_DEPTH`` chunks' worth of frames on background threads while
   earlier chunks are being filtered;
 * a **chunk-granular worker pool** runs the filter-cascade phase of several
   chunks concurrently — ``backend="thread"`` gives each worker its own
@@ -22,10 +22,10 @@ repeat.  This module turns that loop into a pipeline:
   are identical to the sequential batched path no matter how chunks raced.
 
 Cost accounting stays exact under concurrency by construction: each worker
-charges its filter work to a *private* :class:`~repro.cost.SimulatedClock`
-and returns the chunk's delta; the one in-order merge loop
-(:meth:`~repro.query.session.ScanSession._merge_next`) absorbs the deltas
-into the main clock in chunk order
+charges its filter work to a *private* :class:`~repro.cost.SimulatedClock`,
+zeroed at the top of every chunk, and returns what the chunk charged; the one
+in-order merge loop (:meth:`~repro.query.session.ScanSession._merge_next`)
+absorbs the chunks' breakdowns into the main clock in chunk order
 (:meth:`~repro.cost.SimulatedClock.absorb`), and
 the per-worker totals are reported in a
 :class:`~repro.cost.ParallelCostReport` alongside the run's wall clock.
@@ -78,13 +78,19 @@ from repro.query.planner import (
 )
 from repro.video.stream import Frame, VideoStream
 
+#: chunks the decode-ahead prefetcher keeps rendered ahead of submission, and
+#: the chunks a session holds in flight beyond one per worker
+PREFETCH_DEPTH = 2
+#: decode-ahead threads (never more than the filter workers)
+PREFETCH_THREADS = 2
+
 
 @dataclass(frozen=True)
 class ParallelConfig:
     """Knobs of the parallel pipelined execution engine.
 
     ``num_workers`` filter workers process chunks of ``chunk_size`` frames
-    concurrently while the prefetcher keeps ``prefetch_depth`` further chunks
+    concurrently while the prefetcher keeps ``PREFETCH_DEPTH`` further chunks
     rendered ahead of submission.  ``backend`` selects threads (cheap to
     start, share memory, scale as far as the filters release the GIL) or
     processes (immune to the GIL; cascades are pickled to each worker once
@@ -130,7 +136,6 @@ class ParallelConfig:
     num_workers: int = 4
     backend: str = "thread"
     chunk_size: int = 16
-    prefetch_depth: int = 2
     adaptive: bool = False
     adaptive_window: int = 32
     adaptive_interval: int = 8
@@ -151,10 +156,6 @@ class ParallelConfig:
             )
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be positive: {self.chunk_size}")
-        if self.prefetch_depth < 0:
-            raise ValueError(
-                f"prefetch_depth must be non-negative: {self.prefetch_depth}"
-            )
         if self.adaptive_window < 1 or self.adaptive_interval < 1:
             raise ValueError("adaptive_window and adaptive_interval must be positive")
         if self.adaptive_margin < 1.0:
@@ -209,11 +210,6 @@ class ParallelConfig:
 
         return parse_sanitize_spec(self.sanitize)
 
-    @property
-    def effective_prefetch_threads(self) -> int:
-        """Decode-ahead thread count: 2, but never more than the workers."""
-        return max(1, min(2, self.num_workers))
-
 
 @dataclass(frozen=True)
 class PlanRevision:
@@ -259,7 +255,6 @@ class ParallelStats:
     backend: str
     num_workers: int
     chunk_size: int
-    prefetch_depth: int
     num_chunks: int
     cost: ParallelCostReport
 
@@ -267,21 +262,24 @@ class ParallelStats:
 class CascadeProfiler:
     """Sliding-window selectivity/cost profiler driving adaptive re-planning.
 
-    The session reports, for every evaluated chunk (a chunk of one on the
-    temporal path), how many frames each cascade step evaluated and passed —
-    *in planned-step positions*, so the bookkeeping is independent of the
-    order currently executing.  A profiler always records.  With
-    ``config.adaptive`` it also calls :meth:`consider` every
-    ``adaptive_interval`` observations, which turns the window into per-step
-    pass rates, asks :func:`~repro.query.planner.replan_order` for the order
-    those rates imply, and adopts it iff the expected per-frame filter cost
-    improves by ``adaptive_margin``x (the margin plus the evaluation floor
-    keep borderline rates from making the order flap).  Without it the order
-    only moves when someone calls :meth:`consider`
-    (:meth:`ScanSession.replan`).  Observed rates are conditional on the
-    order that produced them — the classic independence approximation of
-    filter ordering, same as planning-time selectivity measurement.
+    A session builds one per query iff its config is ``adaptive``.  It is
+    told, for every evaluated chunk (a chunk of one on the temporal path),
+    how many frames each cascade step evaluated and passed — *in
+    planned-step positions*, so the bookkeeping is independent of the order
+    currently executing.  Every ``adaptive_interval`` observations
+    :meth:`consider` turns the window into per-step pass rates, asks
+    :func:`~repro.query.planner.replan_order` for the order those rates
+    imply, and adopts it iff the expected per-frame filter cost improves by
+    ``adaptive_margin``x (the margin plus the evaluation floor keep
+    borderline rates from making the order flap).  Observed rates are
+    conditional on the order that produced them — the classic independence
+    approximation of filter ordering, same as planning-time selectivity
+    measurement.
     """
+
+    #: what a checkpoint carries (:meth:`state_dict`): the adopted order and
+    #: its log, and the window the next decision will be made from
+    _STATE_FIELDS = ("order", "revisions", "_window", "_totals", "_since_consider")
 
     def __init__(self, cascade: FilterCascade, config: ParallelConfig) -> None:
         self._cascade = cascade
@@ -310,12 +308,10 @@ class CascadeProfiler:
             for position, (evaluated, passed) in enumerate(expired):
                 self._totals[position][0] -= evaluated
                 self._totals[position][1] -= passed
-        if not self._config.adaptive:
-            return
         self._since_consider += 1
         if self._since_consider >= self._config.adaptive_interval:
             self._since_consider = 0
-            self.consider(at_frame, self._config.adaptive_margin)
+            self.consider(at_frame)
 
     def pass_rates(self) -> tuple[float | None, ...]:
         """Windowed pass rate per planned step (``None`` below the evaluation floor)."""
@@ -329,12 +325,8 @@ class CascadeProfiler:
         """The cascade reordered to the profiler's current order (via :meth:`QueryPlanner.replan`)."""
         return QueryPlanner.replan(self._cascade, self.pass_rates())
 
-    def consider(self, at_frame: int, margin: float | None = None) -> PlanRevision | None:
-        """Adopt the order the observed rates imply, if it pays; the one re-plan decision.
-
-        ``margin`` is the least expected-cost ratio old/new worth switching
-        for; ``None`` (the manual re-plan) takes any strict improvement.
-        """
+    def consider(self, at_frame: int) -> PlanRevision | None:
+        """Adopt the order the observed rates imply, if it pays; the one re-plan decision."""
         rates = self.pass_rates()
         candidate = replan_order(self._latencies, rates)
         if candidate == self.order:
@@ -344,8 +336,7 @@ class CascadeProfiler:
         if candidate_cost <= 0.0:
             return None
         gain = current_cost / candidate_cost
-        worthwhile = current_cost > candidate_cost if margin is None else gain >= margin
-        if not worthwhile:
+        if gain < self._config.adaptive_margin:
             return None
         revision = PlanRevision(
             at_frame=at_frame,
@@ -359,30 +350,53 @@ class CascadeProfiler:
         self.order = candidate
         return revision
 
+    def state_dict(self) -> dict:
+        """Checkpointable profiler state (see :meth:`ScanSession.checkpoint`)."""
+        return {name: copy.deepcopy(getattr(self, name)) for name in self._STATE_FIELDS}
+
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output into a profiler of the same cascade."""
+        for name in self._STATE_FIELDS:
+            setattr(self, name, copy.deepcopy(state[name]))
+
 
 # ----------------------------------------------------------------------
 # The chunk filter phase (shared by the sequential shared scan and both
 # parallel backends; must stay a top-level function for process pickling)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
+class FilteredChunk:
+    """What one chunk's cascade walk established, per query.
+
+    ``alive[q]`` holds the stream indices that survived query ``q``'s
+    cascade in chunk order, ``invocations[q]`` / ``attributed[q]`` the filter
+    work a standalone run of ``q`` would have paid (calls per
+    ``(component, latency_ms)``), ``computed`` the frames each filter
+    component was actually evaluated on (what a temporal reuse of the chunk
+    avoids) and ``step_stats[q][p]`` the ``(evaluated, passed)`` counts of
+    planned step ``p`` for the profiler.
+    """
+
+    alive: tuple[tuple[int, ...], ...]
+    invocations: tuple[int, ...]
+    attributed: tuple[dict[tuple[str, float], int], ...]
+    computed: dict[str, int]
+    step_stats: tuple[tuple[tuple[int, int], ...], ...]
+
+
+@dataclass(frozen=True)
 class ChunkOutcome:
-    """Result of one chunk's filter phase, as returned by a worker.
+    """One chunk's filter phase as a worker returns it.
 
     Everything downstream of the filters (detector, predicate evaluation,
     window partitioning) happens at the in-order merge in the main process,
-    so this is the complete worker→main contract: per-query survivors,
-    per-query attributed work, the shared computations per filter component
-    (what a temporal reuse of the chunk avoids), per-planned-step profiler
-    stats and the chunk's simulated filter cost.
+    so this is the complete worker→main contract: the filtered chunk and the
+    simulated filter cost the worker charged for it.
     """
 
     chunk_id: int
     worker: str
-    alive: tuple[tuple[int, ...], ...]
-    filter_invocations: tuple[int, ...]
-    attributed: tuple[dict[tuple[str, float], int], ...]
-    computed: dict[str, int]
-    step_stats: tuple[tuple[tuple[int, int], ...], ...]
+    filtered: FilteredChunk
     breakdown: CostBreakdown
 
 
@@ -392,13 +406,7 @@ def run_filter_chunk(
     covered: Sequence[Sequence[bool]] | None,
     orders: Sequence[Sequence[int]],
     frames: Sequence[Frame],
-) -> tuple[
-    list[list[int]],
-    list[int],
-    list[dict[tuple[str, float], int]],
-    dict[str, int],
-    list[list[tuple[int, int]]],
-]:
+) -> FilteredChunk:
     """Run every query's cascade over one chunk of frames.
 
     The shared-scan contract of ``execute_many``, restricted to one chunk: a
@@ -409,13 +417,6 @@ def run_filter_chunk(
     outside query ``q``'s window coverage (``None`` = all frames covered);
     ``orders[q]`` is the execution order over cascade ``q``'s planned step
     positions (the adaptive re-planner's output; identity when static).
-
-    Returns ``(alive, filter_invocations, attributed, computed,
-    step_stats)`` where ``alive[q]`` holds the stream indices that survived
-    query ``q``'s cascade in chunk order, ``computed`` maps a filter's
-    component name to the frames it was actually evaluated on, and
-    ``step_stats[q][p]`` holds the ``(evaluated, passed)`` counts of planned
-    step ``p`` for the profiler.
     """
     if hooks.injector is not None:
         # Fault site *before* any accumulation, keyed by the chunk's first
@@ -424,7 +425,7 @@ def run_filter_chunk(
         if frames:
             hooks.injector.filter_event(frames[0].index)
     num_queries = len(query_cascades)
-    alive_indices: list[list[int]] = []
+    alive_indices: list[tuple[int, ...]] = []
     filter_invocations = [0] * num_queries
     attributed: list[dict[tuple[str, float], int]] = [{} for _ in range(num_queries)]
     step_stats: list[list[tuple[int, int]]] = [
@@ -473,8 +474,14 @@ def run_filter_chunk(
                     still_alive.append(k)
             step_stats[position][step_position] = (len(alive), len(still_alive))
             alive = still_alive
-        alive_indices.append([frames[k].index for k in alive])
-    return alive_indices, filter_invocations, attributed, computed, step_stats
+        alive_indices.append(tuple(frames[k].index for k in alive))
+    return FilteredChunk(
+        alive=tuple(alive_indices),
+        invocations=tuple(filter_invocations),
+        attributed=tuple(attributed),
+        computed=computed,
+        step_stats=tuple(map(tuple, step_stats)),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -565,7 +572,7 @@ def decode_ahead(
     """The ``render(index)`` of one scan over ``indices``.
 
     ``stream.frame`` itself when ``parallel`` is ``None``, so callers do not
-    branch; otherwise a :class:`FramePrefetcher` running ``prefetch_depth``
+    branch; otherwise a :class:`FramePrefetcher` running ``PREFETCH_DEPTH``
     chunks of ``chunk_size`` frames (default: the config's) ahead, closed
     however the block exits.  The only place that constructs one (lint
     INV011).  Enter it after the scan is planned, so that process workers
@@ -574,10 +581,9 @@ def decode_ahead(
     if parallel is None:
         yield stream.frame
         return
-    depth = parallel.prefetch_depth * (chunk_size or parallel.chunk_size)
-    with closing(
-        FramePrefetcher(stream, indices, depth, parallel.effective_prefetch_threads)
-    ) as prefetcher:
+    depth = PREFETCH_DEPTH * (chunk_size or parallel.chunk_size)
+    threads = min(PREFETCH_THREADS, parallel.num_workers)
+    with closing(FramePrefetcher(stream, indices, depth, threads)) as prefetcher:
         yield prefetcher.frame
 
 
@@ -623,21 +629,15 @@ class _Worker:
         orders: Sequence[Sequence[int]],
         frames: Sequence[Frame],
     ) -> ChunkOutcome:
-        """Filter one chunk; the outcome carries the chunk's delta of the clock."""
-        baseline = self.clock.snapshot()
-        alive, invocations, attributed, computed, step_stats = run_filter_chunk(
-            self.cascades, self.assignments, covered, orders, frames
-        )
-        return ChunkOutcome(
-            chunk_id=chunk_id,
-            worker=self.label,
-            alive=tuple(tuple(row) for row in alive),
-            filter_invocations=tuple(invocations),
-            attributed=tuple(attributed),
-            computed=computed,
-            step_stats=tuple(tuple(row) for row in step_stats),
-            breakdown=self.clock.delta_since(baseline),
-        )
+        """Filter one chunk; the outcome carries exactly what the chunk charged.
+
+        The private clock starts every chunk from zero, so the breakdown is
+        the chunk's own sums: subtracting a running total instead would make
+        its last ulp depend on which chunks this worker ran before.
+        """
+        self.clock.reset()
+        filtered = run_filter_chunk(self.cascades, self.assignments, covered, orders, frames)
+        return ChunkOutcome(chunk_id, self.label, filtered, self.clock.snapshot())
 
 
 def _apply_worker_directive(

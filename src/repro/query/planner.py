@@ -43,6 +43,7 @@ from repro.query.ast import (
     RegionPredicate,
     SpatialPredicate,
 )
+from repro.query.temporal import clocks_detached
 from repro.spatial.relations import grid_masks_satisfy_direction
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids the analysis cycle
@@ -90,6 +91,17 @@ class PlannerConfig:
             )
 
 
+def cost_per_rejection(cost_ms: float | None, pass_rate: float | None) -> float:
+    """Expected filter milliseconds spent per frame a step rejects.
+
+    The ordering key of every cascade sort.  ``inf`` when the step is
+    unmeasured or lets everything through, which sorts it to the back.
+    """
+    if cost_ms is None or pass_rate is None or pass_rate >= 1.0:
+        return math.inf
+    return cost_ms / (1.0 - pass_rate)
+
+
 @dataclass(frozen=True)
 class CascadeStep:
     """One approximate check in the cascade.
@@ -124,17 +136,8 @@ class CascadeStep:
 
     @property
     def cost_per_rejection(self) -> float:
-        """Expected filter milliseconds spent per frame this step rejects.
-
-        ``inf`` when the step was measured to reject nothing (or has not
-        been measured), which sorts such steps to the end of the cascade.
-        """
-        if self.measured_pass_rate is None or self.measured_cost_ms is None:
-            return math.inf
-        rejection_rate = 1.0 - self.measured_pass_rate
-        if rejection_rate <= 0.0:
-            return math.inf
-        return self.measured_cost_ms / rejection_rate
+        """:func:`cost_per_rejection` of the step's measured cost and pass rate."""
+        return cost_per_rejection(self.measured_cost_ms, self.measured_pass_rate)
 
 
 @dataclass
@@ -218,17 +221,11 @@ def measure_cascade_selectivity(
     frames = [stream.frame(index) for index in frame_indices]
     if not frames or not cascade.steps:
         return FilterCascade(steps=list(cascade.steps))
-    saved_clocks = [(frame_filter, frame_filter.clock) for frame_filter in cascade.filters]
-    for frame_filter, _ in saved_clocks:
-        frame_filter.clock = None
-    try:
+    with clocks_detached(cascade.filters):
         predictions = {
             frame_filter.identity: frame_filter.predict_batch(frames)
-            for frame_filter, _ in saved_clocks
+            for frame_filter in cascade.filters
         }
-    finally:
-        for frame_filter, previous in saved_clocks:
-            frame_filter.clock = previous
     measured = []
     for step in cascade.steps:
         step_predictions = predictions[step.frame_filter.identity]
@@ -261,11 +258,7 @@ def order_cascade_by_selectivity(
     measured = measure_cascade_selectivity(
         cascade, stream, sample_size=sample_size, frame_indices=frame_indices
     )
-    order = sorted(
-        range(len(measured.steps)),
-        key=lambda position: (measured.steps[position].cost_per_rejection, position),
-    )
-    return FilterCascade(steps=[measured.steps[position] for position in order])
+    return replan_cascade(measured, [step.measured_pass_rate for step in measured.steps])
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +272,7 @@ def replan_order(
     ``pass_rates[i]`` is the observed fraction of evaluated frames step ``i``
     let through (``None`` when the step has not been observed — e.g. an
     earlier step rejected every frame before it ran), in which case the step
-    keeps a ``cost_per_rejection`` of ``inf`` and sorts to the back.  The
+    keeps a :func:`cost_per_rejection` of ``inf`` and sorts to the back.  The
     sort is stable, so ties preserve the current relative order and replanning
     with unchanged rates is a no-op.
     """
@@ -287,18 +280,11 @@ def replan_order(
         raise ValueError(
             f"{len(latencies_ms)} latencies but {len(pass_rates)} pass rates"
         )
-
-    def cost_per_rejection(position: int) -> float:
-        rate = pass_rates[position]
-        if rate is None:
-            return math.inf
-        rejection = 1.0 - rate
-        if rejection <= 0.0:
-            return math.inf
-        return latencies_ms[position] / rejection
-
     return tuple(
-        sorted(range(len(latencies_ms)), key=lambda p: (cost_per_rejection(p), p))
+        sorted(
+            range(len(latencies_ms)),
+            key=lambda p: (cost_per_rejection(latencies_ms[p], pass_rates[p]), p),
+        )
     )
 
 

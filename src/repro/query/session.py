@@ -20,8 +20,9 @@ session only supplies its callbacks.
 Two operating modes share the accumulation code:
 
 * ``live=False`` — the executor's mode.  Queries carry precomputed coverage
-  (``member_set``) and window partitioning stays with the executor, which
-  feeds the session in one of two ways: rendered chunks through
+  (``member_set``) and window partitioning stays with the executor
+  (:func:`~repro.query.results.partition_into_windows` over the finished
+  accumulators), which feeds the session in one of two ways: rendered chunks through
   :meth:`~ScanSession.push_chunk` (with :meth:`~ScanSession.quarantine_chunk`
   for a chunk that could not be rendered), or the whole index sequence
   through :meth:`~ScanSession.run_temporal_scan` (adaptive stride and
@@ -49,39 +50,50 @@ chunks instead of merging them.
 
 Parity rail: replaying a finite stream chunk-by-chunk through a live session
 produces bit-identical per-query results to one-shot ``execute_many`` — both
-run this module's accumulation code, and window emission replicates
-``_partition_into_windows`` / ``HoppingWindow.windows_over`` semantics
-(including the at-most-one-truncated-tail rule).  ``tests/test_service.py``
-asserts the parity on the plain, windowed, temporal-exact and parallel paths.
+run this module's accumulation code, both build a query's result with
+:func:`~repro.query.results.query_result` and count a window with
+:func:`~repro.query.results.window_result`, and window emission replicates
+``HoppingWindow.windows_over`` semantics (including the
+at-most-one-truncated-tail rule).  ``tests/test_service.py`` asserts the
+parity on the plain, windowed, temporal-exact and parallel paths.
 """
 
 from __future__ import annotations
 
+import copy
 import time
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro import hooks
 from repro.aggregates.windows import HoppingWindow, WindowBounds, warn_window_tail_drop
-from repro.cost import BudgetViolation, CostBreakdown, QueryBudget, SimulatedClock
+from repro.cost import (
+    BudgetViolation,
+    CostBreakdown,
+    QueryBudget,
+    SharedCostReport,
+    SimulatedClock,
+)
 from repro.detection.base import Detector
 from repro.filters.base import FrameFilter
 from repro.query.ast import Query
 from repro.query.evaluation import evaluate_predicates_on_detections
-from repro.faults.injector import FaultExhausted, QuarantineRecord
+from repro.faults.injector import FaultExhausted, QuarantineRecord, current_report
 from repro.query.parallel import (
+    PREFETCH_DEPTH,
     CascadeProfiler,
     ChunkDispatch,
+    FilteredChunk,
     ParallelConfig,
-    PlanRevision,
     WorkerSupervisor,
     _distinct_filters,
     _worker_sort_key,
     run_filter_chunk,
 )
 from repro.query.planner import FilterCascade, merge_cascade_steps
+from repro.query.results import QueryExecutionResult, WindowResult, query_result, window_result
 from repro.query.temporal import (
     TemporalConfig,
     TemporalScan,
@@ -91,11 +103,39 @@ from repro.query.temporal import (
 )
 from repro.video.stream import Frame
 
-if TYPE_CHECKING:  # runtime import would be circular (executor imports us)
-    from repro.query.executor import QueryExecutionResult, WindowResult
-
 #: Version tag of the :meth:`ScanSession.checkpoint` payload schema.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+#: What a checkpoint carries, named once for :meth:`ScanSession.checkpoint`
+#: and :meth:`ScanSession.restore` alike: the :class:`QueryState` fields a
+#: restore cannot rebuild from ``add_query`` (``key`` is compared, not
+#: loaded; the profiler and wall-clock fields are handled apart), and the
+#: session attributes that are plain values.
+_STATE_FIELDS = (
+    "origin",
+    "active",
+    "scanned",
+    "passed",
+    "matched",
+    "filter_invocations",
+    "attributed",
+    "violations",
+    "violated_kinds",
+    "next_window_start",
+    "windows_closed",
+    "emitted_windows",
+)
+_SESSION_FIELDS = (
+    "_watermark",
+    "shared_filter_computations",
+    "shared_detector_invocations",
+    "union_frames_scanned",
+    "chunks_merged",
+    "degraded",
+    "degraded_frames",
+    "_warn_registry",
+    "quarantined",
+)
 
 
 @dataclass(frozen=True)
@@ -106,17 +146,16 @@ class _ChunkVerdict:
     chunk's verdict once; the temporal path caches the verdict of a chunk of
     one as the keyframe outcome and accumulates it again at every frame that
     reuses it.  Rows follow the queries the chunk was evaluated for.
-    ``computed`` maps a filter component to its shared computations (what a
-    reuse avoids), ``detected`` counts detector calls and ``poisoned`` holds
-    ``(position, error)`` for frames whose detector call exhausted its
-    retries: they keep their filter accounting but contribute no match.
+    ``filtered`` is the cascade walk's record (its filter accounting and the
+    shared computations a reuse avoids), ``detected`` counts detector calls
+    and ``poisoned`` holds ``(position, error)`` for frames whose detector
+    call exhausted its retries: they keep their filter accounting but
+    contribute no match.
     """
 
     passed: tuple[tuple[int, ...], ...]
     matched: tuple[tuple[int, ...], ...]
-    invocations: tuple[int, ...]
-    attributed: tuple[dict[tuple[str, float], int], ...]
-    computed: dict[str, int]
+    filtered: FilteredChunk
     detected: int
     poisoned: tuple[tuple[int, FaultExhausted], ...] = ()
 
@@ -155,9 +194,8 @@ class QueryState:
     #: next window start index still awaiting emission (live windowed mode)
     next_window_start: int = 0
     windows_closed: bool = False
-    emitted_windows: list["WindowResult"] = field(default_factory=list)
-    match_cursor: int = 0
-    final: "QueryExecutionResult | None" = None
+    emitted_windows: list[WindowResult] = field(default_factory=list)
+    final: QueryExecutionResult | None = None
 
     def covers(self, index: int) -> bool:
         """Whether this query's coverage includes stream frame ``index``."""
@@ -165,11 +203,9 @@ class QueryState:
             return False
         if self.member_set is not None:
             return index in self.member_set
-        if index < self.origin:
-            return False
         if self.window is None:
-            return True
-        return (index - self.origin) % self.window.advance < self.window.size
+            return index >= self.origin
+        return self.window.covers(index, self.origin)
 
 
 @dataclass(frozen=True)
@@ -182,13 +218,8 @@ class ChunkProgress:
     ``new_windows[sid]`` the window results whose end passed the watermark.
     """
 
-    watermark: int
     new_matches: dict[int, tuple[int, ...]]
-    new_windows: dict[int, tuple["WindowResult", ...]]
-
-    @property
-    def has_emissions(self) -> bool:
-        return bool(self.new_matches or self.new_windows)
+    new_windows: dict[int, tuple[WindowResult, ...]]
 
 
 class ScanSession:
@@ -202,8 +233,12 @@ class ScanSession:
 
     ``parallel`` distributes the filter phase of pushed chunks over a worker
     backend with the engine's in-order merge (at most
-    ``num_workers + prefetch_depth`` chunks in flight; results, counters and
-    clock history are identical to the inline path).  ``temporal`` applies
+    ``num_workers + PREFETCH_DEPTH`` chunks in flight; results, counters and
+    clock history are identical to the inline path); the backend is built
+    at the first pushed chunk, or earlier by :meth:`start_workers`.  With
+    ``parallel.adaptive`` every query gets a
+    :class:`~repro.query.parallel.CascadeProfiler` that re-plans its step
+    order from observed pass rates.  ``temporal`` applies
     delta gating across chunk boundaries with a resumable
     :class:`~repro.query.temporal.TemporalScan` — only ``max_stride=1`` is
     supported (striding needs the whole index sequence up front, which a
@@ -223,7 +258,6 @@ class ScanSession:
         live: bool = True,
         parallel: ParallelConfig | None = None,
         temporal: TemporalConfig | None = None,
-        profile: bool = False,
         degrade: TemporalConfig | None = None,
     ) -> None:
         if temporal is not None and parallel is not None:
@@ -245,7 +279,6 @@ class ScanSession:
         self.clock = clock if clock is not None else SimulatedClock()
         self.live = live
         self._parallel = parallel
-        self._profile = profile
         self._degrade_config = degrade or TemporalConfig(exact=False)
         self._states: list[QueryState] = []
         self._watermark = -1
@@ -290,7 +323,6 @@ class ScanSession:
         self._warn_registry: set = set()
         #: chunks/frames set aside after retries and supervision gave up
         self.quarantined: list[QuarantineRecord] = []
-        self._started_wall = time.perf_counter()
 
     # ------------------------------------------------------------------
     # Membership
@@ -366,15 +398,15 @@ class ScanSession:
             registered_wall=time.perf_counter(),
             next_window_start=origin,
         )
-        if self._profile and len(cascade.steps) > 1:
-            # Records always; revises on its own only under an adaptive
-            # config, otherwise when :meth:`replan` asks.
-            state.profiler = CascadeProfiler(cascade, self._parallel or ParallelConfig())
+        if self._parallel is not None and self._parallel.adaptive:
+            # The evaluation and chunk submission read its step order, the
+            # in-order merge feeds it.
+            state.profiler = CascadeProfiler(cascade, self._parallel)
         self._states.append(state)
         self._invalidate_plan()
         return state.sid
 
-    def remove_query(self, sid: int) -> "QueryExecutionResult":
+    def remove_query(self, sid: int) -> QueryExecutionResult:
         """Deregister a query, flushing its tail window, and return its result."""
         state = self._states[sid]
         if not state.active:
@@ -404,17 +436,33 @@ class ScanSession:
         self._active_cascades = [self._states[sid].cascade for sid in self._active]
         self._unique_steps, assignments = merge_cascade_steps(self._active_cascades)
         self._assignments = [list(row) for row in assignments]
-        distinct = _distinct_filters(self._active_cascades)
-        self._attach_to_clock(distinct)
-        self._distinct_filters = distinct
-        if self._parallel is not None and self._active and not self._closed:
-            # Built with the plan, i.e. before the caller renders a first
-            # frame: process workers must fork before any decode-ahead
-            # thread exists (a fork after threads can inherit held locks).
+        self._distinct_filters = _distinct_filters(self._active_cascades)
+        if not self._closed:
+            # A closed session still answers plan questions (StreamStats reads
+            # them after shutdown) but must not take the clocks again: nothing
+            # would give them back.
+            self._attach_to_clock(self._distinct_filters)
+        self._plan_dirty = False
+
+    def start_workers(self) -> None:
+        """Build the worker backend of a ``parallel=`` session for the current plan.
+
+        The first pushed chunk does this by itself.  A caller about to start
+        threads of its own (the executor's decode-ahead) calls it first:
+        process workers must fork before any such thread exists (a fork
+        after threads can inherit held locks).  A session that is never
+        pushed a chunk (a gated or empty one-shot scan) never has workers.
+        """
+        self._ensure_plan()
+        if (
+            self._backend is None
+            and self._parallel is not None
+            and self._active
+            and not self._closed
+        ):
             self._backend = WorkerSupervisor(
                 self._parallel, self._active_cascades, self._assignments
             )
-        self._plan_dirty = False
 
     def _attach_to_clock(self, distinct: list[FrameFilter]) -> None:
         still = {id(frame_filter) for frame_filter in distinct}
@@ -534,11 +582,7 @@ class ScanSession:
             completed = self._emit_completed(state)
             if completed:
                 new_windows[sid] = tuple(completed)
-        return ChunkProgress(
-            watermark=self._watermark,
-            new_matches=new_matches,
-            new_windows=new_windows,
-        )
+        return ChunkProgress(new_matches=new_matches, new_windows=new_windows)
 
     # -- the one frame evaluation ---------------------------------------
     def _orders(self, sids: Sequence[int]) -> list[tuple[int, ...]]:
@@ -583,17 +627,13 @@ class ScanSession:
             )
         else:
             filtered = run_filter_chunk(cascades, assignments, covered, orders, frames)
-        return self._detector_phase(sids, frames, *filtered, charged=charged)
+        return self._detector_phase(sids, frames, filtered, charged)
 
     def _detector_phase(
         self,
         sids: Sequence[int],
         frames: list[Frame],
-        alive: Sequence[Sequence[int]],
-        invocations: Sequence[int],
-        attributed: Sequence[dict[tuple[str, float], int]],
-        computed: dict[str, int],
-        step_stats: Sequence[Sequence[tuple[int, int]]],
+        filtered: FilteredChunk,
         charged: bool = True,
     ) -> _ChunkVerdict:
         """Detector and predicates on a filtered chunk's survivors: its verdict.
@@ -602,7 +642,7 @@ class ScanSession:
         counters, profiler observations); exact-mode verification is not.
         """
         queries = [self._states[sid].query for sid in sids]
-        alive_sets = [set(row) for row in alive]
+        alive_sets = [set(row) for row in filtered.alive]
         passed: list[list[int]] = [[] for _ in sids]
         matched: list[list[int]] = [[] for _ in sids]
         poisoned: list[tuple[int, FaultExhausted]] = []
@@ -636,18 +676,16 @@ class ScanSession:
                 if evaluate_predicates_on_detections(queries[row], detections):
                     matched[row].append(k)
         if charged:
-            self.shared_filter_computations += sum(computed.values())
+            self.shared_filter_computations += sum(filtered.computed.values())
             self.shared_detector_invocations += detected
-            for sid, stats_row in zip(sids, step_stats):
+            for sid, stats_row in zip(sids, filtered.step_stats):
                 profiler = self._states[sid].profiler
                 if profiler is not None:
                     profiler.observe(stats_row, frames[-1].index)
         return _ChunkVerdict(
             passed=tuple(map(tuple, passed)),
             matched=tuple(map(tuple, matched)),
-            invocations=tuple(invocations),
-            attributed=tuple(attributed),
-            computed=computed,
+            filtered=filtered,
             detected=detected,
             poisoned=tuple(poisoned),
         )
@@ -675,8 +713,8 @@ class ScanSession:
             )
             state.passed.extend(indices[k] for k in verdict.passed[row])
             state.matched.extend(indices[k] for k in verdict.matched[row])
-            state.filter_invocations += verdict.invocations[row]
-            for component, calls in verdict.attributed[row].items():
+            state.filter_invocations += verdict.filtered.invocations[row]
+            for component, calls in verdict.filtered.attributed[row].items():
                 state.attributed[component] = state.attributed.get(component, 0) + calls
         for k, error in verdict.poisoned:
             self._quarantine([indices[k]], error)
@@ -693,6 +731,7 @@ class ScanSession:
 
     # -- parallel path --------------------------------------------------
     def _push_parallel(self, frames: list[Frame]) -> None:
+        self.start_workers()
         assert self._parallel is not None and self._backend is not None
         chunk = [frame.index for frame in frames]
         covered = [
@@ -712,7 +751,7 @@ class ScanSession:
             # the adaptive re-planner's submit-time orders independent of
             # worker timing.
             self._drain_ready()
-        max_inflight = self._parallel.num_workers + self._parallel.prefetch_depth
+        max_inflight = self._parallel.num_workers + PREFETCH_DEPTH
         while len(self._inflight) >= max_inflight:
             self._merge_next()
 
@@ -761,15 +800,7 @@ class ScanSession:
             outcome.worker, CostBreakdown()
         ).merged_with(outcome.breakdown)
         self.clock.absorb(outcome.breakdown)
-        verdict = self._detector_phase(
-            sids,
-            entry.frames,
-            outcome.alive,
-            outcome.filter_invocations,
-            outcome.attributed,
-            outcome.computed,
-            outcome.step_stats,
-        )
+        verdict = self._detector_phase(sids, entry.frames, outcome.filtered)
         self._accumulate(sids, entry.indices, entry.covered, verdict)
         self._watermark = max(self._watermark, entry.indices[-1])
         self.chunks_merged += 1
@@ -804,11 +835,12 @@ class ScanSession:
                 return evaluate(frame, context, charged=False)
 
         def reuse_charge(verdict: _ChunkVerdict) -> tuple[int, int]:
-            for component, calls in verdict.computed.items():
+            computed = verdict.filtered.computed
+            for component, calls in computed.items():
                 self.clock.reuse(component, calls)
             if verdict.detected:
                 self.clock.reuse(self._detector_component, verdict.detected)
-            return sum(verdict.computed.values()), verdict.detected
+            return sum(computed.values()), verdict.detected
 
         return TemporalScan(
             config,
@@ -922,28 +954,9 @@ class ScanSession:
         return fresh
 
     # ------------------------------------------------------------------
-    # Replanning
-    # ------------------------------------------------------------------
-    def replan(self) -> list[PlanRevision]:
-        """Re-plan every profiled query's step order from observed pass rates.
-
-        The manual counterpart of the engine's adaptive re-planner, and the
-        same decision (:meth:`CascadeProfiler.consider`): a new order is
-        adopted when the observed rates say it is strictly cheaper, and
-        applies to chunks pushed after this call.
-        """
-        revisions: list[PlanRevision] = []
-        for sid in self.active_sids:
-            profiler = self._states[sid].profiler
-            revision = profiler.consider(self._watermark) if profiler is not None else None
-            if revision is not None:
-                revisions.append(revision)
-        return revisions
-
-    # ------------------------------------------------------------------
     # Window emission (live mode)
     # ------------------------------------------------------------------
-    def _emit_completed(self, state: QueryState) -> list["WindowResult"]:
+    def _emit_completed(self, state: QueryState) -> list[WindowResult]:
         if state.window is None or not self.live or state.windows_closed:
             return []
         out: list = []
@@ -953,26 +966,12 @@ class ScanSession:
             bounds = WindowBounds(
                 start=state.next_window_start, stop=state.next_window_start + size
             )
-            out.append(self._window_result(state, bounds))
+            out.append(window_result(bounds, state.scanned, state.passed, state.matched))
             state.next_window_start += advance
         state.emitted_windows.extend(out)
         return out
 
-    def _window_result(self, state: QueryState, bounds: WindowBounds) -> "WindowResult":
-        from repro.query.executor import WindowResult, WindowStats
-
-        lo = bisect_left(state.matched, bounds.start)
-        hi = bisect_left(state.matched, bounds.stop)
-        return WindowResult(
-            bounds=bounds,
-            matched_frames=tuple(state.matched[lo:hi]),
-            stats=WindowStats(
-                frames_scanned=_count_between(state.scanned, bounds),
-                frames_passed_filters=_count_between(state.passed, bounds),
-            ),
-        )
-
-    def _flush_windows(self, state: QueryState) -> list["WindowResult"]:
+    def _flush_windows(self, state: QueryState) -> list[WindowResult]:
         """Emit the tail window at end of coverage, matching ``windows_over``.
 
         After the completed windows, at most one truncated window remains;
@@ -990,7 +989,7 @@ class ScanSession:
         if start < end:
             if state.include_partial:
                 bounds = WindowBounds(start=start, stop=end)
-                tail = self._window_result(state, bounds)
+                tail = window_result(bounds, state.scanned, state.passed, state.matched)
                 state.emitted_windows.append(tail)
                 out.append(tail)
             else:
@@ -1011,57 +1010,24 @@ class ScanSession:
         """What a standalone run of ``state``'s query would have charged so far."""
         breakdown = CostBreakdown()
         for (component, latency), calls in state.attributed.items():
-            breakdown.per_component_ms[component] = (
-                breakdown.per_component_ms.get(component, 0.0) + latency * calls
-            )
-            breakdown.per_component_calls[component] = (
-                breakdown.per_component_calls.get(component, 0) + calls
-            )
+            breakdown.add(component, latency * calls, calls)
         survivors = len(state.passed)
         if survivors:
-            breakdown.per_component_ms[self._detector_component] = (
-                breakdown.per_component_ms.get(self._detector_component, 0.0)
-                + self._detector_latency * survivors
-            )
-            breakdown.per_component_calls[self._detector_component] = (
-                breakdown.per_component_calls.get(self._detector_component, 0)
-                + survivors
-            )
+            breakdown.add(self._detector_component, self._detector_latency * survivors, survivors)
         return breakdown
 
-    def _finalize_state(self, state: QueryState) -> "QueryExecutionResult":
-        from repro.query.executor import ExecutionStats, QueryExecutionResult
-
-        breakdown = self._attributed_cost(state)
-        survivors = len(state.passed)
-        stats = ExecutionStats(
-            frames_scanned=len(state.scanned),
-            frames_passed_filters=survivors,
-            detector_invocations=survivors,
-            filter_invocations=state.filter_invocations,
-            simulated_cost=breakdown,
-            wall_clock_seconds=time.perf_counter() - state.registered_wall,
-            batch_size=None,
-            plan_revisions=(
-                tuple(state.profiler.revisions) if state.profiler is not None else ()
-            ),
-        )
-        return QueryExecutionResult(
-            query_name=state.query.name,
-            cascade_description=state.cascade.describe(),
-            matched_frames=tuple(state.matched),
-            stats=stats,
-            windows=(
-                tuple(state.emitted_windows) if state.window is not None else None
-            ),
-            temporal=(
-                self.temporal_stats
-                if (self._scan is not None or self.degraded_frames)
-                else None
-            ),
+    def _finalize_state(self, state: QueryState) -> QueryExecutionResult:
+        gated = self._scan is not None or self.degraded_frames
+        return query_result(
+            state,
+            self._attributed_cost(state),
+            tuple(state.emitted_windows) if state.window is not None else None,
+            time.perf_counter() - state.registered_wall,
+            temporal=self.temporal_stats if gated else None,
+            faults=current_report(tuple(self.quarantined)),
         )
 
-    def finish(self) -> dict[int, "QueryExecutionResult"]:
+    def finish(self) -> dict[int, QueryExecutionResult]:
         """Drain, flush every active query's tail window, finalise and close.
 
         Returns sid → result for the queries still registered; queries
@@ -1069,7 +1035,7 @@ class ScanSession:
         available as ``states[sid].final``).
         """
         self._drain_all()
-        results: dict[int, "QueryExecutionResult"] = {}
+        results: dict[int, QueryExecutionResult] = {}
         for state in self._states:
             if not state.active:
                 continue
@@ -1079,16 +1045,13 @@ class ScanSession:
         self.close()
         return results
 
-    def shared_cost_report(self):
+    def shared_cost_report(self) -> SharedCostReport:
         """A :class:`~repro.cost.SharedCostReport` over the session so far.
 
         ``shared`` is the clock delta since the session started; attribution
         covers *every* query ever registered (removed queries keep the cost
-        they accrued), labelled as ``execute_many`` labels duplicates.
+        they accrued), duplicate names disambiguated by position.
         """
-        from repro.cost import SharedCostReport
-        from repro.query.executor import _unique_query_labels
-
         labels = _unique_query_labels([state.query for state in self._states])
         attributed = {
             label: self._attributed_cost(state)
@@ -1105,58 +1068,41 @@ class ScanSession:
         """Serialise the session's live progress into a picklable payload.
 
         The payload captures everything a crashed shard worker needs to
-        resume *without re-emitting or skipping windows*: per-query
-        accumulators and window cursors (``next_window_start`` /
-        ``emitted_windows`` / ``match_cursor``), the watermark, the shared
-        counters, the clock delta accrued since the session started,
-        temporal-gate state (signature, streak, cached outcome) and the
-        quarantine list.  The parallel pipeline is drained first so no
-        in-flight chunk is lost.  Wall-clock fields (``registered_wall``)
-        are deliberately *not* captured: elapsed-time budgets restart at
-        restore, since the wall time of a dead process is meaningless.
+        resume *without re-emitting or skipping windows*: per query the
+        ``_STATE_FIELDS`` (accumulators, window cursors, budget violations)
+        and the adaptive profiler's state (the adopted step order, its
+        revision log and the sliding window — without it a resumed session
+        would fall back to the planned order and forget its
+        ``plan_revisions``); for the session the ``_SESSION_FIELDS``
+        (watermark, shared counters, degraded mode, quarantine list), the
+        clock delta accrued since the session started and the temporal
+        gates' state (signature, streak, cached outcome).  The parallel
+        pipeline is drained first so no in-flight chunk is lost.  Wall-clock
+        fields (``registered_wall``) are deliberately *not* captured:
+        elapsed-time budgets restart at restore, since the wall time of a
+        dead process is meaningless.
         """
         if self._closed:
             raise RuntimeError("session is closed")
         self._drain_all()
-        states_payload = []
-        for state in self._states:
-            states_payload.append(
-                {
-                    "key": state.key,
-                    "origin": state.origin,
-                    "active": state.active,
-                    "scanned": list(state.scanned),
-                    "passed": list(state.passed),
-                    "matched": list(state.matched),
-                    "filter_invocations": state.filter_invocations,
-                    "attributed": dict(state.attributed),
-                    "violations": list(state.violations),
-                    "violated_kinds": set(state.violated_kinds),
-                    "next_window_start": state.next_window_start,
-                    "windows_closed": state.windows_closed,
-                    "emitted_windows": list(state.emitted_windows),
-                    "match_cursor": state.match_cursor,
-                }
-            )
         return {
             "version": CHECKPOINT_VERSION,
             "live": self.live,
-            "watermark": self._watermark,
             "clock_delta": self.clock.delta_since(self._cost_baseline),
-            "shared_filter_computations": self.shared_filter_computations,
-            "shared_detector_invocations": self.shared_detector_invocations,
-            "union_frames_scanned": self.union_frames_scanned,
-            "chunks_merged": self.chunks_merged,
-            "degraded": self.degraded,
-            "degraded_frames": self.degraded_frames,
             "telemetry": dict(vars(self._telemetry)),
             "gate": None if self._scan is None else self._scan.state_dict(),
             "degrade_gate": (
                 None if self._degrade_scan is None else self._degrade_scan.state_dict()
             ),
-            "warn_registry": set(self._warn_registry),
-            "quarantined": list(self.quarantined),
-            "states": states_payload,
+            "session": {name: copy.copy(getattr(self, name)) for name in _SESSION_FIELDS},
+            "states": [
+                {
+                    "key": state.key,
+                    "profiler": None if state.profiler is None else state.profiler.state_dict(),
+                    **{name: copy.copy(getattr(state, name)) for name in _STATE_FIELDS},
+                }
+                for state in self._states
+            ],
         }
 
     def restore(self, snapshot: dict) -> None:
@@ -1198,31 +1144,24 @@ class ScanSession:
                     f"query key mismatch at sid={state.sid}: checkpoint "
                     f"{entry['key']!r} vs session {state.key!r}"
                 )
-            state.origin = entry["origin"]
-            state.active = entry["active"]
-            state.scanned = list(entry["scanned"])
-            state.passed = list(entry["passed"])
-            state.matched = list(entry["matched"])
-            state.filter_invocations = entry["filter_invocations"]
-            state.attributed = dict(entry["attributed"])
-            state.violations = list(entry["violations"])
-            state.violated_kinds = set(entry["violated_kinds"])
-            state.next_window_start = entry["next_window_start"]
-            state.windows_closed = entry["windows_closed"]
-            state.emitted_windows = list(entry["emitted_windows"])
-            state.match_cursor = entry["match_cursor"]
-        self._watermark = snapshot["watermark"]
+            if (entry["profiler"] is None) != (state.profiler is None):
+                raise ValueError(
+                    f"query {state.key!r} was checkpointed "
+                    f"{'without' if entry['profiler'] is None else 'with'} an "
+                    "adaptive profiler; rebuild the session with the same parallel="
+                )
+        for state, entry in zip(self._states, payload):
+            for name in _STATE_FIELDS:
+                setattr(state, name, copy.copy(entry[name]))
+            if state.profiler is not None:
+                state.profiler.load_state(entry["profiler"])
+        for name in _SESSION_FIELDS:
+            setattr(self, name, copy.copy(snapshot["session"][name]))
         # Re-charge the checkpointed simulated cost onto this session's
         # clock (absorb replays both charges and reuses), so cost reports
         # after a resume match an uninterrupted run.  The baseline stays at
         # construction time, which predates the absorb by definition.
         self.clock.absorb(snapshot["clock_delta"])
-        self.shared_filter_computations = snapshot["shared_filter_computations"]
-        self.shared_detector_invocations = snapshot["shared_detector_invocations"]
-        self.union_frames_scanned = snapshot["union_frames_scanned"]
-        self.chunks_merged = snapshot["chunks_merged"]
-        self.degraded = snapshot["degraded"]
-        self.degraded_frames = snapshot["degraded_frames"]
         vars(self._telemetry).update(snapshot["telemetry"])
         if snapshot["gate"] is not None:
             if self._scan is None:
@@ -1234,8 +1173,6 @@ class ScanSession:
         if snapshot["degrade_gate"] is not None:
             self._degrade_scan = self._new_scan(self._degrade_config)
             self._degrade_scan.load_state(snapshot["degrade_gate"])
-        self._warn_registry = set(snapshot["warn_registry"])
-        self.quarantined = list(snapshot["quarantined"])
         self._invalidate_plan()
 
     def close(self) -> None:
@@ -1271,6 +1208,13 @@ class ScanSession:
         self.close()
 
 
-def _count_between(values: list[int], bounds: WindowBounds) -> int:
-    """Count entries of a sorted list that fall inside half-open ``bounds``."""
-    return bisect_left(values, bounds.stop) - bisect_left(values, bounds.start)
+def _unique_query_labels(queries: Sequence[Query]) -> list[str]:
+    """Per-query labels for cost attribution, disambiguating duplicate names."""
+    counts = Counter(query.name for query in queries)
+    seen: Counter[str] = Counter()
+    labels: list[str] = []
+    for query in queries:
+        seen[query.name] += 1
+        suffix = f"#{seen[query.name]}" if counts[query.name] > 1 else ""
+        labels.append(query.name + suffix)
+    return labels

@@ -177,7 +177,7 @@ class TemporalStats:
         """Fraction of scanned frames served without a full evaluation.
 
         ``nan`` for an empty scan (no frames at all), mirroring
-        :attr:`~repro.query.executor.ExecutionStats.filter_selectivity`.
+        :attr:`~repro.query.results.ExecutionStats.filter_selectivity`.
         """
         if self.frames_total == 0:
             return float("nan")

@@ -2,7 +2,7 @@
 
 The service pushes an :class:`Emission` for every incremental event a
 standing query produces: newly confirmed matches, completed windows, budget
-violations, and the final :class:`~repro.query.executor.QueryExecutionResult`
+violations, and the final :class:`~repro.query.results.QueryExecutionResult`
 on deregistration.  Emitters are deliberately tiny — a callback adapter for
 "wire it to my own code" and a thread-safe buffer for tests and polling
 consumers.  Emitter exceptions are the consumer's problem by design: the
@@ -22,7 +22,7 @@ from repro import hooks
 if TYPE_CHECKING:
     from repro.cost import BudgetViolation
     from repro.faults.injector import QuarantineRecord
-    from repro.query.executor import QueryExecutionResult, WindowResult
+    from repro.query.results import QueryExecutionResult, WindowResult
 
 
 @dataclass(frozen=True)

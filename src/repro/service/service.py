@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro import hooks
 from repro.analysis.diagnostics import AnalysisError
@@ -37,7 +37,7 @@ from repro.faults.injector import (
     uninstall,
 )
 from repro.query.ast import Query
-from repro.query.parallel import ParallelConfig, PlanRevision
+from repro.query.parallel import ParallelConfig
 from repro.query.planner import FilterCascade
 from repro.query.session import ScanSession
 from repro.query.temporal import TemporalConfig
@@ -45,9 +45,6 @@ from repro.service.emitters import Emission, Emitter, deliver
 from repro.service.ingest import IngestionQueue
 from repro.service.registry import QueryRegistry, StandingQuery
 from repro.video.stream import Frame
-
-#: results of closing a stream: handle -> final execution result
-StreamResults = Mapping[int, "object"]
 
 #: the shard worker's dequeue poll interval: short enough that
 #: ``stop(drain=False)`` is observed promptly, long enough to stay off the
@@ -66,9 +63,10 @@ class StreamConfig:
     ``chunk_size`` is the scan granularity (``feed`` re-chunks arbitrary
     frame batches to it); ``queue_chunks`` bounds the ingestion queue and
     ``policy`` picks the backpressure behaviour (``"block"`` /
-    ``"drop_oldest"`` / ``"degrade"``).  ``temporal`` / ``parallel`` /
-    ``profile`` configure the shard's scan session exactly as they configure
-    the one-shot executor; ``degrade`` is the approximate
+    ``"drop_oldest"`` / ``"degrade"``).  ``temporal`` / ``parallel``
+    configure the shard's scan session exactly as they configure the
+    one-shot executor (``parallel.adaptive`` re-plans each standing query's
+    step order from observed pass rates); ``degrade`` is the approximate
     :class:`~repro.query.temporal.TemporalConfig` applied while the
     ``degrade`` policy has the shard in its degraded episode.
     """
@@ -78,7 +76,6 @@ class StreamConfig:
     policy: str = "block"
     temporal: TemporalConfig | None = None
     parallel: ParallelConfig | None = None
-    profile: bool = False
     degrade: TemporalConfig | None = None
 
     def __post_init__(self) -> None:
@@ -165,7 +162,6 @@ class _StreamShard:
             live=True,
             temporal=config.temporal,
             parallel=config.parallel,
-            profile=config.profile,
             degrade=config.degrade,
         )
         self.queue = IngestionQueue(config.queue_chunks, config.policy)
@@ -204,17 +200,7 @@ class _StreamShard:
             result = self.session.remove_query(entry.sid)
             del self._sid_to_handle[entry.sid]
             self._emit_tail_windows(entry, result, emitted_before)
-            self._deliver(
-                Emission(
-                    stream=self.name,
-                    key=entry.key,
-                    handle=entry.handle,
-                    kind="result",
-                    watermark=self.session.watermark,
-                    result=result,
-                ),
-                entry,
-            )
+            self._emit(entry, "result", result=result)
             return result
 
     # -- ingestion -------------------------------------------------------
@@ -308,6 +294,20 @@ class _StreamShard:
             return None
         return self._registry.get(handle)
 
+    def _emit(self, entry: StandingQuery, kind: str, **payload) -> None:
+        """Deliver one of ``entry``'s own emissions, stamped with the current watermark."""
+        self._deliver(
+            Emission(
+                stream=self.name,
+                key=entry.key,
+                handle=entry.handle,
+                kind=kind,
+                watermark=self.session.watermark,
+                **payload,
+            ),
+            entry,
+        )
+
     def _deliver(self, emission: Emission, entry: StandingQuery | None) -> None:
         emitters: list[Emitter] = list(self._service_emitters)
         if entry is not None and entry.emitter is not None:
@@ -341,35 +341,13 @@ class _StreamShard:
     def _emit_progress(self, progress) -> None:
         for sid, matches in progress.new_matches.items():
             entry = self._entry_for_sid(sid)
-            if entry is None:
-                continue
-            self._deliver(
-                Emission(
-                    stream=self.name,
-                    key=entry.key,
-                    handle=entry.handle,
-                    kind="matches",
-                    watermark=progress.watermark,
-                    matched_frames=matches,
-                ),
-                entry,
-            )
+            if entry is not None:
+                self._emit(entry, "matches", matched_frames=matches)
         for sid, windows in progress.new_windows.items():
             entry = self._entry_for_sid(sid)
-            if entry is None:
-                continue
-            for window in windows:
-                self._deliver(
-                    Emission(
-                        stream=self.name,
-                        key=entry.key,
-                        handle=entry.handle,
-                        kind="window",
-                        watermark=progress.watermark,
-                        window=window,
-                    ),
-                    entry,
-                )
+            if entry is not None:
+                for window in windows:
+                    self._emit(entry, "window", window=window)
 
     def _emit_tail_windows(self, entry: StandingQuery, result, emitted_before: int) -> None:
         """Emit windows flushed at finalisation (the truncated tail, if any).
@@ -382,17 +360,7 @@ class _StreamShard:
         if not windows:
             return
         for window in windows[emitted_before:]:
-            self._deliver(
-                Emission(
-                    stream=self.name,
-                    key=entry.key,
-                    handle=entry.handle,
-                    kind="window",
-                    watermark=self.session.watermark,
-                    window=window,
-                ),
-                entry,
-            )
+            self._emit(entry, "window", window=window)
 
     def _check_budgets(self) -> None:
         fresh = self.session.check_budgets()
@@ -446,23 +414,9 @@ class _StreamShard:
                     continue
                 results[entry.handle] = result
                 self._emit_tail_windows(entry, result, emitted_before[sid])
-                self._deliver(
-                    Emission(
-                        stream=self.name,
-                        key=entry.key,
-                        handle=entry.handle,
-                        kind="result",
-                        watermark=self.session.watermark,
-                        result=result,
-                    ),
-                    entry,
-                )
+                self._emit(entry, "result", result=result)
             self._sid_to_handle.clear()
         return results
-
-    def replan(self) -> list[PlanRevision]:
-        with self.lock:
-            return self.session.replan()
 
     def stats(self) -> StreamStats:
         with self.lock:
@@ -682,10 +636,6 @@ class QueryService:
             shard.session.restore(snapshot)
 
     # -- introspection ---------------------------------------------------
-    def replan(self, stream: str) -> list[PlanRevision]:
-        """Re-plan the stream's profiled cascades from observed pass rates."""
-        return self._shard(stream).replan()
-
     def shared_cost_report(self, stream: str):
         """The stream shard's :class:`~repro.cost.SharedCostReport` so far."""
         shard = self._shard(stream)

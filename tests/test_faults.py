@@ -40,6 +40,7 @@ from repro.faults import (
     uninstall,
 )
 from repro.query import (
+    CascadeStep,
     FilterCascade,
     ParallelConfig,
     PlannerConfig,
@@ -436,8 +437,9 @@ def test_decode_exhaustion_quarantines_the_chunk(cars_workload, tiny_jackson):
             queries, tiny_jackson.test, cascades, batch_size=10
         )
     lost = set(range(0, 10))  # frame 3's chunk under batch_size=10
-    # ``frames_scanned`` keeps the planned-coverage semantics; the gap is
+    # ``frames_scanned`` counts what entered the accumulators; the gap is
     # carried by the quarantine record and visible in the work counters.
+    assert faulted[0].stats.frames_scanned == baseline[0].stats.frames_scanned - len(lost)
     assert (
         faulted[0].stats.filter_invocations
         == baseline[0].stats.filter_invocations - len(lost)
@@ -492,6 +494,39 @@ def test_filter_poison_chunk_is_quarantined(cars_workload, tiny_jackson):
     )
     record = faulted[0].stats.faults.quarantined[0]
     assert record.site == "filter" and record.frames == tuple(sorted(lost))
+
+
+def test_quarantined_chunk_reads_the_same_one_shot_and_through_the_service(
+    od_planner, tiny_jackson
+):
+    """One result builder: ``frames_scanned`` counts the frames that entered
+    the accumulators (per query and per window) and ``stats.faults`` names
+    the rest, whichever engine produced the result."""
+    queries, cascades = _checkpoint_workload(od_planner)
+    schedule, retry = {("filter", 10): 3}, RetryPolicy(max_attempts=3)
+    with FaultInjector(schedule=schedule, retry=retry):
+        one_shot = _executor(tiny_jackson).execute_many(
+            queries, tiny_jackson.test, cascades, batch_size=10
+        )
+    with FaultInjector(schedule=schedule, retry=retry):
+        replayed, _ = _service_scan(
+            queries, cascades, tiny_jackson.test, tiny_jackson.class_names
+        )
+    lost = tuple(range(10, 20))
+    for via_service, via_executor in zip(replayed, one_shot):
+        assert via_executor.stats.frames_scanned == len(tiny_jackson.test) - len(lost)
+        assert via_service.stats.frames_scanned == via_executor.stats.frames_scanned
+        assert via_service.stats.faults is not None
+        assert (
+            via_service.stats.faults.quarantined
+            == via_executor.stats.faults.quarantined
+        )
+        assert [record.frames for record in via_service.stats.faults.quarantined] == [lost]
+        assert via_service.windows == via_executor.windows
+    # The window [10, 30) lost half its frames, [0, 20) the other half.
+    assert [window.stats.frames_scanned for window in replayed[1].windows] == [
+        10, 10, 20, 20, 10,
+    ]
 
 
 def test_detector_exhaustion_quarantines_one_frame(tiny_jackson):
@@ -1093,6 +1128,68 @@ def test_checkpoint_restore_of_a_gated_session(
         _assert_result_parity(results[new], truth[old])
         assert results[new].temporal == truth[old].temporal
         assert results[new].temporal.frames_reused > 0
+
+
+def test_checkpoint_restore_keeps_an_adopted_plan_revision(
+    trained_od_filter, trained_od_cof, tiny_jackson
+):
+    """The profiler is part of the payload: a resumed adaptive session runs the
+    order it had adopted, keeps deciding from the same sliding window and
+    reports the revisions made before the cut."""
+    query = QueryBuilder("cars").count("car").at_least(1).build()
+    # Planned maximally wrong: the first step rejects nothing, the second everything.
+    cascade = FilterCascade(
+        steps=[
+            CascadeStep("useless-first", trained_od_filter, lambda prediction: True),
+            CascadeStep("selective-last", trained_od_cof, lambda prediction: False),
+        ]
+    )
+    config = ParallelConfig(
+        num_workers=2, chunk_size=8, adaptive=True, adaptive_window=16,
+        adaptive_interval=1, adaptive_min_evaluated=8, adaptive_margin=1.1,
+    )
+    frames = _frames(tiny_jackson.test)
+
+    def session():
+        opened = ScanSession(
+            ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+            parallel=config,
+        )
+        opened.add_query(query, cascade)
+        return opened
+
+    def push(target, begin, end):
+        for start in range(begin, end, 8):
+            target.push_chunk(frames[start : start + 8])
+
+    with session() as uninterrupted:
+        push(uninterrupted, 0, 48)
+        truth = uninterrupted.finish()[0]
+        expected_window = list(uninterrupted.states[0].profiler._window)
+    assert len(truth.stats.plan_revisions) >= 1
+
+    with session() as first:
+        push(first, 0, 32)
+        snapshot = pickle.loads(pickle.dumps(first.checkpoint()))
+        adopted = first.states[0].profiler.order
+        revisions = tuple(first.states[0].profiler.revisions)
+    assert adopted == (1, 0) and revisions
+
+    with session() as resumed:
+        resumed.restore(snapshot)
+        profiler = resumed.states[0].profiler
+        assert profiler.order == adopted
+        assert tuple(profiler.revisions) == revisions
+        push(resumed, 32, 48)
+        result = resumed.finish()[0]
+        assert list(profiler._window) == expected_window
+    _assert_result_parity(result, truth)
+    assert result.stats.plan_revisions == truth.stats.plan_revisions
+
+    # A payload from before the profiler was part of it is refused.
+    with session() as stale:
+        with pytest.raises(ValueError, match="version"):
+            stale.restore({**snapshot, "version": 2})
 
 
 def test_restore_rejects_mismatched_or_dirty_sessions(od_planner, tiny_jackson):

@@ -1,4 +1,4 @@
-"""The invariant lint itself: clean on the tree, and INV007 / INV011 bite."""
+"""The invariant lint itself: clean on the tree, and INV007 / INV011 / INV012 bite."""
 
 from __future__ import annotations
 
@@ -149,3 +149,42 @@ def test_inv011_reports_a_second_construction_site(lint):
     assert findings[0].startswith(
         "INV011 sample.py:5: FramePrefetcher constructed outside decode_ahead"
     )
+
+
+
+def _inv012(lint, source: str) -> list[str]:
+    return lint.oracle_import_findings(ast.parse(textwrap.dedent(source)), "oracle.py")
+
+
+def test_inv012_accepts_the_leaf_modules_the_oracle_reads(lint):
+    assert _inv012(
+        lint,
+        """
+        from repro.aggregates.windows import HoppingWindow
+        from repro.query.ast import Query
+        from repro.query.evaluation import evaluate_predicates_on_detections
+        from repro.query.results import ExecutionStats, QueryExecutionResult
+        from . import results
+        """,
+    ) == []
+
+
+def test_inv012_reports_every_way_of_importing_the_engine(lint):
+    findings = _inv012(
+        lint,
+        """
+        import repro.query.session
+        from repro.query.executor import StreamingQueryExecutor
+        from repro.query import planner, ast
+        from .temporal import clocks_detached
+        from . import parallel
+        """,
+    )
+    assert [finding.split(":")[1] for finding in findings] == ["2", "3", "4", "5", "6"]
+    assert [finding.split("imports ")[1].split(" ")[0] for finding in findings] == [
+        "repro.query.session",
+        "repro.query.executor",
+        "repro.query.planner",
+        "repro.query.temporal",
+        "repro.query.parallel",
+    ]

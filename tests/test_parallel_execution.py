@@ -459,6 +459,47 @@ def test_per_worker_cost_report(tiny_jackson, stream, planner):
     assert 0.0 < report.balance <= 1.0
 
 
+def test_worker_chunk_cost_does_not_depend_on_earlier_chunks(stream, planner):
+    """A chunk's milliseconds are the chunk's own sums, not a running total's
+    difference: 1.9 ms x 7 frames after 3 frames is 13.3 by subtraction and
+    13.299999999999999 charged directly."""
+    import copy
+
+    from repro.query.parallel import _Worker
+
+    query = count_query("clock")
+    cascade = planner.plan(query)
+    _, assignments = merge_cascade_steps([cascade])
+    orders = [tuple(range(len(cascade.steps)))]
+    chunk_a = [stream.frame(index) for index in range(3)]
+    chunk_b = [stream.frame(index) for index in range(3, 10)]
+
+    def worker():
+        return _Worker("w", copy.deepcopy([cascade]), assignments)
+
+    seasoned = worker()
+    seasoned.filter_chunk(0, None, orders, chunk_a)
+    after_a = seasoned.filter_chunk(1, None, orders, chunk_b)
+    alone = worker().filter_chunk(1, None, orders, chunk_b)
+    assert after_a.breakdown.per_component_calls == alone.breakdown.per_component_calls
+    assert after_a.breakdown.per_component_ms == alone.breakdown.per_component_ms
+    assert after_a.filtered == alone.filtered
+
+
+def test_parallel_simulated_cost_is_bit_stable_run_to_run(tiny_jackson, stream, planner):
+    query = mixed_query("stable")
+    cascade = planner.plan(query)
+    config = ParallelConfig(num_workers=2, chunk_size=3)
+    first, second = (
+        executor(tiny_jackson).execute(query, stream, cascade, parallel=config)
+        for _ in range(2)
+    )
+    assert (
+        first.stats.simulated_cost.per_component_ms
+        == second.stats.simulated_cost.per_component_ms
+    )
+
+
 def test_process_backend_rejects_unpicklable_cascade(tiny_jackson, stream, trained_od_filter):
     cascade = FilterCascade(
         steps=[
@@ -485,8 +526,6 @@ def test_parallel_config_validation():
         ParallelConfig(backend="gpu")
     with pytest.raises(ValueError):
         ParallelConfig(chunk_size=0)
-    with pytest.raises(ValueError):
-        ParallelConfig(prefetch_depth=-1)
     with pytest.raises(ValueError):
         ParallelConfig(adaptive_margin=0.5)
 

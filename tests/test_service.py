@@ -287,6 +287,8 @@ def test_closed_parallel_session_plans_without_a_backend(workload, tiny_jackson)
     session.close()
     assert session.unique_step_count == len(cascades[0].steps)
     assert session._backend is None
+    # Nor may it take the filters' clocks again: nothing would give them back.
+    assert all(frame_filter.clock is None for frame_filter in cascades[0].filters)
 
 
 # ----------------------------------------------------------------------

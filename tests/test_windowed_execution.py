@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.aggregates import (
     AggregateMonitor,
@@ -27,6 +28,7 @@ from repro.query import (
     QueryBuilder,
     QueryPlanner,
     StreamingQueryExecutor,
+    brute_force_execute,
     parse_query,
 )
 from repro.query.ast import WindowSpec
@@ -339,3 +341,50 @@ def test_window_tail_drop_warning_deduplicates_per_registry():
         list(window.windows_over(55, warn_registry=registry))
         list(window.windows_over(55, warn_registry=registry))
     assert len(caught) == 1
+
+
+class _Prefix:
+    """The first ``length`` frames of a stream: what a scan reads of one."""
+
+    def __init__(self, stream, length, rendered):
+        self._stream, self._length, self._rendered = stream, length, rendered
+
+    def __len__(self):
+        return self._length
+
+    def frame(self, index):
+        if index not in self._rendered:
+            self._rendered[index] = self._stream.frame(index)
+        return self._rendered[index]
+
+
+_RENDERED: dict = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 30),
+    advance=st.integers(1, 30),
+    length=st.integers(1, 50),
+    data=st.data(),
+)
+def test_cascade_free_execute_equals_the_oracle_window_for_window(
+    tiny_jackson, size, advance, length, data
+):
+    """The engine (merged-interval coverage, bisection over sorted
+    accumulators) and the oracle (``start <= index < stop`` membership) share
+    no window code, so equal windows mean both implement the same rule: a
+    window's matches ascending, a repeated index counted once per occurrence."""
+    frame_indices = data.draw(
+        st.none() | st.lists(st.integers(0, length - 1), max_size=40), label="frame_indices"
+    )
+    stream = _Prefix(tiny_jackson.test, length, _RENDERED)
+    query = QueryBuilder("w").count("car").at_least(1).window(size, advance).build()
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=77)
+    engine = StreamingQueryExecutor(detector).execute(
+        query, stream, cascade=None, frame_indices=frame_indices
+    )
+    oracle = brute_force_execute(query, stream, detector, frame_indices=frame_indices)
+    assert engine.matched_frames == oracle.matched_frames
+    assert engine.windows == oracle.windows
+    assert engine.stats.frames_scanned == oracle.stats.frames_scanned

@@ -63,6 +63,12 @@ script exits non-zero when any rule is violated.
   ``decode_ahead``, the context manager that closes the pool on every exit
   path: a bare constructor is how a failed scan leaks decode-ahead threads.
   INV004's checker, one more row of ``SOLE_CONSTRUCTION_SITES``.
+* **INV012 — the oracle imports nothing of the engine.**
+  ``repro/query/oracle.py`` (``brute_force_execute``, what every engine
+  configuration is tested against) may not import
+  ``repro.query.{executor,session,parallel,temporal,planner}``, absolutely
+  or relatively: an oracle that shares its window partition or its cascade
+  description with the engine checks the engine against itself.
 """
 
 from __future__ import annotations
@@ -407,6 +413,38 @@ def check_one_gate_loop_one_cascade_walk(findings: list[str]) -> None:
                 )
 
 
+ORACLE = SRC / "query" / "oracle.py"
+ENGINE_MODULES = {"executor", "session", "parallel", "temporal", "planner"}
+
+
+def oracle_import_findings(tree: ast.Module, where: str) -> list[str]:
+    """INV012 over one parsed module; ``where`` labels the findings."""
+    findings: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # A relative import inside repro/query/ is relative to repro.query.
+            base = ".".join(filter(None, ["repro.query" if node.level else "", node.module]))
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            parts = module.split(".")
+            if parts[:2] == ["repro", "query"] and len(parts) > 2 and parts[2] in ENGINE_MODULES:
+                findings.append(
+                    f"INV012 {where}:{node.lineno}: the oracle imports "
+                    f"repro.query.{parts[2]} — it is what the engine is checked "
+                    "against and must share no code with it"
+                )
+                break
+    return findings
+
+
+def check_oracle_imports_nothing_of_the_engine(findings: list[str]) -> None:
+    findings.extend(oracle_import_findings(_parse(ORACLE), str(ORACLE.relative_to(REPO))))
+
+
 def main() -> int:
     findings: list[str] = []
     check_planner_checks_frozen(findings)
@@ -418,6 +456,7 @@ def main() -> int:
     check_hooks_guarded(findings)
     check_registry_mutation_locked(findings)
     check_one_gate_loop_one_cascade_walk(findings)
+    check_oracle_imports_nothing_of_the_engine(findings)
     if findings:
         for finding in findings:
             print(finding)
