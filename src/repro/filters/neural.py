@@ -117,6 +117,27 @@ def build_branch_network(
     return MultiHeadNetwork(trunk=trunk, heads={"counts": count_head, "grid": grid_head})
 
 
+def _block_mean(pixels: np.ndarray, row_block: int, col_block: int) -> np.ndarray:
+    """Mean of each ``row_block x col_block`` block of ``(N, H, W, 3)`` pixels.
+
+    Bit-identical to ``reshape(N, H/rb, rb, W/cb, cb, 3).mean(axis=(2, 4))``:
+    numpy adds the block positions in row-major order and divides once, and
+    so does this, but as whole-chunk strided-slice adds (elementwise passes
+    over large operands) instead of a reduction over two tiny axes.  At least
+    one block side must exceed 1.
+    """
+    blocks = [
+        pixels[:, row::row_block, col::col_block]
+        for row in range(row_block)
+        for col in range(col_block)
+    ]
+    pooled = blocks[0] + blocks[1]
+    for block in blocks[2:]:
+        pooled += block
+    pooled /= pixels.dtype.type(row_block * col_block)
+    return pooled
+
+
 class NeuralBranchFilter(FrameFilter):
     """A trained branch network exposed through the standard filter interface."""
 
@@ -179,25 +200,34 @@ class NeuralBranchFilter(FrameFilter):
         return self.inference_dtype
 
     def _prepare_input(self, image: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
-        """Downsample ``(H, W, 3)`` pixels to the network's square input size.
+        """Downsample ``(H, W, 3)`` pixels to the network's ``(1, 3, size, size)`` input."""
+        return self._prepare_batch([image], dtype)
+
+    def _prepare_batch(
+        self, images: Sequence[np.ndarray], dtype: np.dtype | None = None
+    ) -> np.ndarray:
+        """Downsample a chunk of ``(H, W, 3)`` frames to ``(N, 3, size, size)``.
 
         Height and width are reduced independently, so rectangular frames are
         handled correctly: block-mean pooling when both axes divide evenly by
         ``image_size``, nearest-neighbour sampling with per-axis indices
-        otherwise.
+        otherwise.  Same-shape frames (every chunk of one stream) are
+        converted and reduced together; a mixed chunk goes frame by frame.
         """
-        height, width = image.shape[0], image.shape[1]
+        shape = images[0].shape
+        if any(image.shape != shape for image in images):
+            return np.concatenate(
+                [self._prepare_batch([image], dtype) for image in images], axis=0
+            )
+        height, width = shape[0], shape[1]
         size = self.image_size
         if dtype is None:
             dtype = self._activation_dtype
-        pixels = image.astype(dtype) / dtype.type(255.0)
+        pixels = np.stack(images).astype(dtype)
+        pixels /= dtype.type(255.0)
         if (height, width) != (size, size):
             if height % size == 0 and width % size == 0:
-                row_block = height // size
-                col_block = width // size
-                pixels = pixels.reshape(size, row_block, size, col_block, 3).mean(
-                    axis=(1, 3)
-                )
+                pixels = _block_mean(pixels, height // size, width // size)
             else:
                 rows = np.clip(
                     (np.arange(size) * height / size).astype(int), 0, height - 1
@@ -205,8 +235,8 @@ class NeuralBranchFilter(FrameFilter):
                 cols = np.clip(
                     (np.arange(size) * width / size).astype(int), 0, width - 1
                 )
-                pixels = pixels[rows][:, cols]
-        return pixels.transpose(2, 0, 1)[None, ...]
+                pixels = pixels[:, rows][:, :, cols]
+        return pixels.transpose(0, 3, 1, 2)
 
     def _prediction_for(
         self, frame: Frame, counts: np.ndarray, grid_scores: np.ndarray
@@ -241,9 +271,7 @@ class NeuralBranchFilter(FrameFilter):
         if not frames:
             return BatchPrediction(filter_name=self.name, predictions=())
         self._charge_batch(len(frames))
-        inputs = np.concatenate(
-            [self._prepare_input(frame.image) for frame in frames], axis=0
-        )
+        inputs = self._prepare_batch([frame.image for frame in frames])
         outputs = self.network.forward(inputs)
         counts = outputs["counts"]
         grid_scores = outputs["grid"]

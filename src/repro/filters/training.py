@@ -389,38 +389,31 @@ class NeuralTrainingConfig:
             raise ValueError("epochs and batch_size must be positive")
 
 
-def _resize_image(image: np.ndarray, size: int) -> np.ndarray:
-    """Block-average resize of an ``(H, W, 3)`` uint8 image to ``(size, size, 3)``."""
-    height = image.shape[0]
-    pixels = image.astype(np.float64) / 255.0
-    if height == size:
-        return pixels
-    if height % size == 0:
-        block = height // size
-        return pixels.reshape(size, block, size, block, 3).mean(axis=(1, 3))
-    indices = np.clip((np.arange(size) * height / size).astype(int), 0, height - 1)
-    return pixels[indices][:, indices]
-
-
 def _training_tensors(
     stream: VideoStream,
     annotations: AnnotationSet,
-    class_names: Sequence[str],
-    config: NeuralTrainingConfig,
+    neural: NeuralBranchFilter,
+    batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (images, counts, grids) tensors for neural training."""
-    images = []
+    """Build (images, counts, grids) tensors for neural training.
+
+    Images go through the filter's own input preparation (float64, the
+    training dtype), ``batch_size`` frames at a time so the full-resolution
+    float copy of the split never exists at once.
+    """
+    class_names = neural.class_names
+    grid_size = neural.grid.rows
+    frame_indices = [annotated.frame_index for annotated in annotations]
+    images = [
+        neural._prepare_batch(
+            [stream.frame(index).image for index in frame_indices[start : start + batch_size]],
+            dtype=np.dtype(np.float64),
+        )
+        for start in range(0, len(frame_indices), batch_size)
+    ]
     counts = []
     grids = []
-    coarse = Grid(
-        rows=config.grid_size,
-        cols=config.grid_size,
-        frame_width=annotations.grid.frame_width,
-        frame_height=annotations.grid.frame_height,
-    )
     for annotated in annotations:
-        frame = stream.frame(annotated.frame_index)
-        images.append(_resize_image(frame.image, config.image_size).transpose(2, 0, 1))
         counts.append([annotated.count_of(name) for name in class_names])
         # Down-scale the annotation grid to the network's native grid size.
         fine = annotated.location_grids
@@ -428,19 +421,19 @@ def _training_tensors(
         for name in class_names:
             fine_grid = fine.get(name)
             if fine_grid is None:
-                frame_grids.append(np.zeros((config.grid_size, config.grid_size)))
+                frame_grids.append(np.zeros((grid_size, grid_size)))
                 continue
-            factor = fine_grid.shape[0] // config.grid_size
+            factor = fine_grid.shape[0] // grid_size
             if factor >= 1:
-                reduced = fine_grid.reshape(
-                    config.grid_size, factor, config.grid_size, factor
-                ).max(axis=(1, 3))
+                reduced = fine_grid.reshape(grid_size, factor, grid_size, factor).max(
+                    axis=(1, 3)
+                )
             else:
                 reduced = fine_grid
             frame_grids.append(reduced.astype(np.float64))
         grids.append(np.stack(frame_grids, axis=0))
     return (
-        np.stack(images, axis=0),
+        np.concatenate(images, axis=0),
         np.array(counts, dtype=np.float64),
         np.stack(grids, axis=0),
     )
@@ -469,7 +462,19 @@ def train_neural_filter(
         base_channels=config.base_channels,
         seed=config.seed,
     )
-    images, counts, grids = _training_tensors(stream, annotations, class_names, config)
+    # Built before training so a malformed architecture fails here, and so
+    # training and inference share one input preparation.
+    neural = NeuralBranchFilter(
+        network=network,
+        class_names=class_names,
+        image_size=config.image_size,
+        grid_size=config.grid_size,
+        frame_width=annotations.grid.frame_width,
+        frame_height=annotations.grid.frame_height,
+        family=family,
+        clock=clock,
+    )
+    images, counts, grids = _training_tensors(stream, annotations, neural, config.batch_size)
     num_samples = images.shape[0]
     count_loss = SmoothL1Loss()
     grid_loss = MSELoss()
@@ -510,13 +515,4 @@ def train_neural_filter(
             network.backward(head_grads)
             optimizer.step(network.parameter_groups())
 
-    return NeuralBranchFilter(
-        network=network,
-        class_names=class_names,
-        image_size=config.image_size,
-        grid_size=config.grid_size,
-        frame_width=annotations.grid.frame_width,
-        frame_height=annotations.grid.frame_height,
-        family=family,
-        clock=clock,
-    )
+    return neural

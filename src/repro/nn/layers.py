@@ -13,9 +13,15 @@ argmax, no retained im2col columns — and ``backward`` raises immediately.
 Eval mode also honors the input dtype end to end: float32 inputs stay
 float32 through every layer (parameters are cast on the fly, a negligible
 cost next to the matmuls they feed), which roughly halves the memory
-traffic of an inference pass.  ``Conv2D`` additionally reuses one
-preallocated im2col buffer across eval-mode calls instead of reallocating
-the (large) column matrix every forward.
+traffic of an inference pass.  ``Conv2D`` additionally reuses its
+preallocated scratch (zero-bordered input, im2col gather, column matrix)
+across eval-mode calls instead of reallocating it every forward.
+
+The eval forwards are written for numpy's cost model — elementwise ufuncs
+over large strided operands, no boolean masks, no reductions over tiny inner
+axes — and are bit-identical to the textbook expressions they replaced,
+which ``tests/conftest.py`` keeps as ``reference_*`` oracles (DESIGN.md "NN
+inference fast path" states the float contract).
 """
 
 from __future__ import annotations
@@ -102,9 +108,15 @@ class LeakyReLU(Layer):
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not self.training:
             self._mask = None
-            return np.where(
-                inputs > 0, inputs, inputs.dtype.type(self.negative_slope) * inputs
-            )
+            # x and slope * x are ordered by the sign of x, so the selection
+            # ``where(x > 0, x, slope * x)`` is their maximum for slope <= 1
+            # and their minimum above it: two ufunc passes, no boolean mask.
+            scaled: np.ndarray = inputs.dtype.type(self.negative_slope) * inputs
+            if self.negative_slope <= 1:
+                np.maximum(inputs, scaled, out=scaled)
+            else:
+                np.minimum(inputs, scaled, out=scaled)
+            return scaled
         self._mask = inputs > 0
         return np.where(self._mask, inputs, self.negative_slope * inputs)
 
@@ -224,10 +236,12 @@ def _im2col(
     """Unfold ``(N, C, H, W)`` into ``(N * out_h * out_w, C * kernel * kernel)``.
 
     ``buffers`` (owned by the calling layer) lets repeated calls with the
-    same geometry and dtype reuse the two large intermediates — the strided
-    gather array and the flattened column matrix — instead of reallocating
-    them every forward; inference over a stream hits the same shape on every
-    call, so after the first frame the unfold allocates nothing.
+    same geometry and dtype reuse the three large intermediates — the
+    zero-bordered input, the strided gather array and the flattened column
+    matrix — instead of reallocating them every forward; inference over a
+    stream hits the same shape on every call, so after the first frame the
+    unfold allocates nothing.  The border of ``padded`` is zeroed when the
+    buffer is created and only its interior is ever written.
     """
     n, channels, height, width = inputs.shape
     out_h = (height + 2 * padding - kernel) // stride + 1
@@ -237,19 +251,25 @@ def _im2col(
             f"convolution output would be empty for input {inputs.shape}, "
             f"kernel={kernel}, stride={stride}, padding={padding}"
         )
-    padded = np.pad(
-        inputs, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-    )
 
-    def _buffer(key: str, shape: tuple[int, ...]) -> np.ndarray:
-        if buffers is None:
-            return np.empty(shape, dtype=inputs.dtype)
-        existing = buffers.get(key)
+    def _buffer(key: str, shape: tuple[int, ...], zeroed: bool = False) -> np.ndarray:
+        existing = None if buffers is None else buffers.get(key)
         if existing is None or existing.shape != shape or existing.dtype != inputs.dtype:
-            existing = np.empty(shape, dtype=inputs.dtype)
-            buffers[key] = existing
+            existing = (
+                np.zeros(shape, dtype=inputs.dtype)
+                if zeroed
+                else np.empty(shape, dtype=inputs.dtype)
+            )
+            if buffers is not None:
+                buffers[key] = existing
         return existing
 
+    padded = inputs
+    if padding:
+        padded = _buffer(
+            "padded", (n, channels, height + 2 * padding, width + 2 * padding), zeroed=True
+        )
+        padded[:, :, padding:-padding, padding:-padding] = inputs
     cols = _buffer("gather", (n, channels, kernel, kernel, out_h, out_w))
     for ky in range(kernel):
         y_max = ky + stride * out_h
@@ -318,6 +338,16 @@ class Conv2D(Layer):
         # Eval-mode im2col scratch, reused across calls (see _im2col).
         self._infer_buffers: dict[str, np.ndarray] = {}
 
+    def __getstate__(self) -> dict[str, object]:
+        """Pickles and deep copies carry parameters, not the eval scratch.
+
+        The scratch is megabytes per layer once a batch has run; every
+        worker copy of a filter grows its own on its first forward.
+        """
+        state = self.__dict__.copy()
+        state["_infer_buffers"] = {}
+        return state
+
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if inputs.ndim != 4 or inputs.shape[1] != self.in_channels:
             raise ValueError(
@@ -344,8 +374,8 @@ class Conv2D(Layer):
             weight_matrix = self.weight.reshape(self.out_channels, -1).astype(
                 dtype, copy=False
             )
-            bias = self.bias.astype(dtype, copy=False)
-            output = cols @ weight_matrix.T + bias
+            output = cols @ weight_matrix.T
+            output += self.bias.astype(dtype, copy=False)
             return output.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         cols, out_h, out_w = _im2col(inputs, self.kernel_size, self.stride, self.padding)
         weight_matrix = self.weight.reshape(self.out_channels, -1)
@@ -407,13 +437,24 @@ class MaxPool2D(Layer):
                 f"input spatial dims {height}x{width} not divisible by pool size {p}"
             )
         out_h, out_w = height // p, width // p
-        reshaped = inputs.reshape(n, channels, out_h, p, out_w, p)
         if not self.training:
             # Eval skips the argmax entirely — it is only needed to route
-            # gradients, and costs as much as the max itself.
+            # gradients, and costs as much as the max itself.  The window
+            # maximum is p*p - 1 elementwise maxima over the strided window
+            # positions: whole-array ufunc passes instead of a reduction over
+            # two tiny axes.  Like that reduction, the result keeps the
+            # input's memory order (the convolution's NCHW view of NHWC
+            # memory stays one), so a following GAP sums in the same order.
             self._argmax = None
             self._inputs_shape = None
-            return reshaped.max(axis=(3, 5))
+            if p == 1:
+                return inputs.copy(order="K")
+            taps = [inputs[:, :, dy::p, dx::p] for dy in range(p) for dx in range(p)]
+            output: np.ndarray = np.maximum(taps[0], taps[1])
+            for tap in taps[2:]:
+                np.maximum(output, tap, out=output)
+            return output
+        reshaped = inputs.reshape(n, channels, out_h, p, out_w, p)
         windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(n, channels, out_h, out_w, p * p)
         self._argmax = windows.argmax(axis=-1)
         self._inputs_shape = inputs.shape

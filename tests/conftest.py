@@ -252,6 +252,60 @@ def reference_render(config, ground_truth):
     return np.clip(canvas, 0, 255).astype(np.uint8)
 
 
+def reference_leaky_relu(inputs, negative_slope):
+    """Eval-mode ``LeakyReLU`` before the two-pass form: a mask and a select."""
+    return np.where(inputs > 0, inputs, inputs.dtype.type(negative_slope) * inputs)
+
+
+def reference_max_pool(inputs, pool_size):
+    """Eval-mode ``MaxPool2D`` before the pairwise form: one 6-D reduction."""
+    n, channels, height, width = inputs.shape
+    p = pool_size
+    return inputs.reshape(n, channels, height // p, p, width // p, p).max(axis=(3, 5))
+
+
+def reference_conv2d(inputs, weight, bias, stride, padding):
+    """Eval-mode ``Conv2D`` from ``np.pad`` and a sliding-window view.
+
+    Shares no code with ``_im2col`` but builds the same ``(C, ky, kx)``
+    column order and takes the same single matmul, which is what makes the
+    comparison exact rather than approximate.
+    """
+    out_channels, _, kernel, _ = weight.shape
+    padded = np.pad(inputs, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (N, C, out_h, out_w, ky, kx)
+    n, _, out_h, out_w = windows.shape[:4]
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        n * out_h * out_w, -1
+    )
+    dtype = inputs.dtype
+    output = cols @ weight.reshape(out_channels, -1).astype(dtype).T + bias.astype(dtype)
+    return output.reshape(n, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+
+
+def reference_prepare_input(image, size, dtype):
+    """One frame's network input before the batched preparation.
+
+    ``NeuralBranchFilter._prepare_input`` of the parent commit: per-frame
+    ``astype`` and divide, then the 5-D reshape ``mean`` when both axes
+    divide by ``size``, nearest-neighbour sampling otherwise.
+    """
+    dtype = np.dtype(dtype)
+    height, width = image.shape[0], image.shape[1]
+    pixels = image.astype(dtype) / dtype.type(255.0)
+    if (height, width) != (size, size):
+        if height % size == 0 and width % size == 0:
+            pixels = pixels.reshape(size, height // size, size, width // size, 3).mean(
+                axis=(1, 3)
+            )
+        else:
+            rows = np.clip((np.arange(size) * height / size).astype(int), 0, height - 1)
+            cols = np.clip((np.arange(size) * width / size).astype(int), 0, width - 1)
+            pixels = pixels[rows][:, cols]
+    return pixels.transpose(2, 0, 1)[None, ...]
+
+
 @pytest.fixture()
 def counted_renders(monkeypatch) -> list[int]:
     """The frame index of every ``FrameRenderer.render`` call made during the test."""

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.detection import ReferenceDetector, annotate_stream
+from repro.detection.annotation import AnnotatedFrame, AnnotationSet
 from repro.filters import NeuralTrainingConfig, build_branch_network, train_neural_filter
 from repro.filters.neural import NeuralBranchFilter
+from repro.filters.training import _training_tensors
+from repro.spatial.grid import Grid
 from repro.video.stream import Frame
 
 
@@ -113,3 +116,54 @@ def test_neural_filter_end_to_end(tiny_jackson):
         frame = tiny_jackson.train.frame(annotated.frame_index)
         errors.append(abs(neural.predict(frame).total_count - annotated.total_count))
     assert np.mean(errors) < 2.5
+
+
+class _RectangularStream:
+    """What ``train_neural_filter`` uses of a stream: ``frame(index)``."""
+
+    def __init__(self, height: int, width: int) -> None:
+        self.height, self.width = height, width
+
+    def frame(self, index: int) -> Frame:
+        return _frame(index, self.height, self.width, seed=7)
+
+
+@pytest.mark.parametrize("height,width", [(32, 64), (64, 128), (48, 36)])
+def test_train_neural_filter_on_rectangular_frames(height, width):
+    """Regression: the trainer had its own square-only resize, which left a
+    32x64 frame unresized, died in a reshape on 64x128 and indexed 48x36 out
+    of range; it now shares the filter's per-axis input preparation."""
+    class_names = ("car", "person")
+    rng = np.random.default_rng(1)
+    annotations = AnnotationSet(
+        stream_name="rectangular",
+        class_names=class_names,
+        grid=Grid(rows=16, cols=16, frame_width=width, frame_height=height),
+        frames=[
+            AnnotatedFrame(
+                frame_index=index,
+                counts={"car": index % 3, "person": index % 2},
+                location_grids={name: rng.random((16, 16)) < 0.1 for name in class_names},
+            )
+            for index in range(6)
+        ],
+    )
+    stream = _RectangularStream(height, width)
+    config = NeuralTrainingConfig(
+        image_size=32, grid_size=8, epochs=1, warmup_epochs=0, batch_size=4, base_channels=2
+    )
+    neural = train_neural_filter(stream, annotations, class_names, config=config)
+    seen = []
+    forward = neural.network.forward
+    neural.network.forward = lambda inputs: seen.append(inputs.shape) or forward(inputs)
+    batch = neural.predict_batch([stream.frame(index) for index in range(3)])
+    assert seen == [(3, 3, 32, 32)]
+    assert all(prediction.grid.shape == (8, 8) for prediction in batch)
+    assert (neural.grid.frame_width, neural.grid.frame_height) == (width, height)
+    # Training consumed the same preparation, in the training dtype.
+    images, counts, grids = _training_tensors(stream, annotations, neural, config.batch_size)
+    assert images.shape == (6, 3, 32, 32) and images.dtype == np.float64
+    assert counts.shape == (6, 2) and grids.shape == (6, 2, 8, 8)
+    for position in range(6):
+        expected = neural._prepare_input(stream.frame(position).image, np.dtype(np.float64))
+        assert np.array_equal(images[position], expected[0])

@@ -4,10 +4,14 @@
 (b) make ``backward`` fail with a clear eval-mode error, (c) preserve a
 float32 input dtype end to end, and (d) produce outputs that agree with the
 float64 training-mode forward to float32 precision.  ``Conv2D`` must
-additionally reuse its preallocated im2col scratch across eval calls.
+additionally reuse its preallocated im2col scratch across eval calls, and
+leave it out of pickles and deep copies.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -152,17 +156,57 @@ def test_conv2d_reuses_im2col_buffer_across_eval_calls(rng):
     conv = Conv2D(3, 4, kernel_size=3, padding=1, seed=0)
     conv.training = False
     inputs = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-    conv.forward(inputs)
+    first = conv.forward(inputs)
     gather = conv._infer_buffers["gather"]
     flat = conv._infer_buffers["flat"]
-    conv.forward(inputs)
+    padded = conv._infer_buffers["padded"]
+    assert padded.shape == (2, 3, 10, 10) and padded.dtype == np.float32
+    assert np.array_equal(conv.forward(inputs), first)
     assert conv._infer_buffers["gather"] is gather
     assert conv._infer_buffers["flat"] is flat
+    assert conv._infer_buffers["padded"] is padded
+    # Only the interior is ever written: the border is still the zeros it
+    # was created with, and the interior is the (all non-zero) input.
+    assert np.array_equal(padded[:, :, 1:-1, 1:-1], inputs)
+    border = padded.copy()
+    border[:, :, 1:-1, 1:-1] = 0
+    assert not border.any()
     # A different geometry reallocates instead of corrupting the result.
     bigger = rng.normal(size=(1, 3, 16, 16)).astype(np.float32)
     out = conv.forward(bigger)
     assert out.shape == (1, 4, 16, 16)
     assert conv._infer_buffers["flat"] is not flat
+    assert conv._infer_buffers["padded"] is not padded
+    assert conv._infer_buffers["padded"].shape == (1, 3, 18, 18)
+    # So does a different dtype at the same geometry.
+    padded = conv._infer_buffers["padded"]
+    assert conv.forward(bigger.astype(np.float64)).dtype == np.float64
+    assert conv._infer_buffers["padded"] is not padded
+    assert conv._infer_buffers["padded"].dtype == np.float64
+    # No padding, no padded scratch: the gather reads the input directly.
+    pointwise = Conv2D(3, 4, kernel_size=1, seed=0)
+    pointwise.training = False
+    pointwise.forward(inputs)
+    assert sorted(pointwise._infer_buffers) == ["flat", "gather"]
+
+
+def test_conv2d_scratch_stays_out_of_pickles_and_deep_copies(rng):
+    """The thread backend deep-copies cascades per worker and the process
+    backend pickles them; neither should ship megabytes of im2col scratch."""
+    conv = Conv2D(3, 8, kernel_size=3, padding=1, seed=0)
+    conv.training = False
+    fresh = len(pickle.dumps(conv))
+    inputs = rng.normal(size=(16, 3, 56, 56)).astype(np.float32)
+    expected = conv.forward(inputs)
+    assert sum(buffer.nbytes for buffer in conv._infer_buffers.values()) > 100 * fresh
+    assert len(pickle.dumps(conv)) <= 2 * fresh
+    for clone in (pickle.loads(pickle.dumps(conv)), copy.deepcopy(conv)):
+        assert clone._infer_buffers == {}
+        assert clone.training is False
+        assert np.array_equal(clone.forward(inputs), expected)
+        assert clone._infer_buffers["flat"] is not conv._infer_buffers["flat"]
+    # The original keeps its scratch.
+    assert set(conv._infer_buffers) == {"padded", "gather", "flat"}
 
 
 def test_multi_head_network_eval_mode(rng):
