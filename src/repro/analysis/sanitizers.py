@@ -29,9 +29,10 @@ that pattern):
   (NU003).
 * **Determinism checker** (``"determinism"``, RC004) — digests each merged
   chunk's per-query alive sets during the parallel scan, then re-runs the
-  same chunks sequentially on a clock-detached deep copy of the cascades
-  and reports the first divergent chunk (a quarantined chunk merged
-  nothing and is skipped).  Cascade steps are conjunctive, so
+  same chunks under the coverage masks they were dispatched with,
+  sequentially, on a clock-detached deep copy of the cascades and reports
+  the first divergent chunk (a quarantined chunk merged nothing and is
+  skipped).  Cascade steps are conjunctive, so
   the digest is invariant under adaptive step reordering; any divergence is
   real nondeterminism (state leaking between workers, an order-dependent
   check, a thread-dependent filter).
@@ -138,7 +139,11 @@ class SanitizerSession:
         self._inflight: dict[tuple[Any, ...], list[_OpenAccess]] = {}
         self._windows: list[_OpenAccess] = []
         self._local = threading.local()
-        self._chunk_digests: dict[int, str | None] = {}
+        #: chunk id -> (digest, frame indices, covered masks) of a merged
+        #: chunk, ``None`` for a quarantined one
+        self._chunk_digests: dict[
+            int, tuple[str, tuple[int, ...], Sequence[Sequence[bool]] | None] | None
+        ] = {}
 
     # ------------------------------------------------------------------
     # Mode queries
@@ -353,9 +358,11 @@ class SanitizerSession:
     # ------------------------------------------------------------------
     # Determinism checker
     # ------------------------------------------------------------------
-    def observe_chunk(self, chunk_id: int, outcome: Any) -> None:
+    def observe_chunk(self, chunk_id: int, dispatch: Any, outcome: Any) -> None:
         """Digest one chunk's alive sets at its in-order merge point.
 
+        Records the digest with the dispatch's frame ``indices`` and
+        ``covered`` masks, which is what :meth:`verify_determinism` re-runs.
         ``outcome=None`` records a quarantined chunk: its id was consumed but
         it never merged, so there are no survivors to compare.
         """
@@ -363,20 +370,25 @@ class SanitizerSession:
             return
         with self._mu:
             self._chunk_digests[chunk_id] = (
-                None if outcome is None else chunk_digest(outcome.filtered.alive)
+                None
+                if outcome is None
+                else (
+                    chunk_digest(outcome.filtered.alive),
+                    tuple(dispatch.indices),
+                    dispatch.covered,
+                )
             )
 
     def verify_determinism(
         self,
         stream: Any,
-        chunks: Sequence[Sequence[int]],
         query_cascades: Sequence[Any],
         assignments: Sequence[Sequence[int]],
-        member_sets: Sequence[set[int]] | None,
     ) -> None:
-        """Re-run the scan's chunks sequentially and diff the digests (RC004).
+        """Re-run the merged chunks sequentially and diff the digests (RC004).
 
-        The reference run uses a clock-detached deep copy of the cascades and
+        Each chunk is re-run over the frames and ``covered`` masks recorded
+        at its merge, on a clock-detached deep copy of the cascades with
         identity step orders; cascade steps are conjunctive, so a digest
         mismatch means the parallel run's survivors genuinely diverged.
         """
@@ -391,18 +403,14 @@ class SanitizerSession:
         identity_orders = [
             tuple(range(len(cascade.steps))) for cascade in reference
         ]
-        for chunk_id, chunk in enumerate(chunks):
-            with self._mu:
-                observed = self._chunk_digests.get(chunk_id, "unobserved")
-            if observed is None:
+        with self._mu:
+            merged = dict(self._chunk_digests)
+        for chunk_id in sorted(merged):
+            record = merged[chunk_id]
+            if record is None:
                 continue  # quarantined: the scan claimed no survivors for it
+            observed, chunk, covered = record
             frames = [stream.frame(index) for index in chunk]
-            if member_sets is not None:
-                covered: Sequence[Sequence[bool]] | None = [
-                    [index in members for index in chunk] for members in member_sets
-                ]
-            else:
-                covered = None
             expected = chunk_digest(
                 run_filter_chunk(reference, assignments, covered, identity_orders, frames).alive
             )

@@ -316,8 +316,10 @@ class StreamingQueryExecutor:
 
         Build a :class:`~repro.query.session.ScanSession`, feed it, read the
         states.  The session owns the loop (accumulation, the detector-union
-        phase, the worker backend and its in-order merge, clock attachment
-        and restoration); the executor decides only how frames reach it: one
+        phase, the worker pool and its in-order merge, clock attachment and
+        restoration, and coverage: one rule, ``QueryState.covers``, given
+        each windowed query's last instance end as ``stop``); the executor
+        decides only how frames reach it: one
         ``render(index)`` from :func:`~repro.query.parallel.decode_ahead`
         (``stream.frame``, rendered ahead when ``parallel`` is set) and two
         drivers.  Rendered chunks of ``chunk_size`` frames go through
@@ -351,32 +353,11 @@ class StreamingQueryExecutor:
                 lint_query(query, strict=True)
                 lint_plan(cascade, strict=True)
         base_indices = checked_frame_indices(frame_indices, stream)
-
-        # Per-query frame coverage: windowed queries restrict to their windows.
-        per_query_windows: list[list[WindowBounds] | None] = []
-        member_sets: list[set[int]] = []
-        for query, cascade in zip(queries, query_cascades):
-            bounds = _window_bounds_for(query.window, stream, include_partial_windows)
-            per_query_windows.append(bounds)
-            if cascade.provably_empty:
-                # Statically proven to match nothing: the query takes part in
-                # no frame of the shared scan (and pulls no frame into the
-                # union on its own).
-                member_sets.append(set())
-            elif bounds is None:
-                member_sets.append(set(base_indices))
-            else:
-                member_sets.append(_covered(base_indices, query.window, bounds))
-        union_indices = [
-            index
-            for index in base_indices
-            if any(index in members for members in member_sets)
+        per_query_windows = [
+            _window_bounds_for(query.window, stream, include_partial_windows)
+            for query in queries
         ]
-
         chunk_size = batch_size or (parallel.chunk_size if parallel is not None else 1)
-        # Gating is sequential: under ``temporal`` nothing is chunked and the
-        # session gets no workers (nor does a scan that covers no frame).
-        chunks = partition_chunks(union_indices, chunk_size) if temporal is None else []
         temporal_stats: TemporalStats | None = None
         sanitizer_report: AnalysisReport | None = None
         sanitizer_scope = nullcontext()
@@ -393,11 +374,20 @@ class StreamingQueryExecutor:
         session = ScanSession(self.detector, clock=self.clock, live=False, parallel=parallel)
         with sanitizer_scope as sanitizer:
             with session:
-                for query, cascade, members in zip(queries, query_cascades, member_sets):
-                    session.add_query(query, cascade, member_set=members)
+                for query, cascade, bounds in zip(queries, query_cascades, per_query_windows):
+                    # A windowed query covers its windows up to where the last
+                    # materialised instance ends (none: no frame at all).
+                    stop = None if bounds is None else (bounds[-1].stop if bounds else 0)
+                    session.add_query(query, cascade, stop=stop)
                 # Plans the scan: steps merged across queries, every filter and
                 # the detector charge our clock until the session closes.
                 unique_steps = session.unique_step_count
+                # The frames some query covers (a provably-empty query covers
+                # none, so it pulls no frame into the union on its own).
+                union_indices = [index for index in base_indices if session._covering(index)]
+                # Gating is sequential: under ``temporal`` nothing is chunked and
+                # the session gets no workers (nor does a scan that covers no frame).
+                chunks = partition_chunks(union_indices, chunk_size) if temporal is None else []
                 if chunks:
                     # Before decode-ahead, so that process workers fork before
                     # its first thread starts.
@@ -421,7 +411,7 @@ class StreamingQueryExecutor:
             if sanitizer is not None:
                 # The session has drained: every chunk's digest is recorded.
                 sanitizer.verify_determinism(
-                    stream, chunks, query_cascades, session.step_assignments, member_sets
+                    stream, query_cascades, session.step_assignments
                 )
                 sanitizer_report = sanitizer.report()
         if sanitizer_report is not None:
@@ -607,18 +597,3 @@ def _window_bounds_for(
             "include_partial_windows=True"
         )
     return bounds
-
-
-def _covered(
-    indices: Sequence[int], window: WindowSpec, instances: Sequence[WindowBounds]
-) -> set[int]:
-    """The ``indices`` inside at least one of ``window``'s ``instances``.
-
-    Instances start at every multiple of ``advance`` up to the last one
-    materialised, so coverage is :meth:`HoppingWindow.covers` (the rule a
-    live session applies to an endless stream) cut off where that last
-    instance ends.
-    """
-    hopping = HoppingWindow(size=window.size, advance=window.advance)
-    end = instances[-1].stop if instances else 0
-    return {index for index in indices if index < end and hopping.covers(index)}

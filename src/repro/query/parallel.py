@@ -54,14 +54,20 @@ import time
 from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
+    Executor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeout
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
-from multiprocessing import get_all_start_methods, get_context, shared_memory
+from multiprocessing import (
+    get_all_start_methods,
+    get_context,
+    resource_tracker,
+    shared_memory,
+)
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -361,8 +367,8 @@ class CascadeProfiler:
 
 
 # ----------------------------------------------------------------------
-# The chunk filter phase (shared by the sequential shared scan and both
-# parallel backends; must stay a top-level function for process pickling)
+# The chunk filter phase (shared by the sequential shared scan and the
+# worker pool's one task body)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FilteredChunk:
@@ -588,7 +594,7 @@ def decode_ahead(
 
 
 # ----------------------------------------------------------------------
-# Worker backends
+# The worker pool
 # ----------------------------------------------------------------------
 def _distinct_filters(cascades: Sequence[FilterCascade]) -> list[FrameFilter]:
     distinct: list[FrameFilter] = []
@@ -609,7 +615,7 @@ def _attach_worker_clock(
 
 
 class _Worker:
-    """One pool worker's private cascades and clock, and the one task body."""
+    """One pool worker's private cascades and clock."""
 
     def __init__(
         self,
@@ -640,16 +646,61 @@ class _Worker:
         return ChunkOutcome(chunk_id, self.label, filtered, self.clock.snapshot())
 
 
+#: the one worker slot: ``_SLOT.worker`` is the calling pool worker's
+#: ``_Worker``, installed by :func:`_init_worker` (thread-local, so every pool
+#: thread holds its own; a pool process has one thread that runs tasks)
+_SLOT = threading.local()
+
+
+def _init_worker(source: "bytes | queue.SimpleQueue[_Worker]") -> None:
+    """The one pool initializer: install this pool worker's ``_Worker``.
+
+    A process worker unpickles its own cascades from the plan's payload; a
+    thread worker takes one of the clones the supervisor deep-copied up front
+    (one per thread, so no two tasks ever share a clone).
+    """
+    if isinstance(source, bytes):
+        # A forked worker inherits both hook slots as copies and must consult
+        # neither.  The parent keeps consuming the injector's schedule on its
+        # own (worker faults are decided parent-side in
+        # ``WorkerSupervisor._dispatch`` and shipped with the task), and a
+        # sanitizer session's findings recorded in the child would never reach
+        # the parent's report.
+        hooks.reset()
+        _SLOT.worker = _Worker(f"pid-{os.getpid()}", *pickle.loads(source))
+    else:
+        _SLOT.worker = source.get_nowait()
+
+
+@dataclass(frozen=True)
+class _SharedFrames:
+    """A chunk's frames on their way to a process worker: one shared-memory block."""
+
+    name: str
+    shape: tuple[int, ...]
+    dtype: str
+    indices: tuple[int, ...]
+
+    def frames(self, block: shared_memory.SharedMemory) -> list[Frame]:
+        """Numpy views over the attached ``block``: pixels only, ground truth stays home."""
+        images = np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=block.buf)
+        return [
+            Frame(index=index, image=images[k], ground_truth=None)
+            for k, index in enumerate(self.indices)
+        ]
+
+
 def _apply_worker_directive(
     directive: tuple[str, float] | None, chunk_id: int, process: bool
 ) -> None:
     """Enact a parent-side crash/stall directive inside a worker task.
 
-    Runs at the very top of the task — before any clone/slot/shared-memory
-    acquisition — so a crashed or stalled attempt leaves no partial filter
-    charges and holds no resources.  The stall is a deliberate wall-clock
-    sleep: it simulates a *hung* worker for the supervisor's timeout to
-    catch, which a simulated-clock charge could never do.
+    Runs at the very top of the task — before any frame is touched or any
+    shared memory attached — so a crashed or stalled attempt leaves no
+    partial filter charges and holds no view over a block the supervisor is
+    about to unlink.  The stall is a deliberate wall-clock sleep: it
+    simulates a *hung* worker for the supervisor's timeout to catch, which a
+    simulated-clock charge could never do.
     """
     if directive is None:
         return
@@ -662,286 +713,67 @@ def _apply_worker_directive(
         raise FaultError("worker_crash", chunk_id, "injected worker crash")
 
 
-class _ThreadBackend:
-    """Thread pool with one private cascade clone (and clock) per worker.
-
-    The cascades of one worker are deep-copied *together*, so filters shared
-    across queries stay shared within the clone and the cross-query
-    prediction cache keeps working.  A free-list hands each task a clone;
-    at most ``num_workers`` tasks run at once, so a clone is never used
-    concurrently.
-    """
-
-    def __init__(
-        self,
-        config: ParallelConfig,
-        query_cascades: Sequence[FilterCascade],
-        assignments: Sequence[Sequence[int]],
-    ) -> None:
-        self._slots: queue.SimpleQueue = queue.SimpleQueue()
-        for worker_id in range(config.num_workers):
-            clones = copy.deepcopy(list(query_cascades))
-            self._slots.put(_Worker(f"thread-{worker_id}", clones, assignments))
-        self._pool = ThreadPoolExecutor(
-            max_workers=config.num_workers, thread_name_prefix="filter-worker"
-        )
-
-    def submit(
-        self,
-        chunk_id: int,
-        indices: Sequence[int],
-        frames: Sequence[Frame],
-        covered: Sequence[Sequence[bool]] | None,
-        orders: Sequence[Sequence[int]],
-        directive: tuple[str, float] | None,
-    ) -> tuple[Future, object]:
-        return (
-            self._pool.submit(
-                self._task, chunk_id, frames, covered, orders, directive
-            ),
-            None,
-        )
-
-    def _task(
-        self,
-        chunk_id: int,
-        frames: Sequence[Frame],
-        covered: Sequence[Sequence[bool]] | None,
-        orders: Sequence[Sequence[int]],
-        directive: tuple[str, float] | None = None,
-    ) -> ChunkOutcome:
-        _apply_worker_directive(directive, chunk_id, process=False)
-        worker: _Worker = self._slots.get()
-        try:
-            if hooks.sanitizer is not None:
-                window = hooks.sanitizer.worker_window(chunk_id, id(worker.cascades))
-            else:
-                window = nullcontext()
-            with window:
-                return worker.filter_chunk(chunk_id, covered, orders, frames)
-        finally:
-            self._slots.put(worker)
-
-    def release(self, handle: object) -> None:  # symmetric with _ProcessBackend
-        return None
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-    def abandon(self) -> None:
-        """Non-blocking shutdown for a pool presumed wedged.
-
-        A stalled task may still hold a pool thread; waiting for it would
-        re-create the very hang the supervisor is escaping.
-        """
-        self._pool.shutdown(wait=False, cancel_futures=True)
-
-
-# Process-worker state installed once by the pool initializer: unpickling the
-# cascades per task would dwarf the filter work itself.
-_PROCESS_STATE: dict = {}
-
-
-def _init_process_worker(payload: bytes) -> None:
-    # A forked worker inherits both hook slots as copies and must consult
-    # neither.  The parent keeps consuming the injector's schedule on its
-    # own (worker faults are decided parent-side in
-    # ``WorkerSupervisor._dispatch`` and shipped with the task), and a
-    # sanitizer session's findings recorded in the child would never reach
-    # the parent's report.
-    hooks.reset()
-    _PROCESS_STATE["worker"] = _Worker(f"pid-{os.getpid()}", *pickle.loads(payload))
-
-
-def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing shared-memory block.
-
-    The parent owns the block's lifecycle: it unlinks (and unregisters) the
-    block once the chunk is merged.  Pool workers share the parent's
-    resource-tracker process, so the attach-side registration is a harmless
-    set-dedup — the worker must *not* unregister on close, or the parent's
-    unlink would trip the tracker.
-    """
-    return shared_memory.SharedMemory(name=name)
-
-
-def _process_chunk_task(
+def _filter_task(
     chunk_id: int,
-    shm_name: str,
-    shape: tuple[int, ...],
-    dtype_name: str,
-    indices: Sequence[int],
     covered: Sequence[Sequence[bool]] | None,
     orders: Sequence[Sequence[int]],
-    directive: tuple[str, float] | None = None,
+    directive: tuple[str, float] | None,
+    frames: "Sequence[Frame] | _SharedFrames",
 ) -> ChunkOutcome:
-    # Before attaching shared memory: a crashed/stalled attempt must not
-    # hold an open view over a block the supervisor is about to unlink.
-    _apply_worker_directive(directive, chunk_id, process=True)
-    block = _attach_shared_memory(shm_name)
+    """The one task body, in a pool thread and a pool process alike.
+
+    Only a process worker receives :class:`_SharedFrames`; it attaches the
+    block, which the parent owns and unlinks once the chunk is merged (pool
+    workers share the parent's resource tracker, so the attach-side
+    registration is a harmless set-dedup).
+    """
+    shared = frames if isinstance(frames, _SharedFrames) else None
+    _apply_worker_directive(directive, chunk_id, process=shared is not None)
+    worker: _Worker = _SLOT.worker
+    if hooks.sanitizer is not None:
+        window = hooks.sanitizer.worker_window(chunk_id, id(worker.cascades))
+    else:
+        window = nullcontext()
+    block = None if shared is None else shared_memory.SharedMemory(name=shared.name)
     try:
-        images = np.ndarray(shape, dtype=np.dtype(dtype_name), buffer=block.buf)
-        frames = [
-            Frame(index=index, image=images[k], ground_truth=None)
-            for k, index in enumerate(indices)
-        ]
-        return _PROCESS_STATE["worker"].filter_chunk(chunk_id, covered, orders, frames)
+        with window:
+            chunk = frames if shared is None else shared.frames(block)
+            return worker.filter_chunk(chunk_id, covered, orders, chunk)
     finally:
-        # Drop every view over the shared block before closing it; a live
-        # exported buffer would make close() raise.
-        frames = None
-        images = None
-        try:
-            block.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
+        if block is not None:
+            # Drop the views first: close() raises while one is alive (as
+            # it may be in an exception's traceback).
+            chunk = []
+            with suppress(BufferError):
+                block.close()
 
 
-def _process_warmup() -> bool:
-    return "worker" in _PROCESS_STATE
+def _process_payload(
+    cascades: Sequence[FilterCascade], assignments: Sequence[Sequence[int]]
+) -> bytes:
+    """The plan pickled for process workers: pre-flight and payload in one.
 
-
-class _ProcessBackend:
-    """Process pool: cascades pickled once per worker, frames shipped zero-copy."""
-
-    def __init__(
-        self,
-        config: ParallelConfig,
-        query_cascades: Sequence[FilterCascade],
-        assignments: Sequence[Sequence[int]],
-    ) -> None:
-        # Concurrency pre-flight (local import: repro.analysis depends on the
-        # query AST package, which initialises this module — importing it at
-        # module level would cycle).  The static audit catches lambda/local
-        # checks and unpicklable steps with a structured reason *before* any
-        # worker process exists, instead of an opaque mid-run pool error.
+    Only when pickling fails does the concurrency audit run (local import:
+    ``repro.analysis`` depends on the query AST package, which initialises
+    this module), to say why — a lambda or function-local check, an
+    unpicklable step — in one ``AnalysisError`` (a ``ValueError``) raised
+    before any worker process exists.
+    """
+    try:
+        return pickle.dumps((list(cascades), [list(row) for row in assignments]))
+    except Exception as error:
         from repro.analysis import AnalysisError, Severity, audit_cascade
 
-        findings = []
-        for cascade in query_cascades:
-            findings.extend(audit_cascade(cascade).diagnostics)
-        errors = [d for d in findings if d.severity is Severity.ERROR]
-        if errors:
-            headline = "; ".join(f"{d.code}: {d.message}" for d in errors)
-            raise AnalysisError(
-                "backend='process' needs picklable, worker-safe cascades "
-                "(planner-built cascades are; hand-built lambda checks are "
-                f"not) — use backend='thread' instead [{headline}]",
-                diagnostics=tuple(findings),
-            )
-        try:
-            payload = pickle.dumps(
-                (list(query_cascades), [list(row) for row in assignments])
-            )
-        except Exception as error:
-            raise ValueError(
-                "backend='process' needs picklable cascades (planner-built "
-                "cascades are; hand-built lambda checks are not) — use "
-                "backend='thread' instead"
-            ) from error
-        # Fork is the cheap path (no re-import, payload inherited) but is
-        # only reliably safe on Linux — macOS's Objective-C runtime aborts
-        # in forked children, which is why CPython's own default there is
-        # spawn.  Everywhere else, pay the spawn cost.
-        methods = get_all_start_methods()
-        use_fork = sys.platform == "linux" and "fork" in methods
-        context = get_context("fork" if use_fork else "spawn")
-        # Start the parent's resource tracker before any worker exists, so
-        # every worker inherits it: the workers' attach-side shared-memory
-        # registrations then dedupe against the parent's create-side ones
-        # instead of spawning per-worker trackers that would try to clean up
-        # blocks the parent already unlinked.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - platform-specific
-            pass
-        self._pool = ProcessPoolExecutor(
-            max_workers=config.num_workers,
-            mp_context=context,
-            initializer=_init_process_worker,
-            initargs=(payload,),
+        findings = [d for cascade in cascades for d in audit_cascade(cascade).diagnostics]
+        headline = "; ".join(
+            f"{d.code}: {d.message}" for d in findings if d.severity is Severity.ERROR
         )
-        # Spawn (or fork) every worker *now*, before any prefetch thread
-        # starts: forking after threads exist risks inheriting held locks.
-        warmups = [
-            self._pool.submit(_process_warmup) for _ in range(config.num_workers)
-        ]
-        for warmup in warmups:
-            if not warmup.result():
-                raise RuntimeError("process worker initialisation failed")
-
-    def submit(
-        self,
-        chunk_id: int,
-        indices: Sequence[int],
-        frames: Sequence[Frame],
-        covered: Sequence[Sequence[bool]] | None,
-        orders: Sequence[Sequence[int]],
-        directive: tuple[str, float] | None,
-    ) -> tuple[Future, object]:
-        images = [frame.image for frame in frames]
-        shape = (len(images),) + images[0].shape
-        dtype = images[0].dtype
-        if any(image.shape != images[0].shape or image.dtype != dtype for image in images):
-            raise ValueError("process backend needs uniform frame shapes per chunk")
-        block = shared_memory.SharedMemory(
-            create=True, size=int(np.prod(shape)) * dtype.itemsize
-        )
-        stacked = np.ndarray(shape, dtype=dtype, buffer=block.buf)
-        for k, image in enumerate(images):
-            stacked[k] = image
-        del stacked
-        try:
-            future = self._pool.submit(
-                _process_chunk_task,
-                chunk_id,
-                block.name,
-                shape,
-                dtype.name,
-                list(indices),
-                covered,
-                [list(order) for order in orders],
-                directive,
-            )
-        except BaseException:
-            # The block is only handed to the caller on success; a failed
-            # submit (e.g. a pool already broken by a crashed sibling) must
-            # unlink it here or the segment leaks.
-            self.release(block)
-            raise
-        return future, block
-
-    def release(self, handle: object) -> None:
-        if handle is None:
-            return
-        block: shared_memory.SharedMemory = handle
-        try:
-            block.close()
-            block.unlink()
-        except FileNotFoundError:  # pragma: no cover - defensive
-            pass
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-    def abandon(self) -> None:
-        """Non-blocking shutdown for a broken or wedged pool."""
-        self._pool.shutdown(wait=False, cancel_futures=True)
-
-
-# ----------------------------------------------------------------------
-# Worker supervision
-# ----------------------------------------------------------------------
-def _make_backend(
-    config: ParallelConfig,
-    query_cascades: Sequence[FilterCascade],
-    assignments: Sequence[Sequence[int]],
-) -> "_ThreadBackend | _ProcessBackend":
-    if config.backend == "process":
-        return _ProcessBackend(config, query_cascades, assignments)
-    return _ThreadBackend(config, query_cascades, assignments)
+        raise AnalysisError(
+            "backend='process' needs picklable, worker-safe cascades "
+            "(planner-built cascades are; hand-built lambda checks are "
+            f"not) — use backend='thread' instead [{headline}]",
+            diagnostics=tuple(findings),
+        ) from error
 
 
 @dataclass(slots=True, eq=False)
@@ -950,7 +782,8 @@ class ChunkDispatch:
 
     ``orders`` are the step orders stamped at *original* submission time;
     a re-dispatch reuses them even if the adaptive profiler has moved on,
-    so a recovered run stays bit-identical to a fault-free one.
+    so a recovered run stays bit-identical to a fault-free one.  ``block``
+    is the shared-memory block a process-pool attempt ships the frames in.
     """
 
     chunk_id: int
@@ -959,13 +792,21 @@ class ChunkDispatch:
     covered: Sequence[Sequence[bool]] | None
     orders: Sequence[Sequence[int]]
     future: Future | None = None
-    handle: object = None
+    block: shared_memory.SharedMemory | None = None
     generation: int = 0
     attempts: int = 0
 
 
 class WorkerSupervisor:
-    """Owns the filter backend and heals dead or stalled workers.
+    """Owns the filter worker pool and heals dead or stalled workers.
+
+    One ``concurrent.futures`` pool of ``num_workers`` workers, each holding
+    its own :class:`_Worker` (installed by :func:`_init_worker`) and running
+    :func:`_filter_task`.  The backend decides two things only: how the pool
+    is built (:meth:`_build_pool`) and how a chunk's frames travel — a
+    thread gets the frame references, a process one shared-memory block that
+    the supervisor creates at dispatch and releases at merge, on failure or
+    on discard.
 
     State machine per chunk (``supervise=True``)::
 
@@ -993,12 +834,61 @@ class WorkerSupervisor:
         assignments: Sequence[Sequence[int]],
     ) -> None:
         self._config = config
-        self._query_cascades = list(query_cascades)
+        self._cascades = list(query_cascades)
         self._assignments = [list(row) for row in assignments]
-        self._backend = _make_backend(config, self._query_cascades, self._assignments)
+        # Pickled once per plan: every pool built for it ships these bytes.
+        self._payload = (
+            _process_payload(self._cascades, self._assignments)
+            if config.backend == "process"
+            else None
+        )
+        self._pool = self._build_pool()
         self._generation = 0
         self.respawns = 0
         self.redispatches = 0
+
+    def _build_pool(self) -> Executor:
+        """A fresh pool for the plan: the first build and every respawn."""
+        workers = self._config.num_workers
+        if self._payload is None:
+            clones: queue.SimpleQueue[_Worker] = queue.SimpleQueue()
+            for worker_id in range(workers):
+                # A worker's cascades are deep-copied *together*, so filters
+                # shared across queries stay shared within the clone and the
+                # cross-query prediction cache keeps working.
+                clone = copy.deepcopy(self._cascades)
+                clones.put(_Worker(f"thread-{worker_id}", clone, self._assignments))
+            return ThreadPoolExecutor(
+                max_workers=workers,
+                thread_name_prefix="filter-worker",
+                initializer=_init_worker,
+                initargs=(clones,),
+            )
+        # Fork is the cheap path (no re-import, payload inherited) but is
+        # only reliably safe on Linux — macOS's Objective-C runtime aborts
+        # in forked children, which is why CPython's own default there is
+        # spawn.  Everywhere else, pay the spawn cost.
+        use_fork = sys.platform == "linux" and "fork" in get_all_start_methods()
+        # Start the parent's resource tracker before any worker exists, so
+        # every worker inherits it: the workers' attach-side shared-memory
+        # registrations then dedupe against the parent's create-side ones
+        # instead of spawning per-worker trackers that would try to clean up
+        # blocks the parent already unlinked.
+        try:
+            resource_tracker.ensure_running()
+        except Exception:  # pragma: no cover - platform-specific
+            pass
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=get_context("fork" if use_fork else "spawn"),
+            initializer=_init_worker,
+            initargs=(self._payload,),
+        )
+        # Spawn (or fork) every worker *now*, before any decode-ahead thread
+        # starts: forking after threads exist risks inheriting held locks.
+        for warmup in [pool.submit(os.getpid) for _ in range(workers)]:
+            warmup.result()
+        return pool
 
     def submit(
         self,
@@ -1023,28 +913,42 @@ class WorkerSupervisor:
             # by then, so the re-dispatched attempt runs the chunk clean.
             directive = hooks.injector.worker_directive(entry.chunk_id)
         try:
-            entry.future, entry.handle = self._backend.submit(
-                entry.chunk_id,
-                entry.indices,
-                entry.frames,
-                entry.covered,
-                entry.orders,
-                directive,
+            frames = entry.frames if self._payload is None else self._share(entry)
+            entry.future = self._pool.submit(
+                _filter_task, entry.chunk_id, entry.covered, entry.orders, directive, frames
             )
         except BrokenExecutor as error:
             # A sibling's crash can break the pool before this chunk even
             # ships; same recovery path as a failed result.  ``_recover``
             # re-dispatches (or raises), so the chunk must not be submitted
             # again here: a second submit would orphan the first one's
-            # shared-memory handle and filter the chunk twice.
+            # shared-memory block and filter the chunk twice.
             self._recover(entry, error, respawn=True)
+        except BaseException:
+            self._release(entry)
+            raise
+
+    @staticmethod
+    def _share(entry: ChunkDispatch) -> _SharedFrames:
+        """Copy a chunk's frames into a fresh shared-memory block (``entry.block``)."""
+        images = [frame.image for frame in entry.frames]
+        shape = (len(images),) + images[0].shape
+        dtype = images[0].dtype
+        if any(image.shape != images[0].shape or image.dtype != dtype for image in images):
+            raise ValueError("process backend needs uniform frame shapes per chunk")
+        entry.block = shared_memory.SharedMemory(
+            create=True, size=int(np.prod(shape)) * dtype.itemsize
+        )
+        stacked = np.ndarray(shape, dtype=dtype, buffer=entry.block.buf)
+        for k, image in enumerate(images):
+            stacked[k] = image
+        return _SharedFrames(entry.block.name, shape, dtype.name, tuple(entry.indices))
 
     def result(self, entry: ChunkDispatch) -> ChunkOutcome:
         """Block for one chunk's outcome, healing failures in place.
 
-        Always releases the chunk's shared-memory handle — success,
-        failure and exhaustion paths alike — so no segment outlives its
-        merge point.
+        Always releases the chunk's shared-memory block — success, failure
+        and exhaustion paths alike — so no segment outlives its merge point.
         """
         timeout = (
             self._config.worker_timeout_seconds if self._config.supervise else None
@@ -1091,22 +995,18 @@ class WorkerSupervisor:
         self.respawns += 1
         if hooks.injector is not None:
             hooks.injector.log.note_respawn()
-        old = self._backend
         # Fresh pool first: re-dispatched chunks must never queue behind a
         # stalled task in the old one.  The old pool is abandoned without
         # waiting (a wedged worker would block a wait=True shutdown).
-        self._backend = _make_backend(
-            self._config, self._query_cascades, self._assignments
-        )
-        old.abandon()
+        old, self._pool = self._pool, self._build_pool()
+        old.shutdown(wait=False, cancel_futures=True)
 
-    def _release(self, entry: ChunkDispatch) -> None:
-        if entry.handle is not None:
-            # release() is pool-independent (pure shared-memory teardown),
-            # so the current backend can release a handle an abandoned
-            # generation created.
-            self._backend.release(entry.handle)
-            entry.handle = None
+    @staticmethod
+    def _release(entry: ChunkDispatch) -> None:
+        if entry.block is not None:
+            entry.block.close()
+            entry.block.unlink()
+            entry.block = None
 
     def discard(self, entry: ChunkDispatch) -> None:
         """Teardown-path cleanup for a chunk that will never be merged."""
@@ -1118,8 +1018,7 @@ class WorkerSupervisor:
         self._release(entry)
 
     def close(self) -> None:
-        self._backend.close()
-
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 # ----------------------------------------------------------------------
 # Chunking and worker labels (the submit/merge loop itself is

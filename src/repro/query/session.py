@@ -5,7 +5,7 @@ always-on :class:`~repro.service.QueryService` — is "build a
 :class:`ScanSession`, feed it, read the states".  The session holds all
 cross-chunk state: the per-query accumulators, the merged cascade plan, the
 clock attachment, the temporal delta gate, the live window partials and the
-parallel backend's in-flight chunks.  Chunk size is the loop's only variable:
+worker pool's in-flight chunks.  Chunk size is the loop's only variable:
 the per-frame mode of the executor (``batch_size=None``) is chunk size 1
 through :meth:`ScanSession.push_chunk`, and the filter phase of every chunk is
 :func:`~repro.query.parallel.run_filter_chunk`, the function the parallel
@@ -17,10 +17,14 @@ caches its :class:`_ChunkVerdict` — the same shape every chunk accumulates.
 The gate loop itself is :class:`~repro.query.temporal.TemporalScan`'s; the
 session only supplies its callbacks.
 
-Two operating modes share the accumulation code:
+Coverage has one rule in both modes, :meth:`QueryState.covers`: a query
+scans the frames of its hopping window (every frame without one) counted from
+its registration point, up to an optional ``stop``.  Two operating modes share
+the accumulation code:
 
-* ``live=False`` — the executor's mode.  Queries carry precomputed coverage
-  (``member_set``) and window partitioning stays with the executor
+* ``live=False`` — the executor's mode.  Every query registers at frame 0
+  and a windowed one stops where its last materialised window instance ends;
+  window partitioning stays with the executor
   (:func:`~repro.query.results.partition_into_windows` over the finished
   accumulators), which feeds the session in one of two ways: rendered chunks through
   :meth:`~ScanSession.push_chunk` (with :meth:`~ScanSession.quarantine_chunk`
@@ -28,14 +32,14 @@ Two operating modes share the accumulation code:
   through :meth:`~ScanSession.run_temporal_scan` (adaptive stride and
   boundary refinement need random access, which a pushed chunk cannot
   give).
-* ``live=True`` — the service mode.  Coverage is computed from each query's
-  hopping window relative to the frame index at which it registered, windows
-  are emitted incrementally the moment the stream's watermark passes their
-  end, and queries may be added and removed between chunks (the merged plan
-  is recomputed, already-emitted windows are never re-emitted).
+* ``live=True`` — the service mode.  A query registers at the frame after
+  the watermark and never stops, windows are emitted incrementally the moment
+  the stream's watermark passes their end, and queries may be added and
+  removed between chunks (the merged plan is recomputed, already-emitted
+  windows are never re-emitted).
 
 In both modes a session built with ``parallel=`` runs the filter phase of
-pushed chunks on a worker backend and merges the outcomes strictly in chunk
+pushed chunks on a worker pool and merges the outcomes strictly in chunk
 order; :meth:`ScanSession._push_parallel` / :meth:`ScanSession._merge_next`
 are the only submit/merge loop in the repo.  Chunk ids are positions in the
 sequence of chunks handed to the session (pushed or set aside), which is what
@@ -43,9 +47,12 @@ sequence of chunks handed to the session (pushed or set aside), which is what
 sanitizer's per-chunk digests are keyed by.
 
 In both modes the session attaches the filters' and the detector's clocks
-(and builds the worker backend) when it (re)plans and restores them in
+(and builds the worker pool) when it (re)plans and gives them back in
 :meth:`~ScanSession.close`, so ``with session:`` is the one context manager
-around a scan.  Leaving the ``with`` block on an exception discards in-flight
+around a scan.  Sessions sharing a filter or a detector (two service streams
+planned by one planner) may close in any order: an object charges the
+newest open session's clock and gets its original back when the last one
+closes.  Leaving the ``with`` block on an exception discards in-flight
 chunks instead of merging them.
 
 Parity rail: replaying a finite stream chunk-by-chunk through a live session
@@ -61,11 +68,12 @@ parity on the plain, windowed, temporal-exact and parallel paths.
 from __future__ import annotations
 
 import copy
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import hooks
 from repro.aggregates.windows import HoppingWindow, WindowBounds, warn_window_tail_drop
@@ -137,6 +145,31 @@ _SESSION_FIELDS = (
     "quarantined",
 )
 
+#: Clock holds, one entry per object (a filter or a detector) some open
+#: session charges: ``id(obj) -> (obj, its clock before the first hold,
+#: [(session, session clock), ...] in hold order)``.  The object charges the
+#: newest holder's clock; releasing the last hold gives the original back.
+#: Process-wide because the objects are: independent sessions (service
+#: shards on their own threads) share filters and detectors.
+_CLOCK_HOLDS: dict[int, tuple[Any, Any, list[tuple[object, SimulatedClock]]]] = {}
+_CLOCK_HOLDS_LOCK = threading.Lock()
+
+
+def _hold_clock(obj: Any, session: object, clock: SimulatedClock) -> None:
+    with _CLOCK_HOLDS_LOCK:
+        _, _, holds = _CLOCK_HOLDS.setdefault(id(obj), (obj, obj.clock, []))
+        holds.append((session, clock))
+        obj.clock = clock
+
+
+def _release_clock(obj: Any, session: object) -> None:
+    with _CLOCK_HOLDS_LOCK:
+        _, original, holds = _CLOCK_HOLDS[id(obj)]
+        holds[:] = [hold for hold in holds if hold[0] is not session]
+        obj.clock = holds[-1][1] if holds else original
+        if not holds:
+            del _CLOCK_HOLDS[id(obj)]
+
 
 @dataclass(frozen=True)
 class _ChunkVerdict:
@@ -175,10 +208,11 @@ class QueryState:
     key: str
     query: Query
     cascade: FilterCascade
-    member_set: set[int] | None
     window: HoppingWindow | None
     include_partial: bool
     origin: int
+    #: first frame index past the query's coverage (``None`` = endless)
+    stop: int | None = None
     active: bool = True
     provably_empty: bool = False
     scanned: list[int] = field(default_factory=list)
@@ -198,11 +232,9 @@ class QueryState:
     final: QueryExecutionResult | None = None
 
     def covers(self, index: int) -> bool:
-        """Whether this query's coverage includes stream frame ``index``."""
-        if self.provably_empty:
+        """Whether this query scans stream frame ``index``: the one coverage rule."""
+        if self.provably_empty or (self.stop is not None and index >= self.stop):
             return False
-        if self.member_set is not None:
-            return index in self.member_set
         if self.window is None:
             return index >= self.origin
         return self.window.covers(index, self.origin)
@@ -232,9 +264,9 @@ class ScanSession:
     :meth:`close`.
 
     ``parallel`` distributes the filter phase of pushed chunks over a worker
-    backend with the engine's in-order merge (at most
+    pool with the engine's in-order merge (at most
     ``num_workers + PREFETCH_DEPTH`` chunks in flight; results, counters and
-    clock history are identical to the inline path); the backend is built
+    clock history are identical to the inline path); the pool is built
     at the first pushed chunk, or earlier by :meth:`start_workers`.  With
     ``parallel.adaptive`` every query gets a
     :class:`~repro.query.parallel.CascadeProfiler` that re-plans its step
@@ -292,9 +324,8 @@ class ScanSession:
         self._assignments: list[list[int]] = []
         self._unique_steps: list = []
         self._distinct_filters: list[FrameFilter] = []
-        self._attached: list[tuple[FrameFilter, SimulatedClock | None]] = []
-        self._detector_prev_clock = None
-        self._detector_attached = False
+        #: the filters (and detector) charging ``self.clock`` on our hold
+        self._held: list[Any] = []
         # Shared-scan counters (what the scan actually did).
         self.shared_filter_computations = 0
         self.shared_detector_invocations = 0
@@ -311,7 +342,7 @@ class ScanSession:
         self.degraded_frames = 0
         # Parallel pipelining state (dispatch goes through a supervisor so
         # dead/stalled workers heal when the config asks for it).  The
-        # backend lives exactly as long as the plan it was built from; an
+        # pool lives exactly as long as the plan it was built from; an
         # in-flight ``None`` is a chunk id consumed by a set-aside chunk.
         self._backend: WorkerSupervisor | None = None
         self._inflight: dict[int, tuple[ChunkDispatch, tuple[int, ...]] | None] = {}
@@ -363,36 +394,34 @@ class ScanSession:
         query: Query,
         cascade: FilterCascade | None = None,
         *,
-        member_set: set[int] | None = None,
+        stop: int | None = None,
         budget: QueryBudget | None = None,
         key: str | None = None,
         include_partial_windows: bool = True,
     ) -> int:
         """Register a query; returns its session id (stable across churn).
 
-        In live mode coverage derives from ``query.window`` relative to the
-        registration point (``member_set`` must be ``None``); in executor
-        mode ``member_set`` is the precomputed coverage (``None`` = every
-        frame) and window partitioning stays with the caller.
+        The query covers the frames of ``query.window`` (every frame without
+        one) from the frame after the watermark up to ``stop`` (``None`` = no
+        end; the executor passes where a windowed query's last materialised
+        instance ends).
         """
         if self._closed:
             raise RuntimeError("session is closed")
-        if self.live and member_set is not None:
-            raise ValueError("live sessions compute coverage from the query window")
         cascade = cascade if cascade is not None else FilterCascade()
         window: HoppingWindow | None = None
         origin = self._watermark + 1
-        if self.live and query.window is not None:
+        if query.window is not None:
             window = HoppingWindow(size=query.window.size, advance=query.window.advance)
         state = QueryState(
             sid=len(self._states),
             key=key if key is not None else query.name,
             query=query,
             cascade=cascade,
-            member_set=member_set if not self.live else None,
             window=window,
             include_partial=include_partial_windows,
             origin=origin,
+            stop=stop,
             provably_empty=cascade.provably_empty,
             budget=budget,
             registered_wall=time.perf_counter(),
@@ -421,7 +450,7 @@ class ScanSession:
     def _invalidate_plan(self) -> None:
         # Membership changed: drain the parallel pipeline under the *old*
         # plan (in-flight outcomes are shaped by the old active list), then
-        # drop the backend so the next push rebuilds it with the new plan.
+        # drop the pool so the next push rebuilds it with the new plan.
         self._drain_all()
         if self._backend is not None:
             self._backend.close()
@@ -441,11 +470,12 @@ class ScanSession:
             # A closed session still answers plan questions (StreamStats reads
             # them after shutdown) but must not take the clocks again: nothing
             # would give them back.
-            self._attach_to_clock(self._distinct_filters)
+            detector = [self.detector] if hasattr(self.detector, "clock") else []
+            self._hold_clocks(self._distinct_filters + detector)
         self._plan_dirty = False
 
     def start_workers(self) -> None:
-        """Build the worker backend of a ``parallel=`` session for the current plan.
+        """Build the worker pool of a ``parallel=`` session for the current plan.
 
         The first pushed chunk does this by itself.  A caller about to start
         threads of its own (the executor's decode-ahead) calls it first:
@@ -464,24 +494,17 @@ class ScanSession:
                 self._parallel, self._active_cascades, self._assignments
             )
 
-    def _attach_to_clock(self, distinct: list[FrameFilter]) -> None:
-        still = {id(frame_filter) for frame_filter in distinct}
-        kept: list[tuple[FrameFilter, SimulatedClock | None]] = []
-        attached = {id(frame_filter) for frame_filter, _ in self._attached}
-        for frame_filter, previous in self._attached:
-            if id(frame_filter) in still:
-                kept.append((frame_filter, previous))
-            else:
-                frame_filter.clock = previous
-        for frame_filter in distinct:
-            if id(frame_filter) not in attached:
-                kept.append((frame_filter, frame_filter.clock))
-                frame_filter.clock = self.clock
-        self._attached = kept
-        if not self._detector_attached and hasattr(self.detector, "clock"):
-            self._detector_prev_clock = self.detector.clock
-            self.detector.clock = self.clock
-            self._detector_attached = True
+    def _hold_clocks(self, wanted: list[Any]) -> None:
+        """Make exactly ``wanted`` charge ``self.clock``: plan, re-plan and close."""
+        keep = {id(obj) for obj in wanted}
+        held = {id(obj) for obj in self._held}
+        for obj in self._held:
+            if id(obj) not in keep:
+                _release_clock(obj, self)
+        for obj in wanted:
+            if id(obj) not in held:
+                _hold_clock(obj, self, self.clock)
+        self._held = list(wanted)
 
     # ------------------------------------------------------------------
     # Pushing chunks
@@ -783,17 +806,17 @@ class ScanSession:
         chunk_id = self._next_merge
         pending = self._inflight.pop(chunk_id)
         self._next_merge += 1
-        outcome = None
+        outcome = entry = None
         if pending is not None:
             entry, sids = pending
             try:
                 outcome = self._backend.result(entry)
             except FaultExhausted as error:
                 # Poisoned chunk: supervision re-dispatched it to the limit.
-                # The handle is already released; quarantine and keep merging.
+                # The block is already released; quarantine and keep merging.
                 self._quarantine(entry.frames, error)
         if hooks.sanitizer is not None:
-            hooks.sanitizer.observe_chunk(chunk_id, outcome)
+            hooks.sanitizer.observe_chunk(chunk_id, entry, outcome)
         if outcome is None:
             return
         self._worker_totals[outcome.worker] = self._worker_totals.get(
@@ -1176,7 +1199,7 @@ class ScanSession:
         self._invalidate_plan()
 
     def close(self) -> None:
-        """Tear down the backend and restore every clock.  Idempotent."""
+        """Tear down the worker pool and give back every clock.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -1189,12 +1212,7 @@ class ScanSession:
                 self._discard_inflight()
                 self._backend.close()
                 self._backend = None
-            for frame_filter, previous in self._attached:
-                frame_filter.clock = previous
-            self._attached = []
-            if self._detector_attached:
-                self.detector.clock = self._detector_prev_clock
-                self._detector_attached = False
+            self._hold_clocks([])
 
     def __enter__(self) -> "ScanSession":
         return self

@@ -800,32 +800,36 @@ def test_worker_chunk_ids_stay_partition_positions_past_an_undecodable_chunk(
 
 
 @pytest.mark.parallel
-def test_submission_that_gives_up_still_consumes_its_chunk_id(
+def test_worker_submission_that_gives_up_still_consumes_its_chunk_id(
     cars_workload, tiny_jackson, monkeypatch
 ):
     """A pool broken before chunk 1 ships, with no re-dispatch budget left:
     the chunk is quarantined at submission and later chunks keep their ids."""
-    from concurrent.futures import BrokenExecutor
+    from concurrent.futures import BrokenExecutor, Executor
 
-    from repro.query import parallel as parallel_module
+    from repro.query.parallel import WorkerSupervisor
 
-    make_backend = parallel_module._make_backend
+    build_pool = WorkerSupervisor._build_pool
     submitted: list[int] = []
 
-    class BreaksOnChunkOne:
-        def __init__(self, *args):
-            self._backend = make_backend(*args)
+    class BreaksOnChunkOne(Executor):
+        def __init__(self, pool):
+            self._pool = pool
 
-        def submit(self, chunk_id, *args):
+        def submit(self, task, chunk_id, *args):
             submitted.append(chunk_id)
             if chunk_id == 1:
                 raise BrokenExecutor("pool broken by a sibling's crash")
-            return self._backend.submit(chunk_id, *args)
+            return self._pool.submit(task, chunk_id, *args)
 
-        def __getattr__(self, name):
-            return getattr(self._backend, name)
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self._pool.shutdown(wait, cancel_futures=cancel_futures)
 
-    monkeypatch.setattr(parallel_module, "_make_backend", BreaksOnChunkOne)
+    monkeypatch.setattr(
+        WorkerSupervisor,
+        "_build_pool",
+        lambda supervisor: BreaksOnChunkOne(build_pool(supervisor)),
+    )
     queries, cascades = cars_workload
     parallel = ParallelConfig(
         num_workers=2, backend="thread", chunk_size=8, supervise=True, max_redispatch=0
@@ -839,53 +843,90 @@ def test_submission_that_gives_up_still_consumes_its_chunk_id(
     assert record.site == "worker" and record.frames == tuple(range(8, 16))
 
 
-def test_broken_submit_is_redispatched_exactly_once(monkeypatch):
+def test_broken_worker_submit_is_redispatched_exactly_once(monkeypatch):
     """Regression: a ``submit`` that raised ``BrokenExecutor`` was recovered
     (re-dispatched) and then submitted *again* by the dispatch loop, which
-    orphaned the first re-dispatch's shared-memory handle and filtered the
+    orphaned the first re-dispatch's shared-memory block and filtered the
     chunk twice."""
-    from concurrent.futures import BrokenExecutor, Future
+    from concurrent.futures import BrokenExecutor, Executor, Future
+    from multiprocessing import shared_memory
 
-    from repro.query import parallel as parallel_module
+    import numpy as np
 
-    class StubBackend:
+    from repro.query.parallel import WorkerSupervisor
+    from repro.video.stream import Frame
+
+    shipped: list[str] = []  # every attempt's block, the failed one included
+    submitted: list[int] = []
+
+    class StubPool(Executor):
         broken = True  # only the very first submit, on the first pool, fails
-        live: set = set()
-        submitted = 0
 
-        def submit(self, chunk_id, indices, frames, covered, orders, directive):
-            if StubBackend.broken:
-                StubBackend.broken = False
+        def submit(self, task, chunk_id, covered, orders, directive, frames):
+            shipped.append(frames.name)
+            if StubPool.broken:
+                StubPool.broken = False
                 raise BrokenExecutor("pool broken by a sibling's crash")
-            StubBackend.submitted += 1
-            handle = object()
-            StubBackend.live.add(handle)
+            submitted.append(chunk_id)
             future: Future = Future()
             future.set_result("outcome")
-            return future, handle
+            return future
 
-        def release(self, handle):
-            StubBackend.live.discard(handle)
+    def live(name):
+        try:
+            shared_memory.SharedMemory(name=name).close()
+        except FileNotFoundError:
+            return False
+        return True
 
-        def abandon(self):
-            pass
-
-        close = abandon
-
-    monkeypatch.setattr(
-        parallel_module, "_make_backend", lambda *args: StubBackend()
+    monkeypatch.setattr(WorkerSupervisor, "_build_pool", lambda supervisor: StubPool())
+    config = ParallelConfig(
+        num_workers=2, backend="process", supervise=True, max_redispatch=2
     )
-    config = ParallelConfig(num_workers=2, supervise=True, max_redispatch=2)
-    supervisor = parallel_module.WorkerSupervisor(config, [], [])
-    entry = supervisor.submit(0, [0, 1], [], None, [])
-    assert StubBackend.submitted == 1 and len(StubBackend.live) == 1
-    assert entry.handle in StubBackend.live
+    supervisor = WorkerSupervisor(config, [], [])
+    frames = [
+        Frame(index=k, image=np.full((2, 2, 3), k, dtype=np.uint8), ground_truth=None)
+        for k in (0, 1)
+    ]
+    entry = supervisor.submit(0, [0, 1], frames, None, [])
+    assert submitted == [0] and [live(name) for name in shipped] == [False, True]
+    assert entry.block is not None and entry.block.name == shipped[-1]
     # One failed attempt plus its one re-dispatch, onto a respawned pool.
     assert entry.attempts == 2
     assert supervisor.redispatches == 1 and supervisor.respawns == 1
     assert supervisor.result(entry) == "outcome"
-    assert StubBackend.live == set()
+    assert entry.block is None and not any(live(name) for name in shipped)
     supervisor.close()
+
+
+@pytest.mark.parallel
+def test_process_worker_respawn_pickles_the_plan_once(
+    cars_workload, tiny_jackson, monkeypatch
+):
+    """The process pre-flight is the payload's one pickle, per plan: a
+    respawned pool ships the same bytes instead of auditing and pickling the
+    cascades again."""
+    from repro.query import parallel as parallel_module
+
+    payload = parallel_module._process_payload
+    calls: list[int] = []
+
+    def spy(cascades, assignments):
+        calls.append(len(cascades))
+        return payload(cascades, assignments)
+
+    monkeypatch.setattr(parallel_module, "_process_payload", spy)
+    queries, cascades = cars_workload
+    parallel = ParallelConfig(
+        num_workers=2, backend="process", chunk_size=8, supervise=True
+    )
+    with FaultInjector(schedule={("worker_crash", 1): 1}) as injector:
+        faulted = _executor(tiny_jackson).execute_many(
+            queries, tiny_jackson.test, cascades, parallel=parallel
+        )
+    assert injector.unfired() == ()
+    assert faulted[0].stats.faults.respawns >= 1
+    assert calls == [1]
 
 
 # ----------------------------------------------------------------------

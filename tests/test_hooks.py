@@ -9,6 +9,7 @@ reset.
 from __future__ import annotations
 
 import pickle
+import queue
 import sys
 import threading
 
@@ -50,18 +51,27 @@ def test_unknown_slot_is_rejected():
 
 
 def test_a_pool_worker_consults_neither_slot():
-    """A forked worker inherits copies of both slots; the pool initializer
-    empties them (only the injector used to be cleared, so a worker under
-    ``sanitize="determinism"`` ran the parent's session on every charge)."""
-    payload = pickle.dumps(([], []))
-    assert hooks.install("sanitizer", object())
-    assert hooks.install("injector", object())
+    """A forked worker inherits copies of both slots; the one pool
+    initializer empties them when it installs a process worker (only the
+    injector used to be cleared, so a worker under ``sanitize="determinism"``
+    ran the parent's session on every charge) and leaves them alone for a
+    thread worker, which shares the parent's."""
+    clones: queue.SimpleQueue = queue.SimpleQueue()
+    clone = parallel._Worker("thread-0", [], [])
+    clones.put(clone)
+    sanitizer, injector = object(), object()
+    assert hooks.install("sanitizer", sanitizer)
+    assert hooks.install("injector", injector)
     try:
-        parallel._init_process_worker(payload)
+        parallel._init_worker(clones)
+        assert parallel._SLOT.worker is clone
+        assert hooks.sanitizer is sanitizer and hooks.injector is injector
+        parallel._init_worker(pickle.dumps(([], [])))
+        assert parallel._SLOT.worker.label.startswith("pid-")
         assert hooks.sanitizer is None and hooks.injector is None
     finally:
         hooks.reset()
-        parallel._PROCESS_STATE.clear()
+        del parallel._SLOT.worker
 
 
 def test_concurrent_installs_have_exactly_one_winner():

@@ -519,6 +519,37 @@ def test_process_backend_rejects_unpicklable_cascade(tiny_jackson, stream, train
         )
 
 
+def test_process_backend_names_cc002_before_any_worker_starts(
+    tiny_jackson, stream, trained_od_filter, monkeypatch
+):
+    """The payload's one pickle is the pre-flight: when it fails, the audit
+    says why and the scan stops before a pool exists."""
+    from repro.analysis import AnalysisError
+    from repro.query import parallel as parallel_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", no_pool)
+    cascade = FilterCascade(
+        steps=[
+            CascadeStep(
+                name="lambda-step",
+                frame_filter=trained_od_filter,
+                check=lambda prediction: True,
+            )
+        ]
+    )
+    with pytest.raises(AnalysisError, match="CC002") as excinfo:
+        executor(tiny_jackson).execute(
+            count_query("lambda"),
+            stream,
+            cascade,
+            parallel=ParallelConfig(num_workers=2, backend="process"),
+        )
+    assert [d.code for d in excinfo.value.diagnostics] == ["CC002"]
+
+
 def test_parallel_config_validation():
     with pytest.raises(ValueError):
         ParallelConfig(num_workers=0)

@@ -39,7 +39,9 @@ from repro.query import (
     CascadeStep,
     FilterCascade,
     ParallelConfig,
+    PlannerConfig,
     QueryBuilder,
+    QueryPlanner,
     StreamingQueryExecutor,
 )
 from repro.spatial.grid import Grid
@@ -367,6 +369,58 @@ def test_deterministic_scan_is_rc004_clean(single_object_stream):
     )
     assert result.stats.sanitizer_report is not None
     assert result.stats.sanitizer_report.ok
+
+
+@pytest.mark.filterwarnings("ignore::repro.analysis.WindowTailDropWarning")
+def test_determinism_reruns_each_chunk_under_its_dispatched_coverage(
+    tiny_jackson, trained_od_filter
+):
+    """A windowed query with gaps and a dropped tail, an un-windowed one and
+    a provably-empty one in one sanitized scan: every chunk is re-run under
+    the coverage masks it was dispatched with (a windowed query's alive set
+    leaves out the gaps), so the digests agree and the scan equals the inline
+    one."""
+    planner = QueryPlanner({"od": trained_od_filter}, PlannerConfig(count_tolerance=1))
+    queries = [
+        QueryBuilder("gapped").count("car").at_least(1).window(8, 11).build(),
+        QueryBuilder("plain").count("car").at_least(1).build(),
+        QueryBuilder("empty").count("car").at_least(1).build(),
+    ]
+    cascades = [planner.plan(query) for query in queries[:2]]
+    cascades.append(FilterCascade(provably_empty=True))
+
+    def run(**kwargs):
+        detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=9)
+        return StreamingQueryExecutor(detector).execute_many(
+            queries, tiny_jackson.test, cascades, include_partial_windows=False, **kwargs
+        )
+
+    inline = run(batch_size=8)
+    sanitized = run(
+        parallel=ParallelConfig(
+            num_workers=2, backend="thread", chunk_size=8, sanitize="determinism"
+        )
+    )
+    assert sanitized.shared.sanitizer_report.ok
+    assert sanitized.shared.parallel.num_chunks == 7  # the plain query's 50 frames
+    for got, want in zip(sanitized, inline):
+        assert got.matched_frames == want.matched_frames
+        assert got.windows == want.windows
+        for counter in (
+            "frames_scanned",
+            "frames_passed_filters",
+            "detector_invocations",
+            "filter_invocations",
+        ):
+            assert getattr(got.stats, counter) == getattr(want.stats, counter)
+        assert (
+            got.stats.simulated_cost.per_component_calls
+            == want.stats.simulated_cost.per_component_calls
+        )
+    assert sanitized[0].stats.frames_scanned == 4 * 8
+    assert sanitized[2].stats.frames_scanned == 0
+    for counter in ("frames_scanned", "detector_invocations", "filter_computations"):
+        assert getattr(sanitized.shared, counter) == getattr(inline.shared, counter)
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,13 @@ the behaviour the one-shot engine cannot express.
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.cost import QueryBudget, merge_worker_breakdowns
+from repro.cost import QueryBudget, SimulatedClock, merge_worker_breakdowns
 from repro.detection import ReferenceDetector
 from repro.query import (
     ParallelConfig,
@@ -289,6 +291,77 @@ def test_closed_parallel_session_plans_without_a_backend(workload, tiny_jackson)
     assert session._backend is None
     # Nor may it take the filters' clocks again: nothing would give them back.
     assert all(frame_filter.clock is None for frame_filter in cascades[0].filters)
+
+
+@pytest.mark.parametrize("close_first", ("first_attached", "last_attached"))
+def test_sessions_sharing_a_filter_and_a_detector_close_in_any_order(
+    workload, tiny_jackson, close_first
+):
+    """Two sessions over one cascade and one detector (two service streams
+    planned by one planner): the session still open keeps the charges,
+    whichever closed first, and the last close gives back the clocks from
+    before the first attach.  Closing in attach order used to hand the
+    original clock back under the open session (its cost report silently
+    lost the charges) and then leave the first session's clock behind."""
+    queries, cascades = workload
+    (frame_filter,) = cascades[0].filters
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED)
+    before = (frame_filter.clock, detector.clock)
+    sessions = [ScanSession(detector) for _ in range(2)]
+    for session in sessions:
+        session.add_query(queries[0], cascades[0])
+        session.unique_step_count  # plans: takes the clocks
+    closing = 0 if close_first == "first_attached" else 1
+    sessions[closing].close()
+    still_open = sessions[1 - closing]
+    frame = tiny_jackson.test.frame(0)
+    frame_filter.predict_batch([frame])
+    detector.detect(frame)
+    calls = still_open.clock.snapshot().per_component_calls
+    assert calls == {frame_filter.name: 1, detector.name: 1}
+    assert sessions[closing].clock.snapshot().per_component_calls == {}
+    still_open.close()
+    assert frame_filter.clock is before[0] and detector.clock is before[1]
+
+
+def test_concurrent_clock_holds_lose_no_update():
+    """Shard threads take and give back holds on one shared object at once
+    (more threads than cores, a 1 us switch interval): no hold is lost and
+    the original clock comes back.  Without the lock a release finds the
+    object's entry already dropped by another thread's release."""
+    from repro.query import session as session_module
+
+    class Shared:
+        clock = None
+
+    shared = Shared()
+    original = shared.clock
+    barrier = threading.Barrier(8)
+    errors: list[BaseException] = []
+
+    def churn():
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(20000):
+                owner = object()
+                session_module._hold_clock(shared, owner, SimulatedClock())
+                session_module._release_clock(shared, owner)
+        except BaseException as error:  # noqa: BLE001 - surfaced below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert shared.clock is original and id(shared) not in session_module._CLOCK_HOLDS
 
 
 # ----------------------------------------------------------------------

@@ -371,20 +371,29 @@ _RENDERED: dict = {}
 def test_cascade_free_execute_equals_the_oracle_window_for_window(
     tiny_jackson, size, advance, length, data
 ):
-    """The engine (merged-interval coverage, bisection over sorted
-    accumulators) and the oracle (``start <= index < stop`` membership) share
-    no window code, so equal windows mean both implement the same rule: a
-    window's matches ascending, a repeated index counted once per occurrence."""
+    """The engine (``QueryState.covers`` cut at the last instance, bisection
+    over sorted accumulators) and the oracle (``start <= index < stop``
+    membership) share no window code, so equal windows mean both implement
+    the same rule: a window's matches ascending, a repeated index counted
+    once per occurrence.  A provably-empty query in the same scan covers
+    nothing and pulls no frame into the shared scan."""
     frame_indices = data.draw(
         st.none() | st.lists(st.integers(0, length - 1), max_size=40), label="frame_indices"
     )
     stream = _Prefix(tiny_jackson.test, length, _RENDERED)
     query = QueryBuilder("w").count("car").at_least(1).window(size, advance).build()
+    empty = QueryBuilder("empty").count("car").at_least(1).build()
     detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=77)
-    engine = StreamingQueryExecutor(detector).execute(
-        query, stream, cascade=None, frame_indices=frame_indices
+    scan = StreamingQueryExecutor(detector).execute_many(
+        [query, empty],
+        stream,
+        [None, FilterCascade(provably_empty=True)],
+        frame_indices=frame_indices,
     )
+    engine = scan[0]
     oracle = brute_force_execute(query, stream, detector, frame_indices=frame_indices)
     assert engine.matched_frames == oracle.matched_frames
     assert engine.windows == oracle.windows
     assert engine.stats.frames_scanned == oracle.stats.frames_scanned
+    assert scan[1].matched_frames == () and scan[1].stats.frames_scanned == 0
+    assert scan.shared.frames_scanned == oracle.stats.frames_scanned

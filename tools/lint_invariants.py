@@ -69,6 +69,12 @@ script exits non-zero when any rule is violated.
   ``repro.query.{executor,session,parallel,temporal,planner}``, absolutely
   or relatively: an oracle that shares its window partition or its cascade
   description with the engine checks the engine against itself.
+* **INV013 — worker process pools are built in exactly one place.**  In
+  ``repro/query/parallel.py``, ``ProcessPoolExecutor(...)`` may only be
+  called inside ``WorkerSupervisor._build_pool``, which both the first build
+  and every respawn call: a second site is how the two drift apart (start
+  method, resource tracker, initializer, warm-up).  Another row of
+  ``SOLE_CONSTRUCTION_SITES``.
 """
 
 from __future__ import annotations
@@ -99,13 +105,15 @@ ANALYZER_CODES = (
     "NU001", "NU002", "NU003",
 )
 
-#: constructors only one function may call (INV004, INV011):
+#: constructors only one function may call (INV004, INV011, INV013):
 #: (rule, constructor, that function, file or tree walked, why)
 SOLE_CONSTRUCTION_SITES = (
     ("INV004", "SimulatedClock", "_attach_worker_clock", SRC / "query" / "parallel.py",
      "per-chunk clocks drop simulated cost between merge points"),
     ("INV011", "FramePrefetcher", "decode_ahead", SRC,
      "a bare constructor is how a failed scan leaks decode-ahead threads"),
+    ("INV013", "ProcessPoolExecutor", "_build_pool", SRC / "query" / "parallel.py",
+     "the first pool and a respawned one must be built alike"),
 )
 
 #: the slots of repro/hooks.py (tests/test_lint_invariants.py holds the two
