@@ -23,7 +23,12 @@ from repro.detection.backbone import (
     classification_backbone,
     detection_backbone,
 )
-from repro.detection.annotation import AnnotatedFrame, AnnotationSet, annotate_stream
+from repro.detection.annotation import (
+    AnnotatedFrame,
+    AnnotationSet,
+    annotate_frames,
+    annotate_stream,
+)
 
 __all__ = [
     "Detection",
@@ -38,5 +43,6 @@ __all__ = [
     "detection_backbone",
     "AnnotatedFrame",
     "AnnotationSet",
+    "annotate_frames",
     "annotate_stream",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.detection.base import Detector, FrameDetections
 from repro.spatial.grid import Grid
-from repro.video.stream import VideoStream
+from repro.video.stream import Frame, VideoStream
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,24 @@ def annotate_frame(
     )
 
 
+def annotate_frames(
+    frames: Iterable[Frame],
+    detector: Detector,
+    class_names: Sequence[str],
+    grid: Grid,
+    stream_name: str,
+) -> AnnotationSet:
+    """Annotate already-rendered ``frames`` with ``detector``, in the order given."""
+    return AnnotationSet(
+        stream_name=stream_name,
+        class_names=tuple(class_names),
+        grid=grid,
+        frames=[
+            annotate_frame(detector.detect(frame), class_names, grid) for frame in frames
+        ],
+    )
+
+
 def annotate_stream(
     stream: VideoStream,
     detector: Detector,
@@ -114,14 +132,7 @@ def annotate_stream(
     ``frame_indices`` defaults to every frame of the stream; pass a subset to
     annotate sparsely (useful for quick experiments).
     """
-    indices = list(frame_indices) if frame_indices is not None else list(range(len(stream)))
-    frames: list[AnnotatedFrame] = []
-    for index in indices:
-        detections = detector.detect(stream.frame(index))
-        frames.append(annotate_frame(detections, class_names, grid))
-    return AnnotationSet(
-        stream_name=stream.name,
-        class_names=tuple(class_names),
-        grid=grid,
-        frames=frames,
+    indices = range(len(stream)) if frame_indices is None else frame_indices
+    return annotate_frames(
+        (stream.frame(index) for index in indices), detector, class_names, grid, stream.name
     )

@@ -29,7 +29,7 @@ signal a pretrained detection backbone provides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -207,15 +207,22 @@ class FeatureBackbone:
     # Background model
     # ------------------------------------------------------------------
     def fit_background(self, frames: Iterable[Frame], max_frames: int = 60) -> None:
-        """Estimate the static background as the per-pixel median of sample frames."""
+        """Estimate the static background as the per-pixel median of sample frames.
+
+        uint8 frames are stacked as they are and only the median is cast to
+        float32: it is an exact half-integer, so the result equals the
+        median of float32 copies with a quarter of the stack's memory.
+        """
         images = []
         for index, frame in enumerate(frames):
             if index >= max_frames:
                 break
-            images.append(frame.image.astype(np.float32))
+            images.append(frame.image)
         if not images:
             raise ValueError("fit_background needs at least one frame")
-        median = np.median(np.stack(images, axis=0), axis=0)
+        if any(image.dtype != np.uint8 for image in images):
+            images = [image.astype(np.float32) for image in images]
+        median = np.median(np.stack(images, axis=0), axis=0).astype(np.float32)
         self._background = np.ascontiguousarray(np.moveaxis(median, -1, 0))
         # A median of uint8 frames is always an exact half-integer, which is
         # what lets the kernel run the background difference in exact int16
@@ -252,6 +259,25 @@ class FeatureBackbone:
         if images.ndim != 4 or images.shape[3] != 3:
             raise ValueError(f"expected (N, H, W, 3) images, got {images.shape}")
         return self._features(images)
+
+    def extract_tiled(self, images: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Per-cell features of each ``(H, W, 3)`` image, in order.
+
+        One ``extract_batch`` per tile, sized by the tile's first image, so
+        each result equals ``extract(image)`` and only one tile of images and
+        features is live at a time.
+        """
+        chunk: list[np.ndarray] = []
+        tile = 1
+        for image in images:
+            if not chunk:
+                tile = _tile_length(*image.shape[:2])
+            chunk.append(image)
+            if len(chunk) == tile:
+                yield from self.extract_batch(np.stack(chunk))
+                chunk = []
+        if chunk:
+            yield from self.extract_batch(np.stack(chunk))
 
     def _features(self, images: np.ndarray) -> np.ndarray:
         """The one feature kernel, run over cache-sized tiles of the batch.

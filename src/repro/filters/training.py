@@ -20,12 +20,12 @@ Two implementations are provided, mirroring DESIGN.md:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.cost import SimulatedClock
-from repro.detection.annotation import AnnotationSet, annotate_stream
+from repro.detection.annotation import AnnotatedFrame, AnnotationSet, annotate_frames
 from repro.detection.backbone import (
     FeatureBackbone,
     classification_backbone,
@@ -128,12 +128,12 @@ class FilterTrainer:
     def annotations(self) -> AnnotationSet:
         """Training labels produced by the annotating detector (cached)."""
         if self._annotations is None:
-            self._annotations = annotate_stream(
-                self.dataset.train,
+            self._annotations = annotate_frames(
+                (self._frame(index) for index in self.train_indices()),
                 self._get_annotator(),
                 self.class_names,
                 self.grid,
-                frame_indices=self.train_indices(),
+                self.dataset.train.name,
             )
         return self._annotations
 
@@ -155,6 +155,15 @@ class FilterTrainer:
             (self._frame(index) for index in picks), max_frames=self.background_frames
         )
         return backbone
+
+    def _tiled_features(
+        self, backbone: FeatureBackbone, annotated: Iterable[AnnotatedFrame]
+    ) -> Iterator[tuple[AnnotatedFrame, np.ndarray]]:
+        """Each annotated frame with its backbone features, in order, one
+        kernel call per backbone tile (see ``FeatureBackbone.extract_tiled``)."""
+        items = list(annotated)
+        images = (self._frame(item.frame_index).image for item in items)
+        return zip(items, backbone.extract_tiled(images))
 
     # ------------------------------------------------------------------
     # Linear branch training
@@ -184,8 +193,7 @@ class FilterTrainer:
             )
             for name in self.class_names
         }
-        for annotated in annotations:
-            features = backbone.extract(self._frame(annotated.frame_index).image)
+        for annotated, features in self._tiled_features(backbone, annotations):
             flat_features = features.reshape(-1, backbone.num_features)
             all_labels = {
                 name: annotated.grid_of(name).reshape(-1).astype(np.float64)
@@ -238,13 +246,18 @@ class FilterTrainer:
         to ``target_negative`` and the median of *occupied* cells maps to
         ``target_positive`` — the analogue of the output calibration a
         sigmoid + balanced loss gives the paper's branch networks.
+
+        ``max_frames`` is a stride divisor, not a cap: the pass takes every
+        ``max(len // max_frames, 1)``-th annotation.  Any set of fewer than
+        ``2 * max_frames`` annotations (121-239 at the default) is therefore
+        measured in full, and a larger one keeps between ``max_frames`` and
+        ``1.5 * max_frames`` of them.
         """
         annotations = self.annotations()
         subset = list(annotations)[:: max(len(annotations) // max_frames, 1)]
         positive_scores: dict[str, list[np.ndarray]] = {n: [] for n in self.class_names}
         negative_scores: dict[str, list[np.ndarray]] = {n: [] for n in self.class_names}
-        for annotated in subset:
-            features = backbone.extract(self._frame(annotated.frame_index).image)
+        for annotated, features in self._tiled_features(backbone, subset):
             scores = grid_head.score(features)
             for name in self.class_names:
                 labels = annotated.grid_of(name)
@@ -281,8 +294,7 @@ class FilterTrainer:
             (len(annotations), len(self.class_names), len(COUNT_FEATURE_NAMES))
         )
         true_counts = annotations.counts_matrix()
-        for row, annotated in enumerate(annotations):
-            features = backbone.extract(self._frame(annotated.frame_index).image)
+        for row, (annotated, features) in enumerate(self._tiled_features(backbone, annotations)):
             scores = suppress_cross_class(grid_head.score(features), self.threshold)
             for col, name in enumerate(self.class_names):
                 feature_tensor[row, col] = count_features(scores[name], self.threshold)
@@ -333,8 +345,7 @@ class FilterTrainer:
         accumulator = RidgeAccumulator(
             num_features=backbone.num_features, num_outputs=1, alpha=self.ridge_alpha
         )
-        for annotated in annotations:
-            features = backbone.extract(self._frame(annotated.frame_index).image)
+        for annotated, features in self._tiled_features(backbone, annotations):
             pooled = features.reshape(-1, backbone.num_features).mean(axis=0)
             accumulator.add_batch(pooled[None, :], np.array([annotated.total_count]))
         weights, bias = accumulator.solve()

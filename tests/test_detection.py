@@ -10,6 +10,7 @@ from repro.detection import (
     DetectorErrorModel,
     FastDetector,
     ReferenceDetector,
+    annotate_frames,
     annotate_stream,
     classification_backbone,
     detection_backbone,
@@ -17,6 +18,7 @@ from repro.detection import (
 from repro.detection.annotation import annotate_frame
 from repro.detection.base import Detection, FrameDetections
 from repro.spatial.geometry import Box
+from repro.video.stream import Frame
 
 
 def test_detection_validation():
@@ -131,6 +133,18 @@ def test_backbone_feature_shapes(tiny_jackson):
         detection_backbone(56).extract(np.zeros((112, 112)))
 
 
+def test_extract_tiled_equals_extract_per_image(tiny_jackson):
+    backbone = detection_backbone(56)
+    backbone.fit_background(tiny_jackson.train.iter_range(0, 20, 2))
+    # 9 frames: two full 4-frame tiles at 112x112 and a one-frame remainder.
+    images = [tiny_jackson.test.frame(index).image for index in range(9)]
+    tiled = list(backbone.extract_tiled(iter(images)))
+    assert len(tiled) == len(images)
+    for image, features in zip(images, tiled):
+        assert np.array_equal(features, backbone.extract(image))
+    assert list(backbone.extract_tiled([])) == []
+
+
 def test_backbone_background_subtraction_highlights_objects(tiny_jackson):
     backbone = detection_backbone(56)
     backbone.fit_background(tiny_jackson.train.iter_range(0, 30, 2))
@@ -148,6 +162,65 @@ def test_backbone_background_subtraction_highlights_objects(tiny_jackson):
         for row, col in grid.cells_overlapping_box(state.box):
             object_mask[row, col] = True
     assert diff[object_mask].mean() > diff[~object_mask].mean() * 2
+
+
+@pytest.mark.parametrize(
+    "start, stop, max_frames",
+    [(0, 40, 20), (0, 21, 60), (10, 40, 15)],
+    ids=["even", "odd", "max-frames-cut"],
+)
+def test_uint8_background_median_equals_the_float32_median(tiny_jackson, start, stop, max_frames):
+    frames = [tiny_jackson.train.frame(index) for index in range(start, stop)]
+    backbone = detection_backbone(56)
+    backbone.fit_background(iter(frames), max_frames=max_frames)
+
+    used = np.stack([frame.image.astype(np.float32) for frame in frames[:max_frames]])
+    expected = np.moveaxis(np.median(used, axis=0), -1, 0)
+    assert backbone._background.dtype == np.float32
+    assert np.array_equal(backbone._background, expected)
+    assert np.array_equal(backbone._background_doubled, np.rint(2.0 * expected).astype(np.int16))
+
+
+def test_a_non_uint8_frame_keeps_the_float_background_path(tiny_jackson):
+    frames = [tiny_jackson.train.frame(index) for index in range(5)]
+    frames[2] = Frame(
+        index=2, image=frames[2].image + 0.3, ground_truth=frames[2].ground_truth
+    )
+    backbone = detection_backbone(56)
+    backbone.fit_background(frames)
+
+    stack = np.stack([frame.image.astype(np.float32) for frame in frames])
+    assert np.array_equal(backbone._background, np.moveaxis(np.median(stack, axis=0), -1, 0))
+    assert backbone._background_doubled is None
+
+
+def test_annotate_frames_equals_annotate_stream(tiny_jackson):
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=9)
+    grid = tiny_jackson.grid(56)
+    stream = tiny_jackson.train
+    indices = [7, 3, 3, 12, 0, 7]
+    by_stream = annotate_stream(
+        stream, detector, tiny_jackson.class_names, grid, frame_indices=indices
+    )
+    by_frames = annotate_frames(
+        [stream.frame(index) for index in indices],
+        detector,
+        tiny_jackson.class_names,
+        grid,
+        stream.name,
+    )
+    assert (by_frames.stream_name, by_frames.class_names, by_frames.grid) == (
+        by_stream.stream_name,
+        by_stream.class_names,
+        by_stream.grid,
+    )
+    assert [a.frame_index for a in by_frames] == [a.frame_index for a in by_stream] == indices
+    np.testing.assert_array_equal(by_frames.counts_matrix(), by_stream.counts_matrix())
+    for ours, theirs in zip(by_frames, by_stream):
+        assert ours.counts == theirs.counts
+        assert ours.location_grids.keys() == theirs.location_grids.keys()
+        for name, cells in ours.location_grids.items():
+            assert np.array_equal(cells, theirs.location_grids[name])
 
 
 def test_annotation_pipeline(tiny_jackson):

@@ -141,7 +141,8 @@ def test_trainer_renders_each_frame_once_and_trains_the_pinned_weights(
 ):
     """``train_all`` holds the frames it revisits, and holding them changes
     no weight: the digest was taken at the commit before the trainer held
-    anything (689 renders of 83 distinct frames at this size)."""
+    anything (689 renders of 83 distinct frames at this size then; now one
+    render per distinct frame)."""
     import hashlib
 
     from repro.filters import FilterTrainer
@@ -149,10 +150,10 @@ def test_trainer_renders_each_frame_once_and_trains_the_pinned_weights(
     trainer = FilterTrainer(dataset=tiny_jackson, max_train_frames=80, background_frames=20)
     filters = trainer.train_all()
 
-    # One annotation pass over the training frames, then every distinct frame
-    # (training frames and background picks) once for all three filters.
+    # Every distinct frame (training frames and background picks) is rendered
+    # exactly once, annotation included, for all three filters.
     assert set(counted_renders) >= set(trainer.train_indices())
-    assert len(counted_renders) <= len(trainer.train_indices()) + len(set(counted_renders))
+    assert len(counted_renders) == len(set(counted_renders))
 
     digest = hashlib.sha256()
     for branch in (filters["ic"], filters["od"]):
@@ -168,3 +169,36 @@ def test_trainer_renders_each_frame_once_and_trains_the_pinned_weights(
     assert digest.hexdigest() == (
         "1248bb87c1caa028129a273a50f3104bf6bcecc07c4204c853010827b3319706"
     )
+
+
+def test_trainer_calls_the_backbone_kernel_one_tile_at_a_time(tiny_jackson, monkeypatch):
+    """The linear branches run the kernel on tile-sized batches: no call is
+    larger than a tile (features live one tile at a time, so the memory peak
+    stays flat), every pass still sees each of its frames once, and the
+    call count is one per started tile of each pass."""
+    import math
+
+    from repro.detection.backbone import FeatureBackbone, _tile_length
+    from repro.filters import FilterTrainer
+
+    calls: list[tuple[int, int, int]] = []
+    features = FeatureBackbone._features
+
+    def counting_features(self, images):
+        calls.append(images.shape[:3])
+        return features(self, images)
+
+    monkeypatch.setattr(FeatureBackbone, "_features", counting_features)
+    trainer = FilterTrainer(dataset=tiny_jackson, max_train_frames=80, background_frames=20)
+    trainer.train_all()
+
+    frames = len(trainer.train_indices())
+    height, width = calls[0][1:]
+    tile = _tile_length(height, width)
+    # ic and od: grid fit, recalibration (every frame below 240), count
+    # calibration; od_cof: one pooled pass.
+    passes = 7
+    assert frames == 80 and tile == 4
+    assert max(n for n, _, _ in calls) <= tile
+    assert sum(n for n, _, _ in calls) == passes * frames
+    assert len(calls) == passes * math.ceil(frames / tile) == 140
