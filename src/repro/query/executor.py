@@ -126,7 +126,11 @@ class StreamingQueryExecutor:
         ``batch_size`` is the chunk size of the scan: ``None`` evaluates one
         frame at a time, ``batch_size=n`` processes the stream in chunks of
         ``n`` frames with vectorized filter batches.  Every chunk size
-        produces identical matched frames and work counters.
+        produces identical matched frames and work counters.  When the
+        cascade has a step and the scan more than one chunk, one background
+        thread renders the next two chunks while the current one is
+        filtered; output is unchanged, because a frame renders the same on
+        any thread.
 
         When the query carries a ``WINDOW HOPPING`` clause the scan is
         restricted to the frames covered by at least one window instance, each
@@ -321,8 +325,13 @@ class StreamingQueryExecutor:
         each windowed query's last instance end as ``stop``); the executor
         decides only how frames reach it: one
         ``render(index)`` from :func:`~repro.query.parallel.decode_ahead`
-        (``stream.frame``, rendered ahead when ``parallel`` is set) and two
-        drivers.  Rendered chunks of ``chunk_size`` frames go through
+        and two drivers.  ``render`` runs ahead on the decode-ahead threads
+        when ``parallel`` is set, and on one thread when a scan without it
+        is chunked (no ``temporal``), has a filter step and more than one
+        chunk, so that the next chunks render while this one filters;
+        otherwise it is ``stream.frame``.  Frames render deterministically
+        per index on any thread, so the rule changes wall time only.
+        Rendered chunks of ``chunk_size`` frames go through
         ``push_chunk`` (``batch_size=None`` = chunks of one; a session built
         with ``parallel=`` filters them on its workers); under
         ``temporal`` the whole index sequence goes
@@ -392,7 +401,16 @@ class StreamingQueryExecutor:
                     # Before decode-ahead, so that process workers fork before
                     # its first thread starts.
                     session.start_workers()
-                with decode_ahead(stream, union_indices, parallel, chunk_size) as render:
+                # Without workers, one thread renders ahead while this one
+                # filters (numpy that releases the GIL).  A cascade-free scan
+                # stays inline (its render would contend for the GIL with the
+                # Python-level detector), and so do a gated scan (gating
+                # decides what is rendered) and a single chunk (nothing to
+                # overlap); DESIGN.md "Parallel pipeline" has the numbers.
+                overlap = unique_steps > 0 and len(chunks) > 1
+                with decode_ahead(
+                    stream, union_indices, parallel, chunk_size, overlap
+                ) as render:
                     if temporal is not None:
                         temporal_stats = session.run_temporal_scan(
                             temporal, union_indices, render

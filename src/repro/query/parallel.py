@@ -6,7 +6,8 @@ repeat.  This module turns that loop into a pipeline:
 
 * a **decode-ahead prefetcher** (:class:`FramePrefetcher`) renders the next
   ``PREFETCH_DEPTH`` chunks' worth of frames on background threads while
-  earlier chunks are being filtered;
+  earlier chunks are being filtered (a filtered one-shot scan without a
+  pool uses it too, on one thread);
 * a **chunk-granular worker pool** runs the filter-cascade phase of several
   chunks concurrently — ``backend="thread"`` gives each worker its own
   deep-copied cascade (the numpy filters release the GIL in their stacked
@@ -51,6 +52,7 @@ import queue
 import sys
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
@@ -497,16 +499,25 @@ class FramePrefetcher:
     """Decode-ahead rendering over a known index sequence.
 
     Wraps ``stream.frame`` for every scan that knows its index sequence up
-    front (chunked parallel scans, temporal gating, aggregate sampling):
-    requesting a frame schedules background rendering of the next ``depth``
-    indices of the sequence.  The window is bounded on
-    both sides — scheduled entries falling more than ``depth`` positions
-    behind the newest request are cancelled (if still queued) and dropped,
-    so an adaptive-stride scan that skips most of the sequence neither
-    retains every speculatively rendered frame nor decodes far behind the
-    scan head.  Out-of-window requests (binary-search refinement probes,
-    exact-mode re-verification) are rendered by the stream.  Scans get one
-    through :func:`decode_ahead`, which closes it on every exit path.
+    front (chunked scans, temporal gating, aggregate sampling).  The window
+    is keyed by *position* in the sequence, so repeated and unordered
+    indices are served like any other: a request consumes the first
+    unserved occurrence of its index at or after the cursor (one past the
+    furthest position served) and schedules background rendering through
+    ``depth`` positions beyond it.  A consumer that requests every position
+    in order therefore has each one rendered exactly once, with at most
+    ``depth`` renders outstanding.
+
+    The window is bounded on both sides.  Positions a request steps over
+    (the rest of a chunk quarantined mid-render, an adaptive stride) stay
+    until they fall more than ``depth`` positions behind the cursor, and a
+    backward request for one of them (binary-search refinement,
+    exact-mode re-verification) is served from the window; older entries are
+    cancelled if still queued and dropped, so a striding scan neither retains
+    every speculatively rendered frame nor decodes far behind its head.  A
+    request the window does not hold is rendered by the stream.  One thread
+    consumes it; scans get one through :func:`decode_ahead`, which closes it
+    on every exit path.
     """
 
     def __init__(
@@ -518,44 +529,59 @@ class FramePrefetcher:
     ) -> None:
         self._stream = stream
         self._order = list(indices)
-        self._position_of = {
-            index: position for position, index in enumerate(self._order)
-        }
+        self._positions: dict[int, list[int]] = {}
+        for position, index in enumerate(self._order):
+            self._positions.setdefault(index, []).append(position)
         self._depth = max(0, depth)
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, threads), thread_name_prefix="decode-ahead"
         )
+        #: unserved renders by position: all scheduled ones at or after the
+        #: cursor, and the stepped-over ones behind it still in the window
         self._futures: dict[int, Future] = {}
+        self._cursor = 0
         self._scheduled = 0
         self._evicted = 0
-        self._lock = threading.Lock()
         self._closed = False
+
+    def _take(self, index: int) -> int | None:
+        """The position a request for ``index`` consumes (``None``: not in the window)."""
+        cursor = self._cursor
+        if cursor < len(self._order) and self._order[cursor] == index:
+            position = cursor
+        else:
+            for behind in range(self._evicted, cursor):
+                if self._order[behind] == index and behind in self._futures:
+                    return behind
+            positions = self._positions.get(index, [])
+            k = bisect_left(positions, cursor)
+            if k == len(positions):
+                return None
+            position = positions[k]
+        self._cursor = position + 1
+        self._evict_before(position - self._depth)
+        self._schedule_through(position + self._depth)
+        return position
+
+    def _evict_before(self, limit: int) -> None:
+        while self._evicted < limit:
+            future = self._futures.pop(self._evicted, None)
+            if future is not None:
+                future.cancel()
+            self._evicted += 1
+        # What was evicted before it was scheduled is never scheduled.
+        self._scheduled = max(self._scheduled, self._evicted)
 
     def _schedule_through(self, position: int) -> None:
         limit = min(position + 1, len(self._order))
-        with self._lock:
-            while self._scheduled < limit:
-                index = self._order[self._scheduled]
-                self._futures[index] = self._pool.submit(self._stream.frame, index)
-                self._scheduled += 1
-
-    def _evict_behind(self, position: int) -> None:
-        limit = min(position - self._depth, len(self._order))
-        with self._lock:
-            while self._evicted < limit:
-                index = self._order[self._evicted]
-                future = self._futures.pop(index, None)
-                if future is not None:
-                    future.cancel()
-                self._evicted += 1
+        while self._scheduled < limit:
+            index = self._order[self._scheduled]
+            self._futures[self._scheduled] = self._pool.submit(self._stream.frame, index)
+            self._scheduled += 1
 
     def frame(self, index: int) -> Frame:
-        position = self._position_of.get(index)
-        if position is not None:
-            self._schedule_through(position + self._depth)
-            self._evict_behind(position)
-        with self._lock:
-            future = self._futures.pop(index, None)
+        position = self._take(index)
+        future = None if position is None else self._futures.pop(position, None)
         if future is not None and not future.cancelled():
             return future.result()
         return self._stream.frame(index)
@@ -574,21 +600,27 @@ def decode_ahead(
     indices: Sequence[int],
     parallel: ParallelConfig | None,
     chunk_size: int | None = None,
+    overlap: bool = False,
 ) -> Iterator[Callable[[int], Frame]]:
     """The ``render(index)`` of one scan over ``indices``.
 
-    ``stream.frame`` itself when ``parallel`` is ``None``, so callers do not
-    branch; otherwise a :class:`FramePrefetcher` running ``PREFETCH_DEPTH``
-    chunks of ``chunk_size`` frames (default: the config's) ahead, closed
-    however the block exits.  The only place that constructs one (lint
-    INV011).  Enter it after the scan is planned, so that process workers
-    fork before the first decode-ahead thread starts.
+    A :class:`FramePrefetcher` running ``PREFETCH_DEPTH`` chunks of
+    ``chunk_size`` frames (default: the config's) ahead, closed however the
+    block exits, on ``PREFETCH_THREADS`` threads but never more than the
+    threads that filter: ``parallel.num_workers``, or one when ``overlap``
+    asks a scan without ``parallel`` to render ahead of its own filter phase
+    (``StreamingQueryExecutor._scan`` decides when).  Otherwise
+    ``stream.frame`` itself, so callers do not branch.  The only place that
+    constructs a prefetcher (lint INV011).  Enter it after the scan is
+    planned, so that process workers fork before the first decode-ahead
+    thread starts.
     """
-    if parallel is None:
+    if parallel is None and not overlap:
         yield stream.frame
         return
+    workers = 1 if parallel is None else parallel.num_workers
     depth = PREFETCH_DEPTH * (chunk_size or parallel.chunk_size)
-    threads = min(PREFETCH_THREADS, parallel.num_workers)
+    threads = min(PREFETCH_THREADS, workers)
     with closing(FramePrefetcher(stream, indices, depth, threads)) as prefetcher:
         yield prefetcher.frame
 

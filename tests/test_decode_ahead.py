@@ -1,0 +1,288 @@
+"""Decode-ahead in one-shot scans: the prefetch window, the rule, the lifecycle.
+
+A chunked scan with a filter step and more than one chunk renders ahead on
+one background thread even without ``ParallelConfig``; a cascade-free, a
+temporal and a single-chunk scan stay inline, and so does
+``execute_aggregate`` without ``parallel=``.  Frames render the same on any
+thread, so every result here must ``==`` the same scan with decode-ahead
+patched out, and no ``decode-ahead`` thread may outlive a scan however it
+ends.  CI runs this module five times in a row: a leaked thread or a frame
+cancelled and then needed shows up only under some timings.
+"""
+
+from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
+from dataclasses import replace
+
+import pytest
+
+from repro.aggregates.monitor import AggregateQuerySpec
+from repro.detection import ReferenceDetector
+from repro.faults import FaultInjector, RetryPolicy
+from repro.query import (
+    ParallelConfig,
+    PlannerConfig,
+    QueryBuilder,
+    QueryPlanner,
+    StreamingQueryExecutor,
+    TemporalConfig,
+)
+from repro.query.parallel import FramePrefetcher
+from repro.query.results import MultiQueryExecutionResult
+
+#: unordered frame indices with repeats, as ``frame_indices`` may give them
+UNORDERED_REPEATING = [7, 3, 7, 12, 3, 40, 7, 0, 49, 12, 25, 25, 1, 30] * 3
+
+
+@pytest.fixture(scope="module")
+def planner(trained_od_filter, trained_od_cof):
+    return QueryPlanner(
+        {"od": trained_od_filter, "od_cof": trained_od_cof},
+        PlannerConfig(count_tolerance=1, location_dilation=1),
+    )
+
+
+@pytest.fixture(scope="module")
+def stream(tiny_jackson):
+    return tiny_jackson.test
+
+
+def _executor(tiny_jackson):
+    return StreamingQueryExecutor(
+        ReferenceDetector(class_names=tiny_jackson.class_names, seed=42)
+    )
+
+
+def _plain(name="plain"):
+    return QueryBuilder(name).count("car").at_least(1).count(None).at_most(4).build()
+
+
+def _windowed(name="windowed"):
+    return QueryBuilder(name).count("car").at_least(1).window(20, 10).build()
+
+
+def _empty(name="empty"):
+    return QueryBuilder(name).count("car").at_least(3).count("car").at_most(1).build()
+
+
+@contextmanager
+def _inline(stream, indices, parallel, chunk_size=None, overlap=False):
+    yield stream.frame
+
+
+def _timeless(result):
+    """``result`` with its wall clock zeroed: everything else must be equal."""
+    if isinstance(result, MultiQueryExecutionResult):
+        return replace(
+            result,
+            results=tuple(_timeless(single) for single in result.results),
+            shared=replace(result.shared, wall_clock_seconds=0.0),
+        )
+    return replace(result, stats=replace(result.stats, wall_clock_seconds=0.0))
+
+
+def _live_decode_ahead_threads():
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.is_alive() and "decode-ahead" in thread.name
+    ]
+
+
+@pytest.fixture()
+def prefetchers(monkeypatch):
+    """``(depth, threads)`` of every ``FramePrefetcher`` built during the test."""
+    built: list[tuple[int, int]] = []
+    init = FramePrefetcher.__init__
+
+    def spying_init(self, stream, indices, depth, threads):
+        built.append((depth, threads))
+        init(self, stream, indices, depth, threads)
+
+    monkeypatch.setattr(FramePrefetcher, "__init__", spying_init)
+    return built
+
+
+# ----------------------------------------------------------------------
+# The window is keyed by position
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "indices",
+    [list(range(32)), list(range(32)) * 2, [5, 3, 5, 9, 3, 40, 5] * 4],
+    ids=["ordered", "repeating", "unordered-repeating"],
+)
+def test_decode_ahead_window_renders_each_position_once(stream, counted_renders, indices):
+    depth = 4
+    expected = {index: stream.frame(index).image for index in set(indices)}
+    counted_renders.clear()
+    prefetcher = FramePrefetcher(stream, indices, depth=depth, threads=1)
+    try:
+        for index in indices:
+            frame = prefetcher.frame(index)
+            assert frame.index == index
+            assert (frame.image == expected[index]).all()
+            assert len(prefetcher._futures) <= depth
+    finally:
+        prefetcher.close()
+    assert sorted(counted_renders) == sorted(indices)
+
+
+def test_decode_ahead_window_keeps_stepped_over_positions(stream, counted_renders):
+    """A chunk set aside mid-render leaves its tail behind the cursor: a
+    backward request into it is served from the window, not from the next
+    lap of a repeating sequence, and the scan goes on where it was."""
+    indices = list(range(16)) * 2
+    prefetcher = FramePrefetcher(stream, indices, depth=4, threads=1)
+    try:
+        for index in (0, 1, 2):
+            assert prefetcher.frame(index).index == index
+        # Positions 3-7 stepped over (a chunk quarantined at its first frame).
+        assert prefetcher.frame(8).index == 8
+        assert 5 in prefetcher._futures and 21 not in prefetcher._futures
+        assert prefetcher.frame(5).index == 5  # stepped-over position 5
+        assert 5 not in prefetcher._futures and prefetcher._cursor == 9
+        for index in range(9, 16):
+            assert prefetcher.frame(index).index == index
+        # Into the second lap, stepping over positions 16-20 (indices 0-4).
+        assert prefetcher.frame(5).index == 5 and prefetcher._cursor == 22
+        assert prefetcher.frame(2).index == 2  # stepped-over position 18
+        assert 18 not in prefetcher._futures and prefetcher._cursor == 22
+        for index in range(6, 16):
+            assert prefetcher.frame(index).index == index
+    finally:
+        prefetcher.close()
+    # Every request was served from the window: no position rendered twice.
+    assert len(counted_renders) <= len(indices)
+
+
+# ----------------------------------------------------------------------
+# Parity: the default is output-neutral
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("batch_size", [None, 16])
+@pytest.mark.parametrize("frame_indices", [None, UNORDERED_REPEATING], ids=["all", "unordered"])
+def test_decode_ahead_default_matches_inline(
+    tiny_jackson, stream, planner, monkeypatch, counted_renders, prefetchers,
+    batch_size, frame_indices,
+):
+    queries = [_plain(), _windowed(), _empty()]
+    cascades = [planner.plan(query) for query in queries]
+    assert cascades[2].provably_empty
+
+    def scans():
+        runner = _executor(tiny_jackson)
+        return [
+            runner.execute(queries[0], stream, cascades[0],
+                           frame_indices=frame_indices, batch_size=batch_size),
+            runner.execute(queries[1], stream, cascades[1],
+                           frame_indices=frame_indices, batch_size=batch_size),
+            runner.execute(queries[2], stream, cascades[2],
+                           frame_indices=frame_indices, batch_size=batch_size),
+            runner.execute_many(queries, stream, cascades,
+                                frame_indices=frame_indices, batch_size=batch_size),
+        ]
+
+    ahead = scans()
+    renders = sorted(counted_renders)
+    assert len(prefetchers) == 3  # the provably-empty scan renders nothing
+    requested = list(range(len(stream))) if frame_indices is None else frame_indices
+    windowed_stop = ahead[1].windows[-1].bounds.stop
+    # Each requested position of each scan is rendered exactly once.
+    assert renders == sorted(
+        requested + [i for i in requested if i < windowed_stop] + requested
+    )
+
+    monkeypatch.setattr("repro.query.executor.decode_ahead", _inline)
+    inline = scans()
+    assert len(prefetchers) == 3
+    for got, want in zip(ahead, inline):
+        assert _timeless(got) == _timeless(want)
+
+
+# ----------------------------------------------------------------------
+# The rule: which scans render ahead
+# ----------------------------------------------------------------------
+def test_decode_ahead_only_for_filtered_multi_chunk_scans(
+    tiny_jackson, stream, planner, prefetchers
+):
+    query = _plain()
+    cascade = planner.plan(query)
+    runner = _executor(tiny_jackson)
+
+    runner.execute(query, stream, cascade, batch_size=16)
+    runner.execute_many([query, _windowed()], stream, [cascade, None])
+    assert prefetchers == [(2 * 16, 1), (2 * 1, 1)]
+
+    runner.execute(query, stream)  # cascade-free
+    runner.execute_many([query, _windowed()], stream)  # cascade-free, shared
+    runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True))
+    runner.execute(query, stream, cascade, batch_size=len(stream))  # one chunk
+    runner.execute(query, stream, cascade, frame_indices=[4], batch_size=None)
+    spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
+    runner.execute_aggregate(spec, stream, cascade, sample_size=20)
+    assert len(prefetchers) == 2
+
+    # ``parallel=`` keeps its own prefetcher: PREFETCH_THREADS, capped by workers.
+    config = ParallelConfig(num_workers=2, backend="thread", chunk_size=8)
+    runner.execute(query, stream, cascade, parallel=config)
+    runner.execute(query, stream, cascade, batch_size=len(stream), parallel=config)
+    assert prefetchers[2:] == [(2 * 8, 2), (2 * len(stream), 2)]
+    assert _live_decode_ahead_threads() == []
+
+
+# ----------------------------------------------------------------------
+# Lifecycle: no decode-ahead thread outlives a scan
+# ----------------------------------------------------------------------
+def test_decode_ahead_lifecycle_filter_raises_mid_scan(
+    tiny_jackson, stream, planner, monkeypatch, prefetchers
+):
+    query = _plain()
+    cascade = planner.plan(query)
+    first = cascade.steps[0].frame_filter
+    predict_batch = first.predict_batch
+    calls = []
+
+    def failing_predict_batch(frames):
+        calls.append(len(frames))
+        if len(calls) == 2:
+            raise RuntimeError("injected filter failure")
+        return predict_batch(frames)
+
+    monkeypatch.setattr(first, "predict_batch", failing_predict_batch)
+    for batch_size in (None, 8):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="injected filter failure"):
+            _executor(tiny_jackson).execute(query, stream, cascade, batch_size=batch_size)
+        assert _live_decode_ahead_threads() == []
+    assert len(prefetchers) == 2
+
+
+@pytest.mark.parametrize("batch_size", [None, 10])
+def test_decode_ahead_lifecycle_decode_quarantine_matches_inline(
+    tiny_jackson, stream, planner, monkeypatch, prefetchers, batch_size
+):
+    """An undecodable frame quarantines the same chunks with or without
+    decode-ahead, though decode-ahead has rendered past it."""
+    queries = [_plain(), _windowed()]
+    cascades = [planner.plan(query) for query in queries]
+    retry = RetryPolicy(max_attempts=3)
+    poison = {("decode", 3): 3, ("decode", 27): 3}
+
+    def faulted():
+        with FaultInjector(schedule=poison, retry=retry) as injector:
+            result = _executor(tiny_jackson).execute_many(
+                queries, stream, cascades, batch_size=batch_size
+            )
+        assert injector.unfired() == ()
+        return result
+
+    ahead = faulted()
+    assert len(prefetchers) == 1
+    assert _live_decode_ahead_threads() == []
+    monkeypatch.setattr("repro.query.executor.decode_ahead", _inline)
+    inline = faulted()
+    quarantined = ahead[0].stats.faults.quarantined
+    assert [record.key for record in quarantined] == [3, 27]
+    assert quarantined == inline[0].stats.faults.quarantined
+    assert _timeless(ahead) == _timeless(inline)
