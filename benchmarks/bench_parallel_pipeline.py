@@ -1,11 +1,10 @@
 """Parallel pipelined execution benchmark: the PR's wall-clock win.
 
 One linear-filter workload (planned OD-CCF + OD-COF cascade over a
-Jackson-profile stream) runs three ways: the sequential batched path (the
-PR-1 engine, the baseline), and the parallel pipelined engine on the thread
-and process backends.  Output parity is asserted bit for bit on every run;
-the headline number is the wall-clock speedup of the best backend over the
-sequential batched path.
+Jackson-profile stream) runs two ways: the sequential batched path (the
+baseline) and the parallel pipelined engine on its thread worker pool.
+Output parity is asserted bit for bit on every run; the headline number is
+the wall-clock speedup of the pool over the sequential batched path.
 
 The speedup bar (>= 2.5x at 4 workers) is asserted only when the machine
 actually has >= 4 usable cores *and* the run uses >= 4 workers: parallel
@@ -76,30 +75,10 @@ def run(config, num_workers: int) -> dict[str, object]:
         ROUNDS, lambda: executor.execute(query, stream, cascade, batch_size=CHUNK)
     )
 
-    backends = {}
-    for backend in ("thread", "process"):
-        parallel = ParallelConfig(
-            num_workers=num_workers,
-            backend=backend,
-            chunk_size=CHUNK,
-        )
-        wall_s, result = _best_of(
-            ROUNDS,
-            lambda p=parallel: executor.execute(query, stream, cascade, parallel=p),
-        )
-        backends[backend] = {
-            "wall_s": round(wall_s, 3),
-            "speedup": round(baseline_s / wall_s, 2),
-            "parity": result.matched_frames == baseline.matched_frames,
-            "calls_equal": (
-                result.stats.simulated_cost.per_component_calls
-                == baseline.stats.simulated_cost.per_component_calls
-            ),
-            "workers_used": result.stats.parallel.cost.num_workers,
-            "balance": round(result.stats.parallel.cost.balance, 2),
-        }
-
-    best_backend = max(backends, key=lambda name: backends[name]["speedup"])
+    parallel = ParallelConfig(num_workers=num_workers, chunk_size=CHUNK)
+    wall_s, result = _best_of(
+        ROUNDS, lambda: executor.execute(query, stream, cascade, parallel=parallel)
+    )
     return {
         "frames": len(stream),
         "chunk": CHUNK,
@@ -108,10 +87,15 @@ def run(config, num_workers: int) -> dict[str, object]:
         "cascade": cascade.describe(),
         "baseline_s": round(baseline_s, 3),
         "simulated_s": round(baseline.stats.simulated_seconds, 2),
-        "backends": backends,
-        "best_backend": best_backend,
-        "best_speedup": backends[best_backend]["speedup"],
-        "best_wall_s": backends[best_backend]["wall_s"],
+        "wall_s": round(wall_s, 3),
+        "speedup": round(baseline_s / wall_s, 2),
+        "parity": result.matched_frames == baseline.matched_frames,
+        "calls_equal": (
+            result.stats.simulated_cost.per_component_calls
+            == baseline.stats.simulated_cost.per_component_calls
+        ),
+        "workers_used": result.stats.parallel.cost.num_workers,
+        "balance": round(result.stats.parallel.cost.balance, 2),
     }
 
 
@@ -122,16 +106,10 @@ def format_rows(result: dict[str, object]) -> str:
         f"(cascade {result['cascade']})",
         f"sequential batched baseline: {result['baseline_s']}s wall "
         f"({result['simulated_s']}s simulated)",
+        f"parallel: {result['wall_s']}s wall ({result['speedup']}x), "
+        f"parity={result['parity']}, calls_equal={result['calls_equal']}, "
+        f"{result['workers_used']} workers, balance {result['balance']}",
     ]
-    for backend, row in result["backends"].items():
-        lines.append(
-            f"{backend:>8}: {row['wall_s']}s wall ({row['speedup']}x), "
-            f"parity={row['parity']}, calls_equal={row['calls_equal']}, "
-            f"{row['workers_used']} workers, balance {row['balance']}"
-        )
-    lines.append(
-        f"best: {result['best_backend']} at {result['best_speedup']}x"
-    )
     return "\n".join(lines)
 
 
@@ -149,19 +127,17 @@ def test_parallel_pipeline(benchmark, bench_config, pytestconfig):
             "chunk": result["chunk"],
             "workers": result["workers"],
             "cores": result["cores"],
-            "backend": result["best_backend"],
             "baseline_wall_seconds": result["baseline_s"],
         },
-        wall_seconds=result["best_wall_s"],
+        wall_seconds=result["wall_s"],
         simulated_seconds=result["simulated_s"],
-        speedup=result["best_speedup"],
+        speedup=result["speedup"],
     )
-    # Output is bit-identical to the sequential batched path on both backends,
-    # regardless of the machine.
-    for backend, row in result["backends"].items():
-        assert row["parity"], (backend, row)
-        assert row["calls_equal"], (backend, row)
+    # Output is bit-identical to the sequential batched path regardless of
+    # the machine.
+    assert result["parity"], result
+    assert result["calls_equal"], result
     # The wall-clock bar only means something with real cores behind the
     # workers (see module docstring).
     if result["cores"] >= 4 and result["workers"] >= 4:
-        assert result["best_speedup"] >= SPEEDUP_BAR, result
+        assert result["speedup"] >= SPEEDUP_BAR, result

@@ -4,7 +4,7 @@ The sanitizers' design promise is *zero overhead when off* (every site reads the
 ``hooks.sanitizer`` slot behind an ``is not None`` guard — INV007) and
 tolerable overhead when on (lockset bookkeeping per critical section, a
 finiteness scan per layer output).  This benchmark measures both sides on
-the same 2-worker thread-backend workload as the parallel pipeline
+the same 2-worker thread-pool workload as the parallel pipeline
 benchmark: a clean run (``sanitize=None``), a fully instrumented run
 (``sanitize="race,numeric"``), and their ratio — asserting output parity
 across all runs on every round.
@@ -65,7 +65,6 @@ def run(config, num_workers: int) -> dict[str, object]:
     def parallel_config(sanitize):
         return ParallelConfig(
             num_workers=num_workers,
-            backend="thread",
             chunk_size=CHUNK,
             sanitize=sanitize,
         )

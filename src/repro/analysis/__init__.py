@@ -1,6 +1,6 @@
 """Static analysis of queries, plans and cascades (runs before any frame).
 
-Three layers, three diagnostic families:
+The layers and their diagnostic families:
 
 * :func:`lint_query` — semantic checks on the AST (``QA0xx``): count
   interval contradictions and subsumption, vocabulary and region sanity,
@@ -8,8 +8,6 @@ Three layers, three diagnostic families:
 * :func:`lint_plan` / :func:`optimize_cascade` — checks on the compiled
   cascade (``PL0xx``): duplicate and dead steps, provably-empty short
   circuit;
-* :func:`audit_cascade` — concurrency / pickle pre-flight (``CC0xx``) run
-  before the process backend spawns workers;
 * :func:`lint_network` — shape/dtype abstract interpretation over a neural
   filter's layer stack (``NN0xx``), run at filter construction and again by
   :func:`lint_plan`;
@@ -22,7 +20,6 @@ All entry points return an :class:`AnalysisReport` of structured
 raise :class:`AnalysisError` (a ``ValueError``) on error-severity findings.
 """
 
-from repro.analysis.concurrency import audit_cascade, audit_check
 from repro.analysis.diagnostics import (
     DIAGNOSTIC_CODES,
     AnalysisError,
@@ -71,8 +68,6 @@ __all__ = [
     "WindowTailDropWarning",
     "active_session",
     "analyze_counts",
-    "audit_cascade",
-    "audit_check",
     "chunk_digest",
     "combined_interval",
     "describe_layer",

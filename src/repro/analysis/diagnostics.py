@@ -7,7 +7,6 @@ by layer:
 
 * ``QA0xx`` — query-level (AST) semantic findings,
 * ``PL0xx`` — plan-level (cascade) findings,
-* ``CC0xx`` — concurrency / pickle pre-flight findings,
 * ``NN0xx`` — network shape/dtype abstract-interpretation findings,
 * ``RC0xx`` — runtime race / determinism sanitizer findings,
 * ``NU0xx`` — runtime numeric sanitizer findings.
@@ -37,8 +36,7 @@ class Severity(enum.Enum):
     """How bad a finding is.
 
     ``ERROR`` findings make execution wrong, impossible, or provably useless
-    (a contradictory query, an unpicklable check destined for a process
-    worker); ``WARNING`` findings waste work or drop data silently (a
+    (a contradictory query, a region outside the frame); ``WARNING`` findings waste work or drop data silently (a
     subsumed predicate, a tail-dropping window); ``INFO`` records decisions
     the analyzer took on the caller's behalf (a plan short-circuited to an
     empty scan).
@@ -65,10 +63,6 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "PL001": (Severity.WARNING, "duplicate cascade step"),
     "PL002": (Severity.WARNING, "trivially-true (dead) cascade step"),
     "PL003": (Severity.INFO, "plan short-circuited: query is provably empty"),
-    "CC001": (Severity.ERROR, "cascade step failed the pickle pre-flight"),
-    "CC002": (Severity.ERROR, "check is a lambda / closure / local callable"),
-    "CC003": (Severity.WARNING, "check carries mutable state"),
-    "CC004": (Severity.WARNING, "check mutates attribute state when called"),
     "NN001": (Severity.ERROR, "inter-layer shape mismatch"),
     "NN002": (Severity.ERROR, "layer geometry invalid (non-positive or indivisible spatial dims)"),
     "NN003": (Severity.ERROR, "eval-dtype drift (breaks the float32 inference fast path)"),
@@ -116,8 +110,8 @@ class Diagnostic:
 class AnalysisError(ValueError):
     """Raised by ``strict=True`` linting when error-severity findings exist.
 
-    Subclasses :class:`ValueError` so existing callers that guard planner /
-    backend misuse with ``except ValueError`` keep working.  ``diagnostics``
+    Subclasses :class:`ValueError` so existing callers that guard planner
+    misuse with ``except ValueError`` keep working.  ``diagnostics``
     carries every finding of the failed analysis (not only the errors), so
     the caller can render the full report.
     """

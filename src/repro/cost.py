@@ -173,8 +173,8 @@ class ParallelCostReport:
 
     ``per_worker`` holds one entry per worker that executed at least one
     chunk — the merge of that worker's chunk deltas, ordered by worker label
-    (thread ids in numeric order; process entries by pid); ``wall_clock_seconds``
-    is the whole run's wall clock.  The report puts the two cost notions of this
+    (thread ids in numeric order); ``wall_clock_seconds`` is the whole run's
+    wall clock.  The report puts the two cost notions of this
     codebase side by side: the *simulated* cost is invariant under
     parallelism (the same component invocations happen, so the paper-model
     milliseconds are identical to a sequential run), while the *wall clock*

@@ -2,7 +2,7 @@
 
 See :mod:`repro.faults.injector` for the full vocabulary.  The worker
 supervisor itself lives in :mod:`repro.query.parallel` (it owns the
-backends); this package holds everything both sides of a fault share.
+worker pool); this package holds everything both sides of a fault share.
 """
 
 from repro.faults.injector import (

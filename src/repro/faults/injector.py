@@ -50,11 +50,7 @@ FAULT_SITES = (
 
 
 class FaultError(RuntimeError):
-    """A single injected (or detected) fault at one site.
-
-    Picklable by construction: ``args`` mirrors the constructor, so the
-    process backend can surface worker-side faults to the parent.
-    """
+    """A single injected (or detected) fault at one site."""
 
     def __init__(self, site: str, key: object, detail: str = "") -> None:
         super().__init__(site, key, detail)
@@ -78,9 +74,6 @@ class FaultExhausted(FaultError):
         self.key = key
         self.attempts = attempts
         self.detail = detail
-
-    def __reduce__(self):
-        return (FaultExhausted, (self.site, self.key, self.attempts, self.detail))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         suffix = f": {self.detail}" if self.detail else ""
@@ -308,10 +301,10 @@ class FaultInjector:
         self.maybe_raise("filter", first_index)
 
     def worker_directive(self, chunk_id: int) -> tuple[str, float] | None:
-        """Parent-side crash/stall decision for one dispatched chunk.
+        """Supervisor-side crash/stall decision for one dispatched chunk.
 
-        Decided before the task ships so fork/spawn children never
-        consult (and diverge) their inherited schedule copies.
+        Decided on the dispatching thread before the task ships, so the
+        schedule is consumed in dispatch order whatever the workers do.
         """
         if self.should_fault("worker_crash", chunk_id):
             return ("crash", 0.0)

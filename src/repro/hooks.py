@@ -57,7 +57,7 @@ def uninstall(slot: str, value: object = None) -> None:
 
 
 def reset() -> None:
-    """Empty every slot (a pool worker's child-side reset)."""
+    """Empty every slot, whoever installed it (a test's teardown)."""
     with _LOCK:
         for slot in SLOTS:
             globals()[slot] = None

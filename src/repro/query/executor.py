@@ -397,10 +397,6 @@ class StreamingQueryExecutor:
                 # Gating is sequential: under ``temporal`` nothing is chunked and
                 # the session gets no workers (nor does a scan that covers no frame).
                 chunks = partition_chunks(union_indices, chunk_size) if temporal is None else []
-                if chunks:
-                    # Before decode-ahead, so that process workers fork before
-                    # its first thread starts.
-                    session.start_workers()
                 # Without workers, one thread renders ahead while this one
                 # filters (numpy that releases the GIL).  A cascade-free scan
                 # stays inline (its render would contend for the GIL with the
@@ -463,7 +459,6 @@ class StreamingQueryExecutor:
         ]
         parallel_stats = (
             ParallelStats(
-                backend=parallel.backend,
                 num_workers=parallel.num_workers,
                 chunk_size=chunk_size,
                 num_chunks=len(chunks),

@@ -9,16 +9,11 @@ repeat.  This module turns that loop into a pipeline:
   earlier chunks are being filtered (a filtered one-shot scan without a
   pool uses it too, on one thread);
 * a **chunk-granular worker pool** runs the filter-cascade phase of several
-  chunks concurrently — ``backend="thread"`` gives each worker its own
-  deep-copied cascade (the numpy filters release the GIL in their stacked
-  operations but share scratch state, so workers must not share filter
-  objects), ``backend="process"`` ships the pickled cascades to each worker
-  once and the frames per chunk *zero-copy* through
-  ``multiprocessing.shared_memory`` (workers see numpy views over the shared
-  block; only pixels cross the boundary — ground truth stays in the parent,
-  preserving the rule that filters see nothing but pixels);
+  chunks concurrently on threads, each worker with its own deep-copied
+  cascades (the numpy filters release the GIL in their stacked operations
+  but share scratch state, so workers must not share filter objects);
 * results are **re-merged in stream order**: the reference detector runs in
-  the main process on each chunk's cascade survivors exactly when that chunk
+  the merge thread on each chunk's cascade survivors exactly when that chunk
   is merged, so matched frames, work counters and the simulated-cost history
   are identical to the sequential batched path no matter how chunks raced.
 
@@ -47,32 +42,16 @@ from __future__ import annotations
 
 import copy
 import os
-import pickle
 import queue
-import sys
 import threading
 import time
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from contextlib import closing, contextmanager, nullcontext, suppress
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
-from multiprocessing import (
-    get_all_start_methods,
-    get_context,
-    resource_tracker,
-    shared_memory,
-)
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 from repro import hooks
 from repro.cost import CostBreakdown, ParallelCostReport, SimulatedClock
@@ -99,12 +78,8 @@ class ParallelConfig:
 
     ``num_workers`` filter workers process chunks of ``chunk_size`` frames
     concurrently while the prefetcher keeps ``PREFETCH_DEPTH`` further chunks
-    rendered ahead of submission.  ``backend`` selects threads (cheap to
-    start, share memory, scale as far as the filters release the GIL) or
-    processes (immune to the GIL; cascades are pickled to each worker once
-    and frames travel zero-copy through shared memory — requires picklable
-    cascades, which every planner-built cascade is).  See DESIGN.md for a
-    thread-vs-process decision guide.
+    rendered ahead of submission.  Workers are threads; DESIGN.md "Parallel
+    pipeline" records the measurement that retired the process pool.
 
     ``adaptive=True`` enables mid-stream re-planning: every
     ``adaptive_interval`` merged observations the profiler compares the
@@ -118,7 +93,7 @@ class ParallelConfig:
 
     ``supervise=True`` turns on worker supervision (see
     :class:`WorkerSupervisor`): a chunk whose worker dies
-    (``BrokenProcessPool``, injected crash) or stalls past
+    (a broken pool, injected crash) or stalls past
     ``worker_timeout_seconds`` is re-dispatched — after respawning the
     pool when the old one is broken or wedged — up to ``max_redispatch``
     times before the chunk is declared poisoned.  The in-order merge is
@@ -131,18 +106,15 @@ class ParallelConfig:
     lockset/ownership race detector), ``"numeric"`` (NaN/Inf checks on layer
     outputs and cost accumulators), ``"determinism"`` (parallel vs
     sequential chunk-digest diffing), a comma-joined combination, or
-    ``"all"``.  ``race`` and ``numeric`` instrument in-process state and
-    therefore need ``backend="thread"``.  ``sanitize_strict=True`` (default)
-    raises :class:`~repro.analysis.AnalysisError` at the first finding;
-    otherwise findings are collected on the execution stats'
-    ``sanitizer_report``.  The ``REPRO_SANITIZE`` environment variable
-    supplies a default spec when ``sanitize`` is unset (modes the backend
-    cannot support are dropped), which is how CI runs the whole parallel
-    suite under full instrumentation without touching each test.
+    ``"all"``.  ``sanitize_strict=True`` (default) raises
+    :class:`~repro.analysis.AnalysisError` at the first finding; otherwise
+    findings are collected on the execution stats' ``sanitizer_report``.
+    The ``REPRO_SANITIZE`` environment variable supplies a default spec when
+    ``sanitize`` is unset, which is how CI runs the whole parallel suite
+    under full instrumentation without touching each test.
     """
 
     num_workers: int = 4
-    backend: str = "thread"
     chunk_size: int = 16
     adaptive: bool = False
     adaptive_window: int = 32
@@ -158,10 +130,6 @@ class ParallelConfig:
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError(f"num_workers must be positive: {self.num_workers}")
-        if self.backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be 'thread' or 'process': {self.backend!r}"
-            )
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be positive: {self.chunk_size}")
         if self.adaptive_window < 1 or self.adaptive_interval < 1:
@@ -183,33 +151,13 @@ class ParallelConfig:
                 f"max_redispatch must be non-negative: {self.max_redispatch}"
             )
         # Local import: repro.analysis sits above the query package, so
-        # importing it at module level would cycle (same reason as the
-        # process backend's audit import).
+        # importing it at module level would cycle.
         from repro.analysis.sanitizers import parse_sanitize_spec
 
-        if self.sanitize is None:
-            env_spec = os.environ.get("REPRO_SANITIZE")
-            if env_spec:
-                modes = parse_sanitize_spec(env_spec)
-                if self.backend == "process":
-                    # The session lives in the parent's ``hooks.sanitizer``; a
-                    # pool worker empties its copy of the slot, so an
-                    # env-driven default silently keeps what the backend can
-                    # actually run.
-                    modes = modes - {"race", "numeric"}
-                object.__setattr__(
-                    self, "sanitize", ",".join(sorted(modes)) if modes else None
-                )
-        else:
-            modes = parse_sanitize_spec(self.sanitize)
-            if not modes:
-                object.__setattr__(self, "sanitize", None)
-            elif self.backend == "process" and modes & {"race", "numeric"}:
-                raise ValueError(
-                    "sanitize='race'/'numeric' instrument in-process state the "
-                    "process backend cannot observe; use backend='thread' (the "
-                    "determinism checker works on either backend)"
-                )
+        spec = self.sanitize
+        if spec is None:
+            spec = os.environ.get("REPRO_SANITIZE")
+        object.__setattr__(self, "sanitize", spec if parse_sanitize_spec(spec) else None)
 
     @property
     def sanitize_modes(self) -> frozenset[str]:
@@ -260,7 +208,6 @@ class ParallelStats:
     contributes decode-ahead rendering only).
     """
 
-    backend: str
     num_workers: int
     chunk_size: int
     num_chunks: int
@@ -397,7 +344,7 @@ class ChunkOutcome:
     """One chunk's filter phase as a worker returns it.
 
     Everything downstream of the filters (detector, predicate evaluation,
-    window partitioning) happens at the in-order merge in the main process,
+    window partitioning) happens at the in-order merge on the merge thread,
     so this is the complete worker→main contract: the filtered chunk and the
     simulated filter cost the worker charged for it.
     """
@@ -611,9 +558,7 @@ def decode_ahead(
     asks a scan without ``parallel`` to render ahead of its own filter phase
     (``StreamingQueryExecutor._scan`` decides when).  Otherwise
     ``stream.frame`` itself, so callers do not branch.  The only place that
-    constructs a prefetcher (lint INV011).  Enter it after the scan is
-    planned, so that process workers fork before the first decode-ahead
-    thread starts.
+    constructs a prefetcher (lint INV011).
     """
     if parallel is None and not overlap:
         yield stream.frame
@@ -678,61 +623,28 @@ class _Worker:
         return ChunkOutcome(chunk_id, self.label, filtered, self.clock.snapshot())
 
 
-#: the one worker slot: ``_SLOT.worker`` is the calling pool worker's
-#: ``_Worker``, installed by :func:`_init_worker` (thread-local, so every pool
-#: thread holds its own; a pool process has one thread that runs tasks)
+#: the one worker slot: ``_SLOT.worker`` is the calling pool thread's
+#: ``_Worker``, installed by :func:`_init_worker`
 _SLOT = threading.local()
 
 
-def _init_worker(source: "bytes | queue.SimpleQueue[_Worker]") -> None:
-    """The one pool initializer: install this pool worker's ``_Worker``.
+def _init_worker(clones: "queue.SimpleQueue[_Worker]") -> None:
+    """The one pool initializer: install this pool thread's ``_Worker``.
 
-    A process worker unpickles its own cascades from the plan's payload; a
-    thread worker takes one of the clones the supervisor deep-copied up front
+    Each thread takes one of the clones the supervisor deep-copied up front
     (one per thread, so no two tasks ever share a clone).
     """
-    if isinstance(source, bytes):
-        # A forked worker inherits both hook slots as copies and must consult
-        # neither.  The parent keeps consuming the injector's schedule on its
-        # own (worker faults are decided parent-side in
-        # ``WorkerSupervisor._dispatch`` and shipped with the task), and a
-        # sanitizer session's findings recorded in the child would never reach
-        # the parent's report.
-        hooks.reset()
-        _SLOT.worker = _Worker(f"pid-{os.getpid()}", *pickle.loads(source))
-    else:
-        _SLOT.worker = source.get_nowait()
+    _SLOT.worker = clones.get_nowait()
 
 
-@dataclass(frozen=True)
-class _SharedFrames:
-    """A chunk's frames on their way to a process worker: one shared-memory block."""
+def _apply_worker_directive(directive: tuple[str, float] | None, chunk_id: int) -> None:
+    """Enact a supervisor-side crash/stall directive inside a worker task.
 
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-    indices: tuple[int, ...]
-
-    def frames(self, block: shared_memory.SharedMemory) -> list[Frame]:
-        """Numpy views over the attached ``block``: pixels only, ground truth stays home."""
-        images = np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=block.buf)
-        return [
-            Frame(index=index, image=images[k], ground_truth=None)
-            for k, index in enumerate(self.indices)
-        ]
-
-
-def _apply_worker_directive(
-    directive: tuple[str, float] | None, chunk_id: int, process: bool
-) -> None:
-    """Enact a parent-side crash/stall directive inside a worker task.
-
-    Runs at the very top of the task — before any frame is touched or any
-    shared memory attached — so a crashed or stalled attempt leaves no
-    partial filter charges and holds no view over a block the supervisor is
-    about to unlink.  The stall is a deliberate wall-clock sleep: it
-    simulates a *hung* worker for the supervisor's timeout to catch, which a
-    simulated-clock charge could never do.
+    Runs at the very top of the task, before any frame is touched, so a
+    crashed or stalled attempt leaves no partial filter charges.  The stall
+    is a deliberate wall-clock sleep: it simulates a *hung* worker for the
+    supervisor's timeout to catch, which a simulated-clock charge could
+    never do.
     """
     if directive is None:
         return
@@ -740,8 +652,6 @@ def _apply_worker_directive(
     if action == "stall":
         time.sleep(seconds)
     elif action == "crash":
-        if process:
-            os._exit(13)
         raise FaultError("worker_crash", chunk_id, "injected worker crash")
 
 
@@ -750,62 +660,17 @@ def _filter_task(
     covered: Sequence[Sequence[bool]] | None,
     orders: Sequence[Sequence[int]],
     directive: tuple[str, float] | None,
-    frames: "Sequence[Frame] | _SharedFrames",
+    frames: Sequence[Frame],
 ) -> ChunkOutcome:
-    """The one task body, in a pool thread and a pool process alike.
-
-    Only a process worker receives :class:`_SharedFrames`; it attaches the
-    block, which the parent owns and unlinks once the chunk is merged (pool
-    workers share the parent's resource tracker, so the attach-side
-    registration is a harmless set-dedup).
-    """
-    shared = frames if isinstance(frames, _SharedFrames) else None
-    _apply_worker_directive(directive, chunk_id, process=shared is not None)
+    """The one task body a pool thread runs."""
+    _apply_worker_directive(directive, chunk_id)
     worker: _Worker = _SLOT.worker
     if hooks.sanitizer is not None:
         window = hooks.sanitizer.worker_window(chunk_id, id(worker.cascades))
     else:
         window = nullcontext()
-    block = None if shared is None else shared_memory.SharedMemory(name=shared.name)
-    try:
-        with window:
-            chunk = frames if shared is None else shared.frames(block)
-            return worker.filter_chunk(chunk_id, covered, orders, chunk)
-    finally:
-        if block is not None:
-            # Drop the views first: close() raises while one is alive (as
-            # it may be in an exception's traceback).
-            chunk = []
-            with suppress(BufferError):
-                block.close()
-
-
-def _process_payload(
-    cascades: Sequence[FilterCascade], assignments: Sequence[Sequence[int]]
-) -> bytes:
-    """The plan pickled for process workers: pre-flight and payload in one.
-
-    Only when pickling fails does the concurrency audit run (local import:
-    ``repro.analysis`` depends on the query AST package, which initialises
-    this module), to say why — a lambda or function-local check, an
-    unpicklable step — in one ``AnalysisError`` (a ``ValueError``) raised
-    before any worker process exists.
-    """
-    try:
-        return pickle.dumps((list(cascades), [list(row) for row in assignments]))
-    except Exception as error:
-        from repro.analysis import AnalysisError, Severity, audit_cascade
-
-        findings = [d for cascade in cascades for d in audit_cascade(cascade).diagnostics]
-        headline = "; ".join(
-            f"{d.code}: {d.message}" for d in findings if d.severity is Severity.ERROR
-        )
-        raise AnalysisError(
-            "backend='process' needs picklable, worker-safe cascades "
-            "(planner-built cascades are; hand-built lambda checks are "
-            f"not) — use backend='thread' instead [{headline}]",
-            diagnostics=tuple(findings),
-        ) from error
+    with window:
+        return worker.filter_chunk(chunk_id, covered, orders, frames)
 
 
 @dataclass(slots=True, eq=False)
@@ -814,8 +679,7 @@ class ChunkDispatch:
 
     ``orders`` are the step orders stamped at *original* submission time;
     a re-dispatch reuses them even if the adaptive profiler has moved on,
-    so a recovered run stays bit-identical to a fault-free one.  ``block``
-    is the shared-memory block a process-pool attempt ships the frames in.
+    so a recovered run stays bit-identical to a fault-free one.
     """
 
     chunk_id: int
@@ -824,7 +688,6 @@ class ChunkDispatch:
     covered: Sequence[Sequence[bool]] | None
     orders: Sequence[Sequence[int]]
     future: Future | None = None
-    block: shared_memory.SharedMemory | None = None
     generation: int = 0
     attempts: int = 0
 
@@ -832,13 +695,9 @@ class ChunkDispatch:
 class WorkerSupervisor:
     """Owns the filter worker pool and heals dead or stalled workers.
 
-    One ``concurrent.futures`` pool of ``num_workers`` workers, each holding
-    its own :class:`_Worker` (installed by :func:`_init_worker`) and running
-    :func:`_filter_task`.  The backend decides two things only: how the pool
-    is built (:meth:`_build_pool`) and how a chunk's frames travel — a
-    thread gets the frame references, a process one shared-memory block that
-    the supervisor creates at dispatch and releases at merge, on failure or
-    on discard.
+    One ``ThreadPoolExecutor`` of ``num_workers`` threads, each holding its
+    own :class:`_Worker` (installed by :func:`_init_worker`) and running
+    :func:`_filter_task` on the chunk's frame references.
 
     State machine per chunk (``supervise=True``)::
 
@@ -846,17 +705,18 @@ class WorkerSupervisor:
             |  ^
             |  +--redispatch (attempts <= max_redispatch)-+
             |                                             |
-            +--FaultError (thread worker crash) ----------+
-            +--BrokenExecutor (process worker death) -> respawn pool -+
+            +--FaultError (injected worker crash) --------+
+            +--BrokenExecutor (initializer failed) -> respawn pool -+
             +--timeout worker_timeout_seconds (stall) -> respawn pool -+
             |
             +--attempts exhausted--> FaultExhausted -> quarantine
 
-    The pool is respawned at most once per failure *generation*: a dead
-    process worker breaks every in-flight future of its pool at once, and
-    only the first observed failure pays the respawn — the siblings are
-    re-dispatched onto the already-fresh pool.  An unsupervised scan never
-    arms the timeout and propagates the first failure unchanged.
+    The pool is respawned at most once per failure *generation*: when one
+    failure breaks or wedges the pool, every sibling in flight on it fails
+    too, and only the first observed failure pays the respawn — the
+    siblings are re-dispatched onto the already-fresh pool.  An
+    unsupervised scan never arms the timeout and propagates the first
+    failure unchanged.
     """
 
     def __init__(
@@ -868,59 +728,27 @@ class WorkerSupervisor:
         self._config = config
         self._cascades = list(query_cascades)
         self._assignments = [list(row) for row in assignments]
-        # Pickled once per plan: every pool built for it ships these bytes.
-        self._payload = (
-            _process_payload(self._cascades, self._assignments)
-            if config.backend == "process"
-            else None
-        )
         self._pool = self._build_pool()
         self._generation = 0
         self.respawns = 0
         self.redispatches = 0
 
-    def _build_pool(self) -> Executor:
+    def _build_pool(self) -> ThreadPoolExecutor:
         """A fresh pool for the plan: the first build and every respawn."""
         workers = self._config.num_workers
-        if self._payload is None:
-            clones: queue.SimpleQueue[_Worker] = queue.SimpleQueue()
-            for worker_id in range(workers):
-                # A worker's cascades are deep-copied *together*, so filters
-                # shared across queries stay shared within the clone and the
-                # cross-query prediction cache keeps working.
-                clone = copy.deepcopy(self._cascades)
-                clones.put(_Worker(f"thread-{worker_id}", clone, self._assignments))
-            return ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="filter-worker",
-                initializer=_init_worker,
-                initargs=(clones,),
-            )
-        # Fork is the cheap path (no re-import, payload inherited) but is
-        # only reliably safe on Linux — macOS's Objective-C runtime aborts
-        # in forked children, which is why CPython's own default there is
-        # spawn.  Everywhere else, pay the spawn cost.
-        use_fork = sys.platform == "linux" and "fork" in get_all_start_methods()
-        # Start the parent's resource tracker before any worker exists, so
-        # every worker inherits it: the workers' attach-side shared-memory
-        # registrations then dedupe against the parent's create-side ones
-        # instead of spawning per-worker trackers that would try to clean up
-        # blocks the parent already unlinked.
-        try:
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - platform-specific
-            pass
-        pool = ProcessPoolExecutor(
+        clones: queue.SimpleQueue[_Worker] = queue.SimpleQueue()
+        for worker_id in range(workers):
+            # A worker's cascades are deep-copied *together*, so filters
+            # shared across queries stay shared within the clone and the
+            # cross-query prediction cache keeps working.
+            clone = copy.deepcopy(self._cascades)
+            clones.put(_Worker(f"thread-{worker_id}", clone, self._assignments))
+        return ThreadPoolExecutor(
             max_workers=workers,
-            mp_context=get_context("fork" if use_fork else "spawn"),
+            thread_name_prefix="filter-worker",
             initializer=_init_worker,
-            initargs=(self._payload,),
+            initargs=(clones,),
         )
-        # Spawn (or fork) every worker *now*, before any decode-ahead thread
-        # starts: forking after threads exist risks inheriting held locks.
-        for warmup in [pool.submit(os.getpid) for _ in range(workers)]:
-            warmup.result()
-        return pool
 
     def submit(
         self,
@@ -939,71 +767,43 @@ class WorkerSupervisor:
         entry.generation = self._generation
         directive = None
         if hooks.injector is not None:
-            # The one worker-fault site.  Crash/stall is decided here,
-            # parent-side (fork/spawn children hold stale schedule copies),
-            # and again on every re-dispatch: the schedule entry is consumed
-            # by then, so the re-dispatched attempt runs the chunk clean.
+            # The one worker-fault site.  Crash/stall is decided here, on
+            # the dispatching thread, and again on every re-dispatch: the
+            # schedule entry is consumed by then, so the re-dispatched
+            # attempt runs the chunk clean.
             directive = hooks.injector.worker_directive(entry.chunk_id)
         try:
-            frames = entry.frames if self._payload is None else self._share(entry)
             entry.future = self._pool.submit(
-                _filter_task, entry.chunk_id, entry.covered, entry.orders, directive, frames
+                _filter_task, entry.chunk_id, entry.covered, entry.orders, directive,
+                entry.frames,
             )
         except BrokenExecutor as error:
-            # A sibling's crash can break the pool before this chunk even
+            # A sibling's failure can break the pool before this chunk even
             # ships; same recovery path as a failed result.  ``_recover``
             # re-dispatches (or raises), so the chunk must not be submitted
-            # again here: a second submit would orphan the first one's
-            # shared-memory block and filter the chunk twice.
+            # again here: a second submit would filter the chunk twice.
             self._recover(entry, error, respawn=True)
-        except BaseException:
-            self._release(entry)
-            raise
-
-    @staticmethod
-    def _share(entry: ChunkDispatch) -> _SharedFrames:
-        """Copy a chunk's frames into a fresh shared-memory block (``entry.block``)."""
-        images = [frame.image for frame in entry.frames]
-        shape = (len(images),) + images[0].shape
-        dtype = images[0].dtype
-        if any(image.shape != images[0].shape or image.dtype != dtype for image in images):
-            raise ValueError("process backend needs uniform frame shapes per chunk")
-        entry.block = shared_memory.SharedMemory(
-            create=True, size=int(np.prod(shape)) * dtype.itemsize
-        )
-        stacked = np.ndarray(shape, dtype=dtype, buffer=entry.block.buf)
-        for k, image in enumerate(images):
-            stacked[k] = image
-        return _SharedFrames(entry.block.name, shape, dtype.name, tuple(entry.indices))
 
     def result(self, entry: ChunkDispatch) -> ChunkOutcome:
-        """Block for one chunk's outcome, healing failures in place.
-
-        Always releases the chunk's shared-memory block — success, failure
-        and exhaustion paths alike — so no segment outlives its merge point.
-        """
+        """Block for one chunk's outcome, healing failures in place."""
         timeout = (
             self._config.worker_timeout_seconds if self._config.supervise else None
         )
         while True:
             assert entry.future is not None
             try:
-                outcome = entry.future.result(timeout)
+                return entry.future.result(timeout)
             except FuturesTimeout as error:
                 self._recover(entry, error, respawn=True)
             except FaultError as error:
-                # A thread worker "crash": the pool itself is intact.
+                # An injected worker crash: the pool itself is intact.
                 self._recover(entry, error, respawn=False)
             except BrokenExecutor as error:
                 self._recover(entry, error, respawn=True)
-            else:
-                self._release(entry)
-                return outcome
 
     def _recover(
         self, entry: ChunkDispatch, error: BaseException, *, respawn: bool
     ) -> None:
-        self._release(entry)
         if not self._config.supervise:
             raise error
         if entry.attempts > self._config.max_redispatch:
@@ -1033,21 +833,13 @@ class WorkerSupervisor:
         old, self._pool = self._pool, self._build_pool()
         old.shutdown(wait=False, cancel_futures=True)
 
-    @staticmethod
-    def _release(entry: ChunkDispatch) -> None:
-        if entry.block is not None:
-            entry.block.close()
-            entry.block.unlink()
-            entry.block = None
-
     def discard(self, entry: ChunkDispatch) -> None:
-        """Teardown-path cleanup for a chunk that will never be merged."""
+        """Teardown-path wait for a chunk that will never be merged."""
         if entry.future is not None and not entry.future.cancel():
             try:
                 entry.future.result(self._config.worker_timeout_seconds)
             except Exception:  # pragma: no cover - teardown path
                 pass
-        self._release(entry)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
@@ -1064,9 +856,6 @@ def partition_chunks(indices: Sequence[int], chunk_size: int) -> list[list[int]]
     ]
 
 
-def _worker_sort_key(label: str) -> tuple:
-    """Numeric-aware ordering for worker labels (``thread-10`` after ``thread-2``)."""
-    prefix, _, suffix = label.rpartition("-")
-    if suffix.isdigit():
-        return (prefix, int(suffix))
-    return (label, -1)
+def _worker_sort_key(label: str) -> int:
+    """Numeric ordering for worker labels (``thread-10`` after ``thread-2``)."""
+    return int(label.rpartition("-")[2])

@@ -479,10 +479,10 @@ def _region_possible(
 class CountCheck:
     """Planned count check: every count predicate may hold within the tolerance.
 
-    A plain dataclass rather than a closure so planned cascades are
-    *picklable* — the process-backend parallel engine ships the whole cascade
-    (filters, steps, checks) to its workers once, which a lambda capture
-    would make impossible.
+    A frozen dataclass rather than a closure (lint INV001/INV002): every
+    filter worker thread runs a deep copy of the cascade and deduped steps
+    share one outcome, so a check must hold its values, not capture
+    planner locals.
     """
 
     predicates: tuple[CountPredicate, ...]
@@ -497,7 +497,7 @@ class CountCheck:
 
 @dataclass(frozen=True)
 class LocationCheck:
-    """Planned location check over spatial and region predicates (picklable, see :class:`CountCheck`)."""
+    """Planned location check over spatial and region predicates (a frozen value, see :class:`CountCheck`)."""
 
     spatial: tuple[SpatialPredicate, ...]
     regions: tuple[RegionPredicate, ...]

@@ -267,7 +267,7 @@ class ScanSession:
     pool with the engine's in-order merge (at most
     ``num_workers + PREFETCH_DEPTH`` chunks in flight; results, counters and
     clock history are identical to the inline path); the pool is built
-    at the first pushed chunk, or earlier by :meth:`start_workers`.  With
+    at the first pushed chunk.  With
     ``parallel.adaptive`` every query gets a
     :class:`~repro.query.parallel.CascadeProfiler` that re-plans its step
     order from observed pass rates.  ``temporal`` applies
@@ -473,26 +473,6 @@ class ScanSession:
             detector = [self.detector] if hasattr(self.detector, "clock") else []
             self._hold_clocks(self._distinct_filters + detector)
         self._plan_dirty = False
-
-    def start_workers(self) -> None:
-        """Build the worker pool of a ``parallel=`` session for the current plan.
-
-        The first pushed chunk does this by itself.  A caller about to start
-        threads of its own (the executor's decode-ahead) calls it first:
-        process workers must fork before any such thread exists (a fork
-        after threads can inherit held locks).  A session that is never
-        pushed a chunk (a gated or empty one-shot scan) never has workers.
-        """
-        self._ensure_plan()
-        if (
-            self._backend is None
-            and self._parallel is not None
-            and self._active
-            and not self._closed
-        ):
-            self._backend = WorkerSupervisor(
-                self._parallel, self._active_cascades, self._assignments
-            )
 
     def _hold_clocks(self, wanted: list[Any]) -> None:
         """Make exactly ``wanted`` charge ``self.clock``: plan, re-plan and close."""
@@ -754,8 +734,11 @@ class ScanSession:
 
     # -- parallel path --------------------------------------------------
     def _push_parallel(self, frames: list[Frame]) -> None:
-        self.start_workers()
-        assert self._parallel is not None and self._backend is not None
+        assert self._parallel is not None
+        if self._backend is None:
+            self._backend = WorkerSupervisor(
+                self._parallel, self._active_cascades, self._assignments
+            )
         chunk = [frame.index for frame in frames]
         covered = [
             [self._states[sid].covers(index) for index in chunk] for sid in self._active
@@ -813,7 +796,7 @@ class ScanSession:
                 outcome = self._backend.result(entry)
             except FaultExhausted as error:
                 # Poisoned chunk: supervision re-dispatched it to the limit.
-                # The block is already released; quarantine and keep merging.
+                # Quarantine and keep merging.
                 self._quarantine(entry.frames, error)
         if hooks.sanitizer is not None:
             hooks.sanitizer.observe_chunk(chunk_id, entry, outcome)

@@ -1,15 +1,12 @@
 """End-to-end analyzer integration: parser spans, lint threading, the
-provably-empty zero-frame short circuit, elimination parity, and the
-process-backend pre-flight.
+provably-empty zero-frame short circuit and elimination parity.
 
 The headline guarantees under test:
 
 * a provably-contradictory query executes with ZERO frames rendered (counted
   by wrapping ``stream.frame``), alone and inside ``execute_many``;
 * analyzer-driven step elimination is invisible in the results — the
-  optimized plan matches the raw ``analyze=False`` plan frame for frame;
-* the process backend rejects unpicklable cascades *before* any worker
-  spawns, with structured CC diagnostics attached.
+  optimized plan matches the raw ``analyze=False`` plan frame for frame.
 """
 
 from __future__ import annotations
@@ -26,9 +23,6 @@ from repro.analysis import (
 from repro.aggregates.windows import HoppingWindow
 from repro.detection import ReferenceDetector
 from repro.query import (
-    CascadeStep,
-    FilterCascade,
-    ParallelConfig,
     ParseError,
     PlannerConfig,
     QueryBuilder,
@@ -276,31 +270,3 @@ def test_eliminated_windowed_plan_matches_raw_plan(planner, executor, tiny_jacks
     assert [w.num_matches for w in opt_result.windows] == [
         w.num_matches for w in raw_result.windows
     ]
-
-
-# ---------------------------------------------------------------------------
-# Process-backend pre-flight
-# ---------------------------------------------------------------------------
-
-
-def test_process_backend_preflight_reports_cc_codes(
-    executor, tiny_jackson, trained_od_filter
-):
-    cascade = FilterCascade(
-        steps=[
-            CascadeStep(
-                name="lambda-step",
-                frame_filter=trained_od_filter,
-                check=lambda prediction: True,
-            )
-        ]
-    )
-    with pytest.raises(AnalysisError) as excinfo:
-        executor.execute(
-            live_query("unpicklable"),
-            tiny_jackson.test,
-            cascade,
-            parallel=ParallelConfig(num_workers=2, backend="process"),
-        )
-    assert "thread" in str(excinfo.value)
-    assert any(d.code == "CC002" for d in excinfo.value.diagnostics)

@@ -224,7 +224,7 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     assert len(prefetchers) == 2
 
     # ``parallel=`` keeps its own prefetcher: PREFETCH_THREADS, capped by workers.
-    config = ParallelConfig(num_workers=2, backend="thread", chunk_size=8)
+    config = ParallelConfig(num_workers=2, chunk_size=8)
     runner.execute(query, stream, cascade, parallel=config)
     runner.execute(query, stream, cascade, batch_size=len(stream), parallel=config)
     assert prefetchers[2:] == [(2 * 8, 2), (2 * len(stream), 2)]

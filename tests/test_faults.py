@@ -235,9 +235,6 @@ def test_with_retry_exhaustion_raises_with_attempt_count():
     assert excinfo.value.attempts == 3
     report = injector.report()
     assert (report.retries, report.recovered, report.exhausted) == (3, 0, 1)
-    # FaultExhausted must cross process boundaries intact.
-    clone = pickle.loads(pickle.dumps(excinfo.value))
-    assert (clone.site, clone.key, clone.attempts) == ("filter", 3, 3)
 
 
 def test_with_retry_never_retries_genuine_errors():
@@ -660,14 +657,9 @@ def test_gated_filter_fault_recovers_bit_identical(cars_workload, tiny_jackson, 
 # Golden fault-site tests: worker crash / stall under supervision
 # ----------------------------------------------------------------------
 @pytest.mark.parallel
-@pytest.mark.parametrize("backend", ("thread", "process"))
-def test_supervised_worker_crash_is_bit_identical(
-    cars_workload, tiny_jackson, backend
-):
+def test_supervised_worker_crash_is_bit_identical(cars_workload, tiny_jackson):
     queries, cascades = cars_workload
-    parallel = ParallelConfig(
-        num_workers=2, backend=backend, chunk_size=8, supervise=True
-    )
+    parallel = ParallelConfig(num_workers=2, chunk_size=8, supervise=True)
     baseline = _executor(tiny_jackson).execute_many(
         queries, tiny_jackson.test, cascades, parallel=parallel
     )
@@ -679,9 +671,8 @@ def test_supervised_worker_crash_is_bit_identical(
     report = faulted[0].stats.faults
     assert report.by_site() == {"worker_crash": 1}
     assert report.redispatches >= 1
-    if backend == "process":
-        # A dead process breaks the pool; the supervisor must respawn it.
-        assert report.respawns >= 1
+    # An injected crash leaves the thread pool intact: nothing is respawned.
+    assert report.respawns == 0
     assert report.quarantined == ()
     assert injector.unfired() == ()
 
@@ -693,7 +684,6 @@ def test_supervised_worker_stall_is_respawned_bit_identical(
     queries, cascades = cars_workload
     parallel = ParallelConfig(
         num_workers=2,
-        backend="thread",
         chunk_size=8,
         supervise=True,
         worker_timeout_seconds=0.25,
@@ -717,7 +707,7 @@ def test_supervised_worker_stall_is_respawned_bit_identical(
 @pytest.mark.parallel
 def test_unsupervised_scan_fails_fast(cars_workload, tiny_jackson):
     queries, cascades = cars_workload
-    parallel = ParallelConfig(num_workers=2, backend="thread", chunk_size=8)
+    parallel = ParallelConfig(num_workers=2, chunk_size=8)
     with FaultInjector(schedule={("worker_crash", 0): 1}):
         with pytest.raises(FaultError):
             _executor(tiny_jackson).execute_many(
@@ -732,7 +722,6 @@ def test_worker_redispatch_exhaustion_quarantines_chunk(
     queries, cascades = cars_workload
     parallel = ParallelConfig(
         num_workers=2,
-        backend="thread",
         chunk_size=8,
         supervise=True,
         max_redispatch=1,
@@ -756,9 +745,8 @@ def test_worker_redispatch_exhaustion_quarantines_chunk(
 
 
 @pytest.mark.parallel
-@pytest.mark.parametrize("backend", ("thread", "process"))
 def test_worker_chunk_ids_stay_partition_positions_past_an_undecodable_chunk(
-    cars_workload, tiny_jackson, backend
+    cars_workload, tiny_jackson
 ):
     """``worker_crash@k`` keys partition chunk ``k`` even when chunk ``k-1``
     was set aside before it reached a worker."""
@@ -773,9 +761,7 @@ def test_worker_chunk_ids_stay_partition_positions_past_an_undecodable_chunk(
         inline = _executor(tiny_jackson).execute_many(
             queries, stream, cascades, batch_size=chunk_size
         )
-    parallel = ParallelConfig(
-        num_workers=2, backend=backend, chunk_size=chunk_size, supervise=True
-    )
+    parallel = ParallelConfig(num_workers=2, chunk_size=chunk_size, supervise=True)
     with FaultInjector(
         schedule={**decode, ("worker_crash", last): 1}, retry=retry
     ) as injector:
@@ -832,7 +818,7 @@ def test_worker_submission_that_gives_up_still_consumes_its_chunk_id(
     )
     queries, cascades = cars_workload
     parallel = ParallelConfig(
-        num_workers=2, backend="thread", chunk_size=8, supervise=True, max_redispatch=0
+        num_workers=2, chunk_size=8, supervise=True, max_redispatch=0
     )
     with FaultInjector(schedule={}):
         faulted = _executor(tiny_jackson).execute_many(
@@ -846,24 +832,19 @@ def test_worker_submission_that_gives_up_still_consumes_its_chunk_id(
 def test_broken_worker_submit_is_redispatched_exactly_once(monkeypatch):
     """Regression: a ``submit`` that raised ``BrokenExecutor`` was recovered
     (re-dispatched) and then submitted *again* by the dispatch loop, which
-    orphaned the first re-dispatch's shared-memory block and filtered the
-    chunk twice."""
+    filtered the chunk twice."""
     from concurrent.futures import BrokenExecutor, Executor, Future
-    from multiprocessing import shared_memory
-
-    import numpy as np
 
     from repro.query.parallel import WorkerSupervisor
-    from repro.video.stream import Frame
 
-    shipped: list[str] = []  # every attempt's block, the failed one included
+    attempts: list[int] = []  # every attempt's chunk id, the failed one included
     submitted: list[int] = []
 
     class StubPool(Executor):
         broken = True  # only the very first submit, on the first pool, fails
 
         def submit(self, task, chunk_id, covered, orders, directive, frames):
-            shipped.append(frames.name)
+            attempts.append(chunk_id)
             if StubPool.broken:
                 StubPool.broken = False
                 raise BrokenExecutor("pool broken by a sibling's crash")
@@ -872,61 +853,16 @@ def test_broken_worker_submit_is_redispatched_exactly_once(monkeypatch):
             future.set_result("outcome")
             return future
 
-    def live(name):
-        try:
-            shared_memory.SharedMemory(name=name).close()
-        except FileNotFoundError:
-            return False
-        return True
-
     monkeypatch.setattr(WorkerSupervisor, "_build_pool", lambda supervisor: StubPool())
-    config = ParallelConfig(
-        num_workers=2, backend="process", supervise=True, max_redispatch=2
-    )
+    config = ParallelConfig(num_workers=2, supervise=True, max_redispatch=2)
     supervisor = WorkerSupervisor(config, [], [])
-    frames = [
-        Frame(index=k, image=np.full((2, 2, 3), k, dtype=np.uint8), ground_truth=None)
-        for k in (0, 1)
-    ]
-    entry = supervisor.submit(0, [0, 1], frames, None, [])
-    assert submitted == [0] and [live(name) for name in shipped] == [False, True]
-    assert entry.block is not None and entry.block.name == shipped[-1]
+    entry = supervisor.submit(0, [0, 1], [], None, [])
+    assert attempts == [0, 0] and submitted == [0]
     # One failed attempt plus its one re-dispatch, onto a respawned pool.
     assert entry.attempts == 2
     assert supervisor.redispatches == 1 and supervisor.respawns == 1
     assert supervisor.result(entry) == "outcome"
-    assert entry.block is None and not any(live(name) for name in shipped)
     supervisor.close()
-
-
-@pytest.mark.parallel
-def test_process_worker_respawn_pickles_the_plan_once(
-    cars_workload, tiny_jackson, monkeypatch
-):
-    """The process pre-flight is the payload's one pickle, per plan: a
-    respawned pool ships the same bytes instead of auditing and pickling the
-    cascades again."""
-    from repro.query import parallel as parallel_module
-
-    payload = parallel_module._process_payload
-    calls: list[int] = []
-
-    def spy(cascades, assignments):
-        calls.append(len(cascades))
-        return payload(cascades, assignments)
-
-    monkeypatch.setattr(parallel_module, "_process_payload", spy)
-    queries, cascades = cars_workload
-    parallel = ParallelConfig(
-        num_workers=2, backend="process", chunk_size=8, supervise=True
-    )
-    with FaultInjector(schedule={("worker_crash", 1): 1}) as injector:
-        faulted = _executor(tiny_jackson).execute_many(
-            queries, tiny_jackson.test, cascades, parallel=parallel
-        )
-    assert injector.unfired() == ()
-    assert faulted[0].stats.faults.respawns >= 1
-    assert calls == [1]
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ reset.
 
 from __future__ import annotations
 
-import pickle
 import queue
 import sys
 import threading
@@ -51,11 +50,9 @@ def test_unknown_slot_is_rejected():
 
 
 def test_a_pool_worker_consults_neither_slot():
-    """A forked worker inherits copies of both slots; the one pool
-    initializer empties them when it installs a process worker (only the
-    injector used to be cleared, so a worker under ``sanitize="determinism"``
-    ran the parent's session on every charge) and leaves them alone for a
-    thread worker, which shares the parent's."""
+    """The pool initializer installs the thread's worker and touches neither
+    slot: a pool thread shares the installer's sanitizer and injector, so
+    clearing them there would switch both off for the whole scan."""
     clones: queue.SimpleQueue = queue.SimpleQueue()
     clone = parallel._Worker("thread-0", [], [])
     clones.put(clone)
@@ -66,9 +63,6 @@ def test_a_pool_worker_consults_neither_slot():
         parallel._init_worker(clones)
         assert parallel._SLOT.worker is clone
         assert hooks.sanitizer is sanitizer and hooks.injector is injector
-        parallel._init_worker(pickle.dumps(([], [])))
-        assert parallel._SLOT.worker.label.startswith("pid-")
-        assert hooks.sanitizer is None and hooks.injector is None
     finally:
         hooks.reset()
         del parallel._SLOT.worker

@@ -1,4 +1,4 @@
-"""The invariant lint itself: clean on the tree, and INV007 / INV011 / INV012 / INV013 bite."""
+"""The invariant lint itself: clean on the tree, and INV007 / INV011 / INV012 bite."""
 
 from __future__ import annotations
 
@@ -149,47 +149,6 @@ def test_inv011_reports_a_second_construction_site(lint):
     assert findings[0].startswith(
         "INV011 sample.py:5: FramePrefetcher constructed outside decode_ahead"
     )
-
-
-def _inv013(lint, source: str) -> list[str]:
-    (site,) = [site for site in lint.SOLE_CONSTRUCTION_SITES if site[0] == "INV013"]
-    return lint.construction_findings(ast.parse(textwrap.dedent(source)), "sample.py", site)
-
-
-def test_inv013_accepts_the_one_pool_building_method(lint):
-    assert _inv013(
-        lint,
-        """
-        class WorkerSupervisor:
-            def __init__(self, config):
-                self._pool = self._build_pool()
-
-            def _build_pool(self):
-                return ProcessPoolExecutor(max_workers=2, initializer=_init_worker)
-
-            def _respawn(self):
-                old, self._pool = self._pool, self._build_pool()
-                old.shutdown(wait=False)
-        """,
-    ) == []
-
-
-def test_inv013_reports_a_second_pool_build_site(lint):
-    findings = _inv013(
-        lint,
-        """
-        import concurrent.futures
-
-        class WorkerSupervisor:
-            def _respawn(self):
-                self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=2)
-        """,
-    )
-    assert len(findings) == 1
-    assert findings[0].startswith(
-        "INV013 sample.py:6: ProcessPoolExecutor constructed outside _build_pool"
-    )
-
 
 
 def _inv012(lint, source: str) -> list[str]:

@@ -98,7 +98,7 @@ SCAN_MODES = {
     "per_frame": {},
     "chunked": {"batch_size": 7},
     "temporal": {"temporal": TemporalConfig(exact=True, max_stride=8)},
-    "parallel": {"parallel": ParallelConfig(num_workers=2, backend="thread", chunk_size=8)},
+    "parallel": {"parallel": ParallelConfig(num_workers=2, chunk_size=8)},
 }
 
 

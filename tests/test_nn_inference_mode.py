@@ -191,8 +191,8 @@ def test_conv2d_reuses_im2col_buffer_across_eval_calls(rng):
 
 
 def test_conv2d_scratch_stays_out_of_pickles_and_deep_copies(rng):
-    """The thread backend deep-copies cascades per worker and the process
-    backend pickles them; neither should ship megabytes of im2col scratch."""
+    """Each filter worker thread deep-copies the cascade; neither that copy
+    nor a pickle should carry megabytes of im2col scratch."""
     conv = Conv2D(3, 8, kernel_size=3, padding=1, seed=0)
     conv.training = False
     fresh = len(pickle.dumps(conv))

@@ -1,9 +1,8 @@
 """Parallel pipelined execution engine: parity, re-planning, infrastructure.
 
 The engine's core promise is *bit-identical output under concurrency*: for
-every execution path (plain, windowed, multi-query, temporal-exact) and both
-backends (thread, process), running with ``ParallelConfig`` must return
-exactly the frames, windows and work counters of the sequential path.  The
+every execution path (plain, windowed, multi-query, temporal-exact),
+running with ``ParallelConfig`` must return exactly the frames, windows and work counters of the sequential path.  The
 adaptive re-planner's promise is weaker on costs but equally strict on
 output: reorders change where filter milliseconds go, never which frames
 match, and every reorder leaves a ``PlanRevision`` trace.
@@ -34,9 +33,6 @@ from repro.query import (
 from repro.aggregates.monitor import AggregateQuerySpec
 
 pytestmark = pytest.mark.parallel
-
-BACKENDS = ("thread", "process")
-
 
 # ----------------------------------------------------------------------
 # Fixtures
@@ -90,10 +86,9 @@ def assert_same_result(parallel_result, baseline_result):
 
 
 # ----------------------------------------------------------------------
-# Bit-identical parity, both backends, all paths
+# Bit-identical parity, all paths
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parity_plain(tiny_jackson, stream, planner, backend):
+def test_parity_plain(tiny_jackson, stream, planner):
     query = mixed_query()
     cascade = planner.plan(query)
     baseline = executor(tiny_jackson).execute(query, stream, cascade, batch_size=8)
@@ -101,17 +96,15 @@ def test_parity_plain(tiny_jackson, stream, planner, backend):
         query,
         stream,
         cascade,
-        parallel=ParallelConfig(num_workers=4, backend=backend, chunk_size=8),
+        parallel=ParallelConfig(num_workers=4, chunk_size=8),
     )
     assert_same_result(parallel, baseline)
     assert parallel.stats.parallel is not None
-    assert parallel.stats.parallel.backend == backend
     assert parallel.stats.parallel.num_chunks == -(-len(stream) // 8)
     assert parallel.stats.plan_revisions == ()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parity_windowed(tiny_jackson, stream, planner, backend):
+def test_parity_windowed(tiny_jackson, stream, planner):
     query = windowed_query()
     cascade = planner.plan(query)
     baseline = executor(tiny_jackson).execute(query, stream, cascade, batch_size=8)
@@ -119,14 +112,13 @@ def test_parity_windowed(tiny_jackson, stream, planner, backend):
         query,
         stream,
         cascade,
-        parallel=ParallelConfig(num_workers=3, backend=backend, chunk_size=8),
+        parallel=ParallelConfig(num_workers=3, chunk_size=8),
     )
     assert baseline.windows  # the query really is windowed
     assert_same_result(parallel, baseline)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parity_multi_query(tiny_jackson, stream, planner, backend):
+def test_parity_multi_query(tiny_jackson, stream, planner):
     queries = [mixed_query("q0"), count_query("q1"), windowed_query("q2")]
     cascades = [planner.plan(query) for query in queries]
     baseline = executor(tiny_jackson).execute_many(
@@ -136,7 +128,7 @@ def test_parity_multi_query(tiny_jackson, stream, planner, backend):
         queries,
         stream,
         cascades,
-        parallel=ParallelConfig(num_workers=4, backend=backend, chunk_size=8),
+        parallel=ParallelConfig(num_workers=4, chunk_size=8),
     )
     for parallel_result, baseline_result in zip(parallel, baseline):
         assert_same_result(parallel_result, baseline_result)
@@ -151,8 +143,7 @@ def test_parity_multi_query(tiny_jackson, stream, planner, backend):
     assert parallel.shared.parallel.num_workers == 4
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parity_temporal_exact(tiny_jackson, stream, planner, backend):
+def test_parity_temporal_exact(tiny_jackson, stream, planner):
     query = count_query("temporal")
     cascade = planner.plan(query)
     temporal = TemporalConfig(
@@ -165,7 +156,7 @@ def test_parity_temporal_exact(tiny_jackson, stream, planner, backend):
         stream,
         cascade,
         temporal=temporal,
-        parallel=ParallelConfig(num_workers=2, backend=backend, chunk_size=8),
+        parallel=ParallelConfig(num_workers=2, chunk_size=8),
     )
     # Temporal-exact composes with parallel prefetch: identical to both the
     # temporal baseline and the plain scan.
@@ -178,8 +169,7 @@ def test_parity_temporal_exact(tiny_jackson, stream, planner, backend):
     assert parallel.stats.parallel.cost.per_worker == ()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parity_temporal_multi_query(tiny_jackson, stream, planner, backend):
+def test_parity_temporal_multi_query(tiny_jackson, stream, planner):
     queries = [count_query("t0"), windowed_query("t1")]
     cascades = [planner.plan(query) for query in queries]
     temporal = TemporalConfig(
@@ -193,7 +183,7 @@ def test_parity_temporal_multi_query(tiny_jackson, stream, planner, backend):
         stream,
         cascades,
         temporal=temporal,
-        parallel=ParallelConfig(num_workers=2, backend=backend),
+        parallel=ParallelConfig(num_workers=2),
     )
     for parallel_result, baseline_result in zip(parallel, baseline):
         assert parallel_result.matched_frames == baseline_result.matched_frames
@@ -243,10 +233,8 @@ ADAPTIVE = dict(
 )
 
 
-def adaptive_config(backend="thread", **overrides):
-    return ParallelConfig(
-        num_workers=2, backend=backend, chunk_size=8, **{**ADAPTIVE, **overrides}
-    )
+def adaptive_config(**overrides):
+    return ParallelConfig(num_workers=2, chunk_size=8, **{**ADAPTIVE, **overrides})
 
 
 def test_adaptive_parity_plain_and_windowed(tiny_jackson, stream, planner):
@@ -329,18 +317,17 @@ def misestimated_cascade(trained_od_filter, trained_od_cof) -> FilterCascade:
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_misestimated_cascade_triggers_revision(
-    tiny_jackson, stream, trained_od_filter, trained_od_cof, backend
+    tiny_jackson, stream, trained_od_filter, trained_od_cof
 ):
     query = count_query("mis")
     cascade = misestimated_cascade(trained_od_filter, trained_od_cof)
     static = executor(tiny_jackson).execute(
         query, stream, cascade,
-        parallel=ParallelConfig(num_workers=2, backend=backend, chunk_size=8),
+        parallel=ParallelConfig(num_workers=2, chunk_size=8),
     )
     adaptive = executor(tiny_jackson).execute(
-        query, stream, cascade, parallel=adaptive_config(backend=backend)
+        query, stream, cascade, parallel=adaptive_config()
     )
     # The reorder is observable...
     assert len(adaptive.stats.plan_revisions) >= 1
@@ -438,7 +425,7 @@ def test_per_worker_cost_report(tiny_jackson, stream, planner):
     assert 1 <= report.num_workers <= 3
     merged = merge_worker_breakdowns(report.per_worker)
     # The workers' merged filter cost is exactly the run's filter cost:
-    # total cost minus the detector's share, which the main process charged.
+    # total cost minus the detector's share, which the merge thread charged.
     detector_name = "mask_rcnn"
     expected = {
         name: calls
@@ -500,61 +487,9 @@ def test_parallel_simulated_cost_is_bit_stable_run_to_run(tiny_jackson, stream, 
     )
 
 
-def test_process_backend_rejects_unpicklable_cascade(tiny_jackson, stream, trained_od_filter):
-    cascade = FilterCascade(
-        steps=[
-            CascadeStep(
-                name="lambda-step",
-                frame_filter=trained_od_filter,
-                check=lambda prediction: True,
-            )
-        ]
-    )
-    with pytest.raises(ValueError, match="thread"):
-        executor(tiny_jackson).execute(
-            count_query("unpicklable"),
-            stream,
-            cascade,
-            parallel=ParallelConfig(num_workers=2, backend="process"),
-        )
-
-
-def test_process_backend_names_cc002_before_any_worker_starts(
-    tiny_jackson, stream, trained_od_filter, monkeypatch
-):
-    """The payload's one pickle is the pre-flight: when it fails, the audit
-    says why and the scan stops before a pool exists."""
-    from repro.analysis import AnalysisError
-    from repro.query import parallel as parallel_module
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker process was started")
-
-    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", no_pool)
-    cascade = FilterCascade(
-        steps=[
-            CascadeStep(
-                name="lambda-step",
-                frame_filter=trained_od_filter,
-                check=lambda prediction: True,
-            )
-        ]
-    )
-    with pytest.raises(AnalysisError, match="CC002") as excinfo:
-        executor(tiny_jackson).execute(
-            count_query("lambda"),
-            stream,
-            cascade,
-            parallel=ParallelConfig(num_workers=2, backend="process"),
-        )
-    assert [d.code for d in excinfo.value.diagnostics] == ["CC002"]
-
-
 def test_parallel_config_validation():
     with pytest.raises(ValueError):
         ParallelConfig(num_workers=0)
-    with pytest.raises(ValueError):
-        ParallelConfig(backend="gpu")
     with pytest.raises(ValueError):
         ParallelConfig(chunk_size=0)
     with pytest.raises(ValueError):
@@ -691,7 +626,7 @@ def test_chunk_failure_does_not_leak_prefetch_threads(
 ):
     query = count_query()
     faulty = _FaultyStream(stream, fail_at=fail_at)
-    config = ParallelConfig(num_workers=2, backend="thread", chunk_size=8)
+    config = ParallelConfig(num_workers=2, chunk_size=8)
     with pytest.raises(RuntimeError, match="injected decode failure"):
         executor(tiny_jackson).execute(query, faulty, planner.plan(query), parallel=config)
     assert _live_prefetch_threads() == []
@@ -717,7 +652,7 @@ def test_execute_many_chunk_failure_does_not_leak_prefetch_threads(
     queries = [count_query("q0"), mixed_query("q1")]
     cascades = [planner.plan(query) for query in queries]
     faulty = _FaultyStream(stream, fail_at=25)
-    config = ParallelConfig(num_workers=2, backend="thread", chunk_size=8)
+    config = ParallelConfig(num_workers=2, chunk_size=8)
     spec = AggregateQuerySpec.from_query(queries[0], [lambda prediction: 1.0])
     runner = executor(tiny_jackson)
     for run in (

@@ -162,7 +162,7 @@ def no_work_allowed(counted_renders):
     [
         {},
         {"batch_size": 8},
-        {"parallel": ParallelConfig(num_workers=2, backend="thread", chunk_size=8)},
+        {"parallel": ParallelConfig(num_workers=2, chunk_size=8)},
         {"temporal": TemporalConfig(exact=True)},
     ],
     ids=["plain", "batched", "parallel", "temporal"],

@@ -65,14 +65,6 @@ def test_parse_sanitize_spec_accepts_all_forms():
         parse_sanitize_spec("rase")
 
 
-def test_parallel_config_rejects_in_process_modes_on_process_backend():
-    with pytest.raises(ValueError, match="process backend"):
-        ParallelConfig(num_workers=2, backend="process", sanitize="race")
-    # Determinism only digests merge-loop state in the parent process.
-    config = ParallelConfig(num_workers=2, backend="process", sanitize="determinism")
-    assert config.sanitize_modes == frozenset({"determinism"})
-
-
 def test_repro_sanitize_env_supplies_the_default(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "race,numeric")
     assert ParallelConfig(num_workers=2).sanitize_modes == frozenset(
@@ -82,10 +74,6 @@ def test_repro_sanitize_env_supplies_the_default(monkeypatch):
     assert ParallelConfig(num_workers=2, sanitize="determinism").sanitize_modes == (
         frozenset({"determinism"})
     )
-    # Incompatible env modes are dropped (not raised) for the process backend.
-    assert ParallelConfig(
-        num_workers=2, backend="process"
-    ).sanitize_modes == frozenset()
 
 
 def test_one_active_session_per_process():
@@ -307,7 +295,7 @@ def test_seeded_race_raises_rc003_under_sanitize_race(single_object_stream):
     stream = single_object_stream
     shared = _CloneResistantFilter(_grid_for(stream), delay_s=0.002)
     config = ParallelConfig(
-        num_workers=2, backend="thread", chunk_size=4, sanitize="race"
+        num_workers=2, chunk_size=4, sanitize="race"
     )
     with pytest.raises(AnalysisError) as excinfo:
         _executor(stream).execute(
@@ -318,7 +306,7 @@ def test_seeded_race_raises_rc003_under_sanitize_race(single_object_stream):
     # The same seeded defect passes silently with the sanitizer off.
     clean = _executor(stream).execute(
         _query(), stream, _always_pass_cascade(shared), parallel=ParallelConfig(
-            num_workers=2, backend="thread", chunk_size=4
+            num_workers=2, chunk_size=4
         )
     )
     assert clean.stats.sanitizer_report is None
@@ -327,7 +315,7 @@ def test_seeded_race_raises_rc003_under_sanitize_race(single_object_stream):
 def test_honest_filter_is_race_clean(single_object_stream):
     stream = single_object_stream
     config = ParallelConfig(
-        num_workers=2, backend="thread", chunk_size=4, sanitize="race,numeric"
+        num_workers=2, chunk_size=4, sanitize="race,numeric"
     )
     result = _executor(stream).execute(
         _query(), stream, _always_pass_cascade(_CheapFilter(_grid_for(stream))),
@@ -351,7 +339,7 @@ def test_thread_dependent_check_raises_rc004_under_determinism(single_object_str
         ]
     )
     config = ParallelConfig(
-        num_workers=2, backend="thread", chunk_size=8, sanitize="determinism"
+        num_workers=2, chunk_size=8, sanitize="determinism"
     )
     with pytest.raises(AnalysisError, match="RC004") as excinfo:
         _executor(stream).execute(_query(), stream, cascade, parallel=config)
@@ -361,7 +349,7 @@ def test_thread_dependent_check_raises_rc004_under_determinism(single_object_str
 def test_deterministic_scan_is_rc004_clean(single_object_stream):
     stream = single_object_stream
     config = ParallelConfig(
-        num_workers=2, backend="thread", chunk_size=8, sanitize="determinism"
+        num_workers=2, chunk_size=8, sanitize="determinism"
     )
     result = _executor(stream).execute(
         _query(), stream, _always_pass_cascade(_CheapFilter(_grid_for(stream))),
@@ -398,7 +386,7 @@ def test_determinism_reruns_each_chunk_under_its_dispatched_coverage(
     inline = run(batch_size=8)
     sanitized = run(
         parallel=ParallelConfig(
-            num_workers=2, backend="thread", chunk_size=8, sanitize="determinism"
+            num_workers=2, chunk_size=8, sanitize="determinism"
         )
     )
     assert sanitized.shared.sanitizer_report.ok
@@ -444,7 +432,7 @@ def test_determinism_digests_stay_aligned_past_a_quarantined_chunk(
 
     monkeypatch.setattr(SanitizerSession, "verify_determinism", spy)
     config = ParallelConfig(
-        num_workers=2, backend="thread", chunk_size=8, sanitize="determinism",
+        num_workers=2, chunk_size=8, sanitize="determinism",
         supervise=True, max_redispatch=max_redispatch,
     )
     with FaultInjector(schedule=schedule, retry=RetryPolicy(max_attempts=3)) as injector:
@@ -479,7 +467,7 @@ def test_nan_weights_raise_nu001_under_sanitize_numeric(single_object_stream):
         frame_height=frame.image.shape[0],
     )
     config = ParallelConfig(
-        num_workers=2, backend="thread", chunk_size=8, sanitize="numeric"
+        num_workers=2, chunk_size=8, sanitize="numeric"
     )
     with pytest.raises(AnalysisError, match="NU001") as excinfo:
         _executor(stream).execute(
@@ -507,7 +495,6 @@ def test_non_strict_scan_collects_findings_and_warns(single_object_stream):
     )
     config = ParallelConfig(
         num_workers=2,
-        backend="thread",
         chunk_size=8,
         sanitize="determinism",
         sanitize_strict=False,
@@ -527,7 +514,7 @@ def test_sanitize_none_keeps_parallel_parity_bit_identical(single_object_stream)
     baseline = _executor(stream).execute(_query(), stream, cascade, batch_size=8)
     result = _executor(stream).execute(
         _query(), stream, copy.deepcopy(cascade),
-        parallel=ParallelConfig(num_workers=2, backend="thread", chunk_size=8),
+        parallel=ParallelConfig(num_workers=2, chunk_size=8),
     )
     assert result.matched_frames == baseline.matched_frames
     assert (

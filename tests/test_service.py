@@ -226,7 +226,7 @@ def test_replay_parity_temporal_exact(workload, tiny_jackson):
 
 def test_replay_parity_parallel(workload, tiny_jackson):
     queries, cascades = workload
-    parallel = ParallelConfig(num_workers=2, backend="thread", chunk_size=16)
+    parallel = ParallelConfig(num_workers=2, chunk_size=16)
     via_service = _replay_through_service(
         queries,
         cascades,
@@ -245,12 +245,11 @@ def test_replay_parity_parallel(workload, tiny_jackson):
         _assert_result_parity(service_result, oneshot_result)
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
-def test_parallel_session_replay_matches_one_shot(workload, tiny_jackson, backend):
+def test_parallel_session_replay_matches_one_shot(workload, tiny_jackson):
     """One submit/merge loop: a live parallel session fed chunk by chunk and
     one-shot ``execute_many(parallel=...)`` merge the same chunks."""
     queries, cascades = workload
-    parallel = ParallelConfig(num_workers=2, backend=backend, chunk_size=16)
+    parallel = ParallelConfig(num_workers=2, chunk_size=16)
     one_shot = _one_shot(
         queries, cascades, tiny_jackson.test, tiny_jackson.class_names,
         parallel=parallel,
@@ -283,7 +282,7 @@ def test_closed_parallel_session_plans_without_a_backend(workload, tiny_jackson)
     queries, cascades = workload
     session = ScanSession(
         ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
-        parallel=ParallelConfig(num_workers=2, backend="thread", chunk_size=16),
+        parallel=ParallelConfig(num_workers=2, chunk_size=16),
     )
     session.add_query(queries[0], cascades[0])
     session.close()

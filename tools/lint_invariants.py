@@ -5,26 +5,30 @@ Checks structural invariants the test suite cannot see but the engine relies
 on.  Each rule prints ``INV0xx`` findings with file:line locations and the
 script exits non-zero when any rule is violated.
 
-* **INV001 — planner checks stay picklable frozen dataclasses.**  Every
-  ``*Check`` class in ``repro/query/planner.py`` must be decorated
-  ``@dataclass(frozen=True)``: the process backend ships cascade checks to
-  workers by pickling, and the concurrency analyzer (CC003) assumes frozen
-  value semantics.
+* **INV001 — planner checks stay frozen dataclasses.**  Every ``*Check``
+  class in ``repro/query/planner.py`` must be decorated
+  ``@dataclass(frozen=True)``: every filter worker thread runs its own deep
+  copy of the cascade, and deduped steps share one check's outcome across
+  queries, so a check must hold no state a call could change — then every
+  copy and every sharer decides alike.
 * **INV002 — no lambda checks in planner-built cascades.**  A ``check=``
-  keyword in ``repro/query/planner.py`` must not be a lambda or local
-  function (unpicklable by reference; breaks the process backend).
+  keyword in ``repro/query/planner.py`` must not be a lambda: a lambda
+  slips past INV001, closing over planner locals (a late-bound loop
+  variable decides for the last predicate only) instead of holding its
+  values frozen.
 * **INV003 — no frame mutation in worker paths.**  In the executor /
   parallel / temporal modules, nothing may assign to attributes or elements
-  of objects named ``frame`` / ``frames`` / ``images``: frames are shared
-  across queries and (for the process backend) live in shared memory, so a
-  mutation in one worker path corrupts every other reader.
+  of objects named ``frame`` / ``frames`` / ``images``: one rendered frame
+  is shared by every query of a scan, and a chunk's frames are read by a
+  filter worker thread while the merge thread and the decode-ahead window
+  still hold them, so a mutation in one path corrupts every other reader.
 * **INV004 — worker clocks are constructed in exactly one place.**  In
   ``repro/query/parallel.py``, ``SimulatedClock(...)`` may only be called
   inside ``_attach_worker_clock``: a clock constructed per chunk or inside a
   task function would silently drop simulated cost between merge points.
 * **INV005 — diagnostic codes and the README table stay in sync.**  Every
   code registered in ``repro/analysis/diagnostics.py`` must appear in
-  README.md (and no unregistered ``QA/PL/CC`` code may appear in the
+  README.md (and no unregistered ``QA/PL`` code may appear in the
   registry section of the README).
 * **INV006 — the shape-interpreter and sanitizer code families stay
   registered.**  The ``NN0xx`` (shape/dtype), ``RC0xx`` (race /
@@ -69,12 +73,6 @@ script exits non-zero when any rule is violated.
   ``repro.query.{executor,session,parallel,temporal,planner}``, absolutely
   or relatively: an oracle that shares its window partition or its cascade
   description with the engine checks the engine against itself.
-* **INV013 — worker process pools are built in exactly one place.**  In
-  ``repro/query/parallel.py``, ``ProcessPoolExecutor(...)`` may only be
-  called inside ``WorkerSupervisor._build_pool``, which both the first build
-  and every respawn call: a second site is how the two drift apart (start
-  method, resource tracker, initializer, warm-up).  Another row of
-  ``SOLE_CONSTRUCTION_SITES``.
 """
 
 from __future__ import annotations
@@ -105,15 +103,13 @@ ANALYZER_CODES = (
     "NU001", "NU002", "NU003",
 )
 
-#: constructors only one function may call (INV004, INV011, INV013):
+#: constructors only one function may call (INV004, INV011):
 #: (rule, constructor, that function, file or tree walked, why)
 SOLE_CONSTRUCTION_SITES = (
     ("INV004", "SimulatedClock", "_attach_worker_clock", SRC / "query" / "parallel.py",
      "per-chunk clocks drop simulated cost between merge points"),
     ("INV011", "FramePrefetcher", "decode_ahead", SRC,
      "a bare constructor is how a failed scan leaks decode-ahead threads"),
-    ("INV013", "ProcessPoolExecutor", "_build_pool", SRC / "query" / "parallel.py",
-     "the first pool and a respawned one must be built alike"),
 )
 
 #: the slots of repro/hooks.py (tests/test_lint_invariants.py holds the two
@@ -156,8 +152,8 @@ def check_planner_checks_frozen(findings: list[str]) -> None:
         if not any(_is_frozen_dataclass_decorator(d) for d in node.decorator_list):
             findings.append(
                 f"INV001 {PLANNER.relative_to(REPO)}:{node.lineno}: "
-                f"{node.name} must be a @dataclass(frozen=True) — planned "
-                "checks are pickled to process workers"
+                f"{node.name} must be a @dataclass(frozen=True) — every "
+                "worker's cascade copy and every deduped sharer must decide alike"
             )
 
 
@@ -170,8 +166,8 @@ def check_no_lambda_checks(findings: list[str]) -> None:
             if keyword.arg == "check" and isinstance(keyword.value, ast.Lambda):
                 findings.append(
                     f"INV002 {PLANNER.relative_to(REPO)}:{keyword.value.lineno}: "
-                    "planner passes a lambda as check= — unpicklable by "
-                    "reference; use a module-level frozen dataclass"
+                    "planner passes a lambda as check= — it closes over "
+                    "planner locals; use a module-level frozen dataclass"
                 )
 
 
