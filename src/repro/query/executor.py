@@ -202,7 +202,7 @@ class StreamingQueryExecutor:
                 detector_invocations=shared.detector_invocations,
                 filter_invocations=shared.filter_computations,
                 simulated_cost=shared.cost.shared,
-                batch_size=shared.batch_size if temporal is None else None,
+                batch_size=shared.batch_size,
                 parallel=shared.parallel,
                 sanitizer_report=shared.sanitizer_report,
             ),
@@ -438,7 +438,11 @@ class StreamingQueryExecutor:
         # ``None`` on every fault-free run; an installed injector still
         # yields a report (decode retries happen in the stream).
         fault_report = current_report(tuple(session.quarantined))
-        reported_batch_size = chunk_size if parallel is not None else batch_size
+        # A gated scan is sequential (``batch_size`` is None under
+        # ``temporal``), whatever ``parallel`` renders ahead for it.
+        reported_batch_size = (
+            chunk_size if parallel is not None and temporal is None else batch_size
+        )
         # One attributed breakdown per query, in registration order.
         results = [
             query_result(

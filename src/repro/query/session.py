@@ -61,8 +61,9 @@ run this module's accumulation code, both build a query's result with
 :func:`~repro.query.results.query_result` and count a window with
 :func:`~repro.query.results.window_result`, and window emission replicates
 ``HoppingWindow.windows_over`` semantics (including the
-at-most-one-truncated-tail rule).  ``tests/test_service.py`` asserts the
-parity on the plain, windowed, temporal-exact and parallel paths.
+at-most-one-truncated-tail rule).  The differential harness's service and
+checkpoint configs (``tests/test_differential.py``) assert the parity on the
+plain, windowed, temporal-exact and parallel paths.
 """
 
 from __future__ import annotations

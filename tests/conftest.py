@@ -19,6 +19,7 @@ from repro.video.objects import NAMED_COLORS
 from repro.video.renderer import FrameRenderer, RendererConfig
 from repro.video.scene import SceneConfig, SceneSimulator
 from repro.video.stream import VideoStream
+from tests.differential import Harness
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +52,12 @@ def trained_ic_filter(jackson_trainer):
 @pytest.fixture(scope="session")
 def trained_od_cof(jackson_trainer):
     return jackson_trainer.train_od_count_classifier()
+
+
+@pytest.fixture(scope="session")
+def harness(trained_od_filter, trained_od_cof):
+    """The differential harness over the session filters (``tests/differential.py``)."""
+    return Harness({"od": trained_od_filter, "od_cof": trained_od_cof})
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,10 @@ The batched execution engine must be a pure optimisation: identical matched
 frames, identical work counters and an identical simulated cost breakdown
 (call counts exactly; milliseconds up to float rounding, because a batched
 charge accumulates ``n * latency`` in one addition where the sequential path
-adds ``latency`` ``n`` times).  Selectivity-aware ordering likewise must not
-change which frames survive a conjunctive cascade.
+adds ``latency`` ``n`` times).  Scan-level parity across chunk sizes is the
+differential harness's (``tests/test_differential.py``); this module keeps
+the filter and backbone batch paths.  Selectivity-aware ordering likewise
+must not change which frames survive a conjunctive cascade.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.query import (
 from repro.query.planner import CascadeStep, FilterCascade
 from repro.spatial.grid import Grid
 from repro.video.stream import Frame
-from tests.conftest import reference_backbone_features, reference_cascade_walk
+from tests.conftest import reference_backbone_features
 
 
 @pytest.fixture(scope="module")
@@ -74,33 +76,6 @@ def _assert_parity(sequential, batched):
         assert batched_cost.per_component_ms[component] == pytest.approx(
             milliseconds, rel=1e-12
         )
-
-
-@pytest.mark.parametrize("chunk_size", [1, 7, None])
-def test_batched_execution_parity_across_chunk_sizes(
-    shared_filter_cascade, tiny_jackson, chunk_size
-):
-    query, cascade = shared_filter_cascade
-    indices = list(range(0, 50, 2))
-    if chunk_size is None:
-        chunk_size = len(indices)  # one chunk spanning the whole scan
-    sequential = _execute(query, cascade, tiny_jackson.test, indices, tiny_jackson.class_names)
-    batched = _execute(
-        query, cascade, tiny_jackson.test, indices, tiny_jackson.class_names,
-        batch_size=chunk_size,
-    )
-    assert sequential.stats.batch_size is None
-    assert batched.stats.batch_size == chunk_size
-    _assert_parity(sequential, batched)
-    # Every chunk size is the same loop, so parity alone would not notice a
-    # wrong loop: pin it to the independent per-frame walk as well.
-    matched, passed, invocations = reference_cascade_walk(
-        query, cascade, tiny_jackson.test, indices,
-        ReferenceDetector(class_names=tiny_jackson.class_names, seed=77),
-    )
-    assert batched.matched_frames == tuple(matched)
-    assert batched.stats.frames_passed_filters == len(passed)
-    assert batched.stats.filter_invocations == invocations
 
 
 def test_batched_execution_parity_with_empty_cascade(tiny_jackson):

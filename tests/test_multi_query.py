@@ -10,6 +10,8 @@ per frame.
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+
 import pytest
 
 from benchmarks.conftest import count_filter_frames
@@ -27,6 +29,7 @@ from repro.query import (
 from repro.query.parallel import ParallelConfig
 from repro.query.session import ScanSession
 from repro.query.temporal import TemporalConfig
+from tests.differential import normalize
 
 WINDOWED_TEXT = """
 SELECT cameraID, frameID
@@ -60,51 +63,23 @@ def workload(trained_od_filter):
     return queries, [planner.plan(query) for query in queries]
 
 
-@pytest.mark.parametrize("batch_size", [None, 1, 7, 64])
-def test_execute_many_parity_with_individual_execute(workload, tiny_jackson, batch_size):
-    queries, cascades = workload
-    multi = _executor(tiny_jackson.class_names).execute_many(
-        queries, tiny_jackson.test, cascades, batch_size=batch_size
-    )
-    assert len(multi) == len(queries)
-    for query, cascade, shared_result in zip(queries, cascades, multi):
-        solo = _executor(tiny_jackson.class_names).execute(
-            query, tiny_jackson.test, cascade, batch_size=batch_size
-        )
-        assert shared_result.query_name == query.name
-        assert shared_result.matched_frames == solo.matched_frames
-        assert shared_result.stats.frames_scanned == solo.stats.frames_scanned
-        assert shared_result.stats.frames_passed_filters == solo.stats.frames_passed_filters
-        assert shared_result.stats.detector_invocations == solo.stats.detector_invocations
-        assert shared_result.stats.filter_invocations == solo.stats.filter_invocations
-        # Attributed cost = what the query would have paid standalone.
-        assert (
-            shared_result.stats.simulated_cost.per_component_calls
-            == solo.stats.simulated_cost.per_component_calls
-        )
-        assert shared_result.stats.simulated_cost.total_ms == pytest.approx(
-            solo.stats.simulated_cost.total_ms
-        )
-        if query.window is not None:
-            assert shared_result.windows is not None
-            assert [
-                (w.bounds, w.matched_frames, w.stats) for w in shared_result.windows
-            ] == [(w.bounds, w.matched_frames, w.stats) for w in solo.windows]
-        else:
-            assert shared_result.windows is None
-
-
 SCAN_MODES = {
     "per_frame": {},
     "chunked": {"batch_size": 7},
     "temporal": {"temporal": TemporalConfig(exact=True, max_stride=8)},
     "parallel": {"parallel": ParallelConfig(num_workers=2, chunk_size=8)},
+    "temporal_parallel": {
+        "temporal": TemporalConfig(exact=True, max_stride=8),
+        "parallel": ParallelConfig(num_workers=2, chunk_size=8),
+    },
 }
 
 
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
 def test_execute_is_the_shared_scan_of_one_query(workload, tiny_jackson, mode):
-    """``execute(q)`` and ``execute_many([q])`` are one scan, reported two ways."""
+    """``execute(q)`` and ``execute_many([q])`` are one scan, reported two
+    ways: R3 of the differential harness (``tests/differential.py``).  A
+    gated scan reports no chunk size on either side, ``parallel=`` or not."""
     options = SCAN_MODES[mode]
     reused_frames = 0
     for query, cascade in zip(*workload):
@@ -116,15 +91,18 @@ def test_execute_is_the_shared_scan_of_one_query(workload, tiny_jackson, mode):
             [query], tiny_jackson.test, [cascade], **options
         )
         attributed, shared = many[0], many.shared
-        assert solo.matched_frames == attributed.matched_frames
-        assert solo.windows == attributed.windows
-        assert solo.stats.frames_scanned == attributed.stats.frames_scanned
-        assert solo.stats.frames_passed_filters == attributed.stats.frames_passed_filters
-        # Work actually performed, not what a standalone run would be charged.
-        assert solo.stats.filter_invocations == shared.filter_computations
-        assert solo.stats.detector_invocations == shared.detector_invocations
-        assert solo.temporal == shared.temporal
+        # The attributed record with the work actually performed, not what a
+        # standalone run would be charged; everything else equal.
+        performed = replace(
+            attributed.stats, filter_invocations=shared.filter_computations,
+            detector_invocations=shared.detector_invocations, simulated_cost=shared.cost.shared,
+            parallel=shared.parallel, sanitizer_report=shared.sanitizer_report,
+        )
+        expected = replace(attributed, stats=performed, temporal=shared.temporal)
+        assert normalize(asdict(solo)) == normalize(asdict(expected))
+        assert solo.stats.batch_size == shared.batch_size
         if "temporal" in options:
+            assert solo.stats.batch_size is None
             reused = solo.temporal.frames_reused + solo.temporal.frames_skipped
             reused_frames += reused
             assert (
@@ -270,25 +248,6 @@ def test_execute_many_with_planner_and_result_lookup(
             query, tiny_jackson.test, planner.plan(query), batch_size=16
         )
         assert result.matched_frames == solo.matched_frames
-
-
-def test_execute_many_brute_force_shares_detector(tiny_jackson):
-    """With no cascades every query runs brute force, but the detector still runs once per frame."""
-    queries = [
-        QueryBuilder("cars").count("car").at_least(1).build(),
-        QueryBuilder("people").count("person").at_least(1).build(),
-        QueryBuilder("both").count("car").at_least(1).count("person").at_least(1).build(),
-    ]
-    multi = _executor(tiny_jackson.class_names).execute_many(queries, tiny_jackson.test)
-    assert multi.shared.detector_invocations == len(tiny_jackson.test)
-    for query, result in zip(queries, multi):
-        solo = brute_force_execute(
-            query,
-            tiny_jackson.test,
-            ReferenceDetector(class_names=tiny_jackson.class_names, seed=77),
-        )
-        assert result.matched_frames == solo.matched_frames
-        assert result.stats.detector_invocations == solo.stats.detector_invocations
 
 
 def test_execute_many_validation(tiny_jackson, workload):

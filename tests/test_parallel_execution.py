@@ -1,11 +1,14 @@
-"""Parallel pipelined execution engine: parity, re-planning, infrastructure.
+"""Parallel pipelined execution engine: re-planning, cost, infrastructure.
 
 The engine's core promise is *bit-identical output under concurrency*: for
 every execution path (plain, windowed, multi-query, temporal-exact),
-running with ``ParallelConfig`` must return exactly the frames, windows and work counters of the sequential path.  The
+running with ``ParallelConfig`` must return exactly the frames, windows and
+work counters of the sequential path.  The differential harness's worker
+configs assert it (``tests/test_differential.py -m parallel``).  The
 adaptive re-planner's promise is weaker on costs but equally strict on
 output: reorders change where filter milliseconds go, never which frames
-match, and every reorder leaves a ``PlanRevision`` trace.
+match, and every reorder leaves a ``PlanRevision`` trace, which this
+module pins along with the worker cost report and the prefetcher.
 
 Run with ``pytest -m parallel`` (CI runs this module as its own job).
 """
@@ -70,157 +73,6 @@ def windowed_query(name="windowed"):
     return QueryBuilder(name).count("car").at_least(1).window(20, 10).build()
 
 
-def assert_same_result(parallel_result, baseline_result):
-    """Bit-identical output and work counters (costs equal to float rounding)."""
-    assert parallel_result.matched_frames == baseline_result.matched_frames
-    assert parallel_result.windows == baseline_result.windows
-    ps, bs = parallel_result.stats, baseline_result.stats
-    assert ps.frames_scanned == bs.frames_scanned
-    assert ps.frames_passed_filters == bs.frames_passed_filters
-    assert ps.detector_invocations == bs.detector_invocations
-    assert ps.filter_invocations == bs.filter_invocations
-    assert (
-        ps.simulated_cost.per_component_calls == bs.simulated_cost.per_component_calls
-    )
-    assert ps.simulated_cost.total_ms == pytest.approx(bs.simulated_cost.total_ms)
-
-
-# ----------------------------------------------------------------------
-# Bit-identical parity, all paths
-# ----------------------------------------------------------------------
-def test_parity_plain(tiny_jackson, stream, planner):
-    query = mixed_query()
-    cascade = planner.plan(query)
-    baseline = executor(tiny_jackson).execute(query, stream, cascade, batch_size=8)
-    parallel = executor(tiny_jackson).execute(
-        query,
-        stream,
-        cascade,
-        parallel=ParallelConfig(num_workers=4, chunk_size=8),
-    )
-    assert_same_result(parallel, baseline)
-    assert parallel.stats.parallel is not None
-    assert parallel.stats.parallel.num_chunks == -(-len(stream) // 8)
-    assert parallel.stats.plan_revisions == ()
-
-
-def test_parity_windowed(tiny_jackson, stream, planner):
-    query = windowed_query()
-    cascade = planner.plan(query)
-    baseline = executor(tiny_jackson).execute(query, stream, cascade, batch_size=8)
-    parallel = executor(tiny_jackson).execute(
-        query,
-        stream,
-        cascade,
-        parallel=ParallelConfig(num_workers=3, chunk_size=8),
-    )
-    assert baseline.windows  # the query really is windowed
-    assert_same_result(parallel, baseline)
-
-
-def test_parity_multi_query(tiny_jackson, stream, planner):
-    queries = [mixed_query("q0"), count_query("q1"), windowed_query("q2")]
-    cascades = [planner.plan(query) for query in queries]
-    baseline = executor(tiny_jackson).execute_many(
-        queries, stream, cascades, batch_size=8
-    )
-    parallel = executor(tiny_jackson).execute_many(
-        queries,
-        stream,
-        cascades,
-        parallel=ParallelConfig(num_workers=4, chunk_size=8),
-    )
-    for parallel_result, baseline_result in zip(parallel, baseline):
-        assert_same_result(parallel_result, baseline_result)
-    assert parallel.shared.frames_scanned == baseline.shared.frames_scanned
-    assert parallel.shared.detector_invocations == baseline.shared.detector_invocations
-    assert parallel.shared.filter_computations == baseline.shared.filter_computations
-    assert (
-        parallel.shared.cost.shared.per_component_calls
-        == baseline.shared.cost.shared.per_component_calls
-    )
-    assert parallel.shared.parallel is not None
-    assert parallel.shared.parallel.num_workers == 4
-
-
-def test_parity_temporal_exact(tiny_jackson, stream, planner):
-    query = count_query("temporal")
-    cascade = planner.plan(query)
-    temporal = TemporalConfig(
-        delta_threshold=30.0, max_stride=4, keyframe_interval=10, exact=True
-    )
-    plain = executor(tiny_jackson).execute(query, stream, cascade)
-    baseline = executor(tiny_jackson).execute(query, stream, cascade, temporal=temporal)
-    parallel = executor(tiny_jackson).execute(
-        query,
-        stream,
-        cascade,
-        temporal=temporal,
-        parallel=ParallelConfig(num_workers=2, chunk_size=8),
-    )
-    # Temporal-exact composes with parallel prefetch: identical to both the
-    # temporal baseline and the plain scan.
-    assert parallel.matched_frames == baseline.matched_frames == plain.matched_frames
-    assert parallel.temporal is not None
-    assert parallel.temporal.frames_total == baseline.temporal.frames_total
-    assert parallel.temporal.frames_reused == baseline.temporal.frames_reused
-    # Prefetch-only composition: no filter chunks ran on workers.
-    assert parallel.stats.parallel.num_chunks == 0
-    assert parallel.stats.parallel.cost.per_worker == ()
-
-
-def test_parity_temporal_multi_query(tiny_jackson, stream, planner):
-    queries = [count_query("t0"), windowed_query("t1")]
-    cascades = [planner.plan(query) for query in queries]
-    temporal = TemporalConfig(
-        delta_threshold=30.0, max_stride=4, keyframe_interval=10, exact=True
-    )
-    baseline = executor(tiny_jackson).execute_many(
-        queries, stream, cascades, temporal=temporal
-    )
-    parallel = executor(tiny_jackson).execute_many(
-        queries,
-        stream,
-        cascades,
-        temporal=temporal,
-        parallel=ParallelConfig(num_workers=2),
-    )
-    for parallel_result, baseline_result in zip(parallel, baseline):
-        assert parallel_result.matched_frames == baseline_result.matched_frames
-        assert parallel_result.windows == baseline_result.windows
-    assert parallel.shared.temporal.frames_reused == baseline.shared.temporal.frames_reused
-
-
-# ----------------------------------------------------------------------
-# Aggregate composition
-# ----------------------------------------------------------------------
-def test_aggregate_estimates_unchanged_by_parallel(tiny_jackson, stream, planner):
-    from repro.aggregates.controls import class_count_control
-
-    query = count_query("agg")
-    cascade = planner.plan(query)
-    spec = AggregateQuerySpec(
-        name="avg-cars",
-        exact_value=lambda detections: float(detections.count_of("car")),
-        control_values=[class_count_control("car")],
-    )
-    baseline = executor(tiny_jackson).execute_aggregate(
-        spec, stream, cascade, sample_size=20, repetitions=2, seed=7
-    )
-    parallel = executor(tiny_jackson).execute_aggregate(
-        spec,
-        stream,
-        cascade,
-        sample_size=20,
-        repetitions=2,
-        seed=7,
-        parallel=ParallelConfig(num_workers=2, chunk_size=8),
-    )
-    for parallel_report, baseline_report in zip(parallel.reports, baseline.reports):
-        assert parallel_report.plain.mean == baseline_report.plain.mean
-        assert parallel_report.control_variate.mean == baseline_report.control_variate.mean
-
-
 # ----------------------------------------------------------------------
 # Adaptive re-planning
 # ----------------------------------------------------------------------
@@ -235,48 +87,6 @@ ADAPTIVE = dict(
 
 def adaptive_config(**overrides):
     return ParallelConfig(num_workers=2, chunk_size=8, **{**ADAPTIVE, **overrides})
-
-
-def test_adaptive_parity_plain_and_windowed(tiny_jackson, stream, planner):
-    for query in (mixed_query("a0"), windowed_query("a1")):
-        cascade = planner.plan(query)
-        static = executor(tiny_jackson).execute(
-            query, stream, cascade,
-            parallel=ParallelConfig(num_workers=2, chunk_size=8),
-        )
-        adaptive = executor(tiny_jackson).execute(
-            query, stream, cascade, parallel=adaptive_config()
-        )
-        assert adaptive.matched_frames == static.matched_frames
-        assert adaptive.windows == static.windows
-
-
-def test_adaptive_parity_multi_query(tiny_jackson, stream, planner):
-    queries = [mixed_query("a2"), windowed_query("a3")]
-    cascades = [planner.plan(query) for query in queries]
-    static = executor(tiny_jackson).execute_many(
-        queries, stream, cascades,
-        parallel=ParallelConfig(num_workers=2, chunk_size=8),
-    )
-    adaptive = executor(tiny_jackson).execute_many(
-        queries, stream, cascades, parallel=adaptive_config()
-    )
-    for adaptive_result, static_result in zip(adaptive, static):
-        assert adaptive_result.matched_frames == static_result.matched_frames
-        assert adaptive_result.windows == static_result.windows
-
-
-def test_adaptive_parity_temporal(tiny_jackson, stream, planner):
-    query = mixed_query("a4")
-    cascade = planner.plan(query)
-    temporal = TemporalConfig(
-        delta_threshold=30.0, max_stride=4, keyframe_interval=10, exact=True
-    )
-    static = executor(tiny_jackson).execute(query, stream, cascade, temporal=temporal)
-    adaptive = executor(tiny_jackson).execute(
-        query, stream, cascade, temporal=temporal, parallel=adaptive_config()
-    )
-    assert adaptive.matched_frames == static.matched_frames
 
 
 class _PassEverything:
@@ -342,21 +152,6 @@ def test_misestimated_cascade_triggers_revision(
     # ...and never changes the output.
     assert adaptive.matched_frames == static.matched_frames
     assert static.stats.plan_revisions == ()
-
-
-def test_adaptive_revision_in_temporal_path(
-    tiny_jackson, stream, trained_od_filter, trained_od_cof
-):
-    query = count_query("mis-temporal")
-    cascade = misestimated_cascade(trained_od_filter, trained_od_cof)
-    temporal = TemporalConfig(delta_threshold=30.0, keyframe_interval=10, exact=True)
-    static = executor(tiny_jackson).execute(query, stream, cascade, temporal=temporal)
-    adaptive = executor(tiny_jackson).execute(
-        query, stream, cascade, temporal=temporal,
-        parallel=adaptive_config(adaptive_min_evaluated=4),
-    )
-    assert len(adaptive.stats.plan_revisions) >= 1
-    assert adaptive.matched_frames == static.matched_frames
 
 
 def test_queryplanner_replan_reorders_and_annotates(
@@ -473,20 +268,6 @@ def test_worker_chunk_cost_does_not_depend_on_earlier_chunks(stream, planner):
     assert after_a.filtered == alone.filtered
 
 
-def test_parallel_simulated_cost_is_bit_stable_run_to_run(tiny_jackson, stream, planner):
-    query = mixed_query("stable")
-    cascade = planner.plan(query)
-    config = ParallelConfig(num_workers=2, chunk_size=3)
-    first, second = (
-        executor(tiny_jackson).execute(query, stream, cascade, parallel=config)
-        for _ in range(2)
-    )
-    assert (
-        first.stats.simulated_cost.per_component_ms
-        == second.stats.simulated_cost.per_component_ms
-    )
-
-
 def test_parallel_config_validation():
     with pytest.raises(ValueError):
         ParallelConfig(num_workers=0)
@@ -494,17 +275,6 @@ def test_parallel_config_validation():
         ParallelConfig(chunk_size=0)
     with pytest.raises(ValueError):
         ParallelConfig(adaptive_margin=0.5)
-
-
-def test_batch_size_overrides_chunk_size(tiny_jackson, stream, planner):
-    query = count_query("chunk")
-    cascade = planner.plan(query)
-    result = executor(tiny_jackson).execute(
-        query, stream, cascade, batch_size=5,
-        parallel=ParallelConfig(num_workers=2, chunk_size=16),
-    )
-    assert result.stats.parallel.chunk_size == 5
-    assert result.stats.batch_size == 5
 
 
 def test_frame_prefetcher_window_is_bounded(single_object_stream):

@@ -5,10 +5,13 @@ chunk-by-chunk through :class:`~repro.service.QueryService` produces
 bit-identical per-query results to one-shot ``execute_many`` on every engine
 path (plain, windowed, temporal-exact, parallel) — because the chunk
 pipeline is the executor's own, extracted into
-:class:`~repro.query.session.ScanSession`.  On top of that the service adds
-runtime membership churn, bounded ingestion with the three backpressure
-policies, and per-query SLA budgets; each addition is tested here against
-the behaviour the one-shot engine cannot express.
+:class:`~repro.query.session.ScanSession`.  The differential harness's
+service and checkpoint configs hold every re-chunked replay to the one-shot
+reference (``tests/test_differential.py``); this module keeps the session's
+own submit/merge loop.  On top of that the service adds runtime membership
+churn, bounded ingestion with the three backpressure policies, and per-query
+SLA budgets; each addition is tested here against the behaviour the
+one-shot engine cannot express.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from repro.query import (
     QueryBuilder,
     QueryPlanner,
     StreamingQueryExecutor,
-    TemporalConfig,
     parse_query,
 )
 from repro.query.session import ScanSession
@@ -38,6 +40,7 @@ from repro.service import (
     QueryService,
     StreamConfig,
 )
+from tests.differential import normalize
 
 WINDOWED_TEXT = """
 SELECT cameraID, frameID
@@ -86,74 +89,6 @@ def _looped_frames(stream, total):
     ]
 
 
-def _replay_through_service(
-    queries,
-    cascades,
-    stream,
-    class_names,
-    *,
-    chunk_size=16,
-    feed_batch=7,
-    temporal=None,
-    parallel=None,
-):
-    """Feed ``stream`` through a fresh service; returns per-query results."""
-    service = QueryService()
-    service.attach_stream(
-        "cam",
-        ReferenceDetector(class_names=class_names, seed=DETECTOR_SEED),
-        StreamConfig(chunk_size=chunk_size, temporal=temporal, parallel=parallel),
-    )
-    handles = [
-        service.register("cam", query, cascade)
-        for query, cascade in zip(queries, cascades)
-    ]
-    frames = _frames(stream)
-    for start in range(0, len(frames), feed_batch):
-        service.feed("cam", frames[start : start + feed_batch])
-    results = service.close()
-    return [results[handle] for handle in handles]
-
-
-def _one_shot(queries, cascades, stream, class_names, **kwargs):
-    executor = StreamingQueryExecutor(
-        ReferenceDetector(class_names=class_names, seed=DETECTOR_SEED)
-    )
-    return executor.execute_many(queries, stream, cascades, **kwargs)
-
-
-def _assert_result_parity(service_result, oneshot_result):
-    assert service_result.query_name == oneshot_result.query_name
-    assert service_result.matched_frames == oneshot_result.matched_frames
-    assert service_result.stats.frames_scanned == oneshot_result.stats.frames_scanned
-    assert (
-        service_result.stats.frames_passed_filters
-        == oneshot_result.stats.frames_passed_filters
-    )
-    assert (
-        service_result.stats.detector_invocations
-        == oneshot_result.stats.detector_invocations
-    )
-    assert (
-        service_result.stats.filter_invocations
-        == oneshot_result.stats.filter_invocations
-    )
-    assert (
-        service_result.stats.simulated_cost.per_component_calls
-        == oneshot_result.stats.simulated_cost.per_component_calls
-    )
-    assert service_result.stats.simulated_cost.total_ms == pytest.approx(
-        oneshot_result.stats.simulated_cost.total_ms
-    )
-    if oneshot_result.windows is None:
-        assert service_result.windows is None
-    else:
-        assert service_result.windows is not None
-        assert [
-            (w.bounds, w.matched_frames, w.stats) for w in service_result.windows
-        ] == [(w.bounds, w.matched_frames, w.stats) for w in oneshot_result.windows]
-
-
 class _SlowDetector(ReferenceDetector):
     """A reference detector with real wall-clock latency (overload injection)."""
 
@@ -167,93 +102,16 @@ class _SlowDetector(ReferenceDetector):
 
 
 # ----------------------------------------------------------------------
-# The parity rail: service replay == one-shot execute_many, on every path
+# The parity rail beyond the harness: the live session's merge loop
 # ----------------------------------------------------------------------
-def test_replay_parity_plain_and_windowed(workload, tiny_jackson):
-    queries, cascades = workload
-    via_service = _replay_through_service(
-        queries, cascades, tiny_jackson.test, tiny_jackson.class_names
-    )
-    one_shot = _one_shot(
-        queries, cascades, tiny_jackson.test, tiny_jackson.class_names, batch_size=16
-    )
-    for service_result, oneshot_result in zip(via_service, one_shot):
-        _assert_result_parity(service_result, oneshot_result)
-
-
-def test_replay_parity_is_chunking_invariant(workload, tiny_jackson):
-    """Arbitrary feed batching and scan chunking produce identical results."""
-    queries, cascades = workload
-    baseline = _one_shot(
-        queries, cascades, tiny_jackson.test, tiny_jackson.class_names, batch_size=16
-    )
-    for chunk_size, feed_batch in ((5, 3), (16, 50), (50, 1)):
-        via_service = _replay_through_service(
-            queries,
-            cascades,
-            tiny_jackson.test,
-            tiny_jackson.class_names,
-            chunk_size=chunk_size,
-            feed_batch=feed_batch,
-        )
-        for service_result, oneshot_result in zip(via_service, baseline):
-            _assert_result_parity(service_result, oneshot_result)
-
-
-def test_replay_parity_temporal_exact(workload, tiny_jackson):
-    queries, cascades = workload
-    temporal = TemporalConfig(exact=True)
-    via_service = _replay_through_service(
-        queries,
-        cascades,
-        tiny_jackson.test,
-        tiny_jackson.class_names,
-        temporal=temporal,
-    )
-    one_shot = _one_shot(
-        queries,
-        cascades,
-        tiny_jackson.test,
-        tiny_jackson.class_names,
-        temporal=temporal,
-    )
-    for service_result, oneshot_result in zip(via_service, one_shot):
-        _assert_result_parity(service_result, oneshot_result)
-        # execute_many reports temporal telemetry on the shared scan; the
-        # service stamps the same session-wide stats onto each result.
-        assert service_result.temporal == one_shot.shared.temporal
-
-
-def test_replay_parity_parallel(workload, tiny_jackson):
-    queries, cascades = workload
-    parallel = ParallelConfig(num_workers=2, chunk_size=16)
-    via_service = _replay_through_service(
-        queries,
-        cascades,
-        tiny_jackson.test,
-        tiny_jackson.class_names,
-        parallel=parallel,
-    )
-    one_shot = _one_shot(
-        queries,
-        cascades,
-        tiny_jackson.test,
-        tiny_jackson.class_names,
-        parallel=parallel,
-    )
-    for service_result, oneshot_result in zip(via_service, one_shot):
-        _assert_result_parity(service_result, oneshot_result)
-
-
 def test_parallel_session_replay_matches_one_shot(workload, tiny_jackson):
     """One submit/merge loop: a live parallel session fed chunk by chunk and
     one-shot ``execute_many(parallel=...)`` merge the same chunks."""
     queries, cascades = workload
     parallel = ParallelConfig(num_workers=2, chunk_size=16)
-    one_shot = _one_shot(
-        queries, cascades, tiny_jackson.test, tiny_jackson.class_names,
-        parallel=parallel,
-    )
+    one_shot = StreamingQueryExecutor(
+        ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED)
+    ).execute_many(queries, tiny_jackson.test, cascades, parallel=parallel)
     session = ScanSession(
         ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
         parallel=parallel,
@@ -268,7 +126,10 @@ def test_parallel_session_replay_matches_one_shot(workload, tiny_jackson):
             session.push_chunk(frames[start : start + parallel.chunk_size])
         replayed = session.finish()
     for sid, oneshot_result in zip(sids, one_shot):
-        _assert_result_parity(replayed[sid], oneshot_result)
+        # Equal under the harness's normalizer, but for the one-shot chunk size.
+        stats = dataclasses.replace(oneshot_result.stats, batch_size=None)
+        oneshot = normalize(dataclasses.asdict(dataclasses.replace(oneshot_result, stats=stats)))
+        assert normalize(dataclasses.asdict(replayed[sid])) == oneshot
     stats = one_shot.shared.parallel
     assert session.chunks_merged == stats.num_chunks == 4
     session_workers = merge_worker_breakdowns(session.worker_breakdowns.values())

@@ -3,7 +3,9 @@
 The contract under test: exact-mode temporal execution is bit-identical to
 the non-temporal baseline across the plain, windowed, multi-query and
 aggregate paths (every outcome is re-derived and verified, so this holds on
-*any* stream, moving or static), while the simulated cost records
+*any* stream, moving or static; the differential harness's temporal configs
+in ``tests/test_differential.py`` hold it on every scenario), while the
+simulated cost records
 reused-vs-computed calls; approximate mode reports its reuse rate; the
 delta gate and the cost counters behave as specified.
 """
@@ -15,7 +17,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.aggregates import AggregateMonitor, AggregateQuerySpec, query_indicator_control
 from repro.cost import CostBreakdown, SimulatedClock
 from repro.detection import ReferenceDetector
 from repro.query import (
@@ -27,7 +28,6 @@ from repro.query import (
     TemporalConfig,
     delta_score,
     frame_signature,
-    parse_query,
 )
 from repro.spatial.geometry import Point
 from repro.video.datasets import JACKSON_PROFILE
@@ -36,14 +36,6 @@ from repro.video.objects import TrackedObject, default_class_registry
 from repro.video.renderer import FrameRenderer, RendererConfig
 from repro.video.scene import Scene, SceneConfig
 from repro.video.stream import VideoStream
-
-WINDOWED_TEXT = """
-SELECT cameraID, frameID
-FROM (PROCESS inputVideo PRODUCE cameraID, frameID, vehBox1 USING VehDetector)
-WINDOW HOPPING (SIZE 20, ADVANCE BY 10)
-WHERE COUNT(car) >= 1
-"""
-
 
 @pytest.fixture(scope="module")
 def low_motion_stream() -> VideoStream:
@@ -172,131 +164,6 @@ def test_reuse_counters_survive_snapshot_delta_and_merge():
     merged = snapshot.merged_with(delta)
     assert merged.per_component_reused == {"f": 7, "g": 1}
     assert CostBreakdown().reuse_fraction != CostBreakdown().reuse_fraction  # nan
-
-
-# ----------------------------------------------------------------------
-# Exact-mode parity: plain / windowed / multi-query / aggregate
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("max_stride", [1, 8])
-def test_exact_parity_plain(tiny_jackson, jackson_planner_filters, max_stride):
-    planner = QueryPlanner(
-        jackson_planner_filters, PlannerConfig(count_tolerance=1, location_dilation=1)
-    )
-    query = QueryBuilder("q").count("car").equals(1).build()
-    cascade = planner.plan(query)
-    baseline = _executor(tiny_jackson.class_names).execute(query, tiny_jackson.test, cascade)
-    temporal = _executor(tiny_jackson.class_names).execute(
-        query,
-        tiny_jackson.test,
-        cascade,
-        temporal=TemporalConfig(exact=True, max_stride=max_stride),
-    )
-    assert temporal.matched_frames == baseline.matched_frames
-    assert temporal.temporal is not None
-    stats = temporal.temporal
-    assert (
-        stats.frames_computed + stats.frames_reused + stats.frames_skipped
-        == stats.frames_total
-        == baseline.stats.frames_scanned
-    )
-    # Reuse happened and its avoided work is on the breakdown.
-    assert stats.frames_reused > 0
-    breakdown = temporal.stats.simulated_cost
-    assert breakdown.total_reused == stats.filter_reuses + stats.detector_reuses
-    assert temporal.stats.simulated_cost.total_ms < baseline.stats.simulated_cost.total_ms
-    # Every reused/inherited frame was verified in exact mode.
-    assert stats.verified_frames == stats.frames_reused + stats.frames_skipped
-    if max_stride > 1:
-        assert stats.max_stride_used > 1
-
-
-def test_exact_parity_windowed(tiny_jackson, jackson_planner_filters):
-    planner = QueryPlanner(
-        jackson_planner_filters, PlannerConfig(count_tolerance=1, location_dilation=1)
-    )
-    query = parse_query(WINDOWED_TEXT, name="w")
-    cascade = planner.plan(query)
-    baseline = _executor(tiny_jackson.class_names).execute(query, tiny_jackson.test, cascade)
-    temporal = _executor(tiny_jackson.class_names).execute(
-        query,
-        tiny_jackson.test,
-        cascade,
-        temporal=TemporalConfig(exact=True, max_stride=4),
-    )
-    assert temporal.matched_frames == baseline.matched_frames
-    assert temporal.windows == baseline.windows
-
-
-def test_exact_parity_multi_query(tiny_jackson, jackson_planner_filters):
-    planner = QueryPlanner(
-        jackson_planner_filters, PlannerConfig(count_tolerance=1, location_dilation=1)
-    )
-    queries = [
-        QueryBuilder("m1").count("car").equals(1).build(),
-        QueryBuilder("m2").count("car").at_least(1).count("person").at_least(1).build(),
-        parse_query(WINDOWED_TEXT, name="m3"),
-    ]
-    cascades = [planner.plan(query) for query in queries]
-    baseline = _executor(tiny_jackson.class_names).execute_many(
-        queries, tiny_jackson.test, cascades
-    )
-    temporal = _executor(tiny_jackson.class_names).execute_many(
-        queries,
-        tiny_jackson.test,
-        cascades,
-        temporal=TemporalConfig(exact=True, max_stride=4),
-    )
-    for base, temp in zip(baseline, temporal):
-        assert temp.matched_frames == base.matched_frames
-        assert temp.windows == base.windows
-        # Exact mode attributes standalone cost from the true outcomes, so
-        # the per-query attribution matches the non-temporal run exactly.
-        assert temp.stats.filter_invocations == base.stats.filter_invocations
-        assert temp.stats.simulated_cost.per_component_ms == pytest.approx(
-            base.stats.simulated_cost.per_component_ms
-        )
-    shared = temporal.shared
-    assert shared.temporal is not None
-    assert shared.temporal.frames_reused > 0
-    # The shared scan performed less work than the non-temporal shared scan.
-    assert shared.filter_computations < baseline.shared.filter_computations
-    assert shared.cost.reused_calls > 0
-    assert shared.cost.shared_ms < baseline.shared.cost.shared_ms
-
-
-def test_exact_parity_aggregate(tiny_jackson, trained_od_filter):
-    query = QueryBuilder("agg").count("car").at_least(1).build()
-    spec = AggregateQuerySpec.from_query(query, [query_indicator_control(query)])
-    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=9)
-    baseline = AggregateMonitor(
-        detector=detector, frame_filter=trained_od_filter, seed=0
-    ).estimate(spec, tiny_jackson.test, 30)
-    temporal = AggregateMonitor(
-        detector=detector, frame_filter=trained_od_filter, seed=0
-    ).estimate(spec, tiny_jackson.test, 30, temporal=TemporalConfig(exact=True))
-    assert temporal.plain == baseline.plain
-    assert temporal.control_variate == baseline.control_variate
-    assert temporal.temporal is not None
-    assert temporal.temporal.frames_reused > 0
-    assert temporal.per_frame_cost_ms < baseline.per_frame_cost_ms
-
-
-def test_execute_aggregate_threads_temporal(tiny_jackson, jackson_planner_filters):
-    planner = QueryPlanner(
-        jackson_planner_filters, PlannerConfig(count_tolerance=1, location_dilation=1)
-    )
-    query = QueryBuilder("agg").count("car").at_least(1).build()
-    spec = AggregateQuerySpec.from_query(query, [query_indicator_control(query)])
-    cascade = planner.plan(query)
-    result = _executor(tiny_jackson.class_names, seed=9).execute_aggregate(
-        spec,
-        tiny_jackson.test,
-        cascade,
-        sample_size=30,
-        seed=0,
-        temporal=TemporalConfig(exact=True),
-    )
-    assert result.reports[0].temporal is not None
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.query import (
 )
 from repro.query.ast import WindowSpec
 from repro.query.planner import FilterCascade
-from tests.conftest import reference_cascade_walk
+from tests.differential import CLASS_NAMES, DETECTOR_SEED, SCENARIOS
 
 WINDOWED_QUERY_TEXT = """
 SELECT cameraID, frameID
@@ -103,31 +103,6 @@ def test_per_window_parity_with_restricted_unwindowed_runs(windowed_plan, tiny_j
         assert restricted.matched_frames == window.matched_frames
         assert restricted.stats.frames_scanned == window.stats.frames_scanned
         assert restricted.stats.frames_passed_filters == window.stats.frames_passed_filters
-
-
-def test_sequential_vs_batched_parity_under_windows(windowed_plan, tiny_jackson):
-    query, cascade = windowed_plan
-    sequential = _executor(tiny_jackson.class_names).execute(query, tiny_jackson.test, cascade)
-    batched = _executor(tiny_jackson.class_names).execute(
-        query, tiny_jackson.test, cascade, batch_size=7
-    )
-    assert batched.matched_frames == sequential.matched_frames
-    assert batched.windows == sequential.windows
-    assert batched.stats.frames_passed_filters == sequential.stats.frames_passed_filters
-    assert batched.stats.filter_invocations == sequential.stats.filter_invocations
-    assert (
-        batched.stats.simulated_cost.per_component_calls
-        == sequential.stats.simulated_cost.per_component_calls
-    )
-    # The windows cover every frame, so the independent per-frame walk over
-    # the whole stream is the reference for both chunk sizes.
-    matched, passed, invocations = reference_cascade_walk(
-        query, cascade, tiny_jackson.test, range(len(tiny_jackson.test)),
-        ReferenceDetector(class_names=tiny_jackson.class_names, seed=77),
-    )
-    assert batched.matched_frames == tuple(matched)
-    assert batched.stats.frames_passed_filters == len(passed)
-    assert batched.stats.filter_invocations == invocations
 
 
 def test_include_partial_windows_controls_tail_coverage(trained_od_filter, tiny_jackson):
@@ -343,57 +318,45 @@ def test_window_tail_drop_warning_deduplicates_per_registry():
     assert len(caught) == 1
 
 
-class _Prefix:
-    """The first ``length`` frames of a stream: what a scan reads of one."""
-
-    def __init__(self, stream, length, rendered):
-        self._stream, self._length, self._rendered = stream, length, rendered
-
-    def __len__(self):
-        return self._length
-
-    def frame(self, index):
-        if index not in self._rendered:
-            self._rendered[index] = self._stream.frame(index)
-        return self._rendered[index]
-
-
-_RENDERED: dict = {}
-
-
 @settings(max_examples=60, deadline=None)
 @given(
+    scenario=st.sampled_from(SCENARIOS),
+    position=st.integers(0, 3),
     size=st.integers(1, 30),
     advance=st.integers(1, 30),
-    length=st.integers(1, 50),
     data=st.data(),
 )
 def test_cascade_free_execute_equals_the_oracle_window_for_window(
-    tiny_jackson, size, advance, length, data
+    harness, scenario, position, size, advance, data
 ):
-    """The engine (``QueryState.covers`` cut at the last instance, bisection
-    over sorted accumulators) and the oracle (``start <= index < stop``
-    membership) share no window code, so equal windows mean both implement
-    the same rule: a window's matches ascending, a repeated index counted
-    once per occurrence.  A provably-empty query in the same scan covers
-    nothing and pulls no frame into the shared scan."""
+    """R1 of the harness in ``tests/differential.py``: a scenario's prefix,
+    a generated query under a drawn window, ``frame_indices`` ``None`` or
+    unordered and repeating.  The engine (``QueryState.covers``, bisection
+    over sorted accumulators) and the oracle (``start <= index < stop``)
+    share no window code, so equal windows mean both implement one rule: a
+    window's matches ascending, a repeated index counted per occurrence.
+    The planned cascade matches a subset, window for window; a
+    provably-empty query pulls no frame into the shared scan."""
+    length = data.draw(st.integers(1, scenario.num_frames), label="length")
     frame_indices = data.draw(
         st.none() | st.lists(st.integers(0, length - 1), max_size=40), label="frame_indices"
     )
-    stream = _Prefix(tiny_jackson.test, length, _RENDERED)
-    query = QueryBuilder("w").count("car").at_least(1).window(size, advance).build()
-    empty = QueryBuilder("empty").count("car").at_least(1).build()
-    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=77)
+    stream = harness.rendered(scenario, length)
+    query = dataclasses.replace(harness.queries[position], window=WindowSpec(size, advance))
+    planned = harness.cascades("planned")
+    detector = ReferenceDetector(class_names=CLASS_NAMES, seed=DETECTOR_SEED)
     scan = StreamingQueryExecutor(detector).execute_many(
-        [query, empty],
-        stream,
-        [None, FilterCascade(provably_empty=True)],
+        [query, query, harness.queries[-1]], stream, [None, planned[position], planned[-1]],
         frame_indices=frame_indices,
     )
-    engine = scan[0]
+    engine, filtered, empty = scan
     oracle = brute_force_execute(query, stream, detector, frame_indices=frame_indices)
-    assert engine.matched_frames == oracle.matched_frames
-    assert engine.windows == oracle.windows
+    assert engine.matched_frames == oracle.matched_frames and engine.windows == oracle.windows
     assert engine.stats.frames_scanned == oracle.stats.frames_scanned
-    assert scan[1].matched_frames == () and scan[1].stats.frames_scanned == 0
+    assert engine.stats.detector_invocations == oracle.stats.detector_invocations
+    assert len(filtered.windows) == len(oracle.windows)
+    for window, truth in zip(filtered.windows, oracle.windows):
+        assert window.bounds == truth.bounds
+        assert set(window.matched_frames) <= set(truth.matched_frames)
+    assert empty.matched_frames == () and empty.stats.frames_scanned == 0
     assert scan.shared.frames_scanned == oracle.stats.frames_scanned
