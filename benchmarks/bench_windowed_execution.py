@@ -9,16 +9,18 @@ Demonstrates the two halves of the windowed/aggregate engine end to end:
   filtered once despite the 2x window overlap;
 * ``execute_aggregate`` reproduces ``AggregateMonitor.estimate``'s
   control-variate numbers exactly (same seed, same estimates) while the
-  filter side of the sample batch runs as a single vectorized
-  ``predict_batch`` call instead of per-frame ``predict`` calls.
+  filter side of the sample runs as vectorized ``predict_batch`` calls
+  over tiles of sampled frames instead of per-frame ``predict`` calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from benchmarks.conftest import bench_wall_seconds, print_rows, write_bench_json
 from repro.aggregates import AggregateMonitor, AggregateQuerySpec, query_indicator_control
+from repro.aggregates.monitor import _SAMPLE_TILE
 from repro.experiments.context import get_context
 from repro.query import (
     PlannerConfig,
@@ -202,7 +204,7 @@ def test_windowed_and_aggregate_execution(benchmark, bench_config, pytestconfig)
     # Same seed -> exactly the same control-variate estimates as the monitor.
     assert aggregate["cv_mean"] == aggregate["reference_cv_mean"]
     assert aggregate["plain_mean"] == aggregate["reference_plain_mean"]
-    # The 50-frame sample ran as one vectorized batch, zero per-frame calls.
+    # The 50-frame sample ran as vectorized tiles, zero per-frame calls.
     assert aggregate["filter_calls"]["predict"] == 0
-    assert aggregate["filter_calls"]["predict_batch"] == 1
+    assert aggregate["filter_calls"]["predict_batch"] == math.ceil(50 / _SAMPLE_TILE)
     assert aggregate["filter_calls"]["batched_frames"] == 50

@@ -39,6 +39,12 @@ from repro.query.temporal import TemporalConfig, TemporalScan, TemporalStats, cl
 from repro.video.stream import Frame, VideoStream, checked_frame_indices
 
 
+#: sampled frames per filter tile: a sample of more than one tile renders
+#: ahead on a ``decode-ahead`` thread while the main thread runs the filter
+#: over the previous tile (DESIGN.md "Parallel pipeline" has the tile sizes
+#: measured)
+_SAMPLE_TILE = 8
+
 #: a function computing the exact per-frame value from detector output
 ExactValueFn = Callable[[FrameDetections], float]
 #: a function computing an approximate per-frame value from a filter prediction
@@ -156,10 +162,16 @@ class AggregateMonitor:
     ) -> tuple[np.ndarray, np.ndarray, TemporalStats | None]:
         """Evaluate exact values and controls on the sampled frames.
 
-        The filter side runs as one vectorized ``predict_batch`` call over
-        all sampled frames (the simulated latency is charged per frame either
-        way); only the reference detector, which defines ``Y``, still runs
-        frame by frame, in sample order.
+        The filter side runs vectorized over tiles of ``_SAMPLE_TILE``
+        sampled frames; the reference detector, which defines ``Y``, then
+        runs frame by frame, in sample order.  A sample of more than one
+        tile renders ahead on one ``decode-ahead`` thread, so tile *k+1*
+        renders while tile *k* runs the backbone and heads.  Nothing moves
+        by a bit: ``predict_batch`` rows do not depend on the batch, and the
+        tiles run with the filter's clock detached and are charged once
+        afterwards, as the one batched charge of ``n`` calls a single
+        whole-sample ``predict_batch`` makes, before the first detector
+        charge.
 
         With a ``temporal`` config the samples are delta-gated instead
         (see :mod:`repro.query.temporal`): sample indices arrive sorted, so
@@ -171,20 +183,32 @@ class AggregateMonitor:
         ``max_stride=1`` with the sampler's own callbacks.  In exact
         mode every reuse is verified with the clock detached and the
         verified values are the ones used, keeping estimates bit-identical
-        to the ungated path.
+        to the ungated path.  The gate renders every sample too, so an
+        approximate gate renders ahead by the same rule; an exact one stays
+        inline.
 
-        A ``parallel`` config contributes decode-ahead rendering of the
-        sampled frames (estimation itself stays one vectorized batch plus a
-        sequential detector loop, so estimates are bit-identical with or
-        without it).
+        A ``parallel`` config only adds a second render thread (and renders
+        ahead even a one-tile sample); estimates are bit-identical with or
+        without it.
         """
-        with decode_ahead(stream, indices, parallel) as fetch:
+        # One tile has nothing to overlap (the rule of a single-chunk scan),
+        # and exact gating, which runs the filter and the Python-level
+        # detector on every sample one frame at a time, measured no gain
+        # (DESIGN.md "Parallel pipeline").
+        overlap = len(indices) > _SAMPLE_TILE and (temporal is None or not temporal.exact)
+        with decode_ahead(stream, indices, parallel, _SAMPLE_TILE, overlap) as fetch:
             if temporal is not None:
                 return self._evaluate_samples_temporal(spec, indices, temporal, fetch)
+            frames: list[Frame] = []
+            predictions: list[FilterPrediction] = []
+            with clocks_detached([self.frame_filter]):
+                for start in range(0, len(indices), _SAMPLE_TILE):
+                    tile = [fetch(index) for index in indices[start : start + _SAMPLE_TILE]]
+                    predictions.extend(self.frame_filter.predict_batch(tile))
+                    frames.extend(tile)
+            self.frame_filter._charge_batch(len(frames))
             exact_values = np.zeros(len(indices))
             controls = np.zeros((len(indices), len(spec.control_values)))
-            frames = [fetch(frame_index) for frame_index in indices]
-            predictions = self.frame_filter.predict_batch(frames)
             for row, (frame, prediction) in enumerate(zip(frames, predictions)):
                 detections = self.detector.detect(frame)
                 exact_values[row] = spec.exact_value(detections)
@@ -254,9 +278,12 @@ class AggregateMonitor:
         estimate; with multiple controls the multiple-CV estimator is used.
         ``temporal`` delta-gates the sample evaluation (see
         :meth:`_evaluate_samples`); the sampled indices themselves are drawn
-        identically either way.  ``parallel`` adds decode-ahead rendering of
-        the sampled frames without changing any estimate.
+        identically either way.  ``parallel`` adds a second render thread
+        without changing any estimate.  ``window`` and ``frame_indices``
+        both choose the population, so passing both is a ``ValueError``.
         """
+        if window is not None and frame_indices is not None:
+            raise ValueError("estimate takes a window or frame_indices, not both")
         # Delta-snapshot accounting rather than a reset, so a caller-supplied
         # shared clock keeps its history across estimates (same contract as
         # StreamingQueryExecutor.execute).

@@ -515,8 +515,9 @@ class StreamingQueryExecutor:
         :class:`~repro.aggregates.monitor.AggregateMonitor` seeded with
         ``seed``, so for an un-windowed spec the reports are numerically
         identical to calling ``AggregateMonitor.estimate`` directly with the
-        same seed — while the filter side of every sample batch runs as one
-        vectorized ``predict_batch`` call.
+        same seed — while the filter side of every sample runs vectorized,
+        in tiles that render ahead of it (see
+        :meth:`~repro.aggregates.monitor.AggregateMonitor._evaluate_samples`).
 
         For a windowed spec (``spec.window`` set, e.g. parsed from a query's
         ``WINDOW HOPPING`` clause) one estimate per window instance is
@@ -534,10 +535,8 @@ class StreamingQueryExecutor:
         Exact mode verifies every reuse, keeping estimates bit-identical to
         a non-temporal run.
 
-        ``parallel`` contributes decode-ahead rendering of each estimate's
-        sampled frames (sample evaluation itself is already one vectorized
-        batch, so the estimates are unchanged — only the wall clock drops
-        when rendering dominates).
+        ``parallel`` adds a second thread to the rendering of each
+        estimate's sampled frames; the estimates are unchanged.
         """
         if repetitions < 1:
             raise ValueError(f"repetitions must be positive: {repetitions}")

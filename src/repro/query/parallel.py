@@ -546,17 +546,18 @@ def decode_ahead(
     stream: VideoStream,
     indices: Sequence[int],
     parallel: ParallelConfig | None,
-    chunk_size: int | None = None,
+    chunk_size: int,
     overlap: bool = False,
 ) -> Iterator[Callable[[int], Frame]]:
     """The ``render(index)`` of one scan over ``indices``.
 
     A :class:`FramePrefetcher` running ``PREFETCH_DEPTH`` chunks of
-    ``chunk_size`` frames (default: the config's) ahead, closed however the
-    block exits, on ``PREFETCH_THREADS`` threads but never more than the
-    threads that filter: ``parallel.num_workers``, or one when ``overlap``
-    asks a scan without ``parallel`` to render ahead of its own filter phase
-    (``StreamingQueryExecutor._scan`` decides when).  Otherwise
+    ``chunk_size`` frames (the frames the caller consumes at a time) ahead,
+    closed however the block exits, on ``PREFETCH_THREADS`` threads but
+    never more than the threads that filter: ``parallel.num_workers``, or
+    one when ``overlap`` asks a scan without ``parallel`` to render ahead of
+    its own filter phase (``StreamingQueryExecutor._scan`` and
+    ``AggregateMonitor._evaluate_samples`` decide when).  Otherwise
     ``stream.frame`` itself, so callers do not branch.  The only place that
     constructs a prefetcher (lint INV011).
     """
@@ -564,7 +565,7 @@ def decode_ahead(
         yield stream.frame
         return
     workers = 1 if parallel is None else parallel.num_workers
-    depth = PREFETCH_DEPTH * (chunk_size or parallel.chunk_size)
+    depth = PREFETCH_DEPTH * chunk_size
     threads = min(PREFETCH_THREADS, workers)
     with closing(FramePrefetcher(stream, indices, depth, threads)) as prefetcher:
         yield prefetcher.frame

@@ -259,6 +259,30 @@ def reference_render(config, ground_truth):
     return np.clip(canvas, 0, 255).astype(np.uint8)
 
 
+def reference_evaluate_samples(monitor, spec, stream, indices, temporal=None, parallel=None):
+    """``AggregateMonitor._evaluate_samples`` as it stood before the filter
+    tiles: the sampler oracle.
+
+    Every sample rendered inline, one whole-sample ``predict_batch`` (one
+    batched filter charge of ``len(indices)`` calls), then the detector
+    frame by frame in sample order; a gated sample runs the monitor's own
+    gate over ``stream.frame``.  ``parallel`` only ever rendered ahead, so
+    the oracle ignores it.
+    """
+    if temporal is not None:
+        return monitor._evaluate_samples_temporal(spec, indices, temporal, stream.frame)
+    exact_values = np.zeros(len(indices))
+    controls = np.zeros((len(indices), len(spec.control_values)))
+    frames = [stream.frame(frame_index) for frame_index in indices]
+    predictions = monitor.frame_filter.predict_batch(frames)
+    for row, (frame, prediction) in enumerate(zip(frames, predictions)):
+        detections = monitor.detector.detect(frame)
+        exact_values[row] = spec.exact_value(detections)
+        for col, control in enumerate(spec.control_values):
+            controls[row, col] = control(prediction)
+    return exact_values, controls, None
+
+
 def reference_leaky_relu(inputs, negative_slope):
     """Eval-mode ``LeakyReLU`` before the two-pass form: a mask and a select."""
     return np.where(inputs > 0, inputs, inputs.dtype.type(negative_slope) * inputs)

@@ -169,6 +169,7 @@ CONFIGS = (
     _C("aggregate", "aggregate"),
     _C("aggregate-thread2", "aggregate", parallel=THREADS),
     _C("aggregate-temporal", "aggregate", temporal=GATED),
+    _C("aggregate-temporal-approximate", "aggregate", temporal=replace(GATED, exact=False)),
     _C("service-7-by-13", "service", chunk_size=7, feed=13),
     _C("service-16-by-50", "service", chunk_size=16, feed=50),
     _C("service-thread2", "service", parallel=THREADS, chunk_size=5, feed=7),
@@ -316,13 +317,15 @@ class Harness:
 
     def _aggregate(self, config, stream, cascades) -> dict:
         runs = []
-        for position in (0, 4):  # the plain count query and the hopping one
+        # The plain count query and the hopping one; 20 samples span three of
+        # the sampler's 8-frame filter tiles, the last one partial.
+        for position in (0, 4):
             query = self.queries[position]
             spec = AggregateQuerySpec.from_query(
                 query, [query_indicator_control(query), class_count_control("car")]
             )
             runs.append(asdict(self.executor().execute_aggregate(
-                spec, stream, cascades[position], sample_size=12, repetitions=2, seed=7,
+                spec, stream, cascades[position], sample_size=20, repetitions=2, seed=7,
                 temporal=config.temporal, parallel=config.parallel,
             )))
         return {"aggregates": runs}

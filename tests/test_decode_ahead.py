@@ -2,25 +2,29 @@
 
 A chunked scan with a filter step and more than one chunk renders ahead on
 one background thread even without ``ParallelConfig``; a cascade-free, a
-temporal and a single-chunk scan stay inline, and so does
-``execute_aggregate`` without ``parallel=``.  Frames render the same on any
-thread, so every result here must ``==`` the same scan with decode-ahead
-patched out, and no ``decode-ahead`` thread may outlive a scan however it
-ends.  CI runs this module five times in a row: a leaked thread or a frame
-cancelled and then needed shows up only under some timings.
+temporal and a single-chunk scan stay inline.  The aggregate sampler
+renders ahead of its filter tiles when a sample spans more than one tile
+and is not exact-gated.  Frames render the same on any thread, so every
+result here must ``==`` the same scan with decode-ahead patched out (the
+sampler: its single-batch oracle), and no ``decode-ahead`` thread may
+outlive a scan however it ends.  CI runs this module five times in a row: a
+leaked thread or a frame cancelled and then needed shows up only under some
+timings.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
-from repro.aggregates.monitor import AggregateQuerySpec
+from repro.aggregates import query_indicator_control
+from repro.aggregates.controls import class_count_control
+from repro.aggregates.monitor import _SAMPLE_TILE, AggregateMonitor, AggregateQuerySpec
 from repro.detection import ReferenceDetector
-from repro.faults import FaultInjector, RetryPolicy
+from repro.faults import FaultExhausted, FaultInjector, RetryPolicy
 from repro.query import (
     ParallelConfig,
     PlannerConfig,
@@ -29,8 +33,10 @@ from repro.query import (
     StreamingQueryExecutor,
     TemporalConfig,
 )
-from repro.query.parallel import FramePrefetcher
+from repro.query.parallel import FramePrefetcher, decode_ahead
 from repro.query.results import MultiQueryExecutionResult
+from tests.conftest import reference_evaluate_samples
+from tests.differential import first_difference, normalize
 
 #: unordered frame indices with repeats, as ``frame_indices`` may give them
 UNORDERED_REPEATING = [7, 3, 7, 12, 3, 40, 7, 0, 49, 12, 25, 25, 1, 30] * 3
@@ -200,6 +206,89 @@ def test_decode_ahead_default_matches_inline(
         assert _timeless(got) == _timeless(want)
 
 
+def _aggregate_spec(query, controls=1):
+    values = [query_indicator_control(query), class_count_control("car")]
+    return AggregateQuerySpec.from_query(query, values[:controls])
+
+
+#: one sample spanning three tiles, the last one partial
+THREE_TILES = 2 * _SAMPLE_TILE + 3
+GATE = TemporalConfig(delta_threshold=30.0, keyframe_interval=10)
+
+#: ``(query, controls, sample sizes, execute_aggregate options)`` per case
+AGGREGATE_CASES = {
+    "sizes": (_plain, 1, (1, _SAMPLE_TILE, _SAMPLE_TILE + 1, 100), {}),
+    "windowed": (_windowed, 1, (THREE_TILES,), {"include_partial_windows": True}),
+    "parallel": (_plain, 1, (1, THREE_TILES), {"parallel": ParallelConfig(2, chunk_size=8)}),
+    "temporal-exact": (_plain, 1, (THREE_TILES, 100), {"temporal": GATE}),
+    "temporal-approximate": (
+        _plain, 1, (THREE_TILES, 100), {"temporal": replace(GATE, exact=False)}
+    ),
+    "multi-control": (_plain, 2, (THREE_TILES,), {}),
+}
+
+
+@pytest.mark.parametrize("case", AGGREGATE_CASES)
+def test_decode_ahead_aggregate_matches_single_batch_oracle(
+    tiny_jackson, stream, planner, monkeypatch, counted_renders, case
+):
+    """Filter tiles rendered ahead change no report and no clock entry,
+    and render each sampled position once."""
+    make_query, controls, sizes, options = AGGREGATE_CASES[case]
+    query = make_query()
+    cascade = planner.plan(query)
+    spec = _aggregate_spec(query, controls)
+
+    def estimates():
+        runner = _executor(tiny_jackson)
+        results = []
+        for size in sizes:
+            try:
+                results.append(asdict(runner.execute_aggregate(
+                    spec, stream, cascade, sample_size=size, repetitions=2, seed=5, **options
+                )))
+            except ValueError as error:  # one sample has no estimate, but was charged
+                results.append(repr(error))
+        breakdown = runner.clock.breakdown
+        return results, [
+            list(breakdown.per_component_ms.items()),
+            list(breakdown.per_component_calls.items()),
+            list(breakdown.per_component_reused.items()),
+        ]
+
+    results, clock = estimates()
+    renders = sorted(counted_renders)
+    counted_renders.clear()
+    monkeypatch.setattr(AggregateMonitor, "_evaluate_samples", reference_evaluate_samples)
+    oracle_results, oracle_clock = estimates()
+    assert renders == sorted(counted_renders)
+    # Reports without their wall clock (NaN correlations compare equal).
+    assert first_difference(normalize(results), normalize(oracle_results)) is None
+    # Insertion order and every float bit of the clock.
+    assert clock == oracle_clock
+    assert _live_decode_ahead_threads() == []
+
+
+def test_decode_ahead_aggregate_charges_the_filter_once(
+    tiny_jackson, stream, trained_od_filter, monkeypatch
+):
+    """The tiles are charged as one batched charge of ``n`` calls, before the
+    first detector charge: at this latency a charge per tile sums differently."""
+    latency, n = 0.39, 2 * _SAMPLE_TILE + 5
+    per_tile = 0.0
+    for start in range(0, n, _SAMPLE_TILE):
+        per_tile += latency * (min(start + _SAMPLE_TILE, n) - start)
+    assert per_tile != latency * n
+    monkeypatch.setattr(trained_od_filter, "latency_ms", latency)
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=42)
+    monitor = AggregateMonitor(detector, trained_od_filter)
+    monitor.estimate(_aggregate_spec(_plain()), stream, n, frame_indices=range(n))
+    breakdown = monitor.clock.breakdown
+    assert list(breakdown.per_component_ms) == [trained_od_filter.name, detector.name]
+    assert breakdown.per_component_ms[trained_od_filter.name] == latency * n
+    assert breakdown.per_component_calls[trained_od_filter.name] == n
+
+
 # ----------------------------------------------------------------------
 # The rule: which scans render ahead
 # ----------------------------------------------------------------------
@@ -219,15 +308,35 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True))
     runner.execute(query, stream, cascade, batch_size=len(stream))  # one chunk
     runner.execute(query, stream, cascade, frame_indices=[4], batch_size=None)
-    spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
-    runner.execute_aggregate(spec, stream, cascade, sample_size=20)
     assert len(prefetchers) == 2
+
+    # The sampler: more than one filter tile, unless exact-gated.
+    spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
+    runner.execute_aggregate(spec, stream, cascade, sample_size=_SAMPLE_TILE)
+    runner.execute_aggregate(
+        spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=True)
+    )
+    assert len(prefetchers) == 2
+    runner.execute_aggregate(spec, stream, cascade, sample_size=_SAMPLE_TILE + 1)
+    runner.execute_aggregate(
+        spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=False)
+    )
+    assert prefetchers[2:] == [(2 * _SAMPLE_TILE, 1)] * 2
 
     # ``parallel=`` keeps its own prefetcher: PREFETCH_THREADS, capped by workers.
     config = ParallelConfig(num_workers=2, chunk_size=8)
     runner.execute(query, stream, cascade, parallel=config)
     runner.execute(query, stream, cascade, batch_size=len(stream), parallel=config)
-    assert prefetchers[2:] == [(2 * 8, 2), (2 * len(stream), 2)]
+    runner.execute_aggregate(spec, stream, cascade, sample_size=2, parallel=config)
+    assert prefetchers[4:] == [(2 * 8, 2), (2 * len(stream), 2), (2 * _SAMPLE_TILE, 2)]
+    assert _live_decode_ahead_threads() == []
+
+
+def test_decode_ahead_overlap_needs_a_chunk_size(stream):
+    """Rendering ahead without ``parallel=`` has no config to take a depth
+    from, so the caller's chunk size is required rather than defaulted."""
+    with pytest.raises(TypeError, match="chunk_size"):
+        decode_ahead(stream, [0, 1], None, overlap=True)
     assert _live_decode_ahead_threads() == []
 
 
@@ -286,3 +395,56 @@ def test_decode_ahead_lifecycle_decode_quarantine_matches_inline(
     assert [record.key for record in quarantined] == [3, 27]
     assert quarantined == inline[0].stats.faults.quarantined
     assert _timeless(ahead) == _timeless(inline)
+
+
+@pytest.mark.parametrize("fails", ["filter", "detector"])
+def test_decode_ahead_lifecycle_aggregate_raises_mid_estimate(
+    tiny_jackson, stream, trained_od_filter, monkeypatch, prefetchers, fails
+):
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=42)
+    target, name = (trained_od_filter, "predict_batch") if fails == "filter" else (detector, "detect")
+    original = getattr(target, name)
+    calls = []
+
+    def failing(*args):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise RuntimeError(f"injected {fails} failure")
+        return original(*args)
+
+    monkeypatch.setattr(target, name, failing)
+    monitor = AggregateMonitor(detector, trained_od_filter)
+    with pytest.raises(RuntimeError, match=f"injected {fails} failure"):
+        monitor.estimate(_aggregate_spec(_plain()), stream, 3 * _SAMPLE_TILE)
+    assert len(prefetchers) == 1
+    assert _live_decode_ahead_threads() == []
+    assert trained_od_filter.clock is None and detector.clock is None
+
+
+def test_decode_ahead_lifecycle_aggregate_decode_fault_raises_as_inline(
+    tiny_jackson, stream, trained_od_filter, monkeypatch, prefetchers
+):
+    """An undecodable sample raises the same ``FaultExhausted`` with or
+    without decode-ahead, though decode-ahead has rendered past it."""
+    indices = list(range(3 * _SAMPLE_TILE))
+    spec = _aggregate_spec(_plain())
+
+    def faulted():
+        detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=42)
+        monitor = AggregateMonitor(detector, trained_od_filter)
+        injector = FaultInjector(
+            schedule={("decode", _SAMPLE_TILE + 5): 3}, retry=RetryPolicy(max_attempts=3)
+        )
+        with injector, pytest.raises(FaultExhausted) as raised:
+            monitor.estimate(spec, stream, len(indices), frame_indices=indices)
+        assert injector.unfired() == ()
+        error = raised.value
+        return (error.site, error.key, error.attempts), monitor.clock.snapshot()
+
+    ahead = faulted()
+    assert len(prefetchers) == 1
+    assert _live_decode_ahead_threads() == []
+    monkeypatch.setattr("repro.aggregates.monitor.decode_ahead", _inline)
+    inline = faulted()
+    assert ahead == inline
+    assert ahead[0] == ("decode", _SAMPLE_TILE + 5, 3)

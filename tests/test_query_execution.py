@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.aggregates.monitor import AggregateMonitor, AggregateQuerySpec
+from repro.aggregates.windows import WindowBounds
 from repro.cost import SimulatedClock
 from repro.detection import ReferenceDetector
 from repro.detection.base import Detection, FrameDetections
@@ -198,6 +199,22 @@ def test_bad_frame_indices_fail_before_the_oracle_or_an_estimate_starts(
     monitor = AggregateMonitor(detector, trained_od_filter, clock=no_work_allowed)
     with pytest.raises(error, match=message):
         monitor.estimate(spec, tiny_jackson.test, sample_size=4, frame_indices=indices)
+    assert trained_od_filter.clock is None and detector.clock is None
+
+
+def test_window_with_frame_indices_fails_before_an_estimate_starts(
+    trained_od_filter, tiny_jackson, no_work_allowed
+):
+    """Both choose the sampling population; the window is not silently dropped."""
+    query = QueryBuilder("q").count("car").at_least(1).build()
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=1)
+    spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
+    monitor = AggregateMonitor(detector, trained_od_filter, clock=no_work_allowed)
+    with pytest.raises(ValueError, match="window or frame_indices, not both"):
+        monitor.estimate(
+            spec, tiny_jackson.test, sample_size=20,
+            window=WindowBounds(0, 20), frame_indices=range(20),
+        )
     assert trained_od_filter.clock is None and detector.clock is None
 
 
