@@ -327,8 +327,9 @@ class StreamingQueryExecutor:
         ``render(index)`` from :func:`~repro.query.parallel.decode_ahead`
         and two drivers.  ``render`` runs ahead on the decode-ahead threads
         when ``parallel`` is set, and on one thread when a scan without it
-        is chunked (no ``temporal``), has a filter step and more than one
-        chunk, so that the next chunks render while this one filters;
+        has a filter step and either more than one chunk (no ``temporal``),
+        so that the next chunks render while this one filters, or an
+        ``exact`` gate over more than one frame, which renders every frame;
         otherwise it is ``stream.frame``.  Frames render deterministically
         per index on any thread, so the rule changes wall time only.
         Rendered chunks of ``chunk_size`` frames go through
@@ -394,18 +395,27 @@ class StreamingQueryExecutor:
                 # The frames some query covers (a provably-empty query covers
                 # none, so it pulls no frame into the union on its own).
                 union_indices = [index for index in base_indices if session._covering(index)]
-                # Gating is sequential: under ``temporal`` nothing is chunked and
-                # the session gets no workers (nor does a scan that covers no frame).
-                chunks = partition_chunks(union_indices, chunk_size) if temporal is None else []
                 # Without workers, one thread renders ahead while this one
                 # filters (numpy that releases the GIL).  A cascade-free scan
                 # stays inline (its render would contend for the GIL with the
-                # Python-level detector), and so do a gated scan (gating
-                # decides what is rendered) and a single chunk (nothing to
-                # overlap); DESIGN.md "Parallel pipeline" has the numbers.
-                overlap = unique_steps > 0 and len(chunks) > 1
+                # Python-level detector), and so does a single chunk (nothing
+                # to overlap); DESIGN.md "Parallel pipeline" has the numbers.
+                if temporal is None:
+                    chunks = partition_chunks(union_indices, chunk_size)
+                    overlap = unique_steps > 0 and len(chunks) > 1
+                    ahead = chunk_size
+                else:
+                    # Gating is sequential: nothing is chunked and the session
+                    # gets no workers.  An exact gate renders every frame (to
+                    # verify it), so it renders ahead too, through two maximal
+                    # strides: backfill and refinement probes stay in the
+                    # window.  An approximate gate decides what is rendered
+                    # at all, so it stays inline.
+                    chunks = []
+                    overlap = unique_steps > 0 and temporal.exact and len(union_indices) > 1
+                    ahead = chunk_size if parallel is not None else temporal.max_stride
                 with decode_ahead(
-                    stream, union_indices, parallel, chunk_size, overlap
+                    stream, union_indices, parallel, ahead, overlap
                 ) as render:
                     if temporal is not None:
                         temporal_stats = session.run_temporal_scan(

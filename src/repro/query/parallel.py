@@ -552,7 +552,8 @@ def decode_ahead(
     """The ``render(index)`` of one scan over ``indices``.
 
     A :class:`FramePrefetcher` running ``PREFETCH_DEPTH`` chunks of
-    ``chunk_size`` frames (the frames the caller consumes at a time) ahead,
+    ``chunk_size`` frames (the frames the caller consumes at a time, or the
+    longest jump a gated scan makes: its ``max_stride``) ahead,
     closed however the block exits, on ``PREFETCH_THREADS`` threads but
     never more than the threads that filter: ``parallel.num_workers``, or
     one when ``overlap`` asks a scan without ``parallel`` to render ahead of

@@ -856,7 +856,6 @@ class ScanSession:
             reuse_charge=reuse_charge,
             verdict=lambda verdict: (verdict.passed, verdict.matched),
             cacheable=lambda verdict: not verdict.poisoned,
-            context_key=self._covering,
             telemetry=self._telemetry,
         )
 
@@ -865,10 +864,18 @@ class ScanSession:
         return tuple(sid for sid in self._active if self._states[sid].covers(index))
 
     def _run_gated(
-        self, scan: TemporalScan, indices: Sequence[int], render: Callable[[int], Frame]
+        self,
+        scan: TemporalScan,
+        indices: Sequence[int],
+        contexts: Sequence[tuple[int, ...]],
+        render: Callable[[int], Frame],
     ) -> None:
-        for index, verdict in zip(indices, scan.run(indices, render)):
-            self._accumulate(self._covering(index), [index], None, verdict)
+        """Gate ``indices`` and accumulate each verdict for the queries that
+        cover its frame, ``contexts[position]`` (the scan's context key,
+        computed once per position by the caller)."""
+        verdicts = scan.run(indices, render, contexts)
+        for index, context, verdict in zip(indices, contexts, verdicts):
+            self._accumulate(context, [index], None, verdict)
 
     def run_temporal_scan(
         self,
@@ -885,25 +892,28 @@ class ScanSession:
         context key), so a windowed query's coverage boundary always forces
         a keyframe.  It is the gate loop a gated :meth:`push_chunk` runs,
         over the whole sequence at once so that it may stride; ``render``
-        materialises a frame (the parallel composition passes a decode-ahead
-        prefetcher).  Unlike a pushed chunk, a ``detector`` retry budget
-        exhausted mid-scan propagates: skipped frames inherit from their
-        neighbours, so there is no one frame to set aside.
+        materialises a frame (the executor passes a decode-ahead prefetcher
+        to an exact or a parallel scan).  Unlike a pushed chunk, a
+        ``detector`` retry budget exhausted mid-scan propagates: skipped
+        frames inherit from their neighbours, so there is no one frame to
+        set aside.
         """
         self._ensure_plan()
-        self._run_gated(self._new_scan(config), indices, render)
+        contexts = [self._covering(index) for index in indices]
+        self._run_gated(self._new_scan(config), indices, contexts, render)
         return self.temporal_stats
 
     def _push_gated(self, frames: list[Frame]) -> None:
-        pushed = {
-            frame.index: frame for frame in frames if self._covering(frame.index)
-        }
+        pushed = {frame.index: frame for frame in frames}
+        covering = {index: self._covering(index) for index in pushed}
+        indices = [index for index in pushed if covering[index]]
         if self.degraded:
-            self.degraded_frames += len(pushed)
+            self.degraded_frames += len(indices)
             if self._degrade_scan is None:
                 self._degrade_scan = self._new_scan(self._degrade_config)
         scan = self._degrade_scan if self.degraded else self._scan
-        self._run_gated(scan, list(pushed), pushed.__getitem__)
+        contexts = [covering[index] for index in indices]
+        self._run_gated(scan, indices, contexts, pushed.__getitem__)
         self._watermark = max(self._watermark, frames[-1].index)
 
     @property

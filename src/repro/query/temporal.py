@@ -50,6 +50,8 @@ counts side by side.
 
 from __future__ import annotations
 
+import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
@@ -105,14 +107,26 @@ class TemporalConfig:
     exact: bool = True
 
     def __post_init__(self) -> None:
-        if self.delta_threshold < 0:
-            raise ValueError(f"delta_threshold must be non-negative: {self.delta_threshold}")
-        if self.downsample < 1:
-            raise ValueError(f"downsample must be positive: {self.downsample}")
-        if self.keyframe_interval < 1:
-            raise ValueError(f"keyframe_interval must be positive: {self.keyframe_interval}")
-        if self.max_stride < 1:
-            raise ValueError(f"max_stride must be positive: {self.max_stride}")
+        # A NaN threshold compares false against every score (the gate would
+        # silently never reuse), and a float block edge would fail mid-scan
+        # inside frame_signature: reject both here, before any scan starts.
+        if not (math.isfinite(self.delta_threshold) and self.delta_threshold >= 0):
+            raise ValueError(
+                f"delta_threshold must be finite and non-negative: {self.delta_threshold}"
+            )
+        for name in ("downsample", "keyframe_interval", "max_stride"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer: {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be positive: {value}")
+
+
+#: largest block edge whose uint8 block sums (<= 255 * 256**2 < 2**24) float32
+#: holds exactly; frame_signature's integer path stops here
+_EXACT_BLOCK = 256
 
 
 def frame_signature(image: np.ndarray, downsample: int) -> np.ndarray:
@@ -121,6 +135,15 @@ def frame_signature(image: np.ndarray, downsample: int) -> np.ndarray:
     Color channels are averaged together — the gate detects *presence*
     changes, for which luminance suffices — and a trailing remainder smaller
     than the block size is cropped, so any frame geometry is accepted.
+
+    A uint8 frame with blocks of at most ``_EXACT_BLOCK`` pixels takes the
+    integer path: exact block sums by strided adds (rows, then columns),
+    then the float32 steps a float32 ``mean`` applies, in its order —
+    divide each channel by ``block**2``, add the channels left to right,
+    divide by the channel count.  Every partial sum the float32 ``mean``
+    forms is an integer of at most ``255 * block**2 <= 2**24``, so it is
+    exact there too, and both paths return the same bits.  Other frames
+    take the float ``mean`` itself.
     """
     if image.ndim == 2:
         image = image[:, :, None]
@@ -128,11 +151,24 @@ def frame_signature(image: np.ndarray, downsample: int) -> np.ndarray:
     block = max(1, min(downsample, height, width))
     rows = (height // block) * block
     cols = (width // block) * block
-    trimmed = image[:rows, :cols].astype(np.float32)
-    pooled = trimmed.reshape(rows // block, block, cols // block, block, -1).mean(
-        axis=(1, 3)
-    )
-    return pooled.mean(axis=-1)
+    trimmed = image[:rows, :cols]
+    if image.dtype != np.uint8 or block > _EXACT_BLOCK:
+        pooled = trimmed.astype(np.float32).reshape(
+            rows // block, block, cols // block, block, -1
+        ).mean(axis=(1, 3))
+        return pooled.mean(axis=-1)
+    dtype = np.uint16 if 255 * block * block <= np.iinfo(np.uint16).max else np.uint32
+    row_sums = trimmed[0::block].astype(dtype)
+    for offset in range(1, block):
+        row_sums += trimmed[offset::block]
+    sums = row_sums[:, 0::block].copy()
+    for offset in range(1, block):
+        sums += row_sums[:, offset::block]
+    means = sums.astype(np.float32) / np.float32(block * block)
+    signature = means[..., 0].copy()
+    for channel in range(1, means.shape[-1]):
+        signature += means[..., channel]
+    return signature / np.float32(means.shape[-1])
 
 
 def delta_score(signature: np.ndarray, reference: np.ndarray) -> float:
@@ -336,10 +372,12 @@ class TemporalScan:
       watches for boundaries (e.g. ``(passed, matched)``);
     * ``cacheable(outcome) -> bool`` — ``False`` keeps an outcome out of the
       keyframe cache (a frame whose evaluation was cut short must not be
-      replayed onto its neighbours);
-    * ``context_key(index) -> hashable`` — reuse and inheritance only happen
-      between frames with equal context (e.g. covered by the same windowed
-      queries).
+      replayed onto its neighbours).
+
+    :meth:`run` also takes each position's *context*, computed once by the
+    caller (which needs it again to use the outcome): reuse and inheritance
+    only happen between frames with equal context (e.g. covered by the same
+    windowed queries).
 
     ``telemetry`` lets several scans report as one (a session's normal and
     degraded gates); by default the scan counts into its own.
@@ -359,7 +397,6 @@ class TemporalScan:
         reuse_charge: Callable[[object], tuple[int, int]] | None = None,
         verdict: Callable[[object], Hashable] | None = None,
         cacheable: Callable[[object], bool] | None = None,
-        context_key: Callable[[int], Hashable] | None = None,
         telemetry: _Telemetry | None = None,
     ) -> None:
         if config.exact and verify is None:
@@ -370,7 +407,6 @@ class TemporalScan:
         self._reuse_charge = reuse_charge or (lambda outcome: (0, 0))
         self._verdict = verdict or (lambda outcome: outcome)
         self._cacheable = cacheable or (lambda outcome: True)
-        self._context_key = context_key or (lambda index: None)
         self._gate = DeltaGate(config)
         self.telemetry = telemetry if telemetry is not None else _Telemetry()
 
@@ -387,10 +423,21 @@ class TemporalScan:
         """Restore :meth:`state_dict` output into this scan's gate."""
         self._gate.load_state(state)
 
-    def run(self, indices: Sequence[int], render: Callable[[int], Frame]) -> list:
-        """Gate ``indices`` in order; ``render(index)`` materialises a frame."""
+    def run(
+        self,
+        indices: Sequence[int],
+        render: Callable[[int], Frame],
+        contexts: Sequence[Hashable] | None = None,
+    ) -> list:
+        """Gate ``indices`` in order; ``render(index)`` materialises a frame.
+
+        ``contexts[position]`` is the context of ``indices[position]``
+        (``None``: one context for all).
+        """
         indices = list(indices)
         n = len(indices)
+        if contexts is None:
+            contexts = [None] * n
         results: list = [None] * n
         gate = self._gate
         telemetry = self.telemetry
@@ -414,9 +461,8 @@ class TemporalScan:
 
         def evaluate(position: int, probe: bool = False) -> object:
             """Render + gate one position; cache hit or full evaluation."""
-            index = indices[position]
-            frame = render(index)
-            context = self._context_key(index)
+            frame = render(indices[position])
+            context = contexts[position]
             if gate.decide(frame.image, context):
                 outcome = gate.outcome
                 gate.mark_reused()
@@ -438,8 +484,8 @@ class TemporalScan:
 
         def inherit(position: int, source: int) -> None:
             """Give a never-rendered position its bracketing frame's outcome."""
-            context = self._context_key(indices[position])
-            if context != self._context_key(indices[source]):
+            context = contexts[position]
+            if context != contexts[source]:
                 # Coverage changed inside the gap (e.g. a window boundary):
                 # inheritance would smuggle an outcome across contexts.
                 evaluate(position)

@@ -283,6 +283,22 @@ def reference_evaluate_samples(monitor, spec, stream, indices, temporal=None, pa
     return exact_values, controls, None
 
 
+def reference_frame_signature(image, downsample):
+    """``frame_signature`` as it stood before the integer block sums: one
+    float32 ``mean`` over the block axes, then over the channels."""
+    if image.ndim == 2:
+        image = image[:, :, None]
+    height, width = image.shape[0], image.shape[1]
+    block = max(1, min(downsample, height, width))
+    rows = (height // block) * block
+    cols = (width // block) * block
+    trimmed = image[:rows, :cols].astype(np.float32)
+    pooled = trimmed.reshape(rows // block, block, cols // block, block, -1).mean(
+        axis=(1, 3)
+    )
+    return pooled.mean(axis=-1)
+
+
 def reference_leaky_relu(inputs, negative_slope):
     """Eval-mode ``LeakyReLU`` before the two-pass form: a mask and a select."""
     return np.where(inputs > 0, inputs, inputs.dtype.type(negative_slope) * inputs)

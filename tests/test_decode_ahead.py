@@ -206,6 +206,49 @@ def test_decode_ahead_default_matches_inline(
         assert _timeless(got) == _timeless(want)
 
 
+#: two windowed queries whose coverage alternates, (0, 1) on frames 0-4,
+#: (1,) on 5-9, (0,) on 10-14 and neither on 15-19: the scan's context
+#: changes between frames whose one-row verdicts are equal, so a stride gap
+#: can hide the change
+ALTERNATING = (
+    QueryBuilder("short").count("car").at_least(1).window(5, 10).build(),
+    QueryBuilder("long").count("car").at_least(1).window(10, 20).build(),
+)
+
+#: an exact gate loose enough that every step within one context reuses
+STRIDING_GATE = TemporalConfig(delta_threshold=255.0, keyframe_interval=6, max_stride=8)
+
+
+def test_decode_ahead_exact_strided_scan_matches_inline(
+    tiny_jackson, stream, planner, monkeypatch, counted_renders, prefetchers
+):
+    """An exact gate renders ahead through two maximal strides: stride
+    backfill, refinement probes and the frames a context change inside a
+    gap forces to a keyframe are all served from the window, so each
+    covered position renders once, and the result is the inline scan's."""
+    cascades = [planner.plan(query) for query in ALTERNATING]
+    covered = [index for index in range(len(stream)) if index % 20 < 15]
+
+    def scan():
+        return _executor(tiny_jackson).execute_many(
+            ALTERNATING, stream, cascades, temporal=STRIDING_GATE,
+            include_partial_windows=True,
+        )
+
+    ahead = scan()
+    assert prefetchers == [(2 * STRIDING_GATE.max_stride, 1)]
+    assert sorted(counted_renders) == covered
+    stats = ahead.shared.temporal
+    assert stats.max_stride_used > 1 and stats.frames_skipped > 0
+    assert _live_decode_ahead_threads() == []
+
+    counted_renders.clear()
+    monkeypatch.setattr("repro.query.executor.decode_ahead", _inline)
+    inline = scan()
+    assert sorted(counted_renders) == covered
+    assert _timeless(ahead) == _timeless(inline)
+
+
 def _aggregate_spec(query, controls=1):
     values = [query_indicator_control(query), class_count_control("car")]
     return AggregateQuerySpec.from_query(query, values[:controls])
@@ -305,10 +348,19 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
 
     runner.execute(query, stream)  # cascade-free
     runner.execute_many([query, _windowed()], stream)  # cascade-free, shared
-    runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True))
     runner.execute(query, stream, cascade, batch_size=len(stream))  # one chunk
     runner.execute(query, stream, cascade, frame_indices=[4], batch_size=None)
+    # An approximate gate decides what is rendered at all; one frame has
+    # nothing to overlap.
+    runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=False, max_stride=4))
+    runner.execute(query, stream, cascade, frame_indices=[4], temporal=TemporalConfig())
+    runner.execute(query, stream, temporal=TemporalConfig())  # cascade-free
     assert len(prefetchers) == 2
+
+    # An exact gate renders every frame: ahead through two maximal strides.
+    runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True))
+    runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True, max_stride=4))
+    assert prefetchers[2:] == [(2 * 1, 1), (2 * 4, 1)]
 
     # The sampler: more than one filter tile, unless exact-gated.
     spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
@@ -316,19 +368,22 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     runner.execute_aggregate(
         spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=True)
     )
-    assert len(prefetchers) == 2
+    assert len(prefetchers) == 4
     runner.execute_aggregate(spec, stream, cascade, sample_size=_SAMPLE_TILE + 1)
     runner.execute_aggregate(
         spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=False)
     )
-    assert prefetchers[2:] == [(2 * _SAMPLE_TILE, 1)] * 2
+    assert prefetchers[4:] == [(2 * _SAMPLE_TILE, 1)] * 2
 
     # ``parallel=`` keeps its own prefetcher: PREFETCH_THREADS, capped by workers.
     config = ParallelConfig(num_workers=2, chunk_size=8)
     runner.execute(query, stream, cascade, parallel=config)
     runner.execute(query, stream, cascade, batch_size=len(stream), parallel=config)
     runner.execute_aggregate(spec, stream, cascade, sample_size=2, parallel=config)
-    assert prefetchers[4:] == [(2 * 8, 2), (2 * len(stream), 2), (2 * _SAMPLE_TILE, 2)]
+    runner.execute(query, stream, cascade, temporal=TemporalConfig(max_stride=4), parallel=config)
+    assert prefetchers[6:] == [
+        (2 * 8, 2), (2 * len(stream), 2), (2 * _SAMPLE_TILE, 2), (2 * 8, 2)
+    ]
     assert _live_decode_ahead_threads() == []
 
 

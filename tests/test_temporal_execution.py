@@ -36,6 +36,7 @@ from repro.video.objects import TrackedObject, default_class_registry
 from repro.video.renderer import FrameRenderer, RendererConfig
 from repro.video.scene import Scene, SceneConfig
 from repro.video.stream import VideoStream
+from tests.conftest import reference_frame_signature
 
 @pytest.fixture(scope="module")
 def low_motion_stream() -> VideoStream:
@@ -98,6 +99,42 @@ def test_frame_signature_shape_and_score(rng):
         delta_score(signature, signature[:7, :7])
 
 
+@pytest.mark.parametrize("block", range(1, 17))
+@pytest.mark.parametrize("shape", [(112, 112, 3), (90, 70, 3), (112, 112), (45, 61)])
+def test_frame_signature_matches_the_float_mean(rng, shape, block):
+    """Integer block sums reproduce the float32 ``mean`` bit for bit, for
+    blocks that are powers of two or not and divide the frame or not."""
+    image = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    image[:block, :block] = 255  # a block at the sums' upper bound
+    signature = frame_signature(image, block)
+    assert signature.dtype == np.float32
+    np.testing.assert_array_equal(signature, reference_frame_signature(image, block))
+
+
+@pytest.mark.parametrize(
+    "image, block",
+    [
+        (np.linspace(0.0, 255.0, 112 * 112 * 3).reshape(112, 112, 3), 8),  # float frame
+        (np.arange(300 * 300 * 3, dtype=np.uint32).reshape(300, 300, 3) % 256, 5),
+    ],
+    ids=["float", "uint32"],
+)
+def test_frame_signature_fallback_is_the_float_mean(image, block):
+    signature = frame_signature(image, block)
+    assert signature.dtype == np.float32
+    np.testing.assert_array_equal(signature, reference_frame_signature(image, block))
+
+
+def test_frame_signature_exact_bound_at_block_256(rng):
+    """Blocks up to 256 take the integer path, larger ones the float mean."""
+    image = rng.integers(0, 256, size=(300, 300, 3), dtype=np.uint8)
+    image[:256, :256] = 255
+    for block in (255, 256, 257, 300):
+        np.testing.assert_array_equal(
+            frame_signature(image, block), reference_frame_signature(image, block)
+        )
+
+
 def test_delta_gate_decisions(rng):
     config = TemporalConfig(delta_threshold=5.0, downsample=8, keyframe_interval=2)
     gate = DeltaGate(config)
@@ -131,6 +168,16 @@ def test_temporal_config_validation():
         TemporalConfig(keyframe_interval=0)
     with pytest.raises(ValueError):
         TemporalConfig(max_stride=0)
+    # A NaN threshold would compare false against every score: the gate
+    # would silently never reuse.
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="delta_threshold"):
+            TemporalConfig(delta_threshold=threshold)
+    # Counts must be integral: a float block edge used to fail mid-scan.
+    for name in ("downsample", "keyframe_interval", "max_stride"):
+        with pytest.raises(TypeError, match=name):
+            TemporalConfig(**{name: 8.0})
+        assert getattr(TemporalConfig(**{name: np.int64(8)}), name) == 8
 
 
 # ----------------------------------------------------------------------
