@@ -439,6 +439,33 @@ def run_filter_chunk(
     )
 
 
+def filter_with_retry(
+    clock: SimulatedClock,
+    query_cascades: Sequence[FilterCascade],
+    assignments: Sequence[Sequence[int]],
+    covered: Sequence[Sequence[bool]] | None,
+    orders: Sequence[Sequence[int]],
+    frames: Sequence[Frame],
+) -> FilteredChunk:
+    """:func:`run_filter_chunk` under the ``filter`` site's retry policy.
+
+    The one filter phase of the inline evaluation and of a pool worker, so
+    a fault is retried alike on either side, backoff charged to ``clock``.
+    The retry is chunk-atomic: the fault site is *before* any accumulation
+    inside :func:`run_filter_chunk`, so a retried chunk replays
+    bit-identically and exhaustion poisons the whole chunk (no partial
+    counters to unwind).
+    """
+    if hooks.injector is not None:
+        return hooks.injector.with_retry(
+            "filter",
+            frames[0].index,
+            clock,
+            lambda: run_filter_chunk(query_cascades, assignments, covered, orders, frames),
+        )
+    return run_filter_chunk(query_cascades, assignments, covered, orders, frames)
+
+
 # ----------------------------------------------------------------------
 # The decode-ahead prefetcher
 # ----------------------------------------------------------------------
@@ -618,10 +645,14 @@ class _Worker:
 
         The private clock starts every chunk from zero, so the breakdown is
         the chunk's own sums: subtracting a running total instead would make
-        its last ulp depend on which chunks this worker ran before.
+        its last ulp depend on which chunks this worker ran before.  Retry
+        backoff is the chunk's too; an exhausted ``filter`` budget fails the
+        task with :class:`FaultExhausted`.
         """
         self.clock.reset()
-        filtered = run_filter_chunk(self.cascades, self.assignments, covered, orders, frames)
+        filtered = filter_with_retry(
+            self.clock, self.cascades, self.assignments, covered, orders, frames
+        )
         return ChunkOutcome(chunk_id, self.label, filtered, self.clock.snapshot())
 
 
@@ -718,7 +749,9 @@ class WorkerSupervisor:
     too, and only the first observed failure pays the respawn — the
     siblings are re-dispatched onto the already-fresh pool.  An
     unsupervised scan never arms the timeout and propagates the first
-    failure unchanged.
+    failure unchanged, except that ``redispatch_crashes`` (a live session's
+    pool: a standing query outlives a crashed worker) re-dispatches an
+    injected worker crash up to ``max_redispatch`` times all the same.
     """
 
     def __init__(
@@ -726,8 +759,11 @@ class WorkerSupervisor:
         config: ParallelConfig,
         query_cascades: Sequence[FilterCascade],
         assignments: Sequence[Sequence[int]],
+        *,
+        redispatch_crashes: bool = False,
     ) -> None:
         self._config = config
+        self._redispatch_crashes = redispatch_crashes
         self._cascades = list(query_cascades)
         self._assignments = [list(row) for row in assignments]
         self._pool = self._build_pool()
@@ -797,6 +833,10 @@ class WorkerSupervisor:
                 return entry.future.result(timeout)
             except FuturesTimeout as error:
                 self._recover(entry, error, respawn=True)
+            except FaultExhausted:
+                # The task's own retry budget gave up: the chunk is poison,
+                # and running it again would not heal it.
+                raise
             except FaultError as error:
                 # An injected worker crash: the pool itself is intact.
                 self._recover(entry, error, respawn=False)
@@ -806,7 +846,8 @@ class WorkerSupervisor:
     def _recover(
         self, entry: ChunkDispatch, error: BaseException, *, respawn: bool
     ) -> None:
-        if not self._config.supervise:
+        crash = self._redispatch_crashes and isinstance(error, FaultError)
+        if not (self._config.supervise or crash):
             raise error
         if entry.attempts > self._config.max_redispatch:
             if hooks.injector is not None:

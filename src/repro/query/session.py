@@ -44,7 +44,14 @@ order; :meth:`ScanSession._push_parallel` / :meth:`ScanSession._merge_next`
 are the only submit/merge loop in the repo.  Chunk ids are positions in the
 sequence of chunks handed to the session (pushed or set aside), which is what
 ``worker_crash@k`` / ``worker_stall@k`` fault schedules and the determinism
-sanitizer's per-chunk digests are keyed by.
+sanitizer's per-chunk digests are keyed by.  A live session reports what each
+chunk established as one :class:`ChunkProgress` per chunk, from whichever call
+merged it (:meth:`~ScanSession.push_chunk`, :meth:`~ScanSession.merge_ready`,
+:meth:`~ScanSession.drain`); a live pooled session merges nothing after a
+push's submission, so the service can merge a chunk the moment its filter
+phase completes (``on_chunk_done``).  The merge of a ``resilient`` session
+(a service shard's) never raises: a chunk whose worker crashed is
+re-dispatched, and one that still fails is quarantined at its own chunk id.
 
 In both modes the session attaches the filters' and the detector's clocks
 (and builds the worker pool) when it (re)plans and gives them back in
@@ -99,7 +106,7 @@ from repro.query.parallel import (
     WorkerSupervisor,
     _distinct_filters,
     _worker_sort_key,
-    run_filter_chunk,
+    filter_with_retry,
 )
 from repro.query.planner import FilterCascade, merge_cascade_steps
 from repro.query.results import QueryExecutionResult, WindowResult, query_result, window_result
@@ -243,12 +250,12 @@ class QueryState:
 
 @dataclass(frozen=True)
 class ChunkProgress:
-    """What one :meth:`ScanSession.push_chunk` call newly established.
+    """What merging one chunk newly established in a live session.
 
-    ``new_matches[sid]`` holds match indices confirmed since the previous
-    report (parallel sessions confirm at the in-order merge, so a push may
-    report matches from earlier chunks and none from its own);
-    ``new_windows[sid]`` the window results whose end passed the watermark.
+    ``new_matches[sid]`` holds the chunk's match indices and
+    ``new_windows[sid]`` the window results whose end the chunk's merge moved
+    the watermark past.  A pooled session confirms a chunk at its in-order
+    merge, so a call may report chunks pushed earlier and none of its own.
     """
 
     new_matches: dict[int, tuple[int, ...]]
@@ -268,7 +275,8 @@ class ScanSession:
     pool with the engine's in-order merge (at most
     ``num_workers + PREFETCH_DEPTH`` chunks in flight; results, counters and
     clock history are identical to the inline path); the pool is built
-    at the first pushed chunk.  With
+    at the first pushed chunk, and :meth:`set_parallel` moves the filter
+    phase on or off a pool between chunks.  With
     ``parallel.adaptive`` every query gets a
     :class:`~repro.query.parallel.CascadeProfiler` that re-plans its step
     order from observed pass rates.  ``temporal`` applies
@@ -281,6 +289,14 @@ class ScanSession:
     :meth:`set_degraded` flips the session into under ingestion overload:
     frames are delta-gated with ``degrade`` (``exact=False`` — reuses are
     trusted, not verified) until the pressure clears.
+
+    ``resilient`` keeps a standing scan going past a chunk whose pool
+    failure surfaces at its merge, pushes after it was submitted: an
+    injected worker crash is re-dispatched up to ``max_redispatch`` times
+    even unsupervised, and a chunk that still fails, or whose detector phase
+    raises, is quarantined at its own chunk id (an inline push raises
+    instead, and its caller sets the pushed chunk aside).  Otherwise a merge
+    failure other than a poison chunk propagates and abandons the scan.
     """
 
     def __init__(
@@ -292,6 +308,7 @@ class ScanSession:
         parallel: ParallelConfig | None = None,
         temporal: TemporalConfig | None = None,
         degrade: TemporalConfig | None = None,
+        resilient: bool = False,
     ) -> None:
         if temporal is not None and parallel is not None:
             raise ValueError(
@@ -312,6 +329,7 @@ class ScanSession:
         self.clock = clock if clock is not None else SimulatedClock()
         self.live = live
         self._parallel = parallel
+        self._resilient = resilient
         self._degrade_config = degrade or TemporalConfig(exact=False)
         self._states: list[QueryState] = []
         self._watermark = -1
@@ -344,11 +362,21 @@ class ScanSession:
         # Parallel pipelining state (dispatch goes through a supervisor so
         # dead/stalled workers heal when the config asks for it).  The
         # pool lives exactly as long as the plan it was built from; an
-        # in-flight ``None`` is a chunk id consumed by a set-aside chunk.
+        # in-flight ``None`` is a chunk id consumed by a chunk set aside,
+        # recorded in ``_set_aside`` until its turn in the merge.
         self._backend: WorkerSupervisor | None = None
         self._inflight: dict[int, tuple[ChunkDispatch, tuple[int, ...]] | None] = {}
+        self._set_aside: dict[int, tuple[Sequence[object], BaseException]] = {}
         self._next_submit = 0
         self._next_merge = 0
+        #: live mode: the last frame index pushed or set aside (ahead of the
+        #: watermark while chunks are in flight)
+        self._last_pushed = -1
+        #: live mode: per merged chunk, what the next report hands out
+        self._reports: list[ChunkProgress] = []
+        #: called with no arguments, on a worker thread, whenever a chunk's
+        #: filter phase finishes (the service wakes its shard thread with it)
+        self.on_chunk_done: Callable[[], None] | None = None
         self._worker_totals: dict[str, CostBreakdown] = {}
         self.chunks_merged = 0
         #: once-per-session dedup registry for WindowTailDropWarning
@@ -490,63 +518,114 @@ class ScanSession:
     # ------------------------------------------------------------------
     # Pushing chunks
     # ------------------------------------------------------------------
-    def push_chunk(self, frames: Sequence[Frame]) -> ChunkProgress:
+    def push_chunk(self, frames: Sequence[Frame]) -> list[ChunkProgress]:
         """Feed one chunk of frames through the pipeline.
 
         Live sessions require strictly ascending frame indices past the
-        watermark (window emission counts by bisection over the accumulator
-        lists).  Returns the matches and completed windows the push newly
-        confirmed — for parallel sessions that is whatever merged, which may
-        lag the submitted chunk by up to the in-flight window.
+        watermark and past every chunk still in flight (window emission
+        counts by bisection over the accumulator lists).  Returns one
+        :class:`ChunkProgress` per chunk merged since the last report, in
+        chunk order (always empty in executor mode).  An inline or gated
+        push merges its own chunk.  A pooled live push only submits, after
+        merging the oldest chunks while :attr:`window_full`
+        (:meth:`merge_ready` merges the rest).
         """
         if self._closed:
             raise RuntimeError("session is closed")
         frames = list(frames)
         if not frames:
-            return self._progress({})
+            return self._take_reports()
         if self.live:
-            previous = self._watermark
+            previous = max(self._watermark, self._last_pushed)
             for frame in frames:
                 if frame.index <= previous:
                     raise ValueError(
                         f"live sessions need strictly ascending frame indices: "
-                        f"{frame.index} after watermark {previous}"
+                        f"{frame.index} after {previous}"
                     )
                 previous = frame.index
+            self._last_pushed = previous
         self._ensure_plan()
-        cursors = self._match_cursors()
-        if not self._active:
-            self._watermark = max(self._watermark, frames[-1].index)
-            return self._progress(cursors)
+        pooled = self._parallel is not None and self._scan is None and not self.degraded
+        if pooled and self._active:
+            # Merges inside report themselves; the submission merges nothing.
+            self._push_parallel(frames)
+            return self._take_reports()
+        cursors = self._match_cursors() if self.live else None
         try:
-            if self._scan is not None or self.degraded:
+            if not self._active:
+                self._watermark = max(self._watermark, frames[-1].index)
+            elif self._scan is not None or self.degraded:
                 self._push_gated(frames)
-            elif self._parallel is not None:
-                self._push_parallel(frames)
             else:
                 self._push_inline(frames)
         except FaultExhausted as error:
-            # Poison chunk: retries (and, on the parallel path, re-dispatch
-            # at submission) gave up.  Quarantine and keep scanning — a
-            # standing query must outlive one bad chunk.
+            # Poison chunk: retries gave up.  Quarantine and keep scanning —
+            # a standing query must outlive one bad chunk.
             self._quarantine(frames, error)
-        return self._progress(cursors)
+        if cursors is not None:
+            self._reports.append(self._progress(cursors))
+        return self._take_reports()
 
-    def quarantine_chunk(
-        self, frames: Sequence[object], error: BaseException
-    ) -> QuarantineRecord:
+    def merge_ready(self) -> list[ChunkProgress]:
+        """Merge, in chunk order, every in-flight chunk whose filter phase is done.
+
+        While :attr:`window_full` the oldest chunk is waited for first, as
+        the next push would wait for it.  Returns one :class:`ChunkProgress`
+        per chunk merged since the last report.
+        """
+        while self.window_full:
+            self._merge_next()
+        self._drain_ready()
+        return self._take_reports()
+
+    def drain(self) -> list[ChunkProgress]:
+        """Merge every in-flight chunk (blocking); returns what :meth:`merge_ready` does."""
+        self._drain_all()
+        return self._take_reports()
+
+    @property
+    def parallel(self) -> ParallelConfig | None:
+        """The pool configuration pushed chunks filter on (``None``: inline)."""
+        return self._parallel
+
+    @property
+    def window_full(self) -> bool:
+        """Whether a pooled live push would first wait for the oldest chunk in flight."""
+        if self._parallel is None:
+            return False
+        return len(self._inflight) >= self._parallel.num_workers + PREFETCH_DEPTH
+
+    def _take_reports(self) -> list[ChunkProgress]:
+        reports, self._reports = self._reports, []
+        return reports
+
+    def quarantine_chunk(self, frames: Sequence[object], error: BaseException) -> None:
         """Set aside a chunk the caller could not push; the scan continues.
 
         ``frames`` may be :class:`Frame` objects or bare indices (decode
         exhaustion never materialised any frames).  On a parallel session
         the chunk still consumes a chunk id, so ids stay positions in the
         sequence of chunks handed to the session — what ``worker_crash@k``
-        schedules and the determinism sanitizer's digests are keyed by.
+        schedules and the determinism sanitizer's digests are keyed by — and
+        it is recorded at its turn in the merge, so the watermark never
+        passes a chunk still in flight.
         """
-        if self._parallel is not None:
-            self._inflight[self._next_submit] = None
-            self._next_submit += 1
-        return self._quarantine(frames, error)
+        if self._parallel is None:
+            self._quarantine(frames, error)
+            return
+        frames = list(frames)
+        if frames:
+            last = frames[-1]
+            self._last_pushed = max(
+                self._last_pushed, last.index if isinstance(last, Frame) else int(last)
+            )
+        chunk_id = self._next_submit
+        self._next_submit += 1
+        self._inflight[chunk_id] = None
+        self._set_aside[chunk_id] = (frames, error)
+        if self._next_merge == chunk_id:
+            self._merge_next()
 
     def _quarantine(
         self, frames: Sequence[object], error: BaseException
@@ -609,28 +688,16 @@ class ScanSession:
     ) -> _ChunkVerdict:
         """Evaluate one chunk for the active queries ``sids``; accumulates nothing.
 
-        Cascade walk (:func:`run_filter_chunk`), then detector and predicates
-        on the survivors.  A pushed chunk is evaluated for every active
-        query under its ``covered`` masks; a gated frame is a chunk of one
-        for the queries covering it.
+        Cascade walk (:func:`~repro.query.parallel.filter_with_retry`), then
+        detector and predicates on the survivors.  A pushed chunk is
+        evaluated for every active query under its ``covered`` masks; a gated
+        frame is a chunk of one for the queries covering it.
         """
         rows = [self._row_of[sid] for sid in sids]
         cascades = [self._active_cascades[row] for row in rows]
         assignments = [self._assignments[row] for row in rows]
         orders = self._orders(sids)
-        if hooks.injector is not None:
-            # Chunk-atomic retry: the fault site is *before* any
-            # accumulation inside run_filter_chunk, so a retried chunk
-            # replays bit-identically and exhaustion poisons the whole
-            # chunk (no partial counters to unwind).
-            filtered = hooks.injector.with_retry(
-                "filter",
-                frames[0].index,
-                self.clock,
-                lambda: run_filter_chunk(cascades, assignments, covered, orders, frames),
-            )
-        else:
-            filtered = run_filter_chunk(cascades, assignments, covered, orders, frames)
+        filtered = filter_with_retry(self.clock, cascades, assignments, covered, orders, frames)
         return self._detector_phase(sids, frames, filtered, charged)
 
     def _detector_phase(
@@ -736,9 +803,21 @@ class ScanSession:
     # -- parallel path --------------------------------------------------
     def _push_parallel(self, frames: list[Frame]) -> None:
         assert self._parallel is not None
+        max_inflight = self._parallel.num_workers + PREFETCH_DEPTH
+        if self.live:
+            # Make room before submitting, so that a failed merge leaves this
+            # chunk unsubmitted; everything else merges in merge_ready.  A
+            # one-shot scan reads nothing between pushes, and merging only
+            # when the window is full keeps the adaptive re-planner's
+            # submit-time orders independent of worker timing.
+            while self.window_full:
+                self._merge_next()
         if self._backend is None:
             self._backend = WorkerSupervisor(
-                self._parallel, self._active_cascades, self._assignments
+                self._parallel,
+                self._active_cascades,
+                self._assignments,
+                redispatch_crashes=self._resilient,
             )
         chunk = [frame.index for frame in frames]
         covered = [
@@ -746,21 +825,27 @@ class ScanSession:
         ]
         chunk_id = self._next_submit
         self._next_submit += 1
-        # Consumed even if the submission itself gives up (FaultExhausted).
+        # Consumed even if the submission itself fails.
         self._inflight[chunk_id] = None
-        entry = self._backend.submit(
-            chunk_id, chunk, frames, covered, self._orders(self._active)
-        )
+        try:
+            entry = self._backend.submit(
+                chunk_id, chunk, frames, covered, self._orders(self._active)
+            )
+        except FaultExhausted as error:
+            # Re-dispatch at submission gave up: a poison chunk, set aside
+            # at its turn in the merge.
+            self._set_aside[chunk_id] = (frames, error)
+            return
         self._inflight[chunk_id] = (entry, tuple(self._active))
-        if self.live:
-            # Emit as early as possible.  A one-shot scan reads nothing
-            # between pushes, and merging only when the window is full keeps
-            # the adaptive re-planner's submit-time orders independent of
-            # worker timing.
-            self._drain_ready()
-        max_inflight = self._parallel.num_workers + PREFETCH_DEPTH
-        while len(self._inflight) >= max_inflight:
-            self._merge_next()
+        self._watch(entry)
+        if not self.live:
+            while len(self._inflight) >= max_inflight:
+                self._merge_next()
+
+    def _watch(self, entry: ChunkDispatch) -> None:
+        if self.on_chunk_done is not None:
+            notify = self.on_chunk_done
+            entry.future.add_done_callback(lambda _future: notify())
 
     def _drain_ready(self) -> None:
         while self._next_merge in self._inflight:
@@ -779,38 +864,49 @@ class ScanSession:
             if pending is not None:
                 self._backend.discard(pending[0])
         self._inflight.clear()
+        self._set_aside.clear()
 
     def _merge_next(self) -> None:
         """The in-order merge point: what :meth:`_push_inline` does after filtering.
 
         Absorbs the chunk's filter cost into the session clock, runs the
         detector-union phase and accumulates the verdict, so the parallel
-        path stays chunk-for-chunk identical to the inline one.
+        path stays chunk-for-chunk identical to the inline one.  A chunk set
+        aside is quarantined here, at its turn, and so is a poison chunk
+        (its retries or re-dispatches gave up).  A ``resilient`` session
+        quarantines a chunk whose merge fails in any other way too: the
+        filter work that ran stays charged, as an inline chunk's would.
         """
         chunk_id = self._next_merge
         pending = self._inflight.pop(chunk_id)
         self._next_merge += 1
-        outcome = entry = None
-        if pending is not None:
+        cursors = self._match_cursors() if self.live else None
+        outcome = entry = verdict = None
+        if pending is None:
+            aside = self._set_aside.pop(chunk_id, None)
+            if aside is not None:
+                self._quarantine(*aside)
+        else:
             entry, sids = pending
             try:
                 outcome = self._backend.result(entry)
-            except FaultExhausted as error:
-                # Poisoned chunk: supervision re-dispatched it to the limit.
-                # Quarantine and keep merging.
+                self._worker_totals[outcome.worker] = self._worker_totals.get(
+                    outcome.worker, CostBreakdown()
+                ).merged_with(outcome.breakdown)
+                self.clock.absorb(outcome.breakdown)
+                verdict = self._detector_phase(sids, entry.frames, outcome.filtered)
+            except Exception as error:
+                if not (self._resilient or isinstance(error, FaultExhausted)):
+                    raise
                 self._quarantine(entry.frames, error)
         if hooks.sanitizer is not None:
             hooks.sanitizer.observe_chunk(chunk_id, entry, outcome)
-        if outcome is None:
-            return
-        self._worker_totals[outcome.worker] = self._worker_totals.get(
-            outcome.worker, CostBreakdown()
-        ).merged_with(outcome.breakdown)
-        self.clock.absorb(outcome.breakdown)
-        verdict = self._detector_phase(sids, entry.frames, outcome.filtered)
-        self._accumulate(sids, entry.indices, entry.covered, verdict)
-        self._watermark = max(self._watermark, entry.indices[-1])
-        self.chunks_merged += 1
+        if verdict is not None:
+            self._accumulate(sids, entry.indices, entry.covered, verdict)
+            self._watermark = max(self._watermark, entry.indices[-1])
+            self.chunks_merged += 1
+        if cursors is not None:
+            self._reports.append(self._progress(cursors))
 
     @property
     def worker_breakdowns(self) -> dict[str, CostBreakdown]:
@@ -937,6 +1033,20 @@ class ScanSession:
         self.degraded = degraded
         if not degraded:
             self._degrade_scan = None
+
+    def set_parallel(self, parallel: ParallelConfig | None) -> None:
+        """Move the filter phase onto a pool of ``parallel`` workers, or inline.
+
+        The pipeline drains first and a pool is rebuilt at the next push,
+        as on a membership change; the results cannot tell.  Not for
+        gated or adaptive sessions (their per-query state follows the
+        config they were built with).
+        """
+        for config in (parallel, self._parallel):
+            if config is not None and (config.adaptive or self._scan is not None):
+                raise ValueError("set_parallel needs a non-adaptive, ungated session")
+        self._invalidate_plan()
+        self._parallel = parallel
 
     # ------------------------------------------------------------------
     # Budgets

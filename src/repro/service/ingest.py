@@ -44,6 +44,7 @@ class IngestionQueue:
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
+        self._woken = False
         # Telemetry (read under the lock via snapshot()).
         self.high_water = 0
         self.dropped_chunks = 0
@@ -80,7 +81,8 @@ class IngestionQueue:
             return True
 
     def get(self, timeout: float | None = None) -> Sequence[Frame] | None:
-        """Dequeue the next chunk; ``None`` when the queue is closed and drained.
+        """Dequeue the next chunk; ``None`` when the queue is closed and drained,
+        on a timeout, or when :meth:`wake` cut the wait short.
 
         Also clears ``degrade_requested`` once the depth falls to half the
         soft capacity or below (the hysteresis that ends a degraded episode).
@@ -94,15 +96,28 @@ class IngestionQueue:
                 return None
         with self._not_empty:
             while not self._chunks:
-                if self._closed:
+                if self._closed or self._woken:
+                    self._woken = False
                     return None
                 if not self._not_empty.wait(timeout=timeout):
                     return None
+            self._woken = False
             chunk = self._chunks.popleft()
             if self.degrade_requested and len(self._chunks) <= self.maxsize // 2:
                 self.degrade_requested = False
             self._not_full.notify()
             return chunk
+
+    def wake(self) -> None:
+        """End the consumer's wait: its pending (or next) empty ``get`` returns ``None``.
+
+        The shard's worker pool calls it when a chunk's filter phase
+        finishes, so the shard thread waits on one condition for a new chunk
+        *or* a chunk to merge.
+        """
+        with self._lock:
+            self._woken = True
+            self._not_empty.notify_all()
 
     def close(self, drain: bool = True) -> None:
         """Refuse further puts; pending gets drain (or drop) the backlog."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import hooks
 from repro.analysis.diagnostics import AnalysisError
@@ -39,7 +39,7 @@ from repro.faults.injector import (
 from repro.query.ast import Query
 from repro.query.parallel import ParallelConfig
 from repro.query.planner import FilterCascade
-from repro.query.session import ScanSession
+from repro.query.session import ChunkProgress, ScanSession
 from repro.query.temporal import TemporalConfig
 from repro.service.emitters import Emission, Emitter, deliver
 from repro.service.ingest import IngestionQueue
@@ -55,6 +55,13 @@ _WORKER_POLL_SECONDS = 0.05
 #: quarantined as poison
 _MAX_SHARD_RETRIES = 3
 
+#: filter workers of a shard built with neither ``parallel=`` nor
+#: ``temporal=`` while it is its service's only stream: the backbone and the
+#: filter heads leave the shard thread, which keeps the detector phase, the
+#: merge and the emitters.  DESIGN.md "Standing-query service" has the
+#: measurements behind the count and behind the one-stream rule.
+SHARD_WORKERS = 2
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -66,7 +73,12 @@ class StreamConfig:
     ``"drop_oldest"`` / ``"degrade"``).  ``temporal`` / ``parallel``
     configure the shard's scan session exactly as they configure the
     one-shot executor (``parallel.adaptive`` re-plans each standing query's
-    step order from observed pass rates); ``degrade`` is the approximate
+    step order from observed pass rates).  A shard given neither filters on
+    a pool of :data:`SHARD_WORKERS` threads, as
+    ``ParallelConfig(num_workers=SHARD_WORKERS, chunk_size=chunk_size)``
+    would, while its stream is the service's only one, and inline while
+    other streams' shard threads share the cores; a ``temporal`` shard
+    gates inline.  ``degrade`` is the approximate
     :class:`~repro.query.temporal.TemporalConfig` applied while the
     ``degrade`` policy has the shard in its degraded episode.
     """
@@ -156,6 +168,11 @@ class _StreamShard:
     ) -> None:
         self.name = name
         self.config = config
+        self._default_pool = None
+        if config.parallel is None and config.temporal is None:
+            self._default_pool = ParallelConfig(
+                num_workers=SHARD_WORKERS, chunk_size=config.chunk_size
+            )
         self.session = ScanSession(
             detector,
             clock,
@@ -163,8 +180,11 @@ class _StreamShard:
             temporal=config.temporal,
             parallel=config.parallel,
             degrade=config.degrade,
+            resilient=True,
         )
         self.queue = IngestionQueue(config.queue_chunks, config.policy)
+        # A finished chunk ends the shard thread's wait for the next one.
+        self.session.on_chunk_done = self.queue.wake
         self.lock = threading.RLock()
         self._registry = registry
         self._service_emitters = service_emitters
@@ -182,9 +202,21 @@ class _StreamShard:
         self._warned_emitters: set[int] = set()
         self._faults_emitted = 0
 
+    def use_default_pool(self, alone: bool) -> None:
+        """Filter on the default pool while ``alone`` (the service's only stream)."""
+        if self._default_pool is None:
+            return
+        wanted = self._default_pool if alone else None
+        with self.lock:
+            if self.session.parallel is not wanted:
+                self._merge(self.session.drain)
+                self.session.set_parallel(wanted)
+
     # -- membership (called by the service, shard lock serialises vs scan) --
     def admit(self, entry: StandingQuery) -> None:
         with self.lock:
+            # A membership change drains the pool; emit what it merges.
+            self._merge(self.session.drain)
             entry.sid = self.session.add_query(
                 entry.query,
                 entry.cascade,
@@ -196,6 +228,7 @@ class _StreamShard:
 
     def evict(self, entry: StandingQuery):
         with self.lock:
+            self._merge(self.session.drain)
             emitted_before = len(self.session.states[entry.sid].emitted_windows)
             result = self.session.remove_query(entry.sid)
             del self._sid_to_handle[entry.sid]
@@ -213,15 +246,19 @@ class _StreamShard:
             )
         accepted = 0
         size = self.config.chunk_size
+        synchronous = self._thread is None
         for start in range(0, len(frames), size):
             chunk = list(frames[start : start + size])
-            if self._thread is None:
+            if synchronous:
                 self._run_chunk_resilient(chunk)
             elif not self.queue.put(chunk):
                 break
             accepted += 1
             self.chunks_ingested += 1
             self.frames_ingested += len(chunk)
+        if synchronous:
+            # A returned synchronous feed has delivered its emissions.
+            self._merge(self.session.drain)
         return accepted
 
     def _worker_loop(self) -> None:
@@ -229,15 +266,26 @@ class _StreamShard:
         # ``stop(drain=False)`` clears the backlog and closes the queue, and
         # within one poll interval the loop observes closed-and-drained and
         # exits — it cannot deadlock on a wakeup that was never signalled.
-        # ``None`` alone is *not* an exit signal (timeouts and injected queue
-        # stalls return it too), so the loop re-checks the queue state.
+        # ``None`` alone is *not* an exit signal (timeouts, injected queue
+        # stalls and a finished pool chunk's ``wake`` return it too), so the
+        # loop re-checks the queue state.  Behind a backlog the merges ride
+        # on the pushes (``_process_chunk``); an empty queue merges on a wake.
         while True:
             chunk = self.queue.get(timeout=_WORKER_POLL_SECONDS)
-            if chunk is None:
-                if self.queue.closed and self.queue.depth == 0:
-                    return
-                continue
-            self._run_chunk_resilient(chunk)
+            if chunk is not None:
+                self._run_chunk_resilient(chunk)
+            elif not (self.queue.closed and self.queue.depth == 0):
+                self._merge(self.session.merge_ready)
+            else:
+                # Closed and drained: block on the chunks still in flight
+                # (polling would starve the workers of the GIL).
+                self._merge(self.session.drain)
+                return
+
+    def _merge(self, step: Callable[[], list[ChunkProgress]]) -> None:
+        """Run one merging session call under the lock and emit what it merged."""
+        with self.lock:
+            self._emit_reports(step())
 
     def _run_chunk_resilient(self, chunk: Sequence[Frame]) -> None:
         """Scan one chunk, surviving injected shard crashes and poison input.
@@ -271,21 +319,26 @@ class _StreamShard:
     def _quarantine(self, chunk: Sequence[Frame], error: BaseException) -> None:
         with self.lock:
             self.session.quarantine_chunk(list(chunk), error)
-            self._emit_quarantines()
+            # A pooled session records it at its turn in the merge.
+            self._merge(self.session.merge_ready)
 
     def _process_chunk(self, frames: Sequence[Frame]) -> None:
         with self.lock:
             if self.queue.policy == "degrade":
                 requested = self.queue.degrade_requested
                 if requested != self.session.degraded:
+                    self._merge(self.session.drain)
                     self.session.set_degraded(requested)
-            progress = self.session.push_chunk(frames)
+            # Merge what is done, and wait for room, so the push only
+            # submits.  Behind a backlog the merges wait for a full window and
+            # then run as one batch.
+            if self.session.window_full or not self.queue.depth:
+                self._merge(self.session.merge_ready)
+            reports = self.session.push_chunk(frames)
             if self.session.degraded:
                 self.degraded_chunks += 1
             self.chunks_processed += 1
-            self._emit_progress(progress)
-            self._check_budgets()
-            self._emit_quarantines()
+            self._emit_reports(reports)
 
     # -- emission --------------------------------------------------------
     def _entry_for_sid(self, sid: int) -> StandingQuery | None:
@@ -338,7 +391,14 @@ class _StreamShard:
             )
         self._faults_emitted = len(records)
 
-    def _emit_progress(self, progress) -> None:
+    def _emit_reports(self, reports: list[ChunkProgress]) -> None:
+        """Emit each merged chunk's progress and check budgets after it."""
+        for progress in reports:
+            self._emit_progress(progress)
+            self._check_budgets()
+        self._emit_quarantines()
+
+    def _emit_progress(self, progress: ChunkProgress) -> None:
         for sid, matches in progress.new_matches.items():
             entry = self._entry_for_sid(sid)
             if entry is not None:
@@ -405,6 +465,7 @@ class _StreamShard:
         self.stop(drain=True)
         results: dict[int, object] = {}
         with self.lock:
+            self._merge(self.session.drain)
             emitted_before = {
                 state.sid: len(state.emitted_windows) for state in self.session.states
             }
@@ -486,8 +547,20 @@ class QueryService:
             self._emitters, clock,
         )
         self._shards[name] = shard
+        self._share_cores()
         if self._started:
             shard.start()
+
+    def _share_cores(self) -> None:
+        """Give a default filter pool to a lone stream only.
+
+        Each stream's shard thread already occupies a core, so a second
+        stream leaves no core for a pool: two pools on two cores lose to two
+        inline shards (DESIGN.md "Standing-query service").
+        """
+        alone = len(self._shards) == 1
+        for shard in self._shards.values():
+            shard.use_default_pool(alone)
 
     def _shard(self, name: str) -> _StreamShard:
         try:
@@ -582,6 +655,7 @@ class QueryService:
         for handle in self.registry.handles_for(name):
             self.registry.remove(handle)
         del self._shards[name]
+        self._share_cores()
         return results
 
     def close(self) -> dict[int, object]:
@@ -621,6 +695,7 @@ class QueryService:
         """
         shard = self._shard(stream)
         with shard.lock:
+            shard._merge(shard.session.drain)
             return shard.session.checkpoint()
 
     def restore_stream(self, name: str, snapshot: dict) -> None:

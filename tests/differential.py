@@ -106,8 +106,10 @@ class EngineConfig(NamedTuple):
     ``entry``: ``many`` (``execute_many``), ``solo`` (``execute`` per
     query), ``aggregate`` (``execute_aggregate``) or ``service`` (a
     ``QueryService`` replay scanning ``chunk_size`` chunks, fed ``feed``
-    frames at a time; with a ``cut``, checkpointed there and resumed in a
-    fresh service).  ``cascades``: ``planned``, ``none`` or ``misordered``
+    frames at a time, synchronously or, ``started``, through the shard's
+    queue and thread; with a ``cut``, checkpointed there and resumed in a
+    fresh service; with a ``peer``, beside a second, idle stream, so an
+    ungated shard filters inline rather than on its default pool).  ``cascades``: ``planned``, ``none`` or ``misordered``
     (a step that rejects nothing planned first).  ``faults``: ``(site, key,
     count)`` of a recoverable schedule, or ``()``.
     """
@@ -124,6 +126,8 @@ class EngineConfig(NamedTuple):
     feed: int = 16
     cut: int = 0
     faults: tuple = ()
+    started: bool = False
+    peer: bool = False
 
     @property
     def exactness(self) -> str:
@@ -170,8 +174,9 @@ CONFIGS = (
     _C("aggregate-thread2", "aggregate", parallel=THREADS),
     _C("aggregate-temporal", "aggregate", temporal=GATED),
     _C("aggregate-temporal-approximate", "aggregate", temporal=replace(GATED, exact=False)),
-    _C("service-7-by-13", "service", chunk_size=7, feed=13),
+    _C("service-7-by-13", "service", chunk_size=7, feed=13, peer=True),
     _C("service-16-by-50", "service", chunk_size=16, feed=50),
+    _C("service-started-7-by-13", "service", chunk_size=7, feed=13, started=True),
     _C("service-thread2", "service", parallel=THREADS, chunk_size=5, feed=7),
     _C("service-temporal", "service", temporal=GATED, chunk_size=7, feed=13),
     _C("checkpoint-at-20", "service", chunk_size=10, feed=10, cut=20),
@@ -199,6 +204,7 @@ CONFIGS += (
     _faulted("temporal-approximate", "filter", 0),
     _faulted("service-7-by-13", "filter", 7),
     _faulted("service-7-by-13", "shard_crash", "cam:2"),
+    _faulted("service-16-by-50", "filter", 16),
     _faulted("supervised-thread2", "worker_crash", 1),
     _faulted("supervised-thread2", "worker_stall", 2),  # 0.25 s, past the 0.2 s timeout
 )
@@ -339,6 +345,8 @@ class Harness:
             service.close()
             service, handles = self._attach(config, cascades)
             service.restore_stream("cam", snapshot)
+        if config.started:
+            service.start()
         self._feed(service, config, frames[config.cut :])
         results = service.close()
         return {"queries": [asdict(results[handle]) for handle in handles]}
@@ -349,6 +357,8 @@ class Harness:
             "cam", ReferenceDetector(CLASS_NAMES, seed=DETECTOR_SEED),
             StreamConfig(config.chunk_size, temporal=config.temporal, parallel=config.parallel),
         )
+        if config.peer:
+            service.attach_stream("peer", ReferenceDetector(CLASS_NAMES, seed=DETECTOR_SEED))
         return service, [service.register("cam", *pair) for pair in zip(self.queries, cascades)]
 
     @staticmethod

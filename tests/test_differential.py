@@ -4,8 +4,8 @@ R2 holds every exact config to the inline chunk-size-1 ``execute_many`` run
 of the same queries, cascades and coverage, a worker config also to its
 worker-free twin field for field, a cascade-free config to
 ``brute_force_execute`` (R1), and the reference itself to an independent
-per-frame cascade walk.  R4 runs a worker or approximate config twice and
-holds a fault schedule to its fault-free twin.  DESIGN.md "Differential
+per-frame cascade walk.  R4 runs a worker, started-service or approximate
+config twice and holds a fault schedule to its fault-free twin.  DESIGN.md "Differential
 harness" has the relations and the dropped fields; worker configs carry the
 ``parallel`` mark and fault schedules the ``chaos`` mark.
 """
@@ -32,7 +32,7 @@ ON_EVERY_SCENARIO = (
 
 
 def _param(config, *scenario):
-    marks = [pytest.mark.parallel] if config.parallel is not None else []
+    marks = [pytest.mark.parallel] if config.parallel is not None or config.started else []
     marks += [pytest.mark.chaos] if config.faults else []
     label = "-".join([config.id, *(each.name for each in scenario)])
     return pytest.param(config, *scenario, marks=marks, id=label)
@@ -207,6 +207,7 @@ def test_the_reference_is_an_independent_cascade_walk(harness, scenario):
     _param(config)
     for config in CONFIGS
     if config.faults or config.parallel is not None or config.exactness != "exact"
+    or config.started
 ])
 def test_a_repeat_and_a_recovered_run_dump_equal(harness, config):
     first = harness.dump(config)

@@ -16,6 +16,7 @@ one-shot engine cannot express.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import sys
 import threading
@@ -25,12 +26,14 @@ import pytest
 
 from repro.cost import QueryBudget, SimulatedClock, merge_worker_breakdowns
 from repro.detection import ReferenceDetector
+from repro.faults import FaultInjector
 from repro.query import (
     ParallelConfig,
     PlannerConfig,
     QueryBuilder,
     QueryPlanner,
     StreamingQueryExecutor,
+    TemporalConfig,
     parse_query,
 )
 from repro.query.session import ScanSession
@@ -40,6 +43,7 @@ from repro.service import (
     QueryService,
     StreamConfig,
 )
+from repro.service.service import SHARD_WORKERS
 from tests.differential import normalize
 
 WINDOWED_TEXT = """
@@ -448,6 +452,217 @@ def test_ingestion_queue_policies():
         IngestionQueue(maxsize=0)
     with pytest.raises(ValueError):
         IngestionQueue(maxsize=1, policy="explode")
+
+
+# ----------------------------------------------------------------------
+# Filter pools on shards: merge on completion, and a worker failure healed
+# at the one chunk it belongs to
+# ----------------------------------------------------------------------
+def _filter_workers() -> int:
+    return sum("filter-worker" in thread.name for thread in threading.enumerate())
+
+
+def test_a_lone_shard_filters_on_a_pool_unless_it_gates(od_planner, tiny_jackson):
+    """Neither ``parallel=`` nor ``temporal=``: the service's only stream
+    filters on ``SHARD_WORKERS`` threads; a ``temporal=`` shard stays
+    inline, and so do two streams, until one of them closes."""
+    query = QueryBuilder("cars").count("car").at_least(1).build()
+    frames = _frames(tiny_jackson.test, 32)
+    before = _filter_workers()
+    service = QueryService()
+
+    def attach(name, config=StreamConfig(chunk_size=8)):
+        service.attach_stream(
+            name,
+            ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+            config,
+        )
+        service.register(name, query, od_planner.plan(query))
+
+    attach("gated", StreamConfig(chunk_size=8, temporal=TemporalConfig()))
+    service.feed("gated", frames)
+    assert _filter_workers() == before
+    service.close_stream("gated")
+    attach("north")
+    service.feed("north", frames[:16])
+    assert 0 < _filter_workers() - before <= SHARD_WORKERS  # threads start lazily
+    attach("south")
+    service.feed("north", frames[16:24])
+    service.feed("south", frames)
+    assert _filter_workers() == before
+    south = service.close_stream("south")
+    service.feed("north", frames[24:])
+    assert 0 < _filter_workers() - before <= SHARD_WORKERS
+    north = service.close()
+    assert _filter_workers() == before
+    # Pool on, off and on again mid-stream: the scan cannot tell.
+    [north_result], [south_result] = north.values(), south.values()
+    assert north_result.matched_frames == south_result.matched_frames
+    assert north_result.stats.simulated_cost == south_result.stats.simulated_cost
+
+
+def _crash_scan(od_planner, tiny_jackson, started, schedule=None):
+    """The ``cars`` query on a live ``parallel=`` shard, fed 50 frames in
+    8-frame chunks; returns (result, stream stats, fault emissions)."""
+    query = QueryBuilder("cars").count("car").at_least(1).build()
+    buffer = BufferEmitter()
+    service = QueryService(emitters=[buffer])
+    service.attach_stream(
+        "cam",
+        ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+        StreamConfig(chunk_size=8, parallel=ParallelConfig(num_workers=2, chunk_size=8)),
+    )
+    handle = service.register("cam", query, od_planner.plan(query))
+    with FaultInjector(schedule=schedule) if schedule else contextlib.nullcontext():
+        if started:
+            service.start()
+        service.feed("cam", _frames(tiny_jackson.test))
+        service.stop(drain=True)
+        stats = service.stats().streams["cam"]
+        result = service.close()[handle]
+    return result, stats, buffer.emissions(kind="fault")
+
+
+@pytest.mark.parametrize("started", [False, True], ids=["synchronous", "started"])
+def test_an_unsupervised_worker_crash_heals_exactly_its_chunk(
+    od_planner, tiny_jackson, started
+):
+    """Chunk 1's crash surfaces at its merge, after later chunks were
+    submitted: the shard re-dispatches chunk 1, and pushes no chunk twice."""
+    baseline, _, _ = _crash_scan(od_planner, tiny_jackson, started)
+    result, stats, faults = _crash_scan(
+        od_planner, tiny_jackson, started, {("worker_crash", 1): 1}
+    )
+    assert result.matched_frames == baseline.matched_frames
+    assert list(result.matched_frames) == sorted(set(result.matched_frames))
+    assert result.stats.frames_scanned == baseline.stats.frames_scanned == 50
+    assert stats.faults.redispatches == 1 and stats.quarantined_chunks == 0
+    assert faults == []
+
+
+@pytest.mark.parametrize("started", [False, True], ids=["synchronous", "started"])
+def test_a_worker_crash_past_the_retries_quarantines_exactly_its_chunk(
+    od_planner, tiny_jackson, started
+):
+    """A live pool re-dispatches a crashed chunk ``max_redispatch`` times,
+    as a supervised one would, then sets that chunk alone aside."""
+    retries = ParallelConfig(num_workers=2, chunk_size=8).max_redispatch
+    baseline, _, _ = _crash_scan(od_planner, tiny_jackson, started)
+    result, stats, faults = _crash_scan(
+        od_planner, tiny_jackson, started, {("worker_crash", 1): retries + 1}
+    )
+    lost = tuple(range(8, 16))
+    assert result.matched_frames == tuple(
+        index for index in baseline.matched_frames if index not in lost
+    )
+    assert result.stats.frames_scanned == 50 - len(lost)
+    assert stats.faults.redispatches == retries and stats.faults.exhausted == 1
+    [record] = stats.faults.quarantined
+    assert (record.site, record.key, record.frames) == ("worker", 1, lost)
+    assert [emission.fault for emission in faults] == [record]
+
+
+@pytest.mark.parametrize("started", [False, True], ids=["synchronous", "started"])
+def test_a_pooled_shard_quarantines_an_overlapping_chunk_as_an_inline_one_does(
+    od_planner, tiny_jackson, started
+):
+    """Frames 8-15 sent twice, the repeat right behind the first while it
+    may still be in flight: checked against what was pushed, not merged,
+    the repeat is set aside and nothing is counted twice."""
+    query = QueryBuilder("cars").count("car").at_least(1).build()
+    frames = _frames(tiny_jackson.test)
+    batch = frames[:16] + frames[8:16] + frames[16:]
+
+    def scan(inline):
+        service = QueryService()
+        service.attach_stream(
+            "cam",
+            ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+            StreamConfig(chunk_size=8),
+        )
+        if inline:  # a second stream: every shard filters inline
+            service.attach_stream("idle", ReferenceDetector(class_names=tiny_jackson.class_names))
+        handle = service.register("cam", query, od_planner.plan(query))
+        if started:
+            service.start()
+        service.feed("cam", batch)
+        service.stop(drain=True)
+        stats = service.stats().streams["cam"]
+        return service.close()[handle], stats.faults.quarantined
+
+    pooled, pooled_records = scan(inline=False)
+    inline, inline_records = scan(inline=True)
+    [record] = pooled_records
+    assert (record.site, record.frames) == ("runtime", tuple(range(8, 16)))
+    assert pooled_records == inline_records
+    assert pooled.matched_frames == inline.matched_frames
+    assert list(pooled.matched_frames) == sorted(set(pooled.matched_frames))
+    assert pooled.stats.frames_scanned == inline.stats.frames_scanned == 50
+
+
+class _BrokenDetector(ReferenceDetector):
+    """A reference detector with a genuine (non-injected) bug at one frame."""
+
+    def detect(self, frame):
+        if frame.index == 20:
+            raise ValueError("detector bug")
+        return super().detect(frame)
+
+
+@pytest.mark.parametrize("started", [False, True], ids=["synchronous", "started"])
+def test_a_pooled_shard_quarantines_the_chunk_whose_detector_phase_raised(
+    tiny_jackson, started
+):
+    """The merge of chunk 2 raises after later chunks were submitted: that
+    chunk alone is set aside, as an inline shard sets it aside."""
+    query = QueryBuilder("everything").count("car").at_least(0).build()
+    service = QueryService()
+    service.attach_stream(
+        "cam",
+        _BrokenDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+        StreamConfig(chunk_size=8),
+    )
+    handle = service.register("cam", query)
+    if started:
+        service.start()
+    service.feed("cam", _frames(tiny_jackson.test))
+    service.stop(drain=True)
+    stats = service.stats().streams["cam"]
+    result = service.close()[handle]
+    lost = range(16, 24)
+    assert result.matched_frames == tuple(index for index in range(50) if index not in lost)
+    [record] = stats.faults.quarantined
+    assert (record.site, record.frames) == ("runtime", tuple(lost))
+
+
+def test_a_started_pooled_shard_emits_a_chunk_without_another_feed(
+    od_planner, tiny_jackson
+):
+    """Merge on completion: one fed chunk's matches and windows arrive once
+    its filter phase is done, not at the next feed."""
+    cars = QueryBuilder("cars").count("car").at_least(0).build()
+    windowed = QueryBuilder("cars_w").count("car").at_least(0).window(8, 8).build()
+    buffer = BufferEmitter()
+    service = QueryService(emitters=[buffer])
+    service.attach_stream(
+        "cam",
+        ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+        StreamConfig(chunk_size=16, parallel=ParallelConfig(num_workers=2, chunk_size=16)),
+    )
+    handles = [
+        service.register("cam", query, od_planner.plan(query)) for query in (cars, windowed)
+    ]
+    service.start()
+    try:
+        service.feed("cam", _frames(tiny_jackson.test, 16))
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and len(buffer.windows(handles[1])) < 2:
+            time.sleep(0.01)
+        matches = buffer.emissions("matches", handles[0])
+        assert [emission.matched_frames for emission in matches] == [tuple(range(16))]
+        assert [window.bounds.stop for window in buffer.windows(handles[1])] == [8, 16]
+    finally:
+        service.close()
 
 
 # ----------------------------------------------------------------------
