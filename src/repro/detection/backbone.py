@@ -261,11 +261,13 @@ class FeatureBackbone:
         return self._features(images)
 
     def extract_tiled(self, images: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """Per-cell features of each ``(H, W, 3)`` image, in order.
+        """Per-cell features of ``(H, W, 3)`` images, one ``(t, g, g, F)``
+        tile at a time, in order.
 
         One ``extract_batch`` per tile, sized by the tile's first image, so
-        each result equals ``extract(image)`` and only one tile of images and
-        features is live at a time.
+        frame ``k`` of a tile equals ``extract`` of its image and only one
+        tile of images and features is live at a time: a consumer that reads
+        each tile before asking for the next reads it while it is in cache.
         """
         chunk: list[np.ndarray] = []
         tile = 1
@@ -274,10 +276,10 @@ class FeatureBackbone:
                 tile = _tile_length(*image.shape[:2])
             chunk.append(image)
             if len(chunk) == tile:
-                yield from self.extract_batch(np.stack(chunk))
+                yield self.extract_batch(np.stack(chunk))
                 chunk = []
         if chunk:
-            yield from self.extract_batch(np.stack(chunk))
+            yield self.extract_batch(np.stack(chunk))
 
     def _features(self, images: np.ndarray) -> np.ndarray:
         """The one feature kernel, run over cache-sized tiles of the batch.

@@ -21,8 +21,7 @@ from repro.filters.heads import (
     CountCalibration,
     GridScoringHead,
     PooledCountHead,
-    count_features,
-    suppress_cross_class,
+    batch_count_features,
 )
 from repro.spatial.grid import Grid
 from repro.video.stream import Frame
@@ -31,21 +30,29 @@ from repro.video.stream import Frame
 DEFAULT_GRID_THRESHOLD = 0.2
 
 
-def _stack_images(frames: Sequence[Frame]) -> np.ndarray:
-    """Stack the images of a non-empty batch into ``(N, H, W, 3)``.
+def _batch_images(frames: Sequence[Frame]) -> list[np.ndarray]:
+    """The images of a non-empty batch, checked to share one shape and dtype.
 
-    A batch of mixed frame shapes is rejected here, before any feature work,
-    naming the first frame that disagrees with frame 0.
+    A batch that mixes frame shapes or image dtypes is rejected here, before
+    any feature work, naming the first frame that disagrees with frame 0.
+    Stacking mixed dtypes would upcast the whole tile onto the backbone's
+    float kernel, which only agrees with the integer one to rounding, so a
+    frame's prediction would depend on its neighbours.
     """
-    expected = frames[0].image.shape
+    expected = frames[0].image
     for position, frame in enumerate(frames):
-        if frame.image.shape != expected:
-            raise ValueError(
-                f"frame {position} of the batch (stream index {frame.index}) has "
-                f"image shape {frame.image.shape}, but frame 0 has {expected}; "
-                "a batch needs one frame shape"
-            )
-    return np.stack([frame.image for frame in frames])
+        image = frame.image
+        for what, value, wanted in (
+            ("image shape", image.shape, expected.shape),
+            ("image dtype", image.dtype, expected.dtype),
+        ):
+            if value != wanted:
+                raise ValueError(
+                    f"frame {position} of the batch (stream index {frame.index}) has "
+                    f"{what} {value}, but frame 0 has {wanted}; "
+                    f"a batch needs one {what}"
+                )
+    return [frame.image for frame in frames]
 
 
 class LinearBranchFilter(FrameFilter):
@@ -92,32 +99,35 @@ class LinearBranchFilter(FrameFilter):
     def predict_batch(self, frames: Sequence[Frame]) -> BatchPrediction:
         """Vectorized prediction over a batch of frames.
 
-        The backbone features and grid-head scores of the whole batch are
-        computed in stacked numpy operations (the hot path); the cheap
-        per-frame count aggregation reuses exactly the per-frame functions.
-        :meth:`predict` is this method on a batch of one, and backbone
-        features do not depend on how frames are batched (see
-        ``FeatureBackbone.extract_batch``).
+        The backbone runs one cache-sized tile at a time
+        (``FeatureBackbone.extract_tiled``), and each tile's grid-head GEMM
+        reads its features while they are still in cache, into one score
+        buffer for the batch; no batch-sized feature tensor exists.  The
+        head then runs once over the whole batch's class-major planes
+        (:meth:`GridScoringHead.class_planes`, :func:`batch_count_features`),
+        leaving only the count calibration per frame.  :meth:`predict` is
+        this method on a batch of one, and every step is per frame, so a
+        frame's prediction does not depend on its batch.
         """
         if not frames:
             return BatchPrediction(filter_name=self.name, predictions=())
-        images = _stack_images(frames)
+        images = _batch_images(frames)
         self._charge_batch(len(frames))
-        features = self.backbone.extract_batch(images)
-        stacked_scores = suppress_cross_class(
-            self.grid_head.score_batch(features), self.threshold
-        )
+        head = self.grid_head
+        names = self.class_names
+        grid_size = self.backbone.grid_size
+        scores = np.empty((len(frames), grid_size, grid_size, len(names)))
+        start = 0
+        for features in self.backbone.extract_tiled(images):
+            stop = start + len(features)
+            head.score_batch(features, out=scores[start:stop])
+            start = stop
+        planes = head.class_planes(scores, self.threshold)
+        count_features = batch_count_features(planes, self.threshold)
         predictions = []
         for position, frame in enumerate(frames):
-            location_scores = {
-                name: scores[position] for name, scores in stacked_scores.items()
-            }
-            per_class_count_features = {
-                name: count_features(scores, self.threshold)
-                for name, scores in location_scores.items()
-            }
             raw_counts, class_counts = self.count_calibration.estimate(
-                per_class_count_features
+                dict(zip(names, count_features[position]))
             )
             predictions.append(
                 FilterPrediction(
@@ -126,7 +136,9 @@ class LinearBranchFilter(FrameFilter):
                     grid=self.grid,
                     class_counts=class_counts,
                     class_scores=raw_counts,
-                    location_scores=location_scores,
+                    location_scores={
+                        name: planes[index, position] for index, name in enumerate(names)
+                    },
                     threshold=self.threshold,
                     latency_ms=self.latency_ms,
                 )
@@ -172,9 +184,11 @@ class PooledCountFilter(FrameFilter):
         (:meth:`predict` is a batch of one)."""
         if not frames:
             return BatchPrediction(filter_name=self.name, predictions=())
-        images = _stack_images(frames)
+        images = _batch_images(frames)
         self._charge_batch(len(frames))
-        pooled = self._pool(self.backbone.extract_batch(images))
+        pooled = np.concatenate(
+            [self._pool(features) for features in self.backbone.extract_tiled(images)]
+        )
         predictions = []
         for position, frame in enumerate(frames):
             raw_count = self.count_head.estimate(pooled[position])

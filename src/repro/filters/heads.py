@@ -29,64 +29,49 @@ from scipy import ndimage
 COUNT_FEATURE_NAMES = ("score_sum", "occupied_cells", "components")
 
 
-def thresholded_sum(scores: np.ndarray, threshold: float) -> float:
-    """Sum of the grid-cell scores that clear the occupancy threshold.
-
-    Summing *all* cell scores would let thousands of near-zero background
-    cells dominate the count signal; restricting the sum to confident cells
-    makes the count a density-style aggregate of the occupied area, which the
-    :class:`CountCalibration` then maps to an object count.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    return float(scores[scores >= threshold].sum())
+# ``ndimage.label`` connectivity for a ``(planes, g, g)`` stack: the 2-D
+# cross inside each plane and nothing across planes, so every plane is
+# labelled exactly as it would be alone.
+_IN_PLANE = np.zeros((3, 3, 3), dtype=bool)
+_IN_PLANE[1] = ndimage.generate_binary_structure(2, 1)
 
 
-def suppress_cross_class(
-    location_scores: dict[str, np.ndarray], threshold: float
-) -> dict[str, np.ndarray]:
-    """Keep, per grid cell, only the highest-scoring class above the threshold.
+def batch_count_features(planes: np.ndarray, threshold: float) -> np.ndarray:
+    """Count features of every frame and class of ``(C, N, g, g)`` score
+    planes, as ``(N, C, len(COUNT_FEATURE_NAMES))``.
 
-    The per-class heads are trained independently (as the per-class activation
-    maps in the paper are), so a strongly foreground cell can exceed the
-    threshold for more than one class.  A convolutional branch learns to
-    discriminate these cases; for the linear heads we resolve the competition
-    explicitly: if another class scores strictly higher on a cell (and is
-    above threshold), the losing class's score on that cell is zeroed.
-
-    The computation is purely elementwise, so it accepts ``(g, g)`` maps or
-    batched ``(N, g, g)`` stacks alike; each frame's result is bit-identical
-    either way (the batched filter path relies on this).
-    """
-    if not location_scores:
-        return {}
-    names = list(location_scores)
-    stacked = np.stack([np.asarray(location_scores[name], dtype=np.float64) for name in names])
-    max_scores = stacked.max(axis=0)
-    suppressed = {}
-    for index, name in enumerate(names):
-        scores = stacked[index].copy()
-        losing = (scores < max_scores) & (max_scores >= threshold)
-        scores[losing] = 0.0
-        suppressed[name] = scores
-    return suppressed
-
-
-def count_features(scores: np.ndarray, threshold: float) -> np.ndarray:
-    """Aggregate features of one class's score map used for count estimation.
-
-    The count head regresses the per-class object count on three aggregates
-    of the thresholded activation map: the summed score mass (density), the
+    The count head regresses each class's object count on three aggregates
+    of its thresholded activation map: the summed score mass (density), the
     number of occupied cells (covered area) and the number of connected
     components (distinct blobs).  This mirrors how the paper's count output
     aggregates the regularised activation map through the fully connected
     layer, and is what lets exact counts stay accurate when object sizes vary.
+
+    All ``C * N`` planes go through one occupancy mask, one cell sum and one
+    ``ndimage.label`` with in-plane connectivity.  Labels number components
+    in scan order, so a plane's blob count is the step its labels add to the
+    running maximum.  Each plane's mass sums its own run of the compacted
+    occupied scores, which is the sum of ``scores[mask]`` on that plane
+    alone, bit for bit (``np.add.reduceat`` would sum sequentially).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    mask = scores >= threshold
-    if not mask.any():
-        return np.zeros(len(COUNT_FEATURE_NAMES))
-    _, num_components = ndimage.label(mask)
-    return np.array([float(scores[mask].sum()), float(mask.sum()), float(num_components)])
+    num_classes, n, rows, cols = planes.shape
+    flat = planes.reshape(num_classes * n, rows * cols)
+    mask = flat >= threshold
+    cells = mask.sum(axis=1)
+    labels, _ = ndimage.label(
+        mask.reshape(num_classes * n, rows, cols), structure=_IN_PLANE
+    )
+    running = np.maximum.accumulate(labels.reshape(num_classes * n, -1).max(axis=1))
+    values = flat[mask]
+    ends = np.cumsum(cells)
+    features = np.empty((num_classes, n, len(COUNT_FEATURE_NAMES)))
+    plane_features = features.reshape(num_classes * n, -1)
+    plane_features[:, 0] = [
+        values[end - count : end].sum() for end, count in zip(ends.tolist(), cells.tolist())
+    ]
+    plane_features[:, 1] = cells
+    plane_features[:, 2] = np.diff(running, prepend=0)
+    return np.ascontiguousarray(features.swapaxes(0, 1))
 
 
 @dataclass
@@ -220,26 +205,51 @@ class GridScoringHead:
             name: scores[:, :, index] for index, name in enumerate(self.class_names)
         }
 
-    def score_batch(self, cell_features: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-class cell scores for a ``(N, g, g, F)`` feature batch.
+    def score_batch(self, cell_features: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Unbiased cell scores of a ``(n, g, g, F)`` feature tile, written
+        into a contiguous ``out`` of shape ``(n, g, g, C)`` and returned.
 
-        Returns ``{class: (N, g, g)}``.  The matrix product broadcasts over
-        the batch axis (one identically-shaped GEMM per frame), so each slice
-        is bit-identical to :meth:`score` on that frame's features.
+        One identically shaped GEMM per frame against a contiguous
+        ``weights.T``, so frame ``k`` of ``out`` is bit-identical to
+        ``cell_features[k] @ weights.T``, the product :meth:`score` takes.
+        :meth:`class_planes` then finishes a whole batch of tiles at once.
         """
         features = np.asarray(cell_features, dtype=np.float64)
         if features.ndim != 4 or features.shape[3] != self.num_features:
             raise ValueError(
-                f"expected (N, g, g, {self.num_features}) features, got {features.shape}"
+                f"expected (n, g, g, {self.num_features}) features, got {features.shape}"
             )
         n, g_rows, g_cols, _ = features.shape
         flat = features.reshape(n, g_rows * g_cols, self.num_features)
-        scores = flat @ self.weights.T + self.bias
-        scores = np.clip(scores, 0.0, 1.0)
-        scores = scores.reshape(n, g_rows, g_cols, len(self.class_names))
-        return {
-            name: scores[:, :, :, index] for index, name in enumerate(self.class_names)
-        }
+        np.matmul(
+            flat,
+            np.ascontiguousarray(self.weights.T),
+            out=out.reshape(n, g_rows * g_cols, len(self.class_names)),
+        )
+        return out
+
+    def class_planes(self, scores: np.ndarray, threshold: float) -> np.ndarray:
+        """Class-major ``(C, N, g, g)`` location scores of ``(N, g, g, C)``
+        unbiased :meth:`score_batch` output.
+
+        Bias per class row, clip to ``[0, 1]`` and cross-class suppression,
+        in place on one ``(C, N * g * g)`` copy.  The linear heads are
+        trained per class, as the paper's per-class activation maps are, so
+        a strongly foreground cell can clear the threshold for more than one
+        class; where another class scores strictly higher and clears the
+        threshold, the losing class's score is zeroed.  Every step is
+        elementwise, so each frame's planes are bit-identical to
+        :meth:`score` on that frame followed by the same suppression.
+        """
+        n, g_rows, g_cols, num_classes = scores.shape
+        planes = np.empty((num_classes, n * g_rows * g_cols))
+        np.add(scores.reshape(-1, num_classes).T, self.bias[:, None], out=planes)
+        np.clip(planes, 0.0, 1.0, out=planes)
+        best = planes.max(axis=0)
+        losing = planes < best
+        losing &= best >= threshold
+        planes[losing] = 0.0
+        return planes.reshape(num_classes, n, g_rows, g_cols)
 
 
 @dataclass
@@ -247,8 +257,9 @@ class CountCalibration:
     """Linear calibration from activation-map aggregates to per-class counts.
 
     For each class ``c`` the count estimate is
-    ``max(0, weights_c . count_features(scores_c) + offset_c)`` where
-    :func:`count_features` provides (score sum, occupied cells, blob count).
+    ``max(0, weights_c . features_c + offset_c)`` where
+    :func:`batch_count_features` provides ``features_c`` (score sum,
+    occupied cells, blob count).
     """
 
     class_names: tuple[str, ...]

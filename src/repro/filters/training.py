@@ -40,8 +40,7 @@ from repro.filters.heads import (
     GridScoringHead,
     PooledCountHead,
     RidgeAccumulator,
-    count_features,
-    suppress_cross_class,
+    batch_count_features,
 )
 from repro.filters.ic import ICFilter
 from repro.filters.neural import NeuralBranchFilter, build_branch_network
@@ -158,12 +157,25 @@ class FilterTrainer:
 
     def _tiled_features(
         self, backbone: FeatureBackbone, annotated: Iterable[AnnotatedFrame]
-    ) -> Iterator[tuple[AnnotatedFrame, np.ndarray]]:
-        """Each annotated frame with its backbone features, in order, one
-        kernel call per backbone tile (see ``FeatureBackbone.extract_tiled``)."""
+    ) -> Iterator[tuple[list[AnnotatedFrame], np.ndarray]]:
+        """The annotated frames one backbone tile at a time, in order, each
+        tile with its ``(t, g, g, F)`` features: one kernel call per tile
+        (see ``FeatureBackbone.extract_tiled``)."""
         items = list(annotated)
         images = (self._frame(item.frame_index).image for item in items)
-        return zip(items, backbone.extract_tiled(images))
+        start = 0
+        for features in backbone.extract_tiled(images):
+            stop = start + len(features)
+            yield items[start:stop], features
+            start = stop
+
+    def _frame_features(
+        self, backbone: FeatureBackbone, annotated: Iterable[AnnotatedFrame]
+    ) -> Iterator[tuple[AnnotatedFrame, np.ndarray]]:
+        """Each annotated frame with its ``(g, g, F)`` features, in order,
+        from :meth:`_tiled_features`."""
+        for tile, features in self._tiled_features(backbone, annotated):
+            yield from zip(tile, features)
 
     # ------------------------------------------------------------------
     # Linear branch training
@@ -193,7 +205,7 @@ class FilterTrainer:
             )
             for name in self.class_names
         }
-        for annotated, features in self._tiled_features(backbone, annotations):
+        for annotated, features in self._frame_features(backbone, annotations):
             flat_features = features.reshape(-1, backbone.num_features)
             all_labels = {
                 name: annotated.grid_of(name).reshape(-1).astype(np.float64)
@@ -257,7 +269,7 @@ class FilterTrainer:
         subset = list(annotations)[:: max(len(annotations) // max_frames, 1)]
         positive_scores: dict[str, list[np.ndarray]] = {n: [] for n in self.class_names}
         negative_scores: dict[str, list[np.ndarray]] = {n: [] for n in self.class_names}
-        for annotated, features in self._tiled_features(backbone, subset):
+        for annotated, features in self._frame_features(backbone, subset):
             scores = grid_head.score(features)
             for name in self.class_names:
                 labels = annotated.grid_of(name)
@@ -294,10 +306,16 @@ class FilterTrainer:
             (len(annotations), len(self.class_names), len(COUNT_FEATURE_NAMES))
         )
         true_counts = annotations.counts_matrix()
-        for row, (annotated, features) in enumerate(self._tiled_features(backbone, annotations)):
-            scores = suppress_cross_class(grid_head.score(features), self.threshold)
-            for col, name in enumerate(self.class_names):
-                feature_tensor[row, col] = count_features(scores[name], self.threshold)
+        row = 0
+        for tile, features in self._tiled_features(backbone, annotations):
+            scores = np.empty((*features.shape[:3], len(self.class_names)))
+            planes = grid_head.class_planes(
+                grid_head.score_batch(features, out=scores), self.threshold
+            )
+            feature_tensor[row : row + len(tile)] = batch_count_features(
+                planes, self.threshold
+            )
+            row += len(tile)
         return CountCalibration.fit(self.class_names, feature_tensor, true_counts)
 
     def _train_linear_branch(
@@ -345,7 +363,7 @@ class FilterTrainer:
         accumulator = RidgeAccumulator(
             num_features=backbone.num_features, num_outputs=1, alpha=self.ridge_alpha
         )
-        for annotated, features in self._tiled_features(backbone, annotations):
+        for annotated, features in self._frame_features(backbone, annotations):
             pooled = features.reshape(-1, backbone.num_features).mean(axis=0)
             accumulator.add_batch(pooled[None, :], np.array([annotated.total_count]))
         weights, bias = accumulator.solve()

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from repro.detection import ReferenceDetector, annotate_stream
 from repro.filters import FilterTrainer
+from repro.filters.base import BatchPrediction, FilterPrediction
+from repro.filters.branch import PooledCountFilter
+from repro.filters.heads import COUNT_FEATURE_NAMES
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.video import build_detrac, build_jackson
 from repro.video.datasets import JACKSON_PROFILE
@@ -174,6 +178,141 @@ def reference_backbone_features(image, config, background=None):
     return features.repeat(config.pool_factor, axis=0).repeat(
         config.pool_factor, axis=1
     )
+
+
+def reference_suppress_cross_class(
+    location_scores: dict[str, np.ndarray], threshold: float
+) -> dict[str, np.ndarray]:
+    """Keep, per grid cell, only the highest-scoring class above the threshold.
+
+    The per-class heads are trained independently (as the per-class activation
+    maps in the paper are), so a strongly foreground cell can exceed the
+    threshold for more than one class.  A convolutional branch learns to
+    discriminate these cases; for the linear heads we resolve the competition
+    explicitly: if another class scores strictly higher on a cell (and is
+    above threshold), the losing class's score on that cell is zeroed.
+
+    The computation is purely elementwise, so it accepts ``(g, g)`` maps or
+    batched ``(N, g, g)`` stacks alike; each frame's result is bit-identical
+    either way (the batched filter path relies on this).
+    """
+    if not location_scores:
+        return {}
+    names = list(location_scores)
+    stacked = np.stack([np.asarray(location_scores[name], dtype=np.float64) for name in names])
+    max_scores = stacked.max(axis=0)
+    suppressed = {}
+    for index, name in enumerate(names):
+        scores = stacked[index].copy()
+        losing = (scores < max_scores) & (max_scores >= threshold)
+        scores[losing] = 0.0
+        suppressed[name] = scores
+    return suppressed
+
+
+def reference_count_features(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Aggregate features of one class's score map used for count estimation.
+
+    The count head regresses the per-class object count on three aggregates
+    of the thresholded activation map: the summed score mass (density), the
+    number of occupied cells (covered area) and the number of connected
+    components (distinct blobs).  This mirrors how the paper's count output
+    aggregates the regularised activation map through the fully connected
+    layer, and is what lets exact counts stay accurate when object sizes vary.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    mask = scores >= threshold
+    if not mask.any():
+        return np.zeros(len(COUNT_FEATURE_NAMES))
+    _, num_components = ndimage.label(mask)
+    return np.array([float(scores[mask].sum()), float(mask.sum()), float(num_components)])
+
+
+def reference_branch_predictions(self, frames):
+    """``predict_batch`` of ``LinearBranchFilter`` and ``PooledCountFilter``
+    as they stood before the per-tile heads: the branch-filter oracle.
+
+    ``self`` is the filter.  The bodies are the parent's verbatim, with the
+    then ``GridScoringHead.score_batch`` inlined and the per-plane head
+    functions above: one ``extract_batch`` over the whole batch, one
+    chunk-sized feature tensor, then suppression and count features class
+    by class and frame by frame.  It charges nothing to the clock.
+    """
+    if not frames:
+        return BatchPrediction(filter_name=self.name, predictions=())
+    images = np.stack([frame.image for frame in frames])
+    if isinstance(self, PooledCountFilter):
+        pooled = self._pool(self.backbone.extract_batch(images))
+        predictions = []
+        for position, frame in enumerate(frames):
+            raw_count = self.count_head.estimate(pooled[position])
+            class_counts = {"object": int(round(raw_count))}
+            class_scores = {"object": raw_count}
+            predictions.append(
+                FilterPrediction(
+                    frame_index=frame.index,
+                    filter_name=self.name,
+                    grid=self.grid,
+                    class_counts=class_counts,
+                    class_scores=class_scores,
+                    location_scores={},
+                    threshold=1.0,
+                    latency_ms=self.latency_ms,
+                )
+            )
+        return BatchPrediction(filter_name=self.name, predictions=tuple(predictions))
+    features = self.backbone.extract_batch(images)
+    head = self.grid_head
+    n, g_rows, g_cols, _ = features.shape
+    flat = features.reshape(n, g_rows * g_cols, head.num_features)
+    scores = flat @ head.weights.T + head.bias
+    scores = np.clip(scores, 0.0, 1.0)
+    scores = scores.reshape(n, g_rows, g_cols, len(head.class_names))
+    stacked_scores = reference_suppress_cross_class(
+        {name: scores[:, :, :, index] for index, name in enumerate(head.class_names)},
+        self.threshold,
+    )
+    predictions = []
+    for position, frame in enumerate(frames):
+        location_scores = {
+            name: scores[position] for name, scores in stacked_scores.items()
+        }
+        per_class_count_features = {
+            name: reference_count_features(scores, self.threshold)
+            for name, scores in location_scores.items()
+        }
+        raw_counts, class_counts = self.count_calibration.estimate(
+            per_class_count_features
+        )
+        predictions.append(
+            FilterPrediction(
+                frame_index=frame.index,
+                filter_name=self.name,
+                grid=self.grid,
+                class_counts=class_counts,
+                class_scores=raw_counts,
+                location_scores=location_scores,
+                threshold=self.threshold,
+                latency_ms=self.latency_ms,
+            )
+        )
+    return BatchPrediction(filter_name=self.name, predictions=tuple(predictions))
+
+
+def assert_same_predictions(actual, expected):
+    """Field-for-field ``==`` of two prediction sequences, location scores
+    by ``np.array_equal``."""
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got.frame_index == want.frame_index
+        assert got.filter_name == want.filter_name
+        assert got.class_counts == want.class_counts
+        assert got.class_scores == want.class_scores
+        assert (got.threshold, got.latency_ms) == (want.threshold, want.latency_ms)
+        assert list(got.location_scores) == list(want.location_scores)
+        for name, scores in want.location_scores.items():
+            assert got.location_scores[name].shape == scores.shape
+            assert np.array_equal(got.location_scores[name], scores)
 
 
 def reference_render(config, ground_truth):

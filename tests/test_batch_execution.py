@@ -144,6 +144,30 @@ def test_predict_batch_rejects_mixed_frame_shapes(filter_fixture, tiny_jackson, 
     assert clock.breakdown.per_component_calls == {}
 
 
+@pytest.mark.parametrize("filter_fixture", ["trained_od_filter", "trained_od_cof"])
+def test_predict_batch_rejects_mixed_image_dtypes(filter_fixture, tiny_jackson, request):
+    """One float frame among uint8 ones fails at the boundary, naming the
+    frame and both dtypes, before anything is charged.  Stacked, it would
+    upcast the whole tile onto the backbone's float kernel and change its
+    neighbours' predictions."""
+    from repro.cost import SimulatedClock
+
+    frame_filter = request.getfixturevalue(filter_fixture)
+    frames = [tiny_jackson.test.frame(index) for index in range(3)]
+    odd = Frame(index=42, image=frames[1].image.astype(np.float64), ground_truth=None)
+    clock = SimulatedClock()
+    frame_filter.clock = clock
+    try:
+        with pytest.raises(ValueError) as excinfo:
+            frame_filter.predict_batch([frames[0], odd, frames[2]])
+    finally:
+        frame_filter.clock = None
+    message = str(excinfo.value)
+    assert "frame 1 of the batch (stream index 42)" in message
+    assert "float64" in message and "uint8" in message
+    assert clock.breakdown.per_component_calls == {}
+
+
 def test_predict_batch_empty_and_charging(trained_od_filter, tiny_jackson):
     from repro.cost import SimulatedClock
 

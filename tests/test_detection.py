@@ -138,9 +138,9 @@ def test_extract_tiled_equals_extract_per_image(tiny_jackson):
     backbone.fit_background(tiny_jackson.train.iter_range(0, 20, 2))
     # 9 frames: two full 4-frame tiles at 112x112 and a one-frame remainder.
     images = [tiny_jackson.test.frame(index).image for index in range(9)]
-    tiled = list(backbone.extract_tiled(iter(images)))
-    assert len(tiled) == len(images)
-    for image, features in zip(images, tiled):
+    tiles = list(backbone.extract_tiled(iter(images)))
+    assert [len(tile) for tile in tiles] == [4, 4, 1]
+    for image, features in zip(images, np.concatenate(tiles)):
         assert np.array_equal(features, backbone.extract(image))
     assert list(backbone.extract_tiled([])) == []
 

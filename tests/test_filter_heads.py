@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.filters.heads import (
     COUNT_FEATURE_NAMES,
@@ -12,10 +12,9 @@ from repro.filters.heads import (
     GridScoringHead,
     PooledCountHead,
     RidgeAccumulator,
-    count_features,
-    suppress_cross_class,
-    thresholded_sum,
+    batch_count_features,
 )
+from tests.conftest import reference_count_features, reference_suppress_cross_class
 
 
 def test_ridge_accumulator_recovers_linear_model(rng):
@@ -81,33 +80,100 @@ def test_grid_scoring_head_shapes_and_clipping():
         GridScoringHead(class_names=("car",), weights=np.zeros((2, 3)), bias=np.zeros(2))
 
 
+def _unbiased_head(num_classes: int) -> GridScoringHead:
+    """A head whose ``class_planes`` only clips and suppresses."""
+    return GridScoringHead(
+        class_names=tuple(f"class{index}" for index in range(num_classes)),
+        weights=np.zeros((num_classes, 1)),
+        bias=np.zeros(num_classes),
+    )
+
+
 def test_thresholded_sum_and_count_features():
     scores = np.zeros((8, 8))
     scores[0, 0] = 0.9
     scores[0, 1] = 0.8
     scores[5, 5] = 0.7
     scores[7, 7] = 0.1  # below threshold
-    assert thresholded_sum(scores, 0.2) == pytest.approx(2.4)
-    features = count_features(scores, 0.2)
-    assert features.shape == (len(COUNT_FEATURE_NAMES),)
-    assert features[0] == pytest.approx(2.4)  # score mass
-    assert features[1] == 3  # occupied cells
-    assert features[2] == 2  # two connected blobs
-    assert np.all(count_features(np.zeros((4, 4)), 0.2) == 0)
+    features = batch_count_features(scores[None, None], 0.2)
+    assert features.shape == (1, 1, len(COUNT_FEATURE_NAMES))
+    assert features[0, 0, 0] == pytest.approx(2.4)  # score mass: the thresholded sum
+    assert features[0, 0, 1] == 3  # occupied cells
+    assert features[0, 0, 2] == 2  # two connected blobs
+    assert np.all(batch_count_features(np.zeros((1, 1, 4, 4)), 0.2) == 0)
 
 
 def test_suppress_cross_class():
     car = np.array([[0.9, 0.1], [0.3, 0.0]])
     bus = np.array([[0.4, 0.3], [0.6, 0.0]])
-    suppressed = suppress_cross_class({"car": car, "bus": bus}, threshold=0.2)
+    raw = np.stack([car, bus], axis=-1)[None]  # (N, g, g, C)
+    suppressed = _unbiased_head(2).class_planes(raw, threshold=0.2)[:, 0]
     # Cell (0,0): car wins, bus zeroed; cell (1,0): bus wins, car zeroed.
-    assert suppressed["car"][0, 0] == pytest.approx(0.9)
-    assert suppressed["bus"][0, 0] == 0.0
-    assert suppressed["car"][1, 0] == 0.0
-    assert suppressed["bus"][1, 0] == pytest.approx(0.6)
+    assert suppressed[0, 0, 0] == pytest.approx(0.9)
+    assert suppressed[1, 0, 0] == 0.0
+    assert suppressed[0, 1, 0] == 0.0
+    assert suppressed[1, 1, 0] == pytest.approx(0.6)
     # Cell (0,1): max (bus, 0.3) is above threshold, so car (0.1) is zeroed.
-    assert suppressed["car"][0, 1] == 0.0
-    assert suppress_cross_class({}, 0.2) == {}
+    assert suppressed[0, 0, 1] == 0.0
+
+
+# Cell values around the 0.2 threshold, with repeats so classes tie often.
+_CELL_VALUES = st.sampled_from([-0.3, 0.0, 0.1, 0.2, 0.2, 0.5, 0.5, 1.0, 1.3])
+
+
+@st.composite
+def _raw_score_stacks(draw):
+    """Raw ``(N, g, g, C)`` head outputs whose planes are random, all empty
+    or all occupied."""
+    classes = draw(st.integers(1, 3))
+    frames = draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    raw = np.empty((frames, rows, cols, classes))
+    for frame in range(frames):
+        for index in range(classes):
+            kind = draw(st.sampled_from(["random", "random", "empty", "full"]))
+            if kind == "random":
+                cells = draw(st.lists(_CELL_VALUES, min_size=rows * cols, max_size=rows * cols))
+                raw[frame, :, :, index] = np.reshape(cells, (rows, cols))
+            else:
+                raw[frame, :, :, index] = 0.0 if kind == "empty" else 0.7
+    return raw
+
+
+def _edge_blobs() -> np.ndarray:
+    """Blobs on the bottom edge of each plane and the top edge of the next,
+    and a fully occupied plane beside a fully occupied plane: stacked planes
+    whose blobs must not merge."""
+    raw = np.zeros((3, 4, 5, 2))
+    raw[0, -1, :, 0] = 0.9
+    raw[1, 0, :, 0] = 0.9
+    raw[1, :, -1, 1] = 0.8
+    raw[2, :, :, :] = 0.6
+    return raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_score_stacks())
+@example(_edge_blobs())
+def test_batched_count_features_equal_the_per_frame_head(raw):
+    """``class_planes`` + ``batch_count_features`` over a whole stack equal
+    suppression and ``count_features`` run plane by plane, bit for bit."""
+    threshold = 0.2
+    frames, _, _, classes = raw.shape
+    head = _unbiased_head(classes)
+    planes = head.class_planes(raw, threshold)
+    features = batch_count_features(planes, threshold)
+    assert features.shape == (frames, classes, len(COUNT_FEATURE_NAMES))
+    clipped = np.clip(raw, 0.0, 1.0)
+    for frame in range(frames):
+        suppressed = reference_suppress_cross_class(
+            {name: clipped[frame, :, :, index] for index, name in enumerate(head.class_names)},
+            threshold,
+        )
+        for index, name in enumerate(head.class_names):
+            assert np.array_equal(planes[index, frame], suppressed[name])
+            expected = reference_count_features(suppressed[name], threshold)
+            assert np.array_equal(features[frame, index], expected)
 
 
 def test_count_calibration_fit_and_estimate():
@@ -147,7 +213,7 @@ def test_pooled_count_head():
 )
 def test_count_features_invariants(values, threshold):
     scores = np.array(values).reshape(4, 4)
-    mass, cells, blobs = count_features(scores, threshold)
+    mass, cells, blobs = batch_count_features(scores[None, None], threshold)[0, 0]
     assert 0 <= blobs <= cells <= 16
     assert mass <= scores.sum() + 1e-9
     assert mass >= threshold * cells - 1e-9 or cells == 0
