@@ -35,7 +35,7 @@ from repro.filters.base import FilterPrediction, FrameFilter
 from repro.query.ast import Query, WindowSpec
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.query.parallel import ParallelConfig, decode_ahead
-from repro.query.temporal import TemporalConfig, TemporalScan, TemporalStats, clocks_detached
+from repro.query.temporal import TemporalConfig, TemporalScan, TemporalStats
 from repro.video.stream import Frame, VideoStream, checked_frame_indices
 
 
@@ -168,10 +168,9 @@ class AggregateMonitor:
         tile renders ahead on one ``decode-ahead`` thread, so tile *k+1*
         renders while tile *k* runs the backbone and heads.  Nothing moves
         by a bit: ``predict_batch`` rows do not depend on the batch, and the
-        tiles run with the filter's clock detached and are charged once
-        afterwards, as the one batched charge of ``n`` calls a single
-        whole-sample ``predict_batch`` makes, before the first detector
-        charge.
+        tiles are charged once afterwards, as the one batched charge of
+        ``n`` calls a single whole-sample ``predict_batch`` would be, before
+        the first detector charge.  Every charge goes to ``self.clock``.
 
         With a ``temporal`` config the samples are delta-gated instead
         (see :mod:`repro.query.temporal`): sample indices arrive sorted, so
@@ -181,7 +180,7 @@ class AggregateMonitor:
         sample set is already sparse — so the gate loop
         (:class:`~repro.query.temporal.TemporalScan`) runs at
         ``max_stride=1`` with the sampler's own callbacks.  In exact
-        mode every reuse is verified with the clock detached and the
+        mode every reuse is verified uncharged and the
         verified values are the ones used, keeping estimates bit-identical
         to the ungated path.  The gate renders every sample too, so an
         approximate gate renders ahead by the same rule; an exact one stays
@@ -201,16 +200,16 @@ class AggregateMonitor:
                 return self._evaluate_samples_temporal(spec, indices, temporal, fetch)
             frames: list[Frame] = []
             predictions: list[FilterPrediction] = []
-            with clocks_detached([self.frame_filter]):
-                for start in range(0, len(indices), _SAMPLE_TILE):
-                    tile = [fetch(index) for index in indices[start : start + _SAMPLE_TILE]]
-                    predictions.extend(self.frame_filter.predict_batch(tile))
-                    frames.extend(tile)
-            self.frame_filter._charge_batch(len(frames))
+            for start in range(0, len(indices), _SAMPLE_TILE):
+                tile = [fetch(index) for index in indices[start : start + _SAMPLE_TILE]]
+                predictions.extend(self.frame_filter.predict_batch(tile))
+                frames.extend(tile)
+            self.clock.charge_calls(self.frame_filter, len(frames))
             exact_values = np.zeros(len(indices))
             controls = np.zeros((len(indices), len(spec.control_values)))
             for row, (frame, prediction) in enumerate(zip(frames, predictions)):
                 detections = self.detector.detect(frame)
+                self.clock.charge_calls(self.detector)
                 exact_values[row] = spec.exact_value(detections)
                 for col, control in enumerate(spec.control_values):
                     controls[row, col] = control(prediction)
@@ -223,33 +222,32 @@ class AggregateMonitor:
         temporal: TemporalConfig,
         fetch: Callable[[int], Frame],
     ) -> tuple[np.ndarray, np.ndarray, TemporalStats]:
-        detector_component = getattr(self.detector, "name", "detector")
-
-        def evaluate(frame: Frame, context: object = None) -> tuple[float, np.ndarray]:
+        def evaluate(
+            frame: Frame, context: object = None, charged: bool = True
+        ) -> tuple[float, np.ndarray]:
             # predict_batch of one frame: per-frame batch rows are
             # independent, so the values match the ungated path's single
             # whole-sample batch bit for bit.
             prediction = self.frame_filter.predict_batch([frame])[0]
             detections = self.detector.detect(frame)
+            if charged:
+                self.clock.charge_calls(self.frame_filter)
+                self.clock.charge_calls(self.detector)
             value = float(spec.exact_value(detections))
             row = np.array(
                 [control(prediction) for control in spec.control_values]
             )
             return value, row
 
-        def evaluate_unclocked(frame: Frame, context: object) -> tuple[float, np.ndarray]:
-            with clocks_detached([self.frame_filter], self.detector):
-                return evaluate(frame)
-
         def reuse_charge(outcome: object) -> tuple[int, int]:
             self.clock.reuse(self.frame_filter.name)
-            self.clock.reuse(detector_component)
+            self.clock.reuse(self.detector.name)
             return 1, 1
 
         scan = TemporalScan(
             replace(temporal, max_stride=1),
             compute=evaluate,
-            verify=evaluate_unclocked,
+            verify=lambda frame, context: evaluate(frame, charged=False),
             reuse_charge=reuse_charge,
             verdict=lambda outcome: (outcome[0], outcome[1].tobytes()),
         )
@@ -288,31 +286,21 @@ class AggregateMonitor:
         # shared clock keeps its history across estimates (same contract as
         # StreamingQueryExecutor.execute).
         cost_baseline = self.clock.snapshot()
-        previous_filter_clock = self.frame_filter.clock
-        previous_detector_clock = getattr(self.detector, "clock", None)
-        self.frame_filter.clock = self.clock
-        if hasattr(self.detector, "clock"):
-            self.detector.clock = self.clock
         started = time.perf_counter()
-        try:
-            if frame_indices is None:
-                if window is not None:
-                    population = np.arange(window.start, min(window.stop, len(stream)))
-                else:
-                    population = np.arange(len(stream))
-                chosen = population[
-                    sample_frame_indices(len(population), sample_size, self._rng)
-                ].tolist()
+        if frame_indices is None:
+            if window is not None:
+                population = np.arange(window.start, min(window.stop, len(stream)))
             else:
-                # Checked before anything is rendered, charged or started.
-                chosen = checked_frame_indices(frame_indices, stream)
-            exact_values, controls, temporal_stats = self._evaluate_samples(
-                spec, stream, chosen, temporal=temporal, parallel=parallel
-            )
-        finally:
-            self.frame_filter.clock = previous_filter_clock
-            if hasattr(self.detector, "clock"):
-                self.detector.clock = previous_detector_clock
+                population = np.arange(len(stream))
+            chosen = population[
+                sample_frame_indices(len(population), sample_size, self._rng)
+            ].tolist()
+        else:
+            # Checked before anything is rendered, charged or started.
+            chosen = checked_frame_indices(frame_indices, stream)
+        exact_values, controls, temporal_stats = self._evaluate_samples(
+            spec, stream, chosen, temporal=temporal, parallel=parallel
+        )
         elapsed = time.perf_counter() - started
 
         plain = sample_mean_estimate(exact_values)

@@ -13,15 +13,15 @@ that pattern):
   locks they hold (:meth:`SanitizerSession.cache_access`; the engine has
   no lock-guarded shared structure today, so the next one declares the
   first production site), worker tasks open an *ownership window* over
-  their private cascade clones
+  each distinct filter object of their private cascade clones
   (:meth:`SanitizerSession.worker_window`), and every
   :class:`~repro.cost.SimulatedClock` charge/absorb/reuse runs inside a
   clock access (:meth:`SanitizerSession.clock_access`).  Two overlapping
   accesses to the same resource from different threads with disjoint
   declared locksets — or one clock charged inside two concurrently open
   worker windows — is a race, reported with both threads' captured stacks:
-  RC001 for shared state, RC002 for worker-private clones, RC003 for
-  clocks.
+  RC001 for shared state, RC002 for a filter two worker tasks hold at once
+  (a clone that aliases its original), RC003 for clocks.
 * **Numeric sanitizer** (``"numeric"``, NU0xx) — hooks every
   :class:`~repro.nn.network.Sequential` layer output for NaN (NU001) and
   Inf/overflow (NU002), naming the offending layer and the chunk being
@@ -30,7 +30,7 @@ that pattern):
 * **Determinism checker** (``"determinism"``, RC004) — digests each merged
   chunk's per-query alive sets during the parallel scan, then re-runs the
   same chunks under the coverage masks they were dispatched with,
-  sequentially, on a clock-detached deep copy of the cascades and reports
+  sequentially and uncharged, on a deep copy of the cascades and reports
   the first divergent chunk (a quarantined chunk merged nothing and is
   skipped).  Cascade steps are conjunctive, so
   the digest is invariant under adaptive step reordering; any divergence is
@@ -233,28 +233,34 @@ class SanitizerSession:
             self._close(access)
 
     @contextmanager
-    def worker_window(self, chunk_id: int, resource_key: Any) -> Iterator[None]:
+    def worker_window(self, chunk_id: int, resource_keys: Iterable[Any]) -> Iterator[None]:
         """The ownership window of one worker task over its private clones (RC002).
 
-        Also publishes ``chunk_id`` thread-locally so numeric findings can
-        name the chunk being processed, and collects the clocks charged
-        within the window for cross-window race detection (RC003).
+        One access per key (the engine passes the ``id`` of each distinct
+        filter in the worker's cascades), so two tasks holding one filter
+        object at once are RC002 however their clones were built.  Also
+        publishes ``chunk_id`` thread-locally so numeric findings can name
+        the chunk being processed, and collects the clocks charged within
+        the window for cross-window race detection (RC003).
         """
         previous = getattr(self._local, "chunk_id", None)
         self._local.chunk_id = chunk_id
-        access: _OpenAccess | None = None
-        if self.race:
-            access = self._open(
-                ("worker", resource_key),
-                frozenset(),
-                "RC002",
-                f"worker-private cascade clones (chunk {chunk_id})",
-            )
+        accesses: list[_OpenAccess] = []
         try:
+            if self.race:
+                for key in resource_keys:
+                    accesses.append(
+                        self._open(
+                            ("worker", key),
+                            frozenset(),
+                            "RC002",
+                            f"worker-private cascade clone (chunk {chunk_id})",
+                        )
+                    )
             yield
         finally:
             self._local.chunk_id = previous
-            if access is not None:
+            for access in accesses:
                 self._close(access)
 
     @contextmanager
@@ -286,7 +292,7 @@ class SanitizerSession:
                         f"one SimulatedClock charged from two concurrent worker "
                         f"tasks: {access.thread_name} [{access.stack}] and "
                         f"{conflict_name} [{conflict_stack}] — per-worker clocks "
-                        f"must be private (is a filter shared across clones?)",
+                        f"must be private",
                     ),
                     key=resource,
                 )
@@ -388,7 +394,7 @@ class SanitizerSession:
         """Re-run the merged chunks sequentially and diff the digests (RC004).
 
         Each chunk is re-run over the frames and ``covered`` masks recorded
-        at its merge, on a clock-detached deep copy of the cascades with
+        at its merge, charging no clock, on a deep copy of the cascades with
         identity step orders; cascade steps are conjunctive, so a digest
         mismatch means the parallel run's survivors genuinely diverged.
         """
@@ -397,9 +403,6 @@ class SanitizerSession:
         from repro.query.parallel import run_filter_chunk
 
         reference = copy.deepcopy(list(query_cascades))
-        for cascade in reference:
-            for frame_filter in cascade.filters:
-                frame_filter.clock = None
         identity_orders = [
             tuple(range(len(cascade.steps))) for cascade in reference
         ]
@@ -412,7 +415,9 @@ class SanitizerSession:
             observed, chunk, covered = record
             frames = [stream.frame(index) for index in chunk]
             expected = chunk_digest(
-                run_filter_chunk(reference, assignments, covered, identity_orders, frames).alive
+                run_filter_chunk(
+                    None, reference, assignments, covered, identity_orders, frames
+                ).alive
             )
             if observed != expected:
                 self.record(

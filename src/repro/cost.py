@@ -9,16 +9,17 @@ The paper reports component latencies measured on a Titan XP GPU:
 
 We cannot reproduce those absolute numbers on CPU with a numpy substrate, but
 the *ratios* between components are what drive every execution-time result in
-the paper (Table III, Table IV).  Each simulated component therefore charges
-its paper-calibrated latency to a :class:`SimulatedClock`, so execution-time
-tables reproduce the paper's shape deterministically, while pytest-benchmark
-separately reports the wall-clock cost of our own code.
+the paper (Table III, Table IV).  Each simulated component therefore carries
+its paper-calibrated latency, and the scan that invokes it charges that
+latency to its own :class:`SimulatedClock` (:meth:`SimulatedClock.charge_calls`),
+so execution-time tables reproduce the paper's shape deterministically, while
+pytest-benchmark separately reports the wall-clock cost of our own code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Protocol
 
 from repro import hooks
 
@@ -403,6 +404,13 @@ class QueryBudget:
 RETRY_BACKOFF_COMPONENT = "retry_backoff"
 
 
+class Invocable(Protocol):
+    """What :meth:`SimulatedClock.charge_calls` reads off a filter or a detector."""
+
+    name: str
+    latency_ms: float
+
+
 class SimulatedClock:
     """Accumulates the simulated cost of detector / filter invocations."""
 
@@ -416,6 +424,18 @@ class SimulatedClock:
                 self._charge_unchecked(component, milliseconds, calls)
             return
         self._charge_unchecked(component, milliseconds, calls)
+
+    def charge_calls(self, invoked: Invocable, calls: int = 1) -> None:
+        """Charge ``calls`` invocations of a filter or a detector.
+
+        ``invoked.latency_ms`` per call, under ``invoked.name``.  Filters and
+        detectors charge nothing themselves: whoever schedules a call
+        charges it to its own clock, and a call that must cost nothing
+        (exact-mode verification, planning measurement) is simply not
+        charged.  Zero calls charge nothing.
+        """
+        if calls > 0:
+            self.charge(invoked.name, invoked.latency_ms * calls, calls=calls)
 
     def _charge_unchecked(self, component: str, milliseconds: float, calls: int) -> None:
         if milliseconds < 0:

@@ -9,9 +9,9 @@ The paper relies on two external detectors:
   point and as the backbone whose early layers feed the OD filters.
 
 Neither is available here, so this package provides simulators with the same
-interface, calibrated error models and the paper's latency figures (charged
-to a simulated clock), plus the frozen convolutional feature backbones whose
-outputs the filter branch heads consume.
+interface, calibrated error models and the paper's latency figures (which
+the scans charge to a simulated clock), plus the frozen convolutional
+feature backbones whose outputs the filter branch heads consume.
 """
 
 from repro.detection.base import Detection, Detector, FrameDetections

@@ -74,11 +74,17 @@ class FrameDetections:
 
 
 class Detector(abc.ABC):
-    """A full-frame object detector."""
+    """A full-frame object detector.
+
+    A detector carries its simulated per-frame latency but charges nothing:
+    the scan that calls :meth:`detect` charges the call to its own clock
+    (:meth:`~repro.cost.SimulatedClock.charge_calls`), so one detector can
+    serve any number of scans.
+    """
 
     #: component name used for simulated-cost accounting
     name: str = "detector"
-    #: simulated latency charged per processed frame (milliseconds)
+    #: simulated latency a scan charges per processed frame (milliseconds)
     latency_ms: float = 0.0
 
     @abc.abstractmethod

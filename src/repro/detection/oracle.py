@@ -5,8 +5,8 @@ training labels and all query accuracy numbers are measured against its
 output) and it is the expensive verification step in the query executor.  The
 simulator mirrors that: it reads the scene ground truth and perturbs it with
 a calibrated error model (missed detections for small or heavily occluded
-objects, bounding-box jitter, occasional class confusion), charging the
-paper's 200 ms/frame latency to the simulated clock.
+objects, bounding-box jitter, occasional class confusion), and carries the
+paper's 200 ms/frame latency for the scan to charge to its simulated clock.
 
 With the default error model the simulator is *almost* perfect — as Mask
 R-CNN effectively is, relative to the much weaker filters — but the error
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cost import MASK_RCNN_MS, SimulatedClock
+from repro.cost import MASK_RCNN_MS
 from repro.detection.base import Detection, Detector, FrameDetections
 from repro.spatial.geometry import Box
 from repro.video.objects import ObjectState
@@ -69,7 +69,6 @@ class ReferenceDetector(Detector):
         class_names: tuple[str, ...] | list[str] | None = None,
         error_model: DetectorErrorModel | None = None,
         latency_ms: float = MASK_RCNN_MS,
-        clock: SimulatedClock | None = None,
         seed: int = 0,
     ) -> None:
         self.class_names = tuple(class_names) if class_names else ()
@@ -81,7 +80,6 @@ class ReferenceDetector(Detector):
             false_positive_rate=0.0,
         )
         self.latency_ms = latency_ms
-        self.clock = clock
         self._seed = seed
 
     # ------------------------------------------------------------------
@@ -123,8 +121,6 @@ class ReferenceDetector(Detector):
     # Detector interface
     # ------------------------------------------------------------------
     def detect(self, frame: Frame) -> FrameDetections:
-        if self.clock is not None:
-            self.clock.charge(self.name, self.latency_ms)
         rng = self._rng_for_frame(frame.index)
         ground_truth = frame.ground_truth
         detections: list[Detection] = []

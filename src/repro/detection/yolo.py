@@ -9,7 +9,7 @@ latency figure.
 
 from __future__ import annotations
 
-from repro.cost import YOLO_FULL_MS, SimulatedClock
+from repro.cost import YOLO_FULL_MS
 from repro.detection.base import Detector, FrameDetections
 from repro.detection.oracle import DetectorErrorModel, ReferenceDetector
 from repro.video.stream import Frame
@@ -25,11 +25,9 @@ class FastDetector(Detector):
         class_names: tuple[str, ...] | list[str] | None = None,
         error_model: DetectorErrorModel | None = None,
         latency_ms: float = YOLO_FULL_MS,
-        clock: SimulatedClock | None = None,
         seed: int = 1,
     ) -> None:
         self.latency_ms = latency_ms
-        self.clock = clock
         # Delegate the detection mechanics to the reference implementation
         # with a weaker error model; only latency and identity differ.
         self._inner = ReferenceDetector(
@@ -46,13 +44,10 @@ class FastDetector(Detector):
                 score_std=0.08,
             ),
             latency_ms=latency_ms,
-            clock=None,
             seed=seed,
         )
 
     def detect(self, frame: Frame) -> FrameDetections:
-        if self.clock is not None:
-            self.clock.charge(self.name, self.latency_ms)
         inner = self._inner.detect(frame)
         return FrameDetections(
             frame_index=inner.frame_index,

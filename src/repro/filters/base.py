@@ -9,7 +9,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.cost import SimulatedClock
 from repro.spatial.grid import Grid, GridMask
 from repro.video.stream import Frame
 
@@ -134,8 +133,11 @@ class FrameFilter(abc.ABC):
     """A cheap approximate per-frame estimator.
 
     Filters see only the frame's pixels; the ground truth is reserved for the
-    reference detector.  Each call charges the filter's simulated latency
-    (the paper's measured per-frame branch cost) to the attached clock.
+    reference detector.  A filter carries its simulated per-frame latency
+    (the paper's measured branch cost) but charges nothing: the scan that
+    issues a call charges it to its own clock
+    (:meth:`~repro.cost.SimulatedClock.charge_calls`), so one filter object
+    can serve any number of scans.
     """
 
     #: filter family name, e.g. ``"IC"`` or ``"OD"``
@@ -148,9 +150,6 @@ class FrameFilter(abc.ABC):
     #: ``False`` for total-count-only filters (OD-COF), whose predictions
     #: only hold the pseudo-class ``"object"``
     class_aware: bool = True
-
-    def __init__(self, clock: SimulatedClock | None = None) -> None:
-        self.clock = clock
 
     @property
     def identity(self) -> tuple:
@@ -178,19 +177,10 @@ class FrameFilter(abc.ABC):
         The base implementation falls back to a per-frame loop, so every
         filter supports batching; subclasses override it with vectorized
         implementations.  Batch results must be equivalent to calling
-        :meth:`predict` on each frame, including the simulated cost charged
-        per frame to the clock.
+        :meth:`predict` on each frame.  Nothing is charged: a batch of ``n``
+        frames is ``n`` calls of :attr:`latency_ms` to whoever issued it.
         """
         return BatchPrediction(
             filter_name=self.name,
             predictions=tuple(self.predict(frame) for frame in frames),
         )
-
-    def _charge(self) -> None:
-        if self.clock is not None:
-            self.clock.charge(self.name, self.latency_ms)
-
-    def _charge_batch(self, calls: int) -> None:
-        """Charge ``calls`` frames' worth of latency in one batched charge."""
-        if self.clock is not None and calls > 0:
-            self.clock.charge(self.name, self.latency_ms * calls, calls=calls)

@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cost import SimulatedClock
 from repro.detection.backbone import FeatureBackbone
 from repro.filters.base import BatchPrediction, FilterPrediction, FrameFilter
 from repro.filters.heads import (
@@ -69,9 +68,7 @@ class LinearBranchFilter(FrameFilter):
         grid: Grid,
         threshold: float = DEFAULT_GRID_THRESHOLD,
         latency_ms: float = 0.0,
-        clock: SimulatedClock | None = None,
     ) -> None:
-        super().__init__(clock=clock)
         if grid_head.class_names != count_calibration.class_names:
             raise ValueError(
                 "grid head and count calibration must agree on the class list"
@@ -112,7 +109,6 @@ class LinearBranchFilter(FrameFilter):
         if not frames:
             return BatchPrediction(filter_name=self.name, predictions=())
         images = _batch_images(frames)
-        self._charge_batch(len(frames))
         head = self.grid_head
         names = self.class_names
         grid_size = self.backbone.grid_size
@@ -159,9 +155,7 @@ class PooledCountFilter(FrameFilter):
         count_head: PooledCountHead,
         grid: Grid,
         latency_ms: float = 0.0,
-        clock: SimulatedClock | None = None,
     ) -> None:
-        super().__init__(clock=clock)
         self.backbone = backbone
         self.count_head = count_head
         self.grid = grid
@@ -185,7 +179,6 @@ class PooledCountFilter(FrameFilter):
         if not frames:
             return BatchPrediction(filter_name=self.name, predictions=())
         images = _batch_images(frames)
-        self._charge_batch(len(frames))
         pooled = np.concatenate(
             [self._pool(features) for features in self.backbone.extract_tiled(images)]
         )

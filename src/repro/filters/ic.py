@@ -23,7 +23,7 @@ what the batched query executor drives.
 
 from __future__ import annotations
 
-from repro.cost import IC_BRANCH_MS, SimulatedClock
+from repro.cost import IC_BRANCH_MS
 from repro.detection.backbone import FeatureBackbone, classification_backbone
 from repro.filters.branch import DEFAULT_GRID_THRESHOLD, LinearBranchFilter
 from repro.filters.heads import CountCalibration, GridScoringHead
@@ -44,7 +44,6 @@ class ICFilter(LinearBranchFilter):
         backbone: FeatureBackbone | None = None,
         threshold: float = DEFAULT_GRID_THRESHOLD,
         latency_ms: float = IC_BRANCH_MS,
-        clock: SimulatedClock | None = None,
     ) -> None:
         super().__init__(
             backbone=backbone or classification_backbone(grid.rows),
@@ -53,5 +52,4 @@ class ICFilter(LinearBranchFilter):
             grid=grid,
             threshold=threshold,
             latency_ms=latency_ms,
-            clock=clock,
         )

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cost import OD_BRANCH_MS, SimulatedClock
+from repro.cost import OD_BRANCH_MS
 from repro.filters.base import BatchPrediction, FilterPrediction, FrameFilter
 from repro.nn.layers import (
     Conv2D,
@@ -156,9 +156,7 @@ class NeuralBranchFilter(FrameFilter):
         family: str = "OD",
         latency_ms: float = OD_BRANCH_MS,
         threshold: float = 0.5,
-        clock: SimulatedClock | None = None,
     ) -> None:
-        super().__init__(clock=clock)
         self.network = network
         self.class_names = tuple(class_names)
         self.image_size = image_size
@@ -270,7 +268,6 @@ class NeuralBranchFilter(FrameFilter):
         """One stacked ``(N, C, H, W)`` forward pass for the whole batch."""
         if not frames:
             return BatchPrediction(filter_name=self.name, predictions=())
-        self._charge_batch(len(frames))
         inputs = self._prepare_batch([frame.image for frame in frames])
         outputs = self.network.forward(inputs)
         counts = outputs["counts"]

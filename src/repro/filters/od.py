@@ -21,7 +21,7 @@ amortise numpy call overhead across a chunk of frames.
 
 from __future__ import annotations
 
-from repro.cost import OD_BRANCH_MS, OD_COF_MS, SimulatedClock
+from repro.cost import OD_BRANCH_MS, OD_COF_MS
 from repro.detection.backbone import FeatureBackbone, detection_backbone
 from repro.filters.branch import (
     DEFAULT_GRID_THRESHOLD,
@@ -46,7 +46,6 @@ class ODFilter(LinearBranchFilter):
         backbone: FeatureBackbone | None = None,
         threshold: float = DEFAULT_GRID_THRESHOLD,
         latency_ms: float = OD_BRANCH_MS,
-        clock: SimulatedClock | None = None,
     ) -> None:
         super().__init__(
             backbone=backbone or detection_backbone(grid.rows),
@@ -55,7 +54,6 @@ class ODFilter(LinearBranchFilter):
             grid=grid,
             threshold=threshold,
             latency_ms=latency_ms,
-            clock=clock,
         )
 
 
@@ -71,12 +69,10 @@ class ODCountClassifier(PooledCountFilter):
         grid: Grid,
         backbone: FeatureBackbone | None = None,
         latency_ms: float = OD_COF_MS,
-        clock: SimulatedClock | None = None,
     ) -> None:
         super().__init__(
             backbone=backbone or detection_backbone(grid.rows),
             count_head=count_head,
             grid=grid,
             latency_ms=latency_ms,
-            clock=clock,
         )

@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.cost import SimulatedClock
 from repro.detection.annotation import AnnotatedFrame, AnnotationSet, annotate_frames
 from repro.detection.backbone import (
     FeatureBackbone,
@@ -88,7 +87,6 @@ class FilterTrainer:
     cross_class_negative_weight: float = 20.0
     max_train_frames: int | None = None
     background_frames: int = 40
-    clock: SimulatedClock | None = None
     seed: int = 0
 
     _annotations: AnnotationSet | None = field(default=None, init=False, repr=False)
@@ -340,7 +338,6 @@ class FilterTrainer:
             grid=self.grid,
             backbone=backbone,
             threshold=self.threshold,
-            clock=self.clock,
         )
 
     def train_od_filter(self) -> ODFilter:
@@ -353,7 +350,6 @@ class FilterTrainer:
             grid=self.grid,
             backbone=backbone,
             threshold=self.threshold,
-            clock=self.clock,
         )
 
     def train_od_count_classifier(self) -> ODCountClassifier:
@@ -372,7 +368,6 @@ class FilterTrainer:
             count_head=head,
             grid=self.grid,
             backbone=backbone,
-            clock=self.clock,
         )
 
     def train_all(self) -> dict[str, object]:
@@ -474,7 +469,6 @@ def train_neural_filter(
     class_names: Sequence[str],
     config: NeuralTrainingConfig | None = None,
     family: str = "OD",
-    clock: SimulatedClock | None = None,
 ) -> NeuralBranchFilter:
     """Train a CNN branch filter end to end with the paper's multi-task loss.
 
@@ -501,7 +495,6 @@ def train_neural_filter(
         frame_width=annotations.grid.frame_width,
         frame_height=annotations.grid.frame_height,
         family=family,
-        clock=clock,
     )
     images, counts, grids = _training_tensors(stream, annotations, neural, config.batch_size)
     num_samples = images.shape[0]

@@ -12,11 +12,11 @@ size is its only variable: the stream is processed in chunks of
 Each cascade step runs as one vectorized
 :meth:`~repro.filters.base.FrameFilter.predict_batch` call over the chunk's
 surviving frames, the survivor set narrows step by step, and the detector
-only sees the frames that survive the whole cascade.  Filter latencies are
-charged with the clock's ``calls=n`` batched-charge API, so every chunk size
-returns the same matched frames, the same work counters and the same
-simulated cost (call counts exactly, milliseconds to float-rounding); larger
-chunks are faster in wall-clock (see the perf ledger's ``table3_perframe`` /
+only sees the frames that survive the whole cascade.  The scan charges each
+``predict_batch`` of ``n`` frames as one batched charge of ``n`` calls, so
+every chunk size returns the same matched frames, the same work counters
+and the same simulated cost (call counts exactly, milliseconds to
+float-rounding); larger chunks are faster in wall-clock (see the perf ledger's ``table3_perframe`` /
 ``table3_batched`` pair).
 
 Every chunk size honors the query's ``WINDOW HOPPING`` clause: the stream is
@@ -54,7 +54,10 @@ Costs are accounted twice:
 
 * *simulated* cost, using the paper's measured per-component latencies
   (filter branches ~1.5–1.9 ms, Mask R-CNN ~200 ms), which is what the
-  execution-time tables report;
+  execution-time tables report.  Filters and detectors only carry their
+  latency; the scan charges each call it schedules to the executor's
+  clock (the clock passed in, or the executor's own), so two scans
+  sharing a filter or a detector never charge each other's clocks;
 * *wall-clock* cost of this reproduction's own code, reported alongside for
   transparency (our numpy filters and simulated detector have very different
   absolute costs than GPU inference).
@@ -320,8 +323,8 @@ class StreamingQueryExecutor:
 
         Build a :class:`~repro.query.session.ScanSession`, feed it, read the
         states.  The session owns the loop (accumulation, the detector-union
-        phase, the worker pool and its in-order merge, clock attachment and
-        restoration, and coverage: one rule, ``QueryState.covers``, given
+        phase, the worker pool and its in-order merge, the simulated charges,
+        and coverage: one rule, ``QueryState.covers``, given
         each windowed query's last instance end as ``stop``); the executor
         decides only how frames reach it: one
         ``render(index)`` from :func:`~repro.query.parallel.decode_ahead`
@@ -389,8 +392,7 @@ class StreamingQueryExecutor:
                     # materialised instance ends (none: no frame at all).
                     stop = None if bounds is None else (bounds[-1].stop if bounds else 0)
                     session.add_query(query, cascade, stop=stop)
-                # Plans the scan: steps merged across queries, every filter and
-                # the detector charge our clock until the session closes.
+                # Plans the scan: steps merged across queries.
                 unique_steps = session.unique_step_count
                 # The frames some query covers (a provably-empty query covers
                 # none, so it pulls no frame into the union on its own).

@@ -41,7 +41,8 @@ def brute_force_execute(
     A windowed query covers the frames inside at least one hopping-window
     instance (a trailing partial window included, as ``execute`` defaults
     to).  Each window reports its matches ascending; an index listed twice
-    in ``frame_indices`` is detected, and counted, twice.
+    in ``frame_indices`` is detected, and counted, twice.  Each detector
+    call is charged to ``clock``.
     """
     clock = clock or SimulatedClock()
     indices = checked_frame_indices(frame_indices, stream)
@@ -55,21 +56,13 @@ def brute_force_execute(
             if any(bounds.start <= index < bounds.stop for bounds in window_bounds)
         ]
     cost_baseline = clock.snapshot()
-    # Not every Detector charges a clock (the attribute is the simulators').
-    charges_clock = hasattr(detector, "clock")
-    previous_clock = getattr(detector, "clock", None)
-    if charges_clock:
-        setattr(detector, "clock", clock)
     matched: list[int] = []
     started = time.perf_counter()
-    try:
-        for index in indices:
-            detections = detector.detect(stream.frame(index))
-            if evaluate_predicates_on_detections(query, detections):
-                matched.append(index)
-    finally:
-        if charges_clock:
-            setattr(detector, "clock", previous_clock)
+    for index in indices:
+        detections = detector.detect(stream.frame(index))
+        clock.charge_calls(detector)
+        if evaluate_predicates_on_detections(query, detections):
+            matched.append(index)
     elapsed = time.perf_counter() - started
     windows: list[WindowResult] | None = None
     if window_bounds is not None:

@@ -17,9 +17,11 @@ repeat.  This module turns that loop into a pipeline:
   is merged, so matched frames, work counters and the simulated-cost history
   are identical to the sequential batched path no matter how chunks raced.
 
-Cost accounting stays exact under concurrency by construction: each worker
-charges its filter work to a *private* :class:`~repro.cost.SimulatedClock`,
-zeroed at the top of every chunk, and returns what the chunk charged; the one
+Cost accounting stays exact under concurrency by construction: filters
+charge nothing themselves, and :func:`run_filter_chunk` charges each
+``predict_batch`` it issues to the clock it is handed.  Each worker hands it
+a *private* :class:`~repro.cost.SimulatedClock`, built once with the worker
+and zeroed at the top of every chunk, and returns what the chunk charged; the one
 in-order merge loop (:meth:`~repro.query.session.ScanSession._merge_next`)
 absorbs the chunks' breakdowns into the main clock in chunk order
 (:meth:`~repro.cost.SimulatedClock.absorb`), and
@@ -356,6 +358,7 @@ class ChunkOutcome:
 
 
 def run_filter_chunk(
+    clock: SimulatedClock | None,
     query_cascades: Sequence[FilterCascade],
     assignments: Sequence[Sequence[int]],
     covered: Sequence[Sequence[bool]] | None,
@@ -372,6 +375,8 @@ def run_filter_chunk(
     outside query ``q``'s window coverage (``None`` = all frames covered);
     ``orders[q]`` is the execution order over cascade ``q``'s planned step
     positions (the adaptive re-planner's output; identity when static).
+    Each ``predict_batch`` is charged to ``clock`` as it returns; ``None``
+    charges nothing (exact-mode verification, the determinism re-run).
     """
     if hooks.injector is not None:
         # Fault site *before* any accumulation, keyed by the chunk's first
@@ -407,6 +412,8 @@ def run_filter_chunk(
             missing = [k for k in alive if k not in per_filter]
             if missing:
                 batch = step.frame_filter.predict_batch([frames[k] for k in missing])
+                if clock is not None:
+                    clock.charge_calls(step.frame_filter, len(missing))
                 name = step.frame_filter.name
                 computed[name] = computed.get(name, 0) + len(missing)
                 for k, prediction in zip(missing, batch):
@@ -446,24 +453,30 @@ def filter_with_retry(
     covered: Sequence[Sequence[bool]] | None,
     orders: Sequence[Sequence[int]],
     frames: Sequence[Frame],
+    charged: bool = True,
 ) -> FilteredChunk:
     """:func:`run_filter_chunk` under the ``filter`` site's retry policy.
 
     The one filter phase of the inline evaluation and of a pool worker, so
     a fault is retried alike on either side, backoff charged to ``clock``.
+    The filter calls are charged to ``clock`` too, unless ``charged`` is
+    false (exact-mode verification); backoff is charged either way.
     The retry is chunk-atomic: the fault site is *before* any accumulation
     inside :func:`run_filter_chunk`, so a retried chunk replays
     bit-identically and exhaustion poisons the whole chunk (no partial
     counters to unwind).
     """
+    calls_clock = clock if charged else None
     if hooks.injector is not None:
         return hooks.injector.with_retry(
             "filter",
             frames[0].index,
             clock,
-            lambda: run_filter_chunk(query_cascades, assignments, covered, orders, frames),
+            lambda: run_filter_chunk(
+                calls_clock, query_cascades, assignments, covered, orders, frames
+            ),
         )
-    return run_filter_chunk(query_cascades, assignments, covered, orders, frames)
+    return run_filter_chunk(calls_clock, query_cascades, assignments, covered, orders, frames)
 
 
 # ----------------------------------------------------------------------
@@ -611,28 +624,15 @@ def _distinct_filters(cascades: Sequence[FilterCascade]) -> list[FrameFilter]:
     return distinct
 
 
-def _attach_worker_clock(
-    cascades: Sequence[FilterCascade],
-) -> SimulatedClock:
-    clock = SimulatedClock()
-    for frame_filter in _distinct_filters(cascades):
-        frame_filter.clock = clock
-    return clock
-
-
+@dataclass(frozen=True, eq=False)
 class _Worker:
-    """One pool worker's private cascades and clock."""
+    """One pool worker's private cascades and clock (built once, in
+    :meth:`WorkerSupervisor._build_pool`)."""
 
-    def __init__(
-        self,
-        label: str,
-        cascades: Sequence[FilterCascade],
-        assignments: Sequence[Sequence[int]],
-    ) -> None:
-        self.label = label
-        self.cascades = cascades
-        self.assignments = assignments
-        self.clock = _attach_worker_clock(cascades)
+    label: str
+    cascades: Sequence[FilterCascade]
+    assignments: Sequence[Sequence[int]]
+    clock: SimulatedClock
 
     def filter_chunk(
         self,
@@ -699,7 +699,8 @@ def _filter_task(
     _apply_worker_directive(directive, chunk_id)
     worker: _Worker = _SLOT.worker
     if hooks.sanitizer is not None:
-        window = hooks.sanitizer.worker_window(chunk_id, id(worker.cascades))
+        owned = [id(frame_filter) for frame_filter in _distinct_filters(worker.cascades)]
+        window = hooks.sanitizer.worker_window(chunk_id, owned)
     else:
         window = nullcontext()
     with window:
@@ -772,7 +773,11 @@ class WorkerSupervisor:
         self.redispatches = 0
 
     def _build_pool(self) -> ThreadPoolExecutor:
-        """A fresh pool for the plan: the first build and every respawn."""
+        """A fresh pool for the plan: the first build and every respawn.
+
+        The one place a worker clock is built (lint INV004): one private
+        clock per worker, for the pool's lifetime.
+        """
         workers = self._config.num_workers
         clones: queue.SimpleQueue[_Worker] = queue.SimpleQueue()
         for worker_id in range(workers):
@@ -780,7 +785,9 @@ class WorkerSupervisor:
             # shared across queries stay shared within the clone and the
             # cross-query prediction cache keeps working.
             clone = copy.deepcopy(self._cascades)
-            clones.put(_Worker(f"thread-{worker_id}", clone, self._assignments))
+            clones.put(
+                _Worker(f"thread-{worker_id}", clone, self._assignments, SimulatedClock())
+            )
         return ThreadPoolExecutor(
             max_workers=workers,
             thread_name_prefix="filter-worker",

@@ -43,7 +43,6 @@ from repro.query.ast import (
     RegionPredicate,
     SpatialPredicate,
 )
-from repro.query.temporal import clocks_detached
 from repro.spatial.relations import grid_masks_satisfy_direction
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids the analysis cycle
@@ -212,20 +211,19 @@ def measure_cascade_selectivity(
     ``frame_indices`` when given — and each step's checks are applied to the
     resulting predictions.  Returns a new cascade whose steps carry
     ``measured_pass_rate`` (fraction of sample frames the step lets through)
-    and ``measured_cost_ms`` (the filter's per-frame latency).  The filters'
-    clocks are detached during measurement, so planning charges nothing to
-    the simulated execution cost.
+    and ``measured_cost_ms`` (the filter's per-frame latency).  Filters
+    charge nothing themselves and measurement charges no clock, so planning
+    adds nothing to the simulated execution cost.
     """
     if frame_indices is None:
         frame_indices = range(min(sample_size, len(stream)))
     frames = [stream.frame(index) for index in frame_indices]
     if not frames or not cascade.steps:
         return FilterCascade(steps=list(cascade.steps))
-    with clocks_detached(cascade.filters):
-        predictions = {
-            frame_filter.identity: frame_filter.predict_batch(frames)
-            for frame_filter in cascade.filters
-        }
+    predictions = {
+        frame_filter.identity: frame_filter.predict_batch(frames)
+        for frame_filter in cascade.filters
+    }
     measured = []
     for step in cascade.steps:
         step_predictions = predictions[step.frame_filter.identity]

@@ -4,7 +4,7 @@ Every scan in the repo — one-shot ``execute``/``execute_many`` and the
 always-on :class:`~repro.service.QueryService` — is "build a
 :class:`ScanSession`, feed it, read the states".  The session holds all
 cross-chunk state: the per-query accumulators, the merged cascade plan, the
-clock attachment, the temporal delta gate, the live window partials and the
+simulated clock, the temporal delta gate, the live window partials and the
 worker pool's in-flight chunks.  Chunk size is the loop's only variable:
 the per-frame mode of the executor (``batch_size=None``) is chunk size 1
 through :meth:`ScanSession.push_chunk`, and the filter phase of every chunk is
@@ -53,14 +53,16 @@ phase completes (``on_chunk_done``).  The merge of a ``resilient`` session
 (a service shard's) never raises: a chunk whose worker crashed is
 re-dispatched, and one that still fails is quarantined at its own chunk id.
 
-In both modes the session attaches the filters' and the detector's clocks
-(and builds the worker pool) when it (re)plans and gives them back in
-:meth:`~ScanSession.close`, so ``with session:`` is the one context manager
-around a scan.  Sessions sharing a filter or a detector (two service streams
-planned by one planner) may close in any order: an object charges the
-newest open session's clock and gets its original back when the last one
-closes.  Leaving the ``with`` block on an exception discards in-flight
-chunks instead of merging them.
+In both modes the session charges its own clock for the work it schedules:
+each filter call as ``run_filter_chunk`` issues it (on a pool, to the
+worker's private clock, absorbed at the merge) and each detector call in
+:meth:`~ScanSession._detector_phase`.  Filters and detectors carry no clock,
+so sessions sharing one (two service streams planned by one planner) each
+charge exactly their own scan's work, and exact-mode verification charges
+nothing by not charging.  The session builds the worker pool when it
+(re)plans and tears it down in :meth:`~ScanSession.close`, so ``with
+session:`` is the one context manager around a scan.  Leaving the ``with``
+block on an exception discards in-flight chunks instead of merging them.
 
 Parity rail: replaying a finite stream chunk-by-chunk through a live session
 produces bit-identical per-query results to one-shot ``execute_many`` — both
@@ -76,12 +78,11 @@ plain, windowed, temporal-exact and parallel paths.
 from __future__ import annotations
 
 import copy
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro import hooks
 from repro.aggregates.windows import HoppingWindow, WindowBounds, warn_window_tail_drop
@@ -93,7 +94,6 @@ from repro.cost import (
     SimulatedClock,
 )
 from repro.detection.base import Detector
-from repro.filters.base import FrameFilter
 from repro.query.ast import Query
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.faults.injector import FaultExhausted, QuarantineRecord, current_report
@@ -104,7 +104,6 @@ from repro.query.parallel import (
     FilteredChunk,
     ParallelConfig,
     WorkerSupervisor,
-    _distinct_filters,
     _worker_sort_key,
     filter_with_retry,
 )
@@ -115,7 +114,6 @@ from repro.query.temporal import (
     TemporalScan,
     TemporalStats,
     _Telemetry,
-    clocks_detached,
 )
 from repro.video.stream import Frame
 
@@ -152,32 +150,6 @@ _SESSION_FIELDS = (
     "_warn_registry",
     "quarantined",
 )
-
-#: Clock holds, one entry per object (a filter or a detector) some open
-#: session charges: ``id(obj) -> (obj, its clock before the first hold,
-#: [(session, session clock), ...] in hold order)``.  The object charges the
-#: newest holder's clock; releasing the last hold gives the original back.
-#: Process-wide because the objects are: independent sessions (service
-#: shards on their own threads) share filters and detectors.
-_CLOCK_HOLDS: dict[int, tuple[Any, Any, list[tuple[object, SimulatedClock]]]] = {}
-_CLOCK_HOLDS_LOCK = threading.Lock()
-
-
-def _hold_clock(obj: Any, session: object, clock: SimulatedClock) -> None:
-    with _CLOCK_HOLDS_LOCK:
-        _, _, holds = _CLOCK_HOLDS.setdefault(id(obj), (obj, obj.clock, []))
-        holds.append((session, clock))
-        obj.clock = clock
-
-
-def _release_clock(obj: Any, session: object) -> None:
-    with _CLOCK_HOLDS_LOCK:
-        _, original, holds = _CLOCK_HOLDS[id(obj)]
-        holds[:] = [hold for hold in holds if hold[0] is not session]
-        obj.clock = holds[-1][1] if holds else original
-        if not holds:
-            del _CLOCK_HOLDS[id(obj)]
-
 
 @dataclass(frozen=True)
 class _ChunkVerdict:
@@ -267,9 +239,9 @@ class ScanSession:
 
     See the module docstring for the ``live`` modes.  A session is *not*
     thread-safe: the service serialises all access per stream shard.  The
-    session owns the clock attachment: every registered cascade's distinct
-    filters and the detector charge ``self.clock`` from the first plan until
-    :meth:`close`.
+    session charges ``self.clock`` for every filter and detector call it
+    schedules (a pool worker's calls arrive with the chunk's breakdown);
+    verification charges nothing.
 
     ``parallel`` distributes the filter phase of pushed chunks over a worker
     pool with the engine's in-order merge (at most
@@ -342,9 +314,6 @@ class ScanSession:
         self._active_cascades: list[FilterCascade] = []
         self._assignments: list[list[int]] = []
         self._unique_steps: list = []
-        self._distinct_filters: list[FrameFilter] = []
-        #: the filters (and detector) charging ``self.clock`` on our hold
-        self._held: list[Any] = []
         # Shared-scan counters (what the scan actually did).
         self.shared_filter_computations = 0
         self.shared_detector_invocations = 0
@@ -354,8 +323,8 @@ class ScanSession:
         self._telemetry = _Telemetry()
         self._scan = self._new_scan(temporal) if temporal is not None else None
         self._degrade_scan: TemporalScan | None = None
-        self._detector_component = getattr(detector, "name", "detector")
-        self._detector_latency = float(getattr(detector, "latency_ms", 0.0))
+        self._detector_component = detector.name
+        self._detector_latency = float(detector.latency_ms)
         #: degraded-mode state (see :meth:`set_degraded`)
         self.degraded = False
         self.degraded_frames = 0
@@ -494,26 +463,7 @@ class ScanSession:
         self._active_cascades = [self._states[sid].cascade for sid in self._active]
         self._unique_steps, assignments = merge_cascade_steps(self._active_cascades)
         self._assignments = [list(row) for row in assignments]
-        self._distinct_filters = _distinct_filters(self._active_cascades)
-        if not self._closed:
-            # A closed session still answers plan questions (StreamStats reads
-            # them after shutdown) but must not take the clocks again: nothing
-            # would give them back.
-            detector = [self.detector] if hasattr(self.detector, "clock") else []
-            self._hold_clocks(self._distinct_filters + detector)
         self._plan_dirty = False
-
-    def _hold_clocks(self, wanted: list[Any]) -> None:
-        """Make exactly ``wanted`` charge ``self.clock``: plan, re-plan and close."""
-        keep = {id(obj) for obj in wanted}
-        held = {id(obj) for obj in self._held}
-        for obj in self._held:
-            if id(obj) not in keep:
-                _release_clock(obj, self)
-        for obj in wanted:
-            if id(obj) not in held:
-                _hold_clock(obj, self, self.clock)
-        self._held = list(wanted)
 
     # ------------------------------------------------------------------
     # Pushing chunks
@@ -697,7 +647,9 @@ class ScanSession:
         cascades = [self._active_cascades[row] for row in rows]
         assignments = [self._assignments[row] for row in rows]
         orders = self._orders(sids)
-        filtered = filter_with_retry(self.clock, cascades, assignments, covered, orders, frames)
+        filtered = filter_with_retry(
+            self.clock, cascades, assignments, covered, orders, frames, charged
+        )
         return self._detector_phase(sids, frames, filtered, charged)
 
     def _detector_phase(
@@ -709,8 +661,9 @@ class ScanSession:
     ) -> _ChunkVerdict:
         """Detector and predicates on a filtered chunk's survivors: its verdict.
 
-        ``charged`` counts the evaluation as work the scan did (shared
-        counters, profiler observations); exact-mode verification is not.
+        ``charged`` counts the evaluation as work the scan did (each
+        detector call on the clock, shared counters, profiler observations);
+        exact-mode verification is not.  Retry backoff is charged either way.
         """
         queries = [self._states[sid].query for sid in sids]
         alive_sets = [set(row) for row in filtered.alive]
@@ -742,6 +695,8 @@ class ScanSession:
                     continue
             else:
                 detections = self.detector.detect(frame)
+            if charged:
+                self.clock.charge_calls(self.detector)
             detected += 1
             for row in interested:
                 if evaluate_predicates_on_detections(queries[row], detections):
@@ -933,10 +888,6 @@ class ScanSession:
                 raise verdict.poisoned[0][1]
             return verdict
 
-        def verify(frame: Frame, context: tuple[int, ...]):
-            with clocks_detached(self._distinct_filters, self.detector):
-                return evaluate(frame, context, charged=False)
-
         def reuse_charge(verdict: _ChunkVerdict) -> tuple[int, int]:
             computed = verdict.filtered.computed
             for component, calls in computed.items():
@@ -948,7 +899,7 @@ class ScanSession:
         return TemporalScan(
             config,
             compute=evaluate,
-            verify=verify,
+            verify=lambda frame, context: evaluate(frame, context, charged=False),
             reuse_charge=reuse_charge,
             verdict=lambda verdict: (verdict.passed, verdict.matched),
             cacheable=lambda verdict: not verdict.poisoned,
@@ -1303,7 +1254,7 @@ class ScanSession:
         self._invalidate_plan()
 
     def close(self) -> None:
-        """Tear down the worker pool and give back every clock.  Idempotent."""
+        """Tear down the worker pool.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -1316,7 +1267,6 @@ class ScanSession:
                 self._discard_inflight()
                 self._backend.close()
                 self._backend = None
-            self._hold_clocks([])
 
     def __enter__(self) -> "ScanSession":
         return self

@@ -27,9 +27,9 @@ spirit of the paper's approximate filters.  Two modes make the trade
 explicit:
 
 * ``exact=True`` (the default) is a *verification* mode: every reused or
-  inherited outcome is re-derived from scratch with the simulated clock
-  detached, compared against the cached outcome, and the re-derived outcome
-  is the one used — so results are bit-identical to a non-temporal run,
+  inherited outcome is re-derived from scratch without charging the
+  simulated clock, compared against the cached outcome, and the re-derived
+  outcome is the one used — so results are bit-identical to a non-temporal run,
   while the simulated cost still reflects what an approximate run would
   have charged and ``TemporalStats.reuse_mismatches`` reports how often the
   cache would have been wrong.  One caveat: when a mismatch is found, the
@@ -52,37 +52,12 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.video.stream import Frame
-
-
-@contextmanager
-def clocks_detached(filters: Sequence, detector=None):
-    """Detach the filters' (and detector's) simulated clocks for the duration.
-
-    Exact-mode verification re-derives outcomes from scratch; detaching the
-    clocks keeps those recomputations out of the simulated cost, so an exact
-    run reports what an approximate run would have charged.
-    """
-    saved = [(frame_filter, frame_filter.clock) for frame_filter in filters]
-    for frame_filter in filters:
-        frame_filter.clock = None
-    has_detector_clock = detector is not None and hasattr(detector, "clock")
-    detector_clock = detector.clock if has_detector_clock else None
-    if has_detector_clock:
-        detector.clock = None
-    try:
-        yield
-    finally:
-        for frame_filter, previous in saved:
-            frame_filter.clock = previous
-        if has_detector_clock:
-            detector.clock = detector_clock
 
 
 @dataclass(frozen=True)
@@ -363,8 +338,9 @@ class TemporalScan:
 
     * ``compute(frame, context) -> outcome`` — full evaluation, charging the
       simulated clock as usual;
-    * ``verify(frame, context) -> outcome`` — full evaluation with all clocks
-      detached (required when ``config.exact``);
+    * ``verify(frame, context) -> outcome`` — full evaluation that charges
+      no filter or detector call (required when ``config.exact``), so an
+      exact run reports what an approximate run would have charged;
     * ``reuse_charge(outcome) -> (filter calls, detector calls)`` — record
       the invocations an avoided evaluation would have made (reused calls on
       the clock) and return how many there were;

@@ -414,8 +414,10 @@ def reference_evaluate_samples(monitor, spec, stream, indices, temporal=None, pa
     controls = np.zeros((len(indices), len(spec.control_values)))
     frames = [stream.frame(frame_index) for frame_index in indices]
     predictions = monitor.frame_filter.predict_batch(frames)
+    monitor.clock.charge_calls(monitor.frame_filter, len(frames))
     for row, (frame, prediction) in enumerate(zip(frames, predictions)):
         detections = monitor.detector.detect(frame)
+        monitor.clock.charge_calls(monitor.detector)
         exact_values[row] = spec.exact_value(detections)
         for col, control in enumerate(spec.control_values):
             controls[row, col] = control(prediction)

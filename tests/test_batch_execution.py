@@ -28,6 +28,7 @@ from repro.query import (
     order_cascade_by_selectivity,
 )
 from repro.query.planner import CascadeStep, FilterCascade
+from repro.query.session import ScanSession
 from repro.spatial.grid import Grid
 from repro.video.stream import Frame
 from tests.conftest import reference_backbone_features
@@ -124,67 +125,76 @@ def test_linear_filter_predict_batch_matches_predict(
 
 @pytest.mark.parametrize("filter_fixture", ["trained_od_filter", "trained_od_cof"])
 def test_predict_batch_rejects_mixed_frame_shapes(filter_fixture, tiny_jackson, request):
-    """A ragged batch fails at the boundary, naming the frame and both shapes,
-    and before anything is charged to the clock."""
-    from repro.cost import SimulatedClock
-
+    """A ragged batch fails at the boundary, naming the frame and both shapes."""
     frame_filter = request.getfixturevalue(filter_fixture)
     frames = [tiny_jackson.test.frame(index) for index in range(3)]
     odd = Frame(index=41, image=frames[0].image[:56], ground_truth=None)
-    clock = SimulatedClock()
-    frame_filter.clock = clock
-    try:
-        with pytest.raises(ValueError) as excinfo:
-            frame_filter.predict_batch([*frames, odd, frames[0]])
-    finally:
-        frame_filter.clock = None
+    with pytest.raises(ValueError) as excinfo:
+        frame_filter.predict_batch([*frames, odd, frames[0]])
     message = str(excinfo.value)
     assert "frame 3 of the batch (stream index 41)" in message
     assert "(56, 112, 3)" in message and "(112, 112, 3)" in message
-    assert clock.breakdown.per_component_calls == {}
 
 
 @pytest.mark.parametrize("filter_fixture", ["trained_od_filter", "trained_od_cof"])
 def test_predict_batch_rejects_mixed_image_dtypes(filter_fixture, tiny_jackson, request):
     """One float frame among uint8 ones fails at the boundary, naming the
-    frame and both dtypes, before anything is charged.  Stacked, it would
-    upcast the whole tile onto the backbone's float kernel and change its
-    neighbours' predictions."""
-    from repro.cost import SimulatedClock
-
+    frame and both dtypes.  Stacked, it would upcast the whole tile onto the
+    backbone's float kernel and change its neighbours' predictions."""
     frame_filter = request.getfixturevalue(filter_fixture)
     frames = [tiny_jackson.test.frame(index) for index in range(3)]
     odd = Frame(index=42, image=frames[1].image.astype(np.float64), ground_truth=None)
-    clock = SimulatedClock()
-    frame_filter.clock = clock
-    try:
-        with pytest.raises(ValueError) as excinfo:
-            frame_filter.predict_batch([frames[0], odd, frames[2]])
-    finally:
-        frame_filter.clock = None
+    with pytest.raises(ValueError) as excinfo:
+        frame_filter.predict_batch([frames[0], odd, frames[2]])
     message = str(excinfo.value)
     assert "frame 1 of the batch (stream index 42)" in message
     assert "float64" in message and "uint8" in message
-    assert clock.breakdown.per_component_calls == {}
+
+
+def _pass_all_session(frame_filter, tiny_jackson) -> ScanSession:
+    """A live session scanning one query through one pass-all ``frame_filter`` step."""
+    session = ScanSession(ReferenceDetector(class_names=tiny_jackson.class_names, seed=1))
+    step = CascadeStep(name="all", frame_filter=frame_filter, check=lambda prediction: True)
+    query = QueryBuilder("q").count("car").at_least(0).build()
+    session.add_query(query, FilterCascade(steps=[step]))
+    return session
 
 
 def test_predict_batch_empty_and_charging(trained_od_filter, tiny_jackson):
-    from repro.cost import SimulatedClock
-
+    """An empty batch predicts nothing.  Charging is the scan's: a 5-frame
+    chunk charges the session clock 5 calls of the filter's latency."""
     empty = trained_od_filter.predict_batch([])
     assert len(empty) == 0 and empty.frame_indices == ()
 
-    clock = SimulatedClock()
-    trained_od_filter.clock = clock
-    try:
-        frames = [tiny_jackson.test.frame(index) for index in range(5)]
-        trained_od_filter.predict_batch(frames)
-    finally:
-        trained_od_filter.clock = None
-    assert clock.breakdown.per_component_calls[trained_od_filter.name] == 5
-    assert clock.breakdown.per_component_ms[trained_od_filter.name] == pytest.approx(
+    with _pass_all_session(trained_od_filter, tiny_jackson) as session:
+        session.push_chunk([tiny_jackson.test.frame(index) for index in range(5)])
+    breakdown = session.clock.breakdown
+    assert breakdown.per_component_calls[trained_od_filter.name] == 5
+    assert breakdown.per_component_ms[trained_od_filter.name] == pytest.approx(
         5 * trained_od_filter.latency_ms
     )
+
+
+@pytest.mark.parametrize("odd_kind", ["shape", "dtype"])
+@pytest.mark.parametrize("filter_fixture", ["trained_od_filter", "trained_od_cof"])
+def test_a_chunk_whose_predict_batch_raises_leaves_the_session_clock_unchanged(
+    filter_fixture, odd_kind, tiny_jackson, request
+):
+    """A mixed chunk is rejected by ``predict_batch`` before the scan charges
+    it: the session clock reads what the chunks before it charged."""
+    frame_filter = request.getfixturevalue(filter_fixture)
+    frames = [tiny_jackson.test.frame(index) for index in range(5)]
+    image = frames[4].image
+    odd_image = image[:56] if odd_kind == "shape" else image.astype(np.float64)
+    odd = Frame(index=4, image=odd_image, ground_truth=None)
+    session = _pass_all_session(frame_filter, tiny_jackson)
+    with pytest.raises(ValueError, match=r"frame 1 of the batch \(stream index 4\)"):
+        with session:
+            session.push_chunk(frames[:3])
+            before = session.clock.snapshot()
+            session.push_chunk([frames[3], odd])
+    assert before.per_component_calls[frame_filter.name] == 3
+    assert session.clock.snapshot() == before
 
 
 def _synthetic_frames(count: int, size: int) -> np.ndarray:
@@ -319,7 +329,6 @@ class _StubFilter(FrameFilter):
         self._grid = Grid(rows=2, cols=2, frame_width=8, frame_height=8)
 
     def predict(self, frame: Frame) -> FilterPrediction:
-        self._charge()
         return FilterPrediction(
             frame_index=frame.index,
             filter_name=self.name,
@@ -372,9 +381,6 @@ def test_order_cascade_by_selectivity_prefers_cheap_rejectors():
     assert by_name["cheap-selective"].measured_pass_rate == pytest.approx(0.2)
     assert by_name["mild"].measured_cost_ms == 1.0
     assert math.isinf(by_name["pass-all"].cost_per_rejection)
-    # Measurement must not charge the simulated clock.
-    for step in cascade.steps:
-        assert step.frame_filter.clock is None
 
 
 def test_measure_cascade_selectivity_on_planned_cascade(

@@ -473,7 +473,6 @@ def test_decode_ahead_lifecycle_aggregate_raises_mid_estimate(
         monitor.estimate(_aggregate_spec(_plain()), stream, 3 * _SAMPLE_TILE)
     assert len(prefetchers) == 1
     assert _live_decode_ahead_threads() == []
-    assert trained_od_filter.clock is None and detector.clock is None
 
 
 def test_decode_ahead_lifecycle_aggregate_decode_fault_raises_as_inline(

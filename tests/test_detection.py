@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cost import MASK_RCNN_MS, SimulatedClock, YOLO_FULL_MS
+from repro.query import QueryBuilder, brute_force_execute
 from repro.detection import (
     DetectorErrorModel,
     FastDetector,
@@ -93,14 +94,17 @@ def test_reference_detections_keep_their_pinned_values(tiny_detrac):
 
 
 def test_detector_charges_latency(tiny_jackson):
-    clock = SimulatedClock()
-    detector = ReferenceDetector(class_names=tiny_jackson.class_names, clock=clock)
-    detector.detect(tiny_jackson.test.frame(0))
-    assert clock.elapsed_ms == pytest.approx(MASK_RCNN_MS)
-    fast_clock = SimulatedClock()
-    fast = FastDetector(class_names=tiny_jackson.class_names, clock=fast_clock)
-    fast.detect(tiny_jackson.test.frame(0))
-    assert fast_clock.elapsed_ms == pytest.approx(YOLO_FULL_MS)
+    """Detectors carry the paper's latencies and the scan charges them: a
+    brute-force scan of N frames charges N detector calls to its clock."""
+    query = QueryBuilder("q").count("car").at_least(1).build()
+    for detector, latency in (
+        (ReferenceDetector(class_names=tiny_jackson.class_names), MASK_RCNN_MS),
+        (FastDetector(class_names=tiny_jackson.class_names), YOLO_FULL_MS),
+    ):
+        clock = SimulatedClock()
+        brute_force_execute(query, tiny_jackson.test, detector, frame_indices=range(3), clock=clock)
+        assert clock.breakdown.per_component_calls == {detector.name: 3}
+        assert clock.elapsed_ms == pytest.approx(3 * latency)
 
 
 def test_fast_detector_is_noisier_than_reference(tiny_detrac):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cost import IC_BRANCH_MS, OD_BRANCH_MS, SimulatedClock
+from repro.cost import IC_BRANCH_MS, OD_BRANCH_MS
+from repro.detection import ReferenceDetector
 from repro.filters import (
     calibrate_threshold,
     count_accuracy,
@@ -15,6 +16,8 @@ from repro.filters import (
 )
 from repro.filters.base import CountTolerance
 from repro.filters.metrics import localization_counts
+from repro.query import QueryBuilder, StreamingQueryExecutor
+from repro.query.planner import CascadeStep, FilterCascade
 from repro.spatial.grid import Grid, GridMask
 
 
@@ -81,16 +84,28 @@ def test_prediction_contents(trained_od_filter, tiny_jackson):
 
 
 def test_filters_charge_their_latency(trained_od_filter, trained_ic_filter, tiny_jackson):
-    clock = SimulatedClock()
-    trained_od_filter.clock = clock
-    trained_ic_filter.clock = clock
-    try:
-        trained_od_filter.predict(tiny_jackson.test.frame(0))
-        trained_ic_filter.predict(tiny_jackson.test.frame(0))
-    finally:
-        trained_od_filter.clock = None
-        trained_ic_filter.clock = None
-    assert clock.elapsed_ms == pytest.approx(OD_BRANCH_MS + IC_BRANCH_MS)
+    """Filters carry the paper's latencies and the scan charges them: an
+    N-frame scan through a pass-all OD step and a pass-all IC step charges N
+    calls of each filter."""
+    steps = [
+        CascadeStep(name=frame_filter.name, frame_filter=frame_filter, check=lambda p: True)
+        for frame_filter in (trained_od_filter, trained_ic_filter)
+    ]
+    query = QueryBuilder("q").count("car").at_least(0).build()
+    executor = StreamingQueryExecutor(
+        ReferenceDetector(class_names=tiny_jackson.class_names, seed=1)
+    )
+    result = executor.execute(
+        query, tiny_jackson.test, FilterCascade(steps=steps),
+        frame_indices=range(6), batch_size=4,
+    )
+    cost = result.stats.simulated_cost
+    for frame_filter, latency in (
+        (trained_od_filter, OD_BRANCH_MS),
+        (trained_ic_filter, IC_BRANCH_MS),
+    ):
+        assert cost.per_component_calls[frame_filter.name] == 6
+        assert cost.per_component_ms[frame_filter.name] == pytest.approx(6 * latency)
 
 
 def test_od_cof_reports_total_count_only(trained_od_cof, tiny_jackson, jackson_test_annotations):

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro import hooks
+from repro.cost import SimulatedClock
 from repro.query import parallel
 
 
@@ -54,7 +55,7 @@ def test_a_pool_worker_consults_neither_slot():
     slot: a pool thread shares the installer's sanitizer and injector, so
     clearing them there would switch both off for the whole scan."""
     clones: queue.SimpleQueue = queue.SimpleQueue()
-    clone = parallel._Worker("thread-0", [], [])
+    clone = parallel._Worker("thread-0", [], [], SimulatedClock())
     clones.put(clone)
     sanitizer, injector = object(), object()
     assert hooks.install("sanitizer", sanitizer)

@@ -1,4 +1,4 @@
-"""The invariant lint itself: clean on the tree, and INV007 / INV011 / INV012 bite."""
+"""The invariant lint itself: clean on the tree, and INV007 / INV011 / INV012 / INV013 bite."""
 
 from __future__ import annotations
 
@@ -175,7 +175,7 @@ def test_inv012_reports_every_way_of_importing_the_engine(lint):
         import repro.query.session
         from repro.query.executor import StreamingQueryExecutor
         from repro.query import planner, ast
-        from .temporal import clocks_detached
+        from .temporal import TemporalScan
         from . import parallel
         """,
     )
@@ -187,3 +187,44 @@ def test_inv012_reports_every_way_of_importing_the_engine(lint):
         "repro.query.temporal",
         "repro.query.parallel",
     ]
+
+
+def _inv013(lint, source: str) -> list[str]:
+    return lint.clock_assignment_findings(ast.parse(textwrap.dedent(source)), "sample.py")
+
+
+def test_inv013_accepts_a_scan_setting_its_own_clock(lint):
+    assert _inv013(
+        lint,
+        """
+        class Scan:
+            def __init__(self, clock):
+                self.clock = clock
+
+            def run(self, frame_filter, frames):
+                batch = frame_filter.predict_batch(frames)
+                self.clock.charge_calls(frame_filter, len(frames))
+                return batch
+        """,
+    ) == []
+
+
+def test_inv013_reports_a_clock_swapped_into_another_object(lint):
+    findings = _inv013(
+        lint,
+        """
+        def estimate(self, frames):
+            previous = self.frame_filter.clock
+            self.frame_filter.clock = self.clock
+            try:
+                return self.frame_filter.predict_batch(frames)
+            finally:
+                self.frame_filter.clock = previous
+
+        def detach(detector):
+            setattr(detector, "clock", None)
+        """,
+    )
+    assert [finding.split(":")[1] for finding in findings] == ["4", "8", "11"]
+    assert findings[0].startswith("INV013 sample.py:4: assigns self.frame_filter.clock")
+    assert "assigns detector.clock" in findings[2]

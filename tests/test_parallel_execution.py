@@ -247,6 +247,7 @@ def test_worker_chunk_cost_does_not_depend_on_earlier_chunks(stream, planner):
     13.299999999999999 charged directly."""
     import copy
 
+    from repro.cost import SimulatedClock
     from repro.query.parallel import _Worker
 
     query = count_query("clock")
@@ -257,7 +258,7 @@ def test_worker_chunk_cost_does_not_depend_on_earlier_chunks(stream, planner):
     chunk_b = [stream.frame(index) for index in range(3, 10)]
 
     def worker():
-        return _Worker("w", copy.deepcopy([cascade]), assignments)
+        return _Worker("w", copy.deepcopy([cascade]), assignments, SimulatedClock())
 
     seasoned = worker()
     seasoned.filter_chunk(0, None, orders, chunk_a)

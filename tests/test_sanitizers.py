@@ -3,7 +3,8 @@
 Unit-level tests drive :class:`SanitizerSession` directly with orchestrated
 threads (every code gets a golden repro); engine-level tests seed real
 defects into a parallel scan — a filter shared across worker clones
-(``__deepcopy__`` returning ``self``) for the RC003 race, a thread-dependent
+(``__deepcopy__`` returning ``self``), which two worker tasks then hold at
+once, for the RC002 race, a thread-dependent
 check for RC004 nondeterminism, NaN-poisoned weights for NU001 — and assert
 the sanitized engine rejects them while ``sanitize=None`` stays bit-identical
 to the sequential path with every hook uninstalled.
@@ -148,7 +149,7 @@ def test_rc002_two_threads_in_one_worker_window():
     session = SanitizerSession("race", strict=False)
 
     def body(barrier):
-        with session.worker_window(0, resource_key=1234):
+        with session.worker_window(0, resource_keys=[1234]):
             barrier.wait()
             time.sleep(0.01)
 
@@ -166,7 +167,7 @@ def test_rc003_one_clock_charged_from_two_worker_windows():
     second_done = threading.Event()
 
     def first(_barrier):
-        with session.worker_window(0, resource_key=0):
+        with session.worker_window(0, resource_keys=[0]):
             with session.clock_access(clock, "charge", "f", 1.0):
                 pass
             first_charged.set()
@@ -175,7 +176,7 @@ def test_rc003_one_clock_charged_from_two_worker_windows():
     def second(_barrier):
         assert first_charged.wait(timeout=5.0)
         try:
-            with session.worker_window(1, resource_key=1):
+            with session.worker_window(1, resource_keys=[1]):
                 with session.clock_access(clock, "charge", "f", 1.0):
                     pass
         finally:
@@ -191,7 +192,7 @@ def test_nu001_nu002_name_layer_and_chunk():
     session = SanitizerSession("numeric", strict=False)
     net = build_branch_network(2, image_size=8, grid_size=4)
     layer = net.trunk.layers[0]
-    with session.worker_window(7, resource_key=id(net)):
+    with session.worker_window(7, resource_keys=[id(net)]):
         bad = np.array([[1.0, float("nan")], [float("inf"), 0.0]])
         session.check_layer_output(net, 0, layer, bad)
     codes = session.report().codes
@@ -239,7 +240,6 @@ class _CheapFilter(FrameFilter):
         self.delay_s = delay_s
 
     def predict(self, frame) -> FilterPrediction:
-        self._charge()
         if self.delay_s:
             time.sleep(self.delay_s)
         return FilterPrediction(
@@ -255,7 +255,7 @@ class _CheapFilter(FrameFilter):
 
 
 class _CloneResistantFilter(_CheapFilter):
-    """The seeded race: worker 'clones' all alias one filter (and one clock)."""
+    """The seeded race: worker 'clones' all alias one filter."""
 
     name = "clone_resistant_filter"
 

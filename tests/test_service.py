@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import sys
 import threading
 import time
 
 import pytest
 
-from repro.cost import QueryBudget, SimulatedClock, merge_worker_breakdowns
+from repro.cost import QueryBudget, merge_worker_breakdowns
 from repro.detection import ReferenceDetector
 from repro.faults import FaultInjector
 from repro.query import (
@@ -153,8 +152,20 @@ def test_closed_parallel_session_plans_without_a_backend(workload, tiny_jackson)
     session.close()
     assert session.unique_step_count == len(cascades[0].steps)
     assert session._backend is None
-    # Nor may it take the filters' clocks again: nothing would give them back.
-    assert all(frame_filter.clock is None for frame_filter in cascades[0].filters)
+
+
+def _detector(tiny_jackson):
+    return ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED)
+
+
+def _standalone_clock(query, cascade, detector, chunks):
+    """The clock of one session that scans ``chunks`` alone."""
+    session = ScanSession(detector)
+    with session:
+        session.add_query(query, cascade)
+        for chunk in chunks:
+            session.push_chunk(chunk)
+    return session.clock.snapshot()
 
 
 @pytest.mark.parametrize("close_first", ("first_attached", "last_attached"))
@@ -162,70 +173,68 @@ def test_sessions_sharing_a_filter_and_a_detector_close_in_any_order(
     workload, tiny_jackson, close_first
 ):
     """Two sessions over one cascade and one detector (two service streams
-    planned by one planner): the session still open keeps the charges,
-    whichever closed first, and the last close gives back the clocks from
-    before the first attach.  Closing in attach order used to hand the
-    original clock back under the open session (its cost report silently
-    lost the charges) and then leave the first session's clock behind."""
+    planned by one planner), fed chunks in turn: each clock holds exactly
+    what a standalone session over the same chunks charges, whichever
+    closes first, and the one left open keeps scanning on its own clock.
+    A shared filter or detector used to charge the newest open session's
+    clock."""
     queries, cascades = workload
-    (frame_filter,) = cascades[0].filters
-    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED)
-    before = (frame_filter.clock, detector.clock)
+    query, cascade = queries[0], cascades[0]
+    detector = _detector(tiny_jackson)
+    frames = _frames(tiny_jackson.test, 48)
+    chunks = [frames[start : start + 16] for start in range(0, 48, 16)]
     sessions = [ScanSession(detector) for _ in range(2)]
     for session in sessions:
-        session.add_query(queries[0], cascades[0])
-        session.unique_step_count  # plans: takes the clocks
+        session.add_query(query, cascade)
+    for chunk in chunks[:2]:
+        for session in sessions:
+            session.push_chunk(chunk)
     closing = 0 if close_first == "first_attached" else 1
     sessions[closing].close()
     still_open = sessions[1 - closing]
-    frame = tiny_jackson.test.frame(0)
-    frame_filter.predict_batch([frame])
-    detector.detect(frame)
-    calls = still_open.clock.snapshot().per_component_calls
-    assert calls == {frame_filter.name: 1, detector.name: 1}
-    assert sessions[closing].clock.snapshot().per_component_calls == {}
+    still_open.push_chunk(chunks[2])
     still_open.close()
-    assert frame_filter.clock is before[0] and detector.clock is before[1]
+    expected = [
+        _standalone_clock(query, cascade, _detector(tiny_jackson), chunks[:count])
+        for count in (2, 3)
+    ]
+    assert sessions[closing].clock.snapshot() == expected[0]
+    assert still_open.clock.snapshot() == expected[1]
+    assert expected[1].per_component_calls[cascade.filters[0].name] == 48
 
 
-def test_concurrent_clock_holds_lose_no_update():
-    """Shard threads take and give back holds on one shared object at once
-    (more threads than cores, a 1 us switch interval): no hold is lost and
-    the original clock comes back.  Without the lock a release finds the
-    object's entry already dropped by another thread's release."""
-    from repro.query import session as session_module
-
-    class Shared:
-        clock = None
-
-    shared = Shared()
-    original = shared.clock
-    barrier = threading.Barrier(8)
-    errors: list[BaseException] = []
-
-    def churn():
-        try:
-            barrier.wait(timeout=10)
-            for _ in range(20000):
-                owner = object()
-                session_module._hold_clock(shared, owner, SimulatedClock())
-                session_module._release_clock(shared, owner)
-        except BaseException as error:  # noqa: BLE001 - surfaced below
-            errors.append(error)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=churn) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert shared.clock is original and id(shared) not in session_module._CLOCK_HOLDS
+@pytest.mark.parametrize("detectors", ("own", "shared"))
+def test_streams_sharing_a_cascade_each_report_their_own_cost(
+    workload, tiny_jackson, detectors
+):
+    """Two streams of one unstarted service share one planned cascade (and,
+    parametrized, one detector) and are fed 16-frame chunks in turn: each
+    stream's shared cost is exactly a standalone ``execute_many`` of its
+    query over the same frames.  A shared filter or detector used to charge
+    the newest stream's clock: 64 frames each split the filter calls 16 and
+    112."""
+    queries, cascades = workload
+    query, cascade = queries[0], cascades[0]
+    shared_detector = _detector(tiny_jackson)
+    service = QueryService()
+    names = ("a", "b")
+    for name in names:
+        detector = shared_detector if detectors == "shared" else _detector(tiny_jackson)
+        service.attach_stream(name, detector, StreamConfig(chunk_size=16))
+        service.register(name, query, cascade)
+    frames = _frames(tiny_jackson.test, 48)
+    for start in range(0, len(frames), 16):
+        for name in names:
+            service.feed(name, frames[start : start + 16])
+    reports = {name: service.shared_cost_report(name).shared for name in names}
+    service.close()
+    standalone = StreamingQueryExecutor(_detector(tiny_jackson)).execute_many(
+        [query], tiny_jackson.test, [cascade], frame_indices=range(48), batch_size=16
+    )
+    expected = standalone.shared.cost.shared
+    assert expected.per_component_calls[cascade.filters[0].name] == 48
+    for name in names:
+        assert reports[name] == expected
 
 
 # ----------------------------------------------------------------------

@@ -267,6 +267,12 @@ def test_low_motion_exact_matches_baseline_with_big_savings(
         baseline.stats.simulated_cost.total_ms / temporal.stats.simulated_cost.total_ms
     )
     assert ratio >= 3.0
+    # Verification charges nothing: the one filter is charged once per
+    # computed frame, and not for any of the verified ones.
+    (frame_filter,) = cascade.filters
+    assert temporal.temporal.verified_frames > 0
+    calls = temporal.stats.simulated_cost.per_component_calls[frame_filter.name]
+    assert calls == temporal.temporal.frames_computed
 
 
 def test_temporal_rejects_batch_size(tiny_jackson, jackson_planner_filters):

@@ -24,7 +24,8 @@ script exits non-zero when any rule is violated.
   still hold them, so a mutation in one path corrupts every other reader.
 * **INV004 — worker clocks are constructed in exactly one place.**  In
   ``repro/query/parallel.py``, ``SimulatedClock(...)`` may only be called
-  inside ``_attach_worker_clock``: a clock constructed per chunk or inside a
+  inside ``WorkerSupervisor._build_pool``, which builds each pool worker
+  with its private clock once: a clock constructed per chunk or inside a
   task function would silently drop simulated cost between merge points.
 * **INV005 — diagnostic codes and the README table stay in sync.**  Every
   code registered in ``repro/analysis/diagnostics.py`` must appear in
@@ -73,6 +74,12 @@ script exits non-zero when any rule is violated.
   ``repro.query.{executor,session,parallel,temporal,planner}``, absolutely
   or relatively: an oracle that shares its window partition or its cascade
   description with the engine checks the engine against itself.
+* **INV013 — nothing sets another object's clock.**  Under ``src/repro/``
+  no code may assign ``<expr>.clock`` (or ``setattr(<expr>, "clock", ...)``)
+  unless ``<expr>`` is ``self``: filters and detectors carry no clock, and
+  the scan that schedules a call charges it to its own clock.  Swapping a
+  clock into a shared object is how one stream's work used to land on
+  another stream's clock.
 """
 
 from __future__ import annotations
@@ -106,7 +113,7 @@ ANALYZER_CODES = (
 #: constructors only one function may call (INV004, INV011):
 #: (rule, constructor, that function, file or tree walked, why)
 SOLE_CONSTRUCTION_SITES = (
-    ("INV004", "SimulatedClock", "_attach_worker_clock", SRC / "query" / "parallel.py",
+    ("INV004", "SimulatedClock", "_build_pool", SRC / "query" / "parallel.py",
      "per-chunk clocks drop simulated cost between merge points"),
     ("INV011", "FramePrefetcher", "decode_ahead", SRC,
      "a bare constructor is how a failed scan leaks decode-ahead threads"),
@@ -449,6 +456,40 @@ def check_oracle_imports_nothing_of_the_engine(findings: list[str]) -> None:
     findings.extend(oracle_import_findings(_parse(ORACLE), str(ORACLE.relative_to(REPO))))
 
 
+def clock_assignment_findings(tree: ast.Module, where: str) -> list[str]:
+    """INV013 over one parsed module; ``where`` labels the findings."""
+    findings: list[str] = []
+    for node in ast.walk(tree):
+        owners = [
+            target.value
+            for target in _assignment_targets(node)
+            if isinstance(target, ast.Attribute) and target.attr == "clock"
+        ]
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "clock"
+        ):
+            owners.append(node.args[0])
+        for owner in owners:
+            if isinstance(owner, ast.Name) and owner.id == "self":
+                continue
+            findings.append(
+                f"INV013 {where}:{node.lineno}: assigns {ast.unparse(owner)}.clock — "
+                "filters and detectors carry no clock; charge the call to the "
+                "scan's own clock (SimulatedClock.charge_calls)"
+            )
+    return findings
+
+
+def check_no_foreign_clock_assignment(findings: list[str]) -> None:
+    for path in sorted(SRC.rglob("*.py")):
+        findings.extend(clock_assignment_findings(_parse(path), str(path.relative_to(REPO))))
+
+
 def main() -> int:
     findings: list[str] = []
     check_planner_checks_frozen(findings)
@@ -461,6 +502,7 @@ def main() -> int:
     check_registry_mutation_locked(findings)
     check_one_gate_loop_one_cascade_walk(findings)
     check_oracle_imports_nothing_of_the_engine(findings)
+    check_no_foreign_clock_assignment(findings)
     if findings:
         for finding in findings:
             print(finding)
