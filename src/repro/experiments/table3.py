@@ -9,10 +9,16 @@ This runner builds the same queries, plans the same filter combinations
 (count tolerance / grid dilation per the paper's table), executes both the
 filtered and the brute-force variant on the test split, and reports simulated
 execution times (paper latency model), accuracy, and speedup.
+
+A row that cannot fail is flagged ``vacuous``: fewer than
+:data:`MIN_TRUE_MATCHES` true matches, or the same true match set as another
+row on its dataset (the test split cannot tell the two queries apart).  It
+is still scored; an empty truth set scores accuracy 1.0.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.experiments.context import ExperimentConfig, get_context
@@ -27,6 +33,9 @@ from repro.query import (
 )
 from repro.query.ast import Query
 from repro.spatial.regions import Quadrant, quadrant_region
+
+#: true matches below which a Table III row is vacuous
+MIN_TRUE_MATCHES = 10
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,15 @@ def _make_row(spec: QuerySpec, filtered, brute) -> dict[str, object]:
     return row
 
 
+def _mark_vacuous(rows: list[dict[str, object]], truths: list[frozenset[int]]) -> None:
+    """Set each row's ``vacuous`` flag from its true match set."""
+    rows_per_truth = Counter(zip((row["dataset"] for row in rows), truths))
+    for row, truth in zip(rows, truths):
+        row["vacuous"] = (
+            row["true_matches"] < MIN_TRUE_MATCHES or rows_per_truth[row["dataset"], truth] > 1
+        )
+
+
 def run(
     config: ExperimentConfig | None = None,
     query_names: tuple[str, ...] | None = None,
@@ -179,6 +197,9 @@ def run(
     pipelined engine (simulated costs and every row are unchanged — the
     engine is bit-identical to the sequential path — but wall clock drops on
     multi-core machines).  The brute-force baselines stay sequential.
+
+    Every row carries ``true_matches`` and the ``vacuous`` flag (see the
+    module docstring).
     """
     specs = [
         spec
@@ -186,6 +207,7 @@ def run(
         if query_names is None or spec.name in query_names
     ]
     rows: list[dict[str, object]] = []
+    truths: list[frozenset[int]] = []
     if shared:
         by_dataset: dict[str, list[QuerySpec]] = {}
         for spec in specs:
@@ -216,31 +238,34 @@ def run(
                     row["shared_reuse_rate"] = round(multi.shared.temporal.reuse_rate, 3)
                     row["shared_reused_calls"] = multi.shared.cost.reused_calls
                 rows.append(row)
-        return rows
-    for spec in specs:
-        context = get_context(spec.dataset, config)
-        query = spec.build(context)
-        cascade = _plan(context, spec, query)
-        executor = StreamingQueryExecutor(context.reference_detector(seed_offset=300))
-        filtered = executor.execute(
-            query, context.dataset.test, cascade, temporal=temporal, parallel=parallel
-        )
-        brute = brute_force_execute(
-            query, context.dataset.test, context.reference_detector(seed_offset=300)
-        )
-        rows.append(_make_row(spec, filtered, brute))
+                truths.append(frozenset(brute.matched_frames))
+    else:
+        for spec in specs:
+            context = get_context(spec.dataset, config)
+            query = spec.build(context)
+            cascade = _plan(context, spec, query)
+            executor = StreamingQueryExecutor(context.reference_detector(seed_offset=300))
+            filtered = executor.execute(
+                query, context.dataset.test, cascade, temporal=temporal, parallel=parallel
+            )
+            brute = brute_force_execute(
+                query, context.dataset.test, context.reference_detector(seed_offset=300)
+            )
+            rows.append(_make_row(spec, filtered, brute))
+            truths.append(frozenset(brute.matched_frames))
+    _mark_vacuous(rows, truths)
     return rows
 
 
 def format_rows(rows: list[dict[str, object]]) -> str:
     lines = [
-        f"{'query':<6}{'dataset':<9}{'cascade':<22}{'acc':>6}{'time(s)':>9}"
-        f"{'brute(s)':>10}{'speedup':>9}{'selectivity':>12}"
+        f"{'query':<6}{'dataset':<9}{'cascade':<22}{'acc':>6}{'true':>6}{'time(s)':>9}"
+        f"{'brute(s)':>10}{'speedup':>9}{'selectivity':>12}  vacuous"
     ]
     for row in rows:
         lines.append(
             f"{row['query']:<6}{row['dataset']:<9}{row['cascade']:<22}{row['accuracy']:>6}"
-            f"{row['filtered_time_s']:>9}{row['brute_force_time_s']:>10}"
-            f"{row['speedup']:>9}{row['filter_selectivity']:>12}"
+            f"{row['true_matches']:>6}{row['filtered_time_s']:>9}{row['brute_force_time_s']:>10}"
+            f"{row['speedup']:>9}{row['filter_selectivity']:>12}  {row['vacuous']}"
         )
     return "\n".join(lines)

@@ -8,7 +8,8 @@ is the source of the orders-of-magnitude speedups reported in Table III.
 
 There is one scan loop, :class:`~repro.query.session.ScanSession`, and chunk
 size is its only variable: the stream is processed in chunks of
-``batch_size`` frames (``None`` = one frame at a time, i.e. chunks of one).
+``batch_size`` frames (``None`` = chunks of
+:data:`~repro.query.parallel.DEFAULT_CHUNK_SIZE`, ``1`` = one frame at a time).
 Each cascade step runs as one vectorized
 :meth:`~repro.filters.base.FrameFilter.predict_batch` call over the chunk's
 surviving frames, the survivor set narrows step by step, and the detector
@@ -79,7 +80,13 @@ from repro.detection.base import Detector
 from repro.faults.injector import FaultExhausted, current_report
 from repro.filters.base import FrameFilter
 from repro.query.ast import Query, WindowSpec
-from repro.query.parallel import ParallelConfig, ParallelStats, decode_ahead, partition_chunks
+from repro.query.parallel import (
+    DEFAULT_CHUNK_SIZE,
+    ParallelConfig,
+    ParallelStats,
+    decode_ahead,
+    partition_chunks,
+)
 from repro.query.planner import FilterCascade
 from repro.query.results import (
     AggregateExecutionResult,
@@ -126,9 +133,11 @@ class StreamingQueryExecutor:
         error-severity findings — the belt-and-braces entry point for
         cascades that did not come from ``QueryPlanner.plan(strict=True)``.
 
-        ``batch_size`` is the chunk size of the scan: ``None`` evaluates one
-        frame at a time, ``batch_size=n`` processes the stream in chunks of
-        ``n`` frames with vectorized filter batches.  Every chunk size
+        ``batch_size`` is the chunk size of the scan: ``batch_size=n``
+        processes the stream in chunks of ``n`` frames with vectorized
+        filter batches, ``None`` in chunks of
+        :data:`~repro.query.parallel.DEFAULT_CHUNK_SIZE` (``stats.batch_size``
+        still reports ``None``).  Every chunk size
         produces identical matched frames and work counters.  When the
         cascade has a step and the scan more than one chunk, one background
         thread renders the next two chunks while the current one is
@@ -336,7 +345,8 @@ class StreamingQueryExecutor:
         otherwise it is ``stream.frame``.  Frames render deterministically
         per index on any thread, so the rule changes wall time only.
         Rendered chunks of ``chunk_size`` frames go through
-        ``push_chunk`` (``batch_size=None`` = chunks of one; a session built
+        ``push_chunk`` (``batch_size=None`` = chunks of
+        ``DEFAULT_CHUNK_SIZE``, or of the ``parallel`` config's size; a session built
         with ``parallel=`` filters them on its workers); under
         ``temporal`` the whole index sequence goes
         through the temporal driver, where gating is sequential and
@@ -370,7 +380,9 @@ class StreamingQueryExecutor:
             _window_bounds_for(query.window, stream, include_partial_windows)
             for query in queries
         ]
-        chunk_size = batch_size or (parallel.chunk_size if parallel is not None else 1)
+        chunk_size = batch_size or (
+            parallel.chunk_size if parallel is not None else DEFAULT_CHUNK_SIZE
+        )
         temporal_stats: TemporalStats | None = None
         sanitizer_report: AnalysisReport | None = None
         sanitizer_scope = nullcontext()

@@ -72,6 +72,10 @@ from repro.video.stream import Frame, VideoStream
 PREFETCH_DEPTH = 2
 #: decode-ahead threads (never more than the filter workers)
 PREFETCH_THREADS = 2
+#: frames per chunk wherever the caller names none: a one-shot scan without
+#: ``batch_size``, ``parallel=`` or ``temporal=``, a :class:`ParallelConfig`,
+#: and a service stream
+DEFAULT_CHUNK_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class ParallelConfig:
     """
 
     num_workers: int = 4
-    chunk_size: int = 16
+    chunk_size: int = DEFAULT_CHUNK_SIZE
     adaptive: bool = False
     adaptive_window: int = 32
     adaptive_interval: int = 8

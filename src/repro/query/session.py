@@ -6,7 +6,8 @@ always-on :class:`~repro.service.QueryService` — is "build a
 cross-chunk state: the per-query accumulators, the merged cascade plan, the
 simulated clock, the temporal delta gate, the live window partials and the
 worker pool's in-flight chunks.  Chunk size is the loop's only variable:
-the per-frame mode of the executor (``batch_size=None``) is chunk size 1
+the executor's per-frame mode (``batch_size=1``) and its default
+(``batch_size=None``, 16-frame chunks) both go
 through :meth:`ScanSession.push_chunk`, and the filter phase of every chunk is
 :func:`~repro.query.parallel.run_filter_chunk`, the function the parallel
 workers run.  The cascade walk therefore exists exactly once, in

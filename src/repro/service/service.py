@@ -37,7 +37,7 @@ from repro.faults.injector import (
     uninstall,
 )
 from repro.query.ast import Query
-from repro.query.parallel import ParallelConfig
+from repro.query.parallel import DEFAULT_CHUNK_SIZE, ParallelConfig
 from repro.query.planner import FilterCascade
 from repro.query.session import ChunkProgress, ScanSession
 from repro.query.temporal import TemporalConfig
@@ -83,7 +83,7 @@ class StreamConfig:
     ``degrade`` policy has the shard in its degraded episode.
     """
 
-    chunk_size: int = 16
+    chunk_size: int = DEFAULT_CHUNK_SIZE
     queue_chunks: int = 8
     policy: str = "block"
     temporal: TemporalConfig | None = None

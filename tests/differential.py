@@ -216,7 +216,8 @@ def reference_of(config: EngineConfig) -> EngineConfig:
     inline, one frame at a time, without faults."""
     if config.entry == "aggregate":
         return EngineConfig("aggregate", "aggregate")
-    return EngineConfig("inline", cascades=config.cascades, frame_indices=config.frame_indices,
+    return EngineConfig("inline", batch_size=1, cascades=config.cascades,
+                        frame_indices=config.frame_indices,
                         include_partial_windows=config.include_partial_windows)
 
 

@@ -119,3 +119,14 @@ def test_flat_runs_pass_and_rising_failures_or_nulls_fail(tool):
     nulled[1]["metrics"]["setup_s"]["value"] = None
     lines, ok = tool.compare(SPEC, {"w": {"parent": parent, "change": nulled}})
     assert not ok and "setup_s null in the change" in lines[0]
+
+
+def test_repeated_workload_flags_accumulate_once_each_in_order(tool):
+    names = ["a", "b", "c"]
+    args = tool.parse_args(["--parent", "HEAD", "--workload", "b", "--workload", "a", "b"], names)
+    assert (args.parent, args.pairs, args.workload) == ("HEAD", tool.MIN_PAIRS, ["b", "a"])
+    assert tool.parse_args(["--parent", "HEAD"], names).workload == names
+    with pytest.raises(SystemExit):
+        tool.parse_args(["--parent", "HEAD", "--workload", "d"], names)
+    with pytest.raises(SystemExit):
+        tool.parse_args(["--parent", "HEAD", "--pairs", "1"], names)

@@ -343,8 +343,10 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     runner = _executor(tiny_jackson)
 
     runner.execute(query, stream, cascade, batch_size=16)
+    # No batch_size: chunks of DEFAULT_CHUNK_SIZE; batch_size=1: chunks of one.
     runner.execute_many([query, _windowed()], stream, [cascade, None])
-    assert prefetchers == [(2 * 16, 1), (2 * 1, 1)]
+    runner.execute_many([query, _windowed()], stream, [cascade, None], batch_size=1)
+    assert prefetchers == [(2 * 16, 1), (2 * 16, 1), (2 * 1, 1)]
 
     runner.execute(query, stream)  # cascade-free
     runner.execute_many([query, _windowed()], stream)  # cascade-free, shared
@@ -355,12 +357,12 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=False, max_stride=4))
     runner.execute(query, stream, cascade, frame_indices=[4], temporal=TemporalConfig())
     runner.execute(query, stream, temporal=TemporalConfig())  # cascade-free
-    assert len(prefetchers) == 2
+    assert len(prefetchers) == 3
 
     # An exact gate renders every frame: ahead through two maximal strides.
     runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True))
     runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True, max_stride=4))
-    assert prefetchers[2:] == [(2 * 1, 1), (2 * 4, 1)]
+    assert prefetchers[3:] == [(2 * 1, 1), (2 * 4, 1)]
 
     # The sampler: more than one filter tile, unless exact-gated.
     spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
@@ -368,12 +370,12 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     runner.execute_aggregate(
         spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=True)
     )
-    assert len(prefetchers) == 4
+    assert len(prefetchers) == 5
     runner.execute_aggregate(spec, stream, cascade, sample_size=_SAMPLE_TILE + 1)
     runner.execute_aggregate(
         spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=False)
     )
-    assert prefetchers[4:] == [(2 * _SAMPLE_TILE, 1)] * 2
+    assert prefetchers[5:] == [(2 * _SAMPLE_TILE, 1)] * 2
 
     # ``parallel=`` keeps its own prefetcher: PREFETCH_THREADS, capped by workers.
     config = ParallelConfig(num_workers=2, chunk_size=8)
@@ -381,7 +383,7 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     runner.execute(query, stream, cascade, batch_size=len(stream), parallel=config)
     runner.execute_aggregate(spec, stream, cascade, sample_size=2, parallel=config)
     runner.execute(query, stream, cascade, temporal=TemporalConfig(max_stride=4), parallel=config)
-    assert prefetchers[6:] == [
+    assert prefetchers[7:] == [
         (2 * 8, 2), (2 * len(stream), 2), (2 * _SAMPLE_TILE, 2), (2 * 8, 2)
     ]
     assert _live_decode_ahead_threads() == []

@@ -67,6 +67,24 @@ def test_table3_subset():
     assert table3.format_rows(rows)
 
 
+def test_table3_flags_rows_that_cannot_fail(monkeypatch):
+    rows = table3.run(TINY, query_names=("q3", "q4"))
+    # TINY's test split holds no true match for either query.
+    assert [(row["true_matches"], row["vacuous"]) for row in rows] == [(0, True), (0, True)]
+    assert [row["accuracy"] for row in rows] == [1.0, 1.0]  # the empty-truth default
+    header, *lines = table3.format_rows(rows).splitlines()
+    assert header.split()[4] == "true" and header.endswith("vacuous")
+    assert all(line.split()[4] == "0" and line.endswith("True") for line in lines)
+
+    monkeypatch.setattr(table3, "MIN_TRUE_MATCHES", 0)
+    # Equal (empty) truth sets on one dataset stay vacuous, shared scan or not.
+    assert [row["vacuous"] for row in table3.run(TINY, query_names=("q3", "q4"))] == [True] * 2
+    shared = table3.run(TINY, query_names=("q3", "q4"), shared=True)
+    assert [row["vacuous"] for row in shared] == [True] * 2
+    # A row with no twin and enough true matches is not.
+    assert [row["vacuous"] for row in table3.run(TINY, query_names=("q3",))] == [False]
+
+
 def test_table4_subset():
     rows = table4.run(TINY, sample_size=20, repetitions=3, query_names=("a1",))
     assert rows[0]["query"] == "a1"

@@ -164,17 +164,24 @@ def _export(rev: str, into: Path) -> str:
     return commit
 
 
-def main(argv: list[str] | None = None) -> int:
-    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
-        spec = json.load(handle)
-    names = [entry["name"] for entry in spec["workloads"]]
+def parse_args(argv: list[str] | None, names: list[str]) -> argparse.Namespace:
+    """The command line; repeated ``--workload`` flags accumulate, in order,
+    each workload once (every workload when none is named)."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--workload", nargs="+", choices=names, default=names)
+    parser.add_argument("--workload", nargs="+", action="extend", choices=names)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: a spread needs two runs")
+    args.workload = list(dict.fromkeys(args.workload or names))
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
+        spec = json.load(handle)
+    args = parse_args(argv, [entry["name"] for entry in spec["workloads"]])
     seconds = float(spec["run_seconds"])
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
