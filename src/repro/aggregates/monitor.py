@@ -195,7 +195,7 @@ class AggregateMonitor:
         # detector on every sample one frame at a time, measured no gain
         # (DESIGN.md "Parallel pipeline").
         overlap = len(indices) > _SAMPLE_TILE and (temporal is None or not temporal.exact)
-        with decode_ahead(stream, indices, parallel, _SAMPLE_TILE, overlap) as fetch:
+        with decode_ahead(stream, indices, parallel, _SAMPLE_TILE, 1 if overlap else 0) as fetch:
             if temporal is not None:
                 return self._evaluate_samples_temporal(spec, indices, temporal, fetch)
             frames: list[Frame] = []

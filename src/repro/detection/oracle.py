@@ -90,56 +90,59 @@ class ReferenceDetector(Detector):
         # same detections, as a real (deterministic) network would.
         return np.random.default_rng((self._seed, frame_index))
 
-    def _perturbed_box(
-        self, state: ObjectState, rng: np.random.Generator, frame_w: int, frame_h: int
-    ) -> Box | None:
-        jitter = self.error_model.box_jitter
-        box = state.box
-        if jitter > 0:
-            width = box.width * float(1.0 + rng.normal(0.0, jitter))
-            height = box.height * float(1.0 + rng.normal(0.0, jitter))
-            cx = box.center.x + float(rng.normal(0.0, jitter * box.width))
-            cy = box.center.y + float(rng.normal(0.0, jitter * box.height))
-            width = max(width, 2.0)
-            height = max(height, 2.0)
-            box = Box.from_center(cx, cy, width, height)
-        return box.clipped(frame_w, frame_h)
-
     def _detect_class(self, state: ObjectState, rng: np.random.Generator) -> str:
         if self.error_model.confusion_rate > 0 and self.class_names:
-            if rng.uniform() < self.error_model.confusion_rate:
+            if rng.random() < self.error_model.confusion_rate:
                 others = [c for c in self.class_names if c != state.class_name]
                 if others:
                     return str(rng.choice(others))
         return state.class_name
 
-    def _score(self, rng: np.random.Generator) -> float:
-        score = rng.normal(self.error_model.score_mean, self.error_model.score_std)
-        return min(max(float(score), 0.05), 1.0)
-
     # ------------------------------------------------------------------
     # Detector interface
     # ------------------------------------------------------------------
     def detect(self, frame: Frame) -> FrameDetections:
+        """Per kept object, in draw order: the miss test (``rng.random()``,
+        ``uniform()``'s bits), the box jitter (one vector of four normals:
+        width, height, center x, center y), the confusion draws, the score
+        (``mean + std * standard_normal()``, ``normal(mean, std)`` bit for
+        bit).  The detection digests in ``tests/test_detection.py`` pin the
+        draws, their order and the box arithmetic."""
         rng = self._rng_for_frame(frame.index)
         ground_truth = frame.ground_truth
+        frame_w = float(ground_truth.frame_width)
+        frame_h = float(ground_truth.frame_height)
+        model = self.error_model
+        jitter = model.box_jitter
         detections: list[Detection] = []
         for state in ground_truth.objects:
-            miss_probability = self.error_model.miss_rate
-            if state.box.area < self.error_model.small_object_area:
-                miss_probability += self.error_model.small_object_miss_rate
-            if rng.uniform() < miss_probability:
+            box = state.box
+            x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
+            width, height = x_max - x_min, y_max - y_min
+            miss_probability = model.miss_rate
+            if width * height < model.small_object_area:
+                miss_probability += model.small_object_miss_rate
+            if rng.random() < miss_probability:
                 continue
-            box = self._perturbed_box(
-                state, rng, ground_truth.frame_width, ground_truth.frame_height
-            )
-            if box is None:
-                continue
+            if jitter > 0:
+                d_width, d_height, d_x, d_y = rng.standard_normal(4).tolist()
+                cx = (x_min + x_max) / 2.0 + jitter * width * d_x
+                cy = (y_min + y_max) / 2.0 + jitter * height * d_y
+                half_w = max(width * (1.0 + jitter * d_width), 2.0) / 2.0
+                half_h = max(height * (1.0 + jitter * d_height), 2.0) / 2.0
+                x_min, x_max = cx - half_w, cx + half_w
+                y_min, y_max = cy - half_h, cy + half_h
+            x_min, y_min = max(x_min, 0.0), max(y_min, 0.0)
+            x_max, y_max = min(x_max, frame_w), min(y_max, frame_h)
+            if x_max <= x_min or y_max <= y_min:
+                continue  # jittered (or placed) entirely off the frame
+            class_name = self._detect_class(state, rng)
+            score = model.score_mean + model.score_std * rng.standard_normal()
             detections.append(
                 Detection(
-                    class_name=self._detect_class(state, rng),
-                    box=box,
-                    score=self._score(rng),
+                    class_name=class_name,
+                    box=Box(x_min, y_min, x_max, y_max),
+                    score=min(max(score, 0.05), 1.0),
                     color_name=state.color_name,
                     track_id=state.track_id,
                 )

@@ -82,6 +82,7 @@ from repro.filters.base import FrameFilter
 from repro.query.ast import Query, WindowSpec
 from repro.query.parallel import (
     DEFAULT_CHUNK_SIZE,
+    PREFETCH_THREADS,
     ParallelConfig,
     ParallelStats,
     decode_ahead,
@@ -138,11 +139,11 @@ class StreamingQueryExecutor:
         filter batches, ``None`` in chunks of
         :data:`~repro.query.parallel.DEFAULT_CHUNK_SIZE` (``stats.batch_size``
         still reports ``None``).  Every chunk size
-        produces identical matched frames and work counters.  When the
-        cascade has a step and the scan more than one chunk, one background
-        thread renders the next two chunks while the current one is
-        filtered; output is unchanged, because a frame renders the same on
-        any thread.
+        produces identical matched frames and work counters.  When the scan
+        has more than one chunk, background threads render the next two
+        chunks while the current one is filtered and verified: one thread
+        when the cascade has a step, two when it has none; output is
+        unchanged, because a frame renders the same on any thread.
 
         When the query carries a ``WINDOW HOPPING`` clause the scan is
         restricted to the frames covered by at least one window instance, each
@@ -338,12 +339,16 @@ class StreamingQueryExecutor:
         decides only how frames reach it: one
         ``render(index)`` from :func:`~repro.query.parallel.decode_ahead`
         and two drivers.  ``render`` runs ahead on the decode-ahead threads
-        when ``parallel`` is set, and on one thread when a scan without it
-        has a filter step and either more than one chunk (no ``temporal``),
-        so that the next chunks render while this one filters, or an
+        when ``parallel`` is set.  Without it, a chunked scan (no
+        ``temporal``) of more than one chunk renders the next chunks while
+        this one is filtered and verified: on one thread when some query has
+        a filter step, on ``PREFETCH_THREADS`` when none has, so that two
+        renders share the second core beside the detector.  A gated scan
+        renders ahead on one thread when it has a filter step and an
         ``exact`` gate over more than one frame, which renders every frame;
-        otherwise it is ``stream.frame``.  Frames render deterministically
-        per index on any thread, so the rule changes wall time only.
+        otherwise ``render`` is ``stream.frame``.  Frames render
+        deterministically per index on any thread, so the rule changes wall
+        time only.
         Rendered chunks of ``chunk_size`` frames go through
         ``push_chunk`` (``batch_size=None`` = chunks of
         ``DEFAULT_CHUNK_SIZE``, or of the ``parallel`` config's size; a session built
@@ -409,14 +414,20 @@ class StreamingQueryExecutor:
                 # The frames some query covers (a provably-empty query covers
                 # none, so it pulls no frame into the union on its own).
                 union_indices = [index for index in base_indices if session._covering(index)]
-                # Without workers, one thread renders ahead while this one
-                # filters (numpy that releases the GIL).  A cascade-free scan
-                # stays inline (its render would contend for the GIL with the
-                # Python-level detector), and so does a single chunk (nothing
-                # to overlap); DESIGN.md "Parallel pipeline" has the numbers.
+                # Without workers, render threads run ahead while this one
+                # filters and verifies: one beside a filter phase (numpy that
+                # releases the GIL), two in a cascade-free scan.  A render is
+                # mostly noise drawn with the GIL released, and the detector
+                # holds the GIL for a few ms per chunk, so two renders keep
+                # the second core busy where one stalled each time it wanted
+                # the GIL back.  A single chunk has nothing to overlap and
+                # stays inline; DESIGN.md "Parallel pipeline" has the numbers.
                 if temporal is None:
                     chunks = partition_chunks(union_indices, chunk_size)
-                    overlap = unique_steps > 0 and len(chunks) > 1
+                    if len(chunks) < 2:
+                        threads = 0
+                    else:
+                        threads = 1 if unique_steps > 0 else PREFETCH_THREADS
                     ahead = chunk_size
                 else:
                     # Gating is sequential: nothing is chunked and the session
@@ -424,12 +435,14 @@ class StreamingQueryExecutor:
                     # verify it), so it renders ahead too, through two maximal
                     # strides: backfill and refinement probes stay in the
                     # window.  An approximate gate decides what is rendered
-                    # at all, so it stays inline.
+                    # at all, and a cascade-free gate has no filter phase to
+                    # render behind, so both stay inline.
                     chunks = []
-                    overlap = unique_steps > 0 and temporal.exact and len(union_indices) > 1
+                    exact = unique_steps > 0 and temporal.exact and len(union_indices) > 1
+                    threads = 1 if exact else 0
                     ahead = chunk_size if parallel is not None else temporal.max_stride
                 with decode_ahead(
-                    stream, union_indices, parallel, ahead, overlap
+                    stream, union_indices, parallel, ahead, threads
                 ) as render:
                     if temporal is not None:
                         temporal_stats = session.run_temporal_scan(

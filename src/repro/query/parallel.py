@@ -6,8 +6,9 @@ repeat.  This module turns that loop into a pipeline:
 
 * a **decode-ahead prefetcher** (:class:`FramePrefetcher`) renders the next
   ``PREFETCH_DEPTH`` chunks' worth of frames on background threads while
-  earlier chunks are being filtered (a filtered one-shot scan without a
-  pool uses it too, on one thread);
+  earlier chunks are being filtered (a one-shot scan without a pool uses
+  it too: on one thread beside a filter phase, on two beside a
+  cascade-free scan's detector);
 * a **chunk-granular worker pool** runs the filter-cascade phase of several
   chunks concurrently on threads, each worker with its own deep-copied
   cascades (the numpy filters release the GIL in their stacked operations
@@ -70,7 +71,8 @@ from repro.video.stream import Frame, VideoStream
 #: chunks the decode-ahead prefetcher keeps rendered ahead of submission, and
 #: the chunks a session holds in flight beyond one per worker
 PREFETCH_DEPTH = 2
-#: decode-ahead threads (never more than the filter workers)
+#: decode-ahead threads of a ``parallel=`` scan (never more than its filter
+#: workers) and of a cascade-free multi-chunk scan
 PREFETCH_THREADS = 2
 #: frames per chunk wherever the caller names none: a one-shot scan without
 #: ``batch_size``, ``parallel=`` or ``temporal=``, a :class:`ParallelConfig`,
@@ -591,27 +593,27 @@ def decode_ahead(
     indices: Sequence[int],
     parallel: ParallelConfig | None,
     chunk_size: int,
-    overlap: bool = False,
+    threads: int = 0,
 ) -> Iterator[Callable[[int], Frame]]:
     """The ``render(index)`` of one scan over ``indices``.
 
     A :class:`FramePrefetcher` running ``PREFETCH_DEPTH`` chunks of
     ``chunk_size`` frames (the frames the caller consumes at a time, or the
-    longest jump a gated scan makes: its ``max_stride``) ahead,
-    closed however the block exits, on ``PREFETCH_THREADS`` threads but
-    never more than the threads that filter: ``parallel.num_workers``, or
-    one when ``overlap`` asks a scan without ``parallel`` to render ahead of
-    its own filter phase (``StreamingQueryExecutor._scan`` and
-    ``AggregateMonitor._evaluate_samples`` decide when).  Otherwise
-    ``stream.frame`` itself, so callers do not branch.  The only place that
-    constructs a prefetcher (lint INV011).
+    longest jump a gated scan makes: its ``max_stride``) ahead, closed
+    however the block exits.  With ``parallel`` it renders on
+    ``PREFETCH_THREADS`` threads but never more than
+    ``parallel.num_workers``; without it, on the ``threads`` render threads
+    the caller asks for (``StreamingQueryExecutor._scan`` and
+    ``AggregateMonitor._evaluate_samples`` decide how many), and ``threads=0``
+    gives ``stream.frame`` itself, so callers do not branch.  The only place
+    that constructs a prefetcher (lint INV011).
     """
-    if parallel is None and not overlap:
+    if parallel is not None:
+        threads = min(PREFETCH_THREADS, parallel.num_workers)
+    if threads < 1:
         yield stream.frame
         return
-    workers = 1 if parallel is None else parallel.num_workers
     depth = PREFETCH_DEPTH * chunk_size
-    threads = min(PREFETCH_THREADS, workers)
     with closing(FramePrefetcher(stream, indices, depth, threads)) as prefetcher:
         yield prefetcher.frame
 

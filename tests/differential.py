@@ -200,6 +200,7 @@ CONFIGS += (
     _faulted("inline", "decode", 3, 2),
     _faulted("batch7", "filter", 7),
     _faulted("no-cascades-batch7", "detector", 5, 2),
+    _faulted("no-cascades", "decode", 3),  # retried on a render-ahead thread
     _faulted("temporal-exact", "filter", 0),
     _faulted("temporal-approximate", "filter", 0),
     _faulted("service-7-by-13", "filter", 7),

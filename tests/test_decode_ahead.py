@@ -1,8 +1,9 @@
 """Decode-ahead in one-shot scans: the prefetch window, the rule, the lifecycle.
 
-A chunked scan with a filter step and more than one chunk renders ahead on
-one background thread even without ``ParallelConfig``; a cascade-free, a
-temporal and a single-chunk scan stay inline.  The aggregate sampler
+A chunked scan of more than one chunk renders ahead even without
+``ParallelConfig``: on one background thread with a filter step, on two
+without one; a single-chunk scan, an approximate or cascade-free temporal
+scan stay inline.  The aggregate sampler
 renders ahead of its filter tiles when a sample spans more than one tile
 and is not exact-gated.  Frames render the same on any thread, so every
 result here must ``==`` the same scan with decode-ahead patched out (the
@@ -74,7 +75,7 @@ def _empty(name="empty"):
 
 
 @contextmanager
-def _inline(stream, indices, parallel, chunk_size=None, overlap=False):
+def _inline(stream, indices, parallel, chunk_size=None, threads=0):
     yield stream.frame
 
 
@@ -335,7 +336,7 @@ def test_decode_ahead_aggregate_charges_the_filter_once(
 # ----------------------------------------------------------------------
 # The rule: which scans render ahead
 # ----------------------------------------------------------------------
-def test_decode_ahead_only_for_filtered_multi_chunk_scans(
+def test_decode_ahead_only_for_multi_chunk_scans(
     tiny_jackson, stream, planner, prefetchers
 ):
     query = _plain()
@@ -346,23 +347,25 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     # No batch_size: chunks of DEFAULT_CHUNK_SIZE; batch_size=1: chunks of one.
     runner.execute_many([query, _windowed()], stream, [cascade, None])
     runner.execute_many([query, _windowed()], stream, [cascade, None], batch_size=1)
-    assert prefetchers == [(2 * 16, 1), (2 * 16, 1), (2 * 1, 1)]
+    # Cascade-free: PREFETCH_THREADS render beside the detector.
+    runner.execute(query, stream)
+    runner.execute_many([query, _windowed()], stream)  # shared
+    assert prefetchers == [(2 * 16, 1), (2 * 16, 1), (2 * 1, 1), (2 * 16, 2), (2 * 16, 2)]
 
-    runner.execute(query, stream)  # cascade-free
-    runner.execute_many([query, _windowed()], stream)  # cascade-free, shared
     runner.execute(query, stream, cascade, batch_size=len(stream))  # one chunk
+    runner.execute(query, stream, batch_size=len(stream))  # one chunk, cascade-free
     runner.execute(query, stream, cascade, frame_indices=[4], batch_size=None)
     # An approximate gate decides what is rendered at all; one frame has
     # nothing to overlap.
     runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=False, max_stride=4))
     runner.execute(query, stream, cascade, frame_indices=[4], temporal=TemporalConfig())
     runner.execute(query, stream, temporal=TemporalConfig())  # cascade-free
-    assert len(prefetchers) == 3
+    assert len(prefetchers) == 5
 
     # An exact gate renders every frame: ahead through two maximal strides.
     runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True))
     runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True, max_stride=4))
-    assert prefetchers[3:] == [(2 * 1, 1), (2 * 4, 1)]
+    assert prefetchers[5:] == [(2 * 1, 1), (2 * 4, 1)]
 
     # The sampler: more than one filter tile, unless exact-gated.
     spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
@@ -370,12 +373,12 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     runner.execute_aggregate(
         spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=True)
     )
-    assert len(prefetchers) == 5
+    assert len(prefetchers) == 7
     runner.execute_aggregate(spec, stream, cascade, sample_size=_SAMPLE_TILE + 1)
     runner.execute_aggregate(
         spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=False)
     )
-    assert prefetchers[5:] == [(2 * _SAMPLE_TILE, 1)] * 2
+    assert prefetchers[7:] == [(2 * _SAMPLE_TILE, 1)] * 2
 
     # ``parallel=`` keeps its own prefetcher: PREFETCH_THREADS, capped by workers.
     config = ParallelConfig(num_workers=2, chunk_size=8)
@@ -383,7 +386,7 @@ def test_decode_ahead_only_for_filtered_multi_chunk_scans(
     runner.execute(query, stream, cascade, batch_size=len(stream), parallel=config)
     runner.execute_aggregate(spec, stream, cascade, sample_size=2, parallel=config)
     runner.execute(query, stream, cascade, temporal=TemporalConfig(max_stride=4), parallel=config)
-    assert prefetchers[7:] == [
+    assert prefetchers[9:] == [
         (2 * 8, 2), (2 * len(stream), 2), (2 * _SAMPLE_TILE, 2), (2 * 8, 2)
     ]
     assert _live_decode_ahead_threads() == []
@@ -393,7 +396,7 @@ def test_decode_ahead_overlap_needs_a_chunk_size(stream):
     """Rendering ahead without ``parallel=`` has no config to take a depth
     from, so the caller's chunk size is required rather than defaulted."""
     with pytest.raises(TypeError, match="chunk_size"):
-        decode_ahead(stream, [0, 1], None, overlap=True)
+        decode_ahead(stream, [0, 1], None, threads=1)
     assert _live_decode_ahead_threads() == []
 
 

@@ -62,23 +62,26 @@ def test_detector_is_deterministic_per_frame(tiny_jackson):
     assert a.counts_by_class() == b.counts_by_class()
 
 
-def test_reference_detections_keep_their_pinned_values(tiny_detrac):
-    """Every field of ``FrameDetections`` over 64 dense frames, floats in hex:
-    the digest was taken while ``_score`` still went through ``np.clip``, and
-    55 of the 1110 scores sit on the upper bound, so the plain ``min``/``max``
-    clamp and the RNG consumption around it are both covered."""
+def _pinned_digest(detector, stream, frames=64):
+    """``(sha256, detections, clamped scores, relabelled, spurious)`` over
+    ``frames`` frames: every field of ``FrameDetections``, floats in hex."""
     import hashlib
 
-    detector = ReferenceDetector(class_names=tiny_detrac.class_names, seed=42)
     sha = hashlib.sha256()
-    count = clamped = 0
-    for index in range(64):
-        found = detector.detect(tiny_detrac.train.frame(index))
+    count = clamped = relabelled = spurious = 0
+    for index in range(frames):
+        frame = stream.frame(index)
+        truth = {state.track_id: state.class_name for state in frame.ground_truth.objects}
+        found = detector.detect(frame)
         sha.update(repr((found.frame_index, found.latency_ms, found.detector_name)).encode())
         for det in found.detections:
             assert type(det.score) is float
             count += 1
             clamped += det.score == 1.0
+            if det.track_id is None:
+                spurious += 1
+            else:
+                relabelled += truth[det.track_id] != det.class_name
             fields = (
                 det.class_name,
                 [value.hex() for value in det.box.as_tuple()],
@@ -87,10 +90,57 @@ def test_reference_detections_keep_their_pinned_values(tiny_detrac):
                 det.track_id,
             )
             sha.update(repr(fields).encode())
+    return sha.hexdigest(), count, clamped, relabelled, spurious
+
+
+def test_reference_detections_keep_their_pinned_values(tiny_detrac):
+    """Every field of ``FrameDetections`` over 64 dense frames, floats in hex:
+    the digest was taken while ``_score`` still went through ``np.clip``, and
+    55 of the 1110 scores sit on the upper bound, so the plain ``min``/``max``
+    clamp and the RNG consumption around it are both covered."""
+    detector = ReferenceDetector(class_names=tiny_detrac.class_names, seed=42)
+    digest, count, clamped, _, _ = _pinned_digest(detector, tiny_detrac.train)
     assert (count, clamped) == (1110, 55)
-    assert sha.hexdigest() == (
-        "fa6f5f160371a9816016435539f312592e2815ee05bd7f1367861e2d6140aff9"
+    assert digest == "fa6f5f160371a9816016435539f312592e2815ee05bd7f1367861e2d6140aff9"
+
+
+#: the error-model branches the default model leaves out: no box draws at
+#: all, misses on most objects (and boxes jittered off the frame), and
+#: relabelled plus spurious detections, whose draws sit between the box
+#: and score draws and after the last object
+PINNED_ERROR_MODELS = {
+    "no-jitter": (
+        DetectorErrorModel(miss_rate=0.01, small_object_miss_rate=0.05),
+        ("ea26c093f1e3b945f34ff6d38da2ba42aaeae3707b9ba2d8553fde9c78b1067f", 1112, 62, 0, 0),
+    ),
+    "high-miss": (
+        DetectorErrorModel(
+            miss_rate=0.5, small_object_miss_rate=0.4, small_object_area=2000.0,
+            box_jitter=0.3,
+        ),
+        ("f38297ade9006fd06cc5653e53b76eeffac164b5e612663e45b7a2efab87ceb2", 162, 11, 0, 0),
+    ),
+    "confusion-fp": (
+        DetectorErrorModel(
+            miss_rate=0.01, small_object_miss_rate=0.05, box_jitter=0.02,
+            confusion_rate=0.2, false_positive_rate=1.5,
+        ),
+        ("6cc6defb4d01bb2d2985c261310d98379060a753f3ad015a2a713244b55a065b", 1215, 54, 223, 103),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", PINNED_ERROR_MODELS)
+def test_reference_detections_keep_their_pinned_values_per_error_model(tiny_detrac, model):
+    """The pinned digest above, for the branches of ``detect`` the default
+    error model never takes; each digest was taken before ``detect`` drew its
+    jitter as one four-normal vector, so draw order and float arithmetic are
+    both held."""
+    error_model, pinned = PINNED_ERROR_MODELS[model]
+    detector = ReferenceDetector(
+        class_names=tiny_detrac.class_names, error_model=error_model, seed=42
     )
+    assert _pinned_digest(detector, tiny_detrac.train) == pinned
 
 
 def test_detector_charges_latency(tiny_jackson):

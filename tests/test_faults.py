@@ -1026,6 +1026,50 @@ def test_checkpoint_restore_keeps_an_adopted_plan_revision(
             stale.restore({**snapshot, "version": 2})
 
 
+@pytest.mark.parametrize("version", [1, 2, None], ids=["v1", "v2", "missing"])
+def test_restore_refuses_an_old_or_unversioned_checkpoint_untouched(
+    od_planner, tiny_jackson, version
+):
+    """Versions 1 and 2 (payloads from before the cached chunk verdict and
+    the profiler state) and a payload with no version are refused before the
+    session changes: the refused session still checkpoints as fresh, then
+    restores the current payload and finishes as the uninterrupted scan."""
+    queries, cascades = _checkpoint_workload(od_planner)
+    frames = _frames(tiny_jackson.test)
+
+    def session():
+        opened = ScanSession(
+            ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
+            live=True,
+        )
+        for query, cascade in zip(queries, cascades):
+            opened.add_query(query, cascade)
+        return opened
+
+    with session() as uninterrupted:
+        uninterrupted.push_chunk(frames[:20])
+        uninterrupted.push_chunk(frames[20:40])
+        truth = uninterrupted.finish()
+    with session() as first:
+        first.push_chunk(frames[:20])
+        snapshot = first.checkpoint()
+    stale = {key: value for key, value in snapshot.items() if key != "version"}
+    if version is not None:
+        stale["version"] = version
+
+    with session() as resumed:
+        fresh = resumed.checkpoint()
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version!r}"):
+            resumed.restore(stale)
+        assert resumed.checkpoint() == fresh
+        resumed.restore(snapshot)
+        resumed.push_chunk(frames[20:40])
+        results = resumed.finish()
+    assert list(results) == list(truth) == [0, 1]
+    for sid, baseline in truth.items():
+        _assert_result_parity(results[sid], baseline)
+
+
 def test_restore_rejects_mismatched_or_dirty_sessions(od_planner, tiny_jackson):
     queries, cascades = _checkpoint_workload(od_planner)
     frames = _frames(tiny_jackson.test)

@@ -68,3 +68,14 @@ def test_the_exit_status_is_zero_only_when_every_config_is_equal(tool, monkeypat
     dumps["change"]["batch7"] = normalize(_dump(batch_size=5))
     assert tool.main(["--parent", "HEAD", "--config", *ids]) == 1
     assert "batch7: queries[0].stats.batch_size\n1/2 configs equal" in capsys.readouterr().out
+
+
+def test_repeated_config_flags_accumulate_once_each_in_order(tool):
+    names = ("inline", "batch7", "thread2")
+    args = tool.parse_args(
+        ["--parent", "HEAD", "--config", "batch7", "--config", "inline", "batch7"], names
+    )
+    assert (args.parent, args.config) == ("HEAD", ["batch7", "inline"])
+    assert tool.parse_args(["--parent", "HEAD"], names).config == list(names)
+    with pytest.raises(SystemExit):
+        tool.parse_args(["--parent", "HEAD", "--config", "nope"], names)

@@ -22,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "src"), str(ROOT)]
@@ -52,12 +53,19 @@ def compare(ids: list[str], parent: dict, change: dict) -> tuple[list[str], bool
     return lines, len(lines) == 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None, names: Sequence[str]) -> argparse.Namespace:
+    """The command line; repeated ``--config`` flags accumulate, in order,
+    each config once (every config when none is named)."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
-    parser.add_argument("--config", nargs="+", choices=CONFIG_IDS, default=list(CONFIG_IDS),
-                        metavar="ID")
+    parser.add_argument("--config", nargs="+", action="extend", choices=names, metavar="ID")
     args = parser.parse_args(argv)
+    args.config = list(dict.fromkeys(args.config or names))
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv, CONFIG_IDS)
     with tempfile.TemporaryDirectory(prefix="parity-parent-") as workdir:
         parent_tree = Path(workdir) / "tree"
         parent_tree.mkdir()
