@@ -24,7 +24,10 @@ global RNG whose state would depend on call interleaving.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
+import re
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -47,6 +50,41 @@ FAULT_SITES = (
     "emitter",
     "shard_crash",
 )
+
+#: The one site keyed by a string, ``"<stream>:<chunk number>"``; every
+#: other site is keyed by a non-negative integer (a frame index, a chunk id
+#: or a per-injector sequence number).
+_STRING_KEYED_SITES = ("shard_crash",)
+_SHARD_KEY = re.compile(r".+:(0|[1-9][0-9]*)")
+
+
+def _check_range(name: str, value: float, floor: float, ceiling: float = math.inf) -> None:
+    """Refuse ``value`` outside ``[floor, ceiling)``; NaN and infinity fail."""
+    if not floor <= value < ceiling:
+        raise ValueError(f"{name} must be in [{floor}, {ceiling}): {value!r}")
+
+
+def _check_site(site: str) -> None:
+    if site not in FAULT_SITES:
+        raise ValueError(f"unknown fault site {site!r}")
+
+
+def _check_scheduled(site: str, key: object, count: int) -> None:
+    """Refuse a schedule entry whose key its site can never produce."""
+    _check_site(site)
+    if site in _STRING_KEYED_SITES:
+        if not (isinstance(key, str) and _SHARD_KEY.fullmatch(key)):
+            raise ValueError(f"{site} key must be '<stream>:<chunk>': {key!r}")
+    elif isinstance(key, bool) or not isinstance(key, numbers.Integral) or key < 0:
+        raise ValueError(f"{site} key must be a non-negative integer: {key!r}")
+    if not count >= 1:
+        raise ValueError(f"schedule count for {site!r} must be >= 1: {count!r}")
+
+
+def _check_rate(site: str, rate: float) -> None:
+    _check_site(site)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"rate for {site!r} must be in [0, 1]: {rate!r}")
 
 
 class FaultError(RuntimeError):
@@ -100,12 +138,9 @@ class RetryPolicy:
     component: str = RETRY_BACKOFF_COMPONENT
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_ms < 0.0:
-            raise ValueError("backoff_ms must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        _check_range("max_attempts", self.max_attempts, 1)
+        _check_range("backoff_ms", self.backoff_ms, 0.0)
+        _check_range("backoff_factor", self.backoff_factor, 1.0)
 
     def backoff_for(self, attempt: int) -> float:
         """Backoff in ms after the ``attempt``-th failure (1-based)."""
@@ -242,18 +277,13 @@ class FaultInjector:
         self.seed = int(seed)
         self._schedule: dict[tuple[str, object], int] = dict(schedule or {})
         self._rates: dict[str, float] = dict(rates or {})
-        for (site, _key), count in self._schedule.items():
-            if site not in FAULT_SITES:
-                raise ValueError(f"unknown fault site {site!r}")
-            if count < 1:
-                raise ValueError(f"schedule count for {site!r} must be >= 1")
+        for (site, key), count in self._schedule.items():
+            _check_scheduled(site, key, count)
         for site, rate in self._rates.items():
-            if site not in FAULT_SITES:
-                raise ValueError(f"unknown fault site {site!r}")
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"rate for {site!r} must be in [0, 1]")
-        if stall_seconds < 0.0:
-            raise ValueError("stall_seconds must be >= 0")
+            _check_rate(site, rate)
+        # A worker stall is a real ``time.sleep``, which overflows past
+        # TIMEOUT_MAX.
+        _check_range("stall_seconds", stall_seconds, 0.0, threading.TIMEOUT_MAX)
         self.stall_seconds = float(stall_seconds)
         self.retry = retry if retry is not None else RetryPolicy()
         #: Fallback clock for backoff at sites without one (frame decode).
@@ -463,55 +493,76 @@ def parse_fault_spec(spec: str) -> FaultInjector:
         worker_crash@2     crash the worker handling chunk 2
         shard_crash@cam:1  shard fault at stream "cam", chunk 1
         emitter%0.05       5% per-delivery emitter raise rate
+
+    A token that could never take effect (a key its site never produces,
+    a non-finite stall or backoff, a count below one) raises
+    :class:`ValueError` naming the token, so a bad spec fails here and
+    never inside a worker.
     """
-    seed = 0
-    stall_seconds = 0.25
-    max_attempts: int | None = None
-    backoff_ms: float | None = None
+    options: dict[str, float] = {"seed": 0, "stall": 0.25, "retries": 3, "backoff": 1.0}
     schedule: dict[tuple[str, object], int] = {}
     rates: dict[str, float] = {}
     for raw in spec.replace(";", ",").split(","):
         token = raw.strip()
-        if not token:
-            continue
-        if "=" in token:
-            name, _, value = token.partition("=")
-            name = name.strip()
-            if name == "seed":
-                seed = int(value)
-            elif name == "stall":
-                stall_seconds = float(value)
-            elif name == "retries":
-                max_attempts = int(value)
-            elif name == "backoff":
-                backoff_ms = float(value)
-            else:
-                raise ValueError(f"unknown fault-spec option {name!r}")
-        elif "%" in token:
-            site, _, rate = token.partition("%")
-            rates[site.strip()] = float(rate)
-        elif "@" in token:
-            site, _, key_text = token.partition("@")
-            site = site.strip()
-            count = 1
-            head, x, tail = key_text.rpartition("x")
-            if x and tail.isdigit() and head:
-                key_text, count = head, int(tail)
-            key: object = int(key_text) if key_text.lstrip("-").isdigit() else key_text
-            schedule[(site, key)] = schedule.get((site, key), 0) + count
-        else:
-            raise ValueError(f"unparseable fault-spec token {token!r}")
-    policy = RetryPolicy(
-        max_attempts=max_attempts if max_attempts is not None else 3,
-        backoff_ms=backoff_ms if backoff_ms is not None else 1.0,
-    )
+        if token:
+            try:
+                _parse_token(token, options, schedule, rates)
+            except ValueError as error:
+                raise ValueError(f"fault-spec token {token!r}: {error}") from None
     return FaultInjector(
-        seed=seed,
+        seed=int(options["seed"]),
         schedule=schedule,
         rates=rates,
-        stall_seconds=stall_seconds,
-        retry=policy,
+        stall_seconds=options["stall"],
+        retry=RetryPolicy(max_attempts=int(options["retries"]), backoff_ms=options["backoff"]),
     )
+
+
+#: spec option -> (type, [floor, ceiling) it must lie in; None = any value)
+_SPEC_OPTIONS: dict[str, tuple[type, tuple[float, float] | None]] = {
+    "seed": (int, None),
+    "retries": (int, (1, math.inf)),
+    "stall": (float, (0.0, threading.TIMEOUT_MAX)),
+    "backoff": (float, (0.0, math.inf)),
+}
+
+
+def _parse_token(
+    token: str,
+    options: dict[str, float],
+    schedule: dict[tuple[str, object], int],
+    rates: dict[str, float],
+) -> None:
+    """Fold one spec token into ``options`` / ``schedule`` / ``rates``."""
+    if "=" in token:
+        name, _, value = (part.strip() for part in token.partition("="))
+        if name not in _SPEC_OPTIONS:
+            raise ValueError(f"unknown option {name!r}")
+        kind, bounds = _SPEC_OPTIONS[name]
+        options[name] = kind(value)
+        if bounds is not None:
+            _check_range(name, options[name], *bounds)
+    elif "%" in token:
+        site, _, rate_text = (part.strip() for part in token.partition("%"))
+        rate = float(rate_text)
+        _check_rate(site, rate)
+        rates[site] = rate
+    elif "@" in token:
+        site, _, key_text = (part.strip() for part in token.partition("@"))
+        _check_site(site)
+        count = 1
+        head, x, tail = key_text.rpartition("x")
+        if x and head and tail.isascii() and tail.isdigit():
+            key_text, count = head, int(tail)
+        key: object = key_text
+        if site not in _STRING_KEYED_SITES:
+            if not (key_text.isascii() and key_text.isdigit()):
+                raise ValueError(f"{site} key must be a non-negative integer: {key_text!r}")
+            key = int(key_text)
+        _check_scheduled(site, key, count)
+        schedule[(site, key)] = schedule.get((site, key), 0) + count
+    else:
+        raise ValueError("expected name=value, site@key[xN] or site%rate")
 
 
 def maybe_install_from_env() -> FaultInjector | None:

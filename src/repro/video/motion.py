@@ -11,6 +11,7 @@ polyline (waypoints).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,12 @@ class ParkedMotion(MotionModel):
 
 @dataclass(frozen=True)
 class WanderMotion(MotionModel):
-    """A smooth random walk around an anchor point (pedestrians, fish).
+    """A smooth wander around an anchor point (pedestrians, fish).
 
-    The trajectory is a deterministic function of the seed: a sum of a slow
-    sinusoidal drift and a bounded random walk, which keeps the object in the
-    neighbourhood of its anchor without ever teleporting between frames.
+    Each axis is a sinusoid of amplitude ``radius`` whose phase and
+    frequency are drawn from the seed, so the trajectory is a deterministic
+    function of the seed that stays within ``radius`` of the anchor and
+    never teleports between frames.
     """
 
     anchor: Point
@@ -75,12 +77,18 @@ class WanderMotion(MotionModel):
     speed: float = 1.0
     seed: int = 0
 
-    def position_at(self, age: int) -> Point:
-        if age < 0:
-            raise ValueError(f"age must be non-negative: {age}")
+    @cached_property
+    def _waves(self) -> tuple[float, float, float, float]:
+        """The two phases and two frequencies: constants of the seed, drawn once."""
         rng = np.random.default_rng(self.seed)
         phase_x, phase_y = rng.uniform(0, 2 * np.pi, size=2)
         freq_x, freq_y = rng.uniform(0.01, 0.05, size=2) * self.speed
+        return phase_x, phase_y, freq_x, freq_y
+
+    def position_at(self, age: int) -> Point:
+        if age < 0:
+            raise ValueError(f"age must be non-negative: {age}")
+        phase_x, phase_y, freq_x, freq_y = self._waves
         dx = self.radius * np.sin(freq_x * age + phase_x)
         dy = self.radius * np.sin(freq_y * age + phase_y)
         return Point(self.anchor.x + float(dx), self.anchor.y + float(dy))

@@ -20,8 +20,11 @@ import numpy as np
 from repro.video.objects import NAMED_COLORS
 from repro.video.scene import FrameGroundTruth
 
-# Body, border and windshield tones as multiples of the shaded base colour;
-# float32 because the canvas is, so every tone rounds exactly as a pixel would.
+# Body, border and windshield tones as multiples of the shaded base colour.
+# They are computed in float32 (a float32 colour times a float32 shade), which
+# pins every tone's rounding.  The canvas is float64 whenever
+# ``background_texture > 0`` (the default), because ``base + texture``
+# upcasts; a float32 tone widens into it exactly.
 _TONE_FACTORS = np.array([[1.0], [0.55], [0.4]], dtype=np.float32)
 
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +41,33 @@ def test_sample_mean_estimate_basics():
         sample_mean_estimate([])
     with pytest.raises(ValueError):
         sample_mean_estimate([1.0], confidence_level=1.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 60, 1000])
+@pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+def test_sample_mean_interval_is_the_student_t_interval_bit_for_bit(n, level):
+    # scipy.stats is the oracle here only: the library reads the same
+    # quantile from scipy.special (see test_import_repro_leaves_scipy_stats_unloaded).
+    from scipy import stats
+
+    values = np.random.default_rng(n).normal(3.0, 2.0, size=n)
+    estimate = sample_mean_estimate(values, confidence_level=level)
+    critical = float(stats.t.ppf(0.5 + level / 2.0, df=n - 1))
+    assert estimate.confidence_interval == (
+        estimate.mean - critical * estimate.std_error,
+        estimate.mean + critical * estimate.std_error,
+    )
+
+
+def test_import_repro_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_sample_frame_indices(rng):

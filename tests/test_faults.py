@@ -19,6 +19,7 @@ none.
 from __future__ import annotations
 
 import pickle
+import re
 import threading
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -307,6 +308,88 @@ def test_parse_fault_spec_grammar():
         parse_fault_spec("justaword")
     with pytest.raises(ValueError):
         parse_fault_spec("warp_core@1")
+
+
+def test_parse_fault_spec_keeps_every_valid_key_form():
+    injector = parse_fault_spec(
+        "decode@0x2, worker_stall@3, queue_stall@0, emitter@6,"
+        " shard_crash@box:12x2, detector%1, filter%0, seed=-4"
+    )
+    assert injector.seed == -4
+    assert injector._schedule == {
+        ("decode", 0): 2,
+        ("worker_stall", 3): 1,
+        ("queue_stall", 0): 1,
+        ("emitter", 6): 1,
+        ("shard_crash", "box:12"): 2,
+    }
+    assert injector._rates == {"detector": 1.0, "filter": 0.0}
+    assert (injector.stall_seconds, injector.retry) == (0.25, RetryPolicy())
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "decode@",  # no key
+        "decode@12x",  # a count suffix with no count
+        "decode@1.5",  # frame indices are integers
+        "filter@ax3",  # a string key at an integer-keyed site
+        "worker_crash@-1",  # chunk ids are never negative
+        "decode@12x0",  # a count below one
+        "shard_crash@5",  # shard keys are "<stream>:<chunk>"
+        "shard_crash@cam:01",  # ... and the shard writes chunk numbers plainly
+        "stall=nan",
+        "stall=inf",
+        "stall=1e10",  # past what time.sleep accepts
+        "stall=-1",
+        "backoff=nan",
+        "backoff=inf",
+        "retries=0",
+        "seed=abc",
+        "emitter%nan",
+        "emitter%abc",
+        "warp_core@1",
+        "warp=9",
+        "justaword",
+    ],
+)
+def test_parse_fault_spec_names_the_token_it_refuses(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        parse_fault_spec(f"seed=7, decode@3, {bad}, emitter%0.5")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RetryPolicy(max_attempts=float("nan")),
+        lambda: RetryPolicy(backoff_ms=float("nan")),
+        lambda: RetryPolicy(backoff_ms=float("inf")),
+        lambda: RetryPolicy(backoff_factor=float("nan")),
+        lambda: RetryPolicy(backoff_factor=float("inf")),
+        lambda: FaultInjector(stall_seconds=float("nan")),
+        lambda: FaultInjector(stall_seconds=float("inf")),
+        lambda: FaultInjector(schedule={("decode", "12"): 1}),
+        lambda: FaultInjector(schedule={("decode", True): 1}),
+        lambda: FaultInjector(schedule={("shard_crash", 5): 1}),
+        lambda: FaultInjector(schedule={("decode", 1): float("nan")}),
+        lambda: FaultInjector(rates={"decode": float("nan")}),
+    ],
+    ids=[
+        "attempts-nan", "backoff-nan", "backoff-inf", "factor-nan", "factor-inf",
+        "stall-nan", "stall-inf", "string-frame-key", "bool-frame-key", "int-shard-key",
+        "count-nan", "rate-nan",
+    ],
+)
+def test_constructors_refuse_values_no_fault_could_use(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_a_nan_stall_in_the_environment_fails_at_service_construction(monkeypatch):
+    monkeypatch.setenv("REPRO_FAULTS", "worker_stall@0, stall=nan")
+    with pytest.raises(ValueError, match=re.escape("'stall=nan'")):
+        QueryService()
+    assert current_injector() is None
 
 
 def test_maybe_install_from_env(monkeypatch):

@@ -228,3 +228,42 @@ def test_inv013_reports_a_clock_swapped_into_another_object(lint):
     assert [finding.split(":")[1] for finding in findings] == ["4", "8", "11"]
     assert findings[0].startswith("INV013 sample.py:4: assigns self.frame_filter.clock")
     assert "assigns detector.clock" in findings[2]
+
+
+def _inv014(lint, source: str) -> list[str]:
+    return lint.scipy_import_findings(ast.parse(textwrap.dedent(source)), "sample.py")
+
+
+def test_inv014_accepts_ndimage_and_special(lint):
+    assert _inv014(
+        lint,
+        """
+        import numpy as np
+        import scipy.ndimage
+        import scipy.special as sc
+        from scipy import ndimage, special
+        from scipy.ndimage import label
+        from scipy.special import stdtrit
+        from .stats import helper
+        """,
+    ) == []
+
+
+def test_inv014_reports_every_other_scipy_import(lint):
+    findings = _inv014(
+        lint,
+        """
+        import scipy
+        import scipy.stats
+        from scipy import ndimage, stats
+        from scipy.stats import t
+        import numpy, scipy.optimize
+        """,
+    )
+    assert [finding.split(" — ")[0] for finding in findings] == [
+        "INV014 sample.py:2: imports scipy",
+        "INV014 sample.py:3: imports scipy.stats",
+        "INV014 sample.py:4: imports scipy.stats",
+        "INV014 sample.py:5: imports scipy.stats",
+        "INV014 sample.py:6: imports scipy.optimize",
+    ]

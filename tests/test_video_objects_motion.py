@@ -75,6 +75,39 @@ def test_wander_motion_stays_near_anchor():
         assert abs(position.y - 50) <= 10 + 1e-9
 
 
+#: (seed, speed, radius) -> {age: (x, y)} around anchor (50, 60), taken from
+#: the implementation that redrew the seed's phases and frequencies per call
+WANDER_PINS = [
+    ((0, 1.0, 10.0), {
+        0: (42.41795019785888, 69.92281771578361),
+        17: (41.28419172410707, 69.53677922455066),
+        1000: (50.66824161750068, 57.91398016737364),
+    }),
+    ((7, 2.5, 33.0), {
+        0: (26.65148357026051, 40.13870976184788),
+        17: (31.04323316280378, 65.32354246777352),
+        1000: (39.68227009179395, 68.13220983781692),
+    }),
+    ((123456789, 1.0, 10.0), {
+        0: (51.73245722556502, 54.467831999197706),
+        17: (58.09600910322804, 60.08709196640085),
+        1000: (59.92417154344164, 61.47310954865813),
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "params,pins", WANDER_PINS, ids=[f"seed{seed}" for (seed, _, _), _ in WANDER_PINS]
+)
+def test_wander_motion_keeps_its_pinned_positions(params, pins):
+    seed, speed, radius = params
+    motion = WanderMotion(anchor=Point(50, 60), radius=radius, speed=speed, seed=seed)
+    # Latest age first: the drawn constants must not depend on call order.
+    for age in sorted(pins, reverse=True) + sorted(pins):
+        position = motion.position_at(age)
+        assert (position.x, position.y) == pins[age]
+
+
 def test_waypoint_motion_follows_polyline():
     motion = WaypointMotion(waypoints=(Point(0, 0), Point(10, 0), Point(10, 10)), speed=1.0)
     assert motion.position_at(0) == Point(0, 0)

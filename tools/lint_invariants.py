@@ -80,6 +80,14 @@ script exits non-zero when any rule is violated.
   the scan that schedules a call charges it to its own clock.  Swapping a
   clock into a shared object is how one stream's work used to land on
   another stream's clock.
+* **INV014 — scipy only from ``scipy.ndimage`` and ``scipy.special``.**
+  Under ``src/repro/`` every scipy import names one of those two modules
+  (or a submodule of one): ``import scipy.ndimage``, ``from scipy import
+  special``, ``from scipy.ndimage import label``.  ``import scipy`` and
+  every other submodule are rejected.  ``import repro`` loads whatever the
+  package imports, and ``scipy.stats`` alone was ~43 MB of every process's
+  resident memory, for one t-quantile that ``scipy.special.stdtrit`` gives
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -490,6 +498,42 @@ def check_no_foreign_clock_assignment(findings: list[str]) -> None:
         findings.extend(clock_assignment_findings(_parse(path), str(path.relative_to(REPO))))
 
 
+#: the scipy modules src/repro/ may import (INV014)
+SCIPY_ALLOWED = ("scipy.ndimage", "scipy.special")
+
+
+def _scipy_allowed(module: str) -> bool:
+    return any(module == allowed or module.startswith(allowed + ".") for allowed in SCIPY_ALLOWED)
+
+
+def scipy_import_findings(tree: ast.Module, where: str) -> list[str]:
+    """INV014 over one parsed module; ``where`` labels the findings."""
+    findings: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            if node.module == "scipy":
+                modules = [f"scipy.{alias.name}" for alias in node.names]
+            else:
+                modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] == "scipy" and not _scipy_allowed(module):
+                findings.append(
+                    f"INV014 {where}:{node.lineno}: imports {module} — src/repro/ may "
+                    f"import scipy only from {' and '.join(SCIPY_ALLOWED)}, because "
+                    "`import repro` loads it into every process"
+                )
+    return findings
+
+
+def check_scipy_imports(findings: list[str]) -> None:
+    for path in sorted(SRC.rglob("*.py")):
+        findings.extend(scipy_import_findings(_parse(path), str(path.relative_to(REPO))))
+
+
 def main() -> int:
     findings: list[str] = []
     check_planner_checks_frozen(findings)
@@ -503,6 +547,7 @@ def main() -> int:
     check_one_gate_loop_one_cascade_walk(findings)
     check_oracle_imports_nothing_of_the_engine(findings)
     check_no_foreign_clock_assignment(findings)
+    check_scipy_imports(findings)
     if findings:
         for finding in findings:
             print(finding)
