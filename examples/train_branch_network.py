@@ -14,12 +14,10 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import build_jackson
 from repro.detection import ReferenceDetector, annotate_stream
 from repro.filters import NeuralTrainingConfig, train_neural_filter
-from repro.filters.metrics import evaluate_count_filter, evaluate_localization
+from repro.filters.metrics import score_predictions
 
 
 def main() -> None:
@@ -55,8 +53,14 @@ def main() -> None:
         dataset.test, detector, dataset.class_names,
         dataset.grid(config.grid_size), frame_indices=range(0, 80, 2),
     )
-    counts = evaluate_count_filter(neural_filter, dataset.test, test_annotations)
-    localization = evaluate_localization(neural_filter, dataset.test, test_annotations)
+    # The metrics score predictions: predict the annotated frames (one batch
+    # here; a long split would go chunk by chunk through a generator), then
+    # score counts and locations in one pass.
+    predictions = neural_filter.predict_batch(
+        [dataset.test.frame(item.frame_index) for item in test_annotations]
+    )
+    counts, by_threshold = score_predictions(predictions, test_annotations)
+    localization = by_threshold[None]
     print(f"  count accuracy:      exact {counts.exact:.2f}, ±1 {counts.within_1:.2f}")
     print(f"  localisation F1:     {localization.micro_f1:.2f} "
           f"(Manhattan-1: {localization.micro_f1_manhattan_1:.2f})")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.detection.backbone import classification_backbone
 from repro.experiments.context import ExperimentConfig, get_context
-from repro.filters import calibrate_threshold, evaluate_count_filter, evaluate_localization
+from repro.filters import calibrate_threshold, score_predictions
 from repro.filters.ic import ICFilter
 from repro.query import PlannerConfig, QueryBuilder, QueryPlanner, StreamingQueryExecutor, brute_force_execute
 
@@ -31,7 +31,6 @@ def run_branch_depth(
 ) -> list[dict[str, object]]:
     """Count accuracy and localisation F1 as the feature grid gets coarser."""
     context = get_context(dataset_name, config)
-    annotations = context.test_annotations
     rows: list[dict[str, object]] = []
     for pool_factor in pool_factors:
         trainer = context.trainer()
@@ -44,8 +43,10 @@ def run_branch_depth(
             backbone=backbone,
             threshold=trainer.threshold,
         )
-        counts = evaluate_count_filter(candidate, context.dataset.test, annotations)
-        localization = evaluate_localization(candidate, context.dataset.test, annotations)
+        counts, by_threshold = score_predictions(
+            context.test_predictions(candidate), context.test_annotations
+        )
+        localization = by_threshold[None]
         rows.append(
             {
                 "dataset": dataset_name,
@@ -68,10 +69,7 @@ def run_threshold_sweep(
     """Localisation F1 as a function of the grid occupancy threshold."""
     context = get_context(dataset_name, config)
     calibration = calibrate_threshold(
-        context.od_filter,
-        context.dataset.test,
-        context.test_annotations,
-        thresholds=thresholds,
+        context.test_predictions(context.od_filter), context.test_annotations, thresholds
     )
     rows = [
         {

@@ -29,22 +29,19 @@ def run(
     context = get_context(dataset_name, config)
     predicate = SpatialPredicate(subject_class, reference_class, Direction.LEFT_OF)
     detector = context.reference_detector(seed_offset=700)
-    stream = context.dataset.test
 
     agreements = 0
     positives_truth = 0
     positives_filter = 0
     total = 0
-    for frame_index in context.config.test_indices:
-        frame = stream.frame(frame_index)
-        detections = detector.detect(frame)
-        truth = predicate_holds(predicate, detections)
-        prediction = context.od_filter.predict(frame)
-        estimate = _spatial_possible(predicate, prediction, dilation)
-        total += 1
-        agreements += int(truth == estimate)
-        positives_truth += int(truth)
-        positives_filter += int(estimate)
+    for frames, batch in context.predicted_chunks(context.od_filter):
+        for frame, prediction in zip(frames, batch):
+            truth = predicate_holds(predicate, detector.detect(frame))
+            estimate = _spatial_possible(predicate, prediction, dilation)
+            total += 1
+            agreements += int(truth == estimate)
+            positives_truth += int(truth)
+            positives_filter += int(estimate)
 
     accuracy = agreements / total if total else 0.0
     return {

@@ -3,18 +3,24 @@
 Training the three filters for one dataset takes ~10 s at the default
 experiment scale; the context caches everything per (dataset, scale, seed) so
 that the figure/table runners and the pytest benchmarks can share one set of
-trained filters instead of re-training for every experiment.
+trained filters instead of re-training for every experiment.  The filters'
+test-split accuracy reports are cached too (Figures 7, 11 and 15 read them),
+but never the predictions behind them (:meth:`ExperimentContext.count_reports`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from repro.detection import ReferenceDetector, annotate_stream
 from repro.detection.annotation import AnnotationSet
-from repro.filters import FilterTrainer, ICFilter, ODCountClassifier, ODFilter
+from repro.filters import BatchPrediction, FilterPrediction, FilterTrainer, FrameFilter, ODFilter
+from repro.filters import CountAccuracyReport, LocalizationReport, score_predictions
+from repro.query.parallel import DEFAULT_CHUNK_SIZE, decode_ahead, partition_chunks
 from repro.video import VideoDataset, build_coral, build_detrac, build_jackson
+from repro.video.stream import Frame
 
 _BUILDERS = {
     "coral": build_coral,
@@ -60,6 +66,7 @@ class ExperimentContext:
         self._dataset: VideoDataset | None = None
         self._filters: dict[str, object] | None = None
         self._test_annotations: AnnotationSet | None = None
+        self._reports: dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     # Lazily built pieces
@@ -95,16 +102,8 @@ class ExperimentContext:
         return self._filters
 
     @property
-    def ic_filter(self) -> ICFilter:
-        return self.filters["ic"]  # type: ignore[return-value]
-
-    @property
     def od_filter(self) -> ODFilter:
         return self.filters["od"]  # type: ignore[return-value]
-
-    @property
-    def od_cof(self) -> ODCountClassifier:
-        return self.filters["od_cof"]  # type: ignore[return-value]
 
     def reference_detector(self, seed_offset: int = 100) -> ReferenceDetector:
         """A fresh reference detector (the evaluation / verification detector)."""
@@ -124,6 +123,58 @@ class ExperimentContext:
                 frame_indices=self.config.test_indices,
             )
         return self._test_annotations
+
+    def predicted_chunks(
+        self, frame_filter: FrameFilter
+    ) -> Iterator[tuple[list[Frame], BatchPrediction]]:
+        """One batched prediction pass of ``frame_filter`` over the (strided) test split.
+
+        ``DEFAULT_CHUNK_SIZE`` chunks, rendered ahead on one decode-ahead
+        thread as a filtered scan renders them, each handed to one
+        ``predict_batch``.  Yields each chunk's frames with their predictions.
+        """
+        indices = self.config.test_indices
+        chunks = partition_chunks(indices, DEFAULT_CHUNK_SIZE)
+        threads = 1 if len(chunks) > 1 else 0
+        with decode_ahead(self.dataset.test, indices, None, DEFAULT_CHUNK_SIZE, threads) as render:
+            for chunk in chunks:
+                frames = [render(index) for index in chunk]
+                yield frames, frame_filter.predict_batch(frames)
+
+    def test_predictions(self, frame_filter: FrameFilter) -> Iterator[FilterPrediction]:
+        """``frame_filter``'s predictions of :attr:`test_annotations`' frames, in order."""
+        for _, batch in self.predicted_chunks(frame_filter):
+            yield from batch
+
+    @property
+    def count_reports(self) -> dict[str, CountAccuracyReport]:
+        """Test-split count accuracy of each filter, keyed like :attr:`filters`."""
+        return self._test_reports("count")
+
+    @property
+    def localization_reports(self) -> dict[str, LocalizationReport]:
+        """Test-split localisation F1 of the class-aware filters (``"ic"``, ``"od"``)."""
+        return self._test_reports("localization")
+
+    def _test_reports(self, kind: str) -> dict:
+        """Both kinds of report from one pass per filter, whose predictions are
+        scored chunk by chunk and dropped (:func:`score_predictions`): holding
+        them would cost ~65 KB per frame and filter (the float64 score
+        planes), ~0.65 GB per filter at detrac's paper size."""
+        if not self._reports:
+            counts, localizations = {}, {}
+            for key, frame_filter in self.filters.items():
+                counts[key], by_threshold = score_predictions(
+                    self.test_predictions(frame_filter),
+                    self.test_annotations,
+                    (None,) if frame_filter.class_aware else (),
+                    total_only=not frame_filter.class_aware,
+                    dataset_name=self.dataset_name,
+                )
+                if by_threshold:
+                    localizations[key] = by_threshold[None]
+            self._reports = {"count": counts, "localization": localizations}
+        return self._reports[kind]
 
 
 @lru_cache(maxsize=8)

@@ -10,7 +10,6 @@ to count even though they have fewer training examples.
 from __future__ import annotations
 
 from repro.experiments.context import DATASET_NAMES, ExperimentConfig, get_context
-from repro.filters import evaluate_count_filter
 
 
 def run(
@@ -21,12 +20,9 @@ def run(
     rows: list[dict[str, object]] = []
     for name in dataset_names:
         context = get_context(name, config)
-        annotations = context.test_annotations
-        stream = context.dataset.test
-        for label, frame_filter in (("IC-CCF", context.ic_filter), ("OD-CCF", context.od_filter)):
-            report = evaluate_count_filter(
-                frame_filter, stream, annotations, dataset_name=name
-            )
+        # The Fig 7 IC-CF / OD-CF reports: one scoring pass serves both figures.
+        for label, key in (("IC-CCF", "ic"), ("OD-CCF", "od")):
+            report = context.count_reports[key]
             for class_name in context.class_names:
                 rows.append(
                     {

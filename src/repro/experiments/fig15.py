@@ -14,7 +14,6 @@ IC-CLF and OD-CLF grid predictions at Manhattan-distance tolerance 0, 1 and
 from __future__ import annotations
 
 from repro.experiments.context import DATASET_NAMES, ExperimentConfig, get_context
-from repro.filters import evaluate_localization
 
 
 def run(
@@ -25,12 +24,8 @@ def run(
     rows: list[dict[str, object]] = []
     for name in dataset_names:
         context = get_context(name, config)
-        annotations = context.test_annotations
-        stream = context.dataset.test
-        for label, frame_filter in (("IC-CLF", context.ic_filter), ("OD-CLF", context.od_filter)):
-            report = evaluate_localization(
-                frame_filter, stream, annotations, dataset_name=name
-            )
+        for label, key in (("IC-CLF", "ic"), ("OD-CLF", "od")):
+            report = context.localization_reports[key]
             for class_name in context.class_names:
                 rows.append(
                     {

@@ -15,7 +15,6 @@ Expected shape (per the paper):
 from __future__ import annotations
 
 from repro.experiments.context import DATASET_NAMES, ExperimentConfig, get_context
-from repro.filters import evaluate_count_filter
 
 
 def run(
@@ -26,17 +25,8 @@ def run(
     rows: list[dict[str, object]] = []
     for name in dataset_names:
         context = get_context(name, config)
-        annotations = context.test_annotations
-        stream = context.dataset.test
-        candidates = [
-            ("OD-COF", context.od_cof, True),
-            ("IC-CF", context.ic_filter, False),
-            ("OD-CF", context.od_filter, False),
-        ]
-        for label, frame_filter, total_only in candidates:
-            report = evaluate_count_filter(
-                frame_filter, stream, annotations, dataset_name=name, total_only=total_only
-            )
+        for label, key in (("OD-COF", "od_cof"), ("IC-CF", "ic"), ("OD-CF", "od")):
+            report = context.count_reports[key]
             rows.append(
                 {
                     "dataset": name,

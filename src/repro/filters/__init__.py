@@ -27,7 +27,8 @@ This package provides:
   with the paper's multi-task loss);
 * :mod:`repro.filters.training` — training pipelines for both implementations;
 * :mod:`repro.filters.metrics` — the paper's accuracy metrics (exact / ±1 /
-  ±2 count accuracy, localisation F1 at Manhattan distance 0 / 1 / 2);
+  ±2 count accuracy, localisation F1 at Manhattan distance 0 / 1 / 2), scored
+  from a filter's predictions in one pass;
 * :mod:`repro.filters.calibration` — grid-threshold calibration.
 """
 
@@ -36,7 +37,6 @@ from repro.filters.base import (
     CountTolerance,
     FilterPrediction,
     FrameFilter,
-    LocationTolerance,
 )
 from repro.filters.heads import CountCalibration, GridScoringHead, PooledCountHead
 from repro.filters.ic import ICFilter
@@ -54,6 +54,7 @@ from repro.filters.metrics import (
     evaluate_count_filter,
     evaluate_localization,
     localization_f1,
+    score_predictions,
 )
 from repro.filters.calibration import ThresholdCalibration, calibrate_threshold
 
@@ -62,7 +63,6 @@ __all__ = [
     "FilterPrediction",
     "FrameFilter",
     "CountTolerance",
-    "LocationTolerance",
     "GridScoringHead",
     "CountCalibration",
     "PooledCountHead",
@@ -80,6 +80,7 @@ __all__ = [
     "localization_f1",
     "evaluate_count_filter",
     "evaluate_localization",
+    "score_predictions",
     "ThresholdCalibration",
     "calibrate_threshold",
 ]

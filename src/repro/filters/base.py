@@ -21,14 +21,6 @@ class CountTolerance(enum.IntEnum):
     WITHIN_2 = 2
 
 
-class LocationTolerance(enum.IntEnum):
-    """Grid-localisation tolerance: exact cell, Manhattan distance 1 or 2."""
-
-    EXACT = 0
-    MANHATTAN_1 = 1
-    MANHATTAN_2 = 2
-
-
 @dataclass(frozen=True)
 class FilterPrediction:
     """Everything a filter estimates about one frame.
@@ -74,14 +66,6 @@ class FilterPrediction:
         if dilation > 0:
             mask = mask.dilated(dilation)
         return mask
-
-    def location_masks(
-        self, class_names: Sequence[str], threshold: float | None = None, dilation: int = 0
-    ) -> dict[str, GridMask]:
-        return {
-            name: self.location_mask(name, threshold=threshold, dilation=dilation)
-            for name in class_names
-        }
 
     # ------------------------------------------------------------------
     # Predicate helpers used by the query executor

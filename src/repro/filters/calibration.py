@@ -10,14 +10,13 @@ thresholds on held-out frames and pick the best one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.detection.annotation import AnnotationSet
-from repro.filters.base import FrameFilter
-from repro.filters.metrics import evaluate_localization
-from repro.video.stream import VideoStream
+from repro.filters.base import FilterPrediction
+from repro.filters.metrics import score_predictions
 
 
 @dataclass(frozen=True)
@@ -38,23 +37,24 @@ class ThresholdCalibration:
 
 
 def calibrate_threshold(
-    frame_filter: FrameFilter,
-    stream: VideoStream,
+    predictions: Iterable[FilterPrediction],
     annotations: AnnotationSet,
     thresholds: Sequence[float] = (0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5),
 ) -> ThresholdCalibration:
-    """Sweep grid thresholds on validation data and return the best by micro F1."""
+    """Sweep grid thresholds on validation data and return the best by micro F1.
+
+    ``predictions`` are the filter's predictions of the annotated frames, in
+    order.  Each is scored at every threshold as it arrives (its raw cell
+    scores are kept, and a threshold applies only in ``location_mask``), so
+    the sweep predicts each frame once, however many thresholds it tries.
+    """
     if not thresholds:
         raise ValueError("at least one threshold is required")
-    scores = []
-    for threshold in thresholds:
-        report = evaluate_localization(
-            frame_filter, stream, annotations, threshold=threshold
-        )
-        scores.append(report.micro_f1)
+    _, reports = score_predictions(predictions, annotations, thresholds)
+    scores = [reports[threshold].micro_f1 for threshold in thresholds]
     best_index = int(np.argmax(scores))
     return ThresholdCalibration(
-        filter_name=frame_filter.name,
+        filter_name=reports[thresholds[0]].filter_name,
         thresholds=tuple(float(t) for t in thresholds),
         micro_f1=tuple(float(s) for s in scores),
         best_threshold=float(thresholds[best_index]),

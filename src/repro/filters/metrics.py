@@ -14,14 +14,13 @@ Ground truth is, as in the paper, the output of the reference detector
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.detection.annotation import AnnotationSet
-from repro.filters.base import FilterPrediction, FrameFilter
+from repro.detection.annotation import AnnotatedFrame, AnnotationSet
+from repro.filters.base import FilterPrediction
 from repro.spatial.grid import GridMask
-from repro.video.stream import VideoStream
 
 
 # ----------------------------------------------------------------------
@@ -59,18 +58,6 @@ class CountAccuracyReport:
     per_class_within_2: Mapping[str, float] = field(default_factory=dict)
     mean_absolute_error: float = 0.0
 
-    def as_row(self) -> dict[str, object]:
-        """Flat dict representation for tabular output."""
-        return {
-            "filter": self.filter_name,
-            "dataset": self.dataset_name,
-            "frames": self.num_frames,
-            "exact": round(self.exact, 4),
-            "within_1": round(self.within_1, 4),
-            "within_2": round(self.within_2, 4),
-            "mae": round(self.mean_absolute_error, 4),
-        }
-
 
 # ----------------------------------------------------------------------
 # Localisation metrics
@@ -90,9 +77,8 @@ def localization_counts(
     return true_positives, false_positives, false_negatives
 
 
-def localization_f1(predicted: GridMask, actual: GridMask, tolerance: int = 0) -> float:
-    """F1 of a single frame/class grid prediction (1.0 when both masks are empty)."""
-    tp, fp, fn = localization_counts(predicted, actual, tolerance)
+def f1_from_counts(tp: int, fp: int, fn: int) -> float:
+    """F1 of ``(true_positives, false_positives, false_negatives)`` (1.0 when all are 0)."""
     if tp == 0 and fp == 0 and fn == 0:
         return 1.0
     precision = tp / (tp + fp) if (tp + fp) else 0.0
@@ -100,6 +86,11 @@ def localization_f1(predicted: GridMask, actual: GridMask, tolerance: int = 0) -
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+def localization_f1(predicted: GridMask, actual: GridMask, tolerance: int = 0) -> float:
+    """F1 of a single frame/class grid prediction (1.0 when both masks are empty)."""
+    return f1_from_counts(*localization_counts(predicted, actual, tolerance))
 
 
 @dataclass(frozen=True)
@@ -116,151 +107,139 @@ class LocalizationReport:
     micro_f1_manhattan_1: float
     micro_f1_manhattan_2: float
 
-    def as_rows(self) -> list[dict[str, object]]:
-        rows = []
-        for class_name in self.per_class_f1:
-            rows.append(
-                {
-                    "filter": self.filter_name,
-                    "dataset": self.dataset_name,
-                    "class": class_name,
-                    "f1": round(self.per_class_f1[class_name], 4),
-                    "f1_m1": round(self.per_class_f1_manhattan_1[class_name], 4),
-                    "f1_m2": round(self.per_class_f1_manhattan_2[class_name], 4),
-                }
-            )
-        return rows
-
 
 # ----------------------------------------------------------------------
-# Evaluation drivers
+# Scoring predictions
 # ----------------------------------------------------------------------
-def _aligned_predictions(
-    frame_filter: FrameFilter,
-    stream: VideoStream,
+def score_predictions(
+    predictions: Iterable[FilterPrediction],
     annotations: AnnotationSet,
-) -> list[tuple[FilterPrediction, "object"]]:
-    pairs = []
-    for annotated in annotations:
-        frame = stream.frame(annotated.frame_index)
-        pairs.append((frame_filter.predict(frame), annotated))
-    return pairs
+    thresholds: Sequence[float | None] = (None,),
+    total_only: bool = False,
+    dataset_name: str | None = None,
+) -> tuple[CountAccuracyReport, dict[float | None, LocalizationReport]]:
+    """Count accuracy and localisation F1 of one filter's predictions, in one pass.
+
+    ``predictions`` are the filter's predictions of the annotated frames, in
+    the annotations' order; each is scored and dropped as it arrives, so a
+    generator that predicts chunk by chunk never holds more than a chunk of
+    ``(C, g, g)`` score planes.  Localisation is tallied at every one of
+    ``thresholds`` (``None`` is the filter's own threshold) from the same
+    prediction, so a threshold sweep predicts each frame once;
+    ``thresholds=()`` scores counts only, and ``total_only=True`` only the
+    total count (OD-COF has no per-class output).  Returns the count report
+    and one localisation report per threshold.  A prediction whose frame is
+    not the annotation's at the same position, or predictions that end
+    before the annotations do, raise ``ValueError`` naming the position.
+    """
+    frames = annotations.frames
+    names = annotations.class_names
+    counted = () if total_only else names
+    filter_name = ""
+    # One row per frame: the total count, then each counted class's.
+    predicted_counts: list[list[int]] = []
+    actual_counts: list[list[int]] = []
+    # threshold -> [class, tolerance (0, 1, 2), (tp, fp, fn)]
+    tallies = {threshold: np.zeros((len(names), 3, 3), np.int64) for threshold in thresholds}
+    for position, prediction in enumerate(predictions):
+        if position >= len(frames) or frames[position].frame_index != prediction.frame_index:
+            raise _misaligned(frames, position, prediction.frame_index)
+        annotated = frames[position]
+        filter_name = prediction.filter_name
+        predicted_counts.append([prediction.total_count, *map(prediction.count_of, counted)])
+        actual_counts.append([annotated.total_count, *map(annotated.count_of, counted)])
+        for row, name in enumerate(names if tallies else ()):
+            truth = GridMask(grid=annotations.grid, values=annotated.grid_of(name))
+            for threshold, tally in tallies.items():
+                mask = prediction.location_mask(name, threshold=threshold)
+                for tolerance in range(3):
+                    tally[row, tolerance] += localization_counts(mask, truth, tolerance)
+    scored = len(actual_counts)
+    if scored < len(frames):
+        raise _misaligned(frames, scored, None)
+    dataset_name = dataset_name or annotations.stream_name
+    width = 1 + len(counted)
+    predicted = np.array(predicted_counts, dtype=np.int64).reshape(-1, width)
+    actual = np.array(actual_counts, dtype=np.int64).reshape(-1, width)
+    per_class = [
+        {
+            name: count_accuracy(predicted[:, column], actual[:, column], tolerance)
+            for column, name in enumerate(counted, start=1)
+        }
+        for tolerance in range(3)
+    ]
+    errors = np.abs(predicted[:, 0] - actual[:, 0])
+    counts = CountAccuracyReport(
+        filter_name=filter_name,
+        dataset_name=dataset_name,
+        num_frames=scored,
+        exact=count_accuracy(predicted[:, 0], actual[:, 0], 0),
+        within_1=count_accuracy(predicted[:, 0], actual[:, 0], 1),
+        within_2=count_accuracy(predicted[:, 0], actual[:, 0], 2),
+        per_class_exact=per_class[0],
+        per_class_within_1=per_class[1],
+        per_class_within_2=per_class[2],
+        mean_absolute_error=float(np.mean(errors)) if errors.size else 0.0,
+    )
+    # F1 is micro-averaged over frames (total TP / FP / FN per class across
+    # the whole test set), matching the paper's definition of counting true /
+    # false positives over all frames.
+    localization = {
+        threshold: LocalizationReport(
+            filter_name=filter_name,
+            dataset_name=dataset_name,
+            num_frames=scored,
+            per_class_f1=_per_class_f1(names, tally, 0),
+            per_class_f1_manhattan_1=_per_class_f1(names, tally, 1),
+            per_class_f1_manhattan_2=_per_class_f1(names, tally, 2),
+            micro_f1=f1_from_counts(*tally[:, 0].sum(axis=0).tolist()),
+            micro_f1_manhattan_1=f1_from_counts(*tally[:, 1].sum(axis=0).tolist()),
+            micro_f1_manhattan_2=f1_from_counts(*tally[:, 2].sum(axis=0).tolist()),
+        )
+        for threshold, tally in tallies.items()
+    }
+    return counts, localization
+
+
+def _misaligned(frames: Sequence[AnnotatedFrame], position: int, frame: int | None) -> ValueError:
+    """Predictions (of ``frame``, or ended: ``None``) and annotations part at ``position``."""
+    predicted = "have ended" if frame is None else f"are of frame {frame}"
+    annotated = (
+        f"of frame {frames[position].frame_index}"
+        if position < len(frames)
+        else f"past their end ({len(frames)} frames)"
+    )
+    return ValueError(
+        f"predictions and annotations differ at position {position}: "
+        f"the predictions {predicted}, the annotations are {annotated}"
+    )
+
+
+def _per_class_f1(names: Sequence[str], tally: np.ndarray, tolerance: int) -> dict[str, float]:
+    """Each class's F1 from its ``(tp, fp, fn)`` row of ``tally`` at ``tolerance``."""
+    return {name: f1_from_counts(*tally[row, tolerance].tolist()) for row, name in enumerate(names)}
 
 
 def evaluate_count_filter(
-    frame_filter: FrameFilter,
-    stream: VideoStream,
+    predictions: Iterable[FilterPrediction],
     annotations: AnnotationSet,
     dataset_name: str | None = None,
     total_only: bool = False,
 ) -> CountAccuracyReport:
-    """Evaluate a filter's count estimates against detector annotations.
+    """Count accuracy of a filter's predictions of the annotated frames, in order.
 
     ``total_only=True`` evaluates only the total count (appropriate for the
     OD-COF filter which has no per-class output).
     """
-    class_names = annotations.class_names
-    predicted_totals: list[int] = []
-    actual_totals: list[int] = []
-    predicted_per_class: dict[str, list[int]] = {name: [] for name in class_names}
-    actual_per_class: dict[str, list[int]] = {name: [] for name in class_names}
-
-    for prediction, annotated in _aligned_predictions(frame_filter, stream, annotations):
-        predicted_totals.append(prediction.total_count)
-        actual_totals.append(annotated.total_count)
-        if total_only:
-            continue
-        for name in class_names:
-            predicted_per_class[name].append(prediction.count_of(name))
-            actual_per_class[name].append(annotated.count_of(name))
-
-    predicted_array = np.array(predicted_totals)
-    actual_array = np.array(actual_totals)
-    per_class_exact = {}
-    per_class_1 = {}
-    per_class_2 = {}
-    if not total_only:
-        for name in class_names:
-            per_class_exact[name] = count_accuracy(
-                predicted_per_class[name], actual_per_class[name], 0
-            )
-            per_class_1[name] = count_accuracy(
-                predicted_per_class[name], actual_per_class[name], 1
-            )
-            per_class_2[name] = count_accuracy(
-                predicted_per_class[name], actual_per_class[name], 2
-            )
-    mae = float(np.mean(np.abs(predicted_array - actual_array))) if predicted_array.size else 0.0
-    return CountAccuracyReport(
-        filter_name=frame_filter.name,
-        dataset_name=dataset_name or annotations.stream_name,
-        num_frames=len(annotations),
-        exact=count_accuracy(predicted_array, actual_array, 0),
-        within_1=count_accuracy(predicted_array, actual_array, 1),
-        within_2=count_accuracy(predicted_array, actual_array, 2),
-        per_class_exact=per_class_exact,
-        per_class_within_1=per_class_1,
-        per_class_within_2=per_class_2,
-        mean_absolute_error=mae,
-    )
+    return score_predictions(predictions, annotations, (), total_only, dataset_name)[0]
 
 
 def evaluate_localization(
-    frame_filter: FrameFilter,
-    stream: VideoStream,
+    predictions: Iterable[FilterPrediction],
     annotations: AnnotationSet,
     dataset_name: str | None = None,
     threshold: float | None = None,
 ) -> LocalizationReport:
-    """Evaluate a filter's grid localisation against detector annotations.
-
-    F1 is computed micro-averaged over frames (total TP / FP / FN per class
-    across the whole test set), matching the paper's definition of counting
-    true / false positives over all frames.
-    """
-    class_names = annotations.class_names
-    grid = annotations.grid
-    totals = {
-        name: {tol: [0, 0, 0] for tol in (0, 1, 2)} for name in class_names
-    }
-
-    for prediction, annotated in _aligned_predictions(frame_filter, stream, annotations):
-        for name in class_names:
-            predicted_mask = prediction.location_mask(name, threshold=threshold)
-            actual_mask = GridMask(grid=grid, values=annotated.grid_of(name))
-            for tolerance in (0, 1, 2):
-                tp, fp, fn = localization_counts(predicted_mask, actual_mask, tolerance)
-                totals[name][tolerance][0] += tp
-                totals[name][tolerance][1] += fp
-                totals[name][tolerance][2] += fn
-
-    def f1_from(tp: int, fp: int, fn: int) -> float:
-        if tp == 0 and fp == 0 and fn == 0:
-            return 1.0
-        precision = tp / (tp + fp) if (tp + fp) else 0.0
-        recall = tp / (tp + fn) if (tp + fn) else 0.0
-        if precision + recall == 0:
-            return 0.0
-        return 2 * precision * recall / (precision + recall)
-
-    per_class = {name: f1_from(*totals[name][0]) for name in class_names}
-    per_class_1 = {name: f1_from(*totals[name][1]) for name in class_names}
-    per_class_2 = {name: f1_from(*totals[name][2]) for name in class_names}
-
-    def micro(tolerance: int) -> float:
-        tp = sum(totals[name][tolerance][0] for name in class_names)
-        fp = sum(totals[name][tolerance][1] for name in class_names)
-        fn = sum(totals[name][tolerance][2] for name in class_names)
-        return f1_from(tp, fp, fn)
-
-    return LocalizationReport(
-        filter_name=frame_filter.name,
-        dataset_name=dataset_name or annotations.stream_name,
-        num_frames=len(annotations),
-        per_class_f1=per_class,
-        per_class_f1_manhattan_1=per_class_1,
-        per_class_f1_manhattan_2=per_class_2,
-        micro_f1=micro(0),
-        micro_f1_manhattan_1=micro(1),
-        micro_f1_manhattan_2=micro(2),
-    )
+    """Grid localisation F1 of a filter's predictions of the annotated frames, in order."""
+    scores = score_predictions(predictions, annotations, (threshold,), dataset_name=dataset_name)
+    return scores[1][threshold]

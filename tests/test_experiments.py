@@ -2,14 +2,31 @@
 
 These verify that every table/figure runner produces rows of the documented
 shape; the benchmark harness runs them at the larger (paper-shaped) scale.
+They also pin the unrounded values behind the filter-accuracy rows (Figures
+7, 11 and 15, the ablations, the constraint check) and the prediction passes
+those runners make.
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
+
 import pytest
 
-from repro.experiments import constraint_check, fig7, fig11, fig15, table2, table3, table4
+from repro.experiments import (
+    ablation,
+    constraint_check,
+    context as context_module,
+    fig7,
+    fig11,
+    fig15,
+    table2,
+    table3,
+    table4,
+)
 from repro.experiments.context import ExperimentConfig, get_context
+from repro.filters import evaluate_count_filter, evaluate_localization
 
 TINY = ExperimentConfig(
     train_size=80,
@@ -96,3 +113,80 @@ def test_constraint_check_runs():
     result = constraint_check.run(TINY, dataset_name="jackson", subject_class="car", reference_class="person")
     assert 0.0 <= result["accuracy"] <= 1.0
     assert result["frames"] > 0
+
+
+#: sha256 of ``repr`` of each runner's rows at ``TINY`` with rounding switched
+#: off, i.e. of the unrounded values behind every row.  Taken when every figure
+#: still re-predicted each frame through ``FrameFilter.predict`` (seven
+#: per-frame passes per dataset, and one per threshold in the sweep): scoring
+#: batched passes changed no value.
+PINNED_ROW_DIGESTS = {
+    "fig7": "cbcf07e30ab3053092b5b5ee7475536baa1406dd23388bd0645e4e5c0150710b",
+    "fig11": "4438e5a0ee1526323aad3f4f5365538ae49e9315af4440cd92d5003b73bd5627",
+    "fig15": "e93f0c1b90db8b759801050c122c90ec588b3ba48976bdf8c7f01d3b7cbed695",
+    "branch_depth": "615952444088436b382e7b9a33f469e38caf49cf54137fc8164c3f7b12f72221",
+    "threshold_sweep": "5d9a2758b9608f41e9dd172efe8635280fa83b13b9866e82434b3c2e85da677d",
+    "constraint": "9f2228ff5c7d367780da43bd8118000f95336da4b509370057143b0fabbb8ad5",
+}
+
+
+def test_experiment_rows_keep_their_pinned_unrounded_values(monkeypatch):
+    for module in (fig7, fig11, fig15, ablation, constraint_check):
+        monkeypatch.setattr(module, "round", lambda value, digits=None: value, raising=False)
+    rows = {
+        "fig7": fig7.run(TINY),
+        "fig11": fig11.run(TINY),
+        "fig15": fig15.run(TINY),
+        "branch_depth": ablation.run_branch_depth(TINY),
+        "threshold_sweep": ablation.run_threshold_sweep(TINY),
+        "constraint": constraint_check.run(TINY),
+    }
+    digests = {key: hashlib.sha256(repr(value).encode()).hexdigest() for key, value in rows.items()}
+    assert digests == PINNED_ROW_DIGESTS
+
+
+def _count_predicted_frames(monkeypatch, frame_filter, seen: Counter, key: str) -> None:
+    """Record every frame ``frame_filter`` predicts, under ``key`` (``predict`` is a
+    batch of one, so per-frame calls are counted too)."""
+    predict_batch = frame_filter.predict_batch
+
+    def counting(frames):
+        seen.update((key, frame.index) for frame in frames)
+        return predict_batch(frames)
+
+    monkeypatch.setattr(frame_filter, "predict_batch", counting)
+
+
+def test_figures_and_threshold_sweep_predict_each_test_frame_once(jackson_context, monkeypatch):
+    """Fig 7 + 11 + 15 over one dataset make one pass per filter (Fig 11 and 15
+    read Fig 7's reports), and the threshold sweep one pass whatever the number
+    of thresholds."""
+    monkeypatch.setattr(jackson_context, "_reports", {})
+    seen: Counter = Counter()
+    for key, frame_filter in jackson_context.filters.items():
+        _count_predicted_frames(monkeypatch, frame_filter, seen, key)
+    for figure in (fig7, fig11, fig15):
+        figure.run(TINY, dataset_names=("jackson",))
+    expected = {(key, index): 1 for key in ("ic", "od", "od_cof") for index in TINY.test_indices}
+    assert seen == expected
+    seen.clear()
+    ablation.run_threshold_sweep(TINY, thresholds=(0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5))
+    assert seen == {("od", index): 1 for index in TINY.test_indices}
+
+
+def test_multi_chunk_pass_scores_as_one_prediction_per_frame(jackson_context, monkeypatch):
+    """A pass of several chunks, rendered ahead on the decode-ahead thread,
+    scores exactly as predicting each frame on its own."""
+    monkeypatch.setattr(context_module, "DEFAULT_CHUNK_SIZE", 4)
+    stream = jackson_context.dataset.test
+    annotations = jackson_context.test_annotations
+    for frame_filter in (jackson_context.filters["ic"], jackson_context.od_filter):
+        alone = [frame_filter.predict(stream.frame(index)) for index in TINY.test_indices]
+        assert evaluate_count_filter(
+            jackson_context.test_predictions(frame_filter), annotations
+        ) == evaluate_count_filter(alone, annotations)
+        assert evaluate_localization(
+            jackson_context.test_predictions(frame_filter), annotations
+        ) == evaluate_localization(alone, annotations)
+    chunks = list(jackson_context.predicted_chunks(jackson_context.od_filter))
+    assert [len(frames) for frames, _ in chunks] == [4, 4, 4, 3]

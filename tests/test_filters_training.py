@@ -52,17 +52,45 @@ def test_localization_f1_metric():
     assert (tp, fp, fn) == (0, 1, 1)
 
 
+def _predictions(frame_filter, stream, annotations):
+    """``frame_filter``'s predictions of the annotated frames, in one batch."""
+    return frame_filter.predict_batch([stream.frame(item.frame_index) for item in annotations])
+
+
 def test_trained_od_filter_predicts_reasonably(trained_od_filter, tiny_jackson, jackson_test_annotations):
-    report = evaluate_count_filter(
-        trained_od_filter, tiny_jackson.test, jackson_test_annotations
-    )
+    predictions = _predictions(trained_od_filter, tiny_jackson.test, jackson_test_annotations)
+    report = evaluate_count_filter(predictions, jackson_test_annotations)
     assert report.num_frames == len(jackson_test_annotations)
     assert report.within_1 >= 0.7
     assert 0.0 <= report.exact <= report.within_1 <= report.within_2 <= 1.0
-    localization = evaluate_localization(
-        trained_od_filter, tiny_jackson.test, jackson_test_annotations
-    )
+    localization = evaluate_localization(predictions, jackson_test_annotations)
     assert localization.micro_f1_manhattan_1 >= localization.micro_f1
+
+
+def test_metrics_reject_predictions_misaligned_with_their_annotations(
+    trained_od_filter, tiny_jackson, jackson_test_annotations
+):
+    """Predictions are checked against the annotations at the boundary: a short
+    run and a run shifted by one frame each fail naming the first position
+    where the two part."""
+    annotations = jackson_test_annotations
+    predictions = list(_predictions(trained_od_filter, tiny_jackson.test, annotations))
+    frames = [item.frame_index for item in annotations]
+    short = predictions[:-1]
+    with pytest.raises(ValueError, match=(
+        f"differ at position {len(short)}: the predictions have ended, "
+        f"the annotations are of frame {frames[-1]}"
+    )):
+        evaluate_count_filter(short, annotations)
+    shifted = predictions[1:]
+    with pytest.raises(ValueError, match=(
+        f"differ at position 0: the predictions are of frame {frames[1]}, "
+        f"the annotations are of frame {frames[0]}"
+    )):
+        evaluate_localization(shifted, annotations)
+    with pytest.raises(ValueError, match=f"differ at position {len(frames)}: .* past their end"):
+        calibrate_threshold(predictions + predictions[-1:], annotations)
+    assert evaluate_count_filter(predictions, annotations).num_frames == len(frames)
 
 
 def test_prediction_contents(trained_od_filter, tiny_jackson):
@@ -113,7 +141,9 @@ def test_od_cof_reports_total_count_only(trained_od_cof, tiny_jackson, jackson_t
     assert list(prediction.class_counts) == ["object"]
     assert prediction.location_scores == {}
     report = evaluate_count_filter(
-        trained_od_cof, tiny_jackson.test, jackson_test_annotations, total_only=True
+        _predictions(trained_od_cof, tiny_jackson.test, jackson_test_annotations),
+        jackson_test_annotations,
+        total_only=True,
     )
     assert report.within_2 >= 0.6
 
@@ -129,19 +159,15 @@ def test_ic_and_od_filters_share_interface(trained_ic_filter, trained_od_filter,
 
 
 def test_threshold_calibration(trained_od_filter, tiny_jackson, jackson_test_annotations):
+    predictions = _predictions(trained_od_filter, tiny_jackson.test, jackson_test_annotations)
     calibration = calibrate_threshold(
-        trained_od_filter,
-        tiny_jackson.test,
-        jackson_test_annotations,
-        thresholds=(0.1, 0.2, 0.4),
+        predictions, jackson_test_annotations, thresholds=(0.1, 0.2, 0.4)
     )
     assert calibration.best_threshold in (0.1, 0.2, 0.4)
     assert len(calibration.as_rows()) == 3
     assert max(calibration.micro_f1) == calibration.best_f1
     with pytest.raises(ValueError):
-        calibrate_threshold(
-            trained_od_filter, tiny_jackson.test, jackson_test_annotations, thresholds=()
-        )
+        calibrate_threshold(predictions, jackson_test_annotations, thresholds=())
 
 
 def test_trainer_annotations_are_cached(jackson_trainer):

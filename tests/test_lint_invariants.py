@@ -1,4 +1,4 @@
-"""The invariant lint itself: clean on the tree, and INV007 / INV011 / INV012 / INV013 bite."""
+"""The invariant lint itself: clean on the tree, and INV007 / INV010-INV014 bite."""
 
 from __future__ import annotations
 
@@ -108,6 +108,45 @@ def test_inv007_reports_an_import_time_binding(lint):
     )
     assert len(findings) == 1
     assert findings[0].startswith("INV007 sample.py:3: `from repro.hooks import injector`")
+
+
+def _inv010(lint, source: str, **allowed) -> list[str]:
+    return lint.gate_and_predict_findings(
+        ast.parse(textwrap.dedent(source)), "sample.py", **allowed
+    )
+
+
+def test_inv010_accepts_batched_prediction_and_the_base_fallback(lint):
+    assert _inv010(
+        lint,
+        """
+        def score(context, frame_filter):
+            for frames, batch in context.predicted_chunks(frame_filter):
+                yield from frame_filter.predict_batch(frames)
+        """,
+    ) == []
+    fallback = """
+        def predict_batch(self, frames):
+            return tuple(self.predict(frame) for frame in frames)
+        """
+    assert _inv010(lint, fallback, predict_fallback=True) == []
+    assert len(_inv010(lint, fallback)) == 1
+
+
+def test_inv010_reports_a_per_frame_predict_anywhere_in_src(lint):
+    findings = _inv010(
+        lint,
+        """
+        def check(stream, od_filter, indices):
+            for index in indices:
+                prediction = od_filter.predict(stream.frame(index))
+                gate.decide(prediction)
+        """,
+    )
+    assert [finding.split(" — ")[0] for finding in findings] == [
+        "INV010 sample.py:4: per-frame .predict() under src/repro/",
+        "INV010 sample.py:5: .decide() drives a DeltaGate outside repro/query/temporal.py",
+    ]
 
 
 def _inv011(lint, source: str) -> list[str]:

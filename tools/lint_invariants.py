@@ -59,10 +59,13 @@ script exits non-zero when any rule is violated.
 * **INV010 — one gate loop, one cascade walk.**  ``DeltaGate.decide`` /
   ``set_keyframe`` / ``replace_outcome`` may only be called inside
   ``repro/query/temporal.py`` (``TemporalScan`` is the one gate loop; its
-  callers supply callbacks), and no module under ``repro/query/`` may call a
-  filter's per-frame ``.predict(``: every frame evaluation goes through
-  ``run_filter_chunk``'s ``predict_batch``, a chunk of one included.  A
-  third gate loop or a second cascade walk fails CI here.
+  callers supply callbacks), and no module under ``src/repro/`` may call a
+  filter's per-frame ``.predict(`` except ``FrameFilter.predict_batch``'s
+  fallback in ``repro/filters/base.py``: a scan predicts through
+  ``run_filter_chunk``'s ``predict_batch`` (a chunk of one included), and the
+  experiments through ``ExperimentContext.predicted_chunks``.  A third gate
+  loop, a second cascade walk or a second, per-frame way of scoring a filter
+  fails CI here.
 * **INV011 — decode-ahead pools are constructed in exactly one place.**
   Under ``src/repro/``, ``FramePrefetcher(...)`` may only be called inside
   ``decode_ahead``, the context manager that closes the pool on every exit
@@ -409,27 +412,49 @@ def check_registry_mutation_locked(findings: list[str]) -> None:
 #: the DeltaGate methods that make up the gate loop (INV010)
 GATE_LOOP_METHODS = {"decide", "set_keyframe", "replace_outcome"}
 TEMPORAL = SRC / "query" / "temporal.py"
+#: the one module that may call ``.predict(`` (the base ``predict_batch`` fallback)
+FILTER_BASE = SRC / "filters" / "base.py"
+
+
+def gate_and_predict_findings(
+    tree: ast.Module, where: str, gate_loop: bool = False, predict_fallback: bool = False
+) -> list[str]:
+    """INV010 over one parsed module; ``where`` labels the findings.
+
+    ``gate_loop`` marks the module that may drive a ``DeltaGate``,
+    ``predict_fallback`` the one that may call ``.predict(``.
+    """
+    findings: list[str] = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        method = node.func.attr
+        if method in GATE_LOOP_METHODS and not gate_loop:
+            findings.append(
+                f"INV010 {where}:{node.lineno}: .{method}() "
+                "drives a DeltaGate outside repro/query/temporal.py — "
+                "TemporalScan is the one gate loop; give it callbacks"
+            )
+        if method == "predict" and not predict_fallback:
+            findings.append(
+                f"INV010 {where}:{node.lineno}: per-frame .predict() under src/repro/ — "
+                "predict chunks through predict_batch (run_filter_chunk in a scan, "
+                "ExperimentContext.predicted_chunks in an experiment); a chunk of "
+                "one is still a chunk"
+            )
+    return findings
 
 
 def check_one_gate_loop_one_cascade_walk(findings: list[str]) -> None:
     for path in sorted(SRC.rglob("*.py")):
-        in_query = path.parent == SRC / "query"
-        for node in ast.walk(_parse(path)):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            method = node.func.attr
-            if method in GATE_LOOP_METHODS and path != TEMPORAL:
-                findings.append(
-                    f"INV010 {path.relative_to(REPO)}:{node.lineno}: .{method}() "
-                    "drives a DeltaGate outside repro/query/temporal.py — "
-                    "TemporalScan is the one gate loop; give it callbacks"
-                )
-            if method == "predict" and in_query:
-                findings.append(
-                    f"INV010 {path.relative_to(REPO)}:{node.lineno}: per-frame "
-                    ".predict() under repro/query/ — evaluate frames through "
-                    "run_filter_chunk (a chunk of one is still a chunk)"
-                )
+        findings.extend(
+            gate_and_predict_findings(
+                _parse(path),
+                str(path.relative_to(REPO)),
+                gate_loop=path == TEMPORAL,
+                predict_fallback=path == FILTER_BASE,
+            )
+        )
 
 
 ORACLE = SRC / "query" / "oracle.py"
