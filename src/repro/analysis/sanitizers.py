@@ -32,10 +32,8 @@ that pattern):
   same chunks under the coverage masks they were dispatched with,
   sequentially and uncharged, on a deep copy of the cascades and reports
   the first divergent chunk (a quarantined chunk merged nothing and is
-  skipped).  Cascade steps are conjunctive, so
-  the digest is invariant under adaptive step reordering; any divergence is
-  real nondeterminism (state leaking between workers, an order-dependent
-  check, a thread-dependent filter).
+  skipped).  Any divergence is real nondeterminism (state leaking between
+  workers, an order-dependent check, a thread-dependent filter).
 
 ``strict`` sessions (the default through ``ParallelConfig``) raise
 :class:`~repro.analysis.diagnostics.AnalysisError` at the first
@@ -394,18 +392,14 @@ class SanitizerSession:
         """Re-run the merged chunks sequentially and diff the digests (RC004).
 
         Each chunk is re-run over the frames and ``covered`` masks recorded
-        at its merge, charging no clock, on a deep copy of the cascades with
-        identity step orders; cascade steps are conjunctive, so a digest
-        mismatch means the parallel run's survivors genuinely diverged.
+        at its merge, charging no clock, on a deep copy of the cascades, so a
+        digest mismatch means the parallel run's survivors genuinely diverged.
         """
         if not self.determinism:
             return
         from repro.query.parallel import run_filter_chunk
 
         reference = copy.deepcopy(list(query_cascades))
-        identity_orders = [
-            tuple(range(len(cascade.steps))) for cascade in reference
-        ]
         with self._mu:
             merged = dict(self._chunk_digests)
         for chunk_id in sorted(merged):
@@ -416,7 +410,7 @@ class SanitizerSession:
             frames = [stream.frame(index) for index in chunk]
             expected = chunk_digest(
                 run_filter_chunk(
-                    None, reference, assignments, covered, identity_orders, frames
+                    None, reference, assignments, covered, frames
                 ).alive
             )
             if observed != expected:

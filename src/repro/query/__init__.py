@@ -39,12 +39,7 @@ from repro.query.planner import (
     replan_order,
     shared_step_key,
 )
-from repro.query.parallel import (
-    CascadeProfiler,
-    ParallelConfig,
-    ParallelStats,
-    PlanRevision,
-)
+from repro.query.parallel import ParallelConfig, ParallelStats
 from repro.query.results import (
     AggregateExecutionResult,
     ExecutionStats,
@@ -94,8 +89,6 @@ __all__ = [
     "LocationCheck",
     "ParallelConfig",
     "ParallelStats",
-    "PlanRevision",
-    "CascadeProfiler",
     "StreamingQueryExecutor",
     "QueryExecutionResult",
     "MultiQueryExecutionResult",

@@ -92,19 +92,18 @@ class _RegionClause:
     builder: "QueryBuilder"
     class_name: str
     region: Region
-    inside: bool
 
     def at_least(self, value: int) -> "QueryBuilder":
         return self.builder._add(
             RegionPredicate(
-                self.class_name, self.region, ComparisonOperator.AT_LEAST, value, self.inside
+                self.class_name, self.region, ComparisonOperator.AT_LEAST, value
             )
         )
 
     def exactly(self, value: int) -> "QueryBuilder":
         return self.builder._add(
             RegionPredicate(
-                self.class_name, self.region, ComparisonOperator.EQUAL, value, self.inside
+                self.class_name, self.region, ComparisonOperator.EQUAL, value
             )
         )
 
@@ -134,18 +133,14 @@ class QueryBuilder:
 
     def in_region(self, class_name: str, region: Region) -> _RegionClause:
         """Start a region predicate: objects of ``class_name`` inside ``region``."""
-        return _RegionClause(self, class_name, region, inside=True)
-
-    def not_in_region(self, class_name: str, region: Region) -> _RegionClause:
-        """Start a region predicate: objects of ``class_name`` outside ``region``."""
-        return _RegionClause(self, class_name, region, inside=False)
+        return _RegionClause(self, class_name, region)
 
     def in_quadrant(
         self, class_name: str, quadrant: Quadrant, frame_width: int, frame_height: int
     ) -> _RegionClause:
         """Region predicate for one of the four screen quadrants."""
         region = quadrant_region(quadrant, frame_width, frame_height)
-        return _RegionClause(self, class_name, region, inside=True)
+        return _RegionClause(self, class_name, region)
 
     def color(self, class_name: str, color: str) -> "QueryBuilder":
         """Require at least one object of ``class_name`` with the given color."""

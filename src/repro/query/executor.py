@@ -176,11 +176,7 @@ class StreamingQueryExecutor:
         overrides the config's chunk size (parallel execution *is* batched
         execution, distributed).  Combined with ``temporal`` the gating
         stays sequential (reuse decisions are inherently order-dependent)
-        and parallelism contributes decode-ahead rendering only.  With
-        ``parallel.adaptive`` the cascade order is re-planned mid-stream
-        from observed pass rates; every reorder is logged in
-        ``stats.plan_revisions`` and the matched frames are unaffected
-        (conjunctive steps commute).
+        and parallelism contributes decode-ahead rendering only.
 
         The scan is the shared scan of :meth:`execute_many` with one query,
         so its counters are the work actually performed: under ``temporal``
@@ -290,8 +286,6 @@ class StreamingQueryExecutor:
         worker pool exactly as in :meth:`execute` — the cross-query
         prediction cache lives per chunk, so sharing is unaffected — with
         the detector phase and predicate evaluation at the in-order merge.
-        Adaptive re-planning profiles each query's cascade independently;
-        per-query ``stats.plan_revisions`` carry the reorders.
         """
         queries = list(queries)
         if not queries:

@@ -1,4 +1,4 @@
-"""Parallel pipelined execution: worker pools, decode-ahead prefetch, re-planning.
+"""Parallel pipelined execution: worker pools and decode-ahead prefetch.
 
 The batched executor (PR 1) amortises numpy call overhead but still runs
 every stage on one core: render a chunk, filter it, verify the survivors,
@@ -28,17 +28,6 @@ absorbs the chunks' breakdowns into the main clock in chunk order
 (:meth:`~repro.cost.SimulatedClock.absorb`), and
 the per-worker totals are reported in a
 :class:`~repro.cost.ParallelCostReport` alongside the run's wall clock.
-
-**Adaptive runtime re-planning** rides on the ordered merge stream: a
-:class:`CascadeProfiler` watches each step's live pass rate over a sliding
-window and, when the observed cost per rejection says the planned order is
-wasting filter milliseconds (a planning-time estimate was wrong, or the
-stream drifted), feeds the rates to
-:meth:`~repro.query.planner.QueryPlanner.replan` and switches subsequently
-*submitted* chunks to the corrected order.  Cascade steps are conjunctive,
-so reordering never changes which frames survive — every revision is logged
-as a :class:`PlanRevision` on the execution's stats, and ``adaptive`` is off
-by default.
 """
 
 from __future__ import annotations
@@ -49,7 +38,6 @@ import queue
 import threading
 import time
 from bisect import bisect_left
-from collections import deque
 from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from contextlib import closing, contextmanager, nullcontext
@@ -60,12 +48,7 @@ from repro import hooks
 from repro.cost import CostBreakdown, ParallelCostReport, SimulatedClock
 from repro.faults.injector import FaultError, FaultExhausted
 from repro.filters.base import FilterPrediction, FrameFilter
-from repro.query.planner import (
-    FilterCascade,
-    QueryPlanner,
-    expected_cascade_cost_ms,
-    replan_order,
-)
+from repro.query.planner import FilterCascade
 from repro.video.stream import Frame, VideoStream
 
 #: chunks the decode-ahead prefetcher keeps rendered ahead of submission, and
@@ -88,16 +71,6 @@ class ParallelConfig:
     concurrently while the prefetcher keeps ``PREFETCH_DEPTH`` further chunks
     rendered ahead of submission.  Workers are threads; DESIGN.md "Parallel
     pipeline" records the measurement that retired the process pool.
-
-    ``adaptive=True`` enables mid-stream re-planning: every
-    ``adaptive_interval`` merged observations the profiler compares the
-    current step order against the order implied by the pass rates observed
-    over the last ``adaptive_window`` observations (ignoring steps with fewer
-    than ``adaptive_min_evaluated`` evaluated frames) and switches when the
-    expected per-frame filter cost improves by at least
-    ``adaptive_margin``x.  Off by default: the reorder is always
-    output-preserving, but cost accounting then depends on the observed
-    stream rather than the planned order.
 
     ``supervise=True`` turns on worker supervision (see
     :class:`WorkerSupervisor`): a chunk whose worker dies
@@ -124,11 +97,6 @@ class ParallelConfig:
 
     num_workers: int = 4
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    adaptive: bool = False
-    adaptive_window: int = 32
-    adaptive_interval: int = 8
-    adaptive_margin: float = 1.2
-    adaptive_min_evaluated: int = 16
     sanitize: str | None = None
     sanitize_strict: bool = True
     supervise: bool = False
@@ -140,16 +108,6 @@ class ParallelConfig:
             raise ValueError(f"num_workers must be positive: {self.num_workers}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be positive: {self.chunk_size}")
-        if self.adaptive_window < 1 or self.adaptive_interval < 1:
-            raise ValueError("adaptive_window and adaptive_interval must be positive")
-        if self.adaptive_margin < 1.0:
-            raise ValueError(
-                f"adaptive_margin must be >= 1.0: {self.adaptive_margin}"
-            )
-        if self.adaptive_min_evaluated < 1:
-            raise ValueError(
-                f"adaptive_min_evaluated must be positive: {self.adaptive_min_evaluated}"
-            )
         if self.worker_timeout_seconds <= 0.0:
             raise ValueError(
                 f"worker_timeout_seconds must be positive: {self.worker_timeout_seconds}"
@@ -176,38 +134,6 @@ class ParallelConfig:
 
 
 @dataclass(frozen=True)
-class PlanRevision:
-    """One mid-stream cascade reorder performed by the adaptive re-planner.
-
-    ``old_order`` / ``new_order`` hold the cascade's step positions (indices
-    into the *planned* cascade) in execution order before and after the
-    revision; ``step_names`` names the steps by planned position so the
-    orders are readable.  ``observed_pass_rates`` are the sliding-window pass
-    rates (by planned position, ``None`` = too few observations) that drove
-    the decision, and ``expected_gain`` the predicted per-frame filter-cost
-    ratio old/new under those rates.  ``at_frame`` is the stream index at
-    whose in-order merge point the revision was adopted; work submitted
-    after that point runs the new order (chunks already in flight finish
-    under the old one — harmless, since both orders pass the same frames).
-    """
-
-    at_frame: int
-    old_order: tuple[int, ...]
-    new_order: tuple[int, ...]
-    step_names: tuple[str, ...]
-    observed_pass_rates: tuple[float | None, ...]
-    expected_gain: float
-
-    def describe(self) -> str:
-        old = " -> ".join(self.step_names[position] for position in self.old_order)
-        new = " -> ".join(self.step_names[position] for position in self.new_order)
-        return (
-            f"frame {self.at_frame}: [{old}] => [{new}] "
-            f"(expected {self.expected_gain:.2f}x)"
-        )
-
-
-@dataclass(frozen=True)
 class ParallelStats:
     """Telemetry of one parallel pipelined execution.
 
@@ -220,107 +146,6 @@ class ParallelStats:
     chunk_size: int
     num_chunks: int
     cost: ParallelCostReport
-
-
-class CascadeProfiler:
-    """Sliding-window selectivity/cost profiler driving adaptive re-planning.
-
-    A session builds one per query iff its config is ``adaptive``.  It is
-    told, for every evaluated chunk (a chunk of one on the temporal path),
-    how many frames each cascade step evaluated and passed — *in
-    planned-step positions*, so the bookkeeping is independent of the order
-    currently executing.  Every ``adaptive_interval`` observations
-    :meth:`consider` turns the window into per-step pass rates, asks
-    :func:`~repro.query.planner.replan_order` for the order those rates
-    imply, and adopts it iff the expected per-frame filter cost improves by
-    ``adaptive_margin``x (the margin plus the evaluation floor keep
-    borderline rates from making the order flap).  Observed rates are
-    conditional on the order that produced them — the classic independence
-    approximation of filter ordering, same as planning-time selectivity
-    measurement.
-    """
-
-    #: what a checkpoint carries (:meth:`state_dict`): the adopted order and
-    #: its log, and the window the next decision will be made from
-    _STATE_FIELDS = ("order", "revisions", "_window", "_totals", "_since_consider")
-
-    def __init__(self, cascade: FilterCascade, config: ParallelConfig) -> None:
-        self._cascade = cascade
-        self._config = config
-        self._latencies = [step.frame_filter.latency_ms for step in cascade.steps]
-        self._names = tuple(step.name for step in cascade.steps)
-        self._window: deque[Sequence[tuple[int, int]]] = deque()
-        self._totals = [[0, 0] for _ in cascade.steps]
-        self._since_consider = 0
-        self.order: tuple[int, ...] = tuple(range(len(cascade.steps)))
-        self.revisions: list[PlanRevision] = []
-
-    def observe(self, step_stats: Sequence[tuple[int, int]], at_frame: int) -> None:
-        """Record one merged observation; maybe revise the order.
-
-        ``step_stats[p]`` is ``(evaluated, passed)`` for planned step ``p``;
-        ``at_frame`` is the stream index of the merge point, recorded on any
-        revision this observation triggers.
-        """
-        self._window.append(tuple(step_stats))
-        for position, (evaluated, passed) in enumerate(step_stats):
-            self._totals[position][0] += evaluated
-            self._totals[position][1] += passed
-        while len(self._window) > self._config.adaptive_window:
-            expired = self._window.popleft()
-            for position, (evaluated, passed) in enumerate(expired):
-                self._totals[position][0] -= evaluated
-                self._totals[position][1] -= passed
-        self._since_consider += 1
-        if self._since_consider >= self._config.adaptive_interval:
-            self._since_consider = 0
-            self.consider(at_frame)
-
-    def pass_rates(self) -> tuple[float | None, ...]:
-        """Windowed pass rate per planned step (``None`` below the evaluation floor)."""
-        floor = self._config.adaptive_min_evaluated
-        return tuple(
-            passed / evaluated if evaluated >= floor else None
-            for evaluated, passed in self._totals
-        )
-
-    def replanned_cascade(self) -> FilterCascade:
-        """The cascade reordered to the profiler's current order (via :meth:`QueryPlanner.replan`)."""
-        return QueryPlanner.replan(self._cascade, self.pass_rates())
-
-    def consider(self, at_frame: int) -> PlanRevision | None:
-        """Adopt the order the observed rates imply, if it pays; the one re-plan decision."""
-        rates = self.pass_rates()
-        candidate = replan_order(self._latencies, rates)
-        if candidate == self.order:
-            return None
-        current_cost = expected_cascade_cost_ms(self._latencies, rates, self.order)
-        candidate_cost = expected_cascade_cost_ms(self._latencies, rates, candidate)
-        if candidate_cost <= 0.0:
-            return None
-        gain = current_cost / candidate_cost
-        if gain < self._config.adaptive_margin:
-            return None
-        revision = PlanRevision(
-            at_frame=at_frame,
-            old_order=self.order,
-            new_order=candidate,
-            step_names=self._names,
-            observed_pass_rates=rates,
-            expected_gain=gain,
-        )
-        self.revisions.append(revision)
-        self.order = candidate
-        return revision
-
-    def state_dict(self) -> dict:
-        """Checkpointable profiler state (see :meth:`ScanSession.checkpoint`)."""
-        return {name: copy.deepcopy(getattr(self, name)) for name in self._STATE_FIELDS}
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output into a profiler of the same cascade."""
-        for name in self._STATE_FIELDS:
-            setattr(self, name, copy.deepcopy(state[name]))
 
 
 # ----------------------------------------------------------------------
@@ -336,15 +161,13 @@ class FilteredChunk:
     work a standalone run of ``q`` would have paid (calls per
     ``(component, latency_ms)``), ``computed`` the frames each filter
     component was actually evaluated on (what a temporal reuse of the chunk
-    avoids) and ``step_stats[q][p]`` the ``(evaluated, passed)`` counts of
-    planned step ``p`` for the profiler.
+    avoids).
     """
 
     alive: tuple[tuple[int, ...], ...]
     invocations: tuple[int, ...]
     attributed: tuple[dict[tuple[str, float], int], ...]
     computed: dict[str, int]
-    step_stats: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -368,7 +191,6 @@ def run_filter_chunk(
     query_cascades: Sequence[FilterCascade],
     assignments: Sequence[Sequence[int]],
     covered: Sequence[Sequence[bool]] | None,
-    orders: Sequence[Sequence[int]],
     frames: Sequence[Frame],
 ) -> FilteredChunk:
     """Run every query's cascade over one chunk of frames.
@@ -378,10 +200,9 @@ def run_filter_chunk(
     frame (cross-query prediction cache keyed by filter identity), deduped
     steps share their pass/fail outcome, and each query's attribution counts
     what a standalone run would have paid.  ``covered[q][k]`` masks frames
-    outside query ``q``'s window coverage (``None`` = all frames covered);
-    ``orders[q]`` is the execution order over cascade ``q``'s planned step
-    positions (the adaptive re-planner's output; identity when static).
-    Each ``predict_batch`` is charged to ``clock`` as it returns; ``None``
+    outside query ``q``'s window coverage (``None`` = all frames covered).
+    Every cascade's steps run in their planned order.  Each
+    ``predict_batch`` is charged to ``clock`` as it returns; ``None``
     charges nothing (exact-mode verification, the determinism re-run).
     """
     if hooks.injector is not None:
@@ -394,9 +215,6 @@ def run_filter_chunk(
     alive_indices: list[tuple[int, ...]] = []
     filter_invocations = [0] * num_queries
     attributed: list[dict[tuple[str, float], int]] = [{} for _ in range(num_queries)]
-    step_stats: list[list[tuple[int, int]]] = [
-        [(0, 0)] * len(cascade.steps) for cascade in query_cascades
-    ]
     computed: dict[str, int] = {}
     predictions: dict[tuple, dict[int, FilterPrediction]] = {}
     outcomes: dict[tuple[int, int], bool] = {}
@@ -408,11 +226,9 @@ def run_filter_chunk(
         else:
             alive = [k for k in range(len(frames)) if covered[position][k]]
         counted: dict[int, set[tuple]] = {}
-        for step_position in orders[position]:
+        for step, unique_position in zip(cascade.steps, step_positions):
             if not alive:
                 break
-            step = cascade.steps[step_position]
-            unique_position = step_positions[step_position]
             identity = step.frame_filter.identity
             per_filter = predictions.setdefault(identity, {})
             missing = [k for k in alive if k not in per_filter]
@@ -440,7 +256,6 @@ def run_filter_chunk(
                     outcomes[outcome_key] = step.passes(per_filter[k])
                 if outcomes[outcome_key]:
                     still_alive.append(k)
-            step_stats[position][step_position] = (len(alive), len(still_alive))
             alive = still_alive
         alive_indices.append(tuple(frames[k].index for k in alive))
     return FilteredChunk(
@@ -448,7 +263,6 @@ def run_filter_chunk(
         invocations=tuple(filter_invocations),
         attributed=tuple(attributed),
         computed=computed,
-        step_stats=tuple(map(tuple, step_stats)),
     )
 
 
@@ -457,7 +271,6 @@ def filter_with_retry(
     query_cascades: Sequence[FilterCascade],
     assignments: Sequence[Sequence[int]],
     covered: Sequence[Sequence[bool]] | None,
-    orders: Sequence[Sequence[int]],
     frames: Sequence[Frame],
     charged: bool = True,
 ) -> FilteredChunk:
@@ -479,10 +292,10 @@ def filter_with_retry(
             frames[0].index,
             clock,
             lambda: run_filter_chunk(
-                calls_clock, query_cascades, assignments, covered, orders, frames
+                calls_clock, query_cascades, assignments, covered, frames
             ),
         )
-    return run_filter_chunk(calls_clock, query_cascades, assignments, covered, orders, frames)
+    return run_filter_chunk(calls_clock, query_cascades, assignments, covered, frames)
 
 
 # ----------------------------------------------------------------------
@@ -644,7 +457,6 @@ class _Worker:
         self,
         chunk_id: int,
         covered: Sequence[Sequence[bool]] | None,
-        orders: Sequence[Sequence[int]],
         frames: Sequence[Frame],
     ) -> ChunkOutcome:
         """Filter one chunk; the outcome carries exactly what the chunk charged.
@@ -657,7 +469,7 @@ class _Worker:
         """
         self.clock.reset()
         filtered = filter_with_retry(
-            self.clock, self.cascades, self.assignments, covered, orders, frames
+            self.clock, self.cascades, self.assignments, covered, frames
         )
         return ChunkOutcome(chunk_id, self.label, filtered, self.clock.snapshot())
 
@@ -697,7 +509,6 @@ def _apply_worker_directive(directive: tuple[str, float] | None, chunk_id: int) 
 def _filter_task(
     chunk_id: int,
     covered: Sequence[Sequence[bool]] | None,
-    orders: Sequence[Sequence[int]],
     directive: tuple[str, float] | None,
     frames: Sequence[Frame],
 ) -> ChunkOutcome:
@@ -710,23 +521,17 @@ def _filter_task(
     else:
         window = nullcontext()
     with window:
-        return worker.filter_chunk(chunk_id, covered, orders, frames)
+        return worker.filter_chunk(chunk_id, covered, frames)
 
 
 @dataclass(slots=True, eq=False)
 class ChunkDispatch:
-    """One dispatched chunk and everything needed to re-dispatch it.
-
-    ``orders`` are the step orders stamped at *original* submission time;
-    a re-dispatch reuses them even if the adaptive profiler has moved on,
-    so a recovered run stays bit-identical to a fault-free one.
-    """
+    """One dispatched chunk and everything needed to re-dispatch it."""
 
     chunk_id: int
     indices: list[int]
     frames: list[Frame]
     covered: Sequence[Sequence[bool]] | None
-    orders: Sequence[Sequence[int]]
     future: Future | None = None
     generation: int = 0
     attempts: int = 0
@@ -807,9 +612,8 @@ class WorkerSupervisor:
         indices: Sequence[int],
         frames: list[Frame],
         covered: Sequence[Sequence[bool]] | None,
-        orders: Sequence[Sequence[int]],
     ) -> ChunkDispatch:
-        entry = ChunkDispatch(chunk_id, list(indices), frames, covered, orders)
+        entry = ChunkDispatch(chunk_id, list(indices), frames, covered)
         self._dispatch(entry)
         return entry
 
@@ -825,8 +629,7 @@ class WorkerSupervisor:
             directive = hooks.injector.worker_directive(entry.chunk_id)
         try:
             entry.future = self._pool.submit(
-                _filter_task, entry.chunk_id, entry.covered, entry.orders, directive,
-                entry.frames,
+                _filter_task, entry.chunk_id, entry.covered, directive, entry.frames
             )
         except BrokenExecutor as error:
             # A sibling's failure can break the pool before this chunk even

@@ -260,19 +260,17 @@ def order_cascade_by_selectivity(
 
 
 # ----------------------------------------------------------------------
-# Runtime re-planning (adaptive execution)
+# Ordering steps by pass rate
 # ----------------------------------------------------------------------
 def replan_order(
     latencies_ms: Sequence[float], pass_rates: Sequence[float | None]
 ) -> tuple[int, ...]:
-    """Step order (as positions) by observed cost per rejection, ascending.
+    """Step order (as positions) by measured cost per rejection, ascending.
 
-    ``pass_rates[i]`` is the observed fraction of evaluated frames step ``i``
-    let through (``None`` when the step has not been observed — e.g. an
-    earlier step rejected every frame before it ran), in which case the step
-    keeps a :func:`cost_per_rejection` of ``inf`` and sorts to the back.  The
-    sort is stable, so ties preserve the current relative order and replanning
-    with unchanged rates is a no-op.
+    ``pass_rates[i]`` is the measured fraction of evaluated frames step ``i``
+    let through (``None`` when the step has no measurement), in which case
+    the step keeps a :func:`cost_per_rejection` of ``inf`` and sorts to the
+    back.  The sort is stable, so ties preserve the current relative order.
     """
     if len(latencies_ms) != len(pass_rates):
         raise ValueError(
@@ -286,39 +284,14 @@ def replan_order(
     )
 
 
-def expected_cascade_cost_ms(
-    latencies_ms: Sequence[float],
-    pass_rates: Sequence[float | None],
-    order: Sequence[int],
-) -> float:
-    """Expected per-frame filter cost of running the steps in ``order``.
-
-    Uses the classic independence approximation: a step's observed pass rate
-    is treated as its unconditional selectivity, so the fraction of frames
-    reaching step ``k`` is the product of the earlier steps' rates.
-    Unobserved steps (rate ``None``) are assumed to pass everything — the
-    conservative choice, since assuming selectivity for a step that never ran
-    would justify reorderings on no evidence.
-    """
-    surviving = 1.0
-    total = 0.0
-    for position in order:
-        total += latencies_ms[position] * surviving
-        rate = pass_rates[position]
-        surviving *= 1.0 if rate is None else rate
-    return total
-
-
 def replan_cascade(
     cascade: FilterCascade, pass_rates: Sequence[float | None]
 ) -> FilterCascade:
-    """Reorder ``cascade`` by *observed* cost per rejection.
+    """Reorder ``cascade`` by the cost per rejection its ``pass_rates`` imply.
 
-    The runtime counterpart of :func:`order_cascade_by_selectivity`: instead
-    of a planning-time sample prefix, ``pass_rates`` come from a live
-    profiler watching the execution (see
-    :class:`~repro.query.parallel.CascadeProfiler`).  Steps are annotated
-    with the observed rates; because cascade steps are conjunctive, the
+    The ordering rule of :func:`order_cascade_by_selectivity`, which hands
+    it the pass rates measured on a planning-time sample.  Steps are
+    annotated with the rates; because cascade steps are conjunctive, the
     reordered cascade passes exactly the same frames.
     """
     if len(pass_rates) != len(cascade.steps):
@@ -524,23 +497,6 @@ class QueryPlanner:
             raise ValueError("the planner needs at least one trained filter")
         self.filters = dict(filters)
         self.config = config or PlannerConfig()
-
-    @staticmethod
-    def replan(
-        cascade: FilterCascade, pass_rates: Sequence[float | None]
-    ) -> FilterCascade:
-        """Reorder a cascade mid-stream from *observed* pass rates.
-
-        The adaptive execution layer's entry point: a runtime profiler (see
-        :class:`~repro.query.parallel.CascadeProfiler`) watches each step's
-        live pass rate over a sliding window and, when the observed cost per
-        rejection diverges from the order the cascade was planned with, feeds
-        the rates here to obtain the corrected order.  Reordering conjunctive
-        steps never changes which frames survive — only where the filter
-        milliseconds go.  A static method: replanning needs no filter
-        registry, only the cascade and the evidence.
-        """
-        return replan_cascade(cascade, pass_rates)
 
     def _primary_filter(self) -> FrameFilter:
         preferred = self.config.family

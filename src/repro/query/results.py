@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # annotations only: a runtime import would make this no leaf
     from repro.aggregates.monitor import MonitoringReport
     from repro.analysis.diagnostics import AnalysisReport
     from repro.faults.injector import FaultReport
-    from repro.query.parallel import ParallelStats, PlanRevision
+    from repro.query.parallel import ParallelStats
     from repro.query.session import QueryState
     from repro.query.temporal import TemporalStats
 
@@ -53,9 +53,6 @@ class ExecutionStats:
     wall_clock_seconds: float
     #: chunk size of the batched execution mode; ``None`` = sequential
     batch_size: int | None = None
-    #: mid-stream cascade reorders performed by the adaptive re-planner
-    #: (empty unless ``ParallelConfig(adaptive=True)`` was in effect)
-    plan_revisions: tuple[PlanRevision, ...] = ()
     #: worker/prefetch telemetry of a parallel pipelined execution
     #: (``None`` when the scan ran without a ``ParallelConfig``)
     parallel: ParallelStats | None = None
@@ -373,9 +370,6 @@ def query_result(
             simulated_cost=cost,
             wall_clock_seconds=wall_clock_seconds,
             batch_size=batch_size,
-            plan_revisions=(
-                tuple(state.profiler.revisions) if state.profiler is not None else ()
-            ),
             faults=faults,
         ),
         windows=windows,

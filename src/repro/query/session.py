@@ -100,7 +100,6 @@ from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.faults.injector import FaultExhausted, QuarantineRecord, current_report
 from repro.query.parallel import (
     PREFETCH_DEPTH,
-    CascadeProfiler,
     ChunkDispatch,
     FilteredChunk,
     ParallelConfig,
@@ -119,12 +118,12 @@ from repro.query.temporal import (
 from repro.video.stream import Frame
 
 #: Version tag of the :meth:`ScanSession.checkpoint` payload schema.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: What a checkpoint carries, named once for :meth:`ScanSession.checkpoint`
 #: and :meth:`ScanSession.restore` alike: the :class:`QueryState` fields a
 #: restore cannot rebuild from ``add_query`` (``key`` is compared, not
-#: loaded; the profiler and wall-clock fields are handled apart), and the
+#: loaded; the wall-clock fields are handled apart), and the
 #: session attributes that are plain values.
 _STATE_FIELDS = (
     "origin",
@@ -201,7 +200,6 @@ class QueryState:
     matched: list[int] = field(default_factory=list)
     filter_invocations: int = 0
     attributed: dict[tuple[str, float], int] = field(default_factory=dict)
-    profiler: CascadeProfiler | None = None
     budget: QueryBudget | None = None
     violations: list[BudgetViolation] = field(default_factory=list)
     violated_kinds: set[str] = field(default_factory=set)
@@ -249,10 +247,7 @@ class ScanSession:
     ``num_workers + PREFETCH_DEPTH`` chunks in flight; results, counters and
     clock history are identical to the inline path); the pool is built
     at the first pushed chunk, and :meth:`set_parallel` moves the filter
-    phase on or off a pool between chunks.  With
-    ``parallel.adaptive`` every query gets a
-    :class:`~repro.query.parallel.CascadeProfiler` that re-plans its step
-    order from observed pass rates.  ``temporal`` applies
+    phase on or off a pool between chunks.  ``temporal`` applies
     delta gating across chunk boundaries with a resumable
     :class:`~repro.query.temporal.TemporalScan` — only ``max_stride=1`` is
     supported (striding needs the whole index sequence up front, which a
@@ -426,10 +421,6 @@ class ScanSession:
             registered_wall=time.perf_counter(),
             next_window_start=origin,
         )
-        if self._parallel is not None and self._parallel.adaptive:
-            # The evaluation and chunk submission read its step order, the
-            # in-order merge feeds it.
-            state.profiler = CascadeProfiler(cascade, self._parallel)
         self._states.append(state)
         self._invalidate_plan()
         return state.sid
@@ -619,17 +610,6 @@ class ScanSession:
         return ChunkProgress(new_matches=new_matches, new_windows=new_windows)
 
     # -- the one frame evaluation ---------------------------------------
-    def _orders(self, sids: Sequence[int]) -> list[tuple[int, ...]]:
-        """Per query, the step order now executing (the profiler's, or as planned)."""
-        orders: list[tuple[int, ...]] = []
-        for sid in sids:
-            state = self._states[sid]
-            if state.profiler is not None:
-                orders.append(tuple(state.profiler.order))
-            else:
-                orders.append(tuple(range(len(state.cascade.steps))))
-        return orders
-
     def _evaluate(
         self,
         sids: Sequence[int],
@@ -647,9 +627,8 @@ class ScanSession:
         rows = [self._row_of[sid] for sid in sids]
         cascades = [self._active_cascades[row] for row in rows]
         assignments = [self._assignments[row] for row in rows]
-        orders = self._orders(sids)
         filtered = filter_with_retry(
-            self.clock, cascades, assignments, covered, orders, frames, charged
+            self.clock, cascades, assignments, covered, frames, charged
         )
         return self._detector_phase(sids, frames, filtered, charged)
 
@@ -663,7 +642,7 @@ class ScanSession:
         """Detector and predicates on a filtered chunk's survivors: its verdict.
 
         ``charged`` counts the evaluation as work the scan did (each
-        detector call on the clock, shared counters, profiler observations);
+        detector call on the clock, shared counters);
         exact-mode verification is not.  Retry backoff is charged either way.
         """
         queries = [self._states[sid].query for sid in sids]
@@ -705,10 +684,6 @@ class ScanSession:
         if charged:
             self.shared_filter_computations += sum(filtered.computed.values())
             self.shared_detector_invocations += detected
-            for sid, stats_row in zip(sids, filtered.step_stats):
-                profiler = self._states[sid].profiler
-                if profiler is not None:
-                    profiler.observe(stats_row, frames[-1].index)
         return _ChunkVerdict(
             passed=tuple(map(tuple, passed)),
             matched=tuple(map(tuple, matched)),
@@ -763,9 +738,10 @@ class ScanSession:
         if self.live:
             # Make room before submitting, so that a failed merge leaves this
             # chunk unsubmitted; everything else merges in merge_ready.  A
-            # one-shot scan reads nothing between pushes, and merging only
-            # when the window is full keeps the adaptive re-planner's
-            # submit-time orders independent of worker timing.
+            # one-shot scan reads nothing between pushes, so an earlier
+            # merge buys it nothing; merging only when the window is full
+            # makes its sequence of submissions and merges a function of
+            # the chunk count, not of worker timing, so a rerun replays it.
             while self.window_full:
                 self._merge_next()
         if self._backend is None:
@@ -784,9 +760,7 @@ class ScanSession:
         # Consumed even if the submission itself fails.
         self._inflight[chunk_id] = None
         try:
-            entry = self._backend.submit(
-                chunk_id, chunk, frames, covered, self._orders(self._active)
-            )
+            entry = self._backend.submit(chunk_id, chunk, frames, covered)
         except FaultExhausted as error:
             # Re-dispatch at submission gave up: a poison chunk, set aside
             # at its turn in the merge.
@@ -991,12 +965,10 @@ class ScanSession:
 
         The pipeline drains first and a pool is rebuilt at the next push,
         as on a membership change; the results cannot tell.  Not for
-        gated or adaptive sessions (their per-query state follows the
-        config they were built with).
+        gated sessions (their gate follows the config they were built with).
         """
-        for config in (parallel, self._parallel):
-            if config is not None and (config.adaptive or self._scan is not None):
-                raise ValueError("set_parallel needs a non-adaptive, ungated session")
+        if self._scan is not None and (parallel is not None or self._parallel is not None):
+            raise ValueError("set_parallel needs an ungated session")
         self._invalidate_plan()
         self._parallel = parallel
 
@@ -1148,11 +1120,8 @@ class ScanSession:
 
         The payload captures everything a crashed shard worker needs to
         resume *without re-emitting or skipping windows*: per query the
-        ``_STATE_FIELDS`` (accumulators, window cursors, budget violations)
-        and the adaptive profiler's state (the adopted step order, its
-        revision log and the sliding window — without it a resumed session
-        would fall back to the planned order and forget its
-        ``plan_revisions``); for the session the ``_SESSION_FIELDS``
+        ``_STATE_FIELDS`` (accumulators, window cursors, budget violations);
+        for the session the ``_SESSION_FIELDS``
         (watermark, shared counters, degraded mode, quarantine list), the
         clock delta accrued since the session started and the temporal
         gates' state (signature, streak, cached outcome).  The parallel
@@ -1177,7 +1146,6 @@ class ScanSession:
             "states": [
                 {
                     "key": state.key,
-                    "profiler": None if state.profiler is None else state.profiler.state_dict(),
                     **{name: copy.copy(getattr(state, name)) for name in _STATE_FIELDS},
                 }
                 for state in self._states
@@ -1223,17 +1191,9 @@ class ScanSession:
                     f"query key mismatch at sid={state.sid}: checkpoint "
                     f"{entry['key']!r} vs session {state.key!r}"
                 )
-            if (entry["profiler"] is None) != (state.profiler is None):
-                raise ValueError(
-                    f"query {state.key!r} was checkpointed "
-                    f"{'without' if entry['profiler'] is None else 'with'} an "
-                    "adaptive profiler; rebuild the session with the same parallel="
-                )
         for state, entry in zip(self._states, payload):
             for name in _STATE_FIELDS:
                 setattr(state, name, copy.copy(entry[name]))
-            if state.profiler is not None:
-                state.profiler.load_state(entry["profiler"])
         for name in _SESSION_FIELDS:
             setattr(self, name, copy.copy(snapshot["session"][name]))
         # Re-charge the checkpointed simulated cost onto this session's

@@ -80,15 +80,6 @@ class QueryRegistry:
         with self._lock:
             return tuple(self._by_stream.get(stream, ()))
 
-    def by_sid(self, stream: str, sid: int) -> StandingQuery | None:
-        """The stream's entry whose shard session id is ``sid`` (if any)."""
-        with self._lock:
-            for handle in self._by_stream.get(stream, ()):
-                entry = self._entries[handle]
-                if entry.sid == sid:
-                    return entry
-            return None
-
     def streams(self) -> tuple[str, ...]:
         with self._lock:
             return tuple(self._by_stream)

@@ -72,9 +72,8 @@ class StreamConfig:
     ``policy`` picks the backpressure behaviour (``"block"`` /
     ``"drop_oldest"`` / ``"degrade"``).  ``temporal`` / ``parallel``
     configure the shard's scan session exactly as they configure the
-    one-shot executor (``parallel.adaptive`` re-plans each standing query's
-    step order from observed pass rates).  A shard given neither filters on
-    a pool of :data:`SHARD_WORKERS` threads, as
+    one-shot executor.  A shard given neither filters on a pool of
+    :data:`SHARD_WORKERS` threads, as
     ``ParallelConfig(num_workers=SHARD_WORKERS, chunk_size=chunk_size)``
     would, while its stream is the service's only one, and inline while
     other streams' shard threads share the cores; a ``temporal`` shard

@@ -165,14 +165,6 @@ class Box:
             return None
         return Box(x_min, y_min, x_max, y_max)
 
-    def expanded(self, margin: float) -> "Box":
-        """Return a copy grown by ``margin`` pixels on every side."""
-        return Box(
-            self.x_min - margin,
-            self.y_min - margin,
-            self.x_max + margin,
-            self.y_max + margin,
-        )
 
 
 def box_center(box: Box) -> Point:

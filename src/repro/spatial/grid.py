@@ -12,7 +12,7 @@ variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy import ndimage
@@ -181,11 +181,6 @@ class GridMask:
         rows, cols = np.nonzero(self.values)
         return list(zip(rows.tolist(), cols.tolist()))
 
-    def iter_centers(self) -> Iterator[Point]:
-        """Pixel-space centers of the occupied cells."""
-        for row, col in self.occupied_cells():
-            yield self.grid.cell_center(row, col)
-
     def centroid(self) -> Point | None:
         """Pixel-space centroid of the occupied cells, or ``None`` if empty."""
         cells = self.occupied_cells()
@@ -225,10 +220,6 @@ class GridMask:
             iterations=distance,
         )
         return GridMask(grid=self.grid, values=grown)
-
-    def restricted_to(self, region_mask: "GridMask") -> "GridMask":
-        """Alias of :meth:`intersection`, reads better for screen regions."""
-        return self.intersection(region_mask)
 
     def _check_compatible(self, other: "GridMask") -> None:
         if self.grid.shape != other.grid.shape:

@@ -12,7 +12,7 @@ objects realistic trajectories for the location filters and spatial queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -164,10 +164,6 @@ class Scene:
             frame_width=self.frame_width,
             frame_height=self.frame_height,
         )
-
-    def iter_ground_truth(self) -> Iterable[FrameGroundTruth]:
-        for index in range(self.num_frames):
-            yield self.ground_truth(index)
 
     def count_series(self) -> np.ndarray:
         """Per-frame object counts (useful for validating dataset statistics)."""

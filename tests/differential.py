@@ -27,7 +27,7 @@ from repro.cost import RETRY_BACKOFF_COMPONENT
 from repro.detection import ReferenceDetector
 from repro.faults import FaultInjector
 from repro.query import (
-    CascadeStep, FilterCascade, ParallelConfig, PlannerConfig, QueryBuilder, QueryPlanner,
+    ParallelConfig, PlannerConfig, QueryBuilder, QueryPlanner,
     StreamingQueryExecutor, TemporalConfig, brute_force_execute,
 )
 from repro.service import QueryService, StreamConfig
@@ -109,8 +109,8 @@ class EngineConfig(NamedTuple):
     frames at a time, synchronously or, ``started``, through the shard's
     queue and thread; with a ``cut``, checkpointed there and resumed in a
     fresh service; with a ``peer``, beside a second, idle stream, so an
-    ungated shard filters inline rather than on its default pool).  ``cascades``: ``planned``, ``none`` or ``misordered``
-    (a step that rejects nothing planned first).  ``faults``: ``(site, key,
+    ungated shard filters inline rather than on its default pool).
+    ``cascades``: ``planned`` or ``none``.  ``faults``: ``(site, key,
     count)`` of a recoverable schedule, or ``()``.
     """
 
@@ -131,17 +131,14 @@ class EngineConfig(NamedTuple):
 
     @property
     def exactness(self) -> str:
-        """What R2 holds the config to: ``exact``; ``answers`` when an
-        adaptive reorder moves filter work; ``approximate`` (R4 only)."""
+        """What R2 holds the config to: ``exact``; ``approximate`` (R4 only)."""
         if self.temporal is not None and not self.temporal.exact:
             return "approximate"
-        return "answers" if self.parallel is not None and self.parallel.adaptive else "exact"
+        return "exact"
 
 
 THREADS = ParallelConfig(num_workers=2, chunk_size=5)
 SUPERVISED = replace(THREADS, supervise=True, worker_timeout_seconds=0.2)
-ADAPTIVE = replace(THREADS, adaptive=True, adaptive_window=16, adaptive_interval=1,
-                   adaptive_min_evaluated=4, adaptive_margin=1.1)
 GATED = TemporalConfig(delta_threshold=30.0, keyframe_interval=10)
 STRIDED = replace(GATED, max_stride=8)
 APPROXIMATE = replace(GATED, exact=False, max_stride=4)
@@ -157,8 +154,6 @@ CONFIGS = (
     _C("thread2-fixed-windows", parallel=THREADS, include_partial_windows=False),
     _C("thread2-batch7", parallel=THREADS, batch_size=7),
     _C("thread2-determinism", parallel=replace(THREADS, sanitize="determinism")),
-    _C("adaptive-misordered", parallel=ADAPTIVE, cascades="misordered"),
-    _C("adaptive-misordered-temporal", parallel=ADAPTIVE, temporal=GATED, cascades="misordered"),
     _C("temporal-exact", temporal=GATED),
     _C("temporal-exact-stride8", temporal=STRIDED),
     _C("temporal-exact-thread2", temporal=STRIDED, parallel=THREADS),
@@ -291,13 +286,7 @@ class Harness:
     def cascades(self, variant: str) -> list:
         if variant == "none":
             return [None] * len(self.queries)
-        if variant == "planned":
-            return list(self._planned)
-        first = CascadeStep("pass-everything", self.filters["od_cof"], lambda prediction: True)
-        return [
-            plan if plan.provably_empty else FilterCascade(steps=[first, *plan.steps])
-            for plan in self._planned
-        ]
+        return list(self._planned)
 
     def executor(self) -> StreamingQueryExecutor:
         return StreamingQueryExecutor(ReferenceDetector(CLASS_NAMES, seed=DETECTOR_SEED))

@@ -90,19 +90,15 @@ def test_config_equals_the_reference(harness, config, scenario):
         _assert_equal(_answers(got), _answers(want), what)
         if config.entry != "service":
             assert got["stats"]["batch_size"] == _batch_size(config), what
-        if config.exactness == "exact":
-            assert got["stats"]["filter_invocations"] == want["stats"]["filter_invocations"], what
-            assert got["stats"]["plan_revisions"] == [], what
-            _assert_cost(got["stats"]["simulated_cost"], want["stats"]["simulated_cost"], what)
+        assert got["stats"]["filter_invocations"] == want["stats"]["filter_invocations"], what
+        _assert_cost(got["stats"]["simulated_cost"], want["stats"]["simulated_cost"], what)
         if config.entry == "service" and config.temporal is not None and config.temporal.exact:
             # The live session gates as the one-shot scan does, cut or not.
             gated = normalize(harness.dump(EngineConfig("", temporal=config.temporal), scenario))
             assert got["temporal"] == gated["shared"]["temporal"], what
-    if config.exactness == "answers":  # the misordered plan is corrected
-        assert any(record["stats"]["plan_revisions"] for record in dump["queries"])
     if config.entry == "many":
         _assert_shared(harness, config, scenario, dump, reference)
-    if config.cascades != "misordered" and config.include_partial_windows:
+    if config.include_partial_windows:
         _assert_oracle(harness, config, scenario, dump)
 
 
@@ -128,9 +124,8 @@ def _assert_shared(harness, config, scenario, dump, reference):
         assert shared["detector_invocations"] == shared["frames_scanned"]
     if config.temporal is None:
         assert shared["detector_invocations"] == want["detector_invocations"]
-        if config.exactness == "exact":
-            assert shared["filter_computations"] == want["filter_computations"]
-            _assert_cost(shared["cost"]["shared"], want["cost"]["shared"], config.id)
+        assert shared["filter_computations"] == want["filter_computations"]
+        _assert_cost(shared["cost"]["shared"], want["cost"]["shared"], config.id)
     else:  # the gate accounts for every frame and its reuse really saves work
         gated, cost = shared["temporal"], shared["cost"]["shared"]
         inherited = gated["frames_reused"] + gated["frames_skipped"]
@@ -155,13 +150,13 @@ def _assert_workers(harness, config, scenario, dump, want):
         assert telemetry["num_chunks"] == math.ceil(want["frames_scanned"] / chunk)
     else:  # gating is sequential: the workers only render ahead
         assert telemetry["num_chunks"] == 0 and telemetry["cost"]["per_worker"] == ()
-    if config.exactness == "exact":  # the pool is invisible, field for field
-        twin = without_faults(config)._replace(
-            parallel=None, batch_size=None if config.temporal is not None else chunk
-        )
-        twin_dump = normalize(harness.dump(twin, scenario))
-        varying = ("parallel", "sanitizer_report")
-        _assert_equal(_strip(dump, *varying), _strip(twin_dump, *varying), f"{config.id} twin")
+    # The pool is invisible, field for field.
+    twin = without_faults(config)._replace(
+        parallel=None, batch_size=None if config.temporal is not None else chunk
+    )
+    twin_dump = normalize(harness.dump(twin, scenario))
+    varying = ("parallel", "sanitizer_report")
+    _assert_equal(_strip(dump, *varying), _strip(twin_dump, *varying), f"{config.id} twin")
 
 
 def _assert_oracle(harness, config, scenario, dump):
@@ -206,7 +201,7 @@ def test_the_reference_is_an_independent_cascade_walk(harness, scenario):
 @pytest.mark.parametrize("config", [
     _param(config)
     for config in CONFIGS
-    if config.faults or config.parallel is not None or config.exactness != "exact"
+    if config.faults or config.parallel is not None or config.exactness == "approximate"
     or config.started
 ])
 def test_a_repeat_and_a_recovered_run_dump_equal(harness, config):

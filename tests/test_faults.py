@@ -45,7 +45,6 @@ from repro.faults import (
     uninstall,
 )
 from repro.query import (
-    CascadeStep,
     FilterCascade,
     ParallelConfig,
     PlannerConfig,
@@ -799,7 +798,7 @@ def test_broken_worker_submit_is_redispatched_exactly_once(monkeypatch):
     class StubPool(Executor):
         broken = True  # only the very first submit, on the first pool, fails
 
-        def submit(self, task, chunk_id, covered, orders, directive, frames):
+        def submit(self, task, chunk_id, covered, directive, frames):
             attempts.append(chunk_id)
             if StubPool.broken:
                 StubPool.broken = False
@@ -812,7 +811,7 @@ def test_broken_worker_submit_is_redispatched_exactly_once(monkeypatch):
     monkeypatch.setattr(WorkerSupervisor, "_build_pool", lambda supervisor: StubPool())
     config = ParallelConfig(num_workers=2, supervise=True, max_redispatch=2)
     supervisor = WorkerSupervisor(config, [], [])
-    entry = supervisor.submit(0, [0, 1], [], None, [])
+    entry = supervisor.submit(0, [0, 1], [], None)
     assert attempts == [0, 0] and submitted == [0]
     # One failed attempt plus its one re-dispatch, onto a respawned pool.
     assert entry.attempts == 2
@@ -1047,76 +1046,15 @@ def test_checkpoint_restore_of_a_gated_session(
         assert results[new].temporal.frames_reused > 0
 
 
-def test_checkpoint_restore_keeps_an_adopted_plan_revision(
-    trained_od_filter, trained_od_cof, tiny_jackson
-):
-    """The profiler is part of the payload: a resumed adaptive session runs the
-    order it had adopted, keeps deciding from the same sliding window and
-    reports the revisions made before the cut."""
-    query = QueryBuilder("cars").count("car").at_least(1).build()
-    # Planned maximally wrong: the first step rejects nothing, the second everything.
-    cascade = FilterCascade(
-        steps=[
-            CascadeStep("useless-first", trained_od_filter, lambda prediction: True),
-            CascadeStep("selective-last", trained_od_cof, lambda prediction: False),
-        ]
-    )
-    config = ParallelConfig(
-        num_workers=2, chunk_size=8, adaptive=True, adaptive_window=16,
-        adaptive_interval=1, adaptive_min_evaluated=8, adaptive_margin=1.1,
-    )
-    frames = _frames(tiny_jackson.test)
-
-    def session():
-        opened = ScanSession(
-            ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
-            parallel=config,
-        )
-        opened.add_query(query, cascade)
-        return opened
-
-    def push(target, begin, end):
-        for start in range(begin, end, 8):
-            target.push_chunk(frames[start : start + 8])
-
-    with session() as uninterrupted:
-        push(uninterrupted, 0, 48)
-        truth = uninterrupted.finish()[0]
-        expected_window = list(uninterrupted.states[0].profiler._window)
-    assert len(truth.stats.plan_revisions) >= 1
-
-    with session() as first:
-        push(first, 0, 32)
-        snapshot = pickle.loads(pickle.dumps(first.checkpoint()))
-        adopted = first.states[0].profiler.order
-        revisions = tuple(first.states[0].profiler.revisions)
-    assert adopted == (1, 0) and revisions
-
-    with session() as resumed:
-        resumed.restore(snapshot)
-        profiler = resumed.states[0].profiler
-        assert profiler.order == adopted
-        assert tuple(profiler.revisions) == revisions
-        push(resumed, 32, 48)
-        result = resumed.finish()[0]
-        assert list(profiler._window) == expected_window
-    _assert_result_parity(result, truth)
-    assert result.stats.plan_revisions == truth.stats.plan_revisions
-
-    # A payload from before the profiler was part of it is refused.
-    with session() as stale:
-        with pytest.raises(ValueError, match="version"):
-            stale.restore({**snapshot, "version": 2})
-
-
-@pytest.mark.parametrize("version", [1, 2, None], ids=["v1", "v2", "missing"])
+@pytest.mark.parametrize("version", [1, 2, 3, None], ids=["v1", "v2", "v3", "missing"])
 def test_restore_refuses_an_old_or_unversioned_checkpoint_untouched(
     od_planner, tiny_jackson, version
 ):
-    """Versions 1 and 2 (payloads from before the cached chunk verdict and
-    the profiler state) and a payload with no version are refused before the
-    session changes: the refused session still checkpoints as fresh, then
-    restores the current payload and finishes as the uninterrupted scan."""
+    """Versions 1 to 3 (payloads from before the cached chunk verdict, from
+    before the per-query profiler state, and with the profiler state that
+    version 4 dropped) and a payload with no version are refused before the session changes: the refused
+    session still checkpoints as fresh, then restores the current payload
+    and finishes as the uninterrupted scan."""
     queries, cascades = _checkpoint_workload(od_planner)
     frames = _frames(tiny_jackson.test)
 

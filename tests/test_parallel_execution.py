@@ -1,14 +1,12 @@
-"""Parallel pipelined execution engine: re-planning, cost, infrastructure.
+"""Parallel pipelined execution engine: step ordering, cost, infrastructure.
 
 The engine's core promise is *bit-identical output under concurrency*: for
 every execution path (plain, windowed, multi-query, temporal-exact),
 running with ``ParallelConfig`` must return exactly the frames, windows and
 work counters of the sequential path.  The differential harness's worker
-configs assert it (``tests/test_differential.py -m parallel``).  The
-adaptive re-planner's promise is weaker on costs but equally strict on
-output: reorders change where filter milliseconds go, never which frames
-match, and every reorder leaves a ``PlanRevision`` trace, which this
-module pins along with the worker cost report and the prefetcher.
+configs assert it (``tests/test_differential.py -m parallel``).  This
+module pins the planning-time step-ordering rule, the worker cost report
+and the prefetcher.
 
 Run with ``pytest -m parallel`` (CI runs this module as its own job).
 """
@@ -32,6 +30,7 @@ from repro.query import (
     StreamingQueryExecutor,
     TemporalConfig,
     merge_cascade_steps,
+    replan_cascade,
 )
 from repro.aggregates.monitor import AggregateQuerySpec
 
@@ -74,21 +73,8 @@ def windowed_query(name="windowed"):
 
 
 # ----------------------------------------------------------------------
-# Adaptive re-planning
+# Ordering steps by pass rate
 # ----------------------------------------------------------------------
-ADAPTIVE = dict(
-    adaptive=True,
-    adaptive_window=16,
-    adaptive_interval=1,
-    adaptive_min_evaluated=8,
-    adaptive_margin=1.1,
-)
-
-
-def adaptive_config(**overrides):
-    return ParallelConfig(num_workers=2, chunk_size=8, **{**ADAPTIVE, **overrides})
-
-
 class _PassEverything:
     def __call__(self, prediction):
         return True
@@ -100,12 +86,11 @@ class _RejectEverything:
 
 
 def misestimated_cascade(trained_od_filter, trained_od_cof) -> FilterCascade:
-    """A cascade whose planned order is maximally wrong.
+    """A cascade whose order is maximally wrong.
 
-    The leading step rejects nothing (its planning-time estimate claimed it
-    was selective), the trailing step rejects everything.  A correct runtime
-    re-planner must flip them, after which the leading filter stops being
-    evaluated at all.
+    The leading step rejects nothing (its annotated estimate claims it is
+    selective), the trailing step rejects everything.  Ordering by measured
+    pass rates must flip them.
     """
     return FilterCascade(
         steps=[
@@ -127,82 +112,39 @@ def misestimated_cascade(trained_od_filter, trained_od_cof) -> FilterCascade:
     )
 
 
-def test_misestimated_cascade_triggers_revision(
-    tiny_jackson, stream, trained_od_filter, trained_od_cof
-):
-    query = count_query("mis")
-    cascade = misestimated_cascade(trained_od_filter, trained_od_cof)
-    static = executor(tiny_jackson).execute(
-        query, stream, cascade,
-        parallel=ParallelConfig(num_workers=2, chunk_size=8),
-    )
-    adaptive = executor(tiny_jackson).execute(
-        query, stream, cascade, parallel=adaptive_config()
-    )
-    # The reorder is observable...
-    assert len(adaptive.stats.plan_revisions) >= 1
-    revision = adaptive.stats.plan_revisions[0]
-    assert revision.old_order == (0, 1)
-    assert revision.new_order == (1, 0)
-    assert revision.step_names == ("useless-first", "selective-last")
-    assert revision.expected_gain >= 1.1
-    assert "useless-first" in revision.describe()
-    # ...saves filter work...
-    assert adaptive.stats.filter_invocations < static.stats.filter_invocations
-    # ...and never changes the output.
-    assert adaptive.matched_frames == static.matched_frames
-    assert static.stats.plan_revisions == ()
-
-
 def test_queryplanner_replan_reorders_and_annotates(
     trained_od_filter, trained_od_cof
 ):
     cascade = misestimated_cascade(trained_od_filter, trained_od_cof)
-    # Observed evidence contradicts the planning-time estimates: the first
-    # step passes everything, the second rejects everything.
-    replanned = QueryPlanner.replan(cascade, [1.0, 0.0])
+    # Measured rates contradict the annotated estimates: the first step
+    # passes everything, the second rejects everything.
+    replanned = replan_cascade(cascade, [1.0, 0.0])
     assert [step.name for step in replanned.steps] == [
         "selective-last",
         "useless-first",
     ]
-    # Steps are re-annotated with the observed rates...
+    # Steps are re-annotated with the measured rates...
     assert replanned.steps[0].measured_pass_rate == 0.0
     assert replanned.steps[1].measured_pass_rate == 1.0
     # ...and the output set is untouched: same filters, same checks.
     assert {step.check for step in replanned.steps} == {
         step.check for step in cascade.steps
     }
-    # Unobserved steps (rate None) sort to the back and keep their annotation.
-    partial = QueryPlanner.replan(cascade, [None, 0.0])
+    # Unmeasured steps (rate None) sort to the back and keep their annotation.
+    partial = replan_cascade(cascade, [None, 0.0])
     assert [step.name for step in partial.steps] == [
         "selective-last",
         "useless-first",
     ]
     assert partial.steps[1].measured_pass_rate == 0.05
-    # Replanning with agreeing rates is a stable no-op on the order.
-    unchanged = QueryPlanner.replan(cascade, [0.05, 0.95])
+    # Reordering with agreeing rates is a stable no-op on the order.
+    unchanged = replan_cascade(cascade, [0.05, 0.95])
     assert [step.name for step in unchanged.steps] == [
         "useless-first",
         "selective-last",
     ]
     with pytest.raises(ValueError, match="rates"):
-        QueryPlanner.replan(cascade, [0.5])
-
-
-def test_profiler_replanned_cascade_matches_order(
-    trained_od_filter, trained_od_cof
-):
-    from repro.query import CascadeProfiler
-
-    cascade = misestimated_cascade(trained_od_filter, trained_od_cof)
-    profiler = CascadeProfiler(cascade, adaptive_config())
-    for _ in range(4):
-        profiler.observe([(8, 8), (8, 0)], at_frame=0)
-    assert profiler.order == (1, 0)
-    # The cascade object the profiler exposes agrees with the order it runs.
-    assert [step.name for step in profiler.replanned_cascade().steps] == [
-        cascade.steps[position].name for position in profiler.order
-    ]
+        replan_cascade(cascade, [0.5])
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +195,6 @@ def test_worker_chunk_cost_does_not_depend_on_earlier_chunks(stream, planner):
     query = count_query("clock")
     cascade = planner.plan(query)
     _, assignments = merge_cascade_steps([cascade])
-    orders = [tuple(range(len(cascade.steps)))]
     chunk_a = [stream.frame(index) for index in range(3)]
     chunk_b = [stream.frame(index) for index in range(3, 10)]
 
@@ -261,9 +202,9 @@ def test_worker_chunk_cost_does_not_depend_on_earlier_chunks(stream, planner):
         return _Worker("w", copy.deepcopy([cascade]), assignments, SimulatedClock())
 
     seasoned = worker()
-    seasoned.filter_chunk(0, None, orders, chunk_a)
-    after_a = seasoned.filter_chunk(1, None, orders, chunk_b)
-    alone = worker().filter_chunk(1, None, orders, chunk_b)
+    seasoned.filter_chunk(0, None, chunk_a)
+    after_a = seasoned.filter_chunk(1, None, chunk_b)
+    alone = worker().filter_chunk(1, None, chunk_b)
     assert after_a.breakdown.per_component_calls == alone.breakdown.per_component_calls
     assert after_a.breakdown.per_component_ms == alone.breakdown.per_component_ms
     assert after_a.filtered == alone.filtered
@@ -275,7 +216,9 @@ def test_parallel_config_validation():
     with pytest.raises(ValueError):
         ParallelConfig(chunk_size=0)
     with pytest.raises(ValueError):
-        ParallelConfig(adaptive_margin=0.5)
+        ParallelConfig(worker_timeout_seconds=0.0)
+    with pytest.raises(ValueError):
+        ParallelConfig(max_redispatch=-1)
 
 
 def test_frame_prefetcher_window_is_bounded(single_object_stream):
