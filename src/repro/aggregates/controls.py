@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from scipy import ndimage
-
 from repro.filters.base import FilterPrediction
 from repro.query.ast import (
     CountPredicate,
@@ -46,11 +44,7 @@ def region_count_control(
     def control(prediction: FilterPrediction) -> float:
         mask = prediction.location_mask(class_name, dilation=dilation)
         region_mask = region.grid_mask(prediction.grid)
-        selected = mask.intersection(region_mask)
-        if not selected:
-            return 0.0
-        _, blobs = ndimage.label(selected.values)
-        return float(blobs)
+        return float(mask.intersection(region_mask).blob_count())
 
     return control
 

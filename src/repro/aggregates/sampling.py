@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,11 @@ def sample_mean_estimate(
     variance = float(values.var(ddof=1)) if n > 1 else 0.0
     std_error = float(np.sqrt(variance / n)) if n > 1 else 0.0
     if n > 1 and std_error > 0:
-        # Student's t quantile: ``scipy.stats.t.ppf`` is this call, and
-        # importing ``scipy.stats`` would cost every process ~43 MB.
+        # Student's t quantile: ``scipy.stats.t.ppf`` is this call.  Imported
+        # here, not at module level, so that ``import repro`` loads no scipy
+        # (~20 MB for ``scipy.special``, ~43 MB more for ``scipy.stats``).
+        from scipy import special
+
         critical = float(special.stdtrit(n - 1, 0.5 + confidence_level / 2.0))
         interval = (mean - critical * std_error, mean + critical * std_error)
     else:

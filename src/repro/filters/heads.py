@@ -22,18 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
+
+from repro.spatial.grid import component_counts
 
 
 #: names of the per-class aggregate features the count head consumes
 COUNT_FEATURE_NAMES = ("score_sum", "occupied_cells", "components")
-
-
-# ``ndimage.label`` connectivity for a ``(planes, g, g)`` stack: the 2-D
-# cross inside each plane and nothing across planes, so every plane is
-# labelled exactly as it would be alone.
-_IN_PLANE = np.zeros((3, 3, 3), dtype=bool)
-_IN_PLANE[1] = ndimage.generate_binary_structure(2, 1)
 
 
 def batch_count_features(planes: np.ndarray, threshold: float) -> np.ndarray:
@@ -48,9 +42,8 @@ def batch_count_features(planes: np.ndarray, threshold: float) -> np.ndarray:
     layer, and is what lets exact counts stay accurate when object sizes vary.
 
     All ``C * N`` planes go through one occupancy mask, one cell sum and one
-    ``ndimage.label`` with in-plane connectivity.  Labels number components
-    in scan order, so a plane's blob count is the step its labels add to the
-    running maximum.  Each plane's mass sums its own run of the compacted
+    :func:`~repro.spatial.grid.component_counts` (4-connected blobs inside
+    each plane).  Each plane's mass sums its own run of the compacted
     occupied scores, which is the sum of ``scores[mask]`` on that plane
     alone, bit for bit (``np.add.reduceat`` would sum sequentially).
     """
@@ -58,10 +51,6 @@ def batch_count_features(planes: np.ndarray, threshold: float) -> np.ndarray:
     flat = planes.reshape(num_classes * n, rows * cols)
     mask = flat >= threshold
     cells = mask.sum(axis=1)
-    labels, _ = ndimage.label(
-        mask.reshape(num_classes * n, rows, cols), structure=_IN_PLANE
-    )
-    running = np.maximum.accumulate(labels.reshape(num_classes * n, -1).max(axis=1))
     values = flat[mask]
     ends = np.cumsum(cells)
     features = np.empty((num_classes, n, len(COUNT_FEATURE_NAMES)))
@@ -70,7 +59,7 @@ def batch_count_features(planes: np.ndarray, threshold: float) -> np.ndarray:
         values[end - count : end].sum() for end, count in zip(ends.tolist(), cells.tolist())
     ]
     plane_features[:, 1] = cells
-    plane_features[:, 2] = np.diff(running, prepend=0)
+    plane_features[:, 2] = component_counts(mask.reshape(num_classes * n, rows, cols))
     return np.ascontiguousarray(features.swapaxes(0, 1))
 
 

@@ -68,13 +68,30 @@ def localization_counts(
     """``(true_positives, false_positives, false_negatives)`` at a Manhattan tolerance."""
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative: {tolerance}")
-    actual_dilated = actual.dilated(tolerance) if tolerance else actual
-    predicted_dilated = predicted.dilated(tolerance) if tolerance else predicted
-    true_positives = int(predicted.intersection(actual_dilated).count)
-    false_positives = int(predicted.count - true_positives)
-    matched_actual = int(actual.intersection(predicted_dilated).count)
-    false_negatives = int(actual.count - matched_actual)
+    return _matched_counts(
+        predicted.values,
+        actual.values,
+        predicted.dilated(tolerance).values,
+        actual.dilated(tolerance).values,
+    )
+
+
+def _matched_counts(
+    predicted: np.ndarray, actual: np.ndarray, predicted_grown: np.ndarray, actual_grown: np.ndarray
+) -> tuple[int, int, int]:
+    """:func:`localization_counts` of two bool grids, each also given grown by
+    the tolerance (so a caller can grow a mask once for many comparisons)."""
+    true_positives = int(np.count_nonzero(predicted & actual_grown))
+    false_positives = int(np.count_nonzero(predicted)) - true_positives
+    matched_actual = int(np.count_nonzero(actual & predicted_grown))
+    false_negatives = int(np.count_nonzero(actual)) - matched_actual
     return true_positives, false_positives, false_negatives
+
+
+def _grown(mask: GridMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``mask`` at Manhattan tolerances 0, 1 and 2, each grown from the last."""
+    once = mask.dilated(1)
+    return mask.values, once.values, once.dilated(1).values
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -149,11 +166,14 @@ def score_predictions(
         predicted_counts.append([prediction.total_count, *map(prediction.count_of, counted)])
         actual_counts.append([annotated.total_count, *map(annotated.count_of, counted)])
         for row, name in enumerate(names if tallies else ()):
-            truth = GridMask(grid=annotations.grid, values=annotated.grid_of(name))
+            # The annotation is grown once per frame and class, not per threshold.
+            truth = _grown(GridMask(grid=annotations.grid, values=annotated.grid_of(name)))
             for threshold, tally in tallies.items():
-                mask = prediction.location_mask(name, threshold=threshold)
+                mask = _grown(prediction.location_mask(name, threshold=threshold))
                 for tolerance in range(3):
-                    tally[row, tolerance] += localization_counts(mask, truth, tolerance)
+                    tally[row, tolerance] += _matched_counts(
+                        mask[0], truth[0], mask[tolerance], truth[tolerance]
+                    )
     scored = len(actual_counts)
     if scored < len(frames):
         raise _misaligned(frames, scored, None)

@@ -35,8 +35,7 @@ from repro.query.planner import (
     measure_cascade_selectivity,
     merge_cascade_steps,
     order_cascade_by_selectivity,
-    replan_cascade,
-    replan_order,
+    reorder_cascade,
     shared_step_key,
 )
 from repro.query.parallel import ParallelConfig, ParallelStats
@@ -82,8 +81,7 @@ __all__ = [
     "measure_cascade_selectivity",
     "merge_cascade_steps",
     "order_cascade_by_selectivity",
-    "replan_cascade",
-    "replan_order",
+    "reorder_cascade",
     "shared_step_key",
     "CountCheck",
     "LocationCheck",

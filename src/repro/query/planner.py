@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from scipy import ndimage
-
 from repro.filters.base import FilterPrediction, FrameFilter
 from repro.query.ast import (
     ComparisonOperator,
@@ -256,50 +254,34 @@ def order_cascade_by_selectivity(
     measured = measure_cascade_selectivity(
         cascade, stream, sample_size=sample_size, frame_indices=frame_indices
     )
-    return replan_cascade(measured, [step.measured_pass_rate for step in measured.steps])
+    return reorder_cascade(measured, [step.measured_pass_rate for step in measured.steps])
 
 
 # ----------------------------------------------------------------------
 # Ordering steps by pass rate
 # ----------------------------------------------------------------------
-def replan_order(
-    latencies_ms: Sequence[float], pass_rates: Sequence[float | None]
-) -> tuple[int, ...]:
-    """Step order (as positions) by measured cost per rejection, ascending.
-
-    ``pass_rates[i]`` is the measured fraction of evaluated frames step ``i``
-    let through (``None`` when the step has no measurement), in which case
-    the step keeps a :func:`cost_per_rejection` of ``inf`` and sorts to the
-    back.  The sort is stable, so ties preserve the current relative order.
-    """
-    if len(latencies_ms) != len(pass_rates):
-        raise ValueError(
-            f"{len(latencies_ms)} latencies but {len(pass_rates)} pass rates"
-        )
-    return tuple(
-        sorted(
-            range(len(latencies_ms)),
-            key=lambda p: (cost_per_rejection(latencies_ms[p], pass_rates[p]), p),
-        )
-    )
-
-
-def replan_cascade(
+def reorder_cascade(
     cascade: FilterCascade, pass_rates: Sequence[float | None]
 ) -> FilterCascade:
     """Reorder ``cascade`` by the cost per rejection its ``pass_rates`` imply.
 
     The ordering rule of :func:`order_cascade_by_selectivity`, which hands
-    it the pass rates measured on a planning-time sample.  Steps are
-    annotated with the rates; because cascade steps are conjunctive, the
+    it the pass rates measured on a planning-time sample.  ``pass_rates[i]``
+    is the fraction of sampled frames step ``i`` let through, or ``None``
+    when the step has no measurement, in which case its
+    :func:`cost_per_rejection` is ``inf`` and it sorts to the back.  The
+    sort is stable, so ties keep their current relative order.  Steps are
+    annotated with their rates; because cascade steps are conjunctive, the
     reordered cascade passes exactly the same frames.
     """
     if len(pass_rates) != len(cascade.steps):
         raise ValueError(
             f"cascade has {len(cascade.steps)} steps but {len(pass_rates)} rates given"
         )
-    order = replan_order(
-        [step.frame_filter.latency_ms for step in cascade.steps], pass_rates
+    latencies_ms = [step.frame_filter.latency_ms for step in cascade.steps]
+    order = sorted(
+        range(len(latencies_ms)),
+        key=lambda p: cost_per_rejection(latencies_ms[p], pass_rates[p]),
     )
     steps = []
     for position in order:
@@ -309,7 +291,7 @@ def replan_cascade(
             step = replace(
                 step,
                 measured_pass_rate=rate,
-                measured_cost_ms=step.frame_filter.latency_ms,
+                measured_cost_ms=latencies_ms[position],
             )
         steps.append(step)
     return FilterCascade(steps=steps)
@@ -438,12 +420,10 @@ def _region_possible(
     selected = mask.intersection(region_mask) if predicate.inside else mask.difference(region_mask)
     # Approximate the number of objects in the region by the number of
     # connected blobs of the selected cells.
-    if not selected:
-        blob_count = 0
-    else:
-        _, blob_count = ndimage.label(selected.values)
     tolerance = dilation  # reuse the dilation level as the count slack
-    return _comparison_possible(predicate.operator, blob_count, predicate.value, tolerance)
+    return _comparison_possible(
+        predicate.operator, selected.blob_count(), predicate.value, tolerance
+    )
 
 
 @dataclass(frozen=True)

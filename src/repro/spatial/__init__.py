@@ -12,7 +12,7 @@ constraints possible.
 """
 
 from repro.spatial.geometry import Box, Point, box_center, box_iou, union_box
-from repro.spatial.grid import Grid, GridMask, cells_within_manhattan
+from repro.spatial.grid import Grid, GridMask, cells_within_manhattan, component_counts
 from repro.spatial.regions import (
     Quadrant,
     Region,
@@ -46,6 +46,7 @@ __all__ = [
     "Grid",
     "GridMask",
     "cells_within_manhattan",
+    "component_counts",
     "Quadrant",
     "Region",
     "full_frame_region",

@@ -6,7 +6,9 @@ contain an object of each class.  Spatial constraints are then evaluated over
 the occupied cells.  This module provides the mapping between pixel
 coordinates / bounding boxes and grid cells, binary grid masks, and the
 Manhattan-distance neighbourhoods used by the ``CLF-1`` / ``CLF-2`` tolerance
-variants.
+variants, and the blob counter (:func:`component_counts`) that the count head
+and the region checks share.  Both grid operations are plain numpy, so
+``import repro`` loads no scipy (DESIGN.md "Process footprint").
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import ndimage
 
 from repro.spatial.geometry import Box, Point
 
@@ -208,21 +209,82 @@ class GridMask:
     def dilated(self, distance: int) -> "GridMask":
         """Mask grown by ``distance`` in Manhattan metric (tolerance matching).
 
-        Iterating a 4-connected binary dilation ``distance`` times grows each
-        occupied cell into its Manhattan ball of that radius — the same result
-        as unioning :func:`cells_within_manhattan` per cell, but vectorized.
+        Each step ORs the mask with its four one-cell shifts, with nothing
+        shifted in past the border: a 4-connected binary dilation.  ``distance``
+        steps grow each occupied cell into its Manhattan ball of that radius —
+        the same result as unioning :func:`cells_within_manhattan` per cell.
+        An empty mask stays empty, so it is only copied.
         """
-        if distance <= 0:
-            return GridMask(grid=self.grid, values=self.values.copy())
-        grown = ndimage.binary_dilation(
-            self.values,
-            structure=ndimage.generate_binary_structure(2, 1),
-            iterations=distance,
-        )
+        grown = self.values.copy()
+        for _ in range(distance if self else 0):
+            step = grown.copy()
+            step[1:] |= grown[:-1]
+            step[:-1] |= grown[1:]
+            step[:, 1:] |= grown[:, :-1]
+            step[:, :-1] |= grown[:, 1:]
+            grown = step
         return GridMask(grid=self.grid, values=grown)
+
+    def blob_count(self) -> int:
+        """Number of 4-connected blobs of occupied cells."""
+        return int(component_counts(self.values[None])[0]) if self else 0
 
     def _check_compatible(self, other: "GridMask") -> None:
         if self.grid.shape != other.grid.shape:
             raise ValueError(
                 f"incompatible grids: {self.grid.shape} vs {other.grid.shape}"
             )
+
+
+def component_counts(planes: np.ndarray) -> np.ndarray:
+    """Number of 4-connected components in each plane of a ``(P, rows, cols)``
+    bool stack, as a ``(P,)`` int array.
+
+    The nodes are the row runs (maximal horizontal stretches of set cells),
+    not the cells: two runs in adjacent rows of one plane touch exactly when
+    their column spans overlap, and those overlaps, found by two
+    ``searchsorted`` calls, are the only edges.  Components are then merged
+    by min-label hooking over every edge that still joins two roots, each
+    round followed by pointer jumping to the roots, until no edge joins two
+    roots.  Each component keeps one root, so a plane's count is its number
+    of roots.  Labels only decrease, so every round hooks at least one root
+    and the loop ends.
+    """
+    num_planes, rows, cols = planes.shape
+    # One empty row after each plane (so no run touches the next plane's
+    # first row) and one empty column on each side of every row.
+    padded = np.zeros((num_planes, rows + 1, cols + 2), dtype=bool)
+    padded[:, :rows, 1:-1] = planes
+    flat = padded.reshape(-1, cols + 2)
+    # Each row's value changes alternate between a run's start and its end;
+    # their flat indices are the keys ``row * width + column``, so both key
+    # arrays ascend.
+    width = cols + 1
+    changes = np.flatnonzero(flat[:, 1:] != flat[:, :-1])
+    if not changes.size:
+        return np.zeros(num_planes, dtype=np.int64)
+    start_key, end_key = changes[0::2], changes[1::2]
+    # The runs of the next row that overlap run i: those ending after its
+    # start and starting before its end.
+    first = np.searchsorted(end_key, start_key + width, side="right")
+    last = np.searchsorted(start_key, end_key + width, side="left")
+    degree = np.maximum(last - first, 0)
+    upper = np.repeat(np.arange(start_key.size), degree)
+    offsets = np.arange(upper.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    lower = np.repeat(first, degree) + offsets
+    labels = np.arange(start_key.size)
+    while upper.size:
+        a, b = labels[upper], labels[lower]
+        apart = a != b
+        if not apart.any():
+            break
+        upper, lower, a, b = upper[apart], lower[apart], a[apart], b[apart]
+        # Hook each edge's larger root under its smaller one (what min-hooking
+        # in both directions does), then jump every pointer to its root.
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        jumped = labels[labels]
+        while (jumped != labels).any():
+            labels = jumped
+            jumped = labels[labels]
+    roots = start_key[labels == np.arange(start_key.size)]
+    return np.bincount(roots // (width * (rows + 1)), minlength=num_planes)

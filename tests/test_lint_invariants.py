@@ -273,17 +273,21 @@ def _inv014(lint, source: str) -> list[str]:
     return lint.scipy_import_findings(ast.parse(textwrap.dedent(source)), "sample.py")
 
 
-def test_inv014_accepts_ndimage_and_special(lint):
+def test_inv014_accepts_scipy_special_inside_a_function(lint):
     assert _inv014(
         lint,
         """
         import numpy as np
-        import scipy.ndimage
-        import scipy.special as sc
-        from scipy import ndimage, special
-        from scipy.ndimage import label
-        from scipy.special import stdtrit
         from .stats import helper
+
+        def quantile(df, q):
+            from scipy import special
+            import scipy.special as sc
+            from scipy.special import stdtrit
+
+            class Local:
+                def method(self):
+                    from scipy.special import _ufuncs
         """,
     ) == []
 
@@ -297,12 +301,27 @@ def test_inv014_reports_every_other_scipy_import(lint):
         from scipy import ndimage, stats
         from scipy.stats import t
         import numpy, scipy.optimize
+        from scipy import special
+        from scipy.special import stdtrit
+
+        class Holder:
+            import scipy.special
+
+        def count(mask):
+            from scipy import ndimage
+            import scipy
         """,
     )
     assert [finding.split(" — ")[0] for finding in findings] == [
         "INV014 sample.py:2: imports scipy",
         "INV014 sample.py:3: imports scipy.stats",
+        "INV014 sample.py:4: imports scipy.ndimage",
         "INV014 sample.py:4: imports scipy.stats",
         "INV014 sample.py:5: imports scipy.stats",
         "INV014 sample.py:6: imports scipy.optimize",
+        "INV014 sample.py:7: imports scipy.special at module or class level",
+        "INV014 sample.py:8: imports scipy.special at module or class level",
+        "INV014 sample.py:11: imports scipy.special at module or class level",
+        "INV014 sample.py:14: imports scipy.ndimage",
+        "INV014 sample.py:15: imports scipy",
     ]

@@ -30,7 +30,7 @@ from repro.query import (
     StreamingQueryExecutor,
     TemporalConfig,
     merge_cascade_steps,
-    replan_cascade,
+    reorder_cascade,
 )
 from repro.aggregates.monitor import AggregateQuerySpec
 
@@ -112,39 +112,39 @@ def misestimated_cascade(trained_od_filter, trained_od_cof) -> FilterCascade:
     )
 
 
-def test_queryplanner_replan_reorders_and_annotates(
+def test_reorder_cascade_reorders_and_annotates(
     trained_od_filter, trained_od_cof
 ):
     cascade = misestimated_cascade(trained_od_filter, trained_od_cof)
     # Measured rates contradict the annotated estimates: the first step
     # passes everything, the second rejects everything.
-    replanned = replan_cascade(cascade, [1.0, 0.0])
-    assert [step.name for step in replanned.steps] == [
+    reordered = reorder_cascade(cascade, [1.0, 0.0])
+    assert [step.name for step in reordered.steps] == [
         "selective-last",
         "useless-first",
     ]
     # Steps are re-annotated with the measured rates...
-    assert replanned.steps[0].measured_pass_rate == 0.0
-    assert replanned.steps[1].measured_pass_rate == 1.0
+    assert reordered.steps[0].measured_pass_rate == 0.0
+    assert reordered.steps[1].measured_pass_rate == 1.0
     # ...and the output set is untouched: same filters, same checks.
-    assert {step.check for step in replanned.steps} == {
+    assert {step.check for step in reordered.steps} == {
         step.check for step in cascade.steps
     }
     # Unmeasured steps (rate None) sort to the back and keep their annotation.
-    partial = replan_cascade(cascade, [None, 0.0])
+    partial = reorder_cascade(cascade, [None, 0.0])
     assert [step.name for step in partial.steps] == [
         "selective-last",
         "useless-first",
     ]
     assert partial.steps[1].measured_pass_rate == 0.05
     # Reordering with agreeing rates is a stable no-op on the order.
-    unchanged = replan_cascade(cascade, [0.05, 0.95])
+    unchanged = reorder_cascade(cascade, [0.05, 0.95])
     assert [step.name for step in unchanged.steps] == [
         "useless-first",
         "selective-last",
     ]
     with pytest.raises(ValueError, match="rates"):
-        replan_cascade(cascade, [0.5])
+        reorder_cascade(cascade, [0.5])
 
 
 # ----------------------------------------------------------------------

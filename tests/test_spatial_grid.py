@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import ndimage
 
 from repro.spatial.geometry import Box, Point
-from repro.spatial.grid import Grid, GridMask, cells_within_manhattan
+from repro.spatial.grid import Grid, GridMask, cells_within_manhattan, component_counts
 
 
 @pytest.fixture()
@@ -115,3 +116,109 @@ def test_dilation_is_monotone(cells, distance):
         for rr, cc in cells_within_manhattan((r, c), distance, 8, 8):
             reference[rr, cc] = True
     assert np.array_equal(dilated.values, reference)
+
+
+# ----------------------------------------------------------------------
+# numpy grid morphology against scipy.ndimage (a test-only oracle: the
+# library imports no scipy for it)
+# ----------------------------------------------------------------------
+def _scipy_counts(planes: np.ndarray) -> list[int]:
+    """Each plane's 4-connected component count, labelled alone."""
+    return [ndimage.label(plane)[1] for plane in planes]
+
+
+def _serpentine(g: int) -> np.ndarray:
+    """One path snaking over every other row, joined at alternate ends."""
+    plane = np.zeros((g, g), dtype=bool)
+    plane[::2] = True
+    plane[1::4, -1] = True
+    plane[3::4, 0] = True
+    return plane
+
+
+def _comb(g: int) -> np.ndarray:
+    """A spine along the top row with a one-cell tooth down every other column."""
+    plane = np.zeros((g, g), dtype=bool)
+    plane[0] = True
+    plane[:, ::2] = True
+    return plane
+
+
+@pytest.mark.parametrize("occupancy", [0.0, 0.005, 0.05, 0.2, 0.4, 0.5, 0.6, 0.8, 0.95, 1.0])
+@pytest.mark.parametrize("shape", [(16, 56, 56), (6, 1, 9), (6, 9, 1), (4, 5, 7), (1, 1, 1)])
+def test_component_counts_match_scipy_label_on_random_stacks(occupancy, shape):
+    planes = np.random.default_rng(sum(shape) + int(occupancy * 1000)).random(shape) < occupancy
+    assert component_counts(planes).tolist() == _scipy_counts(planes)
+
+
+@pytest.mark.parametrize(
+    "plane, expected",
+    [
+        (np.zeros((56, 56), dtype=bool), 0),
+        (np.ones((56, 56), dtype=bool), 1),
+        (_serpentine(56), 1),
+        (_serpentine(7), 1),
+        (_comb(56), 1),
+        (_comb(56).T, 1),
+        (_comb(56)[1:], 28),  # the teeth without their spine
+        (_comb(56).T[:, 1:], 28),
+        (np.indices((56, 56)).sum(axis=0) % 2 == 0, 56 * 28),  # checkerboard: no 4-neighbours
+    ],
+    ids=[
+        "empty", "full", "serpentine", "serpentine-odd", "comb", "transposed-comb",
+        "teeth", "transposed-teeth", "checkerboard",
+    ],
+)
+def test_component_counts_on_shaped_planes(plane, expected):
+    planes = np.stack([plane, ~plane, plane])
+    assert component_counts(planes).tolist() == _scipy_counts(planes)
+    assert component_counts(planes)[0] == expected
+    rows, cols = plane.shape
+    grid = Grid(rows=rows, cols=cols, frame_width=448, frame_height=448)
+    assert GridMask(grid=grid, values=plane).blob_count() == expected
+
+
+def test_component_counts_keep_blobs_on_touching_edges_of_adjacent_planes_apart():
+    planes = np.zeros((4, 6, 6), dtype=bool)
+    planes[0, -1, :] = True  # the last row of plane 0 ...
+    planes[1, 0, :] = True  # ... lies just above the first row of plane 1
+    planes[1, -1, 2:4] = True
+    planes[2, 0, 1:3] = True  # overlapping columns across the plane boundary
+    planes[2, :, -1] = True  # touches plane 3's left column in the flat layout
+    planes[3, :, 0] = True
+    assert component_counts(planes).tolist() == [1, 2, 2, 1] == _scipy_counts(planes)
+
+
+@pytest.mark.parametrize("distance", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [(0, 0)], [(0, 7)], [(7, 0)], [(7, 7)], [(0, 3), (7, 4)], [(3, 0), (4, 7)],
+        [(0, 0), (1, 1), (6, 6), (7, 7)], [],
+    ],
+)
+def test_dilation_matches_scipy_binary_dilation_on_border_cells(grid, cells, distance):
+    values = np.zeros((8, 8), dtype=bool)
+    for cell in cells:
+        values[cell] = True
+    expected = (
+        ndimage.binary_dilation(
+            values, structure=ndimage.generate_binary_structure(2, 1), iterations=distance
+        )
+        if distance
+        else values
+    )
+    assert np.array_equal(GridMask(grid=grid, values=values).dilated(distance).values, expected)
+
+
+@pytest.mark.parametrize("occupancy", [0.01, 0.1, 0.5, 0.9])
+def test_dilation_matches_scipy_binary_dilation_on_random_masks(occupancy):
+    grid = Grid.square(56, 448)
+    rng = np.random.default_rng(int(occupancy * 100))
+    cross = ndimage.generate_binary_structure(2, 1)
+    for _ in range(5):
+        values = rng.random((56, 56)) < occupancy
+        mask = GridMask(grid=grid, values=values)
+        for distance in (1, 2, 3):
+            expected = ndimage.binary_dilation(values, structure=cross, iterations=distance)
+            assert np.array_equal(mask.dilated(distance).values, expected)

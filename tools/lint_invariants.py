@@ -83,14 +83,16 @@ script exits non-zero when any rule is violated.
   the scan that schedules a call charges it to its own clock.  Swapping a
   clock into a shared object is how one stream's work used to land on
   another stream's clock.
-* **INV014 — scipy only from ``scipy.ndimage`` and ``scipy.special``.**
-  Under ``src/repro/`` every scipy import names one of those two modules
-  (or a submodule of one): ``import scipy.ndimage``, ``from scipy import
-  special``, ``from scipy.ndimage import label``.  ``import scipy`` and
-  every other submodule are rejected.  ``import repro`` loads whatever the
-  package imports, and ``scipy.stats`` alone was ~43 MB of every process's
-  resident memory, for one t-quantile that ``scipy.special.stdtrit`` gives
-  bit for bit.
+* **INV014 — scipy only as ``scipy.special``, inside a function.**  Under
+  ``src/repro/`` the one scipy import allowed is of ``scipy.special`` (or a
+  submodule of it), made inside a function body: ``from scipy import
+  special`` or ``from scipy.special import stdtrit`` in the function that
+  needs the t-quantile.  Every other scipy module, ``import scipy`` itself
+  and any scipy import at module or class level are rejected.  ``import
+  repro`` loads whatever the package imports at module level: ``scipy.stats``
+  alone was ~43 MB of every process's resident memory, and any scipy
+  submodule pulls in ``scipy._lib`` (~20 MB), for grid operations numpy does
+  exactly (``repro.spatial.grid``).
 """
 
 from __future__ import annotations
@@ -523,34 +525,44 @@ def check_no_foreign_clock_assignment(findings: list[str]) -> None:
         findings.extend(clock_assignment_findings(_parse(path), str(path.relative_to(REPO))))
 
 
-#: the scipy modules src/repro/ may import (INV014)
-SCIPY_ALLOWED = ("scipy.ndimage", "scipy.special")
+#: the one scipy module src/repro/ may import, and only inside a function (INV014)
+SCIPY_ALLOWED = "scipy.special"
 
 
-def _scipy_allowed(module: str) -> bool:
-    return any(module == allowed or module.startswith(allowed + ".") for allowed in SCIPY_ALLOWED)
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The absolute modules an ``import`` / ``from ... import`` names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level and node.module:
+        if node.module == "scipy":
+            return [f"scipy.{alias.name}" for alias in node.names]
+        return [node.module]
+    return []
 
 
 def scipy_import_findings(tree: ast.Module, where: str) -> list[str]:
     """INV014 over one parsed module; ``where`` labels the findings."""
     findings: list[str] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
-            if node.module == "scipy":
-                modules = [f"scipy.{alias.name}" for alias in node.names]
-            else:
-                modules = [node.module]
-        else:
-            continue
-        for module in modules:
-            if module.split(".")[0] == "scipy" and not _scipy_allowed(module):
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            for module in _imported_modules(child):
+                if module.split(".")[0] != "scipy":
+                    continue
+                allowed = module == SCIPY_ALLOWED or module.startswith(SCIPY_ALLOWED + ".")
+                if allowed and in_function:
+                    continue
+                place = " at module or class level" if allowed else ""
                 findings.append(
-                    f"INV014 {where}:{node.lineno}: imports {module} — src/repro/ may "
-                    f"import scipy only from {' and '.join(SCIPY_ALLOWED)}, because "
-                    "`import repro` loads it into every process"
+                    f"INV014 {where}:{child.lineno}: imports {module}{place} — src/repro/ "
+                    f"may import scipy only as {SCIPY_ALLOWED}, inside the function that "
+                    "needs it, because `import repro` loads every module-level import "
+                    "into every process"
                 )
+            inside = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, inside)
+
+    visit(tree, False)
     return findings
 
 
