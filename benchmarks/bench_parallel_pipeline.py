@@ -75,9 +75,10 @@ def run(config, num_workers: int) -> dict[str, object]:
         ROUNDS, lambda: executor.execute(query, stream, cascade, batch_size=CHUNK)
     )
 
-    parallel = ParallelConfig(num_workers=num_workers, chunk_size=CHUNK)
+    parallel = ParallelConfig(num_workers=num_workers)
     wall_s, result = _best_of(
-        ROUNDS, lambda: executor.execute(query, stream, cascade, parallel=parallel)
+        ROUNDS,
+        lambda: executor.execute(query, stream, cascade, batch_size=CHUNK, parallel=parallel),
     )
     return {
         "frames": len(stream),

@@ -63,22 +63,18 @@ def run(config, num_workers: int) -> dict[str, object]:
     executor = StreamingQueryExecutor(context.reference_detector(seed_offset=900))
 
     def parallel_config(sanitize):
-        return ParallelConfig(
-            num_workers=num_workers,
-            chunk_size=CHUNK,
-            sanitize=sanitize,
-        )
+        return ParallelConfig(num_workers=num_workers, sanitize=sanitize)
 
     clean_s, clean = _best_of(
         ROUNDS,
         lambda: executor.execute(
-            query, stream, cascade, parallel=parallel_config(None)
+            query, stream, cascade, batch_size=CHUNK, parallel=parallel_config(None)
         ),
     )
     instrumented_s, instrumented = _best_of(
         ROUNDS,
         lambda: executor.execute(
-            query, stream, cascade, parallel=parallel_config(SANITIZE)
+            query, stream, cascade, batch_size=CHUNK, parallel=parallel_config(SANITIZE)
         ),
     )
     report = instrumented.stats.sanitizer_report

@@ -34,7 +34,7 @@ from repro.detection.base import Detector, FrameDetections
 from repro.filters.base import FilterPrediction, FrameFilter
 from repro.query.ast import Query, WindowSpec
 from repro.query.evaluation import evaluate_predicates_on_detections
-from repro.query.parallel import ParallelConfig, decode_ahead
+from repro.query.parallel import decode_ahead
 from repro.query.temporal import TemporalConfig, TemporalScan, TemporalStats
 from repro.video.stream import Frame, VideoStream, checked_frame_indices
 
@@ -158,7 +158,6 @@ class AggregateMonitor:
         stream: VideoStream,
         indices: Sequence[int],
         temporal: TemporalConfig | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> tuple[np.ndarray, np.ndarray, TemporalStats | None]:
         """Evaluate exact values and controls on the sampled frames.
 
@@ -185,17 +184,13 @@ class AggregateMonitor:
         to the ungated path.  The gate renders every sample too, so an
         approximate gate renders ahead by the same rule; an exact one stays
         inline.
-
-        A ``parallel`` config only adds a second render thread (and renders
-        ahead even a one-tile sample); estimates are bit-identical with or
-        without it.
         """
         # One tile has nothing to overlap (the rule of a single-chunk scan),
         # and exact gating, which runs the filter and the Python-level
         # detector on every sample one frame at a time, measured no gain
         # (DESIGN.md "Parallel pipeline").
         overlap = len(indices) > _SAMPLE_TILE and (temporal is None or not temporal.exact)
-        with decode_ahead(stream, indices, parallel, _SAMPLE_TILE, 1 if overlap else 0) as fetch:
+        with decode_ahead(stream, indices, _SAMPLE_TILE, 1 if overlap else 0) as fetch:
             if temporal is not None:
                 return self._evaluate_samples_temporal(spec, indices, temporal, fetch)
             frames: list[Frame] = []
@@ -267,7 +262,6 @@ class AggregateMonitor:
         window: WindowBounds | None = None,
         frame_indices: Sequence[int] | None = None,
         temporal: TemporalConfig | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> MonitoringReport:
         """Estimate one aggregate query by sampling ``sample_size`` frames.
 
@@ -276,8 +270,7 @@ class AggregateMonitor:
         estimate; with multiple controls the multiple-CV estimator is used.
         ``temporal`` delta-gates the sample evaluation (see
         :meth:`_evaluate_samples`); the sampled indices themselves are drawn
-        identically either way.  ``parallel`` adds a second render thread
-        without changing any estimate.  ``window`` and ``frame_indices``
+        identically either way.  ``window`` and ``frame_indices``
         both choose the population, so passing both is a ``ValueError``.
         """
         if window is not None and frame_indices is not None:
@@ -299,7 +292,7 @@ class AggregateMonitor:
             # Checked before anything is rendered, charged or started.
             chosen = checked_frame_indices(frame_indices, stream)
         exact_values, controls, temporal_stats = self._evaluate_samples(
-            spec, stream, chosen, temporal=temporal, parallel=parallel
+            spec, stream, chosen, temporal=temporal
         )
         elapsed = time.perf_counter() - started
 

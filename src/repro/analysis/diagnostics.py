@@ -68,7 +68,6 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "NN003": (Severity.ERROR, "eval-dtype drift (breaks the float32 inference fast path)"),
     "NN004": (Severity.WARNING, "dead or unreachable layer"),
     "NN005": (Severity.INFO, "opaque layer: shape and dtype assumed preserved"),
-    "RC001": (Severity.ERROR, "unsynchronized concurrent access to shared state"),
     "RC002": (Severity.ERROR, "worker-private state entered by two threads concurrently"),
     "RC003": (Severity.ERROR, "simulated clock raced by concurrent charges"),
     "RC004": (Severity.ERROR, "parallel and sequential chunk results diverged"),

@@ -8,20 +8,17 @@ behind an ``is not None`` guard, so the instrumentation costs one
 attribute load when off — the invariant lint's INV007 enforces exactly
 that pattern):
 
-* **Race detector** (``"race"``, RC0xx) — a lockset/ownership checker over
-  the engine's shared state.  Instrumented critical sections declare the
-  locks they hold (:meth:`SanitizerSession.cache_access`; the engine has
-  no lock-guarded shared structure today, so the next one declares the
-  first production site), worker tasks open an *ownership window* over
+* **Race detector** (``"race"``, RC0xx) — an ownership checker over the
+  engine's shared state.  Worker tasks open an *ownership window* over
   each distinct filter object of their private cascade clones
   (:meth:`SanitizerSession.worker_window`), and every
   :class:`~repro.cost.SimulatedClock` charge/absorb/reuse runs inside a
   clock access (:meth:`SanitizerSession.clock_access`).  Two overlapping
-  accesses to the same resource from different threads with disjoint
-  declared locksets — or one clock charged inside two concurrently open
-  worker windows — is a race, reported with both threads' captured stacks:
-  RC001 for shared state, RC002 for a filter two worker tasks hold at once
-  (a clone that aliases its original), RC003 for clocks.
+  accesses to the same resource from different threads — or one clock
+  charged inside two concurrently open worker windows — is a race,
+  reported with both threads' captured stacks: RC002 for a filter two
+  worker tasks hold at once (a clone that aliases its original), RC003
+  for clocks.
 * **Numeric sanitizer** (``"numeric"``, NU0xx) — hooks every
   :class:`~repro.nn.network.Sequential` layer output for NaN (NU001) and
   Inf/overflow (NU002), naming the offending layer and the chunk being
@@ -109,14 +106,13 @@ def chunk_digest(alive: Sequence[Sequence[int]]) -> str:
 class _OpenAccess:
     """One in-flight instrumented critical section."""
 
-    __slots__ = ("resource", "thread_id", "thread_name", "locks", "stack", "touched")
+    __slots__ = ("resource", "thread_id", "thread_name", "stack", "touched")
 
-    def __init__(self, resource: tuple[Any, ...], locks: frozenset[int]) -> None:
+    def __init__(self, resource: tuple[Any, ...]) -> None:
         current = threading.current_thread()
         self.resource = resource
         self.thread_id = current.ident
         self.thread_name = current.name
-        self.locks = locks
         self.stack = _capture_stack(skip=4)
         #: clock resources charged inside this window (worker windows only),
         #: mapped to the stack of the first charge
@@ -179,15 +175,13 @@ class SanitizerSession:
     # ------------------------------------------------------------------
     # Race detector
     # ------------------------------------------------------------------
-    def _open(
-        self, resource: tuple[Any, ...], locks: frozenset[int], code: str, what: str
-    ) -> _OpenAccess:
-        access = _OpenAccess(resource, locks)
+    def _open(self, resource: tuple[Any, ...], code: str, what: str) -> _OpenAccess:
+        access = _OpenAccess(resource)
         conflict: _OpenAccess | None = None
         with self._mu:
             peers = self._inflight.setdefault(resource, [])
             for peer in peers:
-                if peer.thread_id != access.thread_id and not (peer.locks & access.locks):
+                if peer.thread_id != access.thread_id:
                     conflict = peer
                     break
             peers.append(access)
@@ -199,7 +193,7 @@ class SanitizerSession:
                     code,
                     f"{what} accessed concurrently by {access.thread_name} "
                     f"[{access.stack}] and {conflict.thread_name} "
-                    f"[{conflict.stack}] with no common lock held",
+                    f"[{conflict.stack}]",
                 ),
                 key=resource,
             )
@@ -214,21 +208,6 @@ class SanitizerSession:
                 self._inflight.pop(access.resource, None)
             if access in self._windows:
                 self._windows.remove(access)
-
-    @contextmanager
-    def cache_access(
-        self, owner: object, guarded_by: frozenset[int], what: str = "shared state"
-    ) -> Iterator[None]:
-        """A critical section over shared state, declaring the locks it holds (RC001)."""
-        if not self.race:
-            yield
-            return
-        resource = ("shared", id(owner))
-        access = self._open(resource, guarded_by, "RC001", f"{what} of {type(owner).__name__}")
-        try:
-            yield
-        finally:
-            self._close(access)
 
     @contextmanager
     def worker_window(self, chunk_id: int, resource_keys: Iterable[Any]) -> Iterator[None]:
@@ -250,7 +229,6 @@ class SanitizerSession:
                     accesses.append(
                         self._open(
                             ("worker", key),
-                            frozenset(),
                             "RC002",
                             f"worker-private cascade clone (chunk {chunk_id})",
                         )
@@ -269,9 +247,7 @@ class SanitizerSession:
         resource = ("clock", id(clock))
         access: _OpenAccess | None = None
         if self.race:
-            access = self._open(
-                resource, frozenset(), "RC003", f"SimulatedClock.{op} on clock"
-            )
+            access = self._open(resource, "RC003", f"SimulatedClock.{op} on clock")
             window = self._window_of_current_thread()
             conflict_stack: str | None = None
             conflict_name: str | None = None

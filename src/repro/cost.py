@@ -207,8 +207,7 @@ class ParallelCostReport:
     def balance(self) -> float:
         """Mean over max of the per-worker simulated loads (1.0 = perfectly even).
 
-        ``nan`` when no worker charged anything (e.g. an empty scan or a
-        prefetch-only parallel run).
+        ``nan`` when no worker charged anything (e.g. an empty scan).
         """
         seconds = self.worker_seconds
         peak = max(seconds, default=0.0)

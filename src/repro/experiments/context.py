@@ -136,7 +136,7 @@ class ExperimentContext:
         indices = self.config.test_indices
         chunks = partition_chunks(indices, DEFAULT_CHUNK_SIZE)
         threads = 1 if len(chunks) > 1 else 0
-        with decode_ahead(self.dataset.test, indices, None, DEFAULT_CHUNK_SIZE, threads) as render:
+        with decode_ahead(self.dataset.test, indices, DEFAULT_CHUNK_SIZE, threads) as render:
             for chunk in chunks:
                 frames = [render(index) for index in chunk]
                 yield frames, frame_filter.predict_batch(frames)

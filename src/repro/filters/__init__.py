@@ -53,7 +53,6 @@ from repro.filters.metrics import (
     count_accuracy,
     evaluate_count_filter,
     evaluate_localization,
-    localization_f1,
     score_predictions,
 )
 from repro.filters.calibration import ThresholdCalibration, calibrate_threshold
@@ -77,7 +76,6 @@ __all__ = [
     "CountAccuracyReport",
     "LocalizationReport",
     "count_accuracy",
-    "localization_f1",
     "evaluate_count_filter",
     "evaluate_localization",
     "score_predictions",

@@ -62,25 +62,12 @@ class CountAccuracyReport:
 # ----------------------------------------------------------------------
 # Localisation metrics
 # ----------------------------------------------------------------------
-def localization_counts(
-    predicted: GridMask, actual: GridMask, tolerance: int = 0
-) -> tuple[int, int, int]:
-    """``(true_positives, false_positives, false_negatives)`` at a Manhattan tolerance."""
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative: {tolerance}")
-    return _matched_counts(
-        predicted.values,
-        actual.values,
-        predicted.dilated(tolerance).values,
-        actual.dilated(tolerance).values,
-    )
-
-
 def _matched_counts(
     predicted: np.ndarray, actual: np.ndarray, predicted_grown: np.ndarray, actual_grown: np.ndarray
 ) -> tuple[int, int, int]:
-    """:func:`localization_counts` of two bool grids, each also given grown by
-    the tolerance (so a caller can grow a mask once for many comparisons)."""
+    """``(true_positives, false_positives, false_negatives)`` of two bool grids
+    at a Manhattan tolerance, each also given grown by the tolerance (so a
+    caller can grow a mask once for many comparisons)."""
     true_positives = int(np.count_nonzero(predicted & actual_grown))
     false_positives = int(np.count_nonzero(predicted)) - true_positives
     matched_actual = int(np.count_nonzero(actual & predicted_grown))
@@ -103,11 +90,6 @@ def f1_from_counts(tp: int, fp: int, fn: int) -> float:
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
-
-
-def localization_f1(predicted: GridMask, actual: GridMask, tolerance: int = 0) -> float:
-    """F1 of a single frame/class grid prediction (1.0 when both masks are empty)."""
-    return f1_from_counts(*localization_counts(predicted, actual, tolerance))
 
 
 @dataclass(frozen=True)

@@ -124,15 +124,8 @@ class StreamingQueryExecutor:
         include_partial_windows: bool = True,
         temporal: TemporalConfig | None = None,
         parallel: ParallelConfig | None = None,
-        strict: bool = False,
     ) -> QueryExecutionResult:
         """Run ``query`` over ``stream`` (optionally restricted to ``frame_indices``).
-
-        ``strict=True`` re-runs the static analyzer over the query and the
-        cascade right before execution and raises
-        :class:`~repro.analysis.AnalysisError` (a ``ValueError``) on
-        error-severity findings — the belt-and-braces entry point for
-        cascades that did not come from ``QueryPlanner.plan(strict=True)``.
 
         ``batch_size`` is the chunk size of the scan: ``batch_size=n``
         processes the stream in chunks of ``n`` frames with vectorized
@@ -161,22 +154,18 @@ class StreamingQueryExecutor:
         reuse the last keyframe's filter predictions and detector verdict,
         and with ``max_stride > 1`` stable segments are strided past
         entirely (see :mod:`repro.query.temporal`).  Temporal gating is
-        inherently sequential, so it cannot be combined with ``batch_size``.
+        inherently sequential, so it cannot be combined with ``batch_size``
+        or ``parallel``.
         With the default ``exact=True`` the matched frames (and windows) are
         bit-identical to a non-temporal run while the simulated cost shows
         what the approximate mode would charge; with ``exact=False`` reused
         verdicts are trusted as-is.
 
-        ``parallel`` runs the scan through the parallel pipelined engine
-        (see :mod:`repro.query.parallel`): the filter-cascade phase of
-        ``chunk_size``-frame chunks executes on ``num_workers`` concurrent
-        workers while a decode-ahead prefetcher renders upcoming chunks, and
-        results are re-merged in stream order — output is bit-identical to
-        the inline chunked scan.  When ``batch_size`` is also given it
-        overrides the config's chunk size (parallel execution *is* batched
-        execution, distributed).  Combined with ``temporal`` the gating
-        stays sequential (reuse decisions are inherently order-dependent)
-        and parallelism contributes decode-ahead rendering only.
+        ``parallel`` runs the filter-cascade phase of the scan's
+        ``batch_size``-frame chunks on ``num_workers`` concurrent workers
+        (see :mod:`repro.query.parallel`) while a decode-ahead prefetcher
+        renders upcoming chunks, and results are re-merged in stream order —
+        output is bit-identical to the inline chunked scan.
 
         The scan is the shared scan of :meth:`execute_many` with one query,
         so its counters are the work actually performed: under ``temporal``
@@ -188,7 +177,7 @@ class StreamingQueryExecutor:
         cascade = cascade if cascade is not None else FilterCascade()
         scan = self._scan(
             [query], stream, [cascade], frame_indices, batch_size,
-            include_partial_windows, temporal, parallel, strict,
+            include_partial_windows, temporal, parallel,
         )
         result, shared = scan.results[0], scan.shared
         if cascade.provably_empty:
@@ -226,13 +215,11 @@ class StreamingQueryExecutor:
         stream: VideoStream,
         cascades: Sequence[FilterCascade | None] | None = None,
         *,
-        planner=None,
         frame_indices: Sequence[int] | None = None,
         batch_size: int | None = None,
         include_partial_windows: bool = True,
         temporal: TemporalConfig | None = None,
         parallel: ParallelConfig | None = None,
-        strict: bool = False,
     ) -> MultiQueryExecutionResult:
         """Run several queries over ``stream`` in one shared scan.
 
@@ -252,10 +239,8 @@ class StreamingQueryExecutor:
           evaluated against each interested query's predicates.
 
         ``cascades[i]`` is the cascade for ``queries[i]`` (``None`` entries
-        mean no filtering).  When ``cascades`` is omitted entirely, a
-        ``planner`` (:class:`~repro.query.planner.QueryPlanner`) may be
-        supplied to plan one cascade per query; with neither, every query
-        runs brute force — still sharing frames and detector runs.
+        mean no filtering).  When ``cascades`` is omitted entirely, every
+        query runs brute force — still sharing frames and detector runs.
 
         Per-query results have exact parity with running each query alone:
         the same matched frames and windows, and per-query work counters /
@@ -278,9 +263,9 @@ class StreamingQueryExecutor:
         and the detector verdict at once.  Reuse only happens between frames
         covered by the same set of queries (window boundaries force a
         keyframe refresh).  As in :meth:`execute`, temporal gating is
-        sequential and cannot be combined with ``batch_size``; in the
-        default ``exact=True`` mode per-query results stay bit-identical to
-        a non-temporal run.
+        sequential and cannot be combined with ``batch_size`` or
+        ``parallel``; in the default ``exact=True`` mode per-query results
+        stay bit-identical to a non-temporal run.
 
         ``parallel`` distributes the shared scan's filter phase across the
         worker pool exactly as in :meth:`execute` — the cross-query
@@ -291,10 +276,7 @@ class StreamingQueryExecutor:
         if not queries:
             raise ValueError("execute_many needs at least one query")
         if cascades is None:
-            if planner is not None:
-                query_cascades = [planner.plan(query) for query in queries]
-            else:
-                query_cascades = [FilterCascade() for _ in queries]
+            query_cascades = [FilterCascade() for _ in queries]
         else:
             # `is None`, not truthiness: provably-empty cascades are falsy
             # (zero steps) but carry the short-circuit flag.
@@ -308,7 +290,7 @@ class StreamingQueryExecutor:
                 )
         return self._scan(
             queries, stream, query_cascades, frame_indices, batch_size,
-            include_partial_windows, temporal, parallel, strict,
+            include_partial_windows, temporal, parallel,
         )
 
     def _scan(
@@ -321,7 +303,6 @@ class StreamingQueryExecutor:
         include_partial_windows: bool,
         temporal: TemporalConfig | None,
         parallel: ParallelConfig | None,
-        strict: bool,
     ) -> MultiQueryExecutionResult:
         """The one scan behind :meth:`execute` and :meth:`execute_many`.
 
@@ -332,29 +313,27 @@ class StreamingQueryExecutor:
         each windowed query's last instance end as ``stop``); the executor
         decides only how frames reach it: one
         ``render(index)`` from :func:`~repro.query.parallel.decode_ahead`
-        and two drivers.  ``render`` runs ahead on the decode-ahead threads
-        when ``parallel`` is set.  Without it, a chunked scan (no
-        ``temporal``) of more than one chunk renders the next chunks while
-        this one is filtered and verified: on one thread when some query has
-        a filter step, on ``PREFETCH_THREADS`` when none has, so that two
-        renders share the second core beside the detector.  A gated scan
-        renders ahead on one thread when it has a filter step and an
-        ``exact`` gate over more than one frame, which renders every frame;
-        otherwise ``render`` is ``stream.frame``.  Frames render
+        and two drivers.  A pooled scan (``parallel``) renders ahead on
+        ``min(PREFETCH_THREADS, num_workers)`` threads.  Without a pool, a
+        chunked scan (no ``temporal``) of more than one chunk renders the
+        next chunks while this one is filtered and verified: on one thread
+        when some query has a filter step, on ``PREFETCH_THREADS`` when none
+        has, so that two renders share the second core beside the detector.
+        A gated scan renders ahead on one thread when it has a filter step
+        and an ``exact`` gate over more than one frame, which renders every
+        frame; otherwise ``render`` is ``stream.frame``.  Frames render
         deterministically per index on any thread, so the rule changes wall
         time only.
-        Rendered chunks of ``chunk_size`` frames go through
-        ``push_chunk`` (``batch_size=None`` = chunks of
-        ``DEFAULT_CHUNK_SIZE``, or of the ``parallel`` config's size; a session built
-        with ``parallel=`` filters them on its workers); under
-        ``temporal`` the whole index sequence goes
-        through the temporal driver, where gating is sequential and
-        ``parallel`` contributes decode-ahead only.  The filter phase of a
+        Rendered chunks of ``batch_size`` frames (``None`` = chunks of
+        ``DEFAULT_CHUNK_SIZE``) go through ``push_chunk`` (a session built
+        with ``parallel=`` filters them on its workers); under ``temporal``
+        the whole index sequence goes through the temporal driver, where
+        gating is sequential.  The filter phase of a
         chunk is :func:`~repro.query.parallel.run_filter_chunk` whether it
         runs inline or in a worker, so the parallel engine is chunk-for-chunk
         identical to the inline scan by construction.
 
-        With ``parallel.sanitize`` set, a chunked parallel scan runs under an
+        With ``parallel.sanitize`` set, the scan runs under an
         activated :class:`~repro.analysis.sanitizers.SanitizerSession`:
         findings raise ``AnalysisError`` mid-scan (``sanitize_strict=True``,
         the default) or are collected into ``sanitizer_report`` and surfaced
@@ -362,30 +341,21 @@ class StreamingQueryExecutor:
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be positive: {batch_size}")
-        if temporal is not None and batch_size is not None:
+        if temporal is not None and (batch_size is not None or parallel is not None):
             raise ValueError(
                 "temporal execution is sequential; combining temporal= with "
-                "batch_size= is not supported"
+                "batch_size= or parallel= is not supported"
             )
-        if strict:
-            # Local import: repro.analysis depends on the query AST package.
-            from repro.analysis import lint_plan, lint_query
-
-            for query, cascade in zip(queries, query_cascades):
-                lint_query(query, strict=True)
-                lint_plan(cascade, strict=True)
         base_indices = checked_frame_indices(frame_indices, stream)
         per_query_windows = [
             _window_bounds_for(query.window, stream, include_partial_windows)
             for query in queries
         ]
-        chunk_size = batch_size or (
-            parallel.chunk_size if parallel is not None else DEFAULT_CHUNK_SIZE
-        )
+        chunk_size = batch_size or DEFAULT_CHUNK_SIZE
         temporal_stats: TemporalStats | None = None
         sanitizer_report: AnalysisReport | None = None
         sanitizer_scope = nullcontext()
-        if parallel is not None and temporal is None and parallel.sanitize:
+        if parallel is not None and parallel.sanitize:
             # Local import: repro.analysis imports the query AST package.
             from repro.analysis.sanitizers import sanitized_scan
 
@@ -408,17 +378,21 @@ class StreamingQueryExecutor:
                 # The frames some query covers (a provably-empty query covers
                 # none, so it pulls no frame into the union on its own).
                 union_indices = [index for index in base_indices if session._covering(index)]
-                # Without workers, render threads run ahead while this one
-                # filters and verifies: one beside a filter phase (numpy that
-                # releases the GIL), two in a cascade-free scan.  A render is
-                # mostly noise drawn with the GIL released, and the detector
-                # holds the GIL for a few ms per chunk, so two renders keep
-                # the second core busy where one stalled each time it wanted
-                # the GIL back.  A single chunk has nothing to overlap and
-                # stays inline; DESIGN.md "Parallel pipeline" has the numbers.
+                # A pooled scan renders ahead on up to two threads, never
+                # more than it has filter workers.  Without workers, render
+                # threads run ahead while this one filters and verifies: one
+                # beside a filter phase (numpy that releases the GIL), two
+                # in a cascade-free scan.  A render is mostly noise drawn
+                # with the GIL released, and the detector holds the GIL for
+                # a few ms per chunk, so two renders keep the second core
+                # busy where one stalled each time it wanted the GIL back.
+                # A single chunk has nothing to overlap and stays inline;
+                # DESIGN.md "Parallel pipeline" has the numbers.
                 if temporal is None:
                     chunks = partition_chunks(union_indices, chunk_size)
-                    if len(chunks) < 2:
+                    if parallel is not None:
+                        threads = min(PREFETCH_THREADS, parallel.num_workers)
+                    elif len(chunks) < 2:
                         threads = 0
                     else:
                         threads = 1 if unique_steps > 0 else PREFETCH_THREADS
@@ -434,10 +408,8 @@ class StreamingQueryExecutor:
                     chunks = []
                     exact = unique_steps > 0 and temporal.exact and len(union_indices) > 1
                     threads = 1 if exact else 0
-                    ahead = chunk_size if parallel is not None else temporal.max_stride
-                with decode_ahead(
-                    stream, union_indices, parallel, ahead, threads
-                ) as render:
+                    ahead = temporal.max_stride
+                with decode_ahead(stream, union_indices, ahead, threads) as render:
                     if temporal is not None:
                         temporal_stats = session.run_temporal_scan(
                             temporal, union_indices, render
@@ -469,11 +441,6 @@ class StreamingQueryExecutor:
         # ``None`` on every fault-free run; an installed injector still
         # yields a report (decode retries happen in the stream).
         fault_report = current_report(tuple(session.quarantined))
-        # A gated scan is sequential (``batch_size`` is None under
-        # ``temporal``), whatever ``parallel`` renders ahead for it.
-        reported_batch_size = (
-            chunk_size if parallel is not None and temporal is None else batch_size
-        )
         # One attributed breakdown per query, in registration order.
         results = [
             query_result(
@@ -485,7 +452,7 @@ class StreamingQueryExecutor:
                     else None
                 ),
                 elapsed,
-                batch_size=reported_batch_size,
+                batch_size=batch_size,
                 faults=fault_report,
             )
             for state, attributed, bounds in zip(
@@ -513,7 +480,7 @@ class StreamingQueryExecutor:
             total_steps=sum(len(cascade) for cascade in query_cascades),
             cost=cost,
             wall_clock_seconds=elapsed,
-            batch_size=reported_batch_size,
+            batch_size=batch_size,
             temporal=temporal_stats,
             parallel=parallel_stats,
             sanitizer_report=sanitizer_report,
@@ -535,7 +502,6 @@ class StreamingQueryExecutor:
         seed: int = 0,
         include_partial_windows: bool = False,
         temporal: TemporalConfig | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> AggregateExecutionResult:
         """Estimate an aggregate monitoring query through the planner/executor API.
 
@@ -565,9 +531,6 @@ class StreamingQueryExecutor:
         sorted, so nearby samples of a stable stream are nearly identical).
         Exact mode verifies every reuse, keeping estimates bit-identical to
         a non-temporal run.
-
-        ``parallel`` adds a second thread to the rendering of each
-        estimate's sampled frames; the estimates are unchanged.
         """
         if repetitions < 1:
             raise ValueError(f"repetitions must be positive: {repetitions}")
@@ -597,12 +560,7 @@ class StreamingQueryExecutor:
                     bounds=bounds,
                     reports=tuple(
                         monitor.estimate(
-                            spec,
-                            stream,
-                            sample_size,
-                            window=bounds,
-                            temporal=temporal,
-                            parallel=parallel,
+                            spec, stream, sample_size, window=bounds, temporal=temporal
                         )
                         for _ in range(repetitions)
                     ),
@@ -611,9 +569,7 @@ class StreamingQueryExecutor:
             )
         else:
             reports = tuple(
-                monitor.estimate(
-                    spec, stream, sample_size, temporal=temporal, parallel=parallel
-                )
+                monitor.estimate(spec, stream, sample_size, temporal=temporal)
                 for _ in range(repetitions)
             )
         return AggregateExecutionResult(

@@ -57,20 +57,22 @@ PREFETCH_DEPTH = 2
 #: decode-ahead threads of a ``parallel=`` scan (never more than its filter
 #: workers) and of a cascade-free multi-chunk scan
 PREFETCH_THREADS = 2
-#: frames per chunk wherever the caller names none: a one-shot scan without
-#: ``batch_size``, ``parallel=`` or ``temporal=``, a :class:`ParallelConfig`,
-#: and a service stream
+#: frames per chunk wherever the caller names none: a one-shot chunked scan
+#: without ``batch_size`` (with or without ``parallel=``) and a service stream
 DEFAULT_CHUNK_SIZE = 16
 
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Knobs of the parallel pipelined execution engine.
+    """Knobs of the filter worker pool.
 
-    ``num_workers`` filter workers process chunks of ``chunk_size`` frames
-    concurrently while the prefetcher keeps ``PREFETCH_DEPTH`` further chunks
-    rendered ahead of submission.  Workers are threads; DESIGN.md "Parallel
-    pipeline" records the measurement that retired the process pool.
+    ``num_workers`` filter workers process a scan's chunks concurrently
+    while the prefetcher keeps ``PREFETCH_DEPTH`` further chunks rendered
+    ahead of submission.  The chunk size is not the pool's: a one-shot scan
+    chunks by its ``batch_size`` (``None`` = ``DEFAULT_CHUNK_SIZE``), a
+    service shard by its ``StreamConfig.chunk_size``.  Workers are threads;
+    DESIGN.md "Parallel pipeline" records the measurement that retired the
+    process pool.
 
     ``supervise=True`` turns on worker supervision (see
     :class:`WorkerSupervisor`): a chunk whose worker dies
@@ -83,20 +85,22 @@ class ParallelConfig:
     machinery and fails fast exactly as before.
 
     ``sanitize`` enables the opt-in runtime sanitizers of
-    :mod:`repro.analysis.sanitizers` for the chunked scan: ``"race"`` (the
-    lockset/ownership race detector), ``"numeric"`` (NaN/Inf checks on layer
+    :mod:`repro.analysis.sanitizers` for a one-shot chunked scan
+    (``execute`` / ``execute_many``; a :class:`~repro.query.session.ScanSession`
+    that a ``QueryService`` shard builds is never instrumented): ``"race"`` (the
+    ownership race detector), ``"numeric"`` (NaN/Inf checks on layer
     outputs and cost accumulators), ``"determinism"`` (parallel vs
     sequential chunk-digest diffing), a comma-joined combination, or
     ``"all"``.  ``sanitize_strict=True`` (default) raises
     :class:`~repro.analysis.AnalysisError` at the first finding; otherwise
     findings are collected on the execution stats' ``sanitizer_report``.
     The ``REPRO_SANITIZE`` environment variable supplies a default spec when
-    ``sanitize`` is unset, which is how CI runs the whole parallel suite
-    under full instrumentation without touching each test.
+    ``sanitize`` is unset, which is how CI runs the one-shot parallel scans
+    of its test modules under full instrumentation without touching each
+    test.
     """
 
     num_workers: int = 4
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     sanitize: str | None = None
     sanitize_strict: bool = True
     supervise: bool = False
@@ -106,8 +110,6 @@ class ParallelConfig:
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError(f"num_workers must be positive: {self.num_workers}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {self.chunk_size}")
         if self.worker_timeout_seconds <= 0.0:
             raise ValueError(
                 f"worker_timeout_seconds must be positive: {self.worker_timeout_seconds}"
@@ -135,12 +137,7 @@ class ParallelConfig:
 
 @dataclass(frozen=True)
 class ParallelStats:
-    """Telemetry of one parallel pipelined execution.
-
-    ``num_chunks == 0`` marks a prefetch-only run (the temporal-coherence
-    composition, where gating is inherently sequential and parallelism
-    contributes decode-ahead rendering only).
-    """
+    """Telemetry of one parallel pipelined execution."""
 
     num_workers: int
     chunk_size: int
@@ -404,25 +401,21 @@ class FramePrefetcher:
 def decode_ahead(
     stream: VideoStream,
     indices: Sequence[int],
-    parallel: ParallelConfig | None,
     chunk_size: int,
-    threads: int = 0,
+    threads: int,
 ) -> Iterator[Callable[[int], Frame]]:
     """The ``render(index)`` of one scan over ``indices``.
 
     A :class:`FramePrefetcher` running ``PREFETCH_DEPTH`` chunks of
     ``chunk_size`` frames (the frames the caller consumes at a time, or the
-    longest jump a gated scan makes: its ``max_stride``) ahead, closed
-    however the block exits.  With ``parallel`` it renders on
-    ``PREFETCH_THREADS`` threads but never more than
-    ``parallel.num_workers``; without it, on the ``threads`` render threads
-    the caller asks for (``StreamingQueryExecutor._scan`` and
-    ``AggregateMonitor._evaluate_samples`` decide how many), and ``threads=0``
-    gives ``stream.frame`` itself, so callers do not branch.  The only place
-    that constructs a prefetcher (lint INV011).
+    longest jump a gated scan makes: its ``max_stride``) ahead on the
+    ``threads`` render threads the caller asks for
+    (``StreamingQueryExecutor._scan``, ``AggregateMonitor._evaluate_samples``
+    and ``ExperimentContext.predicted_chunks`` decide how many), closed
+    however the block exits.  ``threads=0`` gives ``stream.frame`` itself,
+    so callers do not branch.  The only place that constructs a prefetcher
+    (lint INV011).
     """
-    if parallel is not None:
-        threads = min(PREFETCH_THREADS, parallel.num_workers)
     if threads < 1:
         yield stream.frame
         return

@@ -281,8 +281,7 @@ class ScanSession:
         if temporal is not None and parallel is not None:
             raise ValueError(
                 "a session gates frames sequentially; combining temporal= "
-                "with parallel= is not supported (the one-shot executor "
-                "composes them as prefetch-only)"
+                "with parallel= is not supported"
             )
         if temporal is not None and temporal.max_stride != 1:
             raise ValueError(

@@ -71,11 +71,13 @@ class StreamConfig:
     frame batches to it); ``queue_chunks`` bounds the ingestion queue and
     ``policy`` picks the backpressure behaviour (``"block"`` /
     ``"drop_oldest"`` / ``"degrade"``).  ``temporal`` / ``parallel``
-    configure the shard's scan session exactly as they configure the
-    one-shot executor.  A shard given neither filters on a pool of
+    configure the shard's scan session as they configure the one-shot
+    executor, except that the shard chunks by ``chunk_size`` and its
+    ``parallel.sanitize`` instruments nothing (only a one-shot scan runs
+    under the sanitizers).  A shard given neither filters on a pool of
     :data:`SHARD_WORKERS` threads, as
-    ``ParallelConfig(num_workers=SHARD_WORKERS, chunk_size=chunk_size)``
-    would, while its stream is the service's only one, and inline while
+    ``ParallelConfig(num_workers=SHARD_WORKERS)`` would, while its stream
+    is the service's only one, and inline while
     other streams' shard threads share the cores; a ``temporal`` shard
     gates inline.  ``degrade`` is the approximate
     :class:`~repro.query.temporal.TemporalConfig` applied while the
@@ -169,9 +171,7 @@ class _StreamShard:
         self.config = config
         self._default_pool = None
         if config.parallel is None and config.temporal is None:
-            self._default_pool = ParallelConfig(
-                num_workers=SHARD_WORKERS, chunk_size=config.chunk_size
-            )
+            self._default_pool = ParallelConfig(num_workers=SHARD_WORKERS)
         self.session = ScanSession(
             detector,
             clock,

@@ -12,7 +12,7 @@ constraints possible.
 """
 
 from repro.spatial.geometry import Box, Point, box_center, box_iou, union_box
-from repro.spatial.grid import Grid, GridMask, cells_within_manhattan, component_counts
+from repro.spatial.grid import Grid, GridMask, component_counts
 from repro.spatial.regions import (
     Quadrant,
     Region,
@@ -45,7 +45,6 @@ __all__ = [
     "union_box",
     "Grid",
     "GridMask",
-    "cells_within_manhattan",
     "component_counts",
     "Quadrant",
     "Region",

@@ -125,28 +125,6 @@ class Grid:
             raise IndexError(f"cell ({row}, {col}) outside grid {self.rows}x{self.cols}")
 
 
-def cells_within_manhattan(
-    cell: tuple[int, int], distance: int, rows: int, cols: int
-) -> list[tuple[int, int]]:
-    """All grid cells within the given Manhattan distance of ``cell``.
-
-    Used by the ``CLF-1`` / ``CLF-2`` tolerance metrics: a predicted cell is
-    judged correct when a ground-truth object of the same class lies within
-    Manhattan distance 1 (any of the 4 adjacent cells) or 2 of the prediction.
-    """
-    if distance < 0:
-        raise ValueError(f"distance must be non-negative: {distance}")
-    row0, col0 = cell
-    result: list[tuple[int, int]] = []
-    for dr in range(-distance, distance + 1):
-        remaining = distance - abs(dr)
-        for dc in range(-remaining, remaining + 1):
-            row, col = row0 + dr, col0 + dc
-            if 0 <= row < rows and 0 <= col < cols:
-                result.append((row, col))
-    return result
-
-
 @dataclass
 class GridMask:
     """A boolean occupancy mask over a :class:`Grid`.
@@ -211,9 +189,11 @@ class GridMask:
 
         Each step ORs the mask with its four one-cell shifts, with nothing
         shifted in past the border: a 4-connected binary dilation.  ``distance``
-        steps grow each occupied cell into its Manhattan ball of that radius —
-        the same result as unioning :func:`cells_within_manhattan` per cell.
-        An empty mask stays empty, so it is only copied.
+        steps grow each occupied cell into its Manhattan ball of that radius
+        (clipped to the grid): the ``CLF-1`` / ``CLF-2`` tolerance metrics
+        judge a predicted cell correct when a ground-truth cell of the same
+        class lies within Manhattan distance 1 or 2 of it.  An empty mask
+        stays empty, so it is only copied.
         """
         grown = self.values.copy()
         for _ in range(distance if self else 0):

@@ -137,7 +137,7 @@ class EngineConfig(NamedTuple):
         return "exact"
 
 
-THREADS = ParallelConfig(num_workers=2, chunk_size=5)
+THREADS = ParallelConfig(num_workers=2)
 SUPERVISED = replace(THREADS, supervise=True, worker_timeout_seconds=0.2)
 GATED = TemporalConfig(delta_threshold=30.0, keyframe_interval=10)
 STRIDED = replace(GATED, max_stride=8)
@@ -150,23 +150,21 @@ CONFIGS = (
     _C("batch7", batch_size=7),
     _C("batch-whole", batch_size=64),
     _C("batch7-fixed-windows", batch_size=7, include_partial_windows=False),
-    _C("thread2", parallel=THREADS),
-    _C("thread2-fixed-windows", parallel=THREADS, include_partial_windows=False),
+    _C("thread2", parallel=THREADS, batch_size=5),
+    _C("thread2-fixed-windows", parallel=THREADS, batch_size=5, include_partial_windows=False),
     _C("thread2-batch7", parallel=THREADS, batch_size=7),
-    _C("thread2-determinism", parallel=replace(THREADS, sanitize="determinism")),
+    _C("thread2-determinism", parallel=replace(THREADS, sanitize="determinism"), batch_size=5),
     _C("temporal-exact", temporal=GATED),
     _C("temporal-exact-stride8", temporal=STRIDED),
-    _C("temporal-exact-thread2", temporal=STRIDED, parallel=THREADS),
     _C("temporal-approximate", temporal=APPROXIMATE),
     _C("unordered", frame_indices=UNORDERED),
     _C("unordered-batch7", frame_indices=UNORDERED, batch_size=7),
-    _C("unordered-thread2", frame_indices=UNORDERED, parallel=THREADS),
+    _C("unordered-thread2", frame_indices=UNORDERED, parallel=THREADS, batch_size=5),
     _C("no-cascades", cascades="none"),
     _C("no-cascades-batch7", cascades="none", batch_size=7),
     _C("execute-batch7", "solo", batch_size=7),
     _C("execute-unordered-batch7", "solo", batch_size=7, frame_indices=UNORDERED),
     _C("aggregate", "aggregate"),
-    _C("aggregate-thread2", "aggregate", parallel=THREADS),
     _C("aggregate-temporal", "aggregate", temporal=GATED),
     _C("aggregate-temporal-approximate", "aggregate", temporal=replace(GATED, exact=False)),
     _C("service-7-by-13", "service", chunk_size=7, feed=13, peer=True),
@@ -179,7 +177,7 @@ CONFIGS = (
     _C("checkpoint-at-22-temporal", "service", temporal=GATED, chunk_size=11, feed=11, cut=22),
     _C("checkpoint-at-22-temporal-approximate", "service", temporal=replace(GATED, exact=False),
        chunk_size=11, feed=11, cut=22),
-    _C("supervised-thread2", parallel=SUPERVISED),
+    _C("supervised-thread2", parallel=SUPERVISED, batch_size=5),
 )
 
 
@@ -323,7 +321,7 @@ class Harness:
             )
             runs.append(asdict(self.executor().execute_aggregate(
                 spec, stream, cascades[position], sample_size=20, repetitions=2, seed=7,
-                temporal=config.temporal, parallel=config.parallel,
+                temporal=config.temporal,
             )))
         return {"aggregates": runs}
 

@@ -226,9 +226,10 @@ def test_execute_many_skips_only_the_empty_query(
 def test_execute_strict_raises_before_rendering(
     planner, executor, tiny_jackson, render_counter
 ):
+    """A strict plan is the scan's lint: it raises before anything renders."""
     query = impossible_query()
     with pytest.raises(AnalysisError, match="QA001"):
-        executor.execute(query, tiny_jackson.test, planner.plan(query), strict=True)
+        executor.execute(query, tiny_jackson.test, planner.plan(query, strict=True))
     assert render_counter == []
 
 

@@ -83,12 +83,7 @@ def _run_soak(od_planner, tiny_jackson, *, emitters=()):
     crash/stall faults live there).
     """
     service = QueryService(emitters=list(emitters))
-    parallel = ParallelConfig(
-        num_workers=2,
-        chunk_size=CHUNK_SIZE,
-        supervise=True,
-        worker_timeout_seconds=0.5,
-    )
+    parallel = ParallelConfig(num_workers=2, supervise=True, worker_timeout_seconds=0.5)
     for name, config in (
         ("north", StreamConfig(chunk_size=CHUNK_SIZE, queue_chunks=4, policy="block")),
         (
@@ -276,7 +271,7 @@ def test_error_exit_discards_in_flight_chunks(od_planner, tiny_jackson, live, cr
         class_names=tiny_jackson.class_names, seed=DETECTOR_SEED
     )
     frames = _looped_frames(tiny_jackson.test, 6 * CHUNK_SIZE)
-    config = ParallelConfig(num_workers=2, chunk_size=CHUNK_SIZE)
+    config = ParallelConfig(num_workers=2)
     with FaultInjector(schedule={("worker_crash", crashed): 1}):
         with pytest.raises(FaultError) as excinfo:
             with ScanSession(detector, live=live, parallel=config) as session:

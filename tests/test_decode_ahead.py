@@ -34,7 +34,7 @@ from repro.query import (
     StreamingQueryExecutor,
     TemporalConfig,
 )
-from repro.query.parallel import FramePrefetcher, decode_ahead
+from repro.query.parallel import DEFAULT_CHUNK_SIZE, FramePrefetcher
 from repro.query.results import MultiQueryExecutionResult
 from tests.conftest import reference_evaluate_samples
 from tests.differential import first_difference, normalize
@@ -75,7 +75,7 @@ def _empty(name="empty"):
 
 
 @contextmanager
-def _inline(stream, indices, parallel, chunk_size=None, threads=0):
+def _inline(stream, indices, chunk_size, threads):
     yield stream.frame
 
 
@@ -263,7 +263,6 @@ GATE = TemporalConfig(delta_threshold=30.0, keyframe_interval=10)
 AGGREGATE_CASES = {
     "sizes": (_plain, 1, (1, _SAMPLE_TILE, _SAMPLE_TILE + 1, 100), {}),
     "windowed": (_windowed, 1, (THREE_TILES,), {"include_partial_windows": True}),
-    "parallel": (_plain, 1, (1, THREE_TILES), {"parallel": ParallelConfig(2, chunk_size=8)}),
     "temporal-exact": (_plain, 1, (THREE_TILES, 100), {"temporal": GATE}),
     "temporal-approximate": (
         _plain, 1, (THREE_TILES, 100), {"temporal": replace(GATE, exact=False)}
@@ -380,23 +379,16 @@ def test_decode_ahead_only_for_multi_chunk_scans(
     )
     assert prefetchers[7:] == [(2 * _SAMPLE_TILE, 1)] * 2
 
-    # ``parallel=`` keeps its own prefetcher: PREFETCH_THREADS, capped by workers.
-    config = ParallelConfig(num_workers=2, chunk_size=8)
+    # A pooled scan renders on PREFETCH_THREADS, capped by its workers, even
+    # a single chunk; it chunks by ``batch_size`` as any one-shot scan does.
+    config = ParallelConfig(num_workers=2)
+    runner.execute(query, stream, cascade, batch_size=8, parallel=config)
     runner.execute(query, stream, cascade, parallel=config)
     runner.execute(query, stream, cascade, batch_size=len(stream), parallel=config)
-    runner.execute_aggregate(spec, stream, cascade, sample_size=2, parallel=config)
-    runner.execute(query, stream, cascade, temporal=TemporalConfig(max_stride=4), parallel=config)
+    runner.execute(query, stream, cascade, parallel=replace(config, num_workers=1))
     assert prefetchers[9:] == [
-        (2 * 8, 2), (2 * len(stream), 2), (2 * _SAMPLE_TILE, 2), (2 * 8, 2)
+        (2 * 8, 2), (2 * DEFAULT_CHUNK_SIZE, 2), (2 * len(stream), 2), (2 * DEFAULT_CHUNK_SIZE, 1)
     ]
-    assert _live_decode_ahead_threads() == []
-
-
-def test_decode_ahead_overlap_needs_a_chunk_size(stream):
-    """Rendering ahead without ``parallel=`` has no config to take a depth
-    from, so the caller's chunk size is required rather than defaulted."""
-    with pytest.raises(TypeError, match="chunk_size"):
-        decode_ahead(stream, [0, 1], None, threads=1)
     assert _live_decode_ahead_threads() == []
 
 

@@ -62,13 +62,6 @@ def _answers(record):
             stats["detector_invocations"]]
 
 
-def _batch_size(config):
-    """What ``stats.batch_size`` reports: none for a gated (sequential) scan."""
-    if config.temporal is None and config.parallel is not None:
-        return config.batch_size or config.parallel.chunk_size
-    return config.batch_size
-
-
 # ----------------------------------------------------------------------
 # R2, and R1 for the cascade-free configs
 # ----------------------------------------------------------------------
@@ -89,7 +82,7 @@ def test_config_equals_the_reference(harness, config, scenario):
         what = f"{config.id}: {want['query_name']}"
         _assert_equal(_answers(got), _answers(want), what)
         if config.entry != "service":
-            assert got["stats"]["batch_size"] == _batch_size(config), what
+            assert got["stats"]["batch_size"] == config.batch_size, what
         assert got["stats"]["filter_invocations"] == want["stats"]["filter_invocations"], what
         _assert_cost(got["stats"]["simulated_cost"], want["stats"]["simulated_cost"], what)
         if config.entry == "service" and config.temporal is not None and config.temporal.exact:
@@ -117,7 +110,7 @@ def _assert_aggregates(config, dump, reference):
 
 def _assert_shared(harness, config, scenario, dump, reference):
     shared, want = dump["shared"], reference["shared"]
-    assert shared["batch_size"] == _batch_size(config)
+    assert shared["batch_size"] == config.batch_size
     for field in ("frames_scanned", "unique_steps", "total_steps"):
         assert shared[field] == want[field], field
     if config.cascades == "none":  # every covered frame goes to the detector
@@ -144,16 +137,11 @@ def _assert_shared(harness, config, scenario, dump, reference):
 
 def _assert_workers(harness, config, scenario, dump, want):
     telemetry = harness.dump(config, scenario)["shared"]["parallel"]
-    chunk = config.batch_size or config.parallel.chunk_size
+    chunk = config.batch_size
     assert (telemetry["num_workers"], telemetry["chunk_size"]) == (config.parallel.num_workers, chunk)
-    if config.temporal is None:
-        assert telemetry["num_chunks"] == math.ceil(want["frames_scanned"] / chunk)
-    else:  # gating is sequential: the workers only render ahead
-        assert telemetry["num_chunks"] == 0 and telemetry["cost"]["per_worker"] == ()
+    assert telemetry["num_chunks"] == math.ceil(want["frames_scanned"] / chunk)
     # The pool is invisible, field for field.
-    twin = without_faults(config)._replace(
-        parallel=None, batch_size=None if config.temporal is not None else chunk
-    )
+    twin = without_faults(config)._replace(parallel=None)
     twin_dump = normalize(harness.dump(twin, scenario))
     varying = ("parallel", "sanitizer_report")
     _assert_equal(_strip(dump, *varying), _strip(twin_dump, *varying), f"{config.id} twin")

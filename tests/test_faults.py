@@ -662,11 +662,11 @@ def test_gated_poisoned_frame_is_not_installed_as_keyframe(tiny_jackson):
 @pytest.mark.parallel
 def test_unsupervised_scan_fails_fast(cars_workload, tiny_jackson):
     queries, cascades = cars_workload
-    parallel = ParallelConfig(num_workers=2, chunk_size=8)
+    parallel = ParallelConfig(num_workers=2)
     with FaultInjector(schedule={("worker_crash", 0): 1}):
         with pytest.raises(FaultError):
             _executor(tiny_jackson).execute_many(
-                queries, tiny_jackson.test, cascades, parallel=parallel
+                queries, tiny_jackson.test, cascades, batch_size=8, parallel=parallel
             )
 
 
@@ -675,21 +675,16 @@ def test_worker_redispatch_exhaustion_quarantines_chunk(
     cars_workload, tiny_jackson
 ):
     queries, cascades = cars_workload
-    parallel = ParallelConfig(
-        num_workers=2,
-        chunk_size=8,
-        supervise=True,
-        max_redispatch=1,
-    )
+    parallel = ParallelConfig(num_workers=2, supervise=True, max_redispatch=1)
     baseline = _executor(tiny_jackson).execute_many(
-        queries, tiny_jackson.test, cascades, parallel=parallel
+        queries, tiny_jackson.test, cascades, batch_size=8, parallel=parallel
     )
     # Two crashes of chunk 1 exceed max_redispatch=1: poisoned chunk.
     with FaultInjector(schedule={("worker_crash", 1): 2}):
         faulted = _executor(tiny_jackson).execute_many(
-            queries, tiny_jackson.test, cascades, parallel=parallel
+            queries, tiny_jackson.test, cascades, batch_size=8, parallel=parallel
         )
-    lost = set(range(8, 16))  # chunk 1 under chunk_size=8
+    lost = set(range(8, 16))  # chunk 1 under batch_size=8
     assert faulted[0].matched_frames == tuple(
         index for index in baseline[0].matched_frames if index not in lost
     )
@@ -716,12 +711,12 @@ def test_worker_chunk_ids_stay_partition_positions_past_an_undecodable_chunk(
         inline = _executor(tiny_jackson).execute_many(
             queries, stream, cascades, batch_size=chunk_size
         )
-    parallel = ParallelConfig(num_workers=2, chunk_size=chunk_size, supervise=True)
+    parallel = ParallelConfig(num_workers=2, supervise=True)
     with FaultInjector(
         schedule={**decode, ("worker_crash", last): 1}, retry=retry
     ) as injector:
         faulted = _executor(tiny_jackson).execute_many(
-            queries, stream, cascades, parallel=parallel
+            queries, stream, cascades, batch_size=chunk_size, parallel=parallel
         )
     # Had the undecodable chunk not consumed an id, the ids would stop at
     # ``last - 1`` and the crash aimed at the last chunk would never fire.
@@ -772,12 +767,10 @@ def test_worker_submission_that_gives_up_still_consumes_its_chunk_id(
         lambda supervisor: BreaksOnChunkOne(build_pool(supervisor)),
     )
     queries, cascades = cars_workload
-    parallel = ParallelConfig(
-        num_workers=2, chunk_size=8, supervise=True, max_redispatch=0
-    )
+    parallel = ParallelConfig(num_workers=2, supervise=True, max_redispatch=0)
     with FaultInjector(schedule={}):
         faulted = _executor(tiny_jackson).execute_many(
-            queries, tiny_jackson.test, cascades, parallel=parallel
+            queries, tiny_jackson.test, cascades, batch_size=8, parallel=parallel
         )
     assert submitted == list(range(faulted.shared.parallel.num_chunks))
     record = faulted[0].stats.faults.quarantined[0]

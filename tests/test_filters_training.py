@@ -7,18 +7,18 @@ import pytest
 
 from repro.cost import IC_BRANCH_MS, OD_BRANCH_MS
 from repro.detection import ReferenceDetector
+from repro.detection.annotation import AnnotatedFrame, AnnotationSet
 from repro.filters import (
     calibrate_threshold,
     count_accuracy,
     evaluate_count_filter,
     evaluate_localization,
-    localization_f1,
+    score_predictions,
 )
-from repro.filters.base import CountTolerance
-from repro.filters.metrics import localization_counts
+from repro.filters.base import CountTolerance, FilterPrediction
 from repro.query import QueryBuilder, StreamingQueryExecutor
 from repro.query.planner import CascadeStep, FilterCascade
-from repro.spatial.grid import Grid, GridMask
+from repro.spatial.grid import Grid
 
 
 def test_count_accuracy_metric():
@@ -34,22 +34,37 @@ def test_count_accuracy_metric():
         count_accuracy([1], [1], -1)
 
 
-def test_localization_f1_metric():
+def test_score_predictions_localization_tolerance():
+    """One car predicted one cell off, scored at Manhattan tolerances 0-2."""
     grid = Grid(rows=6, cols=6, frame_width=60, frame_height=60)
-    truth = np.zeros((6, 6), dtype=bool)
-    truth[2, 2] = True
-    predicted_exact = GridMask(grid=grid, values=truth.copy())
-    assert localization_f1(predicted_exact, GridMask(grid=grid, values=truth)) == 1.0
-    shifted = np.zeros((6, 6), dtype=bool)
-    shifted[2, 3] = True
-    predicted_shifted = GridMask(grid=grid, values=shifted)
-    assert localization_f1(predicted_shifted, GridMask(grid=grid, values=truth), 0) == 0.0
-    assert localization_f1(predicted_shifted, GridMask(grid=grid, values=truth), 1) == 1.0
-    # Both empty counts as perfect.
-    empty = grid.empty_mask()
-    assert localization_f1(empty, empty) == 1.0
-    tp, fp, fn = localization_counts(predicted_shifted, GridMask(grid=grid, values=truth), 0)
-    assert (tp, fp, fn) == (0, 1, 1)
+
+    def cells(*occupied):
+        values = np.zeros((6, 6), dtype=bool)
+        for cell in occupied:
+            values[cell] = True
+        return values
+
+    def scored(predicted, actual):
+        prediction = FilterPrediction(
+            frame_index=0, filter_name="f", grid=grid,
+            class_counts={"car": int(predicted.sum())},
+            class_scores={"car": float(predicted.sum())},
+            location_scores={"car": predicted.astype(float)}, threshold=0.5, latency_ms=0.0,
+        )
+        annotated = AnnotatedFrame(0, {"car": int(actual.sum())}, {"car": actual})
+        annotations = AnnotationSet("s", ("car",), grid, [annotated])
+        report = score_predictions([prediction], annotations)[1][None]
+        return [
+            report.per_class_f1["car"],
+            report.per_class_f1_manhattan_1["car"],
+            report.per_class_f1_manhattan_2["car"],
+        ]
+
+    assert scored(cells((2, 2)), cells((2, 2))) == [1.0, 1.0, 1.0]
+    # A one-cell shift misses exactly and hits within one cell.
+    assert scored(cells((2, 3)), cells((2, 2))) == [0.0, 1.0, 1.0]
+    # Two empty masks count as perfect.
+    assert scored(cells(), cells()) == [1.0, 1.0, 1.0]
 
 
 def _predictions(frame_filter, stream, annotations):

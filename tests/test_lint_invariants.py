@@ -159,15 +159,15 @@ def test_inv011_accepts_the_one_construction_site(lint):
         lint,
         """
         @contextmanager
-        def decode_ahead(stream, indices, parallel, chunk_size=None):
+        def decode_ahead(stream, indices, chunk_size, threads):
             prefetcher = FramePrefetcher(stream, indices, depth=4, threads=1)
             try:
                 yield prefetcher.frame
             finally:
                 prefetcher.close()
 
-        def scan(stream, indices, parallel):
-            with decode_ahead(stream, indices, parallel) as render:
+        def scan(stream, indices):
+            with decode_ahead(stream, indices, 4, 1) as render:
                 return [render(index) for index in indices]
         """,
     ) == []

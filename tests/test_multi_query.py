@@ -67,11 +67,7 @@ SCAN_MODES = {
     "per_frame": {},
     "chunked": {"batch_size": 7},
     "temporal": {"temporal": TemporalConfig(exact=True, max_stride=8)},
-    "parallel": {"parallel": ParallelConfig(num_workers=2, chunk_size=8)},
-    "temporal_parallel": {
-        "temporal": TemporalConfig(exact=True, max_stride=8),
-        "parallel": ParallelConfig(num_workers=2, chunk_size=8),
-    },
+    "parallel": {"parallel": ParallelConfig(num_workers=2), "batch_size": 8},
 }
 
 
@@ -79,7 +75,7 @@ SCAN_MODES = {
 def test_execute_is_the_shared_scan_of_one_query(workload, tiny_jackson, mode):
     """``execute(q)`` and ``execute_many([q])`` are one scan, reported two
     ways: R3 of the differential harness (``tests/differential.py``).  A
-    gated scan reports no chunk size on either side, ``parallel=`` or not."""
+    gated scan reports no chunk size on either side."""
     options = SCAN_MODES[mode]
     reused_frames = 0
     for query, cascade in zip(*workload):
@@ -239,13 +235,14 @@ def test_execute_many_with_planner_and_result_lookup(
         QueryBuilder("only_people").count("person").at_least(1).build(),
     ]
     executor = _executor(tiny_jackson.class_names)
-    multi = executor.execute_many(queries, tiny_jackson.test, planner=planner, batch_size=16)
+    cascades = [planner.plan(query) for query in queries]
+    multi = executor.execute_many(queries, tiny_jackson.test, cascades, batch_size=16)
     assert multi.result_for("only_cars").cascade_description.startswith("OD-")
     with pytest.raises(KeyError):
         multi.result_for("missing")
-    for query, result in zip(queries, multi):
+    for query, cascade, result in zip(queries, cascades, multi):
         solo = _executor(tiny_jackson.class_names).execute(
-            query, tiny_jackson.test, planner.plan(query), batch_size=16
+            query, tiny_jackson.test, cascade, batch_size=16
         )
         assert result.matched_frames == solo.matched_frames
 

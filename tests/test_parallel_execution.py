@@ -156,7 +156,7 @@ def test_per_worker_cost_report(tiny_jackson, stream, planner):
     baseline = executor(tiny_jackson).execute(query, stream, cascade, batch_size=8)
     parallel = executor(tiny_jackson).execute(
         query, stream, cascade,
-        parallel=ParallelConfig(num_workers=3, chunk_size=8),
+        batch_size=8, parallel=ParallelConfig(num_workers=3),
     )
     report = parallel.stats.parallel.cost
     assert 1 <= report.num_workers <= 3
@@ -213,8 +213,6 @@ def test_worker_chunk_cost_does_not_depend_on_earlier_chunks(stream, planner):
 def test_parallel_config_validation():
     with pytest.raises(ValueError):
         ParallelConfig(num_workers=0)
-    with pytest.raises(ValueError):
-        ParallelConfig(chunk_size=0)
     with pytest.raises(ValueError):
         ParallelConfig(worker_timeout_seconds=0.0)
     with pytest.raises(ValueError):
@@ -340,9 +338,11 @@ def test_chunk_failure_does_not_leak_prefetch_threads(
 ):
     query = count_query()
     faulty = _FaultyStream(stream, fail_at=fail_at)
-    config = ParallelConfig(num_workers=2, chunk_size=8)
+    config = ParallelConfig(num_workers=2)
     with pytest.raises(RuntimeError, match="injected decode failure"):
-        executor(tiny_jackson).execute(query, faulty, planner.plan(query), parallel=config)
+        executor(tiny_jackson).execute(
+            query, faulty, planner.plan(query), batch_size=8, parallel=config
+        )
     assert _live_prefetch_threads() == []
 
 
@@ -366,15 +366,14 @@ def test_execute_many_chunk_failure_does_not_leak_prefetch_threads(
     queries = [count_query("q0"), mixed_query("q1")]
     cascades = [planner.plan(query) for query in queries]
     faulty = _FaultyStream(stream, fail_at=25)
-    config = ParallelConfig(num_workers=2, chunk_size=8)
+    config = ParallelConfig(num_workers=2)
     spec = AggregateQuerySpec.from_query(queries[0], [lambda prediction: 1.0])
     runner = executor(tiny_jackson)
     for run in (
-        lambda: runner.execute_many(queries, faulty, cascades, parallel=config),
-        lambda: runner.execute(queries[0], faulty, cascades[0], parallel=config),
-        lambda: runner.execute_aggregate(
-            spec, faulty, cascades[0], sample_size=len(stream), parallel=config
-        ),
+        lambda: runner.execute_many(queries, faulty, cascades, batch_size=8, parallel=config),
+        lambda: runner.execute(queries[0], faulty, cascades[0], batch_size=8, parallel=config),
+        # A whole-stream sample spans many filter tiles, so it renders ahead.
+        lambda: runner.execute_aggregate(spec, faulty, cascades[0], sample_size=len(stream)),
     ):
         with pytest.raises(RuntimeError, match="injected decode failure"):
             run()

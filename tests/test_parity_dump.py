@@ -47,11 +47,11 @@ def test_the_normalizer_drops_exactly_the_varying_fields():
 
 
 def test_a_one_field_difference_names_the_config_and_the_field_path(tool):
-    ids = ["inline", "temporal-exact-thread2", "thread2"]
+    ids = ["inline", "temporal-exact", "thread2"]
     parent = {config_id: normalize(_dump()) for config_id in ids}
-    change = dict(parent, **{"temporal-exact-thread2": normalize(_dump(batch_size=None))})
+    change = dict(parent, **{"temporal-exact": normalize(_dump(batch_size=None))})
     assert tool.compare(ids, parent, change) == (
-        ["temporal-exact-thread2: queries[0].stats.batch_size", "2/3 configs equal"], False
+        ["temporal-exact: queries[0].stats.batch_size", "2/3 configs equal"], False
     )
     change["thread2"] = {"error": "RuntimeError: boom"}
     assert tool.compare(ids, parent, change)[0][1] == "thread2: change raised RuntimeError: boom"

@@ -160,7 +160,7 @@ def no_work_allowed(counted_renders):
     [
         {},
         {"batch_size": 8},
-        {"parallel": ParallelConfig(num_workers=2, chunk_size=8)},
+        {"batch_size": 8, "parallel": ParallelConfig(num_workers=2)},
         {"temporal": TemporalConfig(exact=True)},
     ],
     ids=["plain", "batched", "parallel", "temporal"],

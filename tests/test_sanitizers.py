@@ -110,41 +110,6 @@ def _run_in_lockstep(first, second):
     return errors
 
 
-def test_rc001_disjoint_locksets_on_shared_state():
-    session = SanitizerSession("race", strict=False)
-    owner = object()
-
-    def body(barrier):
-        with session.cache_access(owner, frozenset((id(barrier),))):
-            barrier.wait()
-            time.sleep(0.01)
-
-    def other_body(barrier):
-        with session.cache_access(owner, frozenset()):
-            barrier.wait()
-            time.sleep(0.01)
-
-    assert not _run_in_lockstep(body, other_body)
-    report = session.report()
-    assert report.codes == ("RC001",)
-    assert "no common lock held" in report.diagnostics[0].message
-
-
-def test_rc001_silent_when_a_common_lock_is_held():
-    session = SanitizerSession("race", strict=False)
-    owner = object()
-    lock = threading.Lock()
-    locks = frozenset((id(lock),))
-
-    def body(barrier):
-        barrier.wait()
-        with lock, session.cache_access(owner, locks):
-            time.sleep(0.005)
-
-    assert not _run_in_lockstep(body, body)
-    assert not session.report().diagnostics
-
-
 def test_rc002_two_threads_in_one_worker_window():
     session = SanitizerSession("race", strict=False)
 
@@ -294,32 +259,27 @@ def _executor(stream):
 def test_seeded_race_raises_rc003_under_sanitize_race(single_object_stream):
     stream = single_object_stream
     shared = _CloneResistantFilter(_grid_for(stream), delay_s=0.002)
-    config = ParallelConfig(
-        num_workers=2, chunk_size=4, sanitize="race"
-    )
+    config = ParallelConfig(num_workers=2, sanitize="race")
     with pytest.raises(AnalysisError) as excinfo:
         _executor(stream).execute(
-            _query(), stream, _always_pass_cascade(shared), parallel=config
+            _query(), stream, _always_pass_cascade(shared), batch_size=4, parallel=config
         )
     codes = {d.code for d in excinfo.value.diagnostics}
     assert codes & {"RC002", "RC003"}
     # The same seeded defect passes silently with the sanitizer off.
     clean = _executor(stream).execute(
-        _query(), stream, _always_pass_cascade(shared), parallel=ParallelConfig(
-            num_workers=2, chunk_size=4
-        )
+        _query(), stream, _always_pass_cascade(shared), batch_size=4,
+        parallel=ParallelConfig(num_workers=2),
     )
     assert clean.stats.sanitizer_report is None
 
 
 def test_honest_filter_is_race_clean(single_object_stream):
     stream = single_object_stream
-    config = ParallelConfig(
-        num_workers=2, chunk_size=4, sanitize="race,numeric"
-    )
+    config = ParallelConfig(num_workers=2, sanitize="race,numeric")
     result = _executor(stream).execute(
         _query(), stream, _always_pass_cascade(_CheapFilter(_grid_for(stream))),
-        parallel=config,
+        batch_size=4, parallel=config,
     )
     report = result.stats.sanitizer_report
     assert report is not None and report.ok and not report.diagnostics
@@ -338,22 +298,18 @@ def test_thread_dependent_check_raises_rc004_under_determinism(single_object_str
             )
         ]
     )
-    config = ParallelConfig(
-        num_workers=2, chunk_size=8, sanitize="determinism"
-    )
+    config = ParallelConfig(num_workers=2, sanitize="determinism")
     with pytest.raises(AnalysisError, match="RC004") as excinfo:
-        _executor(stream).execute(_query(), stream, cascade, parallel=config)
+        _executor(stream).execute(_query(), stream, cascade, batch_size=8, parallel=config)
     assert "chunk 0" in str(excinfo.value)
 
 
 def test_deterministic_scan_is_rc004_clean(single_object_stream):
     stream = single_object_stream
-    config = ParallelConfig(
-        num_workers=2, chunk_size=8, sanitize="determinism"
-    )
+    config = ParallelConfig(num_workers=2, sanitize="determinism")
     result = _executor(stream).execute(
         _query(), stream, _always_pass_cascade(_CheapFilter(_grid_for(stream))),
-        parallel=config,
+        batch_size=8, parallel=config,
     )
     assert result.stats.sanitizer_report is not None
     assert result.stats.sanitizer_report.ok
@@ -384,11 +340,7 @@ def test_determinism_reruns_each_chunk_under_its_dispatched_coverage(
         )
 
     inline = run(batch_size=8)
-    sanitized = run(
-        parallel=ParallelConfig(
-            num_workers=2, chunk_size=8, sanitize="determinism"
-        )
-    )
+    sanitized = run(batch_size=8, parallel=ParallelConfig(num_workers=2, sanitize="determinism"))
     assert sanitized.shared.sanitizer_report.ok
     assert sanitized.shared.parallel.num_chunks == 7  # the plain query's 50 frames
     for got, want in zip(sanitized, inline):
@@ -432,13 +384,12 @@ def test_determinism_digests_stay_aligned_past_a_quarantined_chunk(
 
     monkeypatch.setattr(SanitizerSession, "verify_determinism", spy)
     config = ParallelConfig(
-        num_workers=2, chunk_size=8, sanitize="determinism",
-        supervise=True, max_redispatch=max_redispatch,
+        num_workers=2, sanitize="determinism", supervise=True, max_redispatch=max_redispatch
     )
     with FaultInjector(schedule=schedule, retry=RetryPolicy(max_attempts=3)) as injector:
         result = _executor(stream).execute(
             _query(), stream, _always_pass_cascade(_CheapFilter(_grid_for(stream))),
-            parallel=config,
+            batch_size=8, parallel=config,
         )
     assert injector.unfired() == ()
     assert [record.frames for record in result.stats.faults.quarantined] == [
@@ -466,14 +417,13 @@ def test_nan_weights_raise_nu001_under_sanitize_numeric(single_object_stream):
         frame_width=frame.image.shape[1],
         frame_height=frame.image.shape[0],
     )
-    config = ParallelConfig(
-        num_workers=2, chunk_size=8, sanitize="numeric"
-    )
+    config = ParallelConfig(num_workers=2, sanitize="numeric")
     with pytest.raises(AnalysisError, match="NU001") as excinfo:
         _executor(stream).execute(
             _query(), stream,
             _always_pass_cascade(poisoned),
             frame_indices=range(8),
+            batch_size=8,
             parallel=config,
         )
     assert "Conv2D" in str(excinfo.value)
@@ -493,14 +443,11 @@ def test_non_strict_scan_collects_findings_and_warns(single_object_stream):
             )
         ]
     )
-    config = ParallelConfig(
-        num_workers=2,
-        chunk_size=8,
-        sanitize="determinism",
-        sanitize_strict=False,
-    )
+    config = ParallelConfig(num_workers=2, sanitize="determinism", sanitize_strict=False)
     with pytest.warns(UserWarning, match="RC004"):
-        result = _executor(stream).execute(_query(), stream, cascade, parallel=config)
+        result = _executor(stream).execute(
+            _query(), stream, cascade, batch_size=8, parallel=config
+        )
     report = result.stats.sanitizer_report
     assert report is not None and report.codes == ("RC004",)
 
@@ -514,7 +461,7 @@ def test_sanitize_none_keeps_parallel_parity_bit_identical(single_object_stream)
     baseline = _executor(stream).execute(_query(), stream, cascade, batch_size=8)
     result = _executor(stream).execute(
         _query(), stream, copy.deepcopy(cascade),
-        parallel=ParallelConfig(num_workers=2, chunk_size=8),
+        batch_size=8, parallel=ParallelConfig(num_workers=2),
     )
     assert result.matched_frames == baseline.matched_frames
     assert (

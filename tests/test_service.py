@@ -35,6 +35,7 @@ from repro.query import (
     TemporalConfig,
     parse_query,
 )
+from repro.query.parallel import DEFAULT_CHUNK_SIZE
 from repro.query.session import ScanSession
 from repro.service import (
     BufferEmitter,
@@ -111,7 +112,7 @@ def test_parallel_session_replay_matches_one_shot(workload, tiny_jackson):
     """One submit/merge loop: a live parallel session fed chunk by chunk and
     one-shot ``execute_many(parallel=...)`` merge the same chunks."""
     queries, cascades = workload
-    parallel = ParallelConfig(num_workers=2, chunk_size=16)
+    parallel = ParallelConfig(num_workers=2)
     one_shot = StreamingQueryExecutor(
         ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED)
     ).execute_many(queries, tiny_jackson.test, cascades, parallel=parallel)
@@ -125,14 +126,14 @@ def test_parallel_session_replay_matches_one_shot(workload, tiny_jackson):
             for query, cascade in zip(queries, cascades)
         ]
         frames = _frames(tiny_jackson.test)
-        for start in range(0, len(frames), parallel.chunk_size):
-            session.push_chunk(frames[start : start + parallel.chunk_size])
+        for start in range(0, len(frames), DEFAULT_CHUNK_SIZE):
+            session.push_chunk(frames[start : start + DEFAULT_CHUNK_SIZE])
         replayed = session.finish()
-    for sid, oneshot_result in zip(sids, one_shot):
-        # Equal under the harness's normalizer, but for the one-shot chunk size.
-        stats = dataclasses.replace(oneshot_result.stats, batch_size=None)
-        oneshot = normalize(dataclasses.asdict(dataclasses.replace(oneshot_result, stats=stats)))
-        assert normalize(dataclasses.asdict(replayed[sid])) == oneshot
+    for sid, oneshot in zip(sids, one_shot):
+        # Equal under the harness's normalizer.
+        assert normalize(dataclasses.asdict(replayed[sid])) == normalize(
+            dataclasses.asdict(oneshot)
+        )
     stats = one_shot.shared.parallel
     assert session.chunks_merged == stats.num_chunks == 4
     session_workers = merge_worker_breakdowns(session.worker_breakdowns.values())
@@ -146,7 +147,7 @@ def test_closed_parallel_session_plans_without_a_backend(workload, tiny_jackson)
     queries, cascades = workload
     session = ScanSession(
         ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
-        parallel=ParallelConfig(num_workers=2, chunk_size=16),
+        parallel=ParallelConfig(num_workers=2),
     )
     session.add_query(queries[0], cascades[0])
     session.close()
@@ -519,7 +520,7 @@ def _crash_scan(od_planner, tiny_jackson, started, schedule=None):
     service.attach_stream(
         "cam",
         ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
-        StreamConfig(chunk_size=8, parallel=ParallelConfig(num_workers=2, chunk_size=8)),
+        StreamConfig(chunk_size=8, parallel=ParallelConfig(num_workers=2)),
     )
     handle = service.register("cam", query, od_planner.plan(query))
     with FaultInjector(schedule=schedule) if schedule else contextlib.nullcontext():
@@ -555,7 +556,7 @@ def test_a_worker_crash_past_the_retries_quarantines_exactly_its_chunk(
 ):
     """A live pool re-dispatches a crashed chunk ``max_redispatch`` times,
     as a supervised one would, then sets that chunk alone aside."""
-    retries = ParallelConfig(num_workers=2, chunk_size=8).max_redispatch
+    retries = ParallelConfig(num_workers=2).max_redispatch
     baseline, _, _ = _crash_scan(od_planner, tiny_jackson, started)
     result, stats, faults = _crash_scan(
         od_planner, tiny_jackson, started, {("worker_crash", 1): retries + 1}
@@ -656,7 +657,7 @@ def test_a_started_pooled_shard_emits_a_chunk_without_another_feed(
     service.attach_stream(
         "cam",
         ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
-        StreamConfig(chunk_size=16, parallel=ParallelConfig(num_workers=2, chunk_size=16)),
+        StreamConfig(chunk_size=16, parallel=ParallelConfig(num_workers=2)),
     )
     handles = [
         service.register("cam", query, od_planner.plan(query)) for query in (cars, windowed)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy import ndimage
 
 from repro.spatial.geometry import Box, Point
-from repro.spatial.grid import Grid, GridMask, cells_within_manhattan, component_counts
+from repro.spatial.grid import Grid, GridMask, component_counts
 
 
 @pytest.fixture()
@@ -77,28 +77,6 @@ def test_mask_dilation(grid):
     assert GridMask(grid=grid, values=corner).dilated(1).count == 3
 
 
-def test_cells_within_manhattan():
-    cells = cells_within_manhattan((2, 2), 1, 5, 5)
-    assert set(cells) == {(2, 2), (1, 2), (3, 2), (2, 1), (2, 3)}
-    assert cells_within_manhattan((0, 0), 2, 5, 5) == [
-        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
-    ]
-    with pytest.raises(ValueError):
-        cells_within_manhattan((0, 0), -1, 5, 5)
-
-
-@given(
-    st.integers(0, 7), st.integers(0, 7), st.integers(0, 3)
-)
-def test_manhattan_neighbourhood_property(row, col, distance):
-    cells = cells_within_manhattan((row, col), distance, 8, 8)
-    assert (row, col) in cells
-    for r, c in cells:
-        assert abs(r - row) + abs(c - col) <= distance
-        assert 0 <= r < 8 and 0 <= c < 8
-    assert len(set(cells)) == len(cells)
-
-
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=10), st.integers(0, 2))
 def test_dilation_is_monotone(cells, distance):
     grid = Grid(rows=8, cols=8, frame_width=80, frame_height=80)
@@ -111,10 +89,10 @@ def test_dilation_is_monotone(cells, distance):
     assert np.all(dilated.values[mask.values])
     assert dilated.count >= mask.count
     # The vectorized dilation equals the union of per-cell Manhattan balls.
+    rows, cols = np.indices((8, 8))
     reference = np.zeros((8, 8), dtype=bool)
     for r, c in mask.occupied_cells():
-        for rr, cc in cells_within_manhattan((r, c), distance, 8, 8):
-            reference[rr, cc] = True
+        reference |= np.abs(rows - r) + np.abs(cols - c) <= distance
     assert np.array_equal(dilated.values, reference)
 
 

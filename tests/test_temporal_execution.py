@@ -21,6 +21,7 @@ from repro.cost import CostBreakdown, SimulatedClock
 from repro.detection import ReferenceDetector
 from repro.query import (
     DeltaGate,
+    ParallelConfig,
     PlannerConfig,
     QueryBuilder,
     QueryPlanner,
@@ -275,16 +276,24 @@ def test_low_motion_exact_matches_baseline_with_big_savings(
     assert calls == temporal.temporal.frames_computed
 
 
-def test_temporal_rejects_batch_size(tiny_jackson, jackson_planner_filters):
+def test_temporal_rejects_batch_size(tiny_jackson, jackson_planner_filters, monkeypatch):
     planner = QueryPlanner(jackson_planner_filters, PlannerConfig())
     query = QueryBuilder("q").count("car").equals(1).build()
     cascade = planner.plan(query)
+    """Gating is sequential: a chunk size or a filter worker pool is refused
+    at the boundary, before anything renders or is charged."""
     executor = _executor(tiny_jackson.class_names)
-    with pytest.raises(ValueError, match="sequential"):
-        executor.execute(
-            query, tiny_jackson.test, cascade, batch_size=8, temporal=TemporalConfig()
-        )
-    with pytest.raises(ValueError, match="sequential"):
-        executor.execute_many(
-            [query], tiny_jackson.test, [cascade], batch_size=8, temporal=TemporalConfig()
-        )
+    stream = tiny_jackson.test
+    rendered: list[int] = []
+    monkeypatch.setattr(stream, "frame", rendered.append)
+    for sequential_only in ({"batch_size": 8}, {"parallel": ParallelConfig(num_workers=2)}):
+        with pytest.raises(ValueError, match="sequential"):
+            executor.execute(
+                query, stream, cascade, temporal=TemporalConfig(), **sequential_only
+            )
+        with pytest.raises(ValueError, match="sequential"):
+            executor.execute_many(
+                [query], stream, [cascade], temporal=TemporalConfig(), **sequential_only
+            )
+    assert rendered == []
+    assert executor.clock.breakdown.total_calls == 0

@@ -119,7 +119,7 @@ FRAME_NAMES = {"frame", "frames", "images"}
 #: sync with repro/analysis/{shapes,sanitizers}.py
 ANALYZER_CODES = (
     "NN001", "NN002", "NN003", "NN004", "NN005",
-    "RC001", "RC002", "RC003", "RC004",
+    "RC002", "RC003", "RC004",
     "NU001", "NU002", "NU003",
 )
 
