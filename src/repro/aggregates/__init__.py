@@ -32,7 +32,6 @@ from repro.aggregates.controls import (
     predicate_indicator_control,
     query_indicator_control,
     region_count_control,
-    spatial_indicator_control,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "MonitoringReport",
     "class_count_control",
     "region_count_control",
-    "spatial_indicator_control",
     "predicate_indicator_control",
     "query_indicator_control",
     "per_predicate_controls",

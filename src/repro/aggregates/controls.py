@@ -20,7 +20,6 @@ from repro.query.ast import (
 )
 from repro.query.planner import _count_possible, _region_possible, _spatial_possible
 from repro.spatial.regions import Region
-from repro.spatial.relations import Direction
 
 ControlValueFn = Callable[[FilterPrediction], float]
 
@@ -45,18 +44,6 @@ def region_count_control(
         mask = prediction.location_mask(class_name, dilation=dilation)
         region_mask = region.grid_mask(prediction.grid)
         return float(mask.intersection(region_mask).blob_count())
-
-    return control
-
-
-def spatial_indicator_control(
-    subject_class: str, reference_class: str, direction: Direction, dilation: int = 1
-) -> ControlValueFn:
-    """Control variate: 1 when the filter predicts the spatial relation holds."""
-    predicate = SpatialPredicate(subject_class, reference_class, direction)
-
-    def control(prediction: FilterPrediction) -> float:
-        return 1.0 if _spatial_possible(predicate, prediction, dilation) else 0.0
 
     return control
 

@@ -11,7 +11,7 @@ the CLF filters), which is what makes filter-based pre-evaluation of spatial
 constraints possible.
 """
 
-from repro.spatial.geometry import Box, Point, box_center, box_iou, union_box
+from repro.spatial.geometry import Box, Point, box_iou, union_box
 from repro.spatial.grid import Grid, GridMask, component_counts
 from repro.spatial.regions import (
     Quadrant,
@@ -28,19 +28,10 @@ from repro.spatial.relations import (
     grid_masks_satisfy_direction,
     inside_region,
 )
-from repro.spatial.constraints import (
-    AndConstraint,
-    Constraint,
-    DirectionalConstraint,
-    NotConstraint,
-    OrConstraint,
-    RegionConstraint,
-)
 
 __all__ = [
     "Box",
     "Point",
-    "box_center",
     "box_iou",
     "union_box",
     "Grid",
@@ -57,10 +48,4 @@ __all__ = [
     "evaluate_direction_on_grid",
     "grid_masks_satisfy_direction",
     "inside_region",
-    "Constraint",
-    "AndConstraint",
-    "OrConstraint",
-    "NotConstraint",
-    "DirectionalConstraint",
-    "RegionConstraint",
 ]

@@ -166,12 +166,6 @@ class Box:
         return Box(x_min, y_min, x_max, y_max)
 
 
-
-def box_center(box: Box) -> Point:
-    """Convenience wrapper for :attr:`Box.center`."""
-    return box.center
-
-
 def box_iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes, in ``[0, 1]``."""
     inter = a.intersection(b)

@@ -217,6 +217,23 @@ class TrackedObject:
             color_name=self.color_name,
         )
 
+    def visible_at(self, frame_index: int, frame_width: int, frame_height: int) -> bool:
+        """Whether the object is alive at ``frame_index`` and overlaps the frame.
+
+        Equal to ``state_at(frame_index)`` being a state whose box
+        ``clipped(frame_width, frame_height)`` is not ``None``, by the same
+        float arithmetic in the same order (:meth:`Box.from_center`, then
+        :meth:`Box.clipped`), without building the state or either box.
+        """
+        if not self.alive_at(frame_index):
+            return False
+        center = self.motion.position_at(frame_index - self.spawn_frame)
+        x_min = max(center.x - self.width / 2.0, 0.0)
+        y_min = max(center.y - self.height / 2.0, 0.0)
+        x_max = min(center.x + self.width / 2.0, float(frame_width))
+        y_max = min(center.y + self.height / 2.0, float(frame_height))
+        return not (x_max <= x_min or y_max <= y_min)
+
 
 class MotionModelProtocol:
     """Structural protocol for motion models (see :mod:`repro.video.motion`)."""

@@ -11,6 +11,7 @@ objects realistic trajectories for the location filters and spatial queries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -86,6 +87,29 @@ class SceneConfig:
     class_mix: tuple[ClassMixEntry, ...]
     max_count: int
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject a config that would fail inside numpy or simulate nonsense."""
+        if self.frame_width <= 0 or self.frame_height <= 0:
+            raise ValueError(
+                "SceneConfig.frame_width and frame_height must be positive: "
+                f"{self.frame_width} x {self.frame_height}"
+            )
+        if self.num_frames < 0:
+            raise ValueError(f"SceneConfig.num_frames must be non-negative: {self.num_frames}")
+        if not self.class_mix:
+            raise ValueError("SceneConfig.class_mix must name at least one class")
+        if self.max_count < 0:
+            raise ValueError(f"SceneConfig.max_count must be non-negative: {self.max_count}")
+        for name in ("mean_count", "std_count"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"SceneConfig.{name} must be finite and non-negative: {value}")
+        if not -1.0 < self.count_autocorrelation < 1.0:
+            raise ValueError(
+                "SceneConfig.count_autocorrelation must lie in (-1, 1): "
+                f"{self.count_autocorrelation}"
+            )
 
     @classmethod
     def from_profile(
@@ -183,6 +207,10 @@ class SceneSimulator:
         for entry in config.class_mix:
             if entry.class_name not in self._registry:
                 raise KeyError(f"class {entry.class_name!r} missing from registry")
+        weights = np.array([entry.frequency for entry in config.class_mix], dtype=float)
+        self._class_weights = weights / weights.sum()
+        #: ``(lane, horizontal)`` -> the lane's base speed, a constant of the seed
+        self._lane_speeds: dict[tuple[int, bool], float] = {}
 
     # ------------------------------------------------------------------
     # Count process
@@ -191,6 +219,8 @@ class SceneSimulator:
         """A smooth integer count series with the configured mean and std."""
         config = self._config
         n = config.num_frames
+        if n == 0:
+            return np.zeros(0, dtype=int)
         rho = config.count_autocorrelation
         # AR(1) process with stationary variance 1.
         innovations = rng.normal(0.0, np.sqrt(max(1.0 - rho**2, 1e-9)), size=n)
@@ -215,10 +245,17 @@ class SceneSimulator:
     # ------------------------------------------------------------------
     def _sample_class(self, rng: np.random.Generator) -> ClassMixEntry:
         entries = self._config.class_mix
-        weights = np.array([entry.frequency for entry in entries], dtype=float)
-        weights = weights / weights.sum()
-        index = int(rng.choice(len(entries), p=weights))
+        index = int(rng.choice(len(entries), p=self._class_weights))
         return entries[index]
+
+    def _lane_speed(self, lane: int, horizontal: bool) -> float:
+        """The base speed every vehicle in ``lane`` shares, drawn once per lane."""
+        key = (lane, horizontal)
+        speed = self._lane_speeds.get(key)
+        if speed is None:
+            lane_rng = np.random.default_rng((self._config.seed, lane, int(horizontal)))
+            speed = self._lane_speeds[key] = float(lane_rng.uniform(1.5, 4.5))
+        return speed
 
     def _make_motion(
         self,
@@ -278,10 +315,8 @@ class SceneSimulator:
         horizontal = bool(rng.uniform() < 0.75)
         num_lanes = 7
         lane = int(rng.integers(num_lanes))
-        lane_rng = np.random.default_rng((self._config.seed, lane, int(horizontal)))
         direction = 1 if lane % 2 == 0 else -1
-        lane_speed = float(lane_rng.uniform(1.5, 4.5))
-        speed = lane_speed * float(rng.uniform(0.97, 1.03))
+        speed = self._lane_speed(lane, horizontal) * float(rng.uniform(0.97, 1.03))
         if horizontal:
             lane_span = frame_h * (0.85 - 0.2)
             y = frame_h * 0.2 + (lane + 0.5) * lane_span / num_lanes
@@ -319,47 +354,35 @@ class SceneSimulator:
             motion=motion,
         )
 
-    def _visible(self, track: TrackedObject, frame_index: int) -> bool:
-        state = track.state_at(frame_index)
-        if state is None:
-            return False
-        return (
-            state.box.clipped(self._config.frame_width, self._config.frame_height)
-            is not None
-        )
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
     def simulate(self) -> Scene:
         """Run the simulation and return the materialised scene."""
         config = self._config
+        width, height = config.frame_width, config.frame_height
         rng = np.random.default_rng(config.seed)
         target_counts = self._target_counts(rng)
 
         tracks: list[TrackedObject] = []
         active_ids: list[int] = []
         active_per_frame: list[list[int]] = []
-        next_track_id = 0
 
         for frame_index in range(config.num_frames):
             # Retire tracks that died or left the frame.
             active_ids = [
                 track_id
                 for track_id in active_ids
-                if self._visible(tracks[track_id], frame_index)
+                if tracks[track_id].visible_at(frame_index, width, height)
             ]
             target = int(target_counts[frame_index])
             # Spawn to reach the target count.
             attempts = 0
             while len(active_ids) < target and attempts < 10 * config.max_count:
                 attempts += 1
-                track = self._spawn_track(next_track_id, frame_index, rng)
+                track = self._spawn_track(len(tracks), frame_index, rng)
                 tracks.append(track)
-                next_track_id += 1
-                if self._visible(track, frame_index):
-                    active_ids.append(track.track_id)
-                else:
+                if not track.visible_at(frame_index, width, height):
                     # Traffic objects spawn just outside the frame; pull their
                     # spawn time back so they are already visible now, and add
                     # a random extra head start so that simultaneously spawned
@@ -369,47 +392,27 @@ class SceneSimulator:
                     lifetime = track.despawn_frame - track.spawn_frame
                     max_extra = max(lifetime - frames_to_enter - 2, 0)
                     extra = int(rng.integers(0, max_extra + 1)) if max_extra > 0 else 0
-                    adjusted = TrackedObject(
-                        track_id=track.track_id,
-                        object_class=track.object_class,
-                        width=track.width,
-                        height=track.height,
-                        color_name=track.color_name,
-                        spawn_frame=track.spawn_frame - frames_to_enter - extra,
-                        despawn_frame=track.despawn_frame,
-                        motion=track.motion,
-                    )
-                    if not self._visible(adjusted, frame_index):
-                        adjusted = TrackedObject(
-                            track_id=track.track_id,
-                            object_class=track.object_class,
-                            width=track.width,
-                            height=track.height,
-                            color_name=track.color_name,
-                            spawn_frame=track.spawn_frame - frames_to_enter,
-                            despawn_frame=track.despawn_frame,
-                            motion=track.motion,
-                        )
-                    tracks[track.track_id] = adjusted
-                    if self._visible(adjusted, frame_index):
-                        active_ids.append(adjusted.track_id)
+                    entry_frame = track.spawn_frame - frames_to_enter
+                    track.spawn_frame = entry_frame - extra
+                    if not track.visible_at(frame_index, width, height):
+                        track.spawn_frame = entry_frame
+                        if not track.visible_at(frame_index, width, height):
+                            continue
+                active_ids.append(track.track_id)
             # Retire the oldest tracks when above the target.
             if len(active_ids) > target:
                 surplus = len(active_ids) - target
                 active_ids = active_ids[surplus:]
-            active_per_frame.append(list(active_ids))
+            active_per_frame.append(active_ids)
 
         return Scene(config=config, tracks=tracks, active_tracks_per_frame=active_per_frame)
 
     def _frames_to_enter(self, track: TrackedObject) -> int:
         """How many frames until a freshly spawned off-screen object becomes visible."""
-        for age in range(1, 400):
-            state_frame = track.spawn_frame + age
-            if track.state_at(state_frame) is None:
-                break
-            state = track.state_at(state_frame)
-            if state is not None and state.box.clipped(
-                self._config.frame_width, self._config.frame_height
-            ) is not None:
-                return age
+        config = self._config
+        spawn = track.spawn_frame
+        # Look at most 399 frames ahead, and only while the track is alive.
+        for frame in range(spawn + 1, min(spawn + 400, track.despawn_frame)):
+            if track.visible_at(frame, config.frame_width, config.frame_height):
+                return frame - spawn
         return 0

@@ -1,4 +1,4 @@
-"""The invariant lint itself: clean on the tree, and INV007 / INV010-INV014 bite."""
+"""The invariant lint itself: clean on the tree, and INV007 / INV010-INV015 bite."""
 
 from __future__ import annotations
 
@@ -324,4 +324,49 @@ def test_inv014_reports_every_other_scipy_import(lint):
         "INV014 sample.py:11: imports scipy.special at module or class level",
         "INV014 sample.py:14: imports scipy.ndimage",
         "INV014 sample.py:15: imports scipy",
+    ]
+
+
+def _inv015(lint, source: str) -> list[str]:
+    return lint.scene_simulator_findings(ast.parse(textwrap.dedent(source)), "sample.py")
+
+
+def test_inv015_accepts_float_visibility_and_boxes_outside_the_simulator(lint):
+    assert _inv015(
+        lint,
+        """
+        class Scene:
+            def ground_truth(self, frame_index):
+                return [track.state_at(frame_index) for track in self._tracks]
+
+        class SceneSimulator:
+            def simulate(self):
+                width, height = self._config.frame_width, self._config.frame_height
+                return [t for t in self._tracks if t.visible_at(0, width, height)]
+
+        def clip(box, width, height):
+            return Box.from_center(1.0, 1.0, 2.0, 2.0).clipped(width, height)
+        """,
+    ) == []
+
+
+def test_inv015_reports_every_object_building_call_in_the_simulator(lint):
+    findings = _inv015(
+        lint,
+        """
+        class SceneSimulator:
+            def _visible(self, track, frame_index):
+                state = track.state_at(frame_index)
+                return state.box.clipped(self.width, self.height) is not None
+
+            def _frames_to_enter(self, track):
+                box = Box.from_center(0.0, 0.0, track.width, track.height)
+                return geometry.Box(0.0, 0.0, 1.0, 1.0)
+        """,
+    )
+    assert [finding.split(" — ")[0] for finding in findings] == [
+        "INV015 sample.py:4: SceneSimulator calls track.state_at()",
+        "INV015 sample.py:5: SceneSimulator calls state.box.clipped()",
+        "INV015 sample.py:8: SceneSimulator calls Box.from_center()",
+        "INV015 sample.py:9: SceneSimulator calls geometry.Box()",
     ]

@@ -1,4 +1,4 @@
-"""Tests for directional relations, regions and constraint combinators."""
+"""Tests for directional relations and regions."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.spatial.constraints import DirectionalConstraint, RegionConstraint
 from repro.spatial.geometry import Box, Point
 from repro.spatial.grid import Grid, GridMask
 from repro.spatial.regions import Quadrant, Region, full_frame_region, quadrant_region
@@ -235,32 +234,6 @@ def test_region_grid_mask_loop_parity_on_non_dyadic_cells(rows, cols, width, hei
     for region in quadrants:
         total += region.grid_mask(grid).values.astype(int)
     assert np.array_equal(total, np.ones_like(total))
-
-
-def test_constraint_combinators():
-    grid = Grid(rows=10, cols=10, frame_width=100, frame_height=100)
-    binding = {
-        "car": Box.from_center(20, 40, 10, 10),
-        "bus": Box.from_center(80, 50, 20, 10),
-    }
-    left = DirectionalConstraint("car", "bus", Direction.LEFT_OF)
-    right = DirectionalConstraint("car", "bus", Direction.RIGHT_OF)
-    region = RegionConstraint("car", quadrant_region(Quadrant.UPPER_LEFT, 100, 100))
-    assert left.evaluate(binding)
-    assert not right.evaluate(binding)
-    assert (left & region).evaluate(binding)
-    assert (left | right).evaluate(binding)
-    assert (~right).evaluate(binding)
-    assert not left.evaluate({"car": binding["car"]})  # missing variable
-    assert left.variables() == frozenset({"car", "bus"})
-    # Grid-mask bindings go through the grid evaluation path.
-    grid_binding = {
-        "car": grid.mask_from_boxes([binding["car"]]),
-        "bus": grid.mask_from_boxes([binding["bus"]]),
-    }
-    assert left.evaluate(grid_binding)
-    with pytest.raises(TypeError):
-        left.evaluate({"car": binding["car"], "bus": grid_binding["bus"]})
 
 
 @given(

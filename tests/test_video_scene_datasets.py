@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.video.datasets import (
     CORAL_PROFILE,
     DETRAC_PROFILE,
     JACKSON_PROFILE,
+    build_coral,
     build_dataset,
+    build_detrac,
+    build_jackson,
     dataset_profiles,
 )
 from repro.spatial.geometry import Point
-from repro.video.motion import ParkedMotion
+from repro.video.motion import LinearMotion, ParkedMotion, WanderMotion
 from repro.video.objects import TrackedObject, default_class_registry
 from repro.video.scene import Scene, SceneConfig, SceneSimulator
 from repro.video.synthesis import ClassMixEntry, DatasetProfile
@@ -128,3 +135,147 @@ def test_dataset_summary_shape(tiny_detrac):
     assert summary["dataset"] == "detrac"
     assert set(summary["classes"]) == {"car", "bus", "truck"}
     assert summary["train_size"] == len(tiny_detrac.train)
+
+
+#: sha256 over every frame of every split of
+#: ``build_<profile>(train_size=64, val_size=16, test_size=480, seed=seed)``
+#: (see ``_ground_truth_digest``): long enough that tracks spawn, enter the
+#: frame, leave it and are retired, which an 8-frame pixel pin never reaches
+GROUND_TRUTH_DIGESTS = {
+    ("coral", 1): "2fcc522ee7748a08b16c03c69c3071a8b870387b4b6fe3c07e0e66aff874ecc9",
+    ("jackson", 1): "42288400f46b13b36442e98c1fa17ce11f7eb8298fecde26f3a2a56804dfd05a",
+    ("detrac", 1): "27918fa9944a0ae912842484f18f81319deedaed6fdc80787480d085ee4efc67",
+    ("coral", 7): "a71546507fd501f45306673a9570a22adb162e0511d764a85f31654f01302cde",
+    ("jackson", 7): "172994c601d7a694fc35ef2430d02627074e68009a738ac0b3416a1b93b95d9c",
+    ("detrac", 7): "67cde70b65d4729fda706fba9ad72711dfef168a6671d22916787ffa53a4092b",
+}
+BUILDERS = {"coral": build_coral, "jackson": build_jackson, "detrac": build_detrac}
+
+
+def _ground_truth_digest(dataset) -> str:
+    """sha256 of ``(track_id, class_name, box, color_name)`` of every object of every frame."""
+    sha = hashlib.sha256()
+    for stream in (dataset.train, dataset.validation, dataset.test):
+        for index in range(len(stream)):
+            objects = tuple(
+                (
+                    obj.track_id,
+                    obj.class_name,
+                    (obj.box.x_min, obj.box.y_min, obj.box.x_max, obj.box.y_max),
+                    obj.color_name,
+                )
+                for obj in stream.ground_truth(index).objects
+            )
+            sha.update(repr((stream.name, index, objects)).encode())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("profile, seed", sorted(GROUND_TRUTH_DIGESTS))
+def test_long_scene_ground_truth_is_pinned(profile, seed):
+    dataset = BUILDERS[profile](train_size=64, val_size=16, test_size=480, seed=seed)
+    assert _ground_truth_digest(dataset) == GROUND_TRUTH_DIGESTS[profile, seed]
+
+
+def _coordinate(draw, size: float, extent: int) -> float:
+    """A box center on one axis: a box edge exactly on a frame edge, a
+    sub-pixel inside or outside one, or anywhere around the frame."""
+    half = size / 2.0
+    return draw(
+        st.one_of(
+            st.sampled_from(
+                [
+                    -half,
+                    half,
+                    extent - half,
+                    extent + half,
+                    -half + 0.25,
+                    -half - 0.25,
+                    -half + 1e-9,
+                    extent + half - 0.25,
+                    extent + half - 1e-9,
+                ]
+            ),
+            st.floats(-2.0 * size, extent + 2.0 * size),
+        )
+    )
+
+
+@st.composite
+def _track_and_frame(draw):
+    frame_width, frame_height = draw(st.integers(1, 640)), draw(st.integers(1, 480))
+    # Quarter-pixel sizes keep ``center +- size / 2`` exact, so a box can
+    # end exactly on the right or bottom edge, not only on the left or top.
+    size = st.one_of(st.integers(1, 480).map(lambda q: q / 4), st.floats(0.5, 120.0))
+    width, height = draw(size), draw(size)
+    center = Point(_coordinate(draw, width, frame_width), _coordinate(draw, height, frame_height))
+    kind = draw(st.sampled_from(["linear", "parked", "wander"]))
+    if kind == "linear":
+        speed = st.one_of(st.just(0.0), st.floats(-6.0, 6.0))
+        motion = LinearMotion(start=center, velocity=(draw(speed), draw(speed)))
+    elif kind == "parked":
+        motion = ParkedMotion(
+            position=center, jitter=draw(st.sampled_from([0.0, 0.3])), seed=draw(st.integers(0, 99))
+        )
+    else:
+        motion = WanderMotion(
+            anchor=center, radius=draw(st.floats(0.0, 80.0)), seed=draw(st.integers(0, 99))
+        )
+    spawn = draw(st.integers(0, 40))
+    despawn = spawn + draw(st.integers(1, 60))
+    frame = draw(
+        st.one_of(
+            st.sampled_from([spawn - 1, spawn, despawn - 1, despawn]),
+            st.integers(spawn - 3, despawn + 3),
+        )
+    )
+    car = default_class_registry()["car"]
+    track = TrackedObject(0, car, width, height, "blue", spawn, despawn, motion)
+    return track, frame, frame_width, frame_height
+
+
+@settings(max_examples=300, deadline=None)
+@given(_track_and_frame())
+def test_visible_at_matches_the_clipped_state_box(case):
+    track, frame, frame_width, frame_height = case
+    state = track.state_at(frame)
+    expected = state is not None and state.box.clipped(frame_width, frame_height) is not None
+    assert track.visible_at(frame, frame_width, frame_height) == expected
+
+
+def _scene_config(**changes) -> SceneConfig:
+    return replace(SceneConfig.from_profile(JACKSON_PROFILE, num_frames=20, seed=4), **changes)
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"class_mix": ()}, "class_mix"),
+        ({"num_frames": -3}, "num_frames"),
+        ({"max_count": -1}, "max_count"),
+        ({"mean_count": float("nan")}, "mean_count"),
+        ({"mean_count": -0.5}, "mean_count"),
+        ({"std_count": -1.0}, "std_count"),
+        ({"std_count": float("inf")}, "std_count"),
+        ({"count_autocorrelation": 1.0}, "count_autocorrelation"),
+        ({"count_autocorrelation": -1.0}, "count_autocorrelation"),
+        ({"count_autocorrelation": float("nan")}, "count_autocorrelation"),
+        ({"frame_width": 0}, "frame_width"),
+        ({"frame_height": -448}, "frame_height"),
+    ],
+)
+def test_scene_config_rejects_a_bad_field_at_construction(changes, field):
+    with pytest.raises(ValueError, match=rf"SceneConfig\..*{field}"):
+        _scene_config(**changes)
+
+
+def test_scene_config_accepts_the_edge_values_the_harnesses_use():
+    for changes in ({"std_count": 0.0}, {"count_autocorrelation": 0.999}):
+        assert SceneSimulator(_scene_config(**changes)).simulate().num_frames == 20
+    assert SceneSimulator(_scene_config(max_count=0)).simulate().count_series().sum() == 0
+
+
+def test_a_zero_frame_scene_is_empty():
+    scene = SceneSimulator(_scene_config(num_frames=0)).simulate()
+    assert scene.num_frames == 0
+    assert scene.count_series().shape == (0,)
+    assert scene.tracks == []

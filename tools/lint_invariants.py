@@ -93,6 +93,13 @@ script exits non-zero when any rule is violated.
   alone was ~43 MB of every process's resident memory, and any scipy
   submodule pulls in ``scipy._lib`` (~20 MB), for grid operations numpy does
   exactly (``repro.spatial.grid``).
+* **INV015 — the scene simulator tests visibility with floats.**  No method
+  of ``SceneSimulator`` (``repro/video/scene.py``) may call ``state_at``,
+  ``Box(...)``, ``Box.from_center`` or ``.clipped(``: the simulator asks
+  whether every live track overlaps the frame at every frame, and building an
+  ``ObjectState`` and two ``Box`` objects to answer was more than half of
+  every dataset build.  ``TrackedObject.visible_at`` answers with the same
+  arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -571,6 +578,35 @@ def check_scipy_imports(findings: list[str]) -> None:
         findings.extend(scipy_import_findings(_parse(path), str(path.relative_to(REPO))))
 
 
+SCENE = SRC / "video" / "scene.py"
+#: what building a state or a box to test visibility calls (INV015)
+OBJECT_BUILDING_CALLS = {"state_at", "Box", "from_center", "clipped"}
+
+
+def scene_simulator_findings(tree: ast.Module, where: str) -> list[str]:
+    """INV015 over one parsed module; ``where`` labels the findings."""
+    findings: list[str] = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name == "SceneSimulator"):
+            continue
+        calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)]
+        for call in sorted(calls, key=lambda call: (call.lineno, call.col_offset)):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in OBJECT_BUILDING_CALLS:
+                findings.append(
+                    f"INV015 {where}:{call.lineno}: SceneSimulator calls {ast.unparse(func)}() — "
+                    "test visibility with TrackedObject.visible_at's float arithmetic; "
+                    "building a state or a box per track per frame dominated every "
+                    "dataset build"
+                )
+    return findings
+
+
+def check_scene_simulator_builds_no_boxes(findings: list[str]) -> None:
+    findings.extend(scene_simulator_findings(_parse(SCENE), str(SCENE.relative_to(REPO))))
+
+
 def main() -> int:
     findings: list[str] = []
     check_planner_checks_frozen(findings)
@@ -585,6 +621,7 @@ def main() -> int:
     check_oracle_imports_nothing_of_the_engine(findings)
     check_no_foreign_clock_assignment(findings)
     check_scipy_imports(findings)
+    check_scene_simulator_builds_no_boxes(findings)
     if findings:
         for finding in findings:
             print(finding)
