@@ -134,6 +134,48 @@ class MonitoringReport:
         }
 
 
+def _check_sample_count(spec: AggregateQuerySpec, drawn: int, population: str) -> None:
+    """Raise ``ValueError`` if ``drawn`` samples are too few for ``spec``'s
+    control-variate estimator: two for one control
+    (:func:`control_variate_estimate`), ``k + 2`` for ``k`` controls
+    (:func:`multiple_control_variates_estimate`).  ``population`` names what
+    the sample is drawn from."""
+    controls = len(spec.control_values)
+    needed = 2 if controls == 1 else controls + 2
+    if drawn < needed:
+        raise ValueError(
+            f"a sample of {drawn} frame(s) from {population} is too small: "
+            f"{spec.name!r} has {controls} control variate(s) and needs at least "
+            f"{needed} samples"
+        )
+
+
+def sampling_population(
+    spec: AggregateQuerySpec,
+    stream: VideoStream,
+    sample_size: int,
+    window: WindowBounds | None = None,
+) -> np.ndarray:
+    """The frames :meth:`AggregateMonitor.estimate` samples from: ``window``'s
+    frames of ``stream``, or every frame.
+
+    Raises ``ValueError`` naming the population when ``sample_size``, clamped
+    to the population as :func:`sample_frame_indices` clamps it, is too small
+    for ``spec``'s estimator.  Nothing is rendered or charged, so a caller
+    that samples several populations checks them all before the first.
+    """
+    if sample_size <= 0:
+        raise ValueError(f"sample_size must be positive: {sample_size}")
+    if window is None:
+        population = np.arange(len(stream))
+        name = f"the stream of {len(population)} frames"
+    else:
+        population = np.arange(window.start, min(window.stop, len(stream)))
+        name = f"window [{window.start}, {window.stop}) of {len(population)} frames"
+    _check_sample_count(spec, min(sample_size, len(population)), name)
+    return population
+
+
 class AggregateMonitor:
     """Estimates aggregate monitoring queries with control variates."""
 
@@ -271,7 +313,9 @@ class AggregateMonitor:
         ``temporal`` delta-gates the sample evaluation (see
         :meth:`_evaluate_samples`); the sampled indices themselves are drawn
         identically either way.  ``window`` and ``frame_indices``
-        both choose the population, so passing both is a ``ValueError``.
+        both choose the population, so passing both is a ``ValueError``; so
+        is a sample too small for the estimator (see
+        :func:`sampling_population`), raised before anything is rendered.
         """
         if window is not None and frame_indices is not None:
             raise ValueError("estimate takes a window or frame_indices, not both")
@@ -280,17 +324,15 @@ class AggregateMonitor:
         # StreamingQueryExecutor.execute).
         cost_baseline = self.clock.snapshot()
         started = time.perf_counter()
+        # Both populations are checked before anything is rendered or charged.
         if frame_indices is None:
-            if window is not None:
-                population = np.arange(window.start, min(window.stop, len(stream)))
-            else:
-                population = np.arange(len(stream))
+            population = sampling_population(spec, stream, sample_size, window)
             chosen = population[
                 sample_frame_indices(len(population), sample_size, self._rng)
             ].tolist()
         else:
-            # Checked before anything is rendered, charged or started.
             chosen = checked_frame_indices(frame_indices, stream)
+            _check_sample_count(spec, len(chosen), f"frame_indices of {len(chosen)} frames")
         exact_values, controls, temporal_stats = self._evaluate_samples(
             spec, stream, chosen, temporal=temporal
         )

@@ -3,20 +3,43 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class SampleEstimate:
-    """A sampling estimate of a mean, with its uncertainty."""
+    """A sampling estimate of a mean, with its uncertainty.
+
+    ``confidence_interval`` is computed the first time it (or
+    ``half_width``) is read, and cached on the instance.  It is not a
+    dataclass field, so ``==``, ``hash``, ``repr``, ``dataclasses.replace``
+    and ``dataclasses.asdict`` see the same fields whether or not it was read.
+    """
 
     mean: float
     variance: float
     std_error: float
     num_samples: int
-    confidence_interval: tuple[float, float]
     confidence_level: float = 0.95
+
+    @cached_property
+    def confidence_interval(self) -> tuple[float, float]:
+        """Student's t interval ``(mean - t * std_error, mean + t * std_error)``
+        at ``confidence_level``; ``(mean, mean)`` from one sample or a zero
+        standard error."""
+        n, mean, std_error = self.num_samples, self.mean, self.std_error
+        if n > 1 and std_error > 0:
+            # Student's t quantile: ``scipy.stats.t.ppf`` is this call.  Imported
+            # here, on the first read, so that neither ``import repro`` nor an
+            # estimate whose interval nobody reads loads scipy (~20 MB for
+            # ``scipy.special``, ~43 MB more for ``scipy.stats``).
+            from scipy import special
+
+            critical = float(special.stdtrit(n - 1, 0.5 + self.confidence_level / 2.0))
+            return (mean - critical * std_error, mean + critical * std_error)
+        return (mean, mean)
 
     @property
     def half_width(self) -> float:
@@ -47,7 +70,11 @@ def sample_frame_indices(
 def sample_mean_estimate(
     values: np.ndarray | list[float], confidence_level: float = 0.95
 ) -> SampleEstimate:
-    """Mean / variance / confidence interval of a sample of per-frame values."""
+    """Mean / variance / standard error of a sample of per-frame values.
+
+    The confidence interval is computed when first read
+    (:attr:`SampleEstimate.confidence_interval`).
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot estimate from an empty sample")
@@ -57,21 +84,10 @@ def sample_mean_estimate(
     mean = float(values.mean())
     variance = float(values.var(ddof=1)) if n > 1 else 0.0
     std_error = float(np.sqrt(variance / n)) if n > 1 else 0.0
-    if n > 1 and std_error > 0:
-        # Student's t quantile: ``scipy.stats.t.ppf`` is this call.  Imported
-        # here, not at module level, so that ``import repro`` loads no scipy
-        # (~20 MB for ``scipy.special``, ~43 MB more for ``scipy.stats``).
-        from scipy import special
-
-        critical = float(special.stdtrit(n - 1, 0.5 + confidence_level / 2.0))
-        interval = (mean - critical * std_error, mean + critical * std_error)
-    else:
-        interval = (mean, mean)
     return SampleEstimate(
         mean=mean,
         variance=variance,
         std_error=std_error,
         num_samples=n,
-        confidence_interval=interval,
         confidence_level=confidence_level,
     )

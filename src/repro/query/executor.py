@@ -531,6 +531,11 @@ class StreamingQueryExecutor:
         sorted, so nearby samples of a stable stream are nearly identical).
         Exact mode verifies every reuse, keeping estimates bit-identical to
         a non-temporal run.
+
+        A sample too small for the control-variate estimator, of the stream
+        or of any window instance, raises ``ValueError`` naming that
+        population before anything renders or is charged
+        (:func:`~repro.aggregates.monitor.sampling_population`).
         """
         if repetitions < 1:
             raise ValueError(f"repetitions must be positive: {repetitions}")
@@ -544,7 +549,7 @@ class StreamingQueryExecutor:
             )
         # Deferred import: repro.aggregates.monitor imports repro.query at
         # module load, so a top-level import here would be circular.
-        from repro.aggregates.monitor import AggregateMonitor
+        from repro.aggregates.monitor import AggregateMonitor, sampling_population
 
         monitor = AggregateMonitor(
             detector=self.detector, frame_filter=source, clock=self.clock, seed=seed
@@ -555,6 +560,9 @@ class StreamingQueryExecutor:
             instances = _window_bounds_for(spec.window, stream, include_partial_windows)
             if not instances:
                 raise ValueError("a windowed aggregate needs frames; the stream is empty")
+            # Every window's sample is checked before the first one renders.
+            for bounds in instances:
+                sampling_population(spec, stream, sample_size, bounds)
             windows = tuple(
                 WindowAggregateEstimate(
                     bounds=bounds,

@@ -319,7 +319,7 @@ class Harness:
             spec = AggregateQuerySpec.from_query(
                 query, [query_indicator_control(query), class_count_control("car")]
             )
-            runs.append(asdict(self.executor().execute_aggregate(
+            runs.append(_aggregate_dump(self.executor().execute_aggregate(
                 spec, stream, cascades[position], sample_size=20, repetitions=2, seed=7,
                 temporal=config.temporal,
             )))
@@ -361,6 +361,18 @@ def _options(config: EngineConfig) -> dict:
     return dict(frame_indices=None if indices is None else list(indices),
                 batch_size=config.batch_size, temporal=config.temporal, parallel=config.parallel,
                 include_partial_windows=config.include_partial_windows)
+
+
+def _aggregate_dump(result) -> dict:
+    """``asdict(result)`` with each plain estimate's confidence interval, read
+    explicitly: it is computed on first read, so it is no dataclass field."""
+    dump = asdict(result)
+    pairs = list(zip(result.reports, dump["reports"]))
+    for window, entry in zip(result.windows or (), dump["windows"] or ()):
+        pairs += zip(window.reports, entry["reports"])
+    for report, entry in pairs:
+        entry["plain"]["confidence_interval"] = report.plain.confidence_interval
+    return dump
 
 
 #: Fields that legitimately vary, dropped wherever they occur: the host's

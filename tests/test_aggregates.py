@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,10 @@ from repro.aggregates import (
     sample_frame_indices,
     sample_mean_estimate,
 )
+from repro.aggregates.monitor import MonitoringReport
+from repro.aggregates.sampling import SampleEstimate
 from repro.detection import ReferenceDetector
-from repro.query import QueryBuilder
+from repro.query import QueryBuilder, StreamingQueryExecutor
 
 
 def test_sample_mean_estimate_basics():
@@ -60,22 +64,154 @@ def test_sample_mean_interval_is_the_student_t_interval_bit_for_bit(n, level):
     )
 
 
+#: run in a fresh interpreter: the scipy modules loaded after importing the
+#: package, after estimating, and after reading one interval
+_SCIPY_PROBE = """
+import sys
+import repro, repro.experiments, repro.service
+from repro.aggregates import (
+    control_variate_estimate, multiple_control_variates_estimate, sample_mean_estimate,
+)
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+print(scipy_modules())
+y, x = [1.0, 2.0, 4.0, 7.0, 3.0], [1.5, 2.0, 3.5, 6.0, 3.0]
+plain = sample_mean_estimate(y)
+control_variate_estimate(y, x)
+multiple_control_variates_estimate(y, [[a, a * a] for a in x])
+print(scipy_modules())
+plain.confidence_interval
+print("scipy.special" in sys.modules)
+"""
+
+
 def test_import_repro_leaves_scipy_stats_unloaded():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, repro, repro.experiments, repro.service; "
-            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
-        ],
+        [sys.executable, "-c", _SCIPY_PROBE],
         capture_output=True, text=True, env=env, check=True,
     )
-    # No scipy module at all: scipy.special is imported by the one function
-    # that needs it (lint INV014), and the grid operations are numpy.
-    assert done.stdout.strip() == "[]"
+    # No scipy module at all, after the import and after the estimates: the
+    # grid operations are numpy, and scipy.special is imported only by
+    # SampleEstimate.confidence_interval, on its first read (lint INV014).
+    assert done.stdout.split("\n")[:3] == ["[]", "[]", "True"]
+
+
+def test_the_lazy_interval_behaves_like_a_field():
+    values = [1.0, 2.0, 4.0, 7.0]
+    read, unread = sample_mean_estimate(values), sample_mean_estimate(values)
+    interval = read.confidence_interval
+    assert "confidence_interval" not in {field.name for field in fields(SampleEstimate)}
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+
+    for clone in (pickle.loads(pickle.dumps(read)), pickle.loads(pickle.dumps(unread))):
+        assert clone == read
+        assert clone.confidence_interval == interval
+    assert replace(read) == read and replace(read).confidence_interval == interval
+    # replace() builds a new estimate: no interval is carried over stale.
+    moved = replace(read, mean=read.mean + 10.0)
+    assert moved.confidence_interval == (interval[0] + 10.0, interval[1] + 10.0)
+    assert replace(read, confidence_level=0.99).half_width > read.half_width
+
+    # A report's equality does not depend on which of its intervals were read.
+    cv = control_variate_estimate(values, [1.5, 2.0, 3.5, 6.0])
+
+    def report(plain):
+        return MonitoringReport("q", plain, cv, len(values), 201.0, 200.0, 0.0)
+
+    left, right = report(sample_mean_estimate(values)), report(sample_mean_estimate(values))
+    left.plain.confidence_interval
+    assert left == right and hash(left) == hash(right)
+    assert asdict(left) == asdict(right)
+    assert pickle.loads(pickle.dumps(left)) == right
+
+
+def _raising_frame(index):
+    raise AssertionError(f"frame {index} was rendered")
+
+
+def _two_controls(query):
+    return AggregateQuerySpec.from_query(
+        query, [query_indicator_control(query), class_count_control("car")]
+    )
+
+
+#: ``(spec maker, call)`` per case; each asks for too small a sample, and the
+#: message names the population
+_TOO_SMALL = {
+    "stream": (
+        lambda query: AggregateQuerySpec.from_query(query, [query_indicator_control(query)]),
+        lambda runner, monitor, spec, stream: runner.execute_aggregate(
+            spec, stream, frame_filter=monitor.frame_filter, sample_size=1
+        ),
+        "the stream of 50 frames",
+    ),
+    "two-controls": (
+        _two_controls,
+        lambda runner, monitor, spec, stream: runner.execute_aggregate(
+            spec, stream, frame_filter=monitor.frame_filter, sample_size=3
+        ),
+        "the stream of 50 frames",
+    ),
+    "partial-tail-window": (
+        lambda query: AggregateQuerySpec.from_query(
+            QueryBuilder("hopping").count("car").at_least(1).window(7, 7).build(),
+            [query_indicator_control(query)],
+        ),
+        lambda runner, monitor, spec, stream: runner.execute_aggregate(
+            spec, stream, frame_filter=monitor.frame_filter, sample_size=5,
+            include_partial_windows=True,
+        ),
+        r"window \[49, 50\) of 1 frames",
+    ),
+    "estimate-window": (
+        lambda query: AggregateQuerySpec.from_query(query, [query_indicator_control(query)]),
+        lambda runner, monitor, spec, stream: monitor.estimate(
+            spec, stream, 10, window=WindowBounds(10, 11)
+        ),
+        r"window \[10, 11\) of 1 frames",
+    ),
+    "frame-indices": (
+        _two_controls,
+        lambda runner, monitor, spec, stream: monitor.estimate(
+            spec, stream, 10, frame_indices=[3, 5, 8]
+        ),
+        "frame_indices of 3 frames",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _TOO_SMALL)
+def test_a_too_small_sample_is_rejected_before_anything_renders(
+    trained_od_filter, tiny_jackson, monkeypatch, case
+):
+    make_spec, call, population = _TOO_SMALL[case]
+    stream = tiny_jackson.test
+    spec = make_spec(QueryBuilder("cars").count("car").at_least(1).build())
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=13)
+    runner = StreamingQueryExecutor(detector)
+    monitor = AggregateMonitor(detector, trained_od_filter, clock=runner.clock)
+    monkeypatch.setattr(stream, "frame", _raising_frame)
+    baseline = runner.clock.snapshot()
+    with pytest.raises(ValueError, match=f"sample of .* from {population} is too small"):
+        call(runner, monitor, spec, stream)
+    assert runner.clock.delta_since(baseline).total_ms == 0.0
+    assert runner.clock.breakdown.per_component_calls == {}
+
+
+def test_the_smallest_accepted_sample_estimates(trained_od_filter, tiny_jackson):
+    stream = tiny_jackson.test
+    query = QueryBuilder("cars").count("car").at_least(1).build()
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=13)
+    monitor = AggregateMonitor(detector, trained_od_filter)
+    single = AggregateQuerySpec.from_query(query, [query_indicator_control(query)])
+    assert monitor.estimate(single, stream, 2).num_samples == 2
+    assert monitor.estimate(single, stream, 10, window=WindowBounds(48, 50)).num_samples == 2
+    assert monitor.estimate(_two_controls(query), stream, 4).num_samples == 4
 
 
 def test_sample_frame_indices(rng):

@@ -261,7 +261,7 @@ GATE = TemporalConfig(delta_threshold=30.0, keyframe_interval=10)
 
 #: ``(query, controls, sample sizes, execute_aggregate options)`` per case
 AGGREGATE_CASES = {
-    "sizes": (_plain, 1, (1, _SAMPLE_TILE, _SAMPLE_TILE + 1, 100), {}),
+    "sizes": (_plain, 1, (1, 2, _SAMPLE_TILE, _SAMPLE_TILE + 1, 100), {}),
     "windowed": (_windowed, 1, (THREE_TILES,), {"include_partial_windows": True}),
     "temporal-exact": (_plain, 1, (THREE_TILES, 100), {"temporal": GATE}),
     "temporal-approximate": (
@@ -290,7 +290,7 @@ def test_decode_ahead_aggregate_matches_single_batch_oracle(
                 results.append(asdict(runner.execute_aggregate(
                     spec, stream, cascade, sample_size=size, repetitions=2, seed=5, **options
                 )))
-            except ValueError as error:  # one sample has no estimate, but was charged
+            except ValueError as error:  # one sample has no estimate, and renders nothing
                 results.append(repr(error))
         breakdown = runner.clock.breakdown
         return results, [

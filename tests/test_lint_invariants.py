@@ -269,26 +269,31 @@ def test_inv013_reports_a_clock_swapped_into_another_object(lint):
     assert "assigns detector.clock" in findings[2]
 
 
-def _inv014(lint, source: str) -> list[str]:
-    return lint.scipy_import_findings(ast.parse(textwrap.dedent(source)), "sample.py")
+SAMPLING = "src/repro/aggregates/sampling.py"
+
+
+def _inv014(lint, source: str, where: str = "sample.py") -> list[str]:
+    return lint.scipy_import_findings(ast.parse(textwrap.dedent(source)), where)
 
 
 def test_inv014_accepts_scipy_special_inside_a_function(lint):
+    """The one function allowed: SampleEstimate.confidence_interval, in
+    sampling.py, with the import directly in its body."""
     assert _inv014(
         lint,
         """
         import numpy as np
         from .stats import helper
 
-        def quantile(df, q):
-            from scipy import special
-            import scipy.special as sc
-            from scipy.special import stdtrit
-
-            class Local:
-                def method(self):
-                    from scipy.special import _ufuncs
+        class SampleEstimate:
+            @cached_property
+            def confidence_interval(self):
+                from scipy import special
+                import scipy.special as sc
+                if self.num_samples > 1:
+                    from scipy.special import stdtrit, _ufuncs
         """,
+        SAMPLING,
     ) == []
 
 
@@ -319,12 +324,42 @@ def test_inv014_reports_every_other_scipy_import(lint):
         "INV014 sample.py:4: imports scipy.stats",
         "INV014 sample.py:5: imports scipy.stats",
         "INV014 sample.py:6: imports scipy.optimize",
-        "INV014 sample.py:7: imports scipy.special at module or class level",
-        "INV014 sample.py:8: imports scipy.special at module or class level",
-        "INV014 sample.py:11: imports scipy.special at module or class level",
+        "INV014 sample.py:7: imports scipy.special outside SampleEstimate.confidence_interval",
+        "INV014 sample.py:8: imports scipy.special outside SampleEstimate.confidence_interval",
+        "INV014 sample.py:11: imports scipy.special outside SampleEstimate.confidence_interval",
         "INV014 sample.py:14: imports scipy.ndimage",
         "INV014 sample.py:15: imports scipy",
     ]
+    # scipy.special in any other function, or nested in the interval's own
+    # body, is a finding too; so is the interval's body in another file.
+    elsewhere = """
+        def sample_mean_estimate(values):
+            from scipy import special
+
+        class SampleEstimate:
+            @property
+            def half_width(self):
+                from scipy.special import stdtrit
+
+            @cached_property
+            def confidence_interval(self):
+                def quantile(q):
+                    from scipy import special
+
+                class Local:
+                    from scipy import special
+        """
+    assert [finding.split(" — ")[0] for finding in _inv014(lint, elsewhere, SAMPLING)] == [
+        f"INV014 {SAMPLING}:{line}: imports scipy.special outside "
+        "SampleEstimate.confidence_interval"
+        for line in (3, 8, 13, 16)
+    ]
+    moved = """
+        class SampleEstimate:
+            def confidence_interval(self):
+                from scipy import special
+        """
+    assert len(_inv014(lint, moved, "src/repro/aggregates/monitor.py")) == 1
 
 
 def _inv015(lint, source: str) -> list[str]:

@@ -83,16 +83,20 @@ script exits non-zero when any rule is violated.
   the scan that schedules a call charges it to its own clock.  Swapping a
   clock into a shared object is how one stream's work used to land on
   another stream's clock.
-* **INV014 — scipy only as ``scipy.special``, inside a function.**  Under
-  ``src/repro/`` the one scipy import allowed is of ``scipy.special`` (or a
-  submodule of it), made inside a function body: ``from scipy import
-  special`` or ``from scipy.special import stdtrit`` in the function that
-  needs the t-quantile.  Every other scipy module, ``import scipy`` itself
-  and any scipy import at module or class level are rejected.  ``import
-  repro`` loads whatever the package imports at module level: ``scipy.stats``
-  alone was ~43 MB of every process's resident memory, and any scipy
-  submodule pulls in ``scipy._lib`` (~20 MB), for grid operations numpy does
-  exactly (``repro.spatial.grid``).
+* **INV014 — scipy only as ``scipy.special``, only for the t-interval.**
+  Under ``src/repro/`` the one scipy import allowed is of ``scipy.special``
+  (or a submodule of it), made directly in the body of
+  ``SampleEstimate.confidence_interval`` in ``repro/aggregates/sampling.py``:
+  the interval is computed when first read, so only a caller that reads it
+  loads scipy.  Every other scipy module, ``import scipy`` itself, and a
+  ``scipy.special`` import anywhere else (module or class level, another
+  function, a function nested in the interval's) are rejected.  ``import
+  repro`` loads whatever the package imports at module level:
+  ``scipy.stats`` alone was ~43 MB of every process's resident memory, and
+  any scipy submodule pulls in ``scipy._lib`` (~20 MB), for grid operations
+  numpy does exactly (``repro.spatial.grid``).  ``scipy.special`` imported
+  by every estimate was ~15 MB of the peak of a process that estimates
+  aggregates but reads no interval.
 * **INV015 — the scene simulator tests visibility with floats.**  No method
   of ``SceneSimulator`` (``repro/video/scene.py``) may call ``state_at``,
   ``Box(...)``, ``Box.from_center`` or ``.clipped(``: the simulator asks
@@ -532,8 +536,10 @@ def check_no_foreign_clock_assignment(findings: list[str]) -> None:
         findings.extend(clock_assignment_findings(_parse(path), str(path.relative_to(REPO))))
 
 
-#: the one scipy module src/repro/ may import, and only inside a function (INV014)
+#: the one scipy module src/repro/ may import (INV014)
 SCIPY_ALLOWED = "scipy.special"
+#: the one function that may import it: (file from the repo root, qualified name)
+SCIPY_SITE = ("src/repro/aggregates/sampling.py", "SampleEstimate.confidence_interval")
 
 
 def _imported_modules(node: ast.AST) -> list[str]:
@@ -548,28 +554,36 @@ def _imported_modules(node: ast.AST) -> list[str]:
 
 
 def scipy_import_findings(tree: ast.Module, where: str) -> list[str]:
-    """INV014 over one parsed module; ``where`` labels the findings."""
+    """INV014 over one parsed module; ``where`` is its path from the repo root."""
     findings: list[str] = []
+    site_file, site_function = SCIPY_SITE
 
-    def visit(node: ast.AST, in_function: bool) -> None:
+    # ``function``: the qualified name of the function whose body ``node`` is
+    # directly in (``None`` at module or class level)
+    def visit(node: ast.AST, scope: tuple[str, ...], function: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             for module in _imported_modules(child):
                 if module.split(".")[0] != "scipy":
                     continue
                 allowed = module == SCIPY_ALLOWED or module.startswith(SCIPY_ALLOWED + ".")
-                if allowed and in_function:
+                if allowed and where == site_file and function == site_function:
                     continue
-                place = " at module or class level" if allowed else ""
+                place = f" outside {site_function}" if allowed else ""
                 findings.append(
                     f"INV014 {where}:{child.lineno}: imports {module}{place} — src/repro/ "
-                    f"may import scipy only as {SCIPY_ALLOWED}, inside the function that "
-                    "needs it, because `import repro` loads every module-level import "
-                    "into every process"
+                    f"may import scipy only as {SCIPY_ALLOWED}, inside {site_function} "
+                    f"({site_file}), because `import repro` loads every module-level "
+                    "import into every process, and an estimate whose interval is "
+                    "never read needs no scipy"
                 )
-            inside = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, inside)
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), ".".join(scope + (child.name,)))
+            else:
+                visit(child, scope, function)
 
-    visit(tree, False)
+    visit(tree, (), None)
     return findings
 
 
