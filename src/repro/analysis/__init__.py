@@ -10,10 +10,7 @@ The layers and their diagnostic families:
   circuit;
 * :func:`lint_network` — shape/dtype abstract interpretation over a neural
   filter's layer stack (``NN0xx``), run at filter construction and again by
-  :func:`lint_plan`;
-* :class:`SanitizerSession` — opt-in *runtime* sanitizers for the parallel
-  engine (``RC0xx`` races and nondeterminism, ``NU0xx`` numerics), wired
-  through ``ParallelConfig(sanitize=...)``.
+  :func:`lint_plan`.
 
 All entry points return an :class:`AnalysisReport` of structured
 :class:`Diagnostic` records with stable codes, and accept ``strict=True`` to
@@ -40,14 +37,6 @@ from repro.analysis.intervals import (
     subsumed_predicates,
 )
 from repro.analysis.plan import lint_plan, optimize_cascade, short_circuit_diagnostic
-from repro.analysis.sanitizers import (
-    SANITIZE_MODES,
-    SanitizerSession,
-    active_session,
-    chunk_digest,
-    parse_sanitize_spec,
-    sanitized_scan,
-)
 from repro.analysis.semantic import AnalysisContext, lint_query, window_diagnostics
 from repro.analysis.shapes import TensorSpec, describe_layer, input_spec, lint_network
 
@@ -60,15 +49,11 @@ __all__ = [
     "DIAGNOSTIC_CODES",
     "Diagnostic",
     "Interval",
-    "SANITIZE_MODES",
-    "SanitizerSession",
     "Severity",
     "Span",
     "TensorSpec",
     "WindowTailDropWarning",
-    "active_session",
     "analyze_counts",
-    "chunk_digest",
     "combined_interval",
     "describe_layer",
     "diag",
@@ -78,8 +63,6 @@ __all__ = [
     "lint_plan",
     "lint_query",
     "optimize_cascade",
-    "parse_sanitize_spec",
-    "sanitized_scan",
     "short_circuit_diagnostic",
     "subsumed_predicates",
     "window_diagnostics",

@@ -7,9 +7,7 @@ by layer:
 
 * ``QA0xx`` — query-level (AST) semantic findings,
 * ``PL0xx`` — plan-level (cascade) findings,
-* ``NN0xx`` — network shape/dtype abstract-interpretation findings,
-* ``RC0xx`` — runtime race / determinism sanitizer findings,
-* ``NU0xx`` — runtime numeric sanitizer findings.
+* ``NN0xx`` — network shape/dtype abstract-interpretation findings.
 
 A :class:`Span` ties a diagnostic back to the offending clause of the query
 text the parser saw (character offsets into the normalized source), so
@@ -68,12 +66,6 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "NN003": (Severity.ERROR, "eval-dtype drift (breaks the float32 inference fast path)"),
     "NN004": (Severity.WARNING, "dead or unreachable layer"),
     "NN005": (Severity.INFO, "opaque layer: shape and dtype assumed preserved"),
-    "RC002": (Severity.ERROR, "worker-private state entered by two threads concurrently"),
-    "RC003": (Severity.ERROR, "simulated clock raced by concurrent charges"),
-    "RC004": (Severity.ERROR, "parallel and sequential chunk results diverged"),
-    "NU001": (Severity.ERROR, "NaN in layer output"),
-    "NU002": (Severity.ERROR, "non-finite (overflowed) layer output"),
-    "NU003": (Severity.ERROR, "non-finite cost accumulation"),
 }
 
 

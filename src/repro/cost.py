@@ -18,10 +18,9 @@ pytest-benchmark separately reports the wall-clock cost of our own code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
-
-from repro import hooks
 
 
 # Latencies in milliseconds per frame, as reported in Section IV of the paper.
@@ -418,11 +417,15 @@ class SimulatedClock:
 
     def charge(self, component: str, milliseconds: float, calls: int = 1) -> None:
         """Charge ``milliseconds`` of simulated latency to ``component``."""
-        if hooks.sanitizer is not None:
-            with hooks.sanitizer.clock_access(self, "charge", component, milliseconds):
-                self._charge_unchecked(component, milliseconds, calls)
-            return
-        self._charge_unchecked(component, milliseconds, calls)
+        if not math.isfinite(milliseconds):
+            raise ValueError(
+                f"cannot charge non-finite time to {component!r}: {milliseconds}"
+            )
+        if milliseconds < 0:
+            raise ValueError(f"cannot charge negative time: {milliseconds}")
+        if calls < 0:
+            raise ValueError(f"cannot charge negative calls: {calls}")
+        self._breakdown.add(component, milliseconds, calls)
 
     def charge_calls(self, invoked: Invocable, calls: int = 1) -> None:
         """Charge ``calls`` invocations of a filter or a detector.
@@ -436,13 +439,6 @@ class SimulatedClock:
         if calls > 0:
             self.charge(invoked.name, invoked.latency_ms * calls, calls=calls)
 
-    def _charge_unchecked(self, component: str, milliseconds: float, calls: int) -> None:
-        if milliseconds < 0:
-            raise ValueError(f"cannot charge negative time: {milliseconds}")
-        if calls < 0:
-            raise ValueError(f"cannot charge negative calls: {calls}")
-        self._breakdown.add(component, milliseconds, calls)
-
     def reuse(self, component: str, calls: int = 1) -> None:
         """Record ``calls`` invocations of ``component`` served from a temporal cache.
 
@@ -451,13 +447,6 @@ class SimulatedClock:
         can show how much work the reuse avoided (see
         :attr:`CostBreakdown.per_component_reused`).
         """
-        if hooks.sanitizer is not None:
-            with hooks.sanitizer.clock_access(self, "reuse", component, 0.0):
-                self._reuse_unchecked(component, calls)
-            return
-        self._reuse_unchecked(component, calls)
-
-    def _reuse_unchecked(self, component: str, calls: int) -> None:
         if calls < 0:
             raise ValueError(f"cannot record negative reused calls: {calls}")
         if calls == 0:

@@ -5,10 +5,10 @@ The fault-tolerance layer has two halves that meet in this module:
 * **Injection** — :class:`FaultInjector` raises seeded, schedule-driven
   faults at eight well-known sites (decode, filter, detector, worker
   crash/stall, queue stall, emitter, shard crash).  It installs itself
-  in the ``injector`` slot of :mod:`repro.hooks`, next to the runtime
-  sanitizers' slot: every site reads ``hooks.injector`` behind an
-  ``is not None`` guard, so the uninstalled cost is one attribute load
-  per site (INV007 in ``tools/lint_invariants.py`` enforces the pattern).
+  in the ``injector`` slot of :mod:`repro.hooks`: every site reads
+  ``hooks.injector`` behind an ``is not None`` guard, so the uninstalled
+  cost is one attribute load per site (INV007 in
+  ``tools/lint_invariants.py`` enforces the pattern).
 
 * **Recovery bookkeeping** — :class:`RetryPolicy` bounds retries with
   exponential backoff charged to a :class:`~repro.cost.SimulatedClock`

@@ -172,7 +172,7 @@ class NeuralBranchFilter(FrameFilter):
         self.threshold = threshold
         # Reject a malformed network here — with a layer trace — instead of
         # as a numpy broadcasting error in the middle of a scan.
-        from repro.analysis.shapes import input_spec, lint_network
+        from repro.analysis.shapes import describe_layer, input_spec, lint_network
 
         report = lint_network(
             network,
@@ -183,6 +183,16 @@ class NeuralBranchFilter(FrameFilter):
             },
         )
         report.raise_for_errors(context=f"{self.name} network shape analysis")
+        # A NaN or infinite weight raises nothing in a forward pass; it only
+        # poisons every prediction, so it is refused here too.
+        stacks = {"trunk": network.trunk, **{f"head.{k}": v for k, v in network.heads.items()}}
+        for where, stack in stacks.items():
+            for position, layer in enumerate(stack.layers):
+                if not all(np.isfinite(value).all() for value in layer.params().values()):
+                    raise ValueError(
+                        f"{self.name}: non-finite parameter in {where} layer "
+                        f"{position} {describe_layer(layer)}"
+                    )
 
     @property
     def _activation_dtype(self) -> np.dtype:

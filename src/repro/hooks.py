@@ -1,16 +1,13 @@
-"""The engine's zero-overhead hook slots.
+"""The engine's zero-overhead hook slot.
 
-Whatever instruments the hot paths from outside hangs off one of the two
-module attributes below: ``sanitizer`` holds the
-:class:`repro.analysis.sanitizers.SanitizerSession` of the sanitized scan
-in flight, ``injector`` the live :class:`repro.faults.FaultInjector`.  A
-slot is ``None`` when nothing is installed, and every site reads it as
-``hooks.<slot>`` behind ``if hooks.<slot> is not None:``, so the
-uninstrumented engine pays one attribute load per site and stays
-bit-identical to an engine without hooks (``tools/lint_invariants.py``
-INV007 holds the guard at every site under ``src/repro/``).  Two slots,
-not one composite: the sites call different methods per subscriber
-(``clock_access`` vs ``with_retry``).
+Whatever instruments the hot paths from outside hangs off the module
+attribute below: ``injector`` holds the live
+:class:`repro.faults.FaultInjector`.  A slot is ``None`` when nothing is
+installed, and every site reads it as ``hooks.<slot>`` behind
+``if hooks.<slot> is not None:``, so the uninstrumented engine pays one
+attribute load per site and stays bit-identical to an engine without
+hooks (``tools/lint_invariants.py`` INV007 holds the guard at every site
+under ``src/repro/``).
 
 This module imports nothing from ``repro``, so any module may import it.
 """
@@ -20,10 +17,9 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-sanitizer: Any = None
 injector: Any = None
 
-SLOTS = ("sanitizer", "injector")
+SLOTS = ("injector",)
 
 _LOCK = threading.Lock()
 

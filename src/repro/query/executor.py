@@ -67,7 +67,6 @@ Costs are accounted twice:
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -104,7 +103,6 @@ from repro.video.stream import VideoStream, checked_frame_indices
 
 if TYPE_CHECKING:  # runtime import would be circular; see execute_aggregate
     from repro.aggregates.monitor import AggregateQuerySpec, MonitoringReport
-    from repro.analysis.diagnostics import AnalysisReport
 
 
 class StreamingQueryExecutor:
@@ -202,7 +200,6 @@ class StreamingQueryExecutor:
                 simulated_cost=shared.cost.shared,
                 batch_size=shared.batch_size,
                 parallel=shared.parallel,
-                sanitizer_report=shared.sanitizer_report,
             ),
         )
 
@@ -332,12 +329,6 @@ class StreamingQueryExecutor:
         chunk is :func:`~repro.query.parallel.run_filter_chunk` whether it
         runs inline or in a worker, so the parallel engine is chunk-for-chunk
         identical to the inline scan by construction.
-
-        With ``parallel.sanitize`` set, the scan runs under an
-        activated :class:`~repro.analysis.sanitizers.SanitizerSession`:
-        findings raise ``AnalysisError`` mid-scan (``sanitize_strict=True``,
-        the default) or are collected into ``sanitizer_report`` and surfaced
-        as Python warnings.  ``sanitize=None`` leaves ``hooks.sanitizer`` empty.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be positive: {batch_size}")
@@ -353,88 +344,68 @@ class StreamingQueryExecutor:
         ]
         chunk_size = batch_size or DEFAULT_CHUNK_SIZE
         temporal_stats: TemporalStats | None = None
-        sanitizer_report: AnalysisReport | None = None
-        sanitizer_scope = nullcontext()
-        if parallel is not None and parallel.sanitize:
-            # Local import: repro.analysis imports the query AST package.
-            from repro.analysis.sanitizers import sanitized_scan
-
-            sanitizer_scope = sanitized_scan(parallel.sanitize, strict=parallel.sanitize_strict)
         started = time.perf_counter()
         # Cost is measured as a delta against the session's snapshot of the
         # clock rather than by resetting it: a caller-supplied shared clock
         # (e.g. one accumulating cost across several executions) keeps its
         # history.
         session = ScanSession(self.detector, clock=self.clock, live=False, parallel=parallel)
-        with sanitizer_scope as sanitizer:
-            with session:
-                for query, cascade, bounds in zip(queries, query_cascades, per_query_windows):
-                    # A windowed query covers its windows up to where the last
-                    # materialised instance ends (none: no frame at all).
-                    stop = None if bounds is None else (bounds[-1].stop if bounds else 0)
-                    session.add_query(query, cascade, stop=stop)
-                # Plans the scan: steps merged across queries.
-                unique_steps = session.unique_step_count
-                # The frames some query covers (a provably-empty query covers
-                # none, so it pulls no frame into the union on its own).
-                union_indices = [index for index in base_indices if session._covering(index)]
-                # A pooled scan renders ahead on up to two threads, never
-                # more than it has filter workers.  Without workers, render
-                # threads run ahead while this one filters and verifies: one
-                # beside a filter phase (numpy that releases the GIL), two
-                # in a cascade-free scan.  A render is mostly noise drawn
-                # with the GIL released, and the detector holds the GIL for
-                # a few ms per chunk, so two renders keep the second core
-                # busy where one stalled each time it wanted the GIL back.
-                # A single chunk has nothing to overlap and stays inline;
-                # DESIGN.md "Parallel pipeline" has the numbers.
-                if temporal is None:
-                    chunks = partition_chunks(union_indices, chunk_size)
-                    if parallel is not None:
-                        threads = min(PREFETCH_THREADS, parallel.num_workers)
-                    elif len(chunks) < 2:
-                        threads = 0
-                    else:
-                        threads = 1 if unique_steps > 0 else PREFETCH_THREADS
-                    ahead = chunk_size
+        with session:
+            for query, cascade, bounds in zip(queries, query_cascades, per_query_windows):
+                # A windowed query covers its windows up to where the last
+                # materialised instance ends (none: no frame at all).
+                stop = None if bounds is None else (bounds[-1].stop if bounds else 0)
+                session.add_query(query, cascade, stop=stop)
+            # Plans the scan: steps merged across queries.
+            unique_steps = session.unique_step_count
+            # The frames some query covers (a provably-empty query covers
+            # none, so it pulls no frame into the union on its own).
+            union_indices = [index for index in base_indices if session._covering(index)]
+            # A pooled scan renders ahead on up to two threads, never
+            # more than it has filter workers.  Without workers, render
+            # threads run ahead while this one filters and verifies: one
+            # beside a filter phase (numpy that releases the GIL), two
+            # in a cascade-free scan.  A render is mostly noise drawn
+            # with the GIL released, and the detector holds the GIL for
+            # a few ms per chunk, so two renders keep the second core
+            # busy where one stalled each time it wanted the GIL back.
+            # A single chunk has nothing to overlap and stays inline;
+            # DESIGN.md "Parallel pipeline" has the numbers.
+            if temporal is None:
+                chunks = partition_chunks(union_indices, chunk_size)
+                if parallel is not None:
+                    threads = min(PREFETCH_THREADS, parallel.num_workers)
+                elif len(chunks) < 2:
+                    threads = 0
                 else:
-                    # Gating is sequential: nothing is chunked and the session
-                    # gets no workers.  An exact gate renders every frame (to
-                    # verify it), so it renders ahead too, through two maximal
-                    # strides: backfill and refinement probes stay in the
-                    # window.  An approximate gate decides what is rendered
-                    # at all, and a cascade-free gate has no filter phase to
-                    # render behind, so both stay inline.
-                    chunks = []
-                    exact = unique_steps > 0 and temporal.exact and len(union_indices) > 1
-                    threads = 1 if exact else 0
-                    ahead = temporal.max_stride
-                with decode_ahead(stream, union_indices, ahead, threads) as render:
-                    if temporal is not None:
-                        temporal_stats = session.run_temporal_scan(
-                            temporal, union_indices, render
-                        )
-                    else:
-                        for chunk in chunks:
-                            try:
-                                # One materialisation per frame, shared by every query.
-                                frames = [render(index) for index in chunk]
-                            except FaultExhausted as error:
-                                # A frame of this chunk could not be decoded within
-                                # the retry budget: set it aside and keep scanning.
-                                session.quarantine_chunk(chunk, error)
-                                continue
-                            session.push_chunk(frames)
-            if sanitizer is not None:
-                # The session has drained: every chunk's digest is recorded.
-                sanitizer.verify_determinism(
-                    stream, query_cascades, session.step_assignments
-                )
-                sanitizer_report = sanitizer.report()
-        if sanitizer_report is not None:
-            # Strict sessions raised from inside the scan; anything still
-            # here is a non-strict run, so surface findings as warnings.
-            sanitizer_report.emit_warnings()
+                    threads = 1 if unique_steps > 0 else PREFETCH_THREADS
+                ahead = chunk_size
+            else:
+                # Gating is sequential: nothing is chunked and the session
+                # gets no workers.  An exact gate renders every frame (to
+                # verify it), so it renders ahead too, through two maximal
+                # strides: backfill and refinement probes stay in the
+                # window.  An approximate gate decides what is rendered
+                # at all, and a cascade-free gate has no filter phase to
+                # render behind, so both stay inline.
+                chunks = []
+                exact = unique_steps > 0 and temporal.exact and len(union_indices) > 1
+                threads = 1 if exact else 0
+                ahead = temporal.max_stride
+            with decode_ahead(stream, union_indices, ahead, threads) as render:
+                if temporal is not None:
+                    temporal_stats = session.run_temporal_scan(temporal, union_indices, render)
+                else:
+                    for chunk in chunks:
+                        try:
+                            # One materialisation per frame, shared by every query.
+                            frames = [render(index) for index in chunk]
+                        except FaultExhausted as error:
+                            # A frame of this chunk could not be decoded within
+                            # the retry budget: set it aside and keep scanning.
+                            session.quarantine_chunk(chunk, error)
+                            continue
+                        session.push_chunk(frames)
         elapsed = time.perf_counter() - started
 
         cost = session.shared_cost_report()
@@ -483,7 +454,6 @@ class StreamingQueryExecutor:
             batch_size=batch_size,
             temporal=temporal_stats,
             parallel=parallel_stats,
-            sanitizer_report=sanitizer_report,
         )
         return MultiQueryExecutionResult(results=tuple(results), shared=shared_stats)
 

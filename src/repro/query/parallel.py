@@ -33,14 +33,13 @@ the per-worker totals are reported in a
 from __future__ import annotations
 
 import copy
-import os
 import queue
 import threading
 import time
 from bisect import bisect_left
 from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -83,26 +82,9 @@ class ParallelConfig:
     untouched, so recovered runs stay bit-identical to fault-free ones.
     Off by default: an unsupervised run never starts the timeout
     machinery and fails fast exactly as before.
-
-    ``sanitize`` enables the opt-in runtime sanitizers of
-    :mod:`repro.analysis.sanitizers` for a one-shot chunked scan
-    (``execute`` / ``execute_many``; a :class:`~repro.query.session.ScanSession`
-    that a ``QueryService`` shard builds is never instrumented): ``"race"`` (the
-    ownership race detector), ``"numeric"`` (NaN/Inf checks on layer
-    outputs and cost accumulators), ``"determinism"`` (parallel vs
-    sequential chunk-digest diffing), a comma-joined combination, or
-    ``"all"``.  ``sanitize_strict=True`` (default) raises
-    :class:`~repro.analysis.AnalysisError` at the first finding; otherwise
-    findings are collected on the execution stats' ``sanitizer_report``.
-    The ``REPRO_SANITIZE`` environment variable supplies a default spec when
-    ``sanitize`` is unset, which is how CI runs the one-shot parallel scans
-    of its test modules under full instrumentation without touching each
-    test.
     """
 
     num_workers: int = 4
-    sanitize: str | None = None
-    sanitize_strict: bool = True
     supervise: bool = False
     worker_timeout_seconds: float = 30.0
     max_redispatch: int = 2
@@ -118,21 +100,6 @@ class ParallelConfig:
             raise ValueError(
                 f"max_redispatch must be non-negative: {self.max_redispatch}"
             )
-        # Local import: repro.analysis sits above the query package, so
-        # importing it at module level would cycle.
-        from repro.analysis.sanitizers import parse_sanitize_spec
-
-        spec = self.sanitize
-        if spec is None:
-            spec = os.environ.get("REPRO_SANITIZE")
-        object.__setattr__(self, "sanitize", spec if parse_sanitize_spec(spec) else None)
-
-    @property
-    def sanitize_modes(self) -> frozenset[str]:
-        """The enabled sanitizer modes as a set (empty when off)."""
-        from repro.analysis.sanitizers import parse_sanitize_spec
-
-        return parse_sanitize_spec(self.sanitize)
 
 
 @dataclass(frozen=True)
@@ -200,7 +167,7 @@ def run_filter_chunk(
     outside query ``q``'s window coverage (``None`` = all frames covered).
     Every cascade's steps run in their planned order.  Each
     ``predict_batch`` is charged to ``clock`` as it returns; ``None``
-    charges nothing (exact-mode verification, the determinism re-run).
+    charges nothing (exact-mode verification).
     """
     if hooks.injector is not None:
         # Fault site *before* any accumulation, keyed by the chunk's first
@@ -508,13 +475,7 @@ def _filter_task(
     """The one task body a pool thread runs."""
     _apply_worker_directive(directive, chunk_id)
     worker: _Worker = _SLOT.worker
-    if hooks.sanitizer is not None:
-        owned = [id(frame_filter) for frame_filter in _distinct_filters(worker.cascades)]
-        window = hooks.sanitizer.worker_window(chunk_id, owned)
-    else:
-        window = nullcontext()
-    with window:
-        return worker.filter_chunk(chunk_id, covered, frames)
+    return worker.filter_chunk(chunk_id, covered, frames)
 
 
 @dataclass(slots=True, eq=False)
@@ -580,15 +541,27 @@ class WorkerSupervisor:
         """A fresh pool for the plan: the first build and every respawn.
 
         The one place a worker clock is built (lint INV004): one private
-        clock per worker, for the pool's lifetime.
+        clock per worker, for the pool's lifetime.  Workers must not share
+        filter objects, so a filter that a deep copy hands back as itself
+        (a ``__deepcopy__`` returning ``self``) is refused here, before
+        any chunk is filtered.
         """
         workers = self._config.num_workers
         clones: queue.SimpleQueue[_Worker] = queue.SimpleQueue()
+        owned = {id(frame_filter) for frame_filter in _distinct_filters(self._cascades)}
         for worker_id in range(workers):
             # A worker's cascades are deep-copied *together*, so filters
             # shared across queries stay shared within the clone and the
             # cross-query prediction cache keeps working.
             clone = copy.deepcopy(self._cascades)
+            for frame_filter in _distinct_filters(clone):
+                if id(frame_filter) in owned:
+                    raise ValueError(
+                        f"filter {frame_filter.name!r} ({type(frame_filter).__name__}) "
+                        f"is the same object after a deep copy, so pool workers "
+                        f"would share it: its __deepcopy__ must build a new filter"
+                    )
+                owned.add(id(frame_filter))
             clones.put(
                 _Worker(f"thread-{worker_id}", clone, self._assignments, SimulatedClock())
             )

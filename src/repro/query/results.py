@@ -33,7 +33,6 @@ from repro.cost import CostBreakdown, SharedCostReport
 
 if TYPE_CHECKING:  # annotations only: a runtime import would make this no leaf
     from repro.aggregates.monitor import MonitoringReport
-    from repro.analysis.diagnostics import AnalysisReport
     from repro.faults.injector import FaultReport
     from repro.query.parallel import ParallelStats
     from repro.query.session import QueryState
@@ -56,9 +55,6 @@ class ExecutionStats:
     #: worker/prefetch telemetry of a parallel pipelined execution
     #: (``None`` when the scan ran without a ``ParallelConfig``)
     parallel: ParallelStats | None = None
-    #: findings of the runtime sanitizers (``None`` unless the scan ran with
-    #: ``ParallelConfig(sanitize=...)``; empty report = instrumented and clean)
-    sanitizer_report: AnalysisReport | None = None
     #: injected-fault and quarantine accounting of the scan (``None`` when no
     #: :class:`~repro.faults.FaultInjector` was installed and nothing was
     #: quarantined — i.e. every fault-free run)
@@ -219,9 +215,6 @@ class SharedExecutionStats:
     temporal: TemporalStats | None = None
     #: worker/prefetch telemetry of a parallel pipelined shared scan
     parallel: ParallelStats | None = None
-    #: findings of the runtime sanitizers (``None`` unless the scan ran with
-    #: ``ParallelConfig(sanitize=...)``; empty report = instrumented and clean)
-    sanitizer_report: AnalysisReport | None = None
 
     @property
     def savings_ratio(self) -> float:

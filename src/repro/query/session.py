@@ -44,15 +44,15 @@ pushed chunks on a worker pool and merges the outcomes strictly in chunk
 order; :meth:`ScanSession._push_parallel` / :meth:`ScanSession._merge_next`
 are the only submit/merge loop in the repo.  Chunk ids are positions in the
 sequence of chunks handed to the session (pushed or set aside), which is what
-``worker_crash@k`` / ``worker_stall@k`` fault schedules and the determinism
-sanitizer's per-chunk digests are keyed by.  A live session reports what each
-chunk established as one :class:`ChunkProgress` per chunk, from whichever call
-merged it (:meth:`~ScanSession.push_chunk`, :meth:`~ScanSession.merge_ready`,
-:meth:`~ScanSession.drain`); a live pooled session merges nothing after a
-push's submission, so the service can merge a chunk the moment its filter
-phase completes (``on_chunk_done``).  The merge of a ``resilient`` session
-(a service shard's) never raises: a chunk whose worker crashed is
-re-dispatched, and one that still fails is quarantined at its own chunk id.
+``worker_crash@k`` / ``worker_stall@k`` fault schedules are keyed by.  A live
+session reports what each chunk established as one :class:`ChunkProgress` per
+chunk, from whichever call merged it (:meth:`~ScanSession.push_chunk`,
+:meth:`~ScanSession.merge_ready`, :meth:`~ScanSession.drain`); a live pooled
+session merges nothing after a push's submission, so the service can merge a
+chunk the moment its filter phase completes (``on_chunk_done``).  The merge of
+a ``resilient`` session (a service shard's) never raises: a chunk whose worker
+crashed is re-dispatched, and one that still fails is quarantined at its own
+chunk id.
 
 In both modes the session charges its own clock for the work it schedules:
 each filter call as ``run_filter_chunk`` issues it (on a pool, to the
@@ -548,9 +548,8 @@ class ScanSession:
         exhaustion never materialised any frames).  On a parallel session
         the chunk still consumes a chunk id, so ids stay positions in the
         sequence of chunks handed to the session — what ``worker_crash@k``
-        schedules and the determinism sanitizer's digests are keyed by — and
-        it is recorded at its turn in the merge, so the watermark never
-        passes a chunk still in flight.
+        schedules are keyed by — and it is recorded at its turn in the
+        merge, so the watermark never passes a chunk still in flight.
         """
         if self._parallel is None:
             self._quarantine(frames, error)
@@ -810,7 +809,7 @@ class ScanSession:
         pending = self._inflight.pop(chunk_id)
         self._next_merge += 1
         cursors = self._match_cursors() if self.live else None
-        outcome = entry = verdict = None
+        entry = verdict = None
         if pending is None:
             aside = self._set_aside.pop(chunk_id, None)
             if aside is not None:
@@ -828,8 +827,6 @@ class ScanSession:
                 if not (self._resilient or isinstance(error, FaultExhausted)):
                     raise
                 self._quarantine(entry.frames, error)
-        if hooks.sanitizer is not None:
-            hooks.sanitizer.observe_chunk(chunk_id, entry, outcome)
         if verdict is not None:
             self._accumulate(sids, entry.indices, entry.covered, verdict)
             self._watermark = max(self._watermark, entry.indices[-1])

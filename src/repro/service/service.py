@@ -72,14 +72,12 @@ class StreamConfig:
     ``policy`` picks the backpressure behaviour (``"block"`` /
     ``"drop_oldest"`` / ``"degrade"``).  ``temporal`` / ``parallel``
     configure the shard's scan session as they configure the one-shot
-    executor, except that the shard chunks by ``chunk_size`` and its
-    ``parallel.sanitize`` instruments nothing (only a one-shot scan runs
-    under the sanitizers).  A shard given neither filters on a pool of
-    :data:`SHARD_WORKERS` threads, as
+    executor, except that the shard chunks by ``chunk_size``.  A shard
+    given neither filters on a pool of :data:`SHARD_WORKERS` threads, as
     ``ParallelConfig(num_workers=SHARD_WORKERS)`` would, while its stream
-    is the service's only one, and inline while
-    other streams' shard threads share the cores; a ``temporal`` shard
-    gates inline.  ``degrade`` is the approximate
+    is the service's only one, and inline while other streams' shard
+    threads share the cores; a ``temporal`` shard gates inline.
+    ``degrade`` is the approximate
     :class:`~repro.query.temporal.TemporalConfig` applied while the
     ``degrade`` policy has the shard in its degraded episode.
     """

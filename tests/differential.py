@@ -153,7 +153,6 @@ CONFIGS = (
     _C("thread2", parallel=THREADS, batch_size=5),
     _C("thread2-fixed-windows", parallel=THREADS, batch_size=5, include_partial_windows=False),
     _C("thread2-batch7", parallel=THREADS, batch_size=7),
-    _C("thread2-determinism", parallel=replace(THREADS, sanitize="determinism"), batch_size=5),
     _C("temporal-exact", temporal=GATED),
     _C("temporal-exact-stride8", temporal=STRIDED),
     _C("temporal-approximate", temporal=APPROXIMATE),

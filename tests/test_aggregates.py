@@ -51,7 +51,7 @@ def test_sample_mean_estimate_basics():
 @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
 def test_sample_mean_interval_is_the_student_t_interval_bit_for_bit(n, level):
     # scipy.stats is the oracle here only: the library reads the same
-    # quantile from scipy.special, imported when an estimate is first made
+    # quantile from scipy.special, imported when an interval is first read
     # (see test_import_repro_leaves_scipy_stats_unloaded).
     from scipy import stats
 

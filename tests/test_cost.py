@@ -36,10 +36,25 @@ def test_clock_accumulates_by_component():
 
 def test_clock_rejects_negative_charges():
     clock = SimulatedClock()
+    clock.charge("x", 2.0)
+    before = clock.snapshot()
     with pytest.raises(ValueError):
         clock.charge("x", -1.0)
     with pytest.raises(ValueError):
         clock.charge("x", 1.0, calls=-1)
+    assert clock.snapshot() == before
+
+
+def test_clock_rejects_non_finite_charges():
+    # Non-finite time is refused at the clock, naming the component, not
+    # found later in a total.
+    clock = SimulatedClock()
+    clock.charge("detector", 2.0)
+    before = clock.snapshot()
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=r"non-finite time to 'detector': -?(nan|inf)"):
+            clock.charge("detector", bad)
+    assert clock.snapshot() == before
 
 
 def test_cost_breakdown_merge():

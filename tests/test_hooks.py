@@ -1,9 +1,8 @@
-"""The two hook slots in ``repro.hooks``.
+"""The hook slot in ``repro.hooks``.
 
-The subscriber-side behaviour (a session or an injector is visible at its
-sites while installed) is covered by ``test_sanitizers.py`` and
-``test_faults.py``; this file holds the slot mechanics and the worker-side
-reset.
+The subscriber-side behaviour (an injector is visible at its sites while
+installed) is covered by ``test_faults.py``; this file holds the slot
+mechanics and the worker-side reset.
 """
 
 from __future__ import annotations
@@ -21,18 +20,18 @@ from repro.query import parallel
 
 @pytest.fixture(autouse=True)
 def _slots_start_and_end_empty():
-    assert hooks.sanitizer is None and hooks.injector is None
+    assert hooks.injector is None
     yield
-    leaked = (hooks.sanitizer, hooks.injector)
+    leaked = hooks.injector
     hooks.reset()
-    assert leaked == (None, None)
+    assert leaked is None
 
 
 def test_install_refuses_to_stack_and_uninstall_ignores_a_stale_handle():
     first, second = object(), object()
     assert hooks.install("injector", first) is True
     try:
-        assert hooks.injector is first and hooks.sanitizer is None
+        assert hooks.injector is first
         assert hooks.install("injector", second) is False
         assert hooks.injector is first
         hooks.uninstall("injector", second)  # stale handle
@@ -51,19 +50,18 @@ def test_unknown_slot_is_rejected():
 
 
 def test_a_pool_worker_consults_neither_slot():
-    """The pool initializer installs the thread's worker and touches neither
-    slot: a pool thread shares the installer's sanitizer and injector, so
-    clearing them there would switch both off for the whole scan."""
+    """The pool initializer installs the thread's worker and leaves the
+    injector slot alone: a pool thread shares the installer's injector, so
+    clearing it there would switch it off for the whole scan."""
     clones: queue.SimpleQueue = queue.SimpleQueue()
     clone = parallel._Worker("thread-0", [], [], SimulatedClock())
     clones.put(clone)
-    sanitizer, injector = object(), object()
-    assert hooks.install("sanitizer", sanitizer)
+    injector = object()
     assert hooks.install("injector", injector)
     try:
         parallel._init_worker(clones)
         assert parallel._SLOT.worker is clone
-        assert hooks.sanitizer is sanitizer and hooks.injector is injector
+        assert hooks.injector is injector
     finally:
         hooks.reset()
         del parallel._SLOT.worker
@@ -82,7 +80,7 @@ def test_concurrent_installs_have_exactly_one_winner():
             def contend():
                 mine = object()
                 barrier.wait(timeout=10)
-                if hooks.install("sanitizer", mine):
+                if hooks.install("injector", mine):
                     won.append(mine)
 
             threads = [threading.Thread(target=contend) for _ in range(8)]
@@ -91,8 +89,8 @@ def test_concurrent_installs_have_exactly_one_winner():
             for thread in threads:
                 thread.join(timeout=10)
             assert not any(thread.is_alive() for thread in threads)
-            assert len(won) == 1 and hooks.sanitizer is won[0]
-            hooks.uninstall("sanitizer", won[0])
+            assert len(won) == 1 and hooks.injector is won[0]
+            hooks.uninstall("injector", won[0])
     finally:
         sys.setswitchinterval(interval)
         hooks.reset()

@@ -51,12 +51,12 @@ def test_inv007_accepts_the_guarded_site_shapes(lint):
                 return hooks.injector.with_retry("decode", index, None, self.render)
             return self.render(index)
 
-        def task(self, chunk_id):
-            if hooks.sanitizer is not None:
-                window = hooks.sanitizer.worker_window(chunk_id)
+        def dispatch(self, chunk_id):
+            if hooks.injector is not None:
+                directive = hooks.injector.worker_directive(chunk_id)
             else:
-                window = None
-            return window
+                directive = None
+            return directive
         """,
     ) == []
 
@@ -75,7 +75,11 @@ def test_inv007_reports_an_unguarded_use(lint):
     assert findings[0].startswith("INV007 sample.py:5: hooks.injector used outside")
 
 
-def test_inv007_reports_a_use_in_the_else_branch_and_under_the_other_slot(lint):
+def test_inv007_reports_a_use_in_the_else_branch_and_under_the_other_slot(
+    lint, monkeypatch
+):
+    # A second slot, so that a guard on one is seen not to cover the other.
+    monkeypatch.setattr(lint, "HOOK_SLOTS", ("injector", "probe"))
     findings = _inv007(
         lint,
         """
@@ -86,7 +90,7 @@ def test_inv007_reports_a_use_in_the_else_branch_and_under_the_other_slot(lint):
                 pass
             else:
                 hooks.injector.emitter_event()
-            if hooks.sanitizer is not None:
+            if hooks.probe is not None:
                 hooks.injector.emitter_event()
         """,
     )

@@ -92,7 +92,7 @@ def test_execute_is_the_shared_scan_of_one_query(workload, tiny_jackson, mode):
         performed = replace(
             attributed.stats, filter_invocations=shared.filter_computations,
             detector_invocations=shared.detector_invocations, simulated_cost=shared.cost.shared,
-            parallel=shared.parallel, sanitizer_report=shared.sanitizer_report,
+            parallel=shared.parallel,
         )
         expected = replace(attributed, stats=performed, temporal=shared.temporal)
         assert normalize(asdict(solo)) == normalize(asdict(expected))

@@ -82,6 +82,17 @@ def test_branch_network_output_shapes():
         build_branch_network(num_classes=2, image_size=30, grid_size=8)
 
 
+def test_non_finite_weights_are_refused_at_construction():
+    network = build_branch_network(num_classes=1, image_size=8, grid_size=4)
+    network.trunk.layers[0].weight[0, 0, 0, 0] = float("nan")
+    with pytest.raises(ValueError, match="non-finite") as excinfo:
+        NeuralBranchFilter(
+            network, class_names=("car",), image_size=8, grid_size=4,
+            frame_width=16, frame_height=16,
+        )
+    assert "trunk layer 0 Conv2D" in str(excinfo.value)
+
+
 def test_neural_training_config_validation():
     with pytest.raises(ValueError):
         NeuralTrainingConfig(image_size=50, grid_size=8)

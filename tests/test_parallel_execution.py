@@ -18,8 +18,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cost import merge_worker_breakdowns
+from repro.cost import SimulatedClock, merge_worker_breakdowns
 from repro.detection import ReferenceDetector
+from repro.faults import FaultInjector, RetryPolicy
+from repro.filters.base import FilterPrediction, FrameFilter
 from repro.query import (
     CascadeStep,
     FilterCascade,
@@ -33,6 +35,8 @@ from repro.query import (
     reorder_cascade,
 )
 from repro.aggregates.monitor import AggregateQuerySpec
+from repro.service import QueryService, StreamConfig
+from repro.spatial.grid import Grid
 
 pytestmark = pytest.mark.parallel
 
@@ -189,7 +193,6 @@ def test_worker_chunk_cost_does_not_depend_on_earlier_chunks(stream, planner):
     13.299999999999999 charged directly."""
     import copy
 
-    from repro.cost import SimulatedClock
     from repro.query.parallel import _Worker
 
     query = count_query("clock")
@@ -217,6 +220,192 @@ def test_parallel_config_validation():
         ParallelConfig(worker_timeout_seconds=0.0)
     with pytest.raises(ValueError):
         ParallelConfig(max_redispatch=-1)
+
+
+# ----------------------------------------------------------------------
+# Worker clones share no filter
+# ----------------------------------------------------------------------
+class _CountingFilter(FrameFilter):
+    """Passes every frame with one car and counts the frames it predicted."""
+
+    family = "OD"
+    name = "counting_filter"
+    latency_ms = 1.0
+
+    def __init__(self) -> None:
+        self.grid = Grid(rows=2, cols=2, frame_width=8, frame_height=8)
+        self.predicted = 0
+
+    def predict(self, frame) -> FilterPrediction:
+        self.predicted += 1
+        return FilterPrediction(
+            frame_index=frame.index,
+            filter_name=self.name,
+            grid=self.grid,
+            class_counts={"car": 1},
+            class_scores={"car": 1.0},
+            location_scores={},
+            threshold=0.5,
+            latency_ms=self.latency_ms,
+        )
+
+
+class _CloneResistantFilter(_CountingFilter):
+    """Every worker's deep copy of it is the filter itself."""
+
+    name = "clone_resistant_filter"
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def _pass_all(frame_filter, name="seeded") -> FilterCascade:
+    return FilterCascade(
+        steps=[CascadeStep(name=name, frame_filter=frame_filter, check=lambda p: True)]
+    )
+
+
+def _car_executor():
+    return StreamingQueryExecutor(ReferenceDetector(class_names=("car",), seed=9))
+
+
+def test_a_pooled_execute_refuses_a_filter_its_workers_would_share(single_object_stream):
+    stream = single_object_stream
+    shared = _CloneResistantFilter()
+    runner = _car_executor()
+    with pytest.raises(ValueError, match="clone_resistant_filter"):
+        runner.execute(
+            count_query(), stream, _pass_all(shared),
+            batch_size=4, parallel=ParallelConfig(num_workers=2),
+        )
+    # Refused before the first chunk was filtered: nothing predicted or charged.
+    assert shared.predicted == 0
+    assert runner.clock.snapshot() == SimulatedClock().snapshot()
+    # Inline, nothing is copied, so the same filter runs.
+    inline = runner.execute(count_query(), stream, _pass_all(shared), batch_size=4)
+    assert inline.stats.frames_scanned == len(stream)
+
+
+def test_a_pooled_service_shard_refuses_a_filter_its_workers_would_share(
+    single_object_stream,
+):
+    """The shard's session is resilient, so each chunk is quarantined with
+    the refusal instead of being filtered by one filter on two threads."""
+    stream = single_object_stream
+    shared = _CloneResistantFilter()
+    service = QueryService()
+    service.attach_stream(
+        "cam", ReferenceDetector(class_names=("car",), seed=9),
+        StreamConfig(chunk_size=8, parallel=ParallelConfig(num_workers=2)),
+    )
+    handle = service.register("cam", count_query(), _pass_all(shared))
+    service.feed("cam", [stream.frame(index) for index in range(len(stream))])
+    records = service.stats().streams["cam"].faults.quarantined
+    result = service.close()[handle]
+    assert [record.frames for record in records] == [
+        tuple(range(start, start + 8)) for start in range(0, len(stream), 8)
+    ]
+    assert all("clone_resistant_filter" in record.error for record in records)
+    assert shared.predicted == 0
+    assert result.stats.frames_scanned == 0
+    assert result.stats.simulated_cost.total_ms == 0.0
+
+
+def test_a_filter_shared_by_two_queries_stays_shared_inside_a_clone(single_object_stream):
+    stream = single_object_stream
+    shared = _CountingFilter()
+    queries = [count_query("first"), count_query("second")]
+    cascades = [_pass_all(shared, "first"), _pass_all(shared, "second")]
+
+    def run(**options):
+        return _car_executor().execute_many(queries, stream, cascades, batch_size=8, **options)
+
+    inline = run()
+    pooled = run(parallel=ParallelConfig(num_workers=2))
+    assert pooled.shared.parallel.num_chunks == 5
+    # One prediction per frame: the clone kept the two queries' filter one object.
+    assert pooled.shared.filter_computations == len(stream)
+    for counter in ("frames_scanned", "detector_invocations", "filter_computations"):
+        assert getattr(pooled.shared, counter) == getattr(inline.shared, counter)
+    for got, want in zip(pooled, inline):
+        assert got.matched_frames == want.matched_frames
+        assert got.stats.simulated_cost == want.stats.simulated_cost
+
+
+@pytest.mark.filterwarnings("ignore::repro.analysis.WindowTailDropWarning")
+def test_a_pooled_scan_covers_each_query_as_the_inline_scan_does(
+    tiny_jackson, trained_od_filter
+):
+    """A windowed query with gaps and a dropped tail, an un-windowed one and
+    a provably-empty one: each worker filters a chunk under the coverage
+    masks it was dispatched with (a windowed query's gaps stay out), so the
+    pooled scan equals the inline one counter for counter."""
+    planner = QueryPlanner({"od": trained_od_filter}, PlannerConfig(count_tolerance=1))
+    queries = [
+        QueryBuilder("gapped").count("car").at_least(1).window(8, 11).build(),
+        QueryBuilder("plain").count("car").at_least(1).build(),
+        QueryBuilder("empty").count("car").at_least(1).build(),
+    ]
+    cascades = [planner.plan(query) for query in queries[:2]]
+    cascades.append(FilterCascade(provably_empty=True))
+
+    def run(**kwargs):
+        return executor(tiny_jackson).execute_many(
+            queries, tiny_jackson.test, cascades, include_partial_windows=False, **kwargs
+        )
+
+    inline = run(batch_size=8)
+    pooled = run(batch_size=8, parallel=ParallelConfig(num_workers=2))
+    assert pooled.shared.parallel.num_chunks == 7  # the plain query's 50 frames
+    for got, want in zip(pooled, inline):
+        assert got.matched_frames == want.matched_frames
+        assert got.windows == want.windows
+        for counter in (
+            "frames_scanned",
+            "frames_passed_filters",
+            "detector_invocations",
+            "filter_invocations",
+        ):
+            assert getattr(got.stats, counter) == getattr(want.stats, counter)
+        assert (
+            got.stats.simulated_cost.per_component_calls
+            == want.stats.simulated_cost.per_component_calls
+        )
+    assert pooled[0].stats.frames_scanned == 4 * 8
+    assert pooled[2].stats.frames_scanned == 0
+    for counter in ("frames_scanned", "detector_invocations", "filter_computations"):
+        assert getattr(pooled.shared, counter) == getattr(inline.shared, counter)
+
+
+@pytest.mark.parametrize(
+    "schedule, max_redispatch",
+    [
+        ({("decode", 11): 3}, 2),  # chunk 1 set aside before submission
+        ({("worker_crash", 1): 1}, 0),  # chunk 1 poisoned at its merge point
+    ],
+)
+def test_a_pooled_scan_loses_exactly_the_quarantined_chunk(
+    single_object_stream, schedule, max_redispatch
+):
+    """Chunk ids stay partition positions past a quarantined chunk: the
+    scan loses chunk 1's frames and nothing else."""
+    stream = single_object_stream
+    cascade = _pass_all(_CountingFilter())
+    inline = _car_executor().execute(count_query(), stream, cascade, batch_size=8)
+    config = ParallelConfig(num_workers=2, supervise=True, max_redispatch=max_redispatch)
+    with FaultInjector(schedule=schedule, retry=RetryPolicy(max_attempts=3)) as injector:
+        result = _car_executor().execute(
+            count_query(), stream, cascade, batch_size=8, parallel=config
+        )
+    assert injector.unfired() == ()
+    lost = tuple(range(8, 16))
+    assert [record.frames for record in result.stats.faults.quarantined] == [lost]
+    assert result.stats.parallel.num_chunks == len(stream) // 8
+    assert result.matched_frames == tuple(
+        index for index in inline.matched_frames if index not in lost
+    )
+    assert result.stats.frames_scanned == inline.stats.frames_scanned - len(lost)
+    assert result.stats.filter_invocations == inline.stats.filter_invocations - len(lost)
 
 
 def test_frame_prefetcher_window_is_bounded(single_object_stream):

@@ -31,22 +31,20 @@ script exits non-zero when any rule is violated.
   code registered in ``repro/analysis/diagnostics.py`` must appear in
   README.md (and no unregistered ``QA/PL`` code may appear in the
   registry section of the README).
-* **INV006 — the shape-interpreter and sanitizer code families stay
-  registered.**  The ``NN0xx`` (shape/dtype), ``RC0xx`` (race /
-  determinism) and ``NU0xx`` (numeric) codes that the analyzers emit must
-  all exist in ``DIAGNOSTIC_CODES`` — an emitted-but-unregistered code
-  raises ``ValueError`` at diagnostic construction, i.e. at the worst
-  possible moment (mid-scan, inside a worker).  Combined with INV005 this
-  also forces them into the README table.
+* **INV006 — the shape-interpreter code family stays registered.**  The
+  ``NN0xx`` (shape/dtype) codes that the analyzer emits must all exist in
+  ``DIAGNOSTIC_CODES`` — an emitted-but-unregistered code raises
+  ``ValueError`` at diagnostic construction, i.e. at the worst possible
+  moment (mid-scan, inside a worker).  Combined with INV005 this also
+  forces them into the README table.
 * **INV007 — hook slots are zero-overhead when empty.**  In every module
-  under ``src/repro/`` (except ``hooks.py`` and the two modules that own a
-  slot, ``analysis/sanitizers.py`` and ``faults/injector.py``), each read
-  of ``hooks.sanitizer`` / ``hooks.injector`` is the test or sits in the
-  body of an ``if hooks.<slot> is not None:`` for that slot — so with no
-  sanitizer session and no fault injector installed the hot paths pay one
-  attribute load per site and stay bit-identical to an engine without
-  hooks.  ``from repro.hooks import sanitizer`` / ``injector`` is rejected
-  (a name bound at import time never sees an installation).  The rule
+  under ``src/repro/`` (except ``hooks.py`` and the module that owns the
+  slot, ``faults/injector.py``), each read of ``hooks.injector`` is the
+  test or sits in the body of an ``if hooks.injector is not None:`` — so
+  with no fault injector installed the hot paths pay one attribute load
+  per site and stay bit-identical to an engine without hooks.
+  ``from repro.hooks import injector`` is rejected (a name bound at import
+  time never sees an installation).  The rule
   finds the sites itself; there is no table of them to keep in step.
   (INV009 was this rule's copy for the fault layer; the number is retired.)
 * **INV008 — registry membership is only mutated under the registry lock.**
@@ -126,13 +124,9 @@ WORKER_PATH_MODULES = (
 )
 FRAME_NAMES = {"frame", "frames", "images"}
 
-#: codes the shape interpreter and runtime sanitizers emit (INV006); keep in
-#: sync with repro/analysis/{shapes,sanitizers}.py
-ANALYZER_CODES = (
-    "NN001", "NN002", "NN003", "NN004", "NN005",
-    "RC002", "RC003", "RC004",
-    "NU001", "NU002", "NU003",
-)
+#: codes the shape interpreter emits (INV006); keep in sync with
+#: repro/analysis/shapes.py
+ANALYZER_CODES = ("NN001", "NN002", "NN003", "NN004", "NN005")
 
 #: constructors only one function may call (INV004, INV011):
 #: (rule, constructor, that function, file or tree walked, why)
@@ -145,14 +139,9 @@ SOLE_CONSTRUCTION_SITES = (
 
 #: the slots of repro/hooks.py (tests/test_lint_invariants.py holds the two
 #: tuples equal), and the modules INV007 does not walk: the slot module and
-#: each slot's owner, which hands it out unguarded (active_session() /
-#: current_injector())
-HOOK_SLOTS = ("sanitizer", "injector")
-HOOK_OWNERS = (
-    SRC / "hooks.py",
-    SRC / "analysis" / "sanitizers.py",
-    SRC / "faults" / "injector.py",
-)
+#: each slot's owner, which hands it out unguarded (current_injector())
+HOOK_SLOTS = ("injector",)
+HOOK_OWNERS = (SRC / "hooks.py", SRC / "faults" / "injector.py")
 
 
 def _parse(path: Path) -> ast.Module:

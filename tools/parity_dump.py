@@ -5,8 +5,8 @@
 The committed tree of ``<rev>`` is exported with ``git archive``
 (``bench_compare._export``), and ``python -m tests.differential`` runs from
 this working tree twice, in fresh processes: once with the parent's ``src``
-on ``PYTHONPATH``, once with the working tree's (``REPRO_FAULTS`` and
-``REPRO_SANITIZE`` cleared).  Both use this tree's configs and normalizer
+on ``PYTHONPATH``, once with the working tree's (``REPRO_FAULTS``
+cleared).  Both use this tree's configs and normalizer
 (``tests/differential.py``), so only the engine differs.  The output names
 each config whose dumps differ with the first differing field path (or the
 error a side raised), then ``N/M configs equal``; the exit status is 0 when
@@ -32,8 +32,7 @@ from tests.differential import CONFIG_IDS, first_difference  # noqa: E402
 
 def dump(src: Path, ids: list[str], out: Path) -> dict:
     """The normalized dumps of ``ids`` with the engine under ``src``."""
-    env = {key: value for key, value in os.environ.items()
-           if key not in ("REPRO_FAULTS", "REPRO_SANITIZE")}
+    env = {key: value for key, value in os.environ.items() if key != "REPRO_FAULTS"}
     subprocess.run([sys.executable, "-m", "tests.differential", str(out), *ids],
                    cwd=ROOT, env={**env, "PYTHONPATH": str(src)}, check=True)
     return json.loads(out.read_text(encoding="utf-8"))
