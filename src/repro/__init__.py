@@ -46,15 +46,12 @@ from repro.video import (
     build_jackson,
     dataset_profiles,
 )
-from repro.detection import FastDetector, ReferenceDetector, annotate_stream
-from repro.filters import (
-    FilterTrainer,
-    ICFilter,
-    ODCountClassifier,
-    ODFilter,
-    evaluate_count_filter,
-    evaluate_localization,
-)
+from repro.detection import ReferenceDetector, annotate_stream
+# repro.query must load before repro.filters.  The two import each other:
+# the planner imports NeuralBranchFilter, and its module imports
+# repro.query.diagnostics.  Started from repro.query, the cycle resolves
+# (diagnostics needs only repro.query.ast, already loaded); started from
+# repro.filters, the planner finds NeuralBranchFilter not yet defined.
 from repro.query import (
     PlannerConfig,
     QueryBuilder,
@@ -62,6 +59,14 @@ from repro.query import (
     StreamingQueryExecutor,
     brute_force_execute,
     parse_query,
+)
+from repro.filters import (
+    FilterTrainer,
+    ICFilter,
+    ODCountClassifier,
+    ODFilter,
+    evaluate_count_filter,
+    evaluate_localization,
 )
 from repro.aggregates import AggregateMonitor, AggregateQuerySpec
 
@@ -83,7 +88,6 @@ __all__ = [
     "build_dataset",
     "dataset_profiles",
     "ReferenceDetector",
-    "FastDetector",
     "annotate_stream",
     "FilterTrainer",
     "ICFilter",

@@ -22,6 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: A CV variance at or below ``plain_variance`` times this is float residue:
+#: a control that explains ``Y`` exactly cancels it only up to rounding
+#: (``y - beta * x`` with ``beta`` one ulp off 1), leaving ~1e-34 where the
+#: true variance is 0, which would read as a ~1e31-fold reduction.
+RESIDUE_RATIO = 1e-12
+
+
+def _residue_to_zero(cv_variance: float, plain_variance: float) -> float:
+    return 0.0 if cv_variance <= plain_variance * RESIDUE_RATIO else cv_variance
+
 
 @dataclass(frozen=True)
 class ControlVariateEstimate:
@@ -87,7 +97,7 @@ def control_variate_estimate(
     mu_x = float(x.mean()) if control_mean is None else float(control_mean)
     cv_mean = plain_mean - beta * (float(x.mean()) - mu_x)
     corrected = y - beta * (x - mu_x)
-    cv_variance = float(corrected.var(ddof=1) / n)
+    cv_variance = _residue_to_zero(float(corrected.var(ddof=1) / n), plain_variance)
     std_x = float(x.std(ddof=1))
     std_y = float(y.std(ddof=1))
     if std_x > 0 and std_y > 0:
@@ -147,7 +157,7 @@ def multiple_control_variates_estimate(
         raise ValueError(f"control_means must have shape ({num_controls},)")
     cv_mean = plain_mean - float(beta @ (controls.mean(axis=0) - mu_z))
     corrected = y - (controls - mu_z) @ beta
-    cv_variance = float(corrected.var(ddof=1) / n)
+    cv_variance = _residue_to_zero(float(corrected.var(ddof=1) / n), plain_variance)
 
     var_y = float(y.var(ddof=1))
     if var_y > 0:

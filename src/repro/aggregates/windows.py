@@ -6,6 +6,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator, MutableSet
 
+from repro.query.diagnostics import WindowTailDropWarning
+
 
 def warn_window_tail_drop(
     *,
@@ -30,11 +32,6 @@ def warn_window_tail_drop(
         if key in registry:
             return
         registry.add(key)
-    # Local import: repro.analysis depends on repro.query, whose executor
-    # imports this module — a module-level import would cycle during package
-    # initialisation.
-    from repro.analysis import WindowTailDropWarning
-
     warnings.warn(
         f"window of size {size} drops the trailing "
         f"{stop - start} frame(s) [{start}, {stop}) of a "
@@ -107,7 +104,7 @@ class HoppingWindow:
 
         Dropping a non-empty tail is silent data loss from the caller's point
         of view, so it is surfaced as a
-        :class:`~repro.analysis.WindowTailDropWarning` (the runtime
+        :class:`~repro.query.diagnostics.WindowTailDropWarning` (the runtime
         counterpart of the static QA006 diagnostic) — callers that chose the
         fixed-size semantics deliberately can filter the category out.
         Callers that evaluate the same window spec repeatedly (a scan loop, a

@@ -8,15 +8,16 @@ The paper relies on two external detectors:
 * **YOLOv2** — a faster (~15 ms/frame) full detector used as a comparison
   point and as the backbone whose early layers feed the OD filters.
 
-Neither is available here, so this package provides simulators with the same
-interface, calibrated error models and the paper's latency figures (which
-the scans charge to a simulated clock), plus the frozen convolutional
-feature backbones whose outputs the filter branch heads consume.
+Neither is available here.  This package simulates Mask R-CNN
+(:class:`ReferenceDetector`, a calibrated error model at the paper's latency,
+which the scans charge to a simulated clock) and provides the frozen
+convolutional feature backbones whose outputs the filter branch heads
+consume; YOLOv2 survives only as those backbones and its latency figure
+(``repro.cost.YOLO_FULL_MS``), since no experiment runs it as a detector.
 """
 
 from repro.detection.base import Detection, Detector, FrameDetections
 from repro.detection.oracle import DetectorErrorModel, ReferenceDetector
-from repro.detection.yolo import FastDetector
 from repro.detection.backbone import (
     BackboneConfig,
     FeatureBackbone,
@@ -36,7 +37,6 @@ __all__ = [
     "FrameDetections",
     "DetectorErrorModel",
     "ReferenceDetector",
-    "FastDetector",
     "BackboneConfig",
     "FeatureBackbone",
     "classification_backbone",

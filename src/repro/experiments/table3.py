@@ -32,6 +32,7 @@ from repro.query import (
     brute_force_execute,
 )
 from repro.query.ast import Query
+from repro.query.lint import AnalysisContext
 from repro.spatial.regions import Quadrant, quadrant_region
 
 #: true matches below which a Table III row is vacuous
@@ -118,8 +119,6 @@ def _plan(context, spec: QuerySpec, query: Query):
     # strictly: a typo'd class name or contradictory constraint in a spec is
     # a bug in this file, and should fail the run up front with a QA0xx
     # diagnostic rather than silently score an empty match set.
-    from repro.analysis import AnalysisContext
-
     planner = QueryPlanner(
         context.filters,
         PlannerConfig(

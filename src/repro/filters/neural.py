@@ -32,6 +32,8 @@ from repro.nn.layers import (
     Sigmoid,
 )
 from repro.nn.network import MultiHeadNetwork, Sequential
+from repro.nn.shapes import describe_layer, input_spec, lint_network
+from repro.query.diagnostics import AnalysisReport
 from repro.spatial.grid import Grid
 from repro.video.stream import Frame
 
@@ -172,17 +174,7 @@ class NeuralBranchFilter(FrameFilter):
         self.threshold = threshold
         # Reject a malformed network here — with a layer trace — instead of
         # as a numpy broadcasting error in the middle of a scan.
-        from repro.analysis.shapes import describe_layer, input_spec, lint_network
-
-        report = lint_network(
-            network,
-            input_spec(image_size, dtype=self.inference_dtype),
-            expected_outputs={
-                "counts": ("N", len(self.class_names)),
-                "grid": ("N", len(self.class_names), grid_size, grid_size),
-            },
-        )
-        report.raise_for_errors(context=f"{self.name} network shape analysis")
+        self.network_report().raise_for_errors(context=f"{self.name} network shape analysis")
         # A NaN or infinite weight raises nothing in a forward pass; it only
         # poisons every prediction, so it is refused here too.
         stacks = {"trunk": network.trunk, **{f"head.{k}": v for k, v in network.heads.items()}}
@@ -193,6 +185,22 @@ class NeuralBranchFilter(FrameFilter):
                         f"{self.name}: non-finite parameter in {where} layer "
                         f"{position} {describe_layer(layer)}"
                     )
+
+    def network_report(self) -> AnalysisReport:
+        """The NN0xx findings on ``network`` at the inference dtype.
+
+        The head shapes are the ones :meth:`predict_batch` indexes into: a
+        count per class and a class-by-grid occupancy map.
+        """
+        classes = len(self.class_names)
+        return lint_network(
+            self.network,
+            input_spec(self.image_size, dtype=self.inference_dtype),
+            expected_outputs={
+                "counts": ("N", classes),
+                "grid": ("N", classes, self.grid.rows, self.grid.cols),
+            },
+        )
 
     @property
     def _activation_dtype(self) -> np.dtype:

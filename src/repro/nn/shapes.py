@@ -29,10 +29,12 @@ that is what the inference fast path runs):
 * **NN005** (info) — a layer type the interpreter does not know; shape and
   dtype are assumed preserved so analysis can continue.
 
-``lint_network`` is called by ``NeuralBranchFilter`` construction and by
-plan-level linting (:func:`repro.analysis.plan.lint_plan`), so a malformed
-network is rejected when the filter is built or when ``plan()`` runs — not
-as a numpy broadcasting error in the middle of a scan.
+``lint_network`` runs in :meth:`NeuralBranchFilter.network_report
+<repro.filters.neural.NeuralBranchFilter.network_report>`, which the
+filter's constructor and plan-level linting
+(:func:`repro.query.planner.lint_plan`) both call, so a malformed network is
+rejected when the filter is built or when ``plan()`` runs — not as a numpy
+broadcasting error in the middle of a scan.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic, diag
 from repro.nn.layers import (
     Conv2D,
     Dense,
@@ -54,6 +55,7 @@ from repro.nn.layers import (
     Sigmoid,
 )
 from repro.nn.network import MultiHeadNetwork, Sequential
+from repro.query.diagnostics import AnalysisReport, Diagnostic, diag
 
 #: A symbolic dimension: a concrete extent or a symbol such as ``"N"``.
 Dim = Union[int, str]
@@ -389,7 +391,7 @@ def lint_network(
     ``expected_outputs`` maps head names (or ``"output"`` for a bare
     :class:`Sequential`) to the shape the caller requires; a reachable final
     shape that does not match is an NN001 naming the head and expectation.
-    ``strict=True`` raises :class:`~repro.analysis.diagnostics.AnalysisError`
+    ``strict=True`` raises :class:`~repro.query.diagnostics.AnalysisError`
     on any error-severity finding.
     """
     if mode not in ("eval", "train"):

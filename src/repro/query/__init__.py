@@ -7,6 +7,12 @@ parser for the paper's SQL-like syntax, a planner that assembles a cascade of
 cheap approximate filters, and a streaming executor that only invokes the
 expensive reference detector on frames that survive the cascade.
 
+The planner also lints each query before any frame is rendered
+(:mod:`repro.query.lint` for the query, :func:`repro.query.planner.lint_plan`
+for the compiled cascade, :mod:`repro.query.diagnostics` for the findings):
+a provably empty query plans to an empty scan, and dead or duplicate steps
+are dropped.
+
 The executor accounts costs with the simulated clock (filter branches at
 1.5–1.9 ms/frame, Mask R-CNN at 200 ms/frame), which is what reproduces the
 orders-of-magnitude speedups of Table III.

@@ -69,7 +69,11 @@ class Span:
 
 
 class Predicate:
-    """Marker base class for all frame predicates."""
+    """Base class for all frame predicates."""
+
+    def describe(self) -> str:
+        """The predicate in the query language's syntax."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,6 @@ class Query:
         return bool(self.spatial_predicates or self.region_predicates)
 
     def describe(self) -> str:
-        parts = " AND ".join(p.describe() for p in self.predicates)  # type: ignore[attr-defined]
+        parts = " AND ".join(p.describe() for p in self.predicates)
         window = f" WINDOW {self.window.describe()}" if self.window else ""
         return f"{self.name}: {parts}{window}"

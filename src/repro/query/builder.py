@@ -158,30 +158,12 @@ class QueryBuilder:
         self._predicates.append(predicate)
         return self
 
-    def build(
-        self,
-        *,
-        lint: bool = False,
-        strict: bool = False,
-        context: "object | None" = None,
-    ) -> Query:
+    def build(self) -> Query:
         """Assemble the query.
 
-        With ``lint=True`` the static analyzer (:mod:`repro.analysis`) checks
-        the built query and surfaces findings as
-        :class:`~repro.analysis.AnalysisWarning`; ``strict=True`` raises
-        :class:`~repro.analysis.AnalysisError` (a ``ValueError``) on
-        error-severity findings instead.  ``context`` is an optional
-        :class:`~repro.analysis.AnalysisContext` supplying the class
-        vocabulary and frame geometry for the deeper checks.
+        Planning lints it (:meth:`~repro.query.planner.QueryPlanner.plan`),
+        as does a direct :func:`~repro.query.lint.lint_query` call.
         """
-        query = Query(
+        return Query(
             predicates=tuple(self._predicates), name=self._name, window=self._window
         )
-        if lint or strict:
-            # Local import: repro.analysis imports this package in turn.
-            from repro.analysis import lint_query
-
-            report = lint_query(query, context, strict=strict)
-            report.emit_warnings()
-        return query

@@ -1,9 +1,10 @@
-"""Diagnostic model of the static analyzer.
+"""Diagnostic model of the query linter.
 
-Every check in :mod:`repro.analysis` reports its findings as
-:class:`Diagnostic` records with a *stable* code, so tests, tooling and
-callers can match on behaviour rather than message text.  Codes are grouped
-by layer:
+Every static check (:mod:`repro.query.lint`, the plan checks in
+:mod:`repro.query.planner`, the network checks in :mod:`repro.nn.shapes`)
+reports its findings as :class:`Diagnostic` records with a *stable* code, so
+tests, tooling and callers can match on behaviour rather than message text.
+Codes are grouped by layer:
 
 * ``QA0xx`` — query-level (AST) semantic findings,
 * ``PL0xx`` — plan-level (cascade) findings,
@@ -16,16 +17,16 @@ stack frame.  Diagnostics are collected into an :class:`AnalysisReport`,
 whose ``strict`` consumers call :meth:`AnalysisReport.raise_for_errors` to
 turn error-severity findings into an :class:`AnalysisError`.
 
-This module is deliberately *near-leaf*: it imports only
-:mod:`repro.query.ast` (for :class:`Span`, which the parser attaches to AST
-nodes), so every layer above the AST — planner, executor, window machinery —
-can depend on it without cycles.
+This module imports only :mod:`repro.query.ast` (for :class:`Span`, which
+the parser attaches to AST nodes), so the planner, the window machinery and
+the network interpreter can all import it at module level.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.query.ast import Span
 
@@ -143,7 +144,7 @@ class AnalysisReport:
         """No error-severity findings (warnings and infos are allowed)."""
         return not self.errors
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
 
     def __len__(self) -> int:
@@ -163,17 +164,6 @@ class AnalysisReport:
             return "no findings"
         return "\n".join(d.render(self.source) for d in self.diagnostics)
 
-    def emit_warnings(self, stacklevel: int = 3) -> None:
-        """Surface every finding as an :class:`AnalysisWarning` (non-strict mode)."""
-        import warnings
-
-        for diagnostic in self.diagnostics:
-            warnings.warn(
-                diagnostic.render(self.source),
-                AnalysisWarning,
-                stacklevel=stacklevel,
-            )
-
     def raise_for_errors(self, context: str = "static analysis") -> None:
         """Raise :class:`AnalysisError` when any error-severity finding exists."""
         errors = self.errors
@@ -192,10 +182,6 @@ def diag(code: str, message: str, span: Span | None = None) -> Diagnostic:
     return Diagnostic(code=code, severity=severity, message=message, span=span)
 
 
-class AnalysisWarning(UserWarning):
-    """Category used when non-strict linting surfaces findings via :mod:`warnings`."""
-
-
 class WindowTailDropWarning(UserWarning):
     """Runtime counterpart of QA006, emitted by ``HoppingWindow.windows_over``.
 
@@ -211,7 +197,6 @@ class WindowTailDropWarning(UserWarning):
 __all__ = [
     "AnalysisError",
     "AnalysisReport",
-    "AnalysisWarning",
     "DIAGNOSTIC_CODES",
     "Diagnostic",
     "Severity",

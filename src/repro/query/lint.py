@@ -1,7 +1,7 @@
-"""Semantic analysis of a query AST (the ``QA0xx`` diagnostics).
+"""The query linter: semantic checks on a query AST (the ``QA0xx`` diagnostics).
 
-``lint_query`` runs every AST-level check the analyzer knows and returns an
-:class:`~repro.analysis.diagnostics.AnalysisReport`.  The checks only use
+``lint_query`` runs every AST-level check and returns an
+:class:`~repro.query.diagnostics.AnalysisReport`.  The checks only use
 facts available *before* any frame is decoded: the predicates themselves,
 optionally the stream's class vocabulary, frame geometry and length, and the
 query's window clause.  The headline result is ``provably_empty`` — set only
@@ -10,30 +10,160 @@ demands, zero-forced classes), never from vocabulary mismatches, so a stale
 class list can produce an error diagnostic but never silently discard
 frames.
 
+The count checks are interval analysis.  A conjunction of count predicates
+on the same target (one class, or the total) constrains the true count to
+an integer interval: ``COUNT(car) >= 2`` means ``[2, inf)``,
+``COUNT(car) < 5`` means ``[0, 4]``, and their conjunction ``[2, 4]``.  Three
+findings read straight off the per-target intersection: emptiness (QA001,
+``COUNT(car) > 5 AND COUNT(car) < 3``), subsumption (QA002, a predicate
+whose removal leaves the interval unchanged) and zero-forcing (QA009, an
+upper bound of 0 contradicts any predicate that needs such an object).  A
+cross-target check ties the per-class intervals to the total: every frame
+has ``total >= sum(per-class counts)``, so per-class lower bounds that add
+up past the total's upper bound are a QA001 too (``COUNT(car) >= 3 AND
+COUNT(*) <= 2``).  Counts are non-negative, so every interval lives in
+``[0, inf)``; ``hi`` of ``None`` is the unbounded upper end.
+
 Context arguments are all optional: with none given, only the pure
 predicate-logic checks run; passing ``class_names`` enables QA003,
 ``frame_width``/``frame_height`` enable QA007, ``num_frames`` enables the
-window checks QA005/QA006.  :class:`AnalysisContext` bundles them so callers
-deep in the engine (planner, executor) can thread one object through.
+window checks QA005/QA006.  :class:`AnalysisContext` bundles them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Span, diag
-from repro.analysis.intervals import analyze_counts, subsumed_predicates
 from repro.query.ast import (
     ColorPredicate,
     ComparisonOperator,
     CountPredicate,
+    Predicate,
     Query,
     RegionPredicate,
     SpatialPredicate,
     WindowSpec,
 )
+from repro.query.diagnostics import AnalysisReport, Diagnostic, Span, diag
 from repro.spatial.geometry import Box
 from repro.video.objects import NAMED_COLORS
+
+
+@dataclass(frozen=True)
+class Interval:
+    """An integer interval ``[lo, hi]``; ``hi=None`` means unbounded above."""
+
+    lo: int = 0
+    hi: int | None = None
+
+    @property
+    def is_empty(self) -> bool:
+        return self.hi is not None and self.lo > self.hi
+
+    def intersect(self, other: Interval) -> Interval:
+        lo = max(self.lo, other.lo)
+        if self.hi is None:
+            hi = other.hi
+        elif other.hi is None:
+            hi = self.hi
+        else:
+            hi = min(self.hi, other.hi)
+        return Interval(lo=lo, hi=hi)
+
+    def describe(self) -> str:
+        upper = "inf" if self.hi is None else str(self.hi)
+        return f"[{self.lo}, {upper}]"
+
+
+def interval_of(operator: ComparisonOperator, value: int) -> Interval:
+    """The counts ``<operator> value`` admits (a count or a region predicate's).
+
+    Counts are ``>= 0``, so upper-bound operators start at zero and ``lo``
+    is the fewest objects the predicate demands; the strict operators take
+    the integer neighbour.
+    """
+    if operator is ComparisonOperator.EQUAL:
+        return Interval(lo=value, hi=value)
+    if operator is ComparisonOperator.AT_LEAST:
+        return Interval(lo=value, hi=None)
+    if operator is ComparisonOperator.AT_MOST:
+        return Interval(lo=0, hi=value)
+    if operator is ComparisonOperator.GREATER:
+        return Interval(lo=value + 1, hi=None)
+    if operator is ComparisonOperator.LESS:
+        return Interval(lo=0, hi=value - 1)
+    raise ValueError(f"unknown operator {operator}")  # pragma: no cover
+
+
+def combined_interval(predicates: list[CountPredicate]) -> Interval:
+    """Intersection of every predicate's interval (full ``[0, inf)`` if none)."""
+    result = Interval()
+    for predicate in predicates:
+        result = result.intersect(interval_of(predicate.operator, predicate.value))
+    return result
+
+
+@dataclass(frozen=True)
+class CountAnalysis:
+    """Per-target count intervals of a query's count-predicate conjunction.
+
+    ``by_target`` maps the count target (a class name, or ``None`` for the
+    total) to the intersected interval of every count predicate on it.
+    ``cross_empty`` flags the sum-of-lower-bounds-vs-total contradiction,
+    which no single target's interval shows.
+    """
+
+    by_target: dict[str | None, Interval]
+    cross_empty: bool
+
+    def interval_for(self, target: str | None) -> Interval:
+        """The target's interval; unconstrained targets get full ``[0, inf)``."""
+        return self.by_target.get(target, Interval())
+
+    @property
+    def empty_targets(self) -> list[str | None]:
+        return [t for t, interval in self.by_target.items() if interval.is_empty]
+
+    @property
+    def is_empty(self) -> bool:
+        """Whether the count conjunction alone proves the query matches nothing."""
+        return self.cross_empty or bool(self.empty_targets)
+
+
+def analyze_counts(predicates: list[CountPredicate]) -> CountAnalysis:
+    """Intersect the predicates' intervals per target and run the cross check."""
+    by_target: dict[str | None, Interval] = {}
+    for predicate in predicates:
+        current = by_target.get(predicate.class_name, Interval())
+        by_target[predicate.class_name] = current.intersect(
+            interval_of(predicate.operator, predicate.value)
+        )
+
+    total = by_target.get(None, Interval())
+    class_lo_sum = sum(
+        interval.lo for target, interval in by_target.items() if target is not None
+    )
+    cross_empty = total.hi is not None and class_lo_sum > total.hi
+    return CountAnalysis(by_target=by_target, cross_empty=cross_empty)
+
+
+def subsumed_predicates(predicates: list[CountPredicate]) -> list[CountPredicate]:
+    """Count predicates whose removal leaves every target's interval unchanged.
+
+    Checked one at a time against the rest (not jointly): of two mutually
+    redundant predicates (``COUNT(car) >= 2`` twice), each is individually
+    subsumed by the other, and the caller reports both — dropping *all*
+    reported predicates at once is not sound, dropping any one of them is.
+    """
+    redundant: list[CountPredicate] = []
+    for index, predicate in enumerate(predicates):
+        peers = [p for i, p in enumerate(predicates) if i != index and p.class_name == predicate.class_name]
+        with_p = combined_interval(peers + [predicate])
+        without_p = combined_interval(peers)
+        if with_p == without_p and not with_p.is_empty:
+            redundant.append(predicate)
+    return redundant
 
 
 @dataclass(frozen=True)
@@ -51,7 +181,7 @@ class AnalysisContext:
     num_frames: int | None = None
 
     @classmethod
-    def for_stream(cls, stream) -> "AnalysisContext":
+    def for_stream(cls, stream: Any) -> AnalysisContext:
         """Context extracted from a video stream (duck-typed, best effort)."""
         scene = getattr(stream, "scene", None)
         config = getattr(scene, "config", None)
@@ -71,17 +201,8 @@ class AnalysisContext:
         )
 
 
-def _span(node) -> Span | None:
+def _span(node: object) -> Span | None:
     return getattr(node, "span", None)
-
-
-def _required_count(operator: ComparisonOperator, value: int) -> int:
-    """The minimum object count a predicate *demands* (0 if satisfiable empty)."""
-    if operator in (ComparisonOperator.EQUAL, ComparisonOperator.AT_LEAST):
-        return value
-    if operator is ComparisonOperator.GREATER:
-        return value + 1
-    return 0  # AT_MOST / LESS hold vacuously at count zero
 
 
 def _check_counts(query: Query, diagnostics: list[Diagnostic]) -> bool:
@@ -165,7 +286,7 @@ def _check_vocabulary(
             )
 
 
-def _predicate_classes(predicate) -> tuple[str, ...]:
+def _predicate_classes(predicate: Predicate) -> tuple[str, ...]:
     if isinstance(predicate, CountPredicate):
         return (predicate.class_name,) if predicate.class_name else ()
     if isinstance(predicate, SpatialPredicate):
@@ -227,7 +348,7 @@ def _check_regions(
     empty = False
     analysis = analyze_counts(query.count_predicates)
     for predicate in query.region_predicates:
-        required = _required_count(predicate.operator, predicate.value)
+        required = interval_of(predicate.operator, predicate.value).lo
         if (
             context.frame_width is not None
             and context.frame_height is not None
@@ -285,7 +406,7 @@ def _check_zero_forced(query: Query, diagnostics: list[Diagnostic]) -> bool:
         if isinstance(predicate, SpatialPredicate):
             needy = (predicate.subject_class, predicate.reference_class)
         elif isinstance(predicate, RegionPredicate):
-            required = _required_count(predicate.operator, predicate.value)
+            required = interval_of(predicate.operator, predicate.value).lo
             needy = (predicate.class_name,) if predicate.inside and required > 0 else ()
         elif isinstance(predicate, ColorPredicate):
             needy = (predicate.class_name,)
@@ -308,7 +429,7 @@ def _check_zero_forced(query: Query, diagnostics: list[Diagnostic]) -> bool:
 
 def _check_duplicates(query: Query, diagnostics: list[Diagnostic]) -> None:
     """QA010: literally identical predicates repeated in the conjunction."""
-    seen: dict = {}
+    seen: set[Predicate] = set()
     for predicate in query.predicates:
         if predicate in seen:
             diagnostics.append(
@@ -319,7 +440,7 @@ def _check_duplicates(query: Query, diagnostics: list[Diagnostic]) -> None:
                 )
             )
         else:
-            seen[predicate] = True
+            seen.add(predicate)
 
 
 def lint_query(
@@ -331,7 +452,7 @@ def lint_query(
     """Run every semantic check on ``query`` and return the report.
 
     With ``strict=True``, error-severity findings raise
-    :class:`~repro.analysis.diagnostics.AnalysisError` (warnings never
+    :class:`~repro.query.diagnostics.AnalysisError` (warnings never
     raise).  ``context`` supplies optional stream facts; omit it to run only
     the pure predicate-logic checks.
     """
@@ -345,7 +466,7 @@ def lint_query(
     diagnostics.extend(window_diagnostics(query.window, context.num_frames))
     report = AnalysisReport(
         diagnostics=tuple(diagnostics),
-        source=getattr(query, "source", None),
+        source=query.source,
         provably_empty=empty,
     )
     if strict:
@@ -353,4 +474,14 @@ def lint_query(
     return report
 
 
-__all__ = ["AnalysisContext", "lint_query", "window_diagnostics"]
+__all__ = [
+    "AnalysisContext",
+    "CountAnalysis",
+    "Interval",
+    "analyze_counts",
+    "combined_interval",
+    "interval_of",
+    "lint_query",
+    "subsumed_predicates",
+    "window_diagnostics",
+]

@@ -403,6 +403,30 @@ def _distinct_filters(cascades: Sequence[FilterCascade]) -> list[FrameFilter]:
     return distinct
 
 
+def clone_cascades(
+    cascades: Sequence[FilterCascade], owned: set[int]
+) -> list[FilterCascade]:
+    """A deep copy of ``cascades`` whose filters are all new objects.
+
+    The copy is taken *together*, so a filter shared across queries stays
+    shared within it.  ``owned`` holds the ids of the filters already in
+    use (the originals, earlier clones) and gains the copy's.  A filter
+    whose deep copy is an owned object (a ``__deepcopy__`` returning
+    ``self``) is refused with a ``ValueError`` naming it: two pool workers
+    would share it.
+    """
+    clone = copy.deepcopy(list(cascades))
+    for frame_filter in _distinct_filters(clone):
+        if id(frame_filter) in owned:
+            raise ValueError(
+                f"filter {frame_filter.name!r} ({type(frame_filter).__name__}) "
+                f"is the same object after a deep copy, so pool workers "
+                f"would share it: its __deepcopy__ must build a new filter"
+            )
+        owned.add(id(frame_filter))
+    return clone
+
+
 @dataclass(frozen=True, eq=False)
 class _Worker:
     """One pool worker's private cascades and clock (built once, in
@@ -542,28 +566,20 @@ class WorkerSupervisor:
 
         The one place a worker clock is built (lint INV004): one private
         clock per worker, for the pool's lifetime.  Workers must not share
-        filter objects, so a filter that a deep copy hands back as itself
-        (a ``__deepcopy__`` returning ``self``) is refused here, before
-        any chunk is filtered.
+        filter objects, so :func:`clone_cascades` refuses a filter that a
+        deep copy hands back as itself, before any chunk is filtered.
         """
         workers = self._config.num_workers
         clones: queue.SimpleQueue[_Worker] = queue.SimpleQueue()
         owned = {id(frame_filter) for frame_filter in _distinct_filters(self._cascades)}
         for worker_id in range(workers):
-            # A worker's cascades are deep-copied *together*, so filters
-            # shared across queries stay shared within the clone and the
-            # cross-query prediction cache keeps working.
-            clone = copy.deepcopy(self._cascades)
-            for frame_filter in _distinct_filters(clone):
-                if id(frame_filter) in owned:
-                    raise ValueError(
-                        f"filter {frame_filter.name!r} ({type(frame_filter).__name__}) "
-                        f"is the same object after a deep copy, so pool workers "
-                        f"would share it: its __deepcopy__ must build a new filter"
-                    )
-                owned.add(id(frame_filter))
             clones.put(
-                _Worker(f"thread-{worker_id}", clone, self._assignments, SimulatedClock())
+                _Worker(
+                    f"thread-{worker_id}",
+                    clone_cascades(self._cascades, owned),
+                    self._assignments,
+                    SimulatedClock(),
+                )
             )
         return ThreadPoolExecutor(
             max_workers=workers,

@@ -248,8 +248,6 @@ def parse_query(
     name: str = "query",
     frame_width: int = 448,
     frame_height: int = 448,
-    lint: bool = False,
-    strict: bool = False,
 ) -> Query:
     """Parse SQL-like query text into a :class:`~repro.query.ast.Query`.
 
@@ -257,11 +255,9 @@ def parse_query(
     predicates (quadrants are defined relative to the frame).
 
     Every predicate carries a :class:`~repro.query.ast.Span` into the
-    normalized query text (preserved as ``Query.source``), so downstream
-    diagnostics can quote the offending clause.  With ``lint=True`` the
-    static analyzer (:func:`repro.analysis.lint_query`) runs on the parsed
-    query: findings are emitted as warnings, or raised as
-    :class:`~repro.analysis.AnalysisError` when ``strict=True``.
+    normalized query text (preserved as ``Query.source``), so the linter's
+    diagnostics (:meth:`QueryPlanner.plan <repro.query.planner.QueryPlanner.plan>`,
+    :func:`~repro.query.lint.lint_query`) can quote the offending clause.
     """
     if not text or not text.strip():
         raise ParseError("empty query text")
@@ -358,19 +354,10 @@ def parse_query(
         alias: state.alias_class.get(alias, "")
         for alias in state.alias_to_box
     }
-    query = Query(
+    return Query(
         predicates=tuple(state.predicates),
         name=name,
         window=window,
         aliases=aliases,
         source=normalized,
     )
-    if lint or strict:
-        # Imported lazily: repro.analysis depends on repro.query.ast, so a
-        # module-level import here would cycle through package __init__s.
-        from repro.analysis import AnalysisContext, lint_query
-
-        context = AnalysisContext(frame_width=frame_width, frame_height=frame_height)
-        report = lint_query(query, context, strict=strict)
-        report.emit_warnings()
-    return query

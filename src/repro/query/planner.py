@@ -25,27 +25,34 @@ that ratio (cheap, selective steps first; steps that reject nothing go
 last).  Because all steps are conjunctive, reordering never changes which
 frames survive — only how much filter work is spent rejecting the rest.
 Cascades can also be constructed or reordered manually for ablation studies.
+
+By default :meth:`QueryPlanner.plan` lints what it plans: the query through
+:func:`repro.query.lint.lint_query` (``QA0xx``), the compiled cascade
+through :func:`lint_plan` (``PL0xx``, plus the ``NN0xx`` network checks of
+any neural filter), and :func:`optimize_cascade` drops the duplicate and
+dead steps those checks find.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.filters.base import FilterPrediction, FrameFilter
+from repro.filters.neural import NeuralBranchFilter
 from repro.query.ast import (
     ComparisonOperator,
     CountPredicate,
+    Predicate,
     Query,
     RegionPredicate,
     SpatialPredicate,
 )
+from repro.query.diagnostics import AnalysisReport, Diagnostic, diag
+from repro.query.lint import AnalysisContext, lint_query
 from repro.spatial.relations import grid_masks_satisfy_direction
-
-if TYPE_CHECKING:  # pragma: no cover - type-only, avoids the analysis cycle
-    from repro.analysis.diagnostics import Diagnostic
-    from repro.analysis.semantic import AnalysisContext
+from repro.video.stream import VideoStream
 
 
 @dataclass(frozen=True)
@@ -151,12 +158,12 @@ class FilterCascade:
 
     steps: list[CascadeStep] = field(default_factory=list)
     provably_empty: bool = False
-    diagnostics: tuple["Diagnostic", ...] = ()
+    diagnostics: tuple[Diagnostic, ...] = ()
 
     def __len__(self) -> int:
         return len(self.steps)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[CascadeStep]:
         return iter(self.steps)
 
     @property
@@ -198,7 +205,7 @@ class FilterCascade:
 # ----------------------------------------------------------------------
 def measure_cascade_selectivity(
     cascade: FilterCascade,
-    stream,
+    stream: VideoStream,
     sample_size: int = 32,
     frame_indices: Sequence[int] | None = None,
 ) -> FilterCascade:
@@ -238,7 +245,7 @@ def measure_cascade_selectivity(
 
 def order_cascade_by_selectivity(
     cascade: FilterCascade,
-    stream,
+    stream: VideoStream,
     sample_size: int = 32,
     frame_indices: Sequence[int] | None = None,
 ) -> FilterCascade:
@@ -300,7 +307,7 @@ def reorder_cascade(
 # ----------------------------------------------------------------------
 # Cross-query cascade merging
 # ----------------------------------------------------------------------
-def _normalized(predicates: Sequence) -> tuple:
+def _normalized(predicates: Sequence[Predicate]) -> tuple:
     """Predicates in a canonical order, so equivalent plans get equal signatures."""
     return tuple(sorted(predicates, key=lambda predicate: predicate.describe()))
 
@@ -426,6 +433,10 @@ def _region_possible(
     )
 
 
+#: the operators a count of 0 is the hardest case for
+_LOWER_BOUNDS = (ComparisonOperator.AT_LEAST, ComparisonOperator.GREATER)
+
+
 @dataclass(frozen=True)
 class CountCheck:
     """Planned count check: every count predicate may hold within the tolerance.
@@ -442,6 +453,21 @@ class CountCheck:
     def __call__(self, prediction: FilterPrediction) -> bool:
         return all(
             _count_possible(predicate, prediction, self.tolerance)
+            for predicate in self.predicates
+        )
+
+    @property
+    def can_reject(self) -> bool:
+        """Whether some prediction fails the check (PL002 flags one that cannot).
+
+        Predictions are non-negative, so a count of 0 is the hardest case
+        for a lower-bound operator: a check whose ``>=`` / ``>`` predicates
+        all may hold at 0 within the tolerance passes every prediction.  An
+        upper-bound or equality operator rejects a large enough count.
+        """
+        return not all(
+            predicate.operator in _LOWER_BOUNDS
+            and _comparison_possible(predicate.operator, 0, predicate.value, self.tolerance)
             for predicate in self.predicates
         )
 
@@ -462,6 +488,105 @@ class LocationCheck:
             _region_possible(predicate, prediction, self.dilation)
             for predicate in self.regions
         )
+
+
+# ----------------------------------------------------------------------
+# Plan checks (PL0xx) and step elimination
+# ----------------------------------------------------------------------
+def _step_is_dead(step: CascadeStep) -> bool:
+    """Whether the step's check passes every possible prediction.
+
+    Only a count check can be dead: a location check rejects a frame whose
+    masks come back empty.
+    """
+    return isinstance(step.check, CountCheck) and not step.check.can_reject
+
+
+def lint_plan(cascade: FilterCascade, *, strict: bool = False) -> AnalysisReport:
+    """Report duplicate (PL001), dead (PL002) and malformed-network (NN0xx) steps.
+
+    Two steps with one :func:`shared_step_key` decide the same thing, so
+    the second adds a check per surviving frame for no information; a dead
+    count check evaluates its filter for nothing.  Each neural filter's
+    network is checked by :meth:`NeuralBranchFilter.network_report`, the
+    check its constructor runs, so a network swapped in after construction
+    is rejected at ``plan()`` time rather than mid-scan.
+    """
+    diagnostics: list[Diagnostic] = []
+    seen: set[tuple] = set()
+    for position, step in enumerate(cascade.steps):
+        key = shared_step_key(step)
+        if key is not None and key in seen:
+            diagnostics.append(
+                diag(
+                    "PL001",
+                    f"step {position} ({step.name}) duplicates an earlier step "
+                    "with the same filter and signature",
+                )
+            )
+        elif key is not None:
+            seen.add(key)
+        if _step_is_dead(step):
+            diagnostics.append(
+                diag(
+                    "PL002",
+                    f"step {position} ({step.name}) is trivially true: its "
+                    "count demands are within the tolerance, so it can never "
+                    "reject a frame",
+                )
+            )
+    networks: set[int] = set()
+    for frame_filter in cascade.filters:
+        if not isinstance(frame_filter, NeuralBranchFilter):
+            continue
+        if id(frame_filter.network) in networks:
+            continue
+        networks.add(id(frame_filter.network))
+        for finding in frame_filter.network_report():
+            diagnostics.append(
+                replace(finding, message=f"filter {frame_filter.name!r}: {finding.message}")
+            )
+    report = AnalysisReport(diagnostics=tuple(diagnostics))
+    if strict:
+        report.raise_for_errors(context="plan analysis")
+    return report
+
+
+def optimize_cascade(cascade: FilterCascade) -> tuple[FilterCascade, AnalysisReport]:
+    """Drop duplicate and dead steps; returns ``(new_cascade, report)``.
+
+    The input cascade is not modified.  Because the steps are conjunctive
+    and a removed step either repeats a kept one or passes everything, the
+    result passes exactly the same frames.  Hand-built steps (no
+    ``signature``) are never deduplicated.  At least one step survives a
+    cascade that had any, so its ``primary_filter`` stays defined for
+    aggregate estimation.
+    """
+    report = lint_plan(cascade)
+    if not report.diagnostics:
+        return cascade, report
+    kept: list[CascadeStep] = []
+    seen: set[tuple] = set()
+    for step in cascade.steps:
+        key = shared_step_key(step)
+        if key is not None and key in seen:
+            continue
+        if key is not None:
+            seen.add(key)
+        kept.append(step)
+    live = [step for step in kept if not _step_is_dead(step)]
+    if not live and kept:
+        live = kept[:1]  # keep one anchor step rather than empty the cascade
+    return replace(cascade, steps=live), report
+
+
+def short_circuit_diagnostic(query_name: str) -> Diagnostic:
+    """The PL003 record the planner attaches when a query is provably empty."""
+    return diag(
+        "PL003",
+        f"query {query_name!r} is provably empty; the plan short-circuits to "
+        "an empty scan (no frames rendered or filtered)",
+    )
 
 
 class QueryPlanner:
@@ -493,13 +618,13 @@ class QueryPlanner:
     def plan(
         self,
         query: Query,
-        sample_stream=None,
+        sample_stream: VideoStream | None = None,
         *,
         analyze: bool = True,
         strict: bool = False,
-        context: "AnalysisContext | None" = None,
+        context: AnalysisContext | None = None,
     ) -> FilterCascade:
-        """Build the filter cascade for ``query``.
+        """Build the filter cascade for ``query``, linted.
 
         With ``cascade_ordering="selectivity"`` in the config, a
         ``sample_stream`` must be provided: the planner measures each step's
@@ -507,48 +632,26 @@ class QueryPlanner:
         steps by cost per rejection (see
         :func:`order_cascade_by_selectivity`).
 
-        With the default ``analyze=True`` the static analyzer
-        (:mod:`repro.analysis`) runs over the query and the compiled plan:
+        This is where a query is linted before it runs.  With the default
+        ``analyze=True``, :func:`~repro.query.lint.lint_query` checks the
+        query and :func:`lint_plan` the compiled cascade:
 
         * a query proved unable to match any frame yields an *empty* cascade
           with ``provably_empty=True`` — the executor turns that into an
           empty result without rendering a single frame;
         * duplicate steps (PL001) and trivially-true steps (PL002 — e.g. a
           ``COUNT >= 1`` check at tolerance 1, which can never reject) are
-          eliminated, except that elimination never empties a cascade that
-          had steps, so ``primary_filter`` stays defined.  Conjunctive steps
-          make both removals output-preserving.
+          eliminated by :func:`optimize_cascade`.
 
         Every finding is attached as ``cascade.diagnostics``.  ``strict=True``
-        additionally raises :class:`~repro.analysis.AnalysisError` (a
-        ``ValueError``) on error-severity findings; ``context`` supplies the
-        class vocabulary / frame geometry for the deeper semantic checks
-        (built with :meth:`repro.analysis.AnalysisContext.for_stream`).
+        additionally raises :class:`~repro.query.diagnostics.AnalysisError`
+        (a ``ValueError``) on error-severity findings; ``context`` supplies
+        the class vocabulary / frame geometry for the deeper semantic checks
+        (built with :meth:`~repro.query.lint.AnalysisContext.for_stream`).
         ``analyze=False`` reproduces the raw, unoptimized plan.
         """
-        if analyze or strict:
-            return self._plan_analyzed(
-                query, sample_stream, strict=strict, context=context
-            )
-        return self._plan_raw(query, sample_stream)
-
-    def _plan_analyzed(
-        self,
-        query: Query,
-        sample_stream,
-        *,
-        strict: bool,
-        context: "AnalysisContext | None",
-    ) -> FilterCascade:
-        # Local import: repro.analysis imports the query AST package, which
-        # in turn initialises this module — a module-level import would cycle.
-        from repro.analysis import (
-            lint_plan,
-            lint_query,
-            optimize_cascade,
-            short_circuit_diagnostic,
-        )
-
+        if not (analyze or strict):
+            return self._plan_raw(query, sample_stream)
         query_report = lint_query(query, context, strict=strict)
         if query_report.provably_empty:
             return FilterCascade(
@@ -565,7 +668,7 @@ class QueryPlanner:
         optimized.diagnostics = query_report.diagnostics + plan_report.diagnostics
         return optimized
 
-    def _plan_raw(self, query: Query, sample_stream=None) -> FilterCascade:
+    def _plan_raw(self, query: Query, sample_stream: VideoStream | None) -> FilterCascade:
         config = self.config
         cascade = FilterCascade()
         primary = self._primary_filter()

@@ -105,6 +105,7 @@ from repro.query.parallel import (
     ParallelConfig,
     WorkerSupervisor,
     _worker_sort_key,
+    clone_cascades,
     filter_with_retry,
 )
 from repro.query.planner import FilterCascade, merge_cascade_steps
@@ -397,11 +398,16 @@ class ScanSession:
         The query covers the frames of ``query.window`` (every frame without
         one) from the frame after the watermark up to ``stop`` (``None`` = no
         end; the executor passes where a windowed query's last materialised
-        instance ends).
+        instance ends).  On a pooled session, a filter the pool's workers
+        would share is refused here with :func:`clone_cascades`'s
+        ``ValueError``, and the query is not added; a pool attached later by
+        :meth:`set_parallel` refuses it at its first push.
         """
         if self._closed:
             raise RuntimeError("session is closed")
         cascade = cascade if cascade is not None else FilterCascade()
+        if self._parallel is not None:
+            clone_cascades([cascade], {id(frame_filter) for frame_filter in cascade.filters})
         window: HoppingWindow | None = None
         origin = self._watermark + 1
         if query.window is not None:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro import hooks
-from repro.analysis.diagnostics import AnalysisError
 from repro.cost import BudgetViolation, QueryBudget, SimulatedClock
 from repro.detection.base import Detector
 from repro.faults.injector import (
@@ -37,6 +36,7 @@ from repro.faults.injector import (
     uninstall,
 )
 from repro.query.ast import Query
+from repro.query.diagnostics import AnalysisError
 from repro.query.parallel import DEFAULT_CHUNK_SIZE, ParallelConfig
 from repro.query.planner import FilterCascade
 from repro.query.session import ChunkProgress, ScanSession
@@ -584,7 +584,9 @@ class QueryService:
         The query starts covering frames from the stream's *current*
         watermark — it observes nothing retroactively.  ``emitter`` (if
         given) receives this query's emissions in addition to the
-        service-wide emitters.
+        service-wide emitters.  On a pooled stream, a filter the pool's
+        workers would share raises ``ValueError`` naming it, and the query
+        is not registered.
         """
         shard = self._shard(stream)
         if shard.queue.closed:
@@ -603,7 +605,11 @@ class QueryService:
                 include_partial_windows=include_partial_windows,
             )
         )
-        shard.admit(entry)
+        try:
+            shard.admit(entry)
+        except Exception:
+            self.registry.remove(entry.handle)
+            raise
         return entry.handle
 
     def deregister(self, handle: int):

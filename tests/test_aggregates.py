@@ -276,6 +276,25 @@ def test_cv_with_identical_control_matches_plain_mean(values):
     assert estimate.variance >= 0.0
 
 
+def test_a_control_equal_to_y_reports_zero_variance_and_infinite_reduction():
+    """An exact control leaves only float residue in the CV variance (~1e-34
+    on these samples, a ~2e31-fold "reduction" if kept); both estimators
+    report it as 0."""
+    y = (np.random.default_rng(0).random(60) < 0.3).astype(np.float64)
+    noise = np.random.default_rng(1).random(60)
+    for estimate in (
+        control_variate_estimate(y, y.copy()),
+        multiple_control_variates_estimate(y, y[:, None]),
+        multiple_control_variates_estimate(y, np.stack([y, noise], axis=1)),
+    ):
+        assert estimate.plain_variance > 0
+        assert estimate.variance == 0.0
+        assert estimate.variance_reduction == float("inf")
+    # A control that explains Y only partly keeps its finite variance.
+    partial = control_variate_estimate(y, y + noise)
+    assert 0.0 < partial.variance < partial.plain_variance
+
+
 def test_windows():
     hopping = HoppingWindow(size=10, advance=5)
     windows = list(hopping.windows_over(23))

@@ -1,4 +1,4 @@
-"""End-to-end analyzer integration: parser spans, lint threading, the
+"""End-to-end analyzer integration: parser spans, plan-time linting, the
 provably-empty zero-frame short circuit and elimination parity.
 
 The headline guarantees under test:
@@ -15,11 +15,6 @@ import warnings
 
 import pytest
 
-from repro.analysis import (
-    AnalysisError,
-    AnalysisWarning,
-    WindowTailDropWarning,
-)
 from repro.aggregates.windows import HoppingWindow
 from repro.detection import ReferenceDetector
 from repro.query import (
@@ -30,6 +25,7 @@ from repro.query import (
     StreamingQueryExecutor,
     parse_query,
 )
+from repro.query.diagnostics import AnalysisError, WindowTailDropWarning
 
 
 @pytest.fixture(scope="module")
@@ -116,30 +112,6 @@ def test_parser_rejects_duplicate_window_clause():
             "WINDOW HOPPING (SIZE 20, ADVANCE BY 20) "
             "WHERE COUNT(car) >= 1"
         )
-
-
-def test_parse_query_lint_warns_and_strict_raises():
-    text = (
-        "SELECT cameraID, frameID "
-        "FROM (PROCESS inputVideo PRODUCE cameraID, frameID, vehBox1 USING VehDetector) "
-        "WHERE COUNT(car) >= 3 AND COUNT(car) <= 1"
-    )
-    with pytest.warns(AnalysisWarning, match="QA001"):
-        parse_query(text, lint=True)
-    with pytest.raises(AnalysisError, match="QA001"):
-        parse_query(text, strict=True)
-
-
-def test_builder_lint_warns_and_strict_raises():
-    builder = QueryBuilder("impossible").count("car").at_least(3).count("car").at_most(1)
-    with pytest.warns(AnalysisWarning, match="QA001"):
-        builder.build(lint=True)
-    with pytest.raises(AnalysisError, match="QA001"):
-        builder.build(strict=True)
-    # Default build stays silent and permissive (back-compat).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        builder.build()
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import (
-    AnalysisError,
-    Severity,
-    lint_plan,
-    optimize_cascade,
-    short_circuit_diagnostic,
-)
 from repro.query import (
     CascadeStep,
     FilterCascade,
@@ -25,6 +18,8 @@ from repro.query import (
     QueryBuilder,
     QueryPlanner,
 )
+from repro.query.diagnostics import AnalysisError, Severity
+from repro.query.planner import lint_plan, optimize_cascade, short_circuit_diagnostic
 
 
 @pytest.fixture(scope="module")

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
+from repro.query import QueryBuilder
+from repro.query.ast import ComparisonOperator, CountPredicate
+from repro.query.diagnostics import AnalysisError, Severity
+from repro.query.lint import (
     AnalysisContext,
-    AnalysisError,
     Interval,
-    Severity,
     analyze_counts,
     combined_interval,
     interval_of,
     lint_query,
     subsumed_predicates,
 )
-from repro.query import QueryBuilder
-from repro.query.ast import ComparisonOperator, CountPredicate
 from repro.spatial.geometry import Box
 from repro.spatial.regions import Region
 
@@ -42,7 +41,7 @@ from repro.spatial.regions import Region
     ],
 )
 def test_interval_of_each_operator(operator, value, expected):
-    assert interval_of(CountPredicate("car", operator, value)) == expected
+    assert interval_of(operator, value) == expected
 
 
 def test_interval_intersection_and_emptiness():

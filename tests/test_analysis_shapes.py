@@ -11,14 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    AnalysisError,
-    describe_layer,
-    input_spec,
-    lint_network,
-    lint_plan,
-)
-from repro.analysis.shapes import TensorSpec
 from repro.filters.neural import NeuralBranchFilter, build_branch_network
 from repro.nn.layers import (
     Conv2D,
@@ -31,7 +23,9 @@ from repro.nn.layers import (
     Sigmoid,
 )
 from repro.nn.network import MultiHeadNetwork, Sequential
-from repro.query.planner import CascadeStep, FilterCascade
+from repro.nn.shapes import TensorSpec, describe_layer, input_spec, lint_network
+from repro.query.diagnostics import AnalysisError
+from repro.query.planner import CascadeStep, FilterCascade, lint_plan
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from dataclasses import asdict
 import pytest
 
 from repro import hooks
-from repro.analysis import AnalysisError
 from repro.cost import RETRY_BACKOFF_COMPONENT, SimulatedClock
 from repro.detection import ReferenceDetector
 from repro.faults import (
@@ -54,6 +53,7 @@ from repro.query import (
     TemporalConfig,
     parse_query,
 )
+from repro.query.diagnostics import AnalysisError
 from repro.query.session import CHECKPOINT_VERSION, ScanSession
 from repro.service import (
     BufferEmitter,

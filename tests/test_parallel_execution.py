@@ -289,8 +289,9 @@ def test_a_pooled_execute_refuses_a_filter_its_workers_would_share(single_object
 def test_a_pooled_service_shard_refuses_a_filter_its_workers_would_share(
     single_object_stream,
 ):
-    """The shard's session is resilient, so each chunk is quarantined with
-    the refusal instead of being filtered by one filter on two threads."""
+    """Registration refuses the filter, before any chunk: the query is not
+    admitted, and the frames fed afterwards are neither quarantined nor
+    charged."""
     stream = single_object_stream
     shared = _CloneResistantFilter()
     service = QueryService()
@@ -298,17 +299,14 @@ def test_a_pooled_service_shard_refuses_a_filter_its_workers_would_share(
         "cam", ReferenceDetector(class_names=("car",), seed=9),
         StreamConfig(chunk_size=8, parallel=ParallelConfig(num_workers=2)),
     )
-    handle = service.register("cam", count_query(), _pass_all(shared))
+    with pytest.raises(ValueError, match="clone_resistant_filter"):
+        service.register("cam", count_query(), _pass_all(shared))
+    assert service.registry.handles_for("cam") == ()
     service.feed("cam", [stream.frame(index) for index in range(len(stream))])
-    records = service.stats().streams["cam"].faults.quarantined
-    result = service.close()[handle]
-    assert [record.frames for record in records] == [
-        tuple(range(start, start + 8)) for start in range(0, len(stream), 8)
-    ]
-    assert all("clone_resistant_filter" in record.error for record in records)
+    stats = service.stats().streams["cam"]
+    assert (stats.active_queries, stats.quarantined_chunks) == (0, 0)
     assert shared.predicted == 0
-    assert result.stats.frames_scanned == 0
-    assert result.stats.simulated_cost.total_ms == 0.0
+    assert service.close() == {}
 
 
 def test_a_filter_shared_by_two_queries_stays_shared_inside_a_clone(single_object_stream):
@@ -332,7 +330,7 @@ def test_a_filter_shared_by_two_queries_stays_shared_inside_a_clone(single_objec
         assert got.stats.simulated_cost == want.stats.simulated_cost
 
 
-@pytest.mark.filterwarnings("ignore::repro.analysis.WindowTailDropWarning")
+@pytest.mark.filterwarnings("ignore::repro.query.diagnostics.WindowTailDropWarning")
 def test_a_pooled_scan_covers_each_query_as_the_inline_scan_does(
     tiny_jackson, trained_od_filter
 ):

@@ -79,3 +79,29 @@ def test_repeated_config_flags_accumulate_once_each_in_order(tool):
     assert tool.parse_args(["--parent", "HEAD"], names).config == list(names)
     with pytest.raises(SystemExit):
         tool.parse_args(["--parent", "HEAD", "--config", "nope"], names)
+
+
+def test_a_field_none_on_the_only_side_that_has_it_is_a_removed_field(tool):
+    ids = ["inline", "thread2"]
+    parent = {config_id: normalize(_dump()) for config_id in ids}
+    for dump in parent.values():
+        dump["queries"][0]["stats"]["plan_revisions"] = None
+        dump["shared"]["plan_revisions"] = None
+    change = {config_id: normalize(_dump()) for config_id in ids}
+    assert tool.compare(ids, parent, change) == ([
+        "removed field queries[].stats.plan_revisions",
+        "removed field shared.plan_revisions",
+        "2/2 configs equal",
+    ], True)
+    # Added on the change's side, the same holds.
+    assert tool.compare(ids, change, parent)[1]
+
+
+def test_a_one_sided_field_with_a_value_still_makes_its_config_differ(tool):
+    ids = ["inline", "thread2"]
+    parent = {config_id: normalize(_dump()) for config_id in ids}
+    parent["thread2"]["queries"][0]["stats"]["plan_revisions"] = 3
+    change = {config_id: normalize(_dump()) for config_id in ids}
+    assert tool.compare(ids, parent, change) == (
+        ["thread2: queries[0].stats.plan_revisions", "1/2 configs equal"], False
+    )

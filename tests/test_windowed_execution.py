@@ -294,7 +294,7 @@ def test_window_tail_drop_warning_deduplicates_per_registry():
     registry every evaluation re-warns about the same dropped tail.
     """
     from repro.aggregates.windows import HoppingWindow
-    from repro.analysis import WindowTailDropWarning
+    from repro.query.diagnostics import WindowTailDropWarning
 
     window = HoppingWindow(size=20, advance=10)
 

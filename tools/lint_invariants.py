@@ -28,7 +28,7 @@ script exits non-zero when any rule is violated.
   with its private clock once: a clock constructed per chunk or inside a
   task function would silently drop simulated cost between merge points.
 * **INV005 — diagnostic codes and the README table stay in sync.**  Every
-  code registered in ``repro/analysis/diagnostics.py`` must appear in
+  code registered in ``repro/query/diagnostics.py`` must appear in
   README.md (and no unregistered ``QA/PL`` code may appear in the
   registry section of the README).
 * **INV006 — the shape-interpreter code family stays registered.**  The
@@ -115,7 +115,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 
 PLANNER = SRC / "query" / "planner.py"
-DIAGNOSTICS = SRC / "analysis" / "diagnostics.py"
+DIAGNOSTICS = SRC / "query" / "diagnostics.py"
 README = REPO / "README.md"
 WORKER_PATH_MODULES = (
     SRC / "query" / "executor.py",
@@ -125,7 +125,7 @@ WORKER_PATH_MODULES = (
 FRAME_NAMES = {"frame", "frames", "images"}
 
 #: codes the shape interpreter emits (INV006); keep in sync with
-#: repro/analysis/shapes.py
+#: repro/nn/shapes.py
 ANALYZER_CODES = ("NN001", "NN002", "NN003", "NN004", "NN005")
 
 #: constructors only one function may call (INV004, INV011):
@@ -290,7 +290,7 @@ def check_analyzer_codes_registered(findings: list[str]) -> None:
         if code not in registered:
             findings.append(
                 f"INV006 {DIAGNOSTICS.relative_to(REPO)}: analyzer code "
-                f"{code} is emitted by repro.analysis but missing from "
+                f"{code} is emitted by repro.nn.shapes but missing from "
                 "DIAGNOSTIC_CODES — constructing it would raise mid-scan"
             )
 

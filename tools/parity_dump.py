@@ -10,7 +10,11 @@ cleared).  Both use this tree's configs and normalizer
 (``tests/differential.py``), so only the engine differs.  The output names
 each config whose dumps differ with the first differing field path (or the
 error a side raised), then ``N/M configs equal``; the exit status is 0 when
-every config is equal and 1 otherwise.
+every config is equal and 1 otherwise.  A field that one side's dumps hold
+and the other's do not, with the value ``None`` wherever it appears, is a
+deleted (or added) stats field: it is printed as ``removed field <path>``
+and leaves the configs equal.  A one-sided field with any other value
+still makes its config differ.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import re
 from pathlib import Path
 from typing import Sequence
 
@@ -38,18 +43,45 @@ def dump(src: Path, ids: list[str], out: Path) -> dict:
     return json.loads(out.read_text(encoding="utf-8"))
 
 
+def drop_none_fields(left, right, removed: set[str], path: str = "") -> tuple:
+    """Both dumps without the one-sided keys whose value is ``None``.
+
+    The path of each dropped key, list indices elided, goes into ``removed``.
+    """
+    if isinstance(left, dict) and isinstance(right, dict):
+        one_sided = {key for key in set(left) ^ set(right)
+                     if (left if key in left else right)[key] is None}
+        removed.update(re.sub(r"\[\d+\]", "[]", f"{path}.{key}").lstrip(".")
+                       for key in one_sided)
+        pairs = {key: drop_none_fields(left.get(key), right.get(key), removed,
+                                       f"{path}.{key}")
+                 for key in set(left) | set(right) if key not in one_sided}
+        return ({key: pair[0] for key, pair in pairs.items() if key in left},
+                {key: pair[1] for key, pair in pairs.items() if key in right})
+    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
+        pairs = [drop_none_fields(mine, theirs, removed, f"{path}[{k}]")
+                 for k, (mine, theirs) in enumerate(zip(left, right))]
+        tail = len(pairs)
+        return ([pair[0] for pair in pairs] + list(left[tail:]),
+                [pair[1] for pair in pairs] + list(right[tail:]))
+    return left, right
+
+
 def compare(ids: list[str], parent: dict, change: dict) -> tuple[list[str], bool]:
-    """A line per differing config, then the tally; and whether all are equal."""
-    lines = []
+    """A line per removed field and per differing config, then the tally;
+    and whether all configs are equal."""
+    lines, removed = [], set()
     for config_id in ids:
         sides = {"parent": parent.get(config_id), "change": change.get(config_id)}
-        path = first_difference(sides["parent"], sides["change"])
+        path = first_difference(*drop_none_fields(sides["parent"], sides["change"], removed))
         raised = [f"{side} raised {found['error']}" for side, found in sides.items()
                   if isinstance(found, dict) and "error" in found]
         if path is not None:
             lines.append(f"{config_id}: {'; '.join(raised) or path}")
-    lines.append(f"{len(ids) - len(lines)}/{len(ids)} configs equal")
-    return lines, len(lines) == 1
+    equal = len(ids) - len(lines)
+    lines = [f"removed field {field}" for field in sorted(removed)] + lines
+    lines.append(f"{equal}/{len(ids)} configs equal")
+    return lines, equal == len(ids)
 
 
 def parse_args(argv: list[str] | None, names: Sequence[str]) -> argparse.Namespace:
