@@ -150,14 +150,6 @@ class AnalysisReport:
     def __len__(self) -> int:
         return len(self.diagnostics)
 
-    def merged_with(self, other: "AnalysisReport") -> "AnalysisReport":
-        """Both reports' diagnostics; emptiness if either proved it."""
-        return AnalysisReport(
-            diagnostics=self.diagnostics + other.diagnostics,
-            source=self.source or other.source,
-            provably_empty=self.provably_empty or other.provably_empty,
-        )
-
     def render(self) -> str:
         """The full report, one finding per paragraph (deterministic)."""
         if not self.diagnostics:

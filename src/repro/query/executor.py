@@ -81,7 +81,6 @@ from repro.filters.base import FrameFilter
 from repro.query.ast import Query, WindowSpec
 from repro.query.parallel import (
     DEFAULT_CHUNK_SIZE,
-    PREFETCH_THREADS,
     ParallelConfig,
     ParallelStats,
     decode_ahead,
@@ -310,17 +309,15 @@ class StreamingQueryExecutor:
         each windowed query's last instance end as ``stop``); the executor
         decides only how frames reach it: one
         ``render(index)`` from :func:`~repro.query.parallel.decode_ahead`
-        and two drivers.  A pooled scan (``parallel``) renders ahead on
-        ``min(PREFETCH_THREADS, num_workers)`` threads.  Without a pool, a
-        chunked scan (no ``temporal``) of more than one chunk renders the
-        next chunks while this one is filtered and verified: on one thread
-        when some query has a filter step, on ``PREFETCH_THREADS`` when none
-        has, so that two renders share the second core beside the detector.
-        A gated scan renders ahead on one thread when it has a filter step
-        and an ``exact`` gate over more than one frame, which renders every
-        frame; otherwise ``render`` is ``stream.frame``.  Frames render
-        deterministically per index on any thread, so the rule changes wall
-        time only.
+        and two drivers.  A chunked scan (no ``temporal``) of more than one
+        chunk, and every pooled scan (``parallel``), renders the next chunks
+        on one decode-ahead thread while this one filters and verifies; when
+        a frame it asks for is still being drawn, this thread renders the
+        next queued ones itself rather than wait.  A gated scan renders
+        ahead on one thread when it has a filter step and an ``exact`` gate
+        over more than one frame, which renders every frame; otherwise
+        ``render`` is ``stream.frame``.  Frames render deterministically
+        per index on any thread, so the rule changes wall time only.
         Rendered chunks of ``batch_size`` frames (``None`` = chunks of
         ``DEFAULT_CHUNK_SIZE``) go through ``push_chunk`` (a session built
         with ``parallel=`` filters them on its workers); under ``temporal``
@@ -361,24 +358,16 @@ class StreamingQueryExecutor:
             # The frames some query covers (a provably-empty query covers
             # none, so it pulls no frame into the union on its own).
             union_indices = [index for index in base_indices if session._covering(index)]
-            # A pooled scan renders ahead on up to two threads, never
-            # more than it has filter workers.  Without workers, render
-            # threads run ahead while this one filters and verifies: one
-            # beside a filter phase (numpy that releases the GIL), two
-            # in a cascade-free scan.  A render is mostly noise drawn
-            # with the GIL released, and the detector holds the GIL for
-            # a few ms per chunk, so two renders keep the second core
-            # busy where one stalled each time it wanted the GIL back.
-            # A single chunk has nothing to overlap and stays inline;
-            # DESIGN.md "Parallel pipeline" has the numbers.
+            # One render thread runs ahead while this one filters and
+            # verifies, with or without a filter step or a pool.  When
+            # this thread would wait on a frame still being drawn, it
+            # renders the next queued ones itself (``FramePrefetcher``),
+            # so a second render thread only contends for the cores.  An
+            # unpooled single chunk has nothing to overlap and stays
+            # inline; DESIGN.md "Parallel pipeline" has the numbers.
             if temporal is None:
                 chunks = partition_chunks(union_indices, chunk_size)
-                if parallel is not None:
-                    threads = min(PREFETCH_THREADS, parallel.num_workers)
-                elif len(chunks) < 2:
-                    threads = 0
-                else:
-                    threads = 1 if unique_steps > 0 else PREFETCH_THREADS
+                threads = 1 if parallel is not None or len(chunks) > 1 else 0
                 ahead = chunk_size
             else:
                 # Gating is sequential: nothing is chunked and the session

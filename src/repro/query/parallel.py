@@ -5,10 +5,11 @@ every stage on one core: render a chunk, filter it, verify the survivors,
 repeat.  This module turns that loop into a pipeline:
 
 * a **decode-ahead prefetcher** (:class:`FramePrefetcher`) renders the next
-  ``PREFETCH_DEPTH`` chunks' worth of frames on background threads while
-  earlier chunks are being filtered (a one-shot scan without a pool uses
-  it too: on one thread beside a filter phase, on two beside a
-  cascade-free scan's detector);
+  ``PREFETCH_DEPTH`` chunks' worth of frames on one background thread
+  while earlier chunks are being filtered, and the consuming thread renders
+  queued frames itself instead of waiting on one still being drawn (a
+  multi-chunk one-shot scan without a pool uses it too, with or without a
+  filter step);
 * a **chunk-granular worker pool** runs the filter-cascade phase of several
   chunks concurrently on threads, each worker with its own deep-copied
   cascades (the numpy filters release the GIL in their stacked operations
@@ -53,9 +54,6 @@ from repro.video.stream import Frame, VideoStream
 #: chunks the decode-ahead prefetcher keeps rendered ahead of submission, and
 #: the chunks a session holds in flight beyond one per worker
 PREFETCH_DEPTH = 2
-#: decode-ahead threads of a ``parallel=`` scan (never more than its filter
-#: workers) and of a cascade-free multi-chunk scan
-PREFETCH_THREADS = 2
 #: frames per chunk wherever the caller names none: a one-shot chunked scan
 #: without ``batch_size`` (with or without ``parallel=``) and a service stream
 DEFAULT_CHUNK_SIZE = 16
@@ -278,6 +276,14 @@ class FramePrefetcher:
     in order therefore has each one rendered exactly once, with at most
     ``depth`` renders outstanding.
 
+    The consumer does not wait on a render thread.  A requested position
+    whose render has not started is cancelled and rendered on the calling
+    thread; one still being drawn makes the calling thread render the
+    window's next unstarted positions (each cancelled from the queue, its
+    frame or exception kept at its position) until the requested frame is
+    done.  An exception is raised when its position is requested, on
+    whichever thread it was rendered.
+
     The window is bounded on both sides.  Positions a request steps over
     (the rest of a chunk quarantined mid-render, an adaptive stride) stay
     until they fall more than ``depth`` positions behind the cursor, and a
@@ -286,8 +292,8 @@ class FramePrefetcher:
     cancelled if still queued and dropped, so a striding scan neither retains
     every speculatively rendered frame nor decodes far behind its head.  A
     request the window does not hold is rendered by the stream.  One thread
-    consumes it; scans get one through :func:`decode_ahead`, which closes it
-    on every exit path.
+    consumes it, and only that thread touches the window; scans get one
+    through :func:`decode_ahead`, which closes it on every exit path.
     """
 
     def __init__(
@@ -352,9 +358,26 @@ class FramePrefetcher:
     def frame(self, index: int) -> Frame:
         position = self._take(index)
         future = None if position is None else self._futures.pop(position, None)
-        if future is not None and not future.cancelled():
-            return future.result()
-        return self._stream.frame(index)
+        if future is None or future.cancel():
+            # Not in the window, or its render has not started: draw it here.
+            return self._stream.frame(index)
+        self._help_until(future)
+        return future.result()
+
+    def _help_until(self, awaited: Future) -> None:
+        """Render the window's next unstarted positions while ``awaited`` is drawn.
+
+        Each queued render this thread cancels is rendered here instead and
+        its result (or exception) stored at its position, to be returned
+        (or raised) when that position is requested.  Stops when
+        ``awaited`` is done or every scheduled position has started.
+        """
+        position = self._cursor
+        while position < self._scheduled and not awaited.done():
+            future = self._futures.get(position)
+            if future is not None and future.cancel():
+                self._futures[position] = _rendered(self._stream, self._order[position])
+            position += 1
 
     def close(self) -> None:
         """Shut the decode-ahead pool down; safe to call more than once."""
@@ -362,6 +385,16 @@ class FramePrefetcher:
             return
         self._closed = True
         self._pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _rendered(stream: VideoStream, index: int) -> Future:
+    """A finished future holding ``stream.frame(index)`` or what it raised."""
+    future: Future = Future()
+    try:
+        future.set_result(stream.frame(index))
+    except Exception as error:
+        future.set_exception(error)
+    return future
 
 
 @contextmanager
@@ -375,13 +408,14 @@ def decode_ahead(
 
     A :class:`FramePrefetcher` running ``PREFETCH_DEPTH`` chunks of
     ``chunk_size`` frames (the frames the caller consumes at a time, or the
-    longest jump a gated scan makes: its ``max_stride``) ahead on the
-    ``threads`` render threads the caller asks for
-    (``StreamingQueryExecutor._scan``, ``AggregateMonitor._evaluate_samples``
-    and ``ExperimentContext.predicted_chunks`` decide how many), closed
-    however the block exits.  ``threads=0`` gives ``stream.frame`` itself,
-    so callers do not branch.  The only place that constructs a prefetcher
-    (lint INV011).
+    longest jump a gated scan makes: its ``max_stride``) ahead on
+    ``threads`` render threads, closed however the block exits.  Every
+    caller (``StreamingQueryExecutor._scan``,
+    ``AggregateMonitor._evaluate_samples`` and
+    ``ExperimentContext.predicted_chunks``) asks for one thread, or for
+    ``threads=0`` where rendering ahead does not pay: that gives
+    ``stream.frame`` itself, so callers do not branch.  The only place that
+    constructs a prefetcher (lint INV011).
     """
     if threads < 1:
         yield stream.frame

@@ -41,6 +41,9 @@ class AppearanceModel:
     aspect_ratio_range: tuple[float, float]  # height / width
     color_names: tuple[str, ...]
     color_weights: tuple[float, ...] | None = None
+    #: what :meth:`sample` draws a color from, built once per model
+    _colors: np.ndarray = field(init=False, repr=False, compare=False)
+    _color_p: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.shape not in ("rectangle", "ellipse"):
@@ -56,17 +59,18 @@ class AppearanceModel:
             self.color_names
         ):
             raise ValueError("color_weights length must match color_names")
+        object.__setattr__(self, "_colors", np.array(self.color_names))
+        weights = None
+        if self.color_weights is not None:
+            weights = np.asarray(self.color_weights, dtype=float)
+            weights = weights / weights.sum()
+        object.__setattr__(self, "_color_p", weights)
 
     def sample(self, rng: np.random.Generator) -> tuple[float, float, str]:
         """Draw ``(width, height, color_name)`` for a new object instance."""
         width = float(rng.uniform(*self.width_range))
         aspect = float(rng.uniform(*self.aspect_ratio_range))
-        if self.color_weights is None:
-            color = str(rng.choice(list(self.color_names)))
-        else:
-            weights = np.asarray(self.color_weights, dtype=float)
-            weights = weights / weights.sum()
-            color = str(rng.choice(list(self.color_names), p=weights))
+        color = str(rng.choice(self._colors, p=self._color_p))
         return width, width * aspect, color
 
 

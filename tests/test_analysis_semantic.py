@@ -266,17 +266,12 @@ def test_clean_query_reports_nothing():
     assert report.render() == "no findings"
 
 
-def test_report_render_and_merge():
+def test_report_render():
     empty = lint_query(
         QueryBuilder("a").count("car").at_least(3).count("car").at_most(1).build()
     )
-    warn = lint_query(
-        QueryBuilder("b").count("car").at_least(1).count("car").at_least(3).build()
-    )
-    merged = warn.merged_with(empty)
-    assert merged.provably_empty  # either side's emptiness survives the merge
-    assert set(merged.codes) == {"QA001", "QA002"}
-    rendered = merged.render()
+    assert empty.provably_empty and empty.codes == ("QA001",)
+    rendered = empty.render()
     assert "QA001" in rendered and "error" in rendered
 
 

@@ -1,11 +1,14 @@
 """Decode-ahead in one-shot scans: the prefetch window, the rule, the lifecycle.
 
 A chunked scan of more than one chunk renders ahead even without
-``ParallelConfig``: on one background thread with a filter step, on two
-without one; a single-chunk scan, an approximate or cascade-free temporal
-scan stay inline.  The aggregate sampler
+``ParallelConfig``, on one background thread with or without a filter step;
+a single-chunk scan, an approximate or cascade-free temporal scan stay
+inline.  The aggregate sampler
 renders ahead of its filter tiles when a sample spans more than one tile
-and is not exact-gated.  Frames render the same on any thread, so every
+and is not exact-gated.  The consuming thread renders queued frames itself
+rather than wait on one still being drawn; the tests of that path gate the
+render thread on events, so none depends on timing.  Frames render the
+same on any thread, so every
 result here must ``==`` the same scan with decode-ahead patched out (the
 sampler: its single-batch oracle), and no ``decode-ahead`` thread may
 outlive a scan however it ends.  CI runs this module five times in a row: a
@@ -15,7 +18,9 @@ timings.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 
@@ -162,6 +167,140 @@ def test_decode_ahead_window_keeps_stepped_over_positions(stream, counted_render
         prefetcher.close()
     # Every request was served from the window: no position rendered twice.
     assert len(counted_renders) <= len(indices)
+
+
+# ----------------------------------------------------------------------
+# The consuming thread renders instead of waiting
+# ----------------------------------------------------------------------
+def _on_render_thread() -> bool:
+    return threading.current_thread().name.startswith("decode-ahead")
+
+
+class GatedStream:
+    """A stand-in stream whose render thread blocks on chosen indices.
+
+    A render-thread render of an index in ``gated`` sets that index's
+    ``started`` event, then waits for its gate; the consuming thread never
+    blocks.  The consumer's render of an index in ``opens`` opens the gate
+    named there, after rendering, so the order of events is fixed.  An
+    index in ``poisoned`` raises the decode site's ``FaultExhausted``.  Each
+    render sleeps ``pause`` seconds, with the GIL released, as a real
+    render draws its noise.
+    """
+
+    def __init__(self, gated=(), opens=None, poisoned=(), pause=0.0):
+        self.gates = {index: threading.Event() for index in gated}
+        self.started = {index: threading.Event() for index in gated}
+        self.opens = dict(opens or {})
+        self.poisoned = set(poisoned)
+        self.pause = pause
+        #: ``(index, rendered on a decode-ahead thread)`` per render
+        self.renders: list[tuple[int, bool]] = []
+
+    def frame(self, index):
+        background = _on_render_thread()
+        self.renders.append((index, background))
+        if background and index in self.gates:
+            self.started[index].set()
+            assert self.gates[index].wait(10), f"gate {index} never opened"
+        time.sleep(self.pause)
+        try:
+            if index in self.poisoned:
+                raise FaultExhausted("decode", index, 3, "poisoned")
+            return index
+        finally:
+            if not background and index in self.opens:
+                self.gates[self.opens[index]].set()
+
+    def rendered_by(self, background):
+        return sorted(index for index, on_thread in self.renders if on_thread is background)
+
+
+def _pin_render_thread_on(stream, prefetcher):
+    """Hold the render thread in position 2 with positions 3-6 queued.
+
+    The render thread blocks in index 0 while the consumer requests index 1,
+    which has not started and so is rendered by the consumer.  Index 0 is
+    then released, and the render thread blocks in index 2, the cursor.
+    """
+    assert prefetcher.frame(1) == 1
+    assert stream.started[0].wait(10)
+    assert stream.rendered_by(background=False) == [1]
+    stream.gates[0].set()
+    assert stream.started[2].wait(10)
+
+
+def test_decode_ahead_consumer_renders_a_request_not_started():
+    stream = GatedStream(gated=[0])
+    prefetcher = FramePrefetcher(stream, range(8), depth=4, threads=1)
+    try:
+        assert prefetcher.frame(3) == 3  # the render thread holds index 0
+        assert stream.started[0].wait(10)
+        assert stream.rendered_by(background=False) == [3]
+        assert stream.rendered_by(background=True) == [0]
+    finally:
+        stream.gates[0].set()
+        prefetcher.close()
+
+
+def test_decode_ahead_consumer_renders_ahead_while_its_frame_is_drawn():
+    """While index 2 is drawn, the consumer renders queued positions 3-6;
+    its render of 6 releases index 2.  Every position renders once, and
+    no more than ``depth`` renders are outstanding."""
+    depth = 4
+    stream = GatedStream(gated=[0, 2], opens={6: 2})
+    prefetcher = FramePrefetcher(stream, range(12), depth=depth, threads=1)
+    try:
+        _pin_render_thread_on(stream, prefetcher)
+        assert prefetcher.frame(2) == 2
+        assert stream.rendered_by(background=False) == [1, 3, 4, 5, 6]
+        assert stream.rendered_by(background=True) == [0, 2]
+        for index in range(3, 12):
+            assert prefetcher.frame(index) == index
+            # Outstanding: the window's positions at or past the cursor.
+            assert sum(p >= prefetcher._cursor for p in prefetcher._futures) <= depth
+    finally:
+        prefetcher.close()
+    assert sorted(index for index, _ in stream.renders) == list(range(12))
+
+
+def test_decode_ahead_helped_render_raises_when_requested():
+    """A decode failure the consumer met while helping is kept at its
+    position: the requests before it are served, and it raises only when
+    its own position is requested."""
+    stream = GatedStream(gated=[0, 2], opens={6: 2}, poisoned=[5])
+    prefetcher = FramePrefetcher(stream, range(12), depth=4, threads=1)
+    try:
+        _pin_render_thread_on(stream, prefetcher)
+        assert prefetcher.frame(2) == 2
+        assert (5, False) in stream.renders
+        assert [prefetcher.frame(index) for index in (3, 4)] == [3, 4]
+        with pytest.raises(FaultExhausted) as raised:
+            prefetcher.frame(5)
+        assert (raised.value.site, raised.value.key) == ("decode", 5)
+        assert [prefetcher.frame(index) for index in range(6, 12)] == list(range(6, 12))
+    finally:
+        prefetcher.close()
+    assert sorted(index for index, _ in stream.renders) == list(range(12))
+
+
+def test_decode_ahead_consumer_help_under_thread_switching():
+    """More render threads than cores and a tiny switch interval: however
+    renders and the consumer's help interleave, every position of a
+    repeating sequence renders once and each request gets its own frame."""
+    indices = list(range(50)) * 6
+    stream = GatedStream(pause=1e-4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        prefetcher = FramePrefetcher(stream, indices, depth=8, threads=3)
+        try:
+            assert [prefetcher.frame(index) for index in indices] == indices
+        finally:
+            prefetcher.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(index for index, _ in stream.renders) == sorted(indices)
 
 
 # ----------------------------------------------------------------------
@@ -346,10 +485,10 @@ def test_decode_ahead_only_for_multi_chunk_scans(
     # No batch_size: chunks of DEFAULT_CHUNK_SIZE; batch_size=1: chunks of one.
     runner.execute_many([query, _windowed()], stream, [cascade, None])
     runner.execute_many([query, _windowed()], stream, [cascade, None], batch_size=1)
-    # Cascade-free: PREFETCH_THREADS render beside the detector.
+    # Cascade-free: one thread renders beside the detector, as beside a filter.
     runner.execute(query, stream)
     runner.execute_many([query, _windowed()], stream)  # shared
-    assert prefetchers == [(2 * 16, 1), (2 * 16, 1), (2 * 1, 1), (2 * 16, 2), (2 * 16, 2)]
+    assert prefetchers == [(2 * 16, 1), (2 * 16, 1), (2 * 1, 1), (2 * 16, 1), (2 * 16, 1)]
 
     runner.execute(query, stream, cascade, batch_size=len(stream))  # one chunk
     runner.execute(query, stream, batch_size=len(stream))  # one chunk, cascade-free
@@ -379,15 +518,15 @@ def test_decode_ahead_only_for_multi_chunk_scans(
     )
     assert prefetchers[7:] == [(2 * _SAMPLE_TILE, 1)] * 2
 
-    # A pooled scan renders on PREFETCH_THREADS, capped by its workers, even
-    # a single chunk; it chunks by ``batch_size`` as any one-shot scan does.
+    # A pooled scan renders ahead on one thread, even a single chunk; it
+    # chunks by ``batch_size`` as any one-shot scan does.
     config = ParallelConfig(num_workers=2)
     runner.execute(query, stream, cascade, batch_size=8, parallel=config)
     runner.execute(query, stream, cascade, parallel=config)
     runner.execute(query, stream, cascade, batch_size=len(stream), parallel=config)
     runner.execute(query, stream, cascade, parallel=replace(config, num_workers=1))
     assert prefetchers[9:] == [
-        (2 * 8, 2), (2 * DEFAULT_CHUNK_SIZE, 2), (2 * len(stream), 2), (2 * DEFAULT_CHUNK_SIZE, 1)
+        (2 * 8, 1), (2 * DEFAULT_CHUNK_SIZE, 1), (2 * len(stream), 1), (2 * DEFAULT_CHUNK_SIZE, 1)
     ]
     assert _live_decode_ahead_threads() == []
 
@@ -445,6 +584,57 @@ def test_decode_ahead_lifecycle_decode_quarantine_matches_inline(
     inline = faulted()
     quarantined = ahead[0].stats.faults.quarantined
     assert [record.key for record in quarantined] == [3, 27]
+    assert quarantined == inline[0].stats.faults.quarantined
+    assert _timeless(ahead) == _timeless(inline)
+
+
+@pytest.mark.parametrize("batch_size", [None, 10])
+def test_decode_ahead_lifecycle_helped_decode_fault_quarantines_as_inline(
+    tiny_jackson, stream, planner, monkeypatch, prefetchers, batch_size
+):
+    """A render thread's first frame waits until the consumer has tried
+    index 13, so the consumer renders it (while helping, unless it got there
+    first or the thread never started a frame): its failure quarantines
+    index 13's chunk only, as an inline scan does."""
+    queries = [_plain(), _windowed()]
+    cascades = [planner.plan(query) for query in queries]
+    poisoned = 13  # within one window depth of the render thread's first frame
+    tried = threading.Event()
+    held: list[int] = []
+    renders: list[tuple[int, bool]] = []
+    frame = stream.frame
+
+    def gated_frame(index):
+        background = _on_render_thread()
+        renders.append((index, background))
+        if background and not held:
+            held.append(index)
+            assert tried.wait(10), f"the consumer never tried index {poisoned}"
+        try:
+            return frame(index)
+        finally:
+            if not background and index == poisoned:
+                tried.set()
+
+    monkeypatch.setattr(stream, "frame", gated_frame)
+
+    def faulted():
+        injector = FaultInjector(
+            schedule={("decode", poisoned): 3}, retry=RetryPolicy(max_attempts=3)
+        )
+        with injector:
+            return _executor(tiny_jackson).execute_many(
+                queries, stream, cascades, batch_size=batch_size
+            )
+
+    ahead = faulted()
+    assert len(prefetchers) == 1
+    assert (poisoned, False) in renders and (poisoned, True) not in renders
+    assert _live_decode_ahead_threads() == []
+    monkeypatch.setattr("repro.query.executor.decode_ahead", _inline)
+    inline = faulted()
+    quarantined = ahead[0].stats.faults.quarantined
+    assert [record.key for record in quarantined] == [poisoned]
     assert quarantined == inline[0].stats.faults.quarantined
     assert _timeless(ahead) == _timeless(inline)
 

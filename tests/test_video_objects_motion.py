@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -50,6 +52,34 @@ def test_appearance_sampling_respects_ranges(rng):
         assert color in NAMED_COLORS
         ratio = height / width
         assert appearance.aspect_ratio_range[0] <= ratio <= appearance.aspect_ratio_range[1]
+
+
+#: sha256 of 100 ``sample`` draws per model (``_sample_draws``), taken while
+#: ``sample`` still rebuilt its color list and weights on every draw
+SAMPLE_DRAWS_DIGEST = "b62f6bca176e0b856382d874ceff7470b769012b7210022105d0dc6052cbd2c8"
+
+
+def _sample_draws() -> str:
+    models = {name: cls.appearance for name, cls in sorted(default_class_registry().items())}
+    models["weighted"] = AppearanceModel(
+        shape="ellipse",
+        width_range=(5, 10),
+        aspect_ratio_range=(1, 2),
+        color_names=("red", "blue", "white"),
+        color_weights=(3.0, 1.0, 0.5),
+    )
+    sha = hashlib.sha256()
+    rng = np.random.default_rng(11)
+    for name, appearance in models.items():
+        for _ in range(100):
+            sha.update(repr((name, appearance.sample(rng))).encode())
+    return sha.hexdigest()
+
+
+def test_appearance_sampling_keeps_its_pinned_draws():
+    """The ``(width, height, color)`` draws, and so the rng stream every
+    scene spawns from, are unchanged by building the color arrays once."""
+    assert _sample_draws() == SAMPLE_DRAWS_DIGEST
 
 
 def test_linear_motion():
