@@ -17,7 +17,7 @@ of the paper's Table IV.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ from repro.filters.base import FilterPrediction, FrameFilter
 from repro.query.ast import Query, WindowSpec
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.query.parallel import decode_ahead
-from repro.query.temporal import TemporalConfig, TemporalScan, TemporalStats
 from repro.video.stream import Frame, VideoStream, checked_frame_indices
 
 
@@ -110,8 +109,6 @@ class MonitoringReport:
     per_frame_cost_ms: float
     detector_only_cost_ms: float
     wall_clock_seconds: float
-    #: reuse telemetry of a temporally-gated estimate (``None`` otherwise)
-    temporal: TemporalStats | None = None
 
     @property
     def variance_reduction(self) -> float:
@@ -199,8 +196,7 @@ class AggregateMonitor:
         spec: AggregateQuerySpec,
         stream: VideoStream,
         indices: Sequence[int],
-        temporal: TemporalConfig | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, TemporalStats | None]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate exact values and controls on the sampled frames.
 
         The filter side runs vectorized over tiles of ``_SAMPLE_TILE``
@@ -212,29 +208,10 @@ class AggregateMonitor:
         tiles are charged once afterwards, as the one batched charge of
         ``n`` calls a single whole-sample ``predict_batch`` would be, before
         the first detector charge.  Every charge goes to ``self.clock``.
-
-        With a ``temporal`` config the samples are delta-gated instead
-        (see :mod:`repro.query.temporal`): sample indices arrive sorted, so
-        on a stable stream consecutive samples are nearly identical and
-        both the detector value and the control values of the previous
-        sample can be reused.  Adaptive striding does not apply — the
-        sample set is already sparse — so the gate loop
-        (:class:`~repro.query.temporal.TemporalScan`) runs at
-        ``max_stride=1`` with the sampler's own callbacks.  In exact
-        mode every reuse is verified uncharged and the
-        verified values are the ones used, keeping estimates bit-identical
-        to the ungated path.  The gate renders every sample too, so an
-        approximate gate renders ahead by the same rule; an exact one stays
-        inline.
         """
-        # One tile has nothing to overlap (the rule of a single-chunk scan),
-        # and exact gating, which runs the filter and the Python-level
-        # detector on every sample one frame at a time, measured no gain
-        # (DESIGN.md "Parallel pipeline").
-        overlap = len(indices) > _SAMPLE_TILE and (temporal is None or not temporal.exact)
+        # One tile has nothing to overlap (the rule of a single-chunk scan).
+        overlap = len(indices) > _SAMPLE_TILE
         with decode_ahead(stream, indices, _SAMPLE_TILE, 1 if overlap else 0) as fetch:
-            if temporal is not None:
-                return self._evaluate_samples_temporal(spec, indices, temporal, fetch)
             frames: list[Frame] = []
             predictions: list[FilterPrediction] = []
             for start in range(0, len(indices), _SAMPLE_TILE):
@@ -250,51 +227,7 @@ class AggregateMonitor:
                 exact_values[row] = spec.exact_value(detections)
                 for col, control in enumerate(spec.control_values):
                     controls[row, col] = control(prediction)
-            return exact_values, controls, None
-
-    def _evaluate_samples_temporal(
-        self,
-        spec: AggregateQuerySpec,
-        indices: Sequence[int],
-        temporal: TemporalConfig,
-        fetch: Callable[[int], Frame],
-    ) -> tuple[np.ndarray, np.ndarray, TemporalStats]:
-        def evaluate(
-            frame: Frame, context: object = None, charged: bool = True
-        ) -> tuple[float, np.ndarray]:
-            # predict_batch of one frame: per-frame batch rows are
-            # independent, so the values match the ungated path's single
-            # whole-sample batch bit for bit.
-            prediction = self.frame_filter.predict_batch([frame])[0]
-            detections = self.detector.detect(frame)
-            if charged:
-                self.clock.charge_calls(self.frame_filter)
-                self.clock.charge_calls(self.detector)
-            value = float(spec.exact_value(detections))
-            row = np.array(
-                [control(prediction) for control in spec.control_values]
-            )
-            return value, row
-
-        def reuse_charge(outcome: object) -> tuple[int, int]:
-            self.clock.reuse(self.frame_filter.name)
-            self.clock.reuse(self.detector.name)
-            return 1, 1
-
-        scan = TemporalScan(
-            replace(temporal, max_stride=1),
-            compute=evaluate,
-            verify=lambda frame, context: evaluate(frame, charged=False),
-            reuse_charge=reuse_charge,
-            verdict=lambda outcome: (outcome[0], outcome[1].tobytes()),
-        )
-        outcomes = scan.run(indices, fetch)
-        exact_values = np.zeros(len(indices))
-        controls = np.zeros((len(indices), len(spec.control_values)))
-        for position, (value, row) in enumerate(outcomes):
-            exact_values[position] = value
-            controls[position] = row
-        return exact_values, controls, scan.stats
+            return exact_values, controls
 
     def estimate(
         self,
@@ -303,19 +236,16 @@ class AggregateMonitor:
         sample_size: int,
         window: WindowBounds | None = None,
         frame_indices: Sequence[int] | None = None,
-        temporal: TemporalConfig | None = None,
     ) -> MonitoringReport:
         """Estimate one aggregate query by sampling ``sample_size`` frames.
 
         Sampling is uniform over the window (or the whole stream).  The report
         contains both the plain sampling estimate and the control-variate
         estimate; with multiple controls the multiple-CV estimator is used.
-        ``temporal`` delta-gates the sample evaluation (see
-        :meth:`_evaluate_samples`); the sampled indices themselves are drawn
-        identically either way.  ``window`` and ``frame_indices``
-        both choose the population, so passing both is a ``ValueError``; so
-        is a sample too small for the estimator (see
-        :func:`sampling_population`), raised before anything is rendered.
+        ``window`` and ``frame_indices`` both choose the population, so
+        passing both is a ``ValueError``; so is a sample too small for the
+        estimator (see :func:`sampling_population`), raised before anything
+        is rendered.
         """
         if window is not None and frame_indices is not None:
             raise ValueError("estimate takes a window or frame_indices, not both")
@@ -333,9 +263,7 @@ class AggregateMonitor:
         else:
             chosen = checked_frame_indices(frame_indices, stream)
             _check_sample_count(spec, len(chosen), f"frame_indices of {len(chosen)} frames")
-        exact_values, controls, temporal_stats = self._evaluate_samples(
-            spec, stream, chosen, temporal=temporal
-        )
+        exact_values, controls = self._evaluate_samples(spec, stream, chosen)
         elapsed = time.perf_counter() - started
 
         plain = sample_mean_estimate(exact_values)
@@ -355,7 +283,6 @@ class AggregateMonitor:
             per_frame_cost_ms=per_frame_ms,
             detector_only_cost_ms=self.detector.latency_ms,
             wall_clock_seconds=elapsed,
-            temporal=temporal_stats,
         )
 
     def estimate_repeated(

@@ -40,9 +40,8 @@ per-query results identical to running each query alone and a
 what each query would have paid standalone.
 
 Passing a :class:`~repro.query.temporal.TemporalConfig` (``temporal=...``)
-to :meth:`~StreamingQueryExecutor.execute`,
-:meth:`~StreamingQueryExecutor.execute_many` or
-:meth:`~StreamingQueryExecutor.execute_aggregate` additionally exploits
+to :meth:`~StreamingQueryExecutor.execute` or
+:meth:`~StreamingQueryExecutor.execute_many` additionally exploits
 *temporal coherence*: frames whose cheap change signature barely differs
 from the last keyframe reuse that keyframe's filter predictions and
 detector verdict instead of recomputing them, and over stable segments the
@@ -460,7 +459,6 @@ class StreamingQueryExecutor:
         repetitions: int = 1,
         seed: int = 0,
         include_partial_windows: bool = False,
-        temporal: TemporalConfig | None = None,
     ) -> AggregateExecutionResult:
         """Estimate an aggregate monitoring query through the planner/executor API.
 
@@ -482,14 +480,6 @@ class StreamingQueryExecutor:
         the paper's aggregate experiments use fixed-size windows so every
         estimate averages over the same population size — unlike
         :meth:`execute`, whose default covers the whole stream.
-
-        ``temporal`` applies delta gating to the sample evaluation: a
-        sampled frame whose change signature barely differs from the
-        previous sample reuses that sample's exact value and control values
-        instead of re-running the detector and filter (sample indices are
-        sorted, so nearby samples of a stable stream are nearly identical).
-        Exact mode verifies every reuse, keeping estimates bit-identical to
-        a non-temporal run.
 
         A sample too small for the control-variate estimator, of the stream
         or of any window instance, raises ``ValueError`` naming that
@@ -526,9 +516,7 @@ class StreamingQueryExecutor:
                 WindowAggregateEstimate(
                     bounds=bounds,
                     reports=tuple(
-                        monitor.estimate(
-                            spec, stream, sample_size, window=bounds, temporal=temporal
-                        )
+                        monitor.estimate(spec, stream, sample_size, window=bounds)
                         for _ in range(repetitions)
                     ),
                 )
@@ -536,7 +524,7 @@ class StreamingQueryExecutor:
             )
         else:
             reports = tuple(
-                monitor.estimate(spec, stream, sample_size, temporal=temporal)
+                monitor.estimate(spec, stream, sample_size)
                 for _ in range(repetitions)
             )
         return AggregateExecutionResult(

@@ -15,8 +15,8 @@ workers run.  The cascade walk therefore exists exactly once, in
 (:meth:`ScanSession._evaluate`: cascade, detector, predicates): the temporal
 gate, which decides reuse one frame at a time, evaluates a chunk of one and
 caches its :class:`_ChunkVerdict` — the same shape every chunk accumulates.
-The gate loop itself is :class:`~repro.query.temporal.TemporalScan`'s; the
-session only supplies its callbacks.
+The gate loop itself is :class:`~repro.query.temporal.TemporalScan`'s, and
+the session is its one owner.
 
 Coverage has one rule in both modes, :meth:`QueryState.covers`: a query
 scans the frames of its hopping window (every frame without one) counted from
@@ -120,6 +120,11 @@ from repro.video.stream import Frame
 
 #: Version tag of the :meth:`ScanSession.checkpoint` payload schema.
 CHECKPOINT_VERSION = 4
+
+#: The gate :meth:`ScanSession.set_degraded` switches a session to under
+#: ingestion overload: approximate (reuses are trusted, not verified), one
+#: frame at a time.
+DEGRADED_GATE = TemporalConfig(exact=False)
 
 #: What a checkpoint carries, named once for :meth:`ScanSession.checkpoint`
 #: and :meth:`ScanSession.restore` alike: the :class:`QueryState` fields a
@@ -254,10 +259,9 @@ class ScanSession:
     supported (striding needs the whole index sequence up front, which a
     live session never has) and it cannot be combined with ``parallel``.
 
-    ``degrade`` configures the approximate mode that
-    :meth:`set_degraded` flips the session into under ingestion overload:
-    frames are delta-gated with ``degrade`` (``exact=False`` — reuses are
-    trusted, not verified) until the pressure clears.
+    :meth:`set_degraded` flips the session into an approximate mode under
+    ingestion overload: frames are delta-gated with :data:`DEGRADED_GATE`
+    until the pressure clears.
 
     ``resilient`` keeps a standing scan going past a chunk whose pool
     failure surfaces at its merge, pushes after it was submitted: an
@@ -276,7 +280,6 @@ class ScanSession:
         live: bool = True,
         parallel: ParallelConfig | None = None,
         temporal: TemporalConfig | None = None,
-        degrade: TemporalConfig | None = None,
         resilient: bool = False,
     ) -> None:
         if temporal is not None and parallel is not None:
@@ -289,16 +292,11 @@ class ScanSession:
                 "session temporal gating needs max_stride=1: adaptive "
                 "striding requires the full index sequence up front"
             )
-        if degrade is not None and degrade.exact:
-            raise ValueError("the degrade config must be approximate (exact=False)")
-        if degrade is not None and degrade.max_stride != 1:
-            raise ValueError("the degrade config needs max_stride=1")
         self.detector = detector
         self.clock = clock if clock is not None else SimulatedClock()
         self.live = live
         self._parallel = parallel
         self._resilient = resilient
-        self._degrade_config = degrade or TemporalConfig(exact=False)
         self._states: list[QueryState] = []
         self._watermark = -1
         self._closed = False
@@ -857,7 +855,7 @@ class ScanSession:
         context key, so two verdicts the gate compares hold the same rows).
         """
 
-        def evaluate(frame: Frame, context: tuple[int, ...], charged: bool = True):
+        def evaluate(frame: Frame, context: tuple[int, ...], charged: bool) -> _ChunkVerdict:
             verdict = self._evaluate(context, [frame], None, charged)
             if verdict.poisoned and not self.live:
                 # A strided scan's skipped frames inherit from their
@@ -865,7 +863,7 @@ class ScanSession:
                 raise verdict.poisoned[0][1]
             return verdict
 
-        def reuse_charge(verdict: _ChunkVerdict) -> tuple[int, int]:
+        def reuse(verdict: _ChunkVerdict) -> tuple[int, int]:
             computed = verdict.filtered.computed
             for component, calls in computed.items():
                 self.clock.reuse(component, calls)
@@ -873,15 +871,7 @@ class ScanSession:
                 self.clock.reuse(self._detector_component, verdict.detected)
             return sum(computed.values()), verdict.detected
 
-        return TemporalScan(
-            config,
-            compute=evaluate,
-            verify=lambda frame, context: evaluate(frame, context, charged=False),
-            reuse_charge=reuse_charge,
-            verdict=lambda verdict: (verdict.passed, verdict.matched),
-            cacheable=lambda verdict: not verdict.poisoned,
-            telemetry=self._telemetry,
-        )
+        return TemporalScan(config, evaluate=evaluate, reuse=reuse, telemetry=self._telemetry)
 
     def _covering(self, index: int) -> tuple[int, ...]:
         """Sids of the active queries covering ``index`` — the gate's context key."""
@@ -934,7 +924,7 @@ class ScanSession:
         if self.degraded:
             self.degraded_frames += len(indices)
             if self._degrade_scan is None:
-                self._degrade_scan = self._new_scan(self._degrade_config)
+                self._degrade_scan = self._new_scan(DEGRADED_GATE)
         scan = self._degrade_scan if self.degraded else self._scan
         contexts = [covering[index] for index in indices]
         self._run_gated(scan, indices, contexts, pushed.__getitem__)
@@ -1212,7 +1202,7 @@ class ScanSession:
                 )
             self._scan.load_state(snapshot["gate"])
         if snapshot["degrade_gate"] is not None:
-            self._degrade_scan = self._new_scan(self._degrade_config)
+            self._degrade_scan = self._new_scan(DEGRADED_GATE)
             self._degrade_scan.load_state(snapshot["degrade_gate"])
         self._invalidate_plan()
 

@@ -53,11 +53,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.video.stream import Frame
+
+if TYPE_CHECKING:  # runtime import would be circular: the session imports this module
+    from repro.query.session import _ChunkVerdict
 
 
 @dataclass(frozen=True)
@@ -314,52 +317,51 @@ class DeltaGate:
         self.last_score = float(state["last_score"])
 
 
+def _key(verdict: _ChunkVerdict) -> Hashable:
+    """What the adaptive stride compares: a verdict's pass and match rows."""
+    return verdict.passed, verdict.matched
+
+
 class TemporalScan:
     """The one gate loop: temporally-coherent scanning over frame indices.
 
-    This is the only code that drives a :class:`DeltaGate`.  The scan is
-    *resumable*: it owns its gate and its telemetry across :meth:`run`
-    calls, so a keyframe installed by one run serves reuses in the next
-    (:meth:`state_dict` / :meth:`load_state` carry the gate through
+    This is the only code that drives a :class:`DeltaGate`, and
+    :class:`~repro.query.session.ScanSession` is its one owner.  The scan is
+    *resumable*: it owns its gate across :meth:`run` calls, so a keyframe
+    installed by one run serves reuses in the next (:meth:`state_dict` /
+    :meth:`load_state` carry the gate through
     :meth:`ScanSession.checkpoint`); only the adaptive stride restarts at 1
-    with every run.  Three callers share it:
+    with every run.  The session runs it two ways:
 
     * :meth:`~repro.query.session.ScanSession.run_temporal_scan` — the
       one-shot executor: one run over the whole index sequence, with
       striding and refinement, ``render`` reading the stream;
     * :meth:`~repro.query.session.ScanSession.push_chunk` on a gated (or
       degraded) live session — one run per pushed chunk at
-      ``max_stride=1``, ``render`` reading the pushed frames;
-    * :class:`~repro.aggregates.monitor.AggregateMonitor`'s sampler — one
-      run over the sorted sample at ``max_stride=1``.
+      ``max_stride=1``, ``render`` reading the pushed frames.
 
-    The scan is generic over the per-frame *outcome*; the caller supplies
-    the domain callbacks:
+    The per-frame outcome is the session's ``_ChunkVerdict`` of a chunk of
+    one.  The adaptive stride watches its ``(passed, matched)`` rows for
+    boundaries, and a verdict with ``poisoned`` frames (a detector call cut
+    short) never becomes the keyframe outcome, so it is not replayed onto
+    its neighbours.  The session supplies two calls:
 
-    * ``compute(frame, context) -> outcome`` — full evaluation, charging the
-      simulated clock as usual;
-    * ``verify(frame, context) -> outcome`` — full evaluation that charges
-      no filter or detector call (required when ``config.exact``), so an
-      exact run reports what an approximate run would have charged;
-    * ``reuse_charge(outcome) -> (filter calls, detector calls)`` — record
-      the invocations an avoided evaluation would have made (reused calls on
-      the clock) and return how many there were;
-    * ``verdict(outcome) -> hashable`` — the decision the adaptive stride
-      watches for boundaries (e.g. ``(passed, matched)``);
-    * ``cacheable(outcome) -> bool`` — ``False`` keeps an outcome out of the
-      keyframe cache (a frame whose evaluation was cut short must not be
-      replayed onto its neighbours).
+    * ``evaluate(frame, context, charged) -> verdict`` — the full frame
+      evaluation; ``charged=False`` is exact-mode verification, which
+      charges no filter or detector call, so an exact run reports what an
+      approximate run would have charged;
+    * ``reuse(verdict) -> (filter calls, detector calls)`` — record the
+      invocations an avoided evaluation would have made (reused calls on
+      the clock) and return how many there were.
 
     :meth:`run` also takes each position's *context*, computed once by the
-    caller (which needs it again to use the outcome): reuse and inheritance
-    only happen between frames with equal context (e.g. covered by the same
-    windowed queries).
+    session (which needs it again to accumulate the verdict): reuse and
+    inheritance only happen between frames with equal context (covered by
+    the same queries).  ``telemetry`` is the session's, which its normal
+    and degraded gates report into as one.
 
-    ``telemetry`` lets several scans report as one (a session's normal and
-    degraded gates); by default the scan counts into its own.
-
-    :meth:`run` returns one outcome per input index.  In exact mode every
-    returned outcome is a fresh from-scratch evaluation, so downstream
+    :meth:`run` returns one verdict per input index.  In exact mode every
+    returned verdict is a fresh from-scratch evaluation, so downstream
     results are bit-identical to a non-temporal run regardless of what the
     cache contained.
     """
@@ -368,28 +370,15 @@ class TemporalScan:
         self,
         config: TemporalConfig,
         *,
-        compute: Callable[[Frame, Hashable], object],
-        verify: Callable[[Frame, Hashable], object] | None = None,
-        reuse_charge: Callable[[object], tuple[int, int]] | None = None,
-        verdict: Callable[[object], Hashable] | None = None,
-        cacheable: Callable[[object], bool] | None = None,
-        telemetry: _Telemetry | None = None,
+        evaluate: Callable[[Frame, Hashable, bool], _ChunkVerdict],
+        reuse: Callable[[_ChunkVerdict], tuple[int, int]],
+        telemetry: _Telemetry,
     ) -> None:
-        if config.exact and verify is None:
-            raise ValueError("exact temporal execution needs a verify callback")
         self.config = config
-        self._compute = compute
-        self._verify = verify
-        self._reuse_charge = reuse_charge or (lambda outcome: (0, 0))
-        self._verdict = verdict or (lambda outcome: outcome)
-        self._cacheable = cacheable or (lambda outcome: True)
+        self._evaluate = evaluate
+        self._reuse = reuse
         self._gate = DeltaGate(config)
-        self.telemetry = telemetry if telemetry is not None else _Telemetry()
-
-    @property
-    def stats(self) -> TemporalStats:
-        """Telemetry of every run so far."""
-        return self.telemetry.freeze()
+        self._telemetry = telemetry
 
     def state_dict(self) -> dict:
         """The gate's keyframe state — what the next :meth:`run` resumes from."""
@@ -403,39 +392,37 @@ class TemporalScan:
         self,
         indices: Sequence[int],
         render: Callable[[int], Frame],
-        contexts: Sequence[Hashable] | None = None,
+        contexts: Sequence[Hashable],
     ) -> list:
-        """Gate ``indices`` in order; ``render(index)`` materialises a frame.
-
-        ``contexts[position]`` is the context of ``indices[position]``
-        (``None``: one context for all).
-        """
+        """Gate ``indices`` in order; ``render(index)`` materialises a frame
+        and ``contexts[position]`` is the context of ``indices[position]``."""
         indices = list(indices)
         n = len(indices)
-        if contexts is None:
-            contexts = [None] * n
         results: list = [None] * n
         gate = self._gate
-        telemetry = self.telemetry
+        telemetry = self._telemetry
         telemetry.frames_total += n
         exact = self.config.exact
+        evaluate_frame = self._evaluate
 
-        def charge_reuse(outcome: object) -> None:
-            filter_calls, detector_calls = self._reuse_charge(outcome)
+        def charge_reuse(outcome: _ChunkVerdict) -> None:
+            filter_calls, detector_calls = self._reuse(outcome)
             telemetry.filter_reuses += filter_calls
             telemetry.detector_reuses += detector_calls
 
-        def verified(frame: Frame, context: Hashable, cached: object) -> tuple[object, bool]:
+        def verified(
+            frame: Frame, context: Hashable, cached: _ChunkVerdict
+        ) -> tuple[_ChunkVerdict, bool]:
             """Exact-mode check of a cached/inherited outcome: the truth, and
             whether the cache had drifted from it."""
-            truth = self._verify(frame, context)
+            truth = evaluate_frame(frame, context, False)
             telemetry.verified_frames += 1
-            drifted = self._cacheable(truth) and self._verdict(truth) != self._verdict(cached)
+            drifted = not truth.poisoned and _key(truth) != _key(cached)
             if drifted:
                 telemetry.reuse_mismatches += 1
             return truth, drifted
 
-        def evaluate(position: int, probe: bool = False) -> object:
+        def evaluate(position: int, probe: bool = False) -> _ChunkVerdict:
             """Render + gate one position; cache hit or full evaluation."""
             frame = render(indices[position])
             context = contexts[position]
@@ -449,9 +436,9 @@ class TemporalScan:
                     if drifted:
                         gate.replace_outcome(outcome)
             else:
-                outcome = self._compute(frame, context)
+                outcome = evaluate_frame(frame, context, True)
                 telemetry.frames_computed += 1
-                if self._cacheable(outcome):
+                if not outcome.poisoned:
                     gate.set_keyframe(frame.image, outcome, context)
             if probe:
                 telemetry.refinement_probes += 1
@@ -475,8 +462,8 @@ class TemporalScan:
 
         def assign_gap(lo_position: int, hi_position: int) -> None:
             """Fill the stride-skipped positions strictly between two evaluations."""
-            lo_verdict = self._verdict(results[lo_position])
-            hi_verdict = self._verdict(results[hi_position])
+            lo_verdict = _key(results[lo_position])
+            hi_verdict = _key(results[hi_position])
             if lo_verdict == hi_verdict:
                 for position in range(lo_position + 1, hi_position):
                     if results[position] is None:
@@ -490,7 +477,7 @@ class TemporalScan:
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 outcome = evaluate(mid, probe=True)
-                if self._verdict(outcome) == lo_verdict:
+                if _key(outcome) == lo_verdict:
                     lo = mid
                 else:
                     hi = mid
@@ -512,7 +499,7 @@ class TemporalScan:
             if (
                 previous is not None
                 and was_reused
-                and self._verdict(results[previous]) == self._verdict(outcome)
+                and _key(results[previous]) == _key(outcome)
             ):
                 stride = min(stride * 2, self.config.max_stride)
             else:

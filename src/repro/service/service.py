@@ -76,10 +76,9 @@ class StreamConfig:
     given neither filters on a pool of :data:`SHARD_WORKERS` threads, as
     ``ParallelConfig(num_workers=SHARD_WORKERS)`` would, while its stream
     is the service's only one, and inline while other streams' shard
-    threads share the cores; a ``temporal`` shard gates inline.
-    ``degrade`` is the approximate
-    :class:`~repro.query.temporal.TemporalConfig` applied while the
-    ``degrade`` policy has the shard in its degraded episode.
+    threads share the cores; a ``temporal`` shard gates inline.  While the
+    ``degrade`` policy has the shard in its degraded episode, the shard's
+    session gates with :data:`~repro.query.session.DEGRADED_GATE`.
     """
 
     chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -87,7 +86,6 @@ class StreamConfig:
     policy: str = "block"
     temporal: TemporalConfig | None = None
     parallel: ParallelConfig | None = None
-    degrade: TemporalConfig | None = None
 
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
@@ -176,7 +174,6 @@ class _StreamShard:
             live=True,
             temporal=config.temporal,
             parallel=config.parallel,
-            degrade=config.degrade,
             resilient=True,
         )
         self.queue = IngestionQueue(config.queue_chunks, config.policy)

@@ -28,8 +28,20 @@ from tests.differential import Harness
 
 @pytest.fixture(scope="session")
 def tiny_jackson():
-    """A very small Jackson-profile dataset (fast to build, shared by many tests)."""
-    return build_jackson(train_size=90, val_size=20, test_size=50, seed=3)
+    """A very small Jackson-profile dataset (fast to build, shared by many tests).
+
+    A test that stands in for one of its streams' ``frame`` patches it with
+    ``monkeypatch.setitem(vars(stream), "frame", ...)``: undoing
+    ``monkeypatch.setattr(stream, "frame", ...)`` leaves the saved bound
+    method behind as an instance attribute, and every later patch of
+    ``VideoStream.frame`` on the class would do nothing on that stream.
+    Teardown checks that no stream is left with one.
+    """
+    dataset = build_jackson(train_size=90, val_size=20, test_size=50, seed=3)
+    yield dataset
+    streams = {"train": dataset.train, "validation": dataset.validation, "test": dataset.test}
+    patched = [name for name, stream in streams.items() if "frame" in vars(stream)]
+    assert patched == [], f"tiny_jackson streams left with an instance frame: {patched}"
 
 
 @pytest.fixture(scope="session")
@@ -398,18 +410,14 @@ def reference_render(config, ground_truth):
     return np.clip(canvas, 0, 255).astype(np.uint8)
 
 
-def reference_evaluate_samples(monitor, spec, stream, indices, temporal=None, parallel=None):
+def reference_evaluate_samples(monitor, spec, stream, indices):
     """``AggregateMonitor._evaluate_samples`` as it stood before the filter
     tiles: the sampler oracle.
 
     Every sample rendered inline, one whole-sample ``predict_batch`` (one
     batched filter charge of ``len(indices)`` calls), then the detector
-    frame by frame in sample order; a gated sample runs the monitor's own
-    gate over ``stream.frame``.  ``parallel`` only ever rendered ahead, so
-    the oracle ignores it.
+    frame by frame in sample order.
     """
-    if temporal is not None:
-        return monitor._evaluate_samples_temporal(spec, indices, temporal, stream.frame)
     exact_values = np.zeros(len(indices))
     controls = np.zeros((len(indices), len(spec.control_values)))
     frames = [stream.frame(frame_index) for frame_index in indices]
@@ -421,7 +429,7 @@ def reference_evaluate_samples(monitor, spec, stream, indices, temporal=None, pa
         exact_values[row] = spec.exact_value(detections)
         for col, control in enumerate(spec.control_values):
             controls[row, col] = control(prediction)
-    return exact_values, controls, None
+    return exact_values, controls
 
 
 def reference_frame_signature(image, downsample):

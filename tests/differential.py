@@ -164,8 +164,6 @@ CONFIGS = (
     _C("execute-batch7", "solo", batch_size=7),
     _C("execute-unordered-batch7", "solo", batch_size=7, frame_indices=UNORDERED),
     _C("aggregate", "aggregate"),
-    _C("aggregate-temporal", "aggregate", temporal=GATED),
-    _C("aggregate-temporal-approximate", "aggregate", temporal=replace(GATED, exact=False)),
     _C("service-7-by-13", "service", chunk_size=7, feed=13, peer=True),
     _C("service-16-by-50", "service", chunk_size=16, feed=50),
     _C("service-started-7-by-13", "service", chunk_size=7, feed=13, started=True),
@@ -320,7 +318,6 @@ class Harness:
             )
             runs.append(_aggregate_dump(self.executor().execute_aggregate(
                 spec, stream, cascades[position], sample_size=20, repetitions=2, seed=7,
-                temporal=config.temporal,
             )))
         return {"aggregates": runs}
 

@@ -195,7 +195,7 @@ def test_a_too_small_sample_is_rejected_before_anything_renders(
     detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=13)
     runner = StreamingQueryExecutor(detector)
     monitor = AggregateMonitor(detector, trained_od_filter, clock=runner.clock)
-    monkeypatch.setattr(stream, "frame", _raising_frame)
+    monkeypatch.setitem(vars(stream), "frame", _raising_frame)
     baseline = runner.clock.snapshot()
     with pytest.raises(ValueError, match=f"sample of .* from {population} is too small"):
         call(runner, monitor, spec, stream)

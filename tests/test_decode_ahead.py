@@ -3,10 +3,9 @@
 A chunked scan of more than one chunk renders ahead even without
 ``ParallelConfig``, on one background thread with or without a filter step;
 a single-chunk scan, an approximate or cascade-free temporal scan stay
-inline.  The aggregate sampler
-renders ahead of its filter tiles when a sample spans more than one tile
-and is not exact-gated.  The consuming thread renders queued frames itself
-rather than wait on one still being drawn; the tests of that path gate the
+inline.  The aggregate sampler renders ahead of its filter tiles when a
+sample spans more than one tile.  The consuming thread renders queued frames
+itself rather than wait on one still being drawn; the tests of that path gate the
 render thread on events, so none depends on timing.  Frames render the
 same on any thread, so every
 result here must ``==`` the same scan with decode-ahead patched out (the
@@ -396,16 +395,11 @@ def _aggregate_spec(query, controls=1):
 
 #: one sample spanning three tiles, the last one partial
 THREE_TILES = 2 * _SAMPLE_TILE + 3
-GATE = TemporalConfig(delta_threshold=30.0, keyframe_interval=10)
 
 #: ``(query, controls, sample sizes, execute_aggregate options)`` per case
 AGGREGATE_CASES = {
     "sizes": (_plain, 1, (1, 2, _SAMPLE_TILE, _SAMPLE_TILE + 1, 100), {}),
     "windowed": (_windowed, 1, (THREE_TILES,), {"include_partial_windows": True}),
-    "temporal-exact": (_plain, 1, (THREE_TILES, 100), {"temporal": GATE}),
-    "temporal-approximate": (
-        _plain, 1, (THREE_TILES, 100), {"temporal": replace(GATE, exact=False)}
-    ),
     "multi-control": (_plain, 2, (THREE_TILES,), {}),
 }
 
@@ -505,17 +499,12 @@ def test_decode_ahead_only_for_multi_chunk_scans(
     runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True, max_stride=4))
     assert prefetchers[5:] == [(2 * 1, 1), (2 * 4, 1)]
 
-    # The sampler: more than one filter tile, unless exact-gated.
+    # The sampler: more than one filter tile.
     spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
     runner.execute_aggregate(spec, stream, cascade, sample_size=_SAMPLE_TILE)
-    runner.execute_aggregate(
-        spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=True)
-    )
     assert len(prefetchers) == 7
     runner.execute_aggregate(spec, stream, cascade, sample_size=_SAMPLE_TILE + 1)
-    runner.execute_aggregate(
-        spec, stream, cascade, sample_size=20, temporal=TemporalConfig(exact=False)
-    )
+    runner.execute_aggregate(spec, stream, cascade, sample_size=20)
     assert prefetchers[7:] == [(2 * _SAMPLE_TILE, 1)] * 2
 
     # A pooled scan renders ahead on one thread, even a single chunk; it
@@ -616,7 +605,7 @@ def test_decode_ahead_lifecycle_helped_decode_fault_quarantines_as_inline(
             if not background and index == poisoned:
                 tried.set()
 
-    monkeypatch.setattr(stream, "frame", gated_frame)
+    monkeypatch.setitem(vars(stream), "frame", gated_frame)
 
     def faulted():
         injector = FaultInjector(

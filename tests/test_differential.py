@@ -103,9 +103,6 @@ def _assert_aggregates(config, dump, reference):
         for report, want in zip(*reports):
             for key in ("plain", "control_variate", "num_samples"):
                 assert report[key] == want[key], (config.id, key)
-            if config.temporal is not None:
-                assert report["temporal"]["frames_reused"] > 0
-                assert report["per_frame_cost_ms"] < want["per_frame_cost_ms"]
 
 
 def _assert_shared(harness, config, scenario, dump, reference):

@@ -151,6 +151,9 @@ def test_inv010_reports_a_per_frame_predict_anywhere_in_src(lint):
         "INV010 sample.py:4: per-frame .predict() under src/repro/",
         "INV010 sample.py:5: .decide() drives a DeltaGate outside repro/query/temporal.py",
     ]
+    assert findings[1].split(" — ")[1] == (
+        "TemporalScan is the one gate loop, and ScanSession its one owner"
+    )
 
 
 def _inv011(lint, source: str) -> list[str]:

@@ -1,5 +1,6 @@
-"""End-to-end analyzer integration: parser spans, plan-time linting, the
-provably-empty zero-frame short circuit and elimination parity.
+"""End-to-end query-lint integration (``repro.query.lint`` and the planner):
+parser spans, plan-time linting, the provably-empty zero-frame short circuit
+and elimination parity.
 
 The headline guarantees under test:
 
@@ -69,7 +70,7 @@ def render_counter(tiny_jackson, monkeypatch):
         rendered.append(index)
         return original(index)
 
-    monkeypatch.setattr(stream, "frame", counting_frame)
+    monkeypatch.setitem(vars(stream), "frame", counting_frame)
     return rendered
 
 

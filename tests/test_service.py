@@ -400,6 +400,58 @@ def test_degrade_policy_flips_to_approximate_and_records_it(tiny_jackson):
     assert temporal.frames_reused > 0
 
 
+#: ``(query, recall bound, precision bound)`` of a degraded session against
+#: the same session undegraded (see the test's docstring for the slack)
+_DEGRADE_CONTRACT = (
+    (QueryBuilder("cars").count("car").at_least(1).build(), 0.90, 0.95),
+    (
+        QueryBuilder("cars-and-people").count("car").at_least(1)
+        .count("person").at_least(1).build(),
+        0.75,
+        0.90,
+    ),
+    (QueryBuilder("cars-hopping").count("car").at_least(1).window(16, 8).build(), 0.90, 0.95),
+)
+
+
+def test_degraded_session_keeps_its_error_contract(tiny_jackson):
+    """What the ``degrade`` policy gives up: a live session held degraded
+    from its first chunk (approximate gate, every frame gated, no service
+    thread), fed ``tiny_jackson.test`` in 4-frame chunks, against the same
+    session undegraded, at detector seeds 0-7.
+
+    Worst seed here: recall 0.933 and precision 0.978 on ``car>=1`` (and
+    under the hopping window), recall 0.812 and precision 0.941 on
+    ``car>=1 AND person>=1`` (16-17 true frames).  The bounds leave about
+    0.03 of slack below those.  Over seeds 0-31 the two-class query's worst
+    precision is 0.786 (seed 27), so a wider seed range needs a lower bound
+    there.  The gate decides reuse from the frames alone, so the reuse rate
+    is the same at every seed.
+    """
+    frames = [tiny_jackson.test.frame(index) for index in range(len(tiny_jackson.test))]
+
+    def matches(seed, degraded):
+        detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=seed)
+        with ScanSession(detector, live=True) as session:
+            sids = [session.add_query(query) for query, _, _ in _DEGRADE_CONTRACT]
+            session.set_degraded(degraded)
+            for start in range(0, len(frames), 4):
+                session.push_chunk(frames[start : start + 4])
+            reuse_rate = session.temporal_stats.reuse_rate
+            assert session.degraded_frames == (len(frames) if degraded else 0)
+            results = session.finish()
+        return [set(results[sid].matched_frames) for sid in sids], reuse_rate
+
+    for seed in range(8):
+        exact, _ = matches(seed, degraded=False)
+        approximate, reuse_rate = matches(seed, degraded=True)
+        assert reuse_rate == pytest.approx(0.68)
+        for (query, recall, precision), truth, got in zip(_DEGRADE_CONTRACT, exact, approximate):
+            hits = len(truth & got)
+            assert hits >= recall * len(truth), (seed, query.name, "recall")
+            assert hits >= precision * len(got), (seed, query.name, "precision")
+
+
 # ----------------------------------------------------------------------
 # Budgets
 # ----------------------------------------------------------------------

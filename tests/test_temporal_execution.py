@@ -1,13 +1,12 @@
 """Tests for the temporal-coherence execution layer.
 
 The contract under test: exact-mode temporal execution is bit-identical to
-the non-temporal baseline across the plain, windowed, multi-query and
-aggregate paths (every outcome is re-derived and verified, so this holds on
+the non-temporal baseline across the plain, windowed, multi-query and live
+session paths (every outcome is re-derived and verified, so this holds on
 *any* stream, moving or static; the differential harness's temporal configs
 in ``tests/test_differential.py`` hold it on every scenario), while the
-simulated cost records
-reused-vs-computed calls; approximate mode reports its reuse rate; the
-delta gate and the cost counters behave as specified.
+simulated cost records reused-vs-computed calls; approximate mode reports
+its reuse rate; the delta gate and the cost counters behave as specified.
 """
 
 from __future__ import annotations
@@ -277,15 +276,15 @@ def test_low_motion_exact_matches_baseline_with_big_savings(
 
 
 def test_temporal_rejects_batch_size(tiny_jackson, jackson_planner_filters, monkeypatch):
+    """Gating is sequential: a chunk size or a filter worker pool is refused
+    at the boundary, before anything renders or is charged."""
     planner = QueryPlanner(jackson_planner_filters, PlannerConfig())
     query = QueryBuilder("q").count("car").equals(1).build()
     cascade = planner.plan(query)
-    """Gating is sequential: a chunk size or a filter worker pool is refused
-    at the boundary, before anything renders or is charged."""
     executor = _executor(tiny_jackson.class_names)
     stream = tiny_jackson.test
     rendered: list[int] = []
-    monkeypatch.setattr(stream, "frame", rendered.append)
+    monkeypatch.setitem(vars(stream), "frame", rendered.append)
     for sequential_only in ({"batch_size": 8}, {"parallel": ParallelConfig(num_workers=2)}):
         with pytest.raises(ValueError, match="sequential"):
             executor.execute(

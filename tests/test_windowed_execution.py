@@ -277,7 +277,7 @@ def test_evaluate_samples_batched_matches_per_frame_loop(trained_od_filter, tiny
         seed=0,
     )
     indices = [0, 3, 7, 11, 24]
-    exact_values, controls, _ = monitor._evaluate_samples(spec, tiny_jackson.test, indices)
+    exact_values, controls = monitor._evaluate_samples(spec, tiny_jackson.test, indices)
     reference_detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=9)
     for row, frame_index in enumerate(indices):
         frame = tiny_jackson.test.frame(frame_index)

@@ -56,8 +56,8 @@ script exits non-zero when any rule is violated.
   data race on live emission routing.
 * **INV010 — one gate loop, one cascade walk.**  ``DeltaGate.decide`` /
   ``set_keyframe`` / ``replace_outcome`` may only be called inside
-  ``repro/query/temporal.py`` (``TemporalScan`` is the one gate loop; its
-  callers supply callbacks), and no module under ``src/repro/`` may call a
+  ``repro/query/temporal.py`` (``TemporalScan`` is the one gate loop, and
+  ``ScanSession`` its one owner), and no module under ``src/repro/`` may call a
   filter's per-frame ``.predict(`` except ``FrameFilter.predict_batch``'s
   fallback in ``repro/filters/base.py``: a scan predicts through
   ``run_filter_chunk``'s ``predict_batch`` (a chunk of one included), and the
@@ -435,7 +435,7 @@ def gate_and_predict_findings(
             findings.append(
                 f"INV010 {where}:{node.lineno}: .{method}() "
                 "drives a DeltaGate outside repro/query/temporal.py — "
-                "TemporalScan is the one gate loop; give it callbacks"
+                "TemporalScan is the one gate loop, and ScanSession its one owner"
             )
         if method == "predict" and not predict_fallback:
             findings.append(
