@@ -47,11 +47,6 @@ from repro.video import (
     dataset_profiles,
 )
 from repro.detection import ReferenceDetector, annotate_stream
-# repro.query must load before repro.filters.  The two import each other:
-# the planner imports NeuralBranchFilter, and its module imports
-# repro.query.diagnostics.  Started from repro.query, the cycle resolves
-# (diagnostics needs only repro.query.ast, already loaded); started from
-# repro.filters, the planner finds NeuralBranchFilter not yet defined.
 from repro.query import (
     PlannerConfig,
     QueryBuilder,

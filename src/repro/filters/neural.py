@@ -32,37 +32,8 @@ from repro.nn.layers import (
     Sigmoid,
 )
 from repro.nn.network import MultiHeadNetwork, Sequential
-from repro.nn.shapes import describe_layer, input_spec, lint_network
-from repro.query.diagnostics import AnalysisReport
 from repro.spatial.grid import Grid
 from repro.video.stream import Frame
-
-
-class _GridReshape:
-    """Adapter layer: ``(N, C*g*g)`` dense output -> ``(N, C, g, g)`` grid."""
-
-    training = True
-
-    def __init__(self, num_classes: int, grid_size: int) -> None:
-        self.num_classes = num_classes
-        self.grid_size = grid_size
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        n = inputs.shape[0]
-        return inputs.reshape(n, self.num_classes, self.grid_size, self.grid_size)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        n = grad_output.shape[0]
-        return grad_output.reshape(n, -1)
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def zero_grad(self) -> None:
-        return None
 
 
 def build_branch_network(
@@ -140,6 +111,20 @@ def _block_mean(pixels: np.ndarray, row_block: int, col_block: int) -> np.ndarra
     return pooled
 
 
+def _run_stack(where: str, stack: Sequential, inputs: np.ndarray) -> np.ndarray:
+    """``stack.forward(inputs)``, naming the layer that raises as ``where[i]``."""
+    output = inputs
+    for position, layer in enumerate(stack.layers):
+        try:
+            output = layer.forward(output)
+        except Exception as error:
+            raise ValueError(
+                f"{where}[{position}] {type(layer).__name__} refuses "
+                f"{output.shape} {output.dtype}: {error}"
+            ) from error
+    return output
+
+
 class NeuralBranchFilter(FrameFilter):
     """A trained branch network exposed through the standard filter interface."""
 
@@ -172,35 +157,51 @@ class NeuralBranchFilter(FrameFilter):
         self.name = f"{family.lower()}_neural_branch"
         self.latency_ms = latency_ms
         self.threshold = threshold
-        # Reject a malformed network here — with a layer trace — instead of
-        # as a numpy broadcasting error in the middle of a scan.
-        self.network_report().raise_for_errors(context=f"{self.name} network shape analysis")
         # A NaN or infinite weight raises nothing in a forward pass; it only
-        # poisons every prediction, so it is refused here too.
+        # poisons every prediction, so it is refused here.
         stacks = {"trunk": network.trunk, **{f"head.{k}": v for k, v in network.heads.items()}}
         for where, stack in stacks.items():
             for position, layer in enumerate(stack.layers):
                 if not all(np.isfinite(value).all() for value in layer.params().values()):
                     raise ValueError(
                         f"{self.name}: non-finite parameter in {where} layer "
-                        f"{position} {describe_layer(layer)}"
+                        f"{position} {type(layer).__name__}"
                     )
+        self._check_network()
 
-    def network_report(self) -> AnalysisReport:
-        """The NN0xx findings on ``network`` at the inference dtype.
+    def _check_network(self) -> None:
+        """Run the network once on a zero batch of the one input shape it sees.
 
-        The head shapes are the ones :meth:`predict_batch` indexes into: a
-        count per class and a class-by-grid occupancy map.
+        :meth:`_prepare_batch` always produces ``(N, 3, image_size,
+        image_size)``, so one eval-mode pass at ``inference_dtype`` settles
+        every shape and dtype :meth:`predict_batch` relies on: a malformed
+        network is refused here, naming the layer or head, not mid-scan.
         """
         classes = len(self.class_names)
-        return lint_network(
-            self.network,
-            input_spec(self.image_size, dtype=self.inference_dtype),
-            expected_outputs={
-                "counts": ("N", classes),
-                "grid": ("N", classes, self.grid.rows, self.grid.cols),
-            },
-        )
+        expected = {
+            "counts": (1, classes),
+            "grid": (1, classes, self.grid.rows, self.grid.cols),
+        }
+        network = self.network
+        was_training = network.training
+        network.set_training(False)
+        try:
+            zeros = np.zeros((1, 3, self.image_size, self.image_size), self.inference_dtype)
+            trunk_output = _run_stack(f"{self.name}: trunk", network.trunk, zeros)
+            outputs = {
+                name: _run_stack(f"{self.name}: head.{name}", head, trunk_output)
+                for name, head in network.heads.items()
+            }
+        finally:
+            network.set_training(was_training)
+        for name, shape in expected.items():
+            output = outputs.get(name)
+            if output is None or output.shape != shape or output.dtype != self.inference_dtype:
+                found = "is missing" if output is None else f"gives {output.shape} {output.dtype}"
+                raise ValueError(
+                    f"{self.name}: head {name!r} {found}; predict_batch needs "
+                    f"{shape} {self.inference_dtype}"
+                )
 
     @property
     def _activation_dtype(self) -> np.dtype:

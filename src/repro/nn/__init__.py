@@ -6,14 +6,13 @@ pretrained weights are available in this environment, so this package
 provides the minimum deep-learning substrate the filters need:
 
 * layers: ``Conv2D`` (im2col), ``MaxPool2D``, ``GlobalAveragePooling2D``,
-  ``Dense``, ``ReLU``, ``LeakyReLU``, ``Flatten``;
-* losses: ``MSELoss``, ``SmoothL1Loss`` (the paper's count loss),
-  ``SoftmaxCrossEntropy``, and the multi-task count+location losses used by
-  the IC and OD branches;
-* optimisers: ``SGD`` (momentum + weight decay) and ``Adam`` (the paper's
-  optimiser for IC filters), both with exponential learning-rate decay;
-* ``Sequential`` / ``MultiHeadNetwork`` containers with weight save / load
-  and a finite-difference gradient checker used by the test suite.
+  ``Dense``, ``ReLU``, ``LeakyReLU``, ``Sigmoid``;
+* losses: ``MSELoss`` and ``SmoothL1Loss`` (the paper's count loss), the
+  terms of the multi-task count+location loss the branch network trains on;
+* the ``Adam`` optimiser (the paper's optimiser for IC filters) with
+  exponential learning-rate decay;
+* ``Sequential`` / ``MultiHeadNetwork`` containers and a finite-difference
+  gradient checker used by the test suite.
 
 Data layout is NCHW throughout (batch, channels, height, width).
 """
@@ -22,7 +21,6 @@ from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
 from repro.nn.layers import (
     Conv2D,
     Dense,
-    Flatten,
     GlobalAveragePooling2D,
     Layer,
     LeakyReLU,
@@ -30,13 +28,8 @@ from repro.nn.layers import (
     ReLU,
     Sigmoid,
 )
-from repro.nn.losses import (
-    Loss,
-    MSELoss,
-    SmoothL1Loss,
-    SoftmaxCrossEntropy,
-)
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.losses import Loss, MSELoss, SmoothL1Loss
+from repro.nn.optim import Adam
 from repro.nn.network import MultiHeadNetwork, Sequential, gradient_check
 
 __all__ = [
@@ -51,13 +44,9 @@ __all__ = [
     "ReLU",
     "LeakyReLU",
     "Sigmoid",
-    "Flatten",
     "Loss",
     "MSELoss",
     "SmoothL1Loss",
-    "SoftmaxCrossEntropy",
-    "Optimizer",
-    "SGD",
     "Adam",
     "Sequential",
     "MultiHeadNetwork",

@@ -153,23 +153,6 @@ class Sigmoid(Layer):
         return grad_output * self._output * (1.0 - self._output)
 
 
-class Flatten(Layer):
-    """Flatten all non-batch dimensions."""
-
-    def __init__(self) -> None:
-        self._input_shape: tuple[int, ...] | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape if self.training else None
-        return inputs.reshape(inputs.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        self._require_training()
-        if self._input_shape is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output.reshape(self._input_shape)
-
-
 # ----------------------------------------------------------------------
 # Dense
 # ----------------------------------------------------------------------

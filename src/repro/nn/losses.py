@@ -80,34 +80,3 @@ class SmoothL1Loss(Loss):
         grad = np.where(np.abs(diff) < self.beta, diff / self.beta, np.sign(diff))
         return grad / diff.size
 
-
-class SoftmaxCrossEntropy(Loss):
-    """Softmax + cross entropy over the last axis; targets are class indices."""
-
-    def __init__(self) -> None:
-        self._probabilities: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        if predictions.ndim != 2:
-            raise ValueError(f"expected (N, classes) logits, got {predictions.shape}")
-        if targets.ndim != 1 or targets.shape[0] != predictions.shape[0]:
-            raise ValueError(
-                f"targets must be (N,) class indices matching logits {predictions.shape}"
-            )
-        shifted = predictions - predictions.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probabilities = exp / exp.sum(axis=1, keepdims=True)
-        self._probabilities = probabilities
-        self._targets = targets.astype(int)
-        n = predictions.shape[0]
-        picked = probabilities[np.arange(n), self._targets]
-        return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
-
-    def backward(self) -> np.ndarray:
-        if self._probabilities is None or self._targets is None:
-            raise RuntimeError("backward called before forward")
-        n = self._probabilities.shape[0]
-        grad = self._probabilities.copy()
-        grad[np.arange(n), self._targets] -= 1.0
-        return grad / n

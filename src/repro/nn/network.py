@@ -9,26 +9,11 @@ building block for trunks and heads.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.nn.layers import Layer
-
-
-def _weights_path(path: str | Path) -> Path:
-    """Normalise a weights path to the ``.npz`` suffix.
-
-    ``np.savez`` silently appends ``.npz`` when the suffix is missing, but
-    ``np.load`` does not — so a bare ``save("weights"); load("weights")``
-    round-trip used to raise ``FileNotFoundError``.  Both directions now
-    resolve to the same ``<path>.npz`` file.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    return path
 
 
 class Sequential:
@@ -84,37 +69,6 @@ class Sequential:
         return sum(
             param.size for layer in self.layers for param in layer.params().values()
         )
-
-    # ------------------------------------------------------------------
-    # Weight (de)serialisation
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
-        state: dict[str, np.ndarray] = {}
-        for index, layer in enumerate(self.layers):
-            for name, param in layer.params().items():
-                state[f"layer{index}.{name}"] = param.copy()
-        return state
-
-    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
-        for index, layer in enumerate(self.layers):
-            for name, param in layer.params().items():
-                key = f"layer{index}.{name}"
-                if key not in state:
-                    raise KeyError(f"missing parameter {key} in state dict")
-                value = np.asarray(state[key])
-                if value.shape != param.shape:
-                    raise ValueError(
-                        f"shape mismatch for {key}: {value.shape} vs {param.shape}"
-                    )
-                param[...] = value
-
-    def save(self, path: str | Path) -> None:
-        np.savez(_weights_path(path), **self.state_dict())
-
-    @staticmethod
-    def load_into(network: "Sequential", path: str | Path) -> None:
-        with np.load(_weights_path(path)) as data:
-            network.load_state_dict({key: data[key] for key in data.files})
 
 
 class MultiHeadNetwork:
@@ -194,35 +148,6 @@ class MultiHeadNetwork:
         return self.trunk.num_parameters() + sum(
             head.num_parameters() for head in self.heads.values()
         )
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        state = {f"trunk.{k}": v for k, v in self.trunk.state_dict().items()}
-        for name, head in self.heads.items():
-            state.update({f"head.{name}.{k}": v for k, v in head.state_dict().items()})
-        return state
-
-    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
-        trunk_state = {
-            key[len("trunk.") :]: value
-            for key, value in state.items()
-            if key.startswith("trunk.")
-        }
-        self.trunk.load_state_dict(trunk_state)
-        for name, head in self.heads.items():
-            prefix = f"head.{name}."
-            head_state = {
-                key[len(prefix) :]: value
-                for key, value in state.items()
-                if key.startswith(prefix)
-            }
-            head.load_state_dict(head_state)
-
-    def save(self, path: str | Path) -> None:
-        np.savez(_weights_path(path), **self.state_dict())
-
-    def load(self, path: str | Path) -> None:
-        with np.load(_weights_path(path)) as data:
-            self.load_state_dict({key: data[key] for key in data.files})
 
 
 def gradient_check(

@@ -1,14 +1,12 @@
-"""Optimisers.
+"""The Adam optimiser.
 
-The paper trains IC filters with Adam (learning rate 1e-4, exponential decay
-5e-4) and OD filters with SGD (momentum 0.9, weight decay 5e-4, learning rate
-1e-4).  Both are provided here; they update the parameter arrays of a network
-in place given the accumulated gradients.
+The paper trains its IC filters with Adam (learning rate 1e-4, exponential
+decay 5e-4).  :class:`Adam` updates the parameter arrays of a network in
+place given the accumulated gradients.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,17 +15,35 @@ import numpy as np
 ParameterGroup = Sequence[tuple[Mapping[str, np.ndarray], Mapping[str, np.ndarray]]]
 
 
-class Optimizer(abc.ABC):
-    """Base optimiser over ``(params, grads)`` pairs, one pair per layer."""
+class Adam:
+    """Adam optimiser (Kingma & Ba) over ``(params, grads)`` pairs, one per layer."""
 
-    def __init__(self, learning_rate: float, lr_decay: float = 0.0) -> None:
+    def __init__(
+        self,
+        learning_rate: float = 1e-4,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        epsilon: float = 1e-8,
+        weight_decay: float = 0.0,
+        lr_decay: float = 0.0,
+    ) -> None:
         if learning_rate <= 0:
             raise ValueError(f"learning rate must be positive: {learning_rate}")
         if lr_decay < 0:
             raise ValueError(f"lr_decay must be non-negative: {lr_decay}")
+        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
+            raise ValueError(f"betas must be in [0, 1): {beta1}, {beta2}")
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive: {epsilon}")
         self.initial_learning_rate = learning_rate
         self.lr_decay = lr_decay
         self.step_count = 0
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.weight_decay = weight_decay
+        self._first_moment: dict[str, np.ndarray] = {}
+        self._second_moment: dict[str, np.ndarray] = {}
 
     @property
     def learning_rate(self) -> float:
@@ -39,66 +55,7 @@ class Optimizer(abc.ABC):
         self.step_count += 1
         for layer_index, (params, grads) in enumerate(groups):
             for name, param in params.items():
-                grad = grads[name]
-                self._update(f"{layer_index}.{name}", param, grad)
-
-    @abc.abstractmethod
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        """Update one parameter array in place."""
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with momentum and (decoupled) weight decay."""
-
-    def __init__(
-        self,
-        learning_rate: float = 1e-4,
-        momentum: float = 0.9,
-        weight_decay: float = 5e-4,
-        lr_decay: float = 0.0,
-    ) -> None:
-        super().__init__(learning_rate, lr_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1): {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative: {weight_decay}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        effective_grad = grad + self.weight_decay * param
-        velocity = self._velocity.get(key)
-        if velocity is None:
-            velocity = np.zeros_like(param)
-        velocity = self.momentum * velocity - self.learning_rate * effective_grad
-        self._velocity[key] = velocity
-        param += velocity
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba), as used by the paper for IC filters."""
-
-    def __init__(
-        self,
-        learning_rate: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
-        lr_decay: float = 0.0,
-    ) -> None:
-        super().__init__(learning_rate, lr_decay)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"betas must be in [0, 1): {beta1}, {beta2}")
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive: {epsilon}")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.weight_decay = weight_decay
-        self._first_moment: dict[str, np.ndarray] = {}
-        self._second_moment: dict[str, np.ndarray] = {}
+                self._update(f"{layer_index}.{name}", param, grads[name])
 
     def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
         effective_grad = grad

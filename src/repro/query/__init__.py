@@ -61,7 +61,6 @@ from repro.query.session import ChunkProgress, QueryState, ScanSession
 from repro.query.temporal import (
     DeltaGate,
     TemporalConfig,
-    TemporalScan,
     TemporalStats,
     delta_score,
     frame_signature,
@@ -108,7 +107,6 @@ __all__ = [
     "ChunkProgress",
     "TemporalConfig",
     "TemporalStats",
-    "TemporalScan",
     "DeltaGate",
     "delta_score",
     "frame_signature",

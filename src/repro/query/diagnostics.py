@@ -1,14 +1,12 @@
 """Diagnostic model of the query linter.
 
-Every static check (:mod:`repro.query.lint`, the plan checks in
-:mod:`repro.query.planner`, the network checks in :mod:`repro.nn.shapes`)
-reports its findings as :class:`Diagnostic` records with a *stable* code, so
-tests, tooling and callers can match on behaviour rather than message text.
-Codes are grouped by layer:
+Every static check (:mod:`repro.query.lint` and the plan checks in
+:mod:`repro.query.planner`) reports its findings as :class:`Diagnostic`
+records with a *stable* code, so tests, tooling and callers can match on
+behaviour rather than message text.  Codes are grouped by layer:
 
 * ``QA0xx`` — query-level (AST) semantic findings,
-* ``PL0xx`` — plan-level (cascade) findings,
-* ``NN0xx`` — network shape/dtype abstract-interpretation findings.
+* ``PL0xx`` — plan-level (cascade) findings.
 
 A :class:`Span` ties a diagnostic back to the offending clause of the query
 text the parser saw (character offsets into the normalized source), so
@@ -18,8 +16,8 @@ whose ``strict`` consumers call :meth:`AnalysisReport.raise_for_errors` to
 turn error-severity findings into an :class:`AnalysisError`.
 
 This module imports only :mod:`repro.query.ast` (for :class:`Span`, which
-the parser attaches to AST nodes), so the planner, the window machinery and
-the network interpreter can all import it at module level.
+the parser attaches to AST nodes), so the planner and the window machinery
+can both import it at module level.
 """
 
 from __future__ import annotations
@@ -62,11 +60,6 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "PL001": (Severity.WARNING, "duplicate cascade step"),
     "PL002": (Severity.WARNING, "trivially-true (dead) cascade step"),
     "PL003": (Severity.INFO, "plan short-circuited: query is provably empty"),
-    "NN001": (Severity.ERROR, "inter-layer shape mismatch"),
-    "NN002": (Severity.ERROR, "layer geometry invalid (non-positive or indivisible spatial dims)"),
-    "NN003": (Severity.ERROR, "eval-dtype drift (breaks the float32 inference fast path)"),
-    "NN004": (Severity.WARNING, "dead or unreachable layer"),
-    "NN005": (Severity.INFO, "opaque layer: shape and dtype assumed preserved"),
 }
 
 

@@ -28,9 +28,8 @@ Cascades can also be constructed or reordered manually for ablation studies.
 
 By default :meth:`QueryPlanner.plan` lints what it plans: the query through
 :func:`repro.query.lint.lint_query` (``QA0xx``), the compiled cascade
-through :func:`lint_plan` (``PL0xx``, plus the ``NN0xx`` network checks of
-any neural filter), and :func:`optimize_cascade` drops the duplicate and
-dead steps those checks find.
+through :func:`lint_plan` (``PL0xx``), and :func:`optimize_cascade` drops
+the duplicate and dead steps those checks find.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.filters.base import FilterPrediction, FrameFilter
-from repro.filters.neural import NeuralBranchFilter
 from repro.query.ast import (
     ComparisonOperator,
     CountPredicate,
@@ -503,14 +501,11 @@ def _step_is_dead(step: CascadeStep) -> bool:
 
 
 def lint_plan(cascade: FilterCascade, *, strict: bool = False) -> AnalysisReport:
-    """Report duplicate (PL001), dead (PL002) and malformed-network (NN0xx) steps.
+    """Report duplicate (PL001) and dead (PL002) steps.
 
     Two steps with one :func:`shared_step_key` decide the same thing, so
     the second adds a check per surviving frame for no information; a dead
-    count check evaluates its filter for nothing.  Each neural filter's
-    network is checked by :meth:`NeuralBranchFilter.network_report`, the
-    check its constructor runs, so a network swapped in after construction
-    is rejected at ``plan()`` time rather than mid-scan.
+    count check evaluates its filter for nothing.
     """
     diagnostics: list[Diagnostic] = []
     seen: set[tuple] = set()
@@ -534,17 +529,6 @@ def lint_plan(cascade: FilterCascade, *, strict: bool = False) -> AnalysisReport
                     "count demands are within the tolerance, so it can never "
                     "reject a frame",
                 )
-            )
-    networks: set[int] = set()
-    for frame_filter in cascade.filters:
-        if not isinstance(frame_filter, NeuralBranchFilter):
-            continue
-        if id(frame_filter.network) in networks:
-            continue
-        networks.add(id(frame_filter.network))
-        for finding in frame_filter.network_report():
-            diagnostics.append(
-                replace(finding, message=f"filter {frame_filter.name!r}: {finding.message}")
             )
     report = AnalysisReport(diagnostics=tuple(diagnostics))
     if strict:

@@ -20,7 +20,6 @@ from repro.filters.neural import NeuralBranchFilter, build_branch_network
 from repro.nn.layers import (
     Conv2D,
     Dense,
-    Flatten,
     GlobalAveragePooling2D,
     LeakyReLU,
     MaxPool2D,
@@ -35,7 +34,6 @@ def _all_layers() -> list:
         ReLU(),
         LeakyReLU(0.1),
         Sigmoid(),
-        Flatten(),
         Dense(12, 5, seed=0),
         Conv2D(3, 4, kernel_size=3, padding=1, seed=0),
         MaxPool2D(2),
@@ -46,8 +44,6 @@ def _all_layers() -> list:
 def _input_for(layer, rng) -> np.ndarray:
     if isinstance(layer, Dense):
         return rng.normal(size=(2, 12))
-    if isinstance(layer, (Conv2D, MaxPool2D, GlobalAveragePooling2D, Flatten)):
-        return rng.normal(size=(2, 3, 8, 8))
     return rng.normal(size=(2, 3, 8, 8))
 
 
@@ -55,7 +51,6 @@ _CACHE_ATTRS = {
     ReLU: ("_mask",),
     LeakyReLU: ("_mask",),
     Sigmoid: ("_output",),
-    Flatten: ("_input_shape",),
     Dense: ("_inputs",),
     Conv2D: ("_cols", "_input_shape", "_out_hw"),
     MaxPool2D: ("_argmax", "_inputs_shape"),

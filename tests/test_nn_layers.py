@@ -8,7 +8,6 @@ import pytest
 from repro.nn import (
     Conv2D,
     Dense,
-    Flatten,
     GlobalAveragePooling2D,
     LeakyReLU,
     MaxPool2D,
@@ -45,7 +44,7 @@ def _input_gradient_error(layer, shape, seed=0):
         (ReLU(), (2, 3, 4, 4)),
         (LeakyReLU(0.1), (2, 3, 4, 4)),
         (Sigmoid(), (2, 5)),
-        (Flatten(), (2, 3, 4, 4)),
+        (MaxPool2D(3), (2, 2, 6, 6)),
         (Dense(12, 7, seed=1), (3, 12)),
         (Conv2D(3, 5, kernel_size=3, padding=1, seed=2), (2, 3, 6, 6)),
         (Conv2D(2, 4, kernel_size=3, stride=2, padding=1, seed=3), (2, 2, 8, 8)),
@@ -111,7 +110,7 @@ def test_maxpool_requires_divisible_input():
 
 
 def test_backward_before_forward_raises():
-    for layer in (ReLU(), Sigmoid(), Flatten(), MaxPool2D(2), GlobalAveragePooling2D()):
+    for layer in (ReLU(), Sigmoid(), MaxPool2D(2), GlobalAveragePooling2D()):
         with pytest.raises(RuntimeError):
             layer.backward(np.zeros((1, 1)))
 
@@ -122,8 +121,8 @@ def test_sequential_composition_gradients():
             Conv2D(1, 4, kernel_size=3, padding=1, seed=0),
             ReLU(),
             MaxPool2D(2),
-            Flatten(),
-            Dense(4 * 3 * 3, 2, seed=1),
+            GlobalAveragePooling2D(),
+            Dense(4, 2, seed=1),
         ]
     )
     rng = np.random.default_rng(3)

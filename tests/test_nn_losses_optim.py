@@ -1,4 +1,4 @@
-"""Tests for losses, optimisers and network containers."""
+"""Tests for the losses, the Adam optimiser and the multi-head container."""
 
 from __future__ import annotations
 
@@ -12,10 +12,8 @@ from repro.nn import (
     MSELoss,
     MultiHeadNetwork,
     ReLU,
-    SGD,
     Sequential,
     SmoothL1Loss,
-    SoftmaxCrossEntropy,
     Conv2D,
 )
 
@@ -45,39 +43,25 @@ def test_smooth_l1_is_quadratic_then_linear():
         SmoothL1Loss(beta=0.0)
 
 
-def test_softmax_cross_entropy():
-    loss = SoftmaxCrossEntropy()
-    logits = np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
-    targets = np.array([0, 1])
-    assert loss.forward(logits, targets) < 1e-3
-    wrong = loss.forward(logits, np.array([1, 0]))
-    assert wrong > 5.0
-    grad = loss.backward()
-    assert grad.shape == logits.shape
-    with pytest.raises(ValueError):
-        loss.forward(logits, np.array([[0], [1]]))
-
-
-def test_sgd_and_adam_reduce_loss_on_regression():
+def test_adam_reduces_loss_on_regression():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(64, 5))
     true_w = rng.normal(size=(5, 1))
     y = x @ true_w
 
-    for optimizer in (SGD(learning_rate=0.05, momentum=0.9, weight_decay=0.0),
-                      Adam(learning_rate=0.05)):
-        layer = Dense(5, 1, seed=1)
-        loss = MSELoss()
-        first = None
-        for _ in range(200):
-            pred = layer.forward(x)
-            value = loss.forward(pred, y)
-            if first is None:
-                first = value
-            layer.zero_grad()
-            layer.backward(loss.backward())
-            optimizer.step([(layer.params(), layer.grads())])
-        assert value < first * 0.05
+    optimizer = Adam(learning_rate=0.05)
+    layer = Dense(5, 1, seed=1)
+    loss = MSELoss()
+    first = None
+    for _ in range(200):
+        pred = layer.forward(x)
+        value = loss.forward(pred, y)
+        if first is None:
+            first = value
+        layer.zero_grad()
+        layer.backward(loss.backward())
+        optimizer.step([(layer.params(), layer.grads())])
+    assert value < first * 0.05
 
 
 def test_learning_rate_decay():
@@ -87,12 +71,14 @@ def test_learning_rate_decay():
     optimizer.step([])
     assert optimizer.learning_rate < 1e-2
     with pytest.raises(ValueError):
-        SGD(learning_rate=-1)
+        Adam(learning_rate=-1)
     with pytest.raises(ValueError):
-        SGD(momentum=1.5)
+        Adam(lr_decay=-0.1)
+    with pytest.raises(ValueError):
+        Adam(beta1=1.5)
 
 
-def test_multihead_network_roundtrip(tmp_path):
+def test_multihead_network_forward_backward_and_frozen_trunk():
     trunk = Sequential([Conv2D(1, 2, kernel_size=3, padding=1, seed=0), ReLU()])
     heads = {
         "counts": Sequential([GlobalAveragePooling2D(), Dense(2, 3, seed=1)]),
@@ -108,60 +94,6 @@ def test_multihead_network_roundtrip(tmp_path):
     with pytest.raises(KeyError):
         network.backward({"unknown": np.ones((2, 3))})
 
-    # Save / load round trip preserves outputs.
-    path = tmp_path / "weights.npz"
-    network.save(path)
-    network2 = MultiHeadNetwork(
-        trunk=Sequential([Conv2D(1, 2, kernel_size=3, padding=1, seed=9), ReLU()]),
-        heads={
-            "counts": Sequential([GlobalAveragePooling2D(), Dense(2, 3, seed=8)]),
-            "grid": Sequential([Conv2D(2, 1, kernel_size=1, seed=7)]),
-        },
-    )
-    network2.load(path)
-    outputs2 = network2.forward(x)
-    np.testing.assert_allclose(outputs["counts"], outputs2["counts"])
-    np.testing.assert_allclose(outputs["grid"], outputs2["grid"])
-
     # Freezing the trunk excludes its parameters from the optimiser groups.
     assert len(network.parameter_groups(include_trunk=False)) < len(network.parameter_groups())
 
-
-def test_weights_roundtrip_without_npz_suffix(tmp_path):
-    """``save("weights")`` writes ``weights.npz``; loading by the bare name
-    must find that file instead of raising ``FileNotFoundError``."""
-    x = np.random.default_rng(0).normal(size=(4, 3))
-    net = Sequential([Dense(3, 2, seed=0)])
-    bare = tmp_path / "weights"
-    net.save(bare)
-    assert (tmp_path / "weights.npz").exists()
-    other = Sequential([Dense(3, 2, seed=5)])
-    Sequential.load_into(other, bare)
-    np.testing.assert_allclose(net.forward(x), other.forward(x))
-
-    network = MultiHeadNetwork(
-        trunk=Sequential([Dense(3, 2, seed=1)]),
-        heads={"out": Sequential([Dense(2, 1, seed=2)])},
-    )
-    network.save(tmp_path / "multi")
-    assert (tmp_path / "multi.npz").exists()
-    clone = MultiHeadNetwork(
-        trunk=Sequential([Dense(3, 2, seed=8)]),
-        heads={"out": Sequential([Dense(2, 1, seed=9)])},
-    )
-    clone.load(tmp_path / "multi")
-    np.testing.assert_allclose(network.forward(x)["out"], clone.forward(x)["out"])
-    # An explicit .npz suffix keeps working in both directions.
-    network.save(tmp_path / "multi2.npz")
-    clone.load(tmp_path / "multi2.npz")
-
-
-def test_sequential_state_dict_validation():
-    net = Sequential([Dense(3, 2, seed=0)])
-    state = net.state_dict()
-    bad = dict(state)
-    bad["layer0.weight"] = np.zeros((5, 5))
-    with pytest.raises(ValueError):
-        net.load_state_dict(bad)
-    with pytest.raises(KeyError):
-        net.load_state_dict({})

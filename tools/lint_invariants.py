@@ -31,12 +31,6 @@ script exits non-zero when any rule is violated.
   code registered in ``repro/query/diagnostics.py`` must appear in
   README.md (and no unregistered ``QA/PL`` code may appear in the
   registry section of the README).
-* **INV006 — the shape-interpreter code family stays registered.**  The
-  ``NN0xx`` (shape/dtype) codes that the analyzer emits must all exist in
-  ``DIAGNOSTIC_CODES`` — an emitted-but-unregistered code raises
-  ``ValueError`` at diagnostic construction, i.e. at the worst possible
-  moment (mid-scan, inside a worker).  Combined with INV005 this also
-  forces them into the README table.
 * **INV007 — hook slots are zero-overhead when empty.**  In every module
   under ``src/repro/`` (except ``hooks.py`` and the module that owns the
   slot, ``faults/injector.py``), each read of ``hooks.injector`` is the
@@ -123,10 +117,6 @@ WORKER_PATH_MODULES = (
     SRC / "query" / "temporal.py",
 )
 FRAME_NAMES = {"frame", "frames", "images"}
-
-#: codes the shape interpreter emits (INV006); keep in sync with
-#: repro/nn/shapes.py
-ANALYZER_CODES = ("NN001", "NN002", "NN003", "NN004", "NN005")
 
 #: constructors only one function may call (INV004, INV011):
 #: (rule, constructor, that function, file or tree walked, why)
@@ -281,17 +271,6 @@ def check_readme_code_table(findings: list[str]) -> None:
                 f"INV005 README.md: diagnostic code {code} is registered in "
                 f"{DIAGNOSTICS.relative_to(REPO)} but undocumented in the "
                 "README error-code table"
-            )
-
-
-def check_analyzer_codes_registered(findings: list[str]) -> None:
-    registered = set(_registered_codes())
-    for code in ANALYZER_CODES:
-        if code not in registered:
-            findings.append(
-                f"INV006 {DIAGNOSTICS.relative_to(REPO)}: analyzer code "
-                f"{code} is emitted by repro.nn.shapes but missing from "
-                "DIAGNOSTIC_CODES — constructing it would raise mid-scan"
             )
 
 
@@ -617,7 +596,6 @@ def main() -> int:
     check_no_frame_mutation(findings)
     check_sole_construction_sites(findings)
     check_readme_code_table(findings)
-    check_analyzer_codes_registered(findings)
     check_hooks_guarded(findings)
     check_registry_mutation_locked(findings)
     check_one_gate_loop_one_cascade_walk(findings)
