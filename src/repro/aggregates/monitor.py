@@ -284,19 +284,3 @@ class AggregateMonitor:
             detector_only_cost_ms=self.detector.latency_ms,
             wall_clock_seconds=elapsed,
         )
-
-    def estimate_repeated(
-        self,
-        spec: AggregateQuerySpec,
-        stream: VideoStream,
-        sample_size: int,
-        repetitions: int,
-        window: WindowBounds | None = None,
-    ) -> list[MonitoringReport]:
-        """Repeat the estimation (fresh samples each time), as the paper's 100 runs."""
-        if repetitions <= 0:
-            raise ValueError(f"repetitions must be positive: {repetitions}")
-        return [
-            self.estimate(spec, stream, sample_size, window=window)
-            for _ in range(repetitions)
-        ]

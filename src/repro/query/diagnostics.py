@@ -52,7 +52,7 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "QA003": (Severity.ERROR, "unknown object class"),
     "QA004": (Severity.ERROR, "unknown color name"),
     "QA005": (Severity.WARNING, "window larger than the stream"),
-    "QA006": (Severity.WARNING, "hopping window drops frames (tail remainder or inter-window gap)"),
+    "QA006": (Severity.WARNING, "frames outside every full hopping window (tail remainder or inter-window gap)"),
     "QA007": (Severity.ERROR, "region predicate over a region outside the frame"),
     "QA008": (Severity.ERROR, "region predicate demands more objects than the counts allow"),
     "QA009": (Severity.ERROR, "predicate needs objects a count constraint rules out"),

@@ -21,8 +21,9 @@ float-rounding); larger chunks are faster in wall-clock (see the perf ledger's `
 ``table3_batched`` pair).
 
 Every chunk size honors the query's ``WINDOW HOPPING`` clause: the stream is
-segmented into hopping-window instances, every frame covered by at least one
-window is filtered/verified exactly once (overlapping windows share the
+segmented into hopping-window instances (a trailing remainder shorter than
+the window is one shorter last instance), every frame covered by at least
+one window is filtered/verified exactly once (overlapping windows share the
 per-frame work), and the result carries one
 :class:`~repro.query.results.WindowResult` per window instance alongside the
 flat ``matched_frames`` (the result records live in
@@ -117,7 +118,6 @@ class StreamingQueryExecutor:
         cascade: FilterCascade | None = None,
         frame_indices: Sequence[int] | None = None,
         batch_size: int | None = None,
-        include_partial_windows: bool = True,
         temporal: TemporalConfig | None = None,
         parallel: ParallelConfig | None = None,
     ) -> QueryExecutionResult:
@@ -138,12 +138,10 @@ class StreamingQueryExecutor:
         restricted to the frames covered by at least one window instance, each
         frame is filtered/verified once no matter how many overlapping windows
         contain it, and the result's ``windows`` field reports the per-window
-        match sets.  ``include_partial_windows`` controls whether a trailing
-        window shorter than the declared size is materialised; with the
-        default ``True`` the windows cover every stream frame whenever
+        match sets.  A trailing window shorter than the declared size is
+        materialised, so the windows cover every stream frame whenever
         ``advance <= size`` (with ``advance > size`` the inter-window gaps
-        are never scanned regardless).  Pass ``False`` for the paper's
-        fixed-size-window semantics, which silently drop the remainder — see
+        are never scanned) — see
         :meth:`~repro.aggregates.windows.HoppingWindow.windows_over`.
 
         ``temporal`` enables the temporal-coherence layer: stable frames
@@ -171,10 +169,7 @@ class StreamingQueryExecutor:
         # `is None`, not truthiness: a provably-empty cascade has no steps
         # (len 0, hence falsy) but must keep its short-circuit flag.
         cascade = cascade if cascade is not None else FilterCascade()
-        scan = self._scan(
-            [query], stream, [cascade], frame_indices, batch_size,
-            include_partial_windows, temporal, parallel,
-        )
+        scan = self._scan([query], stream, [cascade], frame_indices, batch_size, temporal, parallel)
         result, shared = scan.results[0], scan.shared
         if cascade.provably_empty:
             # Static analysis proved the query can match no frame, so the
@@ -212,7 +207,6 @@ class StreamingQueryExecutor:
         *,
         frame_indices: Sequence[int] | None = None,
         batch_size: int | None = None,
-        include_partial_windows: bool = True,
         temporal: TemporalConfig | None = None,
         parallel: ParallelConfig | None = None,
     ) -> MultiQueryExecutionResult:
@@ -284,8 +278,7 @@ class StreamingQueryExecutor:
                     f"{len(queries)} queries but {len(query_cascades)} cascades"
                 )
         return self._scan(
-            queries, stream, query_cascades, frame_indices, batch_size,
-            include_partial_windows, temporal, parallel,
+            queries, stream, query_cascades, frame_indices, batch_size, temporal, parallel
         )
 
     def _scan(
@@ -295,7 +288,6 @@ class StreamingQueryExecutor:
         query_cascades: Sequence[FilterCascade],
         frame_indices: Sequence[int] | None,
         batch_size: int | None,
-        include_partial_windows: bool,
         temporal: TemporalConfig | None,
         parallel: ParallelConfig | None,
     ) -> MultiQueryExecutionResult:
@@ -335,8 +327,7 @@ class StreamingQueryExecutor:
             )
         base_indices = checked_frame_indices(frame_indices, stream)
         per_query_windows = [
-            _window_bounds_for(query.window, stream, include_partial_windows)
-            for query in queries
+            _window_bounds_for(query.window, stream, include_partial=True) for query in queries
         ]
         chunk_size = batch_size or DEFAULT_CHUNK_SIZE
         temporal_stats: TemporalStats | None = None
@@ -458,7 +449,6 @@ class StreamingQueryExecutor:
         sample_size: int = 60,
         repetitions: int = 1,
         seed: int = 0,
-        include_partial_windows: bool = False,
     ) -> AggregateExecutionResult:
         """Estimate an aggregate monitoring query through the planner/executor API.
 
@@ -476,10 +466,10 @@ class StreamingQueryExecutor:
         For a windowed spec (``spec.window`` set, e.g. parsed from a query's
         ``WINDOW HOPPING`` clause) one estimate per window instance is
         reported, each sampling ``sample_size`` frames uniformly within its
-        window.  ``include_partial_windows`` defaults to ``False`` here —
-        the paper's aggregate experiments use fixed-size windows so every
-        estimate averages over the same population size — unlike
-        :meth:`execute`, whose default covers the whole stream.
+        window.  Only full-size windows are estimated — the paper's
+        aggregate experiments use fixed-size windows so every estimate
+        averages over the same population size — unlike :meth:`execute`,
+        whose windows keep the stream's shorter tail.
 
         A sample too small for the control-variate estimator, of the stream
         or of any window instance, raises ``ValueError`` naming that
@@ -506,7 +496,7 @@ class StreamingQueryExecutor:
         windows: tuple[WindowAggregateEstimate, ...] | None = None
         reports: tuple["MonitoringReport", ...] = ()
         if spec.window is not None:
-            instances = _window_bounds_for(spec.window, stream, include_partial_windows)
+            instances = _window_bounds_for(spec.window, stream, include_partial=False)
             if not instances:
                 raise ValueError("a windowed aggregate needs frames; the stream is empty")
             # Every window's sample is checked before the first one renders.
@@ -537,21 +527,22 @@ class StreamingQueryExecutor:
 
 
 def _window_bounds_for(
-    window: WindowSpec | None, stream: VideoStream, include_partial_windows: bool
+    window: WindowSpec | None, stream: VideoStream, include_partial: bool
 ) -> list[WindowBounds] | None:
     """The hopping-window instances of ``window`` over ``stream`` (``None`` if un-windowed).
 
     An empty stream is an empty execution (as in the un-windowed path); a
-    non-empty stream too short for even one window is a configuration error.
+    non-empty stream too short for even one full window is a configuration
+    error where only full windows count (an aggregate's).
     """
     if window is None:
         return None
     hopping = HoppingWindow(size=window.size, advance=window.advance)
-    bounds = list(hopping.windows_over(len(stream), include_partial=include_partial_windows))
+    bounds = list(hopping.windows_over(len(stream), include_partial=include_partial))
     if not bounds and len(stream) > 0:
         raise ValueError(
             f"window of size {window.size} produces no instances over "
-            f"a {len(stream)}-frame stream; shrink the window or pass "
-            "include_partial_windows=True"
+            f"a {len(stream)}-frame stream; an aggregate estimates full "
+            "windows only, so shrink the window"
         )
     return bounds

@@ -304,7 +304,8 @@ def window_diagnostics(
     QA006 fires in two situations: the hop leaves an inter-window gap
     (``advance > size``, detectable with no stream length at all), or the
     stream length is known and the final full window stops short of the last
-    frame, silently dropping the tail remainder.
+    frame.  A frame query scans that tail remainder as one shorter last
+    window; an aggregate, which estimates full windows only, drops it.
     """
     if window is None:
         return []
@@ -334,8 +335,9 @@ def window_diagnostics(
                 diag(
                     "QA006",
                     f"the final {num_frames - covered_end} frames never fill a "
-                    f"window of size {window.size} advancing by {window.advance} "
-                    "and are dropped",
+                    f"window of size {window.size} advancing by {window.advance}: "
+                    "a frame query scans them as a shorter last window, an "
+                    "aggregate drops them",
                 )
             )
     return diagnostics

@@ -4,15 +4,15 @@ Every scan in the repo — one-shot ``execute``/``execute_many`` and the
 always-on :class:`~repro.service.QueryService` — is "build a
 :class:`ScanSession`, feed it, read the states".  The session holds all
 cross-chunk state: the per-query accumulators, the merged cascade plan, the
-simulated clock, the temporal delta gate, the live window partials and the
-worker pool's in-flight chunks.  Chunk size is the loop's only variable:
-the executor's per-frame mode (``batch_size=1``) and its default
+simulated clock, the degraded mode's delta gate, the live window partials
+and the worker pool's in-flight chunks.  Chunk size is the loop's only
+variable: the executor's per-frame mode (``batch_size=1``) and its default
 (``batch_size=None``, 16-frame chunks) both go
 through :meth:`ScanSession.push_chunk`, and the filter phase of every chunk is
 :func:`~repro.query.parallel.run_filter_chunk`, the function the parallel
 workers run.  The cascade walk therefore exists exactly once, in
 ``run_filter_chunk``, and so does the frame evaluation around it
-(:meth:`ScanSession._evaluate`: cascade, detector, predicates): the temporal
+(:meth:`ScanSession._evaluate`: cascade, detector, predicates): the delta
 gate, which decides reuse one frame at a time, evaluates a chunk of one and
 caches its :class:`_ChunkVerdict` — the same shape every chunk accumulates.
 The gate loop itself is :class:`~repro.query.temporal.TemporalScan`'s, and
@@ -37,7 +37,8 @@ the accumulation code:
   the watermark and never stops, windows are emitted incrementally the moment
   the stream's watermark passes their end, and queries may be added and
   removed between chunks (the merged plan is recomputed, already-emitted
-  windows are never re-emitted).
+  windows are never re-emitted).  A live session gates frames only while
+  :meth:`~ScanSession.set_degraded` holds it degraded.
 
 In both modes a session built with ``parallel=`` runs the filter phase of
 pushed chunks on a worker pool and merges the outcomes strictly in chunk
@@ -70,10 +71,11 @@ produces bit-identical per-query results to one-shot ``execute_many`` — both
 run this module's accumulation code, both build a query's result with
 :func:`~repro.query.results.query_result` and count a window with
 :func:`~repro.query.results.window_result`, and window emission replicates
-``HoppingWindow.windows_over`` semantics (including the
-at-most-one-truncated-tail rule).  The differential harness's service and
-checkpoint configs (``tests/test_differential.py``) assert the parity on the
-plain, windowed, temporal-exact and parallel paths.
+``HoppingWindow.windows_over(include_partial=True)`` semantics (the
+windows of a frame query always end with at most one truncated tail).  The
+differential harness's service and checkpoint configs
+(``tests/test_differential.py``) assert the parity on the plain, windowed
+and parallel paths.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from itertools import compress
 from typing import Callable, Sequence
 
 from repro import hooks
-from repro.aggregates.windows import HoppingWindow, WindowBounds, warn_window_tail_drop
+from repro.aggregates.windows import HoppingWindow, WindowBounds
 from repro.cost import (
     BudgetViolation,
     CostBreakdown,
@@ -119,7 +121,7 @@ from repro.query.temporal import (
 from repro.video.stream import Frame
 
 #: Version tag of the :meth:`ScanSession.checkpoint` payload schema.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: The gate :meth:`ScanSession.set_degraded` switches a session to under
 #: ingestion overload: approximate (reuses are trusted, not verified), one
@@ -153,7 +155,6 @@ _SESSION_FIELDS = (
     "chunks_merged",
     "degraded",
     "degraded_frames",
-    "_warn_registry",
     "quarantined",
 )
 
@@ -195,7 +196,6 @@ class QueryState:
     query: Query
     cascade: FilterCascade
     window: HoppingWindow | None
-    include_partial: bool
     origin: int
     #: first frame index past the query's coverage (``None`` = endless)
     stop: int | None = None
@@ -253,15 +253,14 @@ class ScanSession:
     ``num_workers + PREFETCH_DEPTH`` chunks in flight; results, counters and
     clock history are identical to the inline path); the pool is built
     at the first pushed chunk, and :meth:`set_parallel` moves the filter
-    phase on or off a pool between chunks.  ``temporal`` applies
-    delta gating across chunk boundaries with a resumable
-    :class:`~repro.query.temporal.TemporalScan` — only ``max_stride=1`` is
-    supported (striding needs the whole index sequence up front, which a
-    live session never has) and it cannot be combined with ``parallel``.
+    phase on or off a pool between chunks.
 
     :meth:`set_degraded` flips the session into an approximate mode under
-    ingestion overload: frames are delta-gated with :data:`DEGRADED_GATE`
-    until the pressure clears.
+    ingestion overload: pushed frames are delta-gated, one at a time and
+    across chunk boundaries, by a resumable
+    :class:`~repro.query.temporal.TemporalScan` with :data:`DEGRADED_GATE`
+    until the pressure clears.  Nothing else gates a pushed chunk; the
+    one-shot executor gates through :meth:`run_temporal_scan`.
 
     ``resilient`` keeps a standing scan going past a chunk whose pool
     failure surfaces at its merge, pushes after it was submitted: an
@@ -279,19 +278,8 @@ class ScanSession:
         *,
         live: bool = True,
         parallel: ParallelConfig | None = None,
-        temporal: TemporalConfig | None = None,
         resilient: bool = False,
     ) -> None:
-        if temporal is not None and parallel is not None:
-            raise ValueError(
-                "a session gates frames sequentially; combining temporal= "
-                "with parallel= is not supported"
-            )
-        if temporal is not None and temporal.max_stride != 1:
-            raise ValueError(
-                "session temporal gating needs max_stride=1: adaptive "
-                "striding requires the full index sequence up front"
-            )
         self.detector = detector
         self.clock = clock if clock is not None else SimulatedClock()
         self.live = live
@@ -313,9 +301,8 @@ class ScanSession:
         self.shared_detector_invocations = 0
         self.union_frames_scanned = 0
         # Temporal machinery: session-lifetime telemetry shared by the
-        # resumable scan gating ``temporal`` and the one gating degraded mode.
+        # executor's temporal scan and the resumable one gating degraded mode.
         self._telemetry = _Telemetry()
-        self._scan = self._new_scan(temporal) if temporal is not None else None
         self._degrade_scan: TemporalScan | None = None
         self._detector_component = detector.name
         self._detector_latency = float(detector.latency_ms)
@@ -342,8 +329,6 @@ class ScanSession:
         self.on_chunk_done: Callable[[], None] | None = None
         self._worker_totals: dict[str, CostBreakdown] = {}
         self.chunks_merged = 0
-        #: once-per-session dedup registry for WindowTailDropWarning
-        self._warn_registry: set = set()
         #: chunks/frames set aside after retries and supervision gave up
         self.quarantined: list[QuarantineRecord] = []
 
@@ -389,7 +374,6 @@ class ScanSession:
         stop: int | None = None,
         budget: QueryBudget | None = None,
         key: str | None = None,
-        include_partial_windows: bool = True,
     ) -> int:
         """Register a query; returns its session id (stable across churn).
 
@@ -416,7 +400,6 @@ class ScanSession:
             query=query,
             cascade=cascade,
             window=window,
-            include_partial=include_partial_windows,
             origin=origin,
             stop=stop,
             provably_empty=cascade.provably_empty,
@@ -470,7 +453,7 @@ class ScanSession:
         watermark and past every chunk still in flight (window emission
         counts by bisection over the accumulator lists).  Returns one
         :class:`ChunkProgress` per chunk merged since the last report, in
-        chunk order (always empty in executor mode).  An inline or gated
+        chunk order (always empty in executor mode).  An inline or degraded
         push merges its own chunk.  A pooled live push only submits, after
         merging the oldest chunks while :attr:`window_full`
         (:meth:`merge_ready` merges the rest).
@@ -491,7 +474,7 @@ class ScanSession:
                 previous = frame.index
             self._last_pushed = previous
         self._ensure_plan()
-        pooled = self._parallel is not None and self._scan is None and not self.degraded
+        pooled = self._parallel is not None and not self.degraded
         if pooled and self._active:
             # Merges inside report themselves; the submission merges nothing.
             self._push_parallel(frames)
@@ -500,8 +483,8 @@ class ScanSession:
         try:
             if not self._active:
                 self._watermark = max(self._watermark, frames[-1].index)
-            elif self._scan is not None or self.degraded:
-                self._push_gated(frames)
+            elif self.degraded:
+                self._push_degraded(frames)
             else:
                 self._push_inline(frames)
         except FaultExhausted as error:
@@ -904,7 +887,7 @@ class ScanSession:
         whole shared outcome.  Reuse and stride inheritance only happen
         between frames covered by the same set of queries (the scan's
         context key), so a windowed query's coverage boundary always forces
-        a keyframe.  It is the gate loop a gated :meth:`push_chunk` runs,
+        a keyframe.  It is the gate loop a degraded :meth:`push_chunk` runs,
         over the whole sequence at once so that it may stride; ``render``
         materialises a frame (the executor passes a decode-ahead prefetcher
         to an exact or a parallel scan).  Unlike a pushed chunk, a
@@ -917,17 +900,15 @@ class ScanSession:
         self._run_gated(self._new_scan(config), indices, contexts, render)
         return self.temporal_stats
 
-    def _push_gated(self, frames: list[Frame]) -> None:
+    def _push_degraded(self, frames: list[Frame]) -> None:
         pushed = {frame.index: frame for frame in frames}
         covering = {index: self._covering(index) for index in pushed}
         indices = [index for index in pushed if covering[index]]
-        if self.degraded:
-            self.degraded_frames += len(indices)
-            if self._degrade_scan is None:
-                self._degrade_scan = self._new_scan(DEGRADED_GATE)
-        scan = self._degrade_scan if self.degraded else self._scan
+        self.degraded_frames += len(indices)
+        if self._degrade_scan is None:
+            self._degrade_scan = self._new_scan(DEGRADED_GATE)
         contexts = [covering[index] for index in indices]
-        self._run_gated(scan, indices, contexts, pushed.__getitem__)
+        self._run_gated(self._degrade_scan, indices, contexts, pushed.__getitem__)
         self._watermark = max(self._watermark, frames[-1].index)
 
     @property
@@ -956,11 +937,8 @@ class ScanSession:
         """Move the filter phase onto a pool of ``parallel`` workers, or inline.
 
         The pipeline drains first and a pool is rebuilt at the next push,
-        as on a membership change; the results cannot tell.  Not for
-        gated sessions (their gate follows the config they were built with).
+        as on a membership change; the results cannot tell.
         """
-        if self._scan is not None and (parallel is not None or self._parallel is not None):
-            raise ValueError("set_parallel needs an ungated session")
         self._invalidate_plan()
         self._parallel = parallel
 
@@ -1018,10 +996,8 @@ class ScanSession:
         """Emit the tail window at end of coverage, matching ``windows_over``.
 
         After the completed windows, at most one truncated window remains;
-        with ``include_partial`` it is emitted, otherwise the drop is warned
-        once per session (deduplicated across standing queries with the same
-        window geometry) — and, either way, no later start is materialised,
-        replicating the generator's break-after-partial rule.
+        it is emitted, and no later start is materialised, replicating
+        ``windows_over(include_partial=True)``'s break-after-partial rule.
         """
         if state.window is None or not self.live or state.windows_closed:
             return []
@@ -1030,20 +1006,11 @@ class ScanSession:
         end = self._watermark + 1
         start = state.next_window_start
         if start < end:
-            if state.include_partial:
-                bounds = WindowBounds(start=start, stop=end)
-                tail = window_result(bounds, state.scanned, state.passed, state.matched)
-                state.emitted_windows.append(tail)
-                out.append(tail)
-            else:
-                warn_window_tail_drop(
-                    size=state.window.size,
-                    advance=state.window.advance,
-                    start=start,
-                    stop=end,
-                    num_frames=end,
-                    registry=self._warn_registry,
-                )
+            tail = window_result(
+                WindowBounds(start=start, stop=end), state.scanned, state.passed, state.matched
+            )
+            state.emitted_windows.append(tail)
+            out.append(tail)
         return out
 
     # ------------------------------------------------------------------
@@ -1060,13 +1027,12 @@ class ScanSession:
         return breakdown
 
     def _finalize_state(self, state: QueryState) -> QueryExecutionResult:
-        gated = self._scan is not None or self.degraded_frames
         return query_result(
             state,
             self._attributed_cost(state),
             tuple(state.emitted_windows) if state.window is not None else None,
             time.perf_counter() - state.registered_wall,
-            temporal=self.temporal_stats if gated else None,
+            temporal=self.temporal_stats if self.degraded_frames else None,
             faults=current_report(tuple(self.quarantined)),
         )
 
@@ -1115,8 +1081,8 @@ class ScanSession:
         ``_STATE_FIELDS`` (accumulators, window cursors, budget violations);
         for the session the ``_SESSION_FIELDS``
         (watermark, shared counters, degraded mode, quarantine list), the
-        clock delta accrued since the session started and the temporal
-        gates' state (signature, streak, cached outcome).  The parallel
+        clock delta accrued since the session started and the degrade
+        gate's state (signature, streak, cached outcome).  The parallel
         pipeline is drained first so no in-flight chunk is lost.  Wall-clock
         fields (``registered_wall``) are deliberately *not* captured:
         elapsed-time budgets restart at restore, since the wall time of a
@@ -1130,7 +1096,6 @@ class ScanSession:
             "live": self.live,
             "clock_delta": self.clock.delta_since(self._cost_baseline),
             "telemetry": dict(vars(self._telemetry)),
-            "gate": None if self._scan is None else self._scan.state_dict(),
             "degrade_gate": (
                 None if self._degrade_scan is None else self._degrade_scan.state_dict()
             ),
@@ -1194,13 +1159,6 @@ class ScanSession:
         # construction time, which predates the absorb by definition.
         self.clock.absorb(snapshot["clock_delta"])
         vars(self._telemetry).update(snapshot["telemetry"])
-        if snapshot["gate"] is not None:
-            if self._scan is None:
-                raise ValueError(
-                    "checkpoint carries temporal gate state but the session "
-                    "was built without temporal="
-                )
-            self._scan.load_state(snapshot["gate"])
         if snapshot["degrade_gate"] is not None:
             self._degrade_scan = self._new_scan(DEGRADED_GATE)
             self._degrade_scan.load_state(snapshot["degrade_gate"])

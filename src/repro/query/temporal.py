@@ -336,9 +336,9 @@ class TemporalScan:
     * :meth:`~repro.query.session.ScanSession.run_temporal_scan` — the
       one-shot executor: one run over the whole index sequence, with
       striding and refinement, ``render`` reading the stream;
-    * :meth:`~repro.query.session.ScanSession.push_chunk` on a gated (or
-      degraded) live session — one run per pushed chunk at
-      ``max_stride=1``, ``render`` reading the pushed frames.
+    * :meth:`~repro.query.session.ScanSession.push_chunk` on a degraded
+      live session — one run per pushed chunk with ``DEGRADED_GATE``
+      (``max_stride=1``), ``render`` reading the pushed frames.
 
     The per-frame outcome is the session's ``_ChunkVerdict`` of a chunk of
     one.  The adaptive stride watches its ``(passed, matched)`` rows for
@@ -357,8 +357,8 @@ class TemporalScan:
     :meth:`run` also takes each position's *context*, computed once by the
     session (which needs it again to accumulate the verdict): reuse and
     inheritance only happen between frames with equal context (covered by
-    the same queries).  ``telemetry`` is the session's, which its normal
-    and degraded gates report into as one.
+    the same queries).  ``telemetry`` is the session's, which its one-shot
+    and degraded scans report into as one.
 
     :meth:`run` returns one verdict per input index.  In exact mode every
     returned verdict is a fresh from-scratch evaluation, so downstream

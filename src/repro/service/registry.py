@@ -40,7 +40,6 @@ class StandingQuery:
     sid: int = -1
     budget: "QueryBudget | None" = None
     emitter: "Emitter | None" = None
-    include_partial_windows: bool = True
 
 
 class QueryRegistry:

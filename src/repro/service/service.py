@@ -40,7 +40,6 @@ from repro.query.diagnostics import AnalysisError
 from repro.query.parallel import DEFAULT_CHUNK_SIZE, ParallelConfig
 from repro.query.planner import FilterCascade
 from repro.query.session import ChunkProgress, ScanSession
-from repro.query.temporal import TemporalConfig
 from repro.service.emitters import Emission, Emitter, deliver
 from repro.service.ingest import IngestionQueue
 from repro.service.registry import QueryRegistry, StandingQuery
@@ -55,8 +54,8 @@ _WORKER_POLL_SECONDS = 0.05
 #: quarantined as poison
 _MAX_SHARD_RETRIES = 3
 
-#: filter workers of a shard built with neither ``parallel=`` nor
-#: ``temporal=`` while it is its service's only stream: the backbone and the
+#: filter workers of a shard built without ``parallel=`` while it is its
+#: service's only stream: the backbone and the
 #: filter heads leave the shard thread, which keeps the detector phase, the
 #: merge and the emitters.  DESIGN.md "Standing-query service" has the
 #: measurements behind the count and behind the one-stream rule.
@@ -70,21 +69,21 @@ class StreamConfig:
     ``chunk_size`` is the scan granularity (``feed`` re-chunks arbitrary
     frame batches to it); ``queue_chunks`` bounds the ingestion queue and
     ``policy`` picks the backpressure behaviour (``"block"`` /
-    ``"drop_oldest"`` / ``"degrade"``).  ``temporal`` / ``parallel``
-    configure the shard's scan session as they configure the one-shot
-    executor, except that the shard chunks by ``chunk_size``.  A shard
-    given neither filters on a pool of :data:`SHARD_WORKERS` threads, as
+    ``"drop_oldest"`` / ``"degrade"``).  ``parallel`` configures the
+    shard's scan session as it configures the one-shot executor, except
+    that the shard chunks by ``chunk_size``.  A shard without it filters on
+    a pool of :data:`SHARD_WORKERS` threads, as
     ``ParallelConfig(num_workers=SHARD_WORKERS)`` would, while its stream
     is the service's only one, and inline while other streams' shard
-    threads share the cores; a ``temporal`` shard gates inline.  While the
-    ``degrade`` policy has the shard in its degraded episode, the shard's
-    session gates with :data:`~repro.query.session.DEGRADED_GATE`.
+    threads share the cores.  A shard gates frames only while the
+    ``degrade`` policy has it in its degraded episode: then its session
+    gates inline, one frame at a time, with
+    :data:`~repro.query.session.DEGRADED_GATE`.
     """
 
     chunk_size: int = DEFAULT_CHUNK_SIZE
     queue_chunks: int = 8
     policy: str = "block"
-    temporal: TemporalConfig | None = None
     parallel: ParallelConfig | None = None
 
     def __post_init__(self) -> None:
@@ -166,15 +165,10 @@ class _StreamShard:
         self.name = name
         self.config = config
         self._default_pool = None
-        if config.parallel is None and config.temporal is None:
+        if config.parallel is None:
             self._default_pool = ParallelConfig(num_workers=SHARD_WORKERS)
         self.session = ScanSession(
-            detector,
-            clock,
-            live=True,
-            temporal=config.temporal,
-            parallel=config.parallel,
-            resilient=True,
+            detector, clock, live=True, parallel=config.parallel, resilient=True
         )
         self.queue = IngestionQueue(config.queue_chunks, config.policy)
         # A finished chunk ends the shard thread's wait for the next one.
@@ -216,7 +210,6 @@ class _StreamShard:
                 entry.cascade,
                 budget=entry.budget,
                 key=entry.key,
-                include_partial_windows=entry.include_partial_windows,
             )
             self._sid_to_handle[entry.sid] = entry.handle
 
@@ -574,7 +567,6 @@ class QueryService:
         key: str | None = None,
         budget: QueryBudget | None = None,
         emitter: Emitter | None = None,
-        include_partial_windows: bool = True,
     ) -> int:
         """Register a standing query on ``stream``; returns its handle.
 
@@ -599,7 +591,6 @@ class QueryService:
                 cascade=cascade if cascade is not None else FilterCascade(),
                 budget=budget,
                 emitter=emitter,
-                include_partial_windows=include_partial_windows,
             )
         )
         try:

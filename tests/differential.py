@@ -108,8 +108,10 @@ class EngineConfig(NamedTuple):
     ``QueryService`` replay scanning ``chunk_size`` chunks, fed ``feed``
     frames at a time, synchronously or, ``started``, through the shard's
     queue and thread; with a ``cut``, checkpointed there and resumed in a
-    fresh service; with a ``peer``, beside a second, idle stream, so an
-    ungated shard filters inline rather than on its default pool).
+    fresh service; with a ``peer``, beside a second, idle stream, so the
+    shard filters inline rather than on its default pool; ``degraded``,
+    with the shard's session held in the ``degrade`` policy's degraded mode
+    from its first chunk).
     ``cascades``: ``planned`` or ``none``.  ``faults``: ``(site, key,
     count)`` of a recoverable schedule, or ``()``.
     """
@@ -121,18 +123,18 @@ class EngineConfig(NamedTuple):
     temporal: TemporalConfig | None = None
     cascades: str = "planned"
     frame_indices: tuple[int, ...] | None = None
-    include_partial_windows: bool = True
     chunk_size: int = 16
     feed: int = 16
     cut: int = 0
     faults: tuple = ()
     started: bool = False
     peer: bool = False
+    degraded: bool = False
 
     @property
     def exactness(self) -> str:
         """What R2 holds the config to: ``exact``; ``approximate`` (R4 only)."""
-        if self.temporal is not None and not self.temporal.exact:
+        if self.degraded or (self.temporal is not None and not self.temporal.exact):
             return "approximate"
         return "exact"
 
@@ -149,9 +151,7 @@ CONFIGS = (
     _C("batch1", batch_size=1),
     _C("batch7", batch_size=7),
     _C("batch-whole", batch_size=64),
-    _C("batch7-fixed-windows", batch_size=7, include_partial_windows=False),
     _C("thread2", parallel=THREADS, batch_size=5),
-    _C("thread2-fixed-windows", parallel=THREADS, batch_size=5, include_partial_windows=False),
     _C("thread2-batch7", parallel=THREADS, batch_size=7),
     _C("temporal-exact", temporal=GATED),
     _C("temporal-exact-stride8", temporal=STRIDED),
@@ -168,12 +168,9 @@ CONFIGS = (
     _C("service-16-by-50", "service", chunk_size=16, feed=50),
     _C("service-started-7-by-13", "service", chunk_size=7, feed=13, started=True),
     _C("service-thread2", "service", parallel=THREADS, chunk_size=5, feed=7),
-    _C("service-temporal", "service", temporal=GATED, chunk_size=7, feed=13),
     _C("checkpoint-at-20", "service", chunk_size=10, feed=10, cut=20),
     _C("checkpoint-at-20-thread2", "service", parallel=THREADS, chunk_size=10, feed=10, cut=20),
-    _C("checkpoint-at-22-temporal", "service", temporal=GATED, chunk_size=11, feed=11, cut=22),
-    _C("checkpoint-at-22-temporal-approximate", "service", temporal=replace(GATED, exact=False),
-       chunk_size=11, feed=11, cut=22),
+    _C("checkpoint-at-24-degraded", "service", chunk_size=12, feed=12, cut=24, degraded=True),
     _C("supervised-thread2", parallel=SUPERVISED, batch_size=5),
 )
 
@@ -208,8 +205,7 @@ def reference_of(config: EngineConfig) -> EngineConfig:
     if config.entry == "aggregate":
         return EngineConfig("aggregate", "aggregate")
     return EngineConfig("inline", batch_size=1, cascades=config.cascades,
-                        frame_indices=config.frame_indices,
-                        include_partial_windows=config.include_partial_windows)
+                        frame_indices=config.frame_indices)
 
 
 def without_faults(config: EngineConfig) -> EngineConfig:
@@ -340,8 +336,10 @@ class Harness:
         service = QueryService()
         service.attach_stream(
             "cam", ReferenceDetector(CLASS_NAMES, seed=DETECTOR_SEED),
-            StreamConfig(config.chunk_size, temporal=config.temporal, parallel=config.parallel),
+            StreamConfig(config.chunk_size, parallel=config.parallel),
         )
+        if config.degraded:
+            service._shard("cam").session.set_degraded(True)
         if config.peer:
             service.attach_stream("peer", ReferenceDetector(CLASS_NAMES, seed=DETECTOR_SEED))
         return service, [service.register("cam", *pair) for pair in zip(self.queries, cascades)]
@@ -355,8 +353,7 @@ class Harness:
 def _options(config: EngineConfig) -> dict:
     indices = config.frame_indices
     return dict(frame_indices=None if indices is None else list(indices),
-                batch_size=config.batch_size, temporal=config.temporal, parallel=config.parallel,
-                include_partial_windows=config.include_partial_windows)
+                batch_size=config.batch_size, temporal=config.temporal, parallel=config.parallel)
 
 
 def _aggregate_dump(result) -> dict:

@@ -157,16 +157,15 @@ _TOO_SMALL = {
         ),
         "the stream of 50 frames",
     ),
-    "partial-tail-window": (
+    "one-frame-window": (
         lambda query: AggregateQuerySpec.from_query(
-            QueryBuilder("hopping").count("car").at_least(1).window(7, 7).build(),
+            QueryBuilder("hopping").count("car").at_least(1).window(1, 7).build(),
             [query_indicator_control(query)],
         ),
         lambda runner, monitor, spec, stream: runner.execute_aggregate(
-            spec, stream, frame_filter=monitor.frame_filter, sample_size=5,
-            include_partial_windows=True,
+            spec, stream, frame_filter=monitor.frame_filter, sample_size=5
         ),
-        r"window \[49, 50\) of 1 frames",
+        r"window \[0, 1\) of 1 frames",
     ),
     "estimate-window": (
         lambda query: AggregateQuerySpec.from_query(query, [query_indicator_control(query)]),
@@ -356,11 +355,6 @@ def test_aggregate_monitor_end_to_end(trained_od_filter, tiny_jackson):
     )
     multi_report = monitor.estimate(multi_spec, tiny_jackson.test, sample_size=25)
     assert len(multi_report.control_variate.beta) == 2
-    # Repeated estimation returns independent reports.
-    repeats = monitor.estimate_repeated(spec, tiny_jackson.test, sample_size=10, repetitions=3)
-    assert len(repeats) == 3
-    with pytest.raises(ValueError):
-        monitor.estimate_repeated(spec, tiny_jackson.test, sample_size=10, repetitions=0)
     with pytest.raises(ValueError):
         AggregateQuerySpec(name="bad", exact_value=lambda d: 0.0, control_values=[])
 

@@ -370,8 +370,7 @@ def test_decode_ahead_exact_strided_scan_matches_inline(
 
     def scan():
         return _executor(tiny_jackson).execute_many(
-            ALTERNATING, stream, cascades, temporal=STRIDING_GATE,
-            include_partial_windows=True,
+            ALTERNATING, stream, cascades, temporal=STRIDING_GATE
         )
 
     ahead = scan()
@@ -396,11 +395,11 @@ def _aggregate_spec(query, controls=1):
 #: one sample spanning three tiles, the last one partial
 THREE_TILES = 2 * _SAMPLE_TILE + 3
 
-#: ``(query, controls, sample sizes, execute_aggregate options)`` per case
+#: ``(query, controls, sample sizes)`` per case
 AGGREGATE_CASES = {
-    "sizes": (_plain, 1, (1, 2, _SAMPLE_TILE, _SAMPLE_TILE + 1, 100), {}),
-    "windowed": (_windowed, 1, (THREE_TILES,), {"include_partial_windows": True}),
-    "multi-control": (_plain, 2, (THREE_TILES,), {}),
+    "sizes": (_plain, 1, (1, 2, _SAMPLE_TILE, _SAMPLE_TILE + 1, 100)),
+    "windowed": (_windowed, 1, (THREE_TILES,)),
+    "multi-control": (_plain, 2, (THREE_TILES,)),
 }
 
 
@@ -410,7 +409,7 @@ def test_decode_ahead_aggregate_matches_single_batch_oracle(
 ):
     """Filter tiles rendered ahead change no report and no clock entry,
     and render each sampled position once."""
-    make_query, controls, sizes, options = AGGREGATE_CASES[case]
+    make_query, controls, sizes = AGGREGATE_CASES[case]
     query = make_query()
     cascade = planner.plan(query)
     spec = _aggregate_spec(query, controls)
@@ -421,7 +420,7 @@ def test_decode_ahead_aggregate_matches_single_batch_oracle(
         for size in sizes:
             try:
                 results.append(asdict(runner.execute_aggregate(
-                    spec, stream, cascade, sample_size=size, repetitions=2, seed=5, **options
+                    spec, stream, cascade, sample_size=size, repetitions=2, seed=5
                 )))
             except ValueError as error:  # one sample has no estimate, and renders nothing
                 results.append(repr(error))

@@ -18,9 +18,10 @@ from collections import Counter
 import pytest
 
 from repro.detection import ReferenceDetector
+from repro.query.session import DEGRADED_GATE
 from tests.conftest import reference_cascade_walk
 from tests.differential import (
-    CLASS_NAMES, CONFIGS, DETECTOR_SEED, SCENARIOS, EngineConfig, first_difference,
+    CLASS_NAMES, CONFIG_IDS, CONFIGS, DETECTOR_SEED, SCENARIOS, EngineConfig, first_difference,
     normalize, reference_of, without_faults,
 )
 
@@ -85,14 +86,9 @@ def test_config_equals_the_reference(harness, config, scenario):
             assert got["stats"]["batch_size"] == config.batch_size, what
         assert got["stats"]["filter_invocations"] == want["stats"]["filter_invocations"], what
         _assert_cost(got["stats"]["simulated_cost"], want["stats"]["simulated_cost"], what)
-        if config.entry == "service" and config.temporal is not None and config.temporal.exact:
-            # The live session gates as the one-shot scan does, cut or not.
-            gated = normalize(harness.dump(EngineConfig("", temporal=config.temporal), scenario))
-            assert got["temporal"] == gated["shared"]["temporal"], what
     if config.entry == "many":
         _assert_shared(harness, config, scenario, dump, reference)
-    if config.include_partial_windows:
-        _assert_oracle(harness, config, scenario, dump)
+    _assert_oracle(harness, config, scenario, dump)
 
 
 def _assert_aggregates(config, dump, reference):
@@ -177,6 +173,23 @@ def test_the_reference_is_an_independent_cascade_walk(harness, scenario):
         stats = record["stats"]
         assert list(record["matched_frames"]) == matched
         assert (stats["frames_passed_filters"], stats["filter_invocations"]) == (len(passed), calls)
+
+
+def test_a_degraded_shard_resumes_and_gates_as_the_one_shot_scan(harness):
+    """A shard held degraded is approximate, so R2 skips it.  Cut and
+    resumed, it equals its uninterrupted replay field for field, and it
+    gates as the one-shot scan does under its gate."""
+    config = CONFIGS[CONFIG_IDS.index("checkpoint-at-24-degraded")]
+    dump = normalize(harness.dump(config))
+    _assert_equal(dump, normalize(harness.dump(config._replace(cut=0))), "uninterrupted")
+    one_shot = normalize(harness.dump(EngineConfig("", temporal=DEGRADED_GATE)))
+    assert one_shot["shared"]["temporal"]["frames_reused"] > 0
+    for got, want in zip(dump["queries"], one_shot["queries"]):
+        what = f"{config.id}: {want['query_name']}"
+        _assert_equal(_answers(got), _answers(want), what)
+        assert got["stats"]["filter_invocations"] == want["stats"]["filter_invocations"], what
+        _assert_cost(got["stats"]["simulated_cost"], want["stats"]["simulated_cost"], what)
+        assert got["temporal"] == one_shot["shared"]["temporal"], what
 
 
 # ----------------------------------------------------------------------

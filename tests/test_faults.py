@@ -50,7 +50,6 @@ from repro.query import (
     QueryBuilder,
     QueryPlanner,
     StreamingQueryExecutor,
-    TemporalConfig,
     parse_query,
 )
 from repro.query.diagnostics import AnalysisError
@@ -591,18 +590,24 @@ def test_detector_exhaustion_quarantines_one_frame(tiny_jackson):
 
 
 # ----------------------------------------------------------------------
-# The gated (temporal) path shares the one frame evaluation, fault sites
+# The gated (degraded) path shares the one frame evaluation, fault sites
 # included
 # ----------------------------------------------------------------------
-def _gated_session_scan(tiny_jackson, temporal, schedule=None, frames=20):
-    """Push 10-frame chunks of an everything-query through a live session."""
+def _gated_session_scan(tiny_jackson, degraded, schedule=None, frames=20):
+    """Push 10-frame chunks of an everything-query through a live session,
+    held degraded (gated by ``DEGRADED_GATE``) from its first chunk or not.
+
+    Degraded, the first 20 frames of ``tiny_jackson.test`` compute frames
+    0, 3, 6, 9, 13 and 17 and reuse the keyframe at the others.
+    """
     query = QueryBuilder("everything").count("car").at_least(0).build()
     detector = ReferenceDetector(
         class_names=tiny_jackson.class_names, seed=DETECTOR_SEED
     )
     pushed = _frames(tiny_jackson.test)[:frames]
-    with ScanSession(detector, live=True, temporal=temporal) as session:
+    with ScanSession(detector, live=True) as session:
         sid = session.add_query(query, FilterCascade())
+        session.set_degraded(degraded)
         state = session.states[sid]
         with (
             FaultInjector(schedule=schedule, retry=RetryPolicy(max_attempts=3))
@@ -620,37 +625,37 @@ def _gated_session_scan(tiny_jackson, temporal, schedule=None, frames=20):
 
 
 def test_gated_detector_exhaustion_quarantines_one_frame(tiny_jackson):
-    # delta_threshold=0 never reuses, so the gated scan must agree with the
-    # inline one frame for frame, under the fault too.
-    schedule = {("detector", 5): 3}
-    inline = _gated_session_scan(tiny_jackson, None, schedule)
-    gated = _gated_session_scan(
-        tiny_jackson, TemporalConfig(delta_threshold=0.0), schedule
-    )
-    records, (scanned, passed, matched), detector_calls, _ = gated
-    # Frame-granular: only frame 5 is set aside; frames 0-4 are not
-    # re-reported and frames 6-9 are not lost.
-    assert [(r.site, r.frames) for r in records] == [("detector", (5,))]
+    # Frame 6 is a computed frame of the degraded scan.  Every frame of the
+    # everything-query matches, reused or computed, so the gated scan must
+    # agree with the inline one frame for frame, under the fault too.
+    schedule = {("detector", 6): 3}
+    inline = _gated_session_scan(tiny_jackson, False, schedule)
+    gated = _gated_session_scan(tiny_jackson, True, schedule)
+    records, (scanned, passed, matched), detector_calls, stats = gated
+    # Frame-granular: only frame 6 is set aside; frames 0-5 are not
+    # re-reported and frames 7-9 are not lost.
+    assert [(r.site, r.frames) for r in records] == [("detector", (6,))]
     assert scanned == list(range(20)) and passed == list(range(20))
-    assert matched == [index for index in range(20) if index != 5]
-    assert detector_calls == 19
-    assert (records, (scanned, passed, matched), detector_calls) == inline[:3]
+    assert matched == [index for index in range(20) if index != 6]
+    assert (records, (scanned, passed, matched)) == inline[:2]
+    assert inline[2] == 19
+    # The gate computed the frames it did not reuse; frame 6's call gave up.
+    assert detector_calls == stats.frames_computed - 1 < 19
 
 
 def test_gated_poisoned_frame_is_not_installed_as_keyframe(tiny_jackson):
-    # Trust every reuse, refresh the keyframe every 5 reuses: frames 0, 6,
-    # 12, 18 are computed.  Frame 6's detector call exhausts its retries.
-    temporal = TemporalConfig(delta_threshold=255.0, keyframe_interval=5, exact=False)
-    clean = _gated_session_scan(tiny_jackson, temporal)
+    # The degraded gate trusts every reuse.  Frame 13 is computed and frames
+    # 14-16 reuse it; frame 13's detector call exhausts its retries.
+    clean = _gated_session_scan(tiny_jackson, True)
     records, (scanned, _, matched), _, stats = _gated_session_scan(
-        tiny_jackson, temporal, {("detector", 6): 3}
+        tiny_jackson, True, {("detector", 13): 3}
     )
-    assert clean[3].frames_computed == 4
-    assert [record.frames for record in records] == [(6,)]
+    assert clean[3].frames_computed == 6
+    assert [record.frames for record in records] == [(13,)]
     assert scanned == list(range(20))
-    # Had the answerless frame 6 become the keyframe, frames 7-11 would have
-    # reused "no match".  It did not: frame 7 was computed instead.
-    assert matched == [index for index in range(20) if index != 6]
+    # Had the answerless frame 13 become the keyframe, frames 14-16 would
+    # have reused "no match".  It did not: frame 14 was computed instead.
+    assert matched == [index for index in range(20) if index != 13]
     assert stats.frames_computed == clean[3].frames_computed + 1
 
 
@@ -980,28 +985,30 @@ def test_checkpoint_restore_round_trip_is_bit_identical(
     assert resumed_starts == [20, 30, 40]
 
 
-@pytest.mark.parametrize("exact", (True, False))
 @pytest.mark.parametrize(
     "chunk_size, cut, streak",
     [
-        pytest.param(10, 30, 7, id="mid-reuse-streak"),
-        pytest.param(11, 22, 10, id="keyframe-due-at-the-chunk-boundary"),
+        pytest.param(10, 40, 3, id="mid-reuse-streak"),
+        pytest.param(11, 22, 0, id="keyframe-just-before-the-cut"),
     ],
 )
 def test_checkpoint_restore_of_a_gated_session(
-    od_planner, tiny_jackson, exact, chunk_size, cut, streak
+    od_planner, tiny_jackson, chunk_size, cut, streak
 ):
+    """A shard held degraded gates with ``DEGRADED_GATE``; its checkpoint
+    carries the gate (keyframe signature, streak, cached verdict), and the
+    resumed shard finishes as the uninterrupted one, reuses included."""
     queries, cascades = _checkpoint_workload(od_planner)
     frames = _frames(tiny_jackson.test)
-    temporal = TemporalConfig(delta_threshold=40.0, keyframe_interval=10, exact=exact)
 
-    def gated_service():
+    def degraded_service():
         service = QueryService()
         service.attach_stream(
             "cam",
             ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED),
-            StreamConfig(chunk_size=chunk_size, temporal=temporal),
+            StreamConfig(chunk_size=chunk_size),
         )
+        service._shard("cam").session.set_degraded(True)
         handles = [
             service.register("cam", query, cascade)
             for query, cascade in zip(queries, cascades)
@@ -1012,18 +1019,19 @@ def test_checkpoint_restore_of_a_gated_session(
         for start in range(begin, end, chunk_size):
             service.feed("cam", frames[start : min(start + chunk_size, end)])
 
-    full, handles = gated_service()
+    full, handles = degraded_service()
     feed(full, 0, len(frames))
     truth = full.close()
 
-    first, _ = gated_service()
+    first, _ = degraded_service()
     feed(first, 0, cut)
     snapshot = pickle.loads(pickle.dumps(first.checkpoint("cam")))
     first.close()
     assert snapshot["version"] == CHECKPOINT_VERSION
-    assert snapshot["gate"]["streak"] == streak
+    assert snapshot["session"]["degraded"]
+    assert snapshot["degrade_gate"]["streak"] == streak
 
-    resumed, new_handles = gated_service()
+    resumed, new_handles = degraded_service()
     with pytest.raises(ValueError, match="version"):
         # The pre-_ChunkVerdict payload (version 1) caches another outcome shape.
         resumed.restore_stream("cam", {**snapshot, "version": 1})
@@ -1037,13 +1045,17 @@ def test_checkpoint_restore_of_a_gated_session(
         assert results[new].temporal.frames_reused > 0
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, None], ids=["v1", "v2", "v3", "missing"])
+@pytest.mark.parametrize(
+    "version", [1, 2, 3, 4, None], ids=["v1", "v2", "v3", "v4", "missing"]
+)
 def test_restore_refuses_an_old_or_unversioned_checkpoint_untouched(
     od_planner, tiny_jackson, version
 ):
-    """Versions 1 to 3 (payloads from before the cached chunk verdict, from
-    before the per-query profiler state, and with the profiler state that
-    version 4 dropped) and a payload with no version are refused before the session changes: the refused
+    """Versions 1 to 4 (payloads from before the cached chunk verdict, from
+    before the per-query profiler state, with the profiler state that
+    version 4 dropped, and with the session-wide temporal gate and the
+    tail-drop warning registry that version 5 dropped) and a payload with
+    no version are refused before the session changes: the refused
     session still checkpoints as fresh, then restores the current payload
     and finishes as the uninterrupted scan."""
     queries, cascades = _checkpoint_workload(od_planner)

@@ -156,14 +156,15 @@ def test_inv010_reports_a_per_frame_predict_anywhere_in_src(lint):
     )
 
 
-def _inv011(lint, source: str) -> list[str]:
-    (site,) = [site for site in lint.SOLE_CONSTRUCTION_SITES if site[0] == "INV011"]
+def _sole_site(lint, rule: str, source: str) -> list[str]:
+    (site,) = [site for site in lint.SOLE_CONSTRUCTION_SITES if site[0] == rule]
     return lint.construction_findings(ast.parse(textwrap.dedent(source)), "sample.py", site)
 
 
 def test_inv011_accepts_the_one_construction_site(lint):
-    assert _inv011(
+    assert _sole_site(
         lint,
+        "INV011",
         """
         @contextmanager
         def decode_ahead(stream, indices, chunk_size, threads):
@@ -181,8 +182,9 @@ def test_inv011_accepts_the_one_construction_site(lint):
 
 
 def test_inv011_reports_a_second_construction_site(lint):
-    findings = _inv011(
+    findings = _sole_site(
         lint,
+        "INV011",
         """
         from repro.query import parallel
 
@@ -194,6 +196,45 @@ def test_inv011_reports_a_second_construction_site(lint):
     assert len(findings) == 1
     assert findings[0].startswith(
         "INV011 sample.py:5: FramePrefetcher constructed outside decode_ahead"
+    )
+
+
+def test_inv016_accepts_the_one_construction_site(lint):
+    assert _sole_site(
+        lint,
+        "INV016",
+        """
+        class ScanSession:
+            def _new_scan(self, config):
+                return TemporalScan(
+                    config, evaluate=self._evaluate, reuse=self._reuse,
+                    telemetry=self._telemetry,
+                )
+
+            def run_temporal_scan(self, config, indices, render):
+                return self._new_scan(config).run(indices, render, [()] * len(indices))
+        """,
+    ) == []
+
+
+def test_inv016_reports_a_second_construction_site(lint):
+    findings = _sole_site(
+        lint,
+        "INV016",
+        """
+        from repro.query import temporal
+
+        class ScanSession:
+            def set_degraded(self, degraded):
+                self._degrade_scan = temporal.TemporalScan(
+                    DEGRADED_GATE, evaluate=None, reuse=None, telemetry=None
+                )
+        """,
+    )
+    assert len(findings) == 1
+    assert findings[0] == (
+        "INV016 sample.py:6: TemporalScan constructed outside _new_scan — "
+        "the session is the one owner of the gate loop"
     )
 
 

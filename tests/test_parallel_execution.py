@@ -330,11 +330,10 @@ def test_a_filter_shared_by_two_queries_stays_shared_inside_a_clone(single_objec
         assert got.stats.simulated_cost == want.stats.simulated_cost
 
 
-@pytest.mark.filterwarnings("ignore::repro.query.diagnostics.WindowTailDropWarning")
 def test_a_pooled_scan_covers_each_query_as_the_inline_scan_does(
     tiny_jackson, trained_od_filter
 ):
-    """A windowed query with gaps and a dropped tail, an un-windowed one and
+    """A windowed query with gaps and a short tail, an un-windowed one and
     a provably-empty one: each worker filters a chunk under the coverage
     masks it was dispatched with (a windowed query's gaps stay out), so the
     pooled scan equals the inline one counter for counter."""
@@ -349,7 +348,7 @@ def test_a_pooled_scan_covers_each_query_as_the_inline_scan_does(
 
     def run(**kwargs):
         return executor(tiny_jackson).execute_many(
-            queries, tiny_jackson.test, cascades, include_partial_windows=False, **kwargs
+            queries, tiny_jackson.test, cascades, **kwargs
         )
 
     inline = run(batch_size=8)
@@ -369,7 +368,7 @@ def test_a_pooled_scan_covers_each_query_as_the_inline_scan_does(
             got.stats.simulated_cost.per_component_calls
             == want.stats.simulated_cost.per_component_calls
         )
-    assert pooled[0].stats.frames_scanned == 4 * 8
+    assert pooled[0].stats.frames_scanned == 4 * 8 + 6  # the tail is [44, 50)
     assert pooled[2].stats.frames_scanned == 0
     for counter in ("frames_scanned", "detector_invocations", "filter_computations"):
         assert getattr(pooled.shared, counter) == getattr(inline.shared, counter)

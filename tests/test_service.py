@@ -32,7 +32,6 @@ from repro.query import (
     QueryBuilder,
     QueryPlanner,
     StreamingQueryExecutor,
-    TemporalConfig,
     parse_query,
 )
 from repro.query.parallel import DEFAULT_CHUNK_SIZE
@@ -525,9 +524,9 @@ def _filter_workers() -> int:
 
 
 def test_a_lone_shard_filters_on_a_pool_unless_it_gates(od_planner, tiny_jackson):
-    """Neither ``parallel=`` nor ``temporal=``: the service's only stream
-    filters on ``SHARD_WORKERS`` threads; a ``temporal=`` shard stays
-    inline, and so do two streams, until one of them closes."""
+    """No ``parallel=``: the service's only stream filters on
+    ``SHARD_WORKERS`` threads; a shard held degraded gates inline, and two
+    streams filter inline, until one of them closes."""
     query = QueryBuilder("cars").count("car").at_least(1).build()
     frames = _frames(tiny_jackson.test, 32)
     before = _filter_workers()
@@ -541,7 +540,8 @@ def test_a_lone_shard_filters_on_a_pool_unless_it_gates(od_planner, tiny_jackson
         )
         service.register(name, query, od_planner.plan(query))
 
-    attach("gated", StreamConfig(chunk_size=8, temporal=TemporalConfig()))
+    attach("gated")
+    service._shard("gated").session.set_degraded(True)
     service.feed("gated", frames)
     assert _filter_workers() == before
     service.close_stream("gated")

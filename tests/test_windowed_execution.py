@@ -33,6 +33,7 @@ from repro.query import (
 )
 from repro.query.ast import WindowSpec
 from repro.query.planner import FilterCascade
+from repro.query.session import ScanSession
 from tests.differential import CLASS_NAMES, DETECTOR_SEED, SCENARIOS
 
 WINDOWED_QUERY_TEXT = """
@@ -105,7 +106,9 @@ def test_per_window_parity_with_restricted_unwindowed_runs(windowed_plan, tiny_j
         assert restricted.stats.frames_passed_filters == window.stats.frames_passed_filters
 
 
-def test_include_partial_windows_controls_tail_coverage(trained_od_filter, tiny_jackson):
+def test_frame_query_windows_keep_their_tail(trained_od_filter, tiny_jackson):
+    """A frame query scans the 10 frames no full window covers as a shorter
+    last window, one-shot and through a live session alike."""
     query = QueryBuilder("tumbling").count("car").at_least(1).window(20, 20).build()
     cascade = QueryPlanner({"od": trained_od_filter}).plan(query)
     covering = _executor(tiny_jackson.class_names).execute(query, tiny_jackson.test, cascade)
@@ -113,13 +116,12 @@ def test_include_partial_windows_controls_tail_coverage(trained_od_filter, tiny_
         WindowBounds(0, 20), WindowBounds(20, 40), WindowBounds(40, 50),
     ]
     assert covering.stats.frames_scanned == 50
-    # The paper's fixed-size semantics drop the 10-frame tail entirely.
-    fixed = _executor(tiny_jackson.class_names).execute(
-        query, tiny_jackson.test, cascade, include_partial_windows=False
-    )
-    assert [w.bounds for w in fixed.windows] == [WindowBounds(0, 20), WindowBounds(20, 40)]
-    assert fixed.stats.frames_scanned == 40
-    assert all(index < 40 for index in fixed.matched_frames)
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=DETECTOR_SEED)
+    with ScanSession(detector, live=True) as session:
+        sid = session.add_query(query, cascade)
+        session.push_chunk([tiny_jackson.test.frame(index) for index in range(50)])
+        live = session.finish()[sid]
+    assert live.windows == covering.windows
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +142,7 @@ def test_execute_aggregate_reproduces_monitor_estimates(trained_od_filter, tiny_
         frame_filter=trained_od_filter,
         seed=5,
     )
-    expected = monitor.estimate_repeated(spec, tiny_jackson.test, sample_size=20, repetitions=3)
+    expected = [monitor.estimate(spec, tiny_jackson.test, sample_size=20) for _ in range(3)]
 
     assert result.query_name == "cars_present"
     assert result.filter_name == trained_od_filter.name
@@ -226,14 +228,8 @@ def test_execute_aggregate_window_larger_than_stream_raises(trained_od_filter, t
     executor = _executor(tiny_jackson.class_names)
     with pytest.raises(ValueError, match="no instances"):
         executor.execute_aggregate(spec, tiny_jackson.test, cascade, sample_size=5)
-    # execute() agrees: an instance-less window is a configuration error, not
-    # an empty answer.
-    with pytest.raises(ValueError, match="no instances"):
-        executor.execute(query, tiny_jackson.test, cascade, include_partial_windows=False)
-    # One partial window over the whole (shorter) stream is still an estimate.
-    result = executor.execute_aggregate(
-        spec, tiny_jackson.test, cascade, sample_size=5, include_partial_windows=True
-    )
+    # A frame query scans the whole (shorter) stream as one partial window.
+    result = executor.execute(query, tiny_jackson.test, cascade)
     assert [w.bounds for w in result.windows] == [WindowBounds(0, 50)]
 
 
@@ -285,37 +281,6 @@ def test_evaluate_samples_batched_matches_per_frame_loop(trained_od_filter, tiny
         detections = reference_detector.detect(frame)
         assert exact_values[row] == spec.exact_value(detections)
         assert controls[row, 0] == control(prediction)
-
-
-def test_window_tail_drop_warning_deduplicates_per_registry():
-    """A shared ``warn_registry`` collapses repeated tail-drop warnings.
-
-    A scan loop evaluates the same window spec once per chunk; without the
-    registry every evaluation re-warns about the same dropped tail.
-    """
-    from repro.aggregates.windows import HoppingWindow
-    from repro.query.diagnostics import WindowTailDropWarning
-
-    window = HoppingWindow(size=20, advance=10)
-
-    # Without a registry: each evaluation warns about the dropped tail.
-    with pytest.warns(WindowTailDropWarning) as caught:
-        list(window.windows_over(50))
-        list(window.windows_over(50))
-    assert len(caught) == 2
-
-    # With a shared registry: one warning per distinct dropped tail per scan.
-    registry: set = set()
-    with pytest.warns(WindowTailDropWarning) as caught:
-        list(window.windows_over(50, warn_registry=registry))
-        list(window.windows_over(50, warn_registry=registry))
-    assert len(caught) == 1
-
-    # A different tail shape still warns (distinct key), once.
-    with pytest.warns(WindowTailDropWarning) as caught:
-        list(window.windows_over(55, warn_registry=registry))
-        list(window.windows_over(55, warn_registry=registry))
-    assert len(caught) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -96,6 +96,13 @@ script exits non-zero when any rule is violated.
   ``ObjectState`` and two ``Box`` objects to answer was more than half of
   every dataset build.  ``TrackedObject.visible_at`` answers with the same
   arithmetic in the same order.
+* **INV016 — gate loops are constructed in exactly one place.**  Under
+  ``src/repro/``, ``TemporalScan(...)`` may only be called inside
+  ``ScanSession._new_scan``, which wires the loop to the session's one frame
+  evaluation, its clock and its telemetry: a scan built anywhere else is a
+  second owner of the gate loop (INV010), whose verdicts and reuses bypass
+  the session's accumulation, clock and checkpoint.  One more row of
+  ``SOLE_CONSTRUCTION_SITES``.
 """
 
 from __future__ import annotations
@@ -118,13 +125,15 @@ WORKER_PATH_MODULES = (
 )
 FRAME_NAMES = {"frame", "frames", "images"}
 
-#: constructors only one function may call (INV004, INV011):
+#: constructors only one function may call (INV004, INV011, INV016):
 #: (rule, constructor, that function, file or tree walked, why)
 SOLE_CONSTRUCTION_SITES = (
     ("INV004", "SimulatedClock", "_build_pool", SRC / "query" / "parallel.py",
      "per-chunk clocks drop simulated cost between merge points"),
     ("INV011", "FramePrefetcher", "decode_ahead", SRC,
      "a bare constructor is how a failed scan leaks decode-ahead threads"),
+    ("INV016", "TemporalScan", "_new_scan", SRC,
+     "the session is the one owner of the gate loop"),
 )
 
 #: the slots of repro/hooks.py (tests/test_lint_invariants.py holds the two
