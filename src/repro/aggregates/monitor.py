@@ -34,7 +34,7 @@ from repro.detection.base import Detector, FrameDetections
 from repro.filters.base import FilterPrediction, FrameFilter
 from repro.query.ast import Query, WindowSpec
 from repro.query.evaluation import evaluate_predicates_on_detections
-from repro.query.parallel import decode_ahead
+from repro.video.prefetch import decode_ahead
 from repro.video.stream import Frame, VideoStream, checked_frame_indices
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.detection.base import Detector, FrameDetections
 from repro.spatial.grid import Grid
+from repro.video.prefetch import decode_ahead
 from repro.video.stream import Frame, VideoStream
 
 
@@ -130,9 +131,14 @@ def annotate_stream(
     """Annotate (a subset of) a stream with ``detector``.
 
     ``frame_indices`` defaults to every frame of the stream; pass a subset to
-    annotate sparsely (useful for quick experiments).
+    annotate sparsely (useful for quick experiments).  More than one frame
+    renders ahead on one ``decode-ahead`` thread while the detector runs,
+    and the annotating thread renders queued frames rather than wait; the
+    labels are those of rendering each frame inline, in the order given.
     """
-    indices = range(len(stream)) if frame_indices is None else frame_indices
-    return annotate_frames(
-        (stream.frame(index) for index in indices), detector, class_names, grid, stream.name
-    )
+    indices = list(range(len(stream)) if frame_indices is None else frame_indices)
+    threads = 1 if len(indices) > 1 else 0
+    with decode_ahead(stream, indices, 1, threads) as render:
+        return annotate_frames(
+            (render(index) for index in indices), detector, class_names, grid, stream.name
+        )

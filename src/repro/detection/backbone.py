@@ -176,6 +176,18 @@ def _box_sum_3x3(planes: np.ndarray) -> np.ndarray:
     return box.reshape(total.shape)[..., :cols]
 
 
+def _uint8_median(stack: np.ndarray) -> np.ndarray:
+    """``np.median(stack, axis=0).astype(np.float32)`` of a uint8 stack, bit for
+    bit: the middle value of an odd count, the float64 mean of the two middle
+    values of an even one.  Sorts ``stack`` in place along axis 0 with one
+    stable (radix) sort, so no second copy of the stack is made."""
+    stack.sort(axis=0, kind="stable")
+    middle = len(stack) // 2
+    if len(stack) % 2:
+        return stack[middle].astype(np.float32)
+    return ((stack[middle - 1].astype(np.float64) + stack[middle]) / 2).astype(np.float32)
+
+
 class FeatureBackbone:
     """Maps rendered frames to ``(grid, grid, F)`` per-cell feature arrays."""
 
@@ -221,8 +233,10 @@ class FeatureBackbone:
         if not images:
             raise ValueError("fit_background needs at least one frame")
         if any(image.dtype != np.uint8 for image in images):
-            images = [image.astype(np.float32) for image in images]
-        median = np.median(np.stack(images, axis=0), axis=0).astype(np.float32)
+            stack = np.stack([image.astype(np.float32) for image in images], axis=0)
+            median = np.median(stack, axis=0).astype(np.float32)
+        else:
+            median = _uint8_median(np.stack(images, axis=0))
         self._background = np.ascontiguousarray(np.moveaxis(median, -1, 0))
         # A median of uint8 frames is always an exact half-integer, which is
         # what lets the kernel run the background difference in exact int16

@@ -18,8 +18,9 @@ from repro.detection import ReferenceDetector, annotate_stream
 from repro.detection.annotation import AnnotationSet
 from repro.filters import BatchPrediction, FilterPrediction, FilterTrainer, FrameFilter, ODFilter
 from repro.filters import CountAccuracyReport, LocalizationReport, score_predictions
-from repro.query.parallel import DEFAULT_CHUNK_SIZE, decode_ahead, partition_chunks
+from repro.query.parallel import DEFAULT_CHUNK_SIZE, partition_chunks
 from repro.video import VideoDataset, build_coral, build_detrac, build_jackson
+from repro.video.prefetch import decode_ahead
 from repro.video.stream import Frame
 
 _BUILDERS = {

@@ -47,6 +47,7 @@ from repro.filters.od import ODCountClassifier, ODFilter
 from repro.nn.losses import MSELoss, SmoothL1Loss
 from repro.nn.optim import Adam
 from repro.spatial.grid import Grid
+from repro.video.prefetch import decode_ahead
 from repro.video.stream import Frame, VideoDataset, VideoStream
 
 
@@ -134,22 +135,32 @@ class FilterTrainer:
             )
         return self._annotations
 
+    def _background_indices(self) -> range:
+        """The training frames the backbones' background median is fitted on."""
+        step = max(len(self.dataset.train) // max(self.background_frames, 1), 1)
+        return range(0, len(self.dataset.train), step)[: self.background_frames]
+
     def _frame(self, index: int) -> Frame:
         """Frame ``index`` of the training split, rendered once per trainer.
 
-        Holds rendered frames only (37 KB each, bounded by
-        :meth:`train_indices` plus the background picks), not their features.
+        The first call renders every frame the trainer holds in one pass:
+        the background picks, then the :meth:`train_indices` not among them,
+        rendered ahead on one ``decode-ahead`` thread while this thread
+        renders queued frames too.  Holds rendered frames only (37 KB each),
+        not their features.
         """
-        frame = self._frames.get(index)
-        if frame is None:
-            frame = self._frames[index] = self.dataset.train.frame(index)
-        return frame
+        if not self._frames:
+            picks = self._background_indices()
+            order = list(picks) + [i for i in self.train_indices() if i not in picks]
+            threads = 1 if len(order) > 1 else 0
+            with decode_ahead(self.dataset.train, order, 1, threads) as render:
+                self._frames = {index: render(index) for index in order}
+        return self._frames[index]
 
     def _prepare_backbone(self, backbone: FeatureBackbone) -> FeatureBackbone:
-        step = max(len(self.dataset.train) // max(self.background_frames, 1), 1)
-        picks = range(0, len(self.dataset.train), step)[: self.background_frames]
         backbone.fit_background(
-            (self._frame(index) for index in picks), max_frames=self.background_frames
+            (self._frame(index) for index in self._background_indices()),
+            max_frames=self.background_frames,
         )
         return backbone
 

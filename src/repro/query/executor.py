@@ -83,7 +83,6 @@ from repro.query.parallel import (
     DEFAULT_CHUNK_SIZE,
     ParallelConfig,
     ParallelStats,
-    decode_ahead,
     partition_chunks,
 )
 from repro.query.planner import FilterCascade
@@ -98,6 +97,7 @@ from repro.query.results import (
 )
 from repro.query.session import ScanSession
 from repro.query.temporal import TemporalConfig, TemporalStats
+from repro.video.prefetch import decode_ahead
 from repro.video.stream import VideoStream, checked_frame_indices
 
 if TYPE_CHECKING:  # runtime import would be circular; see execute_aggregate
@@ -299,7 +299,7 @@ class StreamingQueryExecutor:
         and coverage: one rule, ``QueryState.covers``, given
         each windowed query's last instance end as ``stop``); the executor
         decides only how frames reach it: one
-        ``render(index)`` from :func:`~repro.query.parallel.decode_ahead`
+        ``render(index)`` from :func:`~repro.video.prefetch.decode_ahead`
         and two drivers.  A chunked scan (no ``temporal``) of more than one
         chunk, and every pooled scan (``parallel``), renders the next chunks
         on one decode-ahead thread while this one filters and verifies; when

@@ -101,7 +101,6 @@ from repro.query.ast import Query
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.faults.injector import FaultExhausted, QuarantineRecord, current_report
 from repro.query.parallel import (
-    PREFETCH_DEPTH,
     ChunkDispatch,
     FilteredChunk,
     ParallelConfig,
@@ -118,6 +117,7 @@ from repro.query.temporal import (
     TemporalStats,
     _Telemetry,
 )
+from repro.video.prefetch import PREFETCH_DEPTH
 from repro.video.stream import Frame
 
 #: Version tag of the :meth:`ScanSession.checkpoint` payload schema.

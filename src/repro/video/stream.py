@@ -138,11 +138,6 @@ class VideoStream:
         for index in range(start, min(stop, len(self)), step):
             yield self.frame(index)
 
-    def sample_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform random sample of ``n`` frame indices without replacement."""
-        n = min(n, len(self))
-        return np.sort(rng.choice(len(self), size=n, replace=False))
-
     def count_series(self) -> np.ndarray:
         """Per-frame total object counts (from ground truth)."""
         return self._scene.count_series()

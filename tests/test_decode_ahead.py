@@ -1,18 +1,18 @@
-"""Decode-ahead in one-shot scans: the prefetch window, the rule, the lifecycle.
+"""Decode-ahead: the prefetch window, the rule, the lifecycle.
 
 A chunked scan of more than one chunk renders ahead even without
 ``ParallelConfig``, on one background thread with or without a filter step;
 a single-chunk scan, an approximate or cascade-free temporal scan stay
 inline.  The aggregate sampler renders ahead of its filter tiles when a
-sample spans more than one tile.  The consuming thread renders queued frames
-itself rather than wait on one still being drawn; the tests of that path gate the
-render thread on events, so none depends on timing.  Frames render the
-same on any thread, so every
-result here must ``==`` the same scan with decode-ahead patched out (the
-sampler: its single-batch oracle), and no ``decode-ahead`` thread may
-outlive a scan however it ends.  CI runs this module five times in a row: a
-leaked thread or a frame cancelled and then needed shows up only under some
-timings.
+sample spans more than one tile, ``annotate_stream`` ahead of the detector,
+and ``FilterTrainer`` in its one render pass.  The consuming thread renders
+queued frames itself rather than wait on one still being drawn; the tests
+of that path gate the render thread on events, so none depends on timing.
+Frames render the same on any thread, so every result here must ``==`` the
+same pass with decode-ahead patched out (the sampler: its single-batch
+oracle), and no ``decode-ahead`` thread may outlive a pass however it ends.
+CI runs this module five times in a row: a leaked thread or a frame
+cancelled and then needed shows up only under some timings.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ import pytest
 from repro.aggregates import query_indicator_control
 from repro.aggregates.controls import class_count_control
 from repro.aggregates.monitor import _SAMPLE_TILE, AggregateMonitor, AggregateQuerySpec
-from repro.detection import ReferenceDetector
+from repro.detection import ReferenceDetector, annotate_frames, annotate_stream
 from repro.faults import FaultExhausted, FaultInjector, RetryPolicy
+from repro.filters import FilterTrainer
 from repro.query import (
     ParallelConfig,
     PlannerConfig,
@@ -38,8 +39,9 @@ from repro.query import (
     StreamingQueryExecutor,
     TemporalConfig,
 )
-from repro.query.parallel import DEFAULT_CHUNK_SIZE, FramePrefetcher
+from repro.query.parallel import DEFAULT_CHUNK_SIZE
 from repro.query.results import MultiQueryExecutionResult
+from repro.video.prefetch import PREFETCH_DEPTH, FramePrefetcher
 from tests.conftest import reference_evaluate_samples
 from tests.differential import first_difference, normalize
 
@@ -677,3 +679,134 @@ def test_decode_ahead_lifecycle_aggregate_decode_fault_raises_as_inline(
     inline = faulted()
     assert ahead == inline
     assert ahead[0] == ("decode", _SAMPLE_TILE + 5, 3)
+
+
+# ----------------------------------------------------------------------
+# Annotation and training render ahead
+# ----------------------------------------------------------------------
+def _annotation_rows(annotations):
+    """Everything an ``AnnotationSet`` holds, comparable with ``==``."""
+    return (
+        annotations.stream_name,
+        annotations.class_names,
+        annotations.grid,
+        [
+            (
+                annotated.frame_index,
+                annotated.counts,
+                {name: cells.tobytes() for name, cells in annotated.location_grids.items()},
+            )
+            for annotated in annotations
+        ],
+    )
+
+
+@pytest.mark.parametrize("frame_indices", [None, UNORDERED_REPEATING], ids=["all", "unordered"])
+def test_annotate_stream_renders_ahead_as_annotate_frames_inline(
+    tiny_jackson, stream, counted_renders, prefetchers, frame_indices
+):
+    """Every position renders once, on either thread, across many windows
+    of ``PREFETCH_DEPTH`` frames, and the labels are those of inline renders."""
+    detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=9)
+    grid = tiny_jackson.grid(56)
+    indices = list(range(len(stream))) if frame_indices is None else frame_indices
+    ahead = annotate_stream(
+        stream, detector, tiny_jackson.class_names, grid, frame_indices=frame_indices
+    )
+    assert prefetchers == [(PREFETCH_DEPTH, 1)]
+    assert len(indices) > 4 * PREFETCH_DEPTH
+    assert sorted(counted_renders) == sorted(indices)
+    assert _live_decode_ahead_threads() == []
+    inline = annotate_frames(
+        [stream.frame(index) for index in indices],
+        detector,
+        tiny_jackson.class_names,
+        grid,
+        stream.name,
+    )
+    assert _annotation_rows(ahead) == _annotation_rows(inline)
+
+
+def test_annotate_stream_retries_a_decode_fault_on_the_render_thread(
+    tiny_jackson, stream, monkeypatch, prefetchers
+):
+    """Decode faults on positions 0 and 2 each fail twice and render on the
+    third attempt.  The first detection waits until the render thread has
+    rendered one of them: position 0 if it started that render before the
+    consumer asked, else position 2, which nothing else can take while the
+    consumer waits.  Labels, retries and recoveries equal the inline run's."""
+    indices = [4, 9, 1, 9, 30, 22, 4, 17]
+    faulted = {indices[0], indices[2]}
+    grid = tiny_jackson.grid(56)
+    frame = stream.frame
+
+    def run(ahead):
+        attempts: list[tuple[int, bool]] = []
+        rendered_behind = threading.Event()
+        if not ahead:
+            rendered_behind.set()
+
+        def recording_frame(index):
+            result = frame(index)
+            if _on_render_thread() and index in faulted:
+                rendered_behind.set()
+            return result
+
+        detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=9)
+        detect = detector.detect
+
+        def waiting_detect(detected):
+            assert rendered_behind.wait(10), "the render thread rendered no faulted frame"
+            return detect(detected)
+
+        monkeypatch.setitem(vars(stream), "frame", recording_frame)
+        monkeypatch.setattr(detector, "detect", waiting_detect)
+        injector = FaultInjector(
+            schedule={("decode", index): 2 for index in faulted},
+            retry=RetryPolicy(max_attempts=3),
+        )
+        maybe_raise = injector.maybe_raise
+
+        def recording_maybe_raise(site, key):
+            attempts.append((key, _on_render_thread()))
+            maybe_raise(site, key)
+
+        monkeypatch.setattr(injector, "maybe_raise", recording_maybe_raise)
+        with injector:
+            annotations = annotate_stream(
+                stream, detector, tiny_jackson.class_names, grid, frame_indices=indices
+            )
+        assert injector.unfired() == ()
+        report = injector.report()
+        counts = (report.retries, report.recovered, report.exhausted, report.backoff_ms)
+        return _annotation_rows(annotations), counts, attempts
+
+    ahead, ahead_counts, attempts = run(ahead=True)
+    assert prefetchers == [(PREFETCH_DEPTH, 1)]
+    assert _live_decode_ahead_threads() == []
+    # Some faulted frame failed twice and rendered, all on the render thread
+    # (index 4 renders once more, at position 6, with no fault left).
+    assert any(
+        [background for key, background in attempts if key == index][:3] == [True] * 3
+        for index in faulted
+    )
+    monkeypatch.setattr("repro.detection.annotation.decode_ahead", _inline)
+    inline, inline_counts, _ = run(ahead=False)
+    assert len(prefetchers) == 1
+    assert (ahead, ahead_counts) == (inline, inline_counts)
+    assert ahead_counts[:3] == (4, 2, 0)
+
+
+def test_train_all_renders_once_ahead_and_leaves_no_render_thread(
+    tiny_jackson, counted_renders, prefetchers
+):
+    """One render pass, on one render thread, over the background picks and
+    then the other training frames; every distinct frame renders once."""
+    trainer = FilterTrainer(dataset=tiny_jackson, max_train_frames=24, background_frames=8)
+    trainer.train_all()
+    assert prefetchers == [(PREFETCH_DEPTH, 1)]
+    assert _live_decode_ahead_threads() == []
+    picks = list(trainer._background_indices())
+    held = picks + [index for index in trainer.train_indices() if index not in picks]
+    assert list(trainer._frames) == held
+    assert sorted(counted_renders) == sorted(held)

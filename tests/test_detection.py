@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cost import MASK_RCNN_MS, SimulatedClock
 from repro.query import QueryBuilder, brute_force_execute
@@ -16,6 +17,7 @@ from repro.detection import (
     detection_backbone,
 )
 from repro.detection.annotation import annotate_frame
+from repro.detection.backbone import _uint8_median
 from repro.detection.base import Detection, FrameDetections
 from repro.spatial.geometry import Box
 from repro.video.stream import Frame
@@ -229,6 +231,28 @@ def test_a_non_uint8_frame_keeps_the_float_background_path(tiny_jackson):
     stack = np.stack([frame.image.astype(np.float32) for frame in frames])
     assert np.array_equal(backbone._background, np.moveaxis(np.median(stack, axis=0), -1, 0))
     assert backbone._background_doubled is None
+
+
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+@settings(max_examples=40, deadline=None)
+@given(
+    pairs=st.integers(0, 20),
+    height=st.integers(1, 5),
+    width=st.integers(1, 5),
+    levels=st.sampled_from([2, 3, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uint8_median_is_the_numpy_median_bit_for_bit(parity, pairs, height, width, levels, seed):
+    """The sort-based median of a uint8 stack equals ``np.median`` cast to
+    float32, for odd and even frame counts (1-42), ties and the 254/255 edge."""
+    count = 2 * pairs + (1 if parity else 2)
+    stack = np.random.default_rng(seed).integers(
+        256 - levels, 256, (count, height, width, 3), dtype=np.uint8
+    )
+    want = np.median(stack, axis=0).astype(np.float32)
+    got = _uint8_median(stack.copy())
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
 
 
 def test_annotate_frames_equals_annotate_stream(tiny_jackson):

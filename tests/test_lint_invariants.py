@@ -161,6 +161,29 @@ def _sole_site(lint, rule: str, source: str) -> list[str]:
     return lint.construction_findings(ast.parse(textwrap.dedent(source)), "sample.py", site)
 
 
+def test_inv003_reports_a_frame_mutation_on_the_render_path(lint, monkeypatch):
+    """The decode-ahead prefetcher is walked: a frame it hands out mutated
+    in ``FramePrefetcher.frame`` (planted in memory) is reported there."""
+    prefetch = lint.SRC / "video" / "prefetch.py"
+    assert prefetch in lint.WORKER_PATH_MODULES
+    source = prefetch.read_text(encoding="utf-8")
+    planted = source.replace(
+        "        return future.result()\n",
+        "        frame = future.result()\n        frame.image[0] = 0\n        return frame\n",
+    )
+    assert planted != source
+    line = planted.splitlines().index("        frame.image[0] = 0") + 1
+    parse = lint._parse
+    monkeypatch.setattr(
+        lint, "_parse", lambda path: ast.parse(planted) if path == prefetch else parse(path)
+    )
+    findings: list[str] = []
+    lint.check_no_frame_mutation(findings)
+    assert [finding.split(" — ")[0] for finding in findings] == [
+        f"INV003 src/repro/video/prefetch.py:{line}: mutation of 'frame'"
+    ]
+
+
 def test_inv011_accepts_the_one_construction_site(lint):
     assert _sole_site(
         lint,

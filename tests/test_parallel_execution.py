@@ -406,7 +406,7 @@ def test_a_pooled_scan_loses_exactly_the_quarantined_chunk(
 
 
 def test_frame_prefetcher_window_is_bounded(single_object_stream):
-    from repro.query.parallel import FramePrefetcher
+    from repro.video.prefetch import FramePrefetcher
 
     stream = single_object_stream
     indices = list(range(len(stream)))  # 40 frames
@@ -567,7 +567,7 @@ def test_execute_many_chunk_failure_does_not_leak_prefetch_threads(
 
 
 def test_prefetcher_close_is_idempotent(stream):
-    from repro.query.parallel import FramePrefetcher
+    from repro.video.prefetch import FramePrefetcher
 
     framed = FramePrefetcher(stream, list(range(8)), depth=4, threads=1)
     assert framed.frame(0).index == 0

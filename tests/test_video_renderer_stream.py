@@ -238,13 +238,6 @@ def test_stream_iteration_and_access(single_object_stream):
     assert counts.shape == (40,)
 
 
-def test_stream_sampling(single_object_stream, rng):
-    indices = single_object_stream.sample_indices(10, rng)
-    assert len(indices) == 10
-    assert len(set(indices.tolist())) == 10
-    assert all(0 <= i < 40 for i in indices)
-
-
 def test_stream_rejects_bad_fps(single_object_stream):
     from repro.video.stream import VideoStream
 

@@ -17,9 +17,11 @@ script exits non-zero when any rule is violated.
   variable decides for the last predicate only) instead of holding its
   values frozen.
 * **INV003 — no frame mutation in worker paths.**  In the executor /
-  parallel / temporal modules, nothing may assign to attributes or elements
-  of objects named ``frame`` / ``frames`` / ``images``: one rendered frame
-  is shared by every query of a scan, and a chunk's frames are read by a
+  parallel / temporal modules and the decode-ahead prefetcher
+  (``repro/video/prefetch.py``, the code render threads run), nothing may
+  assign to attributes or elements, at any depth (``frame.image[0]``), of
+  objects named ``frame`` / ``frames`` / ``images``: one rendered frame is
+  shared by every query of a scan, and a chunk's frames are read by a
   filter worker thread while the merge thread and the decode-ahead window
   still hold them, so a mutation in one path corrupts every other reader.
 * **INV004 — worker clocks are constructed in exactly one place.**  In
@@ -122,6 +124,7 @@ WORKER_PATH_MODULES = (
     SRC / "query" / "executor.py",
     SRC / "query" / "parallel.py",
     SRC / "query" / "temporal.py",
+    SRC / "video" / "prefetch.py",
 )
 FRAME_NAMES = {"frame", "frames", "images"}
 
@@ -205,7 +208,11 @@ def check_no_frame_mutation(findings: list[str]) -> None:
             for target in _assignment_targets(node):
                 if not isinstance(target, (ast.Attribute, ast.Subscript)):
                     continue
+                # The root of the chain: ``frame.image[0] = ...`` mutates
+                # ``frame`` as surely as ``frame.image = ...`` does.
                 base = target.value
+                while isinstance(base, (ast.Attribute, ast.Subscript)):
+                    base = base.value
                 if isinstance(base, ast.Name) and base.id in FRAME_NAMES:
                     findings.append(
                         f"INV003 {path.relative_to(REPO)}:{node.lineno}: "
