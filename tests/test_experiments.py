@@ -3,7 +3,8 @@
 These verify that every table/figure runner produces rows of the documented
 shape; the benchmark harness runs them at the larger (paper-shaped) scale.
 They also pin the unrounded values behind the filter-accuracy rows (Figures
-7, 11 and 15, the ablations, the constraint check) and the prediction passes
+7, 11 and 15, the ablations, the constraint check), the Table III rows and
+the prediction passes
 those runners make.
 """
 
@@ -119,7 +120,8 @@ def test_constraint_check_runs():
 #: off, i.e. of the unrounded values behind every row.  Taken when every figure
 #: still re-predicted each frame through ``FrameFilter.predict`` (seven
 #: per-frame passes per dataset, and one per threshold in the sweep): scoring
-#: batched passes changed no value.
+#: batched passes changed no value.  The ``table3`` rows are those of the
+#: per-dataset shared scan (``execute_many``), without its group columns.
 PINNED_ROW_DIGESTS = {
     "fig7": "cbcf07e30ab3053092b5b5ee7475536baa1406dd23388bd0645e4e5c0150710b",
     "fig11": "4438e5a0ee1526323aad3f4f5365538ae49e9315af4440cd92d5003b73bd5627",
@@ -127,11 +129,13 @@ PINNED_ROW_DIGESTS = {
     "branch_depth": "615952444088436b382e7b9a33f469e38caf49cf54137fc8164c3f7b12f72221",
     "threshold_sweep": "5d9a2758b9608f41e9dd172efe8635280fa83b13b9866e82434b3c2e85da677d",
     "constraint": "9f2228ff5c7d367780da43bd8118000f95336da4b509370057143b0fabbb8ad5",
+    "table3": "27045b2976f870d4ffd00198539081c2ab0ce42510c21f8267b3aec87298c62f",
+    "cascade_tolerance": "b88c3645da1bb2fa118264c0258e12f2008f56a55c46fa97098fb012cd3e84ba",
 }
 
 
 def test_experiment_rows_keep_their_pinned_unrounded_values(monkeypatch):
-    for module in (fig7, fig11, fig15, ablation, constraint_check):
+    for module in (fig7, fig11, fig15, ablation, constraint_check, table3):
         monkeypatch.setattr(module, "round", lambda value, digits=None: value, raising=False)
     rows = {
         "fig7": fig7.run(TINY),
@@ -140,6 +144,11 @@ def test_experiment_rows_keep_their_pinned_unrounded_values(monkeypatch):
         "branch_depth": ablation.run_branch_depth(TINY),
         "threshold_sweep": ablation.run_threshold_sweep(TINY),
         "constraint": constraint_check.run(TINY),
+        "table3": [
+            {key: value for key, value in row.items() if not key.startswith("shared_")}
+            for row in table3.run(TINY, shared=True)
+        ],
+        "cascade_tolerance": ablation.run_cascade_tolerance(TINY),
     }
     digests = {key: hashlib.sha256(repr(value).encode()).hexdigest() for key, value in rows.items()}
     assert digests == PINNED_ROW_DIGESTS
