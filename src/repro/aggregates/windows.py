@@ -80,8 +80,8 @@ class HoppingWindow:
                     warnings.warn(
                         f"window of size {self.size} drops the trailing "
                         f"{stop - start} frame(s) [{start}, {stop}) of a "
-                        f"{num_frames}-frame stream (QA006): only full windows "
-                        "are yielded without include_partial=True",
+                        f"{num_frames}-frame stream (QA006): aggregates "
+                        "estimate full windows only",
                         WindowTailDropWarning,
                         stacklevel=2,
                     )

@@ -21,7 +21,7 @@ from repro.detection.backbone import classification_backbone
 from repro.experiments.context import ExperimentConfig, get_context
 from repro.filters import calibrate_threshold, score_predictions
 from repro.filters.ic import ICFilter
-from repro.query import PlannerConfig, QueryBuilder, QueryPlanner, StreamingQueryExecutor, brute_force_execute
+from repro.query import PlannerConfig, QueryBuilder, QueryPlanner, StreamingQueryExecutor
 
 
 def run_branch_depth(
@@ -105,18 +105,22 @@ def run_cascade_tolerance(
         .spatial("car").left_of("person")
         .build()
     )
-    brute = brute_force_execute(
-        query, context.dataset.test, context.reference_detector(seed_offset=300)
-    )
-    rows: list[dict[str, object]] = []
-    for count_tolerance, location_dilation in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2)):
-        planner = QueryPlanner(
+    settings = ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2))
+    cascades = [
+        QueryPlanner(
             context.filters,
             PlannerConfig(count_tolerance=count_tolerance, location_dilation=location_dilation),
-        )
-        cascade = planner.plan(query)
-        executor = StreamingQueryExecutor(context.reference_detector(seed_offset=300))
-        result = executor.execute(query, context.dataset.test, cascade)
+        ).plan(query)
+        for count_tolerance, location_dilation in settings
+    ]
+    # One shared scan: the five plans plus a brute-force copy (no cascade),
+    # each result carrying the cost attributed to it alone.
+    executor = StreamingQueryExecutor(context.reference_detector(seed_offset=300))
+    *results, brute = executor.execute_many(
+        [query] * (len(settings) + 1), context.dataset.test, cascades + [None]
+    )
+    rows: list[dict[str, object]] = []
+    for (count_tolerance, location_dilation), cascade, result in zip(settings, cascades, results):
         accuracy = result.accuracy_against(brute.matched_frames)
         rows.append(
             {

@@ -7,8 +7,9 @@ brute-force run that annotates every frame with Mask R-CNN.
 
 This runner builds the same queries, plans the same filter combinations
 (count tolerance / grid dilation per the paper's table), executes both the
-filtered and the brute-force variant on the test split, and reports simulated
-execution times (paper latency model), accuracy, and speedup.
+filtered and the brute-force variant on the test split in one shared scan per
+dataset, and reports simulated execution times (paper latency model),
+accuracy, and speedup.
 
 A row that cannot fail is flagged ``vacuous``: fewer than
 :data:`MIN_TRUE_MATCHES` true matches, or the same true match set as another
@@ -22,15 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.experiments.context import ExperimentConfig, get_context
-from repro.query import (
-    ParallelConfig,
-    PlannerConfig,
-    QueryBuilder,
-    QueryPlanner,
-    StreamingQueryExecutor,
-    TemporalConfig,
-    brute_force_execute,
-)
+from repro.query import PlannerConfig, QueryBuilder, QueryPlanner, StreamingQueryExecutor
 from repro.query.ast import Query
 from repro.query.lint import AnalysisContext
 from repro.spatial.regions import Quadrant, quadrant_region
@@ -135,7 +128,7 @@ def _plan(context, spec: QuerySpec, query: Query):
 
 def _make_row(spec: QuerySpec, filtered, brute) -> dict[str, object]:
     accuracy = filtered.accuracy_against(brute.matched_frames)
-    row = {
+    return {
         "query": spec.name,
         "dataset": spec.dataset,
         "cascade": filtered.cascade_description,
@@ -152,13 +145,6 @@ def _make_row(spec: QuerySpec, filtered, brute) -> dict[str, object]:
         "frames": filtered.stats.frames_scanned,
         "paper_time_s": spec.paper_time_seconds,
     }
-    if filtered.temporal is not None:
-        breakdown = filtered.stats.simulated_cost
-        row["reuse_rate"] = round(filtered.temporal.reuse_rate, 3)
-        row["reused_calls"] = breakdown.total_reused
-        row["computed_calls"] = breakdown.total_calls
-        row["reuse_mismatches"] = filtered.temporal.reuse_mismatches
-    return row
 
 
 def _mark_vacuous(rows: list[dict[str, object]], truths: list[frozenset[int]]) -> None:
@@ -173,83 +159,35 @@ def _mark_vacuous(rows: list[dict[str, object]], truths: list[frozenset[int]]) -
 def run(
     config: ExperimentConfig | None = None,
     query_names: tuple[str, ...] | None = None,
-    shared: bool = False,
-    temporal: TemporalConfig | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> list[dict[str, object]]:
     """Execute q1–q7 (or a subset) and report one Table III row per query.
 
-    With ``shared=True`` the queries of each dataset run through
-    :meth:`~repro.query.executor.StreamingQueryExecutor.execute_many` — one
-    scan per dataset serving all of its queries, with per-query stats
-    attributed from the shared run (so the per-row numbers are the same as an
-    independent run) plus ``shared_group_time_s`` / ``shared_savings``
-    columns reporting what the concurrent workload actually cost.
-
-    With a ``temporal`` config the filtered executions run through the
-    temporal-coherence layer, and each row additionally reports the reuse
-    rate, reused-vs-computed call counts and (in exact mode) how many reuses
-    the verification caught drifting.  The brute-force baseline always runs
-    non-temporal, so speedups fold the temporal savings in.
-
-    A ``parallel`` config runs each filtered execution through the parallel
-    pipelined engine (simulated costs and every row are unchanged — the
-    engine is bit-identical to the sequential path — but wall clock drops on
-    multi-core machines).  The brute-force baselines stay sequential.
+    Each dataset's queries run in one shared scan
+    (:meth:`~repro.query.executor.StreamingQueryExecutor.execute_many`): the
+    filtered queries plus a brute-force copy of each (no cascade, so the
+    detector verifies every frame).  Each frame renders once and the detector
+    runs on it at most once; every result carries the cost attributed to its
+    query, i.e. what it would pay scanned alone, so a row's filtered and
+    brute-force times are those of independent runs.
 
     Every row carries ``true_matches`` and the ``vacuous`` flag (see the
     module docstring).
     """
-    specs = [
-        spec
-        for spec in build_query_specs()
-        if query_names is None or spec.name in query_names
-    ]
+    by_dataset: dict[str, list[QuerySpec]] = {}
+    for spec in build_query_specs():
+        if query_names is None or spec.name in query_names:
+            by_dataset.setdefault(spec.dataset, []).append(spec)
     rows: list[dict[str, object]] = []
     truths: list[frozenset[int]] = []
-    if shared:
-        by_dataset: dict[str, list[QuerySpec]] = {}
-        for spec in specs:
-            by_dataset.setdefault(spec.dataset, []).append(spec)
-        for dataset, group in by_dataset.items():
-            context = get_context(dataset, config)
-            queries = [spec.build(context) for spec in group]
-            cascades = [
-                _plan(context, spec, query) for spec, query in zip(group, queries)
-            ]
-            executor = StreamingQueryExecutor(context.reference_detector(seed_offset=300))
-            multi = executor.execute_many(
-                queries, context.dataset.test, cascades,
-                temporal=temporal, parallel=parallel,
-            )
-            # The brute-force baseline shares its single full-detection pass
-            # across the group as well (empty cascades = annotate every frame).
-            brute_multi = StreamingQueryExecutor(
-                context.reference_detector(seed_offset=300)
-            ).execute_many(queries, context.dataset.test)
-            group_time = round(multi.shared.cost.shared_ms / 1000.0, 2)
-            group_savings = round(multi.shared.savings_ratio, 2)
-            for spec, filtered, brute in zip(group, multi, brute_multi):
-                row = _make_row(spec, filtered, brute)
-                row["shared_group_time_s"] = group_time
-                row["shared_savings"] = group_savings
-                if multi.shared.temporal is not None:
-                    row["shared_reuse_rate"] = round(multi.shared.temporal.reuse_rate, 3)
-                    row["shared_reused_calls"] = multi.shared.cost.reused_calls
-                rows.append(row)
-                truths.append(frozenset(brute.matched_frames))
-    else:
-        for spec in specs:
-            context = get_context(spec.dataset, config)
-            query = spec.build(context)
-            cascade = _plan(context, spec, query)
-            executor = StreamingQueryExecutor(context.reference_detector(seed_offset=300))
-            filtered = executor.execute(
-                query, context.dataset.test, cascade, temporal=temporal, parallel=parallel
-            )
-            brute = brute_force_execute(
-                query, context.dataset.test, context.reference_detector(seed_offset=300)
-            )
+    for dataset, group in by_dataset.items():
+        context = get_context(dataset, config)
+        queries = [spec.build(context) for spec in group]
+        cascades = [_plan(context, spec, query) for spec, query in zip(group, queries)]
+        executor = StreamingQueryExecutor(context.reference_detector(seed_offset=300))
+        multi = executor.execute_many(
+            queries + queries, context.dataset.test, cascades + [None] * len(group)
+        )
+        for spec, filtered, brute in zip(group, multi, multi.results[len(group):]):
             rows.append(_make_row(spec, filtered, brute))
             truths.append(frozenset(brute.matched_frames))
     _mark_vacuous(rows, truths)

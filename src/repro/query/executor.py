@@ -129,10 +129,10 @@ class StreamingQueryExecutor:
         :data:`~repro.query.parallel.DEFAULT_CHUNK_SIZE` (``stats.batch_size``
         still reports ``None``).  Every chunk size
         produces identical matched frames and work counters.  When the scan
-        has more than one chunk, background threads render the next two
-        chunks while the current one is filtered and verified: one thread
-        when the cascade has a step, two when it has none; output is
-        unchanged, because a frame renders the same on any thread.
+        has more than one chunk, one ``decode-ahead`` thread renders the
+        next two chunks while the current one is filtered and verified,
+        with or without a filter step; output is unchanged, because a frame
+        renders the same on any thread.
 
         When the query carries a ``WINDOW HOPPING`` clause the scan is
         restricted to the frames covered by at least one window instance, each

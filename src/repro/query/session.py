@@ -356,12 +356,6 @@ class ScanSession:
         return sum(len(cascade.steps) for cascade in self._active_cascades)
 
     @property
-    def step_assignments(self) -> list[list[int]]:
-        """Per active query, each cascade step's position among the deduped steps."""
-        self._ensure_plan()
-        return self._assignments
-
-    @property
     def watermark(self) -> int:
         """Highest merged frame index (``-1`` before any chunk)."""
         return self._watermark
