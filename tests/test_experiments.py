@@ -121,7 +121,8 @@ def test_constraint_check_runs():
 #: batched passes changed no value.  Table III and cascade tolerance report
 #: each filtered query's cost as attributed by ``execute_many`` (latency x
 #: calls, e.g. 114.0 ms); ``execute`` alone reports the clock's summed
-#: charges, which can differ in the last bit (113.99999999999999 ms).
+#: charges, which can differ in the last bit (113.99999999999999 ms).  Table
+#: IV's rows are ``table4.run(TINY, sample_size=20, repetitions=3)``.
 PINNED_ROW_DIGESTS = {
     "fig7": "cbcf07e30ab3053092b5b5ee7475536baa1406dd23388bd0645e4e5c0150710b",
     "fig11": "4438e5a0ee1526323aad3f4f5365538ae49e9315af4440cd92d5003b73bd5627",
@@ -131,11 +132,12 @@ PINNED_ROW_DIGESTS = {
     "constraint": "9f2228ff5c7d367780da43bd8118000f95336da4b509370057143b0fabbb8ad5",
     "table3": "27045b2976f870d4ffd00198539081c2ab0ce42510c21f8267b3aec87298c62f",
     "cascade_tolerance": "4ba325418f6829073f49dcb591015268708df10c39114e10bb10186ae0adafcd",
+    "table4": "4773ee2e2057ab17faa32912374a60d3dbecdcd613be426a4fb4768ec9755eb6",
 }
 
 
 def test_experiment_rows_keep_their_pinned_unrounded_values(monkeypatch):
-    for module in (fig7, fig11, fig15, ablation, constraint_check, table3):
+    for module in (fig7, fig11, fig15, ablation, constraint_check, table3, table4):
         monkeypatch.setattr(module, "round", lambda value, digits=None: value, raising=False)
     rows = {
         "fig7": fig7.run(TINY),
@@ -146,6 +148,7 @@ def test_experiment_rows_keep_their_pinned_unrounded_values(monkeypatch):
         "constraint": constraint_check.run(TINY),
         "table3": table3.run(TINY),
         "cascade_tolerance": ablation.run_cascade_tolerance(TINY),
+        "table4": table4.run(TINY, sample_size=20, repetitions=3),
     }
     digests = {key: hashlib.sha256(repr(value).encode()).hexdigest() for key, value in rows.items()}
     assert digests == PINNED_ROW_DIGESTS
