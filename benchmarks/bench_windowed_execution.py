@@ -7,10 +7,11 @@ Demonstrates the two halves of the windowed/aggregate engine end to end:
   ``StreamingQueryExecutor``, producing per-window match sets whose union
   equals the un-windowed answer on the same frames, with every frame
   filtered once despite the 2x window overlap;
-* ``execute_aggregate`` reproduces ``AggregateMonitor.estimate``'s
-  control-variate numbers exactly (same seed, same estimates) while the
-  filter side of the sample runs as vectorized ``predict_batch`` calls
-  over tiles of sampled frames instead of per-frame ``predict`` calls.
+* ``execute_aggregate`` reproduces the single-batch sampler oracle's
+  control-variate numbers exactly on the same sample (same seed, same
+  estimates) while the sample runs through the scan: vectorized
+  ``predict_batch`` calls over chunks of sampled frames instead of
+  per-frame ``predict`` calls.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import math
 from dataclasses import replace
 
 from benchmarks.conftest import bench_wall_seconds, print_rows, write_bench_json
-from repro.aggregates import AggregateMonitor, AggregateQuerySpec, query_indicator_control
-from repro.aggregates.monitor import _SAMPLE_TILE
+import numpy as np
+
+from repro.aggregates import AggregateQuerySpec, query_indicator_control, sample_frame_indices
 from repro.experiments.context import get_context
 from repro.query import (
     PlannerConfig,
@@ -29,6 +31,8 @@ from repro.query import (
     StreamingQueryExecutor,
     parse_query,
 )
+from repro.query.parallel import DEFAULT_CHUNK_SIZE
+from tests.conftest import reference_estimate
 
 BATCH_SIZE = 16
 WINDOW_CLAUSE = "WINDOW HOPPING (SIZE 40, ADVANCE BY 20)"
@@ -121,12 +125,15 @@ def run(config) -> dict[str, object]:
         )
     finally:
         restore()
-    monitor = AggregateMonitor(
-        detector=context.reference_detector(seed_offset=900),
-        frame_filter=context.od_filter,
-        seed=11,
+    # The oracle on the sample the seed draws.
+    sample = sample_frame_indices(len(context.dataset.test), 50, np.random.default_rng(11))
+    reference_plain, reference_cv, _ = reference_estimate(
+        context.reference_detector(seed_offset=900),
+        context.od_filter,
+        spec,
+        context.dataset.test,
+        sample.tolist(),
     )
-    reference = monitor.estimate(spec, context.dataset.test, 50)
     executed = agg_result.reports[0]
 
     return {
@@ -146,9 +153,9 @@ def run(config) -> dict[str, object]:
         "aggregate": {
             "cascade": agg_result.cascade_description,
             "cv_mean": executed.control_variate.mean,
-            "reference_cv_mean": reference.control_variate.mean,
+            "reference_cv_mean": reference_cv.mean,
             "plain_mean": executed.plain.mean,
-            "reference_plain_mean": reference.plain.mean,
+            "reference_plain_mean": reference_plain.mean,
             # An indicator control can explain everything on a small sample;
             # cap like table4 so the printed factor stays readable.
             "variance_reduction": round(min(executed.variance_reduction, 1000.0), 1),
@@ -173,7 +180,7 @@ def format_rows(result: dict[str, object]) -> str:
     aggregate = result["aggregate"]
     lines.append(
         f"aggregate via {aggregate['cascade']}: cv_mean {aggregate['cv_mean']:.4f} "
-        f"(monitor: {aggregate['reference_cv_mean']:.4f}), "
+        f"(oracle: {aggregate['reference_cv_mean']:.4f}), "
         f"var.red. {aggregate['variance_reduction']}x, filter calls {aggregate['filter_calls']}"
     )
     return "\n".join(lines)
@@ -201,10 +208,10 @@ def test_windowed_and_aggregate_execution(benchmark, bench_config, pytestconfig)
     assert execution["filter_invocations"] == execution["flat_filter_invocations"]
     assert execution["num_windows"] >= 2
     aggregate = result["aggregate"]
-    # Same seed -> exactly the same control-variate estimates as the monitor.
+    # Same seed -> exactly the same control-variate estimates as the oracle.
     assert aggregate["cv_mean"] == aggregate["reference_cv_mean"]
     assert aggregate["plain_mean"] == aggregate["reference_plain_mean"]
-    # The 50-frame sample ran as vectorized tiles, zero per-frame calls.
+    # The 50-frame sample ran as the scan's chunks, zero per-frame calls.
     assert aggregate["filter_calls"]["predict"] == 0
-    assert aggregate["filter_calls"]["predict_batch"] == math.ceil(50 / _SAMPLE_TILE)
+    assert aggregate["filter_calls"]["predict_batch"] == math.ceil(50 / DEFAULT_CHUNK_SIZE)
     assert aggregate["filter_calls"]["batched_frames"] == 50

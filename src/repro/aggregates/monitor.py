@@ -1,24 +1,26 @@
 """Aggregate monitoring: putting filters, detector and control variates together.
 
-An :class:`AggregateQuerySpec` describes a per-frame quantity of interest —
-typically an indicator ("is there a car in the lower-right quadrant?") or a
-count ("number of bicycles in the bike lane") — evaluated in two ways:
+An :class:`AggregateQuerySpec` asks for the fraction of frames satisfying a
+query ("is there a car in the lower-right quadrant?"), whose per-frame
+indicator is evaluated in two ways:
 
-* exactly, on the reference detector's output (this is ``Y``), and
+* exactly, as the reference detector's verdict on the query (this is
+  ``Y``), and
 * approximately, on one or more filter predictions (these are the control
   variates ``Z``).
 
 The :class:`AggregateMonitor` samples frames (optionally per hopping window),
-evaluates both, and reports the plain sampling estimate, the control-variate
-estimate, the variance-reduction factor and the per-frame cost — i.e. one row
-of the paper's Table IV.
+runs the sample through the executor's one scan, which yields both, and
+reports the plain sampling estimate, the control-variate estimate, the
+variance-reduction factor and the per-frame cost — i.e. one row of the
+paper's Table IV.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -27,54 +29,48 @@ from repro.aggregates.control_variates import (
     control_variate_estimate,
     multiple_control_variates_estimate,
 )
+from repro.aggregates.controls import ControlValueFn
 from repro.aggregates.sampling import SampleEstimate, sample_frame_indices, sample_mean_estimate
 from repro.aggregates.windows import WindowBounds
 from repro.cost import SimulatedClock
-from repro.detection.base import Detector, FrameDetections
-from repro.filters.base import FilterPrediction, FrameFilter
+from repro.detection.base import Detector
+from repro.filters.base import FrameFilter
 from repro.query.ast import Query, WindowSpec
-from repro.query.evaluation import evaluate_predicates_on_detections
-from repro.video.prefetch import decode_ahead
-from repro.video.stream import Frame, VideoStream, checked_frame_indices
-
-
-#: sampled frames per filter tile: a sample of more than one tile renders
-#: ahead on a ``decode-ahead`` thread while the main thread runs the filter
-#: over the previous tile (DESIGN.md "Parallel pipeline" has the tile sizes
-#: measured)
-_SAMPLE_TILE = 8
-
-#: a function computing the exact per-frame value from detector output
-ExactValueFn = Callable[[FrameDetections], float]
-#: a function computing an approximate per-frame value from a filter prediction
-ControlValueFn = Callable[[FilterPrediction], float]
+from repro.query.planner import CascadeStep, CountCheck, FilterCascade
+from repro.video.stream import VideoStream, checked_frame_indices
 
 
 @dataclass
 class AggregateQuerySpec:
-    """One aggregate monitoring query.
+    """One aggregate monitoring query: the fraction of frames matching ``query``.
 
-    ``exact_value`` maps the reference detector's output to the per-frame
-    value ``Y_i``; each entry of ``control_values`` maps a filter prediction
-    to one control variate ``Z_i`` (all controls are evaluated on the same
-    filter prediction — use multiple specs for multiple filters).
+    ``Y_i`` is 1 when sampled frame ``i`` matches ``query`` and 0 otherwise;
+    each entry of ``control_values`` maps a filter prediction to one control
+    variate ``Z_i`` (all controls are evaluated on the same filter
+    prediction — use multiple specs for multiple filters).
 
-    ``window`` carries the query's ``WINDOW HOPPING`` clause, if any;
+    ``window`` is the query's ``WINDOW HOPPING`` clause, if any;
     :meth:`~repro.query.executor.StreamingQueryExecutor.execute_aggregate`
     reports one estimate per window instance for windowed specs.  Plain
     :meth:`AggregateMonitor.estimate` ignores it (its explicit ``window``
     argument selects the sampling population).
     """
 
-    name: str
-    exact_value: ExactValueFn
+    query: Query
     control_values: Sequence[ControlValueFn]
     description: str = ""
-    window: WindowSpec | None = None
 
     def __post_init__(self) -> None:
         if not self.control_values:
             raise ValueError("an aggregate query needs at least one control variate")
+
+    @property
+    def name(self) -> str:
+        return self.query.name
+
+    @property
+    def window(self) -> WindowSpec | None:
+        return self.query.window
 
     @classmethod
     def from_query(
@@ -85,16 +81,10 @@ class AggregateQuerySpec:
         The query's window clause (if any) is carried over, so a windowed
         query parsed from text turns into a windowed aggregate spec.
         """
-
-        def exact(detections: FrameDetections) -> float:
-            return 1.0 if evaluate_predicates_on_detections(query, detections) else 0.0
-
         return cls(
-            name=query.name,
-            exact_value=exact,
+            query=query,
             control_values=list(control_values),
             description=description or query.describe(),
-            window=query.window,
         )
 
 
@@ -118,17 +108,6 @@ class MonitoringReport:
     def cost_overhead_ms(self) -> float:
         """Extra per-frame cost of evaluating the filters on each sample."""
         return self.per_frame_cost_ms - self.detector_only_cost_ms
-
-    def as_row(self) -> dict[str, object]:
-        return {
-            "query": self.query_name,
-            "samples": self.num_samples,
-            "plain_mean": round(self.plain.mean, 4),
-            "cv_mean": round(self.control_variate.mean, 4),
-            "per_frame_ms": round(self.per_frame_cost_ms, 2),
-            "variance_reduction": round(self.variance_reduction, 1),
-            "correlation": round(self.control_variate.correlation, 3),
-        }
 
 
 def _check_sample_count(spec: AggregateQuerySpec, drawn: int, population: str) -> None:
@@ -183,51 +162,21 @@ class AggregateMonitor:
         clock: SimulatedClock | None = None,
         seed: int = 0,
     ) -> None:
+        # Deferred import: repro.query.executor imports this module's
+        # package at load, so a top-level import here would be circular.
+        from repro.query.executor import StreamingQueryExecutor
+
         self.detector = detector
         self.frame_filter = frame_filter
         self.clock = clock or SimulatedClock()
         self._rng = np.random.default_rng(seed)
-
-    # ------------------------------------------------------------------
-    # Core estimation
-    # ------------------------------------------------------------------
-    def _evaluate_samples(
-        self,
-        spec: AggregateQuerySpec,
-        stream: VideoStream,
-        indices: Sequence[int],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate exact values and controls on the sampled frames.
-
-        The filter side runs vectorized over tiles of ``_SAMPLE_TILE``
-        sampled frames; the reference detector, which defines ``Y``, then
-        runs frame by frame, in sample order.  A sample of more than one
-        tile renders ahead on one ``decode-ahead`` thread, so tile *k+1*
-        renders while tile *k* runs the backbone and heads.  Nothing moves
-        by a bit: ``predict_batch`` rows do not depend on the batch, and the
-        tiles are charged once afterwards, as the one batched charge of
-        ``n`` calls a single whole-sample ``predict_batch`` would be, before
-        the first detector charge.  Every charge goes to ``self.clock``.
-        """
-        # One tile has nothing to overlap (the rule of a single-chunk scan).
-        overlap = len(indices) > _SAMPLE_TILE
-        with decode_ahead(stream, indices, _SAMPLE_TILE, 1 if overlap else 0) as fetch:
-            frames: list[Frame] = []
-            predictions: list[FilterPrediction] = []
-            for start in range(0, len(indices), _SAMPLE_TILE):
-                tile = [fetch(index) for index in indices[start : start + _SAMPLE_TILE]]
-                predictions.extend(self.frame_filter.predict_batch(tile))
-                frames.extend(tile)
-            self.clock.charge_calls(self.frame_filter, len(frames))
-            exact_values = np.zeros(len(indices))
-            controls = np.zeros((len(indices), len(spec.control_values)))
-            for row, (frame, prediction) in enumerate(zip(frames, predictions)):
-                detections = self.detector.detect(frame)
-                self.clock.charge_calls(self.detector)
-                exact_values[row] = spec.exact_value(detections)
-                for col, control in enumerate(spec.control_values):
-                    controls[row, col] = control(prediction)
-            return exact_values, controls
+        self._executor = StreamingQueryExecutor(detector, self.clock)
+        # The sample's cascade: one step over the control filter whose check
+        # (no count predicate) passes every prediction, so the scan predicts
+        # and detects each sampled frame once.
+        self._cascade = FilterCascade(
+            [CascadeStep(frame_filter.name, frame_filter, CountCheck((), 0))]
+        )
 
     def estimate(
         self,
@@ -239,20 +188,23 @@ class AggregateMonitor:
     ) -> MonitoringReport:
         """Estimate one aggregate query by sampling ``sample_size`` frames.
 
-        Sampling is uniform over the window (or the whole stream).  The report
+        Sampling is uniform over the window (or the whole stream).  The sample
+        runs through the executor's one scan as the query without its window
+        clause: ``Y`` is whether the scan matched a sampled frame, and the
+        controls are read off the control filter's predictions.  The report
         contains both the plain sampling estimate and the control-variate
         estimate; with multiple controls the multiple-CV estimator is used.
+        The per-frame cost is the scan's attributed cost over the sample;
+        ``self.clock`` is charged and keeps its history.
         ``window`` and ``frame_indices`` both choose the population, so
         passing both is a ``ValueError``; so is a sample too small for the
         estimator (see :func:`sampling_population`), raised before anything
-        is rendered.
+        is rendered.  A sampled frame the scan set aside (its retries
+        exhausted) raises ``RuntimeError`` naming it: the sample may not
+        shrink unannounced.
         """
         if window is not None and frame_indices is not None:
             raise ValueError("estimate takes a window or frame_indices, not both")
-        # Delta-snapshot accounting rather than a reset, so a caller-supplied
-        # shared clock keeps its history across estimates (same contract as
-        # StreamingQueryExecutor.execute).
-        cost_baseline = self.clock.snapshot()
         started = time.perf_counter()
         # Both populations are checked before anything is rendered or charged.
         if frame_indices is None:
@@ -263,9 +215,22 @@ class AggregateMonitor:
         else:
             chosen = checked_frame_indices(frame_indices, stream)
             _check_sample_count(spec, len(chosen), f"frame_indices of {len(chosen)} frames")
-        exact_values, controls = self._evaluate_samples(spec, stream, chosen)
+        result = self._executor._scan(
+            [replace(spec.query, window=None)], stream, [self._cascade], chosen,
+            None, None, None, controls=[spec.control_values],
+        ).results[0]
+        faults = result.stats.faults
+        if faults is not None and faults.quarantined:
+            lost = [index for record in faults.quarantined for index in record.frames]
+            raise RuntimeError(
+                f"{spec.name!r}: sampled frame(s) {lost} could not be evaluated "
+                f"({faults.quarantined[0].error})"
+            )
         elapsed = time.perf_counter() - started
 
+        matched = set(result.matched_frames)
+        exact_values = np.array([1.0 if index in matched else 0.0 for index in chosen])
+        controls = np.array(result.control_rows)
         plain = sample_mean_estimate(exact_values)
         if controls.shape[1] == 1:
             cv = control_variate_estimate(exact_values, controls[:, 0])
@@ -273,8 +238,7 @@ class AggregateMonitor:
             cv = multiple_control_variates_estimate(exact_values, controls)
 
         num_samples = len(chosen)
-        estimate_ms = self.clock.delta_since(cost_baseline).total_ms
-        per_frame_ms = estimate_ms / num_samples if num_samples else 0.0
+        per_frame_ms = result.stats.simulated_cost.total_ms / num_samples
         return MonitoringReport(
             query_name=spec.name,
             plain=plain,

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 # Imported from the submodule (not the repro.aggregates package) so that the
@@ -101,6 +102,7 @@ from repro.video.prefetch import decode_ahead
 from repro.video.stream import VideoStream, checked_frame_indices
 
 if TYPE_CHECKING:  # runtime import would be circular; see execute_aggregate
+    from repro.aggregates.controls import ControlValueFn
     from repro.aggregates.monitor import AggregateQuerySpec, MonitoringReport
 
 
@@ -290,8 +292,10 @@ class StreamingQueryExecutor:
         batch_size: int | None,
         temporal: TemporalConfig | None,
         parallel: ParallelConfig | None,
+        controls: Sequence[Sequence["ControlValueFn"]] | None = None,
     ) -> MultiQueryExecutionResult:
-        """The one scan behind :meth:`execute` and :meth:`execute_many`.
+        """The one scan behind :meth:`execute`, :meth:`execute_many` and
+        :meth:`~repro.aggregates.monitor.AggregateMonitor.estimate`.
 
         Build a :class:`~repro.query.session.ScanSession`, feed it, read the
         states.  The session owns the loop (accumulation, the detector-union
@@ -316,7 +320,8 @@ class StreamingQueryExecutor:
         gating is sequential.  The filter phase of a
         chunk is :func:`~repro.query.parallel.run_filter_chunk` whether it
         runs inline or in a worker, so the parallel engine is chunk-for-chunk
-        identical to the inline scan by construction.
+        identical to the inline scan by construction.  ``controls[i]``
+        registers query ``i`` with control functions (its ``control_rows``).
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be positive: {batch_size}")
@@ -338,11 +343,13 @@ class StreamingQueryExecutor:
         # history.
         session = ScanSession(self.detector, clock=self.clock, live=False, parallel=parallel)
         with session:
-            for query, cascade, bounds in zip(queries, query_cascades, per_query_windows):
+            for query, cascade, bounds, query_controls in zip(
+                queries, query_cascades, per_query_windows, controls or repeat(())
+            ):
                 # A windowed query covers its windows up to where the last
                 # materialised instance ends (none: no frame at all).
                 stop = None if bounds is None else (bounds[-1].stop if bounds else 0)
-                session.add_query(query, cascade, stop=stop)
+                session.add_query(query, cascade, stop=stop, controls=query_controls)
             # Plans the scan: steps merged across queries.
             unique_steps = session.unique_step_count
             # The frames some query covers (a provably-empty query covers
@@ -459,9 +466,9 @@ class StreamingQueryExecutor:
         :class:`~repro.aggregates.monitor.AggregateMonitor` seeded with
         ``seed``, so for an un-windowed spec the reports are numerically
         identical to calling ``AggregateMonitor.estimate`` directly with the
-        same seed — while the filter side of every sample runs vectorized,
-        in tiles that render ahead of it (see
-        :meth:`~repro.aggregates.monitor.AggregateMonitor._evaluate_samples`).
+        same seed.  Each estimate draws its sample and runs it through
+        :meth:`_scan`, the scan every frame query runs: chunked, rendered
+        ahead past one chunk, each sampled frame filtered and detected once.
 
         For a windowed spec (``spec.window`` set, e.g. parsed from a query's
         ``WINDOW HOPPING`` clause) one estimate per window instance is

@@ -38,7 +38,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import hooks
@@ -117,13 +117,15 @@ class FilteredChunk:
     work a standalone run of ``q`` would have paid (calls per
     ``(component, latency_ms)``), ``computed`` the frames each filter
     component was actually evaluated on (what a temporal reuse of the chunk
-    avoids).
+    avoids), ``predictions`` the cache the walk filled (filter identity ->
+    chunk position -> prediction; no part of its outcome).
     """
 
     alive: tuple[tuple[int, ...], ...]
     invocations: tuple[int, ...]
     attributed: tuple[dict[tuple[str, float], int], ...]
     computed: dict[str, int]
+    predictions: dict[tuple, dict[int, FilterPrediction]] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,7 @@ def run_filter_chunk(
         invocations=tuple(filter_invocations),
         attributed=tuple(attributed),
         computed=computed,
+        predictions=predictions,
     )
 
 

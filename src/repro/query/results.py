@@ -23,8 +23,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
-
 # Imported from the submodule (not the repro.aggregates package) so that the
 # aggregates -> query.ast -> query.results import chain finds the window
 # types already initialised.
@@ -115,6 +113,9 @@ class QueryExecutionResult:
     executions have ``windows=None``.  ``temporal`` carries the
     reuse/stride telemetry of a temporally-coherent execution (``None`` when
     the scan ran without a :class:`~repro.query.temporal.TemporalConfig`).
+    ``control_rows`` holds a sampled query's control row per passed frame,
+    in scan order (``None`` for a frame query; see
+    :class:`~repro.query.session.QueryState`).
     """
 
     query_name: str
@@ -123,6 +124,7 @@ class QueryExecutionResult:
     stats: ExecutionStats
     windows: tuple[WindowResult, ...] | None = None
     temporal: TemporalStats | None = None
+    control_rows: tuple[tuple[float, ...], ...] | None = None
 
     @property
     def num_matches(self) -> int:
@@ -244,15 +246,6 @@ class MultiQueryExecutionResult:
     def __getitem__(self, index: int) -> QueryExecutionResult:
         return self.results[index]
 
-    def result_for(self, query_name: str) -> QueryExecutionResult:
-        """The result of the (single) query named ``query_name``."""
-        found = [result for result in self.results if result.query_name == query_name]
-        if not found:
-            raise KeyError(f"no query named {query_name!r} in this execution")
-        if len(found) > 1:
-            raise KeyError(f"{len(found)} queries named {query_name!r}; index by position")
-        return found[0]
-
 
 @dataclass(frozen=True)
 class WindowAggregateEstimate:
@@ -260,11 +253,6 @@ class WindowAggregateEstimate:
 
     bounds: WindowBounds
     reports: tuple[MonitoringReport, ...]
-
-    @property
-    def cv_mean(self) -> float:
-        """Mean of the control-variate estimates across the repetitions."""
-        return float(np.mean([report.control_variate.mean for report in self.reports]))
 
 
 @dataclass(frozen=True)
@@ -283,13 +271,6 @@ class AggregateExecutionResult:
     filter_name: str
     reports: tuple[MonitoringReport, ...]
     windows: tuple[WindowAggregateEstimate, ...] | None = None
-
-    @property
-    def all_reports(self) -> tuple[MonitoringReport, ...]:
-        """Every report produced, whole-stream or per-window."""
-        if self.windows is None:
-            return self.reports
-        return tuple(report for window in self.windows for report in window.reports)
 
 
 # ----------------------------------------------------------------------
@@ -367,4 +348,5 @@ def query_result(
         ),
         windows=windows,
         temporal=temporal,
+        control_rows=tuple(state.control_rows) if state.controls else None,
     )

@@ -83,7 +83,7 @@ from __future__ import annotations
 import copy
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Callable, Sequence
 
@@ -100,6 +100,7 @@ from repro.detection.base import Detector
 from repro.query.ast import Query
 from repro.query.evaluation import evaluate_predicates_on_detections
 from repro.faults.injector import FaultExhausted, QuarantineRecord, current_report
+from repro.filters.base import FilterPrediction
 from repro.query.parallel import (
     ChunkDispatch,
     FilteredChunk,
@@ -170,7 +171,8 @@ class _ChunkVerdict:
     shared computations a reuse avoids), ``detected`` counts detector calls
     and ``poisoned`` holds ``(position, error)`` for frames whose detector
     call exhausted its retries: they keep their filter accounting but
-    contribute no match.
+    contribute no match.  ``controls`` holds each query's control rows
+    (see :class:`QueryState`), empty unless a query carries controls.
     """
 
     passed: tuple[tuple[int, ...], ...]
@@ -178,6 +180,7 @@ class _ChunkVerdict:
     filtered: FilteredChunk
     detected: int
     poisoned: tuple[tuple[int, FaultExhausted], ...] = ()
+    controls: tuple[tuple[tuple[float, ...], ...], ...] = ()
 
 
 @dataclass
@@ -189,6 +192,8 @@ class QueryState:
     lets window emission count by bisection.  ``attributed`` maps
     ``(component_name, latency_ms)`` to the calls a standalone run of this
     query would have made, exactly as ``execute_many`` attributes cost.
+    A sampled (aggregate) query's ``controls`` fill ``control_rows``: one
+    row per passed frame, off its cascade's primary filter's prediction.
     """
 
     sid: int
@@ -215,6 +220,8 @@ class QueryState:
     windows_closed: bool = False
     emitted_windows: list[WindowResult] = field(default_factory=list)
     final: QueryExecutionResult | None = None
+    controls: tuple[Callable[[FilterPrediction], float], ...] = ()
+    control_rows: list[tuple[float, ...]] = field(default_factory=list)
 
     def covers(self, index: int) -> bool:
         """Whether this query scans stream frame ``index``: the one coverage rule."""
@@ -223,6 +230,15 @@ class QueryState:
         if self.window is None:
             return index >= self.origin
         return self.window.covers(index, self.origin)
+
+    def control_rows_of(
+        self, predictions: dict[tuple, dict[int, FilterPrediction]], positions: Sequence[int]
+    ) -> tuple[tuple[float, ...], ...]:
+        """The control rows of the chunk ``positions``, off a chunk's prediction cache."""
+        if not self.controls or not positions:
+            return ()
+        cache = predictions[self.cascade.primary_filter.identity]
+        return tuple(tuple(control(cache[k]) for control in self.controls) for k in positions)
 
 
 @dataclass(frozen=True)
@@ -368,6 +384,7 @@ class ScanSession:
         stop: int | None = None,
         budget: QueryBudget | None = None,
         key: str | None = None,
+        controls: Sequence[Callable[[FilterPrediction], float]] = (),
     ) -> int:
         """Register a query; returns its session id (stable across churn).
 
@@ -377,11 +394,14 @@ class ScanSession:
         instance ends).  On a pooled session, a filter the pool's workers
         would share is refused here with :func:`clone_cascades`'s
         ``ValueError``, and the query is not added; a pool attached later by
-        :meth:`set_parallel` refuses it at its first push.
+        :meth:`set_parallel` refuses it at its first push.  ``controls``
+        registers a sampled query: see :class:`QueryState`.
         """
         if self._closed:
             raise RuntimeError("session is closed")
         cascade = cascade if cascade is not None else FilterCascade()
+        if controls and cascade.primary_filter is None:
+            raise ValueError(f"{query.name!r} has controls but no filter to read them from")
         if self._parallel is not None:
             clone_cascades([cascade], {id(frame_filter) for frame_filter in cascade.filters})
         window: HoppingWindow | None = None
@@ -400,6 +420,7 @@ class ScanSession:
             budget=budget,
             registered_wall=time.perf_counter(),
             next_window_start=origin,
+            controls=tuple(controls),
         )
         self._states.append(state)
         self._invalidate_plan()
@@ -663,12 +684,20 @@ class ScanSession:
         if charged:
             self.shared_filter_computations += sum(filtered.computed.values())
             self.shared_detector_invocations += detected
+        # The one aggregate-aware spot: a query with controls reads them off
+        # the chunk's predictions of its passed frames.  The verdict keeps no
+        # predictions, so a cached keyframe and a checkpoint carry none.
+        controls = [
+            self._states[sid].control_rows_of(filtered.predictions, positions)
+            for sid, positions in zip(sids, passed)
+        ]
         return _ChunkVerdict(
             passed=tuple(map(tuple, passed)),
             matched=tuple(map(tuple, matched)),
-            filtered=filtered,
+            filtered=replace(filtered, predictions={}),
             detected=detected,
             poisoned=tuple(poisoned),
+            controls=tuple(controls) if any(controls) else (),
         )
 
     def _accumulate(
@@ -695,6 +724,8 @@ class ScanSession:
             state.passed.extend(indices[k] for k in verdict.passed[row])
             state.matched.extend(indices[k] for k in verdict.matched[row])
             state.filter_invocations += verdict.filtered.invocations[row]
+            if verdict.controls:
+                state.control_rows.extend(verdict.controls[row])
             for component, calls in verdict.filtered.attributed[row].items():
                 state.attributed[component] = state.attributed.get(component, 0) + calls
         for k, error in verdict.poisoned:

@@ -1,8 +1,8 @@
 """Decode-ahead: rendering a known list of frames ahead on a background thread.
 
 The passes that know up front which frames they will render (a chunked or
-exact-gated scan, the aggregate sampler, the experiments' prediction pass,
-annotation and filter training) get their ``render(index)`` from
+exact-gated scan, an aggregate sample's among them, the experiments'
+prediction pass, annotation and filter training) get their ``render(index)`` from
 :func:`decode_ahead`.  One background thread renders the next frames of the
 list while the caller works on earlier ones, and the caller renders queued
 frames itself rather than wait on one still being drawn, so both cores
@@ -35,8 +35,8 @@ class FramePrefetcher:
     """Decode-ahead rendering over a known index sequence.
 
     Wraps ``stream.frame`` for every pass that knows its index sequence up
-    front (chunked scans, temporal gating, aggregate sampling, annotation,
-    filter training).  The window
+    front (chunked scans, aggregate samples included, temporal gating,
+    annotation, filter training).  The window
     is keyed by *position* in the sequence, so repeated and unordered
     indices are served like any other: a request consumes the first
     unserved occurrence of its index at or after the cursor (one past the
@@ -179,9 +179,8 @@ def decode_ahead(
     ``chunk_size`` frames (the frames the caller consumes at a time, or the
     longest jump a gated scan makes: its ``max_stride``) ahead on
     ``threads`` render threads, closed however the block exits.  Every
-    caller (``StreamingQueryExecutor._scan``,
-    ``AggregateMonitor._evaluate_samples``,
-    ``ExperimentContext.predicted_chunks``, ``annotate_stream`` and
+    caller (``StreamingQueryExecutor._scan``, which every frame query and
+    every aggregate sample runs, ``ExperimentContext.predicted_chunks``, ``annotate_stream`` and
     ``FilterTrainer``'s one render pass) asks for one thread, or for
     ``threads=0`` where rendering ahead does not pay: that gives
     ``stream.frame`` itself, so callers do not branch.  The only place that

@@ -11,6 +11,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from repro.aggregates import (
+    AggregateMonitor,
+    control_variate_estimate,
+    multiple_control_variates_estimate,
+    sample_mean_estimate,
+)
 from repro.detection import ReferenceDetector, annotate_stream
 from repro.filters import FilterTrainer
 from repro.filters.base import BatchPrediction, FilterPrediction
@@ -411,12 +417,13 @@ def reference_render(config, ground_truth):
 
 
 def reference_evaluate_samples(monitor, spec, stream, indices):
-    """``AggregateMonitor._evaluate_samples`` as it stood before the filter
-    tiles: the sampler oracle.
+    """The sampler oracle: ``(Y, controls)`` of the sample ``indices``, as
+    ``AggregateMonitor`` evaluated them before they ran through the scan.
 
     Every sample rendered inline, one whole-sample ``predict_batch`` (one
     batched filter charge of ``len(indices)`` calls), then the detector
-    frame by frame in sample order.
+    frame by frame in sample order; ``Y`` is whether the detections satisfy
+    ``spec.query``.
     """
     exact_values = np.zeros(len(indices))
     controls = np.zeros((len(indices), len(spec.control_values)))
@@ -426,10 +433,24 @@ def reference_evaluate_samples(monitor, spec, stream, indices):
     for row, (frame, prediction) in enumerate(zip(frames, predictions)):
         detections = monitor.detector.detect(frame)
         monitor.clock.charge_calls(monitor.detector)
-        exact_values[row] = spec.exact_value(detections)
+        exact_values[row] = 1.0 if evaluate_predicates_on_detections(spec.query, detections) else 0.0
         for col, control in enumerate(spec.control_values):
             controls[row, col] = control(prediction)
     return exact_values, controls
+
+
+def reference_estimate(detector, frame_filter, spec, stream, indices):
+    """What ``AggregateMonitor.estimate`` reports on the sample ``indices``:
+    ``(plain, control_variate, per_frame_cost_ms)`` from
+    :func:`reference_evaluate_samples` on a fresh clock."""
+    monitor = AggregateMonitor(detector, frame_filter)
+    exact_values, controls = reference_evaluate_samples(monitor, spec, stream, indices)
+    if controls.shape[1] == 1:
+        cv = control_variate_estimate(exact_values, controls[:, 0])
+    else:
+        cv = multiple_control_variates_estimate(exact_values, controls)
+    per_frame_ms = monitor.clock.breakdown.total_ms / len(indices)
+    return sample_mean_estimate(exact_values), cv, per_frame_ms
 
 
 def reference_frame_signature(image, downsample):

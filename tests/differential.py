@@ -305,8 +305,8 @@ class Harness:
 
     def _aggregate(self, config, stream, cascades) -> dict:
         runs = []
-        # The plain count query and the hopping one; 20 samples span three of
-        # the sampler's 8-frame filter tiles, the last one partial.
+        # The plain count query and the hopping one; 20 samples span two of
+        # the scan's 16-frame chunks, the last one partial.
         for position in (0, 4):
             query = self.queries[position]
             spec = AggregateQuerySpec.from_query(

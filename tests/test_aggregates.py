@@ -31,6 +31,7 @@ from repro.aggregates import (
 from repro.aggregates.monitor import MonitoringReport
 from repro.aggregates.sampling import SampleEstimate
 from repro.detection import ReferenceDetector
+from repro.faults import FaultInjector, RetryPolicy
 from repro.query import QueryBuilder, StreamingQueryExecutor
 
 
@@ -202,6 +203,25 @@ def test_a_too_small_sample_is_rejected_before_anything_renders(
     assert runner.clock.breakdown.per_component_calls == {}
 
 
+@pytest.mark.parametrize("site", ["decode", "detector"])
+def test_a_sampled_frame_set_aside_fails_the_estimate(trained_od_filter, tiny_jackson, site):
+    """A sample may not shrink: when the scan sets a sampled frame aside (its
+    decode or detector retries exhausted), the estimate fails naming it
+    instead of estimating over the other frames."""
+    stream = tiny_jackson.test
+    query = QueryBuilder("cars").count("car").at_least(1).build()
+    spec = AggregateQuerySpec.from_query(query, [query_indicator_control(query)])
+    runner = StreamingQueryExecutor(ReferenceDetector(class_names=tiny_jackson.class_names, seed=13))
+    injector = FaultInjector(schedule={(site, 7): 3}, retry=RetryPolicy(max_attempts=3))
+    message = rf"'cars': sampled frame\(s\) \[[^]]*\b7\b[^]]*\] could not be evaluated"
+    with injector, pytest.raises(RuntimeError, match=message) as raised:
+        runner.execute_aggregate(
+            spec, stream, frame_filter=trained_od_filter, sample_size=len(stream)
+        )
+    assert injector.unfired() == ()
+    assert f"fault at {site}@7 exhausted 3 attempts" in str(raised.value)
+
+
 def test_the_smallest_accepted_sample_estimates(trained_od_filter, tiny_jackson):
     stream = tiny_jackson.test
     query = QueryBuilder("cars").count("car").at_least(1).build()
@@ -344,8 +364,6 @@ def test_aggregate_monitor_end_to_end(trained_od_filter, tiny_jackson):
     assert report.per_frame_cost_ms == pytest.approx(200.0 + trained_od_filter.latency_ms, rel=0.01)
     assert report.cost_overhead_ms == pytest.approx(trained_od_filter.latency_ms, rel=0.05)
     assert report.variance_reduction >= 0.5
-    row = report.as_row()
-    assert row["query"] == "cars_present"
     # Multiple controls path.
     multi_query = (
         QueryBuilder("multi").count("car").at_least(1).count("person").at_least(1).build()
@@ -356,7 +374,7 @@ def test_aggregate_monitor_end_to_end(trained_od_filter, tiny_jackson):
     multi_report = monitor.estimate(multi_spec, tiny_jackson.test, sample_size=25)
     assert len(multi_report.control_variate.beta) == 2
     with pytest.raises(ValueError):
-        AggregateQuerySpec(name="bad", exact_value=lambda d: 0.0, control_values=[])
+        AggregateQuerySpec(query=query, control_values=[])
 
 
 def test_class_count_control(trained_od_filter, tiny_jackson):

@@ -3,14 +3,15 @@
 A chunked scan of more than one chunk renders ahead even without
 ``ParallelConfig``, on one background thread with or without a filter step;
 a single-chunk scan, an approximate or cascade-free temporal scan stay
-inline.  The aggregate sampler renders ahead of its filter tiles when a
-sample spans more than one tile, ``annotate_stream`` ahead of the detector,
-and ``FilterTrainer`` in its one render pass.  The consuming thread renders
-queued frames itself rather than wait on one still being drawn; the tests
-of that path gate the render thread on events, so none depends on timing.
-Frames render the same on any thread, so every result here must ``==`` the
-same pass with decode-ahead patched out (the sampler: its single-batch
-oracle), and no ``decode-ahead`` thread may outlive a pass however it ends.
+inline.  An aggregate sample runs through the same scan, so it renders
+ahead when it spans more than one chunk; ``annotate_stream`` renders ahead
+of the detector, and ``FilterTrainer`` in its one render pass.  The
+consuming thread renders queued frames itself rather than wait on one still
+being drawn; the tests of that path gate the render thread on events, so
+none depends on timing.  Frames render the same on any thread, so every
+result here must ``==`` the same pass with decode-ahead patched out (a
+sample's estimate also matches its single-batch oracle), and no
+``decode-ahead`` thread may outlive a pass however it ends.
 CI runs this module five times in a row: a leaked thread or a frame
 cancelled and then needed shows up only under some timings.
 """
@@ -27,7 +28,7 @@ import pytest
 
 from repro.aggregates import query_indicator_control
 from repro.aggregates.controls import class_count_control
-from repro.aggregates.monitor import _SAMPLE_TILE, AggregateMonitor, AggregateQuerySpec
+from repro.aggregates.monitor import AggregateMonitor, AggregateQuerySpec
 from repro.detection import ReferenceDetector, annotate_frames, annotate_stream
 from repro.faults import FaultExhausted, FaultInjector, RetryPolicy
 from repro.filters import FilterTrainer
@@ -42,7 +43,7 @@ from repro.query import (
 from repro.query.parallel import DEFAULT_CHUNK_SIZE
 from repro.query.results import MultiQueryExecutionResult
 from repro.video.prefetch import PREFETCH_DEPTH, FramePrefetcher
-from tests.conftest import reference_evaluate_samples
+from tests.conftest import reference_estimate
 from tests.differential import first_difference, normalize
 
 #: unordered frame indices with repeats, as ``frame_indices`` may give them
@@ -394,14 +395,14 @@ def _aggregate_spec(query, controls=1):
     return AggregateQuerySpec.from_query(query, values[:controls])
 
 
-#: one sample spanning three tiles, the last one partial
-THREE_TILES = 2 * _SAMPLE_TILE + 3
+#: one sample spanning three chunks, the last one partial
+THREE_CHUNKS = 2 * DEFAULT_CHUNK_SIZE + 3
 
 #: ``(query, controls, sample sizes)`` per case
 AGGREGATE_CASES = {
-    "sizes": (_plain, 1, (1, 2, _SAMPLE_TILE, _SAMPLE_TILE + 1, 100)),
-    "windowed": (_windowed, 1, (THREE_TILES,)),
-    "multi-control": (_plain, 2, (THREE_TILES,)),
+    "sizes": (_plain, 1, (1, 2, DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE + 1, 100)),
+    "windowed": (_windowed, 1, (THREE_CHUNKS,)),
+    "multi-control": (_plain, 2, (THREE_CHUNKS,)),
 }
 
 
@@ -409,61 +410,89 @@ AGGREGATE_CASES = {
 def test_decode_ahead_aggregate_matches_single_batch_oracle(
     tiny_jackson, stream, planner, monkeypatch, counted_renders, case
 ):
-    """Filter tiles rendered ahead change no report and no clock entry,
-    and render each sampled position once."""
+    """Each sample's scan, rendered ahead past one chunk, estimates as the
+    single-batch oracle does on the same frames; against the same scans
+    rendered inline it changes no report and no clock entry, and it renders
+    each sampled position once."""
     make_query, controls, sizes = AGGREGATE_CASES[case]
     query = make_query()
     cascade = planner.plan(query)
     spec = _aggregate_spec(query, controls)
+    samples: list[list[int]] = []
+    scan = StreamingQueryExecutor._scan
+
+    def recording_scan(self, queries, stream, cascades, frame_indices, *args, **kwargs):
+        samples.append(list(frame_indices))
+        return scan(self, queries, stream, cascades, frame_indices, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingQueryExecutor, "_scan", recording_scan)
 
     def estimates():
         runner = _executor(tiny_jackson)
-        results = []
+        results, reports = [], []
         for size in sizes:
             try:
-                results.append(asdict(runner.execute_aggregate(
+                result = runner.execute_aggregate(
                     spec, stream, cascade, sample_size=size, repetitions=2, seed=5
-                )))
+                )
             except ValueError as error:  # one sample has no estimate, and renders nothing
                 results.append(repr(error))
+                continue
+            results.append(asdict(result))
+            reports += result.reports
+            reports += [report for window in result.windows or () for report in window.reports]
         breakdown = runner.clock.breakdown
-        return results, [
+        return results, reports, [
             list(breakdown.per_component_ms.items()),
             list(breakdown.per_component_calls.items()),
             list(breakdown.per_component_reused.items()),
         ]
 
-    results, clock = estimates()
+    results, reports, clock = estimates()
     renders = sorted(counted_renders)
+    assert len(samples) == len(reports)
+    for sample, report in zip(samples, reports):
+        plain, cv, per_frame_ms = reference_estimate(
+            ReferenceDetector(class_names=tiny_jackson.class_names, seed=42),
+            cascade.primary_filter, spec, stream, sample,
+        )
+        # NaN correlations compare equal.
+        assert first_difference(
+            normalize([asdict(report.plain), asdict(report.control_variate)]),
+            normalize([asdict(plain), asdict(cv)]),
+        ) is None
+        assert report.per_frame_cost_ms == per_frame_ms
     counted_renders.clear()
-    monkeypatch.setattr(AggregateMonitor, "_evaluate_samples", reference_evaluate_samples)
-    oracle_results, oracle_clock = estimates()
+    monkeypatch.setattr("repro.query.executor.decode_ahead", _inline)
+    inline_results, _, inline_clock = estimates()
     assert renders == sorted(counted_renders)
-    # Reports without their wall clock (NaN correlations compare equal).
-    assert first_difference(normalize(results), normalize(oracle_results)) is None
+    # Reports without their wall clock.
+    assert first_difference(normalize(results), normalize(inline_results)) is None
     # Insertion order and every float bit of the clock.
-    assert clock == oracle_clock
+    assert clock == inline_clock
     assert _live_decode_ahead_threads() == []
 
 
 def test_decode_ahead_aggregate_charges_the_filter_once(
     tiny_jackson, stream, trained_od_filter, monkeypatch
 ):
-    """The tiles are charged as one batched charge of ``n`` calls, before the
-    first detector charge: at this latency a charge per tile sums differently."""
-    latency, n = 0.39, 2 * _SAMPLE_TILE + 5
-    per_tile = 0.0
-    for start in range(0, n, _SAMPLE_TILE):
-        per_tile += latency * (min(start + _SAMPLE_TILE, n) - start)
-    assert per_tile != latency * n
+    """The report attributes the filter as one product ``latency x n``, while
+    the scan charges the clock once per chunk, before that chunk's detector
+    charges: at this latency the charges per chunk sum differently."""
+    latency, n = 0.39, DEFAULT_CHUNK_SIZE + 5
+    per_chunk = 0.0
+    for start in range(0, n, DEFAULT_CHUNK_SIZE):
+        per_chunk += latency * (min(start + DEFAULT_CHUNK_SIZE, n) - start)
+    assert per_chunk != latency * n
     monkeypatch.setattr(trained_od_filter, "latency_ms", latency)
     detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=42)
     monitor = AggregateMonitor(detector, trained_od_filter)
-    monitor.estimate(_aggregate_spec(_plain()), stream, n, frame_indices=range(n))
+    report = monitor.estimate(_aggregate_spec(_plain()), stream, n, frame_indices=range(n))
     breakdown = monitor.clock.breakdown
     assert list(breakdown.per_component_ms) == [trained_od_filter.name, detector.name]
-    assert breakdown.per_component_ms[trained_od_filter.name] == latency * n
+    assert breakdown.per_component_ms[trained_od_filter.name] == per_chunk
     assert breakdown.per_component_calls[trained_od_filter.name] == n
+    assert report.per_frame_cost_ms == (latency * n + detector.latency_ms * n) / n
 
 
 # ----------------------------------------------------------------------
@@ -500,13 +529,13 @@ def test_decode_ahead_only_for_multi_chunk_scans(
     runner.execute(query, stream, cascade, temporal=TemporalConfig(exact=True, max_stride=4))
     assert prefetchers[5:] == [(2 * 1, 1), (2 * 4, 1)]
 
-    # The sampler: more than one filter tile.
+    # An aggregate sample: the scan's rule, more than one chunk.
     spec = AggregateQuerySpec.from_query(query, [lambda prediction: 1.0])
-    runner.execute_aggregate(spec, stream, cascade, sample_size=_SAMPLE_TILE)
+    runner.execute_aggregate(spec, stream, cascade, sample_size=DEFAULT_CHUNK_SIZE)
     assert len(prefetchers) == 7
-    runner.execute_aggregate(spec, stream, cascade, sample_size=_SAMPLE_TILE + 1)
-    runner.execute_aggregate(spec, stream, cascade, sample_size=20)
-    assert prefetchers[7:] == [(2 * _SAMPLE_TILE, 1)] * 2
+    runner.execute_aggregate(spec, stream, cascade, sample_size=DEFAULT_CHUNK_SIZE + 1)
+    runner.execute_aggregate(spec, stream, cascade, sample_size=40)
+    assert prefetchers[7:] == [(2 * DEFAULT_CHUNK_SIZE, 1)] * 2
 
     # A pooled scan renders ahead on one thread, even a single chunk; it
     # chunks by ``batch_size`` as any one-shot scan does.
@@ -647,7 +676,7 @@ def test_decode_ahead_lifecycle_aggregate_raises_mid_estimate(
     monkeypatch.setattr(target, name, failing)
     monitor = AggregateMonitor(detector, trained_od_filter)
     with pytest.raises(RuntimeError, match=f"injected {fails} failure"):
-        monitor.estimate(_aggregate_spec(_plain()), stream, 3 * _SAMPLE_TILE)
+        monitor.estimate(_aggregate_spec(_plain()), stream, 3 * DEFAULT_CHUNK_SIZE)
     assert len(prefetchers) == 1
     assert _live_decode_ahead_threads() == []
 
@@ -655,30 +684,33 @@ def test_decode_ahead_lifecycle_aggregate_raises_mid_estimate(
 def test_decode_ahead_lifecycle_aggregate_decode_fault_raises_as_inline(
     tiny_jackson, stream, trained_od_filter, monkeypatch, prefetchers
 ):
-    """An undecodable sample raises the same ``FaultExhausted`` with or
-    without decode-ahead, though decode-ahead has rendered past it."""
-    indices = list(range(3 * _SAMPLE_TILE))
+    """An undecodable sample fails the estimate, naming the frame, the same
+    with or without decode-ahead, though decode-ahead has rendered past it."""
+    indices = list(range(3 * DEFAULT_CHUNK_SIZE))
+    poisoned = DEFAULT_CHUNK_SIZE + 5
     spec = _aggregate_spec(_plain())
 
     def faulted():
         detector = ReferenceDetector(class_names=tiny_jackson.class_names, seed=42)
         monitor = AggregateMonitor(detector, trained_od_filter)
         injector = FaultInjector(
-            schedule={("decode", _SAMPLE_TILE + 5): 3}, retry=RetryPolicy(max_attempts=3)
+            schedule={("decode", poisoned): 3}, retry=RetryPolicy(max_attempts=3)
         )
-        with injector, pytest.raises(FaultExhausted) as raised:
+        with injector, pytest.raises(RuntimeError, match="could not be evaluated") as raised:
             monitor.estimate(spec, stream, len(indices), frame_indices=indices)
         assert injector.unfired() == ()
-        error = raised.value
-        return (error.site, error.key, error.attempts), monitor.clock.snapshot()
+        return str(raised.value), monitor.clock.snapshot()
 
     ahead = faulted()
     assert len(prefetchers) == 1
     assert _live_decode_ahead_threads() == []
-    monkeypatch.setattr("repro.aggregates.monitor.decode_ahead", _inline)
+    monkeypatch.setattr("repro.query.executor.decode_ahead", _inline)
     inline = faulted()
     assert ahead == inline
-    assert ahead[0] == ("decode", _SAMPLE_TILE + 5, 3)
+    # The poisoned frame's chunk is set aside, and the message names both.
+    chunk = list(range(DEFAULT_CHUNK_SIZE, 2 * DEFAULT_CHUNK_SIZE))
+    assert f"frame(s) {chunk}" in ahead[0]
+    assert f"fault at decode@{poisoned} exhausted 3 attempts" in ahead[0]
 
 
 # ----------------------------------------------------------------------

@@ -558,7 +558,7 @@ def test_execute_many_chunk_failure_does_not_leak_prefetch_threads(
     for run in (
         lambda: runner.execute_many(queries, faulty, cascades, batch_size=8, parallel=config),
         lambda: runner.execute(queries[0], faulty, cascades[0], batch_size=8, parallel=config),
-        # A whole-stream sample spans many filter tiles, so it renders ahead.
+        # A whole-stream sample spans several chunks, so it renders ahead.
         lambda: runner.execute_aggregate(spec, faulty, cascades[0], sample_size=len(stream)),
     ):
         with pytest.raises(RuntimeError, match="injected decode failure"):
