@@ -9,11 +9,14 @@ indicator is evaluated in two ways:
 * approximately, on one or more filter predictions (these are the control
   variates ``Z``).
 
-The :class:`AggregateMonitor` samples frames (optionally per hopping window),
-runs the sample through the executor's one scan, which yields both, and
-reports the plain sampling estimate, the control-variate estimate, the
+The :class:`AggregateMonitor` samples frames (optionally per hopping window)
+and reports the plain sampling estimate, the control-variate estimate, the
 variance-reduction factor and the per-frame cost — i.e. one row of the
-paper's Table IV.
+paper's Table IV.  Both values come from the executor's one scan, one scan
+per call: each sample is a sampled query of it, covering only its own
+frames, and the scan runs over the sorted union of the samples, so a frame
+several samples (repetitions, overlapping windows) draw is rendered,
+filtered and detected once.
 """
 
 from __future__ import annotations
@@ -188,38 +191,60 @@ class AggregateMonitor:
     ) -> MonitoringReport:
         """Estimate one aggregate query by sampling ``sample_size`` frames.
 
-        Sampling is uniform over the window (or the whole stream).  The sample
-        runs through the executor's one scan as the query without its window
-        clause: ``Y`` is whether the scan matched a sampled frame, and the
-        controls are read off the control filter's predictions.  The report
-        contains both the plain sampling estimate and the control-variate
-        estimate; with multiple controls the multiple-CV estimator is used.
-        The per-frame cost is the scan's attributed cost over the sample;
-        ``self.clock`` is charged and keeps its history.
+        Sampling is uniform over the window (or the whole stream).  This is
+        the one-sample case of the scan
+        :meth:`~repro.query.executor.StreamingQueryExecutor.execute_aggregate`
+        runs for all of its samples (see :meth:`_estimate_samples`).  The
+        report contains both the plain sampling estimate and the
+        control-variate estimate; with multiple controls the multiple-CV
+        estimator is used.  ``self.clock`` is charged and keeps its history.
         ``window`` and ``frame_indices`` both choose the population, so
         passing both is a ``ValueError``; so is a sample too small for the
         estimator (see :func:`sampling_population`), raised before anything
-        is rendered.  A sampled frame the scan set aside (its retries
-        exhausted) raises ``RuntimeError`` naming it: the sample may not
-        shrink unannounced.
+        is rendered.  A sampled frame the scan set aside raises
+        ``RuntimeError`` naming it.
         """
         if window is not None and frame_indices is not None:
             raise ValueError("estimate takes a window or frame_indices, not both")
-        started = time.perf_counter()
         # Both populations are checked before anything is rendered or charged.
         if frame_indices is None:
             population = sampling_population(spec, stream, sample_size, window)
-            chosen = population[
-                sample_frame_indices(len(population), sample_size, self._rng)
-            ].tolist()
+            sample = self._draw(population, sample_size)
         else:
-            chosen = checked_frame_indices(frame_indices, stream)
-            _check_sample_count(spec, len(chosen), f"frame_indices of {len(chosen)} frames")
-        result = self._executor._scan(
-            [replace(spec.query, window=None)], stream, [self._cascade], chosen,
-            None, None, None, controls=[spec.control_values],
-        ).results[0]
-        faults = result.stats.faults
+            sample = checked_frame_indices(frame_indices, stream)
+            _check_sample_count(spec, len(sample), f"frame_indices of {len(sample)} frames")
+        return self._estimate_samples(spec, stream, [sample])[0]
+
+    def _draw(self, population: np.ndarray, sample_size: int) -> list[int]:
+        """``sample_size`` frames of ``population``, sorted, drawn from ``self._rng``."""
+        return population[sample_frame_indices(len(population), sample_size, self._rng)].tolist()
+
+    def _estimate_samples(
+        self, spec: AggregateQuerySpec, stream: VideoStream, samples: Sequence[Sequence[int]]
+    ) -> list[MonitoringReport]:
+        """One report per sample in ``samples``, all from one scan.
+
+        Each sample is a sampled query of the executor's one scan: the query
+        without its window clause (the sample is drawn inside the window
+        already), covering only its sample's frames, with a one-step cascade
+        over the control filter that passes every prediction.  The scan runs
+        over the sorted union of the samples, so a frame two samples share
+        is rendered, predicted and detected once.  ``Y`` is whether the scan
+        matched a sampled frame, and the controls are read off the control
+        filter's predictions, in the sample's own order (repeats included).
+        The per-frame cost is the query's attributed cost (latency x calls)
+        over its distinct frames, and the wall clock is the whole scan's.  A
+        sampled frame the scan set aside (its retries exhausted) raises
+        ``RuntimeError`` naming it: no sample may shrink unannounced.
+        """
+        started = time.perf_counter()
+        covered = [frozenset(sample) for sample in samples]
+        scan = self._executor._scan(
+            [replace(spec.query, window=None)] * len(samples), stream,
+            [self._cascade] * len(samples), sorted(frozenset().union(*covered)),
+            None, None, None, samples=covered, controls=[spec.control_values] * len(samples),
+        )
+        faults = scan.results[0].stats.faults
         if faults is not None and faults.quarantined:
             lost = [index for record in faults.quarantined for index in record.frames]
             raise RuntimeError(
@@ -227,24 +252,26 @@ class AggregateMonitor:
                 f"({faults.quarantined[0].error})"
             )
         elapsed = time.perf_counter() - started
-
-        matched = set(result.matched_frames)
-        exact_values = np.array([1.0 if index in matched else 0.0 for index in chosen])
-        controls = np.array(result.control_rows)
-        plain = sample_mean_estimate(exact_values)
-        if controls.shape[1] == 1:
-            cv = control_variate_estimate(exact_values, controls[:, 0])
-        else:
-            cv = multiple_control_variates_estimate(exact_values, controls)
-
-        num_samples = len(chosen)
-        per_frame_ms = result.stats.simulated_cost.total_ms / num_samples
-        return MonitoringReport(
-            query_name=spec.name,
-            plain=plain,
-            control_variate=cv,
-            num_samples=num_samples,
-            per_frame_cost_ms=per_frame_ms,
-            detector_only_cost_ms=self.detector.latency_ms,
-            wall_clock_seconds=elapsed,
-        )
+        reports = []
+        for sample, distinct, result in zip(samples, covered, scan.results):
+            matched = set(result.matched_frames)
+            # One control row per passed frame, in scan (sorted) order.
+            rows = dict(zip(sorted(distinct), result.control_rows))
+            exact_values = np.array([1.0 if index in matched else 0.0 for index in sample])
+            controls = np.array([rows[index] for index in sample])
+            if controls.shape[1] == 1:
+                cv = control_variate_estimate(exact_values, controls[:, 0])
+            else:
+                cv = multiple_control_variates_estimate(exact_values, controls)
+            reports.append(
+                MonitoringReport(
+                    query_name=spec.name,
+                    plain=sample_mean_estimate(exact_values),
+                    control_variate=cv,
+                    num_samples=len(sample),
+                    per_frame_cost_ms=result.stats.simulated_cost.total_ms / len(distinct),
+                    detector_only_cost_ms=self.detector.latency_ms,
+                    wall_clock_seconds=elapsed,
+                )
+            )
+        return reports

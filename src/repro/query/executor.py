@@ -233,11 +233,13 @@ class StreamingQueryExecutor:
         mean no filtering).  When ``cascades`` is omitted entirely, every
         query runs brute force — still sharing frames and detector runs.
 
-        Per-query results have exact parity with running each query alone:
-        the same matched frames and windows, and per-query work counters /
+        Per-query results match running each query alone: the same matched
+        frames and windows, the same work counters and call counts, and a
         simulated cost *attributed* from the shared run (what the query would
-        have paid standalone).  The actual — smaller — cost of the shared
-        scan is reported once in ``shared``, whose
+        have paid standalone) as latency x calls.  :meth:`execute` reports
+        the clock's per-chunk charges summed instead, so the two costs are
+        equal up to float rounding, not bit for bit.  The actual — smaller —
+        cost of the shared scan is reported once in ``shared``, whose
         :class:`~repro.cost.SharedCostReport` separates work charged once
         from the per-query attributions.  Only ``wall_clock_seconds`` is not
         attributable: each per-query result carries the whole shared run's
@@ -292,9 +294,11 @@ class StreamingQueryExecutor:
         batch_size: int | None,
         temporal: TemporalConfig | None,
         parallel: ParallelConfig | None,
+        samples: Sequence[frozenset[int]] | None = None,
         controls: Sequence[Sequence["ControlValueFn"]] | None = None,
     ) -> MultiQueryExecutionResult:
         """The one scan behind :meth:`execute`, :meth:`execute_many` and
+        the samples of :meth:`execute_aggregate` and
         :meth:`~repro.aggregates.monitor.AggregateMonitor.estimate`.
 
         Build a :class:`~repro.query.session.ScanSession`, feed it, read the
@@ -320,8 +324,9 @@ class StreamingQueryExecutor:
         gating is sequential.  The filter phase of a
         chunk is :func:`~repro.query.parallel.run_filter_chunk` whether it
         runs inline or in a worker, so the parallel engine is chunk-for-chunk
-        identical to the inline scan by construction.  ``controls[i]``
-        registers query ``i`` with control functions (its ``control_rows``).
+        identical to the inline scan by construction.  ``samples[i]`` and
+        ``controls[i]`` register query ``i`` as a sampled query: it covers
+        only its sample's frames and reads its ``control_rows`` off them.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be positive: {batch_size}")
@@ -343,13 +348,16 @@ class StreamingQueryExecutor:
         # history.
         session = ScanSession(self.detector, clock=self.clock, live=False, parallel=parallel)
         with session:
-            for query, cascade, bounds, query_controls in zip(
-                queries, query_cascades, per_query_windows, controls or repeat(())
+            for query, cascade, bounds, sample, query_controls in zip(
+                queries, query_cascades, per_query_windows,
+                samples or repeat(None), controls or repeat(()),
             ):
                 # A windowed query covers its windows up to where the last
                 # materialised instance ends (none: no frame at all).
                 stop = None if bounds is None else (bounds[-1].stop if bounds else 0)
-                session.add_query(query, cascade, stop=stop, controls=query_controls)
+                session.add_query(
+                    query, cascade, stop=stop, sample=sample, controls=query_controls
+                )
             # Plans the scan: steps merged across queries.
             unique_steps = session.unique_step_count
             # The frames some query covers (a provably-empty query covers
@@ -465,10 +473,16 @@ class StreamingQueryExecutor:
         Estimation itself is delegated to
         :class:`~repro.aggregates.monitor.AggregateMonitor` seeded with
         ``seed``, so for an un-windowed spec the reports are numerically
-        identical to calling ``AggregateMonitor.estimate`` directly with the
-        same seed.  Each estimate draws its sample and runs it through
-        :meth:`_scan`, the scan every frame query runs: chunked, rendered
-        ahead past one chunk, each sampled frame filtered and detected once.
+        identical to ``repetitions`` calls of ``AggregateMonitor.estimate``
+        with the same seed.  Every sample is drawn first (window by window,
+        then repetition by repetition), and then all of them run through one
+        :meth:`_scan`, the scan every frame query runs, each sample a sampled
+        query covering only its own frames: chunked, rendered ahead past one
+        chunk, and each distinct sampled frame rendered, filtered and
+        detected once however many samples share it.  Each report's
+        per-frame cost is its own sample's attributed cost, and its
+        ``wall_clock_seconds`` the wall time of the one scan, as
+        :meth:`execute_many` reports each query's.
 
         For a windowed spec (``spec.window`` set, e.g. parsed from a query's
         ``WINDOW HOPPING`` clause) one estimate per window instance is
@@ -500,29 +514,34 @@ class StreamingQueryExecutor:
         monitor = AggregateMonitor(
             detector=self.detector, frame_filter=source, clock=self.clock, seed=seed
         )
-        windows: tuple[WindowAggregateEstimate, ...] | None = None
-        reports: tuple["MonitoringReport", ...] = ()
+        instances: list[WindowBounds] | None = None
         if spec.window is not None:
             instances = _window_bounds_for(spec.window, stream, include_partial=False)
             if not instances:
                 raise ValueError("a windowed aggregate needs frames; the stream is empty")
-            # Every window's sample is checked before the first one renders.
-            for bounds in instances:
-                sampling_population(spec, stream, sample_size, bounds)
-            windows = tuple(
-                WindowAggregateEstimate(
-                    bounds=bounds,
-                    reports=tuple(
-                        monitor.estimate(spec, stream, sample_size, window=bounds)
-                        for _ in range(repetitions)
-                    ),
-                )
-                for bounds in instances
-            )
+        # Every population is checked before anything renders.
+        populations = [
+            sampling_population(spec, stream, sample_size, bounds)
+            for bounds in (instances if instances is not None else [None])
+        ]
+        samples = [
+            monitor._draw(population, sample_size)
+            for population in populations
+            for _ in range(repetitions)
+        ]
+        estimates = monitor._estimate_samples(spec, stream, samples)
+        groups = [
+            tuple(estimates[start : start + repetitions])
+            for start in range(0, len(estimates), repetitions)
+        ]
+        windows: tuple[WindowAggregateEstimate, ...] | None = None
+        reports: tuple["MonitoringReport", ...] = ()
+        if instances is None:
+            reports = groups[0]
         else:
-            reports = tuple(
-                monitor.estimate(spec, stream, sample_size)
-                for _ in range(repetitions)
+            windows = tuple(
+                WindowAggregateEstimate(bounds=bounds, reports=group)
+                for bounds, group in zip(instances, groups)
             )
         return AggregateExecutionResult(
             query_name=spec.name,

@@ -155,10 +155,12 @@ def run_filter_chunk(
 
     The shared-scan contract of ``execute_many``, restricted to one chunk: a
     filter shared by several queries' cascades is evaluated at most once per
-    frame (cross-query prediction cache keyed by filter identity), deduped
-    steps share their pass/fail outcome, and each query's attribution counts
-    what a standalone run would have paid.  ``covered[q][k]`` masks frames
-    outside query ``q``'s window coverage (``None`` = all frames covered).
+    frame (cross-query prediction cache keyed by filter identity), a
+    first-step filter predicts the union of its queries' covered frames as
+    one batch, deduped steps share their pass/fail outcome, and each
+    query's attribution counts what a standalone run would have paid.
+    ``covered[q][k]`` masks frames outside query ``q``'s coverage (its
+    windows, its sample; ``None`` = all frames covered).
     Every cascade's steps run in their planned order.  Each
     ``predict_batch`` is charged to ``clock`` as it returns; ``None``
     charges nothing (exact-mode verification).
@@ -176,20 +178,32 @@ def run_filter_chunk(
     computed: dict[str, int] = {}
     predictions: dict[tuple, dict[int, FilterPrediction]] = {}
     outcomes: dict[tuple[int, int], bool] = {}
-    for position, (cascade, step_positions) in enumerate(
-        zip(query_cascades, assignments)
+    coverage = [
+        list(range(len(frames))) if covered is None
+        else [k for k in range(len(frames)) if covered[position][k]]
+        for position in range(num_queries)
+    ]
+    # A first step sees every frame its query covers, so the first query to
+    # run a first-step filter predicts the frames of every query starting
+    # with it as one batch: queries covering different frames (windows,
+    # samples) do not split the chunk into one small batch each.
+    first_steps: dict[tuple, set[int]] = {}
+    for cascade, alive in zip(query_cascades, coverage):
+        if cascade.steps:
+            first_steps.setdefault(cascade.steps[0].frame_filter.identity, set()).update(alive)
+    for position, (cascade, step_positions, alive) in enumerate(
+        zip(query_cascades, assignments, coverage)
     ):
-        if covered is None:
-            alive = list(range(len(frames)))
-        else:
-            alive = [k for k in range(len(frames)) if covered[position][k]]
         counted: dict[int, set[tuple]] = {}
         for step, unique_position in zip(cascade.steps, step_positions):
             if not alive:
                 break
             identity = step.frame_filter.identity
             per_filter = predictions.setdefault(identity, {})
-            missing = [k for k in alive if k not in per_filter]
+            wanted = alive
+            if step is cascade.steps[0] and identity in first_steps:
+                wanted = sorted(first_steps.pop(identity))
+            missing = [k for k in wanted if k not in per_filter]
             if missing:
                 batch = step.frame_filter.predict_batch([frames[k] for k in missing])
                 if clock is not None:

@@ -20,7 +20,8 @@ the session is its one owner.
 
 Coverage has one rule in both modes, :meth:`QueryState.covers`: a query
 scans the frames of its hopping window (every frame without one) counted from
-its registration point, up to an optional ``stop``.  Two operating modes share
+its registration point, up to an optional ``stop``, and a sampled (aggregate)
+query only the frames of its sample.  Two operating modes share
 the accumulation code:
 
 * ``live=False`` — the executor's mode.  Every query registers at frame 0
@@ -192,7 +193,8 @@ class QueryState:
     lets window emission count by bisection.  ``attributed`` maps
     ``(component_name, latency_ms)`` to the calls a standalone run of this
     query would have made, exactly as ``execute_many`` attributes cost.
-    A sampled (aggregate) query's ``controls`` fill ``control_rows``: one
+    A sampled (aggregate) query covers only the frames of its ``sample``
+    (``None`` = no sample), and its ``controls`` fill ``control_rows``: one
     row per passed frame, off its cascade's primary filter's prediction.
     """
 
@@ -220,12 +222,15 @@ class QueryState:
     windows_closed: bool = False
     emitted_windows: list[WindowResult] = field(default_factory=list)
     final: QueryExecutionResult | None = None
+    sample: frozenset[int] | None = None
     controls: tuple[Callable[[FilterPrediction], float], ...] = ()
     control_rows: list[tuple[float, ...]] = field(default_factory=list)
 
     def covers(self, index: int) -> bool:
         """Whether this query scans stream frame ``index``: the one coverage rule."""
         if self.provably_empty or (self.stop is not None and index >= self.stop):
+            return False
+        if self.sample is not None and index not in self.sample:
             return False
         if self.window is None:
             return index >= self.origin
@@ -384,6 +389,7 @@ class ScanSession:
         stop: int | None = None,
         budget: QueryBudget | None = None,
         key: str | None = None,
+        sample: frozenset[int] | None = None,
         controls: Sequence[Callable[[FilterPrediction], float]] = (),
     ) -> int:
         """Register a query; returns its session id (stable across churn).
@@ -394,11 +400,15 @@ class ScanSession:
         instance ends).  On a pooled session, a filter the pool's workers
         would share is refused here with :func:`clone_cascades`'s
         ``ValueError``, and the query is not added; a pool attached later by
-        :meth:`set_parallel` refuses it at its first push.  ``controls``
-        registers a sampled query: see :class:`QueryState`.
+        :meth:`set_parallel` refuses it at its first push.  ``sample`` and
+        ``controls`` register a sampled query: see :class:`QueryState`.  A
+        live session takes no sample (a checkpoint carries none), so it
+        refuses one with ``ValueError`` and adds nothing.
         """
         if self._closed:
             raise RuntimeError("session is closed")
+        if sample is not None and self.live:
+            raise ValueError(f"{query.name!r}: a live session takes no sampled query")
         cascade = cascade if cascade is not None else FilterCascade()
         if controls and cascade.primary_filter is None:
             raise ValueError(f"{query.name!r} has controls but no filter to read them from")
@@ -420,6 +430,7 @@ class ScanSession:
             budget=budget,
             registered_wall=time.perf_counter(),
             next_window_start=origin,
+            sample=sample,
             controls=tuple(controls),
         )
         self._states.append(state)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
+from collections import Counter
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
@@ -33,6 +35,9 @@ from repro.aggregates.sampling import SampleEstimate
 from repro.detection import ReferenceDetector
 from repro.faults import FaultInjector, RetryPolicy
 from repro.query import QueryBuilder, StreamingQueryExecutor
+from repro.query.parallel import DEFAULT_CHUNK_SIZE
+from repro.query.session import ScanSession
+from tests.differential import first_difference, normalize
 
 
 def test_sample_mean_estimate_basics():
@@ -220,6 +225,96 @@ def test_a_sampled_frame_set_aside_fails_the_estimate(trained_od_filter, tiny_ja
         )
     assert injector.unfired() == ()
     assert f"fault at {site}@7 exhausted 3 attempts" in str(raised.value)
+
+
+def _counting(calls: list, call):
+    """``call`` that records the frame indices of every call it is handed."""
+
+    def counted(frames):
+        calls.append([frame.index for frame in (frames if isinstance(frames, list) else [frames])])
+        return call(frames)
+
+    return counted
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["stream", "hopping"])
+def test_repeated_samples_share_one_scan(
+    trained_od_filter, tiny_jackson, monkeypatch, counted_renders, windowed
+):
+    """``execute_aggregate(repetitions=3)`` renders, predicts and detects each
+    distinct sampled frame once, however many samples draw it, and reports
+    what three sequential ``estimate`` calls with the same seed report."""
+    stream = tiny_jackson.test
+    builder = QueryBuilder("cars").count("car").at_least(1)
+    spec = _two_controls((builder.window(20, 10) if windowed else builder).build())
+    windows = [WindowBounds(start, start + 20) for start in range(0, 31, 10)]
+    windows = windows if windowed else [None]
+    sample_size, seed = (8 if windowed else 20), 5
+    rng = np.random.default_rng(seed)
+    samples = []
+    for bounds in windows:
+        start, stop = (0, len(stream)) if bounds is None else (bounds.start, bounds.stop)
+        population = np.arange(start, stop)
+        for _ in range(3):
+            samples.append(population[sample_frame_indices(len(population), sample_size, rng)])
+    distinct = set(np.concatenate(samples).tolist())
+    assert len(distinct) < sum(map(len, samples))  # the samples overlap
+
+    def detector():
+        return ReferenceDetector(class_names=tiny_jackson.class_names, seed=13)
+
+    predicted: list[list[int]] = []
+    detected: list[list[int]] = []
+    shared = StreamingQueryExecutor(detector())
+    monkeypatch.setitem(
+        vars(trained_od_filter), "predict_batch",
+        _counting(predicted, trained_od_filter.predict_batch),
+    )
+    monkeypatch.setattr(shared.detector, "detect", _counting(detected, shared.detector.detect))
+    result = shared.execute_aggregate(
+        spec, stream, frame_filter=trained_od_filter, sample_size=sample_size,
+        repetitions=3, seed=seed,
+    )
+    once = {index: 1 for index in distinct}
+    assert Counter(counted_renders) == once
+    assert Counter(index for batch in predicted for index in batch) == once
+    assert Counter(index for call in detected for index in call) == once
+    # One batch per chunk of the union: the samples do not split a chunk.
+    assert len(predicted) == math.ceil(len(distinct) / DEFAULT_CHUNK_SIZE)
+
+    monitor = AggregateMonitor(detector(), trained_od_filter, seed=seed)
+    sequential = [
+        monitor.estimate(spec, stream, sample_size, window=bounds)
+        for bounds in windows
+        for _ in range(3)
+    ]
+    if windowed:
+        assert [window.bounds for window in result.windows] == windows
+        reports = [report for window in result.windows for report in window.reports]
+    else:
+        reports = list(result.reports)
+    assert len(reports) == len(sequential)
+    for report, alone, sample in zip(reports, sequential, samples):
+        assert report.num_samples == alone.num_samples == len(sample)
+        # NaN correlations compare equal.
+        assert first_difference(
+            normalize([asdict(report.plain), asdict(report.control_variate)]),
+            normalize([asdict(alone.plain), asdict(alone.control_variate)]),
+        ) is None
+        assert report.per_frame_cost_ms == alone.per_frame_cost_ms
+    # Every report carries the one scan's wall clock.
+    assert len({report.wall_clock_seconds for report in reports}) == 1
+
+
+def test_a_live_session_refuses_a_sampled_query(tiny_jackson):
+    """Sampled queries are the executor's: a live session (a service shard's)
+    checkpoints no sample, so it refuses one and registers nothing."""
+    session = ScanSession(ReferenceDetector(class_names=tiny_jackson.class_names, seed=13))
+    query = QueryBuilder("sampled").count("car").at_least(1).build()
+    with pytest.raises(ValueError, match="'sampled': a live session takes no sampled query"):
+        session.add_query(query, sample=frozenset({1, 2, 3}))
+    assert session.states == []
+    assert session.active_sids == ()
 
 
 def test_the_smallest_accepted_sample_estimates(trained_od_filter, tiny_jackson):

@@ -18,15 +18,17 @@ cancelled and then needed shows up only under some timings.
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
-from repro.aggregates import query_indicator_control
+from repro.aggregates import query_indicator_control, sample_frame_indices
 from repro.aggregates.controls import class_count_control
 from repro.aggregates.monitor import AggregateMonitor, AggregateQuerySpec
 from repro.detection import ReferenceDetector, annotate_frames, annotate_stream
@@ -42,6 +44,7 @@ from repro.query import (
 )
 from repro.query.parallel import DEFAULT_CHUNK_SIZE
 from repro.query.results import MultiQueryExecutionResult
+from repro.query.session import ScanSession
 from repro.video.prefetch import PREFETCH_DEPTH, FramePrefetcher
 from tests.conftest import reference_estimate
 from tests.differential import first_difference, normalize
@@ -410,22 +413,22 @@ AGGREGATE_CASES = {
 def test_decode_ahead_aggregate_matches_single_batch_oracle(
     tiny_jackson, stream, planner, monkeypatch, counted_renders, case
 ):
-    """Each sample's scan, rendered ahead past one chunk, estimates as the
-    single-batch oracle does on the same frames; against the same scans
-    rendered inline it changes no report and no clock entry, and it renders
-    each sampled position once."""
+    """Each sample of the shared scan, rendered ahead past one chunk,
+    estimates as the single-batch oracle does on the same frames; against the
+    same scans rendered inline it changes no report and no clock entry, and
+    it renders each sampled position once."""
     make_query, controls, sizes = AGGREGATE_CASES[case]
     query = make_query()
     cascade = planner.plan(query)
     spec = _aggregate_spec(query, controls)
     samples: list[list[int]] = []
-    scan = StreamingQueryExecutor._scan
+    add_query = ScanSession.add_query
 
-    def recording_scan(self, queries, stream, cascades, frame_indices, *args, **kwargs):
-        samples.append(list(frame_indices))
-        return scan(self, queries, stream, cascades, frame_indices, *args, **kwargs)
+    def recording_add_query(self, query, cascade=None, **kwargs):
+        samples.append(sorted(kwargs["sample"]))
+        return add_query(self, query, cascade, **kwargs)
 
-    monkeypatch.setattr(StreamingQueryExecutor, "_scan", recording_scan)
+    monkeypatch.setattr(ScanSession, "add_query", recording_add_query)
 
     def estimates():
         runner = _executor(tiny_jackson)
@@ -711,6 +714,35 @@ def test_decode_ahead_lifecycle_aggregate_decode_fault_raises_as_inline(
     chunk = list(range(DEFAULT_CHUNK_SIZE, 2 * DEFAULT_CHUNK_SIZE))
     assert f"frame(s) {chunk}" in ahead[0]
     assert f"fault at decode@{poisoned} exhausted 3 attempts" in ahead[0]
+
+
+def test_decode_ahead_lifecycle_aggregate_fault_on_a_shared_frame(
+    tiny_jackson, stream, trained_od_filter, prefetchers
+):
+    """A decode fault that exhausts its retries on a frame two samples share
+    fails the whole call, naming that frame, and stops the one scan's
+    decode-ahead thread."""
+    sample_size, seed = 30, 5
+    rng = np.random.default_rng(seed)
+    first, second = (
+        set(sample_frame_indices(len(stream), sample_size, rng).tolist()) for _ in range(2)
+    )
+    # A shared frame past the first chunk of the union scan, so decode-ahead
+    # has rendered ahead of it when it fails.
+    poisoned = min(index for index in first & second if index >= DEFAULT_CHUNK_SIZE)
+    injector = FaultInjector(
+        schedule={("decode", poisoned): 3}, retry=RetryPolicy(max_attempts=3)
+    )
+    with injector, pytest.raises(RuntimeError, match="could not be evaluated") as raised:
+        _executor(tiny_jackson).execute_aggregate(
+            _aggregate_spec(_plain()), stream, frame_filter=trained_od_filter,
+            sample_size=sample_size, repetitions=2, seed=seed,
+        )
+    assert injector.unfired() == ()
+    assert re.search(rf"sampled frame\(s\) \[[^]]*\b{poisoned}\b[^]]*\]", str(raised.value))
+    assert f"fault at decode@{poisoned} exhausted 3 attempts" in str(raised.value)
+    assert len(prefetchers) == 1  # one scan for both samples
+    assert _live_decode_ahead_threads() == []
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ the prediction and detection passes those runners make.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 
 import pytest
@@ -28,6 +29,7 @@ from repro.experiments import (
 )
 from repro.experiments.context import ExperimentConfig, get_context
 from repro.filters import evaluate_count_filter, evaluate_localization
+from repro.query import StreamingQueryExecutor
 
 TINY = ExperimentConfig(
     train_size=80,
@@ -99,6 +101,32 @@ def test_table3_flags_rows_that_cannot_fail(monkeypatch):
     assert [row["vacuous"] for row in table3.run(TINY, query_names=("q3", "q4"))] == [True] * 2
     # A row with no twin and enough true matches is not.
     assert [row["vacuous"] for row in table3.run(TINY, query_names=("q3",))] == [False]
+
+
+def test_execute_and_execute_many_attribute_equal_calls_and_cost(jackson_context):
+    """``execute`` reports the clock's summed per-chunk charges and
+    ``execute_many`` each query's latency x calls: the call counts are equal
+    and the cost equal up to float rounding.  On TINY, q3's OD-CCF cost is
+    113.99999999999999 ms through ``execute`` and 114.0 ms through
+    ``execute_many``."""
+    spec = next(spec for spec in table3.build_query_specs() if spec.name == "q3")
+    query = spec.build(jackson_context)
+    cascade = table3._plan(jackson_context, spec, query)
+    stream = jackson_context.dataset.test
+
+    def executor():
+        return StreamingQueryExecutor(jackson_context.reference_detector(seed_offset=300))
+
+    alone = executor().execute(query, stream, cascade).stats
+    shared = executor().execute_many([query], stream, [cascade]).results[0].stats
+    assert alone.filter_invocations == shared.filter_invocations
+    assert alone.detector_invocations == shared.detector_invocations
+    summed, attributed = alone.simulated_cost, shared.simulated_cost
+    assert summed.per_component_calls == attributed.per_component_calls
+    assert summed.per_component_ms.keys() == attributed.per_component_ms.keys()
+    for component, ms in summed.per_component_ms.items():
+        assert math.isclose(ms, attributed.per_component_ms[component], rel_tol=1e-12)
+    assert math.isclose(summed.total_ms, attributed.total_ms, rel_tol=1e-12)
 
 
 def test_table4_subset():
